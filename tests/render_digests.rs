@@ -1,0 +1,106 @@
+//! Cross-commit render oracle: a digest of every seeded harness report,
+//! pinned in `render_digests.txt`.
+//!
+//! The sweeps' own "byte-identical" checks compare two replays of the
+//! *same* build, which cannot catch a refactor that shifts an RNG draw,
+//! reorders an event, or moves a counter. This fixture is the same
+//! comparison across commits: a change that claims to keep behaviour
+//! must leave it untouched. A change that means to alter a report
+//! regenerates it deliberately and says so:
+//!
+//! ```text
+//! cargo test --test render_digests -- --ignored regenerate
+//! ```
+
+use federated::sim::chaos::{self, ChaosConfig};
+use federated::sim::multi::{self, MultiTenantConfig};
+use federated::sim::overload::{self, OverloadConfig};
+use federated::sim::{run_wire_chaos, run_wire_chaos_secagg};
+use std::path::PathBuf;
+
+/// FNV-1a 64: the fixture only has to notice a changed byte, and the
+/// length printed beside it makes a digest collision irrelevant.
+fn digest(render: &str) -> u64 {
+    render.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+fn line(harness: &str, seed: u64, render: &str) -> String {
+    format!("{harness} seed={seed} fnv1a64={:016x} bytes={}\n", digest(render), render.len())
+}
+
+fn render_fixture() -> String {
+    let mut out = String::from(
+        "# FNV-1a 64 digest and length of each seeded report render.\n\
+         # A behaviour-preserving change leaves every line as it is.\n\
+         # Regenerate deliberately:\n\
+         #   cargo test --test render_digests -- --ignored regenerate\n",
+    );
+    for report in chaos::sweep(&chaos::default_seeds(), &ChaosConfig::default()) {
+        out.push_str(&line("chaos/plain", report.seed, &report.render()));
+    }
+    for report in chaos::sweep(&chaos::default_secagg_seeds(), &chaos::secagg_config(2)) {
+        out.push_str(&line("chaos/secagg", report.seed, &report.render()));
+    }
+    let scenarios: [(&str, fn(u64) -> OverloadConfig); 4] = [
+        ("overload/thundering_herd", OverloadConfig::thundering_herd),
+        ("overload/flash_crowd", OverloadConfig::flash_crowd),
+        ("overload/secagg_flash_crowd", OverloadConfig::secagg_flash_crowd),
+        ("overload/diurnal_ramp", OverloadConfig::diurnal_ramp),
+    ];
+    for (name, make) in scenarios {
+        for report in overload::sweep(&overload::default_seeds(), make) {
+            out.push_str(&line(name, report.seed, &report.render()));
+        }
+    }
+    let tenancies: [(&str, fn(u64) -> MultiTenantConfig); 2] = [
+        ("multi/flash_vs_steady", MultiTenantConfig::flash_vs_steady),
+        ("multi/single", MultiTenantConfig::single),
+    ];
+    for (name, make) in tenancies {
+        for report in multi::sweep(&multi::default_seeds(), make) {
+            out.push_str(&line(name, report.seed, &report.render()));
+        }
+    }
+    // The 32 fault scripts `tests/wire_chaos.rs` sweeps.
+    for seed in 0..20 {
+        out.push_str(&line("wire_chaos/plain", seed, &run_wire_chaos(seed).render()));
+    }
+    for seed in 100..112 {
+        out.push_str(&line("wire_chaos/secagg", seed, &run_wire_chaos_secagg(seed).render()));
+    }
+    out
+}
+
+fn fixture_path() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests")
+        .join("render_digests.txt")
+}
+
+#[test]
+fn renders_match_the_committed_digests() {
+    let expected = std::fs::read_to_string(fixture_path())
+        .expect("render_digests.txt missing — run the ignored `regenerate` test");
+    let actual = render_fixture();
+    let drifted: Vec<String> = expected
+        .lines()
+        .zip(actual.lines())
+        .filter(|(want, got)| want != got)
+        .map(|(want, got)| format!("  committed: {want}\n  this tree: {got}"))
+        .collect();
+    assert!(
+        drifted.is_empty() && expected.lines().count() == actual.lines().count(),
+        "{} report render(s) drifted from the committed digests:\n{}",
+        drifted.len(),
+        drifted.join("\n")
+    );
+}
+
+/// Rewrites the fixture. Ignored so it never runs in a normal sweep.
+#[test]
+#[ignore = "rewrites the digest fixture; run deliberately with --ignored"]
+fn regenerate() {
+    std::fs::write(fixture_path(), render_fixture()).expect("write fixture");
+}
