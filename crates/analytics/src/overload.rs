@@ -14,7 +14,6 @@
 use crate::monitor::{Alert, DeviationMonitor};
 use crate::timeseries::TimeSeries;
 use fl_core::PopulationName;
-use std::collections::BTreeMap;
 
 /// Per-population accept/shed/retry series for a multi-tenant Selector
 /// layer (Sec. 2.1): the aggregate series answer "is the fleet
@@ -70,9 +69,10 @@ pub struct OverloadMetrics {
     report_rejects: TimeSeries,
     corrupt_frames: TimeSeries,
     monitor: DeviationMonitor,
-    /// Per-population accept/shed/retry series (multi-tenant Selector
-    /// layer); the aggregate series above always include these counts.
-    by_population: BTreeMap<PopulationName, PopulationSeries>,
+    /// Per-population accept/shed/retry series, sorted by name (the
+    /// render order); the aggregate series above always include these
+    /// counts.
+    by_population: Vec<(PopulationName, PopulationSeries)>,
     /// Index of the bucket currently accumulating.
     open_bucket: usize,
     open_accepts: u64,
@@ -109,7 +109,7 @@ impl OverloadMetrics {
                 config.baseline_window,
                 config.threshold_sigmas,
             ),
-            by_population: BTreeMap::new(),
+            by_population: Vec::new(),
             open_bucket: 0,
             open_accepts: 0,
             open_sheds: 0,
@@ -156,67 +156,60 @@ impl OverloadMetrics {
         }
     }
 
-    /// Records an accepted check-in.
-    pub fn record_accept(&mut self, now_ms: u64) {
-        self.roll(now_ms);
-        self.accepts.increment(now_ms);
-        self.open_accepts += 1;
-    }
-
-    /// Records a shed (admission-rejected) check-in.
-    pub fn record_shed(&mut self, now_ms: u64) {
-        self.roll(now_ms);
-        self.sheds.increment(now_ms);
-        self.open_sheds += 1;
-    }
-
-    /// Records a device-side retry attempt.
-    pub fn record_retry(&mut self, now_ms: u64) {
-        self.roll(now_ms);
-        self.retries.increment(now_ms);
-    }
-
-    /// Lazily creates the per-population series triple.
-    fn series_for(&mut self, population: &PopulationName) -> &mut PopulationSeries {
-        let (bucket_ms, origin_ms) = (self.config.bucket_ms, self.origin_ms);
+    /// Where `population` sits in the name-sorted table (`Ok`), or where
+    /// it would be inserted (`Err`).
+    fn position_of(&self, population: &PopulationName) -> Result<usize, usize> {
         self.by_population
-            .entry(population.clone())
-            .or_insert_with(|| PopulationSeries {
-                accepts: TimeSeries::new(
-                    format!("selector.accepts[{population}]"),
-                    bucket_ms,
-                    origin_ms,
-                ),
-                sheds: TimeSeries::new(
-                    format!("selector.sheds[{population}]"),
-                    bucket_ms,
-                    origin_ms,
-                ),
-                retries: TimeSeries::new(
-                    format!("device.retries[{population}]"),
-                    bucket_ms,
-                    origin_ms,
-                ),
-            })
+            .binary_search_by(|(name, _)| name.cmp(population))
+    }
+
+    /// The population's series triple, created on its first record.
+    fn series_for(&mut self, population: &PopulationName) -> &mut PopulationSeries {
+        let at = match self.position_of(population) {
+            Ok(at) => at,
+            Err(at) => {
+                let series = |metric: &str| {
+                    TimeSeries::new(
+                        format!("{metric}[{population}]"),
+                        self.config.bucket_ms,
+                        self.origin_ms,
+                    )
+                };
+                let triple = PopulationSeries {
+                    accepts: series("selector.accepts"),
+                    sheds: series("selector.sheds"),
+                    retries: series("device.retries"),
+                };
+                self.by_population.insert(at, (population.clone(), triple));
+                at
+            }
+        };
+        &mut self.by_population[at].1
     }
 
     /// Records an accepted check-in from `population`: counts in the
     /// aggregate series *and* the population's own series.
     pub fn record_accept_for(&mut self, population: &PopulationName, now_ms: u64) {
-        self.record_accept(now_ms);
+        self.roll(now_ms);
+        self.accepts.increment(now_ms);
+        self.open_accepts += 1;
         self.series_for(population).accepts.increment(now_ms);
     }
 
-    /// Records a shed check-in from `population` (aggregate + per-population).
+    /// Records a shed (admission-rejected) check-in from `population`
+    /// (aggregate + per-population).
     pub fn record_shed_for(&mut self, population: &PopulationName, now_ms: u64) {
-        self.record_shed(now_ms);
+        self.roll(now_ms);
+        self.sheds.increment(now_ms);
+        self.open_sheds += 1;
         self.series_for(population).sheds.increment(now_ms);
     }
 
     /// Records a retry pushed to a device of `population` (aggregate +
     /// per-population).
     pub fn record_retry_for(&mut self, population: &PopulationName, now_ms: u64) {
-        self.record_retry(now_ms);
+        self.roll(now_ms);
+        self.retries.increment(now_ms);
         self.series_for(population).retries.increment(now_ms);
     }
 
@@ -322,13 +315,15 @@ impl OverloadMetrics {
     /// The accept/shed/retry series of one population, if any of its
     /// check-ins have been recorded.
     pub fn population_series(&self, population: &PopulationName) -> Option<&PopulationSeries> {
-        self.by_population.get(population)
+        self.position_of(population)
+            .ok()
+            .map(|at| &self.by_population[at].1)
     }
 
     /// Every population with recorded per-population telemetry, in name
     /// order (deterministic for rendering).
     pub fn populations(&self) -> Vec<&PopulationName> {
-        self.by_population.keys().collect()
+        self.by_population.iter().map(|(name, _)| name).collect()
     }
 
     /// Renders the per-population series as an ASCII dashboard panel
@@ -367,6 +362,11 @@ impl OverloadMetrics {
 mod tests {
     use super::*;
 
+    /// The one population of the single-tenant cases.
+    fn pop() -> PopulationName {
+        PopulationName::new("pop")
+    }
+
     fn config() -> OverloadMonitorConfig {
         OverloadMonitorConfig {
             bucket_ms: 1_000,
@@ -382,9 +382,9 @@ mod tests {
         // 20 buckets of 10% shed.
         for b in 0..20u64 {
             for i in 0..9 {
-                m.record_accept(b * 1_000 + i * 10);
+                m.record_accept_for(&pop(), b * 1_000 + i * 10);
             }
-            m.record_shed(b * 1_000 + 990);
+            m.record_shed_for(&pop(), b * 1_000 + 990);
         }
         m.finalize(20_000);
         assert!(m.alerts().is_empty(), "{:?}", m.alerts());
@@ -397,16 +397,16 @@ mod tests {
         let mut m = OverloadMetrics::new(config(), 0);
         for b in 0..16u64 {
             for i in 0..10 {
-                m.record_accept(b * 1_000 + i * 10);
+                m.record_accept_for(&pop(), b * 1_000 + i * 10);
             }
         }
         // Flash crowd: shedding jumps to 80%.
         for b in 16..20u64 {
             for i in 0..2 {
-                m.record_accept(b * 1_000 + i * 10);
+                m.record_accept_for(&pop(), b * 1_000 + i * 10);
             }
             for i in 0..8 {
-                m.record_shed(b * 1_000 + 500 + i * 10);
+                m.record_shed_for(&pop(), b * 1_000 + 500 + i * 10);
             }
         }
         m.finalize(20_000);
@@ -425,9 +425,9 @@ mod tests {
         // Shedding ~95% from the very first bucket: the deviation monitor
         // may rebaseline, the ceiling must still fire.
         for b in 0..12u64 {
-            m.record_accept(b * 1_000);
+            m.record_accept_for(&pop(), b * 1_000);
             for i in 0..19 {
-                m.record_shed(b * 1_000 + 10 + i * 10);
+                m.record_shed_for(&pop(), b * 1_000 + 10 + i * 10);
             }
         }
         m.finalize(12_000);
@@ -443,9 +443,9 @@ mod tests {
     #[test]
     fn quiet_buckets_close_as_zero() {
         let mut m = OverloadMetrics::new(config(), 0);
-        m.record_shed(100);
+        m.record_shed_for(&pop(), 100);
         // Nothing for 5 buckets, then an accept.
-        m.record_accept(6_500);
+        m.record_accept_for(&pop(), 6_500);
         m.finalize(7_100);
         assert_eq!(m.shed_fractions(), &[1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]);
     }
@@ -453,10 +453,10 @@ mod tests {
     #[test]
     fn series_record_everything() {
         let mut m = OverloadMetrics::new(config(), 0);
-        m.record_accept(0);
-        m.record_shed(10);
-        m.record_retry(20);
-        m.record_retry(1_500);
+        m.record_accept_for(&pop(), 0);
+        m.record_shed_for(&pop(), 10);
+        m.record_retry_for(&pop(), 20);
+        m.record_retry_for(&pop(), 1_500);
         assert_eq!(m.accepts().sums(), vec![1.0]);
         assert_eq!(m.sheds().sums(), vec![1.0]);
         assert_eq!(m.retries().sums(), vec![1.0, 1.0]);
@@ -465,7 +465,7 @@ mod tests {
     #[test]
     fn wire_fault_series_stay_out_of_the_shed_fraction() {
         let mut m = OverloadMetrics::new(config(), 0);
-        m.record_accept(0);
+        m.record_accept_for(&pop(), 0);
         m.record_duplicate_report(100);
         m.record_rejected_report(150);
         m.record_corrupt_frame(200);
@@ -481,7 +481,7 @@ mod tests {
     #[test]
     fn secagg_aborts_feed_their_own_series_only() {
         let mut m = OverloadMetrics::new(config(), 0);
-        m.record_accept(0);
+        m.record_accept_for(&pop(), 0);
         m.record_secagg_abort(100);
         m.record_secagg_abort(1_200);
         m.finalize(2_000);
@@ -521,7 +521,7 @@ mod tests {
     #[test]
     fn evictions_do_not_move_the_shed_fraction() {
         let mut m = OverloadMetrics::new(config(), 0);
-        m.record_accept(0);
+        m.record_accept_for(&pop(), 0);
         m.record_evict(10);
         m.record_evict(20);
         m.finalize(1_000);
@@ -562,7 +562,7 @@ mod tests {
     #[test]
     fn population_panel_without_tenants_says_so() {
         let mut m = OverloadMetrics::new(config(), 0);
-        m.record_accept(0);
+        m.record_evict(0);
         m.finalize(1_000);
         assert!(m
             .render_population_panel()

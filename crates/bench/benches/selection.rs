@@ -6,13 +6,14 @@
 //! rejection path) and the reservoir-sampled forwarding.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use fl_core::DeviceId;
+use fl_core::{DeviceId, PopulationName};
 use fl_ml::rng;
 use fl_server::pace::PaceSteering;
 use fl_server::selector::Selector;
 use std::hint::black_box;
 
 fn bench_checkin_throughput(c: &mut Criterion) {
+    let pop = PopulationName::new("bench/pop");
     let mut group = c.benchmark_group("checkin");
     group.throughput(Throughput::Elements(10_000));
     // Mostly-rejecting selector (quota far below arrivals) — the common
@@ -20,27 +21,28 @@ fn bench_checkin_throughput(c: &mut Criterion) {
     group.bench_function("10k_mostly_rejected", |b| {
         b.iter(|| {
             let mut s = Selector::new(PaceSteering::new(60_000, 130), 1_000_000, 1);
-            s.set_quota(130);
+            s.set_population_quota(pop.clone(), 130);
             for i in 0..10_000u64 {
-                black_box(s.on_checkin(DeviceId(i), i, 1.0));
+                black_box(s.on_checkin_for(&pop, DeviceId(i), i, 1.0));
             }
-            s.counters()
+            s.counters_for(&pop)
         });
     });
     group.bench_function("10k_all_accepted", |b| {
         b.iter(|| {
             let mut s = Selector::new(PaceSteering::new(60_000, 130), 1_000_000, 1);
-            s.set_quota(10_000);
+            s.set_population_quota(pop.clone(), 10_000);
             for i in 0..10_000u64 {
-                black_box(s.on_checkin(DeviceId(i), i, 1.0));
+                black_box(s.on_checkin_for(&pop, DeviceId(i), i, 1.0));
             }
-            s.counters()
+            s.counters_for(&pop)
         });
     });
     group.finish();
 }
 
 fn bench_forwarding(c: &mut Criterion) {
+    let pop = PopulationName::new("bench/pop");
     let mut group = c.benchmark_group("forward");
     for pool in [1_000usize, 10_000] {
         group.bench_with_input(BenchmarkId::new("sample_130_of", pool), &pool, |b, &pool| {
@@ -49,11 +51,11 @@ fn bench_forwarding(c: &mut Criterion) {
             // equally across pool sizes, so the comparison stands.
             b.iter(|| {
                 let mut s = Selector::new(PaceSteering::new(60_000, 130), 1_000_000, 1);
-                s.set_quota(pool);
+                s.set_population_quota(pop.clone(), pool);
                 for i in 0..pool as u64 {
-                    s.on_checkin(DeviceId(i), 0, 1.0);
+                    s.on_checkin_for(&pop, DeviceId(i), 0, 1.0);
                 }
-                black_box(s.forward_devices(130))
+                black_box(s.forward_devices_for(&pop, 130, 0))
             });
         });
     }

@@ -9,12 +9,13 @@
 //!
 //! Each case drives a fresh Selector with unique device check-ins
 //! round-robined across N populations, draining held connections with
-//! [`Selector::forward_devices_for`] every `DRAIN_EVERY` arrivals so
+//! [`Selector::forward_devices_for`] every `drain_every` arrivals so
 //! the accept path (pace loop → token bucket → per-population quota →
-//! global fair-share budget → insert) dominates and the held set stays
-//! bounded. The legacy single-tenant [`Selector::on_checkin`] path is
-//! measured under the same discipline as the baseline, so the JSON
-//! shows what the PopulationName threading costs per check-in.
+//! global fair-share budget → insert) dominates. The drain cadence is
+//! the second axis: at 512 the held set stays small, at 8 192 it grows
+//! sixteen-fold, so any per-check-in work proportional to the held set
+//! shows as a slope between the two columns and its absence as a flat
+//! line.
 
 use fl_core::{DeviceId, PopulationName};
 use fl_server::pace::PaceSteering;
@@ -22,13 +23,12 @@ use fl_server::selector::{CheckinDecision, Selector};
 use fl_server::shedding::{AdmissionConfig, GlobalAdmissionBudget, GlobalAdmissionConfig};
 use std::time::Instant;
 
-/// Drain cadence: bounds the held set (and thus the per-arrival
-/// population-filter scans) so the bench measures admission, not
-/// eviction pathology.
-const DRAIN_EVERY: u32 = 512;
+/// Drain cadences measured: a small and a sixteen-fold larger held set.
+const DRAIN_CADENCES: [u32; 2] = [512, 8_192];
 
 struct Case {
     populations: usize,
+    drain_every: u32,
     iters: u32,
     checkin_ns: f64,
     accept_fraction: f64,
@@ -39,14 +39,11 @@ struct Case {
 /// the drained held-set size, and the global budget window is
 /// effectively unbounded. Every check-in then exercises the full
 /// accept path.
-fn build_selector(pops: &[PopulationName]) -> Selector {
+fn build_selector(pops: &[PopulationName], drain_every: u32) -> Selector {
     let budget = GlobalAdmissionBudget::new(GlobalAdmissionConfig {
         window_ms: 60_000,
         max_admits_per_window: 1 << 40,
     });
-    for pop in pops {
-        budget.register_population(pop);
-    }
     let mut selector = Selector::new(PaceSteering::new(60_000, 10_000), 1_000_000, 42)
         .with_admission(AdmissionConfig {
             accepts_per_sec: 1e9,
@@ -54,18 +51,17 @@ fn build_selector(pops: &[PopulationName]) -> Selector {
             max_inflight: 1 << 20,
         })
         .with_global_budget(budget);
-    selector.set_quota(DRAIN_EVERY as usize * 4);
     for pop in pops {
-        selector.set_population_quota(pop.clone(), DRAIN_EVERY as usize * 4);
+        selector.set_population_quota(pop.clone(), drain_every as usize * 4);
     }
     selector
 }
 
-fn bench_multi(populations: usize, iters: u32) -> Case {
+fn bench(populations: usize, drain_every: u32, iters: u32) -> Case {
     let pops: Vec<PopulationName> = (0..populations)
         .map(|i| PopulationName::new(format!("bench/pop{i}")))
         .collect();
-    let mut selector = build_selector(&pops);
+    let mut selector = build_selector(&pops, drain_every);
 
     let mut accepted = 0u64;
     let start = Instant::now();
@@ -77,39 +73,16 @@ fn bench_multi(populations: usize, iters: u32) -> Case {
         {
             accepted += 1;
         }
-        if i % DRAIN_EVERY == DRAIN_EVERY - 1 {
+        if i % drain_every == drain_every - 1 {
             for pop in &pops {
-                let _ = selector.forward_devices_for(pop, DRAIN_EVERY as usize, now_ms);
+                let _ = selector.forward_devices_for(pop, drain_every as usize, now_ms);
             }
         }
     }
     let checkin_ns = start.elapsed().as_nanos() as f64 / f64::from(iters);
     Case {
         populations,
-        iters,
-        checkin_ns,
-        accept_fraction: accepted as f64 / f64::from(iters),
-    }
-}
-
-/// The pre-multi-tenant path under the same drain discipline: the
-/// baseline the per-population bookkeeping is compared against.
-fn bench_legacy(iters: u32) -> Case {
-    let mut selector = build_selector(&[]);
-    let mut accepted = 0u64;
-    let start = Instant::now();
-    for i in 0..iters {
-        let now_ms = 1 + u64::from(i);
-        if let CheckinDecision::Accept = selector.on_checkin(DeviceId(u64::from(i)), now_ms, 1.0) {
-            accepted += 1;
-        }
-        if i % DRAIN_EVERY == DRAIN_EVERY - 1 {
-            let _ = selector.forward_devices_at(DRAIN_EVERY as usize, now_ms);
-        }
-    }
-    let checkin_ns = start.elapsed().as_nanos() as f64 / f64::from(iters);
-    Case {
-        populations: 0,
+        drain_every,
         iters,
         checkin_ns,
         accept_fraction: accepted as f64 / f64::from(iters),
@@ -120,57 +93,40 @@ fn main() {
     const ITERS: u32 = 200_000;
     const WARMUP: u32 = 10_000;
 
-    // One warm-up pass per shape, then the measured pass — same
-    // discipline as bench_wire.
-    let _ = bench_legacy(WARMUP);
-    let legacy = bench_legacy(ITERS);
-    println!(
-        "on_checkin      (single-tenant): {:>7.1} ns/check-in, {:>5.1}% accepted",
-        legacy.checkin_ns,
-        legacy.accept_fraction * 100.0
-    );
-    assert!(
-        legacy.accept_fraction > 0.99,
-        "bench must measure the accept path, not shedding"
-    );
-
-    let cases: Vec<Case> = [1usize, 2, 8]
-        .iter()
-        .map(|&populations| {
-            let _ = bench_multi(populations, WARMUP);
-            let case = bench_multi(populations, ITERS);
+    let mut cases: Vec<Case> = Vec::new();
+    for populations in [1usize, 2, 8] {
+        for drain_every in DRAIN_CADENCES {
+            // One warm-up pass per shape, then the measured pass — same
+            // discipline as bench_wire.
+            let _ = bench(populations, drain_every, WARMUP);
+            let case = bench(populations, drain_every, ITERS);
             println!(
-                "on_checkin_for ({populations} population{}): {:>7.1} ns/check-in, {:>5.1}% accepted ({:+.1} ns vs legacy)",
+                "on_checkin_for ({populations} population{}, drain every {drain_every:>5}): \
+                 {:>7.1} ns/check-in, {:>5.1}% accepted",
                 if populations == 1 { " " } else { "s" },
                 case.checkin_ns,
                 case.accept_fraction * 100.0,
-                case.checkin_ns - legacy.checkin_ns
             );
             assert!(
                 case.accept_fraction > 0.99,
                 "bench must measure the accept path, not shedding"
             );
-            case
-        })
-        .collect();
+            cases.push(case);
+        }
+    }
 
     let mut json = String::from("{\n");
     json.push_str("  \"bench\": \"selector_checkin\",\n");
-    json.push_str(&format!("  \"drain_every\": {DRAIN_EVERY},\n"));
-    json.push_str(&format!(
-        "  \"legacy_single_tenant\": {{\"iters\": {}, \"checkin_ns\": {:.1}, \"accept_fraction\": {:.4}}},\n",
-        legacy.iters, legacy.checkin_ns, legacy.accept_fraction
-    ));
     json.push_str("  \"cases\": [\n");
     for (i, c) in cases.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"populations\": {}, \"iters\": {}, \"checkin_ns\": {:.1}, \
-             \"accept_fraction\": {:.4}, \"overhead_vs_legacy_ns\": {:.1}}}{}\n",
+            "    {{\"populations\": {}, \"drain_every\": {}, \"iters\": {}, \
+             \"checkin_ns\": {:.1}, \"accept_fraction\": {:.4}}}{}\n",
             c.populations,
+            c.drain_every,
             c.iters,
             c.checkin_ns,
             c.accept_fraction,
-            c.checkin_ns - legacy.checkin_ns,
             if i + 1 == cases.len() { "" } else { "," }
         ));
     }

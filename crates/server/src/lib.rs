@@ -78,9 +78,7 @@ pub use shedding::{
     AdmissionConfig, AdmissionController, AdmissionDecision, GlobalAdmissionBudget,
     GlobalAdmissionConfig, PaceController, PaceControllerConfig, ShedReason,
 };
-pub use topology::{
-    spawn_topology, DeploymentSpec, LiveTopology, SelectorSpec, TopologyBlueprint,
-};
+pub use topology::{DeploymentSpec, SelectorSpec, TopologyBlueprint};
 pub use storage::{
     CheckpointStore, FaultyCheckpointStore, InMemoryCheckpointStore, SharedCheckpointStore,
 };

@@ -732,21 +732,20 @@ pub enum SelectorMsg {
         /// The device's connection, for replies.
         conn: WireSink,
     },
-    /// Coordinator quota instruction.
-    SetQuota(usize),
-    /// Coordinator census update: seeds the selector's closed-loop pace
-    /// controller with a fresh population estimate.
-    SetPopulationEstimate(u64),
-    /// Retarget this selector at a (respawned) coordinator. Sec. 4.4:
-    /// after the Selector layer respawns a dead Coordinator, traffic must
-    /// flow to the replacement, not the corpse — and the selector must be
-    /// re-briefed, not left with pacing state from the dead incarnation:
-    /// the replacement's first quota/census instructions ride along
-    /// instead of waiting for the next periodic update.
+    /// Retarget one population's route at a (respawned) coordinator.
+    /// Sec. 4.4: after the Selector layer respawns a dead Coordinator,
+    /// that population's traffic must flow to the replacement, not the
+    /// corpse — and the selector must be re-briefed, not left with pacing
+    /// state from the dead incarnation: the replacement's first
+    /// quota/census instructions ride along instead of waiting for the
+    /// next periodic update. Every other population's route is untouched.
     Rewire {
+        /// The population the replacement owns.
+        population: PopulationName,
         /// The replacement coordinator.
         coordinator: ActorRef<CoordMsg>,
-        /// The replacement's current held-connection quota.
+        /// The replacement's current held-connection quota for
+        /// `population` on this selector.
         quota: usize,
         /// The replacement's current population-size estimate.
         population_estimate: u64,
@@ -761,15 +760,14 @@ pub enum SelectorMsg {
 /// [`OverloadMetrics`].
 ///
 /// Multi-tenancy (Sec. 2.1): check-ins are demultiplexed by the
-/// [`PopulationName`] carried in every v3 `CheckinRequest`. A population
-/// with a registered route ([`SelectorActor::with_route`]) forwards to
-/// its own Coordinator; everything else falls back to the default
-/// Coordinator passed at construction, which keeps the single-population
-/// topology byte-identical as the n=1 special case.
+/// [`PopulationName`] carried in every v3 `CheckinRequest` and forwarded
+/// to the Coordinator that owns the population. The routing table and
+/// the [`Selector`]'s registered populations are the same set by
+/// construction, so an accepted device always has a route; a name
+/// nobody registered is told to come back later.
 pub struct SelectorActor {
     selector: Selector,
-    coordinator: ActorRef<CoordMsg>,
-    /// Per-population Coordinator routes for the multi-tenant tree.
+    /// The owning Coordinator of every population `selector` serves.
     routes: BTreeMap<PopulationName, ActorRef<CoordMsg>>,
     telemetry: Option<SharedOverloadMetrics>,
     epoch: Instant,
@@ -784,12 +782,16 @@ impl std::fmt::Debug for SelectorActor {
 }
 
 impl SelectorActor {
-    /// Creates the actor with a default Coordinator route.
+    /// Creates the actor, routing every population already registered on
+    /// `selector` to `coordinator`.
     pub fn new(selector: Selector, coordinator: ActorRef<CoordMsg>) -> Self {
+        let routes = selector
+            .populations()
+            .map(|population| (population.clone(), coordinator.clone()))
+            .collect();
         SelectorActor {
             selector,
-            coordinator,
-            routes: BTreeMap::new(),
+            routes,
             telemetry: None,
             // fl-lint: allow(wall-clock): live-mode event timestamps only.
             epoch: Instant::now(),
@@ -803,10 +805,9 @@ impl SelectorActor {
         self
     }
 
-    /// Registers a per-population Coordinator route: accepted devices of
-    /// `population` are forwarded there instead of the default
-    /// Coordinator, with the population held against `quota` slots of
-    /// this selector.
+    /// Registers `population` (or replaces its registration): accepted
+    /// devices are forwarded to `coordinator`, with the population held
+    /// against `quota` slots of this selector.
     pub fn with_route(
         mut self,
         population: PopulationName,
@@ -835,75 +836,69 @@ impl Actor for SelectorActor {
                     return Flow::Continue;
                 };
                 let now = self.epoch.elapsed().as_millis() as u64;
-                let shed_before = self.selector.shed_total();
+                // `None`: nobody registered this name. The Selector
+                // refuses it below; it has no series to charge either,
+                // so a peer cannot mint telemetry rows by inventing names.
+                let route = self.routes.get(&population);
                 let evicted_before = self.selector.evicted_total();
                 let decision = self.selector.on_checkin_for(&population, device, now, 1.0);
-                let shed = self.selector.shed_total() > shed_before;
-                if let Some(telemetry) = &self.telemetry {
+                if let (Some(telemetry), Some(_)) = (&self.telemetry, route) {
                     let mut metrics = telemetry.lock();
                     for _ in evicted_before..self.selector.evicted_total() {
                         metrics.record_evict(now);
                     }
                     match decision {
                         CheckinDecision::Accept => metrics.record_accept_for(&population, now),
+                        CheckinDecision::Shed { .. } => {
+                            metrics.record_shed_for(&population, now);
+                            metrics.record_retry_for(&population, now);
+                        }
+                        // Every rejection sends the device into its
+                        // retry discipline.
                         CheckinDecision::Reject { .. } => {
-                            if shed {
-                                metrics.record_shed_for(&population, now);
-                            }
-                            // Every rejection sends the device into its
-                            // retry discipline.
                             metrics.record_retry_for(&population, now);
                         }
                     }
                 }
+                // Admission-control sheds and ordinary pacing rejects are
+                // distinct wire messages: a `Shed` tells the device the
+                // server is over capacity (Sec. 5's load shedding), a
+                // `ComeBackLater` is routine pace steering. Both echo the
+                // population so the device's per-population retry budget
+                // absorbs the backoff.
                 match decision {
                     CheckinDecision::Accept => {
-                        // Forward to the owning population's Coordinator
-                        // (default route when none is registered); the
-                        // selector releases the device from its own set.
+                        // Forward to the owning population's Coordinator;
+                        // the selector releases the device from its own
+                        // set.
                         self.selector.on_disconnect(device);
-                        let route = self.routes.get(&population).unwrap_or(&self.coordinator);
-                        let _ = route.send(CoordMsg::DeviceForwarded { device, conn });
+                        if let Some(route) = route {
+                            let _ = route.send(CoordMsg::DeviceForwarded { device, conn });
+                        }
+                    }
+                    CheckinDecision::Shed { retry_at_ms, .. } => {
+                        let _ = conn.send(&WireMessage::Shed {
+                            retry_at_ms,
+                            population,
+                        });
                     }
                     CheckinDecision::Reject { retry_at_ms } => {
-                        // Admission-control sheds and ordinary pacing
-                        // rejects are distinct wire messages: a `Shed`
-                        // tells the device the server is over capacity
-                        // (Sec. 5's load shedding), a `ComeBackLater` is
-                        // routine pace steering. Both echo the population
-                        // so the device's per-population retry budget
-                        // absorbs the backoff.
-                        let msg = if shed {
-                            WireMessage::Shed {
-                                retry_at_ms,
-                                population,
-                            }
-                        } else {
-                            WireMessage::ComeBackLater {
-                                retry_at_ms,
-                                population,
-                            }
-                        };
-                        let _ = conn.send(&msg);
+                        let _ = conn.send(&WireMessage::ComeBackLater {
+                            retry_at_ms,
+                            population,
+                        });
                     }
                 }
                 Flow::Continue
             }
-            SelectorMsg::SetQuota(q) => {
-                self.selector.set_quota(q);
-                Flow::Continue
-            }
-            SelectorMsg::SetPopulationEstimate(estimate) => {
-                self.selector.set_population_estimate(estimate);
-                Flow::Continue
-            }
             SelectorMsg::Rewire {
+                population,
                 coordinator,
                 quota,
                 population_estimate,
             } => {
-                self.coordinator = coordinator;
-                self.selector.set_quota(quota);
+                self.selector.set_population_quota(population.clone(), quota);
+                self.routes.insert(population, coordinator);
                 self.selector.set_population_estimate(population_estimate);
                 Flow::Continue
             }
@@ -1171,7 +1166,7 @@ where
 mod tests {
     use super::*;
     use crate::pace::PaceSteering;
-    use crate::topology::{spawn_topology, SelectorSpec, TopologyBlueprint};
+    use crate::topology::{spawn_multi_topology, SelectorSpec, TopologyBlueprint};
     use fl_actors::DeathReason;
     use fl_core::plan::{CodecSpec, ModelSpec};
     use fl_core::population::{FlTask, TaskSelectionStrategy};
@@ -1214,8 +1209,9 @@ mod tests {
         );
         let blueprint =
             TopologyBlueprint::new(vec![SelectorSpec::new(PaceSteering::new(1_000, 10), 100, 1, 10)]);
-        let topology = spawn_topology(&system, coordinator, &blueprint);
-        let (selector_refs, coord_ref) = (topology.selectors, topology.coordinator);
+        let topology = spawn_multi_topology(&system, vec![(coordinator, 10)], &blueprint);
+        let coord_ref = topology.coordinators[&PopulationName::new("pop")].clone();
+        let selector_refs = topology.selectors;
         assert!(locks.lookup("coordinator/pop").is_some());
 
         // Four device clients, each on its own thread, each speaking the
@@ -1297,7 +1293,7 @@ mod tests {
         // subtree spawned under the coordinator, and the whole subtree
         // died normally with the round.
         let obits: Vec<_> = system.deaths().try_iter().collect();
-        for name in ["coordinator/master-r1", "coordinator/master-r1/agg-0"] {
+        for name in ["coordinator-pop/master-r1", "coordinator-pop/master-r1/agg-0"] {
             let obit = obits
                 .iter()
                 .find(|o| o.name == name)
@@ -1328,8 +1324,9 @@ mod tests {
         );
         let blueprint =
             TopologyBlueprint::new(vec![SelectorSpec::new(PaceSteering::new(1_000, 10), 100, 1, 10)]);
-        let topology = spawn_topology(&system, coordinator, &blueprint);
-        let (selector_refs, coord_ref) = (topology.selectors, topology.coordinator);
+        let topology = spawn_multi_topology(&system, vec![(coordinator, 10)], &blueprint);
+        let coord_ref = topology.coordinators[&PopulationName::new("pop3")].clone();
+        let selector_refs = topology.selectors;
 
         // First device fills the goal; the round enters Reporting.
         let first = DeviceConn::connect(DeviceId(0), "pop3", selector_refs[0].clone(), coord_ref.clone());
@@ -1391,13 +1388,14 @@ mod tests {
             10,
         )])
         .with_telemetry(fl_analytics::overload::OverloadMonitorConfig::default());
-        let topology = spawn_topology(&system, coordinator, &blueprint);
+        let topology = spawn_multi_topology(&system, vec![(coordinator, 10)], &blueprint);
+        let coord_ref = topology.coordinators[&PopulationName::new("pop-dedup")].clone();
 
         let conn = DeviceConn::connect(
             DeviceId(0),
             "pop-dedup",
             topology.selectors[0].clone(),
-            topology.coordinator.clone(),
+            coord_ref.clone(),
         );
         conn.check_in().unwrap();
         let (round, dim) = loop {
@@ -1432,14 +1430,13 @@ mod tests {
         let wheel = fl_actors::timer::TimerWheel::new();
         let outcome = loop {
             let (tx, rx) = unbounded();
-            topology
-                .coordinator
+            coord_ref
                 .send(CoordMsg::TryCompleteRound { reply: tx })
                 .unwrap();
             if let Some(outcome) = rx.recv_timeout(Duration::from_secs(5)).unwrap() {
                 break outcome;
             }
-            topology.coordinator.send(CoordMsg::Tick).unwrap();
+            coord_ref.send(CoordMsg::Tick).unwrap();
             let (poll_tx, poll_rx) = unbounded::<()>();
             wheel.schedule(Duration::from_millis(20), move || {
                 let _ = poll_tx.send(());
@@ -1457,10 +1454,7 @@ mod tests {
         let dupes: f64 = telemetry.lock().dup_reports().sums().iter().sum();
         assert_eq!(dupes, 1.0);
 
-        for s in &topology.selectors {
-            s.send(SelectorMsg::Shutdown).unwrap();
-        }
-        topology.coordinator.send(CoordMsg::Shutdown).unwrap();
+        topology.shutdown();
         system.join();
     }
 
@@ -1480,8 +1474,9 @@ mod tests {
         );
         let blueprint =
             TopologyBlueprint::new(vec![SelectorSpec::new(PaceSteering::new(1_000, 10), 100, 1, 10)]);
-        let topology = spawn_topology(&system, coordinator, &blueprint);
-        let (selector_refs, coord_ref) = (topology.selectors, topology.coordinator);
+        let topology = spawn_multi_topology(&system, vec![(coordinator, 10)], &blueprint);
+        let coord_ref = topology.coordinators[&PopulationName::new("pop4")].clone();
+        let selector_refs = topology.selectors;
 
         // Inject raw garbage and a valid frame of the wrong type straight
         // into the selector mailbox, as a hostile or desynced gateway

@@ -21,58 +21,80 @@
 use crate::pace::PaceSteering;
 use crate::shedding::{
     AdmissionConfig, AdmissionController, AdmissionDecision, GlobalAdmissionBudget,
-    PaceController, PaceControllerConfig,
+    PaceController, PaceControllerConfig, ShedReason,
 };
 use fl_core::{DeviceId, PopulationName};
 use fl_ml::rng;
 use rand::rngs::StdRng;
 use std::collections::BTreeMap;
 
-/// Decision returned to a checking-in device.
+/// Decision returned to a checking-in device. The decision carries its
+/// cause, so callers never have to infer a shed from counter movement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CheckinDecision {
     /// The device is accepted and held on the bidirectional stream.
     Accept,
-    /// "Come back later": rejected with a pace-steered reconnect time.
+    /// Overload protection turned the device away before quota was even
+    /// consulted (admission controller) or after it passed (global
+    /// budget): the server is over capacity (Sec. 5's load shedding).
+    Shed {
+        /// Which protection layer shed the check-in.
+        reason: ShedReason,
+        /// Absolute suggested reconnect time (ms).
+        retry_at_ms: u64,
+    },
+    /// "Come back later": routine pace steering — the population's quota
+    /// is full, the device is already held, or nobody registered the
+    /// population it named.
     Reject {
         /// Absolute suggested reconnect time (ms).
         retry_at_ms: u64,
     },
 }
 
-/// A held device connection: when it was last seen, and (on the
-/// multi-tenant path) which population it checked in under.
-#[derive(Debug, Clone)]
+/// A held device connection: when it was last seen and which population
+/// row it counts against.
+#[derive(Debug, Clone, Copy)]
 struct HeldConn {
     last_seen_ms: u64,
-    /// Population the device checked in under. `None` on the legacy
-    /// single-population path, which predates multi-tenancy and keeps
-    /// its exact behavior as the n=1 special case.
-    population: Option<PopulationName>,
+    /// Index into [`Selector::populations`].
+    population: usize,
 }
 
-/// A Selector: accepts or rejects device check-ins against a quota and an
-/// optional admission controller, and forwards sampled subsets toward
-/// Aggregators on request.
+/// Everything the Selector tracks for one registered population.
+#[derive(Debug)]
+struct PopulationRow {
+    name: PopulationName,
+    /// How many of this population's devices the Selector may hold.
+    quota: usize,
+    /// How many it holds now (kept in step with `connected`).
+    held: usize,
+    accepted: u64,
+    /// Rejections of every kind, sheds included.
+    rejected: u64,
+    shed: u64,
+}
+
+/// A Selector: accepts or rejects device check-ins against per-population
+/// quotas and an optional admission controller, and forwards sampled
+/// subsets toward Aggregators on request.
 ///
-/// Multi-tenancy (Sec. 2.1/4.2): one physical Selector serves several FL
-/// populations at once. Check-ins arrive demultiplexed by
-/// [`PopulationName`] via [`on_checkin_for`](Selector::on_checkin_for),
-/// each population is held against its own quota
-/// ([`set_population_quota`](Selector::set_population_quota)), and
-/// forwarding samples only within the requested population
+/// One physical Selector serves several FL populations at once
+/// (Sec. 2.1/4.2); a single-population deployment is simply the
+/// one-row case. A population exists here once the Coordinator has
+/// assigned it a quota
+/// ([`set_population_quota`](Selector::set_population_quota)); its name
+/// is interned to a row index at that point, check-ins naming anything
+/// else are refused without touching any table, and forwarding samples
+/// only within the requested population
 /// ([`forward_devices_for`](Selector::forward_devices_for)). Fleet-wide
 /// admission fairness across populations is delegated to the shared
 /// [`GlobalAdmissionBudget`]'s per-population reservations.
 #[derive(Debug)]
 pub struct Selector {
-    /// Default quota of devices this selector may hold, set by the
-    /// Coordinator; populations without an explicit per-population quota
-    /// fall back to it.
-    quota: usize,
-    /// Per-population quota overrides for the multi-tenant path.
-    population_quotas: BTreeMap<PopulationName, usize>,
-    /// Held connections with their last-seen times and populations.
+    /// One row per registered population, in registration order.
+    populations: Vec<PopulationRow>,
+    /// Held connections with their last-seen times and population rows.
     connected: BTreeMap<DeviceId, HeldConn>,
     /// Held connections idle longer than this are considered disconnected
     /// and evicted before quota/admission checks. `None` disables
@@ -85,42 +107,30 @@ pub struct Selector {
     /// Selectors; consulted only for check-ins that would otherwise be
     /// accepted, so local rejections never burn global slots.
     global: Option<GlobalAdmissionBudget>,
-    accepted_total: u64,
-    rejected_total: u64,
-    shed_total: u64,
     shed_global_total: u64,
     evicted_total: u64,
-    /// Per-population accepted/rejected/shed counters (multi-tenant path
-    /// only; the legacy path counts solely in the aggregate totals).
-    accepted_by_pop: BTreeMap<PopulationName, u64>,
-    rejected_by_pop: BTreeMap<PopulationName, u64>,
-    shed_by_pop: BTreeMap<PopulationName, u64>,
+    /// Check-ins naming a population nobody registered here.
+    unknown_population_total: u64,
     rng: StdRng,
 }
 
 impl Selector {
-    /// Creates a selector with an initial quota of zero (nothing accepted
-    /// until the Coordinator assigns one). The closed-loop pace controller
-    /// starts from `population_estimate` and adjusts from observed
-    /// arrivals.
+    /// Creates a selector serving no population yet (nothing is accepted
+    /// until the Coordinator registers one with a quota). The closed-loop
+    /// pace controller starts from `population_estimate` and adjusts from
+    /// observed arrivals.
     pub fn new(pace: PaceSteering, population_estimate: u64, seed: u64) -> Self {
         let controller_config = PaceControllerConfig::for_pace(&pace);
         Selector {
-            quota: 0,
-            population_quotas: BTreeMap::new(),
+            populations: Vec::new(),
             connected: BTreeMap::new(),
             stale_after_ms: None,
             pace: PaceController::new(pace, population_estimate, controller_config),
             admission: None,
             global: None,
-            accepted_total: 0,
-            rejected_total: 0,
-            shed_total: 0,
             shed_global_total: 0,
             evicted_total: 0,
-            accepted_by_pop: BTreeMap::new(),
-            rejected_by_pop: BTreeMap::new(),
-            shed_by_pop: BTreeMap::new(),
+            unknown_population_total: 0,
             rng: rng::seeded(seed),
         }
     }
@@ -134,9 +144,13 @@ impl Selector {
 
     /// Attaches a shared fleet-wide admission budget: a check-in that
     /// passes local admission and quota still sheds
-    /// ([`crate::shedding::ShedReason::GlobalBudget`]) when the budget's
-    /// current window is spent across all Selectors sharing it.
+    /// ([`ShedReason::GlobalBudget`]) when the budget's current window is
+    /// spent across all Selectors sharing it. Every population this
+    /// Selector serves, now or later, is registered on the budget.
     pub fn with_global_budget(mut self, budget: GlobalAdmissionBudget) -> Self {
+        for row in &self.populations {
+            budget.register_population(&row.name);
+        }
         self.global = Some(budget);
         self
     }
@@ -149,18 +163,45 @@ impl Selector {
         self
     }
 
-    /// Coordinator instruction: how many devices to hold. On the
-    /// multi-tenant path this is the fallback for populations without an
-    /// explicit [`set_population_quota`](Selector::set_population_quota).
-    pub fn set_quota(&mut self, quota: usize) {
-        self.quota = quota;
+    /// Per-population Coordinator instruction: how many devices of
+    /// `population` to hold. The first instruction for a name registers
+    /// the population (here and on the attached global budget); later
+    /// ones adjust its quota. Each population's quota is independent —
+    /// one tenant filling its slots never blocks another's accepts.
+    pub fn set_population_quota(&mut self, population: PopulationName, quota: usize) {
+        match self.row_of(&population) {
+            Some(row) => self.populations[row].quota = quota,
+            None => {
+                if let Some(budget) = &self.global {
+                    budget.register_population(&population);
+                }
+                self.populations.push(PopulationRow {
+                    name: population,
+                    quota,
+                    held: 0,
+                    accepted: 0,
+                    rejected: 0,
+                    shed: 0,
+                });
+            }
+        }
     }
 
-    /// Per-population Coordinator instruction: how many devices of
-    /// `population` to hold. Each population's quota is independent — one
-    /// tenant filling its slots never blocks another's accepts.
-    pub fn set_population_quota(&mut self, population: PopulationName, quota: usize) {
-        self.population_quotas.insert(population, quota);
+    /// The populations registered on this Selector, in registration
+    /// order.
+    pub fn populations(&self) -> impl Iterator<Item = &PopulationName> {
+        self.populations.iter().map(|row| &row.name)
+    }
+
+    /// A handful of rows at most, so a scan beats any map.
+    fn row_of(&self, population: &PopulationName) -> Option<usize> {
+        self.populations
+            .iter()
+            .position(|row| row.name == *population)
+    }
+
+    fn row(&self, population: &PopulationName) -> Option<&PopulationRow> {
+        self.row_of(population).map(|row| &self.populations[row])
     }
 
     /// Seeds/overrides the population-size estimate used for pace
@@ -187,67 +228,29 @@ impl Selector {
             return 0;
         };
         let before = self.connected.len();
-        self.connected
-            .retain(|_, held| now_ms.saturating_sub(held.last_seen_ms) < ttl);
+        let populations = &mut self.populations;
+        self.connected.retain(|_, held| {
+            let fresh = now_ms.saturating_sub(held.last_seen_ms) < ttl;
+            if !fresh {
+                populations[held.population].held -= 1;
+            }
+            fresh
+        });
         let evicted = before - self.connected.len();
         self.evicted_total += evicted as u64;
         evicted
     }
 
-    /// Handles a device check-in at `now_ms` with the given diurnal
-    /// activity factor.
-    pub fn on_checkin(
-        &mut self,
-        device: DeviceId,
-        now_ms: u64,
-        activity_factor: f64,
-    ) -> CheckinDecision {
-        // Every arrival feeds the closed loop, whatever its fate.
-        self.pace.on_arrival(now_ms);
-        // Evict ghosts before they count against quota or the queue bound
-        // (mirror of the selection pool's fresh-length fix).
-        self.evict_stale(now_ms);
-
-        if let Some(admission) = &mut self.admission {
-            if let AdmissionDecision::Shed(_) = admission.offer(now_ms, self.connected.len()) {
-                self.shed_total += 1;
-                return self.reject(now_ms, activity_factor);
-            }
-        }
-
-        if self.connected.len() < self.quota && !self.connected.contains_key(&device) {
-            if let Some(budget) = &self.global {
-                if !budget.try_admit(now_ms) {
-                    self.shed_total += 1;
-                    self.shed_global_total += 1;
-                    return self.reject(now_ms, activity_factor);
-                }
-            }
-            self.connected.insert(
-                device,
-                HeldConn {
-                    last_seen_ms: now_ms,
-                    population: None,
-                },
-            );
-            self.accepted_total += 1;
-            CheckinDecision::Accept
-        } else {
-            // A duplicate check-in still proves the device is alive.
-            if let Some(held) = self.connected.get_mut(&device) {
-                held.last_seen_ms = now_ms;
-            }
-            self.reject(now_ms, activity_factor)
-        }
-    }
-
-    /// Handles a device check-in for a specific population at `now_ms`
-    /// (the multi-tenant path; Sec. 2.1). The arrival feeds the shared
-    /// pace loop and local admission controller like any other, but quota
-    /// is checked against the population's own allowance and the shared
-    /// global budget is consulted through its per-population fair-share
-    /// reservations ([`GlobalAdmissionBudget::try_admit_for`]), so a
-    /// flash crowd in one population cannot starve another's accepts.
+    /// Handles a device check-in for `population` at `now_ms` with the
+    /// given diurnal activity factor (Sec. 2.1). The arrival feeds the
+    /// shared pace loop and local admission controller whatever its
+    /// fate; quota is checked against the population's own allowance and
+    /// the shared global budget is consulted through its per-population
+    /// fair-share reservations
+    /// ([`GlobalAdmissionBudget::try_admit_for`]), so a flash crowd in
+    /// one population cannot starve another's accepts. A population
+    /// nobody registered is told to come back later and costs nothing
+    /// but a counter.
     pub fn on_checkin_for(
         &mut self,
         population: &PopulationName,
@@ -256,116 +259,109 @@ impl Selector {
         activity_factor: f64,
     ) -> CheckinDecision {
         self.pace.on_arrival(now_ms);
+        let Some(row) = self.row_of(population) else {
+            self.unknown_population_total += 1;
+            return CheckinDecision::Reject {
+                retry_at_ms: self.suggest_reconnect(now_ms, activity_factor),
+            };
+        };
+        // Evict ghosts before they count against quota or the queue bound
+        // (mirror of the selection pool's fresh-length fix).
         self.evict_stale(now_ms);
 
         if let Some(admission) = &mut self.admission {
-            if let AdmissionDecision::Shed(_) = admission.offer(now_ms, self.connected.len()) {
-                self.shed_total += 1;
-                *self.shed_by_pop.entry(population.clone()).or_insert(0) += 1;
-                return self.reject_for(population, now_ms, activity_factor);
+            if let AdmissionDecision::Shed(reason) = admission.offer(now_ms, self.connected.len()) {
+                return self.shed(row, reason, now_ms, activity_factor);
             }
         }
 
-        let quota = self
-            .population_quotas
-            .get(population)
-            .copied()
-            .unwrap_or(self.quota);
-        let held_for_pop = self.connected_count_for(population);
-        if held_for_pop < quota && !self.connected.contains_key(&device) {
+        let PopulationRow { quota, held, .. } = self.populations[row];
+        if held < quota && !self.connected.contains_key(&device) {
             if let Some(budget) = &self.global {
                 if !budget.try_admit_for(now_ms, population) {
-                    self.shed_total += 1;
                     self.shed_global_total += 1;
-                    *self.shed_by_pop.entry(population.clone()).or_insert(0) += 1;
-                    return self.reject_for(population, now_ms, activity_factor);
+                    return self.shed(row, ShedReason::GlobalBudget, now_ms, activity_factor);
                 }
             }
             self.connected.insert(
                 device,
                 HeldConn {
                     last_seen_ms: now_ms,
-                    population: Some(population.clone()),
+                    population: row,
                 },
             );
-            self.accepted_total += 1;
-            *self.accepted_by_pop.entry(population.clone()).or_insert(0) += 1;
+            self.populations[row].held += 1;
+            self.populations[row].accepted += 1;
             CheckinDecision::Accept
         } else {
             // A duplicate check-in still proves the device is alive.
             if let Some(held) = self.connected.get_mut(&device) {
                 held.last_seen_ms = now_ms;
             }
-            self.reject_for(population, now_ms, activity_factor)
+            self.populations[row].rejected += 1;
+            CheckinDecision::Reject {
+                retry_at_ms: self.suggest_reconnect(now_ms, activity_factor),
+            }
         }
     }
 
-    fn reject_for(
+    fn shed(
         &mut self,
-        population: &PopulationName,
+        row: usize,
+        reason: ShedReason,
         now_ms: u64,
         activity_factor: f64,
     ) -> CheckinDecision {
-        *self.rejected_by_pop.entry(population.clone()).or_insert(0) += 1;
-        self.reject(now_ms, activity_factor)
+        self.populations[row].shed += 1;
+        self.populations[row].rejected += 1;
+        CheckinDecision::Shed {
+            reason,
+            retry_at_ms: self.suggest_reconnect(now_ms, activity_factor),
+        }
     }
 
-    fn reject(&mut self, now_ms: u64, activity_factor: f64) -> CheckinDecision {
-        self.rejected_total += 1;
-        CheckinDecision::Reject {
-            retry_at_ms: self
-                .pace
-                .suggest_reconnect(now_ms, activity_factor, &mut self.rng),
-        }
+    fn suggest_reconnect(&mut self, now_ms: u64, activity_factor: f64) -> u64 {
+        self.pace
+            .suggest_reconnect(now_ms, activity_factor, &mut self.rng)
     }
 
     /// A connected device disconnected (eligibility change, network loss).
     pub fn on_disconnect(&mut self, device: DeviceId) {
-        self.connected.remove(&device);
+        if let Some(held) = self.connected.remove(&device) {
+            self.populations[held.population].held -= 1;
+        }
     }
 
-    /// Number of devices currently connected (reported to the
-    /// Coordinator). May include devices that would be evicted as stale at
-    /// the next check-in; call [`evict_stale`](Selector::evict_stale)
-    /// first for a fresh count.
+    /// Number of devices currently connected across every population
+    /// (reported to the Coordinator). May include devices that would be
+    /// evicted as stale at the next check-in; call
+    /// [`evict_stale`](Selector::evict_stale) first for a fresh count.
     pub fn connected_count(&self) -> usize {
         self.connected.len()
     }
 
     /// Number of held devices that checked in under `population`.
     pub fn connected_count_for(&self, population: &PopulationName) -> usize {
-        self.connected
-            .values()
-            .filter(|held| held.population.as_ref() == Some(population))
-            .count()
+        self.row(population).map_or(0, |row| row.held)
     }
 
-    /// Total accepted/rejected counters (for analytics). Rejections
-    /// include shed check-ins.
-    pub fn counters(&self) -> (u64, u64) {
-        (self.accepted_total, self.rejected_total)
-    }
-
-    /// Per-population accepted/rejected counters (multi-tenant path).
-    /// Rejections include shed check-ins, mirroring
-    /// [`counters`](Selector::counters).
+    /// Accepted/rejected counters of `population` (for analytics).
+    /// Rejections include shed check-ins.
     pub fn counters_for(&self, population: &PopulationName) -> (u64, u64) {
-        (
-            self.accepted_by_pop.get(population).copied().unwrap_or(0),
-            self.rejected_by_pop.get(population).copied().unwrap_or(0),
-        )
+        self.row(population)
+            .map_or((0, 0), |row| (row.accepted, row.rejected))
     }
 
     /// Check-ins shed (admission controller or global budget) while
     /// checking in under `population`.
     pub fn shed_total_for(&self, population: &PopulationName) -> u64 {
-        self.shed_by_pop.get(population).copied().unwrap_or(0)
+        self.row(population).map_or(0, |row| row.shed)
     }
 
     /// Total check-ins shed by the admission controller or the global
-    /// budget.
+    /// budget, across every population.
     pub fn shed_total(&self) -> u64 {
-        self.shed_total
+        self.populations.iter().map(|row| row.shed).sum()
     }
 
     /// Total check-ins shed by the shared global budget specifically.
@@ -383,28 +379,18 @@ impl Selector {
         self.evicted_total
     }
 
-    /// Coordinator instruction: forward up to `k` connected devices to the
-    /// Aggregator layer. Stale connections are evicted first (forwarding a
-    /// ghost wastes an Aggregator slot); the forwarded devices are sampled
-    /// uniformly (reservoir sampling) and removed from this selector's
-    /// connected set.
-    pub fn forward_devices_at(&mut self, k: usize, now_ms: u64) -> Vec<DeviceId> {
-        self.evict_stale(now_ms);
-        self.forward_devices(k)
+    /// Check-ins refused because they named a population nobody
+    /// registered on this Selector.
+    pub fn unknown_population_total(&self) -> u64 {
+        self.unknown_population_total
     }
 
-    /// [`forward_devices_at`](Selector::forward_devices_at) without a
-    /// clock: no staleness eviction is performed first.
-    pub fn forward_devices(&mut self, k: usize) -> Vec<DeviceId> {
-        let pool: Vec<DeviceId> = self.connected.keys().copied().collect();
-        self.sample_and_remove(pool, k)
-    }
-
-    /// Coordinator instruction on the multi-tenant path: forward up to
-    /// `k` devices held for `population` only. Stale connections are
-    /// evicted first; sampling is uniform (reservoir) within the
-    /// population's held set, so tenants never receive each other's
-    /// devices.
+    /// Coordinator instruction: forward up to `k` devices held for
+    /// `population`. Stale connections are evicted first (forwarding a
+    /// ghost wastes an Aggregator slot); the forwarded devices are
+    /// sampled uniformly (reservoir sampling) within the population's
+    /// held set, so tenants never receive each other's devices, and are
+    /// removed from this selector's connected set.
     pub fn forward_devices_for(
         &mut self,
         population: &PopulationName,
@@ -412,16 +398,15 @@ impl Selector {
         now_ms: u64,
     ) -> Vec<DeviceId> {
         self.evict_stale(now_ms);
+        let Some(row) = self.row_of(population) else {
+            return Vec::new();
+        };
         let pool: Vec<DeviceId> = self
             .connected
             .iter()
-            .filter(|(_, held)| held.population.as_ref() == Some(population))
+            .filter(|(_, held)| held.population == row)
             .map(|(d, _)| *d)
             .collect();
-        self.sample_and_remove(pool, k)
-    }
-
-    fn sample_and_remove(&mut self, pool: Vec<DeviceId>, k: usize) -> Vec<DeviceId> {
         if pool.is_empty() || k == 0 {
             return Vec::new();
         }
@@ -430,7 +415,7 @@ impl Selector {
         let mut out = Vec::with_capacity(take);
         for idx in picked {
             let d = pool[idx];
-            self.connected.remove(&d);
+            self.on_disconnect(d);
             out.push(d);
         }
         out
@@ -442,9 +427,14 @@ mod tests {
     use super::*;
     use std::collections::BTreeSet;
 
+    /// The one population of the single-tenant cases.
+    fn pop() -> PopulationName {
+        PopulationName::new("pop")
+    }
+
     fn selector(quota: usize) -> Selector {
         let mut s = Selector::new(PaceSteering::new(60_000, 100), 500, 42);
-        s.set_quota(quota);
+        s.set_population_quota(pop(), quota);
         s
     }
 
@@ -453,24 +443,24 @@ mod tests {
         let mut s = selector(3);
         for i in 0..3 {
             assert_eq!(
-                s.on_checkin(DeviceId(i), 1000, 1.0),
+                s.on_checkin_for(&pop(), DeviceId(i), 1000, 1.0),
                 CheckinDecision::Accept
             );
         }
-        match s.on_checkin(DeviceId(99), 1000, 1.0) {
+        match s.on_checkin_for(&pop(), DeviceId(99), 1000, 1.0) {
             CheckinDecision::Reject { retry_at_ms } => assert!(retry_at_ms > 1000),
             other => panic!("expected rejection, got {other:?}"),
         }
         assert_eq!(s.connected_count(), 3);
-        assert_eq!(s.counters(), (3, 1));
+        assert_eq!(s.counters_for(&pop()), (3, 1));
     }
 
     #[test]
     fn duplicate_checkin_is_rejected() {
         let mut s = selector(5);
-        assert_eq!(s.on_checkin(DeviceId(1), 0, 1.0), CheckinDecision::Accept);
+        assert_eq!(s.on_checkin_for(&pop(), DeviceId(1), 0, 1.0), CheckinDecision::Accept);
         assert!(matches!(
-            s.on_checkin(DeviceId(1), 0, 1.0),
+            s.on_checkin_for(&pop(), DeviceId(1), 0, 1.0),
             CheckinDecision::Reject { .. }
         ));
         assert_eq!(s.connected_count(), 1);
@@ -479,18 +469,18 @@ mod tests {
     #[test]
     fn disconnect_frees_capacity() {
         let mut s = selector(1);
-        assert_eq!(s.on_checkin(DeviceId(1), 0, 1.0), CheckinDecision::Accept);
+        assert_eq!(s.on_checkin_for(&pop(), DeviceId(1), 0, 1.0), CheckinDecision::Accept);
         s.on_disconnect(DeviceId(1));
-        assert_eq!(s.on_checkin(DeviceId(2), 0, 1.0), CheckinDecision::Accept);
+        assert_eq!(s.on_checkin_for(&pop(), DeviceId(2), 0, 1.0), CheckinDecision::Accept);
     }
 
     #[test]
     fn forward_removes_and_returns_distinct_devices() {
         let mut s = selector(10);
         for i in 0..10 {
-            s.on_checkin(DeviceId(i), 0, 1.0);
+            s.on_checkin_for(&pop(), DeviceId(i), 0, 1.0);
         }
-        let forwarded = s.forward_devices(4);
+        let forwarded = s.forward_devices_for(&pop(), 4, 0);
         assert_eq!(forwarded.len(), 4);
         assert_eq!(s.connected_count(), 6);
         let set: BTreeSet<DeviceId> = forwarded.iter().copied().collect();
@@ -501,11 +491,11 @@ mod tests {
     fn forward_caps_at_connected_count() {
         let mut s = selector(3);
         for i in 0..3 {
-            s.on_checkin(DeviceId(i), 0, 1.0);
+            s.on_checkin_for(&pop(), DeviceId(i), 0, 1.0);
         }
-        assert_eq!(s.forward_devices(100).len(), 3);
+        assert_eq!(s.forward_devices_for(&pop(), 100, 0).len(), 3);
         assert_eq!(s.connected_count(), 0);
-        assert!(s.forward_devices(1).is_empty());
+        assert!(s.forward_devices_for(&pop(), 1, 0).is_empty());
     }
 
     #[test]
@@ -514,11 +504,11 @@ mod tests {
         let mut wins = vec![0u32; 10];
         for trial in 0..4000 {
             let mut s = Selector::new(PaceSteering::new(60_000, 100), 500, trial);
-            s.set_quota(10);
+            s.set_population_quota(pop(), 10);
             for i in 0..10 {
-                s.on_checkin(DeviceId(i), 0, 1.0);
+                s.on_checkin_for(&pop(), DeviceId(i), 0, 1.0);
             }
-            let f = s.forward_devices(1);
+            let f = s.forward_devices_for(&pop(), 1, 0);
             wins[f[0].0 as usize] += 1;
         }
         for (i, &w) in wins.iter().enumerate() {
@@ -533,7 +523,7 @@ mod tests {
     fn zero_quota_rejects_everything() {
         let mut s = selector(0);
         assert!(matches!(
-            s.on_checkin(DeviceId(0), 0, 1.0),
+            s.on_checkin_for(&pop(), DeviceId(0), 0, 1.0),
             CheckinDecision::Reject { .. }
         ));
     }
@@ -545,16 +535,16 @@ mod tests {
         // pin a quota slot forever.
         let mut s = Selector::new(PaceSteering::new(60_000, 100), 500, 7)
             .with_staleness(120_000);
-        s.set_quota(1);
-        assert_eq!(s.on_checkin(DeviceId(1), 0, 1.0), CheckinDecision::Accept);
+        s.set_population_quota(pop(), 1);
+        assert_eq!(s.on_checkin_for(&pop(), DeviceId(1), 0, 1.0), CheckinDecision::Accept);
         // Before the TTL expires the ghost still holds the slot.
         assert!(matches!(
-            s.on_checkin(DeviceId(2), 100_000, 1.0),
+            s.on_checkin_for(&pop(), DeviceId(2), 100_000, 1.0),
             CheckinDecision::Reject { .. }
         ));
         // After the TTL the ghost is evicted and the slot is free again.
         assert_eq!(
-            s.on_checkin(DeviceId(2), 130_000, 1.0),
+            s.on_checkin_for(&pop(), DeviceId(2), 130_000, 1.0),
             CheckinDecision::Accept
         );
         assert_eq!(s.evicted_total(), 1);
@@ -565,17 +555,17 @@ mod tests {
     fn duplicate_checkin_refreshes_staleness() {
         let mut s = Selector::new(PaceSteering::new(60_000, 100), 500, 7)
             .with_staleness(100_000);
-        s.set_quota(1);
-        assert_eq!(s.on_checkin(DeviceId(1), 0, 1.0), CheckinDecision::Accept);
+        s.set_population_quota(pop(), 1);
+        assert_eq!(s.on_checkin_for(&pop(), DeviceId(1), 0, 1.0), CheckinDecision::Accept);
         // The device re-checks in at 90 s (still rejected as a duplicate,
         // but its liveness clock resets)...
         assert!(matches!(
-            s.on_checkin(DeviceId(1), 90_000, 1.0),
+            s.on_checkin_for(&pop(), DeviceId(1), 90_000, 1.0),
             CheckinDecision::Reject { .. }
         ));
         // ...so at 150 s it has NOT gone stale (last seen 90 s ago).
         assert!(matches!(
-            s.on_checkin(DeviceId(2), 150_000, 1.0),
+            s.on_checkin_for(&pop(), DeviceId(2), 150_000, 1.0),
             CheckinDecision::Reject { .. }
         ));
         assert_eq!(s.evicted_total(), 0);
@@ -585,13 +575,13 @@ mod tests {
     fn forward_at_skips_stale_devices() {
         let mut s = Selector::new(PaceSteering::new(60_000, 100), 500, 9)
             .with_staleness(60_000);
-        s.set_quota(4);
-        s.on_checkin(DeviceId(1), 0, 1.0);
-        s.on_checkin(DeviceId(2), 0, 1.0);
-        s.on_checkin(DeviceId(3), 50_000, 1.0);
-        s.on_checkin(DeviceId(4), 50_000, 1.0);
+        s.set_population_quota(pop(), 4);
+        s.on_checkin_for(&pop(), DeviceId(1), 0, 1.0);
+        s.on_checkin_for(&pop(), DeviceId(2), 0, 1.0);
+        s.on_checkin_for(&pop(), DeviceId(3), 50_000, 1.0);
+        s.on_checkin_for(&pop(), DeviceId(4), 50_000, 1.0);
         // At t=70s devices 1 and 2 are stale; only 3 and 4 may forward.
-        let forwarded = s.forward_devices_at(10, 70_000);
+        let forwarded = s.forward_devices_for(&pop(), 10, 70_000);
         let set: BTreeSet<DeviceId> = forwarded.into_iter().collect();
         assert_eq!(set, BTreeSet::from([DeviceId(3), DeviceId(4)]));
         assert_eq!(s.evicted_total(), 2);
@@ -606,21 +596,30 @@ mod tests {
                     burst: 5,
                     max_inflight: 50,
                 });
-            s.set_quota(1_000);
+            s.set_population_quota(pop(), 1_000);
             s
         };
         let mut s = make();
         let decisions: Vec<bool> = (0..100)
-            .map(|i| s.on_checkin(DeviceId(i), 0, 1.0) == CheckinDecision::Accept)
+            .map(|i| s.on_checkin_for(&pop(), DeviceId(i), 0, 1.0) == CheckinDecision::Accept)
             .collect();
         // Exactly the burst is admitted; the rest shed.
         assert_eq!(decisions.iter().filter(|&&a| a).count(), 5);
         assert_eq!(s.shed_total(), 95);
-        assert_eq!(s.counters().1, 95);
+        // The decision names its cause: an empty bucket, not a full quota.
+        assert!(matches!(
+            s.on_checkin_for(&pop(), DeviceId(100), 0, 1.0),
+            CheckinDecision::Shed {
+                reason: ShedReason::RateExceeded,
+                ..
+            }
+        ));
+        assert_eq!(s.shed_total(), 96);
+        assert_eq!(s.counters_for(&pop()).1, 96);
         // Determinism: a fresh selector replays the same decisions.
         let mut s2 = make();
         let replay: Vec<bool> = (0..100)
-            .map(|i| s2.on_checkin(DeviceId(i), 0, 1.0) == CheckinDecision::Accept)
+            .map(|i| s2.on_checkin_for(&pop(), DeviceId(i), 0, 1.0) == CheckinDecision::Accept)
             .collect();
         assert_eq!(decisions, replay);
     }
@@ -633,16 +632,23 @@ mod tests {
                 burst: 1_000,
                 max_inflight: 4,
             });
-        s.set_quota(1_000);
+        s.set_population_quota(pop(), 1_000);
         for i in 0..50 {
-            s.on_checkin(DeviceId(i), 0, 1.0);
+            s.on_checkin_for(&pop(), DeviceId(i), 0, 1.0);
         }
         assert_eq!(s.connected_count(), 4);
+        assert!(matches!(
+            s.on_checkin_for(&pop(), DeviceId(50), 0, 1.0),
+            CheckinDecision::Shed {
+                reason: ShedReason::QueueFull,
+                ..
+            }
+        ));
         let (_, queue_sheds) = s
             .admission_controller()
             .expect("admission enabled")
             .shed_totals();
-        assert_eq!(queue_sheds, 46);
+        assert_eq!(queue_sheds, 47);
     }
 
     #[test]
@@ -656,21 +662,26 @@ mod tests {
             .map(|i| {
                 let mut s = Selector::new(PaceSteering::new(60_000, 100), 500, i)
                     .with_global_budget(budget.clone());
-                s.set_quota(10);
+                s.set_population_quota(pop(), 10);
                 s
             })
             .collect();
         // 3 devices offered to each of 3 selectors: each has local quota
         // headroom, but only 4 accepts exist fleet-wide in this window.
-        let mut accepted = 0;
+        let (mut accepted, mut budget_sheds) = (0, 0);
         for (i, s) in selectors.iter_mut().enumerate() {
             for d in 0..3u64 {
-                if s.on_checkin(DeviceId(i as u64 * 10 + d), 0, 1.0) == CheckinDecision::Accept {
-                    accepted += 1;
+                match s.on_checkin_for(&pop(), DeviceId(i as u64 * 10 + d), 0, 1.0) {
+                    CheckinDecision::Accept => accepted += 1,
+                    CheckinDecision::Shed {
+                        reason: ShedReason::GlobalBudget,
+                        ..
+                    } => budget_sheds += 1,
+                    other => panic!("unexpected decision {other:?}"),
                 }
             }
         }
-        assert_eq!(accepted, 4);
+        assert_eq!((accepted, budget_sheds), (4, 5));
         assert_eq!(budget.admitted_total(), 4);
         assert_eq!(budget.shed_total(), 5);
         let global_sheds: u64 = selectors.iter().map(Selector::shed_global_total).sum();
@@ -680,7 +691,7 @@ mod tests {
         // rejection with the budget untouched.
         let d0 = DeviceId(0);
         assert!(matches!(
-            selectors[0].on_checkin(d0, 61_000, 1.0),
+            selectors[0].on_checkin_for(&pop(), d0, 61_000, 1.0),
             CheckinDecision::Reject { .. }
         ));
         assert_eq!(budget.admitted_total() + budget.shed_total(), 9);
@@ -696,12 +707,14 @@ mod tests {
                 burst: 5,
                 max_inflight: 10,
             });
-        s.set_quota(1_000);
+        s.set_population_quota(pop(), 1_000);
         let mut early_max = 0;
         let mut late_max = 0;
         for i in 0..5_000u64 {
             let now = i * 2; // 500 arrivals/s against a 5/s accept cap
-            if let CheckinDecision::Reject { retry_at_ms } = s.on_checkin(DeviceId(i), now, 1.0) {
+            if let CheckinDecision::Shed { retry_at_ms, .. } =
+                s.on_checkin_for(&pop(), DeviceId(i), now, 1.0)
+            {
                 let delay = retry_at_ms - now;
                 if i < 100 {
                     early_max = early_max.max(delay);
@@ -721,7 +734,7 @@ mod tests {
     fn populations_are_demultiplexed_with_independent_quotas() {
         let pop_a = PopulationName::new("tenant/a");
         let pop_b = PopulationName::new("tenant/b");
-        let mut s = selector(0); // default quota 0: only explicit quotas admit
+        let mut s = Selector::new(PaceSteering::new(60_000, 100), 500, 42);
         s.set_population_quota(pop_a.clone(), 2);
         s.set_population_quota(pop_b.clone(), 1);
         assert_eq!(
@@ -751,14 +764,13 @@ mod tests {
         assert_eq!(s.connected_count_for(&pop_b), 1);
         assert_eq!(s.counters_for(&pop_a), (2, 1));
         assert_eq!(s.counters_for(&pop_b), (1, 1));
-        assert_eq!(s.counters(), (3, 2));
     }
 
     #[test]
     fn forwarding_stays_within_the_requested_population() {
         let pop_a = PopulationName::new("tenant/a");
         let pop_b = PopulationName::new("tenant/b");
-        let mut s = selector(0);
+        let mut s = Selector::new(PaceSteering::new(60_000, 100), 500, 42);
         s.set_population_quota(pop_a.clone(), 8);
         s.set_population_quota(pop_b.clone(), 8);
         for i in 0..4 {
@@ -785,12 +797,16 @@ mod tests {
         });
         let greedy = PopulationName::new("tenant/greedy");
         let steady = PopulationName::new("tenant/steady");
-        budget.register_population(&greedy);
-        budget.register_population(&steady);
         let mut s = Selector::new(PaceSteering::new(60_000, 100), 500, 3)
             .with_global_budget(budget.clone());
+        // Assigning a quota registers the population on the attached
+        // budget, so its reservation exists before its first check-in.
         s.set_population_quota(greedy.clone(), 1_000);
         s.set_population_quota(steady.clone(), 1_000);
+        assert_eq!(
+            budget.registered_populations(),
+            vec![greedy.clone(), steady.clone()]
+        );
         // Greedy floods first: it may take its fair half (3) but cannot
         // spend the slots reserved for steady.
         for i in 0..20 {
@@ -806,5 +822,75 @@ mod tests {
             );
         }
         assert_eq!(s.counters_for(&steady), (3, 0));
+    }
+
+    /// Regression: a check-in naming a population nobody registered used
+    /// to be admitted under the default quota, minted a row in every
+    /// per-population map, and auto-registered on the shared budget,
+    /// where each new name shrank every real tenant's reservation
+    /// (`fair = max / registered`). The name comes off the wire, so its
+    /// cardinality is the peer's choice.
+    #[test]
+    fn unknown_populations_cost_one_counter_and_nothing_else() {
+        use crate::shedding::{GlobalAdmissionBudget, GlobalAdmissionConfig};
+        let budget = GlobalAdmissionBudget::new(GlobalAdmissionConfig {
+            window_ms: 60_000,
+            max_admits_per_window: 6,
+        });
+        let steady = PopulationName::new("tenant/steady");
+        let mut s = Selector::new(PaceSteering::new(60_000, 100), 500, 3)
+            .with_global_budget(budget.clone());
+        s.set_population_quota(steady.clone(), 1_000);
+        for i in 0..1_000u64 {
+            let made_up = PopulationName::new(format!("made-up/{i}"));
+            match s.on_checkin_for(&made_up, DeviceId(i), 0, 1.0) {
+                CheckinDecision::Reject { retry_at_ms } => assert!(retry_at_ms > 0),
+                other => panic!("unknown population got {other:?}"),
+            }
+            assert_eq!(s.counters_for(&made_up), (0, 0));
+        }
+        assert_eq!(s.unknown_population_total(), 1_000);
+        assert_eq!(s.populations().collect::<Vec<_>>(), vec![&steady]);
+        assert_eq!(s.connected_count(), 0);
+        assert_eq!(budget.registered_populations(), vec![steady.clone()]);
+        assert_eq!(budget.admitted_total() + budget.shed_total(), 0);
+        // The steady tenant still owns the whole window: all six slots,
+        // not `6 / 1001`.
+        for i in 0..6 {
+            assert_eq!(
+                s.on_checkin_for(&steady, DeviceId(10_000 + i), 0, 1.0),
+                CheckinDecision::Accept
+            );
+        }
+        assert_eq!(s.counters_for(&steady), (6, 0));
+    }
+
+    #[test]
+    fn held_counts_follow_every_way_a_device_leaves() {
+        let pop_a = PopulationName::new("tenant/a");
+        let pop_b = PopulationName::new("tenant/b");
+        let mut s = Selector::new(PaceSteering::new(60_000, 100), 500, 9)
+            .with_staleness(60_000);
+        s.set_population_quota(pop_a.clone(), 8);
+        s.set_population_quota(pop_b.clone(), 8);
+        for i in 0..4 {
+            s.on_checkin_for(&pop_a, DeviceId(i), 0, 1.0);
+            s.on_checkin_for(&pop_b, DeviceId(100 + i), 50_000, 1.0);
+        }
+        s.on_disconnect(DeviceId(0));
+        assert_eq!(s.connected_count_for(&pop_a), 3);
+        // A's remaining three went stale at t=60s; B's are still fresh.
+        assert_eq!(s.evict_stale(70_000), 3);
+        assert_eq!(s.connected_count_for(&pop_a), 0);
+        assert_eq!(s.connected_count_for(&pop_b), 4);
+        assert_eq!(s.forward_devices_for(&pop_b, 3, 70_000).len(), 3);
+        assert_eq!(s.connected_count_for(&pop_b), 1);
+        assert_eq!(s.connected_count(), 1);
+        // The freed slots are really free.
+        s.set_population_quota(pop_a.clone(), 1);
+        assert_eq!(
+            s.on_checkin_for(&pop_a, DeviceId(7), 70_000, 1.0),
+            CheckinDecision::Accept
+        );
     }
 }

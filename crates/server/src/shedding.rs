@@ -22,7 +22,6 @@
 use crate::pace::{PaceSteering, SMALL_POPULATION};
 use fl_core::PopulationName;
 use fl_ml::metrics::MetricSummary;
-use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// Why a check-in was shed rather than considered for admission.
@@ -206,6 +205,17 @@ impl GlobalAdmissionConfig {
     }
 }
 
+/// One registered population's share of the budget.
+#[derive(Debug)]
+struct BudgetRow {
+    name: PopulationName,
+    /// Admissions in the *current* window (zeroed on window roll) — the
+    /// fair-share accounting.
+    admitted_in_window: u64,
+    admitted_total: u64,
+    shed_total: u64,
+}
+
 #[derive(Debug)]
 struct GlobalBudgetState {
     config: GlobalAdmissionConfig,
@@ -213,16 +223,8 @@ struct GlobalBudgetState {
     admitted_in_window: u64,
     admitted_total: u64,
     shed_total: u64,
-    /// Populations contending on this budget (registered explicitly by
-    /// the topology or lazily on first [`GlobalAdmissionBudget::try_admit_for`]).
-    registered: BTreeSet<PopulationName>,
-    /// Admissions per population in the *current* window (cleared on
-    /// window roll) — the fair-share accounting.
-    admitted_by_pop: BTreeMap<PopulationName, u64>,
-    /// Lifetime admissions per population.
-    admitted_total_by_pop: BTreeMap<PopulationName, u64>,
-    /// Lifetime global-budget sheds per population.
-    shed_total_by_pop: BTreeMap<PopulationName, u64>,
+    /// Populations contending on this budget, in registration order.
+    populations: Vec<BudgetRow>,
 }
 
 impl GlobalBudgetState {
@@ -234,8 +236,21 @@ impl GlobalBudgetState {
             let windows = elapsed / self.config.window_ms;
             self.window_start_ms += windows * self.config.window_ms;
             self.admitted_in_window = 0;
-            self.admitted_by_pop.clear();
+            for row in &mut self.populations {
+                row.admitted_in_window = 0;
+            }
         }
+    }
+
+    /// A handful of rows at most, so a scan beats any map.
+    fn row_of(&self, population: &PopulationName) -> Option<usize> {
+        self.populations
+            .iter()
+            .position(|row| row.name == *population)
+    }
+
+    fn row(&self, population: &PopulationName) -> Option<&BudgetRow> {
+        self.row_of(population).map(|row| &self.populations[row])
     }
 }
 
@@ -258,7 +273,8 @@ pub struct GlobalAdmissionBudget {
 const GLOBAL_BUDGET: fl_race::Site = fl_race::Site::new("server/shedding.global_budget", 62);
 
 impl GlobalAdmissionBudget {
-    /// Creates a budget with a full first window starting at time 0.
+    /// Creates a budget with a full first window starting at time 0 and
+    /// no population registered yet.
     ///
     /// # Panics
     ///
@@ -277,10 +293,7 @@ impl GlobalAdmissionBudget {
                 admitted_in_window: 0,
                 admitted_total: 0,
                 shed_total: 0,
-                registered: BTreeSet::new(),
-                admitted_by_pop: BTreeMap::new(),
-                admitted_total_by_pop: BTreeMap::new(),
-                shed_total_by_pop: BTreeMap::new(),
+                populations: Vec::new(),
             })),
         }
     }
@@ -290,34 +303,21 @@ impl GlobalAdmissionBudget {
         self.inner.lock().config
     }
 
-    /// Tries to take one admission slot at `now_ms`, with no population
-    /// attribution — the single-tenant path. Returns `false` — shed with
-    /// [`ShedReason::GlobalBudget`] — when the current window's budget is
-    /// spent. Population-less admissions consume window budget but never
-    /// touch the fair-share reservations, so an n=1 topology behaves
-    /// exactly as it did before multi-tenancy existed.
-    pub fn try_admit(&self, now_ms: u64) -> bool {
-        let mut s = self.inner.lock();
-        s.roll(now_ms);
-        if s.admitted_in_window < s.config.max_admits_per_window {
-            s.admitted_in_window += 1;
-            s.admitted_total += 1;
-            true
-        } else {
-            s.shed_total += 1;
-            false
-        }
-    }
-
-    /// Pre-declares a population contending on this budget, so its
+    /// Declares a population contending on this budget, so its
     /// fair-share slots are reserved from the first window — before its
-    /// first check-in ever arrives. The topology registers every
-    /// population it spawns a Coordinator for.
+    /// first check-in ever arrives. Registration is the only way in (a
+    /// [`crate::selector::Selector`] registers every population it is
+    /// given a quota for); registering a name twice is a no-op.
     pub fn register_population(&self, population: &PopulationName) {
-        self.inner
-            .lock()
-            .registered
-            .insert(population.clone());
+        let mut s = self.inner.lock();
+        if s.row_of(population).is_none() {
+            s.populations.push(BudgetRow {
+                name: population.clone(),
+                admitted_in_window: 0,
+                admitted_total: 0,
+                shed_total: 0,
+            });
+        }
     }
 
     /// Tries to take one admission slot at `now_ms` on behalf of
@@ -328,40 +328,40 @@ impl GlobalAdmissionBudget {
     /// reservation still covers. A flash-crowd population therefore
     /// cannot starve a steady one — the steady population's share stays
     /// held for it all window — while an idle population's slots (beyond
-    /// the reservation) are not wasted. A population seen here for the
-    /// first time is registered automatically.
+    /// the reservation) are not wasted. With one population registered
+    /// the fair share is the whole window. Returns `false` — shed with
+    /// [`ShedReason::GlobalBudget`] — when no slot is available, and
+    /// `false` without touching any ledger for a population that was
+    /// never registered.
     pub fn try_admit_for(&self, now_ms: u64, population: &PopulationName) -> bool {
         let mut s = self.inner.lock();
+        let Some(me) = s.row_of(population) else {
+            return false;
+        };
         s.roll(now_ms);
-        if !s.registered.contains(population) {
-            s.registered.insert(population.clone());
-        }
         let max = s.config.max_admits_per_window;
-        let fair = (max / s.registered.len() as u64).max(1);
-        let mine = s.admitted_by_pop.get(population).copied().unwrap_or(0);
+        let fair = (max / s.populations.len() as u64).max(1);
+        let mine = s.populations[me].admitted_in_window;
         // Slots still owed to the *other* populations' reservations.
         let others_reserved: u64 = s
-            .registered
+            .populations
             .iter()
-            .filter(|p| *p != population)
-            .map(|p| fair.saturating_sub(s.admitted_by_pop.get(p).copied().unwrap_or(0)))
+            .enumerate()
+            .filter(|(other, _)| *other != me)
+            .map(|(_, row)| fair.saturating_sub(row.admitted_in_window))
             .sum();
         let admit = s.admitted_in_window < max
             && (mine < fair || s.admitted_in_window + others_reserved < max);
         if admit {
             s.admitted_in_window += 1;
             s.admitted_total += 1;
-            *s.admitted_by_pop.entry(population.clone()).or_insert(0) += 1;
-            *s
-                .admitted_total_by_pop
-                .entry(population.clone())
-                .or_insert(0) += 1;
-            true
+            s.populations[me].admitted_in_window += 1;
+            s.populations[me].admitted_total += 1;
         } else {
             s.shed_total += 1;
-            *s.shed_total_by_pop.entry(population.clone()).or_insert(0) += 1;
-            false
+            s.populations[me].shed_total += 1;
         }
+        admit
     }
 
     /// Total admissions granted over the budget's lifetime.
@@ -376,27 +376,20 @@ impl GlobalAdmissionBudget {
 
     /// Lifetime admissions attributed to `population`.
     pub fn admitted_total_for(&self, population: &PopulationName) -> u64 {
-        self.inner
-            .lock()
-            .admitted_total_by_pop
-            .get(population)
-            .copied()
-            .unwrap_or(0)
+        let s = self.inner.lock();
+        s.row(population).map_or(0, |row| row.admitted_total)
     }
 
     /// Lifetime global-budget sheds attributed to `population`.
     pub fn shed_total_for(&self, population: &PopulationName) -> u64 {
-        self.inner
-            .lock()
-            .shed_total_by_pop
-            .get(population)
-            .copied()
-            .unwrap_or(0)
+        let s = self.inner.lock();
+        s.row(population).map_or(0, |row| row.shed_total)
     }
 
-    /// The populations currently contending on this budget.
+    /// The populations contending on this budget, in registration order.
     pub fn registered_populations(&self) -> Vec<PopulationName> {
-        self.inner.lock().registered.iter().cloned().collect()
+        let s = self.inner.lock();
+        s.populations.iter().map(|row| row.name.clone()).collect()
     }
 }
 
@@ -802,15 +795,17 @@ mod tests {
             window_ms: 1_000,
             max_admits_per_window: 3,
         });
+        let only = PopulationName::new("pop/only");
+        budget.register_population(&only);
         let clone = budget.clone();
         // Clones share the same window budget.
-        assert!(budget.try_admit(0));
-        assert!(clone.try_admit(10));
-        assert!(budget.try_admit(20));
-        assert!(!clone.try_admit(30));
-        assert!(!budget.try_admit(999));
+        assert!(budget.try_admit_for(0, &only));
+        assert!(clone.try_admit_for(10, &only));
+        assert!(budget.try_admit_for(20, &only));
+        assert!(!clone.try_admit_for(30, &only));
+        assert!(!budget.try_admit_for(999, &only));
         // Next window refills; empty windows carry nothing forward.
-        assert!(budget.try_admit(5_500));
+        assert!(budget.try_admit_for(5_500, &only));
         assert_eq!(budget.admitted_total(), 4);
         assert_eq!(clone.shed_total(), 2);
     }
@@ -871,13 +866,37 @@ mod tests {
             max_admits_per_window: 4,
         });
         let only = PopulationName::new("pop/only");
-        // Lazy registration on first call; with no one else contending,
-        // fairness never binds and the behavior matches `try_admit`.
+        budget.register_population(&only);
+        budget.register_population(&only); // idempotent
+        // With no one else contending, fairness never binds: the fair
+        // share is the window.
         let admitted: u64 = (0..6)
             .map(|i| u64::from(budget.try_admit_for(i, &only)))
             .sum();
         assert_eq!(admitted, 4);
         assert_eq!(budget.registered_populations(), vec![only]);
+    }
+
+    /// Regression: the first `try_admit_for` under a new name used to
+    /// register it, so names off the wire diluted every real tenant's
+    /// `max / registered` reservation.
+    #[test]
+    fn unregistered_population_is_refused_without_a_trace() {
+        let budget = GlobalAdmissionBudget::new(GlobalAdmissionConfig {
+            window_ms: 1_000,
+            max_admits_per_window: 4,
+        });
+        let real = PopulationName::new("pop/real");
+        budget.register_population(&real);
+        for i in 0..100 {
+            let stranger = PopulationName::new(format!("pop/stranger-{i}"));
+            assert!(!budget.try_admit_for(i, &stranger));
+            assert_eq!(budget.shed_total_for(&stranger), 0);
+        }
+        assert_eq!(budget.registered_populations(), vec![real.clone()]);
+        assert_eq!(budget.admitted_total() + budget.shed_total(), 0);
+        // The real tenant's share is still the whole window.
+        assert!((0..4).all(|i| budget.try_admit_for(200 + i, &real)));
     }
 
     #[test]

@@ -1,13 +1,15 @@
 //! Shared construction of the paper's server tree (Fig. 3 / Sec. 4.1):
 //! N Selectors — each with its own pace controller, admission controller,
-//! and quota, optionally sharing one fleet-wide
-//! [`GlobalAdmissionBudget`] — fanning devices into one Coordinator whose
-//! training rounds aggregate through an ephemeral Master Aggregator
-//! subtree.
+//! and per-population quotas, optionally sharing one fleet-wide
+//! [`GlobalAdmissionBudget`] — fanning each population's devices into
+//! that population's Coordinator, whose training rounds aggregate
+//! through an ephemeral Master Aggregator subtree. A single-population
+//! deployment is the one-Coordinator case of the same tree.
 //!
 //! Three harnesses build this tree: the live threaded topology
-//! ([`spawn_topology`]), the chaos harness (`fl-sim::chaos`, virtual
-//! clock), and the overload harness (`fl-sim::overload`, virtual clock).
+//! ([`spawn_multi_topology`]), the chaos harness (`fl-sim::chaos`,
+//! virtual clock), and the overload harnesses (`fl-sim::overload` and
+//! `fl-sim::multi`, virtual clock).
 //! They used to hand-roll the wiring independently; the blueprint types
 //! here are the single source of truth, so a selector knob added for one
 //! harness exists in all of them.
@@ -35,7 +37,9 @@ pub struct SelectorSpec {
     pub population_estimate: u64,
     /// Seed for the selector's reservoir-sampling RNG.
     pub seed: u64,
-    /// Held-connection quota (the Coordinator may adjust it later).
+    /// Held-connection quota each population starts with when
+    /// [`TopologyBlueprint::build_selectors`] registers it (the
+    /// Coordinator may adjust it later).
     pub quota: usize,
     /// Local admission control; `None` accepts everything under quota.
     pub admission: Option<AdmissionConfig>,
@@ -68,10 +72,10 @@ impl SelectorSpec {
         self
     }
 
-    /// Builds the Selector, attaching the shared budget when present.
+    /// Builds the Selector, attaching the shared budget when present. It
+    /// serves no population until one is registered with a quota.
     pub fn build(&self, budget: Option<&GlobalAdmissionBudget>) -> Selector {
         let mut selector = Selector::new(self.pace, self.population_estimate, self.seed);
-        selector.set_quota(self.quota);
         if let Some(admission) = self.admission {
             selector = selector.with_admission(admission);
         }
@@ -164,89 +168,29 @@ impl TopologyBlueprint {
     }
 
     /// Builds the Selector layer, every Selector wired to `budget` when
-    /// present. Virtual-clock harnesses drive these directly; the live
-    /// topology wraps them in [`SelectorActor`]s via [`spawn_topology`].
-    pub fn build_selectors(&self, budget: Option<&GlobalAdmissionBudget>) -> Vec<Selector> {
-        self.selectors.iter().map(|s| s.build(budget)).collect()
+    /// present and serving each of `populations` at its spec's quota.
+    /// Virtual-clock harnesses drive these directly; the live topology
+    /// wraps them in [`SelectorActor`]s via [`spawn_multi_topology`].
+    pub fn build_selectors(
+        &self,
+        budget: Option<&GlobalAdmissionBudget>,
+        populations: &[PopulationName],
+    ) -> Vec<Selector> {
+        self.selectors
+            .iter()
+            .map(|spec| {
+                let mut selector = spec.build(budget);
+                for population in populations {
+                    selector.set_population_quota(population.clone(), spec.quota);
+                }
+                selector
+            })
+            .collect()
     }
 }
 
-/// Handles to a spawned live tree.
-#[derive(Debug)]
-pub struct LiveTopology {
-    /// The Selector actors, in blueprint order.
-    pub selectors: Vec<ActorRef<SelectorMsg>>,
-    /// The Coordinator actor.
-    pub coordinator: ActorRef<CoordMsg>,
-    /// The shared admission budget, when the blueprint configured one —
-    /// hold it to observe fleet-wide admit/shed totals.
-    pub global_budget: Option<GlobalAdmissionBudget>,
-    /// Shared overload telemetry, when the blueprint configured it.
-    pub telemetry: Option<SharedOverloadMetrics>,
-}
-
-impl LiveTopology {
-    /// Asks every actor in the tree to stop. Idempotent send-or-ignore:
-    /// an actor that already stopped (or crashed) has a dead mailbox, and
-    /// a second `shutdown()` — or one racing an actor's own exit — must
-    /// be a no-op, not a panic. Callers that used to `.send(..).unwrap()`
-    /// each handle individually turned benign teardown races into test
-    /// flakes.
-    pub fn shutdown(&self) {
-        for s in &self.selectors {
-            let _ = s.send(SelectorMsg::Shutdown);
-        }
-        let _ = self.coordinator.send(CoordMsg::Shutdown);
-    }
-}
-
-/// Spawns the live tree described by `blueprint` around an already-built
-/// [`CoordinatorActor`]: the coordinator under the name `"coordinator"`,
-/// one `"selector-<i>"` per spec, all sharing the blueprint's global
-/// budget and telemetry. Master Aggregator subtrees are *not* spawned
-/// here — the coordinator spawns one per training round and it dies with
-/// the round (Sec. 4.1).
-pub fn spawn_topology<S: CheckpointStore + Send + 'static>(
-    system: &ActorSystem,
-    coordinator: CoordinatorActor<S>,
-    blueprint: &TopologyBlueprint,
-) -> LiveTopology {
-    let budget = blueprint.build_global_budget();
-    let telemetry: Option<SharedOverloadMetrics> = blueprint.telemetry.map(|config| {
-        Arc::new(fl_race::Mutex::new(
-            crate::live::OVERLOAD_METRICS,
-            OverloadMetrics::new(config, 0),
-        ))
-    });
-    let coordinator = match &telemetry {
-        // The coordinator shares the same metric sink as the Selectors so
-        // SecAgg shard aborts land next to the admission telemetry.
-        Some(telemetry) => coordinator.with_telemetry(telemetry.clone()),
-        None => coordinator,
-    };
-    let coord_ref = system.spawn("coordinator", coordinator);
-    let selectors = blueprint
-        .build_selectors(budget.as_ref())
-        .into_iter()
-        .enumerate()
-        .map(|(i, selector)| {
-            let mut actor = SelectorActor::new(selector, coord_ref.clone());
-            if let Some(telemetry) = &telemetry {
-                actor = actor.with_telemetry(telemetry.clone());
-            }
-            system.spawn(format!("selector-{i}"), actor)
-        })
-        .collect();
-    LiveTopology {
-        selectors,
-        coordinator: coord_ref,
-        global_budget: budget,
-        telemetry,
-    }
-}
-
-/// Handles to a spawned multi-tenant live tree: one Coordinator per
-/// population, every Selector routing check-ins by the wire-carried
+/// Handles to a spawned live tree: one Coordinator per population,
+/// every Selector routing check-ins by the wire-carried
 /// [`PopulationName`].
 #[derive(Debug)]
 pub struct MultiTopology {
@@ -269,8 +213,12 @@ impl MultiTopology {
         self.coordinators.get(population)
     }
 
-    /// Asks every actor in the tree to stop. Idempotent send-or-ignore
-    /// like [`LiveTopology::shutdown`].
+    /// Asks every actor in the tree to stop. Idempotent send-or-ignore:
+    /// an actor that already stopped (or crashed) has a dead mailbox, and
+    /// a second `shutdown()` — or one racing an actor's own exit — must
+    /// be a no-op, not a panic. Callers that used to `.send(..).unwrap()`
+    /// each handle individually turned benign teardown races into test
+    /// flakes.
     pub fn shutdown(&self) {
         for s in &self.selectors {
             let _ = s.send(SelectorMsg::Shutdown);
@@ -281,21 +229,24 @@ impl MultiTopology {
     }
 }
 
-/// Spawns the multi-tenant live tree (Sec. 2.1/4.2: "Each population of
-/// devices corresponds to a different learning problem" and "The
-/// Coordinators are the top-level actors, one per population"): one
+/// Spawns the live tree (Sec. 2.1/4.2: "Each population of devices
+/// corresponds to a different learning problem" and "The Coordinators
+/// are the top-level actors, one per population"): one
 /// `"coordinator-<population>"` actor per entry — each already holding
 /// its own lease on the shared locking service — plus the blueprint's
 /// `"selector-<i>"` layer, with every Selector routing check-ins to the
 /// owning population's Coordinator and holding that population against
-/// the paired per-selector quota. All populations are registered on the
-/// blueprint's shared [`GlobalAdmissionBudget`], so cross-population
-/// admission fairness is in force from the first check-in.
+/// the paired per-selector quota. Every population is registered on the
+/// blueprint's shared [`GlobalAdmissionBudget`] by the Selectors that
+/// serve it, so cross-population admission fairness is in force from
+/// the first check-in. Master Aggregator subtrees are *not* spawned
+/// here — each coordinator spawns one per training round and it dies
+/// with the round (Sec. 4.1).
 ///
 /// # Panics
 ///
-/// Panics when `coordinators` is empty: a tree with no population has no
-/// default route.
+/// Panics when `coordinators` is empty: a tree with no population has
+/// nothing to route to.
 pub fn spawn_multi_topology<S: CheckpointStore + Send + 'static>(
     system: &ActorSystem,
     coordinators: Vec<(CoordinatorActor<S>, usize)>,
@@ -303,7 +254,7 @@ pub fn spawn_multi_topology<S: CheckpointStore + Send + 'static>(
 ) -> MultiTopology {
     assert!(
         !coordinators.is_empty(),
-        "multi-tenant topology needs at least one population coordinator"
+        "a topology needs at least one population coordinator"
     );
     let budget = blueprint.build_global_budget();
     let telemetry: Option<SharedOverloadMetrics> = blueprint.telemetry.map(|config| {
@@ -313,47 +264,29 @@ pub fn spawn_multi_topology<S: CheckpointStore + Send + 'static>(
         ))
     });
     let mut coord_refs: BTreeMap<PopulationName, ActorRef<CoordMsg>> = BTreeMap::new();
-    let mut quotas: Vec<(PopulationName, usize)> = Vec::new();
+    let mut routes: Vec<(PopulationName, ActorRef<CoordMsg>, usize)> = Vec::new();
     for (actor, quota) in coordinators {
         let population = actor.population();
-        if let Some(budget) = &budget {
-            budget.register_population(&population);
-        }
+        // The coordinator shares the same metric sink as the Selectors so
+        // SecAgg shard aborts land next to the admission telemetry.
         let actor = match &telemetry {
             Some(telemetry) => actor.with_telemetry(telemetry.clone()),
             None => actor,
         };
         let coord_ref = system.spawn(format!("coordinator-{population}"), actor);
-        coord_refs.insert(population.clone(), coord_ref);
-        quotas.push((population, quota));
+        coord_refs.insert(population.clone(), coord_ref.clone());
+        routes.push((population, coord_ref, quota));
     }
-    // Deterministic default route (first population in name order); every
-    // known population has an explicit route, so the default only catches
-    // check-ins for populations this tree does not serve.
-    let default_route = match coord_refs.values().next() {
-        Some(route) => route.clone(),
-        // Unreachable: the entry assert guarantees one coordinator.
-        None => {
-            return MultiTopology {
-                selectors: Vec::new(),
-                coordinators: coord_refs,
-                global_budget: budget,
-                telemetry,
-            }
-        }
-    };
     let selectors = blueprint
-        .build_selectors(budget.as_ref())
-        .into_iter()
+        .selectors
+        .iter()
         .enumerate()
-        .map(|(i, selector)| {
-            let mut actor = SelectorActor::new(selector, default_route.clone());
-            for (population, quota) in &quotas {
-                actor = actor.with_route(
-                    population.clone(),
-                    coord_refs[population].clone(),
-                    *quota,
-                );
+        .map(|(i, spec)| {
+            // A freshly built Selector serves no population, so `new`
+            // routes nothing; every route is added by name below.
+            let mut actor = SelectorActor::new(spec.build(budget.as_ref()), routes[0].1.clone());
+            for (population, coordinator, quota) in &routes {
+                actor = actor.with_route(population.clone(), coordinator.clone(), *quota);
             }
             if let Some(telemetry) = &telemetry {
                 actor = actor.with_telemetry(telemetry.clone());
@@ -388,18 +321,21 @@ mod tests {
             max_admits_per_window: 5,
         });
         let budget = blueprint.build_global_budget();
-        let mut selectors = blueprint.build_selectors(budget.as_ref());
+        let population = PopulationName::new("pop-blueprint");
+        let mut selectors =
+            blueprint.build_selectors(budget.as_ref(), std::slice::from_ref(&population));
         assert_eq!(selectors.len(), 3);
         // 9 would-be accepts across three selectors, one shared window of 5.
         for (i, s) in selectors.iter_mut().enumerate() {
             for d in 0..3u64 {
-                s.on_checkin(fl_core::DeviceId(i as u64 * 10 + d), 1, 1.0);
+                s.on_checkin_for(&population, fl_core::DeviceId(i as u64 * 10 + d), 1, 1.0);
             }
         }
         let budget = budget.unwrap();
+        assert_eq!(budget.registered_populations(), vec![population.clone()]);
         assert_eq!(budget.admitted_total(), 5);
         assert_eq!(budget.shed_total(), 4);
-        let accepted: u64 = selectors.iter().map(|s| s.counters().0).sum();
+        let accepted: u64 = selectors.iter().map(|s| s.counters_for(&population).0).sum();
         assert_eq!(accepted, 5);
     }
 

@@ -490,7 +490,7 @@ pub fn run_chaos_with_schedule(
         config,
         plan,
         queue: EventQueue::new(),
-        selectors: blueprint.build_selectors(None),
+        selectors: blueprint.build_selectors(None, &[PopulationName::new(POPULATION)]),
         deployment,
         coordinator: Some(coordinator),
         active: None,
@@ -706,9 +706,11 @@ impl Harness<'_> {
         // sim hands the device straight to the round, so the held slot
         // is released immediately after the admission decision.
         let selector = &mut self.selectors[(wired.0 % self.config.selectors) as usize];
-        match selector.on_checkin(wired, now, 1.0) {
+        match selector.on_checkin_for(&PopulationName::new(POPULATION), wired, now, 1.0) {
             CheckinDecision::Accept => selector.on_disconnect(wired),
-            CheckinDecision::Reject { retry_at_ms } => {
+            // No admission control in this harness: quota is the only
+            // way a check-in is turned away.
+            CheckinDecision::Shed { retry_at_ms, .. } | CheckinDecision::Reject { retry_at_ms } => {
                 let _ = self.server_wire.send(&WireMessage::ComeBackLater {
                     retry_at_ms,
                     population: PopulationName::new(POPULATION),

@@ -33,14 +33,14 @@ use fl_actors::{audit_exactly_once, ActorSystem, DeathReason, LockingService, Sc
 use fl_core::plan::{CodecSpec, FlPlan, ModelSpec};
 use fl_core::population::{FlTask, TaskGroup, TaskSelectionStrategy};
 use fl_core::round::RoundConfig;
-use fl_core::DeviceId;
+use fl_core::{DeviceId, PopulationName};
 use fl_server::coordinator::CoordinatorConfig;
 use fl_server::live::{coordinator_lease_name, CoordMsg, CoordinatorActor, DeviceConn, SelectorMsg};
 use fl_server::wire::WireMessage;
 use fl_server::pace::PaceSteering;
 use fl_server::shedding::GlobalAdmissionConfig;
 use fl_server::storage::{CheckpointStore, InMemoryCheckpointStore, SharedCheckpointStore};
-use fl_server::topology::{spawn_topology, SelectorSpec, TopologyBlueprint};
+use fl_server::topology::{spawn_multi_topology, SelectorSpec, TopologyBlueprint};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -54,10 +54,10 @@ const DEVICES: u64 = 4;
 /// subscriber view: the tree's two long-lived actors plus the round's
 /// ephemeral Master Aggregator subtree (one shard for 4 devices).
 const EXPECTED_OBITUARIES: &[&str] = &[
-    "coordinator",
+    "coordinator-explore/pop",
     "selector-0",
-    "coordinator/master-r1",
-    "coordinator/master-r1/agg-0",
+    "coordinator-explore/pop/master-r1",
+    "coordinator-explore/pop/master-r1/agg-0",
 ];
 /// Bound on completion polls (~20 ms apart): the never-hang deadline.
 const MAX_POLLS: u32 = 500;
@@ -204,8 +204,9 @@ fn explore_round(
         max_admits_per_window: 100,
     })
     .with_telemetry(Default::default());
-    let topology = spawn_topology(&system, coordinator, &blueprint);
-    let (selector_refs, coord_ref) = (topology.selectors, topology.coordinator);
+    let topology = spawn_multi_topology(&system, vec![(coordinator, 10)], &blueprint);
+    let coord_ref = topology.coordinators[&PopulationName::new(POPULATION)].clone();
+    let selector_refs = topology.selectors;
 
     // One client thread per device: check in, wait for configuration,
     // report. Every wait is bounded — a timeout is a violation.

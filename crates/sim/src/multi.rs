@@ -21,8 +21,9 @@
 //!
 //! * every population keeps committing rounds — a storm in one tenant
 //!   must not starve another's accepts or commits;
-//! * per-population accept/shed counters sum exactly to the aggregate
-//!   (the multi-tenant bookkeeping conserves check-ins);
+//! * the Selectors' per-population accept/reject ledgers sum exactly to
+//!   the decisions the harness saw handed out (the multi-tenant
+//!   bookkeeping conserves check-ins);
 //! * the held-connection queue stays under its configured bound;
 //! * every round that starts reaches a terminal state, in every
 //!   population — no wedged rounds anywhere in the tree;
@@ -31,8 +32,8 @@
 //!
 //! With a single population and no disturbance the harness degenerates
 //! to the single-tenant shape: the per-population series *are* the
-//! aggregate (asserted by the conservation invariant), mirroring how the
-//! live `SelectorActor` keeps n=1 routing byte-identical.
+//! aggregate (asserted by the conservation invariant) — the same one
+//! path every single-population harness and the live tree run.
 
 use crate::des::EventQueue;
 use fl_analytics::overload::{OverloadMetrics, OverloadMonitorConfig};
@@ -463,15 +464,12 @@ pub fn run_multi_tenant(config: &MultiTenantConfig) -> MultiTenantReport {
         blueprint = blueprint.with_global_admission(global);
     }
     let budget: Option<GlobalAdmissionBudget> = blueprint.build_global_budget();
-    let mut selectors: Vec<Selector> = blueprint.build_selectors(budget.as_ref());
+    // Each tenant brings its own quota, so none is registered at the
+    // blueprint's uniform one.
+    let mut selectors: Vec<Selector> = blueprint.build_selectors(budget.as_ref(), &[]);
     for selector in &mut selectors {
         for (spec, name) in config.populations.iter().zip(&names) {
             selector.set_population_quota(name.clone(), spec.quota);
-        }
-    }
-    if let Some(budget) = &budget {
-        for name in &names {
-            budget.register_population(name);
         }
     }
 
@@ -574,6 +572,9 @@ pub fn run_multi_tenant(config: &MultiTenantConfig) -> MultiTenantReport {
     }
 
     let mut max_queue_depth: usize = 0;
+    // Every admission decision handed out, counted where it is seen —
+    // the independent side of the conservation check below.
+    let (mut accepted_total, mut rejected_total) = (0u64, 0u64);
     let mut violations: Vec<String> = Vec::new();
 
     // The in-memory wire: every check-in and report crosses it as a
@@ -706,9 +707,10 @@ pub fn run_multi_tenant(config: &MultiTenantConfig) -> MultiTenantReport {
                     continue;
                 };
                 let selector = &mut selectors[(wired.0 % n) as usize];
-                let shed_before = selector.shed_total_for(&wired_pop);
-                match selector.on_checkin_for(&wired_pop, wired, now, 1.0) {
+                let decision = selector.on_checkin_for(&wired_pop, wired, now, 1.0);
+                match decision {
                     CheckinDecision::Accept => {
+                        accepted_total += 1;
                         metrics.record_accept_for(&wired_pop, now);
                         devices[device as usize].phase = DevPhase::Held { pop };
                         devices[device as usize].tenancy.on_success(&names[pop], now);
@@ -718,9 +720,10 @@ pub fn run_multi_tenant(config: &MultiTenantConfig) -> MultiTenantReport {
                         let jitter = rng.random_range(0..config.window_ms.max(1));
                         schedule_wake!(device, now + config.stale_after_ms + jitter);
                     }
-                    CheckinDecision::Reject { retry_at_ms } => {
-                        let shed = selector.shed_total_for(&wired_pop) > shed_before;
-                        let reply = if shed {
+                    CheckinDecision::Shed { retry_at_ms, .. }
+                    | CheckinDecision::Reject { retry_at_ms } => {
+                        rejected_total += 1;
+                        let reply = if let CheckinDecision::Shed { .. } = decision {
                             metrics.record_shed_for(&wired_pop, now);
                             WireMessage::Shed {
                                 retry_at_ms,
@@ -936,11 +939,6 @@ pub fn run_multi_tenant(config: &MultiTenantConfig) -> MultiTenantReport {
 
     metrics.finalize(config.horizon_ms);
 
-    let (accepted_total, rejected_total) = selectors
-        .iter()
-        .map(|s| s.counters())
-        .fold((0, 0), |(a, r), (sa, sr)| (a + sa, r + sr));
-
     let outcomes: Vec<PopulationOutcome> = config
         .populations
         .iter()
@@ -986,8 +984,9 @@ pub fn run_multi_tenant(config: &MultiTenantConfig) -> MultiTenantReport {
         })
         .collect();
 
-    // Conservation: the per-population ledgers must sum exactly to the
-    // aggregate — the multi-tenant bookkeeping loses no check-in.
+    // Conservation: the Selectors' per-population ledgers must sum
+    // exactly to the decisions this harness saw them hand out — the
+    // multi-tenant bookkeeping loses no check-in.
     let accepted_by_pop: u64 = outcomes.iter().map(|o| o.accepted).sum();
     let rejected_by_pop: u64 = outcomes.iter().map(|o| o.offered - o.accepted).sum();
     if accepted_by_pop != accepted_total {

@@ -466,8 +466,12 @@ pub fn run_overload(config: &OverloadConfig) -> OverloadReport {
     if let Some(global) = config.global_admission {
         blueprint = blueprint.with_global_admission(global);
     }
+    // The overload harness drives a single population; every v3 frame
+    // carries its name (the multi-population sweep lives in `multi`).
+    let population = PopulationName::new("overload/train");
     let budget = blueprint.build_global_budget();
-    let mut selectors: Vec<Selector> = blueprint.build_selectors(budget.as_ref());
+    let mut selectors: Vec<Selector> =
+        blueprint.build_selectors(budget.as_ref(), std::slice::from_ref(&population));
 
     let mut rng = rng::seeded(config.seed ^ 0x0E7);
     let mut queue: EventQueue<Event> = EventQueue::new();
@@ -557,9 +561,6 @@ pub fn run_overload(config: &OverloadConfig) -> OverloadReport {
     // front door speak. Frames are pure functions of the messages, so the
     // byte counters replay identically per seed.
     let (device_wire, server_wire) = ChannelTransport::pair();
-    // The overload harness drives a single population; every v3 frame
-    // carries its name (the multi-population sweep lives in `multi`).
-    let population = PopulationName::new("overload/train");
     // One shared Configuration payload (the overload harness models flow
     // control, not learning, so every selected device downloads the same
     // small plan + checkpoint).
@@ -622,7 +623,7 @@ pub fn run_overload(config: &OverloadConfig) -> OverloadReport {
     // schedules the resulting wake.
     macro_rules! handle_rejection {
         ($dev:expr, $now:expr, $server_at:expr) => {{
-            metrics.record_retry($now);
+            metrics.record_retry_for(&population, $now);
             let decision =
                 devices[$dev as usize]
                     .mgr
@@ -659,12 +660,11 @@ pub fn run_overload(config: &OverloadConfig) -> OverloadReport {
                     continue;
                 };
                 let selector = &mut selectors[(wired.0 % n) as usize];
-                let shed_before = selector.shed_total();
-                match selector.on_checkin(wired, now, activity) {
+                match selector.on_checkin_for(&population, wired, now, activity) {
                     CheckinDecision::Accept => {
                         // Accepted connections are held open (no reply
                         // frame until the Coordinator forwards them).
-                        metrics.record_accept(now);
+                        metrics.record_accept_for(&population, now);
                         devices[device as usize].phase = DevPhase::Held;
                         devices[device as usize].mgr.on_success(now);
                         max_queue_depth = max_queue_depth.max(selector.connected_count());
@@ -673,20 +673,19 @@ pub fn run_overload(config: &OverloadConfig) -> OverloadReport {
                         let jitter = rng.random_range(0..config.window_ms.max(1));
                         schedule_wake!(device, now + config.stale_after_ms + jitter);
                     }
+                    CheckinDecision::Shed { retry_at_ms, .. } => {
+                        metrics.record_shed_for(&population, now);
+                        wire_downlink!(&WireMessage::Shed {
+                            retry_at_ms,
+                            population: population.clone(),
+                        });
+                        handle_rejection!(device, now, Some(retry_at_ms));
+                    }
                     CheckinDecision::Reject { retry_at_ms } => {
-                        let shed = selector.shed_total() > shed_before;
-                        if shed {
-                            metrics.record_shed(now);
-                            wire_downlink!(&WireMessage::Shed {
-                                retry_at_ms,
-                                population: population.clone(),
-                            });
-                        } else {
-                            wire_downlink!(&WireMessage::ComeBackLater {
-                                retry_at_ms,
-                                population: population.clone(),
-                            });
-                        }
+                        wire_downlink!(&WireMessage::ComeBackLater {
+                            retry_at_ms,
+                            population: population.clone(),
+                        });
                         handle_rejection!(device, now, Some(retry_at_ms));
                     }
                 }
@@ -702,7 +701,7 @@ pub fn run_overload(config: &OverloadConfig) -> OverloadReport {
                         if need == 0 {
                             break;
                         }
-                        let forwarded = selectors[s].forward_devices_at(need, now);
+                        let forwarded = selectors[s].forward_devices_for(&population, need, now);
                         need = need.saturating_sub(forwarded.len());
                         for d in forwarded {
                             match active.state.on_checkin(d, now) {
@@ -964,7 +963,7 @@ pub fn run_overload(config: &OverloadConfig) -> OverloadReport {
 
     let (accepted, rejected) = selectors
         .iter()
-        .map(|s| s.counters())
+        .map(|s| s.counters_for(&population))
         .fold((0, 0), |(a, r), (sa, sr)| (a + sa, r + sr));
     let shed: u64 = selectors.iter().map(|s| s.shed_total()).sum();
     let shed_global = budget.as_ref().map(|b| b.shed_total()).unwrap_or(0);

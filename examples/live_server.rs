@@ -20,7 +20,7 @@ use federated::actors::{ActorRef, ActorSystem, LockingService};
 use federated::core::plan::{CodecSpec, FlPlan, ModelSpec};
 use federated::core::population::{FlTask, TaskGroup, TaskSelectionStrategy};
 use federated::core::round::RoundConfig;
-use federated::core::DeviceId;
+use federated::core::{DeviceId, PopulationName};
 use federated::data::store::{InMemoryStore, StoreConfig};
 use federated::data::synth::classification::{generate, ClassificationConfig};
 use federated::device::runtime::{ExecutionOutcome, FlRuntime};
@@ -28,7 +28,7 @@ use federated::device::UploadSession;
 use federated::ml::Example;
 use federated::server::live::{CoordMsg, CoordinatorActor, SelectorMsg};
 use federated::server::pace::PaceSteering;
-use federated::server::topology::{spawn_topology, SelectorSpec, TopologyBlueprint};
+use federated::server::topology::{spawn_multi_topology, SelectorSpec, TopologyBlueprint};
 use federated::server::wire::{tag, TcpTransport, Transport, WireMessage, WireStats};
 use federated::server::CoordinatorConfig;
 use std::net::{TcpListener, TcpStream};
@@ -117,7 +117,7 @@ fn device_thread(
             if conn
                 .send(&WireMessage::CheckinRequest {
                     device: DeviceId(id),
-                    population: federated::core::PopulationName::new("live-pop"),
+                    population: PopulationName::new("live-pop"),
                 })
                 .is_err()
             {
@@ -154,7 +154,7 @@ fn device_thread(
                             weight,
                             loss: if loss.is_nan() { 0.0 } else { loss },
                             accuracy: if accuracy.is_nan() { 0.0 } else { accuracy },
-                            population: federated::core::PopulationName::new("live-pop"),
+                            population: PopulationName::new("live-pop"),
                         };
                         if conn.send(&report).is_err() {
                             return (false, conn.stats());
@@ -220,8 +220,9 @@ fn main() {
     );
     let blueprint =
         TopologyBlueprint::new(vec![SelectorSpec::new(PaceSteering::new(1_000, 10), 16, 3, 16)]);
-    let topology = spawn_topology(&system, coordinator, &blueprint);
-    let (selectors, coord_ref) = (topology.selectors.clone(), topology.coordinator.clone());
+    let topology = spawn_multi_topology(&system, vec![(coordinator, 16)], &blueprint);
+    let selectors = topology.selectors.clone();
+    let coord_ref = topology.coordinators[&PopulationName::new("live-pop")].clone();
 
     // The TCP front door, on an OS-assigned loopback port.
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");

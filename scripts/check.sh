@@ -45,8 +45,8 @@ run_step "live-topology" cargo test -q --test live_topology
 # Selector layer, live (routed actor tree) and simulated (seeded flash
 # crowd); cross-population fairness, the per-device single-session
 # arbitration, and per-population accounting conservation must all
-# hold. The bench step regenerates BENCH_selector.json (the cost of
-# PopulationName threading on the check-in path).
+# hold. The bench step regenerates BENCH_selector.json (ns per check-in
+# by population count and held-set size).
 run_step "multi-tenant" cargo test -q --test multi_tenant
 run_step "selector-bench" cargo run --release -q -p fl-bench --bin bench_selector
 # Lock-graph deadlock gate: the workspace's observed lock-acquisition
@@ -61,6 +61,10 @@ run_step "schedule-explore" cargo test -q --test schedule_explore
 # mitigation, regenerating BENCH_secagg.json.
 run_step "secagg-live" cargo test -q --test secagg_live
 run_step "secagg-bench" cargo run --release -q -p fl-bench --bin bench_secagg
+# Size ledger (ROADMAP aim 2): non-test, non-comment Rust lines per
+# crate. Informational — it prints the table and always passes; growth
+# is argued in CHANGES.md, not gated here.
+run_step "loc" bash -c 'scripts/loc.sh || true'
 
 echo
 echo "release gate summary"

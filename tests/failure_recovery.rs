@@ -7,7 +7,7 @@ use federated::actors::{ActorSystem, FaultAction, LockingService, ScriptedFaults
 use federated::core::plan::{CodecSpec, FlPlan, ModelSpec};
 use federated::core::population::{FlTask, TaskGroup, TaskSelectionStrategy};
 use federated::core::round::RoundConfig;
-use federated::core::{DeviceId, RoundId};
+use federated::core::{DeviceId, PopulationName, RoundId};
 use federated::server::coordinator::{Coordinator, CoordinatorConfig};
 use federated::server::live::{
     coordinator_lease_name, watch_and_respawn, CoordMsg, CoordinatorActor, DeviceConn,
@@ -18,7 +18,7 @@ use federated::server::pace::PaceSteering;
 use federated::server::storage::{
     CheckpointStore, InMemoryCheckpointStore, SharedCheckpointStore,
 };
-use federated::server::topology::{spawn_topology, SelectorSpec, TopologyBlueprint};
+use federated::server::topology::{spawn_multi_topology, SelectorSpec, TopologyBlueprint};
 use crossbeam::channel::unbounded;
 use std::sync::Arc;
 use std::time::Duration;
@@ -379,8 +379,9 @@ fn rewire_redelivers_quota_and_population_estimate() {
         3,
         0,
     )]);
-    let topology = spawn_topology(&system, coordinator, &blueprint);
-    let (selector, coord_ref) = (topology.selectors[0].clone(), topology.coordinator);
+    let topology = spawn_multi_topology(&system, vec![(coordinator, 0)], &blueprint);
+    let coord_ref = topology.coordinators[&PopulationName::new("pop-rewire")].clone();
+    let selector = topology.selectors[0].clone();
 
     let checkin = |device: u64| {
         let conn = DeviceConn::connect(
@@ -404,6 +405,7 @@ fn rewire_redelivers_quota_and_population_estimate() {
     // reject must be pace-steered across a vastly longer horizon.
     selector
         .send(SelectorMsg::Rewire {
+            population: PopulationName::new("pop-rewire"),
             coordinator: coord_ref.clone(),
             quota: 0,
             population_estimate: 100_000_000,
@@ -422,6 +424,7 @@ fn rewire_redelivers_quota_and_population_estimate() {
     // goal-1 round configures the device immediately).
     selector
         .send(SelectorMsg::Rewire {
+            population: PopulationName::new("pop-rewire"),
             coordinator: coord_ref.clone(),
             quota: 1,
             population_estimate: 100,

@@ -9,18 +9,23 @@
 //! flash crowd.
 
 use crossbeam::channel::unbounded;
-use federated::actors::{ActorSystem, LockingService};
+use federated::actors::{ActorSystem, FaultAction, LockingService, ScriptedFaults};
 use federated::analytics::overload::OverloadMonitorConfig;
 use federated::core::plan::{CodecSpec, FlPlan, ModelSpec};
 use federated::core::population::{FlTask, TaskGroup, TaskSelectionStrategy};
 use federated::core::round::RoundConfig;
 use federated::core::{DeviceId, PopulationName};
-use federated::server::live::{CoordMsg, CoordinatorActor, DeviceConn};
+use federated::server::live::{
+    coordinator_lease_name, watch_and_respawn, CoordMsg, CoordinatorActor, DeviceConn,
+    SelectorMsg,
+};
+use federated::server::storage::InMemoryCheckpointStore;
 use federated::server::pace::PaceSteering;
 use federated::server::topology::{spawn_multi_topology, SelectorSpec, TopologyBlueprint};
 use federated::server::wire::WireMessage;
 use federated::server::{CoordinatorConfig, GlobalAdmissionConfig};
 use federated::sim::multi::{default_seeds, run_multi_tenant, sweep, MultiTenantConfig};
+use std::sync::Arc;
 use std::time::Duration;
 
 fn spec() -> ModelSpec {
@@ -288,6 +293,199 @@ fn fair_share_budget_shields_the_quiet_population_live() {
     assert_eq!(budget.admitted_total_for(&storm), 3);
     assert_eq!(budget.shed_total_for(&quiet), 0);
     assert_eq!(budget.shed_total_for(&storm), 7);
+
+    multi.shutdown();
+    system.join();
+}
+
+/// Checks `devices` in under `population`, spread over `selectors`,
+/// reports for each once it is configured, and drives the round to its
+/// commit. A device that is not
+/// configured within the wait fails the test — which is what a check-in
+/// forwarded to a dead mailbox looks like from the device's side.
+fn commit_one_round(
+    population: &str,
+    devices: std::ops::Range<u64>,
+    selectors: &[federated::actors::ActorRef<SelectorMsg>],
+    coord: &federated::actors::ActorRef<CoordMsg>,
+) {
+    let conns: Vec<_> = devices
+        .map(|id| {
+            let selector = selectors[id as usize % selectors.len()].clone();
+            let conn = DeviceConn::connect(DeviceId(id), population, selector, coord.clone());
+            conn.check_in().unwrap();
+            conn
+        })
+        .collect();
+    for conn in &conns {
+        match conn.recv(Duration::from_secs(5)) {
+            Ok(WireMessage::PlanAndCheckpoint {
+                plan, checkpoint, ..
+            }) => {
+                let bytes = CodecSpec::Identity
+                    .build()
+                    .encode(&vec![0.5f32; plan.server.expected_dim]);
+                conn.report(checkpoint.round, 1, bytes, 1, 0.4, 0.9).unwrap();
+            }
+            other => panic!("{population}: device was never configured: {other:?}"),
+        }
+    }
+    for conn in &conns {
+        assert!(matches!(
+            conn.recv(Duration::from_secs(5)).unwrap(),
+            WireMessage::ReportAck { accepted: true, .. }
+        ));
+    }
+    assert!(drive_to_commit(coord), "{population} failed to commit");
+}
+
+/// Regression: `SelectorMsg::Rewire` used to overwrite only the
+/// Selector's fallback route, while check-ins are routed by population —
+/// so in a multi-population tree a respawned Coordinator never received
+/// traffic and its population's devices kept being forwarded to the dead
+/// mailbox. `Rewire` now names the population whose route it replaces:
+/// after one of three Coordinators crashes and is respawned, that
+/// population commits its next round through the replacement and the
+/// other two never notice.
+#[test]
+fn rewire_retargets_only_the_respawned_population() {
+    let system = ActorSystem::new();
+    let locks: LockingService<String> = LockingService::new();
+    let populations = ["rewire/a", "rewire/b", "rewire/c"];
+    let coordinators = populations
+        .iter()
+        .map(|p| (coordinator_for(p, round_with_goal(2), locks.clone()), 8))
+        .collect();
+    let blueprint = TopologyBlueprint::new(
+        (0..2)
+            .map(|i| SelectorSpec::new(PaceSteering::new(1_000, 6), 100, i, 8))
+            .collect(),
+    );
+    let multi = spawn_multi_topology(&system, coordinators, &blueprint);
+
+    let doomed = PopulationName::new("rewire/b");
+    let lease_name = coordinator_lease_name(&doomed);
+    let doomed_epoch = locks.current_epoch(&lease_name).expect("lease held");
+    system.install_fault_injector(Arc::new(ScriptedFaults::new().with(
+        "coordinator-rewire/b",
+        1,
+        FaultAction::Crash,
+    )));
+    let (found_tx, found_rx) = unbounded();
+    std::thread::scope(|scope| {
+        let watcher = scope.spawn(|| {
+            watch_and_respawn(
+                &system,
+                &locks,
+                "coordinator-rewire/b",
+                &lease_name,
+                doomed_epoch,
+                1,
+                |lease| {
+                    let task = FlTask::training("t", "rewire/b").with_round(round_with_goal(2));
+                    CoordinatorActor::with_store(
+                        CoordinatorConfig::new("rewire/b", 7),
+                        TaskGroup::new(vec![task], TaskSelectionStrategy::Single),
+                        vec![FlPlan::standard_training(spec(), 1, 8, 0.1, CodecSpec::Identity)],
+                        vec![0.0; spec().num_params()],
+                        locks.clone(),
+                        lease,
+                        InMemoryCheckpointStore::new(),
+                    )
+                },
+                |replacement| {
+                    let _ = found_tx.send(replacement);
+                },
+                Duration::from_secs(10),
+            )
+        });
+
+        // Its first message trips the injected crash; the watcher
+        // respawns it and the Selector layer is re-briefed, by name.
+        multi.coordinator(&doomed).unwrap().send(CoordMsg::Tick).unwrap();
+        let replacement = found_rx.recv_timeout(Duration::from_secs(5)).unwrap();
+        system.clear_fault_injector();
+        for selector in &multi.selectors {
+            selector
+                .send(SelectorMsg::Rewire {
+                    population: doomed.clone(),
+                    coordinator: replacement.clone(),
+                    quota: 8,
+                    population_estimate: 100,
+                })
+                .unwrap();
+        }
+
+        // The respawned population commits its next round through the
+        // replacement, one device per selector...
+        commit_one_round("rewire/b", 100..102, &multi.selectors, &replacement);
+        // ...and the other two still reach their original Coordinators.
+        for (first, population) in [(0u64, "rewire/a"), (20, "rewire/c")] {
+            let coord = multi.coordinator(&PopulationName::new(population)).unwrap();
+            commit_one_round(population, first..first + 2, &multi.selectors, coord);
+        }
+
+        // A clean stop of the replacement releases the watcher.
+        replacement.send(CoordMsg::Shutdown).unwrap();
+        let report = watcher.join().unwrap();
+        assert_eq!(report.respawns, 1);
+    });
+    multi.shutdown();
+    system.join();
+}
+
+/// Regression: a check-in naming a population nobody registered used to
+/// fall through to the default route — configured by another tenant's
+/// Coordinator with another tenant's plan — after minting rows in the
+/// Selector's, the budget's and the telemetry's per-population tables.
+/// The name is peer-supplied, so it is now refused with the ordinary
+/// `ComeBackLater` and leaves no trace beyond one counter.
+#[test]
+fn unregistered_population_is_told_to_come_back_later() {
+    let system = ActorSystem::new();
+    let locks: LockingService<String> = LockingService::new();
+    let coordinators = vec![(coordinator_for("known/pop", round_with_goal(1), locks.clone()), 8)];
+    let blueprint = TopologyBlueprint::new(vec![SelectorSpec::new(
+        PaceSteering::new(1_000, 6),
+        100,
+        5,
+        8,
+    )])
+    .with_global_admission(GlobalAdmissionConfig {
+        window_ms: 600_000,
+        max_admits_per_window: 6,
+    })
+    .with_telemetry(OverloadMonitorConfig::default());
+    let multi = spawn_multi_topology(&system, coordinators, &blueprint);
+    let known = PopulationName::new("known/pop");
+    let coord = multi.coordinator(&known).unwrap();
+
+    for i in 0..50u64 {
+        let made_up = format!("made-up/{i}");
+        let conn = DeviceConn::connect(
+            DeviceId(i),
+            made_up.as_str(),
+            multi.selectors[0].clone(),
+            coord.clone(),
+        );
+        conn.check_in().unwrap();
+        match conn.recv(Duration::from_secs(5)).unwrap() {
+            WireMessage::ComeBackLater { population, .. } => {
+                assert_eq!(population.as_str(), made_up)
+            }
+            other => panic!("unregistered population got {other:?}"),
+        }
+    }
+    let budget = multi.global_budget.clone().expect("budget configured");
+    assert_eq!(budget.registered_populations(), vec![known.clone()]);
+    assert_eq!(budget.admitted_total() + budget.shed_total(), 0);
+    {
+        let telemetry = multi.telemetry.clone().expect("telemetry configured");
+        let metrics = telemetry.lock();
+        assert!(metrics.populations().is_empty());
+    }
+    // The real tenant is untouched: its device is configured at once.
+    commit_one_round("known/pop", 1_000..1_001, &multi.selectors, coord);
 
     multi.shutdown();
     system.join();

@@ -27,7 +27,11 @@ fn digest(render: &str) -> u64 {
 }
 
 fn line(harness: &str, seed: u64, render: &str) -> String {
-    format!("{harness} seed={seed} fnv1a64={:016x} bytes={}\n", digest(render), render.len())
+    format!(
+        "{harness} seed={seed} fnv1a64={:016x} bytes={}\n",
+        digest(render),
+        render.len()
+    )
 }
 
 fn render_fixture() -> String {
@@ -46,7 +50,10 @@ fn render_fixture() -> String {
     let scenarios: [(&str, fn(u64) -> OverloadConfig); 4] = [
         ("overload/thundering_herd", OverloadConfig::thundering_herd),
         ("overload/flash_crowd", OverloadConfig::flash_crowd),
-        ("overload/secagg_flash_crowd", OverloadConfig::secagg_flash_crowd),
+        (
+            "overload/secagg_flash_crowd",
+            OverloadConfig::secagg_flash_crowd,
+        ),
         ("overload/diurnal_ramp", OverloadConfig::diurnal_ramp),
     ];
     for (name, make) in scenarios {
@@ -65,10 +72,18 @@ fn render_fixture() -> String {
     }
     // The 32 fault scripts `tests/wire_chaos.rs` sweeps.
     for seed in 0..20 {
-        out.push_str(&line("wire_chaos/plain", seed, &run_wire_chaos(seed).render()));
+        out.push_str(&line(
+            "wire_chaos/plain",
+            seed,
+            &run_wire_chaos(seed).render(),
+        ));
     }
     for seed in 100..112 {
-        out.push_str(&line("wire_chaos/secagg", seed, &run_wire_chaos_secagg(seed).render()));
+        out.push_str(&line(
+            "wire_chaos/secagg",
+            seed,
+            &run_wire_chaos_secagg(seed).render(),
+        ));
     }
     out
 }
