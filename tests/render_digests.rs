@@ -15,7 +15,10 @@
 use federated::sim::chaos::{self, ChaosConfig};
 use federated::sim::multi::{self, MultiTenantConfig};
 use federated::sim::overload::{self, OverloadConfig};
-use federated::sim::{run_wire_chaos, run_wire_chaos_secagg};
+use federated::sim::{
+    explore_chaos, explore_live_round, explore_secagg_live_round, run_wire_chaos,
+    run_wire_chaos_secagg,
+};
 use std::path::PathBuf;
 
 /// FNV-1a 64: the fixture only has to notice a changed byte, and the
@@ -83,6 +86,28 @@ fn render_fixture() -> String {
             "wire_chaos/secagg",
             seed,
             &run_wire_chaos_secagg(seed).render(),
+        ));
+    }
+    // A sample of the 64-schedule sweeps in `tests/schedule_explore.rs`.
+    for seed in [0, 7, 31, 63] {
+        out.push_str(&line(
+            "explore/live_round",
+            seed,
+            &explore_live_round(seed).render(),
+        ));
+    }
+    for seed in [0, 31] {
+        out.push_str(&line(
+            "explore/secagg_live_round",
+            seed,
+            &explore_secagg_live_round(seed).render(),
+        ));
+    }
+    for (plan, schedule) in [(11, 3), (23, 17), (47, 40)] {
+        out.push_str(&line(
+            &format!("explore/chaos plan={plan}"),
+            schedule,
+            &explore_chaos(plan, schedule, &ChaosConfig::default()).render(),
         ));
     }
     out
