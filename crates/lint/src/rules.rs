@@ -109,9 +109,10 @@ pub const RULES: &[Rule] = &[
         // processes build against, and the secagg crate is the
         // correctness contract the live shards lean on. The
         // multi-tenancy modules (device lane arbitration, selector
-        // demux, per-population telemetry, the multi-population DES)
-        // are the cross-population isolation contract and get the same
-        // treatment.
+        // demux, per-population telemetry) are the cross-population
+        // isolation contract and get the same treatment, as does all
+        // of fl-sim: its scenario engine and the entry points over it
+        // are what every seeded sweep and the benchmark call by name.
         include: &[
             "crates/core/src/lib.rs",
             "crates/server/src/lib.rs",
@@ -120,7 +121,7 @@ pub const RULES: &[Rule] = &[
             "crates/device/src/tenancy.rs",
             "crates/server/src/selector.rs",
             "crates/analytics/src/overload.rs",
-            "crates/sim/src/multi.rs",
+            "crates/sim/src/",
         ],
         exclude: &[],
         applies_to_tests: false,

@@ -31,6 +31,7 @@
 //! reproducible bug report.
 
 use crate::des::EventQueue;
+use crate::scenario::SimWire;
 use fl_actors::{Lease, LockingService};
 use fl_analytics::FaultLog;
 use fl_core::plan::{CodecSpec, ModelSpec};
@@ -46,7 +47,7 @@ use fl_server::round::{CheckinResponse, ReportResponse};
 use fl_server::selector::{CheckinDecision, Selector};
 use fl_server::storage::{CheckpointStore, FaultyCheckpointStore, InMemoryCheckpointStore};
 use fl_server::topology::{DeploymentSpec, SelectorSpec, TopologyBlueprint};
-use fl_server::wire::{ChannelTransport, Transport, WireMessage, WireStats};
+use fl_server::wire::{WireMessage, WireStats};
 use rand::RngExt;
 use std::collections::BTreeMap;
 
@@ -317,8 +318,7 @@ impl ChaosReport {
             "seed={}\ncommitted={} abandoned={} lost_to_storage={} master_restarts={}\n\
              respawns={} lease_reacquisitions={} idempotent_checkins={}\n\
              write_count={} secagg_shard_aborts={} secagg_round_aborts={}\n\
-             wire up_frames={} up_bytes={} down_frames={} down_bytes={}\n\
-             violations={}\n",
+             wire up_frames={} up_bytes={} down_frames={} down_bytes={}\n",
             self.seed,
             self.committed,
             self.abandoned,
@@ -334,13 +334,8 @@ impl ChaosReport {
             self.wire.bytes_sent,
             self.wire.frames_received,
             self.wire.bytes_received,
-            self.violations.len(),
         );
-        for v in &self.violations {
-            out.push_str("violation: ");
-            out.push_str(v);
-            out.push('\n');
-        }
+        crate::render_violations(&mut out, &self.violations);
         out.push_str("--- fault log ---\n");
         out.push_str(&self.log.render());
         out
@@ -408,14 +403,12 @@ struct Harness<'a> {
     rng: rand::rngs::StdRng,
     report: ChaosReport,
     dim: usize,
-    /// The fleet's in-memory wire: the device side of a
-    /// [`ChannelTransport`] pair. Every check-in and update report is
-    /// encoded here as a framed [`WireMessage`] and decoded on the server
-    /// side before it touches a state machine — the DES exercises the same
-    /// codec path as the live topology and the TCP front door.
-    device_wire: ChannelTransport,
-    /// The server side of the pair.
-    server_wire: ChannelTransport,
+    /// The fleet's in-memory wire. Every check-in and update report is
+    /// encoded on its device side as a framed [`WireMessage`] and decoded
+    /// on the server side before it touches a state machine — the DES
+    /// exercises the same codec path as the live topology and the TCP
+    /// front door.
+    wire: SimWire,
 }
 
 /// Mixes a schedule seed into the harness timing stream (one splitmix64
@@ -485,7 +478,6 @@ pub fn run_chaos_with_schedule(
             .collect(),
     );
     let coordinator = deployment.new_coordinator(store);
-    let (device_wire, server_wire) = ChannelTransport::pair();
     let mut h = Harness {
         config,
         plan,
@@ -518,8 +510,7 @@ pub fn run_chaos_with_schedule(
             log: FaultLog::new(),
         },
         dim,
-        device_wire,
-        server_wire,
+        wire: SimWire::new(),
     };
 
     if !h.deploy_current(0) {
@@ -653,34 +644,6 @@ impl Harness<'_> {
         self.queue.schedule_at(now + delay, Event::Report { device });
     }
 
-    /// Sends `msg` from the device side of the in-memory wire and decodes
-    /// it on the server side — the harness's device↔Selector exchanges go
-    /// through the real framed codec, not a function call. Returns `None`
-    /// (with a violation) if the frame fails to round-trip.
-    fn wire_uplink(&mut self, now: u64, msg: &WireMessage) -> Option<WireMessage> {
-        if self.device_wire.send(msg).is_err() {
-            self.report
-                .violations
-                .push(format!("t={now}: wire uplink send failed"));
-            return None;
-        }
-        match self.server_wire.try_recv() {
-            Ok(Some(decoded)) => Some(decoded),
-            _ => {
-                self.report
-                    .violations
-                    .push(format!("t={now}: frame lost on the uplink"));
-                None
-            }
-        }
-    }
-
-    /// Drains (and counts) every reply frame the server pushed to the
-    /// fleet's device side.
-    fn drain_downlink(&mut self) {
-        while let Ok(Some(_)) = self.device_wire.try_recv() {}
-    }
-
     fn on_checkin(&mut self, now: u64, device: u64) {
         // Periodic re-check-in, with seeded jitter to avoid lockstep.
         let next = now
@@ -692,12 +655,13 @@ impl Harness<'_> {
         }
         // The check-in crosses the wire as a framed request; the server
         // side acts only on what it decoded.
-        let Some(WireMessage::CheckinRequest { device: wired, .. }) = self.wire_uplink(
+        let Some(WireMessage::CheckinRequest { device: wired, .. }) = self.wire.wire_uplink(
             now,
             &WireMessage::CheckinRequest {
                 device: DeviceId(device),
                 population: PopulationName::new(POPULATION),
             },
+            &mut self.report.violations,
         ) else {
             return;
         };
@@ -711,11 +675,10 @@ impl Harness<'_> {
             // No admission control in this harness: quota is the only
             // way a check-in is turned away.
             CheckinDecision::Shed { retry_at_ms, .. } | CheckinDecision::Reject { retry_at_ms } => {
-                let _ = self.server_wire.send(&WireMessage::ComeBackLater {
+                self.wire.wire_downlink(&WireMessage::ComeBackLater {
                     retry_at_ms,
                     population: PopulationName::new(POPULATION),
                 });
-                self.drain_downlink();
                 self.pool.add(wired, now);
                 return;
             }
@@ -725,7 +688,7 @@ impl Harness<'_> {
                 CheckinResponse::Selected => {
                     // The Configuration download crosses the wire too, so
                     // the byte counters cover the dominant direction.
-                    let _ = self.server_wire.send(&WireMessage::PlanAndCheckpoint {
+                    self.wire.wire_downlink(&WireMessage::PlanAndCheckpoint {
                         plan: Box::new(round.plan.clone()),
                         checkpoint: Box::new(round.checkpoint.clone()),
                         population: PopulationName::new(POPULATION),
@@ -741,7 +704,6 @@ impl Harness<'_> {
             },
             None => self.pool.add(wired, now),
         }
-        self.drain_downlink();
     }
 
     fn on_report(&mut self, now: u64, device: u64) {
@@ -798,7 +760,7 @@ impl Harness<'_> {
                 loss,
                 accuracy,
                 ..
-            }) = self.wire_uplink(now, &report_msg)
+            }) = self.wire.wire_uplink(now, &report_msg, &mut self.report.violations)
             else {
                 return;
             };
@@ -808,13 +770,12 @@ impl Harness<'_> {
             match round.on_secagg_report(wired, now, &field_vector, weight, loss, accuracy) {
                 Ok(response) => {
                     let accepted = matches!(response, ReportResponse::Accepted);
-                    let _ = self.server_wire.send(&WireMessage::ReportAck {
+                    self.wire.wire_downlink(&WireMessage::ReportAck {
                         accepted,
                         round: wired_round,
                         attempt: wired_attempt,
                         population: PopulationName::new(POPULATION),
                     });
-                    self.drain_downlink();
                 }
                 Err(e) => self
                     .report
@@ -842,7 +803,7 @@ impl Harness<'_> {
             loss,
             accuracy,
             ..
-        }) = self.wire_uplink(now, &report_msg)
+        }) = self.wire.wire_uplink(now, &report_msg, &mut self.report.violations)
         else {
             return;
         };
@@ -852,13 +813,12 @@ impl Harness<'_> {
         match round.on_report(wired, now, &update_bytes, weight, loss, accuracy) {
             Ok(response) => {
                 let accepted = matches!(response, ReportResponse::Accepted);
-                let _ = self.server_wire.send(&WireMessage::ReportAck {
+                self.wire.wire_downlink(&WireMessage::ReportAck {
                     accepted,
                     round: wired_round,
                     attempt: wired_attempt,
                     population: PopulationName::new(POPULATION),
                 });
-                self.drain_downlink();
             }
             Err(e) => self
                 .report
@@ -1247,7 +1207,7 @@ impl Harness<'_> {
             .as_ref()
             .map(|c| c.secagg_shard_aborts())
             .unwrap_or(0);
-        self.report.wire = self.device_wire.stats();
+        self.report.wire = self.wire.stats();
         // The paper's storage audit: one write at deployment plus one per
         // committed round; per-device updates are never persisted.
         if self.report.final_write_count != 1 + self.report.committed {

@@ -99,12 +99,7 @@ impl ExploreReport {
         for (name, reason) in &self.obituaries {
             out.push_str(&format!("obituary {name} reason={reason}\n"));
         }
-        out.push_str(&format!("violations={}\n", self.violations.len()));
-        for v in &self.violations {
-            out.push_str("violation: ");
-            out.push_str(v);
-            out.push('\n');
-        }
+        crate::render_violations(&mut out, &self.violations);
         out
     }
 }

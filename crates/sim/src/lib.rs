@@ -37,15 +37,27 @@
 //!   `fl-server` Coordinator (regenerates the Sec. 8 next-word-prediction
 //!   experiment and clients-per-round sweeps).
 
+/// Diurnal device-eligibility model (Fig. 5).
 pub mod availability;
+/// Seeded fault injection against the Coordinator on a virtual clock.
 pub mod chaos;
+/// The virtual-clock event queue.
 pub mod des;
+/// Seeded delivery-schedule exploration of the live actor tree.
 pub mod explore;
+/// Fleet dynamics over simulated days (Figs. 5–9, Table 1).
 pub mod fleet;
+/// Multi-population fairness scenarios: an entry point of [`scenario`].
 pub mod multi;
+/// Seeded wire faults through the live sharded topology.
 pub mod netchaos;
+/// Per-device latency / bandwidth / failure models.
 pub mod network;
+/// Single-population overload scenarios: an entry point of [`scenario`].
 pub mod overload;
+/// The flow-control scenario engine behind [`overload`] and [`multi`].
+pub mod scenario;
+/// Real on-device training through the real Coordinator (Sec. 8).
 pub mod training;
 
 pub use availability::DiurnalAvailability;
@@ -56,6 +68,16 @@ pub use multi::{run_multi_tenant, MultiTenantConfig, MultiTenantReport};
 pub use netchaos::{run_wire_chaos, run_wire_chaos_secagg, WireChaosReport};
 pub use overload::{OverloadConfig, OverloadReport, OverloadScenario};
 pub use training::{TrainingRunConfig, TrainingRunReport};
+
+/// The `violations=` footer every seeded report's `render` ends with.
+pub(crate) fn render_violations(out: &mut String, violations: &[String]) {
+    out.push_str(&format!("violations={}\n", violations.len()));
+    for v in violations {
+        out.push_str("violation: ");
+        out.push_str(v);
+        out.push('\n');
+    }
+}
 
 /// Milliseconds per hour, used throughout the simulator.
 pub const HOUR_MS: u64 = 3_600_000;

@@ -6,13 +6,13 @@
 //! supporting training of multiple FL populations in the same app" while
 //! "we avoid running training sessions on-device in parallel because of
 //! their high resource consumption" — modeled here by the real
-//! [`DeviceTenancy`] arbitrating a single active session across
+//! `DeviceTenancy` arbitrating a single active session across
 //! per-population lanes. On the server (Sec. 2.1/4.2): each population
 //! is a separate learning problem with its own Coordinator and rounds,
 //! multiplexed over a shared Selector layer that holds each population
 //! against its own quota and admits against a shared fleet-wide budget
 //! with per-population fair-share reservations
-//! ([`GlobalAdmissionBudget::try_admit_for`]).
+//! (`GlobalAdmissionBudget::try_admit_for`).
 //!
 //! The scenario this module exists to audit is *cross-population
 //! fairness under asymmetric load*: one population takes a flash crowd
@@ -30,26 +30,21 @@
 //! * reports render byte-identically per seed (the chaos-harness
 //!   idiom), so a failing seed is a replayable bug report.
 //!
-//! With a single population and no disturbance the harness degenerates
-//! to the single-tenant shape: the per-population series *are* the
-//! aggregate (asserted by the conservation invariant) — the same one
-//! path every single-population harness and the live tree run.
+//! The loop itself is [`crate::scenario`]; this module lowers its config
+//! into it and adds the two audits only a multi-tenant run makes (every
+//! tenant commits; no tenant starves after another's flash crowd). With
+//! a single population and no disturbance the run degenerates to the
+//! single-tenant shape: the per-population series *are* the aggregate
+//! (asserted by the conservation invariant) — the same one path every
+//! single-population harness and the live tree run.
 
-use crate::des::EventQueue;
-use fl_analytics::overload::{OverloadMetrics, OverloadMonitorConfig};
-use fl_core::plan::{CodecSpec, ModelSpec};
-use fl_core::round::{RoundConfig, RoundOutcome};
-use fl_core::{DeviceId, FlCheckpoint, FlPlan, PopulationName, RetryPolicy, RoundId};
-use fl_device::conditions::DeviceConditions;
-use fl_device::tenancy::DeviceTenancy;
-use fl_ml::rng;
-use fl_server::pace::PaceSteering;
-use fl_server::round::{CheckinResponse, Phase, RoundEvent, RoundState};
-use fl_server::selector::{CheckinDecision, Selector};
-use fl_server::shedding::{AdmissionConfig, GlobalAdmissionBudget, GlobalAdmissionConfig};
-use fl_server::topology::{SelectorSpec, TopologyBlueprint};
-use fl_server::wire::{ChannelTransport, Transport, WireMessage, WireStats};
-use rand::Rng;
+use crate::scenario::{self, Fleet, LoadShape, PopulationLoad, ScenarioConfig};
+use fl_core::round::RoundConfig;
+use fl_core::{PopulationName, RetryPolicy};
+use fl_server::shedding::{AdmissionConfig, GlobalAdmissionConfig};
+use fl_server::wire::WireStats;
+
+pub use crate::scenario::PopulationOutcome;
 
 /// A flash crowd aimed at one population: `newcomers` devices that know
 /// only this population appear at `at_ms` and check in unpaced within
@@ -78,12 +73,6 @@ pub struct PopulationSpec {
     pub membership_stride: u64,
     /// The disturbance, if this is the stormy tenant.
     pub flash: Option<FlashCrowd>,
-}
-
-impl PopulationSpec {
-    fn population(&self) -> PopulationName {
-        PopulationName::new(self.name)
-    }
 }
 
 /// Multi-tenant simulation parameters.
@@ -211,47 +200,6 @@ impl MultiTenantConfig {
         config
     }
 
-    /// Total device slots including every flash crowd's newcomers.
-    fn total_devices(&self) -> u64 {
-        self.devices
-            + self
-                .populations
-                .iter()
-                .filter_map(|p| p.flash.map(|f| f.newcomers))
-                .sum::<u64>()
-    }
-}
-
-/// One population's share of a [`MultiTenantReport`].
-#[derive(Debug, Clone)]
-pub struct PopulationOutcome {
-    /// Population name.
-    pub name: &'static str,
-    /// Check-ins offered under this population (accepted + rejected).
-    pub offered: u64,
-    /// Check-ins accepted into this population's held set.
-    pub accepted: u64,
-    /// Check-ins shed (local admission + global budget) while claiming
-    /// this population.
-    pub shed: u64,
-    /// Rejections that were quota/duplicate pacing, not shedding.
-    pub rejected_other: u64,
-    /// Admits charged to this population on the shared global budget.
-    pub budget_admits: u64,
-    /// Sheds charged to this population by the shared global budget.
-    pub budget_sheds: u64,
-    /// Device-side retries recorded on this population's lanes.
-    pub retries: u64,
-    /// Lanes that exhausted a retry-budget window at least once.
-    pub budget_exhaustions: u64,
-    /// Rounds begun by this population's Coordinator.
-    pub rounds_started: u64,
-    /// Rounds that reached a terminal state.
-    pub rounds_terminal: u64,
-    /// Rounds committed.
-    pub committed: u64,
-    /// Rounds abandoned (cleanly).
-    pub abandoned: u64,
 }
 
 /// Outcome of one multi-tenant run: per-population outcomes in spec
@@ -278,7 +226,7 @@ pub struct MultiTenantReport {
     /// its population.
     pub wire: WireStats,
     /// The per-population accept/shed/retry dashboard panel
-    /// ([`OverloadMetrics::render_population_panel`]), captured at the
+    /// (`OverloadMetrics::render_population_panel`), captured at the
     /// horizon — deterministic per seed like everything else here.
     pub telemetry_panel: String,
     /// Invariant violations; empty on a clean run.
@@ -336,12 +284,7 @@ impl MultiTenantReport {
             ));
         }
         out.push_str(&self.telemetry_panel);
-        out.push_str(&format!("violations={}\n", self.violations.len()));
-        for v in &self.violations {
-            out.push_str("violation: ");
-            out.push_str(v);
-            out.push('\n');
-        }
+        crate::render_violations(&mut out, &self.violations);
         out
     }
 }
@@ -360,652 +303,47 @@ pub fn sweep(
     seeds.iter().map(|&s| run_multi_tenant(&make(s))).collect()
 }
 
-#[derive(Debug, Clone, Copy)]
-enum Event {
-    /// A device's wake chain fires: resolve a stale held slot, then try
-    /// to start whichever population's session the tenancy arbitrates.
-    Wake { device: u64, gen: u32 },
-    /// Every population's Coordinator asks its Selector slice for
-    /// forwards.
-    Forward,
-    /// A selected device finishes training + upload for `pop`.
-    Report { device: u64, pop: usize, round_seq: u64 },
-    /// Round phase timeout check for `pop`.
-    RoundTick { pop: usize, round_seq: u64 },
-    /// Per-window staleness eviction + queue-depth sampling.
-    WindowSample,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum DevPhase {
-    /// Not connected; the wake chain is pending.
-    Idle,
-    /// Held in a Selector's queue for population `pop`.
-    Held { pop: usize },
-    /// Forwarded into `pop`'s active round; awaiting report.
-    InRound { pop: usize },
-}
-
-struct Device {
-    tenancy: DeviceTenancy,
-    phase: DevPhase,
-    /// Wake-chain generation: a `Wake` whose `gen` does not match is
-    /// stale (superseded) and dropped — one live chain per device.
-    gen: u32,
-}
-
-struct PopRound {
-    seq: u64,
-    state: RoundState,
-    /// Rounds open at pace-window boundaries (the rendezvous cadence).
-    open_at_ms: u64,
-    /// Devices forwarded before Configuration fired.
-    pending: Vec<u64>,
-}
-
-struct PopCounters {
-    rounds_started: u64,
-    rounds_terminal: u64,
-    committed: u64,
-    abandoned: u64,
-}
-
-/// The earliest any of the device's lanes comes due, clamped into the
-/// future so a wake chain always advances.
-fn next_wake_ms(tenancy: &DeviceTenancy, now_ms: u64) -> u64 {
-    tenancy
-        .populations()
-        .iter()
-        .filter_map(|p| tenancy.lane(p).map(|l| l.scheduler.next_due_ms()))
-        .min()
-        .unwrap_or(u64::MAX)
-        .max(now_ms + 1)
-}
-
-/// Drives one seeded multi-population scenario against the real
-/// Selector/round/tenancy stack and audits the fairness invariants. See
-/// the module docs.
-pub fn run_multi_tenant(config: &MultiTenantConfig) -> MultiTenantReport {
-    assert!(
-        !config.populations.is_empty(),
-        "a multi-tenant run needs at least one population"
-    );
-    let npop = config.populations.len();
-    let names: Vec<PopulationName> =
-        config.populations.iter().map(|p| p.population()).collect();
-    let targets: Vec<usize> = config
-        .populations
-        .iter()
-        .map(|p| p.round.selection_target().max(1))
-        .collect();
-    let total_target: u64 = targets.iter().map(|&t| t as u64).sum();
-    let total = config.total_devices();
-
-    // The Selector layer comes from the same blueprint the live
-    // multi-tenant topology builds from; per-population quotas are set
-    // the way `spawn_multi_topology` sets them through `with_route`.
-    let n = config.selectors.max(1);
-    let pace = PaceSteering::new(config.window_ms, total_target.max(1));
-    let mut blueprint = TopologyBlueprint::new(
-        (0..n)
-            .map(|i| {
-                SelectorSpec::new(
-                    pace,
-                    config.devices / n,
-                    config.seed ^ (0x7E2 + i),
-                    config.admission.max_inflight,
-                )
-                .with_admission(config.admission)
-                .with_staleness(config.stale_after_ms)
+/// Lowers the multi-tenant config into the scenario engine's input:
+/// the same populations over a fleet of tenancy devices.
+fn lower(config: &MultiTenantConfig) -> ScenarioConfig {
+    ScenarioConfig {
+        devices: config.devices,
+        horizon_ms: config.horizon_ms,
+        window_ms: config.window_ms,
+        forward_period_ms: config.forward_period_ms,
+        selectors: config.selectors,
+        admission: config.admission,
+        global_admission: config.global_admission,
+        stale_after_ms: config.stale_after_ms,
+        retry: config.retry,
+        seed: config.seed,
+        fleet: Fleet::Tenancy,
+        populations: config
+            .populations
+            .iter()
+            .map(|spec| PopulationLoad {
+                name: spec.name,
+                period_ms: spec.period_ms,
+                round: spec.round,
+                quota: spec.quota,
+                membership_stride: spec.membership_stride,
+                shape: spec.flash.map_or(LoadShape::Steady, |flash| LoadShape::FlashCrowd {
+                    at_ms: flash.at_ms,
+                    newcomers: flash.newcomers,
+                }),
+                secagg_k: None,
             })
             .collect(),
-    );
-    if let Some(global) = config.global_admission {
-        blueprint = blueprint.with_global_admission(global);
     }
-    let budget: Option<GlobalAdmissionBudget> = blueprint.build_global_budget();
-    // Each tenant brings its own quota, so none is registered at the
-    // blueprint's uniform one.
-    let mut selectors: Vec<Selector> = blueprint.build_selectors(budget.as_ref(), &[]);
-    for selector in &mut selectors {
-        for (spec, name) in config.populations.iter().zip(&names) {
-            selector.set_population_quota(name.clone(), spec.quota);
-        }
-    }
+}
 
-    let mut rng = rng::seeded(config.seed ^ 0x3A9);
-    let mut queue: EventQueue<Event> = EventQueue::new();
-    let mut metrics = OverloadMetrics::new(
-        OverloadMonitorConfig {
-            bucket_ms: config.window_ms,
-            ..OverloadMonitorConfig::default()
-        },
-        0,
-    );
-
-    // Baseline devices register every population whose stride divides
-    // their id; flash newcomers know only their own population.
-    let mut devices: Vec<Device> = Vec::with_capacity(total as usize);
-    for i in 0..config.devices {
-        let mut tenancy = DeviceTenancy::new();
-        for (spec, name) in config.populations.iter().zip(&names) {
-            if i % spec.membership_stride.max(1) == 0 {
-                tenancy.register(name.clone(), spec.period_ms, config.retry);
-            }
-        }
-        devices.push(Device {
-            tenancy,
-            phase: DevPhase::Idle,
-            gen: 0,
-        });
-    }
-    let mut newcomer_base = config.devices;
-    let mut newcomer_ranges: Vec<(usize, u64, u64)> = Vec::new();
-    for (p, (spec, name)) in config.populations.iter().zip(&names).enumerate() {
-        if let Some(flash) = spec.flash {
-            for _ in 0..flash.newcomers {
-                let mut tenancy = DeviceTenancy::new();
-                tenancy.register(name.clone(), spec.period_ms, config.retry);
-                devices.push(Device {
-                    tenancy,
-                    phase: DevPhase::Idle,
-                    gen: 0,
-                });
-            }
-            newcomer_ranges.push((p, newcomer_base, newcomer_base + flash.newcomers));
-            newcomer_base += flash.newcomers;
-        }
-    }
-
-    // Bootstrap: the baseline fleet's first wakes spread over the
-    // shortest lane period (steady-state pacing from t=0); newcomers
-    // arrive unpaced within one window of their crowd's onset.
-    let spread = config
-        .populations
-        .iter()
-        .map(|p| p.period_ms)
-        .min()
-        .unwrap_or(config.window_ms)
-        .max(1);
-    for d in 0..config.devices {
-        let at = rng.random_range(0..spread);
-        devices[d as usize].gen += 1;
-        let gen = devices[d as usize].gen;
-        queue.schedule_at(at, Event::Wake { device: d, gen });
-    }
-    for &(p, lo, hi) in &newcomer_ranges {
-        let at_ms = match config.populations[p].flash {
-            Some(flash) => flash.at_ms,
-            None => continue,
-        };
-        for d in lo..hi {
-            let at = at_ms + rng.random_range(0..config.window_ms.max(1));
-            devices[d as usize].gen += 1;
-            let gen = devices[d as usize].gen;
-            queue.schedule_at(at, Event::Wake { device: d, gen });
-        }
-    }
-    queue.schedule_at(config.window_ms, Event::WindowSample);
-    queue.schedule_at(config.forward_period_ms, Event::Forward);
-
-    let mut rounds: Vec<PopRound> = (0..npop)
-        .map(|p| PopRound {
-            seq: 0,
-            state: RoundState::begin(RoundId(1), config.populations[p].round, 0),
-            open_at_ms: 0,
-            pending: Vec::new(),
-        })
-        .collect();
-    let mut counters: Vec<PopCounters> = (0..npop)
-        .map(|_| PopCounters {
-            rounds_started: 1,
-            rounds_terminal: 0,
-            committed: 0,
-            abandoned: 0,
-        })
-        .collect();
-    for (p, spec) in config.populations.iter().enumerate() {
-        queue.schedule_at(
-            spec.round.selection_timeout_ms,
-            Event::RoundTick { pop: p, round_seq: 0 },
-        );
-    }
-
-    let mut max_queue_depth: usize = 0;
-    // Every admission decision handed out, counted where it is seen —
-    // the independent side of the conservation check below.
-    let (mut accepted_total, mut rejected_total) = (0u64, 0u64);
-    let mut violations: Vec<String> = Vec::new();
-
-    // The in-memory wire: every check-in and report crosses it as a
-    // framed v3 `WireMessage` carrying its population, every rejection /
-    // configuration / ack comes back framed — the same protocol the
-    // live multi-tenant topology speaks.
-    let (device_wire, server_wire) = ChannelTransport::pair();
-    // One shared Configuration payload per population (this harness
-    // models flow control, not learning).
-    let config_msgs: Vec<WireMessage> = config
-        .populations
-        .iter()
-        .zip(&names)
-        .map(|(spec, name)| WireMessage::PlanAndCheckpoint {
-            plan: Box::new(FlPlan::standard_training(
-                ModelSpec::Logistic {
-                    dim: 4,
-                    classes: 2,
-                    seed: 1,
-                },
-                1,
-                8,
-                0.1,
-                CodecSpec::Identity,
-            )),
-            checkpoint: Box::new(FlCheckpoint::new(spec.name, RoundId(1), vec![0.0; 10])),
-            population: name.clone(),
-        })
-        .collect();
-
-    macro_rules! wire_uplink {
-        ($now:expr, $msg:expr) => {{
-            if device_wire.send($msg).is_err() {
-                violations.push(format!("t={}: wire uplink send failed", $now));
-                None
-            } else {
-                match server_wire.try_recv() {
-                    Ok(Some(decoded)) => Some(decoded),
-                    _ => {
-                        violations.push(format!("t={}: frame lost on the uplink", $now));
-                        None
-                    }
-                }
-            }
-        }};
-    }
-
-    macro_rules! wire_downlink {
-        ($msg:expr) => {{
-            let _ = server_wire.send($msg);
-            while let Ok(Some(_)) = device_wire.try_recv() {}
-        }};
-    }
-
-    macro_rules! schedule_wake {
-        ($dev:expr, $at:expr) => {{
-            let d = &mut devices[$dev as usize];
-            d.gen += 1;
-            let gen = d.gen;
-            queue.schedule_at($at, Event::Wake { device: $dev, gen });
-        }};
-    }
-
-    // Routes a framed rejection/refusal through the device's own
-    // population lane (its backoff + budget), finishes the session, and
-    // resumes the wake chain at whatever lane comes due first.
-    macro_rules! handle_rejection {
-        ($dev:expr, $pop:expr, $now:expr, $reply:expr) => {{
-            metrics.record_retry_for(&names[$pop], $now);
-            let _ = devices[$dev as usize]
-                .tenancy
-                .on_server_reply(&names[$pop], $now, $reply, &mut rng);
-            devices[$dev as usize].tenancy.finish_session();
-            let at = next_wake_ms(&devices[$dev as usize].tenancy, $now);
-            schedule_wake!($dev, at);
-        }};
-    }
-
-    while let Some((now, event)) = queue.next_before(config.horizon_ms) {
-        match event {
-            Event::Wake { device, gen } => {
-                if devices[device as usize].gen != gen {
-                    continue;
-                }
-                match devices[device as usize].phase {
-                    DevPhase::InRound { .. } => continue,
-                    DevPhase::Held { .. } => {
-                        // The fallback wake fired while still held: the
-                        // slot went stale without a forward. Give the
-                        // connection up and let the lane's cadence carry
-                        // the next attempt.
-                        selectors[(device % n) as usize].on_disconnect(DeviceId(device));
-                        devices[device as usize].tenancy.finish_session();
-                        devices[device as usize].phase = DevPhase::Idle;
-                    }
-                    DevPhase::Idle => {}
-                }
-                let winner = devices[device as usize].tenancy.start_session(
-                    now,
-                    DeviceConditions::eligible(),
-                    &mut rng,
-                );
-                let Some(winner) = winner else {
-                    let at = next_wake_ms(&devices[device as usize].tenancy, now);
-                    schedule_wake!(device, at);
-                    continue;
-                };
-                let pop = match names.iter().position(|name| *name == winner) {
-                    Some(pop) => pop,
-                    None => {
-                        violations.push(format!("t={now}: unknown winner population"));
-                        devices[device as usize].tenancy.finish_session();
-                        continue;
-                    }
-                };
-                // The check-in crosses the wire framed with its
-                // population; the Selector acts only on what it decoded.
-                let Some(WireMessage::CheckinRequest {
-                    device: wired,
-                    population: wired_pop,
-                }) = wire_uplink!(
-                    now,
-                    &WireMessage::CheckinRequest {
-                        device: DeviceId(device),
-                        population: names[pop].clone(),
-                    }
-                )
-                else {
-                    devices[device as usize].tenancy.finish_session();
-                    continue;
-                };
-                let selector = &mut selectors[(wired.0 % n) as usize];
-                let decision = selector.on_checkin_for(&wired_pop, wired, now, 1.0);
-                match decision {
-                    CheckinDecision::Accept => {
-                        accepted_total += 1;
-                        metrics.record_accept_for(&wired_pop, now);
-                        devices[device as usize].phase = DevPhase::Held { pop };
-                        devices[device as usize].tenancy.on_success(&names[pop], now);
-                        max_queue_depth = max_queue_depth.max(selector.connected_count());
-                        // Fallback wake: if never forwarded, the held
-                        // slot goes stale and the chain resumes.
-                        let jitter = rng.random_range(0..config.window_ms.max(1));
-                        schedule_wake!(device, now + config.stale_after_ms + jitter);
-                    }
-                    CheckinDecision::Shed { retry_at_ms, .. }
-                    | CheckinDecision::Reject { retry_at_ms } => {
-                        rejected_total += 1;
-                        let reply = if let CheckinDecision::Shed { .. } = decision {
-                            metrics.record_shed_for(&wired_pop, now);
-                            WireMessage::Shed {
-                                retry_at_ms,
-                                population: wired_pop.clone(),
-                            }
-                        } else {
-                            WireMessage::ComeBackLater {
-                                retry_at_ms,
-                                population: wired_pop.clone(),
-                            }
-                        };
-                        wire_downlink!(&reply);
-                        handle_rejection!(device, pop, now, &reply);
-                    }
-                }
-            }
-            Event::Forward => {
-                for p in 0..npop {
-                    if rounds[p].state.phase() != Phase::Selection
-                        || now < rounds[p].open_at_ms
-                    {
-                        continue;
-                    }
-                    let have = rounds[p].pending.len();
-                    let mut need = targets[p].saturating_sub(have);
-                    for s in 0..selectors.len() {
-                        if need == 0 {
-                            break;
-                        }
-                        // Population-filtered forwarding: tenants never
-                        // receive each other's devices.
-                        let forwarded = selectors[s].forward_devices_for(&names[p], need, now);
-                        need = need.saturating_sub(forwarded.len());
-                        for d in forwarded {
-                            match rounds[p].state.on_checkin(d, now) {
-                                CheckinResponse::Selected => {
-                                    wire_downlink!(&config_msgs[p]);
-                                    devices[d.0 as usize].phase = DevPhase::InRound { pop: p };
-                                    rounds[p].pending.push(d.0);
-                                }
-                                CheckinResponse::AlreadySelected => {}
-                                CheckinResponse::NotSelecting => {
-                                    let reply = WireMessage::ComeBackLater {
-                                        retry_at_ms: now,
-                                        population: names[p].clone(),
-                                    };
-                                    wire_downlink!(&reply);
-                                    devices[d.0 as usize].phase = DevPhase::Idle;
-                                    handle_rejection!(d.0, p, now, &reply);
-                                }
-                            }
-                        }
-                    }
-                }
-                if now + config.forward_period_ms <= config.horizon_ms {
-                    queue.schedule_in(config.forward_period_ms, Event::Forward);
-                }
-            }
-            Event::Report { device, pop, round_seq } => {
-                devices[device as usize].phase = DevPhase::Idle;
-                let weight = 1 + device % 7;
-                let loss = 0.9 - (device % 10) as f64 * 0.02;
-                let accuracy = 0.5 + (device % 10) as f64 * 0.03;
-                let round_key = rounds[pop].state.round;
-                let report_msg = WireMessage::UpdateReport {
-                    device: DeviceId(device),
-                    round: round_key,
-                    attempt: 1,
-                    update_bytes: vec![0u8; 4],
-                    weight,
-                    loss,
-                    accuracy,
-                    population: names[pop].clone(),
-                };
-                let Some(WireMessage::UpdateReport { device: wired, .. }) =
-                    wire_uplink!(now, &report_msg)
-                else {
-                    devices[device as usize].tenancy.finish_session();
-                    continue;
-                };
-                let accepted = round_seq == rounds[pop].seq;
-                if accepted {
-                    let _ = rounds[pop].state.on_report(wired, now);
-                }
-                let ack = WireMessage::ReportAck {
-                    accepted,
-                    round: round_key,
-                    attempt: 1,
-                    population: names[pop].clone(),
-                };
-                wire_downlink!(&ack);
-                if accepted {
-                    devices[device as usize].tenancy.on_success(&names[pop], now);
-                    devices[device as usize].tenancy.finish_session();
-                    let at = next_wake_ms(&devices[device as usize].tenancy, now);
-                    schedule_wake!(device, at);
-                } else {
-                    // A refusing ack (the round moved on) charges only
-                    // this population's lane.
-                    handle_rejection!(device, pop, now, &ack);
-                }
-            }
-            Event::RoundTick { pop, round_seq } => {
-                if round_seq == rounds[pop].seq {
-                    rounds[pop].state.on_tick(now);
-                    match rounds[pop].state.phase() {
-                        Phase::Reporting => queue.schedule_in(
-                            config.populations[pop].round.report_window_ms.min(10_000),
-                            Event::RoundTick { pop, round_seq },
-                        ),
-                        Phase::Selection => queue.schedule_in(
-                            config.populations[pop].round.selection_timeout_ms,
-                            Event::RoundTick { pop, round_seq },
-                        ),
-                        _ => {}
-                    }
-                }
-            }
-            Event::WindowSample => {
-                for s in selectors.iter_mut() {
-                    s.evict_stale(now);
-                    max_queue_depth = max_queue_depth.max(s.connected_count());
-                }
-                if now + config.window_ms <= config.horizon_ms {
-                    queue.schedule_in(config.window_ms, Event::WindowSample);
-                }
-            }
-        }
-
-        for p in 0..npop {
-            for round_event in rounds[p].state.drain_events() {
-                match round_event {
-                    RoundEvent::Configured { at_ms, .. } => {
-                        let seq = rounds[p].seq;
-                        let pending: Vec<u64> = rounds[p].pending.drain(..).collect();
-                        for d in pending {
-                            let latency = 10_000 + rng.random_range(0..30_000u64);
-                            queue.schedule_at(
-                                at_ms + latency,
-                                Event::Report { device: d, pop: p, round_seq: seq },
-                            );
-                        }
-                        queue.schedule_in(10_000, Event::RoundTick { pop: p, round_seq: seq });
-                    }
-                    RoundEvent::Finished { at_ms, outcome } => {
-                        counters[p].rounds_terminal += 1;
-                        if outcome.is_committed() {
-                            counters[p].committed += 1;
-                        } else {
-                            counters[p].abandoned += 1;
-                        }
-                        if let RoundOutcome::AbandonedInSelection { .. } = outcome {
-                            // Forwarded-but-unconfigured devices retry
-                            // through their own lane.
-                            let orphans: Vec<u64> = rounds[p].pending.drain(..).collect();
-                            let reply = WireMessage::ComeBackLater {
-                                retry_at_ms: at_ms,
-                                population: names[p].clone(),
-                            };
-                            for d in orphans {
-                                devices[d as usize].phase = DevPhase::Idle;
-                                handle_rejection!(d, p, at_ms, &reply);
-                            }
-                        }
-                        let seq = rounds[p].seq + 1;
-                        counters[p].rounds_started += 1;
-                        let open_at = (at_ms / config.window_ms + 1) * config.window_ms;
-                        rounds[p] = PopRound {
-                            seq,
-                            state: RoundState::begin(
-                                RoundId(seq + 1),
-                                config.populations[p].round,
-                                open_at,
-                            ),
-                            open_at_ms: open_at,
-                            pending: Vec::new(),
-                        };
-                        queue.schedule_at(
-                            open_at + config.populations[p].round.selection_timeout_ms,
-                            Event::RoundTick { pop: p, round_seq: seq },
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    // Post-horizon drain: every population's last round must still reach
-    // a terminal state.
-    for p in 0..npop {
-        let mut drain_t = config.horizon_ms;
-        for _ in 0..4 {
-            if rounds[p].state.phase().is_terminal() {
-                break;
-            }
-            drain_t += config.populations[p].round.selection_timeout_ms
-                + config.populations[p].round.report_window_ms
-                + config.populations[p].round.device_cap_ms
-                + 1;
-            rounds[p].state.on_tick(drain_t);
-            for round_event in rounds[p].state.drain_events() {
-                if let RoundEvent::Finished { outcome, .. } = round_event {
-                    counters[p].rounds_terminal += 1;
-                    if outcome.is_committed() {
-                        counters[p].committed += 1;
-                    } else {
-                        counters[p].abandoned += 1;
-                    }
-                }
-            }
-        }
-    }
-
-    metrics.finalize(config.horizon_ms);
-
-    let outcomes: Vec<PopulationOutcome> = config
-        .populations
-        .iter()
-        .enumerate()
-        .map(|(p, spec)| {
-            let name = &names[p];
-            let (accepted, rejected) = selectors
-                .iter()
-                .map(|s| s.counters_for(name))
-                .fold((0, 0), |(a, r), (sa, sr)| (a + sa, r + sr));
-            let shed: u64 = selectors.iter().map(|s| s.shed_total_for(name)).sum();
-            let retries: u64 = devices
-                .iter()
-                .filter_map(|d| d.tenancy.lane(name))
-                .map(|l| l.connectivity.retries_total())
-                .sum();
-            let budget_exhaustions: u64 = devices
-                .iter()
-                .filter_map(|d| d.tenancy.lane(name))
-                .filter(|l| l.connectivity.budget_exhaustions_total() > 0)
-                .count() as u64;
-            PopulationOutcome {
-                name: spec.name,
-                offered: accepted + rejected,
-                accepted,
-                shed,
-                rejected_other: rejected.saturating_sub(shed),
-                budget_admits: budget
-                    .as_ref()
-                    .map(|b| b.admitted_total_for(name))
-                    .unwrap_or(0),
-                budget_sheds: budget
-                    .as_ref()
-                    .map(|b| b.shed_total_for(name))
-                    .unwrap_or(0),
-                retries,
-                budget_exhaustions,
-                rounds_started: counters[p].rounds_started,
-                rounds_terminal: counters[p].rounds_terminal,
-                committed: counters[p].committed,
-                abandoned: counters[p].abandoned,
-            }
-        })
-        .collect();
-
-    // Conservation: the Selectors' per-population ledgers must sum
-    // exactly to the decisions this harness saw them hand out — the
-    // multi-tenant bookkeeping loses no check-in.
-    let accepted_by_pop: u64 = outcomes.iter().map(|o| o.accepted).sum();
-    let rejected_by_pop: u64 = outcomes.iter().map(|o| o.offered - o.accepted).sum();
-    if accepted_by_pop != accepted_total {
-        violations.push(format!(
-            "per-population accepts {accepted_by_pop} != aggregate {accepted_total}"
-        ));
-    }
-    if rejected_by_pop != rejected_total {
-        violations.push(format!(
-            "per-population rejects {rejected_by_pop} != aggregate {rejected_total}"
-        ));
-    }
-    if max_queue_depth > config.admission.max_inflight {
-        violations.push(format!(
-            "queue depth {max_queue_depth} exceeded bound {}",
-            config.admission.max_inflight
-        ));
-    }
-    for o in &outcomes {
+/// Drives one seeded multi-population scenario through
+/// [`crate::scenario`] — the real Selector/round/tenancy stack — and
+/// audits the fairness invariants. See the module docs.
+pub fn run_multi_tenant(config: &MultiTenantConfig) -> MultiTenantReport {
+    let outcome = scenario::run(&lower(config));
+    let mut violations = outcome.violations;
+    for o in &outcome.populations {
         if o.rounds_terminal != o.rounds_started {
             violations.push(format!(
                 "population {}: {} of {} started rounds never reached a terminal state",
@@ -1024,12 +362,13 @@ pub fn run_multi_tenant(config: &MultiTenantConfig) -> MultiTenantReport {
     for spec in &config.populations {
         let Some(flash) = spec.flash else { continue };
         let onset_bucket = (flash.at_ms / config.window_ms) as usize;
-        for (other, name) in config.populations.iter().zip(&names) {
+        for other in &config.populations {
             if other.name == spec.name {
                 continue;
             }
-            let post_onset: f64 = metrics
-                .population_series(name)
+            let post_onset: f64 = outcome
+                .metrics
+                .population_series(&PopulationName::new(other.name))
                 .map(|series| series.accepts.sums().iter().skip(onset_bucket).sum())
                 .unwrap_or(0.0);
             if post_onset == 0.0 {
@@ -1041,18 +380,16 @@ pub fn run_multi_tenant(config: &MultiTenantConfig) -> MultiTenantReport {
         }
     }
 
-    let arbitration_losses: u64 = devices.iter().map(|d| d.tenancy.arbitration_losses()).sum();
-
     MultiTenantReport {
         seed: config.seed,
-        populations: outcomes,
-        accepted_total,
-        rejected_total,
-        arbitration_losses,
-        max_queue_depth,
+        populations: outcome.populations,
+        accepted_total: outcome.accepted_total,
+        rejected_total: outcome.rejected_total,
+        arbitration_losses: outcome.arbitration_losses,
+        max_queue_depth: outcome.max_queue_depth,
         queue_bound: config.admission.max_inflight,
-        wire: device_wire.stats(),
-        telemetry_panel: metrics.render_population_panel(),
+        wire: outcome.wire,
+        telemetry_panel: outcome.metrics.render_population_panel(),
         violations,
     }
 }

@@ -274,12 +274,7 @@ impl WireChaosReport {
             out.push_str(&format!("{p:.6}"));
         }
         out.push_str("]\n");
-        out.push_str(&format!("violations={}\n", self.violations.len()));
-        for v in &self.violations {
-            out.push_str("violation: ");
-            out.push_str(v);
-            out.push('\n');
-        }
+        crate::render_violations(&mut out, &self.violations);
         out
     }
 }

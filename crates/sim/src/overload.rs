@@ -4,10 +4,10 @@
 //! steering spreads device check-ins, Selectors shed what still gets
 //! through faster than capacity, and devices cooperate with jittered
 //! backoff and retry budgets. This module stress-tests that loop end to
-//! end with the real production code paths — the real [`Selector`] (with
-//! admission control, staleness eviction, and the closed-loop
-//! `PaceController`), the real [`RoundState`] machine, and the real
-//! device-side [`ConnectivityManager`] — under the arrival patterns that
+//! end as the one-population case of [`crate::scenario`] — the real
+//! Selector (admission control, staleness eviction, closed-loop
+//! `PaceController`), the real round state machine, and the real
+//! device-side `ConnectivityManager` — under the arrival patterns that
 //! break naive systems:
 //!
 //! * **thundering herd** — the entire idle fleet wakes and reconnects at
@@ -25,22 +25,11 @@
 //! per seed (the chaos-harness idiom), so a failing seed is a replayable
 //! bug report.
 
-use crate::des::EventQueue;
-use fl_analytics::overload::{OverloadMetrics, OverloadMonitorConfig};
-use fl_core::plan::{CodecSpec, ModelSpec};
-use fl_core::round::{RoundConfig, RoundOutcome};
-use fl_core::{DeviceId, FlCheckpoint, FlPlan, PopulationName, RetryPolicy, RoundId};
-use fl_device::connectivity::{ConnectivityManager, RetryDecision};
-use fl_ml::fixedpoint::FixedPointEncoder;
-use fl_ml::rng;
-use fl_server::aggregator::{AggregationPlan, MasterAggregator};
-use fl_server::pace::PaceSteering;
-use fl_server::round::{CheckinResponse, Phase, RoundEvent, RoundState};
-use fl_server::selector::{CheckinDecision, Selector};
+use crate::scenario::{self, Fleet, LoadShape, PopulationLoad, ScenarioConfig};
+use fl_core::round::RoundConfig;
+use fl_core::RetryPolicy;
 use fl_server::shedding::{AdmissionConfig, GlobalAdmissionConfig};
-use fl_server::topology::{SelectorSpec, TopologyBlueprint};
-use fl_server::wire::{ChannelTransport, Transport, WireMessage, WireStats};
-use rand::Rng;
+use fl_server::wire::WireStats;
 
 /// The arrival disturbance to inject.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -129,9 +118,9 @@ pub struct OverloadConfig {
     /// Windows allowed between onset and shed-rate convergence.
     pub convergence_budget_windows: u64,
     /// When set, every round aggregates through a real
-    /// [`MasterAggregator`] under Secure Aggregation with this group
+    /// `MasterAggregator` under Secure Aggregation with this group
     /// threshold `k`: reports upload fixed-point field vectors over
-    /// [`WireMessage::SecAggReport`] frames (the Sec. 6 bandwidth
+    /// `WireMessage::SecAggReport` frames (the Sec. 6 bandwidth
     /// premium), and a storm that strands a cohort's group below `k`
     /// surfaces as per-shard aborts — or a whole-round abort — instead of
     /// a silent mis-sum.
@@ -296,7 +285,7 @@ pub struct OverloadReport {
     /// because *every* SecAgg group fell below threshold.
     pub secagg_round_aborts: u64,
     /// Bytes-on-wire counters from the device end of the harness's
-    /// in-memory [`ChannelTransport`]: every check-in and update report
+    /// in-memory wire: every check-in and update report
     /// crosses the wire as a framed `WireMessage`, and every rejection,
     /// configuration, and ack comes back the same way.
     pub wire: WireStats,
@@ -360,12 +349,7 @@ impl OverloadReport {
             out.push_str(&format!("{f:.3}"));
         }
         out.push('\n');
-        out.push_str(&format!("violations={}\n", self.violations.len()));
-        for v in &self.violations {
-            out.push_str("violation: ");
-            out.push_str(v);
-            out.push('\n');
-        }
+        crate::render_violations(&mut out, &self.violations);
         out
     }
 }
@@ -381,607 +365,61 @@ pub fn sweep(seeds: &[u64], make: impl Fn(u64) -> OverloadConfig) -> Vec<Overloa
     seeds.iter().map(|&s| run_overload(&make(s))).collect()
 }
 
-#[derive(Debug, Clone, Copy)]
-enum Event {
-    /// A device wakes and attempts a check-in (stale generations are
-    /// dropped, so at most one wake chain per device is live).
-    Checkin { device: u64, gen: u32 },
-    /// The Coordinator instructs the Selector to forward devices.
-    Forward,
-    /// A selected device finishes training + upload.
-    Report { device: u64, round_seq: u64 },
-    /// Round phase timeout check.
-    RoundTick { round_seq: u64 },
-    /// Per-window queue-depth sampling.
-    WindowSample,
-    /// The thundering herd fires.
-    HerdWake,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum DevPhase {
-    /// Not connected; a wake event is (usually) pending.
-    Idle,
-    /// Held in the Selector's connected queue.
-    Held,
-    /// Forwarded into the active round; awaiting report.
-    InRound,
-}
-
-struct Device {
-    mgr: ConnectivityManager,
-    phase: DevPhase,
-    /// Wake-chain generation: a `Checkin` event whose `gen` does not match
-    /// is stale (superseded by a later schedule) and is dropped.
-    gen: u32,
-    /// Whether this device exists yet (flash-crowd newcomers start dark).
-    active: bool,
-}
-
-struct ActiveRound {
-    seq: u64,
-    state: RoundState,
-    /// When selection opens: rounds are aligned to pace-window boundaries
-    /// so steady-state consumption matches the pace target (the paper's
-    /// rendezvous cadence), instead of free-running as fast as devices
-    /// can report.
-    open_at_ms: u64,
-    /// Devices forwarded into the round before Configuration fired.
-    pending: Vec<u64>,
-}
-
-fn scenario_activity(scenario: &OverloadScenario, now_ms: u64) -> f64 {
-    match *scenario {
-        OverloadScenario::DiurnalRamp { period_ms, amplitude } => {
-            let phase = now_ms as f64 / period_ms as f64 * std::f64::consts::TAU;
-            1.0 + amplitude * phase.sin()
-        }
-        _ => 1.0,
-    }
-}
-
-/// Drives one seeded overload scenario against the real Selector/round
-/// stack and audits the overload invariants. See the module docs.
-pub fn run_overload(config: &OverloadConfig) -> OverloadReport {
-    let total = config.total_devices();
+/// Lowers the single-population overload config into the scenario
+/// engine's input: one population the whole baseline fleet is dedicated
+/// to, held at the admission controller's queue bound, whose devices
+/// re-check in one harness-computed natural period after each report.
+fn lower(config: &OverloadConfig) -> ScenarioConfig {
     let target = (config.round.selection_target() as u64).max(1);
-    let pace = PaceSteering::new(config.window_ms, target);
-    // The Selector layer comes from the same blueprint the live topology
-    // and the chaos harness build from (device id modulo the count).
-    let n = config.selectors.max(1);
-    let mut blueprint = TopologyBlueprint::new(
-        (0..n)
-            .map(|i| {
-                SelectorSpec::new(
-                    pace,
-                    config.devices / n,
-                    config.seed ^ (0x5E1 + i),
-                    config.admission.max_inflight,
-                )
-                .with_admission(config.admission)
-                .with_staleness(config.stale_after_ms)
-            })
-            .collect(),
-    );
-    if let Some(global) = config.global_admission {
-        blueprint = blueprint.with_global_admission(global);
-    }
-    // The overload harness drives a single population; every v3 frame
-    // carries its name (the multi-population sweep lives in `multi`).
-    let population = PopulationName::new("overload/train");
-    let budget = blueprint.build_global_budget();
-    let mut selectors: Vec<Selector> =
-        blueprint.build_selectors(budget.as_ref(), std::slice::from_ref(&population));
-
-    let mut rng = rng::seeded(config.seed ^ 0x0E7);
-    let mut queue: EventQueue<Event> = EventQueue::new();
-    let mut metrics = OverloadMetrics::new(
-        OverloadMonitorConfig {
-            bucket_ms: config.window_ms,
-            ..OverloadMonitorConfig::default()
-        },
-        0,
-    );
-
-    let mut devices: Vec<Device> = (0..total)
-        .map(|i| Device {
-            mgr: ConnectivityManager::new(config.retry),
-            phase: DevPhase::Idle,
-            gen: 0,
-            active: i < config.devices,
-        })
-        .collect();
-
-    // Bootstrap: the baseline fleet is already paced — first wakes spread
-    // over the steady-state reconnect horizon.
-    let spread = ((config.devices as f64 / target as f64).max(1.0)
-        * config.window_ms as f64) as u64;
-    for d in 0..config.devices {
-        let at = rng.random_range(0..spread.max(1));
-        devices[d as usize].gen += 1;
-        let gen = devices[d as usize].gen;
-        queue.schedule_at(at, Event::Checkin { device: d, gen });
-    }
-    match config.scenario {
-        OverloadScenario::ThunderingHerd { at_ms, .. } => {
-            queue.schedule_at(at_ms, Event::HerdWake);
-        }
-        OverloadScenario::FlashCrowd { at_ms, .. } => {
-            // Newcomers arrive unpaced within one window of the step.
-            for d in config.devices..total {
-                let at = at_ms + rng.random_range(0..config.window_ms);
-                devices[d as usize].gen += 1;
-                let gen = devices[d as usize].gen;
-                queue.schedule_at(at, Event::Checkin { device: d, gen });
-            }
-        }
-        OverloadScenario::DiurnalRamp { .. } => {}
-    }
-    queue.schedule_at(config.window_ms, Event::WindowSample);
-    queue.schedule_at(config.forward_period_ms, Event::Forward);
-
-    let mut round_seq: u64 = 0;
-    let mut rounds_started: u64 = 1;
-    let mut active = ActiveRound {
-        seq: 0,
-        state: RoundState::begin(RoundId(1), config.round, 0),
-        open_at_ms: 0,
-        pending: Vec::new(),
-    };
-    queue.schedule_at(config.round.selection_timeout_ms, Event::RoundTick { round_seq: 0 });
-
-    let mut rounds_terminal: u64 = 0;
-    let mut committed: u64 = 0;
-    let mut abandoned: u64 = 0;
-    let mut secagg_shard_aborts: u64 = 0;
-    let mut secagg_round_aborts: u64 = 0;
-    // SecAgg runs aggregate through a real MasterAggregator (one fresh
-    // subtree per round, like the live topology); plain runs carry none.
-    let secagg_dim = 4usize;
-    let fixedpoint = FixedPointEncoder::default_for_updates();
-    let make_master = |seq: u64| {
-        config.secagg_k.map(|k| {
-            MasterAggregator::new(
-                AggregationPlan::with_secagg(secagg_dim, 33, k),
-                CodecSpec::Identity,
-                target as usize,
-                config.seed.wrapping_add(seq),
-            )
-        })
-    };
-    let mut master = make_master(0);
-    let mut max_queue_depth: usize = 0;
-    let mut devices_exhausted: u64 = 0;
-    let mut population_estimate_peak: u64 = 0;
-    let mut violations: Vec<String> = Vec::new();
-
-    // The in-memory wire: every check-in and update report crosses it as
-    // a framed `WireMessage`, and every rejection/configuration/ack comes
-    // back framed — the same protocol the live topology and the TCP
-    // front door speak. Frames are pure functions of the messages, so the
-    // byte counters replay identically per seed.
-    let (device_wire, server_wire) = ChannelTransport::pair();
-    // One shared Configuration payload (the overload harness models flow
-    // control, not learning, so every selected device downloads the same
-    // small plan + checkpoint).
-    let config_msg = WireMessage::PlanAndCheckpoint {
-        plan: Box::new(FlPlan::standard_training(
-            ModelSpec::Logistic {
-                dim: 4,
-                classes: 2,
-                seed: 1,
+    ScenarioConfig {
+        devices: config.devices,
+        horizon_ms: config.horizon_ms,
+        window_ms: config.window_ms,
+        forward_period_ms: config.forward_period_ms,
+        selectors: config.selectors,
+        admission: config.admission,
+        global_admission: config.global_admission,
+        stale_after_ms: config.stale_after_ms,
+        retry: config.retry,
+        seed: config.seed,
+        fleet: Fleet::Dedicated,
+        populations: vec![PopulationLoad {
+            name: "overload/train",
+            // The steady-state reconnect horizon: the time the pace
+            // target takes to cycle through the whole baseline fleet.
+            period_ms: ((config.devices as f64 / target as f64).max(1.0)
+                * config.window_ms as f64) as u64,
+            round: config.round,
+            quota: config.admission.max_inflight,
+            membership_stride: 1,
+            shape: match config.scenario {
+                OverloadScenario::ThunderingHerd { at_ms, fraction } => {
+                    LoadShape::ThunderingHerd { at_ms, fraction }
+                }
+                OverloadScenario::FlashCrowd { at_ms, .. } => LoadShape::FlashCrowd {
+                    at_ms,
+                    newcomers: config.total_devices() - config.devices,
+                },
+                OverloadScenario::DiurnalRamp { period_ms, amplitude } => {
+                    LoadShape::DiurnalRamp { period_ms, amplitude }
+                }
             },
-            1,
-            8,
-            0.1,
-            CodecSpec::Identity,
-        )),
-        checkpoint: Box::new(FlCheckpoint::new("overload/train", RoundId(1), vec![0.0; 10])),
-        population: population.clone(),
-    };
-
-    // Sends `msg` up the in-memory wire and decodes what the server side
-    // receives; a lost or unsendable frame is an invariant violation.
-    macro_rules! wire_uplink {
-        ($now:expr, $msg:expr) => {{
-            if device_wire.send($msg).is_err() {
-                violations.push(format!("t={}: wire uplink send failed", $now));
-                None
-            } else {
-                match server_wire.try_recv() {
-                    Ok(Some(decoded)) => Some(decoded),
-                    _ => {
-                        violations.push(format!("t={}: frame lost on the uplink", $now));
-                        None
-                    }
-                }
-            }
-        }};
+            secagg_k: config.secagg_k,
+        }],
     }
+}
 
-    // Sends a server reply down the wire and has the device consume it
-    // (so the device-side received counters see every downlink frame).
-    macro_rules! wire_downlink {
-        ($msg:expr) => {{
-            let _ = server_wire.send($msg);
-            while let Ok(Some(_)) = device_wire.try_recv() {}
-        }};
-    }
+/// Drives one seeded overload scenario through [`crate::scenario`] — the
+/// real Selector/round stack under one population — and audits the
+/// overload invariants. See the module docs.
+pub fn run_overload(config: &OverloadConfig) -> OverloadReport {
+    let outcome = scenario::run(&lower(config));
+    let only = &outcome.populations[0];
+    let mut violations = outcome.violations;
 
-    // Schedules the next wake of a device's chain, superseding any
-    // previous one.
-    macro_rules! schedule_wake {
-        ($dev:expr, $at:expr) => {{
-            let d = &mut devices[$dev as usize];
-            d.gen += 1;
-            let gen = d.gen;
-            queue.schedule_at($at, Event::Checkin { device: $dev, gen });
-        }};
-    }
-
-    // Routes a rejection through the device's retry discipline and
-    // schedules the resulting wake.
-    macro_rules! handle_rejection {
-        ($dev:expr, $now:expr, $server_at:expr) => {{
-            metrics.record_retry_for(&population, $now);
-            let decision =
-                devices[$dev as usize]
-                    .mgr
-                    .on_rejected($now, $server_at, &mut rng);
-            if let RetryDecision::BudgetExhausted { .. } = decision {
-                if devices[$dev as usize].mgr.budget_exhaustions_total() == 1 {
-                    devices_exhausted += 1;
-                }
-            }
-            schedule_wake!($dev, decision.effective_at_ms());
-        }};
-    }
-
-    while let Some((now, event)) = queue.next_before(config.horizon_ms) {
-        match event {
-            Event::Checkin { device, gen } => {
-                if devices[device as usize].gen != gen
-                    || devices[device as usize].phase == DevPhase::InRound
-                    || !devices[device as usize].active
-                {
-                    continue;
-                }
-                devices[device as usize].phase = DevPhase::Idle;
-                let activity = scenario_activity(&config.scenario, now);
-                // The check-in crosses the wire as a framed request; the
-                // Selector acts only on what it decoded.
-                let Some(WireMessage::CheckinRequest { device: wired, .. }) = wire_uplink!(
-                    now,
-                    &WireMessage::CheckinRequest {
-                        device: DeviceId(device),
-                        population: population.clone(),
-                    }
-                ) else {
-                    continue;
-                };
-                let selector = &mut selectors[(wired.0 % n) as usize];
-                match selector.on_checkin_for(&population, wired, now, activity) {
-                    CheckinDecision::Accept => {
-                        // Accepted connections are held open (no reply
-                        // frame until the Coordinator forwards them).
-                        metrics.record_accept_for(&population, now);
-                        devices[device as usize].phase = DevPhase::Held;
-                        devices[device as usize].mgr.on_success(now);
-                        max_queue_depth = max_queue_depth.max(selector.connected_count());
-                        // Fallback wake: if never forwarded, the held slot
-                        // goes stale and the device retries.
-                        let jitter = rng.random_range(0..config.window_ms.max(1));
-                        schedule_wake!(device, now + config.stale_after_ms + jitter);
-                    }
-                    CheckinDecision::Shed { retry_at_ms, .. } => {
-                        metrics.record_shed_for(&population, now);
-                        wire_downlink!(&WireMessage::Shed {
-                            retry_at_ms,
-                            population: population.clone(),
-                        });
-                        handle_rejection!(device, now, Some(retry_at_ms));
-                    }
-                    CheckinDecision::Reject { retry_at_ms } => {
-                        wire_downlink!(&WireMessage::ComeBackLater {
-                            retry_at_ms,
-                            population: population.clone(),
-                        });
-                        handle_rejection!(device, now, Some(retry_at_ms));
-                    }
-                }
-            }
-            Event::Forward => {
-                if active.state.phase() == Phase::Selection && now >= active.open_at_ms {
-                    let have = active.pending.len() as u64;
-                    let mut need = target.saturating_sub(have) as usize;
-                    // Drain Selectors in index order until the target is
-                    // met — deterministic, and with one Selector identical
-                    // to the historical single-queue behavior.
-                    for s in 0..selectors.len() {
-                        if need == 0 {
-                            break;
-                        }
-                        let forwarded = selectors[s].forward_devices_for(&population, need, now);
-                        need = need.saturating_sub(forwarded.len());
-                        for d in forwarded {
-                            match active.state.on_checkin(d, now) {
-                                CheckinResponse::Selected => {
-                                    // The Configuration download crosses
-                                    // the wire too, so FIG9's per-round
-                                    // traffic is measured from real frames.
-                                    wire_downlink!(&config_msg);
-                                    devices[d.0 as usize].phase = DevPhase::InRound;
-                                    active.pending.push(d.0);
-                                }
-                                CheckinResponse::AlreadySelected => {}
-                                CheckinResponse::NotSelecting => {
-                                    wire_downlink!(&WireMessage::ComeBackLater {
-                                        retry_at_ms: now,
-                                        population: population.clone(),
-                                    });
-                                    devices[d.0 as usize].phase = DevPhase::Idle;
-                                    handle_rejection!(d.0, now, None);
-                                }
-                            }
-                        }
-                    }
-                }
-                if now + config.forward_period_ms <= config.horizon_ms {
-                    queue.schedule_in(config.forward_period_ms, Event::Forward);
-                }
-            }
-            Event::Report { device, round_seq: seq } => {
-                devices[device as usize].phase = DevPhase::Idle;
-                devices[device as usize].mgr.on_success(now);
-                // The report uploads as a framed UpdateReport (payload
-                // fields deterministic per device, so frame bytes replay
-                // identically); the server acts on the decoded device id
-                // and always answers with a framed ack.
-                let weight = 1 + device % 7;
-                let loss = 0.9 - (device % 10) as f64 * 0.02;
-                let accuracy = 0.5 + (device % 10) as f64 * 0.03;
-                let round_key = active.state.round;
-                let accepted = if config.secagg_k.is_some() {
-                    // SecAgg upload: the fixed-point field vector, 8 bytes
-                    // per coordinate on the measured wire.
-                    let update = vec![0.1 + (device % 5) as f32 * 0.01; secagg_dim];
-                    let Ok(field) = fixedpoint.encode(&update) else {
-                        violations.push(format!("t={now}: fixed-point encode failed"));
-                        continue;
-                    };
-                    let report_msg = WireMessage::SecAggReport {
-                        device: DeviceId(device),
-                        round: round_key,
-                        attempt: 1,
-                        field_vector: field,
-                        weight,
-                        loss,
-                        accuracy,
-                        population: population.clone(),
-                    };
-                    let Some(WireMessage::SecAggReport {
-                        device: wired,
-                        field_vector,
-                        weight: wired_weight,
-                        ..
-                    }) = wire_uplink!(now, &report_msg)
-                    else {
-                        continue;
-                    };
-                    let accepted = seq == active.seq;
-                    if accepted {
-                        let _ = active.state.on_report(wired, now);
-                        if let Some(m) = master.as_mut() {
-                            // Drop-not-crash: a malformed contribution
-                            // costs only itself.
-                            let _ = m.accept_field(wired, &field_vector, wired_weight);
-                        }
-                    }
-                    accepted
-                } else {
-                    let report_msg = WireMessage::UpdateReport {
-                        device: DeviceId(device),
-                        round: round_key,
-                        attempt: 1,
-                        update_bytes: vec![0u8; 4],
-                        weight,
-                        loss,
-                        accuracy,
-                        population: population.clone(),
-                    };
-                    let Some(WireMessage::UpdateReport { device: wired, .. }) =
-                        wire_uplink!(now, &report_msg)
-                    else {
-                        continue;
-                    };
-                    let accepted = seq == active.seq;
-                    if accepted {
-                        let _ = active.state.on_report(wired, now);
-                    }
-                    accepted
-                };
-                wire_downlink!(&WireMessage::ReportAck {
-                    accepted,
-                    round: round_key,
-                    attempt: 1,
-                    population: population.clone(),
-                });
-                // The next natural participation is the device's periodic
-                // FL job, a population-scaled horizon away (Sec. 3: jobs
-                // fire when idle, charging, unmetered — hours apart), not
-                // a tight re-poll loop that would double-count the device
-                // in the arrival stream.
-                let natural = ((config.devices as f64 / target as f64).max(1.0)
-                    * config.window_ms as f64) as u64;
-                let jitter = rng.random_range(0..natural.max(1));
-                schedule_wake!(device, now + natural + jitter);
-            }
-            Event::RoundTick { round_seq: seq } => {
-                if seq == active.seq {
-                    active.state.on_tick(now);
-                    match active.state.phase() {
-                        Phase::Reporting => queue.schedule_in(
-                            config.round.report_window_ms.min(10_000),
-                            Event::RoundTick { round_seq: seq },
-                        ),
-                        Phase::Selection => queue.schedule_in(
-                            config.round.selection_timeout_ms,
-                            Event::RoundTick { round_seq: seq },
-                        ),
-                        _ => {}
-                    }
-                }
-            }
-            Event::WindowSample => {
-                for s in selectors.iter_mut() {
-                    s.evict_stale(now);
-                    max_queue_depth = max_queue_depth.max(s.connected_count());
-                }
-                let estimate: u64 = selectors
-                    .iter()
-                    .map(|s| s.pace_controller().population_estimate())
-                    .sum();
-                population_estimate_peak = population_estimate_peak.max(estimate);
-                if now + config.window_ms <= config.horizon_ms {
-                    queue.schedule_in(config.window_ms, Event::WindowSample);
-                }
-            }
-            Event::HerdWake => {
-                if let OverloadScenario::ThunderingHerd { fraction, .. } = config.scenario {
-                    for d in 0..total {
-                        if devices[d as usize].active
-                            && devices[d as usize].phase == DevPhase::Idle
-                            && rng.random_range(0..1_000_000u64) < (fraction * 1e6) as u64
-                        {
-                            schedule_wake!(d, now);
-                        }
-                    }
-                }
-            }
-        }
-
-        for round_event in active.state.drain_events() {
-            match round_event {
-                RoundEvent::Configured { at_ms, .. } => {
-                    // Every participant trains, then uploads within the
-                    // device cap.
-                    for d in active.pending.drain(..) {
-                        let latency = 10_000 + rng.random_range(0..30_000u64);
-                        queue.schedule_at(
-                            at_ms + latency,
-                            Event::Report { device: d, round_seq: active.seq },
-                        );
-                    }
-                    queue.schedule_in(10_000, Event::RoundTick { round_seq: active.seq });
-                }
-                RoundEvent::Finished { at_ms, outcome } => {
-                    rounds_terminal += 1;
-                    if outcome.is_committed() {
-                        committed += 1;
-                    } else {
-                        abandoned += 1;
-                    }
-                    if let Some(m) = master.take() {
-                        if outcome.is_committed() {
-                            // A storm-degraded cohort spreads too thin
-                            // across the groups: shards below k abort,
-                            // surviving shards still merge. If nothing
-                            // survives the aggregate is lost whole.
-                            match m.finalize(&vec![0.0; secagg_dim], &[], &[]) {
-                                Ok(out) => {
-                                    secagg_shard_aborts += out.shard_aborts as u64;
-                                    for _ in 0..out.shard_aborts {
-                                        metrics.record_secagg_abort(at_ms);
-                                    }
-                                }
-                                Err(_) => secagg_round_aborts += 1,
-                            }
-                        }
-                    }
-                    if let RoundOutcome::AbandonedInSelection { .. } = outcome {
-                        // Forwarded-but-unconfigured devices retry.
-                        let orphans: Vec<u64> = active.pending.drain(..).collect();
-                        for d in orphans {
-                            devices[d as usize].phase = DevPhase::Idle;
-                            handle_rejection!(d, at_ms, None);
-                        }
-                    }
-                    round_seq += 1;
-                    rounds_started += 1;
-                    // Next round opens at the next pace-window boundary.
-                    let open_at = (at_ms / config.window_ms + 1) * config.window_ms;
-                    active = ActiveRound {
-                        seq: round_seq,
-                        state: RoundState::begin(RoundId(round_seq + 1), config.round, open_at),
-                        open_at_ms: open_at,
-                        pending: Vec::new(),
-                    };
-                    queue.schedule_at(
-                        open_at + config.round.selection_timeout_ms,
-                        Event::RoundTick { round_seq },
-                    );
-                    master = make_master(round_seq);
-                }
-            }
-        }
-    }
-
-    // Post-horizon drain: the last round must still reach a terminal
-    // state — ticking past every window forces the state machine to
-    // resolve (commit on what it has, or abandon cleanly).
-    let mut drain_t = config.horizon_ms;
-    for _ in 0..4 {
-        if active.state.phase().is_terminal() {
-            break;
-        }
-        drain_t += config.round.selection_timeout_ms
-            + config.round.report_window_ms
-            + config.round.device_cap_ms
-            + 1;
-        active.state.on_tick(drain_t);
-        for round_event in active.state.drain_events() {
-            if let RoundEvent::Finished { outcome, .. } = round_event {
-                rounds_terminal += 1;
-                if outcome.is_committed() {
-                    committed += 1;
-                } else {
-                    abandoned += 1;
-                }
-                if let Some(m) = master.take() {
-                    if outcome.is_committed() {
-                        match m.finalize(&vec![0.0; secagg_dim], &[], &[]) {
-                            Ok(out) => secagg_shard_aborts += out.shard_aborts as u64,
-                            Err(_) => secagg_round_aborts += 1,
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    metrics.finalize(config.horizon_ms);
-
-    let (accepted, rejected) = selectors
-        .iter()
-        .map(|s| s.counters_for(&population))
-        .fold((0, 0), |(a, r), (sa, sr)| (a + sa, r + sr));
-    let shed: u64 = selectors.iter().map(|s| s.shed_total()).sum();
-    let shed_global = budget.as_ref().map(|b| b.shed_total()).unwrap_or(0);
-    let population_estimate_final: u64 = selectors
-        .iter()
-        .map(|s| s.pace_controller().population_estimate())
-        .sum();
-    let population_estimate_peak = population_estimate_peak.max(population_estimate_final);
-    let fractions = metrics.shed_fractions().to_vec();
+    let fractions = outcome.metrics.shed_fractions().to_vec();
     let onset_window = (config.scenario.onset_ms() / config.window_ms) as usize;
     let convergence_windows = shed_convergence(&fractions, onset_window, 0.15);
-
-    if max_queue_depth > config.admission.max_inflight {
-        violations.push(format!(
-            "queue depth {max_queue_depth} exceeded bound {}",
-            config.admission.max_inflight
-        ));
-    }
     if config.scenario.expects_convergence() {
         match convergence_windows {
             Some(w) if w <= config.convergence_budget_windows => {}
@@ -992,44 +430,42 @@ pub fn run_overload(config: &OverloadConfig) -> OverloadReport {
             None => violations.push("shed rate never converged".into()),
         }
     }
-    if rounds_terminal != rounds_started {
+    if only.rounds_terminal != only.rounds_started {
         violations.push(format!(
             "{} of {} started rounds never reached a terminal state",
-            rounds_started - rounds_terminal.min(rounds_started),
-            rounds_started
+            only.rounds_started - only.rounds_terminal.min(only.rounds_started),
+            only.rounds_started
         ));
     }
-    if committed == 0 {
+    if only.committed == 0 {
         violations.push("no round committed under overload".into());
     }
-
-    let retries: u64 = devices.iter().map(|d| d.mgr.retries_total()).sum();
 
     OverloadReport {
         seed: config.seed,
         scenario: config.scenario.name(),
-        offered: accepted + rejected,
-        accepted,
-        shed,
-        shed_global,
-        rejected_other: rejected - shed,
-        retries,
-        budget_exhaustions: devices_exhausted,
-        evicted: selectors.iter().map(|s| s.evicted_total()).sum(),
-        max_queue_depth,
+        offered: only.offered,
+        accepted: only.accepted,
+        shed: only.shed,
+        shed_global: only.budget_sheds,
+        rejected_other: only.rejected_other,
+        retries: only.retries,
+        budget_exhaustions: only.budget_exhaustions,
+        evicted: outcome.evicted,
+        max_queue_depth: outcome.max_queue_depth,
         queue_bound: config.admission.max_inflight,
         shed_fraction_per_window: fractions,
         convergence_windows,
-        rounds_started,
-        rounds_terminal,
-        committed,
-        abandoned,
-        population_estimate_final,
-        population_estimate_peak,
-        alerts: metrics.alerts().len(),
-        secagg_shard_aborts,
-        secagg_round_aborts,
-        wire: device_wire.stats(),
+        rounds_started: only.rounds_started,
+        rounds_terminal: only.rounds_terminal,
+        committed: only.committed,
+        abandoned: only.abandoned,
+        population_estimate_final: outcome.population_estimate_final,
+        population_estimate_peak: outcome.population_estimate_peak,
+        alerts: outcome.metrics.alerts().len(),
+        secagg_shard_aborts: only.secagg_shard_aborts,
+        secagg_round_aborts: only.secagg_round_aborts,
+        wire: outcome.wire,
         violations,
     }
 }

@@ -5,9 +5,11 @@
 //! flow-control guarantees: bounded queues, shed-rate convergence, and
 //! rounds that still commit under overload.
 
+use federated::core::round::RoundConfig;
 use federated::sim::overload::{
     default_seeds, run_overload, sweep, OverloadConfig,
 };
+use federated::sim::scenario::{self, Fleet, LoadShape, PopulationLoad, ScenarioConfig};
 
 /// The fixed-seed thundering-herd sweep `scripts/check.sh` runs as a
 /// release gate: a synchronized reconnect of the entire idle fleet must
@@ -92,4 +94,58 @@ fn replay_of_a_seed_is_byte_identical() {
             assert_eq!(first, second, "seed {seed} diverged between replays");
         }
     }
+}
+
+/// A cross-product neither entry point can express: a thundering herd
+/// aimed at one of three populations that split a dedicated fleet
+/// (strides 1/2/4: half, a quarter, a quarter). Only what the engine
+/// guarantees for every configuration is asserted — no calibrated
+/// fairness thresholds.
+#[test]
+fn herd_in_one_of_three_populations_holds_the_engine_invariants() {
+    let base = OverloadConfig::thundering_herd(29);
+    let population = |name, goal_count, membership_stride, shape| PopulationLoad {
+        name,
+        period_ms: 10 * base.window_ms,
+        round: RoundConfig { goal_count, ..base.round },
+        quota: base.admission.max_inflight,
+        membership_stride,
+        shape,
+        secagg_k: None,
+    };
+    let herd = LoadShape::ThunderingHerd { at_ms: 600_000, fraction: 1.0 };
+    let config = ScenarioConfig {
+        devices: base.devices,
+        horizon_ms: base.horizon_ms,
+        window_ms: base.window_ms,
+        forward_period_ms: base.forward_period_ms,
+        selectors: 2,
+        admission: base.admission,
+        global_admission: None,
+        stale_after_ms: base.stale_after_ms,
+        retry: base.retry,
+        seed: base.seed,
+        fleet: Fleet::Dedicated,
+        populations: vec![
+            population("cross/steady", 100, 1, LoadShape::Steady),
+            population("cross/herd", 50, 2, herd),
+            population("cross/aux", 25, 4, LoadShape::Steady),
+        ],
+    };
+    let outcome = scenario::run(&config);
+    assert_eq!(format!("{outcome:?}"), format!("{:?}", scenario::run(&config)));
+    assert!(outcome.violations.is_empty(), "{:?}", outcome.violations);
+
+    let accepted: u64 = outcome.populations.iter().map(|p| p.accepted).sum();
+    let offered: u64 = outcome.populations.iter().map(|p| p.offered).sum();
+    assert_eq!(accepted, outcome.accepted_total);
+    assert_eq!(offered - accepted, outcome.rejected_total);
+    assert!(outcome.max_queue_depth <= config.admission.max_inflight);
+    for p in &outcome.populations {
+        assert_eq!(p.rounds_started, p.rounds_terminal, "{p:?}");
+        assert!(p.offered > 0, "{p:?}");
+    }
+    // The herd really fired: its population was shed.
+    let shed = |name| outcome.populations.iter().find(|p| p.name == name).unwrap().shed;
+    assert!(shed("cross/herd") > 0, "{:?}", outcome.populations);
 }
