@@ -25,66 +25,15 @@
 //! per seed (the chaos-harness idiom), so a failing seed is a replayable
 //! bug report.
 
-use crate::scenario::{self, Fleet, LoadShape, PopulationLoad, ScenarioConfig};
+use crate::scenario::{self, Fleet, PopulationLoad, ScenarioConfig};
 use fl_core::round::RoundConfig;
 use fl_core::RetryPolicy;
 use fl_server::shedding::{AdmissionConfig, GlobalAdmissionConfig};
 use fl_server::wire::WireStats;
 
-/// The arrival disturbance to inject.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum OverloadScenario {
-    /// Every idle device reconnects at the same instant (probability
-    /// `fraction` per device) — synchronized wake.
-    ThunderingHerd {
-        /// When the herd fires.
-        at_ms: u64,
-        /// Fraction of idle devices that join the herd (`0.0..=1.0`).
-        fraction: f64,
-    },
-    /// The population steps from `devices` to `multiplier × devices`; the
-    /// newcomers arrive unpaced within one check-in period of `at_ms`.
-    FlashCrowd {
-        /// When the step happens.
-        at_ms: u64,
-        /// Population multiplier (the acceptance scenario uses 10).
-        multiplier: u64,
-    },
-    /// Sinusoidal arrival-rate modulation with the given period and
-    /// relative amplitude (`0.0..1.0`) — the diurnal day/night swing.
-    DiurnalRamp {
-        /// Oscillation period.
-        period_ms: u64,
-        /// Relative amplitude of the swing.
-        amplitude: f64,
-    },
-}
-
-impl OverloadScenario {
-    /// When the disturbance begins (0 for the ramp, which is continuous).
-    pub fn onset_ms(&self) -> u64 {
-        match *self {
-            OverloadScenario::ThunderingHerd { at_ms, .. } => at_ms,
-            OverloadScenario::FlashCrowd { at_ms, .. } => at_ms,
-            OverloadScenario::DiurnalRamp { .. } => 0,
-        }
-    }
-
-    /// Short name used in rendered reports.
-    pub fn name(&self) -> &'static str {
-        match self {
-            OverloadScenario::ThunderingHerd { .. } => "thundering-herd",
-            OverloadScenario::FlashCrowd { .. } => "flash-crowd",
-            OverloadScenario::DiurnalRamp { .. } => "diurnal-ramp",
-        }
-    }
-
-    /// Whether shed-rate convergence after onset is a meaningful check
-    /// (not for the ramp, whose disturbance never ends).
-    fn expects_convergence(&self) -> bool {
-        !matches!(self, OverloadScenario::DiurnalRamp { .. })
-    }
-}
+/// The arrival disturbance to inject: the scenario engine's per-population
+/// [`LoadShape`], aimed at this harness's one population.
+pub use crate::scenario::LoadShape as OverloadScenario;
 
 /// Overload-simulation parameters.
 #[derive(Debug, Clone, Copy)]
@@ -182,13 +131,13 @@ impl OverloadConfig {
         )
     }
 
-    /// The flash-crowd acceptance scenario: a 10× population step at
-    /// window 10.
+    /// The flash-crowd acceptance scenario: a 10× population step (72 000
+    /// newcomers on the 8 000-device baseline) at window 10.
     pub fn flash_crowd(seed: u64) -> Self {
         OverloadConfig::for_scenario(
             OverloadScenario::FlashCrowd {
                 at_ms: 600_000,
-                multiplier: 10,
+                newcomers: 72_000,
             },
             seed,
         )
@@ -214,16 +163,6 @@ impl OverloadConfig {
             },
             seed,
         )
-    }
-
-    /// Total device slots including any flash-crowd newcomers.
-    fn total_devices(&self) -> u64 {
-        match self.scenario {
-            OverloadScenario::FlashCrowd { multiplier, .. } => {
-                self.devices * multiplier.max(1)
-            }
-            _ => self.devices,
-        }
     }
 }
 
@@ -392,18 +331,7 @@ fn lower(config: &OverloadConfig) -> ScenarioConfig {
             round: config.round,
             quota: config.admission.max_inflight,
             membership_stride: 1,
-            shape: match config.scenario {
-                OverloadScenario::ThunderingHerd { at_ms, fraction } => {
-                    LoadShape::ThunderingHerd { at_ms, fraction }
-                }
-                OverloadScenario::FlashCrowd { at_ms, .. } => LoadShape::FlashCrowd {
-                    at_ms,
-                    newcomers: config.total_devices() - config.devices,
-                },
-                OverloadScenario::DiurnalRamp { period_ms, amplitude } => {
-                    LoadShape::DiurnalRamp { period_ms, amplitude }
-                }
-            },
+            shape: config.scenario,
             secagg_k: config.secagg_k,
         }],
     }
@@ -420,7 +348,8 @@ pub fn run_overload(config: &OverloadConfig) -> OverloadReport {
     let fractions = outcome.metrics.shed_fractions().to_vec();
     let onset_window = (config.scenario.onset_ms() / config.window_ms) as usize;
     let convergence_windows = shed_convergence(&fractions, onset_window, 0.15);
-    if config.scenario.expects_convergence() {
+    // Not for the ramp, whose disturbance never ends.
+    if !matches!(config.scenario, OverloadScenario::DiurnalRamp { .. }) {
         match convergence_windows {
             Some(w) if w <= config.convergence_budget_windows => {}
             Some(w) => violations.push(format!(
@@ -490,6 +419,16 @@ fn shed_convergence(fractions: &[f64], onset_window: usize, tol: f64) -> Option<
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl OverloadConfig {
+        /// Total device slots including any flash-crowd newcomers.
+        fn total_devices(&self) -> u64 {
+            match self.scenario {
+                OverloadScenario::FlashCrowd { newcomers, .. } => self.devices + newcomers,
+                _ => self.devices,
+            }
+        }
+    }
 
     #[test]
     fn thundering_herd_holds_the_invariants() {

@@ -114,6 +114,24 @@ pub enum LoadShape {
 }
 
 impl LoadShape {
+    /// When the disturbance begins (0 when it is continuous or absent).
+    pub fn onset_ms(&self) -> u64 {
+        match *self {
+            LoadShape::ThunderingHerd { at_ms, .. } | LoadShape::FlashCrowd { at_ms, .. } => at_ms,
+            LoadShape::Steady | LoadShape::DiurnalRamp { .. } => 0,
+        }
+    }
+
+    /// Short name used in rendered reports.
+    pub fn name(&self) -> &'static str {
+        match self {
+            LoadShape::Steady => "steady",
+            LoadShape::ThunderingHerd { .. } => "thundering-herd",
+            LoadShape::FlashCrowd { .. } => "flash-crowd",
+            LoadShape::DiurnalRamp { .. } => "diurnal-ramp",
+        }
+    }
+
     fn activity(&self, now_ms: u64) -> f64 {
         match *self {
             LoadShape::DiurnalRamp { period_ms, amplitude } => {
@@ -338,8 +356,6 @@ enum Claim {
     Later(u64),
     /// The chain ends.
     Never,
-    /// The tenancy named a population the scenario does not have.
-    Unknown,
 }
 
 /// The earliest any of the device's lanes comes due, clamped into the
@@ -372,13 +388,12 @@ impl Behaviour {
             Behaviour::Dedicated { pop, .. } => pop.map_or(Claim::Never, Claim::For),
             Behaviour::Tenant(tenancy) => {
                 match tenancy.start_session(now, DeviceConditions::eligible(), rng) {
-                    Some(winner) => match names.iter().position(|name| *name == winner) {
-                        Some(pop) => Claim::For(pop),
-                        None => {
-                            tenancy.finish_session();
-                            Claim::Unknown
-                        }
-                    },
+                    Some(winner) => Claim::For(
+                        names
+                            .iter()
+                            .position(|name| *name == winner)
+                            .expect("a tenancy registers only the scenario's populations"),
+                    ),
                     None => Claim::Later(next_wake_ms(tenancy, now)),
                 }
             }
@@ -574,43 +589,7 @@ impl<'a> Engine<'a> {
             }
         }
 
-        // Baseline devices are members of every population whose stride
-        // divides their id; flash newcomers know only their own.
-        let member = |i: u64, spec: &PopulationLoad| i % spec.membership_stride.max(1) == 0;
-        let tenant = |pops: &mut dyn Iterator<Item = usize>| {
-            let mut tenancy = DeviceTenancy::new();
-            for p in pops {
-                tenancy.register(names[p].clone(), config.populations[p].period_ms, config.retry);
-            }
-            Behaviour::Tenant(tenancy)
-        };
-        let dedicated = |pop: Option<usize>| Behaviour::Dedicated {
-            mgr: ConnectivityManager::new(config.retry),
-            pop,
-        };
         let npop = config.populations.len();
-        let mut behaviours: Vec<Behaviour> = (0..config.devices)
-            .map(|i| {
-                let mut pops = (0..npop).filter(|&p| member(i, &config.populations[p]));
-                match config.fleet {
-                    Fleet::Dedicated => dedicated(pops.last()),
-                    Fleet::Tenancy => tenant(&mut pops),
-                }
-            })
-            .collect();
-        for (p, spec) in config.populations.iter().enumerate() {
-            if let LoadShape::FlashCrowd { newcomers, .. } = spec.shape {
-                behaviours.extend((0..newcomers).map(|_| match config.fleet {
-                    // Inherited from the overload harness and pinned by
-                    // its render digests: a dedicated fleet's newcomers
-                    // draw their arrival times but nothing ever lights
-                    // them, so the crowd's wakes are dropped.
-                    Fleet::Dedicated => dedicated(None),
-                    Fleet::Tenancy => tenant(&mut std::iter::once(p)),
-                }));
-            }
-        }
-
         let mut engine = Engine {
             config,
             targets,
@@ -625,14 +604,7 @@ impl<'a> Engine<'a> {
                 },
                 0,
             ),
-            devices: behaviours
-                .into_iter()
-                .map(|behaviour| Device {
-                    behaviour,
-                    phase: DevPhase::Idle,
-                    gen: 0,
-                })
-                .collect(),
+            devices: Vec::new(),
             rounds: Vec::with_capacity(npop),
             ledgers: config
                 .populations
@@ -673,10 +645,12 @@ impl<'a> Engine<'a> {
             violations: Vec::new(),
         };
 
-        // Bootstrap: the baseline fleet is already paced — first wakes
-        // spread over the shortest population period; every disturbance
-        // is scheduled in population order; newcomers arrive unpaced
-        // within one window of their crowd's onset.
+        // Bootstrap: the baseline fleet is already paced — a device is a
+        // member of every population whose stride divides its id, and
+        // first wakes spread over the shortest population period. Every
+        // disturbance is then scheduled in population order; a crowd's
+        // newcomers know only their own population and arrive unpaced
+        // within one window of its onset.
         let spread = config
             .populations
             .iter()
@@ -685,21 +659,24 @@ impl<'a> Engine<'a> {
             .unwrap_or(config.window_ms)
             .max(1);
         for d in 0..config.devices {
+            let member = |p: &usize| d % config.populations[*p].membership_stride.max(1) == 0;
+            let device = engine.device((0..npop).filter(member), false);
+            engine.devices.push(device);
             let at = engine.rng.random_range(0..spread);
             engine.schedule_wake(d, at);
         }
-        let mut newcomer = config.devices;
         for (p, spec) in config.populations.iter().enumerate() {
             match spec.shape {
                 LoadShape::ThunderingHerd { at_ms, fraction } => {
                     engine.queue.schedule_at(at_ms, Event::Herd { pop: p, fraction });
                 }
                 LoadShape::FlashCrowd { at_ms, newcomers } => {
-                    for d in newcomer..newcomer + newcomers {
+                    for _ in 0..newcomers {
+                        let device = engine.device(std::iter::once(p), true);
+                        engine.devices.push(device);
                         let at = at_ms + engine.rng.random_range(0..config.window_ms.max(1));
-                        engine.schedule_wake(d, at);
+                        engine.schedule_wake(engine.devices.len() as u64 - 1, at);
                     }
-                    newcomer += newcomers;
                 }
                 LoadShape::Steady | LoadShape::DiurnalRamp { .. } => {}
             }
@@ -711,6 +688,34 @@ impl<'a> Engine<'a> {
             engine.rounds.push(first);
         }
         engine
+    }
+
+    /// A device that knows `pops`.
+    fn device(&self, pops: impl Iterator<Item = usize>, newcomer: bool) -> Device {
+        let config = self.config;
+        let behaviour = match config.fleet {
+            Fleet::Dedicated => Behaviour::Dedicated {
+                mgr: ConnectivityManager::new(config.retry),
+                // Inherited from the overload harness and pinned by its
+                // render digests: a dedicated fleet's newcomers draw
+                // their arrival times but nothing ever lights them, so
+                // the crowd's wakes are dropped.
+                pop: pops.last().filter(|_| !newcomer),
+            },
+            Fleet::Tenancy => {
+                let mut tenancy = DeviceTenancy::new();
+                for p in pops {
+                    let period_ms = config.populations[p].period_ms;
+                    tenancy.register(self.names[p].clone(), period_ms, config.retry);
+                }
+                Behaviour::Tenant(tenancy)
+            }
+        };
+        Device {
+            behaviour,
+            phase: DevPhase::Idle,
+            gen: 0,
+        }
     }
 
     /// Schedules the next wake of a device's chain, superseding any
@@ -808,11 +813,6 @@ impl<'a> Engine<'a> {
                     Claim::For(pop) => pop,
                     Claim::Later(at) => return self.schedule_wake(device, at),
                     Claim::Never => return,
-                    Claim::Unknown => {
-                        self.violations
-                            .push(format!("t={now}: unknown winner population"));
-                        return;
-                    }
                 };
                 // The check-in crosses the wire framed with its
                 // population; the Selector acts only on what it decoded.
