@@ -20,13 +20,17 @@ use crate::pace::PaceSteering;
 use crate::selector::Selector;
 use crate::shedding::{AdmissionConfig, GlobalAdmissionBudget, GlobalAdmissionConfig};
 use crate::storage::CheckpointStore;
+use crossbeam::channel::unbounded;
+use fl_actors::timer::TimerWheel;
 use fl_actors::{ActorRef, ActorSystem};
 use fl_analytics::overload::{OverloadMetrics, OverloadMonitorConfig};
 use fl_core::plan::FlPlan;
 use fl_core::population::TaskGroup;
+use fl_core::round::RoundOutcome;
 use fl_core::{CoreError, PopulationName};
 use std::collections::BTreeMap;
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Everything needed to build one Selector of the tree.
 #[derive(Debug, Clone)]
@@ -227,6 +231,57 @@ impl MultiTopology {
             let _ = c.send(CoordMsg::Shutdown);
         }
     }
+}
+
+/// Why [`complete_round`] gave up on a round.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CompletionError {
+    /// The Coordinator's mailbox is closed: the actor died mid-round.
+    CoordinatorGone,
+    /// The Coordinator took the probe but never answered it.
+    ReplyHung,
+    /// The round was still running after this many polls.
+    StillRunning(u32),
+}
+
+/// Pause between two completion polls.
+const POLL_PERIOD: Duration = Duration::from_millis(20);
+/// Bound on any single wait inside [`complete_round`].
+const POLL_WAIT: Duration = Duration::from_secs(10);
+
+/// Drives `coordinator`'s current round to its outcome: asks it to
+/// complete the round, and while the round is still running sends a
+/// `Tick` (so phase timeouts fire) and waits one [`POLL_PERIOD`] on the
+/// timer wheel — never a raw sleep — before asking again. At most
+/// `max_polls` probes, so a round that can never finish is an error
+/// after `max_polls × 20 ms`, not a hang.
+///
+/// # Errors
+///
+/// [`CompletionError`] when the Coordinator is gone, stops answering, or
+/// is still mid-round after `max_polls` probes.
+pub fn complete_round(
+    coordinator: &ActorRef<CoordMsg>,
+    max_polls: u32,
+) -> Result<RoundOutcome, CompletionError> {
+    let wheel = TimerWheel::new();
+    for _ in 0..max_polls {
+        let (tx, rx) = unbounded();
+        coordinator
+            .send(CoordMsg::TryCompleteRound { reply: tx })
+            .map_err(|_| CompletionError::CoordinatorGone)?;
+        let probe = rx.recv_timeout(POLL_WAIT);
+        if let Some(outcome) = probe.map_err(|_| CompletionError::ReplyHung)? {
+            return Ok(outcome);
+        }
+        let _ = coordinator.send(CoordMsg::Tick);
+        let (due_tx, due_rx) = unbounded::<()>();
+        wheel.schedule(POLL_PERIOD, move || {
+            let _ = due_tx.send(());
+        });
+        let _ = due_rx.recv_timeout(POLL_WAIT);
+    }
+    Err(CompletionError::StillRunning(max_polls))
 }
 
 /// Spawns the live tree (Sec. 2.1/4.2: "Each population of devices

@@ -28,19 +28,16 @@
 //! discipline as `ChaosReport`.
 
 use crate::chaos::{run_chaos_with_schedule, ChaosConfig, ChaosReport, FaultPlan};
-use crossbeam::channel::unbounded;
-use fl_actors::{audit_exactly_once, ActorSystem, DeathReason, LockingService, ScheduleExplorer};
-use fl_core::plan::{CodecSpec, FlPlan, ModelSpec};
-use fl_core::population::{FlTask, TaskGroup, TaskSelectionStrategy};
+use crate::live_round::LiveRound;
+use fl_actors::{audit_exactly_once, ActorSystem, DeathReason, ScheduleExplorer};
+use fl_core::plan::CodecSpec;
 use fl_core::round::RoundConfig;
-use fl_core::{DeviceId, PopulationName};
-use fl_server::coordinator::CoordinatorConfig;
-use fl_server::live::{coordinator_lease_name, CoordMsg, CoordinatorActor, DeviceConn, SelectorMsg};
-use fl_server::wire::WireMessage;
+use fl_core::DeviceId;
+use fl_server::live::{CoordMsg, DeviceConn};
 use fl_server::pace::PaceSteering;
 use fl_server::shedding::GlobalAdmissionConfig;
-use fl_server::storage::{CheckpointStore, InMemoryCheckpointStore, SharedCheckpointStore};
-use fl_server::topology::{spawn_multi_topology, SelectorSpec, TopologyBlueprint};
+use fl_server::topology::{SelectorSpec, TopologyBlueprint};
+use fl_server::wire::WireMessage;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -67,7 +64,7 @@ const WAIT: Duration = Duration::from_secs(10);
 /// Outcome of one explored schedule. Every field is schedule-invariant
 /// (no reorder counts, no tick counts), so [`ExploreReport::render`] is
 /// byte-identical across replays of one seed.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ExploreReport {
     /// Scenario tag (`"live-round"`).
     pub scenario: &'static str,
@@ -135,21 +132,11 @@ fn explore_round(
     let mut report = ExploreReport {
         scenario,
         schedule_seed,
-        committed: 0,
-        write_count: 0,
-        obituaries: Vec::new(),
-        violations: Vec::new(),
+        ..ExploreReport::default()
     };
 
     let system = ActorSystem::new();
     system.install_fault_injector(Arc::new(ScheduleExplorer::new(schedule_seed)));
-
-    let spec = ModelSpec::Logistic {
-        dim: 4,
-        classes: 2,
-        seed: 0,
-    };
-    let dim = spec.num_params();
     let round = RoundConfig {
         goal_count: DEVICES as usize,
         overselection: 1.0,
@@ -158,34 +145,6 @@ fn explore_round(
         report_window_ms: 10_000,
         device_cap_ms: 10_000,
     };
-    let mut task = FlTask::training(TASK_NAME, POPULATION).with_round(round);
-    if let Some(k) = secagg_k {
-        task = task.with_secagg(k);
-    }
-    let plan = FlPlan::standard_training(spec, 1, 8, 0.1, CodecSpec::Identity);
-    let group = TaskGroup::new(vec![task], TaskSelectionStrategy::Single);
-
-    // An external shared store + a manually acquired lease: the same
-    // wiring a respawned incarnation uses, and the only way the harness
-    // can audit write_count after the coordinator is gone.
-    let store = SharedCheckpointStore::new(InMemoryCheckpointStore::new());
-    let locks = LockingService::new();
-    let config = CoordinatorConfig::new(POPULATION, 7);
-    let lease_name = coordinator_lease_name(&config.population);
-    let Some(lease) = locks.acquire(lease_name.clone(), lease_name.clone()) else {
-        report.violations.push("could not acquire coordinator lease".into());
-        return report;
-    };
-    let coordinator = CoordinatorActor::with_store(
-        config,
-        group,
-        vec![plan],
-        vec![0.0; dim],
-        locks.clone(),
-        lease,
-        store.clone(),
-    );
-
     // One selector, with a shared admission budget and overload telemetry
     // attached so the exploration also exercises those lock sites.
     let blueprint = TopologyBlueprint::new(vec![SelectorSpec::new(
@@ -199,16 +158,21 @@ fn explore_round(
         max_admits_per_window: 100,
     })
     .with_telemetry(Default::default());
-    let topology = spawn_multi_topology(&system, vec![(coordinator, 10)], &blueprint);
-    let coord_ref = topology.coordinators[&PopulationName::new(POPULATION)].clone();
-    let selector_refs = topology.selectors;
+    let spawned = LiveRound::spawn(system, TASK_NAME, POPULATION, round, secagg_k, None, &blueprint);
+    let live = match spawned {
+        Ok(live) => live,
+        Err(why) => {
+            report.violations.push(why);
+            return report;
+        }
+    };
 
     // One client thread per device: check in, wait for configuration,
     // report. Every wait is bounded — a timeout is a violation.
     let handles: Vec<_> = (0..DEVICES)
         .map(|i| {
-            let sel = selector_refs[0].clone();
-            let coord = coord_ref.clone();
+            let sel = live.topology.selectors[0].clone();
+            let coord = live.coordinator.clone();
             std::thread::spawn(move || -> DeviceOutcome {
                 let conn = DeviceConn::connect(DeviceId(i), POPULATION, sel, coord);
                 if conn.check_in().is_err() {
@@ -279,88 +243,21 @@ fn explore_round(
     // staged — the expensive recovery path (Shamir mask reconstruction
     // from the survivors' shares) must also hold under every schedule.
     if secagg_k.is_some() {
-        let _ = coord_ref.send(CoordMsg::DeviceDropped {
+        let _ = live.coordinator.send(CoordMsg::DeviceDropped {
             device: DeviceId(DEVICES - 1),
             stage: fl_server::aggregator::DropStage::Share,
         });
     }
 
-    // Poll for completion off the timer wheel, never with a raw sleep;
-    // a bounded number of polls is the never-hang deadline.
-    let wheel = fl_actors::timer::TimerWheel::new();
-    let mut completed = false;
-    for _ in 0..MAX_POLLS {
-        let (tx, rx) = unbounded();
-        if coord_ref.send(CoordMsg::TryCompleteRound { reply: tx }).is_err() {
-            report.violations.push("coordinator died before completing".into());
-            break;
-        }
-        match rx.recv_timeout(WAIT) {
-            Ok(Some(outcome)) => {
-                if !outcome.is_committed() {
-                    report
-                        .violations
-                        .push(format!("round finished uncommitted: {outcome:?}"));
-                }
-                completed = true;
-                break;
-            }
-            Ok(None) => {}
-            Err(_) => {
-                report.violations.push("TryCompleteRound reply hung".into());
-                break;
-            }
-        }
-        let _ = coord_ref.send(CoordMsg::Tick);
-        let (poll_tx, poll_rx) = unbounded::<()>();
-        wheel.schedule(Duration::from_millis(20), move || {
-            let _ = poll_tx.send(());
-        });
-        let _ = poll_rx.recv_timeout(WAIT);
-    }
-    wheel.shutdown();
-    if !completed && report.violations.is_empty() {
-        report
-            .violations
-            .push(format!("round hung past {MAX_POLLS} completion polls"));
-    }
-
-    for s in &selector_refs {
-        let _ = s.send(SelectorMsg::Shutdown);
-    }
-    let _ = coord_ref.send(CoordMsg::Shutdown);
-    system.join();
-
-    // Storage audit (Sec. 4.2): one deployment write plus exactly one
-    // commit; per-device updates never touched the store.
-    // The committed-round count is the latest checkpoint's round id:
-    // deployment writes r0, each committed round advances it by one.
-    report.committed = store.with(|s| {
-        s.latest(TASK_NAME).map(|ck| ck.round.0).unwrap_or(0)
-    });
-    report.write_count = store.write_count();
-    if report.committed != 1 {
-        report
-            .violations
-            .push(format!("committed {} rounds, want exactly 1", report.committed));
-    }
-    if report.write_count != 1 + report.committed {
-        report.violations.push(format!(
-            "write_count {} != 1 + committed {}",
-            report.write_count, report.committed
-        ));
-    }
-    // Clean shutdown must have released population ownership.
-    if locks.lookup(&lease_name).is_some() {
-        report
-            .violations
-            .push("coordinator lease still held after clean shutdown".into());
-    }
+    live.complete(MAX_POLLS, &mut report.violations);
+    let audit = live.shutdown(&mut report.violations);
+    report.committed = audit.committed;
+    report.write_count = audit.write_count;
 
     // Obituaries exactly once, in every independent subscriber view
     // (each `deaths()` receiver replays the full log).
     let views: Vec<Vec<_>> = (0..2)
-        .map(|_| system.deaths().try_iter().collect())
+        .map(|_| live.system.deaths().try_iter().collect())
         .collect();
     report
         .violations

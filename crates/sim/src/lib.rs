@@ -51,6 +51,7 @@ pub mod fleet;
 pub mod multi;
 /// Seeded wire faults through the live sharded topology.
 pub mod netchaos;
+mod live_round;
 /// Per-device latency / bandwidth / failure models.
 pub mod network;
 /// Single-population overload scenarios: an entry point of [`scenario`].

@@ -32,19 +32,16 @@
 //! at-most-once ledger exists to protect. Check-in loss is the *device
 //! availability* axis, owned by [`crate::chaos`] drop-out bursts.
 
-use crossbeam::channel::unbounded;
-use fl_actors::{ActorRef, ActorSystem, LockingService};
+use crate::live_round::LiveRound;
+use fl_actors::{ActorRef, ActorSystem};
 use fl_analytics::overload::OverloadMonitorConfig;
-use fl_core::plan::{CodecSpec, FlPlan, ModelSpec};
-use fl_core::population::{FlTask, TaskGroup, TaskSelectionStrategy};
+use fl_core::plan::CodecSpec;
 use fl_core::round::{RoundConfig, RoundOutcome};
 use fl_core::{DeviceId, PopulationName};
 use fl_device::UploadSession;
-use fl_server::coordinator::CoordinatorConfig;
-use fl_server::live::{coordinator_lease_name, CoordMsg, CoordinatorActor, SelectorMsg};
+use fl_server::live::{CoordMsg, SelectorMsg};
 use fl_server::pace::PaceSteering;
-use fl_server::storage::{CheckpointStore, InMemoryCheckpointStore, SharedCheckpointStore};
-use fl_server::topology::{spawn_multi_topology, SelectorSpec, TopologyBlueprint};
+use fl_server::topology::{SelectorSpec, TopologyBlueprint};
 use fl_server::wire::{
     self, ChannelTransport, FaultScript, FaultStats, FaultyTransport, FrameFault, Transport,
     WireError, WireMessage,
@@ -206,7 +203,7 @@ enum DeviceOutcome {
 /// Outcome of one wire-chaos round. Every field is deterministic per
 /// seed, so [`WireChaosReport::render`] is byte-identical across
 /// replays — the property `tests/wire_chaos.rs` sweeps.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct WireChaosReport {
     /// Scenario tag (`"wire-chaos"` / `"secagg-wire-chaos"`).
     pub scenario: &'static str,
@@ -433,26 +430,9 @@ fn run(scenario: &'static str, seed: u64, secagg_k: Option<usize>) -> WireChaosR
     let mut report = WireChaosReport {
         scenario,
         seed,
-        committed: 0,
-        write_count: 0,
-        incorporated: 0,
-        unique_accepted: 0,
-        dup_reports: 0,
-        report_rejects: 0,
-        corrupt_frames: 0,
-        faults: FaultStats::default(),
-        device_attempts: Vec::new(),
-        params: Vec::new(),
-        violations: Vec::new(),
+        ..WireChaosReport::default()
     };
 
-    let system = ActorSystem::new();
-    let spec = ModelSpec::Logistic {
-        dim: 4,
-        classes: 2,
-        seed: 0,
-    };
-    let dim = spec.num_params();
     let round = RoundConfig {
         goal_count: DEVICES as usize,
         overselection: 1.0,
@@ -465,40 +445,6 @@ fn run(scenario: &'static str, seed: u64, secagg_k: Option<usize>) -> WireChaosR
         report_window_ms: 30_000,
         device_cap_ms: 30_000,
     };
-    let mut task = FlTask::training(TASK_NAME, POPULATION).with_round(round);
-    if let Some(k) = secagg_k {
-        task = task.with_secagg(k);
-    }
-    let plan = FlPlan::standard_training(spec, 1, 8, 0.1, CodecSpec::Identity);
-    let group = TaskGroup::new(vec![task], TaskSelectionStrategy::Single);
-
-    // External shared store + manually acquired lease, so the harness
-    // can audit write_count after the coordinator is gone.
-    let store = SharedCheckpointStore::new(InMemoryCheckpointStore::new());
-    let locks = LockingService::new();
-    let mut config = CoordinatorConfig::new(POPULATION, 7);
-    if secagg_k.is_some() {
-        // Two Aggregator shards: sparse ids alternate parity, so sticky
-        // `device % shards` routing splits the cohort 3/3.
-        config.max_per_shard = 3;
-    }
-    let lease_name = coordinator_lease_name(&config.population);
-    let Some(lease) = locks.acquire(lease_name.clone(), lease_name.clone()) else {
-        report
-            .violations
-            .push("could not acquire coordinator lease".into());
-        return report;
-    };
-    let coordinator = CoordinatorActor::with_store(
-        config,
-        group,
-        vec![plan],
-        vec![0.0; dim],
-        locks.clone(),
-        lease,
-        store.clone(),
-    );
-
     // Two selectors — the sharded front door; device `i` checks in
     // through selector `i % 2`.
     let blueprint = TopologyBlueprint::new(vec![
@@ -506,15 +452,30 @@ fn run(scenario: &'static str, seed: u64, secagg_k: Option<usize>) -> WireChaosR
         SelectorSpec::new(PaceSteering::new(1_000, 10), 100, 1, 10),
     ])
     .with_telemetry(OverloadMonitorConfig::default());
-    let topology = spawn_multi_topology(&system, vec![(coordinator, 10)], &blueprint);
-    let telemetry = topology.telemetry.clone();
-    let coord_ref = topology.coordinators[&PopulationName::new(POPULATION)].clone();
-    let selector_refs = topology.selectors;
+    // Under SecAgg, two Aggregator shards: sparse ids alternate parity,
+    // so sticky `device % shards` routing splits the cohort 3/3.
+    let max_per_shard = secagg_k.map(|_| 3);
+    let live = match LiveRound::spawn(
+        ActorSystem::new(),
+        TASK_NAME,
+        POPULATION,
+        round,
+        secagg_k,
+        max_per_shard,
+        &blueprint,
+    ) {
+        Ok(live) => live,
+        Err(why) => {
+            report.violations.push(why);
+            return report;
+        }
+    };
+    let selector_refs = &live.topology.selectors;
 
     let handles: Vec<_> = (0..DEVICES)
         .map(|i| {
             let sel = selector_refs[(i % selector_refs.len() as u64) as usize].clone();
-            let coord = coord_ref.clone();
+            let coord = live.coordinator.clone();
             std::thread::spawn(move || {
                 let conn = ChaosConn::connect(device_script(seed, i), sel, coord);
                 let outcome = run_device(&conn, device_id(i), i, secagg_k);
@@ -549,87 +510,22 @@ fn run(scenario: &'static str, seed: u64, secagg_k: Option<usize>) -> WireChaosR
         }
     }
 
-    // Poll for completion off the timer wheel, never with a raw sleep;
-    // a bounded number of polls is the never-hang deadline.
-    let wheel = fl_actors::timer::TimerWheel::new();
-    let mut completed = false;
-    for _ in 0..MAX_POLLS {
-        let (tx, rx) = unbounded();
-        if coord_ref
-            .send(CoordMsg::TryCompleteRound { reply: tx })
-            .is_err()
-        {
-            report
-                .violations
-                .push("coordinator died before completing".into());
-            break;
-        }
-        match rx.recv_timeout(WAIT) {
-            Ok(Some(outcome)) => {
-                match outcome {
-                    RoundOutcome::Committed { incorporated, .. } => {
-                        report.incorporated = incorporated as u64;
-                    }
-                    other => report
-                        .violations
-                        .push(format!("round finished uncommitted: {other:?}")),
-                }
-                completed = true;
-                break;
-            }
-            Ok(None) => {}
-            Err(_) => {
-                report.violations.push("TryCompleteRound reply hung".into());
-                break;
-            }
-        }
-        let _ = coord_ref.send(CoordMsg::Tick);
-        let (poll_tx, poll_rx) = unbounded::<()>();
-        wheel.schedule(Duration::from_millis(20), move || {
-            let _ = poll_tx.send(());
-        });
-        let _ = poll_rx.recv_timeout(WAIT);
+    if let Some(RoundOutcome::Committed { incorporated, .. }) =
+        live.complete(MAX_POLLS, &mut report.violations)
+    {
+        report.incorporated = incorporated as u64;
     }
-    wheel.shutdown();
-    if !completed && report.violations.is_empty() {
-        report
-            .violations
-            .push(format!("round hung past {MAX_POLLS} completion polls"));
-    }
-
-    if let Some(telemetry) = &telemetry {
+    if let Some(telemetry) = &live.topology.telemetry {
         let t = telemetry.lock();
         report.dup_reports = t.dup_reports().sums().iter().sum::<f64>() as u64;
         report.report_rejects = t.report_rejects().sums().iter().sum::<f64>() as u64;
         report.corrupt_frames = t.corrupt_frames().sums().iter().sum::<f64>() as u64;
     }
-
-    for s in &selector_refs {
-        let _ = s.send(SelectorMsg::Shutdown);
-    }
-    let _ = coord_ref.send(CoordMsg::Shutdown);
-    system.join();
-
-    // Storage audit (Sec. 4.2): the deployment write plus exactly one
-    // commit — no retried or duplicated report ever reached the store.
-    report.committed = store.with(|s| s.latest(TASK_NAME).map(|ck| ck.round.0).unwrap_or(0));
-    report.write_count = store.write_count();
-    report.params = store.with(|s| {
-        s.latest(TASK_NAME)
-            .map(|ck| ck.params().to_vec())
-            .unwrap_or_default()
-    });
-    if report.committed != 1 {
-        report
-            .violations
-            .push(format!("committed {} rounds, want exactly 1", report.committed));
-    }
-    if report.write_count != 1 + report.committed {
-        report.violations.push(format!(
-            "write_count {} != 1 + committed {}",
-            report.write_count, report.committed
-        ));
-    }
+    // No retried or duplicated report may ever have reached the store.
+    let audit = live.shutdown(&mut report.violations);
+    report.committed = audit.committed;
+    report.write_count = audit.write_count;
+    report.params = audit.params;
     // At-most-once: one incorporated contribution per accepted key.
     if report.incorporated != report.unique_accepted {
         report.violations.push(format!(
@@ -656,11 +552,6 @@ fn run(scenario: &'static str, seed: u64, secagg_k: Option<usize>) -> WireChaosR
             ));
             break;
         }
-    }
-    if locks.lookup(&lease_name).is_some() {
-        report
-            .violations
-            .push("coordinator lease still held after clean shutdown".into());
     }
     report
 }

@@ -15,7 +15,6 @@
 //! checkpoint commits — then the Coordinator is killed to show the
 //! exactly-once respawn through the locking service.
 
-use crossbeam::channel::unbounded;
 use federated::actors::{ActorRef, ActorSystem, LockingService};
 use federated::core::plan::{CodecSpec, FlPlan, ModelSpec};
 use federated::core::population::{FlTask, TaskGroup, TaskSelectionStrategy};
@@ -28,7 +27,9 @@ use federated::device::UploadSession;
 use federated::ml::Example;
 use federated::server::live::{CoordMsg, CoordinatorActor, SelectorMsg};
 use federated::server::pace::PaceSteering;
-use federated::server::topology::{spawn_multi_topology, SelectorSpec, TopologyBlueprint};
+use federated::server::topology::{
+    complete_round, spawn_multi_topology, SelectorSpec, TopologyBlueprint,
+};
 use federated::server::wire::{tag, TcpTransport, Transport, WireMessage, WireStats};
 use federated::server::CoordinatorConfig;
 use std::net::{TcpListener, TcpStream};
@@ -254,17 +255,7 @@ fn main() {
         println!("devices with accepted reports: {accepted}");
 
         // Drive ticks until the round completes.
-        let outcome = loop {
-            let (tx, rx) = unbounded();
-            coord_ref
-                .send(CoordMsg::TryCompleteRound { reply: tx })
-                .unwrap();
-            if let Some(outcome) = rx.recv_timeout(Duration::from_secs(5)).unwrap() {
-                break outcome;
-            }
-            coord_ref.send(CoordMsg::Tick).unwrap();
-            std::thread::sleep(Duration::from_millis(25));
-        };
+        let outcome = complete_round(&coord_ref, 500).expect("the round finishes");
         println!("outcome: {outcome:?}");
     }
     println!(

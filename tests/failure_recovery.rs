@@ -18,7 +18,9 @@ use federated::server::pace::PaceSteering;
 use federated::server::storage::{
     CheckpointStore, InMemoryCheckpointStore, SharedCheckpointStore,
 };
-use federated::server::topology::{spawn_multi_topology, SelectorSpec, TopologyBlueprint};
+use federated::server::topology::{
+    complete_round, spawn_multi_topology, CompletionError, SelectorSpec, TopologyBlueprint,
+};
 use crossbeam::channel::unbounded;
 use std::sync::Arc;
 use std::time::Duration;
@@ -156,12 +158,11 @@ fn coordinator_death_triggers_exactly_one_respawn() {
     // The winner actually spawns the replacement (it must not re-acquire).
     locks.evict("coordinator/pop-respawn");
     let replacement = system.spawn("coordinator-2", make_actor(locks.clone()));
-    let (tx, rx) = unbounded();
-    replacement
-        .send(CoordMsg::TryCompleteRound { reply: tx })
-        .unwrap();
-    // It answers (None — no active round yet), proving it is live.
-    assert_eq!(rx.recv_timeout(Duration::from_secs(5)).unwrap(), None);
+    // It answers (no finished round yet), proving it is live.
+    assert_eq!(
+        complete_round(&replacement, 1),
+        Err(CompletionError::StillRunning(1))
+    );
 
     replacement.send(CoordMsg::Shutdown).unwrap();
     system.join();
@@ -278,11 +279,10 @@ fn injected_coordinator_crash_respawns_once_with_surviving_model() {
         // otherwise the replacement's own 2nd message would crash too.
         let replacement = found_rx.recv_timeout(Duration::from_secs(5)).unwrap();
         system.clear_fault_injector();
-        let (tx, rx) = unbounded();
-        replacement
-            .send(CoordMsg::TryCompleteRound { reply: tx })
-            .unwrap();
-        assert_eq!(rx.recv_timeout(Duration::from_secs(5)).unwrap(), None);
+        assert_eq!(
+            complete_round(&replacement, 1),
+            Err(CompletionError::StillRunning(1))
+        );
         // Clean shutdown of the replacement unblocks every watcher.
         replacement.send(CoordMsg::Shutdown).unwrap();
         handles.into_iter().map(|h| h.join().unwrap()).collect()

@@ -12,11 +12,16 @@ use federated::core::{DeviceId, PopulationName};
 use federated::server::live::{CoordMsg, CoordinatorActor, DeviceConn, SelectorMsg};
 use federated::server::wire::WireMessage;
 use federated::server::pace::PaceSteering;
-use federated::server::topology::{spawn_multi_topology, SelectorSpec, TopologyBlueprint};
+use federated::server::topology::{
+    complete_round, spawn_multi_topology, CompletionError, SelectorSpec, TopologyBlueprint,
+};
 use federated::server::{AdmissionConfig, CoordinatorConfig, GlobalAdmissionConfig};
-use crossbeam::channel::unbounded;
 use std::sync::Arc;
 use std::time::Duration;
+
+/// Completion-poll bound (20 ms apart): a round that cannot finish fails
+/// its test after 10 s instead of hanging the run.
+const MAX_POLLS: u32 = 500;
 
 fn spec() -> ModelSpec {
     ModelSpec::Logistic {
@@ -105,17 +110,7 @@ fn round_commits_across_three_selectors() {
         .count();
     assert_eq!(accepted, 6, "all six devices contribute through their selectors");
 
-    let outcome = loop {
-        let (tx, rx) = unbounded();
-        coord_ref
-            .send(CoordMsg::TryCompleteRound { reply: tx })
-            .unwrap();
-        if let Some(outcome) = rx.recv_timeout(Duration::from_secs(5)).unwrap() {
-            break outcome;
-        }
-        coord_ref.send(CoordMsg::Tick).unwrap();
-        std::thread::sleep(Duration::from_millis(10));
-    };
+    let outcome = complete_round(&coord_ref, MAX_POLLS).unwrap();
     assert!(outcome.is_committed());
 
     // Idempotent teardown: a second shutdown of the whole tree — and one
@@ -291,17 +286,7 @@ fn global_budget_caps_admits_across_selectors() {
             WireMessage::ReportAck { accepted: true, .. }
         ));
     }
-    let outcome = loop {
-        let (tx, rx) = unbounded();
-        coord_ref
-            .send(CoordMsg::TryCompleteRound { reply: tx })
-            .unwrap();
-        if let Some(outcome) = rx.recv_timeout(Duration::from_secs(5)).unwrap() {
-            break outcome;
-        }
-        coord_ref.send(CoordMsg::Tick).unwrap();
-        std::thread::sleep(Duration::from_millis(10));
-    };
+    let outcome = complete_round(&coord_ref, MAX_POLLS).unwrap();
     assert!(outcome.is_committed());
 
     for s in &selector_refs {
@@ -379,17 +364,7 @@ fn aggregator_shard_crash_still_commits_the_round() {
         ));
     }
 
-    let outcome = loop {
-        let (tx, rx) = unbounded();
-        coord_ref
-            .send(CoordMsg::TryCompleteRound { reply: tx })
-            .unwrap();
-        if let Some(outcome) = rx.recv_timeout(Duration::from_secs(5)).unwrap() {
-            break outcome;
-        }
-        coord_ref.send(CoordMsg::Tick).unwrap();
-        std::thread::sleep(Duration::from_millis(10));
-    };
+    let outcome = complete_round(&coord_ref, MAX_POLLS).unwrap();
     assert!(
         outcome.is_committed(),
         "the round must commit on the surviving shard"
@@ -414,4 +389,45 @@ fn aggregator_shard_crash_still_commits_the_round() {
     ));
     assert_eq!(reason_of("coordinator-shard-crash/master-r1/agg-0"), DeathReason::Normal);
     assert_eq!(reason_of("coordinator-shard-crash/master-r1"), DeathReason::Normal);
+}
+
+/// Regression: every live test used to hand-roll an unbounded
+/// `TryCompleteRound` / `Tick` / sleep loop, so a round that could never
+/// finish hung the run instead of failing it. The shared poll is
+/// bounded, and tells a round that is still running from a Coordinator
+/// that is gone.
+#[test]
+fn a_round_that_cannot_finish_fails_the_poll_instead_of_hanging() {
+    let system = ActorSystem::new();
+    let locks: LockingService<String> = LockingService::new();
+    let round = RoundConfig {
+        goal_count: 6,
+        overselection: 1.0,
+        min_goal_fraction: 1.0,
+        selection_timeout_ms: 600_000,
+        report_window_ms: 600_000,
+        device_cap_ms: 600_000,
+    };
+    let coordinator = coordinator_for(
+        "no-devices",
+        round,
+        CoordinatorConfig::new("no-devices", 3),
+        locks,
+    );
+    let blueprint =
+        TopologyBlueprint::new(vec![SelectorSpec::new(PaceSteering::new(1_000, 2), 100, 0, 2)]);
+    let topology = spawn_multi_topology(&system, vec![(coordinator, 2)], &blueprint);
+    let coord_ref = topology.coordinators[&PopulationName::new("no-devices")].clone();
+
+    // Nobody ever checks in, so no number of polls completes the round.
+    assert_eq!(
+        complete_round(&coord_ref, 3),
+        Err(CompletionError::StillRunning(3))
+    );
+    topology.shutdown();
+    system.join();
+    assert_eq!(
+        complete_round(&coord_ref, 3),
+        Err(CompletionError::CoordinatorGone)
+    );
 }

@@ -21,7 +21,9 @@ use federated::server::live::{
 };
 use federated::server::storage::InMemoryCheckpointStore;
 use federated::server::pace::PaceSteering;
-use federated::server::topology::{spawn_multi_topology, SelectorSpec, TopologyBlueprint};
+use federated::server::topology::{
+    complete_round, spawn_multi_topology, SelectorSpec, TopologyBlueprint,
+};
 use federated::server::wire::WireMessage;
 use federated::server::{CoordinatorConfig, GlobalAdmissionConfig};
 use federated::sim::multi::{default_seeds, run_multi_tenant, sweep, MultiTenantConfig};
@@ -64,15 +66,7 @@ fn round_with_goal(goal: usize) -> RoundConfig {
 }
 
 fn drive_to_commit(coord: &federated::actors::ActorRef<CoordMsg>) -> bool {
-    loop {
-        let (tx, rx) = unbounded();
-        coord.send(CoordMsg::TryCompleteRound { reply: tx }).unwrap();
-        if let Some(outcome) = rx.recv_timeout(Duration::from_secs(5)).unwrap() {
-            return outcome.is_committed();
-        }
-        coord.send(CoordMsg::Tick).unwrap();
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    complete_round(coord, 500).unwrap().is_committed()
 }
 
 /// Three populations, three Coordinators, one shared two-Selector layer:

@@ -8,7 +8,6 @@
 //! below the task minimum `k` must surface as a clean per-shard abort —
 //! the round commits from the surviving groups only.
 
-use crossbeam::channel::unbounded;
 use federated::actors::{ActorSystem, LockingService};
 use federated::analytics::overload::OverloadMonitorConfig;
 use federated::core::plan::{CodecSpec, FlPlan, ModelSpec};
@@ -19,7 +18,9 @@ use federated::ml::fixedpoint::FixedPointEncoder;
 use federated::server::aggregator::DropStage;
 use federated::server::live::{CoordMsg, CoordinatorActor, DeviceConn, SelectorMsg};
 use federated::server::pace::PaceSteering;
-use federated::server::topology::{spawn_multi_topology, SelectorSpec, TopologyBlueprint};
+use federated::server::topology::{
+    complete_round, spawn_multi_topology, SelectorSpec, TopologyBlueprint,
+};
 use federated::server::wire::WireMessage;
 use federated::server::CoordinatorConfig;
 use std::time::Duration;
@@ -124,20 +125,7 @@ fn run_secagg_round(population: &str, dropouts: &[(u64, DropStage)]) -> (Vec<f32
             .expect("coordinator alive");
     }
 
-    let outcome = loop {
-        let (tx, rx) = unbounded();
-        coord_ref
-            .send(CoordMsg::TryCompleteRound { reply: tx })
-            .expect("coordinator alive");
-        if let Some(outcome) = rx
-            .recv_timeout(Duration::from_secs(5))
-            .expect("completion reply")
-        {
-            break outcome;
-        }
-        coord_ref.send(CoordMsg::Tick).expect("coordinator alive");
-        std::thread::sleep(Duration::from_millis(10));
-    };
+    let outcome = complete_round(&coord_ref, 500).expect("the round finishes");
     assert!(
         outcome.is_committed(),
         "the round commits from the surviving groups"
