@@ -8,8 +8,8 @@
 //!
 //! Three harnesses build this tree: the live threaded topology
 //! ([`spawn_multi_topology`]), the chaos harness (`fl-sim::chaos`,
-//! virtual clock), and the overload harnesses (`fl-sim::overload` and
-//! `fl-sim::multi`, virtual clock).
+//! virtual clock), and the flow-control scenario engine
+//! (`fl-sim::scenario`, virtual clock, behind `overload` and `multi`).
 //! They used to hand-roll the wiring independently; the blueprint types
 //! here are the single source of truth, so a selector knob added for one
 //! harness exists in all of them.
@@ -254,7 +254,7 @@ const POLL_WAIT: Duration = Duration::from_secs(10);
 /// `Tick` (so phase timeouts fire) and waits one [`POLL_PERIOD`] on the
 /// timer wheel — never a raw sleep — before asking again. At most
 /// `max_polls` probes, so a round that can never finish is an error
-/// after `max_polls × 20 ms`, not a hang.
+/// after about `max_polls × 20 ms`, not a hang.
 ///
 /// # Errors
 ///
@@ -265,7 +265,14 @@ pub fn complete_round(
     max_polls: u32,
 ) -> Result<RoundOutcome, CompletionError> {
     let wheel = TimerWheel::new();
-    for _ in 0..max_polls {
+    for poll in 0..max_polls {
+        if poll > 0 {
+            let (due_tx, due_rx) = unbounded::<()>();
+            wheel.schedule(POLL_PERIOD, move || {
+                let _ = due_tx.send(());
+            });
+            let _ = due_rx.recv_timeout(POLL_WAIT);
+        }
         let (tx, rx) = unbounded();
         coordinator
             .send(CoordMsg::TryCompleteRound { reply: tx })
@@ -275,11 +282,6 @@ pub fn complete_round(
             return Ok(outcome);
         }
         let _ = coordinator.send(CoordMsg::Tick);
-        let (due_tx, due_rx) = unbounded::<()>();
-        wheel.schedule(POLL_PERIOD, move || {
-            let _ = due_tx.send(());
-        });
-        let _ = due_rx.recv_timeout(POLL_WAIT);
     }
     Err(CompletionError::StillRunning(max_polls))
 }

@@ -20,15 +20,26 @@
 //!   under permuted mailbox delivery (via the `fl-actors`
 //!   `ScheduleExplorer`) and chaos plans under permuted device timing,
 //!   auditing the never-hang / exactly-one-commit / storage-write /
-//!   obituary-exactly-once invariants across K legal interleavings,
-//! * [`overload`] — flash-crowd / thundering-herd / diurnal-ramp stress
-//!   scenarios auditing the Sec. 2.3 flow-control loop (admission
-//!   shedding, closed-loop pace steering, device retry budgets),
-//! * [`multi`] — multi-population (multi-tenant) scenarios: several FL
-//!   populations sharing one fleet and one Selector layer, auditing
-//!   cross-population fairness under asymmetric load (a flash crowd in
-//!   one tenant must not starve another's accepts or commits) and the
-//!   device-side single-active-session arbitration (Sec. 2.1/3),
+//!   obituary-exactly-once invariants across K legal interleavings
+//!   (`netchaos` and `explore` share one private live-round scaffold:
+//!   the tree, the bounded completion poll, shutdown, and the storage /
+//!   lease audit; each keeps its own device threads and report),
+//! * [`scenario`] — the one flow-control DES engine: a seeded
+//!   virtual-clock driver over the real Selector / round / wire stack
+//!   with per-population rounds, load shapes (steady, thundering herd,
+//!   flash crowd, diurnal ramp), optional per-round SecAgg, and a
+//!   two-variant device seam; it audits wire integrity, per-population
+//!   ledger conservation, and the queue bound for every configuration,
+//! * [`overload`] — the engine's one-population entry point:
+//!   flash-crowd / thundering-herd / diurnal-ramp stress scenarios
+//!   auditing the Sec. 2.3 flow-control loop (admission shedding,
+//!   closed-loop pace steering, device retry budgets),
+//! * [`multi`] — the engine's multi-population (multi-tenant) entry
+//!   point: several FL populations sharing one fleet and one Selector
+//!   layer, auditing cross-population fairness under asymmetric load (a
+//!   flash crowd in one tenant must not starve another's accepts or
+//!   commits) and the device-side single-active-session arbitration
+//!   (Sec. 2.1/3),
 //! * [`fleet`] — the fleet-dynamics scenario driving the real
 //!   `fl-server` round state machines with tens of thousands of simulated
 //!   devices over simulated days (regenerates Figs. 5–9 and Table 1),

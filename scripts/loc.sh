@@ -5,13 +5,24 @@
 # Counts each crate's src/ tree. A file is cut at its first
 # `#[cfg(test)]` line (this workspace keeps unit tests in one trailing
 # `mod tests`), then blank lines and `//` comment lines (plain, doc and
-# module-doc alike) are dropped. Usage: scripts/loc.sh [repo-root]
+# module-doc alike) are dropped. Each crate's delta is against
+# scripts/loc_baseline.txt, the table committed at the previous PR's
+# head (`-` for a crate the baseline lacks); refresh the baseline as the
+# last step of a PR with `scripts/loc.sh | awk '{print $1, $2}' >
+# scripts/loc_baseline.txt`. Usage: scripts/loc.sh [repo-root]
 set -euo pipefail
 root="${1:-$(dirname "$0")/..}"
 cd "${root}"
 
+# delta NAME LINES: signed growth of NAME against the baseline.
+delta() {
+  local base
+  base="$(awk -v name="$1" '$1 == name { print $2 }' scripts/loc_baseline.txt 2>/dev/null)"
+  if [ -n "${base}" ]; then printf '%+d' "$(($2 - base))"; else printf '%s' '-'; fi
+}
+
 total=0
-printf '%-14s %8s\n' "crate" "lines"
+printf '%-14s %8s %8s\n' "crate" "lines" "delta"
 for manifest in crates/*/Cargo.toml; do
   dir="$(dirname "${manifest}")"
   name="$(sed -n 's/^name = "\(.*\)"/\1/p' "${manifest}" | head -n 1)"
@@ -24,7 +35,7 @@ for manifest in crates/*/Cargo.toml; do
       /^[[:space:]]*\/\// { next }
       { n++ }
       END { print n + 0 }')"
-  printf '%-14s %8d\n' "${name}" "${lines}"
+  printf '%-14s %8d %8s\n' "${name}" "${lines}" "$(delta "${name}" "${lines}")"
   total=$((total + lines))
 done
-printf '%-14s %8d\n' "total" "${total}"
+printf '%-14s %8d %8s\n' "total" "${total}" "$(delta total "${total}")"
