@@ -10,11 +10,28 @@
 //! parameter count (4 B/param under `CodecSpec::Identity`, the
 //! worst-case upload), so the numbers bound how much CPU a Selector
 //! burns framing/deframing the FIG9 upload path.
+//!
+//! The run is also a gate: it exits non-zero when the 1M-parameter frame
+//! encodes or decodes below [`FLOOR_MB_PER_S`], which a digest that walks
+//! the frame a byte at a time cannot reach.
 
 use fl_core::{DeviceId, PopulationName, RoundId};
 use fl_server::wire::{self, WireMessage};
 use fl_wire::{ChannelTransport, FaultScript, FaultyTransport, Transport};
 use std::time::Instant;
+
+/// Floor for the 1M-parameter encode and decode. The word-at-a-time v4
+/// digest runs several times above it; the byte-serial v3 digest ran at
+/// under half of it (the `before` rows).
+const FLOOR_MB_PER_S: f64 = 1_500.0;
+
+/// The rows this bench recorded at protocol v3 (FNV-1a trailer, body
+/// encoded into its own vector and copied into the frame), kept in the
+/// output as the `before` of the v4 rows.
+const V3_ROWS: &str = r#"    {"params": 1000, "frame_bytes": 4075, "iters": 4000, "encode_ns_per_frame": 6061, "encode_mb_per_s": 672.3, "decode_ns_per_frame": 5149, "decode_mb_per_s": 791.4},
+    {"params": 100000, "frame_bytes": 400075, "iters": 400, "encode_ns_per_frame": 534144, "encode_mb_per_s": 749.0, "decode_ns_per_frame": 508396, "decode_mb_per_s": 786.9},
+    {"params": 1000000, "frame_bytes": 4000075, "iters": 40, "encode_ns_per_frame": 5830984, "encode_mb_per_s": 686.0, "decode_ns_per_frame": 5814357, "decode_mb_per_s": 688.0}
+"#;
 
 struct Case {
     params: usize,
@@ -166,6 +183,9 @@ fn main() {
         faulty.params, faulty.plain_ns_per_send, faulty.faulty_ns_per_send, faulty.overhead_ns_per_send
     );
     json.push_str("  ],\n");
+    json.push_str("  \"before\": {\"protocol_version\": 3, \"cases\": [\n");
+    json.push_str(V3_ROWS);
+    json.push_str("  ]},\n");
     json.push_str(&format!(
         "  \"faulty_transport_overhead\": {{\"params\": {}, \"iters\": {}, \
          \"plain_ns_per_send\": {:.0}, \"faulty_ns_per_send\": {:.0}, \
@@ -182,4 +202,14 @@ fn main() {
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_wire.json");
     std::fs::write(out, &json).expect("write BENCH_wire.json");
     println!("wrote {out}");
+
+    let largest = cases.last().expect("three cases");
+    let slowest = largest.encode_mb_per_s.min(largest.decode_mb_per_s);
+    if slowest < FLOOR_MB_PER_S {
+        eprintln!(
+            "bench_wire: {} params moved at {slowest:.1} MB/s, under the {FLOOR_MB_PER_S} MB/s floor",
+            largest.params
+        );
+        std::process::exit(1);
+    }
 }

@@ -60,18 +60,28 @@ impl FlCheckpoint {
 
     /// Encodes to the compact binary wire format.
     pub fn to_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.encoded_size());
+        self.write_to(&mut out);
+        out
+    }
+
+    /// Appends the binary wire format to `out` — what [`Self::to_bytes`]
+    /// returns, written in place so an enclosing frame needs no
+    /// intermediate copy.
+    pub fn write_to(&self, out: &mut Vec<u8>) {
         let name = self.task_name.as_bytes();
-        let mut out = Vec::with_capacity(4 + 1 + 2 + name.len() + 8 + 4 + self.params.len() * 4);
         out.extend_from_slice(MAGIC);
         out.push(WIRE_VERSION);
         out.extend_from_slice(&(name.len() as u16).to_le_bytes());
         out.extend_from_slice(name);
         out.extend_from_slice(&self.round.0.to_le_bytes());
         out.extend_from_slice(&(self.params.len() as u32).to_le_bytes());
-        for p in &self.params {
-            out.extend_from_slice(&p.to_le_bytes());
+        let start = out.len();
+        out.resize(start + self.params.len() * 4, 0);
+        let (slots, _) = out[start..].as_chunks_mut::<4>();
+        for (slot, p) in slots.iter_mut().zip(&self.params) {
+            *slot = p.to_le_bytes();
         }
-        out
     }
 
     /// Decodes from the binary wire format.
@@ -82,39 +92,40 @@ impl FlCheckpoint {
     /// unknown wire version, or invalid UTF-8 in the task name.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CoreError> {
         let bad = |why: &str| CoreError::MalformedCheckpoint(why.to_string());
-        if bytes.len() < 7 {
-            return Err(bad("too short for header"));
-        }
-        if &bytes[..4] != MAGIC {
+        let (header, rest) = bytes
+            .split_first_chunk::<7>()
+            .ok_or_else(|| bad("too short for header"))?;
+        if &header[..4] != MAGIC {
             return Err(bad("bad magic"));
         }
-        if bytes[4] != WIRE_VERSION {
+        if header[4] != WIRE_VERSION {
             return Err(bad("unknown wire version"));
         }
-        let name_len = u16::from_le_bytes([bytes[5], bytes[6]]) as usize;
-        let mut at = 7;
-        let name_bytes = bytes.get(at..at + name_len).ok_or_else(|| bad("truncated name"))?;
+        let name_len = u16::from_le_bytes([header[5], header[6]]) as usize;
+        let (name_bytes, rest) = rest
+            .split_at_checked(name_len)
+            .ok_or_else(|| bad("truncated name"))?;
         let task_name = std::str::from_utf8(name_bytes)
             .map_err(|_| bad("task name is not UTF-8"))?
             .to_string();
-        at += name_len;
-        let round_bytes = bytes.get(at..at + 8).ok_or_else(|| bad("truncated round"))?;
-        let round = RoundId(u64::from_le_bytes(round_bytes.try_into().unwrap()));
-        at += 8;
-        let count_bytes = bytes.get(at..at + 4).ok_or_else(|| bad("truncated count"))?;
-        let count = u32::from_le_bytes(count_bytes.try_into().unwrap()) as usize;
-        at += 4;
-        let mut params = Vec::with_capacity(count);
-        for i in 0..count {
-            let p = bytes
-                .get(at + i * 4..at + (i + 1) * 4)
-                .ok_or_else(|| bad("truncated params"))?;
-            params.push(f32::from_le_bytes(p.try_into().unwrap()));
-        }
+        let (round, rest) = rest
+            .split_first_chunk::<8>()
+            .ok_or_else(|| bad("truncated round"))?;
+        let (count, rest) = rest
+            .split_first_chunk::<4>()
+            .ok_or_else(|| bad("truncated count"))?;
+        // The count is the peer's claim: hold it against the bytes that
+        // are actually present before sizing anything by it.
+        let count = u32::from_le_bytes(*count) as usize;
+        let values = rest
+            .as_chunks::<4>()
+            .0
+            .get(..count)
+            .ok_or_else(|| bad("truncated params"))?;
         Ok(FlCheckpoint {
             task_name,
-            round,
-            params,
+            round: RoundId(u64::from_le_bytes(*round)),
+            params: values.iter().map(|p| f32::from_le_bytes(*p)).collect(),
         })
     }
 
@@ -164,6 +175,28 @@ mod tests {
                 "cut at {cut} should fail"
             );
         }
+    }
+
+    #[test]
+    fn hostile_param_count_is_refused_before_allocating() {
+        // 30 bytes claiming `u32::MAX` parameters (16 GiB if believed).
+        let mut bytes = FlCheckpoint::new("t", RoundId(0), vec![0.0; 2]).to_bytes();
+        let count_at = bytes.len() - 2 * 4 - 4;
+        bytes[count_at..count_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        bytes.resize(30, 0);
+        assert_eq!(
+            FlCheckpoint::from_bytes(&bytes),
+            Err(CoreError::MalformedCheckpoint("truncated params".into()))
+        );
+    }
+
+    #[test]
+    fn write_to_appends_what_to_bytes_returns() {
+        let ck = FlCheckpoint::new("nwp-train", RoundId(17), vec![1.0, -2.5, 0.0, 1e-9]);
+        let mut out = vec![0xAA, 0xBB];
+        ck.write_to(&mut out);
+        assert_eq!(out[..2], [0xAA, 0xBB]);
+        assert_eq!(out[2..], ck.to_bytes());
     }
 
     #[test]

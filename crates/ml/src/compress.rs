@@ -54,7 +54,20 @@ pub trait UpdateCodec {
     ///
     /// Returns a [`CodecError`] if the stream is malformed or the length
     /// does not match.
-    fn decode(&self, bytes: &[u8], len: usize) -> Result<Vec<f32>, CodecError>;
+    fn decode(&self, bytes: &[u8], len: usize) -> Result<Vec<f32>, CodecError> {
+        let mut out = Vec::new();
+        self.decode_into(bytes, len, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`UpdateCodec::decode`] into a caller-owned vector, replacing its
+    /// contents: an aggregator folding a stream of updates keeps one
+    /// scratch vector instead of allocating a model-sized one per device.
+    ///
+    /// # Errors
+    ///
+    /// As [`UpdateCodec::decode`]; `out` is then unspecified.
+    fn decode_into(&self, bytes: &[u8], len: usize, out: &mut Vec<f32>) -> Result<(), CodecError>;
 
     /// Human-readable codec name for reports.
     fn name(&self) -> &'static str;
@@ -92,16 +105,21 @@ impl UpdateCodec for IdentityCodec {
         out
     }
 
-    fn decode(&self, bytes: &[u8], len: usize) -> Result<Vec<f32>, CodecError> {
+    fn decode_into(&self, bytes: &[u8], len: usize, out: &mut Vec<f32>) -> Result<(), CodecError> {
         let n = get_u32(bytes, 0)? as usize;
         if n != len {
             return Err(CodecError::LengthMismatch { expected: len, actual: n });
         }
-        let mut out = Vec::with_capacity(n);
-        for i in 0..n {
-            out.push(get_f32(bytes, 4 + i * 4)?);
-        }
-        Ok(out)
+        // `n` is now the caller's own dimension; still, size nothing
+        // before the bytes for it are known to be present.
+        let values = bytes[4..]
+            .as_chunks::<4>()
+            .0
+            .get(..n)
+            .ok_or(CodecError::Truncated)?;
+        out.clear();
+        out.extend(values.iter().map(|v| f32::from_le_bytes(*v)));
+        Ok(())
     }
 
     fn name(&self) -> &'static str {
@@ -156,7 +174,7 @@ impl UpdateCodec for QuantizeCodec {
         out
     }
 
-    fn decode(&self, bytes: &[u8], len: usize) -> Result<Vec<f32>, CodecError> {
+    fn decode_into(&self, bytes: &[u8], len: usize, out: &mut Vec<f32>) -> Result<(), CodecError> {
         let n = get_u32(bytes, 0)? as usize;
         let block = get_u32(bytes, 4)? as usize;
         if n != len {
@@ -165,7 +183,8 @@ impl UpdateCodec for QuantizeCodec {
         if block == 0 {
             return Err(CodecError::BadHeader);
         }
-        let mut out = Vec::with_capacity(n);
+        out.clear();
+        out.reserve(n);
         let mut at = 8usize;
         let mut remaining = n;
         while remaining > 0 {
@@ -179,7 +198,7 @@ impl UpdateCodec for QuantizeCodec {
             }
             remaining -= k;
         }
-        Ok(out)
+        Ok(())
     }
 
     fn name(&self) -> &'static str {
@@ -239,7 +258,7 @@ impl UpdateCodec for SubsampleCodec {
         out
     }
 
-    fn decode(&self, bytes: &[u8], len: usize) -> Result<Vec<f32>, CodecError> {
+    fn decode_into(&self, bytes: &[u8], len: usize, out: &mut Vec<f32>) -> Result<(), CodecError> {
         let n = get_u32(bytes, 0)? as usize;
         if n != len {
             return Err(CodecError::LengthMismatch { expected: len, actual: n });
@@ -253,7 +272,8 @@ impl UpdateCodec for SubsampleCodec {
             return Err(CodecError::BadHeader);
         }
         let scale = 1.0 / self.keep_fraction as f32;
-        let mut out = vec![0.0f32; n];
+        out.clear();
+        out.resize(n, 0.0);
         let mut at = 16usize;
         for (slot, &m) in out.iter_mut().zip(&mask) {
             if m {
@@ -261,7 +281,7 @@ impl UpdateCodec for SubsampleCodec {
                 at += 4;
             }
         }
-        Ok(out)
+        Ok(())
     }
 
     fn name(&self) -> &'static str {
@@ -301,7 +321,7 @@ impl UpdateCodec for PipelineCodec {
         out
     }
 
-    fn decode(&self, bytes: &[u8], len: usize) -> Result<Vec<f32>, CodecError> {
+    fn decode_into(&self, bytes: &[u8], len: usize, out: &mut Vec<f32>) -> Result<(), CodecError> {
         let n = get_u32(bytes, 0)? as usize;
         if n != len {
             return Err(CodecError::LengthMismatch { expected: len, actual: n });
@@ -313,14 +333,15 @@ impl UpdateCodec for PipelineCodec {
         let kept_n = mask.iter().filter(|&&m| m).count();
         let kept = self.quantize.decode(&bytes[12..], kept_n)?;
         let scale = 1.0 / self.subsample.keep_fraction as f32;
-        let mut out = vec![0.0f32; n];
+        out.clear();
+        out.resize(n, 0.0);
         let mut it = kept.into_iter();
         for (slot, &m) in out.iter_mut().zip(&mask) {
             if m {
                 *slot = it.next().ok_or(CodecError::Truncated)? * scale;
             }
         }
-        Ok(out)
+        Ok(())
     }
 
     fn name(&self) -> &'static str {
@@ -434,6 +455,35 @@ mod tests {
         let c = QuantizeCodec::default();
         let enc = c.encode(&u);
         assert_eq!(c.decode(&enc[..10], 100), Err(CodecError::Truncated));
+    }
+
+    #[test]
+    fn decode_into_replaces_a_dirty_scratch_for_every_codec() {
+        let u = sample_update(1_000);
+        let codecs: [&dyn UpdateCodec; 4] = [
+            &IdentityCodec,
+            &QuantizeCodec::default(),
+            &SubsampleCodec::new(0.25, 7),
+            &PipelineCodec::new(0.25, 11, 64),
+        ];
+        for codec in codecs {
+            let enc = codec.encode(&u);
+            let mut scratch = vec![9.0f32; 3_000];
+            codec.decode_into(&enc, u.len(), &mut scratch).unwrap();
+            assert_eq!(
+                scratch,
+                codec.decode(&enc, u.len()).unwrap(),
+                "{}",
+                codec.name()
+            );
+        }
+    }
+
+    #[test]
+    fn identity_stream_shorter_than_its_count_is_truncated() {
+        let mut enc = IdentityCodec.encode(&[1.0, 2.0, 3.0]);
+        enc.truncate(4 + 2 * 4 + 3);
+        assert_eq!(IdentityCodec.decode(&enc, 3), Err(CodecError::Truncated));
     }
 
     #[test]

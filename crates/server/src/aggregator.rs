@@ -13,6 +13,13 @@
 //! Master Aggregator then further aggregates the intermediate aggregators'
 //! results into a final aggregate for the round, without Secure
 //! Aggregation."
+//!
+//! In the live tree a device's update reaches its shard in the buffer
+//! the socket read filled: the Coordinator hands the Master the device's
+//! verified report frame, forwarded ([`MasterMsg::Update`]); the Master
+//! verifies it again at its own boundary and moves it to the device's
+//! shard ([`ForwardedReport`]); the shard folds the payload where it
+//! lies, through one scratch vector it keeps for the round.
 
 use crossbeam::channel::{unbounded, Sender};
 use fl_actors::{Actor, ActorRef, Context as ActorContext, Flow};
@@ -21,9 +28,9 @@ use fl_core::plan::CodecSpec;
 use fl_core::privacy::DpConfig;
 use fl_core::{CoreError, DeviceId};
 use fl_ml::fixedpoint::FixedPointEncoder;
-use fl_ml::optim::WeightedUpdate;
 use fl_secagg::protocol::{run_instance, SecAggConfig};
 use fl_secagg::SecAggError;
+use fl_wire::{ReportPayload, ReportRef};
 use std::collections::BTreeMap;
 
 /// How a Master Aggregator shards a round's devices.
@@ -102,6 +109,9 @@ pub struct AggregatorShard {
     secagg_k: Option<usize>,
     encoder: FixedPointEncoder,
     dim: usize,
+    /// The update being folded: every `accept` decodes into this one
+    /// vector, so a shard allocates a model's worth once, not per device.
+    scratch: Vec<f32>,
 }
 
 impl AggregatorShard {
@@ -126,6 +136,7 @@ impl AggregatorShard {
             secagg_k: secagg,
             encoder: FixedPointEncoder::default_for_updates(),
             dim,
+            scratch: Vec::new(),
         }
     }
 
@@ -152,25 +163,27 @@ impl AggregatorShard {
         update_bytes: &[u8],
         weight: u64,
     ) -> Result<(), CoreError> {
-        let mut delta = self
-            .codec
+        self.codec
             .build()
-            .decode(update_bytes, self.dim)
+            .decode_into(update_bytes, self.dim, &mut self.scratch)
             .map_err(|e| CoreError::MalformedCheckpoint(e.to_string()))?;
         if let Some(clip) = self.clip_norm {
             // DP-FedAvg: bound each device's contribution before it joins
             // the (ephemeral) aggregate. Done identically on the SecAgg
             // path, where the device would clip before masking.
-            fl_core::privacy::clip_l2(&mut delta, clip);
+            fl_core::privacy::clip_l2(&mut self.scratch, clip);
         }
         match &mut self.secagg_inputs {
-            None => self.accumulator.accumulate(WeightedUpdate { delta, weight }),
+            // One device's update is a sum of one.
+            None => self
+                .accumulator
+                .accumulate_presummed(&self.scratch, weight, 1),
             Some(staged) => {
                 // Field vector: encoded delta coordinates plus the weight
                 // appended as one extra (integral) coordinate.
                 let mut v = self
                     .encoder
-                    .encode(&delta)
+                    .encode(&self.scratch)
                     .map_err(|e| CoreError::MalformedCheckpoint(e.to_string()))?;
                 v.push(weight % fl_secagg::field::PRIME);
                 staged.insert(device, v);
@@ -192,6 +205,18 @@ impl AggregatorShard {
         field: &[u64],
         weight: u64,
     ) -> Result<(), CoreError> {
+        self.stage_field(device, field.iter().copied(), weight)
+    }
+
+    /// [`AggregatorShard::accept_field`] over any source of coordinates,
+    /// so a report frame's little-endian field bytes are staged straight
+    /// from the frame.
+    fn stage_field(
+        &mut self,
+        device: DeviceId,
+        field: impl ExactSizeIterator<Item = u64>,
+        weight: u64,
+    ) -> Result<(), CoreError> {
         let Some(staged) = &mut self.secagg_inputs else {
             return Err(CoreError::MalformedCheckpoint(
                 "field vector offered to a plain (non-SecAgg) shard".to_string(),
@@ -203,10 +228,8 @@ impl AggregatorShard {
                 actual: field.len(),
             });
         }
-        let mut v: Vec<u64> = field
-            .iter()
-            .map(|&x| x % fl_secagg::field::PRIME)
-            .collect();
+        let mut v: Vec<u64> = Vec::with_capacity(self.dim + 1);
+        v.extend(field.map(|x| x % fl_secagg::field::PRIME));
         v.push(weight % fl_secagg::field::PRIME);
         staged.insert(device, v);
         Ok(())
@@ -531,29 +554,31 @@ fn merge_and_apply(
     Ok((params, contributors))
 }
 
+/// One device's report as the Master hands it to a shard: the device's
+/// own frame, moved (the Master has verified it), plus what the Master
+/// read from it — so the payload is folded where it already lies.
+#[derive(Debug)]
+pub struct ForwardedReport {
+    /// The reporting device.
+    pub device: DeviceId,
+    /// The device's example count (FedAvg weight).
+    pub weight: u64,
+    /// The verified report frame.
+    pub frame: Vec<u8>,
+    /// Where the payload sits in `frame` ([`ReportRef::payload_span`]).
+    pub payload: std::ops::Range<usize>,
+}
+
 /// Messages handled by one [`AggregatorActor`] shard.
 #[derive(Debug)]
 pub enum ShardMsg {
-    /// One device's encoded report for this shard.
-    Accept {
-        /// The reporting device.
-        device: DeviceId,
-        /// Codec-encoded update bytes.
-        update_bytes: Vec<u8>,
-        /// The device's example count (FedAvg weight).
-        weight: u64,
-    },
-    /// One device's fixed-point SecAgg field vector for this shard (the
-    /// masked-contribution payload of a
-    /// [`fl_wire::WireMessage::SecAggUpdate`]).
-    AcceptField {
-        /// The reporting device.
-        device: DeviceId,
-        /// Fixed-point field coordinates (mod the SecAgg prime).
-        field: Vec<u64>,
-        /// The device's example count (FedAvg weight).
-        weight: u64,
-    },
+    /// One device's [`fl_wire::WireMessage::UpdateReport`] for this
+    /// shard: the payload is its codec-encoded update.
+    Accept(ForwardedReport),
+    /// One device's [`fl_wire::WireMessage::SecAggReport`] for this
+    /// shard: the payload is its fixed-point field vector, one
+    /// little-endian `u64` coordinate per model parameter.
+    AcceptField(ForwardedReport),
     /// Close the shard: run SecAgg (when enabled) minus the staged
     /// dropouts and reply with the intermediate accumulator — or the
     /// typed [`ShardError`] if the group fell below threshold. The actor
@@ -593,27 +618,28 @@ impl Actor for AggregatorActor {
 
     fn handle(&mut self, msg: ShardMsg, _ctx: &mut ActorContext<ShardMsg>) -> Flow {
         match msg {
-            ShardMsg::Accept {
-                device,
-                update_bytes,
-                weight,
-            } => {
-                if let Some(shard) = &mut self.shard {
+            ShardMsg::Accept(report) => {
+                if let (Some(shard), Some(update)) =
+                    (&mut self.shard, report.frame.get(report.payload))
+                {
                     // A malformed update is dropped at the shard, exactly
                     // as a decode failure inside one Aggregator loses that
                     // device's contribution without failing the round.
-                    let _ = shard.accept(device, &update_bytes, weight);
+                    let _ = shard.accept(report.device, update, report.weight);
                 }
                 Flow::Continue
             }
-            ShardMsg::AcceptField {
-                device,
-                field,
-                weight,
-            } => {
-                if let Some(shard) = &mut self.shard {
+            ShardMsg::AcceptField(report) => {
+                if let (Some(shard), Some(field)) =
+                    (&mut self.shard, report.frame.get(report.payload))
+                {
                     // Same drop-not-crash semantics as Accept.
-                    let _ = shard.accept_field(device, &field, weight);
+                    let coordinates = field.as_chunks::<8>().0;
+                    let _ = shard.stage_field(
+                        report.device,
+                        coordinates.iter().map(|c| u64::from_le_bytes(*c)),
+                        report.weight,
+                    );
                 }
                 Flow::Continue
             }
@@ -644,13 +670,16 @@ impl Actor for AggregatorActor {
 /// and dies with its master.)
 #[derive(Debug)]
 pub enum MasterMsg {
-    /// A framed [`fl_wire::WireMessage::ShardUpdate`] (clear bytes) or
-    /// [`fl_wire::WireMessage::SecAggUpdate`] (fixed-point field
-    /// vector): one device's contribution, routed to the device's shard.
-    /// Frames that fail to decode lose that contribution, never the
-    /// round.
+    /// One device's contribution: the device's own verified
+    /// [`fl_wire::WireMessage::UpdateReport`] (clear bytes) or
+    /// [`fl_wire::WireMessage::SecAggReport`] (fixed-point field vector)
+    /// frame, forwarded by the Coordinator once its ledger accepted it —
+    /// the upload is not re-encoded for this hop. The Master verifies
+    /// the frame again at its own boundary and routes it, moved, to the
+    /// device's shard. A frame that does not open as a report loses that
+    /// contribution, never the round.
     Update {
-        /// The encoded frame.
+        /// The device's report frame.
         frame: Vec<u8>,
     },
     /// A framed [`fl_wire::WireMessage::ShardFinalize`] (plain, or
@@ -758,35 +787,24 @@ impl Actor for MasterAggregatorActor {
     fn handle(&mut self, msg: MasterMsg, ctx: &mut ActorContext<MasterMsg>) -> Flow {
         match msg {
             MasterMsg::Update { frame } => {
-                // A frame that is not a well-formed update loses that
+                // A frame that is not a well-formed report loses that
                 // device's contribution — the same semantics as a decode
                 // failure inside an Aggregator (Sec. 4.2), never a panic.
-                let (device, accept) = match fl_wire::decode(&frame) {
-                    Ok(fl_wire::WireMessage::ShardUpdate {
-                        device,
-                        update_bytes,
-                        weight,
-                    }) => (
-                        device,
-                        ShardMsg::Accept {
-                            device,
-                            update_bytes,
-                            weight,
-                        },
-                    ),
-                    Ok(fl_wire::WireMessage::SecAggUpdate {
-                        device,
-                        field_vector,
-                        weight,
-                    }) => (
-                        device,
-                        ShardMsg::AcceptField {
-                            device,
-                            field: field_vector,
-                            weight,
-                        },
-                    ),
-                    _ => return Flow::Continue,
+                let Ok(report) = ReportRef::parse(&frame) else {
+                    return Flow::Continue;
+                };
+                let device = report.device;
+                let masked = matches!(report.payload, ReportPayload::Field(_));
+                let forwarded = ForwardedReport {
+                    device,
+                    weight: report.weight,
+                    payload: report.payload_span(),
+                    frame,
+                };
+                let accept = if masked {
+                    ShardMsg::AcceptField(forwarded)
+                } else {
+                    ShardMsg::Accept(forwarded)
                 };
                 self.forwarded += 1;
                 let count = self.shards.len().max(1);
@@ -922,6 +940,7 @@ impl Actor for MasterAggregatorActor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fl_ml::optim::WeightedUpdate;
 
     fn encode(update: &[f32], codec: CodecSpec) -> Vec<u8> {
         codec.build().encode(update)
@@ -1295,10 +1314,15 @@ mod tests {
             let update: Vec<f32> = (0..dim).map(|d| (i as f32) * 0.1 + d as f32).collect();
             actor
                 .send(MasterMsg::Update {
-                    frame: fl_wire::encode(&fl_wire::WireMessage::ShardUpdate {
+                    frame: fl_wire::encode(&fl_wire::WireMessage::UpdateReport {
                         device: DeviceId(i),
+                        round: fl_core::RoundId(1),
+                        attempt: 1,
                         update_bytes: encode(&update, codec),
                         weight: i + 1,
+                        loss: 0.5,
+                        accuracy: 0.5,
+                        population: "pop".into(),
                     })
                     .expect("test frame encodes"),
                 })
@@ -1389,9 +1413,9 @@ mod tests {
         assert_eq!(panicked, vec!["master/agg-1".to_string()]);
     }
 
-    /// Drives a SecAgg round through the actor tree on `SecAggUpdate` /
-    /// `SecAggFinalize` frames and returns every reply frame (abort
-    /// announcements, then the merged result).
+    /// Drives a SecAgg round through the actor tree on forwarded
+    /// `SecAggReport` frames and a `SecAggFinalize`, and returns every
+    /// reply frame (abort announcements, then the merged result).
     fn drive_secagg_master_actor(
         system: &ActorSystem,
         share_dropouts: Vec<DeviceId>,
@@ -1410,10 +1434,15 @@ mod tests {
             let field_vector = encoder.encode(&vec![0.5f32; dim]).unwrap();
             actor
                 .send(MasterMsg::Update {
-                    frame: fl_wire::encode(&fl_wire::WireMessage::SecAggUpdate {
+                    frame: fl_wire::encode(&fl_wire::WireMessage::SecAggReport {
                         device: DeviceId(i),
+                        round: fl_core::RoundId(1),
+                        attempt: 1,
                         field_vector,
                         weight: 2,
+                        loss: 0.5,
+                        accuracy: 0.5,
+                        population: "pop".into(),
                     })
                     .expect("test frame encodes"),
                 })

@@ -431,26 +431,14 @@ impl ActiveRound {
         loss: f64,
         accuracy: f64,
     ) -> Result<ReportResponse, CoreError> {
-        let response = self.state.on_report(device, now_ms);
-        // Upload bandwidth is spent whether or not the server keeps it.
-        if !update_bytes.is_empty() {
-            self.traffic_delta
-                .record(TrafficKind::Update, update_bytes.len());
-        }
-        self.traffic_delta.record(TrafficKind::Metrics, 32);
-        if response == ReportResponse::Accepted {
-            if self.task.kind == TaskKind::Training && !self.external_aggregation {
-                self.master
-                    .as_mut()
-                    .ok_or_else(|| {
-                        CoreError::InvariantViolated("training round has no aggregator".into())
-                    })?
-                    .accept(device, update_bytes, weight)?;
-            }
-            self.loss_summary.push(loss);
-            self.accuracy_summary.push(accuracy);
-        }
-        Ok(response)
+        self.account_report(
+            device,
+            now_ms,
+            update_bytes.len(),
+            loss,
+            accuracy,
+            |master| master.accept(device, update_bytes, weight),
+        )
     }
 
     /// A device reports through the SecAgg path: `field` is its
@@ -473,22 +461,62 @@ impl ActiveRound {
         loss: f64,
         accuracy: f64,
     ) -> Result<ReportResponse, CoreError> {
+        self.account_report(device, now_ms, field.len() * 8, loss, accuracy, |master| {
+            master.accept_field(device, field, weight)
+        })
+    }
+
+    /// The accounting of a report whose payload is folded elsewhere: the
+    /// round's master was detached ([`ActiveRound::detach_master`]) and
+    /// the caller forwards the `payload_bytes`-long upload (plain or
+    /// SecAgg alike) to it untouched. Verdict, traffic and metrics are
+    /// exactly those of [`ActiveRound::on_report`] /
+    /// [`ActiveRound::on_secagg_report`].
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::InvariantViolated`] if an accepted training report
+    /// arrives here while the round still owns its master: nothing would
+    /// fold it.
+    pub fn on_forwarded_report(
+        &mut self,
+        device: DeviceId,
+        now_ms: u64,
+        payload_bytes: usize,
+        loss: f64,
+        accuracy: f64,
+    ) -> Result<ReportResponse, CoreError> {
+        self.account_report(device, now_ms, payload_bytes, loss, accuracy, |_| {
+            Err(CoreError::InvariantViolated(
+                "report forwarded past a master that was never detached".into(),
+            ))
+        })
+    }
+
+    /// The one report path: the state machine's verdict, the upload's
+    /// traffic, and for an accepted report the inline `fold` into the
+    /// master (training rounds that still own theirs) and its metrics.
+    fn account_report(
+        &mut self,
+        device: DeviceId,
+        now_ms: u64,
+        payload_bytes: usize,
+        loss: f64,
+        accuracy: f64,
+        fold: impl FnOnce(&mut MasterAggregator) -> Result<(), CoreError>,
+    ) -> Result<ReportResponse, CoreError> {
         let response = self.state.on_report(device, now_ms);
-        // Upload bandwidth is spent whether or not the server keeps it:
-        // 8 bytes per field coordinate.
-        if !field.is_empty() {
+        // Upload bandwidth is spent whether or not the server keeps it.
+        if payload_bytes > 0 {
             self.traffic_delta
-                .record(TrafficKind::Update, field.len() * 8);
+                .record(TrafficKind::Update, payload_bytes);
         }
         self.traffic_delta.record(TrafficKind::Metrics, 32);
         if response == ReportResponse::Accepted {
             if self.task.kind == TaskKind::Training && !self.external_aggregation {
-                self.master
-                    .as_mut()
-                    .ok_or_else(|| {
-                        CoreError::InvariantViolated("training round has no aggregator".into())
-                    })?
-                    .accept_field(device, field, weight)?;
+                fold(self.master.as_mut().ok_or_else(|| {
+                    CoreError::InvariantViolated("training round has no aggregator".into())
+                })?)?;
             }
             self.loss_summary.push(loss);
             self.accuracy_summary.push(accuracy);

@@ -17,6 +17,13 @@
 //! [`crate::topology`], shared with the `fl-sim` chaos and overload
 //! harnesses.
 //!
+//! Bytes are moved, not re-made. A round's Configuration frame is
+//! encoded once and sent to every participant; a report frame is opened
+//! where it lies ([`fl_wire::ReportRef`]: envelope and digest verified,
+//! payload borrowed) for the at-most-once ledger and the round's
+//! accounting, and an accepted one travels on to the Master Aggregator
+//! as it arrived — the device's verified frame, forwarded.
+//!
 //! This module is deliberately thin: all protocol decisions live in the
 //! deterministic state machines; actors only move messages and time.
 
@@ -31,7 +38,9 @@ use fl_core::plan::FlPlan;
 use fl_core::population::{TaskGroup, TaskKind};
 use fl_core::{CoreError, DeviceId, PopulationName, RoundId, RoundOutcome};
 use std::collections::BTreeMap;
-use fl_wire::{ChannelTransport, Transport, WireError, WireMessage, WireSink, WireStats};
+use fl_wire::{
+    ChannelTransport, ReportRef, Transport, WireError, WireMessage, WireSink, WireStats,
+};
 use crossbeam::channel::{unbounded, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -114,7 +123,16 @@ pub struct CoordinatorActor<S: CheckpointStore + Send + 'static = InMemoryCheckp
     /// finalize are recorded here alongside the Selector layer's
     /// accept/shed counters.
     telemetry: Option<SharedOverloadMetrics>,
+    /// The connection of every device selected into the current round,
+    /// for its Configuration. Cleared at round completion: a held sink
+    /// pins the device's channel.
     device_replies: std::collections::HashMap<DeviceId, WireSink>,
+    /// The current round's Configuration frame — plan, checkpoint and
+    /// population are the same for every participant, so it is encoded
+    /// once (on first use) and those bytes are sent to each of them.
+    /// Empty until then and again once the round completes; the buffer
+    /// is kept across rounds.
+    configuration: Vec<u8>,
     /// At-most-once report ledger: the final ack decision for every
     /// `(device, round, attempt)` key seen this round. A retried upload
     /// whose key is already here (its first ack was lost on the wire)
@@ -226,6 +244,7 @@ impl<S: CheckpointStore + Send + 'static> CoordinatorActor<S> {
             master: None,
             telemetry: None,
             device_replies: std::collections::HashMap::new(),
+            configuration: Vec::new(),
             report_acks: std::collections::HashMap::new(),
             // fl-lint: allow(wall-clock): the live topology stamps protocol
             // events with real elapsed time; the deterministic state
@@ -365,8 +384,8 @@ impl<S: CheckpointStore + Send + 'static> CoordinatorActor<S> {
         let frame = if round.task.secagg_group_size.is_some() {
             fl_wire::encode(&WireMessage::SecAggFinalize {
                 current_params: round.checkpoint.params().to_vec(),
-                // One SecAggUpdate frame was streamed per accepted
-                // report; the master holds its shards open until all of
+                // One report frame was forwarded per accepted report;
+                // the master holds its shards open until all of
                 // them are staged, so a masked contribution overtaken
                 // in delivery by this finalize cannot vanish from the
                 // sum (or strand its group below threshold).
@@ -411,24 +430,31 @@ impl<S: CheckpointStore + Send + 'static> CoordinatorActor<S> {
         }
     }
 
-    /// Send the Configuration download — one framed
-    /// [`WireMessage::PlanAndCheckpoint`] per participant — once the
-    /// round enters Reporting.
-    fn push_configuration(&mut self) {
+    /// Sends the round's Configuration download — the framed
+    /// [`WireMessage::PlanAndCheckpoint`] — to `only` that participant
+    /// (a re-send) or to all of them, if the round is in Reporting. The
+    /// frame is encoded on first use in a round and the same bytes go to
+    /// every participant and every re-send.
+    fn send_configuration(&mut self, only: Option<DeviceId>) {
         let Some(round) = &self.active else { return };
         if round.state.phase() != crate::round::Phase::Reporting {
             return;
         }
-        let plan = round.plan.clone();
-        let checkpoint = round.checkpoint.clone();
-        let population = self.population();
-        for d in round.state.participants() {
-            if let Some(conn) = self.device_replies.get(&d) {
-                let _ = conn.send(&WireMessage::PlanAndCheckpoint {
-                    plan: Box::new(plan.clone()),
-                    checkpoint: Box::new(checkpoint.clone()),
-                    population: population.clone(),
-                });
+        if self.configuration.is_empty() {
+            let message = WireMessage::PlanAndCheckpoint {
+                plan: Box::new(round.plan.clone()),
+                checkpoint: Box::new(round.checkpoint.clone()),
+                population: self.coordinator.population().clone(),
+            };
+            // The only encode failure is an over-long population name;
+            // nobody is then sent anything, as when each send failed.
+            if fl_wire::encode_into(&message, &mut self.configuration).is_err() {
+                return;
+            }
+        }
+        for device in only.map_or_else(|| round.state.participants(), |device| vec![device]) {
+            if let Some(conn) = self.device_replies.get(&device) {
+                let _ = conn.send_frame(&self.configuration);
             }
         }
     }
@@ -449,7 +475,7 @@ impl<S: CheckpointStore + Send + 'static> Actor for CoordinatorActor<S> {
                         CheckinResponse::Selected => {
                             self.device_replies.insert(device, conn);
                             if was_selecting {
-                                self.push_configuration();
+                                self.send_configuration(None);
                             }
                         }
                         CheckinResponse::AlreadySelected => {
@@ -458,18 +484,7 @@ impl<S: CheckpointStore + Send + 'static> Actor for CoordinatorActor<S> {
                             // the configuration if the round already has
                             // one.
                             self.device_replies.insert(device, conn);
-                            if round.state.phase() == crate::round::Phase::Reporting {
-                                let plan = round.plan.clone();
-                                let checkpoint = round.checkpoint.clone();
-                                let population = self.coordinator.population().clone();
-                                if let Some(c) = self.device_replies.get(&device) {
-                                    let _ = c.send(&WireMessage::PlanAndCheckpoint {
-                                        plan: Box::new(plan),
-                                        checkpoint: Box::new(checkpoint),
-                                        population,
-                                    });
-                                }
-                            }
+                            self.send_configuration(Some(device));
                         }
                         CheckinResponse::NotSelecting => {
                             // Pace-steered rejection: suggest the next
@@ -492,116 +507,58 @@ impl<S: CheckpointStore + Send + 'static> Actor for CoordinatorActor<S> {
                 Flow::Continue
             }
             CoordMsg::Report { frame, conn } => {
-                // Decode at the wire boundary; a frame that is neither an
-                // `UpdateReport` nor a `SecAggReport` (stream desync,
-                // protocol drift, byte rot) is answered with a rejecting
-                // ack rather than a panic, and counted as corrupt. Valid
-                // reports pass through the at-most-once ledger before any
-                // accounting.
+                // Open the frame at the wire boundary — envelope and
+                // digest verified, payload left where it lies. A frame
+                // that is neither an `UpdateReport` nor a `SecAggReport`
+                // (stream desync, protocol drift, byte rot) is answered
+                // with a rejecting ack rather than a panic, and counted
+                // as corrupt. Valid reports pass through the
+                // at-most-once ledger before any accounting.
                 let now = self.now_ms();
-                let own_population = self.population();
-                let ack = match fl_wire::decode(&frame) {
-                    Ok(WireMessage::UpdateReport {
-                        round,
-                        attempt,
-                        population,
-                        ..
-                    }) if population != own_population => {
-                        self.refuse_foreign_report(now, round, attempt, population)
+                let ack = match ReportRef::parse(&frame) {
+                    Ok(report) if report.population != self.coordinator.population().as_str() => {
+                        self.refuse_foreign_report(
+                            now,
+                            report.round,
+                            report.attempt,
+                            PopulationName::from(report.population),
+                        )
                     }
-                    Ok(WireMessage::SecAggReport {
-                        round,
-                        attempt,
-                        population,
-                        ..
-                    }) if population != own_population => {
-                        self.refuse_foreign_report(now, round, attempt, population)
-                    }
-                    Ok(WireMessage::UpdateReport {
+                    Ok(ReportRef {
                         device,
                         round,
                         attempt,
-                        update_bytes,
-                        weight,
                         loss,
                         accuracy,
+                        payload,
                         ..
-                    }) => self.admit_report(now, (device, round, attempt), |actor| {
-                        if let Some(active) = &mut actor.active {
+                    }) => {
+                        let payload_bytes = payload.len_bytes();
+                        self.admit_report(now, (device, round, attempt), |actor| {
                             // The round does the protocol accounting
                             // (participant check, lateness, goal count,
-                            // session logs); accepted bytes stream on to
-                            // the round's Aggregator shard via the Master
-                            // Aggregator subtree as a framed `ShardUpdate`.
-                            match active.on_report(
-                                device,
-                                now,
-                                &update_bytes,
-                                weight,
-                                loss,
-                                accuracy,
-                            ) {
-                                Ok(ReportResponse::Accepted) => {
-                                    if let Some(master) = &actor.master {
-                                        let _ = master.send(MasterMsg::Update {
-                                            frame: fl_wire::encode(&WireMessage::ShardUpdate {
-                                                device,
-                                                update_bytes,
-                                                weight,
-                                            })
-                                            .unwrap_or_default(),
-                                        });
-                                    }
-                                    true
-                                }
-                                _ => false,
+                            // session logs); an accepted report's own
+                            // frame moves on to the Master Aggregator
+                            // subtree, which folds the payload (clear
+                            // bytes, or field coordinates that stay in
+                            // the field) on the device's shard.
+                            let accepted = actor.active.as_mut().is_some_and(|active| {
+                                let verdict = active.on_forwarded_report(
+                                    device,
+                                    now,
+                                    payload_bytes,
+                                    loss,
+                                    accuracy,
+                                );
+                                matches!(verdict, Ok(ReportResponse::Accepted))
+                            });
+                            if let (true, Some(master)) = (accepted, &actor.master) {
+                                let _ = master.send(MasterMsg::Update { frame });
                             }
-                        } else {
-                            false
-                        }
-                    }),
-                    Ok(WireMessage::SecAggReport {
-                        device,
-                        round,
-                        attempt,
-                        field_vector,
-                        weight,
-                        loss,
-                        accuracy,
-                        ..
-                    }) => self.admit_report(now, (device, round, attempt), |actor| {
-                        if let Some(active) = &mut actor.active {
-                            // Masked contributions take the same accounting
-                            // path but stay in the field: the shard sums
-                            // them without ever seeing a cleartext update.
-                            match active.on_secagg_report(
-                                device,
-                                now,
-                                &field_vector,
-                                weight,
-                                loss,
-                                accuracy,
-                            ) {
-                                Ok(ReportResponse::Accepted) => {
-                                    if let Some(master) = &actor.master {
-                                        let _ = master.send(MasterMsg::Update {
-                                            frame: fl_wire::encode(&WireMessage::SecAggUpdate {
-                                                device,
-                                                field_vector,
-                                                weight,
-                                            })
-                                            .unwrap_or_default(),
-                                        });
-                                    }
-                                    true
-                                }
-                                _ => false,
-                            }
-                        } else {
-                            false
-                        }
-                    }),
-                    _ => {
+                            accepted
+                        })
+                    }
+                    Err(_) => {
                         // No key to echo: the device's retry discipline
                         // treats the rejecting ack as a refusal and backs
                         // off.
@@ -612,7 +569,7 @@ impl<S: CheckpointStore + Send + 'static> Actor for CoordinatorActor<S> {
                             accepted: false,
                             round: RoundId(0),
                             attempt: 0,
-                            population: own_population,
+                            population: self.population(),
                         }
                     }
                 };
@@ -641,7 +598,7 @@ impl<S: CheckpointStore + Send + 'static> Actor for CoordinatorActor<S> {
                     false
                 };
                 if newly_configured {
-                    self.push_configuration();
+                    self.send_configuration(None);
                 }
                 Flow::Continue
             }
@@ -653,8 +610,12 @@ impl<S: CheckpointStore + Send + 'static> Actor for CoordinatorActor<S> {
                 if let Some(mut round) = if finished { self.active.take() } else { None } {
                     // The round's report keys die with it; a straggler
                     // retry from a completed round re-evaluates against
-                    // no active round and is refused.
+                    // no active round and is refused. So do its reply
+                    // routes (every entry was inserted by a check-in this
+                    // round selected) and its Configuration frame.
                     self.report_acks.clear();
+                    self.device_replies.clear();
+                    self.configuration.clear();
                     round.record_participation_metrics();
                     let master = self.master.take();
                     let committed = round.state.outcome().is_some_and(|o| o.is_committed());
@@ -760,7 +721,7 @@ pub enum SelectorMsg {
 /// [`OverloadMetrics`].
 ///
 /// Multi-tenancy (Sec. 2.1): check-ins are demultiplexed by the
-/// [`PopulationName`] carried in every v3 `CheckinRequest` and forwarded
+/// [`PopulationName`] carried in every `CheckinRequest` and forwarded
 /// to the Coordinator that owns the population. The routing table and
 /// the [`Selector`]'s registered populations are the same set by
 /// construction, so an accepted device always has a route; a name
@@ -920,7 +881,7 @@ impl Actor for SelectorActor {
 pub struct DeviceConn {
     device: DeviceId,
     /// Population this connection checks in under and stamps on every
-    /// report (v3 multi-tenant wire contract).
+    /// report (the multi-tenant wire contract).
     population: PopulationName,
     client: ChannelTransport,
     gateway: ChannelTransport,
@@ -1455,6 +1416,151 @@ mod tests {
         assert_eq!(dupes, 1.0);
 
         topology.shutdown();
+        system.join();
+    }
+
+    /// A Coordinator on its own (no Selector layer): the tests below play
+    /// the Selector by sending `DeviceForwarded` themselves.
+    fn spawn_coordinator(
+        system: &ActorSystem,
+        population: &str,
+        round: RoundConfig,
+    ) -> ActorRef<CoordMsg> {
+        let task = FlTask::training("t", population).with_round(round);
+        let plan = FlPlan::standard_training(spec(), 1, 8, 0.1, CodecSpec::Identity);
+        let coordinator = CoordinatorActor::new(
+            CoordinatorConfig::new(population, 7),
+            TaskGroup::new(vec![task], TaskSelectionStrategy::Single),
+            vec![plan],
+            vec![0.0; spec().num_params()],
+            LockingService::new(),
+        );
+        system.spawn(format!("coordinator-{population}"), coordinator)
+    }
+
+    /// Forwards `device` over a fresh connection whose only surviving
+    /// server-side handle is the sink the Coordinator keeps.
+    fn forward(coordinator: &ActorRef<CoordMsg>, device: u64) -> ChannelTransport {
+        let (client, gateway) = ChannelTransport::pair();
+        coordinator
+            .send(CoordMsg::DeviceForwarded {
+                device: DeviceId(device),
+                conn: gateway.sink(),
+            })
+            .unwrap();
+        client
+    }
+
+    fn report_frame(device: u64, round: RoundId, population: &str) -> Vec<u8> {
+        fl_wire::encode(&WireMessage::UpdateReport {
+            device: DeviceId(device),
+            round,
+            attempt: 1,
+            update_bytes: CodecSpec::Identity
+                .build()
+                .encode(&vec![0.25f32; spec().num_params()]),
+            weight: 4,
+            loss: 0.5,
+            accuracy: 0.8,
+            population: population.into(),
+        })
+        .expect("test frame encodes")
+    }
+
+    /// Sends `frame` as a report and returns the ack's `accepted`.
+    fn report(coordinator: &ActorRef<CoordMsg>, frame: Vec<u8>) -> bool {
+        let (client, gateway) = ChannelTransport::pair();
+        coordinator
+            .send(CoordMsg::Report {
+                frame,
+                conn: gateway.sink(),
+            })
+            .unwrap();
+        match client.recv_timeout(Duration::from_secs(5)).unwrap() {
+            WireMessage::ReportAck { accepted, .. } => accepted,
+            other => panic!("expected an ack, got {other:?}"),
+        }
+    }
+
+    /// The reply routes die with the round. A kept sink pins its
+    /// device's channel open, so the device end reads "nothing yet"
+    /// while the Coordinator holds it and "closed" once it let go —
+    /// after a committed and after an abandoned round alike — and a
+    /// retry that arrives after its round finished is still refused.
+    #[test]
+    fn finished_round_releases_every_reply_route() {
+        let system = ActorSystem::new();
+        let wait = Duration::from_secs(5);
+
+        let committed = spawn_coordinator(&system, "pop-routes", quick_round(2));
+        let clients = [forward(&committed, 0), forward(&committed, 1)];
+        let mut key = RoundId(0);
+        for client in &clients {
+            match client.recv_timeout(wait).unwrap() {
+                WireMessage::PlanAndCheckpoint { checkpoint, .. } => key = checkpoint.round,
+                other => panic!("expected the configuration, got {other:?}"),
+            }
+        }
+        for device in 0..2 {
+            assert!(report(&committed, report_frame(device, key, "pop-routes")));
+        }
+        for client in &clients {
+            assert_eq!(client.try_recv().unwrap(), None, "route dropped mid-round");
+        }
+        let outcome = crate::topology::complete_round(&committed, 50).unwrap();
+        assert!(outcome.is_committed());
+        for client in &clients {
+            assert_eq!(client.recv_timeout(wait).unwrap_err(), WireError::Closed);
+        }
+        assert!(
+            !report(&committed, report_frame(0, key, "pop-routes")),
+            "a retry from a finished round was accepted"
+        );
+
+        // One of two devices shows up; selection times out.
+        let short = RoundConfig {
+            selection_timeout_ms: 40,
+            ..quick_round(2)
+        };
+        let abandoned = spawn_coordinator(&system, "pop-routes-abandoned", short);
+        let lonely = forward(&abandoned, 0);
+        assert_eq!(lonely.try_recv().unwrap(), None);
+        let outcome = crate::topology::complete_round(&abandoned, 50).unwrap();
+        assert!(!outcome.is_committed());
+        assert_eq!(lonely.recv_timeout(wait).unwrap_err(), WireError::Closed);
+
+        for coordinator in [committed, abandoned] {
+            coordinator.send(CoordMsg::Shutdown).unwrap();
+        }
+        system.join();
+    }
+
+    /// The Configuration is encoded once a round. All twenty
+    /// participants, and a participant that checks in again, are sent
+    /// the same bytes, and they are the bytes a per-device `encode` of
+    /// the message would have produced.
+    #[test]
+    fn every_participant_is_sent_the_same_configuration_frame() {
+        let system = ActorSystem::new();
+        let wait = Duration::from_secs(5);
+        let coordinator = spawn_coordinator(&system, "pop-fanout", quick_round(20));
+        let mut clients: Vec<ChannelTransport> = (0..20)
+            .map(|device| forward(&coordinator, device))
+            .collect();
+        clients.push(forward(&coordinator, 7));
+
+        let frames: Vec<Vec<u8>> = clients
+            .iter()
+            .map(|client| client.recv_frame_timeout(wait).unwrap())
+            .collect();
+        let message = fl_wire::decode(&frames[0]).unwrap();
+        assert!(matches!(message, WireMessage::PlanAndCheckpoint { .. }));
+        let per_device = fl_wire::encode(&message).unwrap();
+        for (i, frame) in frames.iter().enumerate() {
+            assert!(*frame == per_device, "participant {i} got different bytes");
+        }
+
+        coordinator.send(CoordMsg::Shutdown).unwrap();
         system.join();
     }
 

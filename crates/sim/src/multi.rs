@@ -222,7 +222,7 @@ pub struct MultiTenantReport {
     /// The configured bound it must stay under.
     pub queue_bound: usize,
     /// Bytes-on-wire counters from the device end: every check-in and
-    /// report crosses the in-memory wire as a framed v3 message carrying
+    /// report crosses the in-memory wire as a framed message carrying
     /// its population.
     pub wire: WireStats,
     /// The per-population accept/shed/retry dashboard panel

@@ -25,11 +25,17 @@ use std::fmt;
 /// `PopulationName` (appended as a `u16` length-prefixed string at the
 /// end of each body), so one Selector can demultiplex check-ins by
 /// population and a Coordinator can refuse cross-tenant reports. v3
-/// frames also end in an integrity trailer: an FNV-1a 64 checksum over
-/// header + body (see [`checksum`]), so in-flight bit rot dies as a
-/// typed [`WireError::ChecksumMismatch`] instead of forging a
-/// decodable frame under a ghost report key.
-pub const PROTOCOL_VERSION: u8 = 3;
+/// frames also end in an integrity trailer: a 64-bit [`checksum`] over
+/// header + body, so in-flight bit rot dies as a typed
+/// [`WireError::ChecksumMismatch`] instead of forging a decodable frame
+/// under a ghost report key.
+///
+/// v4: the trailer's digest changes from byte-serial FNV-1a 64 to the
+/// four-lane, 32-bytes-per-step [`checksum`] (same position, same width,
+/// same typed mismatch), and the Coordinator → Master Aggregator update
+/// messages (tags 7 and 12) are retired: the Master is handed the
+/// device's own report frame, so those tags are reserved, never reused.
+pub const PROTOCOL_VERSION: u8 = 4;
 
 /// Two-byte frame magic ("FW" — framed wire).
 pub const MAGIC: [u8; 2] = *b"FW";
@@ -37,7 +43,7 @@ pub const MAGIC: [u8; 2] = *b"FW";
 /// Fixed header size: magic (2) + version (1) + tag (1) + body length (4).
 pub const HEADER_LEN: usize = 8;
 
-/// Integrity trailer size: the FNV-1a 64 [`checksum`] of header + body,
+/// Integrity trailer size: the [`checksum`] of header + body,
 /// little-endian, appended after the body.
 pub const TRAILER_LEN: usize = 8;
 
@@ -94,8 +100,9 @@ pub enum WireError {
     },
     /// The integrity trailer does not match the header + body bytes —
     /// the frame was mangled in flight. Every single-byte flip is
-    /// guaranteed to land here: each FNV-1a step is a bijection on the
-    /// 64-bit state, so one differing byte always changes the digest.
+    /// guaranteed to land here: each [`checksum`] step is a bijection on
+    /// the state it updates, so one differing byte always changes the
+    /// digest.
     ChecksumMismatch {
         /// The checksum recomputed over the received header + body.
         expected: u64,
@@ -155,15 +162,60 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// FNV-1a 64 over `bytes` — the frame integrity digest. Not
-/// cryptographic (SecAgg handles adversaries; this is against bit rot),
-/// but every step is a bijection on the 64-bit state, so any
-/// single-byte difference is detected with certainty, not probability.
+/// Odd multiplier of the word step (the 64-bit golden-ratio constant).
+const WORD_PRIME: u64 = 0x9E37_79B9_7F4A_7C15;
+/// The FNV-1a 64 prime, for the byte step.
+const BYTE_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// Initial lane states (the fractional bits of √2, √3, √5, √7).
+const LANE_SEEDS: [u64; 4] = [
+    0x6A09_E667_F3BC_C908,
+    0xBB67_AE85_84CA_A73B,
+    0x3C6E_F372_FE94_F82B,
+    0xA54F_F53A_5F1D_36F1,
+];
+
+/// One word step: for a fixed `word` it is a bijection on `state`
+/// (xor, multiplication by an odd constant and a right xor-shift each
+/// are), and for a fixed `state` it is a bijection on `word`.
+#[inline(always)]
+fn mix(state: u64, word: u64) -> u64 {
+    let m = (state ^ word).wrapping_mul(WORD_PRIME);
+    m ^ (m >> 29)
+}
+
+/// The frame integrity digest: 64 bits over `bytes`, read a word at a
+/// time.
+///
+/// Whole 32-byte blocks feed four independent lanes, one little-endian
+/// `u64` each per block, through [`mix`]; the length and then the four
+/// lanes are folded serially into one state through the same step; the
+/// at most 31 remaining bytes follow, whole words through [`mix`] and
+/// the last few bytes FNV-1a style. Not cryptographic (SecAgg handles
+/// adversaries; this is against bit rot), but every step is a bijection
+/// on the state it updates and, for a fixed state, on the input it
+/// absorbs. Two inputs of one length that differ in a single byte
+/// therefore leave the step that absorbs that byte in different states,
+/// every later step keeps them apart, and the digests differ with
+/// certainty, not probability.
 pub fn checksum(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    let (blocks, tail) = bytes.as_chunks::<32>();
+    let mut lanes = LANE_SEEDS;
+    for block in blocks {
+        let (words, _) = block.as_chunks::<8>();
+        for (lane, word) in lanes.iter_mut().zip(words) {
+            *lane = mix(*lane, u64::from_le_bytes(*word));
+        }
+    }
+    let mut h = bytes.len() as u64;
+    for lane in lanes {
+        h = mix(h, lane);
+    }
+    let (words, rest) = tail.as_chunks::<8>();
+    for word in words {
+        h = mix(h, u64::from_le_bytes(*word));
+    }
+    for &b in rest {
+        h = (h ^ u64::from(b)).wrapping_mul(BYTE_PRIME);
     }
     h
 }
@@ -175,16 +227,34 @@ pub fn checksum(bytes: &[u8]) -> u64 {
 /// [`WireError::StringTooLong`] if a string field exceeds the `u16`
 /// length prefix — the encoder refuses rather than silently truncating.
 pub fn encode(msg: &WireMessage) -> Result<Vec<u8>, WireError> {
-    let body = msg.encode_body()?;
-    let mut out = Vec::with_capacity(HEADER_LEN + body.len() + TRAILER_LEN);
+    let mut out = Vec::with_capacity(encoded_len(msg));
+    encode_into(msg, &mut out)?;
+    Ok(out)
+}
+
+/// [`encode`] into a caller-owned buffer, in one pass: `out` is cleared,
+/// then header, body and trailer are written straight into it, so a
+/// connection that keeps its buffer allocates nothing per frame. Returns
+/// the frame length.
+///
+/// # Errors
+///
+/// As [`encode`]; `out` then holds no frame.
+pub fn encode_into(msg: &WireMessage, out: &mut Vec<u8>) -> Result<usize, WireError> {
+    out.clear();
     out.extend_from_slice(&MAGIC);
     out.push(PROTOCOL_VERSION);
     out.push(msg.tag());
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(&body);
-    let digest = checksum(&out);
+    out.extend_from_slice(&[0; 4]);
+    if let Err(e) = msg.write_body(out) {
+        out.clear();
+        return Err(e);
+    }
+    let body_len = (out.len() - HEADER_LEN) as u32;
+    out[4..HEADER_LEN].copy_from_slice(&body_len.to_le_bytes());
+    let digest = checksum(out);
     out.extend_from_slice(&digest.to_le_bytes());
-    Ok(out)
+    Ok(out.len())
 }
 
 /// Size of the frame [`encode`] would produce, without encoding it.
@@ -199,13 +269,8 @@ pub fn encoded_len(msg: &WireMessage) -> usize {
 /// Every [`WireError`] envelope variant, plus [`WireError::TrailingBytes`]
 /// if `frame` continues past the declared body.
 pub fn decode(frame: &[u8]) -> Result<WireMessage, WireError> {
-    let (msg, used) = decode_prefix(frame)?;
-    if used != frame.len() {
-        return Err(WireError::TrailingBytes {
-            extra: frame.len() - used,
-        });
-    }
-    Ok(msg)
+    let (tag, body) = open_exact(frame)?;
+    WireMessage::decode_body(tag, body)
 }
 
 /// Decodes the first frame of `buf`, returning the message and the
@@ -216,29 +281,45 @@ pub fn decode(frame: &[u8]) -> Result<WireMessage, WireError> {
 /// [`WireError::Truncated`] when `buf` holds less than one whole frame;
 /// otherwise the same envelope/body errors as [`decode`].
 pub fn decode_prefix(buf: &[u8]) -> Result<(WireMessage, usize), WireError> {
+    let (tag, body, total) = open_prefix(buf)?;
+    Ok((WireMessage::decode_body(tag, body)?, total))
+}
+
+/// Opens the first frame of `buf`: validates the envelope, verifies the
+/// integrity trailer, and returns `(tag, body, frame length)`. Every
+/// decoder goes through here, so no body byte is trusted before the
+/// digest vouches for it: a bit-flipped frame dies here, not as a
+/// plausible message under a mangled key.
+pub(crate) fn open_prefix(buf: &[u8]) -> Result<(u8, &[u8], usize), WireError> {
     let (tag, body_len) = parse_header(buf)?;
-    let total = HEADER_LEN + body_len + TRAILER_LEN;
-    if buf.len() < total {
+    let content_end = HEADER_LEN + body_len;
+    let total = content_end + TRAILER_LEN;
+    let Some((content, trailer)) = buf
+        .get(..total)
+        .and_then(|frame| frame.split_last_chunk::<TRAILER_LEN>())
+    else {
         return Err(WireError::Truncated {
             needed: total,
             have: buf.len(),
         });
-    }
-    // Verify the integrity trailer before trusting a single body byte:
-    // a bit-flipped frame must die here, not decode into a plausible
-    // message under a mangled key.
-    let content_end = HEADER_LEN + body_len;
-    let expected = checksum(&buf[..content_end]);
-    let found = u64::from_le_bytes(
-        buf[content_end..total]
-            .try_into()
-            .unwrap_or([0; TRAILER_LEN]),
-    );
+    };
+    let expected = checksum(content);
+    let found = u64::from_le_bytes(*trailer);
     if expected != found {
         return Err(WireError::ChecksumMismatch { expected, found });
     }
-    let msg = WireMessage::decode_body(tag, &buf[HEADER_LEN..content_end])?;
-    Ok((msg, total))
+    Ok((tag, &content[HEADER_LEN..], total))
+}
+
+/// [`open_prefix`] for a buffer that must hold exactly one frame.
+pub(crate) fn open_exact(frame: &[u8]) -> Result<(u8, &[u8]), WireError> {
+    let (tag, body, used) = open_prefix(frame)?;
+    if used != frame.len() {
+        return Err(WireError::TrailingBytes {
+            extra: frame.len() - used,
+        });
+    }
+    Ok((tag, body))
 }
 
 /// Reads the message tag of a frame from its header alone, so a gateway
@@ -353,40 +434,51 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// `u32` length-prefixed byte string.
-    pub(crate) fn bytes(&mut self) -> Result<Vec<u8>, WireError> {
+    /// `u32` length-prefixed byte string, borrowed from the body.
+    pub(crate) fn bytes(&mut self) -> Result<&'a [u8], WireError> {
         let n = self.u32()? as usize;
-        Ok(self.take(n)?.to_vec())
+        self.take(n)
     }
 
-    /// `u16` length-prefixed UTF-8 string.
-    pub(crate) fn string(&mut self) -> Result<String, WireError> {
+    /// `u16` length-prefixed UTF-8 string, borrowed from the body.
+    pub(crate) fn str(&mut self) -> Result<&'a str, WireError> {
         let n = self.u16()? as usize;
-        let b = self.take(n)?;
-        String::from_utf8(b.to_vec()).map_err(|_| WireError::Malformed {
+        std::str::from_utf8(self.take(n)?).map_err(|_| WireError::Malformed {
             what: "string is not UTF-8",
         })
     }
 
-    /// `u32` count-prefixed `u64` vector (SecAgg field elements).
-    pub(crate) fn u64s(&mut self) -> Result<Vec<u64>, WireError> {
+    /// `u32` count-prefixed vector of `N`-byte little-endian elements,
+    /// borrowed from the body. The count is checked against the bytes
+    /// present before anything is sized by it.
+    fn elements<const N: usize>(&mut self) -> Result<&'a [[u8; N]], WireError> {
         let n = self.u32()? as usize;
-        let b = self.take(n.checked_mul(8).ok_or(WireError::Malformed {
-            what: "u64 count overflow",
+        let b = self.take(n.checked_mul(N).ok_or(WireError::Malformed {
+            what: "element count overflow",
         })?)?;
-        Ok(b.chunks_exact(8)
-            .map(|c| u64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]))
-            .collect())
+        Ok(b.as_chunks::<N>().0)
+    }
+
+    /// `u32` count-prefixed `u64` vector (SecAgg field elements).
+    pub(crate) fn u64s(&mut self) -> Result<&'a [[u8; 8]], WireError> {
+        self.elements::<8>()
     }
 
     /// `u32` count-prefixed `f32` vector.
     pub(crate) fn f32s(&mut self) -> Result<Vec<f32>, WireError> {
-        let n = self.u32()? as usize;
-        let b = self.take(n.checked_mul(4).ok_or(WireError::Malformed {
-            what: "f32 count overflow",
-        })?)?;
-        Ok(b.chunks_exact(4)
-            .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
+        Ok(self
+            .elements::<4>()?
+            .iter()
+            .map(|c| f32::from_le_bytes(*c))
+            .collect())
+    }
+
+    /// `u32` count-prefixed device-id list.
+    pub(crate) fn devices(&mut self) -> Result<Vec<fl_core::DeviceId>, WireError> {
+        Ok(self
+            .elements::<8>()?
+            .iter()
+            .map(|c| fl_core::DeviceId(u64::from_le_bytes(*c)))
             .collect())
     }
 
@@ -432,19 +524,30 @@ pub(crate) mod put {
         Ok(())
     }
 
+    /// Appends a `u32` count prefix and one `N`-byte little-endian
+    /// element per item, growing `out` once and filling it in bulk.
+    fn elements<T, const N: usize>(out: &mut Vec<u8>, v: &[T], le: impl Fn(&T) -> [u8; N]) {
+        out.extend_from_slice(&(v.len() as u32).to_le_bytes());
+        let start = out.len();
+        out.resize(start + v.len() * N, 0);
+        let (slots, _) = out[start..].as_chunks_mut::<N>();
+        for (slot, x) in slots.iter_mut().zip(v) {
+            *slot = le(x);
+        }
+    }
+
     /// Appends a `u32` count-prefixed `f32` vector.
     pub(crate) fn f32s(out: &mut Vec<u8>, v: &[f32]) {
-        out.extend_from_slice(&(v.len() as u32).to_le_bytes());
-        for x in v {
-            out.extend_from_slice(&x.to_le_bytes());
-        }
+        elements(out, v, |x| x.to_le_bytes());
     }
 
     /// Appends a `u32` count-prefixed `u64` vector (SecAgg field elements).
     pub(crate) fn u64s(out: &mut Vec<u8>, v: &[u64]) {
-        out.extend_from_slice(&(v.len() as u32).to_le_bytes());
-        for x in v {
-            out.extend_from_slice(&x.to_le_bytes());
-        }
+        elements(out, v, |x| x.to_le_bytes());
+    }
+
+    /// Appends a `u32` count-prefixed device-id list.
+    pub(crate) fn devices(out: &mut Vec<u8>, v: &[fl_core::DeviceId]) {
+        elements(out, v, |d| d.0.to_le_bytes());
     }
 }

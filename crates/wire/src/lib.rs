@@ -9,8 +9,10 @@
 //! (Sec. 3, Reporting). This crate is the single definition of that
 //! exchange as bytes on a wire: a [`WireMessage`] enum covering both the
 //! device↔Selector leg and the Selector↔Aggregator shard leg, a
-//! deterministic length-prefixed framed codec ([`encode`] / [`decode`]),
-//! and a [`Transport`] trait with an in-memory channel implementation
+//! deterministic length-prefixed framed codec ([`encode`] / [`decode`],
+//! with [`encode_into`] for a connection that keeps its buffer and
+//! [`ReportRef`] for a server that must key and route an upload without
+//! copying it), and a [`Transport`] trait with an in-memory channel implementation
 //! (tests and discrete-event scenarios — byte-identical per seed) and a
 //! framed-TCP implementation (`examples/live_server.rs`).
 //!
@@ -25,8 +27,13 @@
 //! 3       1     message tag (see `tag`)
 //! 4       4     body length, u32 little-endian (<= MAX_BODY_LEN)
 //! 8       n     body (per-message layout, see DESIGN.md §8)
-//! 8+n     8     FNV-1a 64 checksum of header + body, little-endian
+//! 8+n     8     checksum of header + body, u64 little-endian
 //! ```
+//!
+//! The trailer is the four-lane, word-at-a-time digest defined at
+//! [`checksum`]; a frame is written header → body → trailer into one
+//! buffer, and every decoder verifies the trailer before it trusts a
+//! body byte.
 //!
 //! Decoding rejects, with a typed [`WireError`], every malformed input
 //! class: truncation (of header or body), bad magic, version skew, an
@@ -55,8 +62,8 @@ mod transport;
 
 pub use fault::{FaultScript, FaultStats, FaultyTransport, FrameFault};
 pub use frame::{
-    checksum, decode, decode_prefix, encode, encoded_len, peek_tag, WireError, HEADER_LEN, MAGIC,
-    MAX_BODY_LEN, PROTOCOL_VERSION, TRAILER_LEN,
+    checksum, decode, decode_prefix, encode, encode_into, encoded_len, peek_tag, WireError,
+    HEADER_LEN, MAGIC, MAX_BODY_LEN, PROTOCOL_VERSION, TRAILER_LEN,
 };
-pub use message::{tag, WireMessage};
+pub use message::{tag, ReportPayload, ReportRef, WireMessage};
 pub use transport::{ChannelTransport, TcpTransport, Transport, WireSink, WireStats};

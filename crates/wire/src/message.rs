@@ -34,8 +34,9 @@ pub mod tag {
     pub const UPDATE_REPORT: u8 = 5;
     /// [`crate::WireMessage::ReportAck`]
     pub const REPORT_ACK: u8 = 6;
-    /// [`crate::WireMessage::ShardUpdate`]
-    pub const SHARD_UPDATE: u8 = 7;
+    // 7 is reserved: the v3 `ShardUpdate` (Coordinator → Master
+    // Aggregator), retired at v4 — the Master is handed the device's
+    // own `UpdateReport` frame instead.
     /// [`crate::WireMessage::ShardFinalize`]
     pub const SHARD_FINALIZE: u8 = 8;
     /// [`crate::WireMessage::ShardMerged`]
@@ -44,8 +45,8 @@ pub mod tag {
     pub const SHARD_ABORT: u8 = 10;
     /// [`crate::WireMessage::SecAggReport`]
     pub const SECAGG_REPORT: u8 = 11;
-    /// [`crate::WireMessage::SecAggUpdate`]
-    pub const SECAGG_UPDATE: u8 = 12;
+    // 12 is reserved: the v3 `SecAggUpdate`, retired at v4 like tag 7
+    // (the Master is handed the device's own `SecAggReport` frame).
     /// [`crate::WireMessage::SecAggFinalize`]
     pub const SECAGG_FINALIZE: u8 = 13;
 }
@@ -140,16 +141,6 @@ pub enum WireMessage {
         /// population's upload session on a multi-tenant device).
         population: PopulationName,
     },
-    /// Coordinator → Master Aggregator: stream one device's update into
-    /// the round's aggregation tree (Sec. 4.2).
-    ShardUpdate {
-        /// The contributing device (used for sticky shard routing).
-        device: DeviceId,
-        /// Codec-encoded update.
-        update_bytes: Vec<u8>,
-        /// Update weight.
-        weight: u64,
-    },
     /// Coordinator → Master Aggregator: close the round — merge all
     /// shards over `current_params`, discarding `dropouts`.
     ShardFinalize {
@@ -195,16 +186,6 @@ pub enum WireMessage {
         /// cross-tenant refusal contract as [`WireMessage::UpdateReport`]).
         population: PopulationName,
     },
-    /// Coordinator → Master Aggregator: stream one device's SecAgg
-    /// field vector into the round's aggregation tree (Sec. 4.2 + 6).
-    SecAggUpdate {
-        /// The contributing device (used for sticky shard routing).
-        device: DeviceId,
-        /// The update encoded into `Z_p`.
-        field_vector: Vec<u64>,
-        /// Update weight.
-        weight: u64,
-    },
     /// Coordinator → Master Aggregator: close a SecAgg round — run the
     /// masked protocol per shard with dropouts attributed to the stage
     /// they died at (advertise-stage exclusions are cheap; share-stage
@@ -212,8 +193,8 @@ pub enum WireMessage {
     SecAggFinalize {
         /// The committed global parameters the merge starts from.
         current_params: Vec<f32>,
-        /// How many `SecAggUpdate` frames this finalize covers (the
-        /// count of accepted reports). The master must not close its
+        /// How many forwarded `SecAggReport` frames this finalize covers
+        /// (the count of accepted reports). The master must not close its
         /// shards until it has drained this many updates — without the
         /// barrier, an update overtaken in delivery by the finalize
         /// would silently vanish from the masked sum, or strand a
@@ -236,27 +217,24 @@ impl WireMessage {
             WireMessage::PlanAndCheckpoint { .. } => tag::PLAN_AND_CHECKPOINT,
             WireMessage::UpdateReport { .. } => tag::UPDATE_REPORT,
             WireMessage::ReportAck { .. } => tag::REPORT_ACK,
-            WireMessage::ShardUpdate { .. } => tag::SHARD_UPDATE,
             WireMessage::ShardFinalize { .. } => tag::SHARD_FINALIZE,
             WireMessage::ShardMerged { .. } => tag::SHARD_MERGED,
             WireMessage::ShardAbort => tag::SHARD_ABORT,
             WireMessage::SecAggReport { .. } => tag::SECAGG_REPORT,
-            WireMessage::SecAggUpdate { .. } => tag::SECAGG_UPDATE,
             WireMessage::SecAggFinalize { .. } => tag::SECAGG_FINALIZE,
         }
     }
 
-    /// Encodes the body (everything after the 8-byte header).
+    /// Appends the body (everything after the 8-byte header) to `out`.
     ///
     /// # Errors
     ///
     /// [`WireError::StringTooLong`] for a string field past 65535 bytes.
-    pub(crate) fn encode_body(&self) -> Result<Vec<u8>, WireError> {
-        let mut out = Vec::with_capacity(self.body_len());
+    pub(crate) fn write_body(&self, out: &mut Vec<u8>) -> Result<(), WireError> {
         match self {
             WireMessage::CheckinRequest { device, population } => {
                 out.extend_from_slice(&device.0.to_le_bytes());
-                put::string(&mut out, population.as_str())?;
+                put::string(out, population.as_str())?;
             }
             WireMessage::ComeBackLater {
                 retry_at_ms,
@@ -267,16 +245,17 @@ impl WireMessage {
                 population,
             } => {
                 out.extend_from_slice(&retry_at_ms.to_le_bytes());
-                put::string(&mut out, population.as_str())?;
+                put::string(out, population.as_str())?;
             }
             WireMessage::PlanAndCheckpoint {
                 plan,
                 checkpoint,
                 population,
             } => {
-                encode_plan(&mut out, plan);
-                put::bytes(&mut out, &checkpoint.to_bytes());
-                put::string(&mut out, population.as_str())?;
+                encode_plan(out, plan);
+                out.extend_from_slice(&(checkpoint.encoded_size() as u32).to_le_bytes());
+                checkpoint.write_to(out);
+                put::string(out, population.as_str())?;
             }
             WireMessage::UpdateReport {
                 device,
@@ -288,14 +267,9 @@ impl WireMessage {
                 accuracy,
                 population,
             } => {
-                out.extend_from_slice(&device.0.to_le_bytes());
-                out.extend_from_slice(&round.0.to_le_bytes());
-                out.extend_from_slice(&attempt.to_le_bytes());
-                out.extend_from_slice(&weight.to_le_bytes());
-                out.extend_from_slice(&loss.to_le_bytes());
-                out.extend_from_slice(&accuracy.to_le_bytes());
-                put::bytes(&mut out, update_bytes);
-                put::string(&mut out, population.as_str())?;
+                put_report_head(out, *device, *round, *attempt, *weight, *loss, *accuracy);
+                put::bytes(out, update_bytes);
+                put::string(out, population.as_str())?;
             }
             WireMessage::ReportAck {
                 accepted,
@@ -306,36 +280,24 @@ impl WireMessage {
                 out.push(u8::from(*accepted));
                 out.extend_from_slice(&round.0.to_le_bytes());
                 out.extend_from_slice(&attempt.to_le_bytes());
-                put::string(&mut out, population.as_str())?;
-            }
-            WireMessage::ShardUpdate {
-                device,
-                update_bytes,
-                weight,
-            } => {
-                out.extend_from_slice(&device.0.to_le_bytes());
-                out.extend_from_slice(&weight.to_le_bytes());
-                put::bytes(&mut out, update_bytes);
+                put::string(out, population.as_str())?;
             }
             WireMessage::ShardFinalize {
                 current_params,
                 dropouts,
             } => {
-                put::f32s(&mut out, current_params);
-                out.extend_from_slice(&(dropouts.len() as u32).to_le_bytes());
-                for d in dropouts {
-                    out.extend_from_slice(&d.0.to_le_bytes());
-                }
+                put::f32s(out, current_params);
+                put::devices(out, dropouts);
             }
             WireMessage::ShardMerged { merged } => match merged {
                 Ok((params, contributors)) => {
                     out.push(1);
-                    put::f32s(&mut out, params);
+                    put::f32s(out, params);
                     out.extend_from_slice(&contributors.to_le_bytes());
                 }
                 Err(reason) => {
                     out.push(0);
-                    put::string(&mut out, reason)?;
+                    put::string(out, reason)?;
                 }
             },
             WireMessage::ShardAbort => {}
@@ -349,23 +311,9 @@ impl WireMessage {
                 accuracy,
                 population,
             } => {
-                out.extend_from_slice(&device.0.to_le_bytes());
-                out.extend_from_slice(&round.0.to_le_bytes());
-                out.extend_from_slice(&attempt.to_le_bytes());
-                out.extend_from_slice(&weight.to_le_bytes());
-                out.extend_from_slice(&loss.to_le_bytes());
-                out.extend_from_slice(&accuracy.to_le_bytes());
-                put::u64s(&mut out, field_vector);
-                put::string(&mut out, population.as_str())?;
-            }
-            WireMessage::SecAggUpdate {
-                device,
-                field_vector,
-                weight,
-            } => {
-                out.extend_from_slice(&device.0.to_le_bytes());
-                out.extend_from_slice(&weight.to_le_bytes());
-                put::u64s(&mut out, field_vector);
+                put_report_head(out, *device, *round, *attempt, *weight, *loss, *accuracy);
+                put::u64s(out, field_vector);
+                put::string(out, population.as_str())?;
             }
             WireMessage::SecAggFinalize {
                 current_params,
@@ -373,17 +321,13 @@ impl WireMessage {
                 advertise_dropouts,
                 share_dropouts,
             } => {
-                put::f32s(&mut out, current_params);
+                put::f32s(out, current_params);
                 out.extend_from_slice(&expected_contributors.to_le_bytes());
-                for list in [advertise_dropouts, share_dropouts] {
-                    out.extend_from_slice(&(list.len() as u32).to_le_bytes());
-                    for d in list {
-                        out.extend_from_slice(&d.0.to_le_bytes());
-                    }
-                }
+                put::devices(out, advertise_dropouts);
+                put::devices(out, share_dropouts);
             }
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Body size in bytes, without encoding.
@@ -401,9 +345,8 @@ impl WireMessage {
                 update_bytes,
                 population,
                 ..
-            } => 8 + 8 + 4 + 8 + 8 + 8 + 4 + update_bytes.len() + pop_len(population),
+            } => REPORT_HEAD_LEN + 4 + update_bytes.len() + pop_len(population),
             WireMessage::ReportAck { population, .. } => 1 + 8 + 4 + pop_len(population),
-            WireMessage::ShardUpdate { update_bytes, .. } => 8 + 8 + 4 + update_bytes.len(),
             WireMessage::ShardFinalize {
                 current_params,
                 dropouts,
@@ -417,8 +360,7 @@ impl WireMessage {
                 field_vector,
                 population,
                 ..
-            } => 8 + 8 + 4 + 8 + 8 + 8 + 4 + field_vector.len() * 8 + pop_len(population),
-            WireMessage::SecAggUpdate { field_vector, .. } => 8 + 8 + 4 + field_vector.len() * 8,
+            } => REPORT_HEAD_LEN + 4 + field_vector.len() * 8 + pop_len(population),
             WireMessage::SecAggFinalize {
                 current_params,
                 advertise_dropouts,
@@ -441,112 +383,207 @@ impl WireMessage {
         let msg = match tag_byte {
             tag::CHECKIN_REQUEST => WireMessage::CheckinRequest {
                 device: DeviceId(r.u64()?),
-                population: read_population(&mut r)?,
+                population: read_population(&mut r)?.into(),
             },
             tag::COME_BACK_LATER => WireMessage::ComeBackLater {
                 retry_at_ms: r.u64()?,
-                population: read_population(&mut r)?,
+                population: read_population(&mut r)?.into(),
             },
             tag::SHED => WireMessage::Shed {
                 retry_at_ms: r.u64()?,
-                population: read_population(&mut r)?,
+                population: read_population(&mut r)?.into(),
             },
             tag::PLAN_AND_CHECKPOINT => {
                 let plan = decode_plan(&mut r)?;
-                let blob = r.bytes()?;
-                let checkpoint = FlCheckpoint::from_bytes(&blob).map_err(|_| {
-                    WireError::Malformed {
+                let checkpoint =
+                    FlCheckpoint::from_bytes(r.bytes()?).map_err(|_| WireError::Malformed {
                         what: "embedded checkpoint rejected by its codec",
-                    }
-                })?;
+                    })?;
                 WireMessage::PlanAndCheckpoint {
                     plan: Box::new(plan),
                     checkpoint: Box::new(checkpoint),
-                    population: read_population(&mut r)?,
+                    population: read_population(&mut r)?.into(),
                 }
             }
-            tag::UPDATE_REPORT => WireMessage::UpdateReport {
-                device: DeviceId(r.u64()?),
-                round: RoundId(r.u64()?),
-                attempt: r.u32()?,
-                weight: r.u64()?,
-                loss: r.f64()?,
-                accuracy: r.f64()?,
-                update_bytes: r.bytes()?,
-                population: read_population(&mut r)?,
-            },
+            tag::UPDATE_REPORT | tag::SECAGG_REPORT => {
+                ReportRef::read(tag_byte, &mut r)?.to_message()
+            }
             tag::REPORT_ACK => WireMessage::ReportAck {
                 accepted: r.bool()?,
                 round: RoundId(r.u64()?),
                 attempt: r.u32()?,
-                population: read_population(&mut r)?,
+                population: read_population(&mut r)?.into(),
             },
-            tag::SHARD_UPDATE => WireMessage::ShardUpdate {
-                device: DeviceId(r.u64()?),
-                weight: r.u64()?,
-                update_bytes: r.bytes()?,
+            tag::SHARD_FINALIZE => WireMessage::ShardFinalize {
+                current_params: r.f32s()?,
+                dropouts: r.devices()?,
             },
-            tag::SHARD_FINALIZE => {
-                let current_params = r.f32s()?;
-                let n = r.u32()? as usize;
-                let mut dropouts = Vec::with_capacity(n.min(1 << 20));
-                for _ in 0..n {
-                    dropouts.push(DeviceId(r.u64()?));
-                }
-                WireMessage::ShardFinalize {
-                    current_params,
-                    dropouts,
-                }
-            }
             tag::SHARD_MERGED => {
                 let merged = if r.bool()? {
                     let params = r.f32s()?;
                     let contributors = r.u64()?;
                     Ok((params, contributors))
                 } else {
-                    Err(r.string()?)
+                    Err(r.str()?.to_string())
                 };
                 WireMessage::ShardMerged { merged }
             }
             tag::SHARD_ABORT => WireMessage::ShardAbort,
-            tag::SECAGG_REPORT => WireMessage::SecAggReport {
-                device: DeviceId(r.u64()?),
-                round: RoundId(r.u64()?),
-                attempt: r.u32()?,
-                weight: r.u64()?,
-                loss: r.f64()?,
-                accuracy: r.f64()?,
-                field_vector: r.u64s()?,
-                population: read_population(&mut r)?,
+            tag::SECAGG_FINALIZE => WireMessage::SecAggFinalize {
+                current_params: r.f32s()?,
+                expected_contributors: r.u64()?,
+                advertise_dropouts: r.devices()?,
+                share_dropouts: r.devices()?,
             },
-            tag::SECAGG_UPDATE => WireMessage::SecAggUpdate {
-                device: DeviceId(r.u64()?),
-                weight: r.u64()?,
-                field_vector: r.u64s()?,
-            },
-            tag::SECAGG_FINALIZE => {
-                let current_params = r.f32s()?;
-                let expected_contributors = r.u64()?;
-                let mut lists = [Vec::new(), Vec::new()];
-                for list in &mut lists {
-                    let n = r.u32()? as usize;
-                    list.reserve(n.min(1 << 20));
-                    for _ in 0..n {
-                        list.push(DeviceId(r.u64()?));
-                    }
-                }
-                let [advertise_dropouts, share_dropouts] = lists;
-                WireMessage::SecAggFinalize {
-                    current_params,
-                    expected_contributors,
-                    advertise_dropouts,
-                    share_dropouts,
-                }
-            }
             other => return Err(WireError::UnknownMessage { tag: other }),
         };
         r.finish()?;
         Ok(msg)
+    }
+}
+
+/// Bytes of a report body ahead of its payload: device, round, attempt,
+/// weight, loss, accuracy.
+const REPORT_HEAD_LEN: usize = 8 + 8 + 4 + 8 + 8 + 8;
+
+/// Writes the fields [`UpdateReport`](WireMessage::UpdateReport) and
+/// [`SecAggReport`](WireMessage::SecAggReport) share, in wire order.
+fn put_report_head(
+    out: &mut Vec<u8>,
+    device: DeviceId,
+    round: RoundId,
+    attempt: u32,
+    weight: u64,
+    loss: f64,
+    accuracy: f64,
+) {
+    out.extend_from_slice(&device.0.to_le_bytes());
+    out.extend_from_slice(&round.0.to_le_bytes());
+    out.extend_from_slice(&attempt.to_le_bytes());
+    out.extend_from_slice(&weight.to_le_bytes());
+    out.extend_from_slice(&loss.to_le_bytes());
+    out.extend_from_slice(&accuracy.to_le_bytes());
+}
+
+/// A report's payload, borrowed from its frame.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ReportPayload<'a> {
+    /// The codec-encoded update of a [`WireMessage::UpdateReport`].
+    Update(&'a [u8]),
+    /// The field vector of a [`WireMessage::SecAggReport`]: one
+    /// little-endian `u64` coordinate per element.
+    Field(&'a [[u8; 8]]),
+}
+
+impl ReportPayload<'_> {
+    /// The payload's size on the wire, without its length prefix.
+    pub fn len_bytes(&self) -> usize {
+        match self {
+            ReportPayload::Update(bytes) => bytes.len(),
+            ReportPayload::Field(coords) => coords.len() * 8,
+        }
+    }
+}
+
+/// A verified, borrowed view of a report frame
+/// ([`WireMessage::UpdateReport`] or [`WireMessage::SecAggReport`]): the
+/// scalar fields by value, the payload and population as slices of the
+/// frame. This is the one parser of the report layout — [`crate::decode`]
+/// builds the owned message from it — so a server can key, account and
+/// route a megabyte upload without copying it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ReportRef<'a> {
+    /// The reporting device.
+    pub device: DeviceId,
+    /// The round key from the configuration checkpoint.
+    pub round: RoundId,
+    /// 1-based upload attempt.
+    pub attempt: u32,
+    /// Update weight (number of local examples).
+    pub weight: u64,
+    /// Mean training loss.
+    pub loss: f64,
+    /// Top-1 accuracy.
+    pub accuracy: f64,
+    /// The update itself.
+    pub payload: ReportPayload<'a>,
+    /// The population the report claims (never empty).
+    pub population: &'a str,
+}
+
+impl<'a> ReportRef<'a> {
+    /// Opens `frame` as exactly one report frame. The envelope is
+    /// validated and the integrity trailer verified before any body byte
+    /// is read, with the same typed errors as [`crate::decode`].
+    ///
+    /// # Errors
+    ///
+    /// Every error [`crate::decode`] gives for the same bytes;
+    /// [`WireError::Malformed`] for a sound frame of any other message.
+    pub fn parse(frame: &'a [u8]) -> Result<ReportRef<'a>, WireError> {
+        let (tag_byte, body) = crate::frame::open_exact(frame)?;
+        if !matches!(tag_byte, tag::UPDATE_REPORT | tag::SECAGG_REPORT) {
+            return Err(WireError::Malformed {
+                what: "frame is not a report",
+            });
+        }
+        let mut r = Reader::new(body);
+        let report = ReportRef::read(tag_byte, &mut r)?;
+        r.finish()?;
+        Ok(report)
+    }
+
+    /// Reads a report body; `tag_byte` is one of the two report tags.
+    fn read(tag_byte: u8, r: &mut Reader<'a>) -> Result<ReportRef<'a>, WireError> {
+        Ok(ReportRef {
+            device: DeviceId(r.u64()?),
+            round: RoundId(r.u64()?),
+            attempt: r.u32()?,
+            weight: r.u64()?,
+            loss: r.f64()?,
+            accuracy: r.f64()?,
+            payload: if tag_byte == tag::UPDATE_REPORT {
+                ReportPayload::Update(r.bytes()?)
+            } else {
+                ReportPayload::Field(r.u64s()?)
+            },
+            population: read_population(r)?,
+        })
+    }
+
+    /// Where the payload sits in the frame this view was parsed from, so
+    /// the frame can be handed on whole (moved, not copied) together with
+    /// the span of the bytes to fold.
+    pub fn payload_span(&self) -> std::ops::Range<usize> {
+        let start = crate::frame::HEADER_LEN + REPORT_HEAD_LEN + 4;
+        start..start + self.payload.len_bytes()
+    }
+
+    /// The owned message this view describes.
+    pub fn to_message(&self) -> WireMessage {
+        let population = PopulationName::from(self.population);
+        match self.payload {
+            ReportPayload::Update(bytes) => WireMessage::UpdateReport {
+                device: self.device,
+                round: self.round,
+                attempt: self.attempt,
+                update_bytes: bytes.to_vec(),
+                weight: self.weight,
+                loss: self.loss,
+                accuracy: self.accuracy,
+                population,
+            },
+            ReportPayload::Field(coords) => WireMessage::SecAggReport {
+                device: self.device,
+                round: self.round,
+                attempt: self.attempt,
+                field_vector: coords.iter().map(|c| u64::from_le_bytes(*c)).collect(),
+                weight: self.weight,
+                loss: self.loss,
+                accuracy: self.accuracy,
+                population,
+            },
+        }
     }
 }
 
@@ -558,14 +595,14 @@ fn pop_len(population: &PopulationName) -> usize {
 /// Decodes a population name field. [`PopulationName`] forbids the empty
 /// string, so an empty field is a typed decode error rather than a panic
 /// inside the constructor — a hostile frame never panics the decoder.
-fn read_population(r: &mut Reader<'_>) -> Result<PopulationName, WireError> {
-    let name = r.string()?;
+fn read_population<'a>(r: &mut Reader<'a>) -> Result<&'a str, WireError> {
+    let name = r.str()?;
     if name.is_empty() {
         return Err(WireError::Malformed {
             what: "empty population name",
         });
     }
-    Ok(PopulationName::new(name))
+    Ok(name)
 }
 
 // --- plan codec -----------------------------------------------------------

@@ -15,7 +15,7 @@
 //! cloneable, send-only handle that can ride inside an actor mailbox
 //! message and outlive the request that carried it.
 
-use crate::frame::{decode, encode, parse_header, WireError, HEADER_LEN, TRAILER_LEN};
+use crate::frame::{decode, encode, encode_into, parse_header, WireError, HEADER_LEN, TRAILER_LEN};
 use crate::message::WireMessage;
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender, TryRecvError};
 use fl_race::Site;
@@ -217,17 +217,25 @@ impl ChannelTransport {
     }
 }
 
+/// Queues one owned frame on a channel link and counts it.
+fn channel_send(
+    tx: &Sender<Vec<u8>>,
+    counters: &WireCounters,
+    frame: Vec<u8>,
+) -> Result<usize, WireError> {
+    let n = frame.len();
+    tx.send(frame).map_err(|_| WireError::Closed)?;
+    counters.note_sent(n);
+    Ok(n)
+}
+
 impl Transport for ChannelTransport {
     fn send(&self, msg: &WireMessage) -> Result<usize, WireError> {
-        let frame = encode(msg)?;
-        self.send_frame_bytes(&frame)
+        channel_send(&self.tx, &self.counters, encode(msg)?)
     }
 
     fn send_frame_bytes(&self, frame: &[u8]) -> Result<usize, WireError> {
-        let n = frame.len();
-        self.tx.send(frame.to_vec()).map_err(|_| WireError::Closed)?;
-        self.counters.note_sent(n);
-        Ok(n)
+        channel_send(&self.tx, &self.counters, frame.to_vec())
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Result<WireMessage, WireError> {
@@ -267,24 +275,54 @@ impl Transport for ChannelTransport {
 /// Framed-TCP transport endpoint over a `std::net::TcpStream`.
 ///
 /// Reads and writes each take a site-tagged lock so concurrent callers
-/// keep frame atomicity. Partial-frame reads are *resumable*: a receive
-/// timeout that fires mid-frame parks the bytes read so far in
-/// [`ReadHalf::partial`] and the next call picks up exactly where the
-/// stream left off, so short timeouts are safe as polling intervals. A
-/// frame whose header fails validation poisons the stream position and
-/// is surfaced as the typed envelope error after dropping the buffer —
-/// the caller should treat that as a connection reset.
+/// keep frame atomicity, and each half keeps its buffer: a send encodes
+/// into the write half's buffer under the write lock, a receive decodes
+/// out of the read half's, so a connection allocates per message only
+/// what the message itself owns. Partial-frame reads are *resumable*: a
+/// receive timeout that fires mid-frame leaves the bytes read so far in
+/// [`ReadHalf::buf`] and the next call picks up exactly where the stream
+/// left off, so short timeouts are safe as polling intervals. A frame
+/// whose header fails validation poisons the stream position and is
+/// surfaced as the typed envelope error after dropping the buffered
+/// bytes — the caller should treat that as a connection reset.
 pub struct TcpTransport {
     read: fl_race::Mutex<ReadHalf>,
-    write: Arc<fl_race::Mutex<TcpStream>>,
+    write: Arc<fl_race::Mutex<WriteHalf>>,
     counters: Arc<WireCounters>,
 }
 
-/// The locked read side: the stream plus any prefix of the in-flight
-/// frame already pulled off the socket when a timeout fired.
+/// The locked read side: the stream plus the in-flight frame.
+/// `buf[..filled]` is what has been pulled off the socket so far; the
+/// rest of `buf` is room already sized for the frame's remainder.
 struct ReadHalf {
     stream: TcpStream,
-    partial: Vec<u8>,
+    buf: Vec<u8>,
+    filled: usize,
+}
+
+/// The locked write side: the stream plus the encode buffer every
+/// [`Transport::send`] and [`WireSink::send`] on this connection reuses.
+struct WriteHalf {
+    stream: TcpStream,
+    buf: Vec<u8>,
+}
+
+/// Writes one whole frame to `stream` and counts it.
+fn write_frame(
+    mut stream: &TcpStream,
+    frame: &[u8],
+    counters: &WireCounters,
+) -> Result<usize, WireError> {
+    stream.write_all(frame).map_err(io_err)?;
+    counters.note_sent(frame.len());
+    Ok(frame.len())
+}
+
+impl WriteHalf {
+    fn send(&mut self, msg: &WireMessage, counters: &WireCounters) -> Result<usize, WireError> {
+        encode_into(msg, &mut self.buf)?;
+        write_frame(&self.stream, &self.buf, counters)
+    }
 }
 
 impl fmt::Debug for TcpTransport {
@@ -315,13 +353,17 @@ impl TcpTransport {
     ///
     /// [`WireError::Io`] if the stream cannot be cloned.
     pub fn new(stream: TcpStream) -> Result<TcpTransport, WireError> {
-        let write_half = stream.try_clone().map_err(io_err)?;
+        let write_half = WriteHalf {
+            stream: stream.try_clone().map_err(io_err)?,
+            buf: Vec::new(),
+        };
         Ok(TcpTransport {
             read: fl_race::Mutex::new(
                 TCP_READ_SITE,
                 ReadHalf {
                     stream,
-                    partial: Vec::new(),
+                    buf: Vec::new(),
+                    filled: 0,
                 },
             ),
             write: Arc::new(fl_race::Mutex::new(TCP_WRITE_SITE, write_half)),
@@ -330,7 +372,9 @@ impl TcpTransport {
     }
 
     /// Receives one raw validated frame (header checked, body opaque) —
-    /// the gateway primitive for routing by [`crate::peek_tag`].
+    /// the gateway primitive for routing by [`crate::peek_tag`]. The
+    /// frame leaves with its buffer, so the gateway can move it into a
+    /// mailbox without a copy.
     ///
     /// A timeout mid-frame keeps the bytes read so far; the next call
     /// resumes the same frame (no stream desync). A header that fails
@@ -343,89 +387,87 @@ impl TcpTransport {
     /// [`WireError::Timeout`] / [`WireError::Closed`] / envelope errors.
     pub fn recv_frame_timeout(&self, timeout: Duration) -> Result<Vec<u8>, WireError> {
         let mut half = self.read.lock();
+        let total = self.fill_frame(&mut half, timeout)?;
+        half.buf.truncate(total);
+        Ok(std::mem::take(&mut half.buf))
+    }
+
+    /// Reads until `half.buf[..total]` holds one whole frame whose header
+    /// validates, counts it as received, and returns `total`. The frame
+    /// is the caller's to consume under the same lock: the next read
+    /// starts a new one.
+    fn fill_frame(&self, half: &mut ReadHalf, timeout: Duration) -> Result<usize, WireError> {
         let deadline = Instant::now() + timeout;
         loop {
-            if half.partial.len() < HEADER_LEN {
-                read_into_partial(&mut half, HEADER_LEN, deadline)?;
+            if half.filled < HEADER_LEN {
+                half.read_up_to(HEADER_LEN, deadline)?;
                 continue;
             }
-            let mut header = [0u8; HEADER_LEN];
-            header.copy_from_slice(&half.partial[..HEADER_LEN]);
-            let total = match parse_header(&header) {
+            let total = match parse_header(&half.buf[..HEADER_LEN]) {
                 Ok((_, body_len)) => HEADER_LEN + body_len + TRAILER_LEN,
                 Err(e) => {
                     // Past a bad header the frame boundary is lost for
                     // good: discard and force the caller to reset the
                     // connection.
-                    half.partial.clear();
+                    half.filled = 0;
                     self.counters.note_corrupt();
                     return Err(e);
                 }
             };
-            if half.partial.len() >= total {
-                let frame = std::mem::take(&mut half.partial);
-                self.counters.note_received(frame.len());
-                return Ok(frame);
+            if half.filled >= total {
+                half.filled = 0;
+                self.counters.note_received(total);
+                return Ok(total);
             }
-            read_into_partial(&mut half, total, deadline)?;
+            half.read_up_to(total, deadline)?;
         }
     }
 }
 
-/// Pulls at most `target - partial.len()` bytes into the partial-frame
-/// buffer, honouring `deadline`. Timeout leaves the buffer intact for a
-/// later resume; EOF mid-frame clears it and reports a closed peer.
-fn read_into_partial(
-    half: &mut ReadHalf,
-    target: usize,
-    deadline: Instant,
-) -> Result<(), WireError> {
-    let remaining = deadline.saturating_duration_since(Instant::now());
-    if remaining.is_zero() {
-        return Err(WireError::Timeout);
-    }
-    half.stream
-        .set_read_timeout(Some(remaining.max(Duration::from_millis(1))))
-        .map_err(io_err)?;
-    let filled = half.partial.len();
-    half.partial.resize(target, 0);
-    let (stream, partial) = (&half.stream, &mut half.partial);
-    match { stream }.read(&mut partial[filled..]) {
-        Ok(0) => {
-            half.partial.clear();
-            Err(WireError::Closed)
+impl ReadHalf {
+    /// Pulls at most `target - filled` bytes off the socket, honouring
+    /// `deadline`. The buffer is sized (and zeroed) for `target` once,
+    /// not per read. Timeout leaves the bytes read so far for a later
+    /// resume; EOF mid-frame forgets them and reports a closed peer.
+    fn read_up_to(&mut self, target: usize, deadline: Instant) -> Result<(), WireError> {
+        let remaining = deadline.saturating_duration_since(Instant::now());
+        if remaining.is_zero() {
+            return Err(WireError::Timeout);
         }
-        Ok(n) => {
-            half.partial.truncate(filled + n);
-            Ok(())
+        self.stream
+            .set_read_timeout(Some(remaining.max(Duration::from_millis(1))))
+            .map_err(io_err)?;
+        if self.buf.len() < target {
+            self.buf.resize(target, 0);
         }
-        Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {
-            half.partial.truncate(filled);
-            Ok(())
-        }
-        Err(e) => {
-            half.partial.truncate(filled);
-            Err(io_err(e))
+        match (&self.stream).read(&mut self.buf[self.filled..target]) {
+            Ok(0) => {
+                self.filled = 0;
+                Err(WireError::Closed)
+            }
+            Ok(n) => {
+                self.filled += n;
+                Ok(())
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => Ok(()),
+            Err(e) => Err(io_err(e)),
         }
     }
 }
 
 impl Transport for TcpTransport {
     fn send(&self, msg: &WireMessage) -> Result<usize, WireError> {
-        let frame = encode(msg)?;
-        self.send_frame_bytes(&frame)
+        self.write.lock().send(msg, &self.counters)
     }
 
     fn send_frame_bytes(&self, frame: &[u8]) -> Result<usize, WireError> {
-        let stream = self.write.lock();
-        (&*stream).write_all(frame).map_err(io_err)?;
-        self.counters.note_sent(frame.len());
-        Ok(frame.len())
+        write_frame(&self.write.lock().stream, frame, &self.counters)
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Result<WireMessage, WireError> {
-        let frame = self.recv_frame_timeout(timeout)?;
-        decode(&frame).inspect_err(|_| self.counters.note_corrupt())
+        let mut half = self.read.lock();
+        let total = self.fill_frame(&mut half, timeout)?;
+        decode(&half.buf[..total]).inspect_err(|_| self.counters.note_corrupt())
     }
 
     fn try_recv(&self) -> Result<Option<WireMessage>, WireError> {
@@ -470,7 +512,7 @@ enum SinkInner {
         counters: Arc<WireCounters>,
     },
     Tcp {
-        write: Arc<fl_race::Mutex<TcpStream>>,
+        write: Arc<fl_race::Mutex<WriteHalf>>,
         counters: Arc<WireCounters>,
     },
 }
@@ -505,19 +547,25 @@ impl WireSink {
     pub fn send(&self, msg: &WireMessage) -> Result<usize, WireError> {
         match &self.inner {
             SinkInner::Null => Ok(0),
-            SinkInner::Channel { tx, counters } => {
-                let frame = encode(msg)?;
-                let n = frame.len();
-                tx.send(frame).map_err(|_| WireError::Closed)?;
-                counters.note_sent(n);
-                Ok(n)
-            }
+            SinkInner::Channel { tx, counters } => channel_send(tx, counters, encode(msg)?),
+            SinkInner::Tcp { write, counters } => write.lock().send(msg, counters),
+        }
+    }
+
+    /// Transmits one already-encoded frame verbatim; returns its size.
+    /// This is how one frame reaches many peers for the cost of one
+    /// encode: the Coordinator builds a round's Configuration once and
+    /// every participant is sent those bytes.
+    ///
+    /// # Errors
+    ///
+    /// As [`WireSink::send`].
+    pub fn send_frame(&self, frame: &[u8]) -> Result<usize, WireError> {
+        match &self.inner {
+            SinkInner::Null => Ok(0),
+            SinkInner::Channel { tx, counters } => channel_send(tx, counters, frame.to_vec()),
             SinkInner::Tcp { write, counters } => {
-                let frame = encode(msg)?;
-                let stream = write.lock();
-                (&*stream).write_all(&frame).map_err(io_err)?;
-                counters.note_sent(frame.len());
-                Ok(frame.len())
+                write_frame(&write.lock().stream, frame, counters)
             }
         }
     }

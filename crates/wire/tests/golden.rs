@@ -1,5 +1,6 @@
 //! Golden-bytes fixture: the exact frame bytes of one canonical message
-//! per tag, pinned in `golden_frames.txt`.
+//! per tag, pinned in `golden_frames.txt` (tags 7 and 12 were retired at
+//! protocol v4 and stay reserved, so they have no line).
 //!
 //! If this test fails you changed the wire layout. Changing an
 //! *existing* frame's bytes is only legal together with a
@@ -69,11 +70,6 @@ fn canonical_messages() -> Vec<WireMessage> {
             attempt: 2,
             population: population.clone(),
         },
-        WireMessage::ShardUpdate {
-            device: DeviceId(42),
-            update_bytes: vec![1, 2, 3],
-            weight: 5,
-        },
         WireMessage::ShardFinalize {
             current_params: vec![1.0, 2.0],
             dropouts: vec![DeviceId(9), DeviceId(11)],
@@ -91,11 +87,6 @@ fn canonical_messages() -> Vec<WireMessage> {
             loss: 0.125,
             accuracy: 0.75,
             population,
-        },
-        WireMessage::SecAggUpdate {
-            device: DeviceId(42),
-            field_vector: vec![3, 5, 7],
-            weight: 5,
         },
         WireMessage::SecAggFinalize {
             current_params: vec![1.0, 2.0],

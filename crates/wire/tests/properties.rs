@@ -9,8 +9,8 @@
 use fl_core::plan::{CodecSpec, FlPlan, ModelSpec, PlanOp};
 use fl_core::{DeviceId, FlCheckpoint, PopulationName, RoundId};
 use fl_wire::{
-    checksum, decode, decode_prefix, encode, encoded_len, peek_tag, WireError, WireMessage,
-    HEADER_LEN, PROTOCOL_VERSION, TRAILER_LEN,
+    checksum, decode, decode_prefix, encode, encode_into, encoded_len, peek_tag, ReportPayload,
+    ReportRef, WireError, WireMessage, HEADER_LEN, PROTOCOL_VERSION, TRAILER_LEN,
 };
 use proptest::prelude::*;
 
@@ -36,7 +36,7 @@ fn build_message(
 ) -> WireMessage {
     let frac = (frac_bits % 1_000_000) as f64 / 997.0;
     let population = prop_population(a ^ b);
-    match variant % 13 {
+    match variant % 11 {
         0 => WireMessage::CheckinRequest {
             device: DeviceId(a),
             population,
@@ -114,24 +114,19 @@ fn build_message(
             attempt: (a % 5) as u32,
             population,
         },
-        6 => WireMessage::ShardUpdate {
-            device: DeviceId(a),
-            update_bytes: blob,
-            weight: b,
-        },
-        7 => WireMessage::ShardFinalize {
+        6 => WireMessage::ShardFinalize {
             current_params: params,
             dropouts: blob.iter().map(|&x| DeviceId(u64::from(x))).collect(),
         },
-        8 => WireMessage::ShardMerged {
+        7 => WireMessage::ShardMerged {
             merged: if a % 2 == 0 {
                 Ok((params, b))
             } else {
                 Err(text)
             },
         },
-        9 => WireMessage::ShardAbort,
-        10 => WireMessage::SecAggReport {
+        8 => WireMessage::ShardAbort,
+        9 => WireMessage::SecAggReport {
             device: DeviceId(a),
             round: RoundId(b ^ a),
             attempt: (b % 4) as u32 + 1,
@@ -140,11 +135,6 @@ fn build_message(
             loss: frac,
             accuracy: frac / 2.0,
             population,
-        },
-        11 => WireMessage::SecAggUpdate {
-            device: DeviceId(a),
-            field_vector: blob.iter().map(|&x| u64::from(x) ^ a).collect(),
-            weight: b,
         },
         _ => WireMessage::SecAggFinalize {
             current_params: params,
@@ -162,6 +152,9 @@ fn build_message(
         },
     }
 }
+
+/// `build_message`'s two report variants (plain, SecAgg).
+const REPORT_VARIANTS: [u8; 2] = [4, 9];
 
 /// Deterministic non-empty population name from a primitive draw.
 fn prop_population(sel: u64) -> PopulationName {
@@ -249,6 +242,110 @@ proptest! {
         }
     }
 
+    /// `encode_into` on a dirty, reused buffer writes exactly the frame
+    /// `encode` returns, whatever the buffer held or how large it was.
+    #[test]
+    fn encode_into_a_dirty_buffer_matches_encode(
+        variant in any::<u8>(),
+        a in any::<u64>(),
+        b in any::<u64>(),
+        blob in proptest::collection::vec(any::<u8>(), 0..64),
+        params in proptest::collection::vec(-1000.0f32..1000.0, 0..32),
+        junk in proptest::collection::vec(any::<u8>(), 0..300),
+    ) {
+        let msg = build_message(variant, a, b, 7, blob, params, "x".to_string());
+        let mut buf = junk;
+        let n = encode_into(&msg, &mut buf).unwrap();
+        prop_assert_eq!(n, buf.len());
+        prop_assert_eq!(&buf, &encode(&msg).unwrap());
+        // And again over its own output.
+        encode_into(&msg, &mut buf).unwrap();
+        prop_assert_eq!(&buf, &encode(&msg).unwrap());
+    }
+
+    /// The borrowed report view and the owned decode are one parser:
+    /// they agree field for field on every report frame (plain and
+    /// SecAgg, every population), and give the same typed error for a
+    /// truncated, a trailing-byte, and a mangled frame.
+    #[test]
+    fn report_ref_agrees_with_decode(
+        masked in any::<bool>(),
+        a in any::<u64>(),
+        b in any::<u64>(),
+        frac_bits in any::<u64>(),
+        blob in proptest::collection::vec(any::<u8>(), 0..64),
+        cut_sel in any::<u64>(),
+        flip_pos in any::<u64>(),
+        xor in 1u8..=255,
+    ) {
+        let variant = REPORT_VARIANTS[usize::from(masked)];
+        let msg = build_message(variant, a, b, frac_bits, blob, Vec::new(), String::new());
+        let frame = encode(&msg).unwrap();
+        let report = ReportRef::parse(&frame).unwrap();
+        prop_assert_eq!(&report.to_message(), &msg);
+        prop_assert_eq!(&decode(&frame).unwrap(), &msg);
+        match (&msg, report.payload) {
+            (
+                WireMessage::UpdateReport {
+                    device, round, attempt, update_bytes, weight, loss, accuracy, population,
+                },
+                ReportPayload::Update(payload),
+            ) => {
+                prop_assert_eq!(
+                    (report.device, report.round, report.attempt, report.weight),
+                    (*device, *round, *attempt, *weight)
+                );
+                prop_assert_eq!((report.loss, report.accuracy), (*loss, *accuracy));
+                prop_assert_eq!(payload, &update_bytes[..]);
+                prop_assert_eq!(report.population, population.as_str());
+            }
+            (
+                WireMessage::SecAggReport {
+                    device, round, attempt, field_vector, weight, loss, accuracy, population,
+                },
+                ReportPayload::Field(payload),
+            ) => {
+                prop_assert_eq!(
+                    (report.device, report.round, report.attempt, report.weight),
+                    (*device, *round, *attempt, *weight)
+                );
+                prop_assert_eq!((report.loss, report.accuracy), (*loss, *accuracy));
+                let coordinates: Vec<u64> =
+                    payload.iter().map(|c| u64::from_le_bytes(*c)).collect();
+                prop_assert_eq!(&coordinates, field_vector);
+                prop_assert_eq!(report.population, population.as_str());
+            }
+            (msg, payload) => prop_assert!(false, "{msg:?} viewed as {payload:?}"),
+        }
+        // The span names the payload's bytes inside the frame.
+        prop_assert_eq!(frame[report.payload_span()].len(), report.payload.len_bytes());
+        match report.payload {
+            ReportPayload::Update(payload) => {
+                prop_assert_eq!(&frame[report.payload_span()], payload)
+            }
+            ReportPayload::Field(payload) => {
+                prop_assert_eq!(&frame[report.payload_span()], payload.as_flattened())
+            }
+        }
+
+        let owned = |bytes: &[u8]| decode(bytes).map(|_| ());
+        let viewed = |bytes: &[u8]| ReportRef::parse(bytes).map(|_| ());
+        let cut = (cut_sel % frame.len() as u64) as usize;
+        prop_assert!(viewed(&frame[..cut]).is_err());
+        prop_assert_eq!(viewed(&frame[..cut]), owned(&frame[..cut]));
+        let mut trailing = frame.clone();
+        trailing.push(0);
+        prop_assert_eq!(viewed(&trailing), Err(WireError::TrailingBytes { extra: 1 }));
+        prop_assert_eq!(viewed(&trailing), owned(&trailing));
+        let mut flipped = frame.clone();
+        let pos = (flip_pos % flipped.len() as u64) as usize;
+        flipped[pos] ^= xor;
+        prop_assert!(viewed(&flipped).is_err());
+        if peek_tag(&flipped) == Ok(msg.tag()) {
+            prop_assert_eq!(viewed(&flipped), owned(&flipped));
+        }
+    }
+
     /// Network-fault fuzz gate: a byte flipped *anywhere* in a golden
     /// frame — header, body, or trailer — must be refused with a typed
     /// `WireError`, never decoded (the integrity trailer catches every
@@ -330,21 +427,202 @@ fn rejects_version_skew() {
 }
 
 #[test]
-fn rejects_v2_frames_with_typed_skew() {
-    // A frame recorded before the multi-tenant v3 bump (version byte 2,
-    // population-less CheckinRequest body) must be refused with the
-    // typed skew error naming both versions — never misparsed.
-    assert_eq!(PROTOCOL_VERSION, 3, "this regression pins the v2→v3 bump");
-    let mut v2_frame = vec![b'F', b'W', 2, 1];
-    v2_frame.extend_from_slice(&8u32.to_le_bytes());
-    v2_frame.extend_from_slice(&0x0123_4567_89AB_CDEFu64.to_le_bytes());
+fn rejects_v3_frames_with_typed_skew() {
+    // A frame recorded before the v4 digest change — the golden v3
+    // `ShardAbort`, sound under its FNV-1a trailer — must be refused
+    // with the typed skew error naming both versions: the version byte
+    // is judged before the trailer, so an old peer reads as skewed, not
+    // as corrupted, and is never misparsed.
+    assert_eq!(PROTOCOL_VERSION, 4, "this regression pins the v3→v4 bump");
+    let v3_frame = [
+        b'F', b'W', 3, 10, 0, 0, 0, 0, 0x03, 0xe7, 0xdc, 0xeb, 0x29, 0x7c, 0x2c, 0xa8,
+    ];
     assert_eq!(
-        decode(&v2_frame),
-        Err(WireError::VersionSkew { ours: 3, theirs: 2 })
+        decode(&v3_frame),
+        Err(WireError::VersionSkew { ours: 4, theirs: 3 })
     );
     assert_eq!(
-        peek_tag(&v2_frame),
-        Err(WireError::VersionSkew { ours: 3, theirs: 2 })
+        ReportRef::parse(&v3_frame),
+        Err(WireError::VersionSkew { ours: 4, theirs: 3 })
+    );
+    assert_eq!(
+        peek_tag(&v3_frame),
+        Err(WireError::VersionSkew { ours: 4, theirs: 3 })
+    );
+}
+
+#[test]
+fn retired_update_tags_stay_reserved() {
+    // Tags 7 (`ShardUpdate`) and 12 (`SecAggUpdate`) left the protocol
+    // at v4; a sound frame carrying one is an unknown message, not a
+    // slot for something new.
+    for retired in [7u8, 12] {
+        let mut frame = encode(&WireMessage::ShardAbort).unwrap();
+        frame[3] = retired;
+        reseal(&mut frame);
+        assert_eq!(
+            decode(&frame),
+            Err(WireError::UnknownMessage { tag: retired })
+        );
+    }
+}
+
+#[test]
+fn hostile_payload_count_is_truncation_not_allocation() {
+    // A sound (resealed) report whose payload prefix claims `u32::MAX`
+    // bytes / coordinates — 4 GiB / 32 GiB if believed. Both parsers
+    // hold the claim against the bytes present before sizing anything.
+    let reports = [
+        build_message(
+            REPORT_VARIANTS[0],
+            1,
+            2,
+            3,
+            vec![7; 16],
+            Vec::new(),
+            String::new(),
+        ),
+        build_message(
+            REPORT_VARIANTS[1],
+            1,
+            2,
+            3,
+            vec![7; 16],
+            Vec::new(),
+            String::new(),
+        ),
+    ];
+    for msg in reports {
+        let mut frame = encode(&msg).unwrap();
+        let prefix_at = ReportRef::parse(&frame).unwrap().payload_span().start - 4;
+        frame[prefix_at..prefix_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        reseal(&mut frame);
+        assert!(matches!(decode(&frame), Err(WireError::Truncated { .. })));
+        assert_eq!(
+            ReportRef::parse(&frame).map(|_| ()),
+            decode(&frame).map(|_| ())
+        );
+    }
+}
+
+#[test]
+fn report_view_refuses_other_messages() {
+    let frame = encode(&WireMessage::ShardAbort).unwrap();
+    assert_eq!(
+        ReportRef::parse(&frame),
+        Err(WireError::Malformed {
+            what: "frame is not a report"
+        })
+    );
+}
+
+/// The digest is frozen alongside the golden fixture: these vectors pin
+/// the algorithm itself (seeds, primes, lane order, fold, tail) at every
+/// block/tail boundary. They were cross-checked against an independent
+/// implementation written from the definition in `frame.rs`.
+#[test]
+fn digest_vectors_are_pinned() {
+    let bytes: Vec<u8> = (0..64u8)
+        .map(|i| i.wrapping_mul(37).wrapping_add(11))
+        .collect();
+    let pinned: [(usize, u64); 6] = [
+        (0, 0x4dbc_3146_d850_2748),
+        (1, 0x8a23_58c1_fc88_57a2),
+        (31, 0x84bf_f465_839b_e9f2),
+        (32, 0xf524_723f_5690_1831),
+        (33, 0x1fca_1b6d_70e1_958b),
+        (64, 0x7cf7_f9da_a6b4_9502),
+    ];
+    for (len, digest) in pinned {
+        assert_eq!(
+            checksum(&bytes[..len]),
+            digest,
+            "digest of {len} bytes moved: {:#018x}",
+            checksum(&bytes[..len])
+        );
+    }
+}
+
+/// Flips `position` of `frame` under each mask and demands a typed
+/// refusal from every decoder.
+fn assert_flips_refused(frame: &[u8], positions: impl Iterator<Item = usize>) {
+    let mut mangled = frame.to_vec();
+    for position in positions {
+        for mask in [0x01u8, 0x80, 0xff] {
+            mangled[position] ^= mask;
+            assert!(
+                decode(&mangled).is_err() && decode_prefix(&mangled).is_err(),
+                "a {}-byte frame decoded with byte {position} ^ {mask:#04x}",
+                frame.len()
+            );
+            mangled[position] ^= mask;
+        }
+    }
+}
+
+/// Any single-byte difference is detected with certainty. Digest level:
+/// every position x mask over arbitrary content of every length 0..=104,
+/// which is every alignment of a byte to a lane, the serial tail words
+/// and the byte tail. Frame level: every position (header, body and
+/// trailer alike) of a valid frame of every content length a message
+/// can have in 8..=104, of a 4 KB frame, and, sampled (all of it is
+/// three terabytes of digest work), of a 1 MB frame.
+#[test]
+fn every_single_byte_flip_is_refused() {
+    let content: Vec<u8> = (0..104u32).map(|i| (i * 131 + 7) as u8).collect();
+    for len in 0..=content.len() {
+        let sound = checksum(&content[..len]);
+        let mut mangled = content[..len].to_vec();
+        for position in 0..len {
+            for mask in [0x01u8, 0x80, 0xff] {
+                mangled[position] ^= mask;
+                assert_ne!(
+                    checksum(&mangled),
+                    sound,
+                    "{len} bytes, byte {position} ^ {mask:#04x}"
+                );
+                mangled[position] ^= mask;
+            }
+        }
+    }
+
+    let abort = encode(&WireMessage::ShardAbort).unwrap();
+    assert_eq!(abort.len() - TRAILER_LEN, 8);
+    assert_flips_refused(&abort, 0..abort.len());
+    // `ShardMerged { Err(reason) }` is 11 + reason.len() bytes of content.
+    for reason_len in 0..=93 {
+        let frame = encode(&WireMessage::ShardMerged {
+            merged: Err("r".repeat(reason_len)),
+        })
+        .unwrap();
+        assert_eq!(frame.len() - TRAILER_LEN, 11 + reason_len);
+        assert_flips_refused(&frame, 0..frame.len());
+    }
+
+    let report = |payload: usize| {
+        encode(&WireMessage::UpdateReport {
+            device: DeviceId(3),
+            round: RoundId(9),
+            attempt: 1,
+            update_bytes: (0..payload).map(|i| (i * 31) as u8).collect(),
+            weight: 5,
+            loss: 0.5,
+            accuracy: 0.25,
+            population: prop_population(1),
+        })
+        .unwrap()
+    };
+    let small = report(4096 - 71);
+    assert_eq!(small.len(), 4096);
+    assert_flips_refused(&small, 0..small.len());
+    let large = report(1 << 20);
+    let n = large.len();
+    // Both ends whole, and a stride coprime to the block size between.
+    assert_flips_refused(
+        &large,
+        (0..256)
+            .chain((256..n - 256).step_by(4099))
+            .chain(n - 256..n),
     );
 }
 

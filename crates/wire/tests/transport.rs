@@ -179,6 +179,76 @@ fn tcp_split_write_resumes_mid_frame() {
 }
 
 #[test]
+fn tcp_kept_buffers_carry_nothing_from_one_frame_to_the_next() {
+    // Both halves keep their buffer across messages. A long frame, a
+    // short one and a long one again — decoded in place, taken whole for
+    // a gateway, decoded in place — must each arrive as sent: no stale
+    // tail of the long frame may leak into the short one's bytes.
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let client = TcpTransport::new(TcpStream::connect(addr).unwrap()).unwrap();
+    let (stream, _) = listener.accept().unwrap();
+    let server = TcpTransport::new(stream).unwrap();
+
+    let long = |fill: u8| WireMessage::UpdateReport {
+        device: DeviceId(1),
+        round: RoundId(1),
+        attempt: 1,
+        update_bytes: vec![fill; 100_000],
+        weight: 1,
+        loss: 0.5,
+        accuracy: 0.5,
+        population: pop(),
+    };
+    let sender = std::thread::spawn(move || {
+        for msg in [long(0xAA), ack(true), ack(false), long(0xBB)] {
+            client.send(&msg).unwrap();
+        }
+        client
+    });
+    assert_eq!(server.recv_timeout(WAIT).unwrap(), long(0xAA));
+    assert_eq!(
+        server.recv_frame_timeout(WAIT).unwrap(),
+        encode(&ack(true)).unwrap()
+    );
+    assert_eq!(server.recv_timeout(WAIT).unwrap(), ack(false));
+    assert_eq!(server.recv_timeout(WAIT).unwrap(), long(0xBB));
+    let client = sender.join().unwrap();
+    assert_eq!(server.stats().frames_received, 4);
+    assert_eq!(server.stats().bytes_received, client.stats().bytes_sent);
+}
+
+#[test]
+fn sink_send_frame_puts_the_given_bytes_on_either_link() {
+    // One encode, many peers: `send_frame` must deliver exactly the
+    // bytes `send` would have, and count them the same.
+    let msg = WireMessage::ComeBackLater {
+        retry_at_ms: 9,
+        population: pop(),
+    };
+    let frame = encode(&msg).unwrap();
+
+    let (device, server) = ChannelTransport::pair();
+    assert_eq!(server.sink().send_frame(&frame).unwrap(), frame.len());
+    assert_eq!(device.recv_frame_timeout(WAIT).unwrap(), frame);
+    assert_eq!(server.stats().bytes_sent, frame.len() as u64);
+
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let client = TcpTransport::new(TcpStream::connect(addr).unwrap()).unwrap();
+    let (stream, _) = listener.accept().unwrap();
+    let server = TcpTransport::new(stream).unwrap();
+    let sink = server.sink();
+    sink.send_frame(&frame).unwrap();
+    sink.send(&msg).unwrap();
+    assert_eq!(client.recv_frame_timeout(WAIT).unwrap(), frame);
+    assert_eq!(client.recv_timeout(WAIT).unwrap(), msg);
+    assert_eq!(server.stats().frames_sent, 2);
+    assert_eq!(server.stats().bytes_sent, 2 * frame.len() as u64);
+    assert_eq!(fl_wire::WireSink::null().send_frame(&frame).unwrap(), 0);
+}
+
+#[test]
 fn tcp_garbage_header_is_typed_and_counted() {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();

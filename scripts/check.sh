@@ -29,7 +29,9 @@ run_step "test" cargo test -q
 run_step "fl-lint" cargo run -q -p fl-lint
 # Wire-protocol gate: codec round-trip/rejection tests plus the golden
 # frame fixture, so accidental frame-layout changes fail loudly; the
-# bench step regenerates BENCH_wire.json from the same build.
+# bench step regenerates BENCH_wire.json from the same build and fails
+# if the 1M-parameter frame moves under 1 500 MB/s either way (a
+# byte-serial digest cannot reach it).
 run_step "wire-codec" cargo test -q -p fl-wire
 run_step "wire-bench" cargo run --release -q -p fl-bench --bin bench_wire
 # Network-chaos gate: seeded faulty-transport scripts mangle report
