@@ -58,6 +58,12 @@ impl FlCheckpoint {
         self.params
     }
 
+    /// Moves the parameters out, leaving the task name and round behind
+    /// over an empty parameter vector.
+    pub fn take_params(&mut self) -> Vec<f32> {
+        std::mem::take(&mut self.params)
+    }
+
     /// Encodes to the compact binary wire format.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.encoded_size());

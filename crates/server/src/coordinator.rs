@@ -12,7 +12,7 @@
 //! storage, and accounts traffic. It is deterministic and explicitly
 //! clocked; `fl-sim` and the live actors both drive it.
 
-use crate::aggregator::{AggregationPlan, DropStage, MasterAggregator};
+use crate::aggregator::{AggregationPlan, DropStage, MasterAggregator, MergeOutcome};
 use crate::round::{CheckinResponse, ReportResponse, RoundState};
 use crate::storage::CheckpointStore;
 use fl_core::plan::FlPlan;
@@ -67,8 +67,7 @@ pub struct Coordinator<S: CheckpointStore> {
     traffic: TrafficCounter,
     /// Materialized metrics per task per round (Sec. 7.4).
     metrics: Vec<(String, RoundId, Vec<MetricSummary>)>,
-    /// Cumulative SecAgg shards that aborted below threshold at inline
-    /// finalize (the live path reports aborts via telemetry instead).
+    /// Cumulative SecAgg shards that aborted below threshold at finalize.
     secagg_shard_aborts: u64,
 }
 
@@ -174,10 +173,9 @@ impl<S: CheckpointStore> Coordinator<S> {
         &self.traffic
     }
 
-    /// SecAgg shards that aborted below threshold across every inline
-    /// [`complete_round`](Coordinator::complete_round) so far. Aborted
-    /// shards cost their group's contributions; the round still commits
-    /// from the surviving shards.
+    /// SecAgg shards that aborted below threshold across every completed
+    /// round so far. Aborted shards cost their group's contributions;
+    /// the round still commits from the surviving shards.
     pub fn secagg_shard_aborts(&self) -> u64 {
         self.secagg_shard_aborts
     }
@@ -244,7 +242,6 @@ impl<S: CheckpointStore> Coordinator<S> {
             checkpoint,
             state: RoundState::begin(round_id, task.round, now_ms),
             master: Some(master),
-            external_aggregation: false,
             advertise_dropouts: Vec::new(),
             share_dropouts: Vec::new(),
             loss_summary: MetricSummary::new("loss"),
@@ -254,95 +251,70 @@ impl<S: CheckpointStore> Coordinator<S> {
         })
     }
 
-    /// Completes a finished round: commits the new checkpoint (training,
-    /// committed outcomes only), materializes metrics, returns the outcome.
+    /// Completes a finished round that folded its reports inline: closes
+    /// the [`MasterAggregator`] the round still owns, then takes the one
+    /// completion path, [`complete_round_with`](Coordinator::complete_round_with).
     ///
     /// # Errors
     ///
-    /// Returns an error if the round is not finished or aggregation fails.
-    /// On [`CoreError::StorageFailure`] the round's result is lost but the
-    /// coordinator stays consistent: round ids and metrics are not
-    /// advanced, so the next `begin_round` retries from the last
-    /// *successfully* committed checkpoint (Sec. 4.2).
+    /// As [`complete_round_with`](Coordinator::complete_round_with).
     pub fn complete_round(&mut self, mut round: ActiveRound) -> Result<fl_core::RoundOutcome, CoreError> {
+        let aggregate = match round.master.take() {
+            Some(master) if round.commits_training() => Some(
+                master
+                    .finalize(
+                        round.checkpoint.params(),
+                        &round.advertise_dropouts,
+                        &round.share_dropouts,
+                    )
+                    .map_err(|e| CoreError::MalformedCheckpoint(e.to_string())),
+            ),
+            _ => None,
+        };
+        self.complete_round_with(round, aggregate)
+    }
+
+    /// Completes a finished round: commits the new checkpoint (committed
+    /// training rounds only — exactly one write), materializes metrics,
+    /// returns the outcome. `aggregate` is the Master Aggregator's
+    /// finalize result — from the round's own master
+    /// ([`complete_round`](Coordinator::complete_round)) or from the
+    /// detached one the live actor tree ran as a `MasterAggregatorActor`
+    /// ([`ActiveRound::detach_master`]); it is only required, and only
+    /// consulted, for committed training rounds.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the round is not finished or aggregation
+    /// failed; a missing aggregate for a committed training round is
+    /// [`CoreError::InvariantViolated`]. On [`CoreError::StorageFailure`]
+    /// the round's result is lost but the coordinator stays consistent:
+    /// round ids and metrics are not advanced, so the next `begin_round`
+    /// retries from the last *successfully* committed checkpoint
+    /// (Sec. 4.2).
+    pub fn complete_round_with(
+        &mut self,
+        round: ActiveRound,
+        aggregate: Option<Result<MergeOutcome, CoreError>>,
+    ) -> Result<fl_core::RoundOutcome, CoreError> {
         let outcome = round
             .state
             .outcome()
             .ok_or_else(|| CoreError::UnknownTask("round not finished".into()))?;
         // The bandwidth was spent whether or not the commit below lands.
         self.traffic.merge(&round.traffic_delta);
-        let new_params = if outcome.is_committed() && round.task.kind == TaskKind::Training {
-            let master = round.master.take().ok_or_else(|| {
-                CoreError::InvariantViolated("training round has no aggregator".into())
-            })?;
-            let out = master
-                .finalize(
-                    round.checkpoint.params(),
-                    &round.advertise_dropouts,
-                    &round.share_dropouts,
-                )
-                .map_err(|e| CoreError::MalformedCheckpoint(e.to_string()))?;
-            self.secagg_shard_aborts += out.shard_aborts as u64;
-            Some(out.params)
-        } else {
-            None
-        };
-        self.commit_finished(round, outcome, new_params)
-    }
-
-    /// [`complete_round`](Coordinator::complete_round) for rounds whose
-    /// aggregation ran *outside* the coordinator — in the live actor tree,
-    /// where a detached [`MasterAggregator`] (see
-    /// [`ActiveRound::detach_master`]) runs as a `MasterAggregatorActor`
-    /// with `AggregatorActor` shard children. `aggregate` is that actor's
-    /// finalize result; it is only required (and only consulted) for
-    /// committed training rounds. The one-write-per-committed-round
-    /// invariant and the storage-failure consistency guarantees are
-    /// identical to the inline path.
-    ///
-    /// # Errors
-    ///
-    /// As [`complete_round`](Coordinator::complete_round); a missing
-    /// aggregate for a committed training round is
-    /// [`CoreError::InvariantViolated`].
-    pub fn complete_round_external(
-        &mut self,
-        round: ActiveRound,
-        aggregate: Option<Result<(Vec<f32>, usize), CoreError>>,
-    ) -> Result<fl_core::RoundOutcome, CoreError> {
-        let outcome = round
-            .state
-            .outcome()
-            .ok_or_else(|| CoreError::UnknownTask("round not finished".into()))?;
-        self.traffic.merge(&round.traffic_delta);
-        let new_params = if outcome.is_committed() && round.task.kind == TaskKind::Training {
-            let (params, _n) = aggregate.ok_or_else(|| {
-                CoreError::InvariantViolated("training round has no aggregate".into())
-            })??;
-            Some(params)
-        } else {
-            None
-        };
-        self.commit_finished(round, outcome, new_params)
-    }
-
-    /// Shared tail of round completion: commits the checkpoint (committed
-    /// training rounds only — exactly one write) and materializes metrics.
-    /// Traffic must already be merged.
-    fn commit_finished(
-        &mut self,
-        round: ActiveRound,
-        outcome: fl_core::RoundOutcome,
-        new_params: Option<Vec<f32>>,
-    ) -> Result<fl_core::RoundOutcome, CoreError> {
         if outcome.is_committed() {
             if round.task.kind == TaskKind::Training {
-                let params = new_params.ok_or_else(|| {
+                let merged = aggregate.ok_or_else(|| {
                     CoreError::InvariantViolated("training round has no aggregate".into())
-                })?;
+                })??;
+                self.secagg_shard_aborts += merged.shard_aborts as u64;
                 let new_round = round.checkpoint.round.next();
-                self.store
-                    .commit(FlCheckpoint::new(round.task.name.clone(), new_round, params))?;
+                self.store.commit(FlCheckpoint::new(
+                    round.task.name.clone(),
+                    new_round,
+                    merged.params,
+                ))?;
                 self.round_ids.insert(round.task.name.clone(), new_round);
             }
             self.metrics.push((
@@ -377,10 +349,10 @@ pub struct ActiveRound {
     pub checkpoint: FlCheckpoint,
     /// The phase state machine.
     pub state: RoundState,
+    /// The round's aggregation pipeline, until it is detached for
+    /// actor-based driving: a round folds accepted reports inline exactly
+    /// when it still owns its master.
     master: Option<MasterAggregator>,
-    /// True once the master has been detached for actor-based driving:
-    /// accepted reports are then routed by the caller, not folded here.
-    external_aggregation: bool,
     /// Devices that vanished after advertising SecAgg keys (cheap
     /// exclusion; also where plain-round dropouts land when staged
     /// explicitly).
@@ -513,10 +485,8 @@ impl ActiveRound {
         }
         self.traffic_delta.record(TrafficKind::Metrics, 32);
         if response == ReportResponse::Accepted {
-            if self.task.kind == TaskKind::Training && !self.external_aggregation {
-                fold(self.master.as_mut().ok_or_else(|| {
-                    CoreError::InvariantViolated("training round has no aggregator".into())
-                })?)?;
+            if let (TaskKind::Training, Some(master)) = (self.task.kind, &mut self.master) {
+                fold(master)?;
             }
             self.loss_summary.push(loss);
             self.accuracy_summary.push(accuracy);
@@ -527,26 +497,28 @@ impl ActiveRound {
     /// Detaches the round's [`MasterAggregator`] so it can run as an actor
     /// tree (the paper's Coordinator → Master Aggregator → Aggregators
     /// topology, Sec. 4.1). After detaching, the caller owns routing
-    /// accepted training reports to the detached aggregator, and the round
-    /// must be completed via
-    /// [`Coordinator::complete_round_external`]. Returns `None` if already
-    /// detached (or never built — evaluation reuse).
+    /// accepted training reports to the detached aggregator and hands its
+    /// finalize result to [`Coordinator::complete_round_with`]. Returns
+    /// `None` if already detached.
     pub fn detach_master(&mut self) -> Option<MasterAggregator> {
-        let master = self.master.take();
-        if master.is_some() {
-            self.external_aggregation = true;
-        }
-        master
+        self.master.take()
     }
 
-    /// Devices that vanished after advertising keys (needed at external
-    /// finalize time).
+    /// Whether the finished round commits a new training checkpoint —
+    /// the only rounds whose aggregate is ever merged.
+    pub fn commits_training(&self) -> bool {
+        self.task.kind == TaskKind::Training
+            && self.state.outcome().is_some_and(|o| o.is_committed())
+    }
+
+    /// Devices that vanished after advertising keys (needed when a
+    /// detached master is finalized).
     pub fn advertise_dropouts(&self) -> &[DeviceId] {
         &self.advertise_dropouts
     }
 
-    /// Devices that vanished after sharing keys (needed at external
-    /// finalize time).
+    /// Devices that vanished after sharing keys (needed when a detached
+    /// master is finalized).
     pub fn share_dropouts(&self) -> &[DeviceId] {
         &self.share_dropouts
     }
@@ -765,11 +737,11 @@ mod tests {
         assert_eq!(round.state.round, RoundId(2));
     }
 
-    /// The external-aggregation path (master detached and driven outside
-    /// the coordinator, as the live actor tree does) commits identical
-    /// bytes to the inline path, with the same one-write invariant.
+    /// A round whose master was detached and driven outside the
+    /// coordinator, as the live actor tree does, commits identical bytes
+    /// to the inline path, with the same one-write invariant.
     #[test]
-    fn external_aggregation_commits_identically_to_inline() {
+    fn detached_aggregation_commits_identically_to_inline() {
         let mut inline = deployed_coordinator();
         assert!(run_one_round(&mut inline).is_committed());
 
@@ -798,10 +770,9 @@ mod tests {
                 round.advertise_dropouts(),
                 round.share_dropouts(),
             )
-            .map(|out| (out.params, out.contributors))
             .map_err(|e| CoreError::MalformedCheckpoint(e.to_string()));
         let outcome = external
-            .complete_round_external(round, Some(aggregate))
+            .complete_round_with(round, Some(aggregate))
             .unwrap();
         assert!(outcome.is_committed());
         assert_eq!(
@@ -811,10 +782,11 @@ mod tests {
         assert_eq!(external.store().write_count(), 2); // init + one commit
     }
 
-    /// A committed training round completed externally without an
-    /// aggregate is an invariant violation, not a silent empty commit.
+    /// A committed training round whose master was detached, completed
+    /// without an aggregate, is an invariant violation, not a silent
+    /// empty commit.
     #[test]
-    fn external_completion_requires_an_aggregate() {
+    fn detached_completion_requires_an_aggregate() {
         let mut c = deployed_coordinator();
         let mut round = c.begin_round(0).unwrap();
         let target = round.task.round.selection_target();
@@ -829,7 +801,7 @@ mod tests {
             round.on_report(*d, 5_000, &bytes, 10, 0.7, 0.6).unwrap();
         }
         round.on_tick(40_000);
-        let err = c.complete_round_external(round, None).unwrap_err();
+        let err = c.complete_round(round).unwrap_err();
         assert!(matches!(err, CoreError::InvariantViolated(_)));
     }
 

@@ -22,12 +22,17 @@
 //! where it lies ([`fl_wire::ReportRef`]: envelope and digest verified,
 //! payload borrowed) for the at-most-once ledger and the round's
 //! accounting, and an accepted one travels on to the Master Aggregator
-//! as it arrived — the device's verified frame, forwarded.
+//! as it arrived — the device's verified frame, forwarded. Those report
+//! frames are the only frames behind the front door: the Coordinator,
+//! the Master and its shards are one process, and the round's close is
+//! one typed [`MasterMsg::Finalize`] answered by one value. A future
+//! multi-process split would frame that hop together with the transport
+//! that carries it.
 //!
 //! This module is deliberately thin: all protocol decisions live in the
 //! deterministic state machines; actors only move messages and time.
 
-use crate::aggregator::{MasterAggregatorActor, MasterMsg};
+use crate::aggregator::{MasterAggregatorActor, MasterMsg, MergeOutcome};
 use crate::coordinator::{ActiveRound, Coordinator, CoordinatorConfig};
 use crate::round::{CheckinResponse, ReportResponse};
 use crate::selector::{CheckinDecision, Selector};
@@ -54,6 +59,12 @@ pub type SharedOverloadMetrics = Arc<fl_race::Mutex<OverloadMetrics>>;
 /// no other site held — a leaf lock (rank table in DESIGN.md §7).
 pub(crate) const OVERLOAD_METRICS: fl_race::Site =
     fl_race::Site::new("server/live.overload_metrics", 60);
+
+/// The highest upload attempt number the report ledger evaluates; a
+/// report claiming a later attempt is refused outright. An
+/// `fl_device::UploadSession` normally stops at attempt 1 and the
+/// network-chaos harness at 4.
+pub const MAX_REPORT_ATTEMPTS: u32 = 16;
 
 /// Messages understood by the [`CoordinatorActor`].
 ///
@@ -124,8 +135,9 @@ pub struct CoordinatorActor<S: CheckpointStore + Send + 'static = InMemoryCheckp
     /// accept/shed counters.
     telemetry: Option<SharedOverloadMetrics>,
     /// The connection of every device selected into the current round,
-    /// for its Configuration. Cleared at round completion: a held sink
-    /// pins the device's channel.
+    /// for its Configuration — and so the round's participant set, which
+    /// [`Self::ledger_admits`] holds a report's device against. Cleared
+    /// at round completion: a held sink pins the device's channel.
     device_replies: std::collections::HashMap<DeviceId, WireSink>,
     /// The current round's Configuration frame — plan, checkpoint and
     /// population are the same for every participant, so it is encoded
@@ -134,12 +146,14 @@ pub struct CoordinatorActor<S: CheckpointStore + Send + 'static = InMemoryCheckp
     /// is kept across rounds.
     configuration: Vec<u8>,
     /// At-most-once report ledger: the final ack decision for every
-    /// `(device, round, attempt)` key seen this round. A retried upload
-    /// whose key is already here (its first ack was lost on the wire)
-    /// gets the *original* decision replayed and never reaches the
+    /// `(device, round, attempt)` key evaluated this round. A retried
+    /// upload whose key is already here (its first ack was lost on the
+    /// wire) gets the *original* decision replayed and never reaches the
     /// round's accounting — so a report is summed at most once no
-    /// matter how often the device re-sends it. Cleared at round
-    /// completion.
+    /// matter how often the device re-sends it. Only keys
+    /// [`Self::ledger_admits`] are evaluated and pinned, so the map
+    /// holds at most participants × [`MAX_REPORT_ATTEMPTS`] entries
+    /// whatever keys a peer invents. Cleared at round completion.
     report_acks: std::collections::HashMap<(DeviceId, RoundId, u32), bool>,
     epoch: Instant,
     lease: Lease,
@@ -320,13 +334,30 @@ impl<S: CheckpointStore + Send + 'static> CoordinatorActor<S> {
         }
     }
 
-    /// Multi-tenancy boundary check: a report claiming a population this
-    /// coordinator does not own is refused with a rejecting ack echoing
+    /// Whether `key` may be evaluated and pinned in the verdict ledger:
+    /// it names the active round (by the checkpoint round its
+    /// Configuration carried — a delayed duplicate from an earlier round
+    /// must not be summed into this one), a device that round selected,
+    /// and an attempt within [`MAX_REPORT_ATTEMPTS`]. Whether a key
+    /// passes depends only on the key and the round, so a refused key's
+    /// retry is refused again without a pin.
+    fn ledger_admits(&self, (device, round, attempt): (DeviceId, RoundId, u32)) -> bool {
+        attempt <= MAX_REPORT_ATTEMPTS
+            && self.device_replies.contains_key(&device)
+            && self
+                .active
+                .as_ref()
+                .is_some_and(|active| active.checkpoint.round == round)
+    }
+
+    /// Refuses a report unevaluated: a rejecting ack echoing the key and
     /// the *claimed* population (so the device's per-population retry
-    /// discipline sees the refusal), and never reaches the at-most-once
-    /// ledger or the round's accounting. Cross-tenant contributions must
-    /// not leak between models even if a gateway misroutes a frame.
-    fn refuse_foreign_report(
+    /// discipline sees the refusal); the report never reaches the
+    /// at-most-once ledger or the round's accounting. This is the
+    /// multi-tenancy boundary — cross-tenant contributions must not leak
+    /// between models even if a gateway misroutes a frame — and the
+    /// answer to every key [`Self::ledger_admits`] turns down.
+    fn refuse_report(
         &mut self,
         now: u64,
         round: RoundId,
@@ -341,6 +372,74 @@ impl<S: CheckpointStore + Send + 'static> CoordinatorActor<S> {
             round,
             attempt,
             population: claimed,
+        }
+    }
+
+    /// The verdict on one inbound report frame. The frame is opened at
+    /// the wire boundary — envelope and digest verified, payload left
+    /// where it lies. A frame that is neither an `UpdateReport` nor a
+    /// `SecAggReport` (stream desync, protocol drift, byte rot) is
+    /// answered with a rejecting ack rather than a panic, and counted as
+    /// corrupt. Valid reports pass the population and ledger-admission
+    /// checks, then the at-most-once ledger, before any accounting.
+    fn on_report(&mut self, now: u64, frame: Vec<u8>) -> WireMessage {
+        match ReportRef::parse(&frame) {
+            Ok(report) if report.population != self.coordinator.population().as_str() => self
+                .refuse_report(
+                    now,
+                    report.round,
+                    report.attempt,
+                    PopulationName::from(report.population),
+                ),
+            Ok(report) if !self.ledger_admits((report.device, report.round, report.attempt)) => {
+                self.refuse_report(now, report.round, report.attempt, self.population())
+            }
+            Ok(ReportRef {
+                device,
+                round,
+                attempt,
+                loss,
+                accuracy,
+                payload,
+                ..
+            }) => {
+                let payload_bytes = payload.len_bytes();
+                self.admit_report(now, (device, round, attempt), |actor| {
+                    // The round does the protocol accounting (participant
+                    // check, lateness, goal count, session logs); an
+                    // accepted report's own frame moves on to the Master
+                    // Aggregator subtree, which folds the payload (clear
+                    // bytes, or field coordinates that stay in the field)
+                    // on the device's shard.
+                    let accepted = actor.active.as_mut().is_some_and(|active| {
+                        let verdict = active.on_forwarded_report(
+                            device,
+                            now,
+                            payload_bytes,
+                            loss,
+                            accuracy,
+                        );
+                        matches!(verdict, Ok(ReportResponse::Accepted))
+                    });
+                    if let (true, Some(master)) = (accepted, &actor.master) {
+                        let _ = master.send(MasterMsg::Update { frame });
+                    }
+                    accepted
+                })
+            }
+            Err(_) => {
+                // No key to echo: the device's retry discipline treats the
+                // rejecting ack as a refusal and backs off.
+                if let Some(telemetry) = &self.telemetry {
+                    telemetry.lock().record_corrupt_frame(now);
+                }
+                WireMessage::ReportAck {
+                    accepted: false,
+                    round: RoundId(0),
+                    attempt: 0,
+                    population: self.population(),
+                }
+            }
         }
     }
 
@@ -365,69 +464,34 @@ impl<S: CheckpointStore + Send + 'static> CoordinatorActor<S> {
     }
 
     /// Closes the round's Master Aggregator subtree and collects its
-    /// merged aggregate — a framed `ShardFinalize`/`ShardMerged`
-    /// exchange (SecAgg rounds use `SecAggFinalize` with stage-tagged
-    /// dropout lists) over the Selector↔Aggregator wire boundary. The
-    /// reply stream carries one framed `ShardAbort` per SecAgg shard
-    /// whose group fell below threshold before the final `ShardMerged`;
-    /// the abort count is returned for telemetry. A master that died
-    /// mid-round (its mailbox or reply channel is gone) surfaces as an
-    /// error: the round is lost, nothing reaches storage, and the next
-    /// round restarts from the committed checkpoint — Sec. 4.2's Master
-    /// Aggregator loss semantics.
-    fn finalize_external(
+    /// merged aggregate: one typed [`MasterMsg::Finalize`], one reply.
+    /// The parameters the merge starts from are moved out of the finished
+    /// round, which only reads `checkpoint.round` afterwards. A master
+    /// that died mid-round (its mailbox or reply channel is gone)
+    /// surfaces as an error: the round is lost, nothing reaches storage,
+    /// and the next round restarts from the committed checkpoint —
+    /// Sec. 4.2's Master Aggregator loss semantics.
+    fn finalize_master(
         master: &ActorRef<MasterMsg>,
-        round: &ActiveRound,
-    ) -> Result<(Vec<f32>, usize, usize), CoreError> {
+        round: &mut ActiveRound,
+    ) -> Result<MergeOutcome, CoreError> {
         let dead =
             || CoreError::InvariantViolated("master aggregator died mid-round".into());
-        let frame = if round.task.secagg_group_size.is_some() {
-            fl_wire::encode(&WireMessage::SecAggFinalize {
-                current_params: round.checkpoint.params().to_vec(),
-                // One report frame was forwarded per accepted report;
-                // the master holds its shards open until all of
-                // them are staged, so a masked contribution overtaken
-                // in delivery by this finalize cannot vanish from the
-                // sum (or strand its group below threshold).
+        let (reply, merged) = unbounded();
+        master
+            .send(MasterMsg::Finalize {
+                current_params: round.checkpoint.take_params(),
+                // One report frame was forwarded per accepted report.
                 expected_contributors: round.state.counters().0 as u64,
                 advertise_dropouts: round.advertise_dropouts().to_vec(),
                 share_dropouts: round.share_dropouts().to_vec(),
+                reply,
             })
-        } else {
-            fl_wire::encode(&WireMessage::ShardFinalize {
-                current_params: round.checkpoint.params().to_vec(),
-                dropouts: round.share_dropouts().to_vec(),
-            })
-        }
-        // The only encode failure is an over-long string, which these
-        // frames cannot carry; an empty frame still fails the round
-        // cleanly at the master.
-        .unwrap_or_default();
-        let (tx, rx) = unbounded();
-        master
-            .send(MasterMsg::Finalize { frame, reply: tx })
             .map_err(|_| dead())?;
-        let mut shard_aborts = 0usize;
-        loop {
-            match rx.recv() {
-                Ok(frame) => match fl_wire::decode(&frame) {
-                    // One abort announcement per below-threshold shard
-                    // precedes the merged result.
-                    Ok(WireMessage::ShardAbort) => shard_aborts += 1,
-                    Ok(WireMessage::ShardMerged { merged }) => {
-                        return merged
-                            .map(|(params, n)| (params, n as usize, shard_aborts))
-                            .map_err(CoreError::MalformedCheckpoint);
-                    }
-                    _ => {
-                        return Err(CoreError::InvariantViolated(
-                            "master aggregator replied with a non-ShardMerged frame".into(),
-                        ));
-                    }
-                },
-                Err(_) => return Err(dead()),
-            }
-        }
+        merged
+            .recv()
+            .map_err(|_| dead())?
+            .map_err(CoreError::MalformedCheckpoint)
     }
 
     /// Sends the round's Configuration download — the framed
@@ -507,72 +571,8 @@ impl<S: CheckpointStore + Send + 'static> Actor for CoordinatorActor<S> {
                 Flow::Continue
             }
             CoordMsg::Report { frame, conn } => {
-                // Open the frame at the wire boundary — envelope and
-                // digest verified, payload left where it lies. A frame
-                // that is neither an `UpdateReport` nor a `SecAggReport`
-                // (stream desync, protocol drift, byte rot) is answered
-                // with a rejecting ack rather than a panic, and counted
-                // as corrupt. Valid reports pass through the
-                // at-most-once ledger before any accounting.
                 let now = self.now_ms();
-                let ack = match ReportRef::parse(&frame) {
-                    Ok(report) if report.population != self.coordinator.population().as_str() => {
-                        self.refuse_foreign_report(
-                            now,
-                            report.round,
-                            report.attempt,
-                            PopulationName::from(report.population),
-                        )
-                    }
-                    Ok(ReportRef {
-                        device,
-                        round,
-                        attempt,
-                        loss,
-                        accuracy,
-                        payload,
-                        ..
-                    }) => {
-                        let payload_bytes = payload.len_bytes();
-                        self.admit_report(now, (device, round, attempt), |actor| {
-                            // The round does the protocol accounting
-                            // (participant check, lateness, goal count,
-                            // session logs); an accepted report's own
-                            // frame moves on to the Master Aggregator
-                            // subtree, which folds the payload (clear
-                            // bytes, or field coordinates that stay in
-                            // the field) on the device's shard.
-                            let accepted = actor.active.as_mut().is_some_and(|active| {
-                                let verdict = active.on_forwarded_report(
-                                    device,
-                                    now,
-                                    payload_bytes,
-                                    loss,
-                                    accuracy,
-                                );
-                                matches!(verdict, Ok(ReportResponse::Accepted))
-                            });
-                            if let (true, Some(master)) = (accepted, &actor.master) {
-                                let _ = master.send(MasterMsg::Update { frame });
-                            }
-                            accepted
-                        })
-                    }
-                    Err(_) => {
-                        // No key to echo: the device's retry discipline
-                        // treats the rejecting ack as a refusal and backs
-                        // off.
-                        if let Some(telemetry) = &self.telemetry {
-                            telemetry.lock().record_corrupt_frame(now);
-                        }
-                        WireMessage::ReportAck {
-                            accepted: false,
-                            round: RoundId(0),
-                            attempt: 0,
-                            population: self.population(),
-                        }
-                    }
-                };
+                let ack = self.on_report(now, frame);
                 let _ = conn.send(&ack);
                 Flow::Continue
             }
@@ -609,41 +609,25 @@ impl<S: CheckpointStore + Send + 'static> Actor for CoordinatorActor<S> {
                     .is_some_and(|r| r.state.outcome().is_some());
                 if let Some(mut round) = if finished { self.active.take() } else { None } {
                     // The round's report keys die with it; a straggler
-                    // retry from a completed round re-evaluates against
-                    // no active round and is refused. So do its reply
-                    // routes (every entry was inserted by a check-in this
-                    // round selected) and its Configuration frame.
+                    // retry from a completed round names no active round
+                    // and is refused. So do its reply routes (every entry
+                    // was inserted by a check-in this round selected) and
+                    // its Configuration frame.
                     self.report_acks.clear();
                     self.device_replies.clear();
                     self.configuration.clear();
                     round.record_participation_metrics();
                     let master = self.master.take();
-                    let committed = round.state.outcome().is_some_and(|o| o.is_committed());
-                    let aggregate = if committed && round.task.kind == TaskKind::Training {
-                        let merged = match &master {
-                            Some(master) => Self::finalize_external(master, &round),
+                    let aggregate = if round.commits_training() {
+                        Some(match &master {
+                            Some(master) => Self::finalize_master(master, &mut round),
                             // Unreachable by construction (`ensure_round`
                             // always detaches for training), but a missing
                             // subtree must fail the round, not panic.
                             None => Err(CoreError::InvariantViolated(
                                 "committed training round has no aggregator subtree".into(),
                             )),
-                        };
-                        Some(merged.map(|(params, contributors, shard_aborts)| {
-                            // Per-shard SecAgg aborts are telemetry, not
-                            // round failures: the commit proceeds from the
-                            // surviving shards and the aborts are counted.
-                            if shard_aborts > 0 {
-                                if let Some(telemetry) = &self.telemetry {
-                                    let now = self.now_ms();
-                                    let mut metrics = telemetry.lock();
-                                    for _ in 0..shard_aborts {
-                                        metrics.record_secagg_abort(now);
-                                    }
-                                }
-                            }
-                            (params, contributors)
-                        }))
+                        })
                     } else {
                         // Nothing to merge: tell the subtree (if any) to
                         // tear itself down with the abandoned round.
@@ -652,7 +636,19 @@ impl<S: CheckpointStore + Send + 'static> Actor for CoordinatorActor<S> {
                         }
                         None
                     };
-                    let outcome = self.coordinator.complete_round_external(round, aggregate).ok();
+                    // Per-shard SecAgg aborts are telemetry, not round
+                    // failures: the commit proceeds from the surviving
+                    // shards and the aborts are counted.
+                    if let (Some(Ok(merged)), Some(telemetry)) = (&aggregate, &self.telemetry) {
+                        if merged.shard_aborts > 0 {
+                            let now = self.now_ms();
+                            let mut metrics = telemetry.lock();
+                            for _ in 0..merged.shard_aborts {
+                                metrics.record_secagg_abort(now);
+                            }
+                        }
+                    }
+                    let outcome = self.coordinator.complete_round_with(round, aggregate).ok();
                     let _ = reply.send(outcome);
                 } else {
                     let _ = reply.send(None);
@@ -870,7 +866,10 @@ impl Actor for SelectorActor {
 
 /// An in-memory device connection to the live topology: the client half
 /// of a [`ChannelTransport`] pair plus the gateway half whose inbound
-/// frames the caller pumps into the Selector/Coordinator mailboxes.
+/// frames the caller pumps into the Selector/Coordinator mailboxes. The
+/// client half is a parameter so a harness can splice a lossy network in
+/// front of it ([`DeviceConn::connect_through`] with a
+/// [`fl_wire::FaultyTransport`]).
 ///
 /// This is the same shape as the TCP front door in
 /// `examples/live_server.rs` — one connection, framed [`WireMessage`]s
@@ -878,18 +877,18 @@ impl Actor for SelectorActor {
 /// [`fl_wire::peek_tag`] — with the per-connection gateway thread
 /// collapsed into the device's own thread (the pump runs opportunistically
 /// inside [`DeviceConn::recv`]).
-pub struct DeviceConn {
+pub struct DeviceConn<T: Transport = ChannelTransport> {
     device: DeviceId,
     /// Population this connection checks in under and stamps on every
     /// report (the multi-tenant wire contract).
     population: PopulationName,
-    client: ChannelTransport,
+    client: T,
     gateway: ChannelTransport,
     selector: ActorRef<SelectorMsg>,
     coordinator: ActorRef<CoordMsg>,
 }
 
-impl std::fmt::Debug for DeviceConn {
+impl<T: Transport> std::fmt::Debug for DeviceConn<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DeviceConn")
             .field("device", &self.device)
@@ -907,15 +906,35 @@ impl DeviceConn {
         selector: ActorRef<SelectorMsg>,
         coordinator: ActorRef<CoordMsg>,
     ) -> Self {
+        DeviceConn::connect_through(device, population, selector, coordinator, |client| client)
+    }
+}
+
+impl<T: Transport> DeviceConn<T> {
+    /// [`DeviceConn::connect`] with the client half of the channel pair
+    /// wrapped by `wrap` — where a lossy network would sit.
+    pub fn connect_through(
+        device: DeviceId,
+        population: impl Into<PopulationName>,
+        selector: ActorRef<SelectorMsg>,
+        coordinator: ActorRef<CoordMsg>,
+        wrap: impl FnOnce(ChannelTransport) -> T,
+    ) -> Self {
         let (client, gateway) = ChannelTransport::pair();
         DeviceConn {
             device,
             population: population.into(),
-            client,
+            client: wrap(client),
             gateway,
             selector,
             coordinator,
         }
+    }
+
+    /// The client half, for what only its own type offers (a
+    /// [`fl_wire::FaultyTransport`]'s fault ledger).
+    pub fn client(&self) -> &T {
+        &self.client
     }
 
     /// Routes every frame the device has sent so far into the right
@@ -950,14 +969,19 @@ impl DeviceConn {
         Ok(())
     }
 
+    /// Sends one message from the device and routes it to its mailbox.
+    pub fn send(&self, msg: &WireMessage) -> Result<(), WireError> {
+        self.client.send(msg)?;
+        self.pump()
+    }
+
     /// Sends a [`WireMessage::CheckinRequest`] for this device under its
     /// population.
     pub fn check_in(&self) -> Result<(), WireError> {
-        self.client.send(&WireMessage::CheckinRequest {
+        self.send(&WireMessage::CheckinRequest {
             device: self.device,
             population: self.population.clone(),
-        })?;
-        self.pump()
+        })
     }
 
     /// Sends a [`WireMessage::UpdateReport`] with the given payload
@@ -973,7 +997,7 @@ impl DeviceConn {
         loss: f64,
         accuracy: f64,
     ) -> Result<(), WireError> {
-        self.client.send(&WireMessage::UpdateReport {
+        self.send(&WireMessage::UpdateReport {
             device: self.device,
             round,
             attempt,
@@ -982,8 +1006,7 @@ impl DeviceConn {
             loss,
             accuracy,
             population: self.population.clone(),
-        })?;
-        self.pump()
+        })
     }
 
     /// Sends a [`WireMessage::SecAggReport`] carrying this device's
@@ -998,7 +1021,7 @@ impl DeviceConn {
         loss: f64,
         accuracy: f64,
     ) -> Result<(), WireError> {
-        self.client.send(&WireMessage::SecAggReport {
+        self.send(&WireMessage::SecAggReport {
             device: self.device,
             round,
             attempt,
@@ -1007,8 +1030,7 @@ impl DeviceConn {
             loss,
             accuracy,
             population: self.population.clone(),
-        })?;
-        self.pump()
+        })
     }
 
     /// Receives the next server reply, pumping any not-yet-routed
@@ -1452,19 +1474,38 @@ mod tests {
     }
 
     fn report_frame(device: u64, round: RoundId, population: &str) -> Vec<u8> {
+        keyed_report_frame(device, round, 1, 0.25, population)
+    }
+
+    /// A report of `delta` on every coordinate under an explicit key.
+    fn keyed_report_frame(
+        device: u64,
+        round: RoundId,
+        attempt: u32,
+        delta: f32,
+        population: &str,
+    ) -> Vec<u8> {
         fl_wire::encode(&WireMessage::UpdateReport {
             device: DeviceId(device),
             round,
-            attempt: 1,
+            attempt,
             update_bytes: CodecSpec::Identity
                 .build()
-                .encode(&vec![0.25f32; spec().num_params()]),
+                .encode(&vec![delta; spec().num_params()]),
             weight: 4,
             loss: 0.5,
             accuracy: 0.8,
             population: population.into(),
         })
         .expect("test frame encodes")
+    }
+
+    /// Waits for `client`'s Configuration and returns its checkpoint.
+    fn configuration(client: &ChannelTransport) -> fl_core::FlCheckpoint {
+        match client.recv_timeout(Duration::from_secs(5)).unwrap() {
+            WireMessage::PlanAndCheckpoint { checkpoint, .. } => *checkpoint,
+            other => panic!("expected the configuration, got {other:?}"),
+        }
     }
 
     /// Sends `frame` as a report and returns the ack's `accepted`.
@@ -1533,6 +1574,108 @@ mod tests {
             coordinator.send(CoordMsg::Shutdown).unwrap();
         }
         system.join();
+    }
+
+    /// A report is keyed to the round whose Configuration the device
+    /// trained on. One device, two consecutive rounds: its round-1 frame,
+    /// delayed and replayed into round 2 after the device was configured
+    /// again, is refused, and round 2 commits the average of the real
+    /// reports only (it used to be summed into round 2 in place of the
+    /// real report).
+    #[test]
+    fn report_keyed_to_an_earlier_round_is_refused() {
+        let system = ActorSystem::new();
+        let coordinator = spawn_coordinator(&system, "pop-stale", quick_round(1));
+
+        let first = configuration(&forward(&coordinator, 0));
+        let stale = keyed_report_frame(0, first.round, 1, 0.25, "pop-stale");
+        assert!(report(&coordinator, stale.clone()));
+        assert!(crate::topology::complete_round(&coordinator, 50)
+            .unwrap()
+            .is_committed());
+
+        let second = configuration(&forward(&coordinator, 0));
+        assert_eq!(second.round, first.round.next());
+        assert!(
+            !report(&coordinator, stale),
+            "a round-1 report was accepted into round 2"
+        );
+        let real = keyed_report_frame(0, second.round, 1, 0.5, "pop-stale");
+        assert!(report(&coordinator, real));
+        assert!(crate::topology::complete_round(&coordinator, 50)
+            .unwrap()
+            .is_committed());
+
+        // Each round's one update over its weight of 4, exactly:
+        // 0 + 0.0625 (round 1) + 0.125 (round 2).
+        let third = configuration(&forward(&coordinator, 0));
+        assert_eq!(third.params(), vec![0.1875f32; spec().num_params()]);
+
+        coordinator.send(CoordMsg::Shutdown).unwrap();
+        system.join();
+    }
+
+    /// The verdict ledger pins only what the active round can be asked
+    /// about: 10 000 invented keys — unknown devices, other rounds,
+    /// attempts past the cap — each get a rejecting ack echoing the key
+    /// and leave nothing behind, while a participant's own attempts are
+    /// evaluated and pinned up to the cap.
+    #[test]
+    fn ghost_report_keys_never_grow_the_verdict_ledger() {
+        let task = FlTask::training("t", "pop-ghost").with_round(quick_round(2));
+        let plan = FlPlan::standard_training(spec(), 1, 8, 0.1, CodecSpec::Identity);
+        let mut actor = CoordinatorActor::new(
+            CoordinatorConfig::new("pop-ghost", 7),
+            TaskGroup::new(vec![task], TaskSelectionStrategy::Single),
+            vec![plan],
+            vec![0.0; spec().num_params()],
+            LockingService::new(),
+        );
+        // Two participants, configured; no Master subtree (accepted
+        // frames are simply not forwarded).
+        let mut round = actor.coordinator.begin_round(0).unwrap();
+        round.detach_master();
+        for device in 0..2 {
+            round.on_checkin(DeviceId(device), 0);
+            actor
+                .device_replies
+                .insert(DeviceId(device), WireSink::null());
+        }
+        let active = round.checkpoint.round;
+        actor.active = Some(round);
+
+        let refused = |actor: &mut CoordinatorActor, device: u64, round: RoundId, attempt: u32| {
+            let frame = keyed_report_frame(device, round, attempt, 0.25, "pop-ghost");
+            let ack = actor.on_report(1, frame);
+            let expected = WireMessage::ReportAck {
+                accepted: false,
+                round,
+                attempt,
+                population: "pop-ghost".into(),
+            };
+            assert_eq!(ack, expected);
+        };
+        for ghost in 0..10_000u64 {
+            match ghost % 3 {
+                0 => refused(&mut actor, 1_000 + ghost, active, 1),
+                1 => refused(&mut actor, ghost % 2, RoundId(active.0 + 1 + ghost), 1),
+                _ => refused(&mut actor, ghost % 2, active, MAX_REPORT_ATTEMPTS + 1 + ghost as u32),
+            }
+        }
+        assert!(actor.report_acks.is_empty(), "a ghost key was pinned");
+
+        // Real keys are evaluated once and pinned: device 0's first
+        // attempt is accepted, its later ones rejected by the round.
+        for attempt in 1..=MAX_REPORT_ATTEMPTS {
+            let frame = keyed_report_frame(0, active, attempt, 0.25, "pop-ghost");
+            let accepted = matches!(
+                actor.on_report(1, frame),
+                WireMessage::ReportAck { accepted: true, .. }
+            );
+            assert_eq!(accepted, attempt == 1);
+        }
+        assert_eq!(actor.report_acks.len(), MAX_REPORT_ATTEMPTS as usize);
+        assert!(actor.report_acks.len() <= 2 * MAX_REPORT_ATTEMPTS as usize);
     }
 
     /// The Configuration is encoded once a round. All twenty

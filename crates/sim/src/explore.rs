@@ -17,6 +17,10 @@
 //! * **storage audit** — `write_count == 1 + committed` (the deployment
 //!   write plus one per committed round; per-device updates are never
 //!   persisted, Sec. 4.2);
+//! * **verifiable sum** — the committed parameters are exactly the
+//!   average of the reports the Coordinator accepted: every device
+//!   reports a different update, so a sum missing a member (a finalize
+//!   that overtook an update in the Master's mailbox) cannot pass;
 //! * **obituaries exactly once** — every independent `deaths()`
 //!   subscriber sees each actor's obituary exactly once (the invariant
 //!   the Sec. 4.4 "respawn happens exactly once" recovery loop hinges
@@ -190,13 +194,16 @@ fn explore_round(
                                     checkpoint.len()
                                 ));
                             }
-                            let update = vec![0.25f32; dim];
+                            // A different update per device, at weight 1:
+                            // a constant cohort would hide a missing
+                            // member.
+                            let update = vec![0.25 * (i + 1) as f32; dim];
                             let round = checkpoint.round;
                             let sent = if secagg_k.is_some() {
                                 match fl_ml::fixedpoint::FixedPointEncoder::default_for_updates()
                                     .encode(&update)
                                 {
-                                    Ok(field) => conn.report_secagg(round, 1, field, 4, 0.5, 0.8),
+                                    Ok(field) => conn.report_secagg(round, 1, field, 1, 0.5, 0.8),
                                     Err(e) => {
                                         return DeviceOutcome::Failed(format!(
                                             "device {i}: fixed-point encode failed: {e}"
@@ -205,7 +212,7 @@ fn explore_round(
                                 }
                             } else {
                                 let bytes = CodecSpec::Identity.build().encode(&update);
-                                conn.report(round, 1, bytes, 4, 0.5, 0.8)
+                                conn.report(round, 1, bytes, 1, 0.5, 0.8)
                             };
                             if sent.is_err() {
                                 return DeviceOutcome::Failed(format!(
@@ -253,6 +260,24 @@ fn explore_round(
     let audit = live.shutdown(&mut report.violations);
     report.committed = audit.committed;
     report.write_count = audit.write_count;
+    // Weight 1 each over a zero model: devices 0..4 average to 0.625
+    // exactly. Under SecAgg device 3's dropout notice and the completion
+    // poll share the Coordinator's permuted mailbox, so the close either
+    // sees the dropout (devices 0..3 average to 0.5, within fixed-point
+    // quantization) or overtakes it (all four reports).
+    let (averages, tolerance): (&[f32], f32) = if secagg_k.is_some() {
+        (&[0.5, 0.625], 1e-3)
+    } else {
+        (&[0.625], 0.0)
+    };
+    let is_average =
+        |average: &f32| audit.params.iter().all(|p| (p - average).abs() <= tolerance);
+    if !averages.iter().any(is_average) {
+        report.violations.push(format!(
+            "committed params {:?} are not a cohort average ({averages:?})",
+            audit.params
+        ));
+    }
 
     // Obituaries exactly once, in every independent subscriber view
     // (each `deaths()` receiver replays the full log).

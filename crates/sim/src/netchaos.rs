@@ -33,18 +33,17 @@
 //! availability* axis, owned by [`crate::chaos`] drop-out bursts.
 
 use crate::live_round::LiveRound;
-use fl_actors::{ActorRef, ActorSystem};
+use fl_actors::ActorSystem;
 use fl_analytics::overload::OverloadMonitorConfig;
 use fl_core::plan::CodecSpec;
 use fl_core::round::{RoundConfig, RoundOutcome};
 use fl_core::{DeviceId, PopulationName};
 use fl_device::UploadSession;
-use fl_server::live::{CoordMsg, SelectorMsg};
+use fl_server::live::DeviceConn;
 use fl_server::pace::PaceSteering;
 use fl_server::topology::{SelectorSpec, TopologyBlueprint};
 use fl_server::wire::{
-    self, ChannelTransport, FaultScript, FaultStats, FaultyTransport, FrameFault, Transport,
-    WireError, WireMessage,
+    ChannelTransport, FaultScript, FaultStats, FaultyTransport, FrameFault, WireError, WireMessage,
 };
 use std::time::Duration;
 
@@ -120,74 +119,6 @@ fn device_script(seed: u64, device: u64) -> FaultScript {
         });
     }
     FaultScript::scripted(mix(seed, device, 0xFA17), faults)
-}
-
-/// A device connection whose uplink runs through a [`FaultyTransport`] —
-/// the same shape as `fl_server::live::DeviceConn` (client/gateway
-/// channel pair, inbound frames routed to an actor mailbox by tag), with
-/// the fault injector spliced in where a lossy network would sit.
-struct ChaosConn {
-    client: FaultyTransport<ChannelTransport>,
-    gateway: ChannelTransport,
-    selector: ActorRef<SelectorMsg>,
-    coordinator: ActorRef<CoordMsg>,
-}
-
-impl ChaosConn {
-    fn connect(
-        script: FaultScript,
-        selector: ActorRef<SelectorMsg>,
-        coordinator: ActorRef<CoordMsg>,
-    ) -> Self {
-        let (client, gateway) = ChannelTransport::pair();
-        ChaosConn {
-            client: FaultyTransport::new(client, script),
-            gateway,
-            selector,
-            coordinator,
-        }
-    }
-
-    /// Routes every frame that survived the fault injector into the
-    /// right server mailbox — the gateway role, mirroring
-    /// `DeviceConn::pump`: report tags go to the coordinator, everything
-    /// else to the selector (which drops garbage silently), unframeable
-    /// junk is dropped here.
-    fn pump(&self) -> Result<(), WireError> {
-        while let Some(frame) = self.gateway.try_recv_frame()? {
-            let target_ok = match wire::peek_tag(&frame) {
-                Ok(wire::tag::UPDATE_REPORT | wire::tag::SECAGG_REPORT) => self
-                    .coordinator
-                    .send(CoordMsg::Report {
-                        frame,
-                        conn: self.gateway.sink(),
-                    })
-                    .is_ok(),
-                Ok(_) => self
-                    .selector
-                    .send(SelectorMsg::Checkin {
-                        frame,
-                        conn: self.gateway.sink(),
-                    })
-                    .is_ok(),
-                Err(_) => true,
-            };
-            if !target_ok {
-                return Err(WireError::Closed);
-            }
-        }
-        Ok(())
-    }
-
-    fn send(&self, msg: &WireMessage) -> Result<(), WireError> {
-        self.client.send(msg)?;
-        self.pump()
-    }
-
-    fn recv(&self, timeout: Duration) -> Result<WireMessage, WireError> {
-        self.pump()?;
-        self.client.recv_timeout(timeout)
-    }
 }
 
 /// What one device client observed; everything in it is deterministic
@@ -296,19 +227,13 @@ pub fn run_wire_chaos_secagg(seed: u64) -> WireChaosReport {
 /// the original verdict), a pinned reject moves to a fresh attempt key,
 /// and acks for ghost keys (born of in-flight corruption) are ignored.
 fn run_device(
-    conn: &ChaosConn,
+    conn: &DeviceConn<FaultyTransport<ChannelTransport>>,
     device: DeviceId,
     index: u64,
     secagg_k: Option<usize>,
 ) -> DeviceOutcome {
     let population = PopulationName::new(POPULATION);
-    if conn
-        .send(&WireMessage::CheckinRequest {
-            device,
-            population: population.clone(),
-        })
-        .is_err()
-    {
+    if conn.check_in().is_err() {
         return DeviceOutcome::Failed(format!("device {index}: selector gone"));
     }
     let (plan, checkpoint) = loop {
@@ -477,9 +402,13 @@ fn run(scenario: &'static str, seed: u64, secagg_k: Option<usize>) -> WireChaosR
             let sel = selector_refs[(i % selector_refs.len() as u64) as usize].clone();
             let coord = live.coordinator.clone();
             std::thread::spawn(move || {
-                let conn = ChaosConn::connect(device_script(seed, i), sel, coord);
+                // The device's uplink runs through a `FaultyTransport`,
+                // spliced in where a lossy network would sit.
+                let conn = DeviceConn::connect_through(device_id(i), POPULATION, sel, coord, |c| {
+                    FaultyTransport::new(c, device_script(seed, i))
+                });
                 let outcome = run_device(&conn, device_id(i), i, secagg_k);
-                (outcome, conn.client.fault_stats())
+                (outcome, conn.client().fault_stats())
             })
         })
         .collect();

@@ -32,9 +32,12 @@ use std::fmt;
 ///
 /// v4: the trailer's digest changes from byte-serial FNV-1a 64 to the
 /// four-lane, 32-bytes-per-step [`checksum`] (same position, same width,
-/// same typed mismatch), and the Coordinator → Master Aggregator update
-/// messages (tags 7 and 12) are retired: the Master is handed the
-/// device's own report frame, so those tags are reserved, never reused.
+/// same typed mismatch), and the Coordinator ↔ Master Aggregator
+/// messages are retired — the update frames (tags 7 and 12) with the
+/// digest change, the finalize, merged and abort frames (tags 8, 9, 10
+/// and 13) later within v4: that hop is one process and none of them
+/// ever crossed a socket, so no device-facing byte moved. The six tags
+/// are reserved, never reused.
 pub const PROTOCOL_VERSION: u8 = 4;
 
 /// Two-byte frame magic ("FW" — framed wire).
@@ -448,38 +451,15 @@ impl<'a> Reader<'a> {
         })
     }
 
-    /// `u32` count-prefixed vector of `N`-byte little-endian elements,
-    /// borrowed from the body. The count is checked against the bytes
-    /// present before anything is sized by it.
-    fn elements<const N: usize>(&mut self) -> Result<&'a [[u8; N]], WireError> {
+    /// `u32` count-prefixed vector of little-endian `u64`s (SecAgg field
+    /// elements), borrowed from the body. The count is checked against
+    /// the bytes present before anything is sized by it.
+    pub(crate) fn u64s(&mut self) -> Result<&'a [[u8; 8]], WireError> {
         let n = self.u32()? as usize;
-        let b = self.take(n.checked_mul(N).ok_or(WireError::Malformed {
+        let b = self.take(n.checked_mul(8).ok_or(WireError::Malformed {
             what: "element count overflow",
         })?)?;
-        Ok(b.as_chunks::<N>().0)
-    }
-
-    /// `u32` count-prefixed `u64` vector (SecAgg field elements).
-    pub(crate) fn u64s(&mut self) -> Result<&'a [[u8; 8]], WireError> {
-        self.elements::<8>()
-    }
-
-    /// `u32` count-prefixed `f32` vector.
-    pub(crate) fn f32s(&mut self) -> Result<Vec<f32>, WireError> {
-        Ok(self
-            .elements::<4>()?
-            .iter()
-            .map(|c| f32::from_le_bytes(*c))
-            .collect())
-    }
-
-    /// `u32` count-prefixed device-id list.
-    pub(crate) fn devices(&mut self) -> Result<Vec<fl_core::DeviceId>, WireError> {
-        Ok(self
-            .elements::<8>()?
-            .iter()
-            .map(|c| fl_core::DeviceId(u64::from_le_bytes(*c)))
-            .collect())
+        Ok(b.as_chunks::<8>().0)
     }
 
     /// Whole body consumed? Leftovers mean a layout mismatch.
@@ -524,30 +504,16 @@ pub(crate) mod put {
         Ok(())
     }
 
-    /// Appends a `u32` count prefix and one `N`-byte little-endian
-    /// element per item, growing `out` once and filling it in bulk.
-    fn elements<T, const N: usize>(out: &mut Vec<u8>, v: &[T], le: impl Fn(&T) -> [u8; N]) {
+    /// Appends a `u32` count-prefixed vector of little-endian `u64`s
+    /// (SecAgg field elements), growing `out` once and filling it in
+    /// bulk.
+    pub(crate) fn u64s(out: &mut Vec<u8>, v: &[u64]) {
         out.extend_from_slice(&(v.len() as u32).to_le_bytes());
         let start = out.len();
-        out.resize(start + v.len() * N, 0);
-        let (slots, _) = out[start..].as_chunks_mut::<N>();
+        out.resize(start + v.len() * 8, 0);
+        let (slots, _) = out[start..].as_chunks_mut::<8>();
         for (slot, x) in slots.iter_mut().zip(v) {
-            *slot = le(x);
+            *slot = x.to_le_bytes();
         }
-    }
-
-    /// Appends a `u32` count-prefixed `f32` vector.
-    pub(crate) fn f32s(out: &mut Vec<u8>, v: &[f32]) {
-        elements(out, v, |x| x.to_le_bytes());
-    }
-
-    /// Appends a `u32` count-prefixed `u64` vector (SecAgg field elements).
-    pub(crate) fn u64s(out: &mut Vec<u8>, v: &[u64]) {
-        elements(out, v, |x| x.to_le_bytes());
-    }
-
-    /// Appends a `u32` count-prefixed device-id list.
-    pub(crate) fn devices(out: &mut Vec<u8>, v: &[fl_core::DeviceId]) {
-        elements(out, v, |d| d.0.to_le_bytes());
     }
 }

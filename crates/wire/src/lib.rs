@@ -7,8 +7,9 @@
 //! plan and checkpoint* (Sec. 3, Configuration); and finally it uploads
 //! an *update report* that the Aggregator tree folds into the round
 //! (Sec. 3, Reporting). This crate is the single definition of that
-//! exchange as bytes on a wire: a [`WireMessage`] enum covering both the
-//! device↔Selector leg and the Selector↔Aggregator shard leg, a
+//! exchange as bytes on a wire: a [`WireMessage`] enum covering the
+//! device↔server messages (the actors behind the front door are one
+//! process and exchange typed messages, not frames), a
 //! deterministic length-prefixed framed codec ([`encode`] / [`decode`],
 //! with [`encode_into`] for a connection that keeps its buffer and
 //! [`ReportRef`] for a server that must key and route an upload without

@@ -34,26 +34,22 @@ pub mod tag {
     pub const UPDATE_REPORT: u8 = 5;
     /// [`crate::WireMessage::ReportAck`]
     pub const REPORT_ACK: u8 = 6;
-    // 7 is reserved: the v3 `ShardUpdate` (Coordinator → Master
-    // Aggregator), retired at v4 — the Master is handed the device's
-    // own `UpdateReport` frame instead.
-    /// [`crate::WireMessage::ShardFinalize`]
-    pub const SHARD_FINALIZE: u8 = 8;
-    /// [`crate::WireMessage::ShardMerged`]
-    pub const SHARD_MERGED: u8 = 9;
-    /// [`crate::WireMessage::ShardAbort`]
-    pub const SHARD_ABORT: u8 = 10;
+    // 7 to 10, 12 and 13 are reserved. They framed the Coordinator ↔
+    // Master Aggregator hop: `ShardUpdate` (7) and `SecAggUpdate` (12),
+    // retired at v4 when the Master was handed the device's own report
+    // frame; `ShardFinalize` (8), `ShardMerged` (9), `ShardAbort` (10)
+    // and `SecAggFinalize` (13), retired within v4 when that hop became
+    // typed messages. It is one process and those frames never crossed
+    // a socket, so no device-facing byte moved. A sound frame carrying
+    // a reserved tag is an unknown message, never a slot for something
+    // new.
     /// [`crate::WireMessage::SecAggReport`]
     pub const SECAGG_REPORT: u8 = 11;
-    // 12 is reserved: the v3 `SecAggUpdate`, retired at v4 like tag 7
-    // (the Master is handed the device's own `SecAggReport` frame).
-    /// [`crate::WireMessage::SecAggFinalize`]
-    pub const SECAGG_FINALIZE: u8 = 13;
 }
 
-/// One protocol message. The first six variants are the device↔Selector
-/// exchange (paper Sec. 2.3 + Sec. 3); the `Shard*` variants are the
-/// Selector↔Aggregator traffic behind it (Sec. 4.2).
+/// One protocol message of the device ↔ server exchange (paper Sec. 2.3
+/// and Sec. 3), the only hop that crosses a socket: the actors behind it
+/// are one process and exchange typed messages.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WireMessage {
     /// Device → Selector: "device checks in" (Sec. 2.3), naming the FL
@@ -141,26 +137,6 @@ pub enum WireMessage {
         /// population's upload session on a multi-tenant device).
         population: PopulationName,
     },
-    /// Coordinator → Master Aggregator: close the round — merge all
-    /// shards over `current_params`, discarding `dropouts`.
-    ShardFinalize {
-        /// The committed global parameters the merge starts from.
-        current_params: Vec<f32>,
-        /// Devices that dropped out after being routed to a shard.
-        dropouts: Vec<DeviceId>,
-    },
-    /// Master Aggregator → Coordinator: the merge result — new global
-    /// parameters and contributor count, or the failure reason.
-    ShardMerged {
-        /// `Ok((params, contributors))` or `Err(reason)`.
-        merged: Result<(Vec<f32>, u64), String>,
-    },
-    /// Coordinator → Master Aggregator: abandon the round; shards
-    /// discard partial aggregates (nothing is persisted, Sec. 4.2).
-    /// Also sent Master → Coordinator on the finalize reply stream, one
-    /// per SecAgg shard whose group fell below `k` — the shard's
-    /// contribution is aborted, the round commits from the rest.
-    ShardAbort,
     /// Device → Coordinator: a Secure Aggregation report (Sec. 6) — the
     /// update as fixed-point field elements rather than codec bytes.
     /// The 8 B/coordinate field vector *is* SecAgg's bandwidth premium
@@ -186,25 +162,6 @@ pub enum WireMessage {
         /// cross-tenant refusal contract as [`WireMessage::UpdateReport`]).
         population: PopulationName,
     },
-    /// Coordinator → Master Aggregator: close a SecAgg round — run the
-    /// masked protocol per shard with dropouts attributed to the stage
-    /// they died at (advertise-stage exclusions are cheap; share-stage
-    /// losses force mask-key reconstruction).
-    SecAggFinalize {
-        /// The committed global parameters the merge starts from.
-        current_params: Vec<f32>,
-        /// How many forwarded `SecAggReport` frames this finalize covers
-        /// (the count of accepted reports). The master must not close its
-        /// shards until it has drained this many updates — without the
-        /// barrier, an update overtaken in delivery by the finalize
-        /// would silently vanish from the masked sum, or strand a
-        /// group below threshold.
-        expected_contributors: u64,
-        /// Devices lost before sharing keys (excluded outright).
-        advertise_dropouts: Vec<DeviceId>,
-        /// Devices lost after sharing keys (masks reconstructed).
-        share_dropouts: Vec<DeviceId>,
-    },
 }
 
 impl WireMessage {
@@ -217,11 +174,7 @@ impl WireMessage {
             WireMessage::PlanAndCheckpoint { .. } => tag::PLAN_AND_CHECKPOINT,
             WireMessage::UpdateReport { .. } => tag::UPDATE_REPORT,
             WireMessage::ReportAck { .. } => tag::REPORT_ACK,
-            WireMessage::ShardFinalize { .. } => tag::SHARD_FINALIZE,
-            WireMessage::ShardMerged { .. } => tag::SHARD_MERGED,
-            WireMessage::ShardAbort => tag::SHARD_ABORT,
             WireMessage::SecAggReport { .. } => tag::SECAGG_REPORT,
-            WireMessage::SecAggFinalize { .. } => tag::SECAGG_FINALIZE,
         }
     }
 
@@ -282,25 +235,6 @@ impl WireMessage {
                 out.extend_from_slice(&attempt.to_le_bytes());
                 put::string(out, population.as_str())?;
             }
-            WireMessage::ShardFinalize {
-                current_params,
-                dropouts,
-            } => {
-                put::f32s(out, current_params);
-                put::devices(out, dropouts);
-            }
-            WireMessage::ShardMerged { merged } => match merged {
-                Ok((params, contributors)) => {
-                    out.push(1);
-                    put::f32s(out, params);
-                    out.extend_from_slice(&contributors.to_le_bytes());
-                }
-                Err(reason) => {
-                    out.push(0);
-                    put::string(out, reason)?;
-                }
-            },
-            WireMessage::ShardAbort => {}
             WireMessage::SecAggReport {
                 device,
                 round,
@@ -314,17 +248,6 @@ impl WireMessage {
                 put_report_head(out, *device, *round, *attempt, *weight, *loss, *accuracy);
                 put::u64s(out, field_vector);
                 put::string(out, population.as_str())?;
-            }
-            WireMessage::SecAggFinalize {
-                current_params,
-                expected_contributors,
-                advertise_dropouts,
-                share_dropouts,
-            } => {
-                put::f32s(out, current_params);
-                out.extend_from_slice(&expected_contributors.to_le_bytes());
-                put::devices(out, advertise_dropouts);
-                put::devices(out, share_dropouts);
             }
         }
         Ok(())
@@ -347,33 +270,11 @@ impl WireMessage {
                 ..
             } => REPORT_HEAD_LEN + 4 + update_bytes.len() + pop_len(population),
             WireMessage::ReportAck { population, .. } => 1 + 8 + 4 + pop_len(population),
-            WireMessage::ShardFinalize {
-                current_params,
-                dropouts,
-            } => 4 + current_params.len() * 4 + 4 + dropouts.len() * 8,
-            WireMessage::ShardMerged { merged } => match merged {
-                Ok((params, _)) => 1 + 4 + params.len() * 4 + 8,
-                Err(reason) => 1 + 2 + reason.len(),
-            },
-            WireMessage::ShardAbort => 0,
             WireMessage::SecAggReport {
                 field_vector,
                 population,
                 ..
             } => REPORT_HEAD_LEN + 4 + field_vector.len() * 8 + pop_len(population),
-            WireMessage::SecAggFinalize {
-                current_params,
-                advertise_dropouts,
-                share_dropouts,
-                ..
-            } => {
-                4 + current_params.len() * 4
-                    + 8
-                    + 4
-                    + advertise_dropouts.len() * 8
-                    + 4
-                    + share_dropouts.len() * 8
-            }
         }
     }
 
@@ -413,27 +314,6 @@ impl WireMessage {
                 round: RoundId(r.u64()?),
                 attempt: r.u32()?,
                 population: read_population(&mut r)?.into(),
-            },
-            tag::SHARD_FINALIZE => WireMessage::ShardFinalize {
-                current_params: r.f32s()?,
-                dropouts: r.devices()?,
-            },
-            tag::SHARD_MERGED => {
-                let merged = if r.bool()? {
-                    let params = r.f32s()?;
-                    let contributors = r.u64()?;
-                    Ok((params, contributors))
-                } else {
-                    Err(r.str()?.to_string())
-                };
-                WireMessage::ShardMerged { merged }
-            }
-            tag::SHARD_ABORT => WireMessage::ShardAbort,
-            tag::SECAGG_FINALIZE => WireMessage::SecAggFinalize {
-                current_params: r.f32s()?,
-                expected_contributors: r.u64()?,
-                advertise_dropouts: r.devices()?,
-                share_dropouts: r.devices()?,
             },
             other => return Err(WireError::UnknownMessage { tag: other }),
         };

@@ -1,6 +1,6 @@
 //! Golden-bytes fixture: the exact frame bytes of one canonical message
-//! per tag, pinned in `golden_frames.txt` (tags 7 and 12 were retired at
-//! protocol v4 and stay reserved, so they have no line).
+//! per tag, pinned in `golden_frames.txt` (tags 7 to 10, 12 and 13 are
+//! retired and stay reserved, so they have no line).
 //!
 //! If this test fails you changed the wire layout. Changing an
 //! *existing* frame's bytes is only legal together with a
@@ -70,14 +70,6 @@ fn canonical_messages() -> Vec<WireMessage> {
             attempt: 2,
             population: population.clone(),
         },
-        WireMessage::ShardFinalize {
-            current_params: vec![1.0, 2.0],
-            dropouts: vec![DeviceId(9), DeviceId(11)],
-        },
-        WireMessage::ShardMerged {
-            merged: Ok((vec![0.25, 0.5], 31)),
-        },
-        WireMessage::ShardAbort,
         WireMessage::SecAggReport {
             device: DeviceId(42),
             round: RoundId(7),
@@ -87,12 +79,6 @@ fn canonical_messages() -> Vec<WireMessage> {
             loss: 0.125,
             accuracy: 0.75,
             population,
-        },
-        WireMessage::SecAggFinalize {
-            current_params: vec![1.0, 2.0],
-            expected_contributors: 4,
-            advertise_dropouts: vec![DeviceId(9)],
-            share_dropouts: vec![DeviceId(11), DeviceId(13)],
         },
     ]
 }

@@ -32,11 +32,10 @@ fn build_message(
     frac_bits: u64,
     blob: Vec<u8>,
     params: Vec<f32>,
-    text: String,
 ) -> WireMessage {
     let frac = (frac_bits % 1_000_000) as f64 / 997.0;
     let population = prop_population(a ^ b);
-    match variant % 11 {
+    match variant % 7 {
         0 => WireMessage::CheckinRequest {
             device: DeviceId(a),
             population,
@@ -114,19 +113,7 @@ fn build_message(
             attempt: (a % 5) as u32,
             population,
         },
-        6 => WireMessage::ShardFinalize {
-            current_params: params,
-            dropouts: blob.iter().map(|&x| DeviceId(u64::from(x))).collect(),
-        },
-        7 => WireMessage::ShardMerged {
-            merged: if a % 2 == 0 {
-                Ok((params, b))
-            } else {
-                Err(text)
-            },
-        },
-        8 => WireMessage::ShardAbort,
-        9 => WireMessage::SecAggReport {
+        _ => WireMessage::SecAggReport {
             device: DeviceId(a),
             round: RoundId(b ^ a),
             attempt: (b % 4) as u32 + 1,
@@ -136,29 +123,34 @@ fn build_message(
             accuracy: frac / 2.0,
             population,
         },
-        _ => WireMessage::SecAggFinalize {
-            current_params: params,
-            expected_contributors: b,
-            advertise_dropouts: blob
-                .iter()
-                .filter(|&&x| x % 2 == 0)
-                .map(|&x| DeviceId(u64::from(x)))
-                .collect(),
-            share_dropouts: blob
-                .iter()
-                .filter(|&&x| x % 2 == 1)
-                .map(|&x| DeviceId(u64::from(x)))
-                .collect(),
-        },
     }
 }
 
 /// `build_message`'s two report variants (plain, SecAgg).
-const REPORT_VARIANTS: [u8; 2] = [4, 9];
+const REPORT_VARIANTS: [u8; 2] = [4, 6];
 
 /// Deterministic non-empty population name from a primitive draw.
 fn prop_population(sel: u64) -> PopulationName {
     PopulationName::new(format!("pop/{}", sel % 3))
+}
+
+/// A `ComeBackLater` frame of exactly `content_len` bytes of header +
+/// body: 18 fixed bytes and a population name that fills the rest. The
+/// name is never empty, so 19 bytes is the smallest content a message
+/// can have, and every length above it is reachable.
+fn frame_of_content_len(content_len: usize) -> Vec<u8> {
+    let frame = encode(&WireMessage::ComeBackLater {
+        retry_at_ms: 7,
+        population: PopulationName::new("p".repeat(content_len - 18)),
+    })
+    .unwrap();
+    assert_eq!(frame.len() - TRAILER_LEN, content_len);
+    frame
+}
+
+/// The smallest frame the protocol can make.
+fn smallest_frame() -> Vec<u8> {
+    frame_of_content_len(19)
 }
 
 /// Every pinned frame from the golden fixture, as raw bytes — the
@@ -192,9 +184,8 @@ proptest! {
         frac_bits in any::<u64>(),
         blob in proptest::collection::vec(any::<u8>(), 0..64),
         params in proptest::collection::vec(-1000.0f32..1000.0, 0..32),
-        text in "[a-z]{0,12}",
     ) {
-        let msg = build_message(variant, a, b, frac_bits, blob, params, text);
+        let msg = build_message(variant, a, b, frac_bits, blob, params);
         let frame = encode(&msg).unwrap();
         prop_assert_eq!(frame.len(), encoded_len(&msg));
         prop_assert_eq!(peek_tag(&frame).unwrap(), msg.tag());
@@ -216,7 +207,7 @@ proptest! {
         blob in proptest::collection::vec(any::<u8>(), 0..32),
         cut_sel in any::<u64>(),
     ) {
-        let first = build_message(variant, a, b, 7, blob.clone(), vec![1.0], "x".to_string());
+        let first = build_message(variant, a, b, 7, blob.clone(), vec![1.0]);
         let second = WireMessage::ReportAck {
             accepted: a % 2 == 1,
             round: RoundId(b),
@@ -253,7 +244,7 @@ proptest! {
         params in proptest::collection::vec(-1000.0f32..1000.0, 0..32),
         junk in proptest::collection::vec(any::<u8>(), 0..300),
     ) {
-        let msg = build_message(variant, a, b, 7, blob, params, "x".to_string());
+        let msg = build_message(variant, a, b, 7, blob, params);
         let mut buf = junk;
         let n = encode_into(&msg, &mut buf).unwrap();
         prop_assert_eq!(n, buf.len());
@@ -279,7 +270,7 @@ proptest! {
         xor in 1u8..=255,
     ) {
         let variant = REPORT_VARIANTS[usize::from(masked)];
-        let msg = build_message(variant, a, b, frac_bits, blob, Vec::new(), String::new());
+        let msg = build_message(variant, a, b, frac_bits, blob, Vec::new());
         let frame = encode(&msg).unwrap();
         let report = ReportRef::parse(&frame).unwrap();
         prop_assert_eq!(&report.to_message(), &msg);
@@ -403,7 +394,7 @@ proptest! {
 
 #[test]
 fn rejects_bad_magic() {
-    let mut frame = encode(&WireMessage::ShardAbort).unwrap();
+    let mut frame = smallest_frame();
     frame[0] = b'X';
     assert_eq!(
         decode(&frame),
@@ -415,7 +406,7 @@ fn rejects_bad_magic() {
 
 #[test]
 fn rejects_version_skew() {
-    let mut frame = encode(&WireMessage::ShardAbort).unwrap();
+    let mut frame = smallest_frame();
     frame[2] = PROTOCOL_VERSION + 1;
     assert_eq!(
         decode(&frame),
@@ -428,8 +419,8 @@ fn rejects_version_skew() {
 
 #[test]
 fn rejects_v3_frames_with_typed_skew() {
-    // A frame recorded before the v4 digest change — the golden v3
-    // `ShardAbort`, sound under its FNV-1a trailer — must be refused
+    // A frame recorded before the v4 digest change — a bodyless v3
+    // frame, sound under its FNV-1a trailer — must be refused
     // with the typed skew error naming both versions: the version byte
     // is judged before the trailer, so an old peer reads as skewed, not
     // as corrupted, and is never misparsed.
@@ -453,11 +444,11 @@ fn rejects_v3_frames_with_typed_skew() {
 
 #[test]
 fn retired_update_tags_stay_reserved() {
-    // Tags 7 (`ShardUpdate`) and 12 (`SecAggUpdate`) left the protocol
-    // at v4; a sound frame carrying one is an unknown message, not a
-    // slot for something new.
-    for retired in [7u8, 12] {
-        let mut frame = encode(&WireMessage::ShardAbort).unwrap();
+    // The six tags of the Coordinator ↔ Master Aggregator hop left the
+    // protocol when that hop stopped being framed; a sound frame
+    // carrying one is an unknown message, not a slot for something new.
+    for retired in [7u8, 8, 9, 10, 12, 13] {
+        let mut frame = smallest_frame();
         frame[3] = retired;
         reseal(&mut frame);
         assert_eq!(
@@ -473,24 +464,8 @@ fn hostile_payload_count_is_truncation_not_allocation() {
     // bytes / coordinates — 4 GiB / 32 GiB if believed. Both parsers
     // hold the claim against the bytes present before sizing anything.
     let reports = [
-        build_message(
-            REPORT_VARIANTS[0],
-            1,
-            2,
-            3,
-            vec![7; 16],
-            Vec::new(),
-            String::new(),
-        ),
-        build_message(
-            REPORT_VARIANTS[1],
-            1,
-            2,
-            3,
-            vec![7; 16],
-            Vec::new(),
-            String::new(),
-        ),
+        build_message(REPORT_VARIANTS[0], 1, 2, 3, vec![7; 16], Vec::new()),
+        build_message(REPORT_VARIANTS[1], 1, 2, 3, vec![7; 16], Vec::new()),
     ];
     for msg in reports {
         let mut frame = encode(&msg).unwrap();
@@ -507,7 +482,7 @@ fn hostile_payload_count_is_truncation_not_allocation() {
 
 #[test]
 fn report_view_refuses_other_messages() {
-    let frame = encode(&WireMessage::ShardAbort).unwrap();
+    let frame = smallest_frame();
     assert_eq!(
         ReportRef::parse(&frame),
         Err(WireError::Malformed {
@@ -565,8 +540,9 @@ fn assert_flips_refused(frame: &[u8], positions: impl Iterator<Item = usize>) {
 /// which is every alignment of a byte to a lane, the serial tail words
 /// and the byte tail. Frame level: every position (header, body and
 /// trailer alike) of a valid frame of every content length a message
-/// can have in 8..=104, of a 4 KB frame, and, sampled (all of it is
-/// three terabytes of digest work), of a 1 MB frame.
+/// can have up to 104 (19 is the smallest), of a 4 KB frame, and,
+/// sampled (all of it is three terabytes of digest work), of a 1 MB
+/// frame.
 #[test]
 fn every_single_byte_flip_is_refused() {
     let content: Vec<u8> = (0..104u32).map(|i| (i * 131 + 7) as u8).collect();
@@ -586,16 +562,8 @@ fn every_single_byte_flip_is_refused() {
         }
     }
 
-    let abort = encode(&WireMessage::ShardAbort).unwrap();
-    assert_eq!(abort.len() - TRAILER_LEN, 8);
-    assert_flips_refused(&abort, 0..abort.len());
-    // `ShardMerged { Err(reason) }` is 11 + reason.len() bytes of content.
-    for reason_len in 0..=93 {
-        let frame = encode(&WireMessage::ShardMerged {
-            merged: Err("r".repeat(reason_len)),
-        })
-        .unwrap();
-        assert_eq!(frame.len() - TRAILER_LEN, 11 + reason_len);
+    for content_len in 19..=104 {
+        let frame = frame_of_content_len(content_len);
         assert_flips_refused(&frame, 0..frame.len());
     }
 
@@ -655,7 +623,7 @@ fn rejects_empty_population_name() {
 fn rejects_unknown_tag_for_forward_compat() {
     // Reseal after the tag rewrite: this models a well-formed frame
     // from a *newer* peer (checksum valid, tag unknown), not bit rot.
-    let mut frame = encode(&WireMessage::ShardAbort).unwrap();
+    let mut frame = smallest_frame();
     frame[3] = 0xEE;
     reseal(&mut frame);
     assert_eq!(decode(&frame), Err(WireError::UnknownMessage { tag: 0xEE }));
@@ -663,7 +631,7 @@ fn rejects_unknown_tag_for_forward_compat() {
 
 #[test]
 fn rejects_oversized_length_prefix() {
-    let mut frame = encode(&WireMessage::ShardAbort).unwrap();
+    let mut frame = smallest_frame();
     frame[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
     match decode(&frame) {
         Err(WireError::OversizedFrame { len, max }) => {
@@ -723,9 +691,9 @@ fn rejects_overlong_string_instead_of_truncating() {
     // One byte past the u16 length prefix: the old encoder silently
     // clipped this at a char boundary, so the frame round-tripped to a
     // *different* message than was sent. It must now be a typed error.
-    let reason = "x".repeat(u16::MAX as usize + 1);
-    let msg = WireMessage::ShardMerged {
-        merged: Err(reason),
+    let msg = WireMessage::ComeBackLater {
+        retry_at_ms: 7,
+        population: PopulationName::new("x".repeat(u16::MAX as usize + 1)),
     };
     assert_eq!(
         encode(&msg),
@@ -740,9 +708,9 @@ fn rejects_overlong_string_instead_of_truncating() {
 fn string_at_exactly_u16_max_bytes_round_trips() {
     // The boundary itself is legal: exactly 65535 bytes fills the
     // length prefix and must survive encode → decode unchanged.
-    let reason = "y".repeat(u16::MAX as usize);
-    let msg = WireMessage::ShardMerged {
-        merged: Err(reason),
+    let msg = WireMessage::ComeBackLater {
+        retry_at_ms: 7,
+        population: PopulationName::new("y".repeat(u16::MAX as usize)),
     };
     let frame = encode(&msg).unwrap();
     assert_eq!(frame.len(), encoded_len(&msg));

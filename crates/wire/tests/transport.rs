@@ -70,7 +70,7 @@ fn sink_counts_against_its_endpoint_and_survives_clone() {
 #[test]
 fn null_sink_discards() {
     let sink = fl_wire::WireSink::null();
-    assert_eq!(sink.send(&WireMessage::ShardAbort).unwrap(), 0);
+    assert_eq!(sink.send(&ack(true)).unwrap(), 0);
 }
 
 #[test]
