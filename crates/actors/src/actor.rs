@@ -16,8 +16,9 @@ pub enum Flow {
 
 /// An actor: sequential handler of a typed message stream.
 ///
-/// Actors are driven by the [`crate::system::ActorSystem`]: each runs on
-/// its own thread, pulling messages from its mailbox strictly in order.
+/// Actors are driven by the [`crate::system::ActorSystem`]: each has a
+/// thread to itself while it lives, pulling messages from its mailbox
+/// strictly in order.
 pub trait Actor: Send + 'static {
     /// The message type this actor consumes.
     type Msg: Send + 'static;
@@ -35,7 +36,8 @@ pub trait Actor: Send + 'static {
 /// A cheap, cloneable handle for sending messages to an actor.
 pub struct ActorRef<M> {
     pub(crate) sender: Arc<Sender<M>>,
-    pub(crate) name: String,
+    /// Shared, so cloning a reference allocates nothing.
+    pub(crate) name: Arc<str>,
 }
 
 impl<M> Clone for ActorRef<M> {
@@ -76,7 +78,7 @@ impl<M: Send + 'static> ActorRef<M> {
     /// Returns [`SendError`] if the actor has stopped.
     pub fn send(&self, msg: M) -> Result<(), SendError> {
         self.sender.send(msg).map_err(|_| SendError {
-            target: self.name.clone(),
+            target: self.name.to_string(),
         })
     }
 
@@ -92,7 +94,7 @@ impl<M: Send + 'static> ActorRef<M> {
         (
             ActorRef {
                 sender: Arc::new(tx),
-                name: name.into(),
+                name: Arc::from(name.into()),
             },
             rx,
         )
@@ -106,7 +108,7 @@ impl<M: Send + 'static> ActorRef<M> {
 /// down instead of keeping itself alive.
 pub struct Context<M> {
     pub(crate) self_sender: Weak<Sender<M>>,
-    pub(crate) name: String,
+    pub(crate) name: Arc<str>,
     pub(crate) system: crate::system::ActorSystem,
 }
 
@@ -131,7 +133,7 @@ impl<M: Send + 'static> Context<M> {
     /// Spawns a child actor named `"{parent}/{name}"`, making the
     /// supervision tree legible in obituaries: a Master Aggregator named
     /// `coordinator/master-r3` spawns shards `coordinator/master-r3/agg-0`
-    /// and so on. The child runs on its own thread like any other actor;
+    /// and so on. The child gets a thread of its own like any other actor;
     /// "child" is purely a naming/lifecycle convention — when the parent
     /// drops the returned reference (including by dying), the child's
     /// mailbox closes and it drains to a normal stop.

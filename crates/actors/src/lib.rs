@@ -9,9 +9,10 @@
 //! This crate provides the substrate the FL server's live mode runs on:
 //!
 //! * [`actor::Actor`] + [`actor::ActorRef`] — typed actors with sequential
-//!   mailbox processing (one OS thread per actor, crossbeam channels);
-//! * [`system::ActorSystem`] — spawning, clean shutdown, and death
-//!   notifications;
+//!   mailbox processing (a thread to itself while it lives, crossbeam
+//!   channels);
+//! * [`system::ActorSystem`] — spawning onto parked worker threads,
+//!   clean shutdown, and death notifications;
 //! * [`supervision`] — panic isolation and restart policies ("in all
 //!   failure cases the system will continue to make progress", Sec. 4.4);
 //! * [`registry::LockingService`] — the shared locking service in which

@@ -1,10 +1,21 @@
 //! The [`ActorSystem`]: spawning, death notification, shutdown, and
 //! deterministic fault injection.
+//!
+//! An actor is ephemeral; the thread it runs on is borrowed. `spawn`
+//! hands the actor's whole life (start, mailbox loop, stop, obituary) to
+//! a parked worker thread when one is idle and starts a worker only when
+//! none is, and a worker parks again once its actor's obituary is out.
+//! Threads held are therefore bounded by the most actors ever alive at
+//! once, not by how many were ever spawned (Sec. 4.2: a Master
+//! Aggregator and its shards exist per round, so that bound is what a
+//! long-lived deployment needs). [`ActorSystem::join`] retires them,
+//! and so does dropping the last handle on the system.
 
 use crate::actor::{Actor, ActorRef, Context, Flow};
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use fl_race::{Mutex, Site};
+use fl_race::{Condvar, Mutex, Site};
 use std::panic::AssertUnwindSafe;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -13,7 +24,7 @@ use std::thread::JoinHandle;
 // ranks are adjacent; the rest are leaves.
 const OBITUARY_LOG: Site = Site::new("actors/system.obituary_log", 10);
 const SUBSCRIBERS: Site = Site::new("actors/system.subscribers", 12);
-const HANDLES: Site = Site::new("actors/system.handles", 20);
+const WORKERS: Site = Site::new("actors/system.workers", 20);
 const INJECTOR: Site = Site::new("actors/system.injector", 22);
 
 /// How an actor's life ended.
@@ -103,8 +114,39 @@ impl FaultInjector for ScriptedFaults {
     }
 }
 
+/// One actor's whole life, boxed so any worker can run it.
+type Job = Box<dyn FnOnce() + Send>;
+
+/// The worker threads of one system. A worker is either running a job
+/// or idle, so the system is quiescent exactly when `idle ==
+/// handles.len()`.
+struct Workers {
+    /// Hands a job to one idle worker; every worker holds a clone of
+    /// `parking`. Dropping `jobs` is what retires them.
+    jobs: Sender<Job>,
+    parking: Receiver<Job>,
+    /// Workers parked on `parking` (or publishing their last actor's
+    /// obituary on the way there) that no job has been sent for.
+    idle: usize,
+    handles: Vec<JoinHandle<()>>,
+}
+
+impl Workers {
+    fn new() -> Self {
+        let (jobs, parking) = unbounded();
+        Workers {
+            jobs,
+            parking,
+            idle: 0,
+            handles: Vec::new(),
+        }
+    }
+}
+
 struct Shared {
-    handles: Mutex<Vec<JoinHandle<()>>>,
+    workers: Mutex<Workers>,
+    /// Signalled when the last busy worker goes idle; `join` waits here.
+    quiescent: Condvar,
     /// Every obituary ever published, in publication order. Late
     /// subscribers receive a replay, so post-mortem inspection
     /// (`deaths()` after `join()`) still works.
@@ -113,6 +155,10 @@ struct Shared {
     /// so concurrent consumers (e.g. two `supervise` loops) can never
     /// steal each other's notices.
     subscribers: Mutex<Vec<Sender<Obituary>>>,
+    /// Whether `injector` holds one. Written under the `injector` lock;
+    /// read alone before every delivery, so a system with nothing
+    /// installed takes no lock there.
+    injector_installed: AtomicBool,
     injector: Mutex<Option<Arc<dyn FaultInjector>>>,
 }
 
@@ -130,6 +176,133 @@ impl Shared {
         // lock-audit gate asserts the graph stays acyclic.
         let mut subs = self.subscribers.lock();
         subs.retain(|tx| tx.send(obit.clone()).is_ok());
+    }
+
+    /// The installed fault injector, if any. The flag publishes nothing
+    /// by itself (the slot is read under its lock); its `Acquire` pairs
+    /// with the `Release` in `set_injector` so that an actor already
+    /// running sees an installation on its next delivery.
+    fn injector(&self) -> Option<Arc<dyn FaultInjector>> {
+        if !self.injector_installed.load(Ordering::Acquire) {
+            return None;
+        }
+        self.injector.lock().clone()
+    }
+
+    fn set_injector(&self, injector: Option<Arc<dyn FaultInjector>>) {
+        let mut slot = self.injector.lock();
+        let installed = injector.is_some();
+        *slot = injector;
+        self.injector_installed.store(installed, Ordering::Release);
+    }
+
+    /// Counts the calling worker idle. Its job calls this once its actor
+    /// is dead but before the obituary goes out, so whoever answers an
+    /// obituary by spawning (a supervisor, the next round) finds this
+    /// worker rather than starting another; a job sent in the meantime
+    /// waits in the channel for the few steps the worker has left.
+    fn worker_idle(&self) {
+        let mut workers = self.workers.lock();
+        workers.idle += 1;
+        if workers.idle == workers.handles.len() {
+            self.quiescent.notify_all();
+        }
+    }
+
+    /// Runs `job` on an idle worker, or on a new one if none is idle.
+    fn run_on_worker(&self, job: Job) {
+        let mut workers = self.workers.lock();
+        if workers.idle > 0 {
+            workers.idle -= 1;
+            // Cannot fail: `workers.parking` keeps the channel open.
+            let _ = workers.jobs.send(job);
+            return;
+        }
+        let parking = workers.parking.clone();
+        let handle = std::thread::Builder::new()
+            .name(format!("actor-worker-{}", workers.handles.len()))
+            .spawn(move || work(job, &parking))
+            // fl-lint: allow(unwrap): spawn failure here means the OS refused a
+            // thread; the actor system cannot degrade further, so abort loudly.
+            .expect("failed to spawn actor thread");
+        workers.handles.push(handle);
+    }
+}
+
+/// A worker thread: runs `job`, parks for the next one, until the system
+/// retires it (or is dropped) by closing the job channel. It holds no
+/// handle on the system, so parked workers never keep one alive.
+fn work(mut job: Job, parking: &Receiver<Job>) {
+    loop {
+        // The job catches its actor's panics and counts the worker idle
+        // itself; this catches what is left (an actor whose `Drop`
+        // panics) so the thread lives to take the job it is idle for.
+        let _ = std::panic::catch_unwind(AssertUnwindSafe(job));
+        fl_race::set_thread_label(None);
+        job = match parking.recv() {
+            Ok(job) => job,
+            Err(_) => return,
+        };
+    }
+}
+
+/// One actor's life on the calling thread, from `on_start` to the end
+/// of its mailbox; a panic anywhere in it is the returned reason.
+fn run<A: Actor>(
+    actor: &mut A,
+    ctx: &mut Context<A::Msg>,
+    rx: &Receiver<A::Msg>,
+    shared: &Shared,
+) -> DeathReason {
+    let mut seq: u64 = 0;
+    let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+        actor.on_start(ctx);
+        while let Ok(msg) = rx.recv() {
+            seq += 1;
+            let action = shared
+                .injector()
+                .map(|i| i.on_deliver(&ctx.name, seq))
+                .unwrap_or(FaultAction::Deliver);
+            match action {
+                FaultAction::Deliver => {}
+                FaultAction::Drop => continue,
+                FaultAction::Delay => {
+                    // Push the message to the back of the mailbox; if no
+                    // external sender is left the message is dropped
+                    // (the actor is draining toward shutdown anyway).
+                    if let Some(tx) = ctx.self_sender.upgrade() {
+                        let _ = tx.send(msg);
+                    }
+                    continue;
+                }
+                FaultAction::Reorder => match ctx.self_sender.upgrade() {
+                    // Re-enqueue behind the pending messages; the send
+                    // cannot fail while this thread holds the receiver.
+                    Some(tx) => {
+                        let _ = tx.send(msg);
+                        continue;
+                    }
+                    // Draining mailbox: there is nothing left to reorder
+                    // against, and reordering must never lose a message
+                    // — deliver in place.
+                    None => {}
+                },
+                FaultAction::Crash => {
+                    // fl-lint: allow(panic): chaos injection must
+                    // exercise the real panic-recovery path the
+                    // supervisors are built to absorb.
+                    panic!("chaos: injected crash");
+                }
+            }
+            if actor.handle(msg, ctx) == Flow::Stop {
+                break;
+            }
+        }
+        actor.on_stop();
+    }));
+    match result {
+        Ok(()) => DeathReason::Normal,
+        Err(payload) => DeathReason::Panicked(panic_message(&*payload)),
     }
 }
 
@@ -151,9 +324,11 @@ impl ActorSystem {
     pub fn new() -> Self {
         ActorSystem {
             shared: Arc::new(Shared {
-                handles: Mutex::new(HANDLES, Vec::new()),
+                workers: Mutex::new(WORKERS, Workers::new()),
+                quiescent: Condvar::new(),
                 obituary_log: Mutex::new(OBITUARY_LOG, Vec::new()),
                 subscribers: Mutex::new(SUBSCRIBERS, Vec::new()),
+                injector_installed: AtomicBool::new(false),
                 injector: Mutex::new(INJECTOR, None),
             }),
         }
@@ -163,101 +338,48 @@ impl ActorSystem {
     /// on every actor in this system (including actors spawned earlier).
     /// Passing a new injector replaces the previous one.
     pub fn install_fault_injector(&self, injector: Arc<dyn FaultInjector>) {
-        *self.shared.injector.lock() = Some(injector);
+        self.shared.set_injector(Some(injector));
     }
 
     /// Removes the installed fault injector, restoring normal delivery.
     pub fn clear_fault_injector(&self) {
-        *self.shared.injector.lock() = None;
+        self.shared.set_injector(None);
     }
 
-    /// Spawns an actor on its own thread and returns its reference.
+    /// Spawns an actor and returns its reference. The actor has a thread
+    /// to itself for as long as it lives: a parked worker's if one is
+    /// idle, a new one otherwise.
     ///
     /// The actor processes its mailbox strictly sequentially. Panics in
     /// handlers are caught and published as [`Obituary`] notices rather
     /// than taking down the process (Sec. 4.4: "in all failure cases the
     /// system will continue to make progress").
     pub fn spawn<A: Actor>(&self, name: impl Into<String>, actor: A) -> ActorRef<A::Msg> {
-        let name = name.into();
+        let name: Arc<str> = Arc::from(name.into());
         let (tx, rx) = unbounded::<A::Msg>();
-        let sender = std::sync::Arc::new(tx);
+        let sender = Arc::new(tx);
         let actor_ref = ActorRef {
             sender: sender.clone(),
             name: name.clone(),
         };
         let mut ctx = Context {
-            self_sender: std::sync::Arc::downgrade(&sender),
+            self_sender: Arc::downgrade(&sender),
             name: name.clone(),
             system: self.clone(),
         };
         drop(sender);
         let shared = Arc::clone(&self.shared);
-        let thread_name = name.clone();
-        let handle = std::thread::Builder::new()
-            .name(thread_name.clone())
-            .spawn(move || {
-                let mut actor = actor;
-                let mut seq: u64 = 0;
-                let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                    actor.on_start(&mut ctx);
-                    while let Ok(msg) = rx.recv() {
-                        seq += 1;
-                        let injector = shared.injector.lock().clone();
-                        let action = injector
-                            .map(|i| i.on_deliver(&thread_name, seq))
-                            .unwrap_or(FaultAction::Deliver);
-                        match action {
-                            FaultAction::Deliver => {}
-                            FaultAction::Drop => continue,
-                            FaultAction::Delay => {
-                                // Push the message to the back of the
-                                // mailbox; if no external sender is left
-                                // the message is dropped (the actor is
-                                // draining toward shutdown anyway).
-                                if let Some(tx) = ctx.self_sender.upgrade() {
-                                    let _ = tx.send(msg);
-                                }
-                                continue;
-                            }
-                            FaultAction::Reorder => match ctx.self_sender.upgrade() {
-                                // Re-enqueue behind the pending messages;
-                                // the send cannot fail while this thread
-                                // holds the receiver.
-                                Some(tx) => {
-                                    let _ = tx.send(msg);
-                                    continue;
-                                }
-                                // Draining mailbox: there is nothing left
-                                // to reorder against, and reordering must
-                                // never lose a message — deliver in place.
-                                None => {}
-                            },
-                            FaultAction::Crash => {
-                                // fl-lint: allow(panic): chaos injection must
-                                // exercise the real panic-recovery path the
-                                // supervisors are built to absorb.
-                                panic!("chaos: injected crash");
-                            }
-                        }
-                        if actor.handle(msg, &mut ctx) == Flow::Stop {
-                            break;
-                        }
-                    }
-                    actor.on_stop();
-                }));
-                let reason = match result {
-                    Ok(()) => DeathReason::Normal,
-                    Err(payload) => DeathReason::Panicked(panic_message(&*payload)),
-                };
-                shared.publish(Obituary {
-                    name: thread_name,
-                    reason,
-                });
-            })
-            // fl-lint: allow(unwrap): spawn failure here means the OS refused a
-            // thread; the actor system cannot degrade further, so abort loudly.
-            .expect("failed to spawn actor thread");
-        self.shared.handles.lock().push(handle);
+        self.shared.run_on_worker(Box::new(move || {
+            let mut actor = actor;
+            // Lock-audit reports name the actor, not the borrowed thread.
+            fl_race::set_thread_label(Some(name.clone()));
+            let reason = run(&mut actor, &mut ctx, &rx, &shared);
+            shared.worker_idle();
+            shared.publish(Obituary {
+                name: name.to_string(),
+                reason,
+            });
+        }));
         actor_ref
     }
 
@@ -284,28 +406,28 @@ impl ActorSystem {
         rx
     }
 
-    /// Waits for all actor threads spawned so far to finish. Call after
-    /// dropping/stopping the actors' references.
+    /// Waits until no actor is alive (every obituary is published), then
+    /// retires the worker threads; the system can spawn again afterwards.
+    /// Call after dropping/stopping the actors' references.
     pub fn join(&self) {
-        // Drain repeatedly: joined actors may themselves have spawned more.
-        loop {
-            let handles: Vec<JoinHandle<()>> = {
-                let mut guard = self.shared.handles.lock();
-                std::mem::take(&mut *guard)
-            };
-            if handles.is_empty() {
-                break;
+        let retired = {
+            let mut workers = self.shared.workers.lock();
+            while workers.idle < workers.handles.len() {
+                self.shared.quiescent.wait(&mut workers);
             }
-            for h in handles {
-                let _ = h.join();
-            }
+            std::mem::replace(&mut *workers, Workers::new())
+        };
+        drop(retired.jobs);
+        for handle in retired.handles {
+            let _ = handle.join();
         }
     }
 
-    /// Number of actor threads spawned over the system's lifetime that
-    /// have not yet been joined.
-    pub fn unjoined_actors(&self) -> usize {
-        self.shared.handles.lock().len()
+    /// Worker threads this system holds right now, running an actor or
+    /// parked: at most the peak number of actors alive at once since the
+    /// last [`ActorSystem::join`].
+    pub fn worker_threads(&self) -> usize {
+        self.shared.workers.lock().handles.len()
     }
 }
 
@@ -584,6 +706,138 @@ mod tests {
         system.join();
         // Mailbox was [7, 8] at release; 7 was re-enqueued behind 8.
         assert_eq!(order.lock().clone(), vec![8, 7]);
+    }
+
+    #[test]
+    fn ten_thousand_ephemeral_actors_borrow_a_bounded_number_of_threads() {
+        const SPAWNS: usize = 10_000;
+        const ALIVE: usize = 4;
+        let system = ActorSystem::new();
+        let deaths = system.deaths();
+        let total = Arc::new(AtomicU64::new(0));
+        let mut died = Vec::with_capacity(SPAWNS);
+        let mut threads_held = 0;
+        for i in 0..SPAWNS {
+            // Bound the actors alive by waiting for an obituary; its
+            // worker is counted idle before publishing it, so the bound
+            // on actors is the bound on threads.
+            if i - died.len() == ALIVE {
+                died.push(deaths.recv_timeout(std::time::Duration::from_secs(30)).unwrap());
+            }
+            let r = system.spawn(format!("ephemeral-{i}"), Adder { total: total.clone() });
+            r.send(1).unwrap();
+            r.send(0).unwrap();
+            threads_held = threads_held.max(system.worker_threads());
+        }
+        system.join();
+        died.extend(deaths.try_iter());
+        assert!(threads_held <= ALIVE, "{threads_held} worker threads held");
+        assert_eq!(total.load(Ordering::SeqCst), SPAWNS as u64);
+        assert!(died.iter().all(|o| o.reason == DeathReason::Normal));
+        let mut names: Vec<String> = died.into_iter().map(|o| o.name).collect();
+        names.sort();
+        let mut expected: Vec<String> = (0..SPAWNS).map(|i| format!("ephemeral-{i}")).collect();
+        expected.sort();
+        assert_eq!(names, expected);
+    }
+
+    /// Reports the thread it runs on and how many fl-race locks that
+    /// thread holds, then does what its one message says.
+    struct Probe {
+        report: Sender<(std::thread::ThreadId, usize)>,
+    }
+    impl Actor for Probe {
+        type Msg = bool;
+        fn on_start(&mut self, _ctx: &mut Context<bool>) {
+            let _ = self
+                .report
+                .send((std::thread::current().id(), fl_race::held_locks()));
+        }
+        fn handle(&mut self, panic_holding_a_lock: bool, _ctx: &mut Context<bool>) -> Flow {
+            if panic_holding_a_lock {
+                let lock = Mutex::new(SCAFFOLD, ());
+                let _held = lock.lock();
+                panic!("boom while holding {}", fl_race::held_locks());
+            }
+            Flow::Stop
+        }
+    }
+
+    #[test]
+    fn a_panicked_actors_worker_is_reused_with_a_clean_slate() {
+        let system = ActorSystem::new();
+        let deaths = system.deaths();
+        let (report, reports) = unbounded();
+        let bomb = system.spawn("bomb", Probe { report: report.clone() });
+        bomb.send(true).unwrap();
+        let death = deaths.recv_timeout(std::time::Duration::from_secs(30)).unwrap();
+        assert_eq!(death.name, "bomb");
+        assert_eq!(death.reason, DeathReason::Panicked("boom while holding 1".into()));
+        let next = system.spawn("next", Probe { report });
+        next.send(false).unwrap();
+        system.join();
+        let (bomb_thread, _) = reports.recv().unwrap();
+        let (next_thread, next_held) = reports.recv().unwrap();
+        assert_eq!(next_thread, bomb_thread, "the parked worker was not reused");
+        assert_eq!(next_held, 0, "the panicked actor's lock leaked to the next one");
+        let last = deaths.try_iter().last().unwrap();
+        assert_eq!((last.name.as_str(), last.reason), ("next", DeathReason::Normal));
+    }
+
+    #[test]
+    fn join_returns_after_every_obituary_and_the_system_spawns_again() {
+        let system = ActorSystem::new();
+        let total = Arc::new(AtomicU64::new(0));
+        let refs: Vec<_> = (0..8)
+            .map(|i| system.spawn(format!("first-{i}"), Adder { total: total.clone() }))
+            .collect();
+        assert_eq!(system.worker_threads(), 8);
+        for r in &refs {
+            r.send(1).unwrap();
+        }
+        drop(refs);
+        system.join();
+        // No waiting: everything `join` waited for is already in the log.
+        assert_eq!(system.deaths().try_iter().count(), 8);
+        assert_eq!(system.worker_threads(), 0);
+
+        let r = system.spawn("second", Adder { total: total.clone() });
+        r.send(1).unwrap();
+        drop(r);
+        system.join();
+        assert_eq!(total.load(Ordering::SeqCst), 9);
+        assert_eq!(system.deaths().try_iter().last().unwrap().name, "second");
+    }
+
+    #[test]
+    fn an_injector_installed_after_spawn_reaches_the_running_actor() {
+        let system = ActorSystem::new();
+        let order: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(SCAFFOLD, Vec::new()));
+        let (gate_tx, gate_rx) = unbounded();
+        let (ack_tx, ack_rx) = unbounded();
+        let r = system.spawn(
+            "late",
+            GatedRecorder {
+                order: order.clone(),
+                gate: gate_rx,
+                ack: ack_tx,
+            },
+        );
+        gate_tx.send(()).unwrap();
+        // The first delivery happens with nothing installed.
+        r.send(7).unwrap();
+        assert_eq!(ack_rx.recv_timeout(std::time::Duration::from_secs(30)), Ok(7));
+        system.install_fault_injector(Arc::new(
+            ScriptedFaults::new().with("late", 2, FaultAction::Drop),
+        ));
+        r.send(8).unwrap();
+        r.send(9).unwrap();
+        assert_eq!(ack_rx.recv_timeout(std::time::Duration::from_secs(30)), Ok(9));
+        system.clear_fault_injector();
+        r.send(10).unwrap();
+        drop(r);
+        system.join();
+        assert_eq!(order.lock().clone(), vec![7, 9, 10]);
     }
 
     #[test]

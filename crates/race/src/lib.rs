@@ -33,7 +33,10 @@ mod graph;
 mod sync;
 
 pub use graph::{Cycle, EdgeReport, LockGraph, RankViolation};
-pub use sync::{Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+pub use sync::{
+    held_locks, set_thread_label, Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard,
+    RwLockWriteGuard,
+};
 
 /// A static lock site: the identity of one lock *in the source*, shared
 /// by every runtime instance constructed from it.

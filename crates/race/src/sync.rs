@@ -12,7 +12,7 @@ use crate::graph::LockGraph;
 use crate::Site;
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeSet;
-use std::sync::PoisonError;
+use std::sync::{Arc, PoisonError};
 use std::time::Duration;
 
 struct HeldEntry {
@@ -30,6 +30,22 @@ thread_local! {
         const { RefCell::new(BTreeSet::new()) };
     static SEEN_SITES: RefCell<BTreeSet<(usize, &'static str)>> =
         const { RefCell::new(BTreeSet::new()) };
+    /// Who this thread is working as right now, when that is not who
+    /// the OS thread was named for (see [`set_thread_label`]).
+    static LABEL: RefCell<Option<Arc<str>>> = const { RefCell::new(None) };
+}
+
+/// Names the current thread's work in lock-audit reports (`first-thread=`)
+/// until replaced; `None` falls back to the OS thread name. An actor
+/// runtime whose actors borrow pooled threads labels the thread with the
+/// running actor's name, so a report still says which actor took a lock.
+pub fn set_thread_label(label: Option<Arc<str>>) {
+    LABEL.with(|l| *l.borrow_mut() = label);
+}
+
+/// How many instrumented locks the current thread holds right now.
+pub fn held_locks() -> usize {
+    HELD.with(|h| h.borrow().len())
 }
 
 /// Registers an acquisition of `site` on `graph`: records any new
@@ -54,7 +70,8 @@ fn register(graph: &LockGraph, site: Site) -> u64 {
     });
     if fresh_site || !new_pairs.is_empty() {
         let current = std::thread::current();
-        let thread = current.name().unwrap_or("unnamed");
+        let label = LABEL.with(|l| l.borrow().clone());
+        let thread = label.as_deref().or(current.name()).unwrap_or("unnamed");
         graph.record_acquire(&new_pairs, site, thread);
     }
     let token = NEXT_TOKEN.with(|t| {
@@ -378,7 +395,6 @@ impl std::fmt::Debug for Condvar {
 mod tests {
     use super::*;
     use crate::LockGraph;
-    use std::sync::Arc;
     use std::time::Duration;
 
     const A: Site = Site::new("fixture/a", 10);
@@ -554,6 +570,39 @@ mod tests {
         // The wait popped the held entry: a lock taken by the notifier
         // while we waited records no edge from fixture/a.
         assert_eq!(graph.edge_count(), 0);
+    }
+
+    #[test]
+    fn a_thread_label_names_the_thread_in_reports_until_cleared() {
+        let graph = LockGraph::new();
+        let a = Mutex::new_in(A, &graph, ());
+        let b = Mutex::new_in(B, &graph, ());
+        let (a, b) = (&a, &b);
+        std::thread::scope(|s| {
+            let worker = std::thread::Builder::new().name("pool-worker".into());
+            let spawned = worker.spawn_scoped(s, move || {
+                set_thread_label(Some(Arc::from("tenant-actor")));
+                let ga = a.lock();
+                assert_eq!(held_locks(), 1);
+                drop(b.lock());
+                drop(ga);
+                assert_eq!(held_locks(), 0);
+                set_thread_label(None);
+                // Inverted on purpose: the second edge is taken unlabelled.
+                let _gb = b.lock();
+                let _ga = a.lock();
+            });
+            spawned.expect("spawn").join().expect("worker");
+        });
+        let report = graph.render();
+        assert!(
+            report.contains("edge fixture/a -> fixture/b ranks=10->20 first-thread=tenant-actor"),
+            "{report}"
+        );
+        assert!(
+            report.contains("edge fixture/b -> fixture/a ranks=20->10 first-thread=pool-worker"),
+            "{report}"
+        );
     }
 
     #[test]

@@ -27,6 +27,12 @@ run_step() {
 run_step "build" cargo build --release
 run_step "test" cargo test -q
 run_step "fl-lint" cargo run -q -p fl-lint
+# The `test` step is the root package only. The channel every mailbox,
+# transport half and reply rides on, and the runtime that lends actors
+# their threads, have their own unit tests (wake-ups, MPMC delivery,
+# bounded threads under 10 000 ephemeral spawns, worker reuse after a
+# panic); this is the gate they run in.
+run_step "actors-runtime" cargo test -q -p crossbeam -p fl-actors
 # Wire-protocol gate: codec round-trip/rejection tests plus the golden
 # frame fixture, so accidental frame-layout changes fail loudly; the
 # bench step regenerates BENCH_wire.json from the same build and fails
