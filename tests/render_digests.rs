@@ -12,7 +12,9 @@
 //! cargo test --test render_digests -- --ignored regenerate
 //! ```
 
+use federated::core::round::RoundConfig;
 use federated::sim::chaos::{self, ChaosConfig};
+use federated::sim::fleet::{self, FleetConfig};
 use federated::sim::multi::{self, MultiTenantConfig};
 use federated::sim::overload::{self, OverloadConfig};
 use federated::sim::{
@@ -110,7 +112,40 @@ fn render_fixture() -> String {
             &explore_chaos(plan, schedule, &ChaosConfig::default()).render(),
         ));
     }
+    for seed in [5, 17, 42] {
+        out.push_str(&line("fleet/day", seed, &fleet_render(seed)));
+    }
     out
+}
+
+/// Two days of a 5 000-device fleet on the benchmark's `fleet_des` round
+/// shape, goal scaled from 300 to 30 for the smaller fleet. The session
+/// table is hash-ordered under `Debug`, so it is taken out and rendered
+/// through its sorted `Display`; everything else is the report's `Debug`.
+fn fleet_render(seed: u64) -> String {
+    let (plan_bytes, checkpoint_bytes, update_bytes) =
+        fleet::measured_payload_sizes(fleet::FIG9_MODEL, fleet::FIG9_CODEC);
+    let mut report = fleet::run(&FleetConfig {
+        devices: 5_000,
+        days: 2,
+        round: RoundConfig {
+            goal_count: 30,
+            overselection: 1.3,
+            min_goal_fraction: 0.7,
+            selection_timeout_ms: 20 * 60_000,
+            report_window_ms: 10 * 60_000,
+            device_cap_ms: 8 * 60_000,
+        },
+        plan_bytes,
+        checkpoint_bytes,
+        update_bytes,
+        work_units: 40_000,
+        checkin_period_ms: 60_000,
+        failure_probability: 0.04,
+        seed,
+    });
+    let sessions = std::mem::take(&mut report.sessions);
+    format!("{report:?}\n{sessions}")
 }
 
 fn fixture_path() -> PathBuf {
