@@ -78,7 +78,21 @@ pub struct DiurnalAvailability {
 
 impl DiurnalAvailability {
     /// Creates the model.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `timezone_spread_hours` is wider than 26 h. Every window
+    /// of day `d` starts in `[d·DAY + 7 h, d·DAY + 31 h)`: a night start is
+    /// clamped to 15–30 h, and a bout starts at `9 + max(tz, −2) + [0, 9)` h
+    /// with `|tz| ≤ spread/2`. So each start of day `d` precedes each start
+    /// of day `d + 1`, which is what lets [`Self::next_eligible_at`] stop at
+    /// the first day that has a start at or after the query time.
     pub fn new(config: DiurnalConfig, seed: u64) -> Self {
+        assert!(
+            18.0 + config.timezone_spread_hours.abs() / 2.0 <= 31.0,
+            "timezone spread of {} h lets a daytime bout start after the next day's first window",
+            config.timezone_spread_hours
+        );
         DiurnalAvailability { config, seed }
     }
 
@@ -93,6 +107,12 @@ impl DiurnalAvailability {
     /// next day; callers interested in time `t` should check day
     /// `t/DAY` and day `t/DAY − 1`.
     pub fn windows(&self, device: u64, day: u64) -> Vec<Window> {
+        self.day_windows(device, day).collect()
+    }
+
+    /// [`Self::windows`] without the allocation: the overnight window, then
+    /// the daytime bout if the device has one that day.
+    fn day_windows(&self, device: u64, day: u64) -> impl Iterator<Item = Window> {
         let mut r = rng::seeded(rng::derive_seed(
             self.seed,
             device.wrapping_mul(100_003).wrapping_add(day),
@@ -100,7 +120,6 @@ impl DiurnalAvailability {
         // Fixed per-device timezone offset (not per-day).
         let mut tz_rng = rng::seeded(rng::derive_seed(self.seed ^ 0x72, device));
         let tz_offset_h = (tz_rng.random::<f64>() - 0.5) * self.config.timezone_spread_hours;
-        let mut out = Vec::with_capacity(2);
         // Overnight window.
         let start_h = (self.config.night_start_hour
             + tz_offset_h
@@ -110,23 +129,22 @@ impl DiurnalAvailability {
             + rng::normal_with_std(&mut r, self.config.night_duration_std))
         .clamp(2.0, 14.0);
         let start = day * DAY_MS + (start_h * HOUR_MS as f64) as u64;
-        out.push(Window {
+        let night = Window {
             start_ms: start,
             end_ms: start + (dur_h * HOUR_MS as f64) as u64,
-        });
+        };
         // Optional daytime bout (e.g. desk charging around midday).
-        if r.random::<f64>() < self.config.daytime_bout_probability {
+        let bout = (r.random::<f64>() < self.config.daytime_bout_probability).then(|| {
             let bout_start_h = 9.0 + tz_offset_h.max(-2.0) + r.random::<f64>() * 9.0; // ~09:00–18:00 local
-            let bout_dur_h = (self.config.daytime_bout_hours
-                + rng::normal_with_std(&mut r, 0.5))
-            .clamp(0.2, 3.0);
+            let bout_dur_h = (self.config.daytime_bout_hours + rng::normal_with_std(&mut r, 0.5))
+                .clamp(0.2, 3.0);
             let bstart = day * DAY_MS + (bout_start_h * HOUR_MS as f64) as u64;
-            out.push(Window {
+            Window {
                 start_ms: bstart,
                 end_ms: bstart + (bout_dur_h * HOUR_MS as f64) as u64,
-            });
-        }
-        out
+            }
+        });
+        std::iter::once(night).chain(bout)
     }
 
     /// Whether `device` is eligible at absolute time `t_ms`.
@@ -138,33 +156,42 @@ impl DiurnalAvailability {
     /// eligibility-change drop-out time of a selected device).
     pub fn current_window(&self, device: u64, t_ms: u64) -> Option<Window> {
         let day = t_ms / DAY_MS;
-        for d in [day.saturating_sub(1), day] {
-            for w in self.windows(device, d) {
+        // Yesterday's night window may have spilled past midnight.
+        let days = day.checked_sub(1).into_iter().chain([day]);
+        days.flat_map(|d| self.day_windows(device, d))
+            .find(|w| w.contains(t_ms))
+    }
+
+    /// The next time ≥ `t_ms` at which the device becomes eligible:
+    /// `t_ms` itself exactly when it already is, otherwise the earliest
+    /// window start from today's on. Searches up to two days ahead, and
+    /// stops at the first day with such a start (see [`Self::new`] for why
+    /// no later day can have an earlier one).
+    pub fn next_eligible_at(&self, device: u64, t_ms: u64) -> Option<u64> {
+        let day = t_ms / DAY_MS;
+        if let Some(yesterday) = day.checked_sub(1) {
+            if self
+                .day_windows(device, yesterday)
+                .any(|w| w.contains(t_ms))
+            {
+                return Some(t_ms);
+            }
+        }
+        for d in day..=day + 2 {
+            let mut next: Option<u64> = None;
+            for w in self.day_windows(device, d) {
                 if w.contains(t_ms) {
-                    return Some(w);
+                    return Some(t_ms);
                 }
+                if w.start_ms >= t_ms {
+                    next = Some(next.map_or(w.start_ms, |n| n.min(w.start_ms)));
+                }
+            }
+            if next.is_some() {
+                return next;
             }
         }
         None
-    }
-
-    /// The next time ≥ `t_ms` at which the device becomes eligible
-    /// (returns `t_ms` itself if already eligible). Searches up to two
-    /// days ahead.
-    pub fn next_eligible_at(&self, device: u64, t_ms: u64) -> Option<u64> {
-        if self.is_eligible(device, t_ms) {
-            return Some(t_ms);
-        }
-        let day = t_ms / DAY_MS;
-        let mut best: Option<u64> = None;
-        for d in day..=day + 2 {
-            for w in self.windows(device, d) {
-                if w.start_ms >= t_ms {
-                    best = Some(best.map_or(w.start_ms, |b| b.min(w.start_ms)));
-                }
-            }
-        }
-        best
     }
 
     /// Fraction of a fleet of `n` devices eligible at `t_ms` (exact count).
@@ -251,5 +278,104 @@ mod tests {
             mean_remaining_h < 3.5,
             "daytime windows should be short, mean {mean_remaining_h}h"
         );
+    }
+
+    /// The query as it was before the early exit: every day's windows
+    /// evaluated through the public `windows`, yesterday and today for
+    /// containment, then all of today and the next two days for a start.
+    fn reference_next_eligible_at(
+        model: &DiurnalAvailability,
+        device: u64,
+        t_ms: u64,
+    ) -> Option<u64> {
+        if reference_current_window(model, device, t_ms).is_some() {
+            return Some(t_ms);
+        }
+        let day = t_ms / DAY_MS;
+        (day..=day + 2)
+            .flat_map(|d| model.windows(device, d))
+            .map(|w| w.start_ms)
+            .filter(|&start| start >= t_ms)
+            .min()
+    }
+
+    fn reference_current_window(
+        model: &DiurnalAvailability,
+        device: u64,
+        t_ms: u64,
+    ) -> Option<Window> {
+        let day = t_ms / DAY_MS;
+        [day.saturating_sub(1), day]
+            .into_iter()
+            .flat_map(|d| model.windows(device, d))
+            .find(|w| w.contains(t_ms))
+    }
+
+    #[test]
+    fn queries_match_the_full_scan() {
+        let wide = DiurnalConfig {
+            timezone_spread_hours: 12.0,
+            ..DiurnalConfig::default()
+        };
+        for config in [DiurnalConfig::default(), wide] {
+            let model = DiurnalAvailability::new(config, 23);
+            let (mut eligible, mut waiting) = (0, 0);
+            for device in 0..2_000 {
+                // Every 37 minutes over three days: t = 0, both sides of
+                // each midnight, and times after a day's last start.
+                for t_ms in (0..3 * DAY_MS).step_by(37 * 60_000) {
+                    let next = model.next_eligible_at(device, t_ms);
+                    assert_eq!(
+                        next,
+                        reference_next_eligible_at(&model, device, t_ms),
+                        "device {device} at {t_ms}"
+                    );
+                    assert_eq!(
+                        model.current_window(device, t_ms),
+                        reference_current_window(&model, device, t_ms),
+                        "device {device} at {t_ms}"
+                    );
+                    assert_eq!(next == Some(t_ms), model.is_eligible(device, t_ms));
+                    if next == Some(t_ms) {
+                        eligible += 1;
+                    } else {
+                        waiting += 1;
+                    }
+                }
+            }
+            assert!(
+                eligible > 10_000 && waiting > 10_000,
+                "{eligible} / {waiting}"
+            );
+        }
+    }
+
+    #[test]
+    fn window_starts_stay_inside_the_bound_the_early_exit_needs() {
+        // The widest spread `new` accepts: each day's starts must still
+        // precede the next day's.
+        let config = DiurnalConfig {
+            timezone_spread_hours: 26.0,
+            ..DiurnalConfig::default()
+        };
+        let model = DiurnalAvailability::new(config, 29);
+        for device in 0..2_000 {
+            for day in 0..3 {
+                for w in model.windows(device, day) {
+                    let offset = w.start_ms - day * DAY_MS;
+                    assert!((7 * HOUR_MS..31 * HOUR_MS).contains(&offset), "{w:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "timezone spread of 30 h")]
+    fn a_spread_that_breaks_the_window_start_bound_is_refused() {
+        let config = DiurnalConfig {
+            timezone_spread_hours: 30.0,
+            ..DiurnalConfig::default()
+        };
+        let _ = DiurnalAvailability::new(config, 1);
     }
 }

@@ -1,7 +1,5 @@
 //! The discrete-event engine: a virtual clock plus an ordered event queue.
 
-use std::collections::BinaryHeap;
-
 /// An event scheduled at a virtual time. Ties break by insertion order,
 /// making runs fully deterministic.
 struct Scheduled<E> {
@@ -10,30 +8,27 @@ struct Scheduled<E> {
     event: E,
 }
 
-impl<E> PartialEq for Scheduled<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at_ms == other.at_ms && self.seq == other.seq
-    }
-}
-impl<E> Eq for Scheduled<E> {}
-impl<E> PartialOrd for Scheduled<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Scheduled<E> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Min-heap by (time, seq): BinaryHeap is max, so reverse.
-        other
-            .at_ms
-            .cmp(&self.at_ms)
-            .then_with(|| other.seq.cmp(&self.seq))
+impl<E> Scheduled<E> {
+    /// The heap order, `(at_ms, seq)` packed so one branch-free compare
+    /// decides it (due times are as good as random to a branch predictor).
+    /// `seq` is unique, so no two keys compare equal and the pop order is a
+    /// property of the keys alone, not of the heap's shape.
+    fn key(&self) -> u128 {
+        (self.at_ms as u128) << 64 | self.seq as u128
     }
 }
 
+/// Children per heap node: a million pending events sit ten levels deep
+/// instead of a binary heap's twenty, and a node's four 40-byte children
+/// span three adjacent cache lines (8 and 16 measured slower: they add
+/// more compares per level than they save levels).
+const ARITY: usize = 4;
+
 /// A deterministic event queue with a virtual clock.
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Scheduled<E>>,
+    /// Implicit `ARITY`-ary min-heap on [`Scheduled::key`]: the children
+    /// of node `i` are `ARITY * i + 1 ..= ARITY * i + ARITY`.
+    heap: Vec<Scheduled<E>>,
     now_ms: u64,
     seq: u64,
     processed: u64,
@@ -49,7 +44,7 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue at time 0.
     pub fn new() -> Self {
         EventQueue {
-            heap: BinaryHeap::new(),
+            heap: Vec::new(),
             now_ms: 0,
             seq: 0,
             processed: 0,
@@ -70,6 +65,7 @@ impl<E> EventQueue<E> {
             seq: self.seq,
             event,
         });
+        self.sift_up(self.heap.len() - 1);
     }
 
     /// Schedules an event after a delay.
@@ -79,7 +75,19 @@ impl<E> EventQueue<E> {
 
     /// Pops the next event, advancing the clock to its timestamp.
     pub fn next(&mut self) -> Option<(u64, E)> {
-        let s = self.heap.pop()?;
+        if self.heap.is_empty() {
+            return None;
+        }
+        // The last element takes the root's place and sinks.
+        let s = self.heap.swap_remove(0);
+        let mut i = 0;
+        while let Some(child) = self.min_child(i) {
+            if self.heap[i].key() <= self.heap[child].key() {
+                break;
+            }
+            self.heap.swap(i, child);
+            i = child;
+        }
         self.now_ms = s.at_ms;
         self.processed += 1;
         Some((s.at_ms, s.event))
@@ -87,7 +95,7 @@ impl<E> EventQueue<E> {
 
     /// Pops the next event only if it is due at or before `horizon_ms`.
     pub fn next_before(&mut self, horizon_ms: u64) -> Option<(u64, E)> {
-        if self.heap.peek().is_some_and(|s| s.at_ms <= horizon_ms) {
+        if self.heap.first().is_some_and(|s| s.at_ms <= horizon_ms) {
             self.next()
         } else {
             None
@@ -107,6 +115,26 @@ impl<E> EventQueue<E> {
     /// Total events processed so far.
     pub fn processed(&self) -> u64 {
         self.processed
+    }
+
+    /// Index of the smallest child of node `i`, if it has any.
+    fn min_child(&self, i: usize) -> Option<usize> {
+        let first = ARITY * i + 1;
+        let children = self.heap.get(first..(first + ARITY).min(self.heap.len()))?;
+        let (offset, _) = children.iter().enumerate().min_by_key(|(_, s)| s.key())?;
+        Some(first + offset)
+    }
+
+    /// Moves node `i` up until its parent is no larger.
+    fn sift_up(&mut self, mut i: usize) {
+        while i > 0 {
+            let parent = (i - 1) / ARITY;
+            if self.heap[parent].key() <= self.heap[i].key() {
+                break;
+            }
+            self.heap.swap(parent, i);
+            i = parent;
+        }
     }
 }
 
@@ -163,5 +191,137 @@ mod tests {
         q.schedule_in(50, "second");
         assert_eq!(q.next().unwrap().0, 150);
         assert_eq!(q.processed(), 2);
+    }
+}
+
+/// The queue against a deliberately trivial model: a `BTreeMap` keyed by
+/// `(at_ms, seq)`, whose first entry is by definition the next event.
+#[cfg(test)]
+mod model_tests {
+    use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        At(u64),
+        In(u64),
+        Next,
+        NextBefore(u64),
+    }
+
+    #[derive(Default)]
+    struct Model {
+        pending: BTreeMap<(u64, u64), usize>,
+        now_ms: u64,
+        seq: u64,
+        processed: u64,
+    }
+
+    impl Model {
+        fn schedule_at(&mut self, at_ms: u64, event: usize) {
+            self.seq += 1;
+            self.pending
+                .insert((at_ms.max(self.now_ms), self.seq), event);
+        }
+
+        fn next_before(&mut self, horizon_ms: u64) -> Option<(u64, usize)> {
+            let entry = self.pending.first_entry()?;
+            let (at_ms, _) = *entry.key();
+            if at_ms > horizon_ms {
+                return None;
+            }
+            self.now_ms = at_ms;
+            self.processed += 1;
+            Some((at_ms, entry.remove()))
+        }
+    }
+
+    /// Applies `ops` to both, comparing every pop and every observable
+    /// after each step, then drains both.
+    fn check(ops: impl IntoIterator<Item = Op>) {
+        let mut queue: EventQueue<usize> = EventQueue::new();
+        let mut model = Model::default();
+        let mut step = |i: usize, op: Op| {
+            match op {
+                Op::At(at_ms) => {
+                    queue.schedule_at(at_ms, i);
+                    model.schedule_at(at_ms, i);
+                }
+                Op::In(delay_ms) => {
+                    queue.schedule_in(delay_ms, i);
+                    model.schedule_at(model.now_ms + delay_ms, i);
+                }
+                Op::Next => assert_eq!(queue.next(), model.next_before(u64::MAX), "op {i}"),
+                Op::NextBefore(horizon_ms) => assert_eq!(
+                    queue.next_before(horizon_ms),
+                    model.next_before(horizon_ms),
+                    "op {i}"
+                ),
+            }
+            assert_eq!(queue.now_ms(), model.now_ms, "op {i}");
+            assert_eq!(queue.len(), model.pending.len(), "op {i}");
+            assert_eq!(queue.is_empty(), model.pending.is_empty(), "op {i}");
+            assert_eq!(queue.processed(), model.processed, "op {i}");
+            queue.len()
+        };
+        let (mut steps, mut pending) = (0, 0);
+        for op in ops {
+            pending = step(steps, op);
+            steps += 1;
+        }
+        while pending > 0 {
+            pending = step(steps, Op::Next);
+            steps += 1;
+        }
+    }
+
+    /// Times cluster in 0..300 so that many are tied, in the past or due
+    /// now; a few are far in the future.
+    fn any_op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            (0u64..300).prop_map(Op::At),
+            (0u64..300).prop_map(Op::At),
+            (1u64 << 40..1u64 << 41).prop_map(Op::At),
+            (0u64..50).prop_map(Op::In),
+            Just(Op::Next),
+            Just(Op::Next),
+            (0u64..400).prop_map(Op::NextBefore),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn random_interleavings_match_the_model(
+            ops in proptest::collection::vec(any_op(), 0..400),
+        ) {
+            check(ops);
+        }
+    }
+
+    /// Deep enough (nine levels) that sifts cross many levels both ways:
+    /// 100 000 schedules with a pop after every third, then the drain.
+    #[test]
+    fn a_hundred_thousand_events_match_the_model() {
+        let mut x = 0x9E37_79B9_7F4A_7C15_u64;
+        let mut ops = Vec::new();
+        for i in 0..100_000 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            // One in eight lands on a shared coarse time, so ties run deep.
+            let at_ms = if x.is_multiple_of(8) {
+                (x >> 60) * 1_000_000
+            } else {
+                x >> 40
+            };
+            ops.push(Op::At(at_ms));
+            if i % 3 == 2 {
+                ops.push(Op::Next);
+            }
+        }
+        check(ops);
     }
 }

@@ -241,8 +241,13 @@ impl FleetReport {
 enum Event {
     /// A device wakes up and attempts a check-in.
     Checkin { device: u64 },
-    /// A selected device finishes training + upload.
-    Report { device: u64, round_seq: u64 },
+    /// A selected device finishes training + upload. `slot` is its index
+    /// in the round's `checkin_times` (a `u32`, so the event stays 24 bytes).
+    Report {
+        device: u64,
+        round_seq: u64,
+        slot: u32,
+    },
     /// A selected device drops out (eligibility change or failure).
     Dropout {
         device: u64,
@@ -339,9 +344,12 @@ pub fn run(config: &FleetConfig) -> FleetReport {
                 queue.schedule_in(10 * 60_000, Event::Sample);
             }
             Event::Checkin { device } => {
-                if !availability.is_eligible(device, now) {
-                    // Missed its window; wake at the next one.
-                    if let Some(t) = availability.next_eligible_at(device, now + 1) {
+                let wake = availability.next_eligible_at(device, now);
+                if wake != Some(now) {
+                    // Missed its window; wake at the next one (a window
+                    // starting at `now` would contain it, so `wake` is a
+                    // start after `now`).
+                    if let Some(t) = wake {
                         let jitter = rng.random_range(0..config.checkin_period_ms);
                         queue.schedule_at(t + jitter, Event::Checkin { device });
                     }
@@ -370,7 +378,7 @@ pub fn run(config: &FleetConfig) -> FleetReport {
                     }
                 }
             }
-            Event::Report { device, round_seq: seq } => {
+            Event::Report { device, round_seq: seq, slot } => {
                 if seq != active.seq {
                     // Round long gone; treat as a late upload against the
                     // already-closed round: rejected, Table 1 `#`.
@@ -396,12 +404,7 @@ pub fn run(config: &FleetConfig) -> FleetReport {
                     _ => DeviceEvent::UploadRejected,
                 };
                 let mut log = SessionLog::new();
-                let checkin_t = active
-                    .checkin_times
-                    .iter()
-                    .find(|(d, _)| *d == DeviceId(device))
-                    .map(|(_, t)| *t)
-                    .unwrap_or(now);
+                let (_, checkin_t) = active.checkin_times[slot as usize];
                 log.record(checkin_t, DeviceEvent::CheckIn);
                 log.record(checkin_t, DeviceEvent::PlanDownloaded);
                 log.record(checkin_t, DeviceEvent::TrainingStarted);
@@ -465,7 +468,7 @@ pub fn run(config: &FleetConfig) -> FleetReport {
                         .record(at_ms, participants as f64);
                     // Configuration: every participant downloads plan +
                     // checkpoint, then trains; schedule each one's fate.
-                    for (d, _) in active.checkin_times.clone() {
+                    for (slot, &(d, _)) in active.checkin_times.iter().enumerate() {
                         report.traffic.record(TrafficKind::Plan, config.plan_bytes);
                         report
                             .traffic
@@ -506,6 +509,7 @@ pub fn run(config: &FleetConfig) -> FleetReport {
                                     Event::Report {
                                         device: d.0,
                                         round_seq: active.seq,
+                                        slot: slot as u32,
                                     },
                                 );
                             }
@@ -579,10 +583,10 @@ fn schedule_next_checkin(
 ) {
     let jitter = rng.random_range(0..period_ms.max(1));
     let target = now + period_ms + jitter;
-    if availability.is_eligible(device, target) {
-        queue.schedule_at(target, Event::Checkin { device });
-    } else if let Some(t) = availability.next_eligible_at(device, target) {
-        queue.schedule_at(t + jitter, Event::Checkin { device });
+    match availability.next_eligible_at(device, target) {
+        Some(t) if t == target => queue.schedule_at(target, Event::Checkin { device }),
+        Some(t) => queue.schedule_at(t + jitter, Event::Checkin { device }),
+        None => {}
     }
 }
 
@@ -705,6 +709,12 @@ mod tests {
             (plan, checkpoint, update),
             measured_payload_sizes(FIG9_MODEL, FIG9_CODEC)
         );
+    }
+
+    #[test]
+    fn report_slot_does_not_grow_the_event() {
+        // A million pending events are 40 MB at 24 + 16 bytes each.
+        assert_eq!(std::mem::size_of::<Event>(), 24);
     }
 
     #[test]

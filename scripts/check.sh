@@ -33,6 +33,10 @@ run_step "fl-lint" cargo run -q -p fl-lint
 # bounded threads under 10 000 ephemeral spawns, worker reuse after a
 # panic); this is the gate they run in.
 run_step "actors-runtime" cargo test -q -p crossbeam -p fl-actors
+# The simulator engine's own unit tests (the event queue against its
+# BTreeMap model, the availability queries against the full scan, the
+# fleet loop) are in `fl-sim`, which the root `test` step does not run.
+run_step "sim-engine" cargo test -q -p fl-sim
 # Wire-protocol gate: codec round-trip/rejection tests plus the golden
 # frame fixture, so accidental frame-layout changes fail loudly; the
 # bench step regenerates BENCH_wire.json from the same build and fails

@@ -123,8 +123,8 @@ fn render_fixture() -> String {
 /// table is hash-ordered under `Debug`, so it is taken out and rendered
 /// through its sorted `Display`; everything else is the report's `Debug`.
 fn fleet_render(seed: u64) -> String {
-    let (plan_bytes, checkpoint_bytes, update_bytes) =
-        fleet::measured_payload_sizes(fleet::FIG9_MODEL, fleet::FIG9_CODEC);
+    // The default config already carries the measured FIG9 payload sizes
+    // and the 60 s check-in period the benchmark uses.
     let mut report = fleet::run(&FleetConfig {
         devices: 5_000,
         days: 2,
@@ -136,13 +136,10 @@ fn fleet_render(seed: u64) -> String {
             report_window_ms: 10 * 60_000,
             device_cap_ms: 8 * 60_000,
         },
-        plan_bytes,
-        checkpoint_bytes,
-        update_bytes,
         work_units: 40_000,
-        checkin_period_ms: 60_000,
         failure_probability: 0.04,
         seed,
+        ..FleetConfig::default()
     });
     let sessions = std::mem::take(&mut report.sessions);
     format!("{report:?}\n{sessions}")
