@@ -1,0 +1,259 @@
+//! The three bench gates of `scripts/check.sh`: what each `bench_*`
+//! binary measures per case, and the one floor its run must clear. The
+//! verdicts are pure functions of the measured cases, so a regressed
+//! case and the committed `BENCH_*.json` rows can be fed to them in
+//! tests: a gate that stops gating fails `cargo test -p fl-bench`.
+
+/// One `bench_wire` case: `UpdateReport` encode/decode at one size.
+pub struct WireCase {
+    /// f32 parameters in the update.
+    pub params: usize,
+    /// Bytes in the encoded frame.
+    pub frame_bytes: usize,
+    /// Frames timed each way.
+    pub iters: u32,
+    /// Mean encode time.
+    pub encode_ns_per_frame: f64,
+    /// Frame bytes encoded per second.
+    pub encode_mb_per_s: f64,
+    /// Mean decode time.
+    pub decode_ns_per_frame: f64,
+    /// Frame bytes decoded per second.
+    pub decode_mb_per_s: f64,
+}
+
+/// Floor for the largest `bench_wire` case (1M parameters), both ways.
+/// The word-at-a-time v4 digest runs several times above it; the
+/// byte-serial v3 digest ran at under half of it (the `before` rows of
+/// the committed snapshot).
+pub const WIRE_FLOOR_MB_PER_S: f64 = 1_500.0;
+
+/// `bench_wire`'s verdict: the largest case encodes and decodes at
+/// [`WIRE_FLOOR_MB_PER_S`] or better.
+pub fn wire(cases: &[WireCase]) -> Result<(), String> {
+    let largest = cases.last().ok_or("no case was measured")?;
+    let slowest = largest.encode_mb_per_s.min(largest.decode_mb_per_s);
+    if slowest < WIRE_FLOOR_MB_PER_S {
+        return Err(format!(
+            "{} params moved at {slowest:.1} MB/s, under the {WIRE_FLOOR_MB_PER_S} MB/s floor",
+            largest.params
+        ));
+    }
+    Ok(())
+}
+
+/// One `bench_selector` case: the accept path at one population count
+/// and one drain cadence.
+pub struct SelectorCase {
+    /// Populations sharing the Selector.
+    pub populations: usize,
+    /// Check-ins between drains of the held set.
+    pub drain_every: u32,
+    /// Check-ins timed.
+    pub iters: u32,
+    /// Mean time per check-in.
+    pub checkin_ns: f64,
+    /// Share of check-ins accepted.
+    pub accept_fraction: f64,
+}
+
+/// Drain cadences `bench_selector` measures: a small and a sixteen-fold
+/// larger held set.
+pub const DRAIN_CADENCES: [u32; 2] = [512, 8_192];
+
+/// Ceiling on ns per check-in at the large held set over the small one.
+/// The admission path reads 1.35-1.54x; a scan of the held set on every
+/// check-in read 9-13x.
+pub const SELECTOR_MAX_SLOPE: f64 = 4.0;
+
+/// `bench_selector`'s verdict: every case timed the accept path, and at
+/// each population count the large-held-set case costs at most
+/// [`SELECTOR_MAX_SLOPE`] times the small one.
+pub fn selector(cases: &[SelectorCase]) -> Result<(), String> {
+    if let Some(shed) = cases.iter().find(|c| c.accept_fraction <= 0.99) {
+        return Err(format!(
+            "{} populations, drain every {}: timed shedding, not the accept path",
+            shed.populations, shed.drain_every
+        ));
+    }
+    let [small, large] = DRAIN_CADENCES;
+    for held_few in cases.iter().filter(|c| c.drain_every == small) {
+        let populations = held_few.populations;
+        let held_many = cases
+            .iter()
+            .find(|c| c.populations == populations && c.drain_every == large)
+            .ok_or(format!(
+                "{populations} populations: no drain-every-{large} case"
+            ))?;
+        let slope = held_many.checkin_ns / held_few.checkin_ns;
+        if slope > SELECTOR_MAX_SLOPE {
+            return Err(format!(
+                "{populations} populations: {:.1} ns per check-in at drain every {large} is \
+                 {slope:.1}x the {:.1} ns at {small}, over the {SELECTOR_MAX_SLOPE}x ceiling",
+                held_many.checkin_ns, held_few.checkin_ns
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// One `bench_secagg` case: a cohort finalized as one SecAgg group and
+/// as fixed-size groups.
+pub struct SecAggCase {
+    /// Devices in the cohort.
+    pub devices: usize,
+    /// Finalize time with every device in one group.
+    pub single_group_ms: f64,
+    /// Finalize time split into fixed groups.
+    pub sharded_ms: f64,
+}
+
+/// The sharded layout's required advantage at the largest `bench_secagg`
+/// cohort (64 devices). Far below the asymptotic one (~cohort / group;
+/// the committed row reads 4.9x), so it trips when the mitigation itself
+/// is broken, not on a noisy run.
+pub const SECAGG_MIN_SPEEDUP: f64 = 1.5;
+
+/// `bench_secagg`'s verdict: at the largest cohort one quadratic group
+/// costs at least [`SECAGG_MIN_SPEEDUP`] times the fixed groups.
+pub fn secagg(cases: &[SecAggCase]) -> Result<(), String> {
+    let largest = cases.last().ok_or("no case was measured")?;
+    if largest.single_group_ms < SECAGG_MIN_SPEEDUP * largest.sharded_ms {
+        return Err(format!(
+            "quadratic-cost mitigation regressed: one group of {} took {:.2} ms vs {:.2} ms \
+             sharded, expected at least a {SECAGG_MIN_SPEEDUP}x advantage",
+            largest.devices, largest.single_group_ms, largest.sharded_ms
+        ));
+    }
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::BTreeMap;
+
+    /// The numeric fields of every one-line `{"key": number, ...}` row
+    /// of a committed snapshot, in order (the bins print one case a line).
+    fn rows(doc: &str) -> Vec<BTreeMap<&str, f64>> {
+        doc.lines()
+            .filter_map(|line| {
+                let row = line.trim().trim_end_matches(',');
+                row.strip_prefix('{')?.strip_suffix('}')
+            })
+            .map(|row| {
+                row.split(", ")
+                    .filter_map(|field| {
+                        let (key, value) = field.split_once(": ")?;
+                        Some((key.trim_matches('"'), value.parse().ok()?))
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// The committed rows, without the v3 ones a hand-kept `before`
+    /// block may hold after them.
+    fn committed_wire() -> Vec<WireCase> {
+        let doc = include_str!("../../../BENCH_wire.json");
+        let current = doc.split("\"before\"").next().expect("a first piece");
+        let cases: Vec<WireCase> = rows(current)
+            .iter()
+            .map(|row| WireCase {
+                params: row["params"] as usize,
+                frame_bytes: row["frame_bytes"] as usize,
+                iters: row["iters"] as u32,
+                encode_ns_per_frame: row["encode_ns_per_frame"],
+                encode_mb_per_s: row["encode_mb_per_s"],
+                decode_ns_per_frame: row["decode_ns_per_frame"],
+                decode_mb_per_s: row["decode_mb_per_s"],
+            })
+            .collect();
+        assert_eq!(cases.len(), 3);
+        cases
+    }
+
+    fn committed_selector() -> Vec<SelectorCase> {
+        let cases: Vec<SelectorCase> = rows(include_str!("../../../BENCH_selector.json"))
+            .iter()
+            .map(|row| SelectorCase {
+                populations: row["populations"] as usize,
+                drain_every: row["drain_every"] as u32,
+                iters: row["iters"] as u32,
+                checkin_ns: row["checkin_ns"],
+                accept_fraction: row["accept_fraction"],
+            })
+            .collect();
+        assert_eq!(cases.len(), 6);
+        cases
+    }
+
+    fn committed_secagg() -> Vec<SecAggCase> {
+        let cases: Vec<SecAggCase> = rows(include_str!("../../../BENCH_secagg.json"))
+            .iter()
+            .map(|row| SecAggCase {
+                devices: row["devices"] as usize,
+                single_group_ms: row["single_group_ms"],
+                sharded_ms: row["sharded_ms"],
+            })
+            .collect();
+        assert_eq!(cases.len(), 3);
+        cases
+    }
+
+    #[test]
+    fn committed_rows_pass_every_gate() {
+        assert_eq!(wire(&committed_wire()), Ok(()));
+        assert_eq!(selector(&committed_selector()), Ok(()));
+        assert_eq!(secagg(&committed_secagg()), Ok(()));
+    }
+
+    #[test]
+    fn a_run_that_measured_nothing_fails() {
+        assert!(wire(&[]).is_err());
+        assert!(secagg(&[]).is_err());
+    }
+
+    #[test]
+    fn a_byte_serial_digest_fails_the_wire_gate() {
+        // What protocol v3 read at 1M parameters, in either direction.
+        for slow in [
+            |c: &mut WireCase| c.encode_mb_per_s = 700.0,
+            |c: &mut WireCase| c.decode_mb_per_s = 700.0,
+        ] {
+            let mut cases = committed_wire();
+            slow(cases.last_mut().expect("three rows"));
+            let why = wire(&cases).expect_err("700 MB/s is under the floor");
+            assert!(why.contains("1000000 params moved at 700.0 MB/s"), "{why}");
+        }
+    }
+
+    #[test]
+    fn a_held_set_scan_fails_the_selector_gate() {
+        // What a scan of the held set on every check-in read: 10x at the
+        // sixteen-fold larger held set.
+        let mut cases = committed_selector();
+        cases[5].checkin_ns = 10.0 * cases[4].checkin_ns;
+        let why = selector(&cases).expect_err("10x is over the ceiling");
+        assert!(
+            why.contains("8 populations") && why.contains("10.0x"),
+            "{why}"
+        );
+    }
+
+    #[test]
+    fn a_case_that_sheds_fails_the_selector_gate() {
+        let mut cases = committed_selector();
+        cases[0].accept_fraction = 0.5;
+        assert!(selector(&cases).is_err());
+    }
+
+    #[test]
+    fn a_lost_sharding_advantage_fails_the_secagg_gate() {
+        let mut cases = committed_secagg();
+        let largest = cases.last_mut().expect("three rows");
+        largest.sharded_ms = largest.single_group_ms / 1.2;
+        let why = secagg(&cases).expect_err("1.2x is under the required advantage");
+        assert!(why.contains("one group of 64"), "{why}");
+    }
+}

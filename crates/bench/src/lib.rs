@@ -1,11 +1,15 @@
-//! `fl-bench` — benchmark harnesses and figure/table regeneration.
+//! `fl-bench` — figure/table regeneration and the three bench gates.
 //!
 //! Each experiment in EXPERIMENTS.md has a function here that produces the
 //! corresponding figure or table as text; the `figures` binary dispatches
 //! to them, and the workspace integration tests assert their qualitative
-//! claims. Criterion micro-benchmarks live in `benches/`.
+//! claims. The `bench_wire`, `bench_selector` and `bench_secagg` binaries
+//! are `scripts/check.sh` gates whose floors are stated in [`gate`]; they
+//! print JSON on stdout and write no file. Where a hot path's speed is
+//! recorded is `benchmark/` (the `layers` rows), not this crate.
 
 pub mod fleet_experiments;
+pub mod gate;
 pub mod learning_experiments;
 pub mod protocol_experiments;
 

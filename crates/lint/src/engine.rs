@@ -357,7 +357,6 @@ fn in_test_tree(rel: &str) -> bool {
     rel.starts_with("tests/")
         || rel.starts_with("examples/")
         || rel.contains("/tests/")
-        || rel.contains("/benches/")
         || rel.contains("/examples/")
 }
 

@@ -29,7 +29,7 @@ pub struct Rule {
     /// Path prefixes exempt from the rule (takes precedence).
     pub exclude: &'static [&'static str],
     /// Whether code inside `#[cfg(test)]`/`#[test]` blocks or
-    /// `tests/`/`benches/` trees is linted.
+    /// `tests/`/`examples/` trees is linted.
     pub applies_to_tests: bool,
     /// One-line fix guidance attached to findings.
     pub hint: &'static str,

@@ -707,13 +707,11 @@ impl Harness<'_> {
     }
 
     fn on_report(&mut self, now: u64, device: u64) {
-        if self.active.is_none() {
+        let Some(round) = self.active.as_mut() else {
             return; // The round this report belonged to is gone.
-        }
+        };
         if self.offline_until.get(&device).is_some_and(|&t| t > now) {
-            if let Some(round) = self.active.as_mut() {
-                round.on_dropout(DeviceId(device), now);
-            }
+            round.on_dropout(DeviceId(device), now);
             return;
         }
         let update = vec![0.1 + (device % 5) as f32 * 0.01; self.dim];
@@ -722,108 +720,63 @@ impl Harness<'_> {
         let accuracy = 0.5 + (device % 10) as f64 * 0.03;
         // The DES devices upload first attempts only (retry scheduling is
         // the live harness's concern); the key still rides the frame.
-        let round_key = match self.active.as_ref() {
-            Some(round) => round.state.round,
-            None => return,
-        };
-        if self.config.secagg_k.is_some() {
+        let (device, round_key, attempt) = (DeviceId(device), round.state.round, 1);
+        let population = PopulationName::new(POPULATION);
+        let violations = &mut self.report.violations;
+        let report_msg = if self.config.secagg_k.is_some() {
             // SecAgg rounds upload the fixed-point *field vector* — 8
             // bytes per coordinate, the Sec. 6 bandwidth premium — over
             // the same framed wire as cleartext reports.
-            let field = match fl_ml::fixedpoint::FixedPointEncoder::default_for_updates()
+            let field_vector = match fl_ml::fixedpoint::FixedPointEncoder::default_for_updates()
                 .encode(&update)
             {
                 Ok(field) => field,
                 Err(e) => {
-                    self.report
-                        .violations
-                        .push(format!("t={now}: fixed-point encode failed: {e}"));
+                    violations.push(format!("t={now}: fixed-point encode failed: {e}"));
                     return;
                 }
             };
-            let report_msg = WireMessage::SecAggReport {
-                device: DeviceId(device),
+            WireMessage::SecAggReport {
+                device,
                 round: round_key,
-                attempt: 1,
-                field_vector: field,
-                weight,
-                loss,
-                accuracy,
-                population: PopulationName::new(POPULATION),
-            };
-            let Some(WireMessage::SecAggReport {
-                device: wired,
-                round: wired_round,
-                attempt: wired_attempt,
+                attempt,
                 field_vector,
                 weight,
                 loss,
                 accuracy,
-                ..
-            }) = self.wire.wire_uplink(now, &report_msg, &mut self.report.violations)
-            else {
-                return;
-            };
-            let Some(round) = self.active.as_mut() else {
-                return;
-            };
-            match round.on_secagg_report(wired, now, &field_vector, weight, loss, accuracy) {
-                Ok(response) => {
-                    let accepted = matches!(response, ReportResponse::Accepted);
-                    self.wire.wire_downlink(&WireMessage::ReportAck {
-                        accepted,
-                        round: wired_round,
-                        attempt: wired_attempt,
-                        population: PopulationName::new(POPULATION),
-                    });
-                }
-                Err(e) => self
-                    .report
-                    .violations
-                    .push(format!("secagg report aggregation failed: {e}")),
+                population,
             }
-            return;
-        }
-        let report_msg = WireMessage::UpdateReport {
-            device: DeviceId(device),
-            round: round_key,
-            attempt: 1,
-            update_bytes: CodecSpec::Identity.build().encode(&update),
-            weight,
-            loss,
-            accuracy,
-            population: PopulationName::new(POPULATION),
-        };
-        let Some(WireMessage::UpdateReport {
-            device: wired,
-            round: wired_round,
-            attempt: wired_attempt,
-            update_bytes,
-            weight,
-            loss,
-            accuracy,
-            ..
-        }) = self.wire.wire_uplink(now, &report_msg, &mut self.report.violations)
-        else {
-            return;
-        };
-        let Some(round) = self.active.as_mut() else {
-            return;
-        };
-        match round.on_report(wired, now, &update_bytes, weight, loss, accuracy) {
-            Ok(response) => {
-                let accepted = matches!(response, ReportResponse::Accepted);
-                self.wire.wire_downlink(&WireMessage::ReportAck {
-                    accepted,
-                    round: wired_round,
-                    attempt: wired_attempt,
-                    population: PopulationName::new(POPULATION),
-                });
+        } else {
+            WireMessage::UpdateReport {
+                device,
+                round: round_key,
+                attempt,
+                update_bytes: CodecSpec::Identity.build().encode(&update),
+                weight,
+                loss,
+                accuracy,
+                population,
             }
-            Err(e) => self
-                .report
-                .violations
-                .push(format!("report aggregation failed: {e}")),
+        };
+        // The server side takes the device id and the payload from the
+        // frame it decoded.
+        let outcome = match self.wire.wire_uplink(now, &report_msg, violations) {
+            Some(WireMessage::UpdateReport { device, update_bytes, .. }) => {
+                round.on_report(device, now, &update_bytes, weight, loss, accuracy)
+            }
+            Some(WireMessage::SecAggReport { device, field_vector, .. }) => {
+                round.on_secagg_report(device, now, &field_vector, weight, loss, accuracy)
+            }
+            _ => return,
+        };
+        match outcome {
+            Ok(response) => self.wire.wire_downlink(&WireMessage::ReportAck {
+                accepted: matches!(response, ReportResponse::Accepted),
+                round: round_key,
+                attempt,
+                population: PopulationName::new(POPULATION),
+            }),
+            Err(e) => violations.push(format!("report aggregation failed: {e}")),
         }
     }
 

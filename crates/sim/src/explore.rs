@@ -64,6 +64,21 @@ const EXPECTED_OBITUARIES: &[&str] = &[
 const MAX_POLLS: u32 = 500;
 /// Bound on any single channel wait.
 const WAIT: Duration = Duration::from_secs(10);
+/// How far a SecAgg commit may sit from a cohort mean: fixed-point
+/// quantization of the field sum.
+const SECAGG_TOLERANCE: f32 = 1e-3;
+
+/// Each device's update coordinate: 1/16, 2/16, 4/16, 8/16. Subset sums
+/// of distinct powers of two are distinct, and the closest two subset
+/// means are 5e-3 apart, so a committed average names exactly which
+/// devices were summed.
+const UPDATES: [f32; DEVICES as usize] = [0.0625, 0.125, 0.25, 0.5];
+
+/// Weight-1 average, over a zero model, of the given devices' updates.
+fn cohort_mean(devices: impl Iterator<Item = u64>) -> f32 {
+    let (sum, n) = devices.fold((0.0, 0.0), |(s, n), i| (s + UPDATES[i as usize], n + 1.0));
+    sum / n
+}
 
 /// Outcome of one explored schedule. Every field is schedule-invariant
 /// (no reorder counts, no tick counts), so [`ExploreReport::render`] is
@@ -197,7 +212,7 @@ fn explore_round(
                             // A different update per device, at weight 1:
                             // a constant cohort would hide a missing
                             // member.
-                            let update = vec![0.25 * (i + 1) as f32; dim];
+                            let update = vec![UPDATES[i as usize]; dim];
                             let round = checkpoint.round;
                             let sent = if secagg_k.is_some() {
                                 match fl_ml::fixedpoint::FixedPointEncoder::default_for_updates()
@@ -260,15 +275,16 @@ fn explore_round(
     let audit = live.shutdown(&mut report.violations);
     report.committed = audit.committed;
     report.write_count = audit.write_count;
-    // Weight 1 each over a zero model: devices 0..4 average to 0.625
-    // exactly. Under SecAgg device 3's dropout notice and the completion
-    // poll share the Coordinator's permuted mailbox, so the close either
-    // sees the dropout (devices 0..3 average to 0.5, within fixed-point
-    // quantization) or overtakes it (all four reports).
-    let (averages, tolerance): (&[f32], f32) = if secagg_k.is_some() {
-        (&[0.5, 0.625], 1e-3)
+    // All four devices average to 15/64 exactly. Under SecAgg device 3's
+    // dropout notice and the completion poll share the Coordinator's
+    // permuted mailbox, so the close either sees the dropout (devices
+    // 0..3 average to 7/48, within fixed-point quantization) or
+    // overtakes it (all four reports). No other cohort is accepted.
+    let legal = [cohort_mean(0..DEVICES - 1), cohort_mean(0..DEVICES)];
+    let (averages, tolerance) = if secagg_k.is_some() {
+        (&legal[..], SECAGG_TOLERANCE)
     } else {
-        (&[0.625], 0.0)
+        (&legal[1..], 0.0)
     };
     let is_average =
         |average: &f32| audit.params.iter().all(|p| (p - average).abs() <= tolerance);
@@ -336,6 +352,21 @@ mod tests {
     #[test]
     fn report_is_byte_identical_per_seed() {
         assert_eq!(explore_live_round(5).render(), explore_live_round(5).render());
+    }
+
+    #[test]
+    fn only_the_two_legal_cohorts_average_within_tolerance() {
+        // All 15 non-empty subsets of the four devices, as bit masks: the
+        // SecAgg audit accepts the full cohort and the cohort without the
+        // scripted drop-out (device 3), and must accept nothing else.
+        let legal = [cohort_mean(0..DEVICES - 1), cohort_mean(0..DEVICES)];
+        let accepted: Vec<u64> = (1..1u64 << DEVICES)
+            .filter(|mask| {
+                let mean = cohort_mean((0..DEVICES).filter(|i| mask >> i & 1 == 1));
+                legal.iter().any(|l| (mean - l).abs() <= SECAGG_TOLERANCE)
+            })
+            .collect();
+        assert_eq!(accepted, [0b0111, 0b1111]);
     }
 
     #[test]
