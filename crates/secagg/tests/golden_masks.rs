@@ -1,0 +1,126 @@
+//! Golden values for the mask PRG, the masked vectors and the share
+//! keystream.
+//!
+//! Every other SecAgg oracle in the workspace checks the *unmasked sum*,
+//! which is the same for any PRG: the pairwise masks cancel and the self
+//! masks are removed whatever their elements are. These pins are what
+//! makes "masks are bit-identical per seed" (ROADMAP) a tested statement,
+//! so a change to how masks are expanded or applied that moves one mask
+//! element fails here. The test reaches the PRG only through calls whose
+//! signatures are part of the protocol surface (`remove_self_mask`,
+//! `SecAggClient::commit`, `keystream`).
+
+use fl_secagg::protocol::{MaskedInput, SecAggClient, SecAggConfig, SecAggServer};
+use fl_secagg::{field, keys, masking};
+
+/// FNV-1a over the little-endian words of `v`.
+fn fold(v: &[u64]) -> u64 {
+    v.iter().fold(0xcbf2_9ce4_8422_2325, |h, &x| {
+        (h ^ x).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// `PRG(seed)`, read back as the negation of what removing it as a self
+/// mask leaves in an all-zero aggregate.
+fn prg(seed: u64, dim: usize) -> Vec<u64> {
+    let mut v = vec![0u64; dim];
+    masking::remove_self_mask(&mut v, seed);
+    v.into_iter().map(field::neg).collect()
+}
+
+#[test]
+fn prg_42_elements_are_pinned() {
+    let mask = prg(42, 4113);
+    assert_eq!(mask[..8], PRG_42_HEAD);
+    assert_eq!(mask[4112], PRG_42_LAST);
+}
+
+const PRG_42_HEAD: [u64; 8] = [
+    1_877_659_826_248_404_243,
+    735_151_266_416_420_593,
+    2_268_705_489_498_185_136,
+    1_616_708_617_469_888_182,
+    1_829_696_780_335_353_165,
+    1_356_062_737_633_516_495,
+    289_043_052_218_238_634,
+    1_395_317_367_954_413_928,
+];
+const PRG_42_LAST: u64 = 1_737_208_138_362_965_423;
+
+/// The `round_secagg` shard shape: 16 devices, 4 112 coordinates plus the
+/// weight, one device gone after sharing keys.
+#[test]
+fn masked_vectors_of_a_seeded_instance_are_pinned() {
+    const N: u32 = 16;
+    const DIM: usize = 4113;
+    const DROPPED: u32 = 5;
+    let config = SecAggConfig::new(11, DIM);
+    let inputs: Vec<Vec<u64>> = (0..N as usize)
+        .map(|i| (0..DIM).map(|d| (i * 1000 + d) as u64).collect())
+        .collect();
+    let mut clients: Vec<SecAggClient> =
+        (0..N).map(|id| SecAggClient::new(id, config, 20)).collect();
+    let mut server = SecAggServer::new(config);
+    for c in clients.iter_mut() {
+        server
+            .collect_advertisement(c.advertise_keys().unwrap())
+            .unwrap();
+    }
+    let broadcast = server.finish_advertising().unwrap();
+    for c in clients.iter_mut() {
+        server
+            .collect_shares(c.share_keys(&broadcast).unwrap())
+            .unwrap();
+    }
+    let routed = server.finish_sharing().unwrap();
+    for c in clients.iter_mut() {
+        c.receive_shares(&routed[&c.id()]).unwrap();
+    }
+
+    // What the server accumulates in round 2, summed here as it does.
+    let mut masked_sum = vec![0u64; DIM];
+    let mut folds = Vec::new();
+    for (i, c) in clients.iter_mut().enumerate() {
+        if c.id() == DROPPED {
+            continue;
+        }
+        let MaskedInput { id, vector } = c.commit(&inputs[i]).unwrap();
+        assert!(vector.iter().all(|&v| v < field::PRIME));
+        field::add_assign_vec(&mut masked_sum, &vector);
+        folds.push((id, fold(&vector)));
+        server.collect_masked(MaskedInput { id, vector }).unwrap();
+    }
+    // Device 0 adds every pairwise mask, device 15 subtracts every one.
+    assert_eq!(folds[0], (0, CLIENT_0_FOLD));
+    assert_eq!(folds[14], (15, CLIENT_15_FOLD));
+    assert_eq!(fold(&masked_sum), MASKED_SUM_FOLD);
+
+    let request = server.finish_commit().unwrap();
+    assert_eq!(request.dropped_after_sharing, vec![DROPPED]);
+    for c in clients.iter_mut().filter(|c| c.id() != DROPPED) {
+        server.collect_reveals(c.unmask(&request).unwrap()).unwrap();
+    }
+    let sum = server.finalize().unwrap();
+    let expected: Vec<u64> = (0..DIM)
+        .map(|d| {
+            (0..N as usize)
+                .filter(|&i| i != DROPPED as usize)
+                .map(|i| (i * 1000 + d) as u64)
+                .sum()
+        })
+        .collect();
+    assert_eq!(sum, expected);
+}
+
+const CLIENT_0_FOLD: u64 = 105_000_474_661_113_768;
+const CLIENT_15_FOLD: u64 = 2_400_310_862_895_390_765;
+const MASKED_SUM_FOLD: u64 = 801_723_796_374_008_249;
+
+#[test]
+fn keystream_77_is_pinned() {
+    assert_eq!(keys::keystream(77, 16), KEYSTREAM_77);
+}
+
+const KEYSTREAM_77: [u8; 16] = [
+    190, 82, 77, 80, 95, 154, 172, 211, 201, 112, 226, 233, 157, 143, 75, 114,
+];
