@@ -99,18 +99,24 @@ impl FixedPointEncoder {
         self.max_summands
     }
 
+    /// Encodes one value on a grid of `scale` steps per unit shifted by
+    /// `offset` (this encoder's [`Self::scale`] and [`Self::offset`], which
+    /// a vector's worth of values computes once).
+    fn encode_on_grid(&self, x: f32, scale: f64, offset: i64) -> Result<u64, FixedPointError> {
+        if !x.is_finite() {
+            return Err(FixedPointError::NonFinite);
+        }
+        let clipped = f64::from(x).clamp(-self.clip, self.clip);
+        Ok(((clipped * scale).round() as i64 + offset) as u64)
+    }
+
     /// Encodes one value into the field.
     ///
     /// # Errors
     ///
     /// Returns [`FixedPointError::NonFinite`] for NaN/infinite input.
     pub fn encode_value(&self, x: f32) -> Result<u64, FixedPointError> {
-        if !x.is_finite() {
-            return Err(FixedPointError::NonFinite);
-        }
-        let clipped = f64::from(x).clamp(-self.clip, self.clip);
-        let scaled = (clipped * self.scale()).round() as i64 + self.offset() as i64;
-        Ok(scaled as u64)
+        self.encode_on_grid(x, self.scale(), self.offset() as i64)
     }
 
     /// Encodes a vector into field elements.
@@ -119,7 +125,29 @@ impl FixedPointEncoder {
     ///
     /// Returns an error on non-finite inputs.
     pub fn encode(&self, xs: &[f32]) -> Result<Vec<u64>, FixedPointError> {
-        xs.iter().map(|&x| self.encode_value(x)).collect()
+        let (scale, offset) = (self.scale(), self.offset() as i64);
+        xs.iter()
+            .map(|&x| self.encode_on_grid(x, scale, offset))
+            .collect()
+    }
+
+    /// The total offset carried by a sum of `summands` encoded values.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `summands` exceeds [`FixedPointEncoder::max_summands`].
+    fn sum_offset(&self, summands: u64) -> i128 {
+        assert!(
+            summands <= self.max_summands,
+            "decode called with more summands than encoder supports"
+        );
+        (u128::from(self.offset()) * u128::from(summands)) as i128
+    }
+
+    /// Decodes one summed element given the grid `scale` and the sum's
+    /// [`Self::sum_offset`].
+    fn decode_on_grid(v: u64, scale: f64, sum_offset: i128) -> f32 {
+        ((v as i128 - sum_offset) as f64 / scale) as f32
     }
 
     /// Decodes a field element that is the sum of `summands` encoded values.
@@ -128,12 +156,7 @@ impl FixedPointEncoder {
     ///
     /// Panics if `summands` exceeds [`FixedPointEncoder::max_summands`].
     pub fn decode_sum_value(&self, v: u64, summands: u64) -> f32 {
-        assert!(
-            summands <= self.max_summands,
-            "decode called with more summands than encoder supports"
-        );
-        let shifted = v as i128 - (u128::from(self.offset()) * u128::from(summands)) as i128;
-        (shifted as f64 / self.scale()) as f32
+        Self::decode_on_grid(v, self.scale(), self.sum_offset(summands))
     }
 
     /// Decodes a summed vector.
@@ -142,8 +165,9 @@ impl FixedPointEncoder {
     ///
     /// Panics if `summands` exceeds the configured maximum.
     pub fn decode_sum(&self, vs: &[u64], summands: u64) -> Vec<f32> {
+        let (scale, offset) = (self.scale(), self.sum_offset(summands));
         vs.iter()
-            .map(|&v| self.decode_sum_value(v, summands))
+            .map(|&v| Self::decode_on_grid(v, scale, offset))
             .collect()
     }
 
@@ -225,6 +249,20 @@ mod tests {
         let decoded = enc.decode_sum(&sum, 2);
         for ((x, y), d) in a.iter().zip(&b).zip(&decoded) {
             assert!((x + y - d).abs() < 1e-3);
+        }
+    }
+
+    #[test]
+    fn vector_forms_equal_the_per_value_forms_bit_for_bit() {
+        let enc = FixedPointEncoder::default_for_updates();
+        let xs: Vec<f32> = (-700..700).map(|i| i as f32 * 0.0937).collect();
+        let encoded = enc.encode(&xs).unwrap();
+        let per_value: Vec<u64> = xs.iter().map(|&x| enc.encode_value(x).unwrap()).collect();
+        assert_eq!(encoded, per_value);
+        let sums: Vec<u64> = encoded.iter().map(|v| v * 3).collect();
+        let decoded = enc.decode_sum(&sums, 3);
+        for (&v, d) in sums.iter().zip(&decoded) {
+            assert_eq!(d.to_bits(), enc.decode_sum_value(v, 3).to_bits());
         }
     }
 

@@ -13,15 +13,19 @@ pub fn reduce(x: u64) -> u64 {
     x % PRIME
 }
 
-/// Field addition.
-pub fn add(a: u64, b: u64) -> u64 {
-    debug_assert!(a < PRIME && b < PRIME);
-    let s = a + b; // fits: both < 2^61, sum < 2^62
+/// Lands `s < 2p` in the field with one conditional subtract.
+fn fold(s: u64) -> u64 {
     if s >= PRIME {
         s - PRIME
     } else {
         s
     }
+}
+
+/// Field addition.
+pub fn add(a: u64, b: u64) -> u64 {
+    debug_assert!(a < PRIME && b < PRIME);
+    fold(a + b) // fits: both < 2^61, sum < 2^62
 }
 
 /// Field subtraction.
@@ -44,10 +48,14 @@ pub fn neg(a: u64) -> u64 {
     }
 }
 
-/// Field multiplication (via `u128`).
+/// Field multiplication. `2⁶¹ ≡ 1 (mod p)`, so the 122-bit product
+/// `x` is congruent to `(x mod 2⁶¹) + (x >> 61)`: the low part is at most
+/// `p`, the high part at most `p − 3`, their sum under `2p`, and no
+/// 128-bit division is needed.
 pub fn mul(a: u64, b: u64) -> u64 {
     debug_assert!(a < PRIME && b < PRIME);
-    ((u128::from(a) * u128::from(b)) % u128::from(PRIME)) as u64
+    let x = u128::from(a) * u128::from(b);
+    fold((x as u64 & PRIME) + (x >> 61) as u64)
 }
 
 /// Field exponentiation by squaring.
@@ -101,6 +109,12 @@ pub fn sub_assign_vec(a: &mut [u64], b: &[u64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The definition `mul` must agree with: reduce the product by `%`.
+    fn mul_reference(a: u64, b: u64) -> u64 {
+        ((u128::from(a) * u128::from(b)) % u128::from(PRIME)) as u64
+    }
 
     #[test]
     fn prime_is_mersenne_61() {
@@ -118,6 +132,10 @@ mod tests {
     fn sub_wraps_below_zero() {
         assert_eq!(sub(0, 1), PRIME - 1);
         assert_eq!(sub(5, 5), 0);
+        // Subtracting zero is the identity, not `x + p`.
+        for x in [0, 7, PRIME - 1] {
+            assert_eq!(sub(x, 0), x);
+        }
     }
 
     #[test]
@@ -129,10 +147,36 @@ mod tests {
 
     #[test]
     fn mul_matches_u128_reference() {
-        let a = PRIME - 2;
-        let b = PRIME - 3;
-        let expect = ((u128::from(a) * u128::from(b)) % u128::from(PRIME)) as u64;
-        assert_eq!(mul(a, b), expect);
+        let (a, b) = (PRIME - 2, PRIME - 3);
+        assert_eq!(mul(a, b), mul_reference(a, b));
+    }
+
+    /// The operands where the fold's two halves are extreme: a zero or
+    /// all-ones low part, the largest high part, a sum of exactly `p`.
+    #[test]
+    fn mul_matches_reference_on_edges_squared_and_crossed() {
+        let edges = [0, 1, 2, PRIME - 2, PRIME - 1, 1 << 60, (1 << 60) + 1];
+        for &a in &edges {
+            for &b in &edges {
+                assert_eq!(mul(a, b), mul_reference(a, b), "{a} * {b}");
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        #[test]
+        fn mul_matches_reference_on_random_operands(
+            a in 0..PRIME,
+            b in 0..PRIME,
+            // Products with a short high part or an all-ones low part.
+            small in 0u64..1 << 16,
+        ) {
+            prop_assert_eq!(mul(a, b), mul_reference(a, b));
+            prop_assert_eq!(mul(a, small), mul_reference(a, small));
+            prop_assert_eq!(mul(PRIME - 1 - small, b), mul_reference(PRIME - 1 - small, b));
+        }
     }
 
     #[test]

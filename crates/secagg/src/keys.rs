@@ -54,10 +54,19 @@ impl KeyPair {
     }
 }
 
-/// Expands a seed into `dim` field elements (the mask PRG).
-pub fn expand_mask(seed: u64, dim: usize) -> Vec<u64> {
+/// Streams the mask PRG through `op` into `acc`: coordinate `i` becomes
+/// `op(acc[i], PRG(seed)[i])`, where `PRG(seed)[i]` is the `i`-th uniform
+/// field element drawn from `rng::seeded(seed)` and `op` is [`field::add`]
+/// or [`field::sub`], named at the call so each is its own inlined loop.
+/// One pass; the mask is never materialised, so applying one costs no
+/// allocation.
+///
+/// `acc` must hold field elements (`< PRIME`).
+pub fn apply_mask(acc: &mut [u64], seed: u64, op: impl Fn(u64, u64) -> u64) {
     let mut r = rng::seeded(seed);
-    (0..dim).map(|_| r.random_range(0..field::PRIME)).collect()
+    for x in acc {
+        *x = op(*x, r.random_range(0..field::PRIME));
+    }
 }
 
 /// Expands a seed into a keystream of bytes (the share "encryption").
@@ -79,6 +88,7 @@ pub fn xor_cipher(seed: u64, data: &[u8]) -> Vec<u8> {
 mod tests {
     use super::*;
     use fl_ml::rng::seeded;
+    use proptest::prelude::*;
 
     #[test]
     fn dh_agreement_is_symmetric() {
@@ -107,14 +117,58 @@ mod tests {
         assert_eq!(rebuilt.agree(b.public), a.agree(b.public));
     }
 
+    /// The specification `apply_mask` streams: `PRG(seed)` as a vector.
+    fn expand_mask(seed: u64, dim: usize) -> Vec<u64> {
+        let mut r = seeded(seed);
+        (0..dim).map(|_| r.random_range(0..field::PRIME)).collect()
+    }
+
     #[test]
-    fn expand_mask_is_deterministic_and_in_field() {
-        let m1 = expand_mask(42, 100);
-        let m2 = expand_mask(42, 100);
-        assert_eq!(m1, m2);
+    fn mask_stream_is_deterministic_and_in_field() {
+        let stream = |seed| {
+            let mut acc = vec![0u64; 100];
+            apply_mask(&mut acc, seed, field::add);
+            acc
+        };
+        let m1 = stream(42);
+        assert_eq!(m1, stream(42));
+        assert_eq!(m1, expand_mask(42, 100));
         assert!(m1.iter().all(|&v| v < field::PRIME));
-        let m3 = expand_mask(43, 100);
-        assert_ne!(m1, m3);
+        assert_ne!(m1, stream(43));
+    }
+
+    proptest! {
+        /// Streaming a mask equals expanding it into a vector and adding
+        /// or subtracting that, whatever the accumulator holds.
+        #[test]
+        fn apply_mask_equals_expand_then_vector_op(
+            seed in any::<u64>(),
+            dim in (0usize..5).prop_map(|i| [0, 1, 2, 7, 4113][i]),
+            acc_seed in any::<u64>(),
+            fill in 0usize..3,
+        ) {
+            // One value everywhere (all `P-1` wraps every add, all `0`
+            // borrows on every subtract) or a random field vector.
+            let acc: Vec<u64> = match fill {
+                0 => vec![0; dim],
+                1 => vec![field::PRIME - 1; dim],
+                _ => expand_mask(acc_seed, dim),
+            };
+            let mask = expand_mask(seed, dim);
+
+            let mut streamed = acc.clone();
+            apply_mask(&mut streamed, seed, field::add);
+            let mut reference = acc.clone();
+            field::add_assign_vec(&mut reference, &mask);
+            prop_assert_eq!(&streamed, &reference);
+
+            let mut streamed = acc.clone();
+            apply_mask(&mut streamed, seed, field::sub);
+            let mut reference = acc;
+            field::sub_assign_vec(&mut reference, &mask);
+            prop_assert_eq!(&streamed, &reference);
+            prop_assert!(streamed.iter().all(|&v| v < field::PRIME));
+        }
     }
 
     #[test]

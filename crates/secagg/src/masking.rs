@@ -9,11 +9,15 @@
 //! where `b_u` is the self-mask seed and `s_{uv}` the DH-agreed pairwise
 //! seed. Pairwise masks cancel in the sum over all committed devices;
 //! self masks are removed in Finalization via reconstructed `b_u`.
+//!
+//! The formula is the specification, not the memory layout: every
+//! `PRG(·)` term is streamed into the vector it masks, one pass per term
+//! ([`keys::apply_mask`]), and is never materialised as a vector.
 
 use crate::field;
 use crate::keys;
 
-/// Applies device `u`'s full mask to its input vector.
+/// Applies device `u`'s full mask to `input` (field elements) in place.
 ///
 /// `pairwise` holds `(peer_id, shared_seed)` for every *other* participant
 /// expected to commit; `self_seed` is `b_u`.
@@ -21,31 +25,21 @@ use crate::keys;
 /// # Panics
 ///
 /// Panics if a peer id equals `own_id`.
-pub fn mask_input(
-    input: &mut [u64],
-    own_id: u32,
-    self_seed: u64,
-    pairwise: &[(u32, u64)],
-) -> Vec<u64> {
-    let dim = input.len();
-    let mut masked: Vec<u64> = input.to_vec();
-    field::add_assign_vec(&mut masked, &keys::expand_mask(self_seed, dim));
+pub fn mask_input(input: &mut [u64], own_id: u32, self_seed: u64, pairwise: &[(u32, u64)]) {
+    keys::apply_mask(input, self_seed, field::add);
     for &(peer, seed) in pairwise {
         assert_ne!(peer, own_id, "device cannot pair with itself");
-        let mask = keys::expand_mask(seed, dim);
         if own_id < peer {
-            field::add_assign_vec(&mut masked, &mask);
+            keys::apply_mask(input, seed, field::add);
         } else {
-            field::sub_assign_vec(&mut masked, &mask);
+            keys::apply_mask(input, seed, field::sub);
         }
     }
-    masked
 }
 
 /// Removes a reconstructed self mask `b_u` from an aggregate.
 pub fn remove_self_mask(aggregate: &mut [u64], self_seed: u64) {
-    let mask = keys::expand_mask(self_seed, aggregate.len());
-    field::sub_assign_vec(aggregate, &mask);
+    keys::apply_mask(aggregate, self_seed, field::sub);
 }
 
 /// Removes the residual pairwise masks left in the aggregate by a device
@@ -61,18 +55,16 @@ pub fn remove_residual_pairwise(
     dropped_keypair: &keys::KeyPair,
     committed: &[(u32, u64)], // (id, s-public-key) of committed devices
 ) {
-    let dim = aggregate.len();
     for &(u, u_public) in committed {
         if u == dropped_id {
             continue;
         }
         let seed = dropped_keypair.agree(u_public);
-        let mask = keys::expand_mask(seed, dim);
         // Device u applied +mask if u < dropped, −mask if u > dropped.
         if u < dropped_id {
-            field::sub_assign_vec(aggregate, &mask);
+            keys::apply_mask(aggregate, seed, field::sub);
         } else {
-            field::add_assign_vec(aggregate, &mask);
+            keys::apply_mask(aggregate, seed, field::add);
         }
     }
 }
@@ -108,8 +100,8 @@ mod tests {
         let inputs: Vec<Vec<u64>> = (0..n).map(|u| vec![(u + 1) as u64; dim]).collect();
         let mut sum = vec![0u64; dim];
         for u in 0..n {
-            let mut x = inputs[u].clone();
-            let y = mask_input(&mut x, u as u32, self_seeds[u], &pairwise[u]);
+            let mut y = inputs[u].clone();
+            mask_input(&mut y, u as u32, self_seeds[u], &pairwise[u]);
             field::add_assign_vec(&mut sum, &y);
         }
         // Remove all self masks; pairwise masks must already have cancelled.
@@ -123,8 +115,8 @@ mod tests {
     #[test]
     fn masked_input_hides_the_plaintext() {
         let (_, pairwise, self_seeds) = cohort(3, 2);
-        let mut x = vec![42u64; 8];
-        let y = mask_input(&mut x, 0, self_seeds[0], &pairwise[0]);
+        let mut y = vec![42u64; 8];
+        mask_input(&mut y, 0, self_seeds[0], &pairwise[0]);
         assert_ne!(y, vec![42u64; 8]);
     }
 
@@ -139,8 +131,8 @@ mod tests {
         let mut sum = vec![0u64; dim];
         for &u in &committed {
             // Each committed device masked expecting ALL n participants.
-            let mut x = inputs[u].clone();
-            let y = mask_input(&mut x, u as u32, self_seeds[u], &pairwise[u]);
+            let mut y = inputs[u].clone();
+            mask_input(&mut y, u as u32, self_seeds[u], &pairwise[u]);
             field::add_assign_vec(&mut sum, &y);
         }
         // Remove self masks of committed devices.
@@ -161,6 +153,6 @@ mod tests {
     #[should_panic(expected = "cannot pair with itself")]
     fn self_pairing_rejected() {
         let mut x = vec![0u64; 4];
-        let _ = mask_input(&mut x, 1, 0, &[(1, 99)]);
+        mask_input(&mut x, 1, 0, &[(1, 99)]);
     }
 }

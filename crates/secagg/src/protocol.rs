@@ -347,12 +347,12 @@ impl SecAggClient {
             .filter(|&&v| v != self.id)
             .map(|&v| (v, self.s_pair.agree(self.peers[&v].s_public)))
             .collect();
-        let mut vec: Vec<u64> = input.iter().map(|&v| field::reduce(v)).collect();
-        let masked = masking::mask_input(&mut vec, self.id, self.self_seed, &pairwise);
+        let mut vector: Vec<u64> = input.iter().map(|&v| field::reduce(v)).collect();
+        masking::mask_input(&mut vector, self.id, self.self_seed, &pairwise);
         self.state = ClientState::Committed;
         Ok(MaskedInput {
             id: self.id,
-            vector: masked,
+            vector,
         })
     }
 
@@ -665,15 +665,27 @@ impl SecAggServer {
                 threshold: self.config.threshold,
             });
         }
-        let mut sum = self.masked_sum.clone();
+        // Reconstruct every secret before touching the sum: a failure
+        // leaves the server as it was, and past this point nothing fails.
+        let seeds = self
+            .committed
+            .iter()
+            .map(|&u| self.reconstruct(&self.seed_reveals, u))
+            .collect::<Result<Vec<u64>, _>>()?;
+        let mut dropped = Vec::new();
+        for &v in self.shared.difference(&self.committed) {
+            let pair = KeyPair::from_secret(self.reconstruct(&self.key_reveals, v)?);
+            // Integrity check: the reconstructed key must match what the
+            // device advertised.
+            if pair.public != self.advertisements[&v].s_public {
+                return Err(SecAggError::ReconstructionFailed(v));
+            }
+            dropped.push((v, pair));
+        }
+        // The masked sum is unmasked in place; the state is `Done` after.
+        let mut sum = std::mem::take(&mut self.masked_sum);
         // Remove self masks of committed devices.
-        for &u in &self.committed {
-            let shares = self
-                .seed_reveals
-                .get(&u)
-                .ok_or(SecAggError::ReconstructionFailed(u))?;
-            let seed = shamir::reconstruct(shares, self.config.threshold)
-                .map_err(|_| SecAggError::ReconstructionFailed(u))?;
+        for seed in seeds {
             masking::remove_self_mask(&mut sum, seed);
         }
         // Remove residual pairwise masks of dropped devices.
@@ -682,24 +694,23 @@ impl SecAggServer {
             .iter()
             .map(|&u| (u, self.advertisements[&u].s_public))
             .collect();
-        let dropped: Vec<u32> = self.shared.difference(&self.committed).copied().collect();
-        for v in dropped {
-            let shares = self
-                .key_reveals
-                .get(&v)
-                .ok_or(SecAggError::ReconstructionFailed(v))?;
-            let secret = shamir::reconstruct(shares, self.config.threshold)
-                .map_err(|_| SecAggError::ReconstructionFailed(v))?;
-            let pair = KeyPair::from_secret(secret);
-            // Integrity check: the reconstructed key must match what the
-            // device advertised.
-            if pair.public != self.advertisements[&v].s_public {
-                return Err(SecAggError::ReconstructionFailed(v));
-            }
+        for (v, pair) in dropped {
             masking::remove_residual_pairwise(&mut sum, v, &pair, &committed_pubs);
         }
         self.state = ServerState::Done;
         Ok(sum)
+    }
+
+    /// `owner`'s secret, from the shares revealed for it.
+    fn reconstruct(
+        &self,
+        reveals: &BTreeMap<u32, Vec<Share>>,
+        owner: u32,
+    ) -> Result<u64, SecAggError> {
+        reveals
+            .get(&owner)
+            .and_then(|shares| shamir::reconstruct(shares, self.config.threshold).ok())
+            .ok_or(SecAggError::ReconstructionFailed(owner))
     }
 
     /// The set of devices whose inputs are included in the final sum (U₃).
@@ -735,11 +746,8 @@ pub fn run_instance(
         .collect();
     let mut server = SecAggServer::new(config);
 
-    // Round 0.
+    // Round 0: every device advertises, the ones that drop later too.
     for c in clients.iter_mut() {
-        if drop_after_advertise.contains(&c.id()) || drop_after_share.contains(&c.id()) {
-            // These devices still advertise (they drop later).
-        }
         server.collect_advertisement(c.advertise_keys()?)?;
     }
     let broadcast = server.finish_advertising()?;

@@ -273,9 +273,8 @@ impl AggregatorShard {
                 if n == 0 {
                     return Ok(self.accumulator);
                 }
-                let position = |d: &DeviceId| {
-                    devices.iter().position(|x| x == d).map(|i| i as u32)
-                };
+                // `devices` is a `BTreeMap`'s keys: sorted.
+                let position = |d: &DeviceId| devices.binary_search(d).ok().map(|i| i as u32);
                 let adv_set: std::collections::BTreeSet<u32> =
                     advertise_dropouts.iter().filter_map(position).collect();
                 let share_set: std::collections::BTreeSet<u32> = share_dropouts
@@ -297,7 +296,7 @@ impl AggregatorShard {
                 // protocol is robust to a significant fraction dropping).
                 let threshold = ((2 * n).div_ceil(3)).max(2).min(n);
                 let config = SecAggConfig::new(threshold, self.dim + 1);
-                let inputs: Vec<Vec<u64>> = devices.iter().map(|d| staged[d].clone()).collect();
+                let inputs: Vec<Vec<u64>> = staged.into_values().collect();
                 let adv_idx: Vec<u32> = adv_set.into_iter().collect();
                 let share_idx: Vec<u32> = share_set.into_iter().collect();
                 let sum = run_instance(config, &inputs, &adv_idx, &share_idx, secagg_seed)

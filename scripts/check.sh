@@ -75,6 +75,11 @@ run_step "schedule-explore" cargo test -q --test schedule_explore
 # the bench step fails unless 64 devices in groups of 16 finalize at
 # least 1.5x faster than as one quadratic group.
 run_step "secagg-live" cargo test -q --test secagg_live
+# The `test` step is the root package only: the field, Shamir, masking
+# and protocol unit tests, the golden mask pins, the differential tests
+# of `field::mul` and the mask stream, the two pipeline proptests, and
+# the fixed-point codec's tests in `fl-ml` run here.
+run_step "secagg-kernel" cargo test -q -p fl-secagg -p fl-ml
 run_step "secagg-bench" cargo run --release -q -p fl-bench --bin bench_secagg
 # Size ledger (ROADMAP aim 2): non-test, non-comment Rust lines per
 # crate. Informational — it prints the table and always passes; growth
