@@ -226,39 +226,42 @@ mod tests {
     #[test]
     fn concurrent_supervisors_do_not_steal_obituaries() {
         let system = ActorSystem::new();
-        let wheel = Arc::new(crate::timer::TimerWheel::new());
+        // Both supervisors are subscribed and both actors are alive before
+        // either is fed, so the two crashes land in both subscriptions
+        // while both loops are draining them.
+        let both_wired = Arc::new(std::sync::Barrier::new(2));
 
         let mut joins = Vec::new();
-        for (idx, name) in ["left", "right"].into_iter().enumerate() {
+        for name in ["left", "right"] {
             let fail_first = Arc::new(AtomicUsize::new(1)); // one crash each
             let handled = Arc::new(AtomicUsize::new(0));
-            let slot: Arc<Mutex<Option<ActorRef<u32>>>> = Arc::new(Mutex::new(SLOT, None));
-            // Stagger the two actors' message streams so the deaths
-            // interleave: left crashes, then right crashes, then both
-            // recover and stop.
-            for i in 0..40u32 {
-                let fc = slot.clone();
-                let at = 5 + 2 * u64::from(i) + idx as u64;
-                wheel.schedule(Duration::from_millis(at), move || {
-                    if let Some(r) = fc.lock().clone() {
-                        let _ = r.send(if i == 39 { 0 } else { 1 });
-                    }
-                });
-            }
             let sys = system.clone();
             let handled2 = handled.clone();
+            let both_wired = both_wired.clone();
             joins.push(std::thread::spawn(move || {
-                let ff = fail_first.clone();
-                let slot2 = slot.clone();
+                let mut wired = 0;
                 let report = supervise(
                     &sys,
                     name,
                     RestartPolicy::OnPanic { max_restarts: 3 },
                     move || Flaky {
-                        fail_first: ff.clone(),
+                        fail_first: fail_first.clone(),
                         handled: handled2.clone(),
                     },
-                    move |r| *slot2.lock() = Some(r),
+                    // The stream is fed from the published ref, so no
+                    // message can race the spawn: the first incarnation
+                    // panics on its first message and the rest of its
+                    // mailbox dies with it; the replacement handles 39
+                    // and stops on the 40th.
+                    move |r| {
+                        if wired == 0 {
+                            both_wired.wait();
+                        }
+                        wired += 1;
+                        for i in 0..40u32 {
+                            let _ = r.send(if i == 39 { 0 } else { 1 });
+                        }
+                    },
                     Duration::from_secs(5),
                 );
                 (name, report, handled)
@@ -282,7 +285,6 @@ mod tests {
                 DeathReason::Normal
             ));
         }
-        wheel.shutdown();
         system.join();
     }
 
