@@ -30,8 +30,8 @@
 //! * reports render byte-identically per seed (the chaos-harness
 //!   idiom), so a failing seed is a replayable bug report.
 //!
-//! The loop itself is [`crate::scenario`]; this module lowers its config
-//! into it and adds the two audits only a multi-tenant run makes (every
+//! The loop itself is [`crate::scenario`]; this module names its configs
+//! and adds the two audits only a multi-tenant run makes (every
 //! tenant commits; no tenant starves after another's flash crowd). With
 //! a single population and no disturbance the run degenerates to the
 //! single-tenant shape: the per-population series *are* the aggregate
@@ -46,66 +46,11 @@ use fl_server::wire::WireStats;
 
 pub use crate::scenario::PopulationOutcome;
 
-/// A flash crowd aimed at one population: `newcomers` devices that know
-/// only this population appear at `at_ms` and check in unpaced within
-/// one pace window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FlashCrowd {
-    /// When the crowd arrives.
-    pub at_ms: u64,
-    /// How many single-population newcomer devices it brings.
-    pub newcomers: u64,
-}
+/// Multi-tenant simulation parameters: the scenario engine's config over
+/// a [`Fleet::Tenancy`] fleet.
+pub type MultiTenantConfig = ScenarioConfig;
 
-/// One population (one learning problem) sharing the fleet.
-#[derive(Debug, Clone)]
-pub struct PopulationSpec {
-    /// Wire-visible population name.
-    pub name: &'static str,
-    /// Device-side job cadence for this population's lane (ms).
-    pub period_ms: u64,
-    /// Round configuration of this population's Coordinator.
-    pub round: RoundConfig,
-    /// Per-Selector held-connection quota for this population.
-    pub quota: usize,
-    /// Baseline device `i` registers this population iff
-    /// `i % membership_stride == 0` (stride 1 = the whole fleet).
-    pub membership_stride: u64,
-    /// The disturbance, if this is the stormy tenant.
-    pub flash: Option<FlashCrowd>,
-}
-
-/// Multi-tenant simulation parameters.
-#[derive(Debug, Clone)]
-pub struct MultiTenantConfig {
-    /// Baseline fleet size (newcomers from flash crowds come on top).
-    pub devices: u64,
-    /// Simulated duration (ms).
-    pub horizon_ms: u64,
-    /// Pace window = metric bucket width (ms).
-    pub window_ms: u64,
-    /// How often each population's Coordinator asks for forwards.
-    pub forward_period_ms: u64,
-    /// How many Selectors the load fans across (device id modulo).
-    pub selectors: u64,
-    /// Per-Selector local admission control (population-blind capacity
-    /// protection; the per-population fairness lives in the quotas and
-    /// the global budget).
-    pub admission: AdmissionConfig,
-    /// Shared fleet-wide budget with per-population fair-share
-    /// reservations; `None` leaves admission local + quota only.
-    pub global_admission: Option<GlobalAdmissionConfig>,
-    /// Selector staleness TTL for held connections (ms).
-    pub stale_after_ms: u64,
-    /// Device retry discipline (per population lane).
-    pub retry: RetryPolicy,
-    /// Master seed.
-    pub seed: u64,
-    /// The tenants.
-    pub populations: Vec<PopulationSpec>,
-}
-
-impl MultiTenantConfig {
+impl ScenarioConfig {
     /// The acceptance scenario: three tenants on a 4 000-device fleet —
     /// a fleet-wide steady population, a half-fleet population that takes
     /// a 12 000-newcomer flash crowd at window 10, and a quarter-fleet
@@ -149,16 +94,18 @@ impl MultiTenantConfig {
                 budget_window_ms: 600_000,
             },
             seed,
+            fleet: Fleet::Tenancy,
             populations: vec![
-                PopulationSpec {
+                PopulationLoad {
                     name: "multi/steady",
                     period_ms: 1_800_000,
                     round: round(100),
                     quota: 260,
                     membership_stride: 1,
-                    flash: None,
+                    shape: LoadShape::Steady,
+                    secagg_k: None,
                 },
-                PopulationSpec {
+                PopulationLoad {
                     name: "multi/flash",
                     period_ms: 1_800_000,
                     round: round(50),
@@ -166,18 +113,20 @@ impl MultiTenantConfig {
                     // *budget* is what visibly caps the crowd.
                     quota: 400,
                     membership_stride: 2,
-                    flash: Some(FlashCrowd {
+                    shape: LoadShape::FlashCrowd {
                         at_ms: 600_000,
                         newcomers: 12_000,
-                    }),
+                    },
+                    secagg_k: None,
                 },
-                PopulationSpec {
+                PopulationLoad {
                     name: "multi/aux",
                     period_ms: 1_800_000,
                     round: round(25),
                     quota: 70,
                     membership_stride: 4,
-                    flash: None,
+                    shape: LoadShape::Steady,
+                    secagg_k: None,
                 },
             ],
         }
@@ -187,7 +136,7 @@ impl MultiTenantConfig {
     /// baseline a stormy run is compared against.
     pub fn without_flash(mut self) -> Self {
         for spec in &mut self.populations {
-            spec.flash = None;
+            spec.shape = LoadShape::Steady;
         }
         self
     }
@@ -199,7 +148,6 @@ impl MultiTenantConfig {
         config.populations.truncate(1);
         config
     }
-
 }
 
 /// Outcome of one multi-tenant run: per-population outcomes in spec
@@ -303,65 +251,27 @@ pub fn sweep(
     seeds.iter().map(|&s| run_multi_tenant(&make(s))).collect()
 }
 
-/// Lowers the multi-tenant config into the scenario engine's input:
-/// the same populations over a fleet of tenancy devices.
-fn lower(config: &MultiTenantConfig) -> ScenarioConfig {
-    ScenarioConfig {
-        devices: config.devices,
-        horizon_ms: config.horizon_ms,
-        window_ms: config.window_ms,
-        forward_period_ms: config.forward_period_ms,
-        selectors: config.selectors,
-        admission: config.admission,
-        global_admission: config.global_admission,
-        stale_after_ms: config.stale_after_ms,
-        retry: config.retry,
-        seed: config.seed,
-        fleet: Fleet::Tenancy,
-        populations: config
-            .populations
-            .iter()
-            .map(|spec| PopulationLoad {
-                name: spec.name,
-                period_ms: spec.period_ms,
-                round: spec.round,
-                quota: spec.quota,
-                membership_stride: spec.membership_stride,
-                shape: spec.flash.map_or(LoadShape::Steady, |flash| LoadShape::FlashCrowd {
-                    at_ms: flash.at_ms,
-                    newcomers: flash.newcomers,
-                }),
-                secagg_k: None,
-            })
-            .collect(),
-    }
-}
-
 /// Drives one seeded multi-population scenario through
 /// [`crate::scenario`] — the real Selector/round/tenancy stack — and
 /// audits the fairness invariants. See the module docs.
 pub fn run_multi_tenant(config: &MultiTenantConfig) -> MultiTenantReport {
-    let outcome = scenario::run(&lower(config));
+    let outcome = scenario::run(config);
     let mut violations = outcome.violations;
-    for o in &outcome.populations {
-        if o.rounds_terminal != o.rounds_started {
-            violations.push(format!(
-                "population {}: {} of {} started rounds never reached a terminal state",
-                o.name,
-                o.rounds_started - o.rounds_terminal.min(o.rounds_started),
-                o.rounds_started
-            ));
-        }
-        if o.committed == 0 {
-            violations.push(format!("population {} never committed a round", o.name));
-        }
-    }
+    scenario::audit_round_progress(&outcome.populations, &mut violations, |o, stuck| match stuck {
+        Some(stuck) => format!(
+            "population {}: {stuck} of {} started rounds never reached a terminal state",
+            o.name, o.rounds_started
+        ),
+        None => format!("population {} never committed a round", o.name),
+    });
     // Fairness: after any flash crowd's onset, every *other* population
     // must still be getting accepts — starvation of a steady tenant by a
     // stormy one is the regression this harness exists to catch.
     for spec in &config.populations {
-        let Some(flash) = spec.flash else { continue };
-        let onset_bucket = (flash.at_ms / config.window_ms) as usize;
+        let LoadShape::FlashCrowd { at_ms, .. } = spec.shape else {
+            continue;
+        };
+        let onset_bucket = (at_ms / config.window_ms) as usize;
         for other in &config.populations {
             if other.name == spec.name {
                 continue;

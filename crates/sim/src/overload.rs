@@ -28,78 +28,45 @@
 use crate::scenario::{self, Fleet, PopulationLoad, ScenarioConfig};
 use fl_core::round::RoundConfig;
 use fl_core::RetryPolicy;
-use fl_server::shedding::{AdmissionConfig, GlobalAdmissionConfig};
+use fl_server::shedding::AdmissionConfig;
 use fl_server::wire::WireStats;
 
 /// The arrival disturbance to inject: the scenario engine's per-population
 /// [`LoadShape`], aimed at this harness's one population.
 pub use crate::scenario::LoadShape as OverloadScenario;
 
-/// Overload-simulation parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct OverloadConfig {
-    /// Baseline population size.
-    pub devices: u64,
-    /// Simulated duration (ms).
-    pub horizon_ms: u64,
-    /// Round configuration.
-    pub round: RoundConfig,
-    /// How many Selectors the load fans across (device id modulo the
-    /// count); each gets its own admission controller and quota.
-    pub selectors: u64,
-    /// Fleet-wide admission budget shared by every Selector; `None`
-    /// leaves admission purely local.
-    pub global_admission: Option<GlobalAdmissionConfig>,
-    /// Per-Selector admission control (token bucket + queue bound).
-    pub admission: AdmissionConfig,
-    /// Selector staleness TTL for held connections (ms).
-    pub stale_after_ms: u64,
-    /// Device retry discipline.
-    pub retry: RetryPolicy,
-    /// Pace-steering rendezvous period = metric window width (ms).
-    pub window_ms: u64,
-    /// How often the Coordinator asks the Selector to forward devices.
-    pub forward_period_ms: u64,
-    /// The disturbance.
-    pub scenario: OverloadScenario,
-    /// Master seed.
-    pub seed: u64,
-    /// Windows allowed between onset and shed-rate convergence.
-    pub convergence_budget_windows: u64,
-    /// When set, every round aggregates through a real
-    /// `MasterAggregator` under Secure Aggregation with this group
-    /// threshold `k`: reports upload fixed-point field vectors over
-    /// `WireMessage::SecAggReport` frames (the Sec. 6 bandwidth
-    /// premium), and a storm that strands a cohort's group below `k`
-    /// surfaces as per-shard aborts — or a whole-round abort — instead of
-    /// a silent mis-sum.
-    pub secagg_k: Option<usize>,
-}
+/// Overload-simulation parameters: the scenario engine's config with one
+/// population the whole baseline [`Fleet::Dedicated`] fleet serves.
+pub type OverloadConfig = ScenarioConfig;
 
-impl OverloadConfig {
+impl ScenarioConfig {
     /// A calibrated default for the given scenario and seed: 8 000
     /// baseline devices (large enough that a 40-window horizon never
     /// drains the pool), 60 s pace windows, and a disturbance at
     /// window 10.
     pub fn for_scenario(scenario: OverloadScenario, seed: u64) -> Self {
-        OverloadConfig {
-            devices: 8_000,
-            horizon_ms: 40 * 60_000,
-            round: RoundConfig {
-                goal_count: 100,
-                overselection: 1.3,
-                min_goal_fraction: 0.6,
-                selection_timeout_ms: 60_000,
-                report_window_ms: 60_000,
-                device_cap_ms: 60_000,
-            },
+        let round = RoundConfig {
+            goal_count: 100,
+            overselection: 1.3,
+            min_goal_fraction: 0.6,
+            selection_timeout_ms: 60_000,
+            report_window_ms: 60_000,
+            device_cap_ms: 60_000,
+        };
+        let admission = AdmissionConfig {
+            accepts_per_sec: 50.0,
+            burst: 200,
+            max_inflight: 400,
+        };
+        let (devices, window_ms) = (8_000, 60_000);
+        ScenarioConfig {
+            devices,
+            horizon_ms: 40 * window_ms,
+            window_ms,
+            forward_period_ms: 15_000,
             selectors: 1,
+            admission,
             global_admission: None,
-            admission: AdmissionConfig {
-                accepts_per_sec: 50.0,
-                burst: 200,
-                max_inflight: 400,
-            },
             stale_after_ms: 180_000,
             retry: RetryPolicy {
                 base_delay_ms: 30_000,
@@ -109,12 +76,21 @@ impl OverloadConfig {
                 budget_per_window: 30,
                 budget_window_ms: 600_000,
             },
-            window_ms: 60_000,
-            forward_period_ms: 15_000,
-            scenario,
             seed,
-            convergence_budget_windows: 5,
-            secagg_k: None,
+            fleet: Fleet::Dedicated,
+            populations: vec![PopulationLoad {
+                name: "overload/train",
+                // The steady-state reconnect horizon: the time the pace
+                // target takes to cycle through the whole baseline fleet.
+                period_ms: (devices as f64 / round.selection_target() as f64 * window_ms as f64)
+                    as u64,
+                round,
+                // Held at the admission controller's queue bound.
+                quota: admission.max_inflight,
+                membership_stride: 1,
+                shape: scenario,
+                secagg_k: None,
+            }],
         }
     }
 
@@ -150,7 +126,7 @@ impl OverloadConfig {
     /// Aggregator groups and must abort per shard, never mis-sum.
     pub fn secagg_flash_crowd(seed: u64) -> Self {
         let mut config = OverloadConfig::flash_crowd(seed);
-        config.secagg_k = Some(18);
+        config.populations[0].secagg_k = Some(18);
         config
     }
 
@@ -304,75 +280,39 @@ pub fn sweep(seeds: &[u64], make: impl Fn(u64) -> OverloadConfig) -> Vec<Overloa
     seeds.iter().map(|&s| run_overload(&make(s))).collect()
 }
 
-/// Lowers the single-population overload config into the scenario
-/// engine's input: one population the whole baseline fleet is dedicated
-/// to, held at the admission controller's queue bound, whose devices
-/// re-check in one harness-computed natural period after each report.
-fn lower(config: &OverloadConfig) -> ScenarioConfig {
-    let target = (config.round.selection_target() as u64).max(1);
-    ScenarioConfig {
-        devices: config.devices,
-        horizon_ms: config.horizon_ms,
-        window_ms: config.window_ms,
-        forward_period_ms: config.forward_period_ms,
-        selectors: config.selectors,
-        admission: config.admission,
-        global_admission: config.global_admission,
-        stale_after_ms: config.stale_after_ms,
-        retry: config.retry,
-        seed: config.seed,
-        fleet: Fleet::Dedicated,
-        populations: vec![PopulationLoad {
-            name: "overload/train",
-            // The steady-state reconnect horizon: the time the pace
-            // target takes to cycle through the whole baseline fleet.
-            period_ms: ((config.devices as f64 / target as f64).max(1.0)
-                * config.window_ms as f64) as u64,
-            round: config.round,
-            quota: config.admission.max_inflight,
-            membership_stride: 1,
-            shape: config.scenario,
-            secagg_k: config.secagg_k,
-        }],
-    }
-}
-
 /// Drives one seeded overload scenario through [`crate::scenario`] — the
 /// real Selector/round stack under one population — and audits the
 /// overload invariants. See the module docs.
 pub fn run_overload(config: &OverloadConfig) -> OverloadReport {
-    let outcome = scenario::run(&lower(config));
+    let outcome = scenario::run(config);
     let only = &outcome.populations[0];
+    let shape = config.populations[0].shape;
     let mut violations = outcome.violations;
 
     let fractions = outcome.metrics.shed_fractions().to_vec();
-    let onset_window = (config.scenario.onset_ms() / config.window_ms) as usize;
+    let onset_window = (shape.onset_ms() / config.window_ms) as usize;
     let convergence_windows = shed_convergence(&fractions, onset_window, 0.15);
     // Not for the ramp, whose disturbance never ends.
-    if !matches!(config.scenario, OverloadScenario::DiurnalRamp { .. }) {
+    if !matches!(shape, OverloadScenario::DiurnalRamp { .. }) {
         match convergence_windows {
-            Some(w) if w <= config.convergence_budget_windows => {}
+            Some(w) if w <= CONVERGENCE_BUDGET_WINDOWS => {}
             Some(w) => violations.push(format!(
-                "shed rate took {w} windows to converge (budget {})",
-                config.convergence_budget_windows
+                "shed rate took {w} windows to converge (budget {CONVERGENCE_BUDGET_WINDOWS})"
             )),
             None => violations.push("shed rate never converged".into()),
         }
     }
-    if only.rounds_terminal != only.rounds_started {
-        violations.push(format!(
-            "{} of {} started rounds never reached a terminal state",
-            only.rounds_started - only.rounds_terminal.min(only.rounds_started),
-            only.rounds_started
-        ));
-    }
-    if only.committed == 0 {
-        violations.push("no round committed under overload".into());
-    }
+    scenario::audit_round_progress(&outcome.populations, &mut violations, |o, stuck| match stuck {
+        Some(stuck) => format!(
+            "{stuck} of {} started rounds never reached a terminal state",
+            o.rounds_started
+        ),
+        None => "no round committed under overload".into(),
+    });
 
     OverloadReport {
         seed: config.seed,
-        scenario: config.scenario.name(),
+        scenario: shape.name(),
         offered: only.offered,
         accepted: only.accepted,
         shed: only.shed,
@@ -399,6 +339,9 @@ pub fn run_overload(config: &OverloadConfig) -> OverloadReport {
     }
 }
 
+/// Windows allowed between a disturbance's onset and shed-rate convergence.
+const CONVERGENCE_BUDGET_WINDOWS: u64 = 5;
+
 /// Windows from `onset_window` until the shed-fraction series settles: the
 /// first window from which every later window stays within `tol` of the
 /// final steady level (mean of the last three windows).
@@ -420,13 +363,11 @@ fn shed_convergence(fractions: &[f64], onset_window: usize, tol: f64) -> Option<
 mod tests {
     use super::*;
 
-    impl OverloadConfig {
-        /// Total device slots including any flash-crowd newcomers.
-        fn total_devices(&self) -> u64 {
-            match self.scenario {
-                OverloadScenario::FlashCrowd { newcomers, .. } => self.devices + newcomers,
-                _ => self.devices,
-            }
+    /// Total device slots including any flash-crowd newcomers.
+    fn total_devices(config: &OverloadConfig) -> u64 {
+        match config.populations[0].shape {
+            OverloadScenario::FlashCrowd { newcomers, .. } => config.devices + newcomers,
+            _ => config.devices,
         }
     }
 
@@ -522,7 +463,7 @@ mod tests {
     #[test]
     fn flash_crowd_estimate_overshoot_is_bounded() {
         let config = OverloadConfig::flash_crowd(17);
-        let true_population = config.total_devices();
+        let true_population = total_devices(&config);
         let report = run_overload(&config);
         assert!(report.is_clean(), "{}", report.render());
         assert!(
@@ -545,7 +486,7 @@ mod tests {
     fn global_budget_is_shared_across_selectors() {
         let mut config = OverloadConfig::thundering_herd(3);
         config.selectors = 3;
-        config.global_admission = Some(GlobalAdmissionConfig {
+        config.global_admission = Some(fl_server::shedding::GlobalAdmissionConfig {
             window_ms: 60_000,
             max_admits_per_window: 300,
         });

@@ -16,10 +16,9 @@
 //! in-memory wire as a framed [`WireMessage`].
 //!
 //! [`crate::overload`] and [`crate::multi`] are thin entry points: each
-//! lowers its config into a [`ScenarioConfig`], calls [`run`], and
-//! projects the [`ScenarioOutcome`] into its own report, adding the
-//! audits only it makes (shed-rate convergence; cross-population
-//! fairness). A single-population overload run is this engine with one
+//! names its calibrated [`ScenarioConfig`]s, calls [`run`], and projects
+//! the [`ScenarioOutcome`] into its own report, adding the audits only
+//! it makes (shed-rate convergence; cross-population fairness). A single-population overload run is this engine with one
 //! [`PopulationLoad`]. The one thing the two families legitimately
 //! disagree on is what a *device* is, and that is the [`Fleet`] seam;
 //! nothing else in the loop knows which entry point called it.
@@ -262,6 +261,26 @@ pub struct ScenarioOutcome {
     pub wire: WireStats,
     /// Engine-level invariant violations; empty on a clean run.
     pub violations: Vec<String>,
+}
+
+/// Every started round reached a terminal state and at least one
+/// committed, per population — what both entry points audit on top of the
+/// engine. `describe` words the violation: `Some(stuck)` rounds never
+/// terminated, or `None` committed.
+pub(crate) fn audit_round_progress(
+    populations: &[PopulationOutcome],
+    violations: &mut Vec<String>,
+    describe: impl Fn(&PopulationOutcome, Option<u64>) -> String,
+) {
+    for o in populations {
+        if o.rounds_terminal != o.rounds_started {
+            let stuck = o.rounds_started - o.rounds_terminal.min(o.rounds_started);
+            violations.push(describe(o, Some(stuck)));
+        }
+        if o.committed == 0 {
+            violations.push(describe(o, None));
+        }
+    }
 }
 
 /// The virtual-clock harnesses' in-memory wire: both ends of one

@@ -9,7 +9,7 @@ use federated::core::round::RoundConfig;
 use federated::sim::overload::{
     default_seeds, run_overload, sweep, OverloadConfig,
 };
-use federated::sim::scenario::{self, Fleet, LoadShape, PopulationLoad, ScenarioConfig};
+use federated::sim::scenario::{self, LoadShape, PopulationLoad, ScenarioConfig};
 
 /// The fixed-seed thundering-herd sweep `scripts/check.sh` runs as a
 /// release gate: a synchronized reconnect of the entire idle fleet must
@@ -107,30 +107,20 @@ fn herd_in_one_of_three_populations_holds_the_engine_invariants() {
     let population = |name, goal_count, membership_stride, shape| PopulationLoad {
         name,
         period_ms: 10 * base.window_ms,
-        round: RoundConfig { goal_count, ..base.round },
-        quota: base.admission.max_inflight,
+        round: RoundConfig { goal_count, ..base.populations[0].round },
         membership_stride,
         shape,
-        secagg_k: None,
+        ..base.populations[0].clone()
     };
     let herd = LoadShape::ThunderingHerd { at_ms: 600_000, fraction: 1.0 };
     let config = ScenarioConfig {
-        devices: base.devices,
-        horizon_ms: base.horizon_ms,
-        window_ms: base.window_ms,
-        forward_period_ms: base.forward_period_ms,
         selectors: 2,
-        admission: base.admission,
-        global_admission: None,
-        stale_after_ms: base.stale_after_ms,
-        retry: base.retry,
-        seed: base.seed,
-        fleet: Fleet::Dedicated,
         populations: vec![
             population("cross/steady", 100, 1, LoadShape::Steady),
             population("cross/herd", 50, 2, herd),
             population("cross/aux", 25, 4, LoadShape::Steady),
         ],
+        ..base.clone()
     };
     let outcome = scenario::run(&config);
     assert_eq!(format!("{outcome:?}"), format!("{:?}", scenario::run(&config)));
