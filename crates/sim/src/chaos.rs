@@ -31,6 +31,7 @@
 //! reproducible bug report.
 
 use crate::des::EventQueue;
+use crate::live_round::report_frame;
 use crate::scenario::SimWire;
 use fl_actors::{Lease, LockingService};
 use fl_analytics::FaultLog;
@@ -411,19 +412,6 @@ struct Harness<'a> {
     wire: SimWire,
 }
 
-/// Mixes a schedule seed into the harness timing stream (one splitmix64
-/// round). Seed 0 is the identity: `run_chaos` replays exactly the
-/// canonical schedule it always has.
-fn schedule_mix(schedule_seed: u64) -> u64 {
-    if schedule_seed == 0 {
-        return 0;
-    }
-    let mut z = schedule_seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// Drives one seeded fault plan against the real Coordinator stack and
 /// audits the paper's recovery guarantees. See the module docs for the
 /// invariants checked. Equivalent to [`run_chaos_with_schedule`] with
@@ -478,6 +466,13 @@ pub fn run_chaos_with_schedule(
             .collect(),
     );
     let coordinator = deployment.new_coordinator(store);
+    // One SplitMix64 round of the schedule seed perturbs the harness
+    // timing stream; seed 0 is the identity, so `run_chaos` replays
+    // exactly the canonical schedule it always has.
+    let schedule_salt = match schedule_seed {
+        0 => 0,
+        seed => rng::derive_seed(seed, 0),
+    };
     let mut h = Harness {
         config,
         plan,
@@ -492,7 +487,7 @@ pub fn run_chaos_with_schedule(
         lease: None,
         lease_name: format!("coordinator/{POPULATION}"),
         offline_until: BTreeMap::new(),
-        rng: rng::seeded_stream(plan.seed ^ schedule_mix(schedule_seed), 0xC4A05),
+        rng: rng::seeded_stream(plan.seed ^ schedule_salt, 0xC4A05),
         report: ChaosReport {
             seed: plan.seed,
             committed: 0,
@@ -721,41 +716,22 @@ impl Harness<'_> {
         // The DES devices upload first attempts only (retry scheduling is
         // the live harness's concern); the key still rides the frame.
         let (device, round_key, attempt) = (DeviceId(device), round.state.round, 1);
-        let population = PopulationName::new(POPULATION);
         let violations = &mut self.report.violations;
-        let report_msg = if self.config.secagg_k.is_some() {
-            // SecAgg rounds upload the fixed-point *field vector* — 8
-            // bytes per coordinate, the Sec. 6 bandwidth premium — over
-            // the same framed wire as cleartext reports.
-            let field_vector = match fl_ml::fixedpoint::FixedPointEncoder::default_for_updates()
-                .encode(&update)
-            {
-                Ok(field) => field,
-                Err(e) => {
-                    violations.push(format!("t={now}: fixed-point encode failed: {e}"));
-                    return;
-                }
-            };
-            WireMessage::SecAggReport {
-                device,
-                round: round_key,
-                attempt,
-                field_vector,
-                weight,
-                loss,
-                accuracy,
-                population,
-            }
-        } else {
-            WireMessage::UpdateReport {
-                device,
-                round: round_key,
-                attempt,
-                update_bytes: CodecSpec::Identity.build().encode(&update),
-                weight,
-                loss,
-                accuracy,
-                population,
+        // SecAgg rounds upload the fixed-point *field vector* — 8 bytes
+        // per coordinate, the Sec. 6 bandwidth premium — over the same
+        // framed wire as cleartext reports.
+        let report_msg = match report_frame(
+            device,
+            &PopulationName::new(POPULATION),
+            (round_key, attempt),
+            &update,
+            self.config.secagg_k.is_some(),
+            (weight, loss, accuracy),
+        ) {
+            Ok(frame) => frame,
+            Err(e) => {
+                violations.push(format!("t={now}: fixed-point encode failed: {e}"));
+                return;
             }
         };
         // The server side takes the device id and the payload from the

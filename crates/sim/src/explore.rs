@@ -32,17 +32,14 @@
 //! discipline as `ChaosReport`.
 
 use crate::chaos::{run_chaos_with_schedule, ChaosConfig, ChaosReport, FaultPlan};
-use crate::live_round::LiveRound;
-use fl_actors::{audit_exactly_once, ActorSystem, DeathReason, ScheduleExplorer};
-use fl_core::plan::CodecSpec;
+use crate::live_round::{run_device, LiveRound};
+use fl_actors::{audit_exactly_once, DeathReason};
 use fl_core::round::RoundConfig;
 use fl_core::DeviceId;
 use fl_server::live::{CoordMsg, DeviceConn};
 use fl_server::pace::PaceSteering;
 use fl_server::shedding::GlobalAdmissionConfig;
 use fl_server::topology::{SelectorSpec, TopologyBlueprint};
-use fl_server::wire::WireMessage;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// The task name the explored round trains.
@@ -62,7 +59,8 @@ const EXPECTED_OBITUARIES: &[&str] = &[
 ];
 /// Bound on completion polls (~20 ms apart): the never-hang deadline.
 const MAX_POLLS: u32 = 500;
-/// Bound on any single channel wait.
+/// Bound on a device's wait for its ack. Nothing is scripted to get
+/// lost here, so running it out (and re-sending) is a violation.
 const WAIT: Duration = Duration::from_secs(10);
 /// How far a SecAgg commit may sit from a cohort mean: fixed-point
 /// quantization of the field sum.
@@ -120,12 +118,6 @@ impl ExploreReport {
     }
 }
 
-/// What one device client thread observed.
-enum DeviceOutcome {
-    Accepted,
-    Failed(String),
-}
-
 /// Drives one full live round — check-in, configuration, report,
 /// aggregation, commit, shutdown — with every mailbox in the tree
 /// subject to seeded delivery reordering, and audits the standing
@@ -154,8 +146,6 @@ fn explore_round(
         ..ExploreReport::default()
     };
 
-    let system = ActorSystem::new();
-    system.install_fault_injector(Arc::new(ScheduleExplorer::new(schedule_seed)));
     let round = RoundConfig {
         goal_count: DEVICES as usize,
         overselection: 1.0,
@@ -177,86 +167,32 @@ fn explore_round(
         max_admits_per_window: 100,
     })
     .with_telemetry(Default::default());
-    let spawned = LiveRound::spawn(system, TASK_NAME, POPULATION, round, secagg_k, None, &blueprint);
-    let live = match spawned {
-        Ok(live) => live,
-        Err(why) => {
-            report.violations.push(why);
-            return report;
-        }
-    };
+    let live = LiveRound::spawn(schedule_seed, TASK_NAME, POPULATION, round, secagg_k, None, &blueprint);
 
-    // One client thread per device: check in, wait for configuration,
-    // report. Every wait is bounded — a timeout is a violation.
+    // One client thread per device, on a plain channel: the fault-free
+    // case of the wire-chaos device. A different update per device — a
+    // constant cohort would hide a missing member.
     let handles: Vec<_> = (0..DEVICES)
         .map(|i| {
             let sel = live.topology.selectors[0].clone();
             let coord = live.coordinator.clone();
-            std::thread::spawn(move || -> DeviceOutcome {
+            std::thread::spawn(move || {
                 let conn = DeviceConn::connect(DeviceId(i), POPULATION, sel, coord);
-                if conn.check_in().is_err() {
-                    return DeviceOutcome::Failed(format!("device {i}: selector gone"));
-                }
-                loop {
-                    match conn.recv(WAIT) {
-                        Ok(WireMessage::PlanAndCheckpoint {
-                            plan, checkpoint, ..
-                        }) => {
-                            let dim = plan.server.expected_dim;
-                            if checkpoint.len() != dim {
-                                return DeviceOutcome::Failed(format!(
-                                    "device {i}: checkpoint dim {} != plan dim {dim}",
-                                    checkpoint.len()
-                                ));
-                            }
-                            // A different update per device, at weight 1:
-                            // a constant cohort would hide a missing
-                            // member.
-                            let update = vec![UPDATES[i as usize]; dim];
-                            let round = checkpoint.round;
-                            let sent = if secagg_k.is_some() {
-                                match fl_ml::fixedpoint::FixedPointEncoder::default_for_updates()
-                                    .encode(&update)
-                                {
-                                    Ok(field) => conn.report_secagg(round, 1, field, 1, 0.5, 0.8),
-                                    Err(e) => {
-                                        return DeviceOutcome::Failed(format!(
-                                            "device {i}: fixed-point encode failed: {e}"
-                                        ))
-                                    }
-                                }
-                            } else {
-                                let bytes = CodecSpec::Identity.build().encode(&update);
-                                conn.report(round, 1, bytes, 1, 0.5, 0.8)
-                            };
-                            if sent.is_err() {
-                                return DeviceOutcome::Failed(format!(
-                                    "device {i}: coordinator gone"
-                                ));
-                            }
-                        }
-                        Ok(WireMessage::ReportAck { accepted: true, .. }) => {
-                            return DeviceOutcome::Accepted
-                        }
-                        Ok(other) => {
-                            return DeviceOutcome::Failed(format!(
-                                "device {i}: unexpected reply {other:?}"
-                            ))
-                        }
-                        Err(_) => {
-                            return DeviceOutcome::Failed(format!(
-                                "device {i}: hung waiting for a reply"
-                            ))
-                        }
-                    }
-                }
+                let update = UPDATES[i as usize];
+                run_device(&conn, DeviceId(i), POPULATION, update, secagg_k.is_some(), WAIT)
             })
         })
         .collect();
-    for h in handles {
+    for (i, h) in handles.into_iter().enumerate() {
         match h.join() {
-            Ok(DeviceOutcome::Accepted) => {}
-            Ok(DeviceOutcome::Failed(why)) => report.violations.push(why),
+            // Nothing was faulted, so any surprise is a violation: one
+            // attempt, one send, no stray reply.
+            Ok(Ok((1, 1, 0))) => {}
+            Ok(Ok((attempt, sends, strays))) => report.violations.push(format!(
+                "device {i}: accepted on attempt {attempt} after {sends} sends and {strays} stray \
+                 replies on a clean wire"
+            )),
+            Ok(Err(why)) => report.violations.push(format!("device {i}: {why}")),
             Err(_) => report.violations.push("device thread panicked".into()),
         }
     }
@@ -343,8 +279,8 @@ mod tests {
 
     #[test]
     fn unperturbed_schedule_is_clean_too() {
-        // Seed or no seed, the explorer must never *cause* a violation:
-        // rate 0 reorders nothing and the scenario still commits.
+        // Seed 0 installs no explorer: the scenario commits on the
+        // runtime's own schedule too.
         let report = explore_live_round(0);
         assert!(report.is_clean(), "violations: {:?}", report.violations);
     }

@@ -22,8 +22,10 @@
 //!   auditing the never-hang / exactly-one-commit / storage-write /
 //!   obituary-exactly-once invariants across K legal interleavings
 //!   (`netchaos` and `explore` share one private live-round scaffold:
-//!   the tree, the bounded completion poll, shutdown, and the storage /
-//!   lease audit; each keeps its own device threads and report),
+//!   the tree, the device's check-in / report / resend loop, the bounded
+//!   completion poll, shutdown, and the storage / lease audit; a wire
+//!   fault script and a delivery schedule are two seeds of one run, and
+//!   each harness keeps its own audit and report),
 //! * [`scenario`] — the one flow-control DES engine: a seeded
 //!   virtual-clock driver over the real Selector / round / wire stack
 //!   with per-population rounds, load shapes (steady, thundering herd,
@@ -77,7 +79,9 @@ pub use chaos::{run_chaos_with_schedule, ChaosConfig, ChaosReport, Fault, FaultP
 pub use explore::{explore_chaos, explore_live_round, explore_secagg_live_round, ExploreReport};
 pub use fleet::{FleetConfig, FleetReport};
 pub use multi::{run_multi_tenant, MultiTenantConfig, MultiTenantReport};
-pub use netchaos::{run_wire_chaos, run_wire_chaos_secagg, WireChaosReport};
+pub use netchaos::{
+    run_wire_chaos, run_wire_chaos_secagg, run_wire_chaos_with_schedule, WireChaosReport,
+};
 pub use overload::{OverloadConfig, OverloadReport, OverloadScenario};
 pub use training::{TrainingRunConfig, TrainingRunReport};
 

@@ -1,25 +1,171 @@
-//! The one live-round scaffold [`crate::netchaos`] and [`crate::explore`]
-//! share: a single-population tree on the real threaded runtime, driven
-//! through exactly one training round and torn down again.
+//! The one live-round scaffold and the one live device
+//! [`crate::netchaos`] and [`crate::explore`] share: a single-population
+//! tree on the real threaded runtime, driven through exactly one training
+//! round by [`run_device`] clients and torn down again.
 //!
 //! The scaffold owns everything the two harnesses do identically — the
 //! task and plan, a Coordinator over an *external* shared store with a
 //! manually acquired lease (the wiring a respawned incarnation uses, and
 //! the only way a harness can audit `write_count` after the Coordinator
-//! is gone), the tree itself, the bounded completion poll, shutdown, and
-//! the storage / lease audit. Each harness keeps what is its own: its
-//! device threads, what it perturbs (frames in flight; mailbox delivery
-//! order), and its report.
+//! is gone), the tree itself (under a seeded mailbox delivery schedule
+//! when asked), the device's check-in → configuration → report / resend
+//! loop, the bounded completion poll, shutdown, and the storage / lease
+//! audit. Each harness keeps what is its own: the transport it puts under
+//! its devices (a fault script or none), what it audits, and its report.
 
-use fl_actors::{ActorRef, ActorSystem, LockingService};
+use fl_actors::{ActorRef, ActorSystem, LockingService, ScheduleExplorer};
 use fl_core::plan::{CodecSpec, FlPlan, ModelSpec};
 use fl_core::population::{FlTask, TaskGroup, TaskSelectionStrategy};
 use fl_core::round::{RoundConfig, RoundOutcome};
-use fl_core::PopulationName;
+use fl_core::{DeviceId, PopulationName, RoundId};
+use fl_device::UploadSession;
+use fl_ml::fixedpoint::{FixedPointEncoder, FixedPointError};
 use fl_server::coordinator::CoordinatorConfig;
-use fl_server::live::{coordinator_lease_name, CoordMsg, CoordinatorActor};
+use fl_server::live::{coordinator_lease_name, CoordMsg, CoordinatorActor, DeviceConn};
 use fl_server::storage::{CheckpointStore, InMemoryCheckpointStore, SharedCheckpointStore};
 use fl_server::topology::{self, CompletionError, MultiTopology, TopologyBlueprint};
+use fl_server::wire::{Transport, WireError, WireMessage};
+use std::sync::Arc;
+use std::time::Duration;
+
+/// Bound on a device's wait for its configuration.
+const CONFIG_WAIT: Duration = Duration::from_secs(10);
+/// Bound on total sends of one device's report (resends + fresh
+/// attempts). At a ~10% per-frame fault rate the chance of a device
+/// exhausting this is negligible; hitting it is reported as a violation.
+const MAX_SENDS: u32 = 10;
+/// Bound on fresh `(round, attempt)` keys after pinned rejects.
+const MAX_ATTEMPTS: u32 = 4;
+
+/// A device's report frame under the `(round, attempt)` at-most-once key:
+/// `update` as a fixed-point field vector in a `SecAggReport` when the
+/// round runs Secure Aggregation (8 bytes per coordinate, the Sec. 6
+/// bandwidth premium), Identity-coded in an `UpdateReport` otherwise.
+/// Every `fl-sim` device, simulated or live, uploads through this one
+/// constructor.
+pub(crate) fn report_frame(
+    device: DeviceId,
+    population: &PopulationName,
+    (round, attempt): (RoundId, u32),
+    update: &[f32],
+    secagg: bool,
+    (weight, loss, accuracy): (u64, f64, f64),
+) -> Result<WireMessage, FixedPointError> {
+    let population = population.clone();
+    Ok(if secagg {
+        WireMessage::SecAggReport {
+            device,
+            round,
+            attempt,
+            field_vector: FixedPointEncoder::default_for_updates().encode(update)?,
+            weight,
+            loss,
+            accuracy,
+            population,
+        }
+    } else {
+        WireMessage::UpdateReport {
+            device,
+            round,
+            attempt,
+            update_bytes: CodecSpec::Identity.build().encode(update),
+            weight,
+            loss,
+            accuracy,
+            population,
+        }
+    })
+}
+
+/// One device's check-in → configure → report/resend/retry loop, reporting
+/// `update` in every coordinate at weight 1. The loop is the
+/// reconnect/resume protocol from `fl-device`: a silent ack loss (no
+/// verdict within `ack_wait`) re-sends the *same* [`UploadSession`] key
+/// (the ledger replays the original verdict), a pinned reject moves to a
+/// fresh attempt key, and acks for ghost keys (born of in-flight
+/// corruption) are ignored.
+///
+/// Returns the accepted `(attempt, total sends, stray replies)`, or why
+/// the device gave up. Under a scripted wire all three are deterministic
+/// per seed (each send's ack either arrives within actor-hop latency or
+/// never); on a clean wire anything but `(1, 1, 0)` is a surprise.
+pub(crate) fn run_device<T: Transport>(
+    conn: &DeviceConn<T>,
+    device: DeviceId,
+    population: &str,
+    update: f32,
+    secagg: bool,
+    ack_wait: Duration,
+) -> Result<(u32, u32, u32), String> {
+    conn.check_in().map_err(|_| "selector gone")?;
+    let (plan, checkpoint) = match conn.recv(CONFIG_WAIT) {
+        Ok(WireMessage::PlanAndCheckpoint {
+            plan, checkpoint, ..
+        }) => (plan, checkpoint),
+        Ok(other) => return Err(format!("unexpected pre-config reply {other:?}")),
+        Err(e) => return Err(format!("no configuration: {e}")),
+    };
+    let dim = plan.server.expected_dim;
+    if checkpoint.len() != dim {
+        return Err(format!(
+            "checkpoint dim {} != plan dim {dim}",
+            checkpoint.len()
+        ));
+    }
+    let update = vec![update; dim];
+    let population = PopulationName::new(population);
+
+    let mut session = UploadSession::new(checkpoint.round);
+    let (mut sends, mut strays) = (0u32, 0u32);
+    'send: loop {
+        if sends >= MAX_SENDS {
+            return Err(format!("send budget exhausted after {sends} sends"));
+        }
+        sends += 1;
+        let key = session.key();
+        let frame = report_frame(device, &population, key, &update, secagg, (1, 0.4, 0.9))
+            .map_err(|e| format!("fixed-point encode failed: {e}"))?;
+        conn.send(&frame).map_err(|_| "coordinator gone")?;
+        loop {
+            match conn.recv(ack_wait) {
+                Ok(WireMessage::ReportAck {
+                    accepted,
+                    round,
+                    attempt,
+                    ..
+                }) if (round, attempt) == key => {
+                    if accepted {
+                        return Ok((attempt, sends, strays));
+                    }
+                    // Pinned reject: this key is burned for good — move
+                    // to a fresh attempt key and re-evaluate.
+                    if attempt >= MAX_ATTEMPTS {
+                        return Err(format!("rejected on all {attempt} attempts"));
+                    }
+                    session.next_attempt();
+                    continue 'send;
+                }
+                // Stray replies (the coordinator's keyless reject of a
+                // frame the integrity trailer killed, or a re-pushed
+                // configuration): not ours, keep waiting for the real
+                // verdict.
+                Ok(_) => {
+                    strays += 1;
+                    if strays > 64 {
+                        return Err("drowned in stray replies".into());
+                    }
+                }
+                // Silent loss: re-send the same key; if the original
+                // did land, the ledger replays its ack unchanged.
+                Err(WireError::Timeout) => {
+                    session.key_for_resend();
+                    continue 'send;
+                }
+                Err(e) => return Err(format!("link died: {e}")),
+            }
+        }
+    }
+}
 
 /// A spawned single-population tree with one round to run.
 pub(crate) struct LiveRound {
@@ -44,19 +190,24 @@ pub(crate) struct StorageAudit {
 }
 
 impl LiveRound {
-    /// Spawns the tree on `system` (which may already carry a fault
-    /// injector): one Coordinator training `task_name` on a 4-feature
-    /// logistic model for `population`, behind the blueprint's Selectors.
+    /// Spawns the tree: one Coordinator training `task_name` on a
+    /// 4-feature logistic model for `population`, behind the blueprint's
+    /// Selectors. A nonzero `schedule_seed` puts every mailbox under that
+    /// [`ScheduleExplorer`] delivery schedule; 0 installs none.
     /// `max_per_shard`, when set, overrides the Coordinator's sharding.
     pub(crate) fn spawn(
-        system: ActorSystem,
+        schedule_seed: u64,
         task_name: &'static str,
         population: &'static str,
         round: RoundConfig,
         secagg_k: Option<usize>,
         max_per_shard: Option<usize>,
         blueprint: &TopologyBlueprint,
-    ) -> Result<Self, String> {
+    ) -> Self {
+        let system = ActorSystem::new();
+        if schedule_seed != 0 {
+            system.install_fault_injector(Arc::new(ScheduleExplorer::new(schedule_seed)));
+        }
         let spec = ModelSpec::Logistic {
             dim: 4,
             classes: 2,
@@ -78,7 +229,7 @@ impl LiveRound {
         let lease_name = coordinator_lease_name(&config.population);
         let lease = locks
             .acquire(lease_name.clone(), lease_name.clone())
-            .ok_or("could not acquire coordinator lease")?;
+            .expect("this round's own fresh locking service has no other holder");
         let coordinator = CoordinatorActor::with_store(
             config,
             group,
@@ -90,7 +241,7 @@ impl LiveRound {
         );
         let topology = topology::spawn_multi_topology(&system, vec![(coordinator, 10)], blueprint);
         let coordinator = topology.coordinators[&PopulationName::new(population)].clone();
-        Ok(LiveRound {
+        LiveRound {
             system,
             topology,
             coordinator,
@@ -98,7 +249,7 @@ impl LiveRound {
             store,
             locks,
             lease_name,
-        })
+        }
     }
 
     /// Polls the round to its outcome off the timer wheel; the bounded

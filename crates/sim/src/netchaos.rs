@@ -32,19 +32,15 @@
 //! at-most-once ledger exists to protect. Check-in loss is the *device
 //! availability* axis, owned by [`crate::chaos`] drop-out bursts.
 
-use crate::live_round::LiveRound;
-use fl_actors::ActorSystem;
+use crate::live_round::{run_device, LiveRound};
 use fl_analytics::overload::OverloadMonitorConfig;
-use fl_core::plan::CodecSpec;
 use fl_core::round::{RoundConfig, RoundOutcome};
-use fl_core::{DeviceId, PopulationName};
-use fl_device::UploadSession;
+use fl_core::DeviceId;
+use fl_ml::rng::derive_seed;
 use fl_server::live::DeviceConn;
 use fl_server::pace::PaceSteering;
 use fl_server::topology::{SelectorSpec, TopologyBlueprint};
-use fl_server::wire::{
-    ChannelTransport, FaultScript, FaultStats, FaultyTransport, FrameFault, WireError, WireMessage,
-};
+use fl_server::wire::{FaultScript, FaultStats, FaultyTransport, FrameFault};
 use std::time::Duration;
 
 /// The task every wire-chaos round trains.
@@ -65,28 +61,14 @@ const FAULT_PER_MILLE: u64 = 100;
 /// this wait only has to dominate the former by a wide margin for the
 /// resend count to be schedule-invariant.
 const ACK_WAIT: Duration = Duration::from_millis(1_200);
-/// Bound on total sends of one device's report (resends + fresh
-/// attempts). At a ~10% per-frame fault rate the chance of a device
-/// exhausting this is negligible; hitting it is reported as a violation.
-const MAX_SENDS: u32 = 10;
-/// Bound on fresh `(round, attempt)` keys after pinned rejects.
-const MAX_ATTEMPTS: u32 = 4;
 /// Bound on completion polls (~20 ms apart): the never-hang deadline.
 const MAX_POLLS: u32 = 1_000;
-/// Bound on any single channel wait.
-const WAIT: Duration = Duration::from_secs(10);
 
-/// `splitmix64`, the house mixer — fault fates must be a pure function
-/// of `(seed, device, slot)`, identical across platforms and replays.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
+/// Fault fates must be a pure function of `(seed, device, slot)`,
+/// identical across platforms and replays: two rounds of the house
+/// SplitMix64 finalizer ([`derive_seed`] at stream 0).
 fn mix(seed: u64, device: u64, slot: u64) -> u64 {
-    splitmix64(seed ^ splitmix64(device.wrapping_mul(0x0101_0101_0101_0101) ^ slot))
+    derive_seed(seed ^ derive_seed(device.wrapping_mul(0x0101_0101_0101_0101) ^ slot, 0), 0)
 }
 
 /// Sparse device ids: any two differ in *every* byte, so a one-byte
@@ -119,16 +101,6 @@ fn device_script(seed: u64, device: u64) -> FaultScript {
         });
     }
     FaultScript::scripted(mix(seed, device, 0xFA17), faults)
-}
-
-/// What one device client observed; everything in it is deterministic
-/// per seed (frame fates are scripted, so each send's ack either arrives
-/// within actor-hop latency or never).
-enum DeviceOutcome {
-    /// The upload was acked accepted under this `(attempt, sends)`.
-    Accepted { attempt: u32, sends: u32 },
-    /// The device gave up; the reason lands in the violations list.
-    Failed(String),
 }
 
 /// Outcome of one wire-chaos round. Every field is deterministic per
@@ -211,147 +183,29 @@ impl WireChaosReport {
 /// device uplink mangled by its seeded fault script. See the module docs
 /// for the audited invariants.
 pub fn run_wire_chaos(seed: u64) -> WireChaosReport {
-    run("wire-chaos", seed, None)
+    run_wire_chaos_with_schedule(seed, 0, false)
 }
 
 /// [`run_wire_chaos`] over `SecAggReport` frames: masked field vectors
 /// through two Aggregator shards (`max_per_shard = 3`, sticky
 /// `device % shards` routing), same fault scripts, same invariants.
 pub fn run_wire_chaos_secagg(seed: u64) -> WireChaosReport {
-    run("secagg-wire-chaos", seed, Some(2))
+    run_wire_chaos_with_schedule(seed, 0, true)
 }
 
-/// One device's check-in → configure → report/resend/retry loop. The
-/// loop is the reconnect/resume protocol from `fl-device`: a silent ack
-/// loss re-sends the *same* [`UploadSession`] key (the ledger replays
-/// the original verdict), a pinned reject moves to a fresh attempt key,
-/// and acks for ghost keys (born of in-flight corruption) are ignored.
-fn run_device(
-    conn: &DeviceConn<FaultyTransport<ChannelTransport>>,
-    device: DeviceId,
-    index: u64,
-    secagg_k: Option<usize>,
-) -> DeviceOutcome {
-    let population = PopulationName::new(POPULATION);
-    if conn.check_in().is_err() {
-        return DeviceOutcome::Failed(format!("device {index}: selector gone"));
-    }
-    let (plan, checkpoint) = loop {
-        match conn.recv(WAIT) {
-            Ok(WireMessage::PlanAndCheckpoint {
-                plan, checkpoint, ..
-            }) => break (plan, checkpoint),
-            Ok(other) => {
-                return DeviceOutcome::Failed(format!(
-                    "device {index}: unexpected pre-config reply {other:?}"
-                ))
-            }
-            Err(e) => {
-                return DeviceOutcome::Failed(format!("device {index}: no configuration: {e}"))
-            }
-        }
+/// Wire faults x delivery schedule in one run: the fault scripts of
+/// `seed` (plain frames, or SecAgg ones) while every mailbox in the tree
+/// drains under the [`crate::explore`] delivery schedule `schedule_seed`
+/// (0 installs no explorer — the two entry points above). Every invariant
+/// still holds under any schedule; the ledger counters of one fault seed
+/// may differ from one schedule to the next, since a permuted mailbox can
+/// order a duplicate ahead of its original.
+pub fn run_wire_chaos_with_schedule(seed: u64, schedule_seed: u64, secagg: bool) -> WireChaosReport {
+    let (scenario, secagg_k) = if secagg {
+        ("secagg-wire-chaos", Some(2))
+    } else {
+        ("wire-chaos", None)
     };
-    let dim = plan.server.expected_dim;
-    let update = vec![0.5f32; dim];
-    // Weight 1 each: the committed average over any accepted cohort of
-    // intact frames is exactly 0.5 per coordinate.
-    let build = |round, attempt| -> Result<WireMessage, String> {
-        Ok(match secagg_k {
-            Some(_) => WireMessage::SecAggReport {
-                device,
-                round,
-                attempt,
-                field_vector: fl_ml::fixedpoint::FixedPointEncoder::default_for_updates()
-                    .encode(&update)
-                    .map_err(|e| format!("device {index}: fixed-point encode failed: {e}"))?,
-                weight: 1,
-                loss: 0.4,
-                accuracy: 0.9,
-                population: population.clone(),
-            },
-            None => WireMessage::UpdateReport {
-                device,
-                round,
-                attempt,
-                update_bytes: CodecSpec::Identity.build().encode(&update),
-                weight: 1,
-                loss: 0.4,
-                accuracy: 0.9,
-                population: population.clone(),
-            },
-        })
-    };
-
-    let mut session = UploadSession::new(checkpoint.round);
-    let (mut round, mut attempt) = session.key();
-    let mut attempts = 1u32;
-    let mut sends = 0u32;
-    let mut strays = 0u32;
-    'send: loop {
-        if sends >= MAX_SENDS {
-            return DeviceOutcome::Failed(format!(
-                "device {index}: send budget exhausted after {sends} sends"
-            ));
-        }
-        sends += 1;
-        let msg = match build(round, attempt) {
-            Ok(msg) => msg,
-            Err(why) => return DeviceOutcome::Failed(why),
-        };
-        if conn.send(&msg).is_err() {
-            return DeviceOutcome::Failed(format!("device {index}: coordinator gone"));
-        }
-        loop {
-            match conn.recv(ACK_WAIT) {
-                Ok(WireMessage::ReportAck {
-                    accepted,
-                    round: r,
-                    attempt: a,
-                    ..
-                }) if r == round && a == attempt => {
-                    if accepted {
-                        return DeviceOutcome::Accepted { attempt, sends };
-                    }
-                    // Pinned reject: this key is burned for good — move
-                    // to a fresh attempt key and re-evaluate.
-                    if attempts >= MAX_ATTEMPTS {
-                        return DeviceOutcome::Failed(format!(
-                            "device {index}: rejected on all {attempts} attempts"
-                        ));
-                    }
-                    attempts += 1;
-                    let (r2, a2) = session.next_attempt();
-                    round = r2;
-                    attempt = a2;
-                    continue 'send;
-                }
-                // Stray replies (the coordinator's keyless reject of a
-                // frame the integrity trailer killed, or a re-pushed
-                // configuration): not ours, keep waiting for the real
-                // verdict.
-                Ok(_) => {
-                    strays += 1;
-                    if strays > 64 {
-                        return DeviceOutcome::Failed(format!(
-                            "device {index}: drowned in stray replies"
-                        ));
-                    }
-                }
-                // Silent loss: re-send the same key; if the original
-                // did land, the ledger replays its ack unchanged.
-                Err(WireError::Timeout) => {
-                    let _ = session.key_for_resend();
-                    continue 'send;
-                }
-                Err(e) => {
-                    return DeviceOutcome::Failed(format!("device {index}: link died: {e}"))
-                }
-            }
-        }
-    }
-}
-
-fn run(scenario: &'static str, seed: u64, secagg_k: Option<usize>) -> WireChaosReport {
     let mut report = WireChaosReport {
         scenario,
         seed,
@@ -380,21 +234,15 @@ fn run(scenario: &'static str, seed: u64, secagg_k: Option<usize>) -> WireChaosR
     // Under SecAgg, two Aggregator shards: sparse ids alternate parity,
     // so sticky `device % shards` routing splits the cohort 3/3.
     let max_per_shard = secagg_k.map(|_| 3);
-    let live = match LiveRound::spawn(
-        ActorSystem::new(),
+    let live = LiveRound::spawn(
+        schedule_seed,
         TASK_NAME,
         POPULATION,
         round,
         secagg_k,
         max_per_shard,
         &blueprint,
-    ) {
-        Ok(live) => live,
-        Err(why) => {
-            report.violations.push(why);
-            return report;
-        }
-    };
+    );
     let selector_refs = &live.topology.selectors;
 
     let handles: Vec<_> = (0..DEVICES)
@@ -407,7 +255,7 @@ fn run(scenario: &'static str, seed: u64, secagg_k: Option<usize>) -> WireChaosR
                 let conn = DeviceConn::connect_through(device_id(i), POPULATION, sel, coord, |c| {
                     FaultyTransport::new(c, device_script(seed, i))
                 });
-                let outcome = run_device(&conn, device_id(i), i, secagg_k);
+                let outcome = run_device(&conn, device_id(i), POPULATION, 0.5, secagg, ACK_WAIT);
                 (outcome, conn.client().fault_stats())
             })
         })
@@ -423,13 +271,13 @@ fn run(scenario: &'static str, seed: u64, secagg_k: Option<usize>) -> WireChaosR
                 report.faults.truncated += faults.truncated;
                 report.faults.disconnects += faults.disconnects;
                 match outcome {
-                    DeviceOutcome::Accepted { attempt, sends } => {
+                    Ok((attempt, sends, _)) => {
                         report.unique_accepted += 1;
                         report.device_attempts.push((attempt, sends));
                     }
-                    DeviceOutcome::Failed(why) => {
+                    Err(why) => {
                         report.device_attempts.push((0, 0));
-                        report.violations.push(why);
+                        report.violations.push(format!("device {i}: {why}"));
                     }
                 }
             }

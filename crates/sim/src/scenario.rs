@@ -30,6 +30,7 @@
 //! (seed included), so two runs of one config agree byte for byte.
 
 use crate::des::EventQueue;
+use crate::live_round::report_frame;
 use fl_analytics::overload::{OverloadMetrics, OverloadMonitorConfig};
 use fl_core::plan::{CodecSpec, ModelSpec};
 use fl_core::round::{RoundConfig, RoundOutcome};
@@ -37,7 +38,6 @@ use fl_core::{DeviceId, FlCheckpoint, FlPlan, PopulationName, RetryPolicy, Round
 use fl_device::conditions::DeviceConditions;
 use fl_device::connectivity::ConnectivityManager;
 use fl_device::tenancy::DeviceTenancy;
-use fl_ml::fixedpoint::FixedPointEncoder;
 use fl_ml::rng;
 use fl_server::aggregator::{AggregationPlan, MasterAggregator};
 use fl_server::pace::PaceSteering;
@@ -534,7 +534,6 @@ struct Engine<'a> {
     /// flow control, not learning, so every selected device downloads the
     /// same small plan + checkpoint).
     config_msgs: Vec<WireMessage>,
-    fixedpoint: FixedPointEncoder,
     accepted_total: u64,
     rejected_total: u64,
     max_queue_depth: usize,
@@ -656,7 +655,6 @@ impl<'a> Engine<'a> {
                 })
                 .collect(),
             names,
-            fixedpoint: FixedPointEncoder::default_for_updates(),
             accepted_total: 0,
             rejected_total: 0,
             max_queue_depth: 0,
@@ -939,37 +937,23 @@ impl<'a> Engine<'a> {
                 let loss = 0.9 - (device % 10) as f64 * 0.02;
                 let accuracy = 0.5 + (device % 10) as f64 * 0.03;
                 let round = self.rounds[pop].state.round;
-                let population = self.names[pop].clone();
-                let report = if config.populations[pop].secagg_k.is_some() {
-                    // SecAgg upload: the fixed-point field vector, 8 bytes
-                    // per coordinate on the measured wire.
-                    let update = [0.1 + (device % 5) as f32 * 0.01; SECAGG_DIM];
-                    let Ok(field_vector) = self.fixedpoint.encode(&update) else {
-                        self.violations
-                            .push(format!("t={now}: fixed-point encode failed"));
-                        return;
-                    };
-                    WireMessage::SecAggReport {
-                        device: DeviceId(device),
-                        round,
-                        attempt: 1,
-                        field_vector,
-                        weight,
-                        loss,
-                        accuracy,
-                        population: population.clone(),
-                    }
-                } else {
-                    WireMessage::UpdateReport {
-                        device: DeviceId(device),
-                        round,
-                        attempt: 1,
-                        update_bytes: vec![0u8; 4],
-                        weight,
-                        loss,
-                        accuracy,
-                        population: population.clone(),
-                    }
+                // SecAgg upload: the fixed-point field vector, 8 bytes
+                // per coordinate on the measured wire. The engine models
+                // flow control, not learning, so a plain report carries
+                // an empty update.
+                let secagg = config.populations[pop].secagg_k.is_some();
+                let update = [0.1 + (device % 5) as f32 * 0.01; SECAGG_DIM];
+                let Ok(report) = report_frame(
+                    DeviceId(device),
+                    &self.names[pop],
+                    (round, 1),
+                    if secagg { &update } else { &[] },
+                    secagg,
+                    (weight, loss, accuracy),
+                ) else {
+                    self.violations
+                        .push(format!("t={now}: fixed-point encode failed"));
+                    return;
                 };
                 let (wired, field) = match self.wire.wire_uplink(now, &report, &mut self.violations)
                 {
@@ -996,7 +980,7 @@ impl<'a> Engine<'a> {
                     accepted,
                     round,
                     attempt: 1,
-                    population,
+                    population: self.names[pop].clone(),
                 };
                 self.wire.wire_downlink(&ack);
                 let resume = self.devices[device as usize].behaviour.on_report_acked(

@@ -15,7 +15,8 @@ use fl_actors::{
 };
 use fl_sim::chaos::secagg_config;
 use fl_sim::{
-    explore_live_round, explore_secagg_live_round, run_chaos_with_schedule, ChaosConfig, FaultPlan,
+    explore_live_round, explore_secagg_live_round, run_chaos_with_schedule,
+    run_wire_chaos_with_schedule, ChaosConfig, FaultPlan,
 };
 use std::sync::Arc;
 
@@ -73,6 +74,28 @@ fn secagg_live_round_reports_replay_byte_identically() {
             explore_secagg_live_round(seed).render(),
             "secagg schedule seed {seed} replay diverged"
         );
+    }
+}
+
+/// Wire faults x delivery schedule is one spec: mangled report frames
+/// (plain and SecAgg) while every mailbox drains in a permuted order.
+/// Only the invariants are asserted — a permuted mailbox may order a
+/// duplicate ahead of its original, so the ledger counters of one fault
+/// seed may legally differ from one schedule to the next.
+#[test]
+fn wire_chaos_invariants_hold_across_delivery_schedules() {
+    for secagg in [false, true] {
+        for wire_seed in 1..=3 {
+            for schedule in 1..=3 {
+                let report = run_wire_chaos_with_schedule(wire_seed, schedule, secagg);
+                assert!(
+                    report.is_clean(),
+                    "{} wire seed {wire_seed} schedule seed {schedule} violations: {:?}",
+                    report.scenario,
+                    report.violations
+                );
+            }
+        }
     }
 }
 
