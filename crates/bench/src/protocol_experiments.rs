@@ -190,9 +190,35 @@ pub fn pace_report() -> String {
     out
 }
 
+/// Analytic wall-clock model for `rounds` rounds (Sec. 4.3): selection
+/// takes `selection_ms` (time to gather the target at the ambient check-in
+/// rate), configuration + reporting take `reporting_ms`.
+///
+/// Sequential: every round pays both phases. Pipelined — Selectors keep
+/// selecting while a round reports — only the first round pays a full
+/// selection window; afterwards selection for round *i+1* hides entirely
+/// under round *i*'s reporting (when `selection_ms ≤ reporting_ms`; any
+/// excess spills over).
+fn estimate_wallclock(
+    rounds: u64,
+    selection_ms: u64,
+    reporting_ms: u64,
+    pipelined: bool,
+) -> u64 {
+    if rounds == 0 {
+        return 0;
+    }
+    if !pipelined {
+        rounds * (selection_ms + reporting_ms)
+    } else {
+        // Steady state: each round is gated by the slower of (its own
+        // reporting) and (the next round's selection running underneath).
+        selection_ms + rounds * reporting_ms.max(selection_ms)
+    }
+}
+
 /// Demonstrates the Sec. 4.3 pipelining latency model.
 pub fn pipelining_report() -> String {
-    use fl_server::pipeline::estimate_wallclock;
     let mut out = String::new();
     writeln!(out, "=== Section 4.3: Pipelining Selection with Reporting ===").unwrap();
     writeln!(out, "{:>8} {:>16} {:>16} {:>8}", "rounds", "sequential (h)", "pipelined (h)", "saving").unwrap();
@@ -251,5 +277,29 @@ mod tests {
     fn pipelining_report_shows_savings() {
         let r = pipelining_report();
         assert!(r.contains('%'));
+    }
+
+    #[test]
+    fn pipelining_hides_selection_latency() {
+        // 60s selection, 120s reporting, 100 rounds.
+        let sequential = estimate_wallclock(100, 60_000, 120_000, false);
+        let pipelined = estimate_wallclock(100, 60_000, 120_000, true);
+        assert_eq!(sequential, 100 * 180_000);
+        assert_eq!(pipelined, 60_000 + 100 * 120_000);
+        // One-third latency saving, as selection fully hides.
+        assert!((pipelined as f64) < sequential as f64 * 0.7);
+    }
+
+    #[test]
+    fn pipelining_bounded_by_slowest_phase() {
+        // Selection slower than reporting: throughput limited by selection.
+        let pipelined = estimate_wallclock(10, 100_000, 50_000, true);
+        assert_eq!(pipelined, 100_000 + 10 * 100_000);
+    }
+
+    #[test]
+    fn zero_rounds_cost_nothing() {
+        assert_eq!(estimate_wallclock(0, 1, 1, true), 0);
+        assert_eq!(estimate_wallclock(0, 1, 1, false), 0);
     }
 }

@@ -27,20 +27,20 @@
 //!   checkpoint commits, locking-service registration;
 //! * [`storage`] — the persistent checkpoint store ("no information for a
 //!   round is written to persistent storage until it is fully aggregated");
-//! * [`pipeline`] — Selection of round *i+1* overlapped with
-//!   Configuration/Reporting of round *i* (Sec. 4.3);
 //! * [`topology`] — the shared blueprint for the Selector → Coordinator →
 //!   Master Aggregator tree, built identically by the live topology and
 //!   both simulation harnesses;
-//! * [`live`] — the threaded actor wiring for all of the above;
-//! * [`adaptive`] — dynamic round-window tuning (the Sec. 11 future-work
-//!   item, built on the P² reporting-time sketches).
+//! * [`live`] — the threaded actor wiring for all of the above.
+//!
+//! Pipelining (Sec. 4.3: Selection of round *i+1* under the
+//! Configuration/Reporting of round *i*) has no module of its own, as in
+//! the paper: it is "achieved simply by the virtue of Selector actors
+//! running the selection process continuously" — a [`selector::Selector`]
+//! keeps accepting and holding devices whatever phase the round is in.
 
 #![deny(missing_debug_implementations)]
 #![warn(missing_docs)]
 
-/// Dynamic round-window tuning from P² reporting-time sketches.
-pub mod adaptive;
 /// Aggregators and the Master Aggregator: streaming FedAvg shards,
 /// optional per-shard Secure Aggregation, hierarchical merge.
 pub mod aggregator;
@@ -50,8 +50,6 @@ pub mod coordinator;
 pub mod live;
 /// Pace steering: reconnect windows, rendezvous, herd avoidance.
 pub mod pace;
-/// Round-overlap pipelining: Selection of round *i+1* during round *i*.
-pub mod pipeline;
 /// The Selection → Configuration → Reporting round state machine.
 pub mod round;
 /// Selectors: check-in admission against coordinator quotas.

@@ -265,8 +265,7 @@ impl Selector {
                 retry_at_ms: self.suggest_reconnect(now_ms, activity_factor),
             };
         };
-        // Evict ghosts before they count against quota or the queue bound
-        // (mirror of the selection pool's fresh-length fix).
+        // Evict ghosts before they count against quota or the queue bound.
         self.evict_stale(now_ms);
 
         if let Some(admission) = &mut self.admission {
@@ -530,9 +529,8 @@ mod tests {
 
     #[test]
     fn stale_devices_are_evicted_before_quota_checks() {
-        // Regression (mirror of the selection pool's fresh_len fix): a
-        // device that connected long ago and silently vanished must not
-        // pin a quota slot forever.
+        // Regression: a device that connected long ago and silently
+        // vanished must not pin a quota slot forever.
         let mut s = Selector::new(PaceSteering::new(60_000, 100), 500, 7)
             .with_staleness(120_000);
         s.set_population_quota(pop(), 1);

@@ -43,8 +43,7 @@ use fl_ml::rng;
 use fl_server::aggregator::DropStage;
 use fl_server::coordinator::{ActiveRound, Coordinator, CoordinatorConfig};
 use fl_server::pace::PaceSteering;
-use fl_server::pipeline::SelectionPool;
-use fl_server::round::{CheckinResponse, ReportResponse};
+use fl_server::round::{CheckinResponse, Phase, ReportResponse};
 use fl_server::selector::{CheckinDecision, Selector};
 use fl_server::storage::{CheckpointStore, FaultyCheckpointStore, InMemoryCheckpointStore};
 use fl_server::topology::{DeploymentSpec, SelectorSpec, TopologyBlueprint};
@@ -70,9 +69,10 @@ pub enum Fault {
         /// Which shard (taken modulo [`ChaosConfig::shards`]).
         shard: u64,
     },
-    /// A Selector dies: devices routed through it (device id modulo the
-    /// selector count) go offline for a few check-in periods, and any of
-    /// them already participating drop out.
+    /// A Selector dies: the devices it held are lost with it, devices
+    /// routed through it (device id modulo the selector count) go offline
+    /// for a few check-in periods, and any of them already participating
+    /// drop out.
     SelectorCrash {
         /// When the selector dies.
         at_ms: u64,
@@ -271,7 +271,7 @@ impl Default for ChaosConfig {
 
 /// Outcome of one chaos run: progress counters, the recovery audit, and
 /// the deterministic fault log.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ChaosReport {
     /// The fault-plan seed.
     pub seed: u64,
@@ -390,13 +390,17 @@ struct Harness<'a> {
     /// What the coordinator deploys — shared with the live topology's
     /// blueprint types so every incarnation redeploys the identical thing.
     deployment: DeploymentSpec,
-    /// The Selector layer (device id modulo the selector count), built
-    /// from the same [`TopologyBlueprint`] the live topology uses.
+    /// What the Selector layer is built from — the same
+    /// [`TopologyBlueprint`] the live topology uses — kept so a crashed
+    /// Selector is rebuilt as it was born.
+    blueprint: TopologyBlueprint,
+    /// The Selector layer (device id modulo the selector count). An
+    /// accepted device is held by its Selector until a round's Selection
+    /// takes it; held slots go stale after two check-in periods.
     selectors: Vec<Selector>,
     coordinator: Option<Coordinator<FaultyCheckpointStore<InMemoryCheckpointStore>>>,
     active: Option<ActiveRound>,
     active_since: u64,
-    pool: SelectionPool,
     locks: LockingService<String>,
     lease: Option<Lease>,
     lease_name: String,
@@ -433,117 +437,122 @@ pub fn run_chaos_with_schedule(
     config: &ChaosConfig,
     schedule_seed: u64,
 ) -> ChaosReport {
-    let spec = ModelSpec::Logistic {
-        dim: 4,
-        classes: 2,
-        seed: 7,
-    };
-    let dim = spec.num_params();
-    let store = FaultyCheckpointStore::new(InMemoryCheckpointStore::new(), plan.storage_failures());
-    let mut task = FlTask::training(TASK_NAME, POPULATION).with_round(config.round);
-    if let Some(k) = config.secagg_k {
-        task = task.with_secagg(k);
-    }
-    let deployment = DeploymentSpec {
-        config: CoordinatorConfig::new(POPULATION, plan.seed),
-        group: TaskGroup::new(vec![task], TaskSelectionStrategy::Single),
-        plans: vec![FlPlan::standard_training(spec, 1, 8, 0.1, CodecSpec::Identity)],
-        initial_params: vec![0.0f32; dim],
-    };
-    let blueprint = TopologyBlueprint::new(
-        (0..config.selectors)
-            .map(|i| {
-                SelectorSpec::new(
-                    PaceSteering::new(
-                        config.checkin_period_ms,
-                        config.round.selection_target() as u64,
-                    ),
-                    config.devices,
-                    plan.seed ^ (0x5E1 + i),
-                    config.devices as usize,
-                )
-            })
-            .collect(),
-    );
-    let coordinator = deployment.new_coordinator(store);
-    // One SplitMix64 round of the schedule seed perturbs the harness
-    // timing stream; seed 0 is the identity, so `run_chaos` replays
-    // exactly the canonical schedule it always has.
-    let schedule_salt = match schedule_seed {
-        0 => 0,
-        seed => rng::derive_seed(seed, 0),
-    };
-    let mut h = Harness {
-        config,
-        plan,
-        queue: EventQueue::new(),
-        selectors: blueprint.build_selectors(None, &[PopulationName::new(POPULATION)]),
-        deployment,
-        coordinator: Some(coordinator),
-        active: None,
-        active_since: 0,
-        pool: SelectionPool::new(2 * config.checkin_period_ms),
-        locks: LockingService::new(),
-        lease: None,
-        lease_name: format!("coordinator/{POPULATION}"),
-        offline_until: BTreeMap::new(),
-        rng: rng::seeded_stream(plan.seed ^ schedule_salt, 0xC4A05),
-        report: ChaosReport {
-            seed: plan.seed,
-            committed: 0,
-            abandoned: 0,
-            lost_to_storage: 0,
-            master_restarts: 0,
-            respawns: 0,
-            lease_reacquisitions: 0,
-            idempotent_checkins: 0,
-            final_write_count: 0,
-            secagg_shard_aborts: 0,
-            secagg_round_aborts: 0,
-            wire: WireStats::default(),
-            violations: Vec::new(),
-            log: FaultLog::new(),
-        },
-        dim,
-        wire: SimWire::new(),
-    };
-
-    if !h.deploy_current(0) {
-        h.report
-            .violations
-            .push("initial deployment never succeeded".into());
+    let mut h = Harness::new(plan, config, schedule_seed);
+    if !h.start() {
         return h.report;
     }
-    h.lease = h.locks.acquire(&h.lease_name, "coordinator".to_string());
-
-    // Seed the schedule: the first round, the server clock, one staggered
-    // check-in stream per device, and every timed fault.
-    h.queue.schedule_at(0, Event::BeginRound);
-    h.queue.schedule_at(config.tick_ms, Event::Tick);
-    for device in 0..config.devices {
-        let jitter = h.rng.random_range(0..config.checkin_period_ms);
-        h.queue.schedule_at(jitter, Event::Checkin { device });
-    }
-    for (idx, fault) in plan.faults.iter().enumerate() {
-        if let Some(at) = fault.at_ms() {
-            h.queue.schedule_at(at, Event::Fault(idx));
-        }
-    }
-
     while let Some((now, event)) = h.queue.next_before(config.horizon_ms) {
-        match event {
-            Event::BeginRound => h.on_begin_round(now),
-            Event::Checkin { device } => h.on_checkin(now, device),
-            Event::Report { device } => h.on_report(now, device),
-            Event::Tick => h.on_tick(now),
-            Event::Fault(idx) => h.on_fault(now, idx),
-        }
+        h.handle(now, event);
     }
     h.drain_after_horizon();
     h.finish()
 }
 
-impl Harness<'_> {
+impl<'a> Harness<'a> {
+    /// The stack of one run, nothing deployed or scheduled yet.
+    fn new(plan: &'a FaultPlan, config: &'a ChaosConfig, schedule_seed: u64) -> Self {
+        let spec = ModelSpec::Logistic {
+            dim: 4,
+            classes: 2,
+            seed: 7,
+        };
+        let dim = spec.num_params();
+        let store =
+            FaultyCheckpointStore::new(InMemoryCheckpointStore::new(), plan.storage_failures());
+        let mut task = FlTask::training(TASK_NAME, POPULATION).with_round(config.round);
+        if let Some(k) = config.secagg_k {
+            task = task.with_secagg(k);
+        }
+        let deployment = DeploymentSpec {
+            config: CoordinatorConfig::new(POPULATION, plan.seed),
+            group: TaskGroup::new(vec![task], TaskSelectionStrategy::Single),
+            plans: vec![FlPlan::standard_training(spec, 1, 8, 0.1, CodecSpec::Identity)],
+            initial_params: vec![0.0f32; dim],
+        };
+        let blueprint = TopologyBlueprint::new(
+            (0..config.selectors)
+                .map(|i| {
+                    SelectorSpec::new(
+                        PaceSteering::new(
+                            config.checkin_period_ms,
+                            config.round.selection_target() as u64,
+                        ),
+                        config.devices,
+                        plan.seed ^ (0x5E1 + i),
+                        config.devices as usize,
+                    )
+                    .with_staleness(2 * config.checkin_period_ms)
+                })
+                .collect(),
+        );
+        let coordinator = deployment.new_coordinator(store);
+        // One SplitMix64 round of the schedule seed perturbs the harness
+        // timing stream; seed 0 is the identity, so `run_chaos` replays
+        // exactly the canonical schedule it always has.
+        let schedule_salt = match schedule_seed {
+            0 => 0,
+            seed => rng::derive_seed(seed, 0),
+        };
+        Harness {
+            config,
+            plan,
+            queue: EventQueue::new(),
+            selectors: blueprint.build_selectors(None, &[PopulationName::new(POPULATION)]),
+            blueprint,
+            deployment,
+            coordinator: Some(coordinator),
+            active: None,
+            active_since: 0,
+            locks: LockingService::new(),
+            lease: None,
+            lease_name: format!("coordinator/{POPULATION}"),
+            offline_until: BTreeMap::new(),
+            rng: rng::seeded_stream(plan.seed ^ schedule_salt, 0xC4A05),
+            report: ChaosReport {
+                seed: plan.seed,
+                ..ChaosReport::default()
+            },
+            dim,
+            wire: SimWire::new(),
+        }
+    }
+
+    /// Deploys, takes the lease and seeds the schedule: the first round,
+    /// the server clock, one staggered check-in stream per device, and
+    /// every timed fault. `false` (with the violation recorded) when the
+    /// initial deployment never lands.
+    fn start(&mut self) -> bool {
+        if !self.deploy_current(0) {
+            self.report
+                .violations
+                .push("initial deployment never succeeded".into());
+            return false;
+        }
+        self.lease = self.locks.acquire(&self.lease_name, "coordinator".to_string());
+        self.queue.schedule_at(0, Event::BeginRound);
+        self.queue.schedule_at(self.config.tick_ms, Event::Tick);
+        for device in 0..self.config.devices {
+            let jitter = self.rng.random_range(0..self.config.checkin_period_ms);
+            self.queue.schedule_at(jitter, Event::Checkin { device });
+        }
+        for (idx, fault) in self.plan.faults.iter().enumerate() {
+            if let Some(at) = fault.at_ms() {
+                self.queue.schedule_at(at, Event::Fault(idx));
+            }
+        }
+        true
+    }
+
+    fn handle(&mut self, now: u64, event: Event) {
+        match event {
+            Event::BeginRound => self.on_begin_round(now),
+            Event::Checkin { device } => self.on_checkin(now, device),
+            Event::Report { device } => self.on_report(now, device),
+            Event::Tick => self.on_tick(now),
+            Event::Fault(idx) => self.on_fault(now, idx),
+        }
+    }
+
     fn round_deadline_ms(&self) -> u64 {
         self.config.round.selection_timeout_ms
             + self.config.round.report_window_ms
@@ -595,39 +604,71 @@ impl Harness<'_> {
     }
 
     fn on_begin_round(&mut self, now: u64) {
-        if self.active.is_some() || self.coordinator.is_none() {
+        if self.active.is_some() {
             return;
         }
-        // Pipelining (Sec. 4.3): devices that checked in while the
-        // previous round was past Selection were parked in the pool;
-        // replay the *fresh* ones into the new round immediately. The
-        // stale-aware count decides how many we bother draining.
-        let target = self.config.round.selection_target();
-        let fresh = self.pool.fresh_len(now);
-        let drained = self.pool.drain_fresh(target.min(fresh), now);
-        let begun = match self.coordinator.as_mut() {
-            Some(c) => c.begin_round(now),
-            None => return,
+        let Some(coordinator) = self.coordinator.as_mut() else {
+            return;
         };
-        match begun {
-            Ok(mut round) => {
+        match coordinator.begin_round(now) {
+            Ok(round) => {
+                // Pipelining (Sec. 4.3) needs no mechanism of its own: the
+                // Selectors kept accepting while the previous round was
+                // past Selection, so the new round fills at once from
+                // whoever they hold that is still fresh.
+                for selector in &mut self.selectors {
+                    selector.evict_stale(now);
+                }
+                let held: usize = self.selectors.iter().map(Selector::connected_count).sum();
                 self.report.log.record(
                     now,
                     "round.begin",
-                    format!("r={} pool_fresh={}", round.state.round.0, fresh),
+                    format!("r={} selectors_held={held}", round.state.round.0),
                 );
                 self.active_since = now;
-                for d in drained {
-                    if round.on_checkin(d, now) == CheckinResponse::Selected {
-                        self.schedule_report(now, d.0);
-                    }
-                }
                 self.active = Some(round);
+                self.forward_held(now);
             }
             Err(e) => self
                 .report
                 .violations
                 .push(format!("begin_round failed: {e}")),
+        }
+    }
+
+    /// Fills the active round from the Selectors' held devices, in Selector
+    /// order, for as long as its Selection is open — at `BeginRound` and
+    /// on every accept, the way the scenario engine's `Forward` event and
+    /// the live Coordinator take what the Selector layer holds.
+    fn forward_held(&mut self, now: u64) {
+        let population = PopulationName::new(POPULATION);
+        while let Some(round) = self
+            .active
+            .as_mut()
+            .filter(|round| round.state.phase() == Phase::Selection)
+        {
+            let Some(device) = self
+                .selectors
+                .iter_mut()
+                .find_map(|s| s.forward_devices_for(&population, 1, now).pop())
+            else {
+                return;
+            };
+            match round.on_checkin(device, now) {
+                CheckinResponse::Selected => {
+                    // The Configuration download crosses the wire too, so
+                    // the byte counters cover the dominant direction.
+                    self.wire.wire_downlink(&WireMessage::PlanAndCheckpoint {
+                        plan: Box::new(round.plan.clone()),
+                        checkpoint: Box::new(round.checkpoint.clone()),
+                        population: population.clone(),
+                    });
+                    self.schedule_report(now, device.0);
+                }
+                // Selected once already, while this Selection was open.
+                CheckinResponse::AlreadySelected => self.report.idempotent_checkins += 1,
+                CheckinResponse::NotSelecting => {}
+            }
         }
     }
 
@@ -660,44 +701,31 @@ impl Harness<'_> {
         ) else {
             return;
         };
-        // Every check-in enters through its Selector (device id modulo
-        // the selector count), same routing as the live topology; the
-        // sim hands the device straight to the round, so the held slot
-        // is released immediately after the admission decision.
+        // A participant's retried check-in is answered by the round it is
+        // configured into and keeps its slot (Sec. 4.2 bugfix): its
+        // stream is with its Aggregator, not up for the next Selection.
+        if let Some(round) = self.active.as_mut() {
+            if round.state.phase() == Phase::Reporting
+                && round.on_checkin(wired, now) == CheckinResponse::AlreadySelected
+            {
+                self.report.idempotent_checkins += 1;
+                return;
+            }
+        }
+        // Everyone else enters through its Selector (device id modulo the
+        // selector count), same routing as the live topology.
         let selector = &mut self.selectors[(wired.0 % self.config.selectors) as usize];
         match selector.on_checkin_for(&PopulationName::new(POPULATION), wired, now, 1.0) {
-            CheckinDecision::Accept => selector.on_disconnect(wired),
-            // No admission control in this harness: quota is the only
-            // way a check-in is turned away.
+            CheckinDecision::Accept => self.forward_held(now),
+            // No admission control in this harness: a device its Selector
+            // already holds (the re-check-in keeps the slot fresh) is the
+            // only one turned away.
             CheckinDecision::Shed { retry_at_ms, .. } | CheckinDecision::Reject { retry_at_ms } => {
                 self.wire.wire_downlink(&WireMessage::ComeBackLater {
                     retry_at_ms,
                     population: PopulationName::new(POPULATION),
                 });
-                self.pool.add(wired, now);
-                return;
             }
-        }
-        match self.active.as_mut() {
-            Some(round) => match round.on_checkin(wired, now) {
-                CheckinResponse::Selected => {
-                    // The Configuration download crosses the wire too, so
-                    // the byte counters cover the dominant direction.
-                    self.wire.wire_downlink(&WireMessage::PlanAndCheckpoint {
-                        plan: Box::new(round.plan.clone()),
-                        checkpoint: Box::new(round.checkpoint.clone()),
-                        population: PopulationName::new(POPULATION),
-                    });
-                    self.schedule_report(now, wired.0);
-                }
-                CheckinResponse::AlreadySelected => {
-                    // The duplicate was answered idempotently — the slot
-                    // survives a retried check-in (Sec. 4.2 bugfix).
-                    self.report.idempotent_checkins += 1;
-                }
-                CheckinResponse::NotSelecting => self.pool.add(wired, now),
-            },
-            None => self.pool.add(wired, now),
         }
     }
 
@@ -900,6 +928,12 @@ impl Harness<'_> {
             }
             Fault::SelectorCrash { selector, .. } => {
                 let selector = selector % self.config.selectors;
+                // The replacement starts empty: exactly the devices the
+                // dead Selector held are lost (Sec. 4.4).
+                self.selectors[selector as usize] = self
+                    .blueprint
+                    .build_selectors(None, &[PopulationName::new(POPULATION)])
+                    .swap_remove(selector as usize);
                 let until = now + 3 * self.config.checkin_period_ms;
                 for d in 0..self.config.devices {
                     if d % self.config.selectors == selector {
@@ -1277,6 +1311,42 @@ mod tests {
             assert!(a.is_clean(), "seed {seed}: {:?}", a.violations);
             assert_eq!(a.render(), b.render(), "seed {seed} replay diverged");
         }
+    }
+
+    /// A Selector crash loses exactly the devices that Selector held
+    /// (Sec. 4.4): the replacement starts empty, the other Selector is
+    /// untouched, and training carries on.
+    #[test]
+    fn selector_crash_loses_exactly_its_held_devices() {
+        let config = ChaosConfig::default();
+        let plan = FaultPlan {
+            seed: 1,
+            faults: vec![Fault::SelectorCrash {
+                at_ms: 12_000,
+                selector: 0,
+            }],
+        };
+        let mut h = Harness::new(&plan, &config, 0);
+        assert!(h.start());
+        while let Some((now, event)) = h.queue.next_before(11_999) {
+            h.handle(now, event);
+        }
+        let held_before: Vec<usize> = h.selectors.iter().map(|s| s.connected_count()).collect();
+        assert!(held_before[0] > 0, "the crash must have something to lose");
+        // Faults were scheduled before anything else due at their instant.
+        let (now, event) = h.queue.next().expect("the fault is still queued");
+        assert_eq!((now, &event), (12_000, &Event::Fault(0)));
+        h.handle(now, event);
+        assert_eq!(h.selectors[0].connected_count(), 0);
+        assert_eq!(h.selectors[1].connected_count(), held_before[1]);
+
+        while let Some((now, event)) = h.queue.next_before(config.horizon_ms) {
+            h.handle(now, event);
+        }
+        h.drain_after_horizon();
+        let report = h.finish();
+        assert!(report.is_clean(), "violations: {:?}", report.violations);
+        assert!(report.committed >= 1, "report: {}", report.render());
     }
 
     #[test]

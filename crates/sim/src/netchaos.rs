@@ -200,14 +200,14 @@ pub fn run_wire_chaos_secagg(seed: u64) -> WireChaosReport {
 /// still holds under any schedule; the ledger counters of one fault seed
 /// may differ from one schedule to the next, since a permuted mailbox can
 /// order a duplicate ahead of its original.
-pub fn run_wire_chaos_with_schedule(seed: u64, schedule_seed: u64, secagg: bool) -> WireChaosReport {
-    let (scenario, secagg_k) = if secagg {
-        ("secagg-wire-chaos", Some(2))
-    } else {
-        ("wire-chaos", None)
-    };
+pub fn run_wire_chaos_with_schedule(
+    seed: u64,
+    schedule_seed: u64,
+    secagg: bool,
+) -> WireChaosReport {
+    let secagg_k = secagg.then_some(2);
     let mut report = WireChaosReport {
-        scenario,
+        scenario: if secagg { "secagg-wire-chaos" } else { "wire-chaos" },
         seed,
         ..WireChaosReport::default()
     };
