@@ -638,8 +638,8 @@ impl<'a> Harness<'a> {
 
     /// Fills the active round from the Selectors' held devices, in Selector
     /// order, for as long as its Selection is open — at `BeginRound` and
-    /// on every accept, the way the scenario engine's `Forward` event and
-    /// the live Coordinator take what the Selector layer holds.
+    /// on every accept, where the scenario engine's `Forward` event asks
+    /// on a timer.
     fn forward_held(&mut self, now: u64) {
         let population = PopulationName::new(POPULATION);
         while let Some(round) = self

@@ -120,7 +120,8 @@ impl ExploreReport {
 
 /// Drives one full live round — check-in, configuration, report,
 /// aggregation, commit, shutdown — with every mailbox in the tree
-/// subject to seeded delivery reordering, and audits the standing
+/// subject to seeded delivery reordering (schedule seed 0: the runtime's
+/// own order, no explorer installed), and audits the standing
 /// invariants. See the module docs for the list.
 pub fn explore_live_round(schedule_seed: u64) -> ExploreReport {
     explore_round("live-round", schedule_seed, None)
@@ -167,7 +168,8 @@ fn explore_round(
         max_admits_per_window: 100,
     })
     .with_telemetry(Default::default());
-    let live = LiveRound::spawn(schedule_seed, TASK_NAME, POPULATION, round, secagg_k, None, &blueprint);
+    let live =
+        LiveRound::spawn(schedule_seed, TASK_NAME, POPULATION, round, secagg_k, None, &blueprint);
 
     // One client thread per device, on a plain channel: the fault-free
     // case of the wire-chaos device. A different update per device — a

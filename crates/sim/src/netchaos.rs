@@ -195,16 +195,12 @@ pub fn run_wire_chaos_secagg(seed: u64) -> WireChaosReport {
 
 /// Wire faults x delivery schedule in one run: the fault scripts of
 /// `seed` (plain frames, or SecAgg ones) while every mailbox in the tree
-/// drains under the [`crate::explore`] delivery schedule `schedule_seed`
+/// drains under the [`crate::explore`] delivery schedule seeded `schedule`
 /// (0 installs no explorer — the two entry points above). Every invariant
 /// still holds under any schedule; the ledger counters of one fault seed
 /// may differ from one schedule to the next, since a permuted mailbox can
 /// order a duplicate ahead of its original.
-pub fn run_wire_chaos_with_schedule(
-    seed: u64,
-    schedule_seed: u64,
-    secagg: bool,
-) -> WireChaosReport {
+pub fn run_wire_chaos_with_schedule(seed: u64, schedule: u64, secagg: bool) -> WireChaosReport {
     let secagg_k = secagg.then_some(2);
     let mut report = WireChaosReport {
         scenario: if secagg { "secagg-wire-chaos" } else { "wire-chaos" },
@@ -235,7 +231,7 @@ pub fn run_wire_chaos_with_schedule(
     // so sticky `device % shards` routing splits the cohort 3/3.
     let max_per_shard = secagg_k.map(|_| 3);
     let live = LiveRound::spawn(
-        schedule_seed,
+        schedule,
         TASK_NAME,
         POPULATION,
         round,

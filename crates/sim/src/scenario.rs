@@ -18,7 +18,8 @@
 //! [`crate::overload`] and [`crate::multi`] are thin entry points: each
 //! names its calibrated [`ScenarioConfig`]s, calls [`run`], and projects
 //! the [`ScenarioOutcome`] into its own report, adding the audits only
-//! it makes (shed-rate convergence; cross-population fairness). A single-population overload run is this engine with one
+//! it makes (shed-rate convergence; cross-population fairness). A
+//! single-population overload run is this engine with one
 //! [`PopulationLoad`]. The one thing the two families legitimately
 //! disagree on is what a *device* is, and that is the [`Fleet`] seam;
 //! nothing else in the loop knows which entry point called it.

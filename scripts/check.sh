@@ -81,6 +81,16 @@ run_step "secagg-live" cargo test -q --test secagg_live
 # the fixed-point codec's tests in `fl-ml` run here.
 run_step "secagg-kernel" cargo test -q -p fl-secagg -p fl-ml
 run_step "secagg-bench" cargo run --release -q -p fl-bench --bin bench_secagg
+# `figures_output.txt` says what `figures` prints: the three reports that
+# are pure functions of the code (the Fig. 1 round trace, the pace-steering
+# regimes, the Sec. 4.3 pipelining model; milliseconds to run) are diffed
+# against their blocks of the committed file. The other blocks need the
+# ~5 min paper-scale run and are refreshed by redirect (EXPERIMENTS.md).
+figures_static() {
+  diff <(cargo run --release -q -p fl-bench --bin figures -- fig1 pace pipeline) \
+    <(awk '/^=== / { keep = /^=== (Figure 1|Section 2\.3|Section 4\.3):/ } keep' figures_output.txt)
+}
+run_step "figures-static" figures_static
 # Size ledger (ROADMAP aim 2): non-test, non-comment Rust lines per
 # crate. Informational — it prints the table and always passes; growth
 # is argued in CHANGES.md, not gated here.
