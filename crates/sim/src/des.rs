@@ -290,6 +290,35 @@ mod model_tests {
         ]
     }
 
+    /// 65 536 ms, the span of times a queue may hold apart from later ones.
+    const SPAN: u64 = 1 << 16;
+
+    /// A time within 2 ms of one of the first six multiples of [`SPAN`]
+    /// (thirty values in all, so ties are the rule).
+    fn edge(i: u64) -> u64 {
+        (i / 5 * SPAN + i % 5).saturating_sub(2)
+    }
+
+    /// Times straddle multiples of [`SPAN`]: behind the clock (clamped),
+    /// tied, just before and just after an edge the clock is about to
+    /// cross or has just crossed, relative delays that land on either side
+    /// of the next edge, horizons that fall between the clock and the next
+    /// pending event, and two times so far out that nothing may be sized by
+    /// the distance to them.
+    fn edge_op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            (0u64..30).prop_map(|i| Op::At(edge(i))),
+            (0u64..30).prop_map(|i| Op::At(edge(i))),
+            (0u64..3).prop_map(Op::In),
+            (0u64..5).prop_map(|d| Op::In(SPAN - 2 + d)),
+            prop_oneof![Just(1u64 << 40), Just(1u64 << 62)].prop_map(Op::At),
+            Just(Op::Next),
+            Just(Op::Next),
+            (0u64..30).prop_map(|i| Op::NextBefore(edge(i))),
+            (0u64..30).prop_map(|i| Op::NextBefore(edge(i))),
+        ]
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -299,6 +328,61 @@ mod model_tests {
         ) {
             check(ops);
         }
+
+        #[test]
+        fn interleavings_across_span_edges_match_the_model(
+            ops in proptest::collection::vec(edge_op(), 0..400),
+        ) {
+            check(ops);
+        }
+    }
+
+    /// The edge cases by name, in an order a random run would rarely find.
+    #[test]
+    fn a_horizon_short_of_the_next_span_pops_nothing_and_loses_nothing() {
+        let far = [1 << 62, 1 << 40, 1 << 62, 1 << 40];
+        let mut ops: Vec<Op> = far.into_iter().map(Op::At).collect();
+        ops.extend([
+            Op::At(3 * SPAN + 1),
+            Op::At(SPAN),
+            Op::At(SPAN - 1),
+            Op::At(SPAN),
+            // Nothing is due by SPAN - 2: every observable stays put.
+            Op::NextBefore(SPAN - 2),
+            Op::NextBefore(0),
+            // SPAN - 1 pops; then pushes into the span it came from: tied
+            // with the clock, behind it (clamped), and relative.
+            Op::NextBefore(SPAN - 1),
+            Op::At(SPAN - 1),
+            Op::At(5),
+            Op::In(0),
+            Op::In(1),
+            Op::Next,
+            Op::Next,
+            Op::Next,
+            // The clock is at SPAN - 1 with three events tied at SPAN.
+            Op::NextBefore(SPAN - 1),
+            Op::Next,
+            Op::At(2 * SPAN - 1),
+            Op::At(2 * SPAN),
+            Op::In(SPAN),
+            Op::Next,
+            Op::Next,
+            // Nothing between here and 2 * SPAN - 1.
+            Op::NextBefore(2 * SPAN - 2),
+            Op::NextBefore(3 * SPAN),
+            Op::NextBefore(3 * SPAN),
+            Op::NextBefore(3 * SPAN),
+            // Only 3 * SPAN + 1 and the far-future four are left.
+            Op::NextBefore(3 * SPAN),
+            Op::NextBefore((1 << 40) - 1),
+            Op::NextBefore((1 << 40) - 1),
+            Op::At(1 << 62),
+            Op::NextBefore(1 << 61),
+            Op::NextBefore(1 << 61),
+            Op::NextBefore(1 << 61),
+        ]);
+        check(ops);
     }
 
     /// Deep enough (nine levels) that sifts cross many levels both ways:
