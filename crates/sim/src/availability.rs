@@ -85,7 +85,7 @@ impl DiurnalAvailability {
     /// of day `d` starts in `[d·DAY + 7 h, d·DAY + 31 h)`: a night start is
     /// clamped to 15–30 h, and a bout starts at `9 + max(tz, −2) + [0, 9)` h
     /// with `|tz| ≤ spread/2`. So each start of day `d` precedes each start
-    /// of day `d + 1`, which is what lets [`Self::next_eligible_at`] stop at
+    /// of day `d + 1`, which is what lets [`Self::next_window`] stop at
     /// the first day that has a start at or after the query time.
     pub fn new(config: DiurnalConfig, seed: u64) -> Self {
         assert!(
@@ -162,29 +162,28 @@ impl DiurnalAvailability {
             .find(|w| w.contains(t_ms))
     }
 
-    /// The next time ≥ `t_ms` at which the device becomes eligible:
-    /// `t_ms` itself exactly when it already is, otherwise the earliest
-    /// window start from today's on. Searches up to two days ahead, and
-    /// stops at the first day with such a start (see [`Self::new`] for why
-    /// no later day can have an earlier one).
-    pub fn next_eligible_at(&self, device: u64, t_ms: u64) -> Option<u64> {
+    /// The window that contains `t_ms` if the device is eligible then,
+    /// otherwise the one with the earliest start from today's on. Searches
+    /// up to two days ahead, and stops at the first day with such a start
+    /// (see [`Self::new`] for why no later day can have an earlier one).
+    pub fn next_window(&self, device: u64, t_ms: u64) -> Option<Window> {
         let day = t_ms / DAY_MS;
         if let Some(yesterday) = day.checked_sub(1) {
-            if self
+            let spilled = self
                 .day_windows(device, yesterday)
-                .any(|w| w.contains(t_ms))
-            {
-                return Some(t_ms);
+                .find(|w| w.contains(t_ms));
+            if spilled.is_some() {
+                return spilled;
             }
         }
         for d in day..=day + 2 {
-            let mut next: Option<u64> = None;
+            let mut next: Option<Window> = None;
             for w in self.day_windows(device, d) {
                 if w.contains(t_ms) {
-                    return Some(t_ms);
+                    return Some(w);
                 }
-                if w.start_ms >= t_ms {
-                    next = Some(next.map_or(w.start_ms, |n| n.min(w.start_ms)));
+                if w.start_ms >= t_ms && next.is_none_or(|n| w.start_ms < n.start_ms) {
+                    next = Some(w);
                 }
             }
             if next.is_some() {
@@ -192,6 +191,13 @@ impl DiurnalAvailability {
             }
         }
         None
+    }
+
+    /// The next time ≥ `t_ms` at which the device becomes eligible:
+    /// `t_ms` itself exactly when it already is, otherwise the start of
+    /// [`Self::next_window`].
+    pub fn next_eligible_at(&self, device: u64, t_ms: u64) -> Option<u64> {
+        self.next_window(device, t_ms).map(|w| w.start_ms.max(t_ms))
     }
 
     /// Fraction of a fleet of `n` devices eligible at `t_ms` (exact count).
@@ -336,6 +342,17 @@ mod tests {
                         "device {device} at {t_ms}"
                     );
                     assert_eq!(next == Some(t_ms), model.is_eligible(device, t_ms));
+                    // The window behind the answer: around `t_ms` exactly
+                    // when eligible, else the one that starts at `next`.
+                    let window = model.next_window(device, t_ms);
+                    assert_eq!(
+                        window.is_some_and(|w| w.contains(t_ms)),
+                        reference_current_window(&model, device, t_ms).is_some(),
+                        "device {device} at {t_ms}"
+                    );
+                    if next != Some(t_ms) {
+                        assert_eq!(window.map(|w| w.start_ms), next);
+                    }
                     if next == Some(t_ms) {
                         eligible += 1;
                     } else {

@@ -239,8 +239,10 @@ impl FleetReport {
 
 #[derive(Debug, Clone, Copy)]
 enum Event {
-    /// A device wakes up and attempts a check-in.
-    Checkin { device: u64 },
+    /// A device wakes up and attempts a check-in. `until_ms` is the end of
+    /// the eligibility window the wake-up was scheduled into: an event that
+    /// fires before it need not ask again. 0 when the server chose the time.
+    Checkin { device: u64, until_ms: u64 },
     /// A selected device finishes training + upload. `slot` is its index
     /// in the round's `checkin_times` (a `u32`, so the event stays 24 bytes).
     Report {
@@ -302,12 +304,14 @@ pub fn run(config: &FleetConfig) -> FleetReport {
         dropout_events: TimeSeries::new("dropouts", bucket, 0),
     };
 
-    // Bootstrap: every device schedules its first wake-up inside its first
-    // eligibility window (uniformly within the first day's window).
+    // Bootstrap: every device schedules its first wake-up up to four
+    // check-in periods after its first eligibility window opens (which can
+    // be after a short window has closed again).
     for device in 0..config.devices {
-        if let Some(t) = availability.next_eligible_at(device, 0) {
+        if let Some(w) = availability.next_window(device, 0) {
             let jitter = rng.random_range(0..config.checkin_period_ms * 4);
-            queue.schedule_at(t + jitter, Event::Checkin { device });
+            let until_ms = w.end_ms;
+            queue.schedule_at(w.start_ms + jitter, Event::Checkin { device, until_ms });
         }
     }
     queue.schedule_at(0, Event::Sample);
@@ -343,17 +347,26 @@ pub fn run(config: &FleetConfig) -> FleetReport {
                     .record(now, (eligible_total - in_flight as f64).max(0.0));
                 queue.schedule_in(10 * 60_000, Event::Sample);
             }
-            Event::Checkin { device } => {
-                let wake = availability.next_eligible_at(device, now);
-                if wake != Some(now) {
-                    // Missed its window; wake at the next one (a window
-                    // starting at `now` would contain it, so `wake` is a
-                    // start after `now`).
-                    if let Some(t) = wake {
-                        let jitter = rng.random_range(0..config.checkin_period_ms);
-                        queue.schedule_at(t + jitter, Event::Checkin { device });
+            Event::Checkin { device, until_ms } => {
+                if now < until_ms {
+                    // Scheduled at or after the window's start: still inside.
+                    debug_assert_eq!(availability.next_eligible_at(device, now), Some(now));
+                } else {
+                    let wake = availability.next_window(device, now);
+                    if !wake.is_some_and(|w| w.contains(now)) {
+                        // Missed its window; wake at the next one (a window
+                        // starting at `now` would contain it, so `wake`
+                        // starts after `now`).
+                        if let Some(w) = wake {
+                            let jitter = rng.random_range(0..config.checkin_period_ms);
+                            let until_ms = w.end_ms;
+                            queue.schedule_at(
+                                w.start_ms + jitter,
+                                Event::Checkin { device, until_ms },
+                            );
+                        }
+                        continue;
                     }
-                    continue;
                 }
                 let response = active.state.on_checkin(DeviceId(device), now);
                 match response {
@@ -374,7 +387,9 @@ pub fn run(config: &FleetConfig) -> FleetReport {
                             1.0,
                             &mut rng,
                         );
-                        queue.schedule_at(retry, Event::Checkin { device });
+                        // The server chose the time; no window vouches for it.
+                        let until_ms = 0;
+                        queue.schedule_at(retry, Event::Checkin { device, until_ms });
                     }
                 }
             }
@@ -583,10 +598,10 @@ fn schedule_next_checkin(
 ) {
     let jitter = rng.random_range(0..period_ms.max(1));
     let target = now + period_ms + jitter;
-    match availability.next_eligible_at(device, target) {
-        Some(t) if t == target => queue.schedule_at(target, Event::Checkin { device }),
-        Some(t) => queue.schedule_at(t + jitter, Event::Checkin { device }),
-        None => {}
+    if let Some(w) = availability.next_window(device, target) {
+        let at_ms = if w.contains(target) { target } else { w.start_ms + jitter };
+        let until_ms = w.end_ms;
+        queue.schedule_at(at_ms, Event::Checkin { device, until_ms });
     }
 }
 
@@ -713,8 +728,14 @@ mod tests {
 
     #[test]
     fn report_slot_does_not_grow_the_event() {
-        // A million pending events are 40 MB at 24 + 16 bytes each.
+        // In the queue's heap an event is 24 + 16 bytes.
         assert_eq!(std::mem::size_of::<Event>(), 24);
+    }
+
+    #[test]
+    fn a_far_entry_is_a_time_and_the_event() {
+        // A million pending events are 32 MB: the far tier keeps no `seq`.
+        assert_eq!(std::mem::size_of::<(u64, Event)>(), 32);
     }
 
     #[test]
