@@ -1,8 +1,9 @@
-//! The three bench gates of `scripts/check.sh`: what each `bench_*`
-//! binary measures per case, and the one floor its run must clear. The
-//! verdicts are pure functions of the measured cases, so a regressed
-//! case and the committed `BENCH_*.json` rows can be fed to them in
-//! tests: a gate that stops gating fails `cargo test -p fl-bench`.
+//! The bench gates of `scripts/check.sh`: what each `bench_*` binary
+//! measures per case and the one floor its run must clear, and the floor
+//! under a short run of each `benchmark/` workload. The verdicts are pure
+//! functions of what was measured, so a regressed case and the committed
+//! `BENCH_*.json` rows can be fed to them in tests: a gate that stops
+//! gating fails `cargo test -p fl-bench`.
 
 /// One `bench_wire` case: `UpdateReport` encode/decode at one size.
 pub struct WireCase {
@@ -128,6 +129,40 @@ pub fn secagg(cases: &[SecAggCase]) -> Result<(), String> {
     Ok(())
 }
 
+/// `rounds_per_s` floor per `benchmark/` workload: half the change median
+/// of `BENCH_e2e.json` entry 23. The host's slow spells cost a run up to
+/// 40 %, so these catch a twofold slowdown, not a drift; a gain or a loss
+/// of less is read from alternating pairs.
+pub const E2E_FLOORS: [(&str, f64); 4] = [
+    ("round_plain_tcp", 12.0),
+    ("checkin_storm", 540.0),
+    ("round_secagg", 45.0),
+    ("fleet_des", 300.0),
+];
+
+/// The `e2e-floor` verdict on the JSON line that ends one run of
+/// `benchmark/run.sh --workload W`: its output oracle held, no operation
+/// failed, and it ran at the workload's [`E2E_FLOORS`] rate or better.
+pub fn e2e(workload: &str, result: &str) -> Result<(), String> {
+    let (_, floor) = E2E_FLOORS
+        .iter()
+        .find(|(name, _)| *name == workload)
+        .ok_or(format!("no floor is set for workload {workload:?}"))?;
+    for held in ["\"correct\": true", "\"failed\": 0,"] {
+        if !result.contains(held) {
+            return Err(format!("the run does not end with {held} in: {result}"));
+        }
+    }
+    let rate: f64 = result
+        .split_once("\"rounds_per_s\": {\"value\": ")
+        .and_then(|(_, rest)| rest.split([',', '}']).next()?.parse().ok())
+        .ok_or(format!("no rounds_per_s in: {result}"))?;
+    if rate < *floor {
+        return Err(format!("{rate:.1} rounds/s is under the {floor} rounds/s floor"));
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -199,6 +234,51 @@ mod tests {
             .collect();
         assert_eq!(cases.len(), 3);
         cases
+    }
+
+    /// The line a `benchmark/` run ends with, as far as `e2e` reads it.
+    fn e2e_result(correct: bool, failed: u32, rounds_per_s: f64) -> String {
+        format!(
+            "{{\"correct\": {correct}, \"attempted\": 1209, \"failed\": {failed}, \"metrics\": \
+             {{\"setup_s\": {{\"value\": 0.2, \"unit\": \"s\"}}, \
+             \"rounds_per_s\": {{\"value\": {rounds_per_s}, \"unit\": \"1/s\"}}}}}}"
+        )
+    }
+
+    /// The change median of `rounds_per_s` on `workload` in the last entry
+    /// of the committed ledger.
+    fn committed_e2e_median(workload: &str) -> f64 {
+        let row = include_str!("../../../BENCH_e2e.json")
+            .lines()
+            .rfind(|line| {
+                line.contains(&format!("\"workload\": \"{workload}\", \"metric\": \"rounds_per_s\""))
+            })
+            .expect("every entry has the row");
+        rows(row)[0]["change_median"]
+    }
+
+    #[test]
+    fn committed_medians_pass_the_e2e_gate() {
+        for (workload, _) in E2E_FLOORS {
+            let median = committed_e2e_median(workload);
+            assert_eq!(e2e(workload, &e2e_result(true, 0, median)), Ok(()));
+        }
+    }
+
+    #[test]
+    fn a_broken_run_or_a_twofold_slowdown_fails_the_e2e_gate() {
+        for (workload, floor) in E2E_FLOORS {
+            let median = committed_e2e_median(workload);
+            assert!(e2e(workload, &e2e_result(false, 0, median)).is_err());
+            assert!(e2e(workload, &e2e_result(true, 3, median)).is_err());
+            // The floors are half the medians they were set from, so half
+            // speed reads just under them.
+            let why = e2e(workload, &e2e_result(true, 0, 0.98 * floor)).expect_err("under");
+            assert!(why.contains("rounds/s floor"), "{why}");
+            let no_rate = e2e_result(true, 0, median).replace("rounds_per_s", "rounds");
+            assert!(e2e(workload, &no_rate).is_err());
+        }
+        assert!(e2e("round_robin", &e2e_result(true, 0, 1e9)).is_err());
     }
 
     #[test]

@@ -81,6 +81,20 @@ run_step "secagg-live" cargo test -q --test secagg_live
 # the fixed-point codec's tests in `fl-ml` run here.
 run_step "secagg-kernel" cargo test -q -p fl-secagg -p fl-ml
 run_step "secagg-bench" cargo run --release -q -p fl-bench --bin bench_secagg
+# End-to-end floor (ROADMAP 8(b)): one 2 s run of each `benchmark/`
+# workload must end `correct: true`, `failed` 0 and at `rounds_per_s` over
+# the floor `fl_bench::gate::e2e` holds for it (half the last committed
+# median: it catches a broken output oracle and a 2x slowdown, not a 10 %
+# drift). `benchmark/target` and `benchmark/out` are ignored paths.
+e2e_floor() {
+  local workload status=0
+  for workload in round_plain_tcp checkin_storm round_secagg fleet_des; do
+    bash benchmark/run.sh --workload "${workload}" --seed 1 --seconds 2 --trace 0 |
+      cargo run --release -q -p fl-bench --bin e2e_floor -- "${workload}" || status=1
+  done
+  return "${status}"
+}
+run_step "e2e-floor" e2e_floor
 # `figures_output.txt` says what `figures` prints: the three reports that
 # are pure functions of the code (the Fig. 1 round trace, the pace-steering
 # regimes, the Sec. 4.3 pipelining model; milliseconds to run) are diffed
