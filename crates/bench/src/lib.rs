@@ -6,7 +6,9 @@
 //! claims. The `bench_wire`, `bench_selector` and `bench_secagg` binaries
 //! are `scripts/check.sh` gates whose floors are stated in [`gate`]; they
 //! print JSON on stdout and write no file. Where a hot path's speed is
-//! recorded is `benchmark/` (the `layers` rows), not this crate.
+//! recorded is `benchmark/` (the `layers` rows), not this crate; the
+//! `e2e_floor` binary holds a short run of each `benchmark/` workload to
+//! [`gate::e2e`].
 
 pub mod fleet_experiments;
 pub mod gate;
