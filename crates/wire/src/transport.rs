@@ -397,7 +397,8 @@ impl TcpTransport {
     /// is the caller's to consume under the same lock: the next read
     /// starts a new one.
     fn fill_frame(&self, half: &mut ReadHalf, timeout: Duration) -> Result<usize, WireError> {
-        let deadline = Instant::now() + timeout;
+        // `None`: a "never" timeout, past the clock's range, blocks.
+        let deadline = Instant::now().checked_add(timeout);
         loop {
             if half.filled < HEADER_LEN {
                 half.read_up_to(HEADER_LEN, deadline)?;
@@ -429,13 +430,13 @@ impl ReadHalf {
     /// `deadline`. The buffer is sized (and zeroed) for `target` once,
     /// not per read. Timeout leaves the bytes read so far for a later
     /// resume; EOF mid-frame forgets them and reports a closed peer.
-    fn read_up_to(&mut self, target: usize, deadline: Instant) -> Result<(), WireError> {
-        let remaining = deadline.saturating_duration_since(Instant::now());
-        if remaining.is_zero() {
+    fn read_up_to(&mut self, target: usize, deadline: Option<Instant>) -> Result<(), WireError> {
+        let remaining = deadline.map(|at| at.saturating_duration_since(Instant::now()));
+        if remaining == Some(Duration::ZERO) {
             return Err(WireError::Timeout);
         }
         self.stream
-            .set_read_timeout(Some(remaining.max(Duration::from_millis(1))))
+            .set_read_timeout(remaining.map(|left| left.max(Duration::from_millis(1))))
             .map_err(io_err)?;
         if self.buf.len() < target {
             self.buf.resize(target, 0);

@@ -143,6 +143,19 @@ fn tcp_roundtrip_over_loopback() {
 }
 
 #[test]
+fn tcp_never_timeout_blocks_until_the_frame_arrives() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let client = TcpTransport::new(TcpStream::connect(addr).unwrap()).unwrap();
+    let (stream, _) = listener.accept().unwrap();
+    let server = TcpTransport::new(stream).unwrap();
+    // `Instant::now() + Duration::MAX` overflows: no deadline, not a panic.
+    let waiter = std::thread::spawn(move || client.recv_timeout(Duration::MAX));
+    server.send(&ack(true)).unwrap();
+    assert_eq!(waiter.join().unwrap().unwrap(), ack(true));
+}
+
+#[test]
 fn tcp_split_write_resumes_mid_frame() {
     // A frame that arrives in two TCP segments with a pause in between
     // must survive an intervening receive timeout: the partial bytes are
