@@ -249,9 +249,13 @@ impl AggregatorShard {
     /// devices (each a simulated client): `advertise_dropouts` vanish
     /// after advertising keys (cheap exclusion, no recovery needed) and
     /// `share_dropouts` vanish after sharing (their pairwise masks are
-    /// reconstructed from the survivors' shares). The shard decodes the
-    /// unmasked *sum* — the server-side code path never touches an
-    /// individual update.
+    /// reconstructed from the survivors' shares). What the shard decodes
+    /// is the unmasked *sum*, but the privacy property is simulated, not
+    /// held: `stage_field` keeps every device's unmasked field vector until
+    /// this call, which runs all n clients and the server in-process.
+    /// ROADMAP item 2 (devices mask, the shard is the server half only) is
+    /// the change that makes "the server never touches an individual
+    /// update" true.
     ///
     /// # Errors
     ///
