@@ -231,6 +231,119 @@ fn tcp_kept_buffers_carry_nothing_from_one_frame_to_the_next() {
     assert_eq!(server.stats().bytes_received, client.stats().bytes_sent);
 }
 
+/// A connected TCP pair: a transport on each end.
+fn tcp_pair() -> (TcpTransport, TcpTransport) {
+    let (client, raw) = tcp_raw_pair();
+    (client, TcpTransport::new(raw).unwrap())
+}
+
+/// A transport on one end of a TCP pair and the raw stream on the other,
+/// for tests that put bytes on the wire by hand.
+fn tcp_raw_pair() -> (TcpTransport, TcpStream) {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+    (TcpTransport::new(stream).unwrap(), listener.accept().unwrap().0)
+}
+
+/// An upload whose frame is `len` payload bytes of `fill` plus framing.
+fn report_of(fill: u8, len: usize) -> WireMessage {
+    WireMessage::UpdateReport {
+        device: DeviceId(u64::from(fill)),
+        round: RoundId(3),
+        attempt: 1,
+        update_bytes: vec![fill; len],
+        weight: 1,
+        loss: 0.5,
+        accuracy: 0.5,
+        population: pop(),
+    }
+}
+
+#[test]
+fn tcp_large_frames_of_mixed_sizes_arrive_byte_identical() {
+    // Megabyte frames, a 300 KB one between them, twice over: taken whole
+    // for a gateway, then decoded in place. Each must arrive exactly as
+    // sent whichever buffer the receive put it in.
+    let (client, server) = tcp_pair();
+    let messages = [
+        report_of(0x11, 1_000_000),
+        report_of(0x22, 300_000),
+        report_of(0x33, 1_000_000),
+    ];
+    let to_send = messages.clone();
+    let sender = std::thread::spawn(move || {
+        for msg in to_send.iter().chain(&to_send) {
+            client.send(msg).unwrap();
+        }
+        client
+    });
+    for msg in &messages {
+        let frame = server.recv_frame_timeout(WAIT).unwrap();
+        assert_eq!(frame.len(), encoded_len(msg));
+        assert!(frame == encode(msg).unwrap(), "frame differs from what was sent");
+    }
+    for msg in &messages {
+        assert!(server.recv_timeout(WAIT).unwrap() == *msg, "message differs");
+    }
+    let client = sender.join().unwrap();
+    assert_eq!(server.stats().frames_received, 6);
+    assert_eq!(server.stats().bytes_received, client.stats().bytes_sent);
+    assert_eq!(server.stats().frames_corrupt, 0);
+}
+
+#[test]
+fn tcp_large_frame_in_three_pieces_resumes_across_timeouts() {
+    // Header, half the body, the rest: a receive times out after the
+    // header and again mid-body, and the third call completes the frame.
+    let (client, mut raw) = tcp_raw_pair();
+    let msg = report_of(0x44, 1_000_000);
+    let frame = encode(&msg).unwrap();
+    let (go, wait) = crossbeam::channel::unbounded::<()>();
+    let writer = std::thread::spawn(move || {
+        let mid = frame.len() / 2;
+        for (i, piece) in [&frame[..8], &frame[8..mid], &frame[mid..]].into_iter().enumerate() {
+            if i > 0 {
+                wait.recv().unwrap();
+            }
+            raw.write_all(piece).unwrap();
+            raw.flush().unwrap();
+        }
+        raw
+    });
+    for _ in 0..2 {
+        assert_eq!(
+            client.recv_timeout(Duration::from_millis(50)).unwrap_err(),
+            WireError::Timeout
+        );
+        go.send(()).unwrap();
+    }
+    assert!(client.recv_timeout(WAIT).unwrap() == msg, "resumed frame differs");
+    let _raw = writer.join().unwrap();
+    assert_eq!(client.stats().frames_received, 1);
+    assert_eq!(client.stats().frames_corrupt, 0);
+}
+
+#[test]
+fn tcp_garbage_header_after_a_large_frame_is_typed() {
+    let (client, mut raw) = tcp_raw_pair();
+    let msg = report_of(0x55, 1_000_000);
+    let frame = encode(&msg).unwrap();
+    let writer = std::thread::spawn(move || {
+        raw.write_all(&frame).unwrap();
+        raw.write_all(b"XXGARBAG").unwrap();
+        raw.flush().unwrap();
+        raw
+    });
+    assert!(client.recv_frame_timeout(WAIT).unwrap() == encode(&msg).unwrap());
+    assert!(matches!(
+        client.recv_timeout(WAIT).unwrap_err(),
+        WireError::BadMagic { .. }
+    ));
+    let _raw = writer.join().unwrap();
+    assert_eq!(client.stats().frames_received, 1);
+    assert_eq!(client.stats().frames_corrupt, 1);
+}
+
 #[test]
 fn sink_send_frame_puts_the_given_bytes_on_either_link() {
     // One encode, many peers: `send_frame` must deliver exactly the
