@@ -649,6 +649,8 @@ impl Actor for AggregatorActor {
                         shard.accept(report.device, payload, report.weight)
                     };
                 }
+                // Folded or staged: the frame's bytes are spent.
+                fl_wire::recycle(report.frame);
                 Flow::Continue
             }
             ShardMsg::Close {

@@ -381,9 +381,12 @@ impl<S: CheckpointStore + Send + 'static> CoordinatorActor<S> {
     /// `SecAggReport` (stream desync, protocol drift, byte rot) is
     /// answered with a rejecting ack rather than a panic, and counted as
     /// corrupt. Valid reports pass the population and ledger-admission
-    /// checks, then the at-most-once ledger, before any accounting.
+    /// checks, then the at-most-once ledger, before any accounting. The
+    /// frame of a report this accepts moves on to the Master Aggregator;
+    /// any other goes back to the wire's spare buffers.
     fn on_report(&mut self, now: u64, frame: Vec<u8>) -> WireMessage {
-        match ReportRef::parse(&frame) {
+        let mut accepted = false;
+        let ack = match ReportRef::parse(&frame) {
             Ok(report) if report.population != self.coordinator.population().as_str() => self
                 .refuse_report(
                     now,
@@ -411,7 +414,7 @@ impl<S: CheckpointStore + Send + 'static> CoordinatorActor<S> {
                     // Aggregator subtree, which folds the payload (clear
                     // bytes, or field coordinates that stay in the field)
                     // on the device's shard.
-                    let accepted = actor.active.as_mut().is_some_and(|active| {
+                    accepted = actor.active.as_mut().is_some_and(|active| {
                         let verdict = active.on_forwarded_report(
                             device,
                             now,
@@ -421,9 +424,6 @@ impl<S: CheckpointStore + Send + 'static> CoordinatorActor<S> {
                         );
                         matches!(verdict, Ok(ReportResponse::Accepted))
                     });
-                    if let (true, Some(master)) = (accepted, &actor.master) {
-                        let _ = master.send(MasterMsg::Update { frame });
-                    }
                     accepted
                 })
             }
@@ -440,7 +440,14 @@ impl<S: CheckpointStore + Send + 'static> CoordinatorActor<S> {
                     population: self.population(),
                 }
             }
+        };
+        match &self.master {
+            Some(master) if accepted => {
+                let _ = master.send(MasterMsg::Update { frame });
+            }
+            _ => fl_wire::recycle(frame),
         }
+        ack
     }
 
     fn ensure_round(&mut self, ctx: &Context<CoordMsg>) {
@@ -504,17 +511,18 @@ impl<S: CheckpointStore + Send + 'static> CoordinatorActor<S> {
         if round.state.phase() != crate::round::Phase::Reporting {
             return;
         }
-        if self.configuration.is_empty() {
-            let message = WireMessage::PlanAndCheckpoint {
-                plan: Box::new(round.plan.clone()),
-                checkpoint: Box::new(round.checkpoint.clone()),
-                population: self.coordinator.population().clone(),
-            };
-            // The only encode failure is an over-long population name;
-            // nobody is then sent anything, as when each send failed.
-            if fl_wire::encode_into(&message, &mut self.configuration).is_err() {
-                return;
-            }
+        // The only encode failure is an over-long population name; nobody
+        // is then sent anything, as when each send failed.
+        if self.configuration.is_empty()
+            && fl_wire::encode_plan_and_checkpoint_into(
+                &round.plan,
+                &round.checkpoint,
+                self.coordinator.population(),
+                &mut self.configuration,
+            )
+            .is_err()
+        {
+            return;
         }
         for device in only.map_or_else(|| round.state.participants(), |device| vec![device]) {
             if let Some(conn) = self.device_replies.get(&device) {

@@ -6,7 +6,8 @@
 //! rejection here is a typed [`WireError`], and the header layout is
 //! frozen by the golden-bytes fixture.
 
-use crate::message::WireMessage;
+use crate::message::{tag, write_plan_and_checkpoint, WireMessage};
+use fl_core::{FlCheckpoint, FlPlan, PopulationName};
 use std::fmt;
 
 /// Version byte carried in every frame. Bump when the frame layout or
@@ -244,12 +245,40 @@ pub fn encode(msg: &WireMessage) -> Result<Vec<u8>, WireError> {
 ///
 /// As [`encode`]; `out` then holds no frame.
 pub fn encode_into(msg: &WireMessage, out: &mut Vec<u8>) -> Result<usize, WireError> {
+    frame_into(msg.tag(), out, |out| msg.write_body(out))
+}
+
+/// [`encode_into`] for the [`WireMessage::PlanAndCheckpoint`] of these
+/// parts, written from borrows: the same bytes, without first cloning a
+/// plan and a checkpoint into a message.
+///
+/// # Errors
+///
+/// As [`encode_into`].
+pub fn encode_plan_and_checkpoint_into(
+    plan: &FlPlan,
+    checkpoint: &FlCheckpoint,
+    population: &PopulationName,
+    out: &mut Vec<u8>,
+) -> Result<usize, WireError> {
+    frame_into(tag::PLAN_AND_CHECKPOINT, out, |out| {
+        write_plan_and_checkpoint(out, plan, checkpoint, population)
+    })
+}
+
+/// Writes one frame of `tag` into `out`: header, the body `write_body`
+/// appends, trailer.
+fn frame_into(
+    tag: u8,
+    out: &mut Vec<u8>,
+    write_body: impl FnOnce(&mut Vec<u8>) -> Result<(), WireError>,
+) -> Result<usize, WireError> {
     out.clear();
     out.extend_from_slice(&MAGIC);
     out.push(PROTOCOL_VERSION);
-    out.push(msg.tag());
+    out.push(tag);
     out.extend_from_slice(&[0; 4]);
-    if let Err(e) = msg.write_body(out) {
+    if let Err(e) = write_body(out) {
         out.clear();
         return Err(e);
     }

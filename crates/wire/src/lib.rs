@@ -63,8 +63,9 @@ mod transport;
 
 pub use fault::{FaultScript, FaultStats, FaultyTransport, FrameFault};
 pub use frame::{
-    checksum, decode, decode_prefix, encode, encode_into, encoded_len, peek_tag, WireError,
-    HEADER_LEN, MAGIC, MAX_BODY_LEN, PROTOCOL_VERSION, TRAILER_LEN,
+    checksum, decode, decode_prefix, encode, encode_into, encode_plan_and_checkpoint_into,
+    encoded_len, peek_tag, WireError, HEADER_LEN, MAGIC, MAX_BODY_LEN, PROTOCOL_VERSION,
+    TRAILER_LEN,
 };
 pub use message::{tag, ReportPayload, ReportRef, WireMessage};
-pub use transport::{ChannelTransport, TcpTransport, Transport, WireSink, WireStats};
+pub use transport::{recycle, ChannelTransport, TcpTransport, Transport, WireSink, WireStats};

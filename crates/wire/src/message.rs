@@ -204,12 +204,7 @@ impl WireMessage {
                 plan,
                 checkpoint,
                 population,
-            } => {
-                encode_plan(out, plan);
-                out.extend_from_slice(&(checkpoint.encoded_size() as u32).to_le_bytes());
-                checkpoint.write_to(out);
-                put::string(out, population.as_str())?;
-            }
+            } => write_plan_and_checkpoint(out, plan, checkpoint, population)?,
             WireMessage::UpdateReport {
                 device,
                 round,
@@ -320,6 +315,21 @@ impl WireMessage {
         r.finish()?;
         Ok(msg)
     }
+}
+
+/// Writes a [`WireMessage::PlanAndCheckpoint`] body from its parts: the
+/// one layout of that body, for the message and for
+/// [`crate::encode_plan_and_checkpoint_into`] alike.
+pub(crate) fn write_plan_and_checkpoint(
+    out: &mut Vec<u8>,
+    plan: &FlPlan,
+    checkpoint: &FlCheckpoint,
+    population: &PopulationName,
+) -> Result<(), WireError> {
+    encode_plan(out, plan);
+    out.extend_from_slice(&(checkpoint.encoded_size() as u32).to_le_bytes());
+    checkpoint.write_to(out);
+    put::string(out, population.as_str())
 }
 
 /// Bytes of a report body ahead of its payload: device, round, attempt,

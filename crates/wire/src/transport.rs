@@ -15,7 +15,10 @@
 //! cloneable, send-only handle that can ride inside an actor mailbox
 //! message and outlive the request that carried it.
 
-use crate::frame::{decode, encode, encode_into, parse_header, WireError, HEADER_LEN, TRAILER_LEN};
+use crate::frame::{
+    decode, encode_into, encoded_len, parse_header, WireError, HEADER_LEN, MAX_BODY_LEN,
+    TRAILER_LEN,
+};
 use crate::message::WireMessage;
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender, TryRecvError};
 use fl_race::Site;
@@ -23,13 +26,85 @@ use std::fmt;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 use std::time::{Duration, Instant};
 
 /// Lock site for the read half of a TCP link (leaf; DESIGN.md §7.1).
 const TCP_READ_SITE: Site = Site::new("wire/transport.tcp_read", 70);
 /// Lock site for the write half of a TCP link (leaf; DESIGN.md §7.1).
 const TCP_WRITE_SITE: Site = Site::new("wire/transport.tcp_write", 72);
+/// Lock site of the spare frame buffers (leaf; DESIGN.md §7.1). Above
+/// both TCP halves: a receive draws a spare under its read half's lock.
+const SPARES_SITE: Site = Site::new("wire/transport.spares", 74);
+
+// --- spare frame buffers ---------------------------------------------------
+
+/// The smallest frame put in a spare: glibc's default mmap threshold.
+/// Below it the allocator's own caches serve the size.
+const SPARE_FLOOR: usize = 128 * 1024;
+/// At most this many spares are kept...
+const SPARE_COUNT: usize = 32;
+/// ...holding at most this many bytes between them, so a peer's 64 MiB
+/// length claim cannot pin more than one such frame's worth.
+const SPARE_BYTES: usize = MAX_BODY_LEN;
+
+/// The kept spares and their total capacity.
+#[derive(Debug, Default)]
+struct Spares {
+    bufs: Vec<Vec<u8>>,
+    bytes: usize,
+}
+
+static SPARES: LazyLock<fl_race::Mutex<Spares>> =
+    LazyLock::new(|| fl_race::Mutex::new(SPARES_SITE, Spares::default()));
+
+/// An empty buffer with room for a `len`-byte frame: the latest kept
+/// spare that fits when `len` is at or above [`SPARE_FLOOR`], else a
+/// fresh allocation.
+fn spare(len: usize) -> Vec<u8> {
+    if len >= SPARE_FLOOR {
+        let mut spares = SPARES.lock();
+        if let Some(i) = spares.bufs.iter().rposition(|buf| buf.capacity() >= len) {
+            let buf = spares.bufs.swap_remove(i);
+            spares.bytes -= buf.capacity();
+            return buf;
+        }
+    }
+    Vec::with_capacity(len)
+}
+
+/// Hands a frame's buffer back for the next large frame to be read or
+/// encoded into, so a megabyte frame costs no allocation, zero-fill or
+/// page fault once the first few have been made. The frame's last owner
+/// calls this when it is done with the bytes; a buffer below
+/// [`SPARE_FLOOR`] or one the count or byte bound has no room for is
+/// dropped instead.
+pub fn recycle(mut frame: Vec<u8>) {
+    let size = frame.capacity();
+    if size < SPARE_FLOOR {
+        return;
+    }
+    let mut spares = SPARES.lock();
+    if spares.bufs.len() < SPARE_COUNT && spares.bytes + size <= SPARE_BYTES {
+        frame.clear();
+        spares.bytes += size;
+        spares.bufs.push(frame);
+    }
+}
+
+/// `msg` encoded into a [`spare`].
+fn encode_spare(msg: &WireMessage) -> Result<Vec<u8>, WireError> {
+    let mut frame = spare(encoded_len(msg));
+    encode_into(msg, &mut frame)?;
+    Ok(frame)
+}
+
+/// `frame` copied into a [`spare`].
+fn copy_spare(frame: &[u8]) -> Vec<u8> {
+    let mut copy = spare(frame.len());
+    copy.extend_from_slice(frame);
+    copy
+}
 
 /// Monotonic per-endpoint traffic totals.
 #[derive(Debug, Default)]
@@ -215,6 +290,13 @@ impl ChannelTransport {
             Err(TryRecvError::Disconnected) => Err(WireError::Closed),
         }
     }
+
+    /// Decodes a received frame, counting a rejection, and recycles it.
+    fn open(&self, frame: Vec<u8>) -> Result<WireMessage, WireError> {
+        let msg = decode(&frame).inspect_err(|_| self.counters.note_corrupt());
+        recycle(frame);
+        msg
+    }
 }
 
 /// Queues one owned frame on a channel link and counts it.
@@ -231,29 +313,19 @@ fn channel_send(
 
 impl Transport for ChannelTransport {
     fn send(&self, msg: &WireMessage) -> Result<usize, WireError> {
-        channel_send(&self.tx, &self.counters, encode(msg)?)
+        channel_send(&self.tx, &self.counters, encode_spare(msg)?)
     }
 
     fn send_frame_bytes(&self, frame: &[u8]) -> Result<usize, WireError> {
-        channel_send(&self.tx, &self.counters, frame.to_vec())
+        channel_send(&self.tx, &self.counters, copy_spare(frame))
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Result<WireMessage, WireError> {
-        let frame = self.recv_frame_timeout(timeout)?;
-        decode(&frame).inspect_err(|_| self.counters.note_corrupt())
+        self.open(self.recv_frame_timeout(timeout)?)
     }
 
     fn try_recv(&self) -> Result<Option<WireMessage>, WireError> {
-        match self.try_recv_frame()? {
-            Some(frame) => match decode(&frame) {
-                Ok(msg) => Ok(Some(msg)),
-                Err(e) => {
-                    self.counters.note_corrupt();
-                    Err(e)
-                }
-            },
-            None => Ok(None),
-        }
+        self.try_recv_frame()?.map(|frame| self.open(frame)).transpose()
     }
 
     fn sink(&self) -> WireSink {
@@ -374,7 +446,10 @@ impl TcpTransport {
     /// Receives one raw validated frame (header checked, body opaque) —
     /// the gateway primitive for routing by [`crate::peek_tag`]. The
     /// frame leaves with its buffer, so the gateway can move it into a
-    /// mailbox without a copy.
+    /// mailbox without a copy. A frame of [`SPARE_FLOOR`] bytes or more
+    /// was read into a spare buffer; whoever holds it last (the shard
+    /// that folded it, or the Coordinator that refused it) gives it back
+    /// with [`recycle`], and the next large frame is read into it.
     ///
     /// A timeout mid-frame keeps the bytes read so far; the next call
     /// resumes the same frame (no stream desync). A header that fails
@@ -415,6 +490,13 @@ impl TcpTransport {
                     return Err(e);
                 }
             };
+            if total >= SPARE_FLOOR && half.buf.capacity() < total {
+                // Read a large body straight into a spare, not into room
+                // freshly allocated (and faulted in) for it.
+                let mut buf = spare(total);
+                buf.extend_from_slice(&half.buf[..half.filled]);
+                recycle(std::mem::replace(&mut half.buf, buf));
+            }
             if half.filled >= total {
                 half.filled = 0;
                 self.counters.note_received(total);
@@ -548,7 +630,7 @@ impl WireSink {
     pub fn send(&self, msg: &WireMessage) -> Result<usize, WireError> {
         match &self.inner {
             SinkInner::Null => Ok(0),
-            SinkInner::Channel { tx, counters } => channel_send(tx, counters, encode(msg)?),
+            SinkInner::Channel { tx, counters } => channel_send(tx, counters, encode_spare(msg)?),
             SinkInner::Tcp { write, counters } => write.lock().send(msg, counters),
         }
     }
@@ -564,10 +646,115 @@ impl WireSink {
     pub fn send_frame(&self, frame: &[u8]) -> Result<usize, WireError> {
         match &self.inner {
             SinkInner::Null => Ok(0),
-            SinkInner::Channel { tx, counters } => channel_send(tx, counters, frame.to_vec()),
+            SinkInner::Channel { tx, counters } => channel_send(tx, counters, copy_spare(frame)),
             SinkInner::Tcp { write, counters } => {
                 write_frame(&write.lock().stream, frame, counters)
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::frame::encode;
+    use fl_core::{DeviceId, PopulationName, RoundId};
+    use std::net::TcpListener;
+
+    /// The pool is process-wide and tests run in parallel threads, so the
+    /// tests that look into it take turns (on a private lock graph: this
+    /// lock is held while the pool's own is taken).
+    static POOL_TESTS: LazyLock<fl_race::Mutex<()>> = LazyLock::new(|| {
+        let site = Site::new("test/wire.pool_tests", 100);
+        fl_race::Mutex::new_in(site, &fl_race::LockGraph::new(), ())
+    });
+
+    /// Empties the pool; only for a test holding [`POOL_TESTS`].
+    fn drain() {
+        *SPARES.lock() = Spares::default();
+    }
+
+    fn pool() -> (usize, usize) {
+        let spares = SPARES.lock();
+        assert_eq!(spares.bytes, spares.bufs.iter().map(Vec::capacity).sum::<usize>());
+        (spares.bufs.len(), spares.bytes)
+    }
+
+    #[test]
+    fn recycling_ten_times_the_cap_keeps_the_count_and_byte_bounds() {
+        let _turn = POOL_TESTS.lock();
+        drain();
+        for _ in 0..10 * SPARE_COUNT {
+            recycle(Vec::with_capacity(SPARE_FLOOR));
+        }
+        assert_eq!(pool(), (SPARE_COUNT, SPARE_COUNT * SPARE_FLOOR));
+        drain();
+        for _ in 0..10 * SPARE_COUNT {
+            recycle(Vec::with_capacity(SPARE_BYTES / 3));
+        }
+        assert_eq!(pool(), (3, 3 * (SPARE_BYTES / 3)));
+    }
+
+    #[test]
+    fn buffers_below_the_floor_or_over_the_byte_cap_are_dropped() {
+        let _turn = POOL_TESTS.lock();
+        drain();
+        recycle(Vec::with_capacity(SPARE_FLOOR - 1));
+        recycle(Vec::with_capacity(SPARE_BYTES + 1));
+        assert_eq!(pool(), (0, 0));
+        recycle(Vec::with_capacity(SPARE_FLOOR));
+        assert_eq!(pool(), (1, SPARE_FLOOR));
+        // A frame under the floor is not served from the pool either.
+        assert_eq!(spare(SPARE_FLOOR - 1).capacity(), SPARE_FLOOR - 1);
+        assert_eq!(spare(SPARE_FLOOR).capacity(), SPARE_FLOOR);
+        assert_eq!(pool(), (0, 0));
+    }
+
+    #[test]
+    fn a_recycled_buffer_leaks_no_stale_tail_into_a_shorter_frame() {
+        let _turn = POOL_TESTS.lock();
+        let msg = WireMessage::UpdateReport {
+            device: DeviceId(5),
+            round: RoundId(2),
+            attempt: 1,
+            update_bytes: vec![0x5A; SPARE_FLOOR + 1_000],
+            weight: 1,
+            loss: 0.5,
+            accuracy: 0.5,
+            population: PopulationName::new("spares/pop"),
+        };
+        let sent = encode(&msg).unwrap();
+        let stale = || {
+            drain();
+            let buf = vec![0xAA; 2 * sent.len()];
+            let at = buf.as_ptr();
+            recycle(buf);
+            at
+        };
+
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let client = TcpTransport::new(stream).unwrap();
+        let server = TcpTransport::new(listener.accept().unwrap().0).unwrap();
+        let at = stale();
+        let to_send = msg.clone();
+        let sender = std::thread::spawn(move || client.send(&to_send).unwrap());
+        let got = server.recv_frame_timeout(Duration::from_secs(5)).unwrap();
+        sender.join().unwrap();
+        assert_eq!(got.as_ptr(), at, "the receive read into the recycled buffer");
+        assert_eq!(got.len(), sent.len());
+        assert!(got == sent, "a stale byte of the recycled buffer leaked");
+
+        let (device, server) = ChannelTransport::pair();
+        let at = stale();
+        device.send(&msg).unwrap();
+        assert_eq!(pool(), (0, 0), "the send encoded into the recycled buffer");
+        assert!(server.recv_timeout(Duration::from_secs(5)).unwrap() == msg);
+        assert_eq!(SPARES.lock().bufs[0].as_ptr(), at, "the receive gave it back");
+        let at = stale();
+        device.sink().send_frame(&sent).unwrap();
+        let got = server.try_recv_frame().unwrap().unwrap();
+        assert_eq!(got.as_ptr(), at);
+        assert!(got == sent, "a stale byte of the recycled buffer leaked");
     }
 }

@@ -17,7 +17,7 @@
 
 use fl_core::plan::{CodecSpec, FlPlan, ModelSpec};
 use fl_core::{DeviceId, FlCheckpoint, PopulationName, RoundId};
-use fl_wire::{decode, encode, WireMessage};
+use fl_wire::{decode, encode, encode_plan_and_checkpoint_into, WireMessage};
 use std::path::PathBuf;
 
 /// One canonical message per tag, with every field pinned.
@@ -135,6 +135,42 @@ fn golden_frames_still_decode() {
         decoded.push(decode(&bytes).expect("golden frame no longer decodes"));
     }
     assert_eq!(decoded, msgs);
+}
+
+#[test]
+fn configuration_from_borrowed_parts_is_the_same_frame() {
+    // The Coordinator encodes its Configuration from the round's own plan
+    // and checkpoint; the bytes must be the message's, golden line
+    // included, into a kept buffer holding an older frame, and an
+    // over-long population must fail both encoders alike.
+    let long = PopulationName::new("p".repeat(usize::from(u16::MAX) + 1));
+    for msg in canonical_messages() {
+        let WireMessage::PlanAndCheckpoint {
+            plan,
+            checkpoint,
+            population,
+        } = msg
+        else {
+            continue;
+        };
+        let mut kept = vec![0xAA; 64];
+        let len = encode_plan_and_checkpoint_into(&plan, &checkpoint, &population, &mut kept);
+        let message = WireMessage::PlanAndCheckpoint {
+            plan: plan.clone(),
+            checkpoint: checkpoint.clone(),
+            population,
+        };
+        assert_eq!(kept, encode(&message).expect("canonical frame encodes"));
+        assert_eq!(len, Ok(kept.len()));
+        let refused = encode_plan_and_checkpoint_into(&plan, &checkpoint, &long, &mut kept);
+        let message = WireMessage::PlanAndCheckpoint {
+            plan,
+            checkpoint,
+            population: long.clone(),
+        };
+        assert!(refused.is_err() && kept.is_empty());
+        assert_eq!(refused.map(|_| ()), encode(&message).map(|_| ()));
+    }
 }
 
 /// Rewrites the fixture. Ignored so it never runs in a normal sweep.

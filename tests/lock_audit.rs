@@ -38,6 +38,26 @@ fn workspace_lock_graph_is_acyclic() {
     });
     let _ = rx.recv_timeout(std::time::Duration::from_secs(5));
     wheel.shutdown();
+    // Framed TCP: a megabyte upload is read into a spare frame buffer
+    // under the read half's lock, and its last owner gives it back.
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let stream = std::net::TcpStream::connect(listener.local_addr().expect("address"));
+    let client = fl_wire::TcpTransport::new(stream.expect("connect")).expect("client");
+    let server = fl_wire::TcpTransport::new(listener.accept().expect("accept").0).expect("server");
+    let upload = fl_wire::WireMessage::UpdateReport {
+        device: fl_core::DeviceId(1),
+        round: fl_core::RoundId(1),
+        attempt: 1,
+        update_bytes: vec![7; 1 << 20],
+        weight: 1,
+        loss: 0.5,
+        accuracy: 0.5,
+        population: fl_core::PopulationName::new("audit/tcp"),
+    };
+    let sender = std::thread::spawn(move || fl_wire::Transport::send(&client, &upload));
+    let frame = server.recv_frame_timeout(std::time::Duration::from_secs(5));
+    fl_wire::recycle(frame.expect("the upload arrives"));
+    sender.join().expect("sender thread").expect("the upload is sent");
 
     let graph = LockGraph::global();
     assert!(
@@ -51,6 +71,11 @@ fn workspace_lock_graph_is_acyclic() {
     assert!(
         graph.has_edge("actors/system.obituary_log", "actors/system.subscribers"),
         "expected the obituary-log -> subscribers edge:\n{}",
+        graph.render()
+    );
+    assert!(
+        graph.has_edge("wire/transport.tcp_read", "wire/transport.spares"),
+        "expected the TCP read -> spare buffers edge:\n{}",
         graph.render()
     );
     let violations = graph.rank_violations();
