@@ -18,16 +18,21 @@
 //! harnesses.
 //!
 //! Bytes are moved, not re-made. A round's Configuration frame is
-//! encoded once and sent to every participant; a report frame is opened
-//! where it lies ([`fl_wire::ReportRef`]: envelope and digest verified,
-//! payload borrowed) for the at-most-once ledger and the round's
-//! accounting, and an accepted one travels on to the Master Aggregator
-//! as it arrived — the device's verified frame, forwarded. Those report
-//! frames are the only frames behind the front door: the Coordinator,
-//! the Master and its shards are one process, and the round's close is
-//! one typed [`MasterMsg::Finalize`] answered by one value. A future
-//! multi-process split would frame that hop together with the transport
-//! that carries it.
+//! encoded once, from the round's own plan and checkpoint (borrowed, not
+//! cloned into a message), and sent to every participant; a report
+//! frame is opened where it lies ([`fl_wire::ReportRef`]: envelope and
+//! digest verified, payload borrowed) for the at-most-once ledger and
+//! the round's accounting, and an accepted one travels on to the Master
+//! Aggregator as it arrived — the device's verified frame, forwarded.
+//! The frame's last owner gives its buffer back to the wire
+//! ([`fl_wire::recycle`]): the shard once it has folded or staged the
+//! payload, the Coordinator for a report it does not forward. So the
+//! next megabyte upload is read into a buffer already faulted in, not a
+//! fresh one. Those report frames are the only frames behind the front
+//! door: the Coordinator, the Master and its shards are one process, and
+//! the round's close is one typed [`MasterMsg::Finalize`] answered by
+//! one value. A future multi-process split would frame that hop together
+//! with the transport that carries it.
 //!
 //! This module is deliberately thin: all protocol decisions live in the
 //! deterministic state machines; actors only move messages and time.

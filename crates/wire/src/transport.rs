@@ -14,6 +14,35 @@
 //! The server side replies to a device through a [`WireSink`] — a
 //! cloneable, send-only handle that can ride inside an actor mailbox
 //! message and outlive the request that carried it.
+//!
+//! **Spare frame buffers.** A frame of 128 KiB or more is read (TCP) or
+//! encoded and copied (channel sends) into a spare buffer from one small
+//! process-wide pool, and whoever holds the frame last hands the buffer
+//! back with [`recycle`]: the shard that folded a report, the Coordinator
+//! for a report it refused, a channel receive once it has decoded. Before
+//! the pool, `round_plain_tcp` was fault-bound rather than byte-bound: a
+//! gateway zero-filled a fresh 1 MB buffer for every report, a shard
+//! thread freed it, glibc gave the pages back, and the next round faulted
+//! them in again — ~4 000 minor faults a round, more sys time than user
+//! time. A 10 s run now takes ~32 k faults instead of ~252 k, and
+//! `rounds_per_s` reads 1.26x (`BENCH_e2e.json` entry 25).
+//!
+//! The bounds are constants, chosen by measurement, with no knob:
+//! * The floor, 128 KiB, is glibc's default mmap threshold; below it the
+//!   allocator's own caches already serve the size. A 16 KiB floor also
+//!   pools `round_secagg`'s 33 KB reports: eight alternating pairs read
+//!   +15 % `rounds_per_s` there, but `peak_rss_mb` 12.3 -> 14.4 MB (+17 %,
+//!   one run 15.1) against that metric's 20 % bound, and the issue's
+//!   prototype read 12.27 -> 15.27 (+24.5 %): no margin, so not taken.
+//! * At most 32 spares and at most one [`MAX_BODY_LEN`] of them in all, so
+//!   a peer's 64 MiB length claim cannot pin more than that. Six
+//!   alternating 10 s runs of `round_plain_tcp` per cap did not resolve
+//!   16, 32 or 64 apart on `rounds_per_s` (medians 41.6, 39.6, 40.3, the
+//!   parent 33.8), but 16 read 61.1 MB peak RSS against 57.9 at 32 and
+//!   58.4 at 64: it drops buffers a round still needs.
+//! * Any spare at least the frame's size serves it. Drawing only one of
+//!   the exact size read the same (41.0 rounds/s, 57.9 MB), as it must
+//!   where every pooled frame is one report size.
 
 use crate::frame::{
     decode, encode_into, encoded_len, parse_header, WireError, HEADER_LEN, MAX_BODY_LEN,
@@ -29,7 +58,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, LazyLock};
 use std::time::{Duration, Instant};
 
-/// Lock site for the read half of a TCP link (leaf; DESIGN.md §7.1).
+/// Lock site for the read half of a TCP link (DESIGN.md §7.1); a
+/// receive takes only [`SPARES_SITE`] under it.
 const TCP_READ_SITE: Site = Site::new("wire/transport.tcp_read", 70);
 /// Lock site for the write half of a TCP link (leaf; DESIGN.md §7.1).
 const TCP_WRITE_SITE: Site = Site::new("wire/transport.tcp_write", 72);
@@ -325,7 +355,9 @@ impl Transport for ChannelTransport {
     }
 
     fn try_recv(&self) -> Result<Option<WireMessage>, WireError> {
-        self.try_recv_frame()?.map(|frame| self.open(frame)).transpose()
+        self.try_recv_frame()?
+            .map(|frame| self.open(frame))
+            .transpose()
     }
 
     fn sink(&self) -> WireSink {
@@ -676,7 +708,10 @@ mod tests {
 
     fn pool() -> (usize, usize) {
         let spares = SPARES.lock();
-        assert_eq!(spares.bytes, spares.bufs.iter().map(Vec::capacity).sum::<usize>());
+        assert_eq!(
+            spares.bytes,
+            spares.bufs.iter().map(Vec::capacity).sum::<usize>()
+        );
         (spares.bufs.len(), spares.bytes)
     }
 
@@ -741,7 +776,11 @@ mod tests {
         let sender = std::thread::spawn(move || client.send(&to_send).unwrap());
         let got = server.recv_frame_timeout(Duration::from_secs(5)).unwrap();
         sender.join().unwrap();
-        assert_eq!(got.as_ptr(), at, "the receive read into the recycled buffer");
+        assert_eq!(
+            got.as_ptr(),
+            at,
+            "the receive read into the recycled buffer"
+        );
         assert_eq!(got.len(), sent.len());
         assert!(got == sent, "a stale byte of the recycled buffer leaked");
 
@@ -750,7 +789,11 @@ mod tests {
         device.send(&msg).unwrap();
         assert_eq!(pool(), (0, 0), "the send encoded into the recycled buffer");
         assert!(server.recv_timeout(Duration::from_secs(5)).unwrap() == msg);
-        assert_eq!(SPARES.lock().bufs[0].as_ptr(), at, "the receive gave it back");
+        assert_eq!(
+            SPARES.lock().bufs[0].as_ptr(),
+            at,
+            "the receive gave it back"
+        );
         let at = stale();
         device.sink().send_frame(&sent).unwrap();
         let got = server.try_recv_frame().unwrap().unwrap();

@@ -57,7 +57,10 @@ fn workspace_lock_graph_is_acyclic() {
     let sender = std::thread::spawn(move || fl_wire::Transport::send(&client, &upload));
     let frame = server.recv_frame_timeout(std::time::Duration::from_secs(5));
     fl_wire::recycle(frame.expect("the upload arrives"));
-    sender.join().expect("sender thread").expect("the upload is sent");
+    sender
+        .join()
+        .expect("sender thread")
+        .expect("the upload is sent");
 
     let graph = LockGraph::global();
     assert!(
