@@ -15,17 +15,20 @@
 //! cloneable, send-only handle that can ride inside an actor mailbox
 //! message and outlive the request that carried it.
 //!
-//! **Spare frame buffers.** A frame of 128 KiB or more is read (TCP) or
-//! encoded and copied (channel sends) into a spare buffer from one small
-//! process-wide pool, and whoever holds the frame last hands the buffer
-//! back with [`recycle`]: the shard that folded a report, the Coordinator
-//! for a report it refused, a channel receive once it has decoded. Before
+//! **Spare frame buffers.** A TCP receive reads a frame of 128 KiB or
+//! more into a spare buffer from one small process-wide pool, and whoever
+//! holds the frame last hands the buffer back with [`recycle`]: the shard
+//! that folded a report, the Coordinator for a report it refused. Before
 //! the pool, `round_plain_tcp` was fault-bound rather than byte-bound: a
 //! gateway zero-filled a fresh 1 MB buffer for every report, a shard
 //! thread freed it, glibc gave the pages back, and the next round faulted
 //! them in again — ~4 000 minor faults a round, more sys time than user
-//! time. A 10 s run now takes ~32 k faults instead of ~252 k, and
-//! `rounds_per_s` reads 1.26x (`BENCH_e2e.json` entry 25).
+//! time. A pooled buffer saves the allocation and the page faults; its
+//! body is still zeroed before the read, but on pages already resident.
+//! A 10 s run now takes ~32 k faults instead of ~252 k, and
+//! `rounds_per_s` reads 1.26x (`BENCH_e2e.json` entry 25). Channel links
+//! allocate per frame as before: no workload moves a frame that large
+//! over one, so a pool there would be unmeasured.
 //!
 //! The bounds are constants, chosen by measurement, with no knob:
 //! * The floor, 128 KiB, is glibc's default mmap threshold; below it the
@@ -45,8 +48,7 @@
 //!   where every pooled frame is one report size.
 
 use crate::frame::{
-    decode, encode_into, encoded_len, parse_header, WireError, HEADER_LEN, MAX_BODY_LEN,
-    TRAILER_LEN,
+    decode, encode, encode_into, parse_header, WireError, HEADER_LEN, MAX_BODY_LEN, TRAILER_LEN,
 };
 use crate::message::WireMessage;
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender, TryRecvError};
@@ -103,12 +105,12 @@ fn spare(len: usize) -> Vec<u8> {
     Vec::with_capacity(len)
 }
 
-/// Hands a frame's buffer back for the next large frame to be read or
-/// encoded into, so a megabyte frame costs no allocation, zero-fill or
-/// page fault once the first few have been made. The frame's last owner
-/// calls this when it is done with the bytes; a buffer below
-/// [`SPARE_FLOOR`] or one the count or byte bound has no room for is
-/// dropped instead.
+/// Hands a frame's buffer back for the next large frame a TCP receive
+/// reads, so a megabyte frame costs no allocation or page fault once the
+/// first few have been made (the read still zeroes the body first, on
+/// warm pages). The frame's last owner calls this when it is done with
+/// the bytes; a buffer below [`SPARE_FLOOR`] or one the count or byte
+/// bound has no room for is dropped instead.
 pub fn recycle(mut frame: Vec<u8>) {
     let size = frame.capacity();
     if size < SPARE_FLOOR {
@@ -120,20 +122,6 @@ pub fn recycle(mut frame: Vec<u8>) {
         spares.bytes += size;
         spares.bufs.push(frame);
     }
-}
-
-/// `msg` encoded into a [`spare`].
-fn encode_spare(msg: &WireMessage) -> Result<Vec<u8>, WireError> {
-    let mut frame = spare(encoded_len(msg));
-    encode_into(msg, &mut frame)?;
-    Ok(frame)
-}
-
-/// `frame` copied into a [`spare`].
-fn copy_spare(frame: &[u8]) -> Vec<u8> {
-    let mut copy = spare(frame.len());
-    copy.extend_from_slice(frame);
-    copy
 }
 
 /// Monotonic per-endpoint traffic totals.
@@ -320,13 +308,6 @@ impl ChannelTransport {
             Err(TryRecvError::Disconnected) => Err(WireError::Closed),
         }
     }
-
-    /// Decodes a received frame, counting a rejection, and recycles it.
-    fn open(&self, frame: Vec<u8>) -> Result<WireMessage, WireError> {
-        let msg = decode(&frame).inspect_err(|_| self.counters.note_corrupt());
-        recycle(frame);
-        msg
-    }
 }
 
 /// Queues one owned frame on a channel link and counts it.
@@ -343,21 +324,29 @@ fn channel_send(
 
 impl Transport for ChannelTransport {
     fn send(&self, msg: &WireMessage) -> Result<usize, WireError> {
-        channel_send(&self.tx, &self.counters, encode_spare(msg)?)
+        channel_send(&self.tx, &self.counters, encode(msg)?)
     }
 
     fn send_frame_bytes(&self, frame: &[u8]) -> Result<usize, WireError> {
-        channel_send(&self.tx, &self.counters, copy_spare(frame))
+        channel_send(&self.tx, &self.counters, frame.to_vec())
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Result<WireMessage, WireError> {
-        self.open(self.recv_frame_timeout(timeout)?)
+        let frame = self.recv_frame_timeout(timeout)?;
+        decode(&frame).inspect_err(|_| self.counters.note_corrupt())
     }
 
     fn try_recv(&self) -> Result<Option<WireMessage>, WireError> {
-        self.try_recv_frame()?
-            .map(|frame| self.open(frame))
-            .transpose()
+        match self.try_recv_frame()? {
+            Some(frame) => match decode(&frame) {
+                Ok(msg) => Ok(Some(msg)),
+                Err(e) => {
+                    self.counters.note_corrupt();
+                    Err(e)
+                }
+            },
+            None => Ok(None),
+        }
     }
 
     fn sink(&self) -> WireSink {
@@ -662,7 +651,7 @@ impl WireSink {
     pub fn send(&self, msg: &WireMessage) -> Result<usize, WireError> {
         match &self.inner {
             SinkInner::Null => Ok(0),
-            SinkInner::Channel { tx, counters } => channel_send(tx, counters, encode_spare(msg)?),
+            SinkInner::Channel { tx, counters } => channel_send(tx, counters, encode(msg)?),
             SinkInner::Tcp { write, counters } => write.lock().send(msg, counters),
         }
     }
@@ -678,7 +667,7 @@ impl WireSink {
     pub fn send_frame(&self, frame: &[u8]) -> Result<usize, WireError> {
         match &self.inner {
             SinkInner::Null => Ok(0),
-            SinkInner::Channel { tx, counters } => channel_send(tx, counters, copy_spare(frame)),
+            SinkInner::Channel { tx, counters } => channel_send(tx, counters, frame.to_vec()),
             SinkInner::Tcp { write, counters } => {
                 write_frame(&write.lock().stream, frame, counters)
             }
@@ -689,7 +678,6 @@ impl WireSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::encode;
     use fl_core::{DeviceId, PopulationName, RoundId};
     use std::net::TcpListener;
 
@@ -759,21 +747,16 @@ mod tests {
             population: PopulationName::new("spares/pop"),
         };
         let sent = encode(&msg).unwrap();
-        let stale = || {
-            drain();
-            let buf = vec![0xAA; 2 * sent.len()];
-            let at = buf.as_ptr();
-            recycle(buf);
-            at
-        };
+        drain();
+        let stale = vec![0xAA; 2 * sent.len()];
+        let at = stale.as_ptr();
+        recycle(stale);
 
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let client = TcpTransport::new(stream).unwrap();
         let server = TcpTransport::new(listener.accept().unwrap().0).unwrap();
-        let at = stale();
-        let to_send = msg.clone();
-        let sender = std::thread::spawn(move || client.send(&to_send).unwrap());
+        let sender = std::thread::spawn(move || client.send(&msg).unwrap());
         let got = server.recv_frame_timeout(Duration::from_secs(5)).unwrap();
         sender.join().unwrap();
         assert_eq!(
@@ -782,22 +765,6 @@ mod tests {
             "the receive read into the recycled buffer"
         );
         assert_eq!(got.len(), sent.len());
-        assert!(got == sent, "a stale byte of the recycled buffer leaked");
-
-        let (device, server) = ChannelTransport::pair();
-        let at = stale();
-        device.send(&msg).unwrap();
-        assert_eq!(pool(), (0, 0), "the send encoded into the recycled buffer");
-        assert!(server.recv_timeout(Duration::from_secs(5)).unwrap() == msg);
-        assert_eq!(
-            SPARES.lock().bufs[0].as_ptr(),
-            at,
-            "the receive gave it back"
-        );
-        let at = stale();
-        device.sink().send_frame(&sent).unwrap();
-        let got = server.try_recv_frame().unwrap().unwrap();
-        assert_eq!(got.as_ptr(), at);
         assert!(got == sent, "a stale byte of the recycled buffer leaked");
     }
 }
