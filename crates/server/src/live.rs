@@ -27,8 +27,9 @@
 //! The frame's last owner gives its buffer back to the wire
 //! ([`fl_wire::recycle`]): the shard once it has folded or staged the
 //! payload, the Coordinator for a report it does not forward. So the
-//! next megabyte upload is read into a buffer already faulted in, not a
-//! fresh one. Those report frames are the only frames behind the front
+//! next megabyte upload is read into a buffer already allocated and
+//! faulted in, not a fresh one; the read still zeroes its body first, on
+//! warm pages. Those report frames are the only frames behind the front
 //! door: the Coordinator, the Master and its shards are one process, and
 //! the round's close is one typed [`MasterMsg::Finalize`] answered by
 //! one value. A future multi-process split would frame that hop together
