@@ -8,7 +8,9 @@
 //! so a change to how masks are expanded or applied that moves one mask
 //! element fails here. The test reaches the PRG only through calls whose
 //! signatures are part of the protocol surface (`remove_self_mask`,
-//! `SecAggClient::commit`, `keystream`).
+//! `SecAggClient::commit`, `keystream`). The round-1 ciphertexts are
+//! pinned too, so a change to how a client derives its share-encryption
+//! agreements that moves one ciphertext byte fails here.
 
 use fl_secagg::protocol::{MaskedInput, SecAggClient, SecAggConfig, SecAggServer};
 use fl_secagg::{field, keys, masking};
@@ -115,6 +117,34 @@ fn masked_vectors_of_a_seeded_instance_are_pinned() {
 const CLIENT_0_FOLD: u64 = 105_000_474_661_113_768;
 const CLIENT_15_FOLD: u64 = 2_400_310_862_895_390_765;
 const MASKED_SUM_FOLD: u64 = 801_723_796_374_008_249;
+
+/// Every round-1 ciphertext of the same instance, folded as
+/// `(sender << 32 | recipient, key-share word, seed-share word)` per
+/// payload: the bytes the share-encryption agreement produces.
+#[test]
+fn share_ciphertexts_of_a_seeded_instance_are_pinned() {
+    let config = SecAggConfig::new(11, 4113);
+    let mut clients: Vec<SecAggClient> =
+        (0..16).map(|id| SecAggClient::new(id, config, 20)).collect();
+    let broadcast: Vec<_> = clients
+        .iter_mut()
+        .map(|c| c.advertise_keys().unwrap())
+        .collect();
+    let mut words = Vec::new();
+    for c in clients.iter_mut() {
+        let shares = c.share_keys(&broadcast).unwrap();
+        for (recipient, ciphertext) in shares.payloads {
+            words.push(u64::from(shares.from) << 32 | u64::from(recipient));
+            let (chunks, rest) = ciphertext.as_chunks::<8>();
+            assert!(rest.is_empty());
+            words.extend(chunks.iter().map(|w| u64::from_le_bytes(*w)));
+        }
+    }
+    assert_eq!(words.len(), 16 * 15 * 3);
+    assert_eq!(fold(&words), SHARE_CIPHERTEXTS_FOLD);
+}
+
+const SHARE_CIPHERTEXTS_FOLD: u64 = 12_631_036_098_015_448_367;
 
 #[test]
 fn keystream_77_is_pinned() {
