@@ -14,13 +14,6 @@ pub enum SecAggError {
     },
     /// A message arrived from or for an unknown participant.
     UnknownParticipant(u32),
-    /// A message arrived out of protocol order.
-    OutOfOrder {
-        /// The round the state machine is in.
-        state: &'static str,
-        /// The operation that was attempted.
-        attempted: &'static str,
-    },
     /// A share payload failed to decrypt or parse.
     BadShare,
     /// Input vector has the wrong dimension.
@@ -47,9 +40,6 @@ impl fmt::Display for SecAggError {
                 write!(f, "participants below threshold: {alive} alive, {threshold} required")
             }
             SecAggError::UnknownParticipant(id) => write!(f, "unknown participant {id}"),
-            SecAggError::OutOfOrder { state, attempted } => {
-                write!(f, "protocol violation: {attempted} attempted in state {state}")
-            }
             SecAggError::BadShare => write!(f, "share payload failed to decrypt or parse"),
             SecAggError::DimensionMismatch { expected, actual } => {
                 write!(f, "input dimension mismatch: expected {expected}, got {actual}")

@@ -41,7 +41,8 @@ pub mod field;
 pub mod keys;
 /// PRG-expanded pairwise and self masks over field vectors.
 pub mod masking;
-/// The four-round protocol state machines and `run_instance` driver.
+/// The four-round protocol's client and server type-states and the
+/// `run_instance` driver.
 pub mod protocol;
 /// Shamir secret sharing for threshold mask recovery.
 pub mod shamir;

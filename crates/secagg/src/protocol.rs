@@ -1,5 +1,5 @@
-//! The four-round Secure Aggregation protocol (client and server state
-//! machines).
+//! The four-round Secure Aggregation protocol (client and server as
+//! type-states).
 //!
 //! Round structure (paper Sec. 6 / Bonawitz et al. 2017):
 //!
@@ -9,6 +9,18 @@
 //! | 1 | Prepare      | encrypted Shamir shares    | route shares; fix U₂             |
 //! | 2 | Commit       | masked input vector        | accumulate masked sum; fix U₃    |
 //! | 3 | Finalization | unmasking shares           | reconstruct + unmask             |
+//!
+//! Each protocol stage is a type, and a client or server value offers only
+//! the calls legal in its stage. A round's closing step consumes the value
+//! and returns the next stage with that round's message, so a driver that
+//! calls the rounds out of order does not compile:
+//!
+//! | # | Client stage: call                        | Server stage: calls                                             |
+//! |---|-------------------------------------------|-----------------------------------------------------------------|
+//! | 0 | [`Advertised`]: `advertisement`           | [`Advertising`]: `collect_advertisement`, `finish_advertising`  |
+//! | 1 | [`Advertised`]: `share_keys` → [`Shared`] | [`Sharing`]: `collect_shares`, `finish_sharing`                 |
+//! | 2 | [`Shared`]: `commit` → [`Committed`]      | [`Masking`]: `collect_masked`, `finish_commit`                  |
+//! | 3 | [`Committed`]: `unmask`, consuming it     | [`Unmasking`]: `collect_reveals`, `finalize`, consuming it      |
 //!
 //! Drop-out semantics: devices missing from a round are excluded from the
 //! later sets; devices in U₂∖U₃ (shared keys, never committed) have their
@@ -108,52 +120,85 @@ fn evaluation_point(id: u32) -> u64 {
 // Client
 // ---------------------------------------------------------------------------
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ClientState {
-    Init,
-    Advertised,
-    SharedKeys,
-    Committed,
-    Finished,
-}
-
-impl ClientState {
-    fn name(self) -> &'static str {
-        match self {
-            ClientState::Init => "init",
-            ClientState::Advertised => "advertised",
-            ClientState::SharedKeys => "shared-keys",
-            ClientState::Committed => "committed",
-            ClientState::Finished => "finished",
-        }
-    }
-}
-
-/// A device's Secure Aggregation state machine.
-#[derive(Debug, Clone)]
-pub struct SecAggClient {
+/// A device's Secure Aggregation client in protocol stage `S`
+/// ([`Advertised`], [`Shared`] or [`Committed`]).
+///
+/// Each round's step consumes the client and returns it in the next
+/// stage, so masking before sharing keys does not compile:
+///
+/// ```compile_fail,E0599
+/// use fl_secagg::protocol::{SecAggClient, SecAggConfig};
+/// let client = SecAggClient::new(0, SecAggConfig::new(2, 1), 7);
+/// // `commit` is offered by `SecAggClient<Shared>` only.
+/// let _ = client.commit(&[], &[1]);
+/// ```
+///
+/// and neither does revealing twice:
+///
+/// ```compile_fail,E0382
+/// use fl_secagg::protocol::{Committed, SecAggClient, UnmaskingRequest};
+/// fn reveal_twice(client: SecAggClient<Committed>, request: &UnmaskingRequest) {
+///     let _ = client.unmask(request);
+///     // The first `unmask` consumed the client.
+///     let _ = client.unmask(request);
+/// }
+/// ```
+#[derive(Debug)]
+pub struct SecAggClient<S> {
     id: u32,
     config: SecAggConfig,
+    stage: S,
+}
+
+/// Client stage before round 1: the keys are generated, the advertisement
+/// can be read, and [`SecAggClient::share_keys`] is next.
+#[derive(Debug)]
+pub struct Advertised {
     c_pair: KeyPair,
     s_pair: KeyPair,
     /// Self-mask seed `b_u`.
     self_seed: u64,
-    state: ClientState,
-    /// Advertisements of *all* participants (round-0 broadcast), by id.
-    peers: BTreeMap<u32, KeyAdvertisement>,
-    /// Shares this client holds for other participants:
-    /// owner → (key share, self-mask share).
-    held_shares: BTreeMap<u32, (Share, Share)>,
-    /// U₂ as observed by this client (senders of shares it received).
-    share_senders: BTreeSet<u32>,
-    /// Ids whose key share was already revealed (conflict tracking).
-    revealed_keys: BTreeSet<u32>,
-    /// Ids whose self-mask share was already revealed.
-    revealed_seeds: BTreeSet<u32>,
     share_rng_seed: u64,
 }
 
-impl SecAggClient {
+/// Client stage after round 1: [`SecAggClient::commit`] is next.
+#[derive(Debug)]
+pub struct Shared {
+    s_pair: KeyPair,
+    self_seed: u64,
+    /// This client's own (key share, self-mask share), by its id.
+    held_shares: BTreeMap<u32, (Share, Share)>,
+    /// Every other member of U₁, by id.
+    peers: BTreeMap<u32, Peer>,
+}
+
+/// What a client keeps of one peer's advertisement after round 1.
+#[derive(Debug)]
+struct Peer {
+    /// The share-encryption seed agreed with the peer: it encrypted the
+    /// shares sent to the peer and opens the ones the peer sent back.
+    cipher_seed: u64,
+    /// The peer's public key for pairwise mask agreement.
+    s_public: u64,
+}
+
+/// Client stage after round 2: [`SecAggClient::unmask`] is next, and
+/// last.
+#[derive(Debug)]
+pub struct Committed {
+    /// Shares this client holds for the members of its view of U₂,
+    /// itself included: owner → (key share, self-mask share).
+    held_shares: BTreeMap<u32, (Share, Share)>,
+}
+
+impl<S> SecAggClient<S> {
+    /// This client's id.
+    pub fn id(&self) -> u32 {
+        self.id
+    }
+}
+
+impl SecAggClient<Advertised> {
     /// Creates a client for device `id` with deterministic randomness
     /// derived from `seed`.
     pub fn new(id: u32, config: SecAggConfig, seed: u64) -> Self {
@@ -168,63 +213,37 @@ impl SecAggClient {
         SecAggClient {
             id,
             config,
-            c_pair,
-            s_pair,
-            self_seed,
-            state: ClientState::Init,
-            peers: BTreeMap::new(),
-            held_shares: BTreeMap::new(),
-            share_senders: BTreeSet::new(),
-            revealed_keys: BTreeSet::new(),
-            revealed_seeds: BTreeSet::new(),
-            share_rng_seed,
+            stage: Advertised {
+                c_pair,
+                s_pair,
+                self_seed,
+                share_rng_seed,
+            },
         }
     }
 
-    /// This client's id.
-    pub fn id(&self) -> u32 {
-        self.id
-    }
-
-    /// Round 0: produce the key advertisement.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SecAggError::OutOfOrder`] if called twice.
-    pub fn advertise_keys(&mut self) -> Result<KeyAdvertisement, SecAggError> {
-        if self.state != ClientState::Init {
-            return Err(SecAggError::OutOfOrder {
-                state: self.state.name(),
-                attempted: "advertise_keys",
-            });
-        }
-        self.state = ClientState::Advertised;
-        Ok(KeyAdvertisement {
+    /// Round 0: the key advertisement.
+    pub fn advertisement(&self) -> KeyAdvertisement {
+        KeyAdvertisement {
             id: self.id,
-            c_public: self.c_pair.public,
-            s_public: self.s_pair.public,
-        })
+            c_public: self.stage.c_pair.public,
+            s_public: self.stage.s_pair.public,
+        }
     }
 
     /// Round 1: given the broadcast advertisement list U₁, Shamir-share the
     /// mask secret key and self-mask seed among all participants and
-    /// encrypt each pair of shares for its recipient.
+    /// encrypt each pair of shares for its recipient. The seed agreed with
+    /// each recipient is kept to open that recipient's shares in round 2.
     ///
     /// # Errors
     ///
     /// [`SecAggError::BelowThreshold`] if U₁ is smaller than the threshold;
-    /// [`SecAggError::OutOfOrder`] on protocol misuse;
     /// [`SecAggError::UnknownParticipant`] if U₁ omits this client.
     pub fn share_keys(
-        &mut self,
+        self,
         advertisements: &[KeyAdvertisement],
-    ) -> Result<EncryptedShares, SecAggError> {
-        if self.state != ClientState::Advertised {
-            return Err(SecAggError::OutOfOrder {
-                state: self.state.name(),
-                attempted: "share_keys",
-            });
-        }
+    ) -> Result<(SecAggClient<Shared>, EncryptedShares), SecAggError> {
         if advertisements.len() < self.config.threshold {
             return Err(SecAggError::BelowThreshold {
                 alive: advertisements.len(),
@@ -234,100 +253,107 @@ impl SecAggClient {
         if !advertisements.iter().any(|a| a.id == self.id) {
             return Err(SecAggError::UnknownParticipant(self.id));
         }
-        self.peers = advertisements.iter().map(|a| (a.id, *a)).collect();
+        let Advertised {
+            c_pair,
+            s_pair,
+            self_seed,
+            share_rng_seed,
+        } = self.stage;
+        let u1: BTreeMap<u32, KeyAdvertisement> =
+            advertisements.iter().map(|a| (a.id, *a)).collect();
 
-        let points: Vec<u64> = self.peers.keys().map(|&id| evaluation_point(id)).collect();
-        let ids: Vec<u32> = self.peers.keys().copied().collect();
-        let mut share_rng = rng::seeded_stream(self.share_rng_seed, 1);
+        let points: Vec<u64> = u1.keys().map(|&id| evaluation_point(id)).collect();
+        let mut share_rng = rng::seeded_stream(share_rng_seed, 1);
         let key_shares = shamir::share_at(
-            self.s_pair.secret(),
+            s_pair.secret(),
             &points,
             self.config.threshold,
             &mut share_rng,
         );
         let seed_shares =
-            shamir::share_at(self.self_seed, &points, self.config.threshold, &mut share_rng);
+            shamir::share_at(self_seed, &points, self.config.threshold, &mut share_rng);
 
-        let mut payloads = Vec::with_capacity(ids.len());
-        for ((recipient, key_share), seed_share) in
-            ids.iter().zip(&key_shares).zip(&seed_shares)
-        {
-            if *recipient == self.id {
+        let mut held_shares = BTreeMap::new();
+        let mut peers = BTreeMap::new();
+        let mut payloads = Vec::with_capacity(u1.len());
+        for ((peer, key_share), seed_share) in u1.values().zip(&key_shares).zip(&seed_shares) {
+            if peer.id == self.id {
                 // Keep own shares locally.
-                self.held_shares
-                    .insert(self.id, (*key_share, *seed_share));
+                held_shares.insert(self.id, (*key_share, *seed_share));
                 continue;
             }
             let mut plaintext = Vec::with_capacity(16);
             plaintext.extend_from_slice(&key_share.y.to_le_bytes());
             plaintext.extend_from_slice(&seed_share.y.to_le_bytes());
-            let peer = &self.peers[recipient];
-            let cipher_seed = self.c_pair.agree(peer.c_public);
-            payloads.push((*recipient, keys::xor_cipher(cipher_seed, &plaintext)));
+            let cipher_seed = c_pair.agree(peer.c_public);
+            payloads.push((peer.id, keys::xor_cipher(cipher_seed, &plaintext)));
+            peers.insert(
+                peer.id,
+                Peer {
+                    cipher_seed,
+                    s_public: peer.s_public,
+                },
+            );
         }
-        self.state = ClientState::SharedKeys;
-        Ok(EncryptedShares {
-            from: self.id,
-            payloads,
-        })
+        let client = SecAggClient {
+            id: self.id,
+            config: self.config,
+            stage: Shared {
+                s_pair,
+                self_seed,
+                held_shares,
+                peers,
+            },
+        };
+        Ok((
+            client,
+            EncryptedShares {
+                from: self.id,
+                payloads,
+            },
+        ))
     }
+}
 
-    /// Delivery of the shares other participants encrypted for this client
-    /// (routed by the server between rounds 1 and 2). The set of senders
-    /// becomes this client's view of U₂.
+impl SecAggClient<Shared> {
+    /// Round 2: open the shares other participants encrypted for this
+    /// client (`incoming`, routed by the server after round 1) with the
+    /// seeds kept from round 1, then mask the input and produce the commit
+    /// message. The senders and this client are its view of U₂; the mask
+    /// covers every member of it, so later drop-outs leave removable
+    /// residuals.
     ///
     /// # Errors
     ///
-    /// [`SecAggError::OutOfOrder`], [`SecAggError::UnknownParticipant`] for
-    /// senders not in U₁, or [`SecAggError::BadShare`] for undecodable
-    /// payloads.
-    pub fn receive_shares(&mut self, incoming: &[(u32, Vec<u8>)]) -> Result<(), SecAggError> {
-        if self.state != ClientState::SharedKeys {
-            return Err(SecAggError::OutOfOrder {
-                state: self.state.name(),
-                attempted: "receive_shares",
-            });
-        }
+    /// [`SecAggError::UnknownParticipant`] for senders not in U₁,
+    /// [`SecAggError::BadShare`] for undecodable payloads,
+    /// [`SecAggError::DimensionMismatch`], or
+    /// [`SecAggError::BelowThreshold`] if U₂ is too small.
+    pub fn commit(
+        self,
+        incoming: &[(u32, Vec<u8>)],
+        input: &[u64],
+    ) -> Result<(SecAggClient<Committed>, MaskedInput), SecAggError> {
+        let Shared {
+            s_pair,
+            self_seed,
+            mut held_shares,
+            peers,
+        } = self.stage;
+        let x = evaluation_point(self.id);
         for (from, ciphertext) in incoming {
-            let peer = self
-                .peers
+            let peer = peers
                 .get(from)
                 .ok_or(SecAggError::UnknownParticipant(*from))?;
-            let cipher_seed = self.c_pair.agree(peer.c_public);
-            let plaintext = keys::xor_cipher(cipher_seed, ciphertext);
-            if plaintext.len() != 16 {
+            let plaintext = keys::xor_cipher(peer.cipher_seed, ciphertext);
+            let ([key_bytes, seed_bytes], []) = plaintext.as_chunks::<8>() else {
                 return Err(SecAggError::BadShare);
-            }
-            let (key_bytes, seed_bytes) = plaintext.split_at(8);
-            let key_y = u64::from_le_bytes(key_bytes.try_into().map_err(|_| SecAggError::BadShare)?);
-            let seed_y = u64::from_le_bytes(seed_bytes.try_into().map_err(|_| SecAggError::BadShare)?);
+            };
+            let [key_y, seed_y] = [key_bytes, seed_bytes].map(|b| u64::from_le_bytes(*b));
             if key_y >= field::PRIME || seed_y >= field::PRIME {
                 return Err(SecAggError::BadShare);
             }
-            let x = evaluation_point(self.id);
-            self.held_shares
-                .insert(*from, (Share { x, y: key_y }, Share { x, y: seed_y }));
-            self.share_senders.insert(*from);
-        }
-        self.share_senders.insert(self.id);
-        Ok(())
-    }
-
-    /// Round 2: mask the input and produce the commit message.
-    ///
-    /// The mask covers every member of this client's view of U₂ (share
-    /// senders), so later drop-outs leave removable residuals.
-    ///
-    /// # Errors
-    ///
-    /// [`SecAggError::DimensionMismatch`], [`SecAggError::BelowThreshold`]
-    /// if U₂ is too small, or [`SecAggError::OutOfOrder`].
-    pub fn commit(&mut self, input: &[u64]) -> Result<MaskedInput, SecAggError> {
-        if self.state != ClientState::SharedKeys {
-            return Err(SecAggError::OutOfOrder {
-                state: self.state.name(),
-                attempted: "commit",
-            });
+            held_shares.insert(*from, (Share { x, y: key_y }, Share { x, y: seed_y }));
         }
         if input.len() != self.config.dim {
             return Err(SecAggError::DimensionMismatch {
@@ -335,72 +361,62 @@ impl SecAggClient {
                 actual: input.len(),
             });
         }
-        if self.share_senders.len() < self.config.threshold {
+        if held_shares.len() < self.config.threshold {
             return Err(SecAggError::BelowThreshold {
-                alive: self.share_senders.len(),
+                alive: held_shares.len(),
                 threshold: self.config.threshold,
             });
         }
-        let pairwise: Vec<(u32, u64)> = self
-            .share_senders
+        let pairwise: Vec<(u32, u64)> = peers
             .iter()
-            .filter(|&&v| v != self.id)
-            .map(|&v| (v, self.s_pair.agree(self.peers[&v].s_public)))
+            .filter(|(v, _)| held_shares.contains_key(v))
+            .map(|(&v, peer)| (v, s_pair.agree(peer.s_public)))
             .collect();
         let mut vector: Vec<u64> = input.iter().map(|&v| field::reduce(v)).collect();
-        masking::mask_input(&mut vector, self.id, self.self_seed, &pairwise);
-        self.state = ClientState::Committed;
-        Ok(MaskedInput {
+        masking::mask_input(&mut vector, self.id, self_seed, &pairwise);
+        let client = SecAggClient {
             id: self.id,
-            vector,
-        })
+            config: self.config,
+            stage: Committed { held_shares },
+        };
+        Ok((
+            client,
+            MaskedInput {
+                id: self.id,
+                vector,
+            },
+        ))
     }
+}
 
-    /// Round 3: reveal unmasking shares per the server's request.
+impl SecAggClient<Committed> {
+    /// Round 3: reveal unmasking shares per the server's request. This
+    /// consumes the client, so it reveals once.
     ///
     /// # Errors
     ///
-    /// [`SecAggError::ConflictingReveal`] if the request (or the union of
-    /// all requests seen so far) asks for both the self-mask share and the
-    /// key share of one device; [`SecAggError::OutOfOrder`] otherwise
-    /// misused.
-    pub fn unmask(&mut self, request: &UnmaskingRequest) -> Result<RevealedShares, SecAggError> {
-        if self.state != ClientState::Committed {
-            return Err(SecAggError::OutOfOrder {
-                state: self.state.name(),
-                attempted: "unmask",
-            });
-        }
+    /// [`SecAggError::ConflictingReveal`] if the request asks for both the
+    /// self-mask share and the key share of one device.
+    pub fn unmask(self, request: &UnmaskingRequest) -> Result<RevealedShares, SecAggError> {
         // The privacy invariant: never reveal both secrets of one device.
-        for id in &request.committed {
-            if request.dropped_after_sharing.contains(id) || self.revealed_keys.contains(id) {
-                return Err(SecAggError::ConflictingReveal(*id));
-            }
+        if let Some(&id) = request
+            .committed
+            .iter()
+            .find(|id| request.dropped_after_sharing.contains(id))
+        {
+            return Err(SecAggError::ConflictingReveal(id));
         }
-        for id in &request.dropped_after_sharing {
-            if self.revealed_seeds.contains(id) {
-                return Err(SecAggError::ConflictingReveal(*id));
-            }
-        }
-        let mut self_mask_shares = Vec::new();
-        for &owner in &request.committed {
-            if let Some((_, seed_share)) = self.held_shares.get(&owner) {
-                self_mask_shares.push((owner, *seed_share));
-                self.revealed_seeds.insert(owner);
-            }
-        }
-        let mut key_shares = Vec::new();
-        for &owner in &request.dropped_after_sharing {
-            if let Some((key_share, _)) = self.held_shares.get(&owner) {
-                key_shares.push((owner, *key_share));
-                self.revealed_keys.insert(owner);
-            }
-        }
-        self.state = ClientState::Finished;
+        let held = &self.stage.held_shares;
+        let reveal = |owners: &[u32], pick: fn(&(Share, Share)) -> Share| {
+            owners
+                .iter()
+                .filter_map(|owner| held.get(owner).map(|shares| (*owner, pick(shares))))
+                .collect()
+        };
         Ok(RevealedShares {
             from: self.id,
-            self_mask_shares,
-            key_shares,
+            self_mask_shares: reveal(&request.committed, |(_, seed_share)| *seed_share),
+            key_shares: reveal(&request.dropped_after_sharing, |(key_share, _)| *key_share),
         })
     }
 }
@@ -409,42 +425,60 @@ impl SecAggClient {
 // Server
 // ---------------------------------------------------------------------------
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ServerState {
-    CollectingAdvertisements,
-    CollectingShares,
-    CollectingMasked,
-    CollectingReveals,
-    Done,
-}
-
-impl ServerState {
-    fn name(self) -> &'static str {
-        match self {
-            ServerState::CollectingAdvertisements => "collecting-advertisements",
-            ServerState::CollectingShares => "collecting-shares",
-            ServerState::CollectingMasked => "collecting-masked-inputs",
-            ServerState::CollectingReveals => "collecting-reveals",
-            ServerState::Done => "done",
-        }
-    }
-}
-
-/// The server side of one Secure Aggregation instance.
+/// The server side of one Secure Aggregation instance, in protocol stage
+/// `S` ([`Advertising`], [`Sharing`], [`Masking`] or [`Unmasking`]).
 ///
 /// The server is an untrusted router + accumulator: it sees only public
 /// keys, ciphertexts it cannot open, masked vectors, and reconstruction
 /// shares for the secrets the protocol explicitly reveals.
-#[derive(Debug, Clone)]
-pub struct SecAggServer {
+///
+/// Each stage collects its round's messages through `&mut self`; the
+/// round's closing step consumes the server and returns the round's
+/// output with the next stage. So a message for a later round has no
+/// call to go to:
+///
+/// ```compile_fail,E0599
+/// use fl_secagg::protocol::{MaskedInput, SecAggConfig, SecAggServer};
+/// let mut server = SecAggServer::new(SecAggConfig::new(2, 1));
+/// // Still collecting advertisements: `collect_masked` is offered by
+/// // `SecAggServer<Masking>` only.
+/// let _ = server.collect_masked(MaskedInput { id: 0, vector: vec![0] });
+/// ```
+#[derive(Debug)]
+pub struct SecAggServer<S> {
     config: SecAggConfig,
-    state: ServerState,
+    /// U₁'s advertisements, by id.
     advertisements: BTreeMap<u32, KeyAdvertisement>,
+    stage: S,
+}
+
+/// Server stage of round 0: collecting advertisements.
+#[derive(Debug)]
+pub struct Advertising;
+
+/// Server stage of round 1: collecting and routing encrypted shares.
+#[derive(Debug, Default)]
+pub struct Sharing {
     /// recipient → incoming (sender, ciphertext).
     routed: HashMap<u32, Vec<(u32, Vec<u8>)>>,
     /// U₂: devices that delivered shares.
     shared: BTreeSet<u32>,
+}
+
+/// Server stage of round 2: accumulating masked inputs.
+#[derive(Debug)]
+pub struct Masking {
+    shared: BTreeSet<u32>,
     /// U₃: devices that committed, and the running masked sum.
+    committed: BTreeSet<u32>,
+    masked_sum: Vec<u64>,
+}
+
+/// Server stage of round 3: collecting revealed shares, then
+/// [`SecAggServer::finalize`].
+#[derive(Debug)]
+pub struct Unmasking {
+    shared: BTreeSet<u32>,
     committed: BTreeSet<u32>,
     masked_sum: Vec<u64>,
     /// Collected reveal shares: owner → shares.
@@ -453,40 +487,22 @@ pub struct SecAggServer {
     revealers: BTreeSet<u32>,
 }
 
-impl SecAggServer {
+impl SecAggServer<Advertising> {
     /// Creates a server instance.
     pub fn new(config: SecAggConfig) -> Self {
         SecAggServer {
             config,
-            state: ServerState::CollectingAdvertisements,
             advertisements: BTreeMap::new(),
-            routed: HashMap::new(),
-            shared: BTreeSet::new(),
-            committed: BTreeSet::new(),
-            masked_sum: vec![0; config.dim],
-            seed_reveals: BTreeMap::new(),
-            key_reveals: BTreeMap::new(),
-            revealers: BTreeSet::new(),
+            stage: Advertising,
         }
-    }
-
-    fn expect_state(&self, state: ServerState, attempted: &'static str) -> Result<(), SecAggError> {
-        if self.state != state {
-            return Err(SecAggError::OutOfOrder {
-                state: self.state.name(),
-                attempted,
-            });
-        }
-        Ok(())
     }
 
     /// Round 0: collect one advertisement.
     ///
     /// # Errors
     ///
-    /// [`SecAggError::DuplicateMessage`] or [`SecAggError::OutOfOrder`].
+    /// [`SecAggError::DuplicateMessage`].
     pub fn collect_advertisement(&mut self, adv: KeyAdvertisement) -> Result<(), SecAggError> {
-        self.expect_state(ServerState::CollectingAdvertisements, "collect_advertisement")?;
         if self.advertisements.insert(adv.id, adv).is_some() {
             return Err(SecAggError::DuplicateMessage(adv.id));
         }
@@ -498,37 +514,45 @@ impl SecAggServer {
     /// # Errors
     ///
     /// [`SecAggError::BelowThreshold`] if too few devices advertised.
-    pub fn finish_advertising(&mut self) -> Result<Vec<KeyAdvertisement>, SecAggError> {
-        self.expect_state(ServerState::CollectingAdvertisements, "finish_advertising")?;
+    pub fn finish_advertising(
+        self,
+    ) -> Result<(SecAggServer<Sharing>, Vec<KeyAdvertisement>), SecAggError> {
         if self.advertisements.len() < self.config.threshold {
             return Err(SecAggError::BelowThreshold {
                 alive: self.advertisements.len(),
                 threshold: self.config.threshold,
             });
         }
-        self.state = ServerState::CollectingShares;
-        Ok(self.advertisements.values().copied().collect())
+        let broadcast = self.advertisements.values().copied().collect();
+        let server = SecAggServer {
+            config: self.config,
+            advertisements: self.advertisements,
+            stage: Sharing::default(),
+        };
+        Ok((server, broadcast))
     }
+}
 
+impl SecAggServer<Sharing> {
     /// Round 1: collect one device's encrypted shares and route them.
     ///
     /// # Errors
     ///
-    /// [`SecAggError::UnknownParticipant`], [`SecAggError::DuplicateMessage`],
-    /// or [`SecAggError::OutOfOrder`].
+    /// [`SecAggError::UnknownParticipant`] or
+    /// [`SecAggError::DuplicateMessage`].
     pub fn collect_shares(&mut self, shares: EncryptedShares) -> Result<(), SecAggError> {
-        self.expect_state(ServerState::CollectingShares, "collect_shares")?;
         if !self.advertisements.contains_key(&shares.from) {
             return Err(SecAggError::UnknownParticipant(shares.from));
         }
-        if !self.shared.insert(shares.from) {
+        if !self.stage.shared.insert(shares.from) {
             return Err(SecAggError::DuplicateMessage(shares.from));
         }
         for (recipient, ciphertext) in shares.payloads {
             if !self.advertisements.contains_key(&recipient) {
                 return Err(SecAggError::UnknownParticipant(recipient));
             }
-            self.routed
+            self.stage
+                .routed
                 .entry(recipient)
                 .or_default()
                 .push((shares.from, ciphertext));
@@ -542,32 +566,37 @@ impl SecAggServer {
     /// # Errors
     ///
     /// [`SecAggError::BelowThreshold`] if U₂ is smaller than the threshold.
-    pub fn finish_sharing(&mut self) -> Result<HashMap<u32, Vec<(u32, Vec<u8>)>>, SecAggError> {
-        self.expect_state(ServerState::CollectingShares, "finish_sharing")?;
-        if self.shared.len() < self.config.threshold {
+    pub fn finish_sharing(
+        self,
+    ) -> Result<(SecAggServer<Masking>, HashMap<u32, Vec<(u32, Vec<u8>)>>), SecAggError> {
+        let SecAggServer {
+            config,
+            advertisements,
+            stage: Sharing { mut routed, shared },
+        } = self;
+        if shared.len() < config.threshold {
             return Err(SecAggError::BelowThreshold {
-                alive: self.shared.len(),
-                threshold: self.config.threshold,
+                alive: shared.len(),
+                threshold: config.threshold,
             });
         }
-        self.state = ServerState::CollectingMasked;
-        // Only route shares *from* U₂ members *to* U₂ members.
-        let shared = self.shared.clone();
-        let mut out = HashMap::new();
-        for (&recipient, incoming) in &self.routed {
-            if !shared.contains(&recipient) {
-                continue;
-            }
-            let filtered: Vec<(u32, Vec<u8>)> = incoming
-                .iter()
-                .filter(|(from, _)| shared.contains(from))
-                .cloned()
-                .collect();
-            out.insert(recipient, filtered);
-        }
-        Ok(out)
+        // Only route shares *to* U₂ members; every routed share is *from*
+        // one, since `collect_shares` admits a sender before routing.
+        routed.retain(|recipient, _| shared.contains(recipient));
+        let server = SecAggServer {
+            config,
+            advertisements,
+            stage: Masking {
+                shared,
+                committed: BTreeSet::new(),
+                masked_sum: vec![0; config.dim],
+            },
+        };
+        Ok((server, routed))
     }
+}
 
+impl SecAggServer<Masking> {
     /// Round 2: accumulate one masked input into the running sum. The
     /// per-device vector is folded in and dropped (in-memory streaming, as
     /// in plain aggregation).
@@ -575,11 +604,11 @@ impl SecAggServer {
     /// # Errors
     ///
     /// [`SecAggError::UnknownParticipant`] for devices outside U₂,
-    /// [`SecAggError::DuplicateMessage`], [`SecAggError::DimensionMismatch`],
-    /// or [`SecAggError::OutOfOrder`].
+    /// [`SecAggError::DuplicateMessage`] or
+    /// [`SecAggError::DimensionMismatch`].
     pub fn collect_masked(&mut self, input: MaskedInput) -> Result<(), SecAggError> {
-        self.expect_state(ServerState::CollectingMasked, "collect_masked")?;
-        if !self.shared.contains(&input.id) {
+        let stage = &mut self.stage;
+        if !stage.shared.contains(&input.id) {
             return Err(SecAggError::UnknownParticipant(input.id));
         }
         if input.vector.len() != self.config.dim {
@@ -588,10 +617,10 @@ impl SecAggServer {
                 actual: input.vector.len(),
             });
         }
-        if !self.committed.insert(input.id) {
+        if !stage.committed.insert(input.id) {
             return Err(SecAggError::DuplicateMessage(input.id));
         }
-        field::add_assign_vec(&mut self.masked_sum, &input.vector);
+        field::add_assign_vec(&mut stage.masked_sum, &input.vector);
         Ok(())
     }
 
@@ -602,51 +631,71 @@ impl SecAggServer {
     ///
     /// [`SecAggError::BelowThreshold`] if fewer than `threshold` devices
     /// committed.
-    pub fn finish_commit(&mut self) -> Result<UnmaskingRequest, SecAggError> {
-        self.expect_state(ServerState::CollectingMasked, "finish_commit")?;
-        if self.committed.len() < self.config.threshold {
+    pub fn finish_commit(self) -> Result<(SecAggServer<Unmasking>, UnmaskingRequest), SecAggError> {
+        let SecAggServer {
+            config,
+            advertisements,
+            stage:
+                Masking {
+                    shared,
+                    committed,
+                    masked_sum,
+                },
+        } = self;
+        if committed.len() < config.threshold {
             return Err(SecAggError::BelowThreshold {
-                alive: self.committed.len(),
-                threshold: self.config.threshold,
+                alive: committed.len(),
+                threshold: config.threshold,
             });
         }
-        self.state = ServerState::CollectingReveals;
-        Ok(UnmaskingRequest {
-            committed: self.committed.iter().copied().collect(),
-            dropped_after_sharing: self
-                .shared
-                .difference(&self.committed)
-                .copied()
-                .collect(),
-        })
+        let request = UnmaskingRequest {
+            committed: committed.iter().copied().collect(),
+            dropped_after_sharing: shared.difference(&committed).copied().collect(),
+        };
+        let server = SecAggServer {
+            config,
+            advertisements,
+            stage: Unmasking {
+                shared,
+                committed,
+                masked_sum,
+                seed_reveals: BTreeMap::new(),
+                key_reveals: BTreeMap::new(),
+                revealers: BTreeSet::new(),
+            },
+        };
+        Ok((server, request))
     }
+}
 
+impl SecAggServer<Unmasking> {
     /// Round 3: collect one device's revealed shares.
     ///
     /// # Errors
     ///
-    /// [`SecAggError::DuplicateMessage`], [`SecAggError::UnknownParticipant`],
-    /// or [`SecAggError::OutOfOrder`].
+    /// [`SecAggError::DuplicateMessage`] or
+    /// [`SecAggError::UnknownParticipant`].
     pub fn collect_reveals(&mut self, reveals: RevealedShares) -> Result<(), SecAggError> {
-        self.expect_state(ServerState::CollectingReveals, "collect_reveals")?;
-        if !self.committed.contains(&reveals.from) {
+        let stage = &mut self.stage;
+        if !stage.committed.contains(&reveals.from) {
             return Err(SecAggError::UnknownParticipant(reveals.from));
         }
-        if !self.revealers.insert(reveals.from) {
+        if !stage.revealers.insert(reveals.from) {
             return Err(SecAggError::DuplicateMessage(reveals.from));
         }
         for (owner, share) in reveals.self_mask_shares {
-            self.seed_reveals.entry(owner).or_default().push(share);
+            stage.seed_reveals.entry(owner).or_default().push(share);
         }
         for (owner, share) in reveals.key_shares {
-            self.key_reveals.entry(owner).or_default().push(share);
+            stage.key_reveals.entry(owner).or_default().push(share);
         }
         Ok(())
     }
 
     /// Finalizes the protocol: reconstructs self-mask seeds for committed
     /// devices and mask keys for dropped devices, removes all masks, and
-    /// returns the field sum of the committed devices' inputs.
+    /// returns the field sum of the committed devices' inputs. The server
+    /// is consumed either way.
     ///
     /// "So long as a sufficient number of the devices who started the
     /// protocol survive through the Finalization phase, the entire protocol
@@ -657,65 +706,61 @@ impl SecAggServer {
     /// [`SecAggError::BelowThreshold`] if too few devices revealed, or
     /// [`SecAggError::ReconstructionFailed`] if shares are insufficient or
     /// inconsistent with the advertised public keys.
-    pub fn finalize(&mut self) -> Result<Vec<u64>, SecAggError> {
-        self.expect_state(ServerState::CollectingReveals, "finalize")?;
-        if self.revealers.len() < self.config.threshold {
+    pub fn finalize(self) -> Result<Vec<u64>, SecAggError> {
+        let SecAggServer {
+            config,
+            advertisements,
+            stage:
+                Unmasking {
+                    shared,
+                    committed,
+                    mut masked_sum,
+                    seed_reveals,
+                    key_reveals,
+                    revealers,
+                },
+        } = self;
+        if revealers.len() < config.threshold {
             return Err(SecAggError::BelowThreshold {
-                alive: self.revealers.len(),
-                threshold: self.config.threshold,
+                alive: revealers.len(),
+                threshold: config.threshold,
             });
         }
-        // Reconstruct every secret before touching the sum: a failure
-        // leaves the server as it was, and past this point nothing fails.
-        let seeds = self
-            .committed
+        let reconstruct = |reveals: &BTreeMap<u32, Vec<Share>>, owner: u32| {
+            reveals
+                .get(&owner)
+                .and_then(|shares| shamir::reconstruct(shares, config.threshold).ok())
+                .ok_or(SecAggError::ReconstructionFailed(owner))
+        };
+        // Every secret is reconstructed and checked before the first mask
+        // stream runs, so a failure costs no stream.
+        let seeds = committed
             .iter()
-            .map(|&u| self.reconstruct(&self.seed_reveals, u))
+            .map(|&u| reconstruct(&seed_reveals, u))
             .collect::<Result<Vec<u64>, _>>()?;
         let mut dropped = Vec::new();
-        for &v in self.shared.difference(&self.committed) {
-            let pair = KeyPair::from_secret(self.reconstruct(&self.key_reveals, v)?);
+        for &v in shared.difference(&committed) {
+            let pair = KeyPair::from_secret(reconstruct(&key_reveals, v)?);
             // Integrity check: the reconstructed key must match what the
             // device advertised.
-            if pair.public != self.advertisements[&v].s_public {
+            if pair.public != advertisements[&v].s_public {
                 return Err(SecAggError::ReconstructionFailed(v));
             }
             dropped.push((v, pair));
         }
-        // The masked sum is unmasked in place; the state is `Done` after.
-        let mut sum = std::mem::take(&mut self.masked_sum);
         // Remove self masks of committed devices.
         for seed in seeds {
-            masking::remove_self_mask(&mut sum, seed);
+            masking::remove_self_mask(&mut masked_sum, seed);
         }
         // Remove residual pairwise masks of dropped devices.
-        let committed_pubs: Vec<(u32, u64)> = self
-            .committed
+        let committed_pubs: Vec<(u32, u64)> = committed
             .iter()
-            .map(|&u| (u, self.advertisements[&u].s_public))
+            .map(|&u| (u, advertisements[&u].s_public))
             .collect();
         for (v, pair) in dropped {
-            masking::remove_residual_pairwise(&mut sum, v, &pair, &committed_pubs);
+            masking::remove_residual_pairwise(&mut masked_sum, v, &pair, &committed_pubs);
         }
-        self.state = ServerState::Done;
-        Ok(sum)
-    }
-
-    /// `owner`'s secret, from the shares revealed for it.
-    fn reconstruct(
-        &self,
-        reveals: &BTreeMap<u32, Vec<Share>>,
-        owner: u32,
-    ) -> Result<u64, SecAggError> {
-        reveals
-            .get(&owner)
-            .and_then(|shares| shamir::reconstruct(shares, self.config.threshold).ok())
-            .ok_or(SecAggError::ReconstructionFailed(owner))
-    }
-
-    /// The set of devices whose inputs are included in the final sum (U₃).
-    pub fn committed_devices(&self) -> Vec<u32> {
-        self.committed.iter().copied().collect()
+        Ok(masked_sum)
     }
 }
 
@@ -740,50 +785,46 @@ pub fn run_instance(
     drop_after_share: &[u32],
     seed: u64,
 ) -> Result<Vec<u64>, SecAggError> {
-    let n = inputs.len();
-    let mut clients: Vec<SecAggClient> = (0..n as u32)
+    let clients: Vec<SecAggClient<Advertised>> = (0..inputs.len() as u32)
         .map(|id| SecAggClient::new(id, config, seed))
         .collect();
     let mut server = SecAggServer::new(config);
 
     // Round 0: every device advertises, the ones that drop later too.
-    for c in clients.iter_mut() {
-        server.collect_advertisement(c.advertise_keys()?)?;
+    for c in &clients {
+        server.collect_advertisement(c.advertisement())?;
     }
-    let broadcast = server.finish_advertising()?;
+    let (mut server, broadcast) = server.finish_advertising()?;
 
     // Round 1: advertise-stage drop-outs never send shares.
-    for c in clients.iter_mut() {
-        if drop_after_advertise.contains(&c.id()) {
-            continue;
-        }
-        server.collect_shares(c.share_keys(&broadcast)?)?;
+    let mut sharing = Vec::with_capacity(clients.len());
+    for c in clients
+        .into_iter()
+        .filter(|c| !drop_after_advertise.contains(&c.id()))
+    {
+        let (c, shares) = c.share_keys(&broadcast)?;
+        server.collect_shares(shares)?;
+        sharing.push(c);
     }
-    let routed = server.finish_sharing()?;
-    for c in clients.iter_mut() {
-        if drop_after_advertise.contains(&c.id()) {
-            continue;
-        }
-        if let Some(incoming) = routed.get(&c.id()) {
-            c.receive_shares(incoming)?;
-        }
-    }
+    let (mut server, mut routed) = server.finish_sharing()?;
 
     // Round 2: share-stage drop-outs never commit.
-    for (i, c) in clients.iter_mut().enumerate() {
-        if drop_after_advertise.contains(&c.id()) || drop_after_share.contains(&c.id()) {
-            continue;
-        }
-        server.collect_masked(c.commit(&inputs[i])?)?;
+    let mut committed = Vec::with_capacity(sharing.len());
+    for c in sharing
+        .into_iter()
+        .filter(|c| !drop_after_share.contains(&c.id()))
+    {
+        let incoming = routed.remove(&c.id()).unwrap_or_default();
+        let input = &inputs[c.id() as usize];
+        let (c, masked) = c.commit(&incoming, input)?;
+        server.collect_masked(masked)?;
+        committed.push(c);
     }
-    let request = server.finish_commit()?;
+    let (mut server, request) = server.finish_commit()?;
 
     // Round 3: all committed devices reveal (the protocol only needs
     // `threshold` of them; tests exercise partial reveals separately).
-    for c in clients.iter_mut() {
-        if drop_after_advertise.contains(&c.id()) || drop_after_share.contains(&c.id()) {
-            continue;
-        }
+    for c in committed {
         server.collect_reveals(c.unmask(&request)?)?;
     }
     server.finalize()
@@ -810,6 +851,43 @@ mod tests {
         (0..n)
             .map(|i| (0..dim).map(|d| (i * 1000 + d) as u64).collect())
             .collect()
+    }
+
+    /// Rounds 0 to 2 with every one of `n` devices taking part, device
+    /// `i` committing `xs[i]`.
+    fn commit_all(
+        config: SecAggConfig,
+        xs: &[Vec<u64>],
+        seed: u64,
+    ) -> (
+        SecAggServer<Unmasking>,
+        UnmaskingRequest,
+        Vec<SecAggClient<Committed>>,
+    ) {
+        let clients: Vec<_> = (0..xs.len() as u32)
+            .map(|id| SecAggClient::new(id, config, seed))
+            .collect();
+        let mut server = SecAggServer::new(config);
+        for c in &clients {
+            server.collect_advertisement(c.advertisement()).unwrap();
+        }
+        let (mut server, broadcast) = server.finish_advertising().unwrap();
+        let mut sharing = Vec::new();
+        for c in clients {
+            let (c, shares) = c.share_keys(&broadcast).unwrap();
+            server.collect_shares(shares).unwrap();
+            sharing.push(c);
+        }
+        let (mut server, routed) = server.finish_sharing().unwrap();
+        let mut committed = Vec::new();
+        for (c, x) in sharing.into_iter().zip(xs) {
+            let incoming = &routed[&c.id()];
+            let (c, masked) = c.commit(incoming, x).unwrap();
+            server.collect_masked(masked).unwrap();
+            committed.push(c);
+        }
+        let (server, request) = server.finish_commit().unwrap();
+        (server, request, committed)
     }
 
     #[test]
@@ -856,31 +934,14 @@ mod tests {
     #[test]
     fn conflicting_reveal_is_refused_by_clients() {
         let config = SecAggConfig::new(2, 2);
-        let mut clients: Vec<SecAggClient> =
-            (0..3).map(|id| SecAggClient::new(id, config, 1)).collect();
-        let mut server = SecAggServer::new(config);
-        for c in clients.iter_mut() {
-            server.collect_advertisement(c.advertise_keys().unwrap()).unwrap();
-        }
-        let broadcast = server.finish_advertising().unwrap();
-        for c in clients.iter_mut() {
-            server.collect_shares(c.share_keys(&broadcast).unwrap()).unwrap();
-        }
-        let routed = server.finish_sharing().unwrap();
-        for c in clients.iter_mut() {
-            c.receive_shares(&routed[&c.id()]).unwrap();
-        }
-        for c in clients.iter_mut() {
-            server.collect_masked(c.commit(&[1, 2]).unwrap()).unwrap();
-        }
-        let _ = server.finish_commit().unwrap();
+        let (_, _, mut clients) = commit_all(config, &[vec![1, 2], vec![1, 2], vec![1, 2]], 1);
         // Malicious request: device 0 in both lists.
         let bad = UnmaskingRequest {
             committed: vec![0, 1, 2],
             dropped_after_sharing: vec![0],
         };
         assert!(matches!(
-            clients[1].unmask(&bad),
+            clients.remove(1).unmask(&bad),
             Err(SecAggError::ConflictingReveal(0))
         ));
     }
@@ -889,26 +950,9 @@ mod tests {
     fn only_threshold_many_reveals_needed() {
         let config = SecAggConfig::new(3, 4);
         let xs = inputs(5, 4);
-        let mut clients: Vec<SecAggClient> =
-            (0..5).map(|id| SecAggClient::new(id, config, 3)).collect();
-        let mut server = SecAggServer::new(config);
-        for c in clients.iter_mut() {
-            server.collect_advertisement(c.advertise_keys().unwrap()).unwrap();
-        }
-        let broadcast = server.finish_advertising().unwrap();
-        for c in clients.iter_mut() {
-            server.collect_shares(c.share_keys(&broadcast).unwrap()).unwrap();
-        }
-        let routed = server.finish_sharing().unwrap();
-        for c in clients.iter_mut() {
-            c.receive_shares(&routed[&c.id()]).unwrap();
-        }
-        for (i, c) in clients.iter_mut().enumerate() {
-            server.collect_masked(c.commit(&xs[i]).unwrap()).unwrap();
-        }
-        let request = server.finish_commit().unwrap();
+        let (mut server, request, clients) = commit_all(config, &xs, 3);
         // Only 3 of 5 devices survive to reveal — exactly the threshold.
-        for c in clients.iter_mut().take(3) {
+        for c in clients.into_iter().take(3) {
             server.collect_reveals(c.unmask(&request).unwrap()).unwrap();
         }
         let sum = server.finalize().unwrap();
@@ -918,52 +962,27 @@ mod tests {
     #[test]
     fn server_rejects_protocol_misuse() {
         let config = SecAggConfig::new(2, 2);
-        let mut server = SecAggServer::new(config);
+        let server = SecAggServer::new(config);
         // Finish without any advertisements.
         assert!(matches!(
             server.finish_advertising(),
             Err(SecAggError::BelowThreshold { .. })
-        ));
-        // Masked input before the commit phase.
-        assert!(matches!(
-            server.collect_masked(MaskedInput {
-                id: 0,
-                vector: vec![0, 0]
-            }),
-            Err(SecAggError::OutOfOrder { .. })
-        ));
-    }
-
-    #[test]
-    fn client_rejects_out_of_order_calls() {
-        let config = SecAggConfig::new(2, 2);
-        let mut c = SecAggClient::new(0, config, 1);
-        assert!(matches!(
-            c.commit(&[1, 2]),
-            Err(SecAggError::OutOfOrder { .. })
-        ));
-        c.advertise_keys().unwrap();
-        assert!(matches!(
-            c.advertise_keys(),
-            Err(SecAggError::OutOfOrder { .. })
         ));
     }
 
     #[test]
     fn duplicate_messages_rejected() {
         let config = SecAggConfig::new(2, 2);
-        let mut c0 = SecAggClient::new(0, config, 1);
-        let mut c1 = SecAggClient::new(1, config, 1);
+        let c0 = SecAggClient::new(0, config, 1);
+        let c1 = SecAggClient::new(1, config, 1);
         let mut server = SecAggServer::new(config);
-        let adv = c0.advertise_keys().unwrap();
+        let adv = c0.advertisement();
         server.collect_advertisement(adv).unwrap();
         assert!(matches!(
             server.collect_advertisement(adv),
             Err(SecAggError::DuplicateMessage(0))
         ));
-        server
-            .collect_advertisement(c1.advertise_keys().unwrap())
-            .unwrap();
+        server.collect_advertisement(c1.advertisement()).unwrap();
     }
 
     #[test]

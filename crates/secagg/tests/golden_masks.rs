@@ -60,46 +60,44 @@ fn masked_vectors_of_a_seeded_instance_are_pinned() {
     let inputs: Vec<Vec<u64>> = (0..N as usize)
         .map(|i| (0..DIM).map(|d| (i * 1000 + d) as u64).collect())
         .collect();
-    let mut clients: Vec<SecAggClient> =
-        (0..N).map(|id| SecAggClient::new(id, config, 20)).collect();
+    let clients: Vec<_> = (0..N).map(|id| SecAggClient::new(id, config, 20)).collect();
     let mut server = SecAggServer::new(config);
-    for c in clients.iter_mut() {
-        server
-            .collect_advertisement(c.advertise_keys().unwrap())
-            .unwrap();
+    for c in &clients {
+        server.collect_advertisement(c.advertisement()).unwrap();
     }
-    let broadcast = server.finish_advertising().unwrap();
-    for c in clients.iter_mut() {
-        server
-            .collect_shares(c.share_keys(&broadcast).unwrap())
-            .unwrap();
+    let (mut server, broadcast) = server.finish_advertising().unwrap();
+    let mut sharing = Vec::new();
+    for c in clients {
+        let (c, shares) = c.share_keys(&broadcast).unwrap();
+        server.collect_shares(shares).unwrap();
+        sharing.push(c);
     }
-    let routed = server.finish_sharing().unwrap();
-    for c in clients.iter_mut() {
-        c.receive_shares(&routed[&c.id()]).unwrap();
-    }
+    let (mut server, routed) = server.finish_sharing().unwrap();
 
     // What the server accumulates in round 2, summed here as it does.
     let mut masked_sum = vec![0u64; DIM];
     let mut folds = Vec::new();
-    for (i, c) in clients.iter_mut().enumerate() {
+    let mut committed = Vec::new();
+    for (i, c) in sharing.into_iter().enumerate() {
         if c.id() == DROPPED {
             continue;
         }
-        let MaskedInput { id, vector } = c.commit(&inputs[i]).unwrap();
+        let incoming = &routed[&c.id()];
+        let (c, MaskedInput { id, vector }) = c.commit(incoming, &inputs[i]).unwrap();
         assert!(vector.iter().all(|&v| v < field::PRIME));
         field::add_assign_vec(&mut masked_sum, &vector);
         folds.push((id, fold(&vector)));
         server.collect_masked(MaskedInput { id, vector }).unwrap();
+        committed.push(c);
     }
     // Device 0 adds every pairwise mask, device 15 subtracts every one.
     assert_eq!(folds[0], (0, CLIENT_0_FOLD));
     assert_eq!(folds[14], (15, CLIENT_15_FOLD));
     assert_eq!(fold(&masked_sum), MASKED_SUM_FOLD);
 
-    let request = server.finish_commit().unwrap();
+    let (mut server, request) = server.finish_commit().unwrap();
     assert_eq!(request.dropped_after_sharing, vec![DROPPED]);
-    for c in clients.iter_mut().filter(|c| c.id() != DROPPED) {
+    for c in committed {
         server.collect_reveals(c.unmask(&request).unwrap()).unwrap();
     }
     let sum = server.finalize().unwrap();
@@ -124,15 +122,13 @@ const MASKED_SUM_FOLD: u64 = 801_723_796_374_008_249;
 #[test]
 fn share_ciphertexts_of_a_seeded_instance_are_pinned() {
     let config = SecAggConfig::new(11, 4113);
-    let mut clients: Vec<SecAggClient> =
-        (0..16).map(|id| SecAggClient::new(id, config, 20)).collect();
-    let broadcast: Vec<_> = clients
-        .iter_mut()
-        .map(|c| c.advertise_keys().unwrap())
+    let clients: Vec<_> = (0..16)
+        .map(|id| SecAggClient::new(id, config, 20))
         .collect();
+    let broadcast: Vec<_> = clients.iter().map(|c| c.advertisement()).collect();
     let mut words = Vec::new();
-    for c in clients.iter_mut() {
-        let shares = c.share_keys(&broadcast).unwrap();
+    for c in clients {
+        let (_, shares) = c.share_keys(&broadcast).unwrap();
         for (recipient, ciphertext) in shares.payloads {
             words.push(u64::from(shares.from) << 32 | u64::from(recipient));
             let (chunks, rest) = ciphertext.as_chunks::<8>();

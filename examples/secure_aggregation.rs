@@ -23,56 +23,48 @@ fn main() {
     let config = SecAggConfig::new(5, dim); // threshold 5 of 8
     println!("Secure Aggregation: {n} devices, threshold {}, dim {dim}\n", 5);
 
-    let mut clients: Vec<SecAggClient> =
-        (0..n).map(|id| SecAggClient::new(id, config, 42)).collect();
+    let clients: Vec<_> = (0..n).map(|id| SecAggClient::new(id, config, 42)).collect();
     let mut server = SecAggServer::new(config);
 
     // Round 0 — AdvertiseKeys.
-    for c in clients.iter_mut() {
-        server.collect_advertisement(c.advertise_keys().unwrap()).unwrap();
+    for c in &clients {
+        server.collect_advertisement(c.advertisement()).unwrap();
     }
-    let broadcast = server.finish_advertising().unwrap();
+    let (mut server, broadcast) = server.finish_advertising().unwrap();
     println!("round 0: {} devices advertised key pairs", broadcast.len());
 
     // Round 1 — ShareKeys. Device 6 vanishes before sharing.
-    for c in clients.iter_mut() {
-        if c.id() == 6 {
-            continue;
-        }
-        server.collect_shares(c.share_keys(&broadcast).unwrap()).unwrap();
+    let mut sharing = Vec::new();
+    for c in clients.into_iter().filter(|c| c.id() != 6) {
+        let (c, shares) = c.share_keys(&broadcast).unwrap();
+        server.collect_shares(shares).unwrap();
+        sharing.push(c);
     }
-    let routed = server.finish_sharing().unwrap();
-    for c in clients.iter_mut() {
-        if let Some(incoming) = routed.get(&c.id()) {
-            c.receive_shares(incoming).unwrap();
-        }
-    }
+    let (mut server, routed) = server.finish_sharing().unwrap();
     println!("round 1: shares routed; device 6 dropped before sharing (excluded cleanly)");
 
-    // Round 2 — Commit. Device 3 vanishes after sharing keys: its
-    // pairwise masks are already baked into others' inputs and must be
+    // Round 2 — Commit: each device opens the shares routed to it and
+    // masks its input. Device 3 vanishes after sharing keys: its pairwise
+    // masks are already baked into others' inputs and must be
     // reconstructed away.
     let inputs: Vec<Vec<u64>> = (0..n)
         .map(|i| (0..dim).map(|d| u64::from(i) * 100 + d as u64).collect())
         .collect();
-    for c in clients.iter_mut() {
-        if c.id() == 6 || c.id() == 3 {
-            continue;
-        }
-        let masked = c.commit(&inputs[c.id() as usize]).unwrap();
+    let mut committed = Vec::new();
+    for c in sharing.into_iter().filter(|c| c.id() != 3) {
+        let (incoming, input) = (&routed[&c.id()], &inputs[c.id() as usize]);
+        let (c, masked) = c.commit(incoming, input).unwrap();
         server.collect_masked(masked).unwrap();
+        committed.push(c);
     }
-    let request = server.finish_commit().unwrap();
+    let (mut server, request) = server.finish_commit().unwrap();
     println!(
         "round 2: {} masked inputs committed; device 3 dropped after sharing",
         request.committed.len()
     );
 
     // Round 3 — Finalization.
-    for c in clients.iter_mut() {
-        if c.id() == 6 || c.id() == 3 {
-            continue;
-        }
+    for c in committed {
         server.collect_reveals(c.unmask(&request).unwrap()).unwrap();
     }
     let sum = server.finalize().unwrap();
