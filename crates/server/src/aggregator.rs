@@ -15,11 +15,12 @@
 //! Aggregation."
 //!
 //! In the live tree a device's update reaches its shard in the buffer
-//! the socket read filled: the Coordinator hands the Master the device's
-//! verified report frame, forwarded ([`MasterMsg::Update`]); the Master
-//! verifies it again at its own boundary and moves it to the device's
-//! shard ([`ForwardedReport`]); the shard folds the payload where it
-//! lies, through one scratch vector it keeps for the round. Everything
+//! the socket read filled: the Coordinator opens the device's report
+//! frame once and hands the Master the frame, forwarded, with what that
+//! parse read ([`ForwardedReport`] in [`MasterMsg::Update`]); the Master
+//! routes it by device, moved, to the device's shard; the shard folds the
+//! payload where it lies, through one scratch vector it keeps for the
+//! round. Everything
 //! else on the Coordinator → Master → shard path is a typed message
 //! ([`MasterMsg`], [`ShardMsg`]): these are actors of one process, and a
 //! round closes with one [`MasterMsg::Finalize`] — the same for plain
@@ -38,7 +39,6 @@ use fl_core::{CoreError, DeviceId};
 use fl_ml::fixedpoint::FixedPointEncoder;
 use fl_secagg::protocol::{run_instance, SecAggConfig};
 use fl_secagg::SecAggError;
-use fl_wire::{ReportPayload, ReportRef};
 use std::collections::BTreeMap;
 
 /// How a Master Aggregator shards a round's devices.
@@ -567,9 +567,10 @@ fn merge_closed(
     })
 }
 
-/// One device's report as the Master hands it to a shard: the device's
-/// own frame, moved (the Master has verified it), plus what the Master
-/// read from it — so the payload is folded where it already lies.
+/// One device's report as the Coordinator hands it to the Master and the
+/// Master to a shard: the device's own frame, moved (the Coordinator has
+/// verified it), plus what the Coordinator's one parse read from it — so
+/// the payload is folded where it already lies.
 #[derive(Debug)]
 pub struct ForwardedReport {
     /// The reporting device.
@@ -578,7 +579,8 @@ pub struct ForwardedReport {
     pub weight: u64,
     /// The verified report frame.
     pub frame: Vec<u8>,
-    /// Where the payload sits in `frame` ([`ReportRef::payload_span`]).
+    /// Where the payload sits in `frame`
+    /// ([`fl_wire::ReportRef::payload_span`]).
     pub payload: std::ops::Range<usize>,
     /// Whether the payload is a [`fl_wire::WireMessage::SecAggReport`]'s
     /// fixed-point field vector (one little-endian `u64` coordinate per
@@ -681,15 +683,11 @@ pub enum MasterMsg {
     /// One device's contribution: the device's own verified
     /// [`fl_wire::WireMessage::UpdateReport`] (clear bytes) or
     /// [`fl_wire::WireMessage::SecAggReport`] (fixed-point field vector)
-    /// frame, forwarded by the Coordinator once its ledger accepted it —
-    /// the upload is not re-encoded for this hop. The Master verifies
-    /// the frame again at its own boundary and routes it, moved, to the
-    /// device's shard. A frame that does not open as a report loses that
-    /// contribution, never the round.
-    Update {
-        /// The device's report frame.
-        frame: Vec<u8>,
-    },
+    /// frame, forwarded by the Coordinator once its ledger accepted it,
+    /// with what the Coordinator's parse read from it — the upload is
+    /// neither re-encoded nor re-opened for this hop. The Master routes
+    /// it by device, moved, to the device's shard.
+    Update(ForwardedReport),
     /// Close the round, plain and SecAgg alike (a plain round is the
     /// case with nothing to unmask): once `expected_contributors`
     /// updates have been routed, close every shard, merge the survivors'
@@ -741,11 +739,9 @@ pub struct MasterAggregatorActor {
     /// Child actor handles, filled by `on_start`. Dropping these (stop or
     /// death) closes the children's mailboxes, which reaps them.
     shards: Vec<ActorRef<ShardMsg>>,
-    /// Update frames drained from the mailbox so far (decoded ones;
-    /// a malformed frame loses its contribution and is not counted).
-    /// Compared against [`MasterMsg::Finalize`]'s
-    /// `expected_contributors` to defer a finalize that overtook
-    /// in-flight updates.
+    /// Updates drained from the mailbox so far. Compared against
+    /// [`MasterMsg::Finalize`]'s `expected_contributors` to defer a
+    /// finalize that overtook in-flight updates.
     forwarded: u64,
     /// Bounds finalize deferrals so a miscounted (or lost) update can
     /// only delay the round, never hang it: once spent, the finalize
@@ -805,26 +801,13 @@ impl Actor for MasterAggregatorActor {
             }
         }
         match msg {
-            MasterMsg::Update { frame } => {
-                // A frame that is not a well-formed report loses that
-                // device's contribution — the same semantics as a decode
-                // failure inside an Aggregator (Sec. 4.2), never a panic.
-                let Ok(report) = ReportRef::parse(&frame) else {
-                    return Flow::Continue;
-                };
-                let forwarded = ForwardedReport {
-                    device: report.device,
-                    weight: report.weight,
-                    payload: report.payload_span(),
-                    field: matches!(report.payload, ReportPayload::Field(_)),
-                    frame,
-                };
+            MasterMsg::Update(report) => {
                 self.forwarded += 1;
-                let idx = shard_of(forwarded.device, self.shards.len());
+                let idx = shard_of(report.device, self.shards.len());
                 if let Some(shard) = self.shards.get(idx) {
                     // A dead shard loses this contribution; the round
                     // continues on the survivors.
-                    let _ = shard.send(ShardMsg::Accept(forwarded));
+                    let _ = shard.send(ShardMsg::Accept(report));
                 }
                 Flow::Continue
             }
@@ -1269,7 +1252,20 @@ mod tests {
         let (reply, merged) = unbounded();
         let mut round: Vec<MasterMsg> = frames
             .into_iter()
-            .map(|frame| MasterMsg::Update { frame })
+            .map(|frame| {
+                // What the Coordinator's parse reads before it forwards.
+                let report = fl_wire::ReportRef::parse(&frame).expect("test frame opens");
+                let (device, weight, payload) =
+                    (report.device, report.weight, report.payload_span());
+                let field = matches!(report.payload, fl_wire::ReportPayload::Field(_));
+                MasterMsg::Update(ForwardedReport {
+                    device,
+                    weight,
+                    frame,
+                    payload,
+                    field,
+                })
+            })
             .collect();
         round.insert(finalize_at, finalize(reply));
         for msg in round {

@@ -23,7 +23,9 @@
 //! frame is opened where it lies ([`fl_wire::ReportRef`]: envelope and
 //! digest verified, payload borrowed) for the at-most-once ledger and
 //! the round's accounting, and an accepted one travels on to the Master
-//! Aggregator as it arrived — the device's verified frame, forwarded.
+//! Aggregator as it arrived — the device's verified frame, forwarded with
+//! what that one parse read of it (device, weight, payload span), so the
+//! Master routes it and the shard folds it without opening it again.
 //! The frame's last owner gives its buffer back to the wire
 //! ([`fl_wire::recycle`]): the shard once it has folded or staged the
 //! payload, the Coordinator for a report it does not forward. So the
@@ -38,7 +40,7 @@
 //! This module is deliberately thin: all protocol decisions live in the
 //! deterministic state machines; actors only move messages and time.
 
-use crate::aggregator::{MasterAggregatorActor, MasterMsg, MergeOutcome};
+use crate::aggregator::{ForwardedReport, MasterAggregatorActor, MasterMsg, MergeOutcome};
 use crate::coordinator::{ActiveRound, Coordinator, CoordinatorConfig};
 use crate::round::{CheckinResponse, ReportResponse};
 use crate::selector::{CheckinDecision, Selector};
@@ -50,7 +52,8 @@ use fl_core::population::{TaskGroup, TaskKind};
 use fl_core::{CoreError, DeviceId, PopulationName, RoundId, RoundOutcome};
 use std::collections::BTreeMap;
 use fl_wire::{
-    ChannelTransport, ReportRef, Transport, WireError, WireMessage, WireSink, WireStats,
+    ChannelTransport, ReportPayload, ReportRef, Transport, WireError, WireMessage, WireSink,
+    WireStats,
 };
 use crossbeam::channel::{unbounded, Sender};
 use std::sync::Arc;
@@ -388,10 +391,12 @@ impl<S: CheckpointStore + Send + 'static> CoordinatorActor<S> {
     /// answered with a rejecting ack rather than a panic, and counted as
     /// corrupt. Valid reports pass the population and ledger-admission
     /// checks, then the at-most-once ledger, before any accounting. The
-    /// frame of a report this accepts moves on to the Master Aggregator;
-    /// any other goes back to the wire's spare buffers.
+    /// frame of a report this accepts moves on to the Master Aggregator
+    /// with what this one parse read of it; any other goes back to the
+    /// wire's spare buffers.
     fn on_report(&mut self, now: u64, frame: Vec<u8>) -> WireMessage {
-        let mut accepted = false;
+        // An accepted report's device, weight, payload span and field flag.
+        let mut forward = None;
         let ack = match ReportRef::parse(&frame) {
             Ok(report) if report.population != self.coordinator.population().as_str() => self
                 .refuse_report(
@@ -403,33 +408,30 @@ impl<S: CheckpointStore + Send + 'static> CoordinatorActor<S> {
             Ok(report) if !self.ledger_admits((report.device, report.round, report.attempt)) => {
                 self.refuse_report(now, report.round, report.attempt, self.population())
             }
-            Ok(ReportRef {
-                device,
-                round,
-                attempt,
-                loss,
-                accuracy,
-                payload,
-                ..
-            }) => {
-                let payload_bytes = payload.len_bytes();
-                self.admit_report(now, (device, round, attempt), |actor| {
+            Ok(report) => {
+                let key = (report.device, report.round, report.attempt);
+                self.admit_report(now, key, |actor| {
                     // The round does the protocol accounting (participant
                     // check, lateness, goal count, session logs); an
                     // accepted report's own frame moves on to the Master
                     // Aggregator subtree, which folds the payload (clear
                     // bytes, or field coordinates that stay in the field)
                     // on the device's shard.
-                    accepted = actor.active.as_mut().is_some_and(|active| {
+                    let accepted = actor.active.as_mut().is_some_and(|active| {
                         let verdict = active.on_forwarded_report(
-                            device,
+                            report.device,
                             now,
-                            payload_bytes,
-                            loss,
-                            accuracy,
+                            report.payload.len_bytes(),
+                            report.loss,
+                            report.accuracy,
                         );
                         matches!(verdict, Ok(ReportResponse::Accepted))
                     });
+                    if accepted {
+                        let field = matches!(report.payload, ReportPayload::Field(_));
+                        forward =
+                            Some((report.device, report.weight, report.payload_span(), field));
+                    }
                     accepted
                 })
             }
@@ -447,9 +449,15 @@ impl<S: CheckpointStore + Send + 'static> CoordinatorActor<S> {
                 }
             }
         };
-        match &self.master {
-            Some(master) if accepted => {
-                let _ = master.send(MasterMsg::Update { frame });
+        match (&self.master, forward) {
+            (Some(master), Some((device, weight, payload, field))) => {
+                let _ = master.send(MasterMsg::Update(ForwardedReport {
+                    device,
+                    weight,
+                    frame,
+                    payload,
+                    field,
+                }));
             }
             _ => fl_wire::recycle(frame),
         }
