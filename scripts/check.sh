@@ -80,6 +80,10 @@ run_step "secagg-live" cargo test -q --test secagg_live
 # of `field::mul` and the mask stream, the two pipeline proptests, and
 # the fixed-point codec's tests in `fl-ml` run here.
 run_step "secagg-kernel" cargo test -q -p fl-secagg -p fl-ml
+# The `test` step only compiles the examples. This one drives the stepwise
+# client and server types round by round, with a drop-out at each stage,
+# and ends asserting the unmasked sum.
+run_step "secagg-example" cargo run --release -q --example secure_aggregation
 run_step "secagg-bench" cargo run --release -q -p fl-bench --bin bench_secagg
 # End-to-end floor (ROADMAP 8(b)): one 2 s run of each `benchmark/`
 # workload must end `correct: true`, `failed` 0 and at `rounds_per_s` over
