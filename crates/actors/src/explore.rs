@@ -21,12 +21,17 @@
 use crate::system::{FaultAction, FaultInjector, Obituary};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+/// Share of deliveries an explorer reorders, per mille.
+const REORDER_PER_MILLE: u64 = 250;
+/// Reorders an explorer applies per scenario; once spent, everything
+/// delivers normally.
+const BUDGET: u64 = 10_000;
+
 /// A seeded [`FaultInjector`] that reorders a deterministic subset of
 /// mailbox deliveries and never loses a message.
 #[derive(Debug)]
 pub struct ScheduleExplorer {
     seed: u64,
-    reorder_per_mille: u64,
     budget: AtomicU64,
     applied: AtomicU64,
 }
@@ -37,24 +42,9 @@ impl ScheduleExplorer {
     pub fn new(seed: u64) -> Self {
         ScheduleExplorer {
             seed,
-            reorder_per_mille: 250,
-            budget: AtomicU64::new(10_000),
+            budget: AtomicU64::new(BUDGET),
             applied: AtomicU64::new(0),
         }
-    }
-
-    /// Sets the per-delivery reorder probability in per-mille (0–1000).
-    #[must_use]
-    pub fn with_rate(mut self, per_mille: u64) -> Self {
-        self.reorder_per_mille = per_mille.min(1000);
-        self
-    }
-
-    /// Caps total reorders; once spent, everything delivers normally.
-    #[must_use]
-    pub fn with_budget(mut self, max_reorders: u64) -> Self {
-        self.budget = AtomicU64::new(max_reorders);
-        self
     }
 
     /// Number of reorders applied so far.
@@ -84,7 +74,7 @@ fn mix(seed: u64, actor: &str, seq: u64) -> u64 {
 
 impl FaultInjector for ScheduleExplorer {
     fn on_deliver(&self, actor: &str, seq: u64) -> FaultAction {
-        if mix(self.seed, actor, seq) % 1000 < self.reorder_per_mille
+        if mix(self.seed, actor, seq) % 1000 < REORDER_PER_MILLE
             && self
                 .budget
                 .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |b| b.checked_sub(1))
@@ -143,12 +133,13 @@ mod tests {
 
     #[test]
     fn budget_caps_reorders() {
-        let x = ScheduleExplorer::new(7).with_rate(1000).with_budget(3);
-        let reorders = (1..100)
+        let x = ScheduleExplorer::new(7);
+        let reorders = (1..=8 * BUDGET)
             .filter(|&seq| x.on_deliver("a", seq) == FaultAction::Reorder)
             .count();
-        assert_eq!(reorders, 3);
-        assert_eq!(x.reorders_applied(), 3);
+        assert_eq!(reorders as u64, BUDGET);
+        assert_eq!(x.reorders_applied(), BUDGET);
+        assert_eq!(x.on_deliver("a", 8 * BUDGET + 1), FaultAction::Deliver);
     }
 
     #[test]

@@ -13,12 +13,12 @@
 //!   channels);
 //! * [`system::ActorSystem`] — spawning onto parked worker threads,
 //!   clean shutdown, and death notifications;
-//! * [`supervision`] — panic isolation and restart policies ("in all
-//!   failure cases the system will continue to make progress", Sec. 4.4);
+//! * [`supervision::watch_and_respawn`] — the lease-fenced loop that
+//!   respawns a crashed Coordinator exactly once ("in all failure cases
+//!   the system will continue to make progress", Sec. 4.4);
 //! * [`registry::LockingService`] — the shared locking service in which
 //!   Coordinators register, guaranteeing "there is always a single owner
 //!   for every FL population" and that respawn "will happen exactly once";
-//! * [`timer`] — deadline-based message scheduling;
 //! * [`explore`] — seeded schedule exploration: the fault-injection
 //!   hook's [`system::FaultAction::Reorder`] action, driven across K
 //!   seeds, checks scenario invariants under K distinct legal delivery
@@ -29,9 +29,9 @@ pub mod explore;
 pub mod registry;
 pub mod supervision;
 pub mod system;
-pub mod timer;
 
 pub use actor::{Actor, ActorRef, Context, Flow};
 pub use explore::{audit_exactly_once, ScheduleExplorer};
 pub use registry::{Lease, LockingService};
+pub use supervision::{watch_and_respawn, RespawnReport};
 pub use system::{ActorSystem, DeathReason, FaultAction, FaultInjector, Obituary, ScriptedFaults};

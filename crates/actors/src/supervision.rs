@@ -1,77 +1,73 @@
-//! Supervision: restart policies over the obituary channel.
+//! Supervision: the lease-fenced respawn loop over the obituary channel.
 //!
 //! Sec. 4.4 enumerates the failure modes this substrate must absorb: an
 //! Aggregator or Selector crash loses only its devices; a Master
 //! Aggregator crash fails the round (restarted by the Coordinator); a
 //! Coordinator crash is detected by the Selector layer and respawned
-//! exactly once via the locking service. The [`supervise`] loop here provides
-//! the generic detect-and-restart loop those behaviours build on.
+//! exactly once via the locking service. [`watch_and_respawn`] is that
+//! last loop; the first three need no loop of their own.
 
 use crate::actor::{Actor, ActorRef};
+use crate::registry::{Lease, LockingService};
 use crate::system::{ActorSystem, DeathReason, Obituary};
 use std::time::Duration;
 
-/// What a supervisor does when a supervised actor dies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RestartPolicy {
-    /// Never restart; just record the death.
-    Never,
-    /// Restart on panic, up to the given number of times.
-    OnPanic {
-        /// Maximum restarts before giving up.
-        max_restarts: usize,
-    },
-    /// Restart on any death (panic or normal stop), up to the limit.
-    Always {
-        /// Maximum restarts before giving up.
-        max_restarts: usize,
-    },
-}
-
-/// Outcome of a supervision run.
+/// Outcome of one [`watch_and_respawn`] watcher.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SupervisionReport {
-    /// Obituaries observed, in order.
+pub struct RespawnReport {
+    /// Obituaries of the watched actor observed, in order.
     pub deaths: Vec<Obituary>,
-    /// Number of restarts performed.
-    pub restarts: usize,
+    /// Respawns performed by *this* watcher. Across all concurrent
+    /// watchers the locking service guarantees at most one respawn per
+    /// death (Sec. 4.4: "this will happen exactly once").
+    pub respawns: usize,
 }
 
-/// Supervises a single named actor: watches the system's obituary channel
-/// and respawns per policy. `factory` rebuilds the actor (fresh state —
-/// actors are ephemeral, Sec. 4.2); `wire` is invoked with each new
-/// reference so callers can re-route traffic to the replacement.
+/// Watches the actor named `actor_name`, which holds the lease
+/// `lease_name` at `known_epoch`, and respawns it on panic — exactly once
+/// per death even with many concurrent watchers.
 ///
-/// Runs until the actor dies without triggering a restart, the restart
-/// budget is exhausted, or `deadline` passes.
-pub fn supervise<A, F, W>(
+/// This is the Selector layer's recovery loop from Sec. 4.4: "the
+/// Selector layer will detect this and respawn it. Because the
+/// Coordinators are registered in a shared locking service, this will
+/// happen exactly once." A panicked actor never runs `on_stop`, so its
+/// lease is still held; each watcher takes it over *with the fencing
+/// epoch of the incarnation it saw die* (a stale watcher cannot evict a
+/// successor). The one winner builds the replacement via
+/// `make_actor(lease)` — a Coordinator over the shared checkpoint store,
+/// so it resumes from the committed model — spawns it under
+/// `actor_name`, and announces it through `wire` (e.g. a Selector
+/// `Rewire` fan-out).
+///
+/// Each watcher reads its own obituary subscription (replay + live), so
+/// watchers of different names never steal each other's notices.
+///
+/// Returns when the actor dies without panicking (clean shutdown), the
+/// deadline passes, or a respawn budget of `max_respawns` is spent.
+pub fn watch_and_respawn<A, F, W>(
     system: &ActorSystem,
-    name: &str,
-    policy: RestartPolicy,
-    mut factory: F,
+    locks: &LockingService<String>,
+    actor_name: &str,
+    lease_name: &str,
+    mut known_epoch: u64,
+    max_respawns: usize,
+    mut make_actor: F,
     mut wire: W,
     deadline: Duration,
-) -> SupervisionReport
+) -> RespawnReport
 where
     A: Actor,
-    F: FnMut() -> A,
+    F: FnMut(Lease) -> A,
     W: FnMut(ActorRef<A::Msg>),
 {
-    // Each supervisor gets its own private obituary subscription
-    // (replay + live). Concurrent `supervise` loops therefore all see the
-    // full death stream: skipping another actor's obituary below only
-    // skips it in *this* subscriber's copy instead of stealing it from
-    // the supervisor it belongs to.
     let deaths_rx = system.deaths();
-    // fl-lint: allow(wall-clock): supervision deadlines bound real elapsed
-    // time in the live runtime; the sim supervises via its virtual clock.
+    // fl-lint: allow(wall-clock): the live watcher bounds real elapsed
+    // time; the sim exercises recovery via its virtual clock instead.
     let started = std::time::Instant::now();
-    let mut report = SupervisionReport {
+    let mut report = RespawnReport {
         deaths: Vec::new(),
-        restarts: 0,
+        respawns: 0,
     };
-    let first = system.spawn(name.to_string(), factory());
-    wire(first);
     loop {
         let remaining = deadline.saturating_sub(started.elapsed());
         if remaining.is_zero() {
@@ -81,24 +77,40 @@ where
             Ok(o) => o,
             Err(_) => return report,
         };
-        if obit.name != name {
-            continue; // not ours
+        if obit.name != actor_name {
+            continue;
         }
-        let should_restart = match (&policy, &obit.reason) {
-            (RestartPolicy::Never, _) => false,
-            (RestartPolicy::OnPanic { max_restarts }, DeathReason::Panicked(_)) => {
-                report.restarts < *max_restarts
-            }
-            (RestartPolicy::OnPanic { .. }, DeathReason::Normal) => false,
-            (RestartPolicy::Always { max_restarts }, _) => report.restarts < *max_restarts,
-        };
+        let panicked = matches!(obit.reason, DeathReason::Panicked(_));
         report.deaths.push(obit);
-        if !should_restart {
+        if !panicked {
+            // Clean shutdown released the lease itself; nothing to do.
             return report;
         }
-        report.restarts += 1;
-        let replacement = system.spawn(name.to_string(), factory());
-        wire(replacement);
+        if report.respawns >= max_respawns {
+            return report;
+        }
+        // The dead incarnation never ran `on_stop`: its lease is stale.
+        // Atomic fenced takeover picks exactly one winner among
+        // concurrent watchers — and, unlike an evict-then-acquire pair,
+        // cannot grab the name after a *successor* released it cleanly
+        // (a laggard watcher still digesting the original obituary must
+        // not respawn a second actor).
+        match locks.replace_stale(lease_name, known_epoch, lease_name.to_string()) {
+            Some(lease) => {
+                known_epoch = lease.epoch;
+                report.respawns += 1;
+                let replacement = system.spawn(actor_name.to_string(), make_actor(lease));
+                wire(replacement);
+            }
+            None => {
+                // Another watcher won the race; track the successor's
+                // epoch so a later death of *that* incarnation can still
+                // be evicted by us.
+                if let Some(epoch) = locks.current_epoch(lease_name) {
+                    known_epoch = epoch;
+                }
+            }
+        }
     }
 }
 
@@ -106,238 +118,171 @@ where
 mod tests {
     use super::*;
     use crate::actor::{Context, Flow};
-    use fl_race::{Mutex, Site};
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use crate::system::{FaultAction, ScriptedFaults};
     use std::sync::Arc;
 
-    /// Slot holding the supervised actor's current reference. Innermost
-    /// (timer callbacks lock it while holding nothing), so it ranks
-    /// above every runtime site.
-    const SLOT: Site = Site::new("test/supervision.slot", 241);
-
-    /// Panics on the first message, then (after restart) counts messages.
-    struct Flaky {
-        fail_first: Arc<AtomicUsize>,
-        handled: Arc<AtomicUsize>,
+    /// Answers each message with the message itself, and releases its
+    /// lease on a clean stop the way a Coordinator does. A scripted crash
+    /// kills it before `on_stop`, leaving the lease for a watcher.
+    struct Leased {
+        locks: LockingService<String>,
+        lease: Lease,
     }
 
-    impl Actor for Flaky {
-        type Msg = u32;
-        fn handle(&mut self, msg: u32, _ctx: &mut Context<u32>) -> Flow {
-            if self.fail_first.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |v| {
-                if v > 0 { Some(v - 1) } else { None }
-            }).is_ok() {
-                panic!("injected failure");
-            }
-            self.handled.fetch_add(1, Ordering::SeqCst);
-            if msg == 0 {
-                Flow::Stop
-            } else {
-                Flow::Continue
-            }
+    impl Actor for Leased {
+        type Msg = Flow;
+        fn handle(&mut self, flow: Flow, _ctx: &mut Context<Flow>) -> Flow {
+            flow
         }
+        fn on_stop(&mut self) {
+            self.locks.release(&self.lease);
+        }
+    }
+
+    /// Spawns the first incarnation of `name` under a fresh lease of the
+    /// same name; returns it and the lease's epoch.
+    fn start(
+        system: &ActorSystem,
+        locks: &LockingService<String>,
+        name: &str,
+    ) -> (ActorRef<Flow>, u64) {
+        let lease = locks.acquire(name, name.to_string()).expect("name is free");
+        let epoch = lease.epoch;
+        (
+            system.spawn(
+                name,
+                Leased {
+                    locks: locks.clone(),
+                    lease,
+                },
+            ),
+            epoch,
+        )
+    }
+
+    /// Watches `name`, feeding every replacement one `Flow::Stop` from
+    /// the `wire` callback.
+    fn watch(
+        system: &ActorSystem,
+        locks: &LockingService<String>,
+        name: &str,
+        epoch: u64,
+    ) -> RespawnReport {
+        watch_and_respawn(
+            system,
+            locks,
+            name,
+            name,
+            epoch,
+            3,
+            |lease| Leased {
+                locks: locks.clone(),
+                lease,
+            },
+            |replacement| {
+                let _ = replacement.send(Flow::Stop);
+            },
+            Duration::from_secs(10),
+        )
     }
 
     #[test]
-    fn restarts_on_panic_and_recovers() {
+    fn crash_loop_spends_the_respawn_budget() {
         let system = ActorSystem::new();
-        let fail_first = Arc::new(AtomicUsize::new(2)); // two injected crashes
-        let handled = Arc::new(AtomicUsize::new(0));
-        let current: Arc<Mutex<Option<ActorRef<u32>>>> = Arc::new(Mutex::new(SLOT, None));
-        let current2 = current.clone();
-        let ff = fail_first.clone();
-        let h = handled.clone();
-        // Feed messages on the timer wheel so restarts have work to do:
-        // one send every 2ms, the last one a Stop.
-        let wheel = crate::timer::TimerWheel::new();
-        for i in 0..60u32 {
-            let fc = current.clone();
-            wheel.schedule(Duration::from_millis(2 * u64::from(i) + 2), move || {
-                if let Some(r) = fc.lock().clone() {
-                    let _ = r.send(if i == 59 { 0 } else { 1 });
-                }
-            });
-        }
-        let report = supervise(
-            &system,
-            "flaky",
-            RestartPolicy::OnPanic { max_restarts: 5 },
-            move || Flaky {
-                fail_first: ff.clone(),
-                handled: h.clone(),
-            },
-            move |r| {
-                *current2.lock() = Some(r);
-            },
-            Duration::from_secs(5),
-        );
-        wheel.shutdown();
-        assert_eq!(report.restarts, 2, "deaths: {:?}", report.deaths);
-        assert!(handled.load(Ordering::SeqCst) > 0);
-        // Final death is normal (msg 0 → Stop).
-        assert!(matches!(
-            report.deaths.last().unwrap().reason,
-            DeathReason::Normal
+        // Every incarnation crashes on its first message.
+        system.install_fault_injector(Arc::new(ScriptedFaults::new().with(
+            "hopeless",
+            1,
+            FaultAction::Crash,
+        )));
+        let locks = LockingService::new();
+        let (first, epoch) = start(&system, &locks, "hopeless");
+        first.send(Flow::Stop).unwrap();
+        let report = watch(&system, &locks, "hopeless", epoch);
+        assert_eq!(report.respawns, 3);
+        assert_eq!(report.deaths.len(), 4, "{:?}", report.deaths);
+        assert!(report
+            .deaths
+            .iter()
+            .all(|o| matches!(o.reason, DeathReason::Panicked(_))));
+        system.join();
+    }
+
+    /// Regression: two watchers of two names must not steal each other's
+    /// obituaries. Were the death stream one shared receiver, "left"'s
+    /// obituary could be consumed and skipped by "right"'s watcher, which
+    /// would leave "left" dead until the deadline.
+    #[test]
+    fn two_watchers_each_respawn_only_their_own_actor() {
+        let system = ActorSystem::new();
+        // The first incarnation of each crashes on its second message;
+        // each replacement handles its one `Stop` and stops cleanly.
+        system.install_fault_injector(Arc::new(
+            ScriptedFaults::new()
+                .with("left", 2, FaultAction::Crash)
+                .with("right", 2, FaultAction::Crash),
         ));
-        system.join();
-    }
-
-    #[test]
-    fn never_policy_does_not_restart() {
-        let system = ActorSystem::new();
-        let fail_first = Arc::new(AtomicUsize::new(1));
-        let handled = Arc::new(AtomicUsize::new(0));
-        let refslot: Arc<Mutex<Option<ActorRef<u32>>>> = Arc::new(Mutex::new(SLOT, None));
-        let rs = refslot.clone();
-        let ff = fail_first.clone();
-        let h = handled.clone();
-        let rs2 = refslot.clone();
-        let wheel = crate::timer::TimerWheel::new();
-        wheel.schedule(Duration::from_millis(20), move || {
-            if let Some(r) = rs2.lock().clone() {
-                let _ = r.send(1);
-            }
+        let locks = LockingService::new();
+        let reports: Vec<_> = std::thread::scope(|scope| {
+            let (system, locks) = (&system, &locks);
+            let watched: Vec<_> = ["left", "right"]
+                .into_iter()
+                .map(|name| {
+                    let (first, epoch) = start(system, locks, name);
+                    (
+                        first,
+                        scope.spawn(move || (name, watch(system, locks, name, epoch))),
+                    )
+                })
+                .collect();
+            // Both watchers are started before either actor is fed.
+            let watchers: Vec<_> = watched
+                .into_iter()
+                .map(|(first, watcher)| {
+                    first.send(Flow::Continue).unwrap();
+                    first.send(Flow::Continue).unwrap();
+                    watcher
+                })
+                .collect();
+            watchers
+                .into_iter()
+                .map(|w| w.join().expect("watcher thread"))
+                .collect()
         });
-        let report = supervise(
-            &system,
-            "oneshot",
-            RestartPolicy::Never,
-            move || Flaky {
-                fail_first: ff.clone(),
-                handled: h.clone(),
-            },
-            move |r| *rs.lock() = Some(r),
-            Duration::from_secs(2),
-        );
-        wheel.shutdown();
-        assert_eq!(report.restarts, 0);
-        assert_eq!(report.deaths.len(), 1);
-        system.join();
-    }
-
-    /// Regression (satellite 1): two concurrent `supervise` loops must not
-    /// steal each other's obituaries. Pre-fix, `ActorSystem::deaths()`
-    /// cloned one shared crossbeam receiver, so when "left" died its
-    /// obituary could be consumed — and discarded via `continue; // not
-    /// ours` — by "right"'s supervisor, and the robbed supervisor blocked
-    /// until its deadline with zero restarts. Post-fix every subscriber
-    /// gets a private copy of the full death stream, so both supervisors
-    /// observe both interleaved deaths and each restarts its own actor.
-    #[test]
-    fn concurrent_supervisors_do_not_steal_obituaries() {
-        let system = ActorSystem::new();
-        // Both supervisors are subscribed and both actors are alive before
-        // either is fed, so the two crashes land in both subscriptions
-        // while both loops are draining them.
-        let both_wired = Arc::new(std::sync::Barrier::new(2));
-
-        let mut joins = Vec::new();
-        for name in ["left", "right"] {
-            let fail_first = Arc::new(AtomicUsize::new(1)); // one crash each
-            let handled = Arc::new(AtomicUsize::new(0));
-            let sys = system.clone();
-            let handled2 = handled.clone();
-            let both_wired = both_wired.clone();
-            joins.push(std::thread::spawn(move || {
-                let mut wired = 0;
-                let report = supervise(
-                    &sys,
-                    name,
-                    RestartPolicy::OnPanic { max_restarts: 3 },
-                    move || Flaky {
-                        fail_first: fail_first.clone(),
-                        handled: handled2.clone(),
-                    },
-                    // The stream is fed from the published ref, so no
-                    // message can race the spawn: the first incarnation
-                    // panics on its first message and the rest of its
-                    // mailbox dies with it; the replacement handles 39
-                    // and stops on the 40th.
-                    move |r| {
-                        if wired == 0 {
-                            both_wired.wait();
-                        }
-                        wired += 1;
-                        for i in 0..40u32 {
-                            let _ = r.send(if i == 39 { 0 } else { 1 });
-                        }
-                    },
-                    Duration::from_secs(5),
-                );
-                (name, report, handled)
-            }));
-        }
-        for j in joins {
-            let (name, report, handled) = j.join().expect("supervisor thread");
-            assert_eq!(
-                report.restarts, 1,
-                "supervisor {name} was robbed of its obituary: {:?}",
-                report.deaths
-            );
+        for (name, report) in reports {
+            assert_eq!(report.respawns, 1, "{name}: {:?}", report.deaths);
             assert!(
                 report.deaths.iter().all(|o| o.name == name),
-                "supervisor {name} recorded a foreign obituary: {:?}",
+                "{name}: {:?}",
                 report.deaths
             );
-            assert!(handled.load(Ordering::SeqCst) > 0);
-            assert!(matches!(
-                report.deaths.last().unwrap().reason,
-                DeathReason::Normal
-            ));
+            assert_eq!(
+                report.deaths.last().map(|o| &o.reason),
+                Some(&DeathReason::Normal)
+            );
         }
+        assert!(locks.names().is_empty(), "clean stops release both leases");
         system.join();
     }
 
     #[test]
-    fn restart_budget_is_respected() {
-        use std::sync::atomic::AtomicBool;
+    fn clean_stop_ends_the_watch_without_a_respawn() {
         let system = ActorSystem::new();
-        let fail_first = Arc::new(AtomicUsize::new(usize::MAX)); // always crash
-        let handled = Arc::new(AtomicUsize::new(0));
-        let refslot: Arc<Mutex<Option<ActorRef<u32>>>> = Arc::new(Mutex::new(SLOT, None));
-        let done = Arc::new(AtomicBool::new(false));
-        let rs = refslot.clone();
-        let ff = fail_first.clone();
-        let h = handled.clone();
-        let rs2 = refslot.clone();
-        let done2 = done.clone();
-        // Feed the crash-looping actor until supervision gives up, so the
-        // test is immune to scheduling speed: a self-rearming timer
-        // callback sends one message every 2ms.
-        fn feed(
-            wheel: &Arc<crate::timer::TimerWheel>,
-            slot: Arc<Mutex<Option<ActorRef<u32>>>>,
-            done: Arc<AtomicBool>,
-        ) {
-            if done.load(Ordering::SeqCst) {
-                return;
-            }
-            if let Some(r) = slot.lock().clone() {
-                let _ = r.send(1);
-            }
-            let rearm = Arc::clone(wheel);
-            wheel.schedule(Duration::from_millis(2), move || feed(&rearm, slot, done));
-        }
-        let wheel = Arc::new(crate::timer::TimerWheel::new());
-        feed(&wheel, rs2, done2);
-        let report = supervise(
-            &system,
-            "hopeless",
-            RestartPolicy::OnPanic { max_restarts: 3 },
-            move || Flaky {
-                fail_first: ff.clone(),
-                handled: h.clone(),
-            },
-            move |r| *rs.lock() = Some(r),
-            Duration::from_secs(20),
+        let locks = LockingService::new();
+        let (first, epoch) = start(&system, &locks, "steady");
+        first.send(Flow::Continue).unwrap();
+        first.send(Flow::Stop).unwrap();
+        let started = std::time::Instant::now();
+        let report = watch(&system, &locks, "steady", epoch);
+        // The stop ends the watch, not the 10 s deadline.
+        assert!(started.elapsed() < Duration::from_secs(5));
+        assert_eq!(report.respawns, 0);
+        assert_eq!(report.deaths.len(), 1);
+        assert_eq!(report.deaths[0].reason, DeathReason::Normal);
+        assert!(
+            locks.lookup("steady").is_none(),
+            "the stop released the lease"
         );
-        done.store(true, Ordering::SeqCst);
-        wheel.shutdown();
-        assert_eq!(report.restarts, 3);
-        assert_eq!(report.deaths.len(), 4); // initial + 3 restarts, all dead
-        // Drop the slot's reference so the last (stopped) actor's mailbox
-        // closes and join() returns.
-        *refslot.lock() = None;
         system.join();
     }
 }

@@ -152,8 +152,8 @@ struct Shared {
     /// (`deaths()` after `join()`) still works.
     obituary_log: Mutex<Vec<Obituary>>,
     /// Live subscriber channels. Each subscriber owns a private channel,
-    /// so concurrent consumers (e.g. two `supervise` loops) can never
-    /// steal each other's notices.
+    /// so concurrent consumers (e.g. two `watch_and_respawn` watchers)
+    /// can never steal each other's notices.
     subscribers: Mutex<Vec<Sender<Obituary>>>,
     /// Whether `injector` holds one. Written under the `injector` lock;
     /// read alone before every delivery, so a system with nothing
@@ -198,7 +198,7 @@ impl Shared {
 
     /// Counts the calling worker idle. Its job calls this once its actor
     /// is dead but before the obituary goes out, so whoever answers an
-    /// obituary by spawning (a supervisor, the next round) finds this
+    /// obituary by spawning (a respawn watcher, the next round) finds this
     /// worker rather than starting another; a job sent in the meantime
     /// waits in the channel for the few steps the worker has left.
     fn worker_idle(&self) {
@@ -290,7 +290,7 @@ fn run<A: Actor>(
                 FaultAction::Crash => {
                     // fl-lint: allow(panic): chaos injection must
                     // exercise the real panic-recovery path the
-                    // supervisors are built to absorb.
+                    // respawn watchers are built to absorb.
                     panic!("chaos: injected crash");
                 }
             }
@@ -386,8 +386,8 @@ impl ActorSystem {
     /// Subscribes to obituaries: every actor that stops (normally or by
     /// panic) publishes a notice. Each call returns a **private** channel
     /// that first replays all past obituaries, then receives future ones —
-    /// concurrent subscribers (e.g. two `supervise` loops) each see the
-    /// full stream and can never steal notices from one another.
+    /// concurrent subscribers (e.g. two `watch_and_respawn` watchers) each
+    /// see the full stream and can never steal notices from one another.
     pub fn deaths(&self) -> Receiver<Obituary> {
         let (tx, rx) = unbounded();
         // Lock order: obituary_log (rank 10), then subscribers (rank

@@ -18,9 +18,11 @@
 //! * [`dashboard`] — ASCII chart rendering for terminal dashboards (the
 //!   `figures` binary uses this to draw Figs. 5–9);
 //! * [`faultlog`] — the deterministic fault/recovery event log written by
-//!   the chaos harness (replayable byte-for-byte from a seed);
-//! * [`wire`] — bytes-on-wire aggregation over [`fl_wire::WireStats`]
-//!   endpoint counters (FIG9 measured from real frames).
+//!   the chaos harness (replayable byte-for-byte from a seed).
+//!
+//! Bytes on the wire are not aggregated here: every transport endpoint
+//! counts its own frames and bytes in an [`fl_wire::WireStats`], and a
+//! caller sums endpoints with its `Add`.
 
 pub mod dashboard;
 pub mod faultlog;
@@ -28,11 +30,9 @@ pub mod monitor;
 pub mod overload;
 pub mod sessions;
 pub mod timeseries;
-pub mod wire;
 
 pub use faultlog::{FaultLog, FaultLogEntry};
 pub use monitor::{Alert, DeviationMonitor};
 pub use overload::{OverloadMetrics, OverloadMonitorConfig};
 pub use sessions::SessionShapeTable;
 pub use timeseries::TimeSeries;
-pub use wire::WireTraffic;

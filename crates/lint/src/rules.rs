@@ -83,7 +83,7 @@ pub const RULES: &[Rule] = &[
         include: &["crates/actors/", "crates/server/", "crates/device/"],
         exclude: &[],
         applies_to_tests: false,
-        hint: "use TimerWheel::schedule / recv_timeout so waits are interruptible and simulable",
+        hint: "wait with recv_timeout on a channel so waits are interruptible and simulable",
         check: check_sleep,
     },
     Rule {

@@ -10,7 +10,8 @@
 //! Sec. 4.1), which shards reporting devices across `AggregatorActor`
 //! children of its own and dies with the round. The Coordinator registers
 //! itself in the shared [`fl_actors::LockingService`]; if it dies, the
-//! Selector layer detects the obituary and respawns it exactly once.
+//! Selector layer detects the obituary and respawns it exactly once
+//! ([`fl_actors::watch_and_respawn`]).
 //!
 //! Construction of the tree — Selector specs, the shared
 //! [`crate::shedding::GlobalAdmissionBudget`], telemetry — lives in
@@ -45,7 +46,7 @@ use crate::coordinator::{ActiveRound, Coordinator, CoordinatorConfig};
 use crate::round::{CheckinResponse, ReportResponse};
 use crate::selector::{CheckinDecision, Selector};
 use crate::storage::{CheckpointStore, InMemoryCheckpointStore};
-use fl_actors::{Actor, ActorRef, ActorSystem, Context, Flow, Lease, LockingService};
+use fl_actors::{Actor, ActorRef, Context, Flow, Lease, LockingService};
 use fl_analytics::overload::OverloadMetrics;
 use fl_core::plan::FlPlan;
 use fl_core::population::{TaskGroup, TaskKind};
@@ -1068,115 +1069,15 @@ impl<T: Transport> DeviceConn<T> {
     }
 }
 
-/// Outcome of one [`watch_and_respawn`] watcher.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RespawnReport {
-    /// Obituaries of the watched coordinator observed, in order.
-    pub deaths: Vec<fl_actors::Obituary>,
-    /// Respawns performed by *this* watcher. Across all concurrent
-    /// watchers the locking service guarantees at most one respawn per
-    /// death (Sec. 4.4: "this will happen exactly once").
-    pub respawns: usize,
-}
-
-/// Watches a population's coordinator actor and respawns it on panic —
-/// exactly once per death even with many concurrent watchers.
-///
-/// This is the Selector layer's recovery loop from Sec. 4.4: "the
-/// Selector layer will detect this and respawn it. Because the
-/// Coordinators are registered in a shared locking service, this will
-/// happen exactly once." A panicked coordinator never runs `on_stop`, so
-/// its lease is still held; each watcher evicts it *with the fencing
-/// epoch of the incarnation it saw die* (a stale watcher cannot evict a
-/// successor) and races to re-acquire. The winner builds the replacement
-/// via `make_actor(lease)` — typically [`CoordinatorActor::with_store`]
-/// over a [`crate::storage::SharedCheckpointStore`], so resume-aware
-/// deployment picks up the committed model — spawns it under
-/// `actor_name`, and announces it through `wire` (e.g. a
-/// [`SelectorMsg::Rewire`] fan-out).
-///
-/// Returns when the coordinator dies without panicking (clean shutdown),
-/// the deadline passes, or a respawn budget of `max_respawns` is spent.
-pub fn watch_and_respawn<S, F, W>(
-    system: &ActorSystem,
-    locks: &LockingService<String>,
-    actor_name: &str,
-    lease_name: &str,
-    mut known_epoch: u64,
-    max_respawns: usize,
-    mut make_actor: F,
-    mut wire: W,
-    deadline: Duration,
-) -> RespawnReport
-where
-    S: CheckpointStore + Send + 'static,
-    F: FnMut(Lease) -> CoordinatorActor<S>,
-    W: FnMut(ActorRef<CoordMsg>),
-{
-    let deaths_rx = system.deaths();
-    // fl-lint: allow(wall-clock): the live watcher bounds real elapsed
-    // time; the sim exercises recovery via its virtual clock instead.
-    let started = Instant::now();
-    let mut report = RespawnReport {
-        deaths: Vec::new(),
-        respawns: 0,
-    };
-    loop {
-        let remaining = deadline.saturating_sub(started.elapsed());
-        if remaining.is_zero() {
-            return report;
-        }
-        let obit = match deaths_rx.recv_timeout(remaining) {
-            Ok(o) => o,
-            Err(_) => return report,
-        };
-        if obit.name != actor_name {
-            continue;
-        }
-        let panicked = matches!(obit.reason, fl_actors::DeathReason::Panicked(_));
-        report.deaths.push(obit);
-        if !panicked {
-            // Clean shutdown released the lease itself; nothing to do.
-            return report;
-        }
-        if report.respawns >= max_respawns {
-            return report;
-        }
-        // The dead incarnation never ran `on_stop`: its lease is stale.
-        // Atomic fenced takeover picks exactly one winner among
-        // concurrent watchers — and, unlike an evict-then-acquire pair,
-        // cannot grab the name after a *successor* released it cleanly
-        // (a laggard watcher still digesting the original obituary must
-        // not respawn a second coordinator).
-        match locks.replace_stale(lease_name, known_epoch, lease_name.to_string()) {
-            Some(lease) => {
-                known_epoch = lease.epoch;
-                report.respawns += 1;
-                let replacement = system.spawn(actor_name.to_string(), make_actor(lease));
-                wire(replacement);
-            }
-            None => {
-                // Another watcher won the race; track the successor's
-                // epoch so a later death of *that* incarnation can still
-                // be evicted by us.
-                if let Some(epoch) = locks.current_epoch(lease_name) {
-                    known_epoch = epoch;
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pace::PaceSteering;
-    use crate::topology::{spawn_multi_topology, SelectorSpec, TopologyBlueprint};
-    use fl_actors::DeathReason;
+    use crate::topology::{complete_round, spawn_multi_topology, SelectorSpec, TopologyBlueprint};
+    use fl_actors::{ActorSystem, DeathReason};
     use fl_core::plan::{CodecSpec, ModelSpec};
     use fl_core::population::{FlTask, TaskSelectionStrategy};
     use fl_core::round::RoundConfig;
-    use crossbeam::channel::unbounded;
     use std::time::Duration;
 
     fn spec() -> ModelSpec {
@@ -1265,25 +1166,7 @@ mod tests {
             .count();
         assert_eq!(accepted, 4);
 
-        // Poll for round completion, pacing the polls off the timer wheel
-        // rather than blocking the test thread with a raw sleep.
-        let wheel = fl_actors::timer::TimerWheel::new();
-        let outcome = loop {
-            let (tx, rx) = unbounded();
-            coord_ref
-                .send(CoordMsg::TryCompleteRound { reply: tx })
-                .unwrap();
-            if let Some(outcome) = rx.recv_timeout(Duration::from_secs(5)).unwrap() {
-                break outcome;
-            }
-            coord_ref.send(CoordMsg::Tick).unwrap();
-            let (poll_tx, poll_rx) = unbounded::<()>();
-            wheel.schedule(Duration::from_millis(20), move || {
-                let _ = poll_tx.send(());
-            });
-            let _ = poll_rx.recv();
-        };
-        wheel.shutdown();
+        let outcome = complete_round(&coord_ref, 50).unwrap();
         assert!(outcome.is_committed());
 
         for s in &selector_refs {
@@ -1364,16 +1247,12 @@ mod tests {
         system.join();
     }
 
-    /// A malformed or mis-tagged frame on the check-in path must be
-    /// dropped silently — not crash the selector, not earn a reply —
-    /// and the connection must keep working for well-formed traffic.
+    /// The at-most-once contract: a device whose `ReportAck` was lost
+    /// re-sends the *same* `(round, attempt)` key; the coordinator answers
+    /// both uploads with the original accepting ack but incorporates
+    /// exactly one contribution.
     #[test]
     fn retried_report_is_acked_twice_but_summed_once() {
-        // The at-most-once contract (satellite of the network-fault PR):
-        // a device whose `ReportAck` was lost re-sends the *same*
-        // `(round, attempt)` key; the coordinator answers both uploads
-        // with the original accepting ack but incorporates exactly one
-        // contribution.
         let system = ActorSystem::new();
         let locks = LockingService::new();
         let task = FlTask::training("t", "pop-dedup").with_round(quick_round(1));
@@ -1432,23 +1311,7 @@ mod tests {
         }
         assert_eq!(acks, vec![(true, round, 1), (true, round, 1)]);
 
-        let wheel = fl_actors::timer::TimerWheel::new();
-        let outcome = loop {
-            let (tx, rx) = unbounded();
-            coord_ref
-                .send(CoordMsg::TryCompleteRound { reply: tx })
-                .unwrap();
-            if let Some(outcome) = rx.recv_timeout(Duration::from_secs(5)).unwrap() {
-                break outcome;
-            }
-            coord_ref.send(CoordMsg::Tick).unwrap();
-            let (poll_tx, poll_rx) = unbounded::<()>();
-            wheel.schedule(Duration::from_millis(20), move || {
-                let _ = poll_tx.send(());
-            });
-            let _ = poll_rx.recv();
-        };
-        wheel.shutdown();
+        let outcome = complete_round(&coord_ref, 50).unwrap();
         match outcome {
             RoundOutcome::Committed { incorporated, .. } => assert_eq!(incorporated, 1),
             other => panic!("expected a committed round, got {other:?}"),
@@ -1570,7 +1433,7 @@ mod tests {
         for client in &clients {
             assert_eq!(client.try_recv().unwrap(), None, "route dropped mid-round");
         }
-        let outcome = crate::topology::complete_round(&committed, 50).unwrap();
+        let outcome = complete_round(&committed, 50).unwrap();
         assert!(outcome.is_committed());
         for client in &clients {
             assert_eq!(client.recv_timeout(wait).unwrap_err(), WireError::Closed);
@@ -1588,7 +1451,7 @@ mod tests {
         let abandoned = spawn_coordinator(&system, "pop-routes-abandoned", short);
         let lonely = forward(&abandoned, 0);
         assert_eq!(lonely.try_recv().unwrap(), None);
-        let outcome = crate::topology::complete_round(&abandoned, 50).unwrap();
+        let outcome = complete_round(&abandoned, 50).unwrap();
         assert!(!outcome.is_committed());
         assert_eq!(lonely.recv_timeout(wait).unwrap_err(), WireError::Closed);
 
@@ -1612,9 +1475,7 @@ mod tests {
         let first = configuration(&forward(&coordinator, 0));
         let stale = keyed_report_frame(0, first.round, 1, 0.25, "pop-stale");
         assert!(report(&coordinator, stale.clone()));
-        assert!(crate::topology::complete_round(&coordinator, 50)
-            .unwrap()
-            .is_committed());
+        assert!(complete_round(&coordinator, 50).unwrap().is_committed());
 
         let second = configuration(&forward(&coordinator, 0));
         assert_eq!(second.round, first.round.next());
@@ -1624,9 +1485,7 @@ mod tests {
         );
         let real = keyed_report_frame(0, second.round, 1, 0.5, "pop-stale");
         assert!(report(&coordinator, real));
-        assert!(crate::topology::complete_round(&coordinator, 50)
-            .unwrap()
-            .is_committed());
+        assert!(complete_round(&coordinator, 50).unwrap().is_committed());
 
         // Each round's one update over its weight of 4, exactly:
         // 0 + 0.0625 (round 1) + 0.125 (round 2).

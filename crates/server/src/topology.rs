@@ -21,7 +21,6 @@ use crate::selector::Selector;
 use crate::shedding::{AdmissionConfig, GlobalAdmissionBudget, GlobalAdmissionConfig};
 use crate::storage::CheckpointStore;
 use crossbeam::channel::unbounded;
-use fl_actors::timer::TimerWheel;
 use fl_actors::{ActorRef, ActorSystem};
 use fl_analytics::overload::{OverloadMetrics, OverloadMonitorConfig};
 use fl_core::plan::FlPlan;
@@ -246,13 +245,14 @@ pub enum CompletionError {
 
 /// Pause between two completion polls.
 const POLL_PERIOD: Duration = Duration::from_millis(20);
-/// Bound on any single wait inside [`complete_round`].
+/// Bound on the wait for one probe's reply inside [`complete_round`].
 const POLL_WAIT: Duration = Duration::from_secs(10);
 
 /// Drives `coordinator`'s current round to its outcome: asks it to
 /// complete the round, and while the round is still running sends a
-/// `Tick` (so phase timeouts fire) and waits one [`POLL_PERIOD`] on the
-/// timer wheel — never a raw sleep — before asking again. At most
+/// `Tick` (so phase timeouts fire) and waits one [`POLL_PERIOD`] before
+/// asking again. The wait is a `recv_timeout` on a channel nothing sends
+/// on, so it blocks only the calling thread and starts none. At most
 /// `max_polls` probes, so a round that can never finish is an error
 /// after about `max_polls × 20 ms`, not a hang.
 ///
@@ -264,14 +264,10 @@ pub fn complete_round(
     coordinator: &ActorRef<CoordMsg>,
     max_polls: u32,
 ) -> Result<RoundOutcome, CompletionError> {
-    let wheel = TimerWheel::new();
+    let (_never_sent, idle) = unbounded::<()>();
     for poll in 0..max_polls {
         if poll > 0 {
-            let (due_tx, due_rx) = unbounded::<()>();
-            wheel.schedule(POLL_PERIOD, move || {
-                let _ = due_tx.send(());
-            });
-            let _ = due_rx.recv_timeout(POLL_WAIT);
+            let _ = idle.recv_timeout(POLL_PERIOD);
         }
         let (tx, rx) = unbounded();
         coordinator

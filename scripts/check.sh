@@ -29,22 +29,22 @@ run_step "build" cargo build --release
 run_step "test" cargo test -q
 run_step "fl-lint" cargo run -q -p fl-lint
 # The `test` step is the root package only. The channel every mailbox,
-# transport half and reply rides on, and the runtime that lends actors
-# their threads, have their own unit tests (wake-ups, MPMC delivery,
-# bounded threads under 10 000 ephemeral spawns, worker reuse after a
-# panic); this is the gate they run in.
-run_step "actors-runtime" cargo test -q -p crossbeam -p fl-actors
-# The simulator engine's own unit tests (the event queue against its
-# BTreeMap model, the availability queries against the full scan, the
-# fleet loop) are in `fl-sim`, which the root `test` step does not run.
-run_step "sim-engine" cargo test -q -p fl-sim
-# Wire-protocol gate: codec round-trip/rejection tests plus the golden
-# frame fixture, so accidental frame-layout changes fail loudly; the
-# bench step fails if the 1M-parameter frame moves under 1 500 MB/s
+# transport half and reply rides on is vendored, not a workspace member;
+# its own unit tests (wake-ups, MPMC delivery) run here.
+run_step "actors-runtime" cargo test -q -p crossbeam
+# Every workspace crate's own tests, which the root `test` step does not
+# run: the runtime (bounded threads under 10 000 ephemeral spawns, worker
+# reuse after a panic, the respawn loop), the simulator engine (the event
+# queue against its BTreeMap model, availability queries against the
+# full scan, the fleet loop), the wire codec and its golden frame
+# fixture, the field, Shamir, masking and protocol tests with the golden
+# mask pins and the out-of-order `compile_fail` doctests, the fixed-point
+# codec, the server's state machines, and the bench gates' floors.
+run_step "crates" cargo test -q --workspace --exclude federated
+# The bench step fails if the 1M-parameter frame moves under 1 500 MB/s
 # either way (a byte-serial digest cannot reach it). The three bench
 # steps print their JSON here and write no file; a committed
 # BENCH_*.json is refreshed by redirecting a bin's stdout onto it.
-run_step "wire-codec" cargo test -q -p fl-wire
 run_step "wire-bench" cargo run --release -q -p fl-bench --bin bench_wire
 # Network-chaos gate: seeded faulty-transport scripts mangle report
 # frames through the live sharded topology (plain + SecAgg); per seed
@@ -75,11 +75,6 @@ run_step "schedule-explore" cargo test -q --test schedule_explore
 # the bench step fails unless 64 devices in groups of 16 finalize at
 # least 1.5x faster than as one quadratic group.
 run_step "secagg-live" cargo test -q --test secagg_live
-# The `test` step is the root package only: the field, Shamir, masking
-# and protocol unit tests, the golden mask pins, the differential tests
-# of `field::mul` and the mask stream, the two pipeline proptests, and
-# the fixed-point codec's tests in `fl-ml` run here.
-run_step "secagg-kernel" cargo test -q -p fl-secagg -p fl-ml
 # The `test` step only compiles the examples. This one drives the stepwise
 # client and server types round by round, with a drop-out at each stage,
 # and ends asserting the unmasked sum.

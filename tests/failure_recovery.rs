@@ -3,15 +3,16 @@
 //! current round or restarting from the results of the previously
 //! committed round."
 
-use federated::actors::{ActorSystem, FaultAction, LockingService, ScriptedFaults};
+use federated::actors::{
+    watch_and_respawn, ActorSystem, FaultAction, LockingService, ScriptedFaults,
+};
 use federated::core::plan::{CodecSpec, FlPlan, ModelSpec};
 use federated::core::population::{FlTask, TaskGroup, TaskSelectionStrategy};
 use federated::core::round::RoundConfig;
 use federated::core::{DeviceId, PopulationName, RoundId};
 use federated::server::coordinator::{Coordinator, CoordinatorConfig};
 use federated::server::live::{
-    coordinator_lease_name, watch_and_respawn, CoordMsg, CoordinatorActor, DeviceConn,
-    SelectorMsg,
+    coordinator_lease_name, CoordMsg, CoordinatorActor, DeviceConn, SelectorMsg,
 };
 use federated::server::wire::WireMessage;
 use federated::server::pace::PaceSteering;

@@ -1,7 +1,8 @@
 //! Tier-1 lock audit: run representative workloads from every crate
-//! that holds locks — the live actor tree, the registry, the timer
-//! wheel, schedule-explored rounds — inside one process, then assert
-//! the global fl-race [`LockGraph`] stayed acyclic and rank-clean.
+//! that holds locks — the live actor tree, the registry,
+//! schedule-explored rounds, a framed TCP upload — inside one process,
+//! then assert the global fl-race [`LockGraph`] stayed acyclic and
+//! rank-clean.
 //! Unlike a deadlocking run, a *potential* deadlock (both orders of a
 //! lock pair, each observed on some thread, even if never
 //! concurrently) is visible here as a graph cycle.
@@ -13,9 +14,8 @@
 use fl_race::{LockGraph, Mutex, Site};
 
 /// Exercise the real stack: two explored live rounds (different
-/// delivery schedules) plus direct timer/registry traffic, all feeding
-/// the global lock graph, which must stay acyclic with zero rank
-/// violations.
+/// delivery schedules) plus a framed TCP upload, all feeding the
+/// global lock graph, which must stay acyclic with zero rank violations.
 #[test]
 fn workspace_lock_graph_is_acyclic() {
     // Live topology under two delivery schedules: Selector actor,
@@ -30,14 +30,6 @@ fn workspace_lock_graph_is_acyclic() {
             report.violations
         );
     }
-    // Timer wheel: schedule/cancel traffic takes the seq + handle locks.
-    let wheel = fl_actors::timer::TimerWheel::new();
-    let (tx, rx) = crossbeam::channel::unbounded::<()>();
-    wheel.schedule(std::time::Duration::from_millis(1), move || {
-        let _ = tx.send(());
-    });
-    let _ = rx.recv_timeout(std::time::Duration::from_secs(5));
-    wheel.shutdown();
     // Framed TCP: a megabyte upload is read into a spare frame buffer
     // under the read half's lock, and its last owner gives it back.
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");

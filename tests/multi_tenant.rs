@@ -9,15 +9,16 @@
 //! flash crowd.
 
 use crossbeam::channel::unbounded;
-use federated::actors::{ActorSystem, FaultAction, LockingService, ScriptedFaults};
+use federated::actors::{
+    watch_and_respawn, ActorSystem, FaultAction, LockingService, ScriptedFaults,
+};
 use federated::analytics::overload::OverloadMonitorConfig;
 use federated::core::plan::{CodecSpec, FlPlan, ModelSpec};
 use federated::core::population::{FlTask, TaskGroup, TaskSelectionStrategy};
 use federated::core::round::RoundConfig;
 use federated::core::{DeviceId, PopulationName};
 use federated::server::live::{
-    coordinator_lease_name, watch_and_respawn, CoordMsg, CoordinatorActor, DeviceConn,
-    SelectorMsg,
+    coordinator_lease_name, CoordMsg, CoordinatorActor, DeviceConn, SelectorMsg,
 };
 use federated::server::storage::InMemoryCheckpointStore;
 use federated::server::pace::PaceSteering;
