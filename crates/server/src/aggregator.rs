@@ -14,21 +14,25 @@
 //! results into a final aggregate for the round, without Secure
 //! Aggregation."
 //!
-//! In the live tree a device's update reaches its shard in the buffer
-//! the socket read filled: the Coordinator opens the device's report
-//! frame once and hands the Master the frame, forwarded, with what that
-//! parse read ([`ForwardedReport`] in [`MasterMsg::Update`]); the Master
-//! routes it by device, moved, to the device's shard; the shard folds the
-//! payload where it lies, through one scratch vector it keeps for the
-//! round. Everything
-//! else on the Coordinator → Master → shard path is a typed message
+//! A device's update reaches its shard in the buffer the socket read
+//! filled: the Coordinator's round opens the device's report frame once,
+//! and an accepted one goes on to the Master with what that parse read
+//! ([`ReportRoute`]); the Master routes it by device to the device's
+//! shard; the shard folds the payload where it lies
+//! ([`AggregatorShard::accept_forwarded`]), through one scratch vector it
+//! keeps for the round. In the live tree the frame is moved along
+//! ([`ForwardedReport`] in [`MasterMsg::Update`]), and everything else on
+//! the Coordinator → Master → shard path is a typed message
 //! ([`MasterMsg`], [`ShardMsg`]): these are actors of one process, and a
 //! round closes with one [`MasterMsg::Finalize`] — the same for plain
 //! and SecAgg rounds — answered by one [`MergeOutcome`].
 //!
-//! The struct [`MasterAggregator`] is the single-threaded reference the
-//! actor tree is tested against bit for bit; the two share the routing
-//! function and the closed-shards → [`MergeOutcome`] routine.
+//! The struct [`MasterAggregator`] is the Master the in-process drivers
+//! (the chaos and training simulators) run, and the single-threaded
+//! reference the actor tree is tested against bit for bit. The two share
+//! the routing function, the fold dispatch
+//! ([`AggregatorShard::accept_forwarded`]) and the closed-shards →
+//! [`MergeOutcome`] routine.
 
 use crossbeam::channel::{unbounded, Sender};
 use fl_actors::{Actor, ActorRef, Context as ActorContext, Flow};
@@ -216,6 +220,34 @@ impl AggregatorShard {
         self.stage_field(device, field.iter().copied(), weight)
     }
 
+    /// Accepts one forwarded report: folds (an `UpdateReport`'s clear
+    /// bytes) or stages (a `SecAggReport`'s field vector) the payload
+    /// `route` locates, where it lies in `frame`. The struct
+    /// [`MasterAggregator`] and the [`AggregatorActor`] both take reports
+    /// through here.
+    ///
+    /// # Errors
+    ///
+    /// As [`AggregatorShard::accept`] / [`AggregatorShard::accept_field`],
+    /// or a payload span outside the frame.
+    pub fn accept_forwarded(&mut self, route: &ReportRoute, frame: &[u8]) -> Result<(), CoreError> {
+        let Some(payload) = frame.get(route.payload.clone()) else {
+            return Err(CoreError::MalformedCheckpoint(
+                "payload outside its frame".into(),
+            ));
+        };
+        if route.field {
+            let coordinates = payload.as_chunks::<8>().0;
+            self.stage_field(
+                route.device,
+                coordinates.iter().map(|c| u64::from_le_bytes(*c)),
+                route.weight,
+            )
+        } else {
+            self.accept(route.device, payload, route.weight)
+        }
+    }
+
     /// [`AggregatorShard::accept_field`] over any source of coordinates,
     /// so a report frame's little-endian field bytes are staged straight
     /// from the frame.
@@ -392,7 +424,6 @@ pub struct MergeOutcome {
 #[derive(Debug)]
 pub struct MasterAggregator {
     plan: AggregationPlan,
-    codec: CodecSpec,
     shards: Vec<AggregatorShard>,
     secagg_seed: u64,
 }
@@ -408,7 +439,6 @@ impl MasterAggregator {
             .collect();
         MasterAggregator {
             plan,
-            codec,
             shards,
             secagg_seed,
         }
@@ -452,6 +482,18 @@ impl MasterAggregator {
         self.shards[idx].accept_field(device, field, weight)
     }
 
+    /// Accepts one forwarded report frame, routing it to the device's
+    /// shard exactly as the [`MasterAggregatorActor`] routes a
+    /// [`MasterMsg::Update`].
+    ///
+    /// # Errors
+    ///
+    /// As [`AggregatorShard::accept_forwarded`].
+    pub fn accept_forwarded(&mut self, route: &ReportRoute, frame: &[u8]) -> Result<(), CoreError> {
+        let idx = shard_of(route.device, self.shards.len());
+        self.shards[idx].accept_forwarded(route, frame)
+    }
+
     /// Total devices accepted across shards.
     pub fn contributors(&self) -> usize {
         self.shards.iter().map(AggregatorShard::contributors).sum()
@@ -488,11 +530,6 @@ impl MasterAggregator {
             .map(|(i, shard)| shard.close(advertise_dropouts, share_dropouts, shard_seed(seed, i)))
             .collect();
         merge_closed(self.plan, seed, closed, current_params)
-    }
-
-    /// The codec used for updates (needed by callers encoding reports).
-    pub fn codec(&self) -> CodecSpec {
-        self.codec
     }
 
     /// Decomposes the master into its parts — `(plan, shards, secagg
@@ -567,19 +604,16 @@ fn merge_closed(
     })
 }
 
-/// One device's report as the Coordinator hands it to the Master and the
-/// Master to a shard: the device's own frame, moved (the Coordinator has
-/// verified it), plus what the Coordinator's one parse read from it — so
-/// the payload is folded where it already lies.
-#[derive(Debug)]
-pub struct ForwardedReport {
+/// What the Coordinator's one parse of an accepted report frame read for
+/// the Master: whom to route it by, and where its payload lies — so the
+/// payload is folded where it already lies.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ReportRoute {
     /// The reporting device.
     pub device: DeviceId,
     /// The device's example count (FedAvg weight).
     pub weight: u64,
-    /// The verified report frame.
-    pub frame: Vec<u8>,
-    /// Where the payload sits in `frame`
+    /// Where the payload sits in the frame
     /// ([`fl_wire::ReportRef::payload_span`]).
     pub payload: std::ops::Range<usize>,
     /// Whether the payload is a [`fl_wire::WireMessage::SecAggReport`]'s
@@ -587,6 +621,29 @@ pub struct ForwardedReport {
     /// model parameter) rather than an
     /// [`fl_wire::WireMessage::UpdateReport`]'s codec-encoded update.
     pub field: bool,
+}
+
+impl ReportRoute {
+    /// The route of the report `report` opened.
+    pub(crate) fn of(report: &fl_wire::ReportRef<'_>) -> Self {
+        ReportRoute {
+            device: report.device,
+            weight: report.weight,
+            payload: report.payload_span(),
+            field: matches!(report.payload, fl_wire::ReportPayload::Field(_)),
+        }
+    }
+}
+
+/// One device's report as the Coordinator hands it to the Master and the
+/// Master to a shard: the device's own frame, moved (the Coordinator has
+/// verified it), with its route.
+#[derive(Debug)]
+pub struct ForwardedReport {
+    /// What the Coordinator's parse read of `frame`.
+    pub route: ReportRoute,
+    /// The verified report frame.
+    pub frame: Vec<u8>,
 }
 
 /// Messages handled by one [`AggregatorActor`] shard.
@@ -634,22 +691,11 @@ impl Actor for AggregatorActor {
     fn handle(&mut self, msg: ShardMsg, _ctx: &mut ActorContext<ShardMsg>) -> Flow {
         match msg {
             ShardMsg::Accept(report) => {
-                if let (Some(shard), Some(payload)) =
-                    (&mut self.shard, report.frame.get(report.payload))
-                {
+                if let Some(shard) = &mut self.shard {
                     // A malformed update is dropped at the shard, exactly
                     // as a decode failure inside one Aggregator loses that
                     // device's contribution without failing the round.
-                    let _ = if report.field {
-                        let coordinates = payload.as_chunks::<8>().0;
-                        shard.stage_field(
-                            report.device,
-                            coordinates.iter().map(|c| u64::from_le_bytes(*c)),
-                            report.weight,
-                        )
-                    } else {
-                        shard.accept(report.device, payload, report.weight)
-                    };
+                    let _ = shard.accept_forwarded(&report.route, &report.frame);
                 }
                 // Folded or staged: the frame's bytes are spent.
                 fl_wire::recycle(report.frame);
@@ -683,8 +729,8 @@ pub enum MasterMsg {
     /// One device's contribution: the device's own verified
     /// [`fl_wire::WireMessage::UpdateReport`] (clear bytes) or
     /// [`fl_wire::WireMessage::SecAggReport`] (fixed-point field vector)
-    /// frame, forwarded by the Coordinator once its ledger accepted it,
-    /// with what the Coordinator's parse read from it — the upload is
+    /// frame, forwarded by the Coordinator once its round accepted it,
+    /// with what the round's parse read from it — the upload is
     /// neither re-encoded nor re-opened for this hop. The Master routes
     /// it by device, moved, to the device's shard.
     Update(ForwardedReport),
@@ -750,7 +796,7 @@ pub struct MasterAggregatorActor {
 }
 
 impl MasterAggregatorActor {
-    /// Builds the actor from a detached [`MasterAggregator`]; the shard
+    /// Builds the actor from the round's [`MasterAggregator`]; the shard
     /// children spawn when the actor starts.
     pub fn new(master: MasterAggregator) -> Self {
         let (plan, staged, secagg_seed) = master.into_parts();
@@ -803,7 +849,7 @@ impl Actor for MasterAggregatorActor {
         match msg {
             MasterMsg::Update(report) => {
                 self.forwarded += 1;
-                let idx = shard_of(report.device, self.shards.len());
+                let idx = shard_of(report.route.device, self.shards.len());
                 if let Some(shard) = self.shards.get(idx) {
                     // A dead shard loses this contribution; the round
                     // continues on the survivors.
@@ -1255,16 +1301,8 @@ mod tests {
             .map(|frame| {
                 // What the Coordinator's parse reads before it forwards.
                 let report = fl_wire::ReportRef::parse(&frame).expect("test frame opens");
-                let (device, weight, payload) =
-                    (report.device, report.weight, report.payload_span());
-                let field = matches!(report.payload, fl_wire::ReportPayload::Field(_));
-                MasterMsg::Update(ForwardedReport {
-                    device,
-                    weight,
-                    frame,
-                    payload,
-                    field,
-                })
+                let route = ReportRoute::of(&report);
+                MasterMsg::Update(ForwardedReport { route, frame })
             })
             .collect();
         round.insert(finalize_at, finalize(reply));
@@ -1317,14 +1355,9 @@ mod tests {
     fn actor_master_matches_struct_master_and_dies_with_round() {
         let mut reference = plain_master();
         assert!(reference.shard_count() > 1);
-        for i in 0..10u64 {
-            reference
-                .accept(
-                    DeviceId(i),
-                    &encode(&plain_update(i), CodecSpec::Identity),
-                    i + 1,
-                )
-                .unwrap();
+        for frame in (0..10u64).map(plain_frame) {
+            let route = ReportRoute::of(&fl_wire::ReportRef::parse(&frame).unwrap());
+            reference.accept_forwarded(&route, &frame).unwrap();
         }
         let expected = reference.finalize(&[1.0f32; 8], &[], &[]).unwrap();
 

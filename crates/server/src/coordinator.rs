@@ -11,8 +11,16 @@
 //! at a time ([`ActiveRound`]), commits fully-aggregated checkpoints to
 //! storage, and accounts traffic. It is deterministic and explicitly
 //! clocked; `fl-sim` and the live actors both drive it.
+//!
+//! The round runs, the Master Aggregator folds. [`Coordinator::begin_round`]
+//! hands a training round's [`MasterAggregator`] back beside the round;
+//! every report frame enters through [`ActiveRound::on_report`], which
+//! admits it (population, key, at-most-once ledger) and accounts for it,
+//! and an accepted one is routed to that Master — the live tree's
+//! `MasterAggregatorActor`, or the struct itself in-process.
+//! [`Coordinator::complete_round`] takes the Master's merge.
 
-use crate::aggregator::{AggregationPlan, DropStage, MasterAggregator, MergeOutcome};
+use crate::aggregator::{AggregationPlan, DropStage, MasterAggregator, MergeOutcome, ReportRoute};
 use crate::round::{CheckinResponse, ReportResponse, RoundState};
 use crate::storage::CheckpointStore;
 use fl_core::plan::FlPlan;
@@ -21,8 +29,15 @@ use fl_core::traffic::{TrafficCounter, TrafficKind};
 use fl_core::{CoreError, DeviceId, FlCheckpoint, FlTask, PopulationName, RoundId};
 use fl_ml::metrics::MetricSummary;
 use fl_ml::rng;
+use fl_wire::{ReportRef, WireError, WireMessage};
 use rand::RngExt;
 use std::collections::HashMap;
+
+/// The highest upload attempt number a round evaluates; a report
+/// claiming a later attempt is refused outright. An
+/// `fl_device::UploadSession` normally stops at attempt 1 and the
+/// network-chaos harness at 4.
+pub const MAX_REPORT_ATTEMPTS: u32 = 16;
 
 /// Coordinator configuration.
 #[derive(Debug, Clone)]
@@ -201,12 +216,17 @@ impl<S: CheckpointStore> Coordinator<S> {
 
     /// Begins the next round at `now_ms`: selects the task (per the
     /// population's dynamic strategy), reads the latest checkpoint, and
-    /// spawns the Master Aggregator.
+    /// builds the round's Master Aggregator — only for a training task,
+    /// the only kind with anything to aggregate. The round carries this
+    /// Coordinator's population.
     ///
     /// # Errors
     ///
     /// [`CoreError::UnknownTask`] if nothing is deployed.
-    pub fn begin_round(&mut self, now_ms: u64) -> Result<ActiveRound, CoreError> {
+    pub fn begin_round(
+        &mut self,
+        now_ms: u64,
+    ) -> Result<(ActiveRound, Option<MasterAggregator>), CoreError> {
         let group = self
             .group
             .as_ref()
@@ -219,68 +239,46 @@ impl<S: CheckpointStore> Coordinator<S> {
         let checkpoint_task = task.checkpoint_source.as_deref().unwrap_or(&task.name);
         let checkpoint = self.store.latest(checkpoint_task)?;
         let round_id = self.round_ids[&task.name].next();
-        let dim = deployment.plan.server.expected_dim;
-        let mut plan = if let Some(k) = task.secagg_group_size {
-            AggregationPlan::with_secagg(dim, self.config.max_per_shard, k)
-        } else {
-            AggregationPlan::plain(dim, self.config.max_per_shard)
-        };
-        if let Some(dp) = task.dp {
-            plan = plan.with_dp(dp);
-        }
-        let mut seed_rng = rng::seeded_stream(self.config.seed, self.round_counter);
-        let master = MasterAggregator::new(
-            plan,
-            deployment.plan.server.update_codec,
-            task.round.selection_target(),
-            seed_rng.random::<u64>(),
-        );
+        let master = (task.kind == TaskKind::Training).then(|| {
+            let dim = deployment.plan.server.expected_dim;
+            let mut plan = match task.secagg_group_size {
+                Some(k) => AggregationPlan::with_secagg(dim, self.config.max_per_shard, k),
+                None => AggregationPlan::plain(dim, self.config.max_per_shard),
+            };
+            if let Some(dp) = task.dp {
+                plan = plan.with_dp(dp);
+            }
+            let mut seed_rng = rng::seeded_stream(self.config.seed, self.round_counter);
+            MasterAggregator::new(
+                plan,
+                deployment.plan.server.update_codec,
+                task.round.selection_target(),
+                seed_rng.random::<u64>(),
+            )
+        });
         self.round_counter += 1;
-        Ok(ActiveRound {
-            task: task.clone(),
+        let round = ActiveRound {
             plan: deployment.plan.clone(),
             checkpoint,
             state: RoundState::begin(round_id, task.round, now_ms),
-            master: Some(master),
+            task,
+            population: self.config.population.clone(),
+            verdicts: HashMap::new(),
             advertise_dropouts: Vec::new(),
             share_dropouts: Vec::new(),
             loss_summary: MetricSummary::new("loss"),
             accuracy_summary: MetricSummary::new("accuracy"),
             train_time_summary: MetricSummary::new("participation_ms"),
             traffic_delta: TrafficCounter::new(),
-        })
-    }
-
-    /// Completes a finished round that folded its reports inline: closes
-    /// the [`MasterAggregator`] the round still owns, then takes the one
-    /// completion path, [`complete_round_with`](Coordinator::complete_round_with).
-    ///
-    /// # Errors
-    ///
-    /// As [`complete_round_with`](Coordinator::complete_round_with).
-    pub fn complete_round(&mut self, mut round: ActiveRound) -> Result<fl_core::RoundOutcome, CoreError> {
-        let aggregate = match round.master.take() {
-            Some(master) if round.commits_training() => Some(
-                master
-                    .finalize(
-                        round.checkpoint.params(),
-                        &round.advertise_dropouts,
-                        &round.share_dropouts,
-                    )
-                    .map_err(|e| CoreError::MalformedCheckpoint(e.to_string())),
-            ),
-            _ => None,
         };
-        self.complete_round_with(round, aggregate)
+        Ok((round, master))
     }
 
     /// Completes a finished round: commits the new checkpoint (committed
     /// training rounds only — exactly one write), materializes metrics,
-    /// returns the outcome. `aggregate` is the Master Aggregator's
-    /// finalize result — from the round's own master
-    /// ([`complete_round`](Coordinator::complete_round)) or from the
-    /// detached one the live actor tree ran as a `MasterAggregatorActor`
-    /// ([`ActiveRound::detach_master`]); it is only required, and only
+    /// returns the outcome. `aggregate` is the round's Master Aggregator's
+    /// merge — the live `MasterAggregatorActor`'s reply, or
+    /// [`ActiveRound::merge`] of the struct; it is only computed, and only
     /// consulted, for committed training rounds.
     ///
     /// # Errors
@@ -292,7 +290,7 @@ impl<S: CheckpointStore> Coordinator<S> {
     /// round ids and metrics are not advanced, so the next `begin_round`
     /// retries from the last *successfully* committed checkpoint
     /// (Sec. 4.2).
-    pub fn complete_round_with(
+    pub fn complete_round(
         &mut self,
         round: ActiveRound,
         aggregate: Option<Result<MergeOutcome, CoreError>>,
@@ -337,8 +335,70 @@ impl<S: CheckpointStore> Coordinator<S> {
     }
 }
 
-/// One in-flight round: the state machine plus the aggregation pipeline
-/// and traffic/metrics accounting for its devices.
+/// What a round did with one report frame ([`ActiveRound::on_report`]),
+/// beside the ack that answers it.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ReportVerdict {
+    /// Accepted: the caller routes the frame to the round's Master
+    /// Aggregator along this route.
+    Forward(ReportRoute),
+    /// A retry of a key the round already evaluated: its pinned ack was
+    /// replayed and nothing was accounted.
+    Replayed,
+    /// Refused unevaluated (another population's report, or a key the
+    /// round cannot be asked about), or rejected by the round.
+    Rejected,
+    /// Not a report frame (stream desync, protocol drift, byte rot).
+    Unreadable,
+}
+
+/// The answer to a report frame while no round is in flight: refused
+/// unevaluated as a round refuses a key it cannot be asked about, or
+/// unreadable.
+pub(crate) fn report_between_rounds(
+    frame: &[u8],
+    population: &PopulationName,
+) -> (WireMessage, ReportVerdict) {
+    refusal(ReportRef::parse(frame), population)
+}
+
+/// The answer to a report nobody evaluates: a rejecting ack echoing the
+/// key and the *claimed* population, so the device's per-population retry
+/// discipline sees the refusal. This is also the multi-tenancy boundary —
+/// cross-tenant contributions must not leak between models even if a
+/// gateway misroutes a frame. A frame that is not a report has no key to
+/// echo; its rejecting ack carries `population`, and the device's retry
+/// discipline treats it as a refusal and backs off.
+fn refusal(
+    parsed: Result<ReportRef<'_>, WireError>,
+    population: &PopulationName,
+) -> (WireMessage, ReportVerdict) {
+    match parsed {
+        Ok(report) => (
+            WireMessage::ReportAck {
+                accepted: false,
+                round: report.round,
+                attempt: report.attempt,
+                population: PopulationName::from(report.population),
+            },
+            ReportVerdict::Rejected,
+        ),
+        Err(_) => (
+            WireMessage::ReportAck {
+                accepted: false,
+                round: RoundId(0),
+                attempt: 0,
+                population: population.clone(),
+            },
+            ReportVerdict::Unreadable,
+        ),
+    }
+}
+
+/// One in-flight round: the state machine, the at-most-once report
+/// ledger, and traffic/metrics accounting for its devices. Its updates
+/// are folded by the Master Aggregator [`Coordinator::begin_round`]
+/// handed back beside it.
 #[derive(Debug)]
 pub struct ActiveRound {
     /// The task being executed.
@@ -349,10 +409,17 @@ pub struct ActiveRound {
     pub checkpoint: FlCheckpoint,
     /// The phase state machine.
     pub state: RoundState,
-    /// The round's aggregation pipeline, until it is detached for
-    /// actor-based driving: a round folds accepted reports inline exactly
-    /// when it still owns its master.
-    master: Option<MasterAggregator>,
+    /// The Coordinator's population: reports claiming another are
+    /// refused, and acks carry it.
+    population: PopulationName,
+    /// At-most-once report ledger: the final ack decision for every
+    /// `(device, attempt)` key this round evaluated (the round part of
+    /// the key is always this round's `checkpoint.round`). A retried
+    /// upload whose key is here (its first ack was lost on the wire)
+    /// gets the *original* decision replayed and is never accounted
+    /// again — so a report is summed at most once however often the
+    /// device re-sends it. It dies with the round.
+    verdicts: HashMap<(DeviceId, u32), bool>,
     /// Devices that vanished after advertising SecAgg keys (cheap
     /// exclusion; also where plain-round dropouts land when staged
     /// explicitly).
@@ -387,121 +454,66 @@ impl ActiveRound {
         self.state.on_tick(now_ms);
     }
 
-    /// A device reports: `update_bytes` is the codec-encoded update
-    /// (empty for evaluation tasks), `weight` its example count, plus its
-    /// local metrics.
-    ///
-    /// # Errors
-    ///
-    /// Aggregation/decode errors for accepted training reports.
-    pub fn on_report(
-        &mut self,
-        device: DeviceId,
-        now_ms: u64,
-        update_bytes: &[u8],
-        weight: u64,
-        loss: f64,
-        accuracy: f64,
-    ) -> Result<ReportResponse, CoreError> {
-        self.account_report(
-            device,
-            now_ms,
-            update_bytes.len(),
-            loss,
-            accuracy,
-            |master| master.accept(device, update_bytes, weight),
-        )
-    }
-
-    /// A device reports through the SecAgg path: `field` is its
-    /// fixed-point-encoded contribution, one `u64` coordinate per model
-    /// parameter, as carried (masked) by a
-    /// [`fl_wire::WireMessage::SecAggReport`]. Uploads cost 8 bytes per
-    /// coordinate, so SecAgg's bandwidth premium over codec-compressed
-    /// clear updates shows up in the round's measured traffic.
-    ///
-    /// # Errors
-    ///
-    /// Dimension errors for accepted reports, or SecAgg not enabled on
-    /// this round's plan.
-    pub fn on_secagg_report(
-        &mut self,
-        device: DeviceId,
-        now_ms: u64,
-        field: &[u64],
-        weight: u64,
-        loss: f64,
-        accuracy: f64,
-    ) -> Result<ReportResponse, CoreError> {
-        self.account_report(device, now_ms, field.len() * 8, loss, accuracy, |master| {
-            master.accept_field(device, field, weight)
-        })
-    }
-
-    /// The accounting of a report whose payload is folded elsewhere: the
-    /// round's master was detached ([`ActiveRound::detach_master`]) and
-    /// the caller forwards the `payload_bytes`-long upload (plain or
-    /// SecAgg alike) to it untouched. Verdict, traffic and metrics are
-    /// exactly those of [`ActiveRound::on_report`] /
-    /// [`ActiveRound::on_secagg_report`].
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::InvariantViolated`] if an accepted training report
-    /// arrives here while the round still owns its master: nothing would
-    /// fold it.
-    pub fn on_forwarded_report(
-        &mut self,
-        device: DeviceId,
-        now_ms: u64,
-        payload_bytes: usize,
-        loss: f64,
-        accuracy: f64,
-    ) -> Result<ReportResponse, CoreError> {
-        self.account_report(device, now_ms, payload_bytes, loss, accuracy, |_| {
-            Err(CoreError::InvariantViolated(
-                "report forwarded past a master that was never detached".into(),
-            ))
-        })
-    }
-
-    /// The one report path: the state machine's verdict, the upload's
-    /// traffic, and for an accepted report the inline `fold` into the
-    /// master (training rounds that still own theirs) and its metrics.
-    fn account_report(
-        &mut self,
-        device: DeviceId,
-        now_ms: u64,
-        payload_bytes: usize,
-        loss: f64,
-        accuracy: f64,
-        fold: impl FnOnce(&mut MasterAggregator) -> Result<(), CoreError>,
-    ) -> Result<ReportResponse, CoreError> {
-        let response = self.state.on_report(device, now_ms);
-        // Upload bandwidth is spent whether or not the server keeps it.
-        if payload_bytes > 0 {
-            self.traffic_delta
-                .record(TrafficKind::Update, payload_bytes);
-        }
-        self.traffic_delta.record(TrafficKind::Metrics, 32);
-        if response == ReportResponse::Accepted {
-            if let (TaskKind::Training, Some(master)) = (self.task.kind, &mut self.master) {
-                fold(master)?;
+    /// The one report path. Opens `frame` once ([`ReportRef::parse`]:
+    /// envelope and digest verified, payload left where it lies); refuses
+    /// it unevaluated unless it claims this round's population and a key
+    /// the round can be asked about (its Configuration's checkpoint
+    /// round, a configured participant, an attempt within
+    /// [`MAX_REPORT_ATTEMPTS`]); replays the pinned verdict of a key
+    /// already evaluated; otherwise has the state machine judge the
+    /// report (participant, lateness, goal count), accounts its upload,
+    /// and pins the verdict. Returns the [`WireMessage::ReportAck`] to
+    /// send, and for an accepted report the route on which the caller
+    /// forwards `frame` to the round's Master Aggregator.
+    pub fn on_report(&mut self, now_ms: u64, frame: &[u8]) -> (WireMessage, ReportVerdict) {
+        let report = match ReportRef::parse(frame) {
+            Ok(report) if self.admits(&report) => report,
+            parsed => return refusal(parsed, &self.population),
+        };
+        let key = (report.device, report.attempt);
+        let (accepted, verdict) = match self.verdicts.get(&key) {
+            Some(&prior) => (prior, ReportVerdict::Replayed),
+            None => {
+                let response = self.state.on_report(report.device, now_ms);
+                // Upload bandwidth is spent whether or not the server keeps it.
+                let payload_bytes = report.payload.len_bytes();
+                if payload_bytes > 0 {
+                    self.traffic_delta
+                        .record(TrafficKind::Update, payload_bytes);
+                }
+                self.traffic_delta.record(TrafficKind::Metrics, 32);
+                let accepted = response == ReportResponse::Accepted;
+                self.verdicts.insert(key, accepted);
+                if accepted {
+                    self.loss_summary.push(report.loss);
+                    self.accuracy_summary.push(report.accuracy);
+                    (true, ReportVerdict::Forward(ReportRoute::of(&report)))
+                } else {
+                    (false, ReportVerdict::Rejected)
+                }
             }
-            self.loss_summary.push(loss);
-            self.accuracy_summary.push(accuracy);
-        }
-        Ok(response)
+        };
+        let ack = WireMessage::ReportAck {
+            accepted,
+            round: report.round,
+            attempt: report.attempt,
+            population: self.population.clone(),
+        };
+        (ack, verdict)
     }
 
-    /// Detaches the round's [`MasterAggregator`] so it can run as an actor
-    /// tree (the paper's Coordinator → Master Aggregator → Aggregators
-    /// topology, Sec. 4.1). After detaching, the caller owns routing
-    /// accepted training reports to the detached aggregator and hands its
-    /// finalize result to [`Coordinator::complete_round_with`]. Returns
-    /// `None` if already detached.
-    pub fn detach_master(&mut self) -> Option<MasterAggregator> {
-        self.master.take()
+    /// Whether the round may evaluate and pin `report`'s key. The
+    /// checkpoint round keeps a delayed duplicate from an earlier round
+    /// out of this one; the participant and attempt bounds keep the
+    /// ledger at most participants × [`MAX_REPORT_ATTEMPTS`] entries
+    /// whatever keys a peer invents; and a report that arrives before its
+    /// device is configured is refused without a pin, leaving its key to
+    /// the device's genuine report.
+    fn admits(&self, report: &ReportRef<'_>) -> bool {
+        report.population == self.population.as_str()
+            && report.round == self.checkpoint.round
+            && report.attempt <= MAX_REPORT_ATTEMPTS
+            && self.state.is_participant(report.device)
     }
 
     /// Whether the finished round commits a new training checkpoint —
@@ -511,14 +523,33 @@ impl ActiveRound {
             && self.state.outcome().is_some_and(|o| o.is_committed())
     }
 
-    /// Devices that vanished after advertising keys (needed when a
-    /// detached master is finalized).
+    /// The merge an in-process driver's struct [`MasterAggregator`] owes
+    /// this finished round, for [`Coordinator::complete_round`]: computed
+    /// only if the round commits a training checkpoint.
+    pub fn merge(
+        &self,
+        master: Option<MasterAggregator>,
+    ) -> Option<Result<MergeOutcome, CoreError>> {
+        let master = master.filter(|_| self.commits_training())?;
+        Some(
+            master
+                .finalize(
+                    self.checkpoint.params(),
+                    &self.advertise_dropouts,
+                    &self.share_dropouts,
+                )
+                .map_err(|e| CoreError::MalformedCheckpoint(e.to_string())),
+        )
+    }
+
+    /// Devices that vanished after advertising keys (needed when the
+    /// Master is finalized).
     pub fn advertise_dropouts(&self) -> &[DeviceId] {
         &self.advertise_dropouts
     }
 
-    /// Devices that vanished after sharing keys (needed when a detached
-    /// master is finalized).
+    /// Devices that vanished after sharing keys (needed when the Master
+    /// is finalized).
     pub fn share_dropouts(&self) -> &[DeviceId] {
         &self.share_dropouts
     }
@@ -597,32 +628,69 @@ mod tests {
         c
     }
 
-    fn run_one_round(c: &mut Coordinator<InMemoryCheckpointStore>) -> fl_core::RoundOutcome {
-        let mut round = c.begin_round(0).unwrap();
-        // 4 devices check in (target = ceil(3 × 1.34) = 5? no: 4.02 → 5).
-        let target = round.task.round.selection_target();
-        for i in 0..target {
+    /// Checks in the round's whole selection target, which configures it.
+    fn configure(round: &mut ActiveRound) {
+        for i in 0..round.task.round.selection_target() {
             round.on_checkin(DeviceId(i as u64), 100);
         }
-        let devices = round.state.participants();
-        let dim = round.plan.server.expected_dim;
-        let update = vec![0.5f32; dim];
-        let bytes = CodecSpec::Identity.build().encode(&update);
-        for d in devices.iter().take(3) {
-            round
-                .on_report(*d, 5_000, &bytes, 10, 0.7, 0.6)
-                .unwrap();
+    }
+
+    /// `device`'s `UpdateReport` frame carrying `delta` on every
+    /// coordinate at weight 10, under `round`'s key and `attempt`.
+    fn frame(round: &ActiveRound, device: DeviceId, attempt: u32, delta: f32) -> Vec<u8> {
+        fl_wire::encode(&WireMessage::UpdateReport {
+            device,
+            round: round.checkpoint.round,
+            attempt,
+            update_bytes: CodecSpec::Identity
+                .build()
+                .encode(&vec![delta; round.plan.server.expected_dim]),
+            weight: 10,
+            loss: 0.7,
+            accuracy: 0.6,
+            population: "test/pop".into(),
+        })
+        .expect("test frame encodes")
+    }
+
+    /// Reports `frame` to `round`, folding an accepted one into `master`
+    /// as every in-process driver does; returns the ack and the verdict.
+    fn report(
+        round: &mut ActiveRound,
+        master: &mut Option<MasterAggregator>,
+        frame: &[u8],
+    ) -> (WireMessage, ReportVerdict) {
+        let (ack, verdict) = round.on_report(5_000, frame);
+        if let (ReportVerdict::Forward(route), Some(master)) = (&verdict, master) {
+            master.accept_forwarded(route, frame).unwrap();
+        }
+        (ack, verdict)
+    }
+
+    fn accepted(ack: &WireMessage) -> bool {
+        matches!(ack, WireMessage::ReportAck { accepted: true, .. })
+    }
+
+    fn run_one_round<S: CheckpointStore>(
+        c: &mut Coordinator<S>,
+    ) -> Result<fl_core::RoundOutcome, CoreError> {
+        let (mut round, mut master) = c.begin_round(0)?;
+        configure(&mut round);
+        for d in round.state.participants().into_iter().take(3) {
+            let frame = frame(&round, d, 1, 0.5);
+            assert!(accepted(&report(&mut round, &mut master, &frame).0));
         }
         round.on_tick(40_000);
         round.record_participation_metrics();
-        c.complete_round(round).unwrap()
+        let aggregate = round.merge(master);
+        c.complete_round(round, aggregate)
     }
 
     #[test]
     fn committed_round_updates_checkpoint_once() {
         let mut c = deployed_coordinator();
         let writes_before = c.store().write_count();
-        let outcome = run_one_round(&mut c);
+        let outcome = run_one_round(&mut c).unwrap();
         assert!(outcome.is_committed());
         // Exactly ONE write per committed round — per-device updates are
         // never persisted (Sec. 4.2).
@@ -637,19 +705,23 @@ mod tests {
     #[test]
     fn round_ids_advance_on_commit() {
         let mut c = deployed_coordinator();
-        run_one_round(&mut c);
+        run_one_round(&mut c).unwrap();
         assert_eq!(c.store().latest("train").unwrap().round, RoundId(1));
-        run_one_round(&mut c);
+        run_one_round(&mut c).unwrap();
         assert_eq!(c.store().latest("train").unwrap().round, RoundId(2));
     }
 
     #[test]
     fn abandoned_round_commits_nothing() {
         let mut c = deployed_coordinator();
-        let mut round = c.begin_round(0).unwrap();
+        let (mut round, master) = c.begin_round(0).unwrap();
         round.on_checkin(DeviceId(0), 100); // one device only
         round.on_tick(10_000); // selection timeout, below minimum
-        let outcome = c.complete_round(round).unwrap();
+        assert!(
+            round.merge(master).is_none(),
+            "an abandoned round merges nothing"
+        );
+        let outcome = c.complete_round(round, None).unwrap();
         assert!(!outcome.is_committed());
         assert_eq!(c.store().latest("train").unwrap().round, RoundId(0));
     }
@@ -657,7 +729,7 @@ mod tests {
     #[test]
     fn traffic_shows_download_dominance() {
         let mut c = deployed_coordinator();
-        run_one_round(&mut c);
+        run_one_round(&mut c).unwrap();
         let t = c.traffic();
         assert!(t.download_bytes() > 0 && t.upload_bytes() > 0);
         // Plan ≈ model and both downloaded per device; uploads are one
@@ -668,7 +740,7 @@ mod tests {
     #[test]
     fn metrics_are_materialized_per_committed_round() {
         let mut c = deployed_coordinator();
-        run_one_round(&mut c);
+        run_one_round(&mut c).unwrap();
         let m = c.materialized_metrics();
         assert_eq!(m.len(), 1);
         let (task, round, summaries) = &m[0];
@@ -678,6 +750,7 @@ mod tests {
         assert_eq!(summaries[0].moments.count(), 3);
     }
 
+    /// Evaluation rounds run in turn and have no Master Aggregator.
     #[test]
     fn alternating_strategy_runs_eval_rounds() {
         let mut c = Coordinator::new(
@@ -694,16 +767,12 @@ mod tests {
         );
         c.deploy(group, vec![tplan, eplan], vec![0.0; spec().num_params()])
             .unwrap();
-        let r1 = c.begin_round(0).unwrap();
+        let (r1, m1) = c.begin_round(0).unwrap();
         assert_eq!(r1.task.kind, TaskKind::Training);
-        c.complete_round_discard(r1);
-        let r2 = c.begin_round(0).unwrap();
+        assert!(m1.is_some());
+        let (r2, m2) = c.begin_round(0).unwrap();
         assert_eq!(r2.task.kind, TaskKind::Evaluation);
-    }
-
-    impl Coordinator<InMemoryCheckpointStore> {
-        /// Test helper: abandon an active round without finishing it.
-        fn complete_round_discard(&mut self, _round: ActiveRound) {}
+        assert!(m2.is_none());
     }
 
     /// Regression: a respawned coordinator re-deploying the same task must
@@ -714,7 +783,7 @@ mod tests {
     #[test]
     fn redeploy_resumes_from_committed_checkpoint() {
         let mut c = deployed_coordinator();
-        run_one_round(&mut c);
+        run_one_round(&mut c).unwrap();
         let trained = c.global_params("train").unwrap();
         assert_eq!(c.store().latest("train").unwrap().round, RoundId(1));
         let store = c.into_store();
@@ -732,92 +801,108 @@ mod tests {
         assert_eq!(c2.global_params("train").unwrap(), trained);
         assert_eq!(c2.store().latest("train").unwrap().round, RoundId(1));
         // The next round builds on the trained model.
-        let round = c2.begin_round(0).unwrap();
+        let (round, _) = c2.begin_round(0).unwrap();
         assert_eq!(round.checkpoint.round, RoundId(1));
         assert_eq!(round.state.round, RoundId(2));
     }
 
-    /// A round whose master was detached and driven outside the
-    /// coordinator, as the live actor tree does, commits identical bytes
-    /// to the inline path, with the same one-write invariant.
+    /// A committed training round completed without its Master's merge
+    /// is an invariant violation, not a silent empty commit.
     #[test]
-    fn detached_aggregation_commits_identically_to_inline() {
-        let mut inline = deployed_coordinator();
-        assert!(run_one_round(&mut inline).is_committed());
-
-        let mut external = deployed_coordinator();
-        let mut round = external.begin_round(0).unwrap();
-        let target = round.task.round.selection_target();
-        for i in 0..target {
-            round.on_checkin(DeviceId(i as u64), 100);
-        }
-        let mut master = round.detach_master().expect("round built a master");
-        assert!(round.detach_master().is_none(), "detach is one-shot");
-        let devices = round.state.participants();
-        let dim = round.plan.server.expected_dim;
-        let bytes = CodecSpec::Identity.build().encode(&vec![0.5f32; dim]);
-        for d in devices.iter().take(3) {
-            // Protocol accounting stays in the round; the update bytes
-            // flow to the detached aggregator.
-            round.on_report(*d, 5_000, &bytes, 10, 0.7, 0.6).unwrap();
-            master.accept(*d, &bytes, 10).unwrap();
-        }
-        round.on_tick(40_000);
-        round.record_participation_metrics();
-        let aggregate = master
-            .finalize(
-                round.checkpoint.params(),
-                round.advertise_dropouts(),
-                round.share_dropouts(),
-            )
-            .map_err(|e| CoreError::MalformedCheckpoint(e.to_string()));
-        let outcome = external
-            .complete_round_with(round, Some(aggregate))
-            .unwrap();
-        assert!(outcome.is_committed());
-        assert_eq!(
-            external.global_params("train").unwrap(),
-            inline.global_params("train").unwrap()
-        );
-        assert_eq!(external.store().write_count(), 2); // init + one commit
-    }
-
-    /// A committed training round whose master was detached, completed
-    /// without an aggregate, is an invariant violation, not a silent
-    /// empty commit.
-    #[test]
-    fn detached_completion_requires_an_aggregate() {
+    fn committed_training_round_requires_an_aggregate() {
         let mut c = deployed_coordinator();
-        let mut round = c.begin_round(0).unwrap();
-        let target = round.task.round.selection_target();
-        for i in 0..target {
-            round.on_checkin(DeviceId(i as u64), 100);
+        let (mut round, _) = c.begin_round(0).unwrap();
+        configure(&mut round);
+        for d in round.state.participants().into_iter().take(3) {
+            let frame = frame(&round, d, 1, 0.5);
+            assert!(accepted(&round.on_report(5_000, &frame).0));
         }
-        round.detach_master();
-        let devices = round.state.participants();
-        let dim = round.plan.server.expected_dim;
-        let bytes = CodecSpec::Identity.build().encode(&vec![0.5f32; dim]);
-        for d in devices.iter().take(3) {
-            round.on_report(*d, 5_000, &bytes, 10, 0.7, 0.6).unwrap();
-        }
-        round.on_tick(40_000);
-        let err = c.complete_round(round).unwrap_err();
+        let err = c.complete_round(round, None).unwrap_err();
         assert!(matches!(err, CoreError::InvariantViolated(_)));
     }
 
-    fn deployed_faulty_coordinator(
-        fail_on: impl IntoIterator<Item = u64>,
-    ) -> Coordinator<crate::storage::FaultyCheckpointStore<InMemoryCheckpointStore>> {
-        let mut c = Coordinator::new(
-            CoordinatorConfig::new("test/pop", 1),
-            crate::storage::FaultyCheckpointStore::new(InMemoryCheckpointStore::new(), fail_on),
-        );
-        let task = FlTask::training("train", "test/pop").with_round(small_round());
-        let plan = FlPlan::standard_training(spec(), 1, 8, 0.1, CodecSpec::Identity);
-        let group = TaskGroup::new(vec![task], TaskSelectionStrategy::Single);
-        c.deploy(group, vec![plan], vec![0.0f32; spec().num_params()])
+    /// The verdict ledger pins only what the round can be asked about:
+    /// 10 000 invented keys — unknown devices, other rounds, attempts
+    /// past the cap, another population — each get a rejecting ack
+    /// echoing the key and the claimed population and leave nothing
+    /// behind, while a participant's own attempts are evaluated and
+    /// pinned up to the cap.
+    #[test]
+    fn ghost_report_keys_never_grow_the_verdict_ledger() {
+        let mut c = deployed_coordinator();
+        let (mut round, _) = c.begin_round(0).unwrap();
+        configure(&mut round);
+        let active = round.checkpoint.round;
+
+        let mut refused = |device: u64, key: RoundId, attempt: u32, population: &str| {
+            let frame = fl_wire::encode(&WireMessage::UpdateReport {
+                device: DeviceId(device),
+                round: key,
+                attempt,
+                update_bytes: Vec::new(),
+                weight: 1,
+                loss: 0.5,
+                accuracy: 0.5,
+                population: population.into(),
+            })
             .unwrap();
-        c
+            let expected = WireMessage::ReportAck {
+                accepted: false,
+                round: key,
+                attempt,
+                population: population.into(),
+            };
+            assert_eq!(
+                round.on_report(1, &frame),
+                (expected, ReportVerdict::Rejected)
+            );
+        };
+        for ghost in 0..10_000u64 {
+            match ghost % 4 {
+                0 => refused(1_000 + ghost, active, 1, "test/pop"),
+                1 => refused(ghost % 2, RoundId(active.0 + 1 + ghost), 1, "test/pop"),
+                2 => refused(
+                    ghost % 2,
+                    active,
+                    MAX_REPORT_ATTEMPTS + 1 + ghost as u32,
+                    "test/pop",
+                ),
+                _ => refused(ghost % 2, active, 1, "other/pop"),
+            }
+        }
+        assert!(round.verdicts.is_empty(), "a ghost key was pinned");
+
+        // Real keys are evaluated once and pinned: device 0's first
+        // attempt is accepted, its later ones rejected by the round.
+        for attempt in 1..=MAX_REPORT_ATTEMPTS {
+            let (ack, _) = round.on_report(1, &frame(&round, DeviceId(0), attempt, 0.25));
+            assert_eq!(accepted(&ack), attempt == 1);
+        }
+        assert_eq!(round.verdicts.len(), MAX_REPORT_ATTEMPTS as usize);
+        // A frame that is not a report has no key and pins nothing.
+        let (ack, verdict) = round.on_report(1, &[0xFF, 0x00, 0xAB]);
+        assert_eq!(verdict, ReportVerdict::Unreadable);
+        assert!(!accepted(&ack));
+        assert_eq!(round.verdicts.len(), MAX_REPORT_ATTEMPTS as usize);
+    }
+
+    /// A retried upload under the same key gets the original ack replayed
+    /// and is neither forwarded nor accounted a second time.
+    #[test]
+    fn retried_key_is_replayed_not_reaccounted() {
+        let mut c = deployed_coordinator();
+        let (mut round, _) = c.begin_round(0).unwrap();
+        configure(&mut round);
+        let frame = frame(&round, DeviceId(0), 1, 0.5);
+        let (first, verdict) = round.on_report(5_000, &frame);
+        assert!(matches!(verdict, ReportVerdict::Forward(_)));
+        let upload = round.traffic().upload_bytes();
+        assert_eq!(
+            round.on_report(5_001, &frame),
+            (first, ReportVerdict::Replayed)
+        );
+        assert_eq!(round.traffic().upload_bytes(), upload);
+        assert_eq!(round.state.counters().0, 1);
     }
 
     fn deployed_secagg_coordinator() -> Coordinator<InMemoryCheckpointStore> {
@@ -835,31 +920,40 @@ mod tests {
         c
     }
 
-    /// SecAgg reports (fixed-point field vectors) through the inline
-    /// coordinator path commit the same model as clear reports within
-    /// quantization error, while uploading 8 bytes per coordinate — the
-    /// SecAgg bandwidth premium is measured, not assumed.
+    /// SecAgg reports (fixed-point field vectors) commit the same model as
+    /// clear reports within quantization error, while uploading 8 bytes
+    /// per coordinate — the SecAgg bandwidth premium is measured, not
+    /// assumed.
     #[test]
-    fn secagg_reports_commit_inline_with_bandwidth_premium() {
+    fn secagg_reports_commit_with_bandwidth_premium() {
         let mut clear = deployed_coordinator();
-        run_one_round(&mut clear);
+        run_one_round(&mut clear).unwrap();
         let clear_params = clear.global_params("train").unwrap();
 
         let mut c = deployed_secagg_coordinator();
-        let mut round = c.begin_round(0).unwrap();
-        let target = round.task.round.selection_target();
-        for i in 0..target {
-            round.on_checkin(DeviceId(i as u64), 100);
-        }
-        let devices = round.state.participants();
+        let (mut round, mut master) = c.begin_round(0).unwrap();
+        configure(&mut round);
         let dim = round.plan.server.expected_dim;
         let encoder = fl_ml::fixedpoint::FixedPointEncoder::default_for_updates();
         let field = encoder.encode(&vec![0.5f32; dim]).unwrap();
-        for d in devices.iter().take(3) {
-            let r = round
-                .on_secagg_report(*d, 5_000, &field, 10, 0.7, 0.6)
-                .unwrap();
-            assert_eq!(r, ReportResponse::Accepted);
+        for device in round.state.participants().into_iter().take(3) {
+            let frame = fl_wire::encode(&WireMessage::SecAggReport {
+                device,
+                round: round.checkpoint.round,
+                attempt: 1,
+                field_vector: field.clone(),
+                weight: 10,
+                loss: 0.7,
+                accuracy: 0.6,
+                population: "test/pop".into(),
+            })
+            .unwrap();
+            let (ack, verdict) = report(&mut round, &mut master, &frame);
+            assert!(accepted(&ack));
+            assert!(matches!(
+                verdict,
+                ReportVerdict::Forward(ReportRoute { field: true, .. })
+            ));
         }
         round.on_tick(40_000);
         round.record_participation_metrics();
@@ -868,7 +962,8 @@ mod tests {
             upload >= 3 * dim as u64 * 8,
             "secagg upload premium missing: {upload} bytes for {dim} params"
         );
-        let outcome = c.complete_round(round).unwrap();
+        let aggregate = round.merge(master);
+        let outcome = c.complete_round(round, aggregate).unwrap();
         assert!(outcome.is_committed());
         let params = c.global_params("train").unwrap();
         for (a, b) in params.iter().zip(&clear_params) {
@@ -881,11 +976,8 @@ mod tests {
     #[test]
     fn staged_dropouts_route_to_their_lists() {
         let mut c = deployed_secagg_coordinator();
-        let mut round = c.begin_round(0).unwrap();
-        let target = round.task.round.selection_target();
-        for i in 0..target {
-            round.on_checkin(DeviceId(i as u64), 100);
-        }
+        let (mut round, _) = c.begin_round(0).unwrap();
+        configure(&mut round);
         round.on_dropout_staged(DeviceId(0), 1_000, DropStage::Advertise);
         round.on_dropout(DeviceId(1), 2_000);
         assert_eq!(round.advertise_dropouts(), &[DeviceId(0)]);
@@ -899,32 +991,24 @@ mod tests {
     fn storage_failure_loses_round_but_keeps_state_consistent() {
         // Attempt 1 is deploy's initial write; attempt 2 (first round
         // commit) fails.
-        let mut c = deployed_faulty_coordinator([2]);
+        let mut c = Coordinator::new(
+            CoordinatorConfig::new("test/pop", 1),
+            crate::storage::FaultyCheckpointStore::new(InMemoryCheckpointStore::new(), [2]),
+        );
+        let task = FlTask::training("train", "test/pop").with_round(small_round());
+        let plan = FlPlan::standard_training(spec(), 1, 8, 0.1, CodecSpec::Identity);
+        let group = TaskGroup::new(vec![task], TaskSelectionStrategy::Single);
+        c.deploy(group, vec![plan], vec![0.0f32; spec().num_params()])
+            .unwrap();
 
-        let run = |c: &mut Coordinator<_>| -> Result<fl_core::RoundOutcome, CoreError> {
-            let mut round = c.begin_round(0)?;
-            let target = round.task.round.selection_target();
-            for i in 0..target {
-                round.on_checkin(DeviceId(i as u64), 100);
-            }
-            let devices = round.state.participants();
-            let dim = round.plan.server.expected_dim;
-            let bytes = CodecSpec::Identity.build().encode(&vec![0.5f32; dim]);
-            for d in devices.iter().take(3) {
-                round.on_report(*d, 5_000, &bytes, 10, 0.7, 0.6)?;
-            }
-            round.on_tick(40_000);
-            c.complete_round(round)
-        };
-
-        let err = run(&mut c).unwrap_err();
+        let err = run_one_round(&mut c).unwrap_err();
         assert!(matches!(err, CoreError::StorageFailure(_)));
         // The round is lost: nothing advanced, no metrics materialized.
         assert_eq!(c.store().latest("train").unwrap().round, RoundId(0));
         assert_eq!(c.store().write_count(), 1);
         assert!(c.materialized_metrics().is_empty());
         // The retry (attempt 3, unscripted) succeeds from checkpoint 0.
-        let outcome = run(&mut c).unwrap();
+        let outcome = run_one_round(&mut c).unwrap();
         assert!(outcome.is_committed());
         assert_eq!(c.store().latest("train").unwrap().round, RoundId(1));
         assert_eq!(c.store().write_count(), 2);

@@ -10,7 +10,8 @@
 //!
 //! The machine is purely deterministic and explicitly clocked: every
 //! mutation takes `now_ms`. `fl-sim` drives it with virtual time; the live
-//! actor server drives it with the timer wheel.
+//! actor server stamps each message with elapsed wall time and is ticked
+//! by whoever polls the round to completion.
 
 use fl_core::round::{RoundConfig, RoundOutcome};
 use fl_core::{DeviceId, RoundId};
@@ -157,6 +158,12 @@ impl RoundState {
     /// Devices configured into the round (empty during Selection).
     pub fn participants(&self) -> Vec<DeviceId> {
         self.participants.keys().copied().collect()
+    }
+
+    /// Whether `device` was configured into the round (never during
+    /// Selection).
+    pub fn is_participant(&self, device: DeviceId) -> bool {
+        self.participants.contains_key(&device)
     }
 
     /// Events emitted so far (drained by the caller).

@@ -40,10 +40,10 @@ use fl_core::population::{TaskGroup, TaskSelectionStrategy};
 use fl_core::round::{RoundConfig, RoundOutcome};
 use fl_core::{CoreError, DeviceId, FlPlan, FlTask, PopulationName};
 use fl_ml::rng;
-use fl_server::aggregator::DropStage;
-use fl_server::coordinator::{ActiveRound, Coordinator, CoordinatorConfig};
+use fl_server::aggregator::{DropStage, MasterAggregator};
+use fl_server::coordinator::{ActiveRound, Coordinator, CoordinatorConfig, ReportVerdict};
 use fl_server::pace::PaceSteering;
-use fl_server::round::{CheckinResponse, Phase, ReportResponse};
+use fl_server::round::{CheckinResponse, Phase};
 use fl_server::selector::{CheckinDecision, Selector};
 use fl_server::storage::{CheckpointStore, FaultyCheckpointStore, InMemoryCheckpointStore};
 use fl_server::topology::{DeploymentSpec, SelectorSpec, TopologyBlueprint};
@@ -400,6 +400,9 @@ struct Harness<'a> {
     selectors: Vec<Selector>,
     coordinator: Option<Coordinator<FaultyCheckpointStore<InMemoryCheckpointStore>>>,
     active: Option<ActiveRound>,
+    /// The active round's Master Aggregator, which folds its accepted
+    /// reports.
+    master: Option<MasterAggregator>,
     active_since: u64,
     locks: LockingService<String>,
     lease: Option<Lease>,
@@ -409,10 +412,11 @@ struct Harness<'a> {
     report: ChaosReport,
     dim: usize,
     /// The fleet's in-memory wire. Every check-in and update report is
-    /// encoded on its device side as a framed [`WireMessage`] and decoded
-    /// on the server side before it touches a state machine — the DES
-    /// exercises the same codec path as the live topology and the TCP
-    /// front door.
+    /// encoded on its device side as a framed [`WireMessage`]; a check-in
+    /// is decoded on the server side before it touches a state machine,
+    /// and a report frame goes to the round's one report path — the DES
+    /// exercises the same codec and report path as the live topology and
+    /// the TCP front door.
     wire: SimWire,
 }
 
@@ -502,6 +506,7 @@ impl<'a> Harness<'a> {
             deployment,
             coordinator: Some(coordinator),
             active: None,
+            master: None,
             active_since: 0,
             locks: LockingService::new(),
             lease: None,
@@ -603,6 +608,16 @@ impl<'a> Harness<'a> {
             .unwrap_or(0)
     }
 
+    /// The storage audit of every path that must persist nothing: the
+    /// write count and the latest checkpoint round still read `pre`
+    /// (`(write_count, latest_round)` before the path ran), or the
+    /// violation `what` is recorded.
+    fn audit_storage_untouched(&mut self, now: u64, pre: (u64, Option<u64>), what: &str) {
+        if (self.write_count(), self.latest_round()) != pre {
+            self.report.violations.push(format!("t={now}: {what}"));
+        }
+    }
+
     fn on_begin_round(&mut self, now: u64) {
         if self.active.is_some() {
             return;
@@ -611,7 +626,7 @@ impl<'a> Harness<'a> {
             return;
         };
         match coordinator.begin_round(now) {
-            Ok(round) => {
+            Ok((round, master)) => {
                 // Pipelining (Sec. 4.3) needs no mechanism of its own: the
                 // Selectors kept accepting while the previous round was
                 // past Selection, so the new round fills at once from
@@ -627,6 +642,7 @@ impl<'a> Harness<'a> {
                 );
                 self.active_since = now;
                 self.active = Some(round);
+                self.master = master;
                 self.forward_held(now);
             }
             Err(e) => self
@@ -742,16 +758,16 @@ impl<'a> Harness<'a> {
         let loss = 0.9 - (device % 10) as f64 * 0.02;
         let accuracy = 0.5 + (device % 10) as f64 * 0.03;
         // The DES devices upload first attempts only (retry scheduling is
-        // the live harness's concern); the key still rides the frame.
-        let (device, round_key, attempt) = (DeviceId(device), round.state.round, 1);
+        // the live harness's concern), under the key a real device sends:
+        // the checkpoint round its Configuration carried.
         let violations = &mut self.report.violations;
         // SecAgg rounds upload the fixed-point *field vector* — 8 bytes
         // per coordinate, the Sec. 6 bandwidth premium — over the same
         // framed wire as cleartext reports.
         let report_msg = match report_frame(
-            device,
+            DeviceId(device),
             &PopulationName::new(POPULATION),
-            (round_key, attempt),
+            (round.checkpoint.round, 1),
             &update,
             self.config.secagg_k.is_some(),
             (weight, loss, accuracy),
@@ -762,26 +778,18 @@ impl<'a> Harness<'a> {
                 return;
             }
         };
-        // The server side takes the device id and the payload from the
-        // frame it decoded.
-        let outcome = match self.wire.wire_uplink(now, &report_msg, violations) {
-            Some(WireMessage::UpdateReport { device, update_bytes, .. }) => {
-                round.on_report(device, now, &update_bytes, weight, loss, accuracy)
-            }
-            Some(WireMessage::SecAggReport { device, field_vector, .. }) => {
-                round.on_secagg_report(device, now, &field_vector, weight, loss, accuracy)
-            }
-            _ => return,
+        // The server side hands the frame it received, unopened, to the
+        // round; an accepted report is folded by the round's Master.
+        let Some(frame) = self.wire.wire_uplink_frame(now, &report_msg, violations) else {
+            return;
         };
-        match outcome {
-            Ok(response) => self.wire.wire_downlink(&WireMessage::ReportAck {
-                accepted: matches!(response, ReportResponse::Accepted),
-                round: round_key,
-                attempt,
-                population: PopulationName::new(POPULATION),
-            }),
-            Err(e) => violations.push(format!("report aggregation failed: {e}")),
+        let (ack, verdict) = round.on_report(now, &frame);
+        if let (ReportVerdict::Forward(route), Some(master)) = (verdict, self.master.as_mut()) {
+            if let Err(e) = master.accept_forwarded(&route, &frame) {
+                violations.push(format!("report aggregation failed: {e}"));
+            }
         }
+        self.wire.wire_downlink(&ack);
     }
 
     fn on_tick(&mut self, now: u64) {
@@ -824,12 +832,12 @@ impl<'a> Harness<'a> {
 
     fn complete(&mut self, now: u64, mut round: ActiveRound) {
         round.record_participation_metrics();
-        let pre_round = self.latest_round();
-        let pre_writes = self.write_count();
+        let aggregate = round.merge(self.master.take());
+        let pre = (self.write_count(), self.latest_round());
         let Some(c) = self.coordinator.as_mut() else {
             return;
         };
-        match c.complete_round(round) {
+        match c.complete_round(round, aggregate) {
             Ok(RoundOutcome::Committed { .. }) => {
                 self.report.committed += 1;
                 self.report.log.record(
@@ -838,12 +846,12 @@ impl<'a> Harness<'a> {
                     format!("checkpoint r={:?}", self.latest_round()),
                 );
                 // One write per committed round, checkpoint id +1.
-                if self.write_count() != pre_writes + 1 {
+                if self.write_count() != pre.0 + 1 {
                     self.report
                         .violations
                         .push(format!("t={now}: committed round wrote != 1 checkpoint"));
                 }
-                if self.latest_round() != pre_round.map(|r| r + 1) {
+                if self.latest_round() != pre.1.map(|r| r + 1) {
                     self.report
                         .violations
                         .push(format!("t={now}: checkpoint id did not advance by 1"));
@@ -854,11 +862,7 @@ impl<'a> Harness<'a> {
                 self.report
                     .log
                     .record(now, "round.abandoned", "protocol timeout/drop-out");
-                if self.write_count() != pre_writes || self.latest_round() != pre_round {
-                    self.report
-                        .violations
-                        .push(format!("t={now}: abandoned round touched storage"));
-                }
+                self.audit_storage_untouched(now, pre, "abandoned round touched storage");
             }
             Err(CoreError::MalformedCheckpoint(why)) if why.contains("below threshold") => {
                 // Every SecAgg shard fell below its protocol threshold:
@@ -870,13 +874,9 @@ impl<'a> Harness<'a> {
                 self.report.log.record(
                     now,
                     "recover.round-restart",
-                    format!("from checkpoint r={pre_round:?}"),
+                    format!("from checkpoint r={:?}", pre.1),
                 );
-                if self.write_count() != pre_writes || self.latest_round() != pre_round {
-                    self.report
-                        .violations
-                        .push(format!("t={now}: aborted secagg round touched storage"));
-                }
+                self.audit_storage_untouched(now, pre, "aborted secagg round touched storage");
             }
             Err(CoreError::StorageFailure(why)) => {
                 self.report.lost_to_storage += 1;
@@ -884,13 +884,9 @@ impl<'a> Harness<'a> {
                 self.report.log.record(
                     now,
                     "recover.round-lost",
-                    format!("last checkpoint r={:?} stays authoritative", pre_round),
+                    format!("last checkpoint r={:?} stays authoritative", pre.1),
                 );
-                if self.write_count() != pre_writes || self.latest_round() != pre_round {
-                    self.report
-                        .violations
-                        .push(format!("t={now}: failed commit left side effects"));
-                }
+                self.audit_storage_untouched(now, pre, "failed commit left side effects");
             }
             Err(e) => self
                 .report
@@ -966,8 +962,7 @@ impl<'a> Harness<'a> {
                 );
             }
             Fault::MasterCrash { .. } => {
-                let pre_round = self.latest_round();
-                let pre_writes = self.write_count();
+                let pre = (self.write_count(), self.latest_round());
                 if let Some(round) = self.active.take() {
                     self.report.master_restarts += 1;
                     self.report.log.record(
@@ -975,18 +970,16 @@ impl<'a> Harness<'a> {
                         "inject.master-crash",
                         format!("in-flight r={} lost", round.state.round.0),
                     );
+                    // The Master's partial aggregate dies with the round.
+                    self.master = None;
                     drop(round);
                     // Nothing from the unfinished round may have been
                     // persisted (Sec. 4.2).
-                    if self.write_count() != pre_writes || self.latest_round() != pre_round {
-                        self.report
-                            .violations
-                            .push(format!("t={now}: master crash leaked partial state"));
-                    }
+                    self.audit_storage_untouched(now, pre, "master crash leaked partial state");
                     self.report.log.record(
                         now,
                         "recover.round-restart",
-                        format!("from checkpoint r={:?}", pre_round),
+                        format!("from checkpoint r={:?}", pre.1),
                     );
                     self.queue.schedule_at(now, Event::BeginRound);
                 } else {

@@ -252,9 +252,9 @@ impl LiveRound {
         }
     }
 
-    /// Polls the round to its outcome off the timer wheel; the bounded
-    /// poll count is the never-hang deadline. Anything but a committed
-    /// round is a violation.
+    /// Polls the round to its outcome, ticking it between polls; the
+    /// bounded poll count is the never-hang deadline. Anything but a
+    /// committed round is a violation.
     pub(crate) fn complete(
         &self,
         max_polls: u32,

@@ -300,25 +300,35 @@ impl SimWire {
         SimWire { device, server }
     }
 
-    /// Sends `msg` up the wire and returns what the server side decoded;
-    /// a lost or unsendable frame is an invariant violation.
+    /// Sends `msg` up the wire and returns what the server side decoded
+    /// (a frame a codec bug made undecodable is `None`, like a lost one).
     pub(crate) fn wire_uplink(
         &self,
         now: u64,
         msg: &WireMessage,
         violations: &mut Vec<String>,
     ) -> Option<WireMessage> {
+        fl_server::wire::decode(&self.wire_uplink_frame(now, msg, violations)?).ok()
+    }
+
+    /// Sends `msg` up the wire and returns the frame the server side
+    /// received, unopened; a lost or unsendable frame is an invariant
+    /// violation.
+    pub(crate) fn wire_uplink_frame(
+        &self,
+        now: u64,
+        msg: &WireMessage,
+        violations: &mut Vec<String>,
+    ) -> Option<Vec<u8>> {
         if self.device.send(msg).is_err() {
             violations.push(format!("t={now}: wire uplink send failed"));
             return None;
         }
-        match self.server.try_recv() {
-            Ok(Some(decoded)) => Some(decoded),
-            _ => {
-                violations.push(format!("t={now}: frame lost on the uplink"));
-                None
-            }
+        let frame = self.server.try_recv_frame().ok().flatten();
+        if frame.is_none() {
+            violations.push(format!("t={now}: frame lost on the uplink"));
         }
+        frame
     }
 
     /// Sends a server reply down the wire and has the device side consume

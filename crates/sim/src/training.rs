@@ -4,10 +4,11 @@
 //! scenario runs the *actual* stack per round: the `fl-server`
 //! [`Coordinator`] serves plans and checkpoints, each selected client's
 //! `fl-device` [`FlRuntime`] interprets the plan against its own example
-//! store and trains the real `fl-ml` model, and updates flow back through
-//! the codec into the streaming Master Aggregator (optionally under
-//! Secure Aggregation). This is what regenerates the Sec. 8 next-word-
-//! prediction result and the clients-per-round convergence sweep.
+//! store and trains the real `fl-ml` model, and updates flow back as
+//! report frames through the round's report path into the streaming
+//! Master Aggregator (optionally under Secure Aggregation). This is what
+//! regenerates the Sec. 8 next-word-prediction result and the
+//! clients-per-round convergence sweep.
 
 use fl_core::plan::{CodecSpec, FlPlan, ModelSpec};
 use fl_core::population::{FlTask, TaskGroup, TaskSelectionStrategy};
@@ -18,8 +19,9 @@ use fl_device::runtime::{ExecutionOutcome, FlRuntime};
 use fl_ml::metrics::top1_accuracy;
 use fl_ml::rng;
 use fl_ml::Example;
-use fl_server::coordinator::{Coordinator, CoordinatorConfig};
+use fl_server::coordinator::{Coordinator, CoordinatorConfig, ReportVerdict};
 use fl_server::storage::InMemoryCheckpointStore;
+use fl_server::wire::WireMessage;
 use rand::RngExt;
 
 /// Configuration of a federated training run.
@@ -191,7 +193,7 @@ pub fn run_federated(
 
     let mut now_ms: u64 = 0;
     for round_idx in 1..=config.rounds {
-        let mut round = coordinator.begin_round(now_ms)?;
+        let (mut round, mut master) = coordinator.begin_round(now_ms)?;
         // Selection: sample `target` distinct users.
         let selected = rng::reservoir_sample(&mut driver_rng, users.len(), target);
         for &u in &selected {
@@ -224,15 +226,24 @@ pub fn run_federated(
                         round.on_dropout(d, now_ms);
                         continue;
                     }
-                    let bytes = update_bytes.unwrap_or_default();
-                    round.on_report(
-                        d,
-                        now_ms,
-                        &bytes,
+                    // The device's report frame, under the key its
+                    // Configuration carried, through the round's one
+                    // report path; the round's Master folds it.
+                    let frame = fl_server::wire::encode(&WireMessage::UpdateReport {
+                        device: d,
+                        round: round.checkpoint.round,
+                        attempt: 1,
+                        update_bytes: update_bytes.unwrap_or_default(),
                         weight,
-                        if loss.is_nan() { 0.0 } else { loss },
-                        if accuracy.is_nan() { 0.0 } else { accuracy },
-                    )?;
+                        loss: if loss.is_nan() { 0.0 } else { loss },
+                        accuracy: if accuracy.is_nan() { 0.0 } else { accuracy },
+                        population: coordinator.population().clone(),
+                    })
+                    .map_err(|e| CoreError::InvariantViolated(e.to_string()))?;
+                    let (_, verdict) = round.on_report(now_ms, &frame);
+                    if let (ReportVerdict::Forward(route), Some(master)) = (verdict, &mut master) {
+                        master.accept_forwarded(&route, &frame)?;
+                    }
                 }
                 ExecutionOutcome::Interrupted { .. } => {
                     round.on_dropout(d, now_ms);
@@ -244,7 +255,8 @@ pub fn run_federated(
         now_ms += round_config.report_window_ms;
         round.on_tick(now_ms);
         round.record_participation_metrics();
-        let outcome = coordinator.complete_round(round)?;
+        let aggregate = round.merge(master);
+        let outcome = coordinator.complete_round(round, aggregate)?;
         let incorporated = match outcome {
             fl_core::RoundOutcome::Committed { incorporated, .. } => {
                 report.committed_rounds += 1;

@@ -10,7 +10,8 @@ use federated::core::plan::{CodecSpec, FlPlan, ModelSpec};
 use federated::core::population::{FlTask, TaskGroup, TaskSelectionStrategy};
 use federated::core::round::RoundConfig;
 use federated::core::{DeviceId, PopulationName, RoundId};
-use federated::server::coordinator::{Coordinator, CoordinatorConfig};
+use federated::server::aggregator::MasterAggregator;
+use federated::server::coordinator::{ActiveRound, Coordinator, CoordinatorConfig, ReportVerdict};
 use federated::server::live::{
     coordinator_lease_name, CoordMsg, CoordinatorActor, DeviceConn, SelectorMsg,
 };
@@ -45,6 +46,38 @@ fn quick_round(goal: usize) -> RoundConfig {
     }
 }
 
+/// The first `n` participants of `round` report a unit delta on four
+/// coordinates at weight 10 under the key their Configuration carried;
+/// the round's Master folds each accepted report.
+fn report_first(
+    n: usize,
+    round: &mut ActiveRound,
+    master: &mut Option<MasterAggregator>,
+    population: &str,
+    now: u64,
+) {
+    let update = CodecSpec::Identity
+        .build()
+        .encode(&[1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]);
+    for device in round.state.participants().into_iter().take(n) {
+        let frame = federated::server::wire::encode(&WireMessage::UpdateReport {
+            device,
+            round: round.checkpoint.round,
+            attempt: 1,
+            update_bytes: update.clone(),
+            weight: 10,
+            loss: 0.5,
+            accuracy: 0.5,
+            population: population.into(),
+        })
+        .unwrap();
+        let (_, verdict) = round.on_report(now, &frame);
+        if let (ReportVerdict::Forward(route), Some(master)) = (verdict, master.as_mut()) {
+            master.accept_forwarded(&route, &frame).unwrap();
+        }
+    }
+}
+
 fn deployed(population: &str) -> Coordinator<InMemoryCheckpointStore> {
     let task = FlTask::training("t", population).with_round(quick_round(3));
     let plan = FlPlan::standard_training(spec(), 1, 8, 0.1, CodecSpec::Identity);
@@ -69,42 +102,39 @@ fn master_failure_restarts_from_committed_checkpoint() {
     let mut c = deployed("pop-master-fail");
 
     // Round 1 commits normally.
-    let mut r1 = c.begin_round(0).unwrap();
+    let (mut r1, mut m1) = c.begin_round(0).unwrap();
     for i in 0..3u64 {
         r1.on_checkin(DeviceId(i), 10);
     }
-    let update = CodecSpec::Identity.build().encode(&[1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]);
-    for d in r1.state.participants() {
-        r1.on_report(d, 100, &update, 10, 0.5, 0.5).unwrap();
-    }
-    c.complete_round(r1).unwrap();
+    report_first(3, &mut r1, &mut m1, "pop-master-fail", 100);
+    let aggregate = r1.merge(m1);
+    c.complete_round(r1, aggregate).unwrap();
     let committed = c.global_params("t").unwrap();
     assert_eq!(c.store().latest("t").unwrap().round, RoundId(1));
 
-    // Round 2's master "crashes": the ActiveRound is simply dropped
-    // mid-flight (ephemeral, in-memory — nothing was persisted).
-    let mut r2 = c.begin_round(1_000).unwrap();
+    // Round 2's master "crashes": the round and its Master, one report
+    // folded, are simply dropped mid-flight (ephemeral, in-memory —
+    // nothing was persisted).
+    let (mut r2, mut m2) = c.begin_round(1_000).unwrap();
     for i in 0..3u64 {
         r2.on_checkin(DeviceId(10 + i), 1_010);
     }
-    let d = r2.state.participants()[0];
-    r2.on_report(d, 1_100, &update, 10, 0.5, 0.5).unwrap();
-    drop(r2); // crash: partial aggregate vanishes
+    report_first(1, &mut r2, &mut m2, "pop-master-fail", 1_100);
+    drop((r2, m2)); // crash: partial aggregate vanishes
 
     // Storage is untouched; the restarted round reads round 1's result.
     assert_eq!(c.store().latest("t").unwrap().round, RoundId(1));
     assert_eq!(c.global_params("t").unwrap(), committed);
 
     // Round 3 (the restart) proceeds to commit from that checkpoint.
-    let mut r3 = c.begin_round(2_000).unwrap();
+    let (mut r3, mut m3) = c.begin_round(2_000).unwrap();
     assert_eq!(r3.checkpoint.params(), committed.as_slice());
     for i in 0..3u64 {
         r3.on_checkin(DeviceId(20 + i), 2_010);
     }
-    for d in r3.state.participants() {
-        r3.on_report(d, 2_100, &update, 10, 0.5, 0.5).unwrap();
-    }
-    let outcome = c.complete_round(r3).unwrap();
+    report_first(3, &mut r3, &mut m3, "pop-master-fail", 2_100);
+    let aggregate = r3.merge(m3);
+    let outcome = c.complete_round(r3, aggregate).unwrap();
     assert!(outcome.is_committed());
     assert_eq!(c.store().latest("t").unwrap().round, RoundId(2));
 }
@@ -189,17 +219,13 @@ fn injected_coordinator_crash_respawns_once_with_surviving_model() {
     let store = SharedCheckpointStore::new(InMemoryCheckpointStore::new());
     let mut seedc = Coordinator::new(CoordinatorConfig::new(population, 1), store.clone());
     seedc.deploy(group(), vec![plan.clone()], init.clone()).unwrap();
-    let mut r1 = seedc.begin_round(0).unwrap();
+    let (mut r1, mut m1) = seedc.begin_round(0).unwrap();
     for i in 0..3u64 {
         r1.on_checkin(DeviceId(i), 10);
     }
-    let update = CodecSpec::Identity
-        .build()
-        .encode(&[1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]);
-    for d in r1.state.participants() {
-        r1.on_report(d, 100, &update, 10, 0.5, 0.5).unwrap();
-    }
-    seedc.complete_round(r1).unwrap();
+    report_first(3, &mut r1, &mut m1, population, 100);
+    let aggregate = r1.merge(m1);
+    seedc.complete_round(r1, aggregate).unwrap();
     let trained = seedc.global_params("t").unwrap();
     drop(seedc); // the incarnation dies; the shared store survives
     let writes_before = store.with(|s| s.write_count());

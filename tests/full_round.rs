@@ -11,10 +11,12 @@ use federated::core::{DeviceId, PopulationName, SessionLog};
 use federated::data::store::{InMemoryStore, StoreConfig};
 use federated::data::synth::classification::{generate, ClassificationConfig};
 use federated::device::runtime::{ExecutionOutcome, FlRuntime, Interruption};
-use federated::server::coordinator::{Coordinator, CoordinatorConfig};
+use federated::server::aggregator::MasterAggregator;
+use federated::server::coordinator::{ActiveRound, Coordinator, CoordinatorConfig, ReportVerdict};
 use federated::server::pace::PaceSteering;
 use federated::server::selector::{CheckinDecision, Selector};
 use federated::server::storage::{CheckpointStore, InMemoryCheckpointStore};
+use federated::server::wire::{self, WireMessage};
 
 fn spec() -> ModelSpec {
     ModelSpec::Logistic {
@@ -33,6 +35,37 @@ fn round_config(goal: usize) -> RoundConfig {
         report_window_ms: 300_000,
         device_cap_ms: 250_000,
     }
+}
+
+/// `device` reports `update_bytes` to `round` as the `UpdateReport` frame
+/// a real device sends, under the key its Configuration carried; the
+/// round's Master folds an accepted report. Returns whether it was
+/// accepted.
+fn report(
+    round: &mut ActiveRound,
+    master: &mut Option<MasterAggregator>,
+    device: DeviceId,
+    now: u64,
+    update_bytes: Vec<u8>,
+    (weight, loss, accuracy): (u64, f64, f64),
+    population: &str,
+) -> bool {
+    let frame = wire::encode(&WireMessage::UpdateReport {
+        device,
+        round: round.checkpoint.round,
+        attempt: 1,
+        update_bytes,
+        weight,
+        loss,
+        accuracy,
+        population: population.into(),
+    })
+    .unwrap();
+    let (ack, verdict) = round.on_report(now, &frame);
+    if let (ReportVerdict::Forward(route), Some(master)) = (verdict, master.as_mut()) {
+        master.accept_forwarded(&route, &frame).unwrap();
+    }
+    matches!(ack, WireMessage::ReportAck { accepted: true, .. })
 }
 
 /// Drives one full round "by hand", as the simulator does internally, but
@@ -84,7 +117,7 @@ fn manual_round_with_selector_devices_and_analytics() {
     assert_eq!(rejected, 17);
 
     // Forward to the round.
-    let mut round = coordinator.begin_round(1_000).unwrap();
+    let (mut round, mut master) = coordinator.begin_round(1_000).unwrap();
     let forwarded = selector.forward_devices_for(&population, 13, 1_000);
     for d in &forwarded {
         round.on_checkin(*d, 1_500);
@@ -129,13 +162,12 @@ fn manual_round_with_selector_devices_and_analytics() {
                     log.record(now, e);
                 }
                 log.record(now, DeviceEvent::UploadStarted);
-                let response = round
-                    .on_report(*d, now, &update_bytes.unwrap(), weight, loss, accuracy)
-                    .unwrap();
-                use federated::server::round::ReportResponse;
-                match response {
-                    ReportResponse::Accepted => log.record(now, DeviceEvent::UploadCompleted),
-                    _ => log.record(now, DeviceEvent::UploadRejected),
+                let metrics = (weight, loss, accuracy);
+                let bytes = update_bytes.unwrap();
+                if report(&mut round, &mut master, *d, now, bytes, metrics, "it-pop") {
+                    log.record(now, DeviceEvent::UploadCompleted);
+                } else {
+                    log.record(now, DeviceEvent::UploadRejected);
                 }
             }
             ExecutionOutcome::Interrupted { events, .. } => {
@@ -152,7 +184,8 @@ fn manual_round_with_selector_devices_and_analytics() {
     // Close and commit.
     round.on_tick(1_000 + 300_000);
     round.record_participation_metrics();
-    let outcome = coordinator.complete_round(round).unwrap();
+    let aggregate = round.merge(master);
+    let outcome = coordinator.complete_round(round, aggregate).unwrap();
     assert!(outcome.is_committed(), "outcome: {outcome:?}");
 
     // Exactly one storage write for the round (no per-device persistence).
@@ -214,7 +247,7 @@ fn secagg_round_matches_plain_round() {
             vec![plan],
             spec().instantiate().params().to_vec(),
         ).unwrap();
-        let mut round = coordinator.begin_round(0).unwrap();
+        let (mut round, mut master) = coordinator.begin_round(0).unwrap();
         for i in 0..11u64 {
             round.on_checkin(DeviceId(i), 10);
         }
@@ -237,14 +270,15 @@ fn secagg_round_matches_plain_round() {
                 ..
             } = outcome
             {
-                round
-                    .on_report(d, now, &update_bytes.unwrap(), weight, loss, accuracy)
-                    .unwrap();
+                let metrics = (weight, loss, accuracy);
+                let bytes = update_bytes.unwrap();
+                report(&mut round, &mut master, d, now, bytes, metrics, "sa-pop");
             }
             now += 10;
         }
         round.on_tick(400_000);
-        coordinator.complete_round(round).unwrap();
+        let aggregate = round.merge(master);
+        coordinator.complete_round(round, aggregate).unwrap();
         coordinator.global_params("sa/train").unwrap()
     };
 

@@ -3,7 +3,6 @@
 //! single model", driven end-to-end through the Coordinator with real
 //! device-runtime execution for both task kinds.
 
-use federated::core::plan::CodecSpec;
 use federated::core::population::TaskKind;
 use federated::core::round::RoundConfig;
 use federated::core::plan::ModelSpec;
@@ -11,8 +10,9 @@ use federated::core::{DeviceId, RoundId};
 use federated::data::store::{InMemoryStore, StoreConfig};
 use federated::data::synth::classification::{generate, ClassificationConfig};
 use federated::device::runtime::{ExecutionOutcome, FlRuntime};
-use federated::server::coordinator::{Coordinator, CoordinatorConfig};
+use federated::server::coordinator::{Coordinator, CoordinatorConfig, ReportVerdict};
 use federated::server::storage::{CheckpointStore, InMemoryCheckpointStore};
+use federated::server::wire::{self, WireMessage};
 use federated::tools::TaskBuilder;
 
 #[test]
@@ -59,8 +59,10 @@ fn train_eval_alternation_trains_then_measures() {
     let mut eval_accuracies: Vec<f64> = Vec::new();
     let mut kinds: Vec<TaskKind> = Vec::new();
     for cycle in 0..9u64 {
-        let mut round = coordinator.begin_round(cycle * 1_000_000).unwrap();
+        let (mut round, mut master) = coordinator.begin_round(cycle * 1_000_000).unwrap();
         kinds.push(round.task.kind);
+        // Only a training round has a Master Aggregator.
+        assert_eq!(master.is_some(), round.task.kind == TaskKind::Training);
         let target = round.task.round.selection_target();
         for i in 0..target {
             round.on_checkin(DeviceId((cycle as usize * target + i) as u64 % 20), cycle * 1_000_000 + 10);
@@ -88,22 +90,28 @@ fn train_eval_alternation_trains_then_measures() {
                     TaskKind::Training => assert!(update_bytes.is_some()),
                     TaskKind::Evaluation => assert!(update_bytes.is_none()),
                 }
-                round
-                    .on_report(
-                        d,
-                        now,
-                        &update_bytes.unwrap_or_default(),
-                        weight.max(1),
-                        if loss.is_nan() { 0.0 } else { loss },
-                        if accuracy.is_nan() { 0.0 } else { accuracy },
-                    )
-                    .unwrap();
+                let frame = wire::encode(&WireMessage::UpdateReport {
+                    device: d,
+                    round: round.checkpoint.round,
+                    attempt: 1,
+                    update_bytes: update_bytes.unwrap_or_default(),
+                    weight: weight.max(1),
+                    loss: if loss.is_nan() { 0.0 } else { loss },
+                    accuracy: if accuracy.is_nan() { 0.0 } else { accuracy },
+                    population: "cycle-pop".into(),
+                })
+                .unwrap();
+                let (_, verdict) = round.on_report(now, &frame);
+                if let (ReportVerdict::Forward(route), Some(master)) = (verdict, &mut master) {
+                    master.accept_forwarded(&route, &frame).unwrap();
+                }
             }
             now += 10;
         }
         round.on_tick(cycle * 1_000_000 + 900_000);
         let kind = round.task.kind;
-        let outcome = coordinator.complete_round(round).unwrap();
+        let aggregate = round.merge(master);
+        let outcome = coordinator.complete_round(round, aggregate).unwrap();
         assert!(outcome.is_committed(), "cycle {cycle}: {outcome:?}");
         if kind == TaskKind::Evaluation {
             // The materialized metrics carry the held-out accuracy.
