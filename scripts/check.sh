@@ -26,6 +26,24 @@ run_step() {
 }
 
 run_step "build" cargo build --release
+# The root package: every `tests/*.rs` binary, and so every integration
+# gate, runs here once. Among them: network chaos (`wire_chaos`: seeded
+# faulty-transport scripts mangle report frames through the live sharded
+# topology, plain and SecAgg; per seed the run must commit exactly once,
+# keep write_count == 1 + committed, incorporate one contribution per
+# accepted key, and render byte-identically across replays); the fault
+# and overload sweeps (`chaos_sweep`, `overload_sweep`); the live tree
+# (`live_topology`); multi-tenancy (`multi_tenant`: several populations
+# share one fleet and one Selector layer, live and simulated under a
+# seeded flash crowd, and cross-population fairness, the per-device
+# single-session arbitration and per-population accounting conservation
+# must all hold); the lock-graph deadlock gate (`lock_audit`: the
+# workspace's observed lock-acquisition graph stays acyclic and
+# rank-clean); schedule exploration (`schedule_explore`: K=64 seeded
+# delivery/timing permutations of the live round and a chaos plan,
+# invariants checked per seed); and SecAgg through the live tree
+# (`secagg_live`: scripted advertise/share dropouts commit the exact
+# unmasked sum, or abort a stranded shard cleanly).
 run_step "test" cargo test -q
 run_step "fl-lint" cargo run -q -p fl-lint
 # The `test` step is the root package only. The channel every mailbox,
@@ -46,39 +64,16 @@ run_step "crates" cargo test -q --workspace --exclude federated
 # steps print their JSON here and write no file; a committed
 # BENCH_*.json is refreshed by redirecting a bin's stdout onto it.
 run_step "wire-bench" cargo run --release -q -p fl-bench --bin bench_wire
-# Network-chaos gate: seeded faulty-transport scripts mangle report
-# frames through the live sharded topology (plain + SecAgg); per seed
-# the run must commit exactly once, keep write_count == 1 + committed,
-# incorporate one contribution per accepted key, and render
-# byte-identically across replays.
-run_step "wire-chaos" cargo test -q --test wire_chaos
-run_step "chaos-sweep" cargo test -q --test chaos_sweep
-run_step "overload-sweep" cargo test -q --test overload_sweep
-run_step "live-topology" cargo test -q --test live_topology
-# Multi-tenant gate: several populations share one fleet and one
-# Selector layer, live (routed actor tree) and simulated (seeded flash
-# crowd); cross-population fairness, the per-device single-session
-# arbitration, and per-population accounting conservation must all
-# hold. The bench step fails if, at any population count, a check-in
-# against a sixteen-fold larger held set costs over 4x one against the
-# small set (a scan of the held set per check-in read 9-13x).
-run_step "multi-tenant" cargo test -q --test multi_tenant
+# The bench step fails if, at any population count, a check-in against a
+# sixteen-fold larger held set costs over 4x one against the small set
+# (a scan of the held set per check-in read 9-13x).
 run_step "selector-bench" cargo run --release -q -p fl-bench --bin bench_selector
-# Lock-graph deadlock gate: the workspace's observed lock-acquisition
-# graph must stay acyclic and rank-clean (fl-race).
-run_step "lock-audit" cargo test -q --test lock_audit
-# Schedule exploration: K=64 seeded delivery/timing permutations of the
-# live round and a chaos plan, invariants checked per seed.
-run_step "schedule-explore" cargo test -q --test schedule_explore
-# SecAgg through the live tree: scripted advertise/share dropouts must
-# commit the exact unmasked sum (or abort a stranded shard cleanly), and
-# the bench step fails unless 64 devices in groups of 16 finalize at
-# least 1.5x faster than as one quadratic group.
-run_step "secagg-live" cargo test -q --test secagg_live
 # The `test` step only compiles the examples. This one drives the stepwise
 # client and server types round by round, with a drop-out at each stage,
 # and ends asserting the unmasked sum.
 run_step "secagg-example" cargo run --release -q --example secure_aggregation
+# The bench step fails unless 64 devices in groups of 16 finalize at
+# least 1.5x faster than as one quadratic group.
 run_step "secagg-bench" cargo run --release -q -p fl-bench --bin bench_secagg
 # End-to-end floor (ROADMAP 8(b)): one 2 s run of each `benchmark/`
 # workload must end `correct: true`, `failed` 0 and at `rounds_per_s` over
