@@ -1253,7 +1253,189 @@ mod tests {
             2,
             1,
         );
-        assert!(master.finalize(&[0.0; 4], &[], &[]).is_err());
+        assert!(matches!(
+            master.finalize(&[0.0; 4], &[], &[]),
+            Err(ShardError::Core(CoreError::ZeroWeightUpdate))
+        ));
+    }
+
+    /// Coordinates whose sums are easy to get subtly wrong: signed zeros,
+    /// subnormals, infinities and NaN payloads, beside ordinary values.
+    const SPECIAL_BITS: [u32; 12] = [
+        0x8000_0000, // -0.0
+        0x0000_0000, // +0.0
+        0x0000_0001, // the smallest subnormal
+        0x807F_FFFF, // the largest negative subnormal
+        0x7F80_0000, // +inf
+        0xFF80_0000, // -inf
+        0x7FC0_0000, // a quiet NaN
+        0x7FA0_0001, // a signalling NaN with a payload
+        0xFFC1_2345, // a negative quiet NaN with a payload
+        0x3F80_0000, // 1.0
+        0x7F7F_FFFF, // f32::MAX
+        0x0080_0000, // f32::MIN_POSITIVE
+    ];
+
+    /// Device `i`'s update over `3 * SPECIAL_BITS.len()` coordinates:
+    /// the specials rotated by device, then device 0's specials where
+    /// every other device sends -0.0, then -0.0 from everyone.
+    fn special_update(i: usize) -> Vec<f32> {
+        let n = SPECIAL_BITS.len();
+        (0..3 * n)
+            .map(|d| match d / n {
+                0 => f32::from_bits(SPECIAL_BITS[(d + i) % n]),
+                1 if i == 0 => f32::from_bits(SPECIAL_BITS[d - n]),
+                _ => -0.0,
+            })
+            .collect()
+    }
+
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// A shard folding Identity report frames sums exactly what decoding
+    /// each update and adding it does, bit for bit.
+    #[test]
+    fn identity_fold_matches_decode_then_accumulate_bit_for_bit() {
+        let dim = 3 * SPECIAL_BITS.len();
+        let mut shard = AggregatorShard::new(dim, CodecSpec::Identity, None);
+        let mut reference = FedAvgAccumulator::new(dim);
+        for i in 0..6 {
+            let update = special_update(i);
+            let frame = fl_wire::encode(&fl_wire::WireMessage::UpdateReport {
+                device: DeviceId(i as u64),
+                round: fl_core::RoundId(1),
+                attempt: 1,
+                update_bytes: encode(&update, CodecSpec::Identity),
+                weight: i as u64 + 1,
+                loss: 0.5,
+                accuracy: 0.5,
+                population: "pop".into(),
+            })
+            .unwrap();
+            let route = ReportRoute::of(&fl_wire::ReportRef::parse(&frame).unwrap());
+            shard.accept_forwarded(&route, &frame).unwrap();
+            let decoded = CodecSpec::Identity
+                .build()
+                .decode(&encode(&update, CodecSpec::Identity), dim)
+                .unwrap();
+            reference.accumulate_presummed(&decoded, i as u64 + 1, 1).unwrap();
+        }
+        let folded = shard.close(&[], &[], 0).unwrap();
+        assert_eq!(folded.contributors(), 6);
+        assert_eq!(folded.total_weight(), reference.total_weight());
+        assert_eq!(
+            bits(&folded.average_delta().unwrap()),
+            bits(&reference.average_delta().unwrap())
+        );
+    }
+
+    /// A wrong count prefix and a truncated payload are refused with the
+    /// codec's typed error, and leave the shard's sum as it was.
+    #[test]
+    fn identity_fold_keeps_its_typed_errors() {
+        let dim = 8;
+        let codec = CodecSpec::Identity;
+        let malformed = |e: fl_ml::compress::CodecError| CoreError::MalformedCheckpoint(e.to_string());
+        let mut shard = AggregatorShard::new(dim, codec, None);
+        assert_eq!(
+            shard.accept(DeviceId(0), &encode(&vec![1.0; dim - 1], codec), 1),
+            Err(malformed(fl_ml::compress::CodecError::LengthMismatch {
+                expected: dim,
+                actual: dim - 1,
+            }))
+        );
+        let mut truncated = encode(&vec![1.0; dim], codec);
+        truncated.truncate(truncated.len() - 3);
+        assert_eq!(
+            shard.accept(DeviceId(1), &truncated, 1),
+            Err(malformed(fl_ml::compress::CodecError::Truncated))
+        );
+        assert_eq!(shard.contributors(), 0);
+        shard.accept(DeviceId(2), &encode(&plain_update(2), codec), 4).unwrap();
+        let mut reference = FedAvgAccumulator::new(dim);
+        reference.accumulate_presummed(&plain_update(2), 4, 1).unwrap();
+        assert_eq!(shard.close(&[], &[], 0).unwrap(), reference);
+    }
+
+    /// The Master's params are the zero-started sum of the non-empty
+    /// shards' sums applied to the current params, bit for bit, with one,
+    /// two or three of three shards holding reports (-0.0 entries in the
+    /// updates and the params included).
+    #[test]
+    fn merge_of_one_two_or_three_shards_is_bit_identical() {
+        let dim = 3 * SPECIAL_BITS.len();
+        let codec = CodecSpec::Identity;
+        let current: Vec<f32> = (0..dim)
+            .map(|d| if d % 2 == 0 { -0.0 } else { 0.25 })
+            .collect();
+        for filled in 1..=3 {
+            let mut master = MasterAggregator::new(AggregationPlan::plain(dim, 3), codec, 9, 1);
+            assert_eq!(master.shard_count(), 3);
+            let mut shards = vec![FedAvgAccumulator::new(dim); 3];
+            // Device `i` goes to shard `i % 3`; only the first `filled`
+            // shards are sent anything.
+            for i in (0..9).filter(|i| i % 3 < filled) {
+                let update = special_update(i);
+                master
+                    .accept(DeviceId(i as u64), &encode(&update, codec), i as u64 + 1)
+                    .unwrap();
+                shards[i % 3].accumulate_presummed(&update, i as u64 + 1, 1).unwrap();
+            }
+            let mut merged = FedAvgAccumulator::new(dim);
+            for shard in shards.iter().filter(|s| s.contributors() > 0) {
+                merged.merge(shard).unwrap();
+            }
+            let out = master.finalize(&current, &[], &[]).unwrap();
+            assert_eq!(out.contributors, 3 * filled);
+            assert_eq!(
+                bits(&out.params),
+                bits(&merged.apply_to(&current).unwrap()),
+                "{filled} non-empty shard(s)"
+            );
+        }
+    }
+
+    /// A merge with no contribution keeps its errors: the abort when
+    /// every non-empty shard aborted (the last one's), beside an empty
+    /// shard too, and `ZeroWeightUpdate` when nothing was reported.
+    #[test]
+    fn merge_keeps_the_abort_and_zero_weight_errors() {
+        let dim = 4;
+        let codec = CodecSpec::Identity;
+        let secagg = |reporting: &[u64], dropped: &[u64]| {
+            let mut master = MasterAggregator::new(AggregationPlan::with_secagg(dim, 4, 2), codec, 8, 7);
+            assert_eq!(master.shard_count(), 2);
+            for &i in reporting {
+                master
+                    .accept(DeviceId(i), &encode(&vec![0.5; dim], codec), 2)
+                    .unwrap();
+            }
+            let dropped: Vec<DeviceId> = dropped.iter().copied().map(DeviceId).collect();
+            master.finalize(&vec![0.0; dim], &[], &dropped)
+        };
+        // Both groups lose 3 of 4.
+        assert!(matches!(
+            secagg(&[0, 1, 2, 3, 4, 5, 6, 7], &[0, 1, 2, 3, 4, 5]),
+            Err(ShardError::BelowThreshold {
+                alive: 1,
+                required: 2
+            })
+        ));
+        // Shard 0 aborts, shard 1 was sent nothing.
+        assert!(matches!(
+            secagg(&[0, 2, 4, 6], &[0, 2, 4]),
+            Err(ShardError::BelowThreshold {
+                alive: 1,
+                required: 2
+            })
+        ));
+        let plain = MasterAggregator::new(AggregationPlan::plain(dim, 2), codec, 4, 1);
+        assert!(matches!(
+            plain.finalize(&vec![0.0; dim], &[], &[]),
+            Err(ShardError::Core(CoreError::ZeroWeightUpdate))
+        ));
     }
 
     use fl_actors::{ActorSystem, DeathReason, FaultAction, FaultInjector, ScriptedFaults};

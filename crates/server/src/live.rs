@@ -1169,13 +1169,23 @@ mod tests {
         population: &str,
         round: RoundConfig,
     ) -> ActorRef<CoordMsg> {
+        spawn_coordinator_of(system, population, round, spec())
+    }
+
+    /// [`spawn_coordinator`] training a model of `model`'s size.
+    fn spawn_coordinator_of(
+        system: &ActorSystem,
+        population: &str,
+        round: RoundConfig,
+        model: ModelSpec,
+    ) -> ActorRef<CoordMsg> {
         let task = FlTask::training("t", population).with_round(round);
-        let plan = FlPlan::standard_training(spec(), 1, 8, 0.1, CodecSpec::Identity);
+        let plan = FlPlan::standard_training(model, 1, 8, 0.1, CodecSpec::Identity);
         let coordinator = CoordinatorActor::new(
             CoordinatorConfig::new(population, 7),
             TaskGroup::new(vec![task], TaskSelectionStrategy::Single),
             vec![plan],
-            vec![0.0; spec().num_params()],
+            vec![0.0; model.num_params()],
             LockingService::new(),
         );
         system.spawn(format!("coordinator-{population}"), coordinator)
@@ -1391,6 +1401,62 @@ mod tests {
 
         coordinator.send(CoordMsg::Shutdown).unwrap();
         system.join();
+    }
+
+    /// Forwards each `(device, link)` of `forwarded`, in that order, over
+    /// loopback TCP links to a Coordinator whose round configures exactly
+    /// those devices, then reads one whole Configuration frame off a link
+    /// at a time, in `reads` order. A frame (~6 MB) is more than a fresh
+    /// link buffers, and several are more than any link buffers, so the
+    /// Coordinator's write to a link blocks until that link is read: a
+    /// read of a link it is not writing to times out, and the reads
+    /// complete only in an order that follows its writes.
+    fn configuration_reads_complete_in(forwarded: &[(u64, usize)], reads: &[usize]) {
+        let model = ModelSpec::Logistic {
+            dim: 375_000,
+            classes: 2,
+            seed: 0,
+        };
+        let links = reads.iter().max().map_or(0, |last| last + 1);
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let (clients, gateways): (Vec<_>, Vec<_>) = (0..links)
+            .map(|_| {
+                let client = std::net::TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+                let gateway = listener.accept().unwrap().0;
+                (
+                    fl_wire::TcpTransport::new(client).unwrap(),
+                    fl_wire::TcpTransport::new(gateway).unwrap(),
+                )
+            })
+            .unzip();
+        let system = ActorSystem::new();
+        let coordinator =
+            spawn_coordinator_of(&system, "pop-links", quick_round(forwarded.len()), model);
+        for &(device, link) in forwarded {
+            coordinator
+                .send(CoordMsg::DeviceForwarded {
+                    device: DeviceId(device),
+                    conn: gateways[link].sink(),
+                })
+                .unwrap();
+        }
+        let mut first: Option<Vec<u8>> = None;
+        for (i, &link) in reads.iter().enumerate() {
+            let frame = clients[link]
+                .recv_frame_timeout(Duration::from_secs(10))
+                .unwrap_or_else(|e| panic!("read {i} (link {link}): {e}"));
+            assert!(frame.len() > 6_000_000);
+            assert!(first.get_or_insert_with(|| frame.clone()) == &frame);
+        }
+        coordinator.send(CoordMsg::Shutdown).unwrap();
+        system.join();
+    }
+
+    /// With one link per participant the Configuration goes out in
+    /// device-id order, whatever order the devices were forwarded in.
+    #[test]
+    fn configuration_order_is_device_order_with_one_link_per_device() {
+        configuration_reads_complete_in(&[(3, 3), (1, 1), (0, 0), (2, 2)], &[0, 1, 2, 3]);
     }
 
     #[test]

@@ -733,10 +733,9 @@ mod tests {
         assert_eq!(pool(), (0, 0));
     }
 
-    #[test]
-    fn a_recycled_buffer_leaks_no_stale_tail_into_a_shorter_frame() {
-        let _turn = POOL_TESTS.lock();
-        let msg = WireMessage::UpdateReport {
+    /// A report frame large enough to be read into a spare.
+    fn large_frame() -> Vec<u8> {
+        encode(&WireMessage::UpdateReport {
             device: DeviceId(5),
             round: RoundId(2),
             attempt: 1,
@@ -745,26 +744,80 @@ mod tests {
             loss: 0.5,
             accuracy: 0.5,
             population: PopulationName::new("spares/pop"),
-        };
-        let sent = encode(&msg).unwrap();
+        })
+        .unwrap()
+    }
+
+    /// Empties the pool but for `stale`, then sends `frame` over a fresh
+    /// TCP pair cut at `cuts`: each piece after the first is written only
+    /// once a receive has timed out on the frame so far. The frame must
+    /// arrive byte-exact, in `stale`'s own buffer.
+    fn reads_back_through_a_stale_spare(stale: Vec<u8>, frame: &[u8], cuts: &[usize]) {
+        let _turn = POOL_TESTS.lock();
         drain();
-        let stale = vec![0xAA; 2 * sent.len()];
         let at = stale.as_ptr();
         recycle(stale);
 
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let client = TcpTransport::new(stream).unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let server = TcpTransport::new(listener.accept().unwrap().0).unwrap();
-        let sender = std::thread::spawn(move || client.send(&msg).unwrap());
+        let mut bounds = vec![0];
+        bounds.extend_from_slice(cuts);
+        bounds.push(frame.len());
+        let pieces: Vec<Vec<u8>> = bounds.windows(2).map(|w| frame[w[0]..w[1]].to_vec()).collect();
+        let (next, turn) = crossbeam::channel::unbounded::<()>();
+        let writer = std::thread::spawn(move || {
+            for piece in pieces {
+                turn.recv().unwrap();
+                client.write_all(&piece).unwrap();
+            }
+        });
+        for _ in cuts {
+            next.send(()).unwrap();
+            assert_eq!(
+                server.recv_frame_timeout(Duration::from_millis(50)),
+                Err(WireError::Timeout)
+            );
+        }
+        next.send(()).unwrap();
         let got = server.recv_frame_timeout(Duration::from_secs(5)).unwrap();
-        sender.join().unwrap();
+        writer.join().unwrap();
         assert_eq!(
             got.as_ptr(),
             at,
             "the receive read into the recycled buffer"
         );
-        assert_eq!(got.len(), sent.len());
-        assert!(got == sent, "a stale byte of the recycled buffer leaked");
+        assert_eq!(got.len(), frame.len());
+        assert!(got == frame, "a stale byte of the recycled buffer leaked");
+    }
+
+    #[test]
+    fn a_recycled_buffer_of_the_frames_length_reads_back_byte_exact() {
+        let frame = large_frame();
+        reads_back_through_a_stale_spare(vec![0xAA; frame.len()], &frame, &[]);
+    }
+
+    #[test]
+    fn a_recycled_buffer_leaks_no_stale_tail_into_a_shorter_frame() {
+        let frame = large_frame();
+        reads_back_through_a_stale_spare(vec![0xAA; 2 * frame.len()], &frame, &[]);
+    }
+
+    #[test]
+    fn a_recycled_buffer_shorter_than_the_frame_reads_back_byte_exact() {
+        let frame = large_frame();
+        // Shorter than the frame, and shorter than its header.
+        for len in [frame.len() / 2, 3] {
+            let mut stale = Vec::with_capacity(frame.len());
+            stale.resize(len, 0xAA);
+            reads_back_through_a_stale_spare(stale, &frame, &[]);
+        }
+    }
+
+    #[test]
+    fn a_frame_resumed_across_two_timeouts_reads_back_byte_exact() {
+        let frame = large_frame();
+        let cuts = [HEADER_LEN + 1_000, frame.len() / 2];
+        reads_back_through_a_stale_spare(vec![0xAA; 2 * frame.len()], &frame, &cuts);
     }
 }
