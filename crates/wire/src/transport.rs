@@ -23,10 +23,17 @@
 //! gateway zero-filled a fresh 1 MB buffer for every report, a shard
 //! thread freed it, glibc gave the pages back, and the next round faulted
 //! them in again — ~4 000 minor faults a round, more sys time than user
-//! time. A pooled buffer saves the allocation and the page faults; its
-//! body is still zeroed before the read, but on pages already resident.
-//! A 10 s run now takes ~32 k faults instead of ~252 k, and
-//! `rounds_per_s` reads 1.26x (`BENCH_e2e.json` entry 25). Channel links
+//! time. A pooled buffer saves the allocation and the page faults: a 10 s
+//! run took ~32 k faults instead of ~252 k, and `rounds_per_s` read 1.26x
+//! (`BENCH_e2e.json` entry 25). It saves the zero-fill too. A spare keeps
+//! its length and the bytes of the frame it last carried; a receive copies
+//! the header over their start, reads the body over the rest, and
+//! zero-extends only a spare shorter than the frame. No stale byte can
+//! leave, and no `unsafe` is needed: a frame is handed out only once every
+//! byte of it has come off the socket (a read that times out mid-frame
+//! keeps its place, and the next one resumes it), and
+//! [`TcpTransport::recv_frame_timeout`] truncates the buffer to the
+//! frame's length. Channel links
 //! allocate per frame as before: no workload moves a frame that large
 //! over one, so a pool there would be unmeasured.
 //!
@@ -90,9 +97,9 @@ struct Spares {
 static SPARES: LazyLock<fl_race::Mutex<Spares>> =
     LazyLock::new(|| fl_race::Mutex::new(SPARES_SITE, Spares::default()));
 
-/// An empty buffer with room for a `len`-byte frame: the latest kept
-/// spare that fits when `len` is at or above [`SPARE_FLOOR`], else a
-/// fresh allocation.
+/// A buffer with room for a `len`-byte frame: the latest kept spare that
+/// fits when `len` is at or above [`SPARE_FLOOR`], still holding the bytes
+/// of the frame it last carried, else a fresh empty allocation.
 fn spare(len: usize) -> Vec<u8> {
     if len >= SPARE_FLOOR {
         let mut spares = SPARES.lock();
@@ -106,19 +113,20 @@ fn spare(len: usize) -> Vec<u8> {
 }
 
 /// Hands a frame's buffer back for the next large frame a TCP receive
-/// reads, so a megabyte frame costs no allocation or page fault once the
-/// first few have been made (the read still zeroes the body first, on
-/// warm pages). The frame's last owner calls this when it is done with
-/// the bytes; a buffer below [`SPARE_FLOOR`] or one the count or byte
-/// bound has no room for is dropped instead.
-pub fn recycle(mut frame: Vec<u8>) {
+/// reads, so a megabyte frame costs no allocation, page fault or
+/// zero-fill once the first few have been made. The buffer keeps its
+/// length and its bytes: the receive overwrites them from the socket, and
+/// hands a frame out only once all of it has been read (see the module
+/// doc). The frame's last owner calls this when it is done with the
+/// bytes; a buffer below [`SPARE_FLOOR`] or one the count or byte bound
+/// has no room for is dropped instead.
+pub fn recycle(frame: Vec<u8>) {
     let size = frame.capacity();
     if size < SPARE_FLOOR {
         return;
     }
     let mut spares = SPARES.lock();
     if spares.bufs.len() < SPARE_COUNT && spares.bytes + size <= SPARE_BYTES {
-        frame.clear();
         spares.bytes += size;
         spares.bufs.push(frame);
     }
@@ -386,7 +394,9 @@ pub struct TcpTransport {
 
 /// The locked read side: the stream plus the in-flight frame.
 /// `buf[..filled]` is what has been pulled off the socket so far; the
-/// rest of `buf` is room already sized for the frame's remainder.
+/// rest of `buf` is room for the frame's remainder, zeroes or a spare's
+/// stale bytes, which the socket overwrites before the frame is handed
+/// out.
 struct ReadHalf {
     stream: TcpStream,
     buf: Vec<u8>,
@@ -513,9 +523,13 @@ impl TcpTransport {
             };
             if total >= SPARE_FLOOR && half.buf.capacity() < total {
                 // Read a large body straight into a spare, not into room
-                // freshly allocated (and faulted in) for it.
+                // freshly allocated (and faulted in) for it; the header
+                // read so far goes over the start of its stale bytes.
                 let mut buf = spare(total);
-                buf.extend_from_slice(&half.buf[..half.filled]);
+                buf.truncate(total);
+                let kept = half.filled.min(buf.len());
+                buf[..kept].copy_from_slice(&half.buf[..kept]);
+                buf.extend_from_slice(&half.buf[kept..half.filled]);
                 recycle(std::mem::replace(&mut half.buf, buf));
             }
             if half.filled >= total {
@@ -530,9 +544,10 @@ impl TcpTransport {
 
 impl ReadHalf {
     /// Pulls at most `target - filled` bytes off the socket, honouring
-    /// `deadline`. The buffer is sized (and zeroed) for `target` once,
-    /// not per read. Timeout leaves the bytes read so far for a later
-    /// resume; EOF mid-frame forgets them and reports a closed peer.
+    /// `deadline`. A buffer shorter than `target` is zero-extended to it
+    /// once, not per read; a longer one (a spare) is read into as it is.
+    /// Timeout leaves the bytes read so far for a later resume; EOF
+    /// mid-frame forgets them and reports a closed peer.
     fn read_up_to(&mut self, target: usize, deadline: Option<Instant>) -> Result<(), WireError> {
         let remaining = deadline.map(|at| at.saturating_duration_since(Instant::now()));
         if remaining == Some(Duration::ZERO) {
