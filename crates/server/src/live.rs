@@ -57,7 +57,7 @@ use fl_analytics::overload::OverloadMetrics;
 use fl_core::plan::FlPlan;
 use fl_core::population::TaskGroup;
 use fl_core::{CoreError, DeviceId, PopulationName, RoundId, RoundOutcome};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use fl_wire::{ChannelTransport, Transport, WireError, WireMessage, WireSink, WireStats};
 use crossbeam::channel::{unbounded, Sender};
 use std::sync::Arc;
@@ -343,6 +343,18 @@ impl<S: CheckpointStore + Send + 'static> CoordinatorActor<S> {
     /// (a re-send) or to all of them, if the round is in Reporting. The
     /// frame is encoded on first use in a round and the same bytes go to
     /// every participant and every re-send.
+    ///
+    /// The writes take turns across connections ([`WireSink::link`]):
+    /// every connection is sent the download of its k-th participant, in
+    /// device-id order, before any is sent that of its (k+1)-th. A write
+    /// holds this thread until the connection has taken the bytes, and a
+    /// megabyte download outruns a socket's buffer; so where a gateway
+    /// multiplexes devices on one TCP connection, device-id order made the
+    /// devices of every other connection wait for all of the first one's
+    /// downloads before their first, and then their round waited for them.
+    /// With one connection per participant the order is device-id order.
+    /// The writes stay on this thread: a writer thread per connection read
+    /// +6 % `rounds_per_s` for +23 % peak RSS (ROADMAP item 4).
     fn send_configuration(&mut self, only: Option<DeviceId>) {
         let Some(round) = &self.active else { return };
         if round.state.phase() != crate::round::Phase::Reporting {
@@ -361,10 +373,21 @@ impl<S: CheckpointStore + Send + 'static> CoordinatorActor<S> {
         {
             return;
         }
-        for device in only.map_or_else(|| round.state.participants(), |device| vec![device]) {
-            if let Some(conn) = self.device_replies.get(&device) {
-                let _ = conn.send_frame(&self.configuration);
-            }
+        let mut turns: HashMap<usize, usize> = HashMap::new();
+        let mut sends: Vec<(usize, &WireSink)> = only
+            .map_or_else(|| round.state.participants(), |device| vec![device])
+            .iter()
+            .filter_map(|device| self.device_replies.get(device))
+            .map(|conn| {
+                let turn = turns.entry(conn.link()).or_default();
+                *turn += 1;
+                (*turn, conn)
+            })
+            .collect();
+        // A stable sort: within a turn, device-id order.
+        sends.sort_by_key(|&(turn, _)| turn);
+        for (_, conn) in sends {
+            let _ = conn.send_frame(&self.configuration);
         }
     }
 }
@@ -1457,6 +1480,19 @@ mod tests {
     #[test]
     fn configuration_order_is_device_order_with_one_link_per_device() {
         configuration_reads_complete_in(&[(3, 3), (1, 1), (0, 0), (2, 2)], &[0, 1, 2, 3]);
+    }
+
+    /// Where devices share links — two connections of eight devices each,
+    /// the link in a device id's high bits as a gateway's lanes number
+    /// them — no link is sent its (k+1)-th Configuration before every link
+    /// has its k-th: the links can be read one frame at a time, in turn.
+    #[test]
+    fn configuration_takes_turns_across_multiplexed_links() {
+        let forwarded: Vec<(u64, usize)> = (0..2)
+            .flat_map(|link| (0..8).map(move |i| ((link as u64) << 32 | i, link)))
+            .collect();
+        let reads: Vec<usize> = (0..16).map(|k| k % 2).collect();
+        configuration_reads_complete_in(&forwarded, &reads);
     }
 
     #[test]

@@ -656,6 +656,19 @@ impl WireSink {
         }
     }
 
+    /// The connection this sink writes to, as a value to compare: every
+    /// sink taken from one endpoint has the same one, and sinks of two
+    /// live endpoints differ. Devices a gateway multiplexes on one
+    /// connection share it.
+    pub fn link(&self) -> usize {
+        match &self.inner {
+            SinkInner::Null => 0,
+            SinkInner::Channel { counters, .. } | SinkInner::Tcp { counters, .. } => {
+                Arc::as_ptr(counters) as usize
+            }
+        }
+    }
+
     /// Encodes and transmits one message; returns the frame size.
     ///
     /// # Errors
