@@ -13,6 +13,7 @@
 //! (Sec. 6's hierarchical aggregation).
 
 use crate::error::CoreError;
+use fl_ml::compress::UpdateCodec;
 use fl_ml::optim::WeightedUpdate;
 use serde::{Deserialize, Serialize};
 
@@ -74,6 +75,36 @@ impl FedAvgAccumulator {
             *s += d;
         }
         self.sum_weight += update.weight;
+        self.contributors += 1;
+        Ok(())
+    }
+
+    /// Folds one device's codec-encoded update in where it lies:
+    /// [`UpdateCodec::add_into`] adds it to the running sum, decoding into
+    /// `scratch` first only for a codec whose wire form is not the vector
+    /// itself. The sum gets the same additions, in the same order, as
+    /// decoding the update and passing it to
+    /// [`FedAvgAccumulator::accumulate_presummed`].
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::ZeroWeightUpdate`], or the codec's error as
+    /// [`CoreError::MalformedCheckpoint`]; the accumulator is then as it
+    /// was.
+    pub fn accumulate_encoded(
+        &mut self,
+        codec: &dyn UpdateCodec,
+        bytes: &[u8],
+        weight: u64,
+        scratch: &mut Vec<f32>,
+    ) -> Result<(), CoreError> {
+        if weight == 0 {
+            return Err(CoreError::ZeroWeightUpdate);
+        }
+        codec
+            .add_into(bytes, &mut self.sum_delta, scratch)
+            .map_err(|e| CoreError::MalformedCheckpoint(e.to_string()))?;
+        self.sum_weight += weight;
         self.contributors += 1;
         Ok(())
     }
@@ -254,6 +285,17 @@ mod tests {
             acc.accumulate(update(vec![1.0, 2.0], 0)),
             Err(CoreError::ZeroWeightUpdate)
         ));
+        let codec = fl_ml::compress::IdentityCodec;
+        let mut scratch = Vec::new();
+        assert!(matches!(
+            acc.accumulate_encoded(&codec, &codec.encode(&[1.0]), 1, &mut scratch),
+            Err(CoreError::MalformedCheckpoint(_))
+        ));
+        assert!(matches!(
+            acc.accumulate_encoded(&codec, &codec.encode(&[1.0, 2.0]), 0, &mut scratch),
+            Err(CoreError::ZeroWeightUpdate)
+        ));
+        assert_eq!(acc, FedAvgAccumulator::new(2));
         assert!(matches!(
             acc.average_delta(),
             Err(CoreError::ZeroWeightUpdate)

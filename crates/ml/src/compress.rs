@@ -69,6 +69,30 @@ pub trait UpdateCodec {
     /// As [`UpdateCodec::decode`]; `out` is then unspecified.
     fn decode_into(&self, bytes: &[u8], len: usize, out: &mut Vec<f32>) -> Result<(), CodecError>;
 
+    /// Adds the update `bytes` encode, of length `sum.len()`, into `sum`
+    /// coordinate by coordinate (`sum[i] += update[i]`, in index order),
+    /// or leaves `sum` untouched and returns the error
+    /// [`UpdateCodec::decode`] would. A streaming aggregator folds each
+    /// update in with this: the default decodes into `scratch` and adds
+    /// from there, and a codec whose wire form is the vector itself adds
+    /// straight from `bytes`.
+    ///
+    /// # Errors
+    ///
+    /// As [`UpdateCodec::decode`].
+    fn add_into(
+        &self,
+        bytes: &[u8],
+        sum: &mut [f32],
+        scratch: &mut Vec<f32>,
+    ) -> Result<(), CodecError> {
+        self.decode_into(bytes, sum.len(), scratch)?;
+        for (s, v) in sum.iter_mut().zip(scratch.iter()) {
+            *s += v;
+        }
+        Ok(())
+    }
+
     /// Human-readable codec name for reports.
     fn name(&self) -> &'static str;
 }
@@ -95,6 +119,22 @@ fn get_f32(bytes: &[u8], at: usize) -> Result<f32, CodecError> {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IdentityCodec;
 
+impl IdentityCodec {
+    /// The `len` little-endian `f32` coordinates of `bytes`, checked
+    /// against the count prefix.
+    fn values(bytes: &[u8], len: usize) -> Result<&[[u8; 4]], CodecError> {
+        let n = get_u32(bytes, 0)? as usize;
+        if n != len {
+            return Err(CodecError::LengthMismatch { expected: len, actual: n });
+        }
+        bytes[4..]
+            .as_chunks::<4>()
+            .0
+            .get(..n)
+            .ok_or(CodecError::Truncated)
+    }
+}
+
 impl UpdateCodec for IdentityCodec {
     fn encode(&self, update: &[f32]) -> Vec<u8> {
         let mut out = Vec::with_capacity(4 + update.len() * 4);
@@ -106,19 +146,26 @@ impl UpdateCodec for IdentityCodec {
     }
 
     fn decode_into(&self, bytes: &[u8], len: usize, out: &mut Vec<f32>) -> Result<(), CodecError> {
-        let n = get_u32(bytes, 0)? as usize;
-        if n != len {
-            return Err(CodecError::LengthMismatch { expected: len, actual: n });
-        }
-        // `n` is now the caller's own dimension; still, size nothing
-        // before the bytes for it are known to be present.
-        let values = bytes[4..]
-            .as_chunks::<4>()
-            .0
-            .get(..n)
-            .ok_or(CodecError::Truncated)?;
+        // Size nothing before the bytes for `len` values are known to be
+        // present.
+        let values = IdentityCodec::values(bytes, len)?;
         out.clear();
         out.extend(values.iter().map(|v| f32::from_le_bytes(*v)));
+        Ok(())
+    }
+
+    /// Adds straight from `bytes`, which hold the vector itself: no
+    /// decoded copy, and `scratch` is not touched.
+    fn add_into(
+        &self,
+        bytes: &[u8],
+        sum: &mut [f32],
+        _scratch: &mut Vec<f32>,
+    ) -> Result<(), CodecError> {
+        let values = IdentityCodec::values(bytes, sum.len())?;
+        for (s, v) in sum.iter_mut().zip(values) {
+            *s += f32::from_le_bytes(*v);
+        }
         Ok(())
     }
 
@@ -476,6 +523,30 @@ mod tests {
                 "{}",
                 codec.name()
             );
+        }
+    }
+
+    #[test]
+    fn add_into_matches_decode_then_add_for_every_codec() {
+        let u = sample_update(1_000);
+        let base = sample_update(1_000);
+        let codecs: [&dyn UpdateCodec; 4] = [
+            &IdentityCodec,
+            &QuantizeCodec::default(),
+            &SubsampleCodec::new(0.25, 7),
+            &PipelineCodec::new(0.25, 11, 64),
+        ];
+        for codec in codecs {
+            let enc = codec.encode(&u);
+            let decoded = codec.decode(&enc, u.len()).unwrap();
+            let expected: Vec<f32> = base.iter().zip(&decoded).map(|(b, d)| b + d).collect();
+            let mut sum = base.clone();
+            codec.add_into(&enc, &mut sum, &mut Vec::new()).unwrap();
+            assert_eq!(sum, expected, "{}", codec.name());
+            // A stream of another length leaves the sum as it was.
+            let mut short = base[..999].to_vec();
+            assert!(codec.add_into(&enc, &mut short, &mut Vec::new()).is_err());
+            assert_eq!(short, base[..999], "{}", codec.name());
         }
     }
 

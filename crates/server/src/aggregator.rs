@@ -19,8 +19,12 @@
 //! and an accepted one goes on to the Master with what that parse read
 //! ([`ReportRoute`]); the Master routes it by device to the device's
 //! shard; the shard folds the payload where it lies
-//! ([`AggregatorShard::accept_forwarded`]), through one scratch vector it
-//! keeps for the round. In the live tree the frame is moved along
+//! ([`AggregatorShard::accept_forwarded`]): an Identity update is added
+//! into the shard's sum straight from the frame, and only a codec that
+//! must decode first, DP clipping or SecAgg staging goes through one
+//! scratch vector the shard keeps for the round. The Master's merge
+//! starts from the first non-empty shard's sum. In the live tree the
+//! frame is moved along
 //! ([`ForwardedReport`] in [`MasterMsg::Update`]), and everything else on
 //! the Coordinator → Master → shard path is a typed message
 //! ([`MasterMsg`], [`ShardMsg`]): these are actors of one process, and a
@@ -121,8 +125,10 @@ pub struct AggregatorShard {
     secagg_k: Option<usize>,
     encoder: FixedPointEncoder,
     dim: usize,
-    /// The update being folded: every `accept` decodes into this one
-    /// vector, so a shard allocates a model's worth once, not per device.
+    /// The update being folded, where `accept` needs it decoded (a codec
+    /// whose wire form is not the vector itself, DP clipping, SecAgg
+    /// staging): one vector, so a shard allocates a model's worth once,
+    /// not per device.
     scratch: Vec<f32>,
 }
 
@@ -162,7 +168,10 @@ impl AggregatorShard {
 
     /// Accepts one device's *encoded* update bytes plus its weight.
     ///
-    /// Plain mode: decode and fold immediately (streaming, in-memory).
+    /// Plain mode: fold immediately (streaming, in-memory), where the
+    /// bytes lie unless the codec must decode first
+    /// ([`FedAvgAccumulator::accumulate_encoded`]); with DP clipping, the
+    /// decoded and clipped update.
     /// SecAgg mode: fixed-point-encode `update ‖ weight` into the field
     /// and stage it for the protocol run.
     ///
@@ -175,8 +184,16 @@ impl AggregatorShard {
         update_bytes: &[u8],
         weight: u64,
     ) -> Result<(), CoreError> {
-        self.codec
-            .build()
+        let codec = self.codec.build();
+        if self.clip_norm.is_none() && self.secagg_inputs.is_none() {
+            return self.accumulator.accumulate_encoded(
+                &*codec,
+                update_bytes,
+                weight,
+                &mut self.scratch,
+            );
+        }
+        codec
             .decode_into(update_bytes, self.dim, &mut self.scratch)
             .map_err(|e| CoreError::MalformedCheckpoint(e.to_string()))?;
         if let Some(clip) = self.clip_norm {
@@ -519,16 +536,13 @@ impl MasterAggregator {
         share_dropouts: &[DeviceId],
     ) -> Result<MergeOutcome, ShardError> {
         let seed = self.secagg_seed;
-        // Every shard is closed before the merge allocates anything, so
-        // the merged sum reuses the memory the shards' scratch vectors
-        // just gave back (closing lazily inside the merge loop measured
-        // 1.2 ms against 0.5 ms on `aggregator.master_finalize_ms`).
-        let closed: Vec<_> = self
+        // The merge allocates nothing (it adds into the first non-empty
+        // shard's sum), so each shard is closed as the merge reaches it.
+        let closed = self
             .shards
             .into_iter()
             .enumerate()
-            .map(|(i, shard)| shard.close(advertise_dropouts, share_dropouts, shard_seed(seed, i)))
-            .collect();
+            .map(|(i, shard)| shard.close(advertise_dropouts, share_dropouts, shard_seed(seed, i)));
         merge_closed(self.plan, seed, closed, current_params)
     }
 
@@ -569,27 +583,35 @@ fn merge_closed(
     closed: impl IntoIterator<Item = Result<FedAvgAccumulator, ShardError>>,
     current_params: &[f32],
 ) -> Result<MergeOutcome, ShardError> {
-    let mut merged = FedAvgAccumulator::new(plan.dim);
+    // The merge starts from the first non-empty sum rather than from a
+    // fresh zeroed vector, which the caller's thread would fault in. That
+    // adds nothing it leaves out: a shard's sum started from +0.0, so it
+    // holds no -0.0 and no signalling NaN, the two values `0.0 + x` would
+    // change.
+    let mut merged: Option<FedAvgAccumulator> = None;
     let mut shard_aborts = 0usize;
     let mut last_abort = None;
     for shard in closed {
-        match shard {
-            Ok(sum) if sum.contributors() > 0 => {
+        match (shard, &mut merged) {
+            (Ok(sum), Some(merged)) if sum.contributors() > 0 => {
                 merged.merge(&sum).map_err(ShardError::Core)?;
             }
-            Ok(_) => {}
-            Err(e @ ShardError::BelowThreshold { .. }) => {
+            (Ok(sum), None) if sum.contributors() > 0 => merged = Some(sum),
+            (Ok(_), _) => {}
+            (Err(e @ ShardError::BelowThreshold { .. }), _) => {
                 shard_aborts += 1;
                 last_abort = Some(e);
             }
-            Err(e) => return Err(e),
+            (Err(e), _) => return Err(e),
         }
     }
     // Every group aborted (or was empty): surface the abort rather than
     // a generic zero-weight merge error.
-    if let (0, Some(abort)) = (merged.contributors(), last_abort) {
-        return Err(abort);
-    }
+    let mut merged = match (merged, last_abort) {
+        (Some(merged), _) => merged,
+        (None, Some(abort)) => return Err(abort),
+        (None, None) => return Err(ShardError::Core(CoreError::ZeroWeightUpdate)),
+    };
     if let Some(dp) = plan.dp {
         // One calibrated Gaussian perturbation of the round's sum.
         let mut noise_rng = fl_ml::rng::seeded(dp.noise_seed ^ secagg_seed);
