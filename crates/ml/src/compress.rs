@@ -97,6 +97,14 @@ pub trait UpdateCodec {
     fn name(&self) -> &'static str;
 }
 
+/// The update length an encoded stream declares, which every codec here
+/// writes first as a little-endian `u32`; `None` for a stream too short to
+/// hold it. Decoding checks it against the caller's length before anything
+/// else.
+pub fn encoded_len(bytes: &[u8]) -> Option<usize> {
+    get_u32(bytes, 0).ok().map(|n| n as usize)
+}
+
 fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
 }

@@ -29,7 +29,7 @@ use fl_core::traffic::{TrafficCounter, TrafficKind};
 use fl_core::{CoreError, DeviceId, FlCheckpoint, FlTask, PopulationName, RoundId};
 use fl_ml::metrics::MetricSummary;
 use fl_ml::rng;
-use fl_wire::{ReportRef, WireError, WireMessage};
+use fl_wire::{ReportPayload, ReportRef, WireError, WireMessage};
 use rand::RngExt;
 use std::collections::HashMap;
 
@@ -506,14 +506,35 @@ impl ActiveRound {
     /// checkpoint round keeps a delayed duplicate from an earlier round
     /// out of this one; the participant and attempt bounds keep the
     /// ledger at most participants × [`MAX_REPORT_ATTEMPTS`] entries
-    /// whatever keys a peer invents; and a report that arrives before its
+    /// whatever keys a peer invents; a report that arrives before its
     /// device is configured is refused without a pin, leaving its key to
-    /// the device's genuine report.
+    /// the device's genuine report; and so is one the round's Master
+    /// could not fold, which would otherwise take a goal slot for an
+    /// update the sum never holds.
     fn admits(&self, report: &ReportRef<'_>) -> bool {
         report.population == self.population.as_str()
             && report.round == self.checkpoint.round
             && report.attempt <= MAX_REPORT_ATTEMPTS
             && self.state.is_participant(report.device)
+            && self.shapes(&report.payload)
+    }
+
+    /// Whether `payload` passes a training round's shard shape checks
+    /// against the plan's dimension: a field vector only where the task
+    /// runs SecAgg, with one coordinate per parameter; an update whose
+    /// codec-declared length is the dimension. An evaluation round folds
+    /// nothing and takes any payload.
+    fn shapes(&self, payload: &ReportPayload<'_>) -> bool {
+        if self.task.kind != TaskKind::Training {
+            return true;
+        }
+        let dim = self.plan.server.expected_dim;
+        match payload {
+            ReportPayload::Field(coordinates) => {
+                self.task.secagg_group_size.is_some() && coordinates.len() == dim
+            }
+            ReportPayload::Update(bytes) => fl_ml::compress::encoded_len(bytes) == Some(dim),
+        }
     }
 
     /// Whether the finished round commits a new training checkpoint —
@@ -903,6 +924,55 @@ mod tests {
         );
         assert_eq!(round.traffic().upload_bytes(), upload);
         assert_eq!(round.state.counters().0, 1);
+    }
+
+    /// Regression: a report the round's Master cannot fold — an update of
+    /// the wrong dimension, or a field vector in a plain round — used to be
+    /// accepted, pinned and counted toward the goal, and then failed at
+    /// the shard (which the live tree ignores). Each is refused with
+    /// nothing pinned or counted, and the device's genuine report under
+    /// the same key is accepted and folds.
+    #[test]
+    fn a_report_the_round_cannot_fold_is_refused_unpinned() {
+        let mut c = deployed_coordinator();
+        let (mut round, mut master) = c.begin_round(0).unwrap();
+        configure(&mut round);
+        let key = round.checkpoint.round;
+        let dim = round.plan.server.expected_dim;
+        let wrong_dim = fl_wire::encode(&WireMessage::UpdateReport {
+            device: DeviceId(0),
+            round: key,
+            attempt: 1,
+            update_bytes: CodecSpec::Identity.build().encode(&[0.5]),
+            weight: 10,
+            loss: 0.7,
+            accuracy: 0.6,
+            population: "test/pop".into(),
+        })
+        .unwrap();
+        let field = fl_wire::encode(&WireMessage::SecAggReport {
+            device: DeviceId(0),
+            round: key,
+            attempt: 1,
+            field_vector: vec![1; dim],
+            weight: 10,
+            loss: 0.7,
+            accuracy: 0.6,
+            population: "test/pop".into(),
+        })
+        .unwrap();
+        for unfoldable in [wrong_dim, field] {
+            let (ack, verdict) = report(&mut round, &mut master, &unfoldable);
+            assert_eq!(verdict, ReportVerdict::Rejected);
+            assert!(!accepted(&ack));
+        }
+        assert!(round.verdicts.is_empty(), "an unfoldable report was pinned");
+        assert_eq!(round.state.counters(), (0, 0, 0, 0));
+        let genuine = frame(&round, DeviceId(0), 1, 0.5);
+        let (ack, verdict) = report(&mut round, &mut master, &genuine);
+        assert!(accepted(&ack));
+        assert!(matches!(verdict, ReportVerdict::Forward(_)));
+        assert_eq!(round.state.counters(), (1, 0, 0, 0));
     }
 
     fn deployed_secagg_coordinator() -> Coordinator<InMemoryCheckpointStore> {
