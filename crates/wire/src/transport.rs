@@ -229,7 +229,9 @@ pub trait Transport: fmt::Debug + Send {
     /// if the peer is gone, or any codec error for a malformed frame.
     fn recv_timeout(&self, timeout: Duration) -> Result<WireMessage, WireError>;
 
-    /// Non-blocking receive: `Ok(None)` when no frame is waiting.
+    /// A receive that waits at most briefly: `Ok(None)` when no frame
+    /// came. A channel link does not wait at all; a TCP link is
+    /// [`Transport::recv_timeout`] with a 1 ms timeout.
     ///
     /// # Errors
     ///
@@ -589,6 +591,8 @@ impl Transport for TcpTransport {
         decode(&half.buf[..total]).inspect_err(|_| self.counters.note_corrupt())
     }
 
+    /// Not non-blocking: [`Transport::recv_timeout`] with a 1 ms timeout,
+    /// so a call with nothing arriving takes about a millisecond.
     fn try_recv(&self) -> Result<Option<WireMessage>, WireError> {
         match self.recv_timeout(Duration::from_millis(1)) {
             Ok(msg) => Ok(Some(msg)),
