@@ -592,17 +592,17 @@ fn merge_closed(
     let mut shard_aborts = 0usize;
     let mut last_abort = None;
     for shard in closed {
-        match (shard, &mut merged) {
-            (Ok(sum), Some(merged)) if sum.contributors() > 0 => {
-                merged.merge(&sum).map_err(ShardError::Core)?;
-            }
-            (Ok(sum), None) if sum.contributors() > 0 => merged = Some(sum),
-            (Ok(_), _) => {}
-            (Err(e @ ShardError::BelowThreshold { .. }), _) => {
+        match shard {
+            Ok(sum) if sum.contributors() > 0 => match &mut merged {
+                Some(merged) => merged.merge(&sum).map_err(ShardError::Core)?,
+                None => merged = Some(sum),
+            },
+            Ok(_) => {}
+            Err(e @ ShardError::BelowThreshold { .. }) => {
                 shard_aborts += 1;
                 last_abort = Some(e);
             }
-            (Err(e), _) => return Err(e),
+            Err(e) => return Err(e),
         }
     }
     // Every group aborted (or was empty): surface the abort rather than

@@ -516,7 +516,7 @@ impl ActiveRound {
             && report.round == self.checkpoint.round
             && report.attempt <= MAX_REPORT_ATTEMPTS
             && self.state.is_participant(report.device)
-            && self.shapes(&report.payload)
+            && self.foldable(&report.payload)
     }
 
     /// Whether `payload` passes a training round's shard shape checks
@@ -524,7 +524,7 @@ impl ActiveRound {
     /// runs SecAgg, with one coordinate per parameter; an update whose
     /// codec-declared length is the dimension. An evaluation round folds
     /// nothing and takes any payload.
-    fn shapes(&self, payload: &ReportPayload<'_>) -> bool {
+    fn foldable(&self, payload: &ReportPayload<'_>) -> bool {
         if self.task.kind != TaskKind::Training {
             return true;
         }
