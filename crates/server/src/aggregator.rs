@@ -538,11 +538,10 @@ impl MasterAggregator {
         let seed = self.secagg_seed;
         // The merge allocates nothing (it adds into the first non-empty
         // shard's sum), so each shard is closed as the merge reaches it.
-        let closed = self
-            .shards
-            .into_iter()
-            .enumerate()
-            .map(|(i, shard)| shard.close(advertise_dropouts, share_dropouts, shard_seed(seed, i)));
+        let closed =
+            self.shards.into_iter().enumerate().map(|(i, shard)| {
+                shard.close(advertise_dropouts, share_dropouts, shard_seed(seed, i))
+            });
         merge_closed(self.plan, seed, closed, current_params)
     }
 
@@ -1342,7 +1341,9 @@ mod tests {
                 .build()
                 .decode(&encode(&update, CodecSpec::Identity), dim)
                 .unwrap();
-            reference.accumulate_presummed(&decoded, i as u64 + 1, 1).unwrap();
+            reference
+                .accumulate_presummed(&decoded, i as u64 + 1, 1)
+                .unwrap();
         }
         let folded = shard.close(&[], &[], 0).unwrap();
         assert_eq!(folded.contributors(), 6);
@@ -1359,7 +1360,8 @@ mod tests {
     fn identity_fold_keeps_its_typed_errors() {
         let dim = 8;
         let codec = CodecSpec::Identity;
-        let malformed = |e: fl_ml::compress::CodecError| CoreError::MalformedCheckpoint(e.to_string());
+        let malformed =
+            |e: fl_ml::compress::CodecError| CoreError::MalformedCheckpoint(e.to_string());
         let mut shard = AggregatorShard::new(dim, codec, None);
         assert_eq!(
             shard.accept(DeviceId(0), &encode(&vec![1.0; dim - 1], codec), 1),
@@ -1375,9 +1377,13 @@ mod tests {
             Err(malformed(fl_ml::compress::CodecError::Truncated))
         );
         assert_eq!(shard.contributors(), 0);
-        shard.accept(DeviceId(2), &encode(&plain_update(2), codec), 4).unwrap();
+        shard
+            .accept(DeviceId(2), &encode(&plain_update(2), codec), 4)
+            .unwrap();
         let mut reference = FedAvgAccumulator::new(dim);
-        reference.accumulate_presummed(&plain_update(2), 4, 1).unwrap();
+        reference
+            .accumulate_presummed(&plain_update(2), 4, 1)
+            .unwrap();
         assert_eq!(shard.close(&[], &[], 0).unwrap(), reference);
     }
 
@@ -1403,7 +1409,9 @@ mod tests {
                 master
                     .accept(DeviceId(i as u64), &encode(&update, codec), i as u64 + 1)
                     .unwrap();
-                shards[i % 3].accumulate_presummed(&update, i as u64 + 1, 1).unwrap();
+                shards[i % 3]
+                    .accumulate_presummed(&update, i as u64 + 1, 1)
+                    .unwrap();
             }
             let mut merged = FedAvgAccumulator::new(dim);
             for shard in shards.iter().filter(|s| s.contributors() > 0) {
@@ -1427,7 +1435,8 @@ mod tests {
         let dim = 4;
         let codec = CodecSpec::Identity;
         let secagg = |reporting: &[u64], dropped: &[u64]| {
-            let mut master = MasterAggregator::new(AggregationPlan::with_secagg(dim, 4, 2), codec, 8, 7);
+            let mut master =
+                MasterAggregator::new(AggregationPlan::with_secagg(dim, 4, 2), codec, 8, 7);
             assert_eq!(master.shard_count(), 2);
             for &i in reporting {
                 master

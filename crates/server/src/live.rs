@@ -20,7 +20,10 @@
 //!
 //! Bytes are moved, not re-made. A round's Configuration frame is
 //! encoded once, from the round's own plan and checkpoint (borrowed, not
-//! cloned into a message), and sent to every participant; a report frame
+//! cloned into a message), and sent to every participant, the
+//! connections taking turns so that devices multiplexed on one
+//! connection do not all wait behind another's downloads
+//! (`CoordinatorActor::send_configuration`); a report frame
 //! is handed to the round's one report path
 //! ([`crate::coordinator::ActiveRound::on_report`]), which opens it where
 //! it lies ([`fl_wire::ReportRef`]: envelope and digest verified, payload
@@ -32,8 +35,9 @@
 //! owner gives its buffer back to the wire ([`fl_wire::recycle`]): the
 //! shard once it has folded or staged the payload, the Coordinator for a
 //! report it does not forward. So the next megabyte upload is read into
-//! a buffer already allocated and faulted in, not a fresh one; the read
-//! still zeroes its body first, on warm pages. Those report frames are
+//! a buffer already allocated and faulted in, over its last frame's bytes
+//! rather than zeroes, and the shard adds an Identity update into its sum
+//! from those bytes without a decoded copy. Those report frames are
 //! the only frames behind the front door: the Coordinator, the Master
 //! and its shards are one process, and the round's close is one typed
 //! [`MasterMsg::Finalize`] answered by one value. A future multi-process

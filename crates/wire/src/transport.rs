@@ -25,17 +25,18 @@
 //! them in again — ~4 000 minor faults a round, more sys time than user
 //! time. A pooled buffer saves the allocation and the page faults: a 10 s
 //! run took ~32 k faults instead of ~252 k, and `rounds_per_s` read 1.26x
-//! (`BENCH_e2e.json` entry 25). It saves the zero-fill too. A spare keeps
-//! its length and the bytes of the frame it last carried; a receive copies
-//! the header over their start, reads the body over the rest, and
-//! zero-extends only a spare shorter than the frame. No stale byte can
-//! leave, and no `unsafe` is needed: a frame is handed out only once every
-//! byte of it has come off the socket (a read that times out mid-frame
-//! keeps its place, and the next one resumes it), and
+//! (`BENCH_e2e.json` entry 25). It saves the zero-fill too (user time
+//! 1.03 -> 0.97 s a run, 8 of 10 pairs; entry 30). A spare keeps its
+//! length and the bytes of the frame it last carried; a receive copies the
+//! header over their start, reads the body over the rest, and zero-extends
+//! only a spare shorter than the frame. No stale byte can leave, and no
+//! `unsafe` is needed: a frame is handed out only once every byte of it
+//! has come off the socket (a read that times out mid-frame keeps its
+//! place, and the next one resumes it), and
 //! [`TcpTransport::recv_frame_timeout`] truncates the buffer to the
-//! frame's length. Channel links
-//! allocate per frame as before: no workload moves a frame that large
-//! over one, so a pool there would be unmeasured.
+//! frame's length. Channel links allocate per frame as before: no
+//! workload moves a frame that large over one, so a pool there would be
+//! unmeasured.
 //!
 //! The bounds are constants, chosen by measurement, with no knob:
 //! * The floor, 128 KiB, is glibc's default mmap threshold; below it the
@@ -796,7 +797,10 @@ mod tests {
         let mut bounds = vec![0];
         bounds.extend_from_slice(cuts);
         bounds.push(frame.len());
-        let pieces: Vec<Vec<u8>> = bounds.windows(2).map(|w| frame[w[0]..w[1]].to_vec()).collect();
+        let pieces: Vec<Vec<u8>> = bounds
+            .windows(2)
+            .map(|w| frame[w[0]..w[1]].to_vec())
+            .collect();
         let (next, turn) = crossbeam::channel::unbounded::<()>();
         let writer = std::thread::spawn(move || {
             for piece in pieces {
