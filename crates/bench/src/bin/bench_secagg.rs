@@ -17,11 +17,22 @@
 //! [`gate::SECAGG_MIN_SPEEDUP`] times cheaper at the largest cohort, so a
 //! change that silently routes everyone into one group fails
 //! `scripts/check.sh`.
+//!
+//! The `kernel` row prices one mask draw at the `round_secagg` client
+//! shape (16 streams over 4 113 coordinates), so a change in a SecAgg
+//! instance's cost can be attributed to the mask kernel or not: the
+//! dispatched `keys::apply_masks`, its portable instantiation, and the
+//! per-stream loop it replaced (one pass and one `rng::seeded` generator
+//! per stream). It carries no floor.
 
 use fl_bench::gate::{self, SecAggCase as Case};
 use fl_core::plan::CodecSpec;
 use fl_core::DeviceId;
+use fl_secagg::field::{self, PRIME};
+use fl_secagg::keys::{self, MaskStream};
 use fl_server::aggregator::{AggregationPlan, MasterAggregator};
+use rand::RngExt;
+use std::hint::black_box;
 use std::time::Instant;
 
 /// Model dimension for every case — small enough that the pairwise mask
@@ -67,6 +78,67 @@ fn best_ms(devices: usize, max_per_shard: usize, iters: u32) -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
+/// Mask streams and coordinates of the kernel row: one `round_secagg`
+/// client's self mask and 15 pairwise masks over 4 112 coordinates plus
+/// the weight.
+const KERNEL_STREAMS: u64 = 16;
+const KERNEL_DIM: usize = 4113;
+
+/// The per-stream loop `keys::apply_masks` replaced: one pass over `acc`
+/// per `(seed, subtract)` stream, `op` inlined into each.
+fn per_stream_loop(acc: &mut [u64], streams: &[(u64, bool)]) {
+    fn apply_mask(acc: &mut [u64], seed: u64, op: impl Fn(u64, u64) -> u64) {
+        let mut r = fl_ml::rng::seeded(seed);
+        for x in acc {
+            *x = op(*x, r.random_range(0..PRIME));
+        }
+    }
+    for &(seed, subtract) in streams {
+        if subtract {
+            apply_mask(acc, seed, field::sub);
+        } else {
+            apply_mask(acc, seed, field::add);
+        }
+    }
+}
+
+/// Best-of-seven ns per draw of each kernel at the kernel shape, the
+/// kernels taking turns so a slow spell of the host reaches all of them.
+fn kernel_ns_per_draw() -> [f64; 3] {
+    let plan: Vec<(u64, bool)> = (0..KERNEL_STREAMS).map(|s| (s, s % 2 == 1)).collect();
+    let streams: Vec<MaskStream> = plan
+        .iter()
+        .map(|&(s, sub)| {
+            if sub {
+                MaskStream::sub(s)
+            } else {
+                MaskStream::add(s)
+            }
+        })
+        .collect();
+    type Kernel<'a> = &'a dyn Fn(&mut [u64]);
+    let kernels: [Kernel; 3] = [
+        &|acc| keys::apply_masks(acc, &streams),
+        &|acc| keys::apply_masks_portable(acc, &streams),
+        &|acc| per_stream_loop(acc, &plan),
+    ];
+    const REPS: u32 = 100;
+    let draws = f64::from(REPS) * (KERNEL_STREAMS as usize * KERNEL_DIM) as f64;
+    let mut acc = vec![0u64; KERNEL_DIM];
+    let mut best = [f64::INFINITY; 3];
+    for _ in 0..7 {
+        for (kernel, best) in kernels.iter().zip(&mut best) {
+            let start = Instant::now();
+            for _ in 0..REPS {
+                kernel(black_box(&mut acc));
+            }
+            *best = best.min(start.elapsed().as_secs_f64() * 1e9 / draws);
+        }
+    }
+    black_box(&acc);
+    best
+}
+
 fn main() -> Result<(), String> {
     let cases: Vec<Case> = [16usize, 32, 64]
         .iter()
@@ -89,6 +161,16 @@ fn main() -> Result<(), String> {
         })
         .collect();
 
+    let [dispatched, portable, per_stream] = kernel_ns_per_draw();
+    #[cfg(target_arch = "x86_64")]
+    let avx512f = std::arch::is_x86_feature_detected!("avx512f");
+    #[cfg(not(target_arch = "x86_64"))]
+    let avx512f = false;
+    eprintln!(
+        "mask kernel, {KERNEL_STREAMS} streams x {KERNEL_DIM}: dispatched {dispatched:.2} ns a draw \
+         (avx512f {avx512f}), portable {portable:.2}, per-stream loop {per_stream:.2}"
+    );
+
     let rows: Vec<String> = cases
         .iter()
         .map(|c| {
@@ -104,7 +186,10 @@ fn main() -> Result<(), String> {
         .collect();
     println!(
         "{{\n  \"bench\": \"secagg_sharding\",\n  \"dim\": {DIM},\n  \
-         \"group_size\": {GROUP},\n  \"secagg_k\": {K},\n  \"cases\": [\n{}\n  ]\n}}",
+         \"group_size\": {GROUP},\n  \"secagg_k\": {K},\n  \"cases\": [\n{}\n  ],\n  \
+         \"kernel\":\n    {{\"streams\": {KERNEL_STREAMS}, \"dim\": {KERNEL_DIM}, \"avx512f\": {avx512f}, \
+         \"dispatched_ns_per_draw\": {dispatched:.3}, \"portable_ns_per_draw\": {portable:.3}, \
+         \"per_stream_loop_ns_per_draw\": {per_stream:.3}}}\n}}",
         rows.join(",\n")
     );
 

@@ -129,17 +129,17 @@ pub fn secagg(cases: &[SecAggCase]) -> Result<(), String> {
     Ok(())
 }
 
-/// `rounds_per_s` floor per `benchmark/` workload: about half the change
-/// median of `BENCH_e2e.json` entry 23 (92.8 and 613), for `checkin_storm`
-/// of entry 24 (1 509) and for `round_plain_tcp` of entry 25 (42.4). The
-/// host's slow spells cost a run up to 40 %, so these catch a twofold
-/// slowdown, not a drift; a gain or a loss of less is read from
-/// alternating pairs.
+/// `rounds_per_s` floor per `benchmark/` workload: half the workload's
+/// change median in the last `BENCH_e2e.json` entry that measured it,
+/// rounded to a whole round/s (a unit test holds the two equal, so an
+/// entry that moves a median resets its floor). The host's slow spells
+/// cost a run up to 40 %, so these catch a twofold slowdown, not a drift;
+/// a gain or a loss of less is read from alternating pairs.
 pub const E2E_FLOORS: [(&str, f64); 4] = [
     ("round_plain_tcp", 21.0),
-    ("checkin_storm", 750.0),
-    ("round_secagg", 45.0),
-    ("fleet_des", 300.0),
+    ("checkin_storm", 848.0),
+    ("round_secagg", 92.0),
+    ("fleet_des", 317.0),
 ];
 
 /// The `e2e-floor` verdict on the JSON line that ends one run of
@@ -228,6 +228,8 @@ mod tests {
     fn committed_secagg() -> Vec<SecAggCase> {
         let cases: Vec<SecAggCase> = rows(include_str!("../../../BENCH_secagg.json"))
             .iter()
+            // The kernel row carries no floor.
+            .filter(|row| row.contains_key("devices"))
             .map(|row| SecAggCase {
                 devices: row["devices"] as usize,
                 single_group_ms: row["single_group_ms"],
@@ -248,7 +250,7 @@ mod tests {
     }
 
     /// The change median of `rounds_per_s` on `workload` in the last entry
-    /// of the committed ledger.
+    /// of the committed ledger that measured it.
     fn committed_e2e_median(workload: &str) -> f64 {
         let row = include_str!("../../../BENCH_e2e.json")
             .lines()
@@ -257,6 +259,18 @@ mod tests {
             })
             .expect("every entry has the row");
         rows(row)[0]["change_median"]
+    }
+
+    #[test]
+    fn every_floor_is_half_the_latest_ledger_median() {
+        for (workload, floor) in E2E_FLOORS {
+            let half = committed_e2e_median(workload) / 2.0;
+            assert_eq!(
+                floor,
+                half.round(),
+                "{workload}: set the floor to half the latest median, {half:.1} rounds/s"
+            );
+        }
     }
 
     #[test]

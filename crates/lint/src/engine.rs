@@ -153,6 +153,15 @@ impl FileContext {
     /// precedes raw token `idx`, looking through attributes and plain
     /// comments.
     pub fn has_doc_before(&self, idx: usize) -> bool {
+        self.doc_before(idx).is_some()
+    }
+
+    /// The item documentation immediately preceding raw token `idx`,
+    /// looking through attributes and plain comments: the outer doc
+    /// comments and `#[doc = …]` attributes' source, nearest first, or
+    /// `None` when there is none.
+    pub fn doc_before(&self, idx: usize) -> Option<String> {
+        let mut docs: Vec<&str> = Vec::new();
         let mut j = idx;
         while j > 0 {
             j -= 1;
@@ -162,12 +171,16 @@ impl FileContext {
                     // Inner docs (`//!`, `/*!`) document the enclosing
                     // module, not the following item.
                     let text = t.text(&self.src);
-                    return !(text.starts_with("//!") || text.starts_with("/*!"));
+                    if text.starts_with("//!") || text.starts_with("/*!") {
+                        break;
+                    }
+                    docs.push(text);
                 }
                 TokenKind::LineComment | TokenKind::BlockComment => continue,
                 TokenKind::Punct if t.text(&self.src) == "]" => {
                     // Skip the attribute `#[ … ]`; `#[doc = …]` counts
                     // as documentation.
+                    let end = t.end;
                     let mut depth = 1i32;
                     let mut saw_doc = false;
                     while j > 0 && depth > 0 {
@@ -181,17 +194,30 @@ impl FileContext {
                         }
                     }
                     if saw_doc {
-                        return true;
+                        docs.push(&self.src[self.tokens[j].start..end]);
                     }
                     // Step over the leading `#`.
                     if j > 0 && self.tokens[j - 1].text(&self.src) == "#" {
                         j -= 1;
                     }
                 }
-                _ => return false,
+                _ => break,
             }
         }
-        false
+        (!docs.is_empty()).then(|| docs.join("\n"))
+    }
+
+    /// The comment lines directly above the line of raw token `idx`, up
+    /// to the first line that is not a `//` comment, nearest first.
+    pub fn comment_lines_above(&self, idx: usize) -> Vec<&str> {
+        let lines: Vec<&str> = self.src.lines().collect();
+        let above = (self.line_of(idx) as usize).saturating_sub(1);
+        lines[..above.min(lines.len())]
+            .iter()
+            .rev()
+            .map(|line| line.trim_start())
+            .take_while(|line| line.starts_with("//"))
+            .collect()
     }
 
     /// Marks every line inside `#[cfg(test)] mod … { … }` blocks and

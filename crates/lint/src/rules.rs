@@ -128,6 +128,16 @@ pub const RULES: &[Rule] = &[
         hint: "add a /// doc comment: crate roots are the API contract other crates build against",
         check: check_missing_doc,
     },
+    Rule {
+        id: "unsafe-safety",
+        include: &["crates/", "src/"],
+        exclude: &[],
+        applies_to_tests: true,
+        hint: "say why the operation's requirements hold in a `// SAFETY:` comment directly above \
+               the unsafe block or impl, and what callers must guarantee in an unsafe fn's \
+               `# Safety` doc section",
+        check: check_unsafe_safety,
+    },
 ];
 
 /// Looks up a rule by id.
@@ -388,6 +398,84 @@ fn check_lock_order(ctx: &FileContext) -> Vec<Violation> {
     out
 }
 
+/// Rule `unsafe-safety`: an `unsafe` block or `unsafe impl` needs a
+/// `// SAFETY:` comment among the comment lines directly above its line,
+/// and a named `unsafe fn` a `# Safety` section in its doc comment.
+/// `unsafe fn(..)` pointer types and `unsafe trait` are out of scope.
+fn check_unsafe_safety(ctx: &FileContext) -> Vec<Violation> {
+    let mut out = Vec::new();
+    let sig = ctx.sig();
+    for (k, &t) in sig.iter().enumerate() {
+        if !ctx.is_ident(t, "unsafe") {
+            continue;
+        }
+        let next = |n: usize| sig.get(k + n).copied().unwrap_or(t);
+        if ctx.is_punct(next(1), '{') || ctx.is_ident(next(1), "impl") {
+            if !ctx
+                .comment_lines_above(t)
+                .iter()
+                .any(|line| line.contains("SAFETY:"))
+            {
+                let what = if ctx.is_ident(next(1), "impl") {
+                    "impl"
+                } else {
+                    "block"
+                };
+                out.push(Violation {
+                    line: ctx.line_of(t),
+                    message: format!(
+                        "`unsafe` {what} with no `// SAFETY:` comment directly above it"
+                    ),
+                });
+            }
+            continue;
+        }
+        // `unsafe fn name` or `unsafe extern "abi" fn name`.
+        let mut f = 1;
+        if ctx.is_ident(next(f), "extern") {
+            f += 1;
+            if ctx.tok(next(f)).kind == TokenKind::Str {
+                f += 1;
+            }
+        }
+        if !ctx.is_ident(next(f), "fn") || ctx.tok(next(f + 1)).kind != TokenKind::Ident {
+            continue;
+        }
+        // The item starts at its qualifiers and visibility, if any:
+        // `pub(crate) const unsafe fn`.
+        let mut start = k;
+        while start > 0
+            && ["const", "async"]
+                .iter()
+                .any(|q| ctx.is_ident(sig[start - 1], q))
+        {
+            start -= 1;
+        }
+        if start > 0 && ctx.is_punct(sig[start - 1], ')') {
+            while start > 0 && !ctx.is_punct(sig[start - 1], '(') {
+                start -= 1;
+            }
+            start = start.saturating_sub(1);
+        }
+        if start > 0 && ctx.is_ident(sig[start - 1], "pub") {
+            start -= 1;
+        }
+        let documented = ctx
+            .doc_before(sig[start])
+            .is_some_and(|doc| doc.contains("# Safety"));
+        if !documented {
+            out.push(Violation {
+                line: ctx.line_of(t),
+                message: format!(
+                    "`unsafe fn {}` has no `# Safety` doc section",
+                    ctx.text(next(f + 1))
+                ),
+            });
+        }
+    }
+    out
+}
+
 /// Rule `missing-doc`: top-level `pub` items in designated crate roots
 /// must carry a doc comment (or `#[doc = …]`). `pub use` re-exports
 /// and restricted `pub(crate)`/`pub(super)` items are exempt.
@@ -447,4 +535,61 @@ fn check_missing_doc(ctx: &FileContext) -> Vec<Violation> {
         }
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::engine::lint_source;
+
+    /// The lines `unsafe-safety` reports in `src`, linted as a file of a
+    /// workspace crate.
+    fn flagged(src: &str) -> Vec<u32> {
+        lint_source("crates/ml/src/fixture.rs", src)
+            .into_iter()
+            .filter(|f| f.rule == "unsafe-safety")
+            .map(|f| f.line)
+            .collect()
+    }
+
+    #[test]
+    fn an_unsafe_block_needs_a_safety_comment_directly_above() {
+        let bare = "fn f(p: *const u8) -> u8 {\n    unsafe { *p }\n}\n";
+        assert_eq!(flagged(bare), [2]);
+        let held = "fn f(p: *const u8) -> u8 {\n    // Reads one byte.\n    \
+                    // SAFETY: `p` points at a live byte.\n    let x = unsafe { *p };\n    x\n}\n";
+        assert_eq!(flagged(held), [] as [u32; 0]);
+        // A code line between the comment and the block breaks the link.
+        let apart = "fn f(p: *const u8) -> u8 {\n    // SAFETY: `p` is live.\n    let y = 1;\n    \
+                     unsafe { *p + y }\n}\n";
+        assert_eq!(flagged(apart), [4]);
+    }
+
+    #[test]
+    fn an_unsafe_impl_needs_a_safety_comment_directly_above() {
+        assert_eq!(flagged("struct S;\nunsafe impl Send for S {}\n"), [2]);
+        let held = "struct S;\n// SAFETY: `S` holds no data.\nunsafe impl Send for S {}\n";
+        assert_eq!(flagged(held), [] as [u32; 0]);
+    }
+
+    #[test]
+    fn an_unsafe_fn_needs_a_safety_doc_section() {
+        assert_eq!(flagged("/// Reads.\npub unsafe fn read() {}\n"), [2]);
+        assert_eq!(flagged("pub(crate) const unsafe fn read() {}\n"), [1]);
+        let held = "/// Reads.\n///\n/// # Safety\n///\n/// The caller keeps `p` live.\n\
+                    #[inline]\npub(crate) unsafe extern \"C\" fn read() {}\n";
+        assert_eq!(flagged(held), [] as [u32; 0]);
+        // A pointer type is not an item.
+        assert_eq!(flagged("type F = unsafe fn(u8);\n"), [] as [u32; 0]);
+    }
+
+    #[test]
+    fn unsafe_safety_covers_test_code_in_crates_and_src_only() {
+        let in_test = "#[cfg(test)]\nmod tests {\n    fn f(p: *const u8) -> u8 {\n        \
+                       unsafe { *p }\n    }\n}\n";
+        assert_eq!(flagged(in_test), [4]);
+        for path in ["src/lib.rs", "crates/secagg/tests/t.rs"] {
+            assert_eq!(lint_source(path, in_test).len(), 1, "{path}");
+        }
+        assert!(lint_source("examples/e.rs", in_test).is_empty());
+    }
 }

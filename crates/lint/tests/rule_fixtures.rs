@@ -77,6 +77,13 @@ const CASES: &[(&str, &str, &str, &str, &str)] = &[
         include_str!("fixtures/missing_doc_neg.rs"),
         "crates/core/src/plan.rs",
     ),
+    (
+        "unsafe-safety",
+        "crates/secagg/tests/fixture.rs",
+        include_str!("fixtures/unsafe_safety_pos.rs"),
+        include_str!("fixtures/unsafe_safety_neg.rs"),
+        "examples/fixture.rs",
+    ),
 ];
 
 fn fired(rel: &str, src: &str) -> Vec<&'static str> {

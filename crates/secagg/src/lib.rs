@@ -28,7 +28,8 @@
 //! handling, the commit/finalize split, and the invariant that the server
 //! never learns both a device's self-mask seed and its mask secret key.
 //! The *primitives* are simulation-grade — 61-bit Diffie–Hellman and a
-//! `ChaCha`-based PRG stream cipher — chosen so the systems behaviour
+//! xoshiro256++ PRG for the masks and the share keystream ([`keys`]) —
+//! chosen so the systems behaviour
 //! (message counts, quadratic server reconstruction cost, group-size
 //! limits) is real while keys stay word-sized. Do **not** use this crate
 //! for actual cryptographic protection; see DESIGN.md.
@@ -37,9 +38,9 @@
 pub mod error;
 /// Arithmetic in the 61-bit prime field masks and shares live in.
 pub mod field;
-/// Simulation-grade Diffie–Hellman key agreement.
+/// Simulation-grade Diffie–Hellman key agreement and the mask PRG.
 pub mod keys;
-/// PRG-expanded pairwise and self masks over field vectors.
+/// Pairwise and self masks applied to and removed from field vectors.
 pub mod masking;
 /// The four-round protocol's client and server type-states and the
 /// `run_instance` driver.

@@ -10,12 +10,17 @@
 //! seed. Pairwise masks cancel in the sum over all committed devices;
 //! self masks are removed in Finalization via reconstructed `b_u`.
 //!
-//! The formula is the specification, not the memory layout: every
-//! `PRG(·)` term is streamed into the vector it masks, one pass per term
-//! ([`keys::apply_mask`]), and is never materialised as a vector.
+//! `PRG` is defined in [`keys`] (xoshiro256++ through SplitMix64, one
+//! field element a draw). The formula is the specification, not the
+//! memory layout: no `PRG(·)` term is materialised as a vector. Each
+//! function here collects the terms it needs as [`MaskStream`]s and makes
+//! one [`keys::apply_masks`] call, which runs them together, one stream per
+//! SIMD lane, in one pass over the vector (the `keys` module docs give the
+//! lane layout, the overflow bound and the dispatch). At the
+//! `round_secagg` shard shape that is one call of 16 streams per device
+//! and one of 15 self masks and 15 residuals on the server.
 
-use crate::field;
-use crate::keys;
+use crate::keys::{self, KeyPair, MaskStream};
 
 /// Applies device `u`'s full mask to `input` (field elements) in place.
 ///
@@ -26,53 +31,58 @@ use crate::keys;
 ///
 /// Panics if a peer id equals `own_id`.
 pub fn mask_input(input: &mut [u64], own_id: u32, self_seed: u64, pairwise: &[(u32, u64)]) {
-    keys::apply_mask(input, self_seed, field::add);
+    let mut streams = Vec::with_capacity(1 + pairwise.len());
+    streams.push(MaskStream::add(self_seed));
     for &(peer, seed) in pairwise {
         assert_ne!(peer, own_id, "device cannot pair with itself");
-        if own_id < peer {
-            keys::apply_mask(input, seed, field::add);
+        streams.push(if own_id < peer {
+            MaskStream::add(seed)
         } else {
-            keys::apply_mask(input, seed, field::sub);
-        }
+            MaskStream::sub(seed)
+        });
     }
+    keys::apply_masks(input, &streams);
 }
 
 /// Removes a reconstructed self mask `b_u` from an aggregate.
 pub fn remove_self_mask(aggregate: &mut [u64], self_seed: u64) {
-    keys::apply_mask(aggregate, self_seed, field::sub);
+    unmask(aggregate, &[self_seed], &[], &[]);
 }
 
-/// Removes the residual pairwise masks left in the aggregate by a device
-/// `dropped` that shared keys but never committed.
+/// Removes from an aggregate, in one pass, the reconstructed self masks
+/// `self_seeds` of the committed devices and the residual pairwise masks
+/// of every `dropped` device (id and reconstructed mask key pair) that
+/// shared keys but never committed.
 ///
-/// Every committed device `u` applied `±PRG(s_{u,dropped})`; the residual
-/// contribution to the sum is `Σ_u sign(u, dropped) · PRG(s_{u,dropped})`,
-/// which the server cancels after reconstructing the dropped device's mask
-/// secret key.
-pub fn remove_residual_pairwise(
+/// Every committed device `u` applied `±PRG(s_{u,v})` for a dropped `v`;
+/// the residual left in the sum is `Σ_u sign(u, v) · PRG(s_{u,v})`, which
+/// the server regenerates from `v`'s key pair and the public keys in
+/// `committed` (`(id, s-public-key)` of each committed device).
+pub fn unmask(
     aggregate: &mut [u64],
-    dropped_id: u32,
-    dropped_keypair: &keys::KeyPair,
-    committed: &[(u32, u64)], // (id, s-public-key) of committed devices
+    self_seeds: &[u64],
+    dropped: &[(u32, KeyPair)],
+    committed: &[(u32, u64)],
 ) {
-    for &(u, u_public) in committed {
-        if u == dropped_id {
-            continue;
-        }
-        let seed = dropped_keypair.agree(u_public);
-        // Device u applied +mask if u < dropped, −mask if u > dropped.
-        if u < dropped_id {
-            keys::apply_mask(aggregate, seed, field::sub);
-        } else {
-            keys::apply_mask(aggregate, seed, field::add);
+    let mut streams: Vec<MaskStream> = self_seeds.iter().map(|&b| MaskStream::sub(b)).collect();
+    for (v, pair) in dropped {
+        for &(u, u_public) in committed.iter().filter(|(u, _)| u != v) {
+            let seed = pair.agree(u_public);
+            // Device u applied +mask if u < v, −mask if u > v.
+            streams.push(if u < *v {
+                MaskStream::sub(seed)
+            } else {
+                MaskStream::add(seed)
+            });
         }
     }
+    keys::apply_masks(aggregate, &streams);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::keys::KeyPair;
+    use crate::field;
     use fl_ml::rng::seeded;
     use rand::RngExt;
 
@@ -135,16 +145,14 @@ mod tests {
             mask_input(&mut y, u as u32, self_seeds[u], &pairwise[u]);
             field::add_assign_vec(&mut sum, &y);
         }
-        // Remove self masks of committed devices.
-        for &u in &committed {
-            remove_self_mask(&mut sum, self_seeds[u]);
-        }
-        // Residual from device 4 remains; remove it via its key pair.
+        // Remove the committed devices' self masks and device 4's
+        // residual, via its key pair.
+        let seeds: Vec<u64> = committed.iter().map(|&u| self_seeds[u]).collect();
         let committed_pubs: Vec<(u32, u64)> = committed
             .iter()
             .map(|&u| (u as u32, keys[u].public))
             .collect();
-        remove_residual_pairwise(&mut sum, 4, &keys[4], &committed_pubs);
+        unmask(&mut sum, &seeds, &[(4, keys[4])], &committed_pubs);
         let expected: u64 = committed.iter().map(|&u| (10 + u) as u64).sum();
         assert_eq!(sum, vec![expected; dim]);
     }

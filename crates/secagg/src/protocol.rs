@@ -748,18 +748,11 @@ impl SecAggServer<Unmasking> {
             }
             dropped.push((v, pair));
         }
-        // Remove self masks of committed devices.
-        for seed in seeds {
-            masking::remove_self_mask(&mut masked_sum, seed);
-        }
-        // Remove residual pairwise masks of dropped devices.
         let committed_pubs: Vec<(u32, u64)> = committed
             .iter()
             .map(|&u| (u, advertisements[&u].s_public))
             .collect();
-        for (v, pair) in dropped {
-            masking::remove_residual_pairwise(&mut masked_sum, v, &pair, &committed_pubs);
-        }
+        masking::unmask(&mut masked_sum, &seeds, &dropped, &committed_pubs);
         Ok(masked_sum)
     }
 }

@@ -339,10 +339,12 @@ impl AggregatorShard {
                 // Sticky device→shard routing can strand a group below
                 // the task minimum k after dropouts (Sec. 6). That is a
                 // typed per-shard abort: the round commits from the
-                // surviving ≥ k groups only.
+                // surviving ≥ k groups only. The protocol itself needs two
+                // devices, whatever k a task sets.
                 if let Some(k) = self.secagg_k {
-                    if alive < k {
-                        return Err(ShardError::BelowThreshold { alive, required: k });
+                    let required = k.max(2);
+                    if alive < required {
+                        return Err(ShardError::BelowThreshold { alive, required });
                     }
                 }
                 // Threshold: 2/3 of the group, at least 2 (the paper's
@@ -1122,6 +1124,35 @@ mod tests {
             Err(ShardError::BelowThreshold {
                 alive: 5,
                 required: 6
+            })
+        ));
+    }
+
+    #[test]
+    fn secagg_group_of_one_aborts_instead_of_panicking() {
+        // A task may set k below the protocol's minimum group of two.
+        for k in [0, 1] {
+            let mut shard = AggregatorShard::new(4, CodecSpec::Identity, Some(k));
+            shard.accept_field(DeviceId(0), &[1; 4], 1).unwrap();
+            assert!(matches!(
+                shard.close(&[], &[], 7),
+                Err(ShardError::BelowThreshold {
+                    alive: 1,
+                    required: 2
+                })
+            ));
+        }
+        // Three devices over three single-device groups: every one aborts.
+        let plan = AggregationPlan::with_secagg(4, 1, 1);
+        let mut master = MasterAggregator::new(plan, CodecSpec::Identity, 3, 7);
+        for i in 0..3u64 {
+            master.accept_field(DeviceId(i), &[1; 4], 1).unwrap();
+        }
+        assert!(matches!(
+            master.finalize(&[0.0; 4], &[], &[]),
+            Err(ShardError::BelowThreshold {
+                alive: 1,
+                required: 2
             })
         ));
     }
