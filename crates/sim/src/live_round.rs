@@ -316,3 +316,42 @@ impl LiveRound {
         audit
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The encoded frame as lowercase hex.
+    fn hex(frame: &WireMessage) -> String {
+        let bytes = fl_server::wire::encode(frame).expect("a report frame encodes");
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    #[test]
+    fn report_frames_are_pinned() {
+        let pop = PopulationName::new("pin/pop");
+        let update: Vec<f32> = (0..10).map(|i| i as f32 * 0.125 - 0.5).collect();
+        let frames = [
+            // `scenario`'s plain report: no update at all.
+            report_frame(DeviceId(7), &pop, (RoundId(3), 1), &[], false, (4, 0.9, 0.5)),
+            report_frame(DeviceId(7), &pop, (RoundId(3), 2), &update, false, (4, 0.9, 0.5)),
+            report_frame(DeviceId(9), &pop, (RoundId(5), 1), &update[..4], true, (1, 0.4, 0.9)),
+        ];
+        let frames: Vec<String> = frames.iter().map(|f| hex(f.as_ref().unwrap())).collect();
+        assert_eq!(frames, PINNED);
+    }
+
+    /// What the three frames above encode to: an empty `UpdateReport`, an
+    /// Identity-coded one at dimension 10, and a `SecAggReport` at
+    /// dimension 4.
+    const PINNED: [&str; 3] = [
+        "465704053d00000007000000000000000300000000000000010000000400000000000000cdcccccccc\
+         ccec3f000000000000e03f0400000000000000070070696e2f706f709f76f2b0b469d23c",
+        "465704056500000007000000000000000300000000000000020000000400000000000000cdcccccccc\
+         ccec3f000000000000e03f2c0000000a000000000000bf0000c0be000080be000000be000000000000\
+         003e0000803e0000c03e0000003f0000203f070070696e2f706f70b818bd1d47b5e997",
+        "4657040b59000000090000000000000005000000000000000100000001000000000000009a99999999\
+         99d93fcdccccccccccec3f040000000000fe00000000000080fe00000000000000ff00000000000080\
+         ff0000000000070070696e2f706f704b18bab06c66df35",
+    ];
+}
