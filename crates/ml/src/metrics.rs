@@ -146,7 +146,7 @@ impl P2Quantile {
         if self.initial.len() < 5 {
             self.initial.push(x);
             if self.initial.len() == 5 {
-                self.initial.sort_by(|a, b| a.partial_cmp(b).unwrap());
+                self.initial.sort_by(f64::total_cmp);
                 for (qi, v) in self.q.iter_mut().zip(&self.initial) {
                     *qi = *v;
                 }
@@ -218,7 +218,7 @@ impl P2Quantile {
         }
         if self.initial.len() < 5 {
             let mut v = self.initial.clone();
-            v.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            v.sort_by(f64::total_cmp);
             let idx = ((v.len() as f64 - 1.0) * self.p).round() as usize;
             return Some(v[idx]);
         }
@@ -385,6 +385,21 @@ mod tests {
         q.push(1.0);
         q.push(2.0);
         assert_eq!(q.estimate(), Some(2.0));
+    }
+
+    /// Regression: the first five observations were sorted with
+    /// `partial_cmp(..).unwrap()`, which panics on a NaN.
+    #[test]
+    fn p2_orders_a_nan_instead_of_panicking() {
+        let mut q = P2Quantile::new(0.5);
+        for x in [0.5, f64::NAN, 0.4] {
+            q.push(x);
+        }
+        assert_eq!(q.estimate(), Some(0.5));
+        for x in [0.3, 0.2, 0.1] {
+            q.push(x);
+        }
+        assert_eq!(q.count(), 6);
     }
 
     #[test]

@@ -485,8 +485,14 @@ impl ActiveRound {
                 let accepted = response == ReportResponse::Accepted;
                 self.verdicts.insert(key, accepted);
                 if accepted {
-                    self.loss_summary.push(report.loss);
-                    self.accuracy_summary.push(report.accuracy);
+                    // NaN is the runtime's "not computed": a summary
+                    // counts measured values only.
+                    if report.loss.is_finite() {
+                        self.loss_summary.push(report.loss);
+                    }
+                    if report.accuracy.is_finite() {
+                        self.accuracy_summary.push(report.accuracy);
+                    }
                     (true, ReportVerdict::Forward(ReportRoute::of(&report)))
                 } else {
                     (false, ReportVerdict::Rejected)
@@ -769,6 +775,65 @@ mod tests {
         assert_eq!(*round, RoundId(1));
         assert_eq!(summaries[0].name, "loss");
         assert_eq!(summaries[0].moments.count(), 3);
+    }
+
+    /// Regression: a report with a NaN loss (what `FlRuntime` reports when
+    /// a plan computes none) panicked the quantile sketch's first sort,
+    /// and with it the population's Coordinator. A summary now counts only
+    /// the finite values; the reports themselves are accepted and summed.
+    #[test]
+    fn non_finite_metrics_are_left_out_of_the_round_summaries() {
+        let mut c = Coordinator::new(
+            CoordinatorConfig::new("test/pop", 1),
+            InMemoryCheckpointStore::new(),
+        );
+        let config = RoundConfig {
+            goal_count: 5,
+            overselection: 1.0,
+            ..small_round()
+        };
+        let task = FlTask::training("train", "test/pop").with_round(config);
+        let plan = FlPlan::standard_training(spec(), 1, 8, 0.1, CodecSpec::Identity);
+        let group = TaskGroup::new(vec![task], TaskSelectionStrategy::Single);
+        c.deploy(group, vec![plan], vec![0.0; spec().num_params()])
+            .unwrap();
+        let (mut round, mut master) = c.begin_round(0).unwrap();
+        configure(&mut round);
+        let metrics = [
+            (0.5, 0.9),
+            (f64::NAN, 0.8),
+            (0.4, f64::INFINITY),
+            (0.3, 0.7),
+            (0.2, 0.6),
+        ];
+        for (device, (loss, accuracy)) in round.state.participants().into_iter().zip(metrics) {
+            let frame = fl_wire::encode(&WireMessage::UpdateReport {
+                device,
+                round: round.checkpoint.round,
+                attempt: 1,
+                update_bytes: CodecSpec::Identity
+                    .build()
+                    .encode(&vec![0.5; round.plan.server.expected_dim]),
+                weight: 10,
+                loss,
+                accuracy,
+                population: "test/pop".into(),
+            })
+            .unwrap();
+            assert!(accepted(&report(&mut round, &mut master, &frame).0));
+        }
+        round.on_tick(40_000);
+        let aggregate = round.merge(master);
+        assert!(c.complete_round(round, aggregate).unwrap().is_committed());
+        let (_, _, summaries) = &c.materialized_metrics()[0];
+        let (loss, accuracy) = (&summaries[0], &summaries[1]);
+        for summary in [loss, accuracy] {
+            assert_eq!(summary.moments.count(), 4, "{}", summary.name);
+            assert_eq!(summary.p50.count(), 4, "{}", summary.name);
+            assert_eq!(summary.p90.count(), 4, "{}", summary.name);
+        }
+        assert!((loss.moments.mean() - 0.35).abs() < 1e-12);
+        assert_eq!(accuracy.moments.max(), Some(0.9));
     }
 
     /// Evaluation rounds run in turn and have no Master Aggregator.
