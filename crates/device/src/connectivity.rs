@@ -53,71 +53,6 @@ impl RetryDecision {
     }
 }
 
-/// The at-most-once attempt key for one report upload.
-///
-/// A device that loses its `ReportAck` on the wire cannot tell whether
-/// the upload landed; it must retry, and the retry must carry the *same*
-/// `(round, attempt)` key so the coordinator's ledger can replay the
-/// original decision instead of evaluating (and possibly summing) the
-/// report twice. [`UploadSession::key_for_resend`] keeps the key and
-/// counts the resend; [`UploadSession::next_attempt`] is only for a
-/// genuinely different payload (which real rounds never need — one
-/// device trains once per round).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct UploadSession {
-    round: fl_core::RoundId,
-    attempt: u32,
-    resends: u32,
-}
-
-impl UploadSession {
-    /// Starts the upload session for the round the device was configured
-    /// with (the checkpoint's round id), at attempt 1.
-    pub fn new(round: fl_core::RoundId) -> Self {
-        UploadSession {
-            round,
-            attempt: 1,
-            resends: 0,
-        }
-    }
-
-    /// The current `(round, attempt)` key.
-    pub fn key(&self) -> (fl_core::RoundId, u32) {
-        (self.round, self.attempt)
-    }
-
-    /// The round this upload belongs to.
-    pub fn round(&self) -> fl_core::RoundId {
-        self.round
-    }
-
-    /// The current attempt number (1-based).
-    pub fn attempt(&self) -> u32 {
-        self.attempt
-    }
-
-    /// Re-sends of the current attempt after transport errors or lost
-    /// acks.
-    pub fn resends(&self) -> u32 {
-        self.resends
-    }
-
-    /// The key to use when re-sending the same payload after a transport
-    /// error or ack timeout: unchanged, so the server can dedupe.
-    pub fn key_for_resend(&mut self) -> (fl_core::RoundId, u32) {
-        self.resends = self.resends.saturating_add(1);
-        self.key()
-    }
-
-    /// Advances to a fresh attempt (a *different* payload); the resend
-    /// count restarts with it.
-    pub fn next_attempt(&mut self) -> (fl_core::RoundId, u32) {
-        self.attempt = self.attempt.saturating_add(1);
-        self.resends = 0;
-        self.key()
-    }
-}
-
 /// Per-task connectivity state: consecutive-failure backoff plus the
 /// budget-window accounting. Instantiate one per FL task (population) the
 /// device participates in — budgets are per-task by design, so one
@@ -222,28 +157,6 @@ impl ConnectivityManager {
             } => Some(self.on_rejected(now_ms, None, rng)),
             _ => None,
         }
-    }
-
-    /// Routes a transport-layer failure — an ack timeout, a connection
-    /// reset, a socket error — through the same retry discipline as a
-    /// server rejection. The error carries no server window, so the
-    /// local jittered backoff and the per-window budget alone decide.
-    ///
-    /// Every transport error is retryable from the device's point of
-    /// view: [`fl_wire::WireError::Timeout`] and
-    /// [`fl_wire::WireError::Closed`] obviously so, and a codec error
-    /// means the *reply* was mangled in flight — the upload itself may
-    /// have landed, which is exactly the ambiguity the
-    /// [`UploadSession`] attempt key resolves: the retry re-sends the
-    /// same key and the server replays the original ack instead of
-    /// double-counting.
-    pub fn on_transport_error<R: rand::Rng>(
-        &mut self,
-        now_ms: u64,
-        _error: &fl_wire::WireError,
-        rng: &mut R,
-    ) -> RetryDecision {
-        self.on_rejected(now_ms, None, rng)
     }
 
     /// Records a successful connection: backoff resets to base. The
@@ -502,42 +415,5 @@ mod tests {
             Some(RetryDecision::BudgetExhausted { .. }) => {}
             other => panic!("4th refusal should exhaust the budget, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn transport_errors_charge_the_retry_budget() {
-        let mut m = ConnectivityManager::new(policy());
-        let mut rng = seeded(9);
-        // Timeout, closed, and a mangled reply all back off identically:
-        // no server window, local discipline only.
-        let mut now = 0u64;
-        for err in [
-            fl_wire::WireError::Timeout,
-            fl_wire::WireError::Closed,
-            fl_wire::WireError::BadMagic { found: [0, 0] },
-        ] {
-            let d = m.on_transport_error(now, &err, &mut rng);
-            assert!(d.effective_at_ms() > now, "must back off after {err:?}");
-            now = d.effective_at_ms();
-        }
-        assert_eq!(m.consecutive_failures(), 3);
-        assert_eq!(m.attempts_in_window(), 3, "budget is charged");
-        // A success (the retried upload's replayed ack arrived) resets
-        // the backoff as usual.
-        m.on_success(now);
-        assert_eq!(m.consecutive_failures(), 0);
-    }
-
-    #[test]
-    fn upload_session_keeps_its_key_across_resends() {
-        let mut s = UploadSession::new(fl_core::RoundId(7));
-        assert_eq!(s.key(), (fl_core::RoundId(7), 1));
-        // Transport error → resend, same key (the server dedupes on it).
-        assert_eq!(s.key_for_resend(), (fl_core::RoundId(7), 1));
-        assert_eq!(s.key_for_resend(), (fl_core::RoundId(7), 1));
-        assert_eq!(s.resends(), 2);
-        // Only a genuinely new payload advances the attempt.
-        assert_eq!(s.next_attempt(), (fl_core::RoundId(7), 2));
-        assert_eq!(s.resends(), 0);
     }
 }

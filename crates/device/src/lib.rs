@@ -17,6 +17,9 @@
 //! * [`runtime`] — the FL runtime itself: interprets the device portion of
 //!   an FL plan against the app's example store, computes updates and
 //!   metrics, and reports, emitting the session events of Table 1;
+//! * [`session`] — the device half of the protocol, written once: check
+//!   in, take the Configuration, report under the at-most-once key, and
+//!   wait out the verdict, resending the same key after a lost ack;
 //! * [`tenancy`] — the multi-population front end: per-population
 //!   schedulers and retry budgets behind single-active-session
 //!   arbitration, so several FL populations share one device without
@@ -27,10 +30,11 @@ pub mod conditions;
 pub mod connectivity;
 pub mod runtime;
 pub mod scheduler;
+pub mod session;
 pub mod tenancy;
 
 pub use conditions::DeviceConditions;
-pub use connectivity::{ConnectivityManager, RetryDecision, UploadSession};
+pub use connectivity::{ConnectivityManager, RetryDecision};
 pub use runtime::{ExecutionOutcome, FlRuntime, Interruption};
 pub use scheduler::{JobScheduler, TrainingQueue};
 pub use tenancy::{DeviceTenancy, PopulationLane};

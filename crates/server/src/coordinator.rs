@@ -35,8 +35,9 @@ use std::collections::HashMap;
 
 /// The highest upload attempt number a round evaluates; a report
 /// claiming a later attempt is refused outright. An
-/// `fl_device::UploadSession` normally stops at attempt 1 and the
-/// network-chaos harness at 4.
+/// `fl_device::session` reports at attempt 1 and re-sends that same key
+/// after a lost ack, so no device in this tree sends a later attempt;
+/// the bound is for what a peer may claim.
 pub const MAX_REPORT_ATTEMPTS: u32 = 16;
 
 /// Coordinator configuration.

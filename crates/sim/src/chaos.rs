@@ -31,7 +31,6 @@
 //! reproducible bug report.
 
 use crate::des::EventQueue;
-use crate::live_round::report_frame;
 use crate::scenario::SimWire;
 use fl_actors::{Lease, LockingService};
 use fl_analytics::FaultLog;
@@ -39,6 +38,7 @@ use fl_core::plan::{CodecSpec, ModelSpec};
 use fl_core::population::{TaskGroup, TaskSelectionStrategy};
 use fl_core::round::{RoundConfig, RoundOutcome};
 use fl_core::{CoreError, DeviceId, FlPlan, FlTask, PopulationName};
+use fl_device::session::{report_frame, DeviceSession, Payload};
 use fl_ml::rng;
 use fl_server::aggregator::{DropStage, MasterAggregator};
 use fl_server::coordinator::{ActiveRound, Coordinator, CoordinatorConfig, ReportVerdict};
@@ -707,14 +707,11 @@ impl<'a> Harness<'a> {
         }
         // The check-in crosses the wire as a framed request; the server
         // side acts only on what it decoded.
-        let Some(WireMessage::CheckinRequest { device: wired, .. }) = self.wire.wire_uplink(
-            now,
-            &WireMessage::CheckinRequest {
-                device: DeviceId(device),
-                population: PopulationName::new(POPULATION),
-            },
-            &mut self.report.violations,
-        ) else {
+        let request = DeviceSession::new(DeviceId(device), POPULATION).checkin();
+        let Some(WireMessage::CheckinRequest { device: wired, .. }) =
+            self.wire
+                .wire_uplink(now, &request, &mut self.report.violations)
+        else {
             return;
         };
         // A participant's retried check-in is answered by the round it is
@@ -764,12 +761,16 @@ impl<'a> Harness<'a> {
         // SecAgg rounds upload the fixed-point *field vector* — 8 bytes
         // per coordinate, the Sec. 6 bandwidth premium — over the same
         // framed wire as cleartext reports.
+        let payload = if self.config.secagg_k.is_some() {
+            Payload::Field(&update)
+        } else {
+            Payload::Identity(&update)
+        };
         let report_msg = match report_frame(
             DeviceId(device),
             &PopulationName::new(POPULATION),
             (round.checkpoint.round, 1),
-            &update,
-            self.config.secagg_k.is_some(),
+            payload,
             (weight, loss, accuracy),
         ) {
             Ok(frame) => frame,

@@ -188,13 +188,12 @@ fn explore_round(
     for (i, h) in handles.into_iter().enumerate() {
         match h.join() {
             // Nothing was faulted, so any surprise is a violation: one
-            // attempt, one send, no stray reply.
-            Ok(Ok((1, 1, 0))) => {}
-            Ok(Ok((attempt, sends, strays))) => report.violations.push(format!(
-                "device {i}: accepted on attempt {attempt} after {sends} sends and {strays} stray \
-                 replies on a clean wire"
-            )),
-            Ok(Err(why)) => report.violations.push(format!("device {i}: {why}")),
+            // send, no stray reply.
+            Ok(Ok(accepted)) if (accepted.sends, accepted.strays) == (1, 0) => {}
+            Ok(Ok(accepted)) => report
+                .violations
+                .push(format!("device {i}: {accepted:?} on a clean wire")),
+            Ok(Err(why)) => report.violations.push(format!("device {i}: {why:?}")),
             Err(_) => report.violations.push("device thread panicked".into()),
         }
     }

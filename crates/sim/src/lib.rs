@@ -15,15 +15,16 @@
 //! * [`netchaos`] — network chaos at the wire boundary: seeded
 //!   `FaultyTransport` scripts mangle device report frames in flight
 //!   through the live sharded topology, auditing the at-most-once
-//!   report accounting and the device reconnect/resume protocol,
+//!   report accounting and the device's same-key resends,
 //! * [`explore`] — seeded schedule exploration: the live actor tree
 //!   under permuted mailbox delivery (via the `fl-actors`
 //!   `ScheduleExplorer`) and chaos plans under permuted device timing,
 //!   auditing the never-hang / exactly-one-commit / storage-write /
 //!   obituary-exactly-once invariants across K legal interleavings
 //!   (`netchaos` and `explore` share one private live-round scaffold:
-//!   the tree, the device's check-in / report / resend loop, the bounded
-//!   completion poll, shutdown, and the storage / lease audit; a wire
+//!   the tree, the device (an `fl_device::session` driven over its
+//!   connection), the bounded completion poll, shutdown, and the
+//!   storage / lease audit; a wire
 //!   fault script and a delivery schedule are two seeds of one run, and
 //!   each harness keeps its own audit and report),
 //! * [`scenario`] — the one flow-control DES engine: a seeded

@@ -8,87 +8,33 @@
 //! manually acquired lease (the wiring a respawned incarnation uses, and
 //! the only way a harness can audit `write_count` after the Coordinator
 //! is gone), the tree itself (under a seeded mailbox delivery schedule
-//! when asked), the device's check-in → configuration → report / resend
-//! loop, the bounded completion poll, shutdown, and the storage / lease
-//! audit. Each harness keeps what is its own: the transport it puts under
-//! its devices (a fault script or none), what it audits, and its report.
+//! when asked), the device (one `fl_device::session` driven over its
+//! connection), the bounded completion poll, shutdown, and the storage /
+//! lease audit. Each harness keeps what is its own: the transport it puts
+//! under its devices (a fault script or none), what it audits, and its
+//! report.
 
 use fl_actors::{ActorRef, ActorSystem, LockingService, ScheduleExplorer};
 use fl_core::plan::{CodecSpec, FlPlan, ModelSpec};
 use fl_core::population::{FlTask, TaskGroup, TaskSelectionStrategy};
 use fl_core::round::{RoundConfig, RoundOutcome};
-use fl_core::{DeviceId, PopulationName, RoundId};
-use fl_device::UploadSession;
-use fl_ml::fixedpoint::{FixedPointEncoder, FixedPointError};
+use fl_core::{DeviceId, PopulationName};
+use fl_device::session::{Accepted, DeviceSession, End, Payload};
 use fl_server::coordinator::CoordinatorConfig;
 use fl_server::live::{coordinator_lease_name, CoordMsg, CoordinatorActor, DeviceConn};
 use fl_server::storage::{CheckpointStore, InMemoryCheckpointStore, SharedCheckpointStore};
 use fl_server::topology::{self, CompletionError, MultiTopology, TopologyBlueprint};
-use fl_server::wire::{Transport, WireError, WireMessage};
+use fl_server::wire::Transport;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Bound on a device's wait for its configuration.
-const CONFIG_WAIT: Duration = Duration::from_secs(10);
-/// Bound on total sends of one device's report (resends + fresh
-/// attempts). At a ~10% per-frame fault rate the chance of a device
-/// exhausting this is negligible; hitting it is reported as a violation.
-const MAX_SENDS: u32 = 10;
-/// Bound on fresh `(round, attempt)` keys after pinned rejects.
-const MAX_ATTEMPTS: u32 = 4;
-
-/// A device's report frame under the `(round, attempt)` at-most-once key:
-/// `update` as a fixed-point field vector in a `SecAggReport` when the
-/// round runs Secure Aggregation (8 bytes per coordinate, the Sec. 6
-/// bandwidth premium), Identity-coded in an `UpdateReport` otherwise.
-/// Every `fl-sim` device, simulated or live, uploads through this one
-/// constructor.
-pub(crate) fn report_frame(
-    device: DeviceId,
-    population: &PopulationName,
-    (round, attempt): (RoundId, u32),
-    update: &[f32],
-    secagg: bool,
-    (weight, loss, accuracy): (u64, f64, f64),
-) -> Result<WireMessage, FixedPointError> {
-    let population = population.clone();
-    Ok(if secagg {
-        WireMessage::SecAggReport {
-            device,
-            round,
-            attempt,
-            field_vector: FixedPointEncoder::default_for_updates().encode(update)?,
-            weight,
-            loss,
-            accuracy,
-            population,
-        }
-    } else {
-        WireMessage::UpdateReport {
-            device,
-            round,
-            attempt,
-            update_bytes: CodecSpec::Identity.build().encode(update),
-            weight,
-            loss,
-            accuracy,
-            population,
-        }
-    })
-}
-
-/// One device's check-in → configure → report/resend/retry loop, reporting
-/// `update` in every coordinate at weight 1. The loop is the
-/// reconnect/resume protocol from `fl-device`: a silent ack loss (no
-/// verdict within `ack_wait`) re-sends the *same* [`UploadSession`] key
-/// (the ledger replays the original verdict), a pinned reject moves to a
-/// fresh attempt key, and acks for ghost keys (born of in-flight
-/// corruption) are ignored.
-///
-/// Returns the accepted `(attempt, total sends, stray replies)`, or why
-/// the device gave up. Under a scripted wire all three are deterministic
-/// per seed (each send's ack either arrives within actor-hop latency or
-/// never); on a clean wire anything but `(1, 1, 0)` is a surprise.
+/// One device's session, driven to its end over `conn`: it reports
+/// `update` in every coordinate at weight 1, as a field vector when the
+/// round runs `secagg`, and re-sends the same key after each `ack_wait`
+/// without a verdict. Under a scripted wire the [`Accepted`] counts are
+/// deterministic per seed (each send's ack either arrives within
+/// actor-hop latency or never); on a clean wire anything but one send
+/// and no stray is a surprise.
 pub(crate) fn run_device<T: Transport>(
     conn: &DeviceConn<T>,
     device: DeviceId,
@@ -96,75 +42,21 @@ pub(crate) fn run_device<T: Transport>(
     update: f32,
     secagg: bool,
     ack_wait: Duration,
-) -> Result<(u32, u32, u32), String> {
-    conn.check_in().map_err(|_| "selector gone")?;
-    let (plan, checkpoint) = match conn.recv(CONFIG_WAIT) {
-        Ok(WireMessage::PlanAndCheckpoint {
-            plan, checkpoint, ..
-        }) => (plan, checkpoint),
-        Ok(other) => return Err(format!("unexpected pre-config reply {other:?}")),
-        Err(e) => return Err(format!("no configuration: {e}")),
-    };
-    let dim = plan.server.expected_dim;
-    if checkpoint.len() != dim {
-        return Err(format!(
-            "checkpoint dim {} != plan dim {dim}",
-            checkpoint.len()
-        ));
-    }
-    let update = vec![update; dim];
-    let population = PopulationName::new(population);
-
-    let mut session = UploadSession::new(checkpoint.round);
-    let (mut sends, mut strays) = (0u32, 0u32);
-    'send: loop {
-        if sends >= MAX_SENDS {
-            return Err(format!("send budget exhausted after {sends} sends"));
-        }
-        sends += 1;
-        let key = session.key();
-        let frame = report_frame(device, &population, key, &update, secagg, (1, 0.4, 0.9))
-            .map_err(|e| format!("fixed-point encode failed: {e}"))?;
-        conn.send(&frame).map_err(|_| "coordinator gone")?;
-        loop {
-            match conn.recv(ack_wait) {
-                Ok(WireMessage::ReportAck {
-                    accepted,
-                    round,
-                    attempt,
-                    ..
-                }) if (round, attempt) == key => {
-                    if accepted {
-                        return Ok((attempt, sends, strays));
-                    }
-                    // Pinned reject: this key is burned for good — move
-                    // to a fresh attempt key and re-evaluate.
-                    if attempt >= MAX_ATTEMPTS {
-                        return Err(format!("rejected on all {attempt} attempts"));
-                    }
-                    session.next_attempt();
-                    continue 'send;
-                }
-                // Stray replies (the coordinator's keyless reject of a
-                // frame the integrity trailer killed, or a re-pushed
-                // configuration): not ours, keep waiting for the real
-                // verdict.
-                Ok(_) => {
-                    strays += 1;
-                    if strays > 64 {
-                        return Err("drowned in stray replies".into());
-                    }
-                }
-                // Silent loss: re-send the same key; if the original
-                // did land, the ledger replays its ack unchanged.
-                Err(WireError::Timeout) => {
-                    session.key_for_resend();
-                    continue 'send;
-                }
-                Err(e) => return Err(format!("link died: {e}")),
-            }
-        }
-    }
+) -> Result<Accepted, End> {
+    DeviceSession::new(device, population).exchange(
+        |frame| conn.send(frame),
+        |wait| conn.recv(wait),
+        ack_wait,
+        |session| {
+            let update = vec![update; session.plan().server.expected_dim];
+            let payload = if secagg {
+                Payload::Field(&update)
+            } else {
+                Payload::Identity(&update)
+            };
+            session.report(payload, 1, 0.4, 0.9)
+        },
+    )
 }
 
 /// A spawned single-population tree with one round to run.
@@ -315,43 +207,4 @@ impl LiveRound {
         }
         audit
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// The encoded frame as lowercase hex.
-    fn hex(frame: &WireMessage) -> String {
-        let bytes = fl_server::wire::encode(frame).expect("a report frame encodes");
-        bytes.iter().map(|b| format!("{b:02x}")).collect()
-    }
-
-    #[test]
-    fn report_frames_are_pinned() {
-        let pop = PopulationName::new("pin/pop");
-        let update: Vec<f32> = (0..10).map(|i| i as f32 * 0.125 - 0.5).collect();
-        let frames = [
-            // `scenario`'s plain report: no update at all.
-            report_frame(DeviceId(7), &pop, (RoundId(3), 1), &[], false, (4, 0.9, 0.5)),
-            report_frame(DeviceId(7), &pop, (RoundId(3), 2), &update, false, (4, 0.9, 0.5)),
-            report_frame(DeviceId(9), &pop, (RoundId(5), 1), &update[..4], true, (1, 0.4, 0.9)),
-        ];
-        let frames: Vec<String> = frames.iter().map(|f| hex(f.as_ref().unwrap())).collect();
-        assert_eq!(frames, PINNED);
-    }
-
-    /// What the three frames above encode to: an empty `UpdateReport`, an
-    /// Identity-coded one at dimension 10, and a `SecAggReport` at
-    /// dimension 4.
-    const PINNED: [&str; 3] = [
-        "465704053d00000007000000000000000300000000000000010000000400000000000000cdcccccccc\
-         ccec3f000000000000e03f0400000000000000070070696e2f706f709f76f2b0b469d23c",
-        "465704056500000007000000000000000300000000000000020000000400000000000000cdcccccccc\
-         ccec3f000000000000e03f2c0000000a000000000000bf0000c0be000080be000000be000000000000\
-         003e0000803e0000c03e0000003f0000203f070070696e2f706f70b818bd1d47b5e997",
-        "4657040b59000000090000000000000005000000000000000100000001000000000000009a99999999\
-         99d93fcdccccccccccec3f040000000000fe00000000000080fe00000000000000ff00000000000080\
-         ff0000000000070070696e2f706f704b18bab06c66df35",
-    ];
 }

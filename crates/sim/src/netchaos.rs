@@ -4,10 +4,10 @@
 //! failures) on a virtual clock; this module injects *network* faults on
 //! the real threaded topology: every device's uplink runs through a
 //! [`FaultyTransport`] whose seeded [`FaultScript`] drops, duplicates,
-//! reorders, byte-flips, and truncates report frames in flight, while the
-//! devices drive the full reconnect/resume loop ([`UploadSession`] keys,
-//! resends after silent ack loss, fresh attempts after pinned rejects)
-//! against the Selector → Coordinator actor tree.
+//! reorders, byte-flips, and truncates report frames in flight, while each
+//! device drives its `fl_device::session` (one `(round, attempt)` key,
+//! re-sent after each silent ack loss) against the Selector → Coordinator
+//! actor tree.
 //!
 //! [`run_wire_chaos`] / [`run_wire_chaos_secagg`] audit the paper's
 //! robustness claims under that mangled traffic:
@@ -36,6 +36,7 @@ use crate::live_round::{run_device, LiveRound};
 use fl_analytics::overload::OverloadMonitorConfig;
 use fl_core::round::{RoundConfig, RoundOutcome};
 use fl_core::DeviceId;
+use fl_device::session::Accepted;
 use fl_ml::rng::derive_seed;
 use fl_server::live::DeviceConn;
 use fl_server::pace::PaceSteering;
@@ -267,13 +268,13 @@ pub fn run_wire_chaos_with_schedule(seed: u64, schedule: u64, secagg: bool) -> W
                 report.faults.truncated += faults.truncated;
                 report.faults.disconnects += faults.disconnects;
                 match outcome {
-                    Ok((attempt, sends, _)) => {
+                    Ok(Accepted { attempt, sends, .. }) => {
                         report.unique_accepted += 1;
                         report.device_attempts.push((attempt, sends));
                     }
                     Err(why) => {
                         report.device_attempts.push((0, 0));
-                        report.violations.push(format!("device {i}: {why}"));
+                        report.violations.push(format!("device {i}: {why:?}"));
                     }
                 }
             }

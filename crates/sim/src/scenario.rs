@@ -31,13 +31,13 @@
 //! (seed included), so two runs of one config agree byte for byte.
 
 use crate::des::EventQueue;
-use crate::live_round::report_frame;
 use fl_analytics::overload::{OverloadMetrics, OverloadMonitorConfig};
 use fl_core::plan::{CodecSpec, ModelSpec};
 use fl_core::round::{RoundConfig, RoundOutcome};
 use fl_core::{DeviceId, FlCheckpoint, FlPlan, PopulationName, RetryPolicy, RoundId};
 use fl_device::conditions::DeviceConditions;
 use fl_device::connectivity::ConnectivityManager;
+use fl_device::session::{report_frame, DeviceSession, Payload};
 use fl_device::tenancy::DeviceTenancy;
 use fl_ml::rng;
 use fl_server::aggregator::{AggregationPlan, MasterAggregator};
@@ -844,10 +844,8 @@ impl<'a> Engine<'a> {
                 };
                 // The check-in crosses the wire framed with its
                 // population; the Selector acts only on what it decoded.
-                let request = WireMessage::CheckinRequest {
-                    device: DeviceId(device),
-                    population: self.names[pop].clone(),
-                };
+                let request =
+                    DeviceSession::new(DeviceId(device), self.names[pop].clone()).checkin();
                 let Some(WireMessage::CheckinRequest {
                     device: wired,
                     population: wired_pop,
@@ -952,14 +950,17 @@ impl<'a> Engine<'a> {
                 // per coordinate on the measured wire. The engine models
                 // flow control, not learning, so a plain report carries
                 // an empty update.
-                let secagg = config.populations[pop].secagg_k.is_some();
                 let update = [0.1 + (device % 5) as f32 * 0.01; SECAGG_DIM];
+                let payload = if config.populations[pop].secagg_k.is_some() {
+                    Payload::Field(&update)
+                } else {
+                    Payload::Identity(&[])
+                };
                 let Ok(report) = report_frame(
                     DeviceId(device),
                     &self.names[pop],
                     (round, 1),
-                    if secagg { &update } else { &[] },
-                    secagg,
+                    payload,
                     (weight, loss, accuracy),
                 ) else {
                     self.violations

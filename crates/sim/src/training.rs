@@ -16,12 +16,12 @@ use fl_core::round::RoundConfig;
 use fl_core::{CoreError, DeviceId};
 use fl_data::store::{InMemoryStore, StoreConfig};
 use fl_device::runtime::{ExecutionOutcome, FlRuntime};
+use fl_device::session::{report_frame, Payload};
 use fl_ml::metrics::top1_accuracy;
 use fl_ml::rng;
 use fl_ml::Example;
 use fl_server::coordinator::{Coordinator, CoordinatorConfig, ReportVerdict};
 use fl_server::storage::InMemoryCheckpointStore;
-use fl_server::wire::WireMessage;
 use rand::RngExt;
 
 /// Configuration of a federated training run.
@@ -229,17 +229,13 @@ pub fn run_federated(
                     // The device's report frame, under the key its
                     // Configuration carried, through the round's one
                     // report path; the round's Master folds it.
-                    let frame = fl_server::wire::encode(&WireMessage::UpdateReport {
-                        device: d,
-                        round: round.checkpoint.round,
-                        attempt: 1,
-                        update_bytes: update_bytes.unwrap_or_default(),
-                        weight,
-                        loss: if loss.is_nan() { 0.0 } else { loss },
-                        accuracy: if accuracy.is_nan() { 0.0 } else { accuracy },
-                        population: coordinator.population().clone(),
-                    })
-                    .map_err(|e| CoreError::InvariantViolated(e.to_string()))?;
+                    let key = (round.checkpoint.round, 1);
+                    let payload = Payload::Encoded(update_bytes.unwrap_or_default());
+                    let metrics = (weight, loss, accuracy);
+                    let frame = report_frame(d, coordinator.population(), key, payload, metrics)
+                        .map_err(|e| CoreError::InvariantViolated(e.to_string()))?;
+                    let frame = fl_server::wire::encode(&frame)
+                        .map_err(|e| CoreError::InvariantViolated(e.to_string()))?;
                     let (_, verdict) = round.on_report(now_ms, &frame);
                     if let (ReportVerdict::Forward(route), Some(master)) = (verdict, &mut master) {
                         master.accept_forwarded(&route, &frame)?;
