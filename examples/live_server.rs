@@ -13,7 +13,11 @@
 //! fleet runs two full rounds — check-in, rejection, configuration,
 //! on-device training (the real `fl-device` runtime), reporting,
 //! checkpoint commits — then the Coordinator is killed to show the
-//! exactly-once respawn through the locking service.
+//! exactly-once respawn through the locking service. Each device speaks
+//! the protocol through its `fl_device::session`. The run asserts that
+//! both rounds commit, that each reaches its goal, and that exactly one
+//! respawn racer wins (the `live-server-example` step of
+//! `scripts/check.sh`).
 
 use federated::actors::{ActorRef, ActorSystem, LockingService};
 use federated::core::plan::{CodecSpec, FlPlan, ModelSpec};
@@ -23,14 +27,14 @@ use federated::core::{DeviceId, PopulationName};
 use federated::data::store::{InMemoryStore, StoreConfig};
 use federated::data::synth::classification::{generate, ClassificationConfig};
 use federated::device::runtime::{ExecutionOutcome, FlRuntime};
-use federated::device::UploadSession;
+use federated::device::session::{DeviceSession, End, Payload};
 use federated::ml::Example;
 use federated::server::live::{CoordMsg, CoordinatorActor, SelectorMsg};
 use federated::server::pace::PaceSteering;
 use federated::server::topology::{
     complete_round, spawn_multi_topology, SelectorSpec, TopologyBlueprint,
 };
-use federated::server::wire::{tag, TcpTransport, Transport, WireMessage, WireStats};
+use federated::server::wire::{tag, TcpTransport, Transport, WireStats};
 use federated::server::CoordinatorConfig;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -102,8 +106,13 @@ fn serve(
     })
 }
 
-/// One device: a real TCP client running the real on-device runtime.
-/// Returns (report_accepted, device-side wire stats).
+/// How many times a turned-away device checks in again, 50 ms apart,
+/// before it gives up: a bound, so a run that is never selected ends.
+const MAX_CHECKINS: u32 = 200;
+
+/// One device: a real TCP client running the real on-device runtime in
+/// its `fl-device` session. Returns (report_accepted, device-side wire
+/// stats).
 fn device_thread(
     id: u64,
     addr: std::net::SocketAddr,
@@ -114,76 +123,39 @@ fn device_thread(
         let runtime = FlRuntime::new(3);
         let conn = TcpTransport::new(TcpStream::connect(addr).expect("connect"))
             .expect("transport");
-        loop {
-            if conn
-                .send(&WireMessage::CheckinRequest {
-                    device: DeviceId(id),
-                    population: PopulationName::new("live-pop"),
-                })
-                .is_err()
-            {
-                return (false, conn.stats());
-            }
-            match conn.recv_timeout(Duration::from_secs(10)) {
-                Ok(WireMessage::PlanAndCheckpoint {
-                    plan, checkpoint, ..
-                }) => {
+        for _ in 0..MAX_CHECKINS {
+            let end = DeviceSession::new(DeviceId(id), "live-pop").exchange(
+                |frame| conn.send(frame),
+                |wait| conn.recv_timeout(wait),
+                Duration::from_secs(5),
+                |session| {
                     // Real on-device plan execution.
                     let outcome = runtime
-                        .execute(&plan.device, &checkpoint, &store, None)
+                        .execute(&session.plan().device, session.checkpoint(), &store, None)
                         .expect("plan executes");
-                    if let ExecutionOutcome::Completed {
+                    let ExecutionOutcome::Completed {
                         update_bytes,
                         weight,
                         loss,
                         accuracy,
                         ..
                     } = outcome
-                    {
-                        // The upload session pins the `(round, attempt)`
-                        // key: a lost ack is retried as a *resend* of the
-                        // same key, and the coordinator's at-most-once
-                        // ledger replays the original verdict instead of
-                        // summing the contribution twice.
-                        let mut session = UploadSession::new(checkpoint.round);
-                        let (round, attempt) = session.key();
-                        let report = WireMessage::UpdateReport {
-                            device: DeviceId(id),
-                            round,
-                            attempt,
-                            update_bytes: update_bytes.unwrap_or_default(),
-                            weight,
-                            loss: if loss.is_nan() { 0.0 } else { loss },
-                            accuracy: if accuracy.is_nan() { 0.0 } else { accuracy },
-                            population: PopulationName::new("live-pop"),
-                        };
-                        if conn.send(&report).is_err() {
-                            return (false, conn.stats());
-                        }
-                        for _ in 0..3 {
-                            match conn.recv_timeout(Duration::from_secs(5)) {
-                                Ok(WireMessage::ReportAck { accepted, .. }) => {
-                                    return (accepted, conn.stats())
-                                }
-                                Ok(_) => {}
-                                Err(_) => {
-                                    let _ = session.key_for_resend();
-                                    if conn.send(&report).is_err() {
-                                        return (false, conn.stats());
-                                    }
-                                }
-                            }
-                        }
-                        return (false, conn.stats());
-                    }
-                }
-                Ok(WireMessage::ReportAck { accepted, .. }) => return (accepted, conn.stats()),
-                Ok(WireMessage::ComeBackLater { .. }) | Ok(WireMessage::Shed { .. }) => {
+                    else {
+                        unreachable!("no interruption is injected");
+                    };
+                    let payload = Payload::Encoded(update_bytes.unwrap_or_default());
+                    session.report(payload, weight, loss, accuracy)
+                },
+            );
+            match end {
+                Ok(_) => return (true, conn.stats()),
+                Err(End::ComeBackLater { .. } | End::Shed { .. }) => {
                     std::thread::sleep(Duration::from_millis(50));
                 }
-                _ => return (false, conn.stats()),
+                Err(_) => return (false, conn.stats()),
             }
         }
+        (false, conn.stats())
     })
 }
 
@@ -206,6 +178,7 @@ fn main() {
         report_window_ms: 30_000,
         device_cap_ms: 30_000,
     };
+    let goal = round.goal_count;
     let task = FlTask::training("live/train", "live-pop").with_round(round);
     let plan = FlPlan::standard_training(model, 1, 16, 0.2, CodecSpec::Identity);
     let group = TaskGroup::new(vec![task], TaskSelectionStrategy::Single);
@@ -253,10 +226,12 @@ fn main() {
             fleet_stats = fleet_stats + *stats;
         }
         println!("devices with accepted reports: {accepted}");
+        assert!(accepted >= goal, "{accepted} accepted reports, goal {goal}");
 
         // Drive ticks until the round completes.
         let outcome = complete_round(&coord_ref, 500).expect("the round finishes");
         println!("outcome: {outcome:?}");
+        assert!(outcome.is_committed(), "round {round_no} did not commit");
     }
     println!(
         "\nfleet wire traffic: {} frames / {} bytes sent, {} frames / {} bytes received",
@@ -283,6 +258,7 @@ fn main() {
         .filter(|&won| won)
         .count();
     println!("respawn races won: {winners} (exactly once, as Sec. 4.4 requires)");
+    assert_eq!(winners, 1, "exactly one respawn racer wins");
 
     // Unblock the accept loop with one last throwaway connection, then
     // tear the tree down (idempotently — the coordinator is already gone).

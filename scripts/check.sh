@@ -72,6 +72,11 @@ run_step "selector-bench" cargo run --release -q -p fl-bench --bin bench_selecto
 # client and server types round by round, with a drop-out at each stage,
 # and ends asserting the unmasked sum.
 run_step "secagg-example" cargo run --release -q --example secure_aggregation
+# The live tree behind its TCP front door, every device an
+# `fl_device::session` on its own socket: it asserts that both rounds
+# commit, that each reaches its goal, and that exactly one respawn racer
+# wins; a turned-away device checks in a bounded number of times.
+run_step "live-server-example" cargo run --release -q --example live_server
 # The bench step fails unless 64 devices in groups of 16 finalize at
 # least 1.5x faster than as one quadratic group.
 run_step "secagg-bench" cargo run --release -q -p fl-bench --bin bench_secagg
