@@ -4,11 +4,14 @@
 //! admission, a fleet-wide admission budget, and the ephemeral
 //! Master Aggregator subtree that dies with each round.
 
-use federated::actors::{ActorSystem, DeathReason, FaultAction, LockingService, ScriptedFaults};
+use federated::actors::{
+    ActorRef, ActorSystem, DeathReason, FaultAction, LockingService, ScriptedFaults,
+};
 use federated::core::plan::{CodecSpec, FlPlan, ModelSpec};
 use federated::core::population::{FlTask, TaskGroup, TaskSelectionStrategy};
 use federated::core::round::RoundConfig;
 use federated::core::{DeviceId, PopulationName};
+use federated::device::session::{Accepted, DeviceSession, End, Payload};
 use federated::server::live::{CoordMsg, CoordinatorActor, DeviceConn, SelectorMsg};
 use federated::server::wire::WireMessage;
 use federated::server::pace::PaceSteering;
@@ -29,6 +32,26 @@ fn spec() -> ModelSpec {
         classes: 2,
         seed: 0,
     }
+}
+
+/// One device's session over an in-memory connection through `selector`,
+/// reporting 0.5 on every coordinate at weight 1.
+fn run_session(
+    device: u64,
+    population: &str,
+    selector: ActorRef<SelectorMsg>,
+    coordinator: ActorRef<CoordMsg>,
+) -> Result<Accepted, End> {
+    let conn = DeviceConn::connect(DeviceId(device), population, selector, coordinator);
+    DeviceSession::new(DeviceId(device), population).exchange(
+        |frame| conn.send(frame),
+        |wait| conn.recv(wait),
+        Duration::from_secs(10),
+        |session| {
+            let update = vec![0.5f32; session.plan().server.expected_dim];
+            session.report(Payload::Identity(&update), 1, 0.4, 0.9)
+        },
+    )
 }
 
 fn coordinator_for(
@@ -83,24 +106,7 @@ fn round_commits_across_three_selectors() {
         .map(|i| {
             let sel = selector_refs[(i % 3) as usize].clone();
             let coord = coord_ref.clone();
-            std::thread::spawn(move || {
-                let conn = DeviceConn::connect(DeviceId(i), "multi-sel", sel, coord);
-                conn.check_in().unwrap();
-                loop {
-                    match conn.recv(Duration::from_secs(10)).unwrap() {
-                        WireMessage::PlanAndCheckpoint {
-                            plan, checkpoint, ..
-                        } => {
-                            let dim = plan.server.expected_dim;
-                            let bytes =
-                                CodecSpec::Identity.build().encode(&vec![0.5f32; dim]);
-                            conn.report(checkpoint.round, 1, bytes, 3, 0.4, 0.9).unwrap();
-                        }
-                        WireMessage::ReportAck { accepted, .. } => return accepted,
-                        _ => return false,
-                    }
-                }
-            })
+            std::thread::spawn(move || run_session(i, "multi-sel", sel, coord).is_ok())
         })
         .collect();
     let accepted = handles
@@ -241,51 +247,29 @@ fn global_budget_caps_admits_across_selectors() {
     let coord_ref = topology.coordinators[&PopulationName::new("global-budget")].clone();
     let selector_refs = topology.selectors;
 
-    // Nine devices, three per selector. Which four of the six
-    // local-admission survivors win the shared budget depends on thread
-    // interleaving; the totals do not.
-    let conns: Vec<_> = (0..9u64)
+    // Nine devices, three per selector, each on its own thread. Which
+    // four of the six local-admission survivors win the shared budget
+    // depends on thread interleaving; the totals do not.
+    let handles: Vec<_> = (0..9u64)
         .map(|i| {
-            let conn = DeviceConn::connect(
-                DeviceId(i),
-                "global-budget",
-                selector_refs[(i % 3) as usize].clone(),
-                coord_ref.clone(),
-            );
-            conn.check_in().unwrap();
-            conn
+            let sel = selector_refs[(i % 3) as usize].clone();
+            let coord = coord_ref.clone();
+            std::thread::spawn(move || run_session(i, "global-budget", sel, coord))
         })
         .collect();
-    let mut configured = Vec::new();
-    let mut shed = 0;
-    for (i, conn) in conns.iter().enumerate() {
-        match conn.recv(Duration::from_secs(10)).unwrap() {
-            WireMessage::PlanAndCheckpoint {
-                plan, checkpoint, ..
-            } => configured.push((i, plan, checkpoint.round)),
-            // Admission-control rejections arrive as explicit `Shed`
-            // frames, distinct from routine `ComeBackLater` pacing.
-            WireMessage::Shed { .. } => shed += 1,
-            other => panic!("unexpected reply {other:?}"),
-        }
-    }
-    assert_eq!(configured.len(), 4, "the global budget admits exactly 4");
+    let ends: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+    // The four admitted devices report, and the round commits on them.
+    let configured = ends.iter().filter(|end| end.is_ok()).count();
+    // Admission-control rejections arrive as explicit `Shed` frames,
+    // distinct from routine `ComeBackLater` pacing.
+    let shed = ends
+        .iter()
+        .filter(|end| matches!(end, Err(End::Shed { .. })))
+        .count();
+    assert_eq!(configured, 4, "the global budget admits exactly 4: {ends:?}");
     assert_eq!(shed, 5, "3 local sheds + 2 global sheds");
     assert_eq!(budget.admitted_total(), 4);
     assert_eq!(budget.shed_total(), 2);
-
-    // The four admitted devices report; the round commits on them.
-    for (i, plan, round) in &configured {
-        let dim = plan.server.expected_dim;
-        let bytes = CodecSpec::Identity.build().encode(&vec![0.25f32; dim]);
-        conns[*i].report(*round, 1, bytes, 1, 0.3, 0.9).unwrap();
-    }
-    for (i, _, _) in &configured {
-        assert!(matches!(
-            conns[*i].recv(Duration::from_secs(5)).unwrap(),
-            WireMessage::ReportAck { accepted: true, .. }
-        ));
-    }
     let outcome = complete_round(&coord_ref, MAX_POLLS).unwrap();
     assert!(outcome.is_committed());
 
@@ -331,37 +315,18 @@ fn aggregator_shard_crash_still_commits_the_round() {
     let coord_ref = topology.coordinators[&PopulationName::new("shard-crash")].clone();
     let selector_refs = topology.selectors;
 
-    let conns: Vec<_> = (0..4u64)
+    let handles: Vec<_> = (0..4u64)
         .map(|i| {
-            let conn = DeviceConn::connect(
-                DeviceId(i),
-                "shard-crash",
-                selector_refs[0].clone(),
-                coord_ref.clone(),
-            );
-            conn.check_in().unwrap();
-            conn
+            let sel = selector_refs[0].clone();
+            let coord = coord_ref.clone();
+            std::thread::spawn(move || run_session(i, "shard-crash", sel, coord))
         })
         .collect();
-    for conn in &conns {
-        match conn.recv(Duration::from_secs(10)).unwrap() {
-            WireMessage::PlanAndCheckpoint {
-                plan, checkpoint, ..
-            } => {
-                let dim = plan.server.expected_dim;
-                let bytes = CodecSpec::Identity.build().encode(&vec![1.0f32; dim]);
-                conn.report(checkpoint.round, 1, bytes, 1, 0.3, 0.9).unwrap();
-            }
-            other => panic!("unexpected reply {other:?}"),
-        }
-    }
     // All four reports are accepted at the protocol level even though
     // devices 1 and 3 route to the crashed shard.
-    for conn in &conns {
-        assert!(matches!(
-            conn.recv(Duration::from_secs(5)).unwrap(),
-            WireMessage::ReportAck { accepted: true, .. }
-        ));
+    for h in handles {
+        let end = h.join().unwrap();
+        assert!(end.is_ok(), "{end:?}");
     }
 
     let outcome = complete_round(&coord_ref, MAX_POLLS).unwrap();

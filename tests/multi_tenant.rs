@@ -10,13 +10,14 @@
 
 use crossbeam::channel::unbounded;
 use federated::actors::{
-    watch_and_respawn, ActorSystem, FaultAction, LockingService, ScriptedFaults,
+    watch_and_respawn, ActorRef, ActorSystem, FaultAction, LockingService, ScriptedFaults,
 };
 use federated::analytics::overload::OverloadMonitorConfig;
 use federated::core::plan::{CodecSpec, FlPlan, ModelSpec};
 use federated::core::population::{FlTask, TaskGroup, TaskSelectionStrategy};
 use federated::core::round::RoundConfig;
 use federated::core::{DeviceId, PopulationName};
+use federated::device::session::{Accepted, DeviceSession, End, Payload};
 use federated::server::live::{
     coordinator_lease_name, CoordMsg, CoordinatorActor, DeviceConn, SelectorMsg,
 };
@@ -66,7 +67,7 @@ fn round_with_goal(goal: usize) -> RoundConfig {
     }
 }
 
-fn drive_to_commit(coord: &federated::actors::ActorRef<CoordMsg>) -> bool {
+fn drive_to_commit(coord: &ActorRef<CoordMsg>) -> bool {
     complete_round(coord, 500).unwrap().is_committed()
 }
 
@@ -114,30 +115,7 @@ fn three_populations_commit_concurrently_through_one_selector_layer() {
                 .coordinator(&PopulationName::new(population))
                 .unwrap()
                 .clone();
-            std::thread::spawn(move || {
-                let conn = DeviceConn::connect(DeviceId(id), population, sel, coord);
-                conn.check_in().unwrap();
-                loop {
-                    match conn.recv(Duration::from_secs(10)).unwrap() {
-                        WireMessage::PlanAndCheckpoint {
-                            plan,
-                            checkpoint,
-                            population: wired,
-                        } => {
-                            // The Configuration is stamped with the
-                            // tenant's own population: no cross-tenant
-                            // plan ever reaches a device.
-                            assert_eq!(wired.as_str(), population);
-                            let dim = plan.server.expected_dim;
-                            let bytes =
-                                CodecSpec::Identity.build().encode(&vec![0.5f32; dim]);
-                            conn.report(checkpoint.round, 1, bytes, 3, 0.4, 0.9).unwrap();
-                        }
-                        WireMessage::ReportAck { accepted, .. } => return (p, accepted),
-                        other => panic!("unexpected reply {other:?}"),
-                    }
-                }
-            })
+            std::thread::spawn(move || (p, run_session(id, population, sel, coord).is_ok()))
         })
         .collect();
     let mut accepted_per_pop = [0usize; 3];
@@ -232,40 +210,10 @@ fn fair_share_budget_shields_the_quiet_population_live() {
             conn
         })
         .collect();
-    let quiet_conns: Vec<_> = (0..3u64)
-        .map(|i| {
-            let conn = DeviceConn::connect(
-                DeviceId(i),
-                "fair/quiet",
-                multi.selectors[0].clone(),
-                multi.coordinator(&quiet).unwrap().clone(),
-            );
-            conn.check_in().unwrap();
-            conn
-        })
-        .collect();
 
     // Every quiet device is configured (none shed) and carries the
     // round to a commit.
-    for conn in &quiet_conns {
-        match conn.recv(Duration::from_secs(10)).unwrap() {
-            WireMessage::PlanAndCheckpoint {
-                plan, checkpoint, ..
-            } => {
-                let dim = plan.server.expected_dim;
-                let bytes = CodecSpec::Identity.build().encode(&vec![0.25f32; dim]);
-                conn.report(checkpoint.round, 1, bytes, 1, 0.3, 0.9).unwrap();
-            }
-            other => panic!("quiet tenant was turned away: {other:?}"),
-        }
-    }
-    for conn in &quiet_conns {
-        assert!(matches!(
-            conn.recv(Duration::from_secs(5)).unwrap(),
-            WireMessage::ReportAck { accepted: true, .. }
-        ));
-    }
-    assert!(drive_to_commit(multi.coordinator(&quiet).unwrap()));
+    commit_one_round("fair/quiet", 0..3, &multi.selectors, multi.coordinator(&quiet).unwrap());
 
     // The storm's overflow was shed by the budget, charged to the
     // storm's own ledger — never the quiet tenant's.
@@ -293,44 +241,60 @@ fn fair_share_budget_shields_the_quiet_population_live() {
     system.join();
 }
 
-/// Checks `devices` in under `population`, spread over `selectors`,
-/// reports for each once it is configured, and drives the round to its
-/// commit. A device that is not
-/// configured within the wait fails the test — which is what a check-in
-/// forwarded to a dead mailbox looks like from the device's side.
+/// One device's session under `population` over an in-memory connection
+/// through `selector`, reporting 0.5 on every coordinate at weight 1.
+fn run_session(
+    id: u64,
+    population: &str,
+    selector: ActorRef<SelectorMsg>,
+    coordinator: ActorRef<CoordMsg>,
+) -> Result<Accepted, End> {
+    let conn = DeviceConn::connect(DeviceId(id), population, selector, coordinator);
+    DeviceSession::new(DeviceId(id), population).exchange(
+        |frame| conn.send(frame),
+        |wait| {
+            let reply = conn.recv(wait)?;
+            if let WireMessage::PlanAndCheckpoint {
+                population: wired, ..
+            } = &reply
+            {
+                // The Configuration is stamped with the tenant's own
+                // population: no cross-tenant plan ever reaches a device.
+                assert_eq!(wired.as_str(), population);
+            }
+            Ok(reply)
+        },
+        Duration::from_secs(10),
+        |session| {
+            let update = vec![0.5f32; session.plan().server.expected_dim];
+            session.report(Payload::Identity(&update), 1, 0.4, 0.9)
+        },
+    )
+}
+
+/// Runs a session for each of `devices` under `population`, spread over
+/// `selectors`, and drives the round to its commit. A device whose report
+/// is not accepted fails the test — a check-in forwarded to a dead
+/// mailbox looks, from the device's side, like a Configuration that
+/// never comes.
 fn commit_one_round(
     population: &str,
     devices: std::ops::Range<u64>,
-    selectors: &[federated::actors::ActorRef<SelectorMsg>],
-    coord: &federated::actors::ActorRef<CoordMsg>,
+    selectors: &[ActorRef<SelectorMsg>],
+    coord: &ActorRef<CoordMsg>,
 ) {
-    let conns: Vec<_> = devices
-        .map(|id| {
-            let selector = selectors[id as usize % selectors.len()].clone();
-            let conn = DeviceConn::connect(DeviceId(id), population, selector, coord.clone());
-            conn.check_in().unwrap();
-            conn
-        })
-        .collect();
-    for conn in &conns {
-        match conn.recv(Duration::from_secs(5)) {
-            Ok(WireMessage::PlanAndCheckpoint {
-                plan, checkpoint, ..
-            }) => {
-                let bytes = CodecSpec::Identity
-                    .build()
-                    .encode(&vec![0.5f32; plan.server.expected_dim]);
-                conn.report(checkpoint.round, 1, bytes, 1, 0.4, 0.9).unwrap();
-            }
-            other => panic!("{population}: device was never configured: {other:?}"),
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = devices
+            .map(|id| {
+                let selector = selectors[id as usize % selectors.len()].clone();
+                scope.spawn(move || run_session(id, population, selector, coord.clone()))
+            })
+            .collect();
+        for h in handles {
+            let end = h.join().unwrap();
+            assert!(end.is_ok(), "{population}: {end:?}");
         }
-    }
-    for conn in &conns {
-        assert!(matches!(
-            conn.recv(Duration::from_secs(5)).unwrap(),
-            WireMessage::ReportAck { accepted: true, .. }
-        ));
-    }
+    });
     assert!(drive_to_commit(coord), "{population} failed to commit");
 }
 
