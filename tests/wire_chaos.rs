@@ -1,9 +1,9 @@
 //! Network-chaos sweep at the wire boundary (Sec. 2.2, 4.2): seeded
 //! `FaultyTransport` scripts drop, duplicate, reorder, byte-flip, and
 //! truncate device report frames in flight through the live sharded
-//! topology — plain rounds and SecAgg rounds — while the devices drive
-//! the reconnect/resume protocol (same-key resends after silent ack
-//! loss, fresh attempt keys after pinned rejects).
+//! topology — plain rounds and SecAgg rounds — while each device drives
+//! its `fl_device::session`, re-sending the same `(round, attempt)` key
+//! after each silent ack loss.
 //!
 //! Per seed, the run must hold:
 //!
