@@ -118,7 +118,7 @@ echo "release gate summary"
 echo "--------------------------------"
 failed=0
 for i in "${!steps[@]}"; do
-  printf '%-18s %s\n' "${steps[$i]}" "${results[$i]}"
+  printf '%-20s %s\n' "${steps[$i]}" "${results[$i]}"
   if [[ "${results[$i]}" == "FAIL" ]]; then
     failed=1
   fi
