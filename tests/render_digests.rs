@@ -21,6 +21,7 @@ use federated::sim::{
     explore_chaos, explore_live_round, explore_secagg_live_round, run_wire_chaos,
     run_wire_chaos_secagg,
 };
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 /// FNV-1a 64: the fixture only has to notice a changed byte, and the
@@ -151,6 +152,28 @@ fn fixture_path() -> PathBuf {
         .join("render_digests.txt")
 }
 
+/// One `family/* N of M drifted` line per family with a drifted line, a
+/// family being the harness name up to its first `/`, so a regeneration
+/// can be checked to move only the families it names.
+fn drift_by_family(expected: &str, actual: &str) -> String {
+    let mut families: BTreeMap<&str, (usize, usize)> = BTreeMap::new();
+    for (want, got) in expected.lines().zip(actual.lines()) {
+        if want.starts_with('#') {
+            continue;
+        }
+        let family = families
+            .entry(want.split('/').next().unwrap_or(want))
+            .or_default();
+        family.0 += usize::from(want != got);
+        family.1 += 1;
+    }
+    families
+        .iter()
+        .filter(|(_, (drifted, _))| *drifted > 0)
+        .map(|(name, (drifted, of))| format!("{name}/* {drifted} of {of} drifted\n"))
+        .collect()
+}
+
 #[test]
 fn renders_match_the_committed_digests() {
     let expected = std::fs::read_to_string(fixture_path())
@@ -164,8 +187,9 @@ fn renders_match_the_committed_digests() {
         .collect();
     assert!(
         drifted.is_empty() && expected.lines().count() == actual.lines().count(),
-        "{} report render(s) drifted from the committed digests:\n{}",
+        "{} report render(s) drifted from the committed digests:\n{}{}",
         drifted.len(),
+        drift_by_family(&expected, &actual),
         drifted.join("\n")
     );
 }
