@@ -302,14 +302,6 @@ pub fn run_overload(config: &OverloadConfig) -> OverloadReport {
             None => violations.push("shed rate never converged".into()),
         }
     }
-    scenario::audit_round_progress(&outcome.populations, &mut violations, |o, stuck| match stuck {
-        Some(stuck) => format!(
-            "{stuck} of {} started rounds never reached a terminal state",
-            o.rounds_started
-        ),
-        None => "no round committed under overload".into(),
-    });
-
     OverloadReport {
         seed: config.seed,
         scenario: shape.name(),

@@ -264,24 +264,48 @@ pub struct ScenarioOutcome {
     pub violations: Vec<String>,
 }
 
-/// Every started round reached a terminal state and at least one
-/// committed, per population — what both entry points audit on top of the
-/// engine. `describe` words the violation: `Some(stuck)` rounds never
-/// terminated, or `None` committed.
-pub(crate) fn audit_round_progress(
-    populations: &[PopulationOutcome],
-    violations: &mut Vec<String>,
-    describe: impl Fn(&PopulationOutcome, Option<u64>) -> String,
-) {
-    for o in populations {
+/// The one audit that ends every engine run: what holds for every
+/// configuration, read off the finished outcome. Per population, every
+/// started round reached a terminal state and at least one committed;
+/// the Selectors' per-population ledgers sum exactly to the decisions the
+/// engine saw them hand out (the multi-tenant bookkeeping loses no
+/// check-in); and no held-connection queue outgrew its bound.
+pub(crate) fn audit(outcome: &ScenarioOutcome, config: &ScenarioConfig) -> Vec<String> {
+    let mut violations = Vec::new();
+    for o in &outcome.populations {
         if o.rounds_terminal != o.rounds_started {
-            let stuck = o.rounds_started - o.rounds_terminal.min(o.rounds_started);
-            violations.push(describe(o, Some(stuck)));
+            violations.push(format!(
+                "population {}: {} of {} started rounds never reached a terminal state",
+                o.name,
+                o.rounds_started.saturating_sub(o.rounds_terminal),
+                o.rounds_started
+            ));
         }
         if o.committed == 0 {
-            violations.push(describe(o, None));
+            violations.push(format!("population {} never committed a round", o.name));
         }
     }
+    let accepted: u64 = outcome.populations.iter().map(|o| o.accepted).sum();
+    let rejected: u64 = outcome.populations.iter().map(|o| o.offered - o.accepted).sum();
+    if accepted != outcome.accepted_total {
+        violations.push(format!(
+            "per-population accepts {accepted} != aggregate {}",
+            outcome.accepted_total
+        ));
+    }
+    if rejected != outcome.rejected_total {
+        violations.push(format!(
+            "per-population rejects {rejected} != aggregate {}",
+            outcome.rejected_total
+        ));
+    }
+    if outcome.max_queue_depth > config.admission.max_inflight {
+        violations.push(format!(
+            "queue depth {} exceeded bound {}",
+            outcome.max_queue_depth, config.admission.max_inflight
+        ));
+    }
+    violations
 }
 
 /// The virtual-clock harnesses' in-memory wire: both ends of one
@@ -1157,32 +1181,8 @@ impl<'a> Engine<'a> {
             }
         }
 
-        // Conservation: the Selectors' per-population ledgers must sum
-        // exactly to the decisions this harness saw them hand out — the
-        // multi-tenant bookkeeping loses no check-in.
-        let accepted_by_pop: u64 = self.ledgers.iter().map(|o| o.accepted).sum();
-        let rejected_by_pop: u64 = self.ledgers.iter().map(|o| o.offered - o.accepted).sum();
-        if accepted_by_pop != self.accepted_total {
-            self.violations.push(format!(
-                "per-population accepts {accepted_by_pop} != aggregate {}",
-                self.accepted_total
-            ));
-        }
-        if rejected_by_pop != self.rejected_total {
-            self.violations.push(format!(
-                "per-population rejects {rejected_by_pop} != aggregate {}",
-                self.rejected_total
-            ));
-        }
-        if self.max_queue_depth > self.config.admission.max_inflight {
-            self.violations.push(format!(
-                "queue depth {} exceeded bound {}",
-                self.max_queue_depth, self.config.admission.max_inflight
-            ));
-        }
-
         let population_estimate_final = self.population_estimate();
-        ScenarioOutcome {
+        let mut outcome = ScenarioOutcome {
             populations: self.ledgers,
             accepted_total: self.accepted_total,
             rejected_total: self.rejected_total,
@@ -1198,6 +1198,9 @@ impl<'a> Engine<'a> {
             metrics: self.metrics,
             wire: self.wire.stats(),
             violations: self.violations,
-        }
+        };
+        let found = audit(&outcome, self.config);
+        outcome.violations.extend(found);
+        outcome
     }
 }
