@@ -1,6 +1,6 @@
-//! The flow-control scenario engine: one seeded virtual-clock driver over
-//! the real Selector / round / wire stack, with one round machine per
-//! population.
+//! The scenario engine: one seeded virtual-clock driver over the real
+//! Selector / Coordinator / Aggregator / wire stack, with one Coordinator
+//! per population.
 //!
 //! The paper runs every population through the same Selector →
 //! Coordinator → Aggregator machinery (Sec. 2.1, 4.2) and closes one
@@ -9,11 +9,14 @@
 //! devices cooperate with jittered backoff and retry budgets. [`run`]
 //! drives that loop end to end through the production code paths — the
 //! real [`Selector`] (admission control, staleness eviction, closed-loop
-//! `PaceController`, shared fair-share budget), the real [`RoundState`]
-//! machine per population, an optional per-round SecAgg
-//! [`MasterAggregator`], and the real device-side retry discipline —
-//! with every check-in, configuration, report, and ack crossing an
-//! in-memory wire as a framed [`WireMessage`].
+//! `PaceController`, shared fair-share budget), a real [`Coordinator`]
+//! per population over its own checkpoint store, each round's
+//! [`MasterAggregator`] (SecAgg when the population asks for it), and
+//! the real device-side retry discipline — with every check-in,
+//! configuration, report, and ack crossing an in-memory wire as a framed
+//! [`WireMessage`]. A round runs the shipped path: `begin_round`, each
+//! report frame through [`ActiveRound::on_report`], each forwarded one
+//! folded by `MasterAggregator::accept_forwarded`, then `complete_round`.
 //!
 //! [`crate::overload`] and [`crate::multi`] are thin entry points: each
 //! names its calibrated [`ScenarioConfig`]s, calls [`run`], and projects
@@ -24,34 +27,45 @@
 //! disagree on is what a *device* is, and that is the [`Fleet`] seam;
 //! nothing else in the loop knows which entry point called it.
 //!
-//! The engine itself audits what holds for every configuration: frames
-//! survive the wire, the Selectors' per-population ledgers sum to the
-//! decisions the harness saw handed out, and the held-connection queue
-//! stays under its bound. Everything is a pure function of the config
-//! (seed included), so two runs of one config agree byte for byte.
+//! Every run ends in one audit of what holds for every configuration
+//! (see [`audit`]). Everything is a pure function of the config (seed
+//! included), so two runs of one config agree byte for byte.
 
 use crate::des::EventQueue;
 use fl_analytics::overload::{OverloadMetrics, OverloadMonitorConfig};
 use fl_core::plan::{CodecSpec, ModelSpec};
+use fl_core::population::{TaskGroup, TaskSelectionStrategy};
 use fl_core::round::{RoundConfig, RoundOutcome};
-use fl_core::{DeviceId, FlCheckpoint, FlPlan, PopulationName, RetryPolicy, RoundId};
+use fl_core::{CoreError, DeviceId, FlPlan, FlTask, PopulationName, RetryPolicy, RoundId};
 use fl_device::conditions::DeviceConditions;
 use fl_device::connectivity::ConnectivityManager;
 use fl_device::session::{report_frame, DeviceSession, Payload};
 use fl_device::tenancy::DeviceTenancy;
 use fl_ml::rng;
-use fl_server::aggregator::{AggregationPlan, MasterAggregator};
+use fl_server::aggregator::MasterAggregator;
+use fl_server::coordinator::{ActiveRound, Coordinator, CoordinatorConfig, ReportVerdict};
 use fl_server::pace::PaceSteering;
-use fl_server::round::{CheckinResponse, Phase, RoundEvent, RoundState};
+use fl_server::round::{CheckinResponse, Phase};
 use fl_server::selector::{CheckinDecision, Selector};
 use fl_server::shedding::{AdmissionConfig, GlobalAdmissionBudget, GlobalAdmissionConfig};
-use fl_server::topology::{SelectorSpec, TopologyBlueprint};
+use fl_server::storage::{CheckpointStore, FaultyCheckpointStore, InMemoryCheckpointStore};
+use fl_server::topology::{DeploymentSpec, SelectorSpec, TopologyBlueprint};
 use fl_server::wire::{ChannelTransport, Transport, WireMessage, WireStats};
 use rand::rngs::StdRng;
 use rand::Rng;
 
-/// Coordinates in a SecAgg population's (synthetic) update vector.
-const SECAGG_DIM: usize = 4;
+/// The model every population trains: the engine models the control
+/// plane, so one small plan serves them all.
+const MODEL: ModelSpec = ModelSpec::Logistic {
+    dim: 4,
+    classes: 2,
+    seed: 7,
+};
+/// Devices per Aggregator shard of every round's Master.
+const SHARD_CAPACITY: usize = 33;
+
+/// Each population's checkpoint store.
+type Store = FaultyCheckpointStore<InMemoryCheckpointStore>;
 
 /// What a device of the fleet is — the one seam between the overload and
 /// the multi-tenant scenario families.
@@ -223,16 +237,25 @@ pub struct PopulationOutcome {
     pub rounds_started: u64,
     /// Rounds that reached a terminal state.
     pub rounds_terminal: u64,
-    /// Rounds committed.
+    /// Rounds committed to storage.
     pub committed: u64,
-    /// Rounds abandoned (cleanly).
+    /// Rounds the protocol abandoned (timeouts, drop-outs).
     pub abandoned: u64,
+    /// Rounds whose aggregate was lost to a failed checkpoint write.
+    pub lost_to_storage: u64,
     /// SecAgg Aggregator groups stranded below threshold in rounds that
     /// still committed from the surviving groups.
     pub secagg_shard_aborts: u64,
     /// Committed-by-the-state-machine rounds whose aggregate was lost
     /// because every SecAgg group fell below threshold.
     pub secagg_round_aborts: u64,
+    /// Checkpoint writes the population's store took (one deployment
+    /// write plus one per committed round).
+    pub write_count: u64,
+    /// Reports `on_report` forwarded in the rounds that committed.
+    pub forwarded: u64,
+    /// Reports those rounds' Masters folded.
+    pub folded: u64,
 }
 
 /// What one scenario run produced.
@@ -267,9 +290,13 @@ pub struct ScenarioOutcome {
 /// The one audit that ends every engine run: what holds for every
 /// configuration, read off the finished outcome. Per population, every
 /// started round reached a terminal state and at least one committed;
-/// the Selectors' per-population ledgers sum exactly to the decisions the
-/// engine saw them hand out (the multi-tenant bookkeeping loses no
-/// check-in); and no held-connection queue outgrew its bound.
+/// the store took exactly one write at deployment plus one per committed
+/// round — per-device updates never reach it (Sec. 4.2); and each
+/// committed round's Master folded exactly the reports `on_report`
+/// forwarded. Across populations, the Selectors' per-population ledgers
+/// sum exactly to the decisions the engine saw them hand out (the
+/// multi-tenant bookkeeping loses no check-in), and no held-connection
+/// queue outgrew its bound.
 pub(crate) fn audit(outcome: &ScenarioOutcome, config: &ScenarioConfig) -> Vec<String> {
     let mut violations = Vec::new();
     for o in &outcome.populations {
@@ -283,6 +310,18 @@ pub(crate) fn audit(outcome: &ScenarioOutcome, config: &ScenarioConfig) -> Vec<S
         }
         if o.committed == 0 {
             violations.push(format!("population {} never committed a round", o.name));
+        }
+        if o.write_count != 1 + o.committed {
+            violations.push(format!(
+                "population {}: write_count {} != 1 + committed {}",
+                o.name, o.write_count, o.committed
+            ));
+        }
+        if o.folded != o.forwarded {
+            violations.push(format!(
+                "population {}: Masters folded {} of {} forwarded reports",
+                o.name, o.folded, o.forwarded
+            ));
         }
     }
     let accepted: u64 = outcome.populations.iter().map(|o| o.accepted).sum();
@@ -372,12 +411,15 @@ impl SimWire {
 enum Event {
     /// A device's wake chain fires: it attempts a check-in.
     Wake { device: u64, gen: u32 },
+    /// Population `pop`'s Coordinator begins its next round.
+    Open { pop: usize },
     /// Every population's Coordinator asks the Selectors for forwards.
     Forward,
-    /// A selected device finishes training + upload for `pop`.
-    Report { device: u64, pop: usize, round_seq: u64 },
-    /// Round phase timeout check for `pop`.
-    RoundTick { pop: usize, round_seq: u64 },
+    /// A selected device finishes training and uploads for `pop`, under
+    /// the checkpoint round its Configuration carried.
+    Report { device: u64, pop: usize, key: RoundId },
+    /// Timeout check of `pop`'s round `seq`.
+    RoundTick { pop: usize, seq: u64 },
     /// Per-window staleness eviction + queue-depth / estimate sampling.
     WindowSample,
     /// The thundering herd aimed at `pop` fires.
@@ -537,38 +579,40 @@ struct Device {
     gen: u32,
 }
 
+/// A population's round in flight.
 struct PopRound {
+    /// The round's 1-based number among its population's rounds: a
+    /// `RoundTick` of an earlier round is stale.
     seq: u64,
-    state: RoundState,
-    /// When selection opens: rounds are aligned to pace-window boundaries
-    /// so steady-state consumption matches the pace target (the paper's
-    /// rendezvous cadence) instead of free-running as fast as devices
-    /// can report.
-    open_at_ms: u64,
+    round: ActiveRound,
+    /// The round's Master Aggregator, which folds what `on_report`
+    /// forwards.
+    master: Option<MasterAggregator>,
+    /// Reports `on_report` forwarded so far.
+    forwarded: u64,
     /// Devices forwarded into the round before Configuration fired.
     pending: Vec<u64>,
-    /// SecAgg populations aggregate through one fresh subtree per round,
-    /// like the live topology; plain populations carry none.
-    master: Option<MasterAggregator>,
+    /// The plan and checkpoint every selected device downloads.
+    configuration: WireMessage,
 }
 
 struct Engine<'a> {
     config: &'a ScenarioConfig,
     names: Vec<PopulationName>,
     targets: Vec<usize>,
+    /// Coordinates of every update: the plan's model size.
+    dim: usize,
     budget: Option<GlobalAdmissionBudget>,
     selectors: Vec<Selector>,
+    coordinators: Vec<Coordinator<Store>>,
+    /// Each population's round in flight; `None` between rounds.
+    rounds: Vec<Option<PopRound>>,
     rng: StdRng,
     queue: EventQueue<Event>,
     metrics: OverloadMetrics,
     devices: Vec<Device>,
-    rounds: Vec<PopRound>,
     ledgers: Vec<PopulationOutcome>,
     wire: SimWire,
-    /// One shared Configuration payload per population (the engine models
-    /// flow control, not learning, so every selected device downloads the
-    /// same small plan + checkpoint).
-    config_msgs: Vec<WireMessage>,
     accepted_total: u64,
     rejected_total: u64,
     max_queue_depth: usize,
@@ -576,8 +620,8 @@ struct Engine<'a> {
     violations: Vec<String>,
 }
 
-/// Drives one seeded scenario to its horizon and audits the engine-level
-/// invariants. See the module docs.
+/// Drives one seeded scenario to its horizon and audits it. See the
+/// module docs.
 ///
 /// # Panics
 ///
@@ -590,7 +634,7 @@ pub fn run(config: &ScenarioConfig) -> ScenarioOutcome {
     let mut engine = Engine::new(config);
     while let Some((now, event)) = engine.queue.next_before(config.horizon_ms) {
         engine.handle(now, event);
-        engine.drain_round_events();
+        engine.settle(now);
     }
     engine.drain_after_horizon();
     engine.finish()
@@ -642,12 +686,44 @@ impl<'a> Engine<'a> {
             }
         }
 
+        // One Coordinator per population, each over its own store, all
+        // deploying the one plan.
+        let dim = MODEL.num_params();
+        let coordinators = config
+            .populations
+            .iter()
+            .map(|spec| {
+                let mut task = FlTask::training(spec.name, spec.name).with_round(spec.round);
+                if let Some(k) = spec.secagg_k {
+                    task = task.with_secagg(k);
+                }
+                let deployment = DeploymentSpec {
+                    config: CoordinatorConfig {
+                        max_per_shard: SHARD_CAPACITY,
+                        ..CoordinatorConfig::new(spec.name, config.seed)
+                    },
+                    group: TaskGroup::new(vec![task], TaskSelectionStrategy::Single),
+                    plans: vec![FlPlan::standard_training(MODEL, 1, 8, 0.1, CodecSpec::Identity)],
+                    initial_params: vec![0.0; dim],
+                };
+                let store = Store::new(InMemoryCheckpointStore::new(), []);
+                let mut coordinator = deployment.new_coordinator(store);
+                deployment
+                    .deploy_on(&mut coordinator)
+                    .expect("an in-memory store takes the deployment write");
+                coordinator
+            })
+            .collect();
+
         let npop = config.populations.len();
         let mut engine = Engine {
             config,
             targets,
+            dim,
             budget,
             selectors,
+            coordinators,
+            rounds: (0..npop).map(|_| None).collect(),
             rng: rng::seeded(config.seed ^ rng_salt),
             queue: EventQueue::new(),
             metrics: OverloadMetrics::new(
@@ -658,37 +734,15 @@ impl<'a> Engine<'a> {
                 0,
             ),
             devices: Vec::new(),
-            rounds: Vec::with_capacity(npop),
             ledgers: config
                 .populations
                 .iter()
                 .map(|spec| PopulationOutcome {
                     name: spec.name,
-                    rounds_started: 1,
                     ..PopulationOutcome::default()
                 })
                 .collect(),
             wire: SimWire::new(),
-            config_msgs: config
-                .populations
-                .iter()
-                .zip(&names)
-                .map(|(spec, name)| WireMessage::PlanAndCheckpoint {
-                    plan: Box::new(FlPlan::standard_training(
-                        ModelSpec::Logistic {
-                            dim: 4,
-                            classes: 2,
-                            seed: 1,
-                        },
-                        1,
-                        8,
-                        0.1,
-                        CodecSpec::Identity,
-                    )),
-                    checkpoint: Box::new(FlCheckpoint::new(spec.name, RoundId(1), vec![0.0; 10])),
-                    population: name.clone(),
-                })
-                .collect(),
             names,
             accepted_total: 0,
             rejected_total: 0,
@@ -735,9 +789,8 @@ impl<'a> Engine<'a> {
         }
         engine.queue.schedule_at(config.window_ms, Event::WindowSample);
         engine.queue.schedule_at(config.forward_period_ms, Event::Forward);
-        for p in 0..npop {
-            let first = engine.begin_round(p, 0, 0);
-            engine.rounds.push(first);
+        for pop in 0..npop {
+            engine.queue.schedule_at(0, Event::Open { pop });
         }
         engine
     }
@@ -791,61 +844,99 @@ impl<'a> Engine<'a> {
         self.schedule_wake(device, at);
     }
 
-    /// Opens population `p`'s round `seq` at `open_at` and arms its
-    /// selection timeout.
-    fn begin_round(&mut self, p: usize, seq: u64, open_at: u64) -> PopRound {
-        let spec = &self.config.populations[p];
-        self.queue.schedule_at(
-            open_at + spec.round.selection_timeout_ms,
-            Event::RoundTick { pop: p, round_seq: seq },
-        );
-        PopRound {
-            seq,
-            state: RoundState::begin(RoundId(seq + 1), spec.round, open_at),
-            open_at_ms: open_at,
-            pending: Vec::new(),
-            master: spec.secagg_k.map(|k| {
-                MasterAggregator::new(
-                    AggregationPlan::with_secagg(SECAGG_DIM, 33, k),
-                    CodecSpec::Identity,
-                    self.targets[p],
-                    self.config.seed.wrapping_add(seq),
-                )
-            }),
+    /// Devices forwarded into a round that ended before configuring them
+    /// retry through their own lane.
+    fn release(&mut self, p: usize, pending: Vec<u64>, at_ms: u64) {
+        let reply = WireMessage::ComeBackLater {
+            retry_at_ms: at_ms,
+            population: self.names[p].clone(),
+        };
+        for d in pending {
+            self.devices[d as usize].phase = DevPhase::Idle;
+            self.reject(d, p, at_ms, &reply);
         }
     }
 
-    /// Books population `p`'s round as terminal — shared by the in-loop
-    /// `Finished` arm and the post-horizon drain.
-    fn finish_round(&mut self, p: usize, at_ms: u64, outcome: &RoundOutcome) {
+    /// Population `p`'s Coordinator begins its next round and arms the
+    /// round's selection timeout.
+    fn open_round(&mut self, p: usize, now: u64) {
+        let (round, master) = self.coordinators[p]
+            .begin_round(now)
+            .expect("a deployed Coordinator begins its rounds");
         let ledger = &mut self.ledgers[p];
-        ledger.rounds_terminal += 1;
-        if outcome.is_committed() {
-            ledger.committed += 1;
-        } else {
-            ledger.abandoned += 1;
-        }
-        let Some(master) = self.rounds[p].master.take() else {
+        ledger.rounds_started += 1;
+        let seq = ledger.rounds_started;
+        self.queue.schedule_at(
+            now + self.config.populations[p].round.selection_timeout_ms,
+            Event::RoundTick { pop: p, seq },
+        );
+        let configuration = WireMessage::PlanAndCheckpoint {
+            plan: Box::new(round.plan.clone()),
+            checkpoint: Box::new(round.checkpoint.clone()),
+            population: self.names[p].clone(),
+        };
+        self.rounds[p] = Some(PopRound {
+            seq,
+            round,
+            master,
+            forwarded: 0,
+            pending: Vec::new(),
+            configuration,
+        });
+    }
+
+    /// Completes population `p`'s finished round through its Coordinator
+    /// and opens the next at the next pace-window boundary, so rounds keep
+    /// the rendezvous cadence (consumption matches the pace target)
+    /// instead of free-running as fast as devices report.
+    fn finish_round(&mut self, p: usize, at_ms: u64) {
+        let Some(PopRound {
+            round,
+            master,
+            forwarded,
+            pending,
+            ..
+        }) = self.rounds[p].take()
+        else {
             return;
         };
-        if outcome.is_committed() {
+        self.release(p, pending, at_ms);
+        let ledger = &mut self.ledgers[p];
+        ledger.rounds_terminal += 1;
+        if round.commits_training() {
+            ledger.forwarded += forwarded;
+            ledger.folded += master.as_ref().map_or(0, |m| m.contributors() as u64);
+        }
+        let aggregate = round.merge(master);
+        if let Some(Ok(merged)) = &aggregate {
             // A storm-degraded cohort spreads too thin across the groups:
-            // shards below k abort, surviving shards still merge. If
-            // nothing survives the aggregate is lost whole.
-            match master.finalize(&[0.0; SECAGG_DIM], &[], &[]) {
-                Ok(merged) => {
-                    ledger.secagg_shard_aborts += merged.shard_aborts as u64;
-                    // The telemetry closes at the horizon; a round the
-                    // drain resolves after it is counted, not charted.
-                    if at_ms <= self.config.horizon_ms {
-                        for _ in 0..merged.shard_aborts {
-                            self.metrics.record_secagg_abort(at_ms);
-                        }
-                    }
+            // shards below k abort, surviving shards still merge.
+            ledger.secagg_shard_aborts += merged.shard_aborts as u64;
+            // The telemetry closes at the horizon; a round the drain
+            // resolves after it is counted, not charted.
+            if at_ms <= self.config.horizon_ms {
+                for _ in 0..merged.shard_aborts {
+                    self.metrics.record_secagg_abort(at_ms);
                 }
-                Err(_) => ledger.secagg_round_aborts += 1,
             }
         }
+        match self.coordinators[p].complete_round(round, aggregate) {
+            Ok(RoundOutcome::Committed { .. }) => ledger.committed += 1,
+            Ok(_) => ledger.abandoned += 1,
+            // Every SecAgg group fell below threshold: the round is lost
+            // whole and nothing reaches storage.
+            Err(CoreError::MalformedCheckpoint(why)) if why.contains("below threshold") => {
+                ledger.secagg_round_aborts += 1;
+            }
+            // The previous checkpoint stays authoritative.
+            Err(CoreError::StorageFailure(_)) => ledger.lost_to_storage += 1,
+            Err(e) => self
+                .violations
+                .push(format!("t={at_ms}: {}: complete_round failed: {e}", ledger.name)),
+        }
+        let window = self.config.window_ms;
+        self.queue
+            .schedule_at((at_ms / window + 1) * window, Event::Open { pop: p });
     }
 
     fn handle(&mut self, now: u64, event: Event) {
@@ -915,44 +1006,33 @@ impl<'a> Engine<'a> {
                     }
                 }
             }
+            Event::Open { pop } => self.open_round(pop, now),
             Event::Forward => {
                 for p in 0..self.rounds.len() {
-                    if self.rounds[p].state.phase() != Phase::Selection
-                        || now < self.rounds[p].open_at_ms
-                    {
+                    let Some(r) = self.rounds[p]
+                        .as_mut()
+                        .filter(|r| r.round.state.phase() == Phase::Selection)
+                    else {
                         continue;
-                    }
-                    let mut need = self.targets[p].saturating_sub(self.rounds[p].pending.len());
+                    };
+                    let mut need = self.targets[p].saturating_sub(r.pending.len());
                     // Drain Selectors in index order until the target is
                     // met. Forwarding is population-filtered: tenants
                     // never receive each other's devices.
-                    for s in 0..self.selectors.len() {
+                    for selector in &mut self.selectors {
                         if need == 0 {
                             break;
                         }
-                        let forwarded =
-                            self.selectors[s].forward_devices_for(&self.names[p], need, now);
+                        let forwarded = selector.forward_devices_for(&self.names[p], need, now);
                         need = need.saturating_sub(forwarded.len());
                         for d in forwarded {
-                            match self.rounds[p].state.on_checkin(d, now) {
-                                CheckinResponse::Selected => {
-                                    // The Configuration download crosses
-                                    // the wire too, so per-round traffic
-                                    // is measured from real frames.
-                                    self.wire.wire_downlink(&self.config_msgs[p]);
-                                    self.devices[d.0 as usize].phase = DevPhase::InRound;
-                                    self.rounds[p].pending.push(d.0);
-                                }
-                                CheckinResponse::AlreadySelected => {}
-                                CheckinResponse::NotSelecting => {
-                                    let reply = WireMessage::ComeBackLater {
-                                        retry_at_ms: now,
-                                        population: self.names[p].clone(),
-                                    };
-                                    self.wire.wire_downlink(&reply);
-                                    self.devices[d.0 as usize].phase = DevPhase::Idle;
-                                    self.reject(d.0, p, now, &reply);
-                                }
+                            if r.round.on_checkin(d, now) == CheckinResponse::Selected {
+                                // The Configuration download crosses the
+                                // wire too, so per-round traffic is
+                                // measured from real frames.
+                                self.wire.wire_downlink(&r.configuration);
+                                self.devices[d.0 as usize].phase = DevPhase::InRound;
+                                r.pending.push(d.0);
                             }
                         }
                     }
@@ -961,29 +1041,25 @@ impl<'a> Engine<'a> {
                     self.queue.schedule_in(config.forward_period_ms, Event::Forward);
                 }
             }
-            Event::Report { device, pop, round_seq } => {
+            Event::Report { device, pop, key } => {
                 self.devices[device as usize].phase = DevPhase::Idle;
                 // Payload fields are deterministic per device, so frame
-                // bytes replay identically; the server acts on the
-                // decoded device id and always answers with a framed ack.
-                let weight = 1 + device % 7;
-                let loss = 0.9 - (device % 10) as f64 * 0.02;
-                let accuracy = 0.5 + (device % 10) as f64 * 0.03;
-                let round = self.rounds[pop].state.round;
-                // SecAgg upload: the fixed-point field vector, 8 bytes
-                // per coordinate on the measured wire. The engine models
-                // flow control, not learning, so a plain report carries
-                // an empty update.
-                let update = [0.1 + (device % 5) as f32 * 0.01; SECAGG_DIM];
+                // bytes replay identically. A SecAgg population uploads
+                // the fixed-point field vector, 8 bytes per coordinate on
+                // the measured wire (Sec. 6).
+                let update = vec![0.1 + (device % 5) as f32 * 0.01; self.dim];
                 let payload = if config.populations[pop].secagg_k.is_some() {
                     Payload::Field(&update)
                 } else {
-                    Payload::Identity(&[])
+                    Payload::Identity(&update)
                 };
+                let weight = 1 + device % 7;
+                let loss = 0.9 - (device % 10) as f64 * 0.02;
+                let accuracy = 0.5 + (device % 10) as f64 * 0.03;
                 let Ok(report) = report_frame(
                     DeviceId(device),
                     &self.names[pop],
-                    (round, 1),
+                    (key, 1),
                     payload,
                     (weight, loss, accuracy),
                 ) else {
@@ -991,34 +1067,37 @@ impl<'a> Engine<'a> {
                         .push(format!("t={now}: fixed-point encode failed"));
                     return;
                 };
-                let (wired, field) = match self.wire.wire_uplink(now, &report, &mut self.violations)
-                {
-                    Some(WireMessage::UpdateReport { device, .. }) => (device, None),
-                    Some(WireMessage::SecAggReport {
-                        device,
-                        field_vector,
-                        weight,
-                        ..
-                    }) => (device, Some((field_vector, weight))),
-                    _ => return,
+                // The server side hands the frame it received, unopened,
+                // to the round's one report path; an accepted report is
+                // folded by the round's Master.
+                let Some(frame) = self.wire.wire_uplink_frame(now, &report, &mut self.violations)
+                else {
+                    return;
                 };
-                let accepted = round_seq == self.rounds[pop].seq;
-                if accepted {
-                    let active = &mut self.rounds[pop];
-                    let _ = active.state.on_report(wired, now);
-                    if let (Some(master), Some((field, weight))) = (active.master.as_mut(), field) {
-                        // Drop-not-crash: a malformed contribution costs
-                        // only itself.
-                        let _ = master.accept_field(wired, &field, weight);
+                let ack = match self.rounds[pop].as_mut() {
+                    Some(r) => {
+                        let (ack, verdict) = r.round.on_report(now, &frame);
+                        if let ReportVerdict::Forward(route) = verdict {
+                            r.forwarded += 1;
+                            if let Some(Err(e)) =
+                                r.master.as_mut().map(|m| m.accept_forwarded(&route, &frame))
+                            {
+                                self.violations
+                                    .push(format!("t={now}: report aggregation failed: {e}"));
+                            }
+                        }
+                        ack
                     }
-                }
-                let ack = WireMessage::ReportAck {
-                    accepted,
-                    round,
-                    attempt: 1,
-                    population: self.names[pop].clone(),
+                    // Between rounds the report is refused unevaluated.
+                    None => WireMessage::ReportAck {
+                        accepted: false,
+                        round: key,
+                        attempt: 1,
+                        population: self.names[pop].clone(),
+                    },
                 };
                 self.wire.wire_downlink(&ack);
+                let accepted = matches!(ack, WireMessage::ReportAck { accepted: true, .. });
                 let resume = self.devices[device as usize].behaviour.on_report_acked(
                     &self.names[pop],
                     now,
@@ -1028,28 +1107,23 @@ impl<'a> Engine<'a> {
                 );
                 match resume {
                     Some(at) => self.schedule_wake(device, at),
-                    // A refusing ack (the round moved on) charges only
-                    // the refused population's lane.
+                    // A refusing ack charges only the refused
+                    // population's lane.
                     None => self.reject(device, pop, now, &ack),
                 }
             }
-            Event::RoundTick { pop, round_seq } => {
-                if round_seq != self.rounds[pop].seq {
+            Event::RoundTick { pop, seq } => {
+                let Some(r) = self.rounds[pop].as_mut().filter(|r| r.seq == seq) else {
                     return;
-                }
-                self.rounds[pop].state.on_tick(now);
+                };
+                r.round.on_tick(now);
                 let round = &config.populations[pop].round;
-                match self.rounds[pop].state.phase() {
-                    Phase::Reporting => self.queue.schedule_in(
-                        round.report_window_ms.min(10_000),
-                        Event::RoundTick { pop, round_seq },
-                    ),
-                    Phase::Selection => self.queue.schedule_in(
-                        round.selection_timeout_ms,
-                        Event::RoundTick { pop, round_seq },
-                    ),
-                    _ => {}
-                }
+                let again = match r.round.state.phase() {
+                    Phase::Reporting => round.report_window_ms.min(10_000),
+                    Phase::Selection => round.selection_timeout_ms,
+                    Phase::Committed | Phase::Abandoned => return,
+                };
+                self.queue.schedule_in(again, Event::RoundTick { pop, seq });
             }
             Event::WindowSample => {
                 for s in self.selectors.iter_mut() {
@@ -1083,48 +1157,31 @@ impl<'a> Engine<'a> {
             .sum()
     }
 
-    /// Acts on what the round machines emitted while handling one event.
-    fn drain_round_events(&mut self) {
-        let config = self.config;
+    /// Acts on the round transitions one event caused: a round that
+    /// configured schedules its participants' reports, each within the
+    /// device cap, and a round that finished is completed.
+    fn settle(&mut self, now: u64) {
         for p in 0..self.rounds.len() {
-            for round_event in self.rounds[p].state.drain_events() {
-                match round_event {
-                    RoundEvent::Configured { at_ms, .. } => {
-                        // Every participant trains, then uploads within
-                        // the device cap.
-                        let seq = self.rounds[p].seq;
-                        for d in std::mem::take(&mut self.rounds[p].pending) {
-                            let latency = 10_000 + self.rng.random_range(0..30_000u64);
-                            self.queue.schedule_at(
-                                at_ms + latency,
-                                Event::Report { device: d, pop: p, round_seq: seq },
-                            );
-                        }
+            let Some(r) = self.rounds[p].as_mut() else {
+                continue;
+            };
+            let round = &self.config.populations[p].round;
+            match r.round.state.phase() {
+                Phase::Reporting if !r.pending.is_empty() => {
+                    let key = r.round.checkpoint.round;
+                    for device in std::mem::take(&mut r.pending) {
+                        let cap = round.device_cap_ms;
+                        let latency = cap / 6 + self.rng.random_range(0..cap / 2);
                         self.queue
-                            .schedule_in(10_000, Event::RoundTick { pop: p, round_seq: seq });
+                            .schedule_at(now + latency, Event::Report { device, pop: p, key });
                     }
-                    RoundEvent::Finished { at_ms, outcome } => {
-                        self.finish_round(p, at_ms, &outcome);
-                        if let RoundOutcome::AbandonedInSelection { .. } = outcome {
-                            // Forwarded-but-unconfigured devices retry
-                            // through their own lane.
-                            let reply = WireMessage::ComeBackLater {
-                                retry_at_ms: at_ms,
-                                population: self.names[p].clone(),
-                            };
-                            for d in std::mem::take(&mut self.rounds[p].pending) {
-                                self.devices[d as usize].phase = DevPhase::Idle;
-                                self.reject(d, p, at_ms, &reply);
-                            }
-                        }
-                        // The next round opens at the next pace-window
-                        // boundary.
-                        self.ledgers[p].rounds_started += 1;
-                        let open_at = (at_ms / config.window_ms + 1) * config.window_ms;
-                        let seq = self.rounds[p].seq + 1;
-                        self.rounds[p] = self.begin_round(p, seq, open_at);
-                    }
+                    self.queue.schedule_in(
+                        round.report_window_ms.min(10_000),
+                        Event::RoundTick { pop: p, seq: r.seq },
+                    );
                 }
+                Phase::Committed | Phase::Abandoned => self.finish_round(p, now),
+                Phase::Selection | Phase::Reporting => {}
             }
         }
     }
@@ -1137,18 +1194,16 @@ impl<'a> Engine<'a> {
             let round = &self.config.populations[p].round;
             let mut drain_t = self.config.horizon_ms;
             for _ in 0..4 {
-                if self.rounds[p].state.phase().is_terminal() {
+                let Some(r) = self.rounds[p].as_mut() else {
                     break;
-                }
+                };
                 drain_t += round.selection_timeout_ms
                     + round.report_window_ms
                     + round.device_cap_ms
                     + 1;
-                self.rounds[p].state.on_tick(drain_t);
-                for round_event in self.rounds[p].state.drain_events() {
-                    if let RoundEvent::Finished { outcome, .. } = round_event {
-                        self.finish_round(p, drain_t, &outcome);
-                    }
+                r.round.on_tick(drain_t);
+                if r.round.state.phase().is_terminal() {
+                    self.finish_round(p, drain_t);
                 }
             }
         }
@@ -1179,6 +1234,7 @@ impl<'a> Engine<'a> {
                 ledger.retries += mgr.retries_total();
                 ledger.budget_exhaustions += u64::from(mgr.budget_exhaustions_total() > 0);
             }
+            ledger.write_count = self.coordinators[p].store().write_count();
         }
 
         let population_estimate_final = self.population_estimate();
