@@ -157,9 +157,9 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// Generates a plan of 3–8 timed faults (plus up to two storage write
-    /// failures) inside `[horizon_ms/10, horizon_ms·3/4]`, leaving the
-    /// tail of the horizon for recovery to be observed.
+    /// Generates a plan of 3–8 timed faults (plus at most one storage
+    /// write failure) inside `[horizon_ms/10, horizon_ms·3/4]`, leaving
+    /// the tail of the horizon for recovery to be observed.
     pub fn generate(seed: u64, horizon_ms: u64) -> Self {
         let mut r = rng::seeded_stream(seed, 0xFA);
         let lo = horizon_ms / 10;
