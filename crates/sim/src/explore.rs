@@ -31,7 +31,6 @@
 //! schedule seed — a failing seed is a self-contained repro, same
 //! discipline as `ChaosReport`.
 
-use crate::chaos::{run_chaos_with_schedule, ChaosConfig, ChaosReport, FaultPlan};
 use crate::live_round::{run_device, LiveRound};
 use fl_actors::{audit_exactly_once, DeathReason};
 use fl_core::round::RoundConfig;
@@ -253,16 +252,6 @@ fn explore_round(
     obituaries.sort();
     report.obituaries = obituaries;
     report
-}
-
-/// Explores one chaos fault plan under an alternative delivery schedule:
-/// a thin, discoverable alias for
-/// [`crate::chaos::run_chaos_with_schedule`] so both exploration axes
-/// (threaded mailbox order here, virtual-clock timing there) live behind
-/// one module.
-pub fn explore_chaos(plan_seed: u64, schedule_seed: u64, config: &ChaosConfig) -> ChaosReport {
-    let plan = FaultPlan::generate(plan_seed, config.horizon_ms);
-    run_chaos_with_schedule(&plan, config, schedule_seed)
 }
 
 #[cfg(test)]

@@ -76,8 +76,8 @@ pub mod scenario;
 pub mod training;
 
 pub use availability::DiurnalAvailability;
-pub use chaos::{run_chaos_with_schedule, ChaosConfig, ChaosReport, Fault, FaultPlan};
-pub use explore::{explore_chaos, explore_live_round, explore_secagg_live_round, ExploreReport};
+pub use chaos::{run_chaos_with_schedule, ChaosReport, Fault, FaultPlan};
+pub use explore::{explore_live_round, explore_secagg_live_round, ExploreReport};
 pub use fleet::{FleetConfig, FleetReport};
 pub use multi::{run_multi_tenant, MultiTenantConfig, MultiTenantReport};
 pub use netchaos::{

@@ -95,6 +95,7 @@ impl ScenarioConfig {
             },
             seed,
             fleet: Fleet::Tenancy,
+            faults: Vec::new(),
             populations: vec![
                 PopulationLoad {
                     name: "multi/steady",

@@ -78,6 +78,7 @@ impl ScenarioConfig {
             },
             seed,
             fleet: Fleet::Dedicated,
+            faults: Vec::new(),
             populations: vec![PopulationLoad {
                 name: "overload/train",
                 // The steady-state reconnect horizon: the time the pace

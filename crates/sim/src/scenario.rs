@@ -31,8 +31,11 @@
 //! (see [`audit`]). Everything is a pure function of the config (seed
 //! included), so two runs of one config agree byte for byte.
 
+use crate::chaos::{storage_failures, Fault};
 use crate::des::EventQueue;
+use fl_actors::{Lease, LockingService};
 use fl_analytics::overload::{OverloadMetrics, OverloadMonitorConfig};
+use fl_analytics::FaultLog;
 use fl_core::plan::{CodecSpec, ModelSpec};
 use fl_core::population::{TaskGroup, TaskSelectionStrategy};
 use fl_core::round::{RoundConfig, RoundOutcome};
@@ -42,7 +45,7 @@ use fl_device::connectivity::ConnectivityManager;
 use fl_device::session::{report_frame, DeviceSession, Payload};
 use fl_device::tenancy::DeviceTenancy;
 use fl_ml::rng;
-use fl_server::aggregator::MasterAggregator;
+use fl_server::aggregator::{DropStage, MasterAggregator};
 use fl_server::coordinator::{ActiveRound, Coordinator, CoordinatorConfig, ReportVerdict};
 use fl_server::pace::PaceSteering;
 use fl_server::round::{CheckinResponse, Phase};
@@ -63,6 +66,12 @@ const MODEL: ModelSpec = ModelSpec::Logistic {
 };
 /// Devices per Aggregator shard of every round's Master.
 const SHARD_CAPACITY: usize = 33;
+/// The fault domains of [`Fault::AggregatorCrash`]: a participant
+/// belongs to shard device id modulo this count.
+const AGGREGATOR_SHARDS: u64 = 3;
+/// Watchers that race to respawn a crashed Coordinator; exactly one may
+/// win.
+const RESPAWN_RACERS: u64 = 4;
 
 /// Each population's checkpoint store.
 type Store = FaultyCheckpointStore<InMemoryCheckpointStore>;
@@ -207,6 +216,9 @@ pub struct ScenarioConfig {
     pub seed: u64,
     /// What a device is.
     pub fleet: Fleet,
+    /// Faults injected into every population (Sec. 4.2, 4.4); empty for
+    /// a fault-free run. See [`crate::chaos`].
+    pub faults: Vec<Fault>,
     /// The populations sharing the fleet; at least one.
     pub populations: Vec<PopulationLoad>,
 }
@@ -256,6 +268,14 @@ pub struct PopulationOutcome {
     pub forwarded: u64,
     /// Reports those rounds' Masters folded.
     pub folded: u64,
+    /// Rounds in flight lost to a Master Aggregator crash.
+    pub master_restarts: u64,
+    /// Coordinator respawns (one per Coordinator crash).
+    pub respawns: u64,
+    /// Respawn racers that won their race, summed over the respawns.
+    pub racer_wins: u64,
+    /// Lease re-acquisitions after a lease loss.
+    pub lease_reacquisitions: u64,
 }
 
 /// What one scenario run produced.
@@ -283,6 +303,8 @@ pub struct ScenarioOutcome {
     pub metrics: OverloadMetrics,
     /// Bytes-on-wire counters from the device end of the in-memory wire.
     pub wire: WireStats,
+    /// Every injected fault and observed recovery, in virtual-clock order.
+    pub log: FaultLog,
     /// Engine-level invariant violations; empty on a clean run.
     pub violations: Vec<String>,
 }
@@ -291,15 +313,33 @@ pub struct ScenarioOutcome {
 /// configuration, read off the finished outcome. Per population, every
 /// started round reached a terminal state and at least one committed;
 /// the store took exactly one write at deployment plus one per committed
-/// round — per-device updates never reach it (Sec. 4.2); and each
-/// committed round's Master folded exactly the reports `on_report`
-/// forwarded. Across populations, the Selectors' per-population ledgers
-/// sum exactly to the decisions the engine saw them hand out (the
-/// multi-tenant bookkeeping loses no check-in), and no held-connection
-/// queue outgrew its bound.
+/// round — per-device updates never reach it (Sec. 4.2); each committed
+/// round's Master folded exactly the reports `on_report` forwarded; and
+/// every Coordinator crash was respawned exactly once, by exactly one
+/// racer (Sec. 4.2: respawn "will happen exactly once"). Across
+/// populations, the Selectors' per-population ledgers sum exactly to the
+/// decisions the engine saw them hand out (the multi-tenant bookkeeping
+/// loses no check-in), and no held-connection queue outgrew its bound.
 pub(crate) fn audit(outcome: &ScenarioOutcome, config: &ScenarioConfig) -> Vec<String> {
     let mut violations = Vec::new();
+    let crashes = config
+        .faults
+        .iter()
+        .filter(|f| matches!(f, Fault::CoordinatorCrash { .. }))
+        .count() as u64;
     for o in &outcome.populations {
+        if o.respawns != crashes {
+            violations.push(format!(
+                "population {}: respawns {} != coordinator crashes {crashes}",
+                o.name, o.respawns
+            ));
+        }
+        if o.racer_wins != o.respawns {
+            violations.push(format!(
+                "population {}: {} racer wins over {} respawns, expected exactly one each",
+                o.name, o.racer_wins, o.respawns
+            ));
+        }
         if o.rounds_terminal != o.rounds_started {
             violations.push(format!(
                 "population {}: {} of {} started rounds never reached a terminal state",
@@ -407,12 +447,14 @@ impl SimWire {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum Event {
+    /// Fault `i` of the config fires.
+    Fault(usize),
     /// A device's wake chain fires: it attempts a check-in.
     Wake { device: u64, gen: u32 },
-    /// Population `pop`'s Coordinator begins its next round.
-    Open { pop: usize },
+    /// Selection of `pop`'s round `seq` opens.
+    Open { pop: usize, seq: u64 },
     /// Every population's Coordinator asks the Selectors for forwards.
     Forward,
     /// A selected device finishes training and uploads for `pop`, under
@@ -577,6 +619,9 @@ struct Device {
     /// stale (superseded by a later schedule) and dropped — one live
     /// chain per device.
     gen: u32,
+    /// Until when the device cannot reach the Selector layer (its
+    /// Selector crashed).
+    offline_until: u64,
 }
 
 /// A population's round in flight.
@@ -592,6 +637,8 @@ struct PopRound {
     forwarded: u64,
     /// Devices forwarded into the round before Configuration fired.
     pending: Vec<u64>,
+    /// Whether Selection has opened.
+    open: bool,
     /// The plan and checkpoint every selected device downloads.
     configuration: WireMessage,
 }
@@ -602,9 +649,21 @@ struct Engine<'a> {
     targets: Vec<usize>,
     /// Coordinates of every update: the plan's model size.
     dim: usize,
+    /// What the Selector layer is built from — the live topology's
+    /// blueprint — kept so a crashed Selector is rebuilt as it was born.
+    blueprint: TopologyBlueprint,
     budget: Option<GlobalAdmissionBudget>,
     selectors: Vec<Selector>,
+    /// Crashed Selectors: the decisions they handed out still count.
+    retired: Vec<Selector>,
+    /// What each population's Coordinator deploys, kept so a respawned
+    /// incarnation redeploys the identical thing.
+    deployments: Vec<DeploymentSpec>,
     coordinators: Vec<Coordinator<Store>>,
+    locks: LockingService<String>,
+    /// Each Coordinator's lease; `None` after a lease loss until it is
+    /// re-acquired.
+    leases: Vec<Option<Lease>>,
     /// Each population's round in flight; `None` between rounds.
     rounds: Vec<Option<PopRound>>,
     rng: StdRng,
@@ -613,6 +672,7 @@ struct Engine<'a> {
     devices: Vec<Device>,
     ledgers: Vec<PopulationOutcome>,
     wire: SimWire,
+    log: FaultLog,
     accepted_total: u64,
     rejected_total: u64,
     max_queue_depth: usize,
@@ -621,27 +681,38 @@ struct Engine<'a> {
 }
 
 /// Drives one seeded scenario to its horizon and audits it. See the
-/// module docs.
+/// module docs. Equivalent to [`run_with_schedule`] with schedule seed 0.
 ///
 /// # Panics
 ///
 /// Panics when `config.populations` is empty.
 pub fn run(config: &ScenarioConfig) -> ScenarioOutcome {
+    run_with_schedule(config, 0)
+}
+
+/// [`run`] under an alternative *schedule*: `schedule_seed` perturbs only
+/// the engine's timing stream (wake jitter, report latencies, retry
+/// jitter) — a legal permutation of device timing — while the faults,
+/// the topology and every protocol state machine stay as they are. Seed 0
+/// is the canonical schedule; each (config, schedule seed) pair replays
+/// byte for byte.
+///
+/// # Panics
+///
+/// Panics when `config.populations` is empty.
+pub fn run_with_schedule(config: &ScenarioConfig, schedule_seed: u64) -> ScenarioOutcome {
     assert!(
         !config.populations.is_empty(),
         "a scenario needs at least one population"
     );
-    let mut engine = Engine::new(config);
-    while let Some((now, event)) = engine.queue.next_before(config.horizon_ms) {
-        engine.handle(now, event);
-        engine.settle(now);
-    }
+    let mut engine = Engine::new(config, schedule_seed);
+    engine.run_until(config.horizon_ms);
     engine.drain_after_horizon();
     engine.finish()
 }
 
 impl<'a> Engine<'a> {
-    fn new(config: &'a ScenarioConfig) -> Self {
+    fn new(config: &'a ScenarioConfig, schedule_seed: u64) -> Self {
         let names: Vec<PopulationName> = config
             .populations
             .iter()
@@ -653,12 +724,13 @@ impl<'a> Engine<'a> {
             .map(|p| p.round.selection_target().max(1))
             .collect();
         let (rng_salt, selector_salt) = config.fleet.salts();
+        let schedule_salt = match schedule_seed {
+            0 => 0,
+            seed => rng::derive_seed(seed, 0),
+        };
 
         // The Selector layer comes from the same blueprint the live
-        // topology builds from (device id modulo the count); each tenant
-        // brings its own quota, set the way `spawn_multi_topology` sets
-        // them through `with_route`, so none is registered at the
-        // blueprint's uniform one.
+        // topology builds from (device id modulo the count).
         let n = config.selectors.max(1);
         let pace = PaceSteering::new(config.window_ms, targets.iter().sum::<usize>() as u64);
         let mut blueprint = TopologyBlueprint::new(
@@ -678,18 +750,11 @@ impl<'a> Engine<'a> {
         if let Some(global) = config.global_admission {
             blueprint = blueprint.with_global_admission(global);
         }
-        let budget = blueprint.build_global_budget();
-        let mut selectors = blueprint.build_selectors(budget.as_ref(), &[]);
-        for selector in &mut selectors {
-            for (spec, name) in config.populations.iter().zip(&names) {
-                selector.set_population_quota(name.clone(), spec.quota);
-            }
-        }
 
         // One Coordinator per population, each over its own store, all
         // deploying the one plan.
         let dim = MODEL.num_params();
-        let coordinators = config
+        let deployments: Vec<DeploymentSpec> = config
             .populations
             .iter()
             .map(|spec| {
@@ -697,7 +762,7 @@ impl<'a> Engine<'a> {
                 if let Some(k) = spec.secagg_k {
                     task = task.with_secagg(k);
                 }
-                let deployment = DeploymentSpec {
+                DeploymentSpec {
                     config: CoordinatorConfig {
                         max_per_shard: SHARD_CAPACITY,
                         ..CoordinatorConfig::new(spec.name, config.seed)
@@ -705,13 +770,17 @@ impl<'a> Engine<'a> {
                     group: TaskGroup::new(vec![task], TaskSelectionStrategy::Single),
                     plans: vec![FlPlan::standard_training(MODEL, 1, 8, 0.1, CodecSpec::Identity)],
                     initial_params: vec![0.0; dim],
-                };
-                let store = Store::new(InMemoryCheckpointStore::new(), []);
-                let mut coordinator = deployment.new_coordinator(store);
-                deployment
-                    .deploy_on(&mut coordinator)
-                    .expect("an in-memory store takes the deployment write");
-                coordinator
+                }
+            })
+            .collect();
+        let coordinators = deployments
+            .iter()
+            .map(|d| {
+                let store = Store::new(
+                    InMemoryCheckpointStore::new(),
+                    storage_failures(&config.faults),
+                );
+                d.new_coordinator(store)
             })
             .collect();
 
@@ -720,11 +789,16 @@ impl<'a> Engine<'a> {
             config,
             targets,
             dim,
-            budget,
-            selectors,
+            budget: blueprint.build_global_budget(),
+            blueprint,
+            selectors: Vec::new(),
+            retired: Vec::new(),
+            deployments,
             coordinators,
+            locks: LockingService::new(),
+            leases: Vec::new(),
             rounds: (0..npop).map(|_| None).collect(),
-            rng: rng::seeded(config.seed ^ rng_salt),
+            rng: rng::seeded(config.seed ^ rng_salt ^ schedule_salt),
             queue: EventQueue::new(),
             metrics: OverloadMetrics::new(
                 OverloadMonitorConfig {
@@ -743,6 +817,7 @@ impl<'a> Engine<'a> {
                 })
                 .collect(),
             wire: SimWire::new(),
+            log: FaultLog::new(),
             names,
             accepted_total: 0,
             rejected_total: 0,
@@ -750,6 +825,19 @@ impl<'a> Engine<'a> {
             population_estimate_peak: 0,
             violations: Vec::new(),
         };
+        engine.selectors = (0..n as usize).map(|i| engine.fresh_selector(i)).collect();
+        for p in 0..npop {
+            engine.deploy(p, 0);
+            let lease = engine.locks.acquire(engine.lease_name(p), "coordinator".to_string());
+            engine.leases.push(lease);
+        }
+        // Faults go first, so each fires before anything else due at its
+        // instant.
+        for (i, fault) in config.faults.iter().enumerate() {
+            if let Some(at) = fault.at_ms() {
+                engine.queue.schedule_at(at, Event::Fault(i));
+            }
+        }
 
         // Bootstrap: the baseline fleet is already paced — a device is a
         // member of every population whose stride divides its id, and
@@ -789,10 +877,48 @@ impl<'a> Engine<'a> {
         }
         engine.queue.schedule_at(config.window_ms, Event::WindowSample);
         engine.queue.schedule_at(config.forward_period_ms, Event::Forward);
-        for pop in 0..npop {
-            engine.queue.schedule_at(0, Event::Open { pop });
+        for p in 0..npop {
+            engine.begin_round(p, 0);
         }
         engine
+    }
+
+    /// Handles every event due at or before `until_ms`.
+    fn run_until(&mut self, until_ms: u64) {
+        while let Some((now, event)) = self.queue.next_before(until_ms) {
+            self.handle(now, event);
+            self.settle(now);
+        }
+    }
+
+    /// Selector `i` as the blueprint builds it: wired to the shared
+    /// budget and serving every population at its own quota, set the way
+    /// `spawn_multi_topology` sets them through `with_route`.
+    fn fresh_selector(&self, i: usize) -> Selector {
+        let mut selector = self.blueprint.selectors[i].build(self.budget.as_ref());
+        for (spec, name) in self.config.populations.iter().zip(&self.names) {
+            selector.set_population_quota(name.clone(), spec.quota);
+        }
+        selector
+    }
+
+    /// The lock population `p`'s Coordinator holds.
+    fn lease_name(&self, p: usize) -> String {
+        format!("coordinator/{}", self.names[p])
+    }
+
+    /// Deploys population `p`'s spec on its Coordinator — resume-aware,
+    /// so a respawned incarnation keeps the committed model and writes
+    /// nothing. Only a scripted storage failure fails a deployment, and a
+    /// run scripts finitely many, so the retry ends.
+    fn deploy(&mut self, p: usize, now: u64) {
+        while let Err(why) = self.deployments[p].deploy_on(&mut self.coordinators[p]) {
+            let name = &self.names[p];
+            self.log
+                .record(now, "inject.storage-write-failure", format!("{name} {why}"));
+            self.log
+                .record(now, "recover.redeploy", format!("{name} retries the deployment write"));
+        }
     }
 
     /// A device that knows `pops`.
@@ -820,6 +946,7 @@ impl<'a> Engine<'a> {
             behaviour,
             phase: DevPhase::Idle,
             gen: 0,
+            offline_until: 0,
         }
     }
 
@@ -844,32 +971,16 @@ impl<'a> Engine<'a> {
         self.schedule_wake(device, at);
     }
 
-    /// Devices forwarded into a round that ended before configuring them
-    /// retry through their own lane.
-    fn release(&mut self, p: usize, pending: Vec<u64>, at_ms: u64) {
-        let reply = WireMessage::ComeBackLater {
-            retry_at_ms: at_ms,
-            population: self.names[p].clone(),
-        };
-        for d in pending {
-            self.devices[d as usize].phase = DevPhase::Idle;
-            self.reject(d, p, at_ms, &reply);
-        }
-    }
-
-    /// Population `p`'s Coordinator begins its next round and arms the
-    /// round's selection timeout.
-    fn open_round(&mut self, p: usize, now: u64) {
+    /// Population `p`'s Coordinator begins its next round, whose Selection
+    /// opens at `open_at`.
+    fn begin_round(&mut self, p: usize, open_at: u64) {
         let (round, master) = self.coordinators[p]
-            .begin_round(now)
+            .begin_round(open_at)
             .expect("a deployed Coordinator begins its rounds");
         let ledger = &mut self.ledgers[p];
         ledger.rounds_started += 1;
         let seq = ledger.rounds_started;
-        self.queue.schedule_at(
-            now + self.config.populations[p].round.selection_timeout_ms,
-            Event::RoundTick { pop: p, seq },
-        );
+        self.queue.schedule_at(open_at, Event::Open { pop: p, seq });
         let configuration = WireMessage::PlanAndCheckpoint {
             plan: Box::new(round.plan.clone()),
             checkpoint: Box::new(round.checkpoint.clone()),
@@ -881,28 +992,54 @@ impl<'a> Engine<'a> {
             master,
             forwarded: 0,
             pending: Vec::new(),
+            open: false,
             configuration,
         });
     }
 
+    /// Begins population `p`'s next round at once, its Selection opening
+    /// at the first pace-window boundary after `after_ms`: rounds keep the
+    /// rendezvous cadence (consumption matches the pace target) instead
+    /// of free-running as fast as devices report. No round opens past the
+    /// horizon.
+    fn begin_next(&mut self, p: usize, after_ms: u64) {
+        let window = self.config.window_ms;
+        let open_at = (after_ms / window + 1) * window;
+        if open_at <= self.config.horizon_ms {
+            self.begin_round(p, open_at);
+        }
+    }
+
+    /// Takes population `p`'s round out of flight as terminal. Devices
+    /// forwarded into it but never configured retry through their own
+    /// lane.
+    fn close_round(&mut self, p: usize, at_ms: u64) -> Option<PopRound> {
+        let mut r = self.rounds[p].take()?;
+        let reply = WireMessage::ComeBackLater {
+            retry_at_ms: at_ms,
+            population: self.names[p].clone(),
+        };
+        for d in std::mem::take(&mut r.pending) {
+            self.devices[d as usize].phase = DevPhase::Idle;
+            self.reject(d, p, at_ms, &reply);
+        }
+        self.ledgers[p].rounds_terminal += 1;
+        Some(r)
+    }
+
     /// Completes population `p`'s finished round through its Coordinator
-    /// and opens the next at the next pace-window boundary, so rounds keep
-    /// the rendezvous cadence (consumption matches the pace target)
-    /// instead of free-running as fast as devices report.
+    /// and begins the next.
     fn finish_round(&mut self, p: usize, at_ms: u64) {
         let Some(PopRound {
             round,
             master,
             forwarded,
-            pending,
             ..
-        }) = self.rounds[p].take()
+        }) = self.close_round(p, at_ms)
         else {
             return;
         };
-        self.release(p, pending, at_ms);
         let ledger = &mut self.ledgers[p];
-        ledger.rounds_terminal += 1;
         if round.commits_training() {
             ledger.forwarded += forwarded;
             ledger.folded += master.as_ref().map_or(0, |m| m.contributors() as u64);
@@ -920,6 +1057,7 @@ impl<'a> Engine<'a> {
                 }
             }
         }
+        let name = ledger.name;
         match self.coordinators[p].complete_round(round, aggregate) {
             Ok(RoundOutcome::Committed { .. }) => ledger.committed += 1,
             Ok(_) => ledger.abandoned += 1,
@@ -927,26 +1065,42 @@ impl<'a> Engine<'a> {
             // whole and nothing reaches storage.
             Err(CoreError::MalformedCheckpoint(why)) if why.contains("below threshold") => {
                 ledger.secagg_round_aborts += 1;
+                self.log.record(at_ms, "secagg.round-abort", format!("{name} {why}"));
             }
             // The previous checkpoint stays authoritative.
-            Err(CoreError::StorageFailure(_)) => ledger.lost_to_storage += 1,
+            Err(CoreError::StorageFailure(why)) => {
+                ledger.lost_to_storage += 1;
+                self.log
+                    .record(at_ms, "inject.storage-write-failure", format!("{name} {why}"));
+                self.log.record(at_ms, "recover.round-lost", name);
+            }
             Err(e) => self
                 .violations
-                .push(format!("t={at_ms}: {}: complete_round failed: {e}", ledger.name)),
+                .push(format!("t={at_ms}: {name}: complete_round failed: {e}")),
         }
-        let window = self.config.window_ms;
-        self.queue
-            .schedule_at((at_ms / window + 1) * window, Event::Open { pop: p });
+        self.begin_next(p, at_ms);
     }
 
     fn handle(&mut self, now: u64, event: Event) {
         let config = self.config;
-        let n = config.selectors.max(1);
+        let n = self.selectors.len() as u64;
         match event {
+            Event::Fault(i) => self.inject(now, &config.faults[i]),
+            Event::Open { pop, seq } => {
+                if let Some(r) = self.rounds[pop].as_mut().filter(|r| r.seq == seq) {
+                    r.open = true;
+                    let timeout = config.populations[pop].round.selection_timeout_ms;
+                    self.queue.schedule_in(timeout, Event::RoundTick { pop, seq });
+                }
+            }
             Event::Wake { device, gen } => {
                 let dev = &mut self.devices[device as usize];
                 if dev.gen != gen || dev.phase == DevPhase::InRound {
                     return;
+                }
+                if dev.offline_until > now {
+                    let at = dev.offline_until;
+                    return self.schedule_wake(device, at);
                 }
                 if dev.phase == DevPhase::Held && dev.behaviour.releases_stale_slot() {
                     self.selectors[(device % n) as usize].on_disconnect(DeviceId(device));
@@ -1006,12 +1160,14 @@ impl<'a> Engine<'a> {
                     }
                 }
             }
-            Event::Open { pop } => self.open_round(pop, now),
             Event::Forward => {
                 for p in 0..self.rounds.len() {
+                    if self.leases[p].is_none() {
+                        self.reacquire_lease(p, now);
+                    }
                     let Some(r) = self.rounds[p]
                         .as_mut()
-                        .filter(|r| r.round.state.phase() == Phase::Selection)
+                        .filter(|r| r.open && r.round.state.phase() == Phase::Selection)
                     else {
                         continue;
                     };
@@ -1150,6 +1306,172 @@ impl<'a> Engine<'a> {
         }
     }
 
+    /// Injects one fault into every population; a Selector crash hits
+    /// the Selector layer they share.
+    fn inject(&mut self, now: u64, fault: &Fault) {
+        self.log.record(now, format!("inject.{}", fault.kind()), format!("{fault:?}"));
+        match *fault {
+            Fault::SelectorCrash { selector, .. } => self.crash_selector(now, selector),
+            Fault::LeaseLoss { .. } => {
+                for p in 0..self.leases.len() {
+                    self.locks.evict(&self.lease_name(p));
+                    self.leases[p] = None;
+                }
+            }
+            // Attempt-keyed: applied inside each FaultyCheckpointStore.
+            Fault::StorageWriteFailure { .. } => {}
+            _ => {
+                for p in 0..self.rounds.len() {
+                    self.inject_into(now, p, fault);
+                }
+            }
+        }
+    }
+
+    /// Injects a round-level fault into population `p`.
+    fn inject_into(&mut self, now: u64, p: usize, fault: &Fault) {
+        let secagg = self.config.populations[p].secagg_k.is_some();
+        let participants: Vec<DeviceId> = self.rounds[p]
+            .as_ref()
+            .map(|r| r.round.state.participants())
+            .unwrap_or_default();
+        match *fault {
+            // Only this shard's devices are lost; the round itself must
+            // survive (Sec. 4.2).
+            Fault::AggregatorCrash { shard, .. } => {
+                if let Some(r) = self.rounds[p].as_mut() {
+                    for d in participants
+                        .into_iter()
+                        .filter(|d| d.0 % AGGREGATOR_SHARDS == shard % AGGREGATOR_SHARDS)
+                    {
+                        r.round.on_dropout(d, now);
+                    }
+                }
+            }
+            // The round is lost before aggregation completes, so nothing
+            // may reach storage, and the next round restarts from the
+            // committed checkpoint (Sec. 4.2).
+            Fault::MasterCrash { .. } => {
+                if let Some(lost) = self.close_round(p, now) {
+                    self.ledgers[p].master_restarts += 1;
+                    let what = format!("{} r={} restarts", self.names[p], lost.round.state.round.0);
+                    self.log.record(now, "recover.round-restart", what);
+                    self.begin_next(p, now);
+                }
+            }
+            Fault::CoordinatorCrash { .. } => self.crash_coordinator(now, p),
+            Fault::DropoutBurst { per_mille, .. } => {
+                let k = match participants.len() as u64 {
+                    0 => 0,
+                    len => (len * per_mille / 1000).max(1) as usize,
+                };
+                if let Some(r) = self.rounds[p].as_mut() {
+                    for (i, d) in participants.into_iter().take(k).enumerate() {
+                        // Alternate the SecAgg stage the burst hits, so one
+                        // burst exercises advertise-stage exclusion and
+                        // share-stage mask reconstruction.
+                        let stage = if secagg && i % 2 == 0 {
+                            DropStage::Advertise
+                        } else {
+                            DropStage::Share
+                        };
+                        r.round.on_dropout_staged(d, now, stage);
+                    }
+                }
+            }
+            Fault::SelectorCrash { .. }
+            | Fault::LeaseLoss { .. }
+            | Fault::StorageWriteFailure { .. } => {}
+        }
+    }
+
+    /// A Selector dies and is rebuilt from the blueprint: exactly the
+    /// devices it held are lost (Sec. 4.4), the devices routed through it
+    /// go offline for three pace windows, and any of them already
+    /// participating drop out.
+    fn crash_selector(&mut self, now: u64, selector: u64) {
+        let n = self.selectors.len() as u64;
+        let s = selector % n;
+        let fresh = self.fresh_selector(s as usize);
+        let dead = std::mem::replace(&mut self.selectors[s as usize], fresh);
+        self.retired.push(dead);
+        let until = now + 3 * self.config.window_ms;
+        for (d, dev) in self.devices.iter_mut().enumerate() {
+            if d as u64 % n == s {
+                dev.offline_until = until;
+            }
+        }
+        for p in 0..self.rounds.len() {
+            let secagg = self.config.populations[p].secagg_k.is_some();
+            let Some(r) = self.rounds[p].as_mut() else {
+                continue;
+            };
+            for d in r.round.state.participants().into_iter().filter(|d| d.0 % n == s) {
+                // A dead Selector takes its devices out before they share
+                // anything: cheap advertise-stage exclusion under SecAgg.
+                let stage = if secagg {
+                    DropStage::Advertise
+                } else {
+                    DropStage::Share
+                };
+                r.round.on_dropout_staged(d, now, stage);
+            }
+        }
+        self.log.record(
+            now,
+            "recover.devices-rerouted",
+            format!("selector={s} offline until t={until}"),
+        );
+    }
+
+    /// Kills population `p`'s Coordinator: the round in flight dies with
+    /// it, several watchers race to respawn it, and the winner's
+    /// incarnation resumes the committed model.
+    fn crash_coordinator(&mut self, now: u64, p: usize) {
+        self.close_round(p, now);
+        let orphan =
+            self.deployments[p].new_coordinator(Store::new(InMemoryCheckpointStore::new(), []));
+        let store = std::mem::replace(&mut self.coordinators[p], orphan).into_store();
+        // The dead incarnation never released its lease; each racer
+        // attempts an atomic fenced takeover of the epoch it saw die (an
+        // evict-then-acquire pair has a TOCTOU hole). After a lease loss
+        // the racers acquire the free name.
+        let name = self.lease_name(p);
+        let stale = self.leases[p].take().map(|l| l.epoch);
+        let winners: Vec<Lease> = (0..RESPAWN_RACERS)
+            .filter_map(|_| match stale {
+                Some(epoch) => self.locks.replace_stale(&name, epoch, "coordinator".to_string()),
+                None => self.locks.acquire(&name, "coordinator".to_string()),
+            })
+            .collect();
+        let ledger = &mut self.ledgers[p];
+        ledger.respawns += 1;
+        ledger.racer_wins += winners.len() as u64;
+        let epoch = winners.first().map(|l| l.epoch);
+        self.leases[p] = winners.into_iter().next();
+        self.coordinators[p] = self.deployments[p].new_coordinator(store);
+        self.deploy(p, now);
+        self.log
+            .record(now, "recover.respawn", format!("{name} epoch={epoch:?}"));
+        self.begin_next(p, now);
+    }
+
+    /// A Coordinator without a lease re-registers.
+    fn reacquire_lease(&mut self, p: usize, now: u64) {
+        let name = self.lease_name(p);
+        match self.locks.acquire(&name, "coordinator".to_string()) {
+            Some(lease) => {
+                let what = format!("{name} epoch={}", lease.epoch);
+                self.log.record(now, "recover.lease-reacquired", what);
+                self.leases[p] = Some(lease);
+                self.ledgers[p].lease_reacquisitions += 1;
+            }
+            None => self
+                .violations
+                .push(format!("t={now}: {name}: lease unrecoverable (foreign owner)")),
+        }
+    }
+
     fn population_estimate(&self) -> u64 {
         self.selectors
             .iter()
@@ -1211,16 +1533,17 @@ impl<'a> Engine<'a> {
 
     fn finish(mut self) -> ScenarioOutcome {
         self.metrics.finalize(self.config.horizon_ms);
+        // A crashed Selector's decisions still count.
+        let selectors: Vec<&Selector> = self.selectors.iter().chain(&self.retired).collect();
         for (p, ledger) in self.ledgers.iter_mut().enumerate() {
             let name = &self.names[p];
-            let (accepted, rejected) = self
-                .selectors
+            let (accepted, rejected) = selectors
                 .iter()
                 .map(|s| s.counters_for(name))
                 .fold((0, 0), |(a, r), (sa, sr)| (a + sa, r + sr));
             ledger.offered = accepted + rejected;
             ledger.accepted = accepted;
-            ledger.shed = self.selectors.iter().map(|s| s.shed_total_for(name)).sum();
+            ledger.shed = selectors.iter().map(|s| s.shed_total_for(name)).sum();
             ledger.rejected_other = rejected.saturating_sub(ledger.shed);
             if let Some(budget) = &self.budget {
                 ledger.budget_admits = budget.admitted_total_for(name);
@@ -1236,6 +1559,7 @@ impl<'a> Engine<'a> {
             }
             ledger.write_count = self.coordinators[p].store().write_count();
         }
+        let evicted = selectors.iter().map(|s| s.evicted_total()).sum();
 
         let population_estimate_final = self.population_estimate();
         let mut outcome = ScenarioOutcome {
@@ -1247,16 +1571,54 @@ impl<'a> Engine<'a> {
                 .iter()
                 .map(|d| d.behaviour.arbitration_losses())
                 .sum(),
-            evicted: self.selectors.iter().map(|s| s.evicted_total()).sum(),
+            evicted,
             max_queue_depth: self.max_queue_depth,
             population_estimate_final,
             population_estimate_peak: self.population_estimate_peak.max(population_estimate_final),
             metrics: self.metrics,
             wire: self.wire.stats(),
+            log: self.log,
             violations: self.violations,
         };
         let found = audit(&outcome, self.config);
         outcome.violations.extend(found);
         outcome
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::chaos::ChaosReport;
+
+    /// A Selector crash loses exactly the devices that Selector held
+    /// (Sec. 4.4): the replacement starts empty, the other Selector is
+    /// untouched, and training carries on.
+    #[test]
+    fn selector_crash_loses_exactly_its_held_devices() {
+        let config = ScenarioConfig {
+            seed: 1,
+            faults: vec![Fault::SelectorCrash {
+                at_ms: 12_000,
+                selector: 0,
+            }],
+            ..ScenarioConfig::chaos(None)
+        };
+        let mut h = Engine::new(&config, 0);
+        h.run_until(11_999);
+        let held_before: Vec<usize> = h.selectors.iter().map(|s| s.connected_count()).collect();
+        assert!(held_before[0] > 0, "the crash must have something to lose");
+        // Faults were scheduled before anything else due at their instant.
+        let (now, event) = h.queue.next().expect("the fault is still queued");
+        assert_eq!((now, &event), (12_000, &Event::Fault(0)));
+        h.handle(now, event);
+        assert_eq!(h.selectors[0].connected_count(), 0);
+        assert_eq!(h.selectors[1].connected_count(), held_before[1]);
+
+        h.run_until(config.horizon_ms);
+        h.drain_after_horizon();
+        let report = ChaosReport::of(config.seed, h.finish());
+        assert!(report.is_clean(), "violations: {:?}", report.violations);
+        assert!(report.committed >= 1, "report: {}", report.render());
     }
 }

@@ -4,16 +4,16 @@
 //! (Sec. 4.2, 4.4) per failure mode and as properties over random plans.
 
 use federated::sim::chaos::{
-    default_secagg_seeds, default_seeds, run_chaos, secagg_config, sweep, ChaosConfig, Fault,
-    FaultPlan,
+    default_secagg_seeds, default_seeds, run_chaos, sweep, Fault, FaultPlan,
 };
+use federated::sim::scenario::ScenarioConfig;
 use proptest::prelude::*;
 
 /// The fixed-seed sweep `scripts/check.sh` runs as a release gate: every
 /// seed must hold every recovery guarantee.
 #[test]
 fn fixed_seed_sweep_is_clean() {
-    let config = ChaosConfig::default();
+    let config = ScenarioConfig::chaos(None);
     let reports = sweep(&default_seeds(), &config);
     assert_eq!(reports.len(), default_seeds().len());
     for report in &reports {
@@ -46,7 +46,7 @@ fn fixed_seed_sweep_is_clean() {
 /// every group aborts restarts cleanly with nothing persisted.
 #[test]
 fn secagg_fixed_seed_sweep_is_clean() {
-    let config = secagg_config(2);
+    let config = ScenarioConfig::chaos(Some(2));
     let reports = sweep(&default_secagg_seeds(), &config);
     assert_eq!(reports.len(), default_secagg_seeds().len());
     for report in &reports {
@@ -71,7 +71,7 @@ fn secagg_fixed_seed_sweep_is_clean() {
 /// surviving groups and the storage audit holds (Sec. 4.2 × Sec. 6).
 #[test]
 fn secagg_aggregator_loss_costs_only_its_group() {
-    let config = secagg_config(2);
+    let config = ScenarioConfig::chaos(Some(2));
     let plan = FaultPlan {
         seed: 1,
         faults: vec![Fault::AggregatorCrash {
@@ -89,7 +89,7 @@ fn secagg_aggregator_loss_costs_only_its_group() {
 /// run byte-for-byte, so a failing seed is a replayable bug report.
 #[test]
 fn replay_of_a_seed_is_byte_identical() {
-    let config = ChaosConfig::default();
+    let config = ScenarioConfig::chaos(None);
     for seed in default_seeds() {
         let first = run_chaos(&FaultPlan::generate(seed, config.horizon_ms), &config).render();
         let second = run_chaos(&FaultPlan::generate(seed, config.horizon_ms), &config).render();
@@ -98,7 +98,7 @@ fn replay_of_a_seed_is_byte_identical() {
 }
 
 fn one_fault_run(fault: Fault) -> federated::sim::chaos::ChaosReport {
-    let config = ChaosConfig::default();
+    let config = ScenarioConfig::chaos(None);
     let plan = FaultPlan {
         seed: 1,
         faults: vec![fault],
@@ -204,7 +204,7 @@ fn dropout_burst_never_wedges_a_round() {
 /// devices are dropping). The system must still make progress.
 #[test]
 fn compound_fault_schedule_still_makes_progress() {
-    let config = ChaosConfig::default();
+    let config = ScenarioConfig::chaos(None);
     let plan = FaultPlan {
         seed: 2,
         faults: vec![
@@ -245,7 +245,7 @@ proptest! {
     /// round outcomes.
     #[test]
     fn random_fault_schedules_never_hang_or_double_commit(seed in 0u64..10_000) {
-        let config = ChaosConfig::default();
+        let config = ScenarioConfig::chaos(None);
         let plan = FaultPlan::generate(seed, config.horizon_ms);
         let report = run_chaos(&plan, &config);
         prop_assert!(

@@ -13,13 +13,14 @@
 //! ```
 
 use federated::core::round::RoundConfig;
-use federated::sim::chaos::{self, ChaosConfig};
+use federated::sim::chaos;
 use federated::sim::fleet::{self, FleetConfig};
 use federated::sim::multi::{self, MultiTenantConfig};
 use federated::sim::overload::{self, OverloadConfig};
+use federated::sim::scenario::ScenarioConfig;
 use federated::sim::{
-    explore_chaos, explore_live_round, explore_secagg_live_round, run_wire_chaos,
-    run_wire_chaos_secagg,
+    explore_live_round, explore_secagg_live_round, run_chaos_with_schedule, run_wire_chaos,
+    run_wire_chaos_secagg, FaultPlan,
 };
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -47,10 +48,11 @@ fn render_fixture() -> String {
          # Regenerate deliberately:\n\
          #   cargo test --test render_digests -- --ignored regenerate\n",
     );
-    for report in chaos::sweep(&chaos::default_seeds(), &ChaosConfig::default()) {
+    let plain = ScenarioConfig::chaos(None);
+    for report in chaos::sweep(&chaos::default_seeds(), &plain) {
         out.push_str(&line("chaos/plain", report.seed, &report.render()));
     }
-    for report in chaos::sweep(&chaos::default_secagg_seeds(), &chaos::secagg_config(2)) {
+    for report in chaos::sweep(&chaos::default_secagg_seeds(), &ScenarioConfig::chaos(Some(2))) {
         out.push_str(&line("chaos/secagg", report.seed, &report.render()));
     }
     let scenarios: [(&str, fn(u64) -> OverloadConfig); 4] = [
@@ -110,7 +112,8 @@ fn render_fixture() -> String {
         out.push_str(&line(
             &format!("explore/chaos plan={plan}"),
             schedule,
-            &explore_chaos(plan, schedule, &ChaosConfig::default()).render(),
+            &run_chaos_with_schedule(&FaultPlan::generate(plan, plain.horizon_ms), &plain, schedule)
+                .render(),
         ));
     }
     for seed in [5, 17, 42] {

@@ -13,10 +13,10 @@
 use fl_actors::{
     audit_exactly_once, Actor, ActorSystem, Context, FaultAction, Flow, ScriptedFaults,
 };
-use fl_sim::chaos::secagg_config;
+use fl_sim::scenario::ScenarioConfig;
 use fl_sim::{
     explore_live_round, explore_secagg_live_round, run_chaos_with_schedule,
-    run_wire_chaos_with_schedule, ChaosConfig, FaultPlan,
+    run_wire_chaos_with_schedule, FaultPlan,
 };
 use std::sync::Arc;
 
@@ -103,7 +103,7 @@ fn wire_chaos_invariants_hold_across_delivery_schedules() {
 /// the masked rounds' recovery guarantees are timing-invariant too.
 #[test]
 fn secagg_chaos_recovery_holds_across_timing_schedules() {
-    let config = secagg_config(2);
+    let config = ScenarioConfig::chaos(Some(2));
     let plan = FaultPlan::generate(11, config.horizon_ms);
     for schedule in 0..16 {
         let report = run_chaos_with_schedule(&plan, &config, schedule);
@@ -118,7 +118,7 @@ fn secagg_chaos_recovery_holds_across_timing_schedules() {
 
 #[test]
 fn chaos_recovery_holds_across_k_timing_schedules() {
-    let config = ChaosConfig::default();
+    let config = ScenarioConfig::chaos(None);
     let plan = FaultPlan::generate(11, config.horizon_ms);
     for schedule in 0..K {
         let report = run_chaos_with_schedule(&plan, &config, schedule);
@@ -133,7 +133,7 @@ fn chaos_recovery_holds_across_k_timing_schedules() {
 
 #[test]
 fn chaos_schedule_reports_replay_byte_identically() {
-    let config = ChaosConfig::default();
+    let config = ScenarioConfig::chaos(None);
     for (plan_seed, schedule) in [(11u64, 3u64), (23, 17), (47, 40)] {
         let plan = FaultPlan::generate(plan_seed, config.horizon_ms);
         assert_eq!(
