@@ -1591,6 +1591,103 @@ mod tests {
     use super::*;
     use crate::chaos::ChaosReport;
 
+    /// A clean chaos run with one Coordinator crash, and the audit's
+    /// verdict on it after `damage`.
+    fn audit_after(damage: impl FnOnce(&mut ScenarioOutcome)) -> Vec<String> {
+        let config = ScenarioConfig {
+            seed: 3,
+            faults: vec![Fault::CoordinatorCrash { at_ms: 15_000 }],
+            ..ScenarioConfig::chaos(None)
+        };
+        let mut outcome = run(&config);
+        assert!(outcome.violations.is_empty(), "{:?}", outcome.violations);
+        damage(&mut outcome);
+        audit(&outcome, &config)
+    }
+
+    #[test]
+    fn audit_flags_a_started_round_that_never_ended() {
+        let mut started = 0;
+        let found = audit_after(|o| {
+            o.populations[0].rounds_terminal -= 1;
+            started = o.populations[0].rounds_started;
+        });
+        assert_eq!(
+            found,
+            [format!(
+                "population chaos/pop: 1 of {started} started rounds never reached a terminal state"
+            )]
+        );
+    }
+
+    #[test]
+    fn audit_flags_a_write_beyond_one_per_commit() {
+        let mut counts = (0, 0);
+        let found = audit_after(|o| {
+            o.populations[0].write_count += 1;
+            counts = (o.populations[0].write_count, o.populations[0].committed);
+        });
+        assert_eq!(
+            found,
+            [format!(
+                "population chaos/pop: write_count {} != 1 + committed {}",
+                counts.0, counts.1
+            )]
+        );
+    }
+
+    #[test]
+    fn audit_flags_a_selector_ledger_that_loses_a_decision() {
+        let mut total = 0;
+        let found = audit_after(|o| {
+            o.accepted_total += 1;
+            total = o.accepted_total;
+        });
+        assert_eq!(
+            found,
+            [format!("per-population accepts {} != aggregate {total}", total - 1)]
+        );
+    }
+
+    #[test]
+    fn audit_flags_a_queue_past_its_bound() {
+        let found = audit_after(|o| o.max_queue_depth = 25);
+        assert_eq!(found, ["queue depth 25 exceeded bound 24"]);
+    }
+
+    #[test]
+    fn audit_flags_a_respawn_without_its_crash_and_a_second_winner() {
+        let found = audit_after(|o| {
+            o.populations[0].respawns += 1;
+            o.populations[0].racer_wins += 1;
+        });
+        assert_eq!(
+            found,
+            ["population chaos/pop: respawns 2 != coordinator crashes 1"]
+        );
+        let found = audit_after(|o| o.populations[0].racer_wins += 1);
+        assert_eq!(
+            found,
+            ["population chaos/pop: 2 racer wins over 1 respawns, expected exactly one each"]
+        );
+    }
+
+    #[test]
+    fn audit_flags_a_forwarded_report_no_master_folded() {
+        let mut forwarded = 0;
+        let found = audit_after(|o| {
+            o.populations[0].folded -= 1;
+            forwarded = o.populations[0].forwarded;
+        });
+        assert_eq!(
+            found,
+            [format!(
+                "population chaos/pop: Masters folded {} of {forwarded} forwarded reports",
+                forwarded - 1
+            )]
+        );
+    }
+
     /// A Selector crash loses exactly the devices that Selector held
     /// (Sec. 4.4): the replacement starts empty, the other Selector is
     /// untouched, and training carries on.
