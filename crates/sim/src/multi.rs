@@ -301,6 +301,7 @@ pub fn run_multi_tenant(config: &MultiTenantConfig) -> MultiTenantReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chaos::Fault;
 
     #[test]
     fn flash_crowd_in_one_population_does_not_starve_the_others() {
@@ -390,6 +391,28 @@ mod tests {
         assert_eq!(only.accepted, report.accepted_total);
         assert_eq!(only.offered - only.accepted, report.rejected_total);
         assert!(only.committed >= 3, "{}", report.render());
+    }
+
+    /// Faults and tenancy together: every tenant's Coordinator crashes
+    /// once, every tenant's Master once, and each tenant's third commit
+    /// attempt fails, under the flash crowd.
+    #[test]
+    fn faulted_tenants_recover_and_keep_committing() {
+        let config = MultiTenantConfig {
+            faults: vec![
+                Fault::CoordinatorCrash { at_ms: 400_000 },
+                Fault::MasterCrash { at_ms: 900_000 },
+                Fault::StorageWriteFailure { attempt: 3 },
+            ],
+            ..MultiTenantConfig::flash_vs_steady(7)
+        };
+        let report = run_multi_tenant(&config);
+        assert!(report.is_clean(), "{}", report.render());
+        for p in &report.populations {
+            assert!(p.committed >= 1, "{p:?}");
+            assert_eq!(p.write_count, 1 + p.committed, "{p:?}");
+            assert_eq!((p.respawns, p.racer_wins), (1, 1), "{p:?}");
+        }
     }
 
     #[test]
