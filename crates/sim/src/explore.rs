@@ -1,7 +1,8 @@
 //! Seeded schedule exploration of the live actor topology (Sec. 4.2,
 //! 4.4).
 //!
-//! The chaos harness explores *fault* schedules on a virtual clock; this
+//! The chaos entry point explores *fault* and device-timing schedules on
+//! the scenario engine's virtual clock (`run_chaos_with_schedule`); this
 //! module explores *delivery* schedules on the real threaded runtime. It
 //! installs a [`ScheduleExplorer`] — the `fl-actors` fault-injector that
 //! answers `Reorder` for a seeded subset of mailbox deliveries — and

@@ -10,16 +10,17 @@
 //!   between low and high numbers of participating devices"),
 //! * [`network`] — per-device latency/bandwidth/failure models,
 //! * [`des`] — the virtual-clock event queue,
-//! * [`chaos`] — seeded, replayable fault injection against the real
-//!   server stack, auditing the Sec. 4.2/4.4 recovery guarantees,
+//! * [`chaos`] — the engine's fault entry point: seeded, replayable
+//!   fault plans injected into a one-population [`scenario`] run,
+//!   auditing the Sec. 4.2/4.4 recovery guarantees,
 //! * [`netchaos`] — network chaos at the wire boundary: seeded
 //!   `FaultyTransport` scripts mangle device report frames in flight
 //!   through the live sharded topology, auditing the at-most-once
 //!   report accounting and the device's same-key resends,
-//! * [`explore`] — seeded schedule exploration: the live actor tree
+//! * [`explore`] — seeded schedule exploration of the live actor tree
 //!   under permuted mailbox delivery (via the `fl-actors`
-//!   `ScheduleExplorer`) and chaos plans under permuted device timing,
-//!   auditing the never-hang / exactly-one-commit / storage-write /
+//!   `ScheduleExplorer`; a chaos plan under permuted device timing is
+//!   [`run_chaos_with_schedule`]), auditing the never-hang / exactly-one-commit / storage-write /
 //!   obituary-exactly-once invariants across K legal interleavings
 //!   (`netchaos` and `explore` share one private live-round scaffold:
 //!   the tree, the device (an `fl_device::session` driven over its
@@ -27,12 +28,15 @@
 //!   storage / lease audit; a wire
 //!   fault script and a delivery schedule are two seeds of one run, and
 //!   each harness keeps its own audit and report),
-//! * [`scenario`] — the one flow-control DES engine: a seeded
-//!   virtual-clock driver over the real Selector / round / wire stack
-//!   with per-population rounds, load shapes (steady, thundering herd,
-//!   flash crowd, diurnal ramp), optional per-round SecAgg, and a
-//!   two-variant device seam; it audits wire integrity, per-population
-//!   ledger conservation, and the queue bound for every configuration,
+//! * [`scenario`] — the one DES engine besides [`fleet`]'s loop: a seeded
+//!   virtual-clock driver over the real Selector / Coordinator / Master /
+//!   wire stack with one Coordinator per population on the shipped round
+//!   path, load shapes (steady, thundering herd, flash crowd, diurnal
+//!   ramp), injected faults, optional per-round SecAgg, and a
+//!   two-variant device seam; one audit ends every run (round progress,
+//!   one checkpoint write per commit, every forwarded report folded,
+//!   exactly-once respawns, per-population ledger conservation, the queue
+//!   bound),
 //! * [`overload`] — the engine's one-population entry point:
 //!   flash-crowd / thundering-herd / diurnal-ramp stress scenarios
 //!   auditing the Sec. 2.3 flow-control loop (admission shedding,
@@ -53,7 +57,7 @@
 
 /// Diurnal device-eligibility model (Fig. 5).
 pub mod availability;
-/// Seeded fault injection against the Coordinator on a virtual clock.
+/// Seeded fault plans: an entry point of [`scenario`].
 pub mod chaos;
 /// The virtual-clock event queue.
 pub mod des;
@@ -70,7 +74,7 @@ mod live_round;
 pub mod network;
 /// Single-population overload scenarios: an entry point of [`scenario`].
 pub mod overload;
-/// The flow-control scenario engine behind [`overload`] and [`multi`].
+/// The scenario engine behind [`chaos`], [`overload`] and [`multi`].
 pub mod scenario;
 /// Real on-device training through the real Coordinator (Sec. 8).
 pub mod training;

@@ -28,7 +28,7 @@
 //! nothing else in the loop knows which entry point called it.
 //!
 //! Every run ends in one audit of what holds for every configuration
-//! (see [`audit`]). Everything is a pure function of the config (seed
+//! (see `audit`). Everything is a pure function of the config (seed
 //! included), so two runs of one config agree byte for byte.
 
 use crate::chaos::{storage_failures, Fault};
