@@ -664,7 +664,8 @@ struct Engine<'a> {
     /// Each Coordinator's lease; `None` after a lease loss until it is
     /// re-acquired.
     leases: Vec<Option<Lease>>,
-    /// Each population's round in flight; `None` between rounds.
+    /// Each population's round in flight; `None` once no further round
+    /// opens before the horizon.
     rounds: Vec<Option<PopRound>>,
     rng: StdRng,
     queue: EventQueue<Event>,
@@ -1244,7 +1245,7 @@ impl<'a> Engine<'a> {
                         }
                         ack
                     }
-                    // Between rounds the report is refused unevaluated.
+                    // No round in flight: refused unevaluated.
                     None => WireMessage::ReportAck {
                         accepted: false,
                         round: key,
