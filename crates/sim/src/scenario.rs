@@ -320,7 +320,7 @@ pub struct ScenarioOutcome {
 /// populations, the Selectors' per-population ledgers sum exactly to the
 /// decisions the engine saw them hand out (the multi-tenant bookkeeping
 /// loses no check-in), and no held-connection queue outgrew its bound.
-pub(crate) fn audit(outcome: &ScenarioOutcome, config: &ScenarioConfig) -> Vec<String> {
+fn audit(outcome: &ScenarioOutcome, config: &ScenarioConfig) -> Vec<String> {
     let mut violations = Vec::new();
     let crashes = config
         .faults
@@ -387,25 +387,25 @@ pub(crate) fn audit(outcome: &ScenarioOutcome, config: &ScenarioConfig) -> Vec<S
     violations
 }
 
-/// The virtual-clock harnesses' in-memory wire: both ends of one
+/// The engine's in-memory wire: both ends of one
 /// [`ChannelTransport`] pair. Every device↔server exchange crosses it as
 /// a framed [`WireMessage`] — the protocol the live topology and the TCP
 /// front door speak — and frames are pure functions of the messages, so
 /// the byte counters replay identically per seed.
-pub(crate) struct SimWire {
+struct SimWire {
     device: ChannelTransport,
     server: ChannelTransport,
 }
 
 impl SimWire {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         let (device, server) = ChannelTransport::pair();
         SimWire { device, server }
     }
 
     /// Sends `msg` up the wire and returns what the server side decoded
     /// (a frame a codec bug made undecodable is `None`, like a lost one).
-    pub(crate) fn wire_uplink(
+    fn wire_uplink(
         &self,
         now: u64,
         msg: &WireMessage,
@@ -417,7 +417,7 @@ impl SimWire {
     /// Sends `msg` up the wire and returns the frame the server side
     /// received, unopened; a lost or unsendable frame is an invariant
     /// violation.
-    pub(crate) fn wire_uplink_frame(
+    fn wire_uplink_frame(
         &self,
         now: u64,
         msg: &WireMessage,
@@ -436,13 +436,13 @@ impl SimWire {
 
     /// Sends a server reply down the wire and has the device side consume
     /// it, so the device-end received counters see every downlink frame.
-    pub(crate) fn wire_downlink(&self, msg: &WireMessage) {
+    fn wire_downlink(&self, msg: &WireMessage) {
         let _ = self.server.send(msg);
         while let Ok(Some(_)) = self.device.try_recv() {}
     }
 
     /// The device end's counters.
-    pub(crate) fn stats(&self) -> WireStats {
+    fn stats(&self) -> WireStats {
         self.device.stats()
     }
 }
