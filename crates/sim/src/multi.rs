@@ -30,9 +30,10 @@
 //! * reports render byte-identically per seed (the chaos-harness
 //!   idiom), so a failing seed is a replayable bug report.
 //!
-//! The loop itself is [`crate::scenario`]; this module names its configs
-//! and adds the two audits only a multi-tenant run makes (every
-//! tenant commits; no tenant starves after another's flash crowd). With
+//! The loop itself is [`crate::scenario`], whose audit covers every
+//! invariant above but starvation; this module names its configs and
+//! adds the one audit only a multi-tenant run makes (no tenant starves
+//! after another's flash crowd). With
 //! a single population and no disturbance the run degenerates to the
 //! single-tenant shape: the per-population series *are* the aggregate
 //! (asserted by the conservation invariant) — the same one path every

@@ -6,7 +6,7 @@
 //! backoff and retry budgets. This module stress-tests that loop end to
 //! end as the one-population case of [`crate::scenario`] — the real
 //! Selector (admission control, staleness eviction, closed-loop
-//! `PaceController`), the real round state machine, and the real
+//! `PaceController`), the real Coordinator round path, and the real
 //! device-side `ConnectivityManager` — under the arrival patterns that
 //! break naive systems:
 //!
