@@ -34,9 +34,10 @@
 //!   path, load shapes (steady, thundering herd, flash crowd, diurnal
 //!   ramp), injected faults, optional per-round SecAgg, and a
 //!   two-variant device seam; one audit ends every run (round progress,
-//!   one checkpoint write per commit, every forwarded report folded,
-//!   exactly-once respawns, per-population ledger conservation, the queue
-//!   bound),
+//!   one checkpoint write per commit advancing the id by one, no write on
+//!   a path that must persist nothing, every forwarded report folded,
+//!   exactly-once respawns resuming the committed model, per-population
+//!   ledger conservation, the queue bound),
 //! * [`overload`] — the engine's one-population entry point:
 //!   flash-crowd / thundering-herd / diurnal-ramp stress scenarios
 //!   auditing the Sec. 2.3 flow-control loop (admission shedding,

@@ -412,7 +412,7 @@ mod tests {
         for p in &report.populations {
             assert!(p.committed >= 1, "{p:?}");
             assert_eq!(p.write_count, 1 + p.committed, "{p:?}");
-            assert_eq!((p.respawns, p.racer_wins), (1, 1), "{p:?}");
+            assert_eq!((p.respawns, p.contested_respawns), (1, 0), "{p:?}");
         }
     }
 

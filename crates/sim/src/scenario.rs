@@ -272,8 +272,17 @@ pub struct PopulationOutcome {
     pub master_restarts: u64,
     /// Coordinator respawns (one per Coordinator crash).
     pub respawns: u64,
-    /// Respawn racers that won their race, summed over the respawns.
-    pub racer_wins: u64,
+    /// Respawns whose race had no winner or more than one.
+    pub contested_respawns: u64,
+    /// Respawned incarnations that did not resume the committed model.
+    pub clobbered_models: u64,
+    /// Commits that did not write exactly one checkpoint, one id past the
+    /// previous.
+    pub misnumbered_commits: u64,
+    /// Paths that must persist nothing — an abandoned, aborted or
+    /// write-failed round, a lost Master, a respawn — that moved the write
+    /// count or the latest checkpoint id.
+    pub leaked_writes: u64,
     /// Lease re-acquisitions after a lease loss.
     pub lease_reacquisitions: u64,
 }
@@ -313,10 +322,12 @@ pub struct ScenarioOutcome {
 /// configuration, read off the finished outcome. Per population, every
 /// started round reached a terminal state and at least one committed;
 /// the store took exactly one write at deployment plus one per committed
-/// round — per-device updates never reach it (Sec. 4.2); each committed
-/// round's Master folded exactly the reports `on_report` forwarded; and
-/// every Coordinator crash was respawned exactly once, by exactly one
-/// racer (Sec. 4.2: respawn "will happen exactly once"). Across
+/// round — per-device updates never reach it (Sec. 4.2); each commit
+/// advanced the checkpoint id by exactly one, and no path that must
+/// persist nothing moved the store; each committed round's Master folded
+/// exactly the reports `on_report` forwarded; and every Coordinator crash
+/// was respawned exactly once, by exactly one racer (Sec. 4.2: respawn
+/// "will happen exactly once"), resuming the committed model. Across
 /// populations, the Selectors' per-population ledgers sum exactly to the
 /// decisions the engine saw them hand out (the multi-tenant bookkeeping
 /// loses no check-in), and no held-connection queue outgrew its bound.
@@ -334,11 +345,15 @@ fn audit(outcome: &ScenarioOutcome, config: &ScenarioConfig) -> Vec<String> {
                 o.name, o.respawns
             ));
         }
-        if o.racer_wins != o.respawns {
-            violations.push(format!(
-                "population {}: {} racer wins over {} respawns, expected exactly one each",
-                o.name, o.racer_wins, o.respawns
-            ));
+        for (count, what) in [
+            (o.contested_respawns, "respawn races without exactly one winner"),
+            (o.clobbered_models, "respawns that changed the committed model"),
+            (o.misnumbered_commits, "commits not one write advancing the checkpoint id by 1"),
+            (o.leaked_writes, "paths that must persist nothing but moved the store"),
+        ] {
+            if count != 0 {
+                violations.push(format!("population {}: {what}: {count}", o.name));
+            }
         }
         if o.rounds_terminal != o.rounds_started {
             violations.push(format!(
@@ -910,16 +925,38 @@ impl<'a> Engine<'a> {
 
     /// Deploys population `p`'s spec on its Coordinator — resume-aware,
     /// so a respawned incarnation keeps the committed model and writes
-    /// nothing. Only a scripted storage failure fails a deployment, and a
-    /// run scripts finitely many, so the retry ends.
+    /// nothing. A scripted storage failure is retried (a run scripts
+    /// finitely many, so the retry ends); any other error is a violation.
     fn deploy(&mut self, p: usize, now: u64) {
-        while let Err(why) = self.deployments[p].deploy_on(&mut self.coordinators[p]) {
+        loop {
             let name = &self.names[p];
-            self.log
-                .record(now, "inject.storage-write-failure", format!("{name} {why}"));
-            self.log
-                .record(now, "recover.redeploy", format!("{name} retries the deployment write"));
+            match self.deployments[p].deploy_on(&mut self.coordinators[p]) {
+                Ok(()) => return,
+                Err(why @ CoreError::StorageFailure(_)) => {
+                    self.log
+                        .record(now, "inject.storage-write-failure", format!("{name} {why}"));
+                    let what = format!("{name} retries the deployment write");
+                    self.log.record(now, "recover.redeploy", what);
+                }
+                Err(e) => {
+                    let what = format!("t={now}: {name}: deployment failed: {e}");
+                    return self.violations.push(what);
+                }
+            }
         }
+    }
+
+    /// Population `p`'s store as `(write count, latest checkpoint id)`.
+    fn stored(&self, p: usize) -> (u64, Option<u64>) {
+        let store = self.coordinators[p].store();
+        let latest = store.latest(self.config.populations[p].name).ok();
+        (store.write_count(), latest.map(|checkpoint| checkpoint.round.0))
+    }
+
+    /// Counts a leaked write when population `p`'s store no longer reads
+    /// `before` after a path that must persist nothing.
+    fn check_untouched(&mut self, p: usize, before: (u64, Option<u64>)) {
+        self.ledgers[p].leaked_writes += u64::from(self.stored(p) != before);
     }
 
     /// A device that knows `pops`.
@@ -975,9 +1012,13 @@ impl<'a> Engine<'a> {
     /// Population `p`'s Coordinator begins its next round, whose Selection
     /// opens at `open_at`.
     fn begin_round(&mut self, p: usize, open_at: u64) {
-        let (round, master) = self.coordinators[p]
-            .begin_round(open_at)
-            .expect("a deployed Coordinator begins its rounds");
+        let (round, master) = match self.coordinators[p].begin_round(open_at) {
+            Ok(begun) => begun,
+            Err(e) => {
+                let what = format!("t={open_at}: {}: begin_round failed: {e}", self.names[p]);
+                return self.violations.push(what);
+            }
+        };
         let ledger = &mut self.ledgers[p];
         ledger.rounds_started += 1;
         let seq = ledger.rounds_started;
@@ -1058,10 +1099,30 @@ impl<'a> Engine<'a> {
                 }
             }
         }
-        let name = ledger.name;
-        match self.coordinators[p].complete_round(round, aggregate) {
-            Ok(RoundOutcome::Committed { .. }) => ledger.committed += 1,
-            Ok(_) => ledger.abandoned += 1,
+        let (name, id) = (ledger.name, round.state.round.0);
+        let before = self.stored(p);
+        let completed = self.coordinators[p].complete_round(round, aggregate);
+        let after = self.stored(p);
+        let ledger = &mut self.ledgers[p];
+        // A commit writes exactly one checkpoint, one id on; every other
+        // outcome persists nothing.
+        if matches!(completed, Ok(RoundOutcome::Committed { .. })) {
+            let next = (before.0 + 1, before.1.map(|r| r + 1));
+            ledger.misnumbered_commits += u64::from(after != next);
+        } else {
+            ledger.leaked_writes += u64::from(after != before);
+        }
+        match completed {
+            Ok(RoundOutcome::Committed { .. }) => {
+                ledger.committed += 1;
+                let what = format!("{name} r={id} checkpoint r={:?}", after.1);
+                self.log.record(at_ms, "round.committed", what);
+            }
+            Ok(_) => {
+                ledger.abandoned += 1;
+                let what = format!("{name} r={id} protocol timeout/drop-out");
+                self.log.record(at_ms, "round.abandoned", what);
+            }
             // Every SecAgg group fell below threshold: the round is lost
             // whole and nothing reaches storage.
             Err(CoreError::MalformedCheckpoint(why)) if why.contains("below threshold") => {
@@ -1092,6 +1153,8 @@ impl<'a> Engine<'a> {
                     r.open = true;
                     let timeout = config.populations[pop].round.selection_timeout_ms;
                     self.queue.schedule_in(timeout, Event::RoundTick { pop, seq });
+                    let what = format!("{} r={}", self.names[pop], r.round.state.round.0);
+                    self.log.record(now, "round.begin", what);
                 }
             }
             Event::Wake { device, gen } => {
@@ -1347,13 +1410,17 @@ impl<'a> Engine<'a> {
                     {
                         r.round.on_dropout(d, now);
                     }
+                    let what = format!("{} r={}", self.names[p], r.round.state.round.0);
+                    self.log.record(now, "recover.round-continues", what);
                 }
             }
             // The round is lost before aggregation completes, so nothing
             // may reach storage, and the next round restarts from the
             // committed checkpoint (Sec. 4.2).
             Fault::MasterCrash { .. } => {
+                let before = self.stored(p);
                 if let Some(lost) = self.close_round(p, now) {
+                    self.check_untouched(p, before);
                     self.ledgers[p].master_restarts += 1;
                     let what = format!("{} r={} restarts", self.names[p], lost.round.state.round.0);
                     self.log.record(now, "recover.round-restart", what);
@@ -1427,9 +1494,11 @@ impl<'a> Engine<'a> {
 
     /// Kills population `p`'s Coordinator: the round in flight dies with
     /// it, several watchers race to respawn it, and the winner's
-    /// incarnation resumes the committed model.
+    /// incarnation must resume the committed model without a write.
     fn crash_coordinator(&mut self, now: u64, p: usize) {
         self.close_round(p, now);
+        let before = self.stored(p);
+        let model = self.coordinators[p].global_params(self.config.populations[p].name).ok();
         let orphan =
             self.deployments[p].new_coordinator(Store::new(InMemoryCheckpointStore::new(), []));
         let store = std::mem::replace(&mut self.coordinators[p], orphan).into_store();
@@ -1447,11 +1516,14 @@ impl<'a> Engine<'a> {
             .collect();
         let ledger = &mut self.ledgers[p];
         ledger.respawns += 1;
-        ledger.racer_wins += winners.len() as u64;
+        ledger.contested_respawns += u64::from(winners.len() != 1);
         let epoch = winners.first().map(|l| l.epoch);
         self.leases[p] = winners.into_iter().next();
         self.coordinators[p] = self.deployments[p].new_coordinator(store);
         self.deploy(p, now);
+        self.check_untouched(p, before);
+        let resumed = self.coordinators[p].global_params(self.config.populations[p].name).ok();
+        self.ledgers[p].clobbered_models += u64::from(resumed != model);
         self.log
             .record(now, "recover.respawn", format!("{name} epoch={epoch:?}"));
         self.begin_next(p, now);
@@ -1657,19 +1729,47 @@ mod tests {
     }
 
     #[test]
-    fn audit_flags_a_respawn_without_its_crash_and_a_second_winner() {
-        let found = audit_after(|o| {
-            o.populations[0].respawns += 1;
-            o.populations[0].racer_wins += 1;
-        });
+    fn audit_flags_a_respawn_without_its_crash() {
+        let found = audit_after(|o| o.populations[0].respawns += 1);
         assert_eq!(
             found,
             ["population chaos/pop: respawns 2 != coordinator crashes 1"]
         );
-        let found = audit_after(|o| o.populations[0].racer_wins += 1);
+    }
+
+    #[test]
+    fn audit_flags_a_respawn_race_without_one_winner() {
+        let found = audit_after(|o| o.populations[0].contested_respawns += 1);
         assert_eq!(
             found,
-            ["population chaos/pop: 2 racer wins over 1 respawns, expected exactly one each"]
+            ["population chaos/pop: respawn races without exactly one winner: 1"]
+        );
+    }
+
+    #[test]
+    fn audit_flags_a_respawn_that_changed_the_model() {
+        let found = audit_after(|o| o.populations[0].clobbered_models += 1);
+        assert_eq!(
+            found,
+            ["population chaos/pop: respawns that changed the committed model: 1"]
+        );
+    }
+
+    #[test]
+    fn audit_flags_a_commit_that_misnumbered_the_checkpoint() {
+        let found = audit_after(|o| o.populations[0].misnumbered_commits += 1);
+        assert_eq!(
+            found,
+            ["population chaos/pop: commits not one write advancing the checkpoint id by 1: 1"]
+        );
+    }
+
+    #[test]
+    fn audit_flags_a_write_on_a_path_that_must_persist_nothing() {
+        let found = audit_after(|o| o.populations[0].leaked_writes += 1);
+        assert_eq!(
+            found,
+            ["population chaos/pop: paths that must persist nothing but moved the store: 1"]
         );
     }
 

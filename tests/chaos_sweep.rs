@@ -158,8 +158,9 @@ fn coordinator_loss_respawns_exactly_once() {
     assert_eq!(report.respawns, 1, "{}", report.render());
     assert!(report.committed >= 1, "{}", report.render());
     assert_eq!(report.log.with_prefix("recover.respawn").count(), 1);
-    // The respawn audit (no extra write, model intact) is part of the
-    // harness's violation checks; clean report == guarantees held.
+    // The respawn checks (one winning racer, no extra write, model
+    // intact) are part of the engine's audit; clean report == guarantees
+    // held.
     assert_eq!(report.final_write_count, 1 + report.committed);
 }
 
