@@ -242,7 +242,7 @@ impl LockGraph {
 
     /// Renders the graph as a deterministic report: byte-identical for
     /// identical observation histories (all state is kept in sorted
-    /// maps), in the spirit of the chaos harness's `ChaosReport`.
+    /// maps), in the spirit of the simulator's `ScenarioOutcome::render`.
     pub fn render(&self) -> String {
         let (sites, edges, violations) = {
             let st = self.state();

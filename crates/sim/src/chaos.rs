@@ -5,9 +5,10 @@
 //! This module turns that claim into an executable, *replayable* check: a
 //! [`FaultPlan`] derived from a single seed schedules actor crashes,
 //! storage write failures, lease losses, and device drop-out bursts on the
-//! virtual clock, and [`run_chaos`] hands it to the one scenario engine,
-//! [`crate::scenario`], as the `faults` of a [`ScenarioConfig::chaos`]
-//! run: one population on the engine's shipped round path, its
+//! virtual clock, and [`ScenarioConfig::with_plan`] hands it to the one
+//! scenario engine, [`crate::scenario`], as the `faults` of a
+//! [`ScenarioConfig::chaos`] run: one population on the engine's shipped
+//! round path, its
 //! Coordinator over a `FaultyCheckpointStore` and its lease in a
 //! `LockingService`. The engine injects every fault into every population
 //! and its audit checks the paper's recovery guarantees:
@@ -28,17 +29,17 @@
 //!   per-device updates are never persisted.
 //!
 //! Every injected fault and observed recovery is appended to a
-//! [`FaultLog`]; [`ChaosReport::render`] is byte-identical across replays
-//! of the same seed, so a failing sweep seed is a self-contained,
-//! reproducible bug report.
+//! `FaultLog`, which ends the run's [`ScenarioOutcome::render`]; the
+//! render is byte-identical across replays of the same seed, so a
+//! failing sweep seed is a self-contained, reproducible bug report.
+//!
+//! [`ScenarioOutcome::render`]: crate::scenario::ScenarioOutcome::render
 
-use crate::scenario::{self, Fleet, LoadShape, PopulationLoad, ScenarioConfig, ScenarioOutcome};
-use fl_analytics::FaultLog;
+use crate::scenario::{Fleet, LoadShape, PopulationLoad, ScenarioConfig};
 use fl_core::round::RoundConfig;
 use fl_core::RetryPolicy;
 use fl_ml::rng;
 use fl_server::shedding::AdmissionConfig;
-use fl_server::wire::WireStats;
 use rand::RngExt;
 
 /// One scheduled fault. Timed variants carry a virtual-clock instant;
@@ -133,7 +134,7 @@ impl Fault {
 
 /// A seeded, fully deterministic schedule of faults. The same seed always
 /// generates the same plan, and the same plan always produces the same
-/// [`ChaosReport`] — replay a failing seed to reproduce its interleaving.
+/// render — replay a failing seed to reproduce its interleaving.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultPlan {
     /// The seed the plan (and the harness RNG streams) derive from.
@@ -196,98 +197,6 @@ pub fn storage_failures(faults: &[Fault]) -> Vec<u64> {
         .collect()
 }
 
-/// Outcome of one chaos run: progress counters, the recovery audit, and
-/// the deterministic fault log.
-#[derive(Debug, Clone, Default)]
-pub struct ChaosReport {
-    /// The fault-plan seed.
-    pub seed: u64,
-    /// Rounds committed to storage.
-    pub committed: u64,
-    /// Rounds abandoned by the protocol itself (timeouts, drop-outs).
-    pub abandoned: u64,
-    /// Rounds whose aggregate was lost to an injected storage failure.
-    pub lost_to_storage: u64,
-    /// Rounds lost to a Master Aggregator crash and restarted.
-    pub master_restarts: u64,
-    /// Coordinator respawns performed (one per coordinator crash).
-    pub respawns: u64,
-    /// Lease re-acquisitions after an injected lease loss.
-    pub lease_reacquisitions: u64,
-    /// Final checkpoint write count (must equal `1 + committed`).
-    pub final_write_count: u64,
-    /// SecAgg shards that aborted below threshold while their round still
-    /// committed from the surviving shards (0 on non-SecAgg runs).
-    pub secagg_shard_aborts: u64,
-    /// Rounds lost entirely because *every* SecAgg shard fell below
-    /// threshold; nothing reaches storage and the round restarts.
-    pub secagg_round_aborts: u64,
-    /// Bytes-on-wire counters from the device end of the engine's
-    /// in-memory transport: every check-in, configuration download, update
-    /// report, and ack crossed it as a framed `WireMessage`.
-    pub wire: WireStats,
-    /// Recovery-guarantee violations; empty on a clean run.
-    pub violations: Vec<String>,
-    /// The replayable fault/recovery log.
-    pub log: FaultLog,
-}
-
-impl ChaosReport {
-    /// The report of a one-population engine run under fault-plan seed
-    /// `seed`.
-    pub(crate) fn of(seed: u64, outcome: ScenarioOutcome) -> Self {
-        let only = &outcome.populations[0];
-        ChaosReport {
-            seed,
-            committed: only.committed,
-            abandoned: only.abandoned,
-            lost_to_storage: only.lost_to_storage,
-            master_restarts: only.master_restarts,
-            respawns: only.respawns,
-            lease_reacquisitions: only.lease_reacquisitions,
-            final_write_count: only.write_count,
-            secagg_shard_aborts: only.secagg_shard_aborts,
-            secagg_round_aborts: only.secagg_round_aborts,
-            wire: outcome.wire,
-            violations: outcome.violations,
-            log: outcome.log,
-        }
-    }
-
-    /// Whether every recovery guarantee held.
-    pub fn is_clean(&self) -> bool {
-        self.violations.is_empty()
-    }
-
-    /// Canonical text form — byte-identical across replays of one seed.
-    pub fn render(&self) -> String {
-        let mut out = format!(
-            "seed={}\ncommitted={} abandoned={} lost_to_storage={} master_restarts={}\n\
-             respawns={} lease_reacquisitions={}\n\
-             write_count={} secagg_shard_aborts={} secagg_round_aborts={}\n\
-             wire up_frames={} up_bytes={} down_frames={} down_bytes={}\n",
-            self.seed,
-            self.committed,
-            self.abandoned,
-            self.lost_to_storage,
-            self.master_restarts,
-            self.respawns,
-            self.lease_reacquisitions,
-            self.final_write_count,
-            self.secagg_shard_aborts,
-            self.secagg_round_aborts,
-            self.wire.frames_sent,
-            self.wire.bytes_sent,
-            self.wire.frames_received,
-            self.wire.bytes_received,
-        );
-        crate::render_violations(&mut out, &self.violations);
-        out.push_str("--- fault log ---\n");
-        out.push_str(&self.log.render());
-        out
-    }
-}
-
 /// The fixed seed set swept by `scripts/check.sh` and the tier-1 chaos
 /// tests.
 pub fn default_seeds() -> Vec<u64> {
@@ -302,7 +211,7 @@ pub fn default_secagg_seeds() -> Vec<u64> {
 
 impl ScenarioConfig {
     /// The chaos topology, with no faults scripted yet (see
-    /// [`run_chaos`]): 24 dedicated devices behind two Selectors, checking
+    /// [`ScenarioConfig::with_plan`]): 24 dedicated devices behind two Selectors, checking
     /// in every 2 s, and one population training in rounds of 6 selected
     /// devices for a goal of 4, over a four-minute horizon. With
     /// `secagg_k` every round runs Secure Aggregation at that group
@@ -355,48 +264,21 @@ impl ScenarioConfig {
             }],
         }
     }
-}
 
-/// Runs [`run_chaos`] over a set of fault-plan seeds with one shared
-/// configuration.
-pub fn sweep(seeds: &[u64], config: &ScenarioConfig) -> Vec<ChaosReport> {
-    seeds
-        .iter()
-        .map(|&seed| run_chaos(&FaultPlan::generate(seed, config.horizon_ms), config))
-        .collect()
-}
-
-/// Drives one seeded fault plan through the scenario engine and audits
-/// the paper's recovery guarantees. See the module docs for the
-/// invariants checked. Equivalent to [`run_chaos_with_schedule`] with
-/// schedule seed 0 (the canonical schedule).
-pub fn run_chaos(plan: &FaultPlan, config: &ScenarioConfig) -> ChaosReport {
-    run_chaos_with_schedule(plan, config, 0)
-}
-
-/// [`run_chaos`] under an alternative *schedule*: `schedule_seed`
-/// perturbs only the engine's timing stream (see
-/// [`scenario::run_with_schedule`]), while the fault plan, topology, and
-/// every protocol state machine stay identical. Running one plan under K
-/// schedule seeds checks the recovery guarantees across K distinct
-/// interleavings of the same fault scenario; each (plan seed, schedule
-/// seed) pair renders byte-identically on replay.
-pub fn run_chaos_with_schedule(
-    plan: &FaultPlan,
-    config: &ScenarioConfig,
-    schedule_seed: u64,
-) -> ChaosReport {
-    let config = ScenarioConfig {
-        seed: plan.seed,
-        faults: plan.faults.clone(),
-        ..config.clone()
-    };
-    ChaosReport::of(plan.seed, scenario::run_with_schedule(&config, schedule_seed))
+    /// This config under `plan`: the plan's seed and its faults.
+    pub fn with_plan(self, plan: &FaultPlan) -> Self {
+        ScenarioConfig {
+            seed: plan.seed,
+            faults: plan.faults.clone(),
+            ..self
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario;
 
     #[test]
     fn fault_plans_are_seed_deterministic() {
@@ -423,32 +305,34 @@ mod tests {
         }
     }
 
+    /// A fault-free run at seed 5.
+    fn fault_free(secagg_k: Option<usize>) -> scenario::ScenarioOutcome {
+        scenario::run(&ScenarioConfig {
+            seed: 5,
+            ..ScenarioConfig::chaos(secagg_k)
+        })
+    }
+
     #[test]
     fn fault_free_run_just_trains() {
-        let plan = FaultPlan {
-            seed: 5,
-            faults: vec![],
-        };
-        let report = run_chaos(&plan, &ScenarioConfig::chaos(None));
-        assert!(report.is_clean(), "violations: {:?}", report.violations);
-        assert!(report.committed >= 3, "report: {}", report.render());
-        assert_eq!(report.final_write_count, 1 + report.committed);
-        assert_eq!(report.respawns, 0);
+        let outcome = fault_free(None);
+        assert!(outcome.is_clean(), "{}", outcome.render());
+        let pop = &outcome.populations[0];
+        assert!(pop.committed >= 3, "{}", outcome.render());
+        assert_eq!(pop.write_count, 1 + pop.committed);
+        assert_eq!(pop.respawns, 0);
     }
 
     #[test]
     fn secagg_fault_free_run_commits_and_pays_the_wire_premium() {
-        let plan = FaultPlan {
-            seed: 5,
-            faults: vec![],
-        };
-        let plain = run_chaos(&plan, &ScenarioConfig::chaos(None));
-        let secagg = run_chaos(&plan, &ScenarioConfig::chaos(Some(2)));
-        assert!(secagg.is_clean(), "violations: {:?}", secagg.violations);
-        assert!(secagg.committed >= 3, "report: {}", secagg.render());
-        assert_eq!(secagg.final_write_count, 1 + secagg.committed);
-        assert_eq!(secagg.secagg_shard_aborts, 0);
-        assert_eq!(secagg.secagg_round_aborts, 0);
+        let plain = fault_free(None);
+        let secagg = fault_free(Some(2));
+        assert!(secagg.is_clean(), "{}", secagg.render());
+        let pop = &secagg.populations[0];
+        assert!(pop.committed >= 3, "{}", secagg.render());
+        assert_eq!(pop.write_count, 1 + pop.committed);
+        assert_eq!(pop.secagg_shard_aborts, 0);
+        assert_eq!(pop.secagg_round_aborts, 0);
         // Field vectors are 8 bytes per coordinate vs. 4 for f32 updates:
         // the SecAgg premium must show in the measured uplink bytes.
         assert!(
@@ -477,64 +361,31 @@ mod tests {
                 },
             ],
         };
-        let report = run_chaos(&plan, &ScenarioConfig::chaos(Some(2)));
-        assert!(report.is_clean(), "violations: {:?}", report.violations);
-        assert_eq!(report.final_write_count, 1 + report.committed);
+        let outcome = scenario::run(&ScenarioConfig::chaos(Some(2)).with_plan(&plan));
+        assert!(outcome.is_clean(), "{}", outcome.render());
+        let pop = &outcome.populations[0];
+        assert_eq!(pop.write_count, 1 + pop.committed);
         assert!(
-            report.secagg_shard_aborts + report.secagg_round_aborts >= 1,
+            pop.secagg_shard_aborts + pop.secagg_round_aborts >= 1,
             "bursts never stranded a group below threshold: {}",
-            report.render()
+            outcome.render()
         );
-        assert!(report.committed >= 1, "report: {}", report.render());
-    }
-
-    #[test]
-    fn secagg_sweep_replays_byte_identically() {
-        let config = ScenarioConfig::chaos(Some(2));
-        for seed in default_secagg_seeds() {
-            let plan = FaultPlan::generate(seed, config.horizon_ms);
-            let a = run_chaos(&plan, &config);
-            let b = run_chaos(&plan, &config);
-            assert!(a.is_clean(), "seed {seed}: {:?}", a.violations);
-            assert_eq!(a.render(), b.render(), "seed {seed} replay diverged");
-        }
-    }
-
-    #[test]
-    fn schedule_seed_zero_is_the_canonical_schedule() {
-        let config = ScenarioConfig::chaos(None);
-        let plan = FaultPlan::generate(23, config.horizon_ms);
-        assert_eq!(
-            run_chaos(&plan, &config).render(),
-            run_chaos_with_schedule(&plan, &config, 0).render()
-        );
+        assert!(pop.committed >= 1, "{}", outcome.render());
     }
 
     #[test]
     fn schedule_permutations_stay_clean_and_replay_byte_identically() {
-        let config = ScenarioConfig::chaos(None);
-        let plan = FaultPlan::generate(11, config.horizon_ms);
+        let base = ScenarioConfig::chaos(None);
+        let config = base.clone().with_plan(&FaultPlan::generate(11, base.horizon_ms));
         for schedule in [1u64, 5, 9] {
-            let a = run_chaos_with_schedule(&plan, &config, schedule);
-            let b = run_chaos_with_schedule(&plan, &config, schedule);
-            assert!(a.is_clean(), "schedule {schedule}: {:?}", a.violations);
+            let a = scenario::run_with_schedule(&config, schedule);
+            let b = scenario::run_with_schedule(&config, schedule);
+            assert!(a.is_clean(), "schedule {schedule}: {}", a.render());
             assert_eq!(
                 a.render(),
                 b.render(),
                 "schedule {schedule} replay diverged"
             );
-        }
-    }
-
-    #[test]
-    fn replay_is_byte_identical() {
-        let config = ScenarioConfig::chaos(None);
-        let run = |seed: u64| {
-            let plan = FaultPlan::generate(seed, config.horizon_ms);
-            run_chaos(&plan, &config).render()
-        };
-        for seed in [11, 23, 47] {
-            assert_eq!(run(seed), run(seed), "seed {seed} replay diverged");
         }
     }
 }

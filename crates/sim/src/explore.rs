@@ -1,8 +1,8 @@
 //! Seeded schedule exploration of the live actor topology (Sec. 4.2,
 //! 4.4).
 //!
-//! The chaos entry point explores *fault* and device-timing schedules on
-//! the scenario engine's virtual clock (`run_chaos_with_schedule`); this
+//! The scenario engine explores *fault* and device-timing schedules on
+//! its virtual clock (`scenario::run_with_schedule`); this
 //! module explores *delivery* schedules on the real threaded runtime. It
 //! installs a [`ScheduleExplorer`] — the `fl-actors` fault-injector that
 //! answers `Reorder` for a seeded subset of mailbox deliveries — and
@@ -30,7 +30,7 @@
 //! All of these are schedule-invariant by design, so
 //! [`ExploreReport::render`] is byte-identical across replays of one
 //! schedule seed — a failing seed is a self-contained repro, same
-//! discipline as `ChaosReport`.
+//! discipline as `ScenarioOutcome::render`.
 
 use crate::live_round::{run_device, LiveRound};
 use fl_actors::{audit_exactly_once, DeathReason};

@@ -27,28 +27,24 @@
 //! * the held-connection queue stays under its configured bound;
 //! * every round that starts reaches a terminal state, in every
 //!   population — no wedged rounds anywhere in the tree;
-//! * reports render byte-identically per seed (the chaos-harness
-//!   idiom), so a failing seed is a replayable bug report.
+//! * the outcome renders byte-identically per seed, so a failing seed
+//!   is a replayable bug report.
 //!
-//! The loop itself is [`crate::scenario`], whose audit covers every
-//! invariant above but starvation; this module names its configs and
-//! adds the one audit only a multi-tenant run makes (no tenant starves
-//! after another's flash crowd). With
+//! The loop itself is [`crate::scenario`], whose one audit checks every
+//! invariant above, starvation included (it keys on the flash-crowd
+//! shape, not on this module); this module only names the configs. With
 //! a single population and no disturbance the run degenerates to the
 //! single-tenant shape: the per-population series *are* the aggregate
 //! (asserted by the conservation invariant) — the same one path every
 //! single-population harness and the live tree run.
 
-use crate::scenario::{self, Fleet, LoadShape, PopulationLoad, ScenarioConfig};
+use crate::scenario::{self, Fleet, LoadShape, PopulationLoad, ScenarioConfig, ScenarioOutcome};
 use fl_core::round::RoundConfig;
-use fl_core::{PopulationName, RetryPolicy};
+use fl_core::RetryPolicy;
 use fl_server::shedding::{AdmissionConfig, GlobalAdmissionConfig};
-use fl_server::wire::WireStats;
 
-pub use crate::scenario::PopulationOutcome;
-
-/// Multi-tenant simulation parameters: the scenario engine's config over
-/// a [`Fleet::Tenancy`] fleet.
+/// The scenario engine's config; the name stays for the `benchmark/`
+/// crate, which calls it.
 pub type MultiTenantConfig = ScenarioConfig;
 
 impl ScenarioConfig {
@@ -67,7 +63,7 @@ impl ScenarioConfig {
             report_window_ms: 60_000,
             device_cap_ms: 60_000,
         };
-        MultiTenantConfig {
+        ScenarioConfig {
             devices: 4_000,
             horizon_ms: 30 * 60_000,
             window_ms: 60_000,
@@ -146,96 +142,9 @@ impl ScenarioConfig {
     /// A single steady population — the n=1 degenerate case whose
     /// per-population series must equal the aggregate exactly.
     pub fn single(seed: u64) -> Self {
-        let mut config = MultiTenantConfig::flash_vs_steady(seed);
+        let mut config = ScenarioConfig::flash_vs_steady(seed);
         config.populations.truncate(1);
         config
-    }
-}
-
-/// Outcome of one multi-tenant run: per-population outcomes in spec
-/// order, fleet-level counters, and the fairness/soundness audit.
-#[derive(Debug, Clone)]
-pub struct MultiTenantReport {
-    /// The master seed.
-    pub seed: u64,
-    /// Per-population outcomes, in spec order.
-    pub populations: Vec<PopulationOutcome>,
-    /// Aggregate accepted check-ins across every population.
-    pub accepted_total: u64,
-    /// Aggregate rejected check-ins across every population.
-    pub rejected_total: u64,
-    /// Times a due population lost the on-device single-session
-    /// arbitration and was deferred through its own backoff.
-    pub arbitration_losses: u64,
-    /// Deepest the shared held-connection queue ever got.
-    pub max_queue_depth: usize,
-    /// The configured bound it must stay under.
-    pub queue_bound: usize,
-    /// Bytes-on-wire counters from the device end: every check-in and
-    /// report crosses the in-memory wire as a framed message carrying
-    /// its population.
-    pub wire: WireStats,
-    /// The per-population accept/shed/retry dashboard panel
-    /// (`OverloadMetrics::render_population_panel`), captured at the
-    /// horizon — deterministic per seed like everything else here.
-    pub telemetry_panel: String,
-    /// Invariant violations; empty on a clean run.
-    pub violations: Vec<String>,
-}
-
-impl MultiTenantReport {
-    /// Whether every multi-tenant invariant held.
-    pub fn is_clean(&self) -> bool {
-        self.violations.is_empty()
-    }
-
-    /// The outcome of the named population, if it ran.
-    pub fn outcome(&self, name: &str) -> Option<&PopulationOutcome> {
-        self.populations.iter().find(|p| p.name == name)
-    }
-
-    /// Canonical text form — byte-identical across replays of one seed.
-    pub fn render(&self) -> String {
-        let mut out = format!(
-            "seed={} populations={}\n\
-             accepted_total={} rejected_total={} arbitration_losses={}\n\
-             max_queue_depth={} queue_bound={}\n\
-             wire up_frames={} up_bytes={} down_frames={} down_bytes={}\n",
-            self.seed,
-            self.populations.len(),
-            self.accepted_total,
-            self.rejected_total,
-            self.arbitration_losses,
-            self.max_queue_depth,
-            self.queue_bound,
-            self.wire.frames_sent,
-            self.wire.bytes_sent,
-            self.wire.frames_received,
-            self.wire.bytes_received,
-        );
-        for p in &self.populations {
-            out.push_str(&format!(
-                "pop {} offered={} accepted={} shed={} rejected_other={} \
-                 budget_admits={} budget_sheds={} retries={} exhaustions={} \
-                 rounds={}:{} committed={} abandoned={}\n",
-                p.name,
-                p.offered,
-                p.accepted,
-                p.shed,
-                p.rejected_other,
-                p.budget_admits,
-                p.budget_sheds,
-                p.retries,
-                p.budget_exhaustions,
-                p.rounds_started,
-                p.rounds_terminal,
-                p.committed,
-                p.abandoned,
-            ));
-        }
-        out.push_str(&self.telemetry_panel);
-        crate::render_violations(&mut out, &self.violations);
-        out
     }
 }
 
@@ -245,58 +154,10 @@ pub fn default_seeds() -> Vec<u64> {
     vec![7, 19, 41]
 }
 
-/// Runs [`run_multi_tenant`] for one config constructor over a seed set.
-pub fn sweep(
-    seeds: &[u64],
-    make: impl Fn(u64) -> MultiTenantConfig,
-) -> Vec<MultiTenantReport> {
-    seeds.iter().map(|&s| run_multi_tenant(&make(s))).collect()
-}
-
-/// Drives one seeded multi-population scenario through
-/// [`crate::scenario`] — the real Selector/round/tenancy stack — and
-/// audits the fairness invariants. See the module docs.
-pub fn run_multi_tenant(config: &MultiTenantConfig) -> MultiTenantReport {
-    let outcome = scenario::run(config);
-    let mut violations = outcome.violations;
-    // Fairness: after any flash crowd's onset, every *other* population
-    // must still be getting accepts — starvation of a steady tenant by a
-    // stormy one is the regression this harness exists to catch.
-    for spec in &config.populations {
-        let LoadShape::FlashCrowd { at_ms, .. } = spec.shape else {
-            continue;
-        };
-        let onset_bucket = (at_ms / config.window_ms) as usize;
-        for other in &config.populations {
-            if other.name == spec.name {
-                continue;
-            }
-            let post_onset: f64 = outcome
-                .metrics
-                .population_series(&PopulationName::new(other.name))
-                .map(|series| series.accepts.sums().iter().skip(onset_bucket).sum())
-                .unwrap_or(0.0);
-            if post_onset == 0.0 {
-                violations.push(format!(
-                    "population {} starved after the flash crowd in {}",
-                    other.name, spec.name
-                ));
-            }
-        }
-    }
-
-    MultiTenantReport {
-        seed: config.seed,
-        populations: outcome.populations,
-        accepted_total: outcome.accepted_total,
-        rejected_total: outcome.rejected_total,
-        arbitration_losses: outcome.arbitration_losses,
-        max_queue_depth: outcome.max_queue_depth,
-        queue_bound: config.admission.max_inflight,
-        wire: outcome.wire,
-        telemetry_panel: outcome.metrics.render_population_panel(),
-        violations,
-    }
+/// [`scenario::run`]; the name stays for the `benchmark/` crate, which
+/// calls it.
+pub fn run_multi_tenant(config: &MultiTenantConfig) -> ScenarioOutcome {
+    scenario::run(config)
 }
 
 #[cfg(test)]
@@ -306,61 +167,58 @@ mod tests {
 
     #[test]
     fn flash_crowd_in_one_population_does_not_starve_the_others() {
-        let report = run_multi_tenant(&MultiTenantConfig::flash_vs_steady(7));
-        assert!(report.is_clean(), "{}", report.render());
-        let steady = report.outcome("multi/steady").unwrap();
-        let flash = report.outcome("multi/flash").unwrap();
-        let aux = report.outcome("multi/aux").unwrap();
+        let outcome = scenario::run(&ScenarioConfig::flash_vs_steady(7));
+        assert!(outcome.is_clean(), "{}", outcome.render());
+        let steady = outcome.population("multi/steady").unwrap();
+        let flash = outcome.population("multi/flash").unwrap();
+        let aux = outcome.population("multi/aux").unwrap();
         // The storm really stormed: its lane absorbed mass rejection...
         assert!(
             flash.shed + flash.rejected_other > 5_000,
             "the flash crowd was never turned away:\n{}",
-            report.render()
+            outcome.render()
         );
         // ...while the other tenants kept committing.
-        assert!(steady.committed >= 3, "{}", report.render());
-        assert!(aux.committed >= 1, "{}", report.render());
+        assert!(steady.committed >= 3, "{}", outcome.render());
+        assert!(aux.committed >= 1, "{}", outcome.render());
         // And the stormy tenant itself still made progress on its share.
-        assert!(flash.committed >= 1, "{}", report.render());
+        assert!(flash.committed >= 1, "{}", outcome.render());
         // The dashboard panel carries one block per tenant.
+        let panel = outcome.metrics.render_population_panel();
         for name in ["multi/steady", "multi/flash", "multi/aux"] {
-            assert!(
-                report.telemetry_panel.contains(name),
-                "panel missing {name}:\n{}",
-                report.telemetry_panel
-            );
+            assert!(panel.contains(name), "panel missing {name}:\n{panel}");
         }
     }
 
     #[test]
     fn shared_budget_charges_the_stormy_population() {
-        let report = run_multi_tenant(&MultiTenantConfig::flash_vs_steady(19));
-        assert!(report.is_clean(), "{}", report.render());
-        let steady = report.outcome("multi/steady").unwrap();
-        let flash = report.outcome("multi/flash").unwrap();
+        let outcome = scenario::run(&ScenarioConfig::flash_vs_steady(19));
+        assert!(outcome.is_clean(), "{}", outcome.render());
+        let steady = outcome.population("multi/steady").unwrap();
+        let flash = outcome.population("multi/flash").unwrap();
         // Fair-share reservations bind against the storm, not the
         // steady tenant.
         assert!(
             flash.budget_sheds > 0,
             "the global budget never capped the storm:\n{}",
-            report.render()
+            outcome.render()
         );
         assert!(
             steady.budget_sheds < flash.budget_sheds,
             "{}",
-            report.render()
+            outcome.render()
         );
     }
 
     #[test]
     fn steady_commits_match_the_no_storm_baseline() {
-        let stormy = run_multi_tenant(&MultiTenantConfig::flash_vs_steady(41));
+        let stormy = scenario::run(&ScenarioConfig::flash_vs_steady(41));
         let calm =
-            run_multi_tenant(&MultiTenantConfig::flash_vs_steady(41).without_flash());
+            scenario::run(&ScenarioConfig::flash_vs_steady(41).without_flash());
         assert!(stormy.is_clean(), "{}", stormy.render());
         assert!(calm.is_clean(), "{}", calm.render());
-        let with_storm = stormy.outcome("multi/steady").unwrap().committed;
-        let without = calm.outcome("multi/steady").unwrap().committed;
+        let with_storm = stormy.population("multi/steady").unwrap().committed;
+        let without = calm.population("multi/steady").unwrap().committed;
         // Fair-share isolation: the steady tenant's round throughput
         // under the storm stays within one round of its calm baseline.
         assert!(
@@ -372,26 +230,26 @@ mod tests {
 
     #[test]
     fn devices_arbitrate_one_session_across_populations() {
-        let report = run_multi_tenant(&MultiTenantConfig::flash_vs_steady(7));
+        let outcome = scenario::run(&ScenarioConfig::flash_vs_steady(7));
         // Devices registered in several populations must have collided
         // and deferred through their own lanes at least sometimes.
         assert!(
-            report.arbitration_losses > 0,
+            outcome.arbitration_losses > 0,
             "no device ever arbitrated:\n{}",
-            report.render()
+            outcome.render()
         );
     }
 
     #[test]
     fn single_population_reduces_to_the_aggregate() {
-        let report = run_multi_tenant(&MultiTenantConfig::single(7));
-        assert!(report.is_clean(), "{}", report.render());
-        assert_eq!(report.populations.len(), 1);
-        let only = &report.populations[0];
+        let outcome = scenario::run(&ScenarioConfig::single(7));
+        assert!(outcome.is_clean(), "{}", outcome.render());
+        assert_eq!(outcome.populations.len(), 1);
+        let only = &outcome.populations[0];
         // n=1: the population ledger *is* the aggregate ledger.
-        assert_eq!(only.accepted, report.accepted_total);
-        assert_eq!(only.offered - only.accepted, report.rejected_total);
-        assert!(only.committed >= 3, "{}", report.render());
+        assert_eq!(only.accepted, outcome.accepted_total);
+        assert_eq!(only.offered - only.accepted, outcome.rejected_total);
+        assert!(only.committed >= 3, "{}", outcome.render());
     }
 
     /// Faults and tenancy together: every tenant's Coordinator crashes
@@ -399,27 +257,20 @@ mod tests {
     /// attempt fails, under the flash crowd.
     #[test]
     fn faulted_tenants_recover_and_keep_committing() {
-        let config = MultiTenantConfig {
+        let config = ScenarioConfig {
             faults: vec![
                 Fault::CoordinatorCrash { at_ms: 400_000 },
                 Fault::MasterCrash { at_ms: 900_000 },
                 Fault::StorageWriteFailure { attempt: 3 },
             ],
-            ..MultiTenantConfig::flash_vs_steady(7)
+            ..ScenarioConfig::flash_vs_steady(7)
         };
-        let report = run_multi_tenant(&config);
-        assert!(report.is_clean(), "{}", report.render());
-        for p in &report.populations {
+        let outcome = scenario::run(&config);
+        assert!(outcome.is_clean(), "{}", outcome.render());
+        for p in &outcome.populations {
             assert!(p.committed >= 1, "{p:?}");
             assert_eq!(p.write_count, 1 + p.committed, "{p:?}");
             assert_eq!((p.respawns, p.contested_respawns), (1, 0), "{p:?}");
         }
-    }
-
-    #[test]
-    fn replay_is_byte_identical() {
-        let a = run_multi_tenant(&MultiTenantConfig::flash_vs_steady(19)).render();
-        let b = run_multi_tenant(&MultiTenantConfig::flash_vs_steady(19)).render();
-        assert_eq!(a, b);
     }
 }

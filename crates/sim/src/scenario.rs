@@ -18,18 +18,19 @@
 //! report frame through [`ActiveRound::on_report`], each forwarded one
 //! folded by `MasterAggregator::accept_forwarded`, then `complete_round`.
 //!
-//! [`crate::overload`] and [`crate::multi`] are thin entry points: each
-//! names its calibrated [`ScenarioConfig`]s, calls [`run`], and projects
-//! the [`ScenarioOutcome`] into its own report, adding the audits only
-//! it makes (shed-rate convergence; cross-population fairness). A
-//! single-population overload run is this engine with one
-//! [`PopulationLoad`]. The one thing the two families legitimately
-//! disagree on is what a *device* is, and that is the [`Fleet`] seam;
-//! nothing else in the loop knows which entry point called it.
+//! [`crate::chaos`], [`crate::overload`] and [`crate::multi`] only name
+//! calibrated [`ScenarioConfig`]s: a run of any of them is [`run`], and
+//! what it reports is the one [`ScenarioOutcome`] and its one
+//! [`ScenarioOutcome::render`]. A single-population overload run is this
+//! engine with one [`PopulationLoad`]. The one thing the families
+//! legitimately disagree on is what a *device* is, and that is the
+//! [`Fleet`] seam; nothing else in the loop knows which entry point
+//! built its config.
 //!
-//! Every run ends in one audit of what holds for every configuration
-//! (see `audit`). Everything is a pure function of the config (seed
-//! included), so two runs of one config agree byte for byte.
+//! Every run ends in one audit (see `audit`); its flow-control checks key
+//! on each population's [`LoadShape`], not on the entry point. Everything
+//! is a pure function of the config (seed included), so two runs of one
+//! config agree byte for byte.
 
 use crate::chaos::{storage_failures, Fault};
 use crate::des::EventQueue;
@@ -72,6 +73,9 @@ const AGGREGATOR_SHARDS: u64 = 3;
 /// Watchers that race to respawn a crashed Coordinator; exactly one may
 /// win.
 const RESPAWN_RACERS: u64 = 4;
+/// Pace windows allowed between a herd's or a flash crowd's onset and
+/// shed-rate convergence.
+const CONVERGENCE_BUDGET_WINDOWS: u64 = 5;
 
 /// Each population's checkpoint store.
 type Store = FaultyCheckpointStore<InMemoryCheckpointStore>;
@@ -228,6 +232,8 @@ pub struct ScenarioConfig {
 pub struct PopulationOutcome {
     /// Population name.
     pub name: &'static str,
+    /// The [`LoadShape::name`] of the population's disturbance.
+    pub shape: &'static str,
     /// Check-ins offered under this population (accepted + rejected).
     pub offered: u64,
     /// Check-ins accepted into this population's held set.
@@ -308,6 +314,10 @@ pub struct ScenarioOutcome {
     pub population_estimate_final: u64,
     /// The highest that sum was at any window boundary or at the end.
     pub population_estimate_peak: u64,
+    /// Windows from the latest disturbance's onset (the run's start when
+    /// no population has one) until the shed rate settled; `None` when it
+    /// never did.
+    pub convergence_windows: Option<u64>,
     /// Accept / shed / retry telemetry, finalized at the horizon.
     pub metrics: OverloadMetrics,
     /// Bytes-on-wire counters from the device end of the in-memory wire.
@@ -316,6 +326,90 @@ pub struct ScenarioOutcome {
     pub log: FaultLog,
     /// Engine-level invariant violations; empty on a clean run.
     pub violations: Vec<String>,
+}
+
+impl ScenarioOutcome {
+    /// Whether the engine and its audit found nothing wrong.
+    pub fn is_clean(&self) -> bool {
+        self.violations.is_empty()
+    }
+
+    /// The ledger of the named population, if it ran.
+    pub fn population(&self, name: &str) -> Option<&PopulationOutcome> {
+        self.populations.iter().find(|p| p.name == name)
+    }
+
+    /// Canonical text form, byte-identical across replays of one config:
+    /// one line per population with every counter keyed by its field
+    /// name, the aggregate ledger, the wire, the shed series, the
+    /// telemetry panel, the violations and the fault log.
+    pub fn render(&self) -> String {
+        // Keys are the field names, so a counter cannot be misnamed.
+        macro_rules! counters {
+            ($p:expr; $($field:ident),*) => { [$((stringify!($field), $p.$field)),*] };
+        }
+        let mut out = String::new();
+        for p in &self.populations {
+            out.push_str(&format!("pop {} shape={}", p.name, p.shape));
+            let counters = counters!(p; offered, accepted, shed, rejected_other, budget_admits,
+                budget_sheds, retries, budget_exhaustions, rounds_started, rounds_terminal,
+                committed, abandoned, lost_to_storage, secagg_shard_aborts, secagg_round_aborts,
+                write_count, forwarded, folded, master_restarts, respawns, contested_respawns,
+                clobbered_models, misnumbered_commits, leaked_writes, lease_reacquisitions);
+            for (key, value) in counters {
+                out.push_str(&format!(" {key}={value}"));
+            }
+            out.push('\n');
+        }
+        let convergence = self
+            .convergence_windows
+            .map_or_else(|| "never".to_string(), |w| w.to_string());
+        let fractions: Vec<String> = self
+            .metrics
+            .shed_fractions()
+            .iter()
+            .map(|f| format!("{f:.3}"))
+            .collect();
+        out.push_str(&format!(
+            "accepted_total={} rejected_total={} arbitration_losses={} evicted={}\n\
+             max_queue_depth={} population_estimate_final={} population_estimate_peak={} \
+             alerts={} convergence_windows={convergence}\n\
+             wire up_frames={} up_bytes={} down_frames={} down_bytes={}\n\
+             shed_fractions={}\n",
+            self.accepted_total,
+            self.rejected_total,
+            self.arbitration_losses,
+            self.evicted,
+            self.max_queue_depth,
+            self.population_estimate_final,
+            self.population_estimate_peak,
+            self.metrics.alerts().len(),
+            self.wire.frames_sent,
+            self.wire.bytes_sent,
+            self.wire.frames_received,
+            self.wire.bytes_received,
+            fractions.join(" "),
+        ));
+        out.push_str(&self.metrics.render_population_panel());
+        crate::render_violations(&mut out, &self.violations);
+        out.push_str("--- fault log ---\n");
+        out.push_str(&self.log.render());
+        out
+    }
+}
+
+/// Windows from `onset_window` until the shed-fraction series settles: the
+/// first window from which every later window stays within 0.15 of the
+/// final steady level (the mean of the last three windows).
+fn shed_convergence(fractions: &[f64], onset_window: usize) -> Option<u64> {
+    if fractions.len() < onset_window + 4 {
+        return None;
+    }
+    let tail = &fractions[fractions.len() - 3..];
+    let steady = tail.iter().sum::<f64>() / tail.len() as f64;
+    (onset_window..fractions.len())
+        .find(|&w| fractions[w..].iter().all(|f| (f - steady).abs() <= 0.15))
+        .map(|w| (w - onset_window) as u64)
 }
 
 /// The one audit that ends every engine run: what holds for every
@@ -331,6 +425,11 @@ pub struct ScenarioOutcome {
 /// populations, the Selectors' per-population ledgers sum exactly to the
 /// decisions the engine saw them hand out (the multi-tenant bookkeeping
 /// loses no check-in), and no held-connection queue outgrew its bound.
+/// Flow control (Sec. 2.3), keyed on each population's shape: after a
+/// thundering herd or a flash crowd the shed rate settles within
+/// `CONVERGENCE_BUDGET_WINDOWS` (a diurnal ramp never ends, and a steady
+/// population has no onset to settle from), and after a flash crowd's
+/// onset every other population still gets accepts.
 fn audit(outcome: &ScenarioOutcome, config: &ScenarioConfig) -> Vec<String> {
     let mut violations = Vec::new();
     let crashes = config
@@ -398,6 +497,36 @@ fn audit(outcome: &ScenarioOutcome, config: &ScenarioConfig) -> Vec<String> {
             "queue depth {} exceeded bound {}",
             outcome.max_queue_depth, config.admission.max_inflight
         ));
+    }
+    let disturbed = config.populations.iter().any(|p| {
+        matches!(p.shape, LoadShape::ThunderingHerd { .. } | LoadShape::FlashCrowd { .. })
+    });
+    if disturbed {
+        match outcome.convergence_windows {
+            Some(w) if w <= CONVERGENCE_BUDGET_WINDOWS => {}
+            Some(w) => violations.push(format!(
+                "shed rate took {w} windows to converge (budget {CONVERGENCE_BUDGET_WINDOWS})"
+            )),
+            None => violations.push("shed rate never converged".into()),
+        }
+    }
+    for crowd in &config.populations {
+        let LoadShape::FlashCrowd { at_ms, .. } = crowd.shape else {
+            continue;
+        };
+        let onset_window = (at_ms / config.window_ms) as usize;
+        for other in config.populations.iter().filter(|p| p.name != crowd.name) {
+            let accepts: f64 = outcome
+                .metrics
+                .population_series(&PopulationName::new(other.name))
+                .map_or(0.0, |s| s.accepts.sums().iter().skip(onset_window).sum());
+            if accepts == 0.0 {
+                violations.push(format!(
+                    "population {} starved after the flash crowd in {}",
+                    other.name, crowd.name
+                ));
+            }
+        }
     }
     violations
 }
@@ -829,6 +958,7 @@ impl<'a> Engine<'a> {
                 .iter()
                 .map(|spec| PopulationOutcome {
                     name: spec.name,
+                    shape: spec.shape.name(),
                     ..PopulationOutcome::default()
                 })
                 .collect(),
@@ -1635,6 +1765,8 @@ impl<'a> Engine<'a> {
         let evicted = selectors.iter().map(|s| s.evicted_total()).sum();
 
         let population_estimate_final = self.population_estimate();
+        let latest_onset_ms = self.config.populations.iter().map(|p| p.shape.onset_ms()).max();
+        let onset_window = (latest_onset_ms.unwrap_or(0) / self.config.window_ms) as usize;
         let mut outcome = ScenarioOutcome {
             populations: self.ledgers,
             accepted_total: self.accepted_total,
@@ -1648,6 +1780,7 @@ impl<'a> Engine<'a> {
             max_queue_depth: self.max_queue_depth,
             population_estimate_final,
             population_estimate_peak: self.population_estimate_peak.max(population_estimate_final),
+            convergence_windows: shed_convergence(self.metrics.shed_fractions(), onset_window),
             metrics: self.metrics,
             wire: self.wire.stats(),
             log: self.log,
@@ -1662,20 +1795,24 @@ impl<'a> Engine<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chaos::ChaosReport;
 
-    /// A clean chaos run with one Coordinator crash, and the audit's
-    /// verdict on it after `damage`.
+    /// A clean run of `config`, and the audit's verdict on it after
+    /// `damage`.
+    fn audit_on(config: &ScenarioConfig, damage: impl FnOnce(&mut ScenarioOutcome)) -> Vec<String> {
+        let mut outcome = run(config);
+        assert!(outcome.is_clean(), "{}", outcome.render());
+        damage(&mut outcome);
+        audit(&outcome, config)
+    }
+
+    /// [`audit_on`] a chaos run with one Coordinator crash.
     fn audit_after(damage: impl FnOnce(&mut ScenarioOutcome)) -> Vec<String> {
         let config = ScenarioConfig {
             seed: 3,
             faults: vec![Fault::CoordinatorCrash { at_ms: 15_000 }],
             ..ScenarioConfig::chaos(None)
         };
-        let mut outcome = run(&config);
-        assert!(outcome.violations.is_empty(), "{:?}", outcome.violations);
-        damage(&mut outcome);
-        audit(&outcome, &config)
+        audit_on(&config, damage)
     }
 
     #[test]
@@ -1789,6 +1926,36 @@ mod tests {
         );
     }
 
+    #[test]
+    fn audit_flags_unconverged_shed_rate() {
+        let config = ScenarioConfig::thundering_herd(3);
+        let found = audit_on(&config, |o| o.convergence_windows = Some(6));
+        assert_eq!(found, ["shed rate took 6 windows to converge (budget 5)"]);
+        let found = audit_on(&config, |o| o.convergence_windows = None);
+        assert_eq!(found, ["shed rate never converged"]);
+    }
+
+    /// The telemetry after the crowd's onset (window 10) holds accepts
+    /// for every tenant but `multi/aux`.
+    #[test]
+    fn audit_flags_a_starved_tenant() {
+        let config = ScenarioConfig::flash_vs_steady(7);
+        let found = audit_on(&config, |o| {
+            let monitor = OverloadMonitorConfig {
+                bucket_ms: config.window_ms,
+                ..OverloadMonitorConfig::default()
+            };
+            o.metrics = OverloadMetrics::new(monitor, 0);
+            for name in ["multi/steady", "multi/flash"] {
+                o.metrics.record_accept_for(&PopulationName::new(name), 11 * config.window_ms);
+            }
+        });
+        assert_eq!(
+            found,
+            ["population multi/aux starved after the flash crowd in multi/flash"]
+        );
+    }
+
     /// A Selector crash loses exactly the devices that Selector held
     /// (Sec. 4.4): the replacement starts empty, the other Selector is
     /// untouched, and training carries on.
@@ -1815,8 +1982,8 @@ mod tests {
 
         h.run_until(config.horizon_ms);
         h.drain_after_horizon();
-        let report = ChaosReport::of(config.seed, h.finish());
-        assert!(report.is_clean(), "violations: {:?}", report.violations);
-        assert!(report.committed >= 1, "report: {}", report.render());
+        let outcome = h.finish();
+        assert!(outcome.is_clean(), "{}", outcome.render());
+        assert!(outcome.populations[0].committed >= 1, "{}", outcome.render());
     }
 }

@@ -3,39 +3,42 @@
 //! storage / locking stack, asserting the paper's recovery guarantees
 //! (Sec. 4.2, 4.4) per failure mode and as properties over random plans.
 
-use federated::sim::chaos::{
-    default_secagg_seeds, default_seeds, run_chaos, sweep, Fault, FaultPlan,
-};
-use federated::sim::scenario::ScenarioConfig;
+use federated::sim::chaos::{default_secagg_seeds, default_seeds, Fault, FaultPlan};
+use federated::sim::scenario::{self, ScenarioConfig, ScenarioOutcome};
 use proptest::prelude::*;
+
+/// `plan` on the chaos config, plain or under SecAgg at `secagg_k`.
+fn run_plan(plan: &FaultPlan, secagg_k: Option<usize>) -> ScenarioOutcome {
+    scenario::run(&ScenarioConfig::chaos(secagg_k).with_plan(plan))
+}
+
+/// The plan generated from `seed` on the chaos config.
+fn run_seed(seed: u64, secagg_k: Option<usize>) -> ScenarioOutcome {
+    let horizon_ms = ScenarioConfig::chaos(secagg_k).horizon_ms;
+    run_plan(&FaultPlan::generate(seed, horizon_ms), secagg_k)
+}
 
 /// The fixed-seed sweep `scripts/check.sh` runs as a release gate: every
 /// seed must hold every recovery guarantee.
 #[test]
 fn fixed_seed_sweep_is_clean() {
-    let config = ScenarioConfig::chaos(None);
-    let reports = sweep(&default_seeds(), &config);
-    assert_eq!(reports.len(), default_seeds().len());
-    for report in &reports {
+    let mut injected = 0;
+    for seed in default_seeds() {
+        let outcome = run_seed(seed, None);
         assert!(
-            report.is_clean(),
-            "seed {} violated recovery guarantees:\n{}",
-            report.seed,
-            report.render()
+            outcome.is_clean(),
+            "seed {seed} violated recovery guarantees:\n{}",
+            outcome.render()
         );
         // "The system will continue to make progress" (Sec. 4.4).
         assert!(
-            report.committed >= 1,
-            "seed {} never committed a round:\n{}",
-            report.seed,
-            report.render()
+            outcome.populations[0].committed >= 1,
+            "seed {seed} never committed a round:\n{}",
+            outcome.render()
         );
+        injected += outcome.log.with_prefix("inject.").count();
     }
     // The sweep must actually exercise faults, not coast fault-free.
-    let injected: usize = reports
-        .iter()
-        .map(|r| r.log.with_prefix("inject.").count())
-        .sum();
     assert!(injected >= 10, "sweep injected only {injected} faults");
 }
 
@@ -46,23 +49,20 @@ fn fixed_seed_sweep_is_clean() {
 /// every group aborts restarts cleanly with nothing persisted.
 #[test]
 fn secagg_fixed_seed_sweep_is_clean() {
-    let config = ScenarioConfig::chaos(Some(2));
-    let reports = sweep(&default_secagg_seeds(), &config);
-    assert_eq!(reports.len(), default_secagg_seeds().len());
-    for report in &reports {
+    for seed in default_secagg_seeds() {
+        let outcome = run_seed(seed, Some(2));
         assert!(
-            report.is_clean(),
-            "secagg seed {} violated recovery guarantees:\n{}",
-            report.seed,
-            report.render()
+            outcome.is_clean(),
+            "secagg seed {seed} violated recovery guarantees:\n{}",
+            outcome.render()
         );
+        let pop = &outcome.populations[0];
         assert!(
-            report.committed >= 1,
-            "secagg seed {} never committed a round:\n{}",
-            report.seed,
-            report.render()
+            pop.committed >= 1,
+            "secagg seed {seed} never committed a round:\n{}",
+            outcome.render()
         );
-        assert_eq!(report.final_write_count, 1 + report.committed);
+        assert_eq!(pop.write_count, 1 + pop.committed);
     }
 }
 
@@ -71,7 +71,6 @@ fn secagg_fixed_seed_sweep_is_clean() {
 /// surviving groups and the storage audit holds (Sec. 4.2 × Sec. 6).
 #[test]
 fn secagg_aggregator_loss_costs_only_its_group() {
-    let config = ScenarioConfig::chaos(Some(2));
     let plan = FaultPlan {
         seed: 1,
         faults: vec![Fault::AggregatorCrash {
@@ -79,31 +78,21 @@ fn secagg_aggregator_loss_costs_only_its_group() {
             shard: 0,
         }],
     };
-    let report = run_chaos(&plan, &config);
-    assert!(report.is_clean(), "{}", report.render());
-    assert!(report.committed >= 1, "{}", report.render());
-    assert_eq!(report.final_write_count, 1 + report.committed);
+    let outcome = run_plan(&plan, Some(2));
+    assert!(outcome.is_clean(), "{}", outcome.render());
+    let pop = &outcome.populations[0];
+    assert!(pop.committed >= 1, "{}", outcome.render());
+    assert_eq!(pop.write_count, 1 + pop.committed);
 }
 
-/// Determinism is the whole point: the same seed must reproduce the same
-/// run byte-for-byte, so a failing seed is a replayable bug report.
-#[test]
-fn replay_of_a_seed_is_byte_identical() {
-    let config = ScenarioConfig::chaos(None);
-    for seed in default_seeds() {
-        let first = run_chaos(&FaultPlan::generate(seed, config.horizon_ms), &config).render();
-        let second = run_chaos(&FaultPlan::generate(seed, config.horizon_ms), &config).render();
-        assert_eq!(first, second, "seed {seed} diverged between replays");
-    }
-}
-
-fn one_fault_run(fault: Fault) -> federated::sim::chaos::ChaosReport {
-    let config = ScenarioConfig::chaos(None);
+fn one_fault_run(fault: Fault) -> ScenarioOutcome {
     let plan = FaultPlan {
         seed: 1,
         faults: vec![fault],
     };
-    run_chaos(&plan, &config)
+    let outcome = run_plan(&plan, None);
+    assert!(outcome.is_clean(), "{}", outcome.render());
+    outcome
 }
 
 /// Aggregator loss: "If an Aggregator […] fails, only the round […] will
@@ -111,27 +100,26 @@ fn one_fault_run(fault: Fault) -> federated::sim::chaos::ChaosReport {
 /// commits on the survivors (Sec. 4.2).
 #[test]
 fn aggregator_loss_costs_only_its_shard() {
-    let report = one_fault_run(Fault::AggregatorCrash {
+    let outcome = one_fault_run(Fault::AggregatorCrash {
         at_ms: 12_000,
         shard: 0,
     });
-    assert!(report.is_clean(), "{}", report.render());
-    assert!(report.committed >= 1, "{}", report.render());
-    assert_eq!(report.log.with_prefix("inject.aggregator-crash").count(), 1);
-    assert_eq!(report.final_write_count, 1 + report.committed);
+    let pop = &outcome.populations[0];
+    assert!(pop.committed >= 1, "{}", outcome.render());
+    assert_eq!(outcome.log.with_prefix("inject.aggregator-crash").count(), 1);
+    assert_eq!(pop.write_count, 1 + pop.committed);
 }
 
 /// Selector loss: its devices vanish for a few check-in periods, then
 /// re-route; training continues.
 #[test]
 fn selector_loss_reroutes_devices() {
-    let report = one_fault_run(Fault::SelectorCrash {
+    let outcome = one_fault_run(Fault::SelectorCrash {
         at_ms: 12_000,
         selector: 0,
     });
-    assert!(report.is_clean(), "{}", report.render());
-    assert!(report.committed >= 1, "{}", report.render());
-    assert_eq!(report.log.with_prefix("inject.selector-crash").count(), 1);
+    assert!(outcome.populations[0].committed >= 1, "{}", outcome.render());
+    assert_eq!(outcome.log.with_prefix("inject.selector-crash").count(), 1);
 }
 
 /// Master Aggregator loss: "the current round of the FL task it manages
@@ -139,12 +127,12 @@ fn selector_loss_reroutes_devices() {
 /// nothing from the dead round reaches storage (Sec. 4.2).
 #[test]
 fn master_loss_fails_round_then_restarts() {
-    let report = one_fault_run(Fault::MasterCrash { at_ms: 12_000 });
-    assert!(report.is_clean(), "{}", report.render());
-    assert_eq!(report.master_restarts, 1, "{}", report.render());
-    assert!(report.committed >= 1, "{}", report.render());
-    assert_eq!(report.final_write_count, 1 + report.committed);
-    assert_eq!(report.log.with_prefix("recover.round-restart").count(), 1);
+    let outcome = one_fault_run(Fault::MasterCrash { at_ms: 12_000 });
+    let pop = &outcome.populations[0];
+    assert_eq!(pop.master_restarts, 1, "{}", outcome.render());
+    assert!(pop.committed >= 1, "{}", outcome.render());
+    assert_eq!(pop.write_count, 1 + pop.committed);
+    assert_eq!(outcome.log.with_prefix("recover.round-restart").count(), 1);
 }
 
 /// Coordinator loss: the locking-service race admits exactly one
@@ -153,25 +141,25 @@ fn master_loss_fails_round_then_restarts() {
 /// exactly once").
 #[test]
 fn coordinator_loss_respawns_exactly_once() {
-    let report = one_fault_run(Fault::CoordinatorCrash { at_ms: 15_000 });
-    assert!(report.is_clean(), "{}", report.render());
-    assert_eq!(report.respawns, 1, "{}", report.render());
-    assert!(report.committed >= 1, "{}", report.render());
-    assert_eq!(report.log.with_prefix("recover.respawn").count(), 1);
+    let outcome = one_fault_run(Fault::CoordinatorCrash { at_ms: 15_000 });
+    let pop = &outcome.populations[0];
+    assert_eq!(pop.respawns, 1, "{}", outcome.render());
+    assert!(pop.committed >= 1, "{}", outcome.render());
+    assert_eq!(outcome.log.with_prefix("recover.respawn").count(), 1);
     // The respawn checks (one winning racer, no extra write, model
-    // intact) are part of the engine's audit; clean report == guarantees
+    // intact) are part of the engine's audit; clean outcome == guarantees
     // held.
-    assert_eq!(report.final_write_count, 1 + report.committed);
+    assert_eq!(pop.write_count, 1 + pop.committed);
 }
 
 /// Lease loss: the coordinator re-registers at the next tick and keeps
 /// training.
 #[test]
 fn lease_loss_is_reacquired() {
-    let report = one_fault_run(Fault::LeaseLoss { at_ms: 10_000 });
-    assert!(report.is_clean(), "{}", report.render());
-    assert_eq!(report.lease_reacquisitions, 1, "{}", report.render());
-    assert!(report.committed >= 1, "{}", report.render());
+    let outcome = one_fault_run(Fault::LeaseLoss { at_ms: 10_000 });
+    let pop = &outcome.populations[0];
+    assert_eq!(pop.lease_reacquisitions, 1, "{}", outcome.render());
+    assert!(pop.committed >= 1, "{}", outcome.render());
 }
 
 /// Storage write failure: the round's aggregate is lost, the previously
@@ -180,24 +168,24 @@ fn lease_loss_is_reacquired() {
 /// until it is fully aggregated").
 #[test]
 fn storage_failure_loses_round_but_not_state() {
-    let report = one_fault_run(Fault::StorageWriteFailure { attempt: 2 });
-    assert!(report.is_clean(), "{}", report.render());
-    assert_eq!(report.lost_to_storage, 1, "{}", report.render());
-    assert!(report.committed >= 1, "{}", report.render());
-    assert_eq!(report.final_write_count, 1 + report.committed);
+    let outcome = one_fault_run(Fault::StorageWriteFailure { attempt: 2 });
+    let pop = &outcome.populations[0];
+    assert_eq!(pop.lost_to_storage, 1, "{}", outcome.render());
+    assert!(pop.committed >= 1, "{}", outcome.render());
+    assert_eq!(pop.write_count, 1 + pop.committed);
 }
 
 /// Device drop-out burst: over-selection absorbs it, or the round is
 /// abandoned cleanly — either way no hang and no stray writes.
 #[test]
 fn dropout_burst_never_wedges_a_round() {
-    let report = one_fault_run(Fault::DropoutBurst {
+    let outcome = one_fault_run(Fault::DropoutBurst {
         at_ms: 12_000,
         per_mille: 400,
     });
-    assert!(report.is_clean(), "{}", report.render());
-    assert_eq!(report.log.with_prefix("inject.dropout-burst").count(), 1);
-    assert_eq!(report.final_write_count, 1 + report.committed);
+    let pop = &outcome.populations[0];
+    assert_eq!(outcome.log.with_prefix("inject.dropout-burst").count(), 1);
+    assert_eq!(pop.write_count, 1 + pop.committed);
 }
 
 /// Compound schedule: every failure mode in one run, in a deliberately
@@ -205,7 +193,6 @@ fn dropout_burst_never_wedges_a_round() {
 /// devices are dropping). The system must still make progress.
 #[test]
 fn compound_fault_schedule_still_makes_progress() {
-    let config = ScenarioConfig::chaos(None);
     let plan = FaultPlan {
         seed: 2,
         faults: vec![
@@ -227,13 +214,14 @@ fn compound_fault_schedule_still_makes_progress() {
             Fault::StorageWriteFailure { attempt: 3 },
         ],
     };
-    let report = run_chaos(&plan, &config);
-    assert!(report.is_clean(), "{}", report.render());
-    assert!(report.committed >= 1, "{}", report.render());
-    assert_eq!(report.respawns, 1);
-    assert_eq!(report.master_restarts, 1);
-    assert_eq!(report.lost_to_storage, 1);
-    assert_eq!(report.final_write_count, 1 + report.committed);
+    let outcome = run_plan(&plan, None);
+    assert!(outcome.is_clean(), "{}", outcome.render());
+    let pop = &outcome.populations[0];
+    assert!(pop.committed >= 1, "{}", outcome.render());
+    assert_eq!(pop.respawns, 1);
+    assert_eq!(pop.master_restarts, 1);
+    assert_eq!(pop.lost_to_storage, 1);
+    assert_eq!(pop.write_count, 1 + pop.committed);
 }
 
 proptest! {
@@ -246,19 +234,17 @@ proptest! {
     /// round outcomes.
     #[test]
     fn random_fault_schedules_never_hang_or_double_commit(seed in 0u64..10_000) {
-        let config = ScenarioConfig::chaos(None);
-        let plan = FaultPlan::generate(seed, config.horizon_ms);
-        let report = run_chaos(&plan, &config);
+        let outcome = run_seed(seed, None);
         prop_assert!(
-            report.is_clean(),
+            outcome.is_clean(),
             "seed {} violated guarantees:\n{}",
             seed,
-            report.render()
+            outcome.render()
         );
-        prop_assert_eq!(report.final_write_count, 1 + report.committed);
+        let pop = &outcome.populations[0];
+        prop_assert_eq!(pop.write_count, 1 + pop.committed);
         prop_assert!(
-            report.committed + report.abandoned + report.lost_to_storage + report.master_restarts
-                >= 1
+            pop.committed + pop.abandoned + pop.lost_to_storage + pop.master_restarts >= 1
         );
     }
 }

@@ -28,7 +28,8 @@ use federated::server::topology::{
 };
 use federated::server::wire::WireMessage;
 use federated::server::{CoordinatorConfig, GlobalAdmissionConfig};
-use federated::sim::multi::{default_seeds, run_multi_tenant, sweep, MultiTenantConfig};
+use federated::sim::multi::default_seeds;
+use federated::sim::scenario::{self, ScenarioConfig};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -457,52 +458,36 @@ fn unregistered_population_is_told_to_come_back_later() {
 /// rounds — holding on every seed.
 #[test]
 fn fixed_seed_fairness_sweep_is_clean() {
-    let reports = sweep(&default_seeds(), MultiTenantConfig::flash_vs_steady);
-    assert_eq!(reports.len(), default_seeds().len());
-    for report in &reports {
+    for seed in default_seeds() {
+        let outcome = scenario::run(&ScenarioConfig::flash_vs_steady(seed));
         assert!(
-            report.is_clean(),
-            "seed {} violated multi-tenant invariants:\n{}",
-            report.seed,
-            report.render()
+            outcome.is_clean(),
+            "seed {seed} violated multi-tenant invariants:\n{}",
+            outcome.render()
         );
-        let steady = report.outcome("multi/steady").unwrap();
-        let flash = report.outcome("multi/flash").unwrap();
+        let steady = outcome.population("multi/steady").unwrap();
+        let flash = outcome.population("multi/flash").unwrap();
         assert!(
             steady.committed >= 3,
-            "seed {}: steady tenant starved:\n{}",
-            report.seed,
-            report.render()
+            "seed {seed}: steady tenant starved:\n{}",
+            outcome.render()
         );
         assert!(
             flash.budget_sheds > 1_000,
-            "seed {}: the storm never hit the fair-share budget:\n{}",
-            report.seed,
-            report.render()
+            "seed {seed}: the storm never hit the fair-share budget:\n{}",
+            outcome.render()
         );
         assert!(
             steady.budget_sheds < flash.budget_sheds / 100,
-            "seed {}: fair-share cost leaked onto the steady tenant:\n{}",
-            report.seed,
-            report.render()
+            "seed {seed}: fair-share cost leaked onto the steady tenant:\n{}",
+            outcome.render()
         );
         // The on-device half of multi-tenancy: single-session
         // arbitration really arbitrated.
         assert!(
-            report.arbitration_losses > 0,
-            "seed {}: no device arbitration:\n{}",
-            report.seed,
-            report.render()
+            outcome.arbitration_losses > 0,
+            "seed {seed}: no device arbitration:\n{}",
+            outcome.render()
         );
     }
-}
-
-/// Replaying a sweep seed renders byte-identically — a failing seed is
-/// a replayable bug report, same contract as the chaos harnesses.
-#[test]
-fn sweep_seed_replays_byte_identically() {
-    let seed = default_seeds()[0];
-    let a = run_multi_tenant(&MultiTenantConfig::flash_vs_steady(seed)).render();
-    let b = run_multi_tenant(&MultiTenantConfig::flash_vs_steady(seed)).render();
-    assert_eq!(a, b);
 }

@@ -13,13 +13,10 @@
 //! ```
 
 use federated::core::round::RoundConfig;
-use federated::sim::chaos;
 use federated::sim::fleet::{self, FleetConfig};
-use federated::sim::multi::{self, MultiTenantConfig};
-use federated::sim::overload::{self, OverloadConfig};
-use federated::sim::scenario::ScenarioConfig;
+use federated::sim::scenario::{self, ScenarioConfig};
 use federated::sim::{
-    explore_live_round, explore_secagg_live_round, run_chaos_with_schedule, run_wire_chaos,
+    chaos, explore_live_round, explore_secagg_live_round, multi, overload, run_wire_chaos,
     run_wire_chaos_secagg, FaultPlan,
 };
 use std::collections::BTreeMap;
@@ -48,34 +45,23 @@ fn render_fixture() -> String {
          # Regenerate deliberately:\n\
          #   cargo test --test render_digests -- --ignored regenerate\n",
     );
-    let plain = ScenarioConfig::chaos(None);
-    for report in chaos::sweep(&chaos::default_seeds(), &plain) {
-        out.push_str(&line("chaos/plain", report.seed, &report.render()));
-    }
-    for report in chaos::sweep(&chaos::default_secagg_seeds(), &ScenarioConfig::chaos(Some(2))) {
-        out.push_str(&line("chaos/secagg", report.seed, &report.render()));
-    }
-    let scenarios: [(&str, fn(u64) -> OverloadConfig); 4] = [
-        ("overload/thundering_herd", OverloadConfig::thundering_herd),
-        ("overload/flash_crowd", OverloadConfig::flash_crowd),
+    let engine_configs: [(&str, fn(u64) -> ScenarioConfig, Vec<u64>); 8] = [
+        ("chaos/plain", |seed| chaos_config(None, seed), chaos::default_seeds()),
+        ("chaos/secagg", |seed| chaos_config(Some(2), seed), chaos::default_secagg_seeds()),
+        ("overload/thundering_herd", ScenarioConfig::thundering_herd, overload::default_seeds()),
+        ("overload/flash_crowd", ScenarioConfig::flash_crowd, overload::default_seeds()),
         (
             "overload/secagg_flash_crowd",
-            OverloadConfig::secagg_flash_crowd,
+            ScenarioConfig::secagg_flash_crowd,
+            overload::default_seeds(),
         ),
-        ("overload/diurnal_ramp", OverloadConfig::diurnal_ramp),
+        ("overload/diurnal_ramp", ScenarioConfig::diurnal_ramp, overload::default_seeds()),
+        ("multi/flash_vs_steady", ScenarioConfig::flash_vs_steady, multi::default_seeds()),
+        ("multi/single", ScenarioConfig::single, multi::default_seeds()),
     ];
-    for (name, make) in scenarios {
-        for report in overload::sweep(&overload::default_seeds(), make) {
-            out.push_str(&line(name, report.seed, &report.render()));
-        }
-    }
-    let tenancies: [(&str, fn(u64) -> MultiTenantConfig); 2] = [
-        ("multi/flash_vs_steady", MultiTenantConfig::flash_vs_steady),
-        ("multi/single", MultiTenantConfig::single),
-    ];
-    for (name, make) in tenancies {
-        for report in multi::sweep(&multi::default_seeds(), make) {
-            out.push_str(&line(name, report.seed, &report.render()));
+    for (name, make, seeds) in engine_configs {
+        for seed in seeds {
+            out.push_str(&line(name, seed, &scenario::run(&make(seed)).render()));
         }
     }
     // The 32 fault scripts `tests/wire_chaos.rs` sweeps.
@@ -112,14 +98,20 @@ fn render_fixture() -> String {
         out.push_str(&line(
             &format!("explore/chaos plan={plan}"),
             schedule,
-            &run_chaos_with_schedule(&FaultPlan::generate(plan, plain.horizon_ms), &plain, schedule)
-                .render(),
+            &scenario::run_with_schedule(&chaos_config(None, plan), schedule).render(),
         ));
     }
     for seed in [5, 17, 42] {
         out.push_str(&line("fleet/day", seed, &fleet_render(seed)));
     }
     out
+}
+
+/// The chaos config under the fault plan generated from `seed`.
+fn chaos_config(secagg_k: Option<usize>, seed: u64) -> ScenarioConfig {
+    let config = ScenarioConfig::chaos(secagg_k);
+    let plan = FaultPlan::generate(seed, config.horizon_ms);
+    config.with_plan(&plan)
 }
 
 /// Two days of a 5 000-device fleet on the benchmark's `fleet_des` round

@@ -13,12 +13,19 @@
 use fl_actors::{
     audit_exactly_once, Actor, ActorSystem, Context, FaultAction, Flow, ScriptedFaults,
 };
-use fl_sim::scenario::ScenarioConfig;
+use fl_sim::scenario::{self, ScenarioConfig};
 use fl_sim::{
-    explore_live_round, explore_secagg_live_round, run_chaos_with_schedule,
-    run_wire_chaos_with_schedule, FaultPlan,
+    explore_live_round, explore_secagg_live_round, run_wire_chaos_with_schedule, FaultPlan,
 };
 use std::sync::Arc;
+
+/// The chaos config, plain or under SecAgg at `secagg_k`, under the plan
+/// generated from `plan_seed`.
+fn chaos_plan(secagg_k: Option<usize>, plan_seed: u64) -> ScenarioConfig {
+    let config = ScenarioConfig::chaos(secagg_k);
+    let plan = FaultPlan::generate(plan_seed, config.horizon_ms);
+    config.with_plan(&plan)
+}
 
 /// How many seeded schedules each scenario is explored under.
 const K: u64 = 64;
@@ -103,42 +110,41 @@ fn wire_chaos_invariants_hold_across_delivery_schedules() {
 /// the masked rounds' recovery guarantees are timing-invariant too.
 #[test]
 fn secagg_chaos_recovery_holds_across_timing_schedules() {
-    let config = ScenarioConfig::chaos(Some(2));
-    let plan = FaultPlan::generate(11, config.horizon_ms);
+    let config = chaos_plan(Some(2), 11);
     for schedule in 0..16 {
-        let report = run_chaos_with_schedule(&plan, &config, schedule);
+        let outcome = scenario::run_with_schedule(&config, schedule);
         assert!(
-            report.is_clean(),
+            outcome.is_clean(),
             "secagg schedule seed {schedule} violations: {:?}",
-            report.violations
+            outcome.violations
         );
-        assert_eq!(report.final_write_count, 1 + report.committed);
+        let pop = &outcome.populations[0];
+        assert_eq!(pop.write_count, 1 + pop.committed);
     }
 }
 
 #[test]
 fn chaos_recovery_holds_across_k_timing_schedules() {
-    let config = ScenarioConfig::chaos(None);
-    let plan = FaultPlan::generate(11, config.horizon_ms);
+    let config = chaos_plan(None, 11);
     for schedule in 0..K {
-        let report = run_chaos_with_schedule(&plan, &config, schedule);
+        let outcome = scenario::run_with_schedule(&config, schedule);
         assert!(
-            report.is_clean(),
+            outcome.is_clean(),
             "schedule seed {schedule} violations: {:?}",
-            report.violations
+            outcome.violations
         );
-        assert_eq!(report.final_write_count, 1 + report.committed);
+        let pop = &outcome.populations[0];
+        assert_eq!(pop.write_count, 1 + pop.committed);
     }
 }
 
 #[test]
 fn chaos_schedule_reports_replay_byte_identically() {
-    let config = ScenarioConfig::chaos(None);
     for (plan_seed, schedule) in [(11u64, 3u64), (23, 17), (47, 40)] {
-        let plan = FaultPlan::generate(plan_seed, config.horizon_ms);
+        let config = chaos_plan(None, plan_seed);
         assert_eq!(
-            run_chaos_with_schedule(&plan, &config, schedule).render(),
-            run_chaos_with_schedule(&plan, &config, schedule).render(),
+            scenario::run_with_schedule(&config, schedule).render(),
+            scenario::run_with_schedule(&config, schedule).render(),
             "plan {plan_seed} schedule {schedule} replay diverged"
         );
     }
