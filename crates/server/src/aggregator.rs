@@ -680,6 +680,11 @@ pub enum ShardMsg {
     /// stops after replying — shards are ephemeral, they die with the
     /// round.
     Close {
+        /// How many [`ShardMsg::Accept`]s the Master sent this shard. All
+        /// are in the mailbox before the `Close`, but delivery may put one
+        /// behind it, so the shard holds the `Close` until it has handled
+        /// this many.
+        routed: u64,
         /// Devices that vanished after advertising keys.
         advertise_dropouts: Vec<DeviceId>,
         /// Devices that vanished after sharing keys.
@@ -696,6 +701,11 @@ pub enum ShardMsg {
 pub struct AggregatorActor {
     shard: Option<AggregatorShard>,
     secagg_seed: u64,
+    /// [`ShardMsg::Accept`]s handled so far.
+    accepted: u64,
+    /// The [`ShardMsg::Close`] received, held until `accepted` reaches its
+    /// `routed` count.
+    close: Option<ShardMsg>,
 }
 
 impl AggregatorActor {
@@ -704,6 +714,25 @@ impl AggregatorActor {
         AggregatorActor {
             shard: Some(shard),
             secagg_seed,
+            accepted: 0,
+            close: None,
+        }
+    }
+
+    /// Closes the shard and replies to the held `Close`, if there is one.
+    fn finish_close(&mut self) {
+        if let (
+            Some(shard),
+            Some(ShardMsg::Close {
+                advertise_dropouts,
+                share_dropouts,
+                reply,
+                ..
+            }),
+        ) = (self.shard.take(), self.close.take())
+        {
+            let result = shard.close(&advertise_dropouts, &share_dropouts, self.secagg_seed);
+            let _ = reply.send(result);
         }
     }
 }
@@ -714,6 +743,7 @@ impl Actor for AggregatorActor {
     fn handle(&mut self, msg: ShardMsg, _ctx: &mut ActorContext<ShardMsg>) -> Flow {
         match msg {
             ShardMsg::Accept(report) => {
+                self.accepted += 1;
                 if let Some(shard) = &mut self.shard {
                     // A malformed update is dropped at the shard, exactly
                     // as a decode failure inside one Aggregator loses that
@@ -722,21 +752,22 @@ impl Actor for AggregatorActor {
                 }
                 // Folded or staged: the frame's bytes are spent.
                 fl_wire::recycle(report.frame);
-                Flow::Continue
             }
-            ShardMsg::Close {
-                advertise_dropouts,
-                share_dropouts,
-                reply,
-            } => {
-                if let Some(shard) = self.shard.take() {
-                    let result =
-                        shard.close(&advertise_dropouts, &share_dropouts, self.secagg_seed);
-                    let _ = reply.send(result);
-                }
+            close @ ShardMsg::Close { .. } => self.close = Some(close),
+        }
+        match self.close {
+            Some(ShardMsg::Close { routed, .. }) if self.accepted >= routed => {
+                self.finish_close();
                 Flow::Stop
             }
+            _ => Flow::Continue,
         }
+    }
+
+    /// The mailbox ended with the `Close` still short of reports (one was
+    /// lost on the way): close with what is staged.
+    fn on_stop(&mut self) {
+        self.finish_close();
     }
 }
 
@@ -808,6 +839,9 @@ pub struct MasterAggregatorActor {
     /// Child actor handles, filled by `on_start`. Dropping these (stop or
     /// death) closes the children's mailboxes, which reaps them.
     shards: Vec<ActorRef<ShardMsg>>,
+    /// [`ShardMsg::Accept`]s sent to each shard, which its
+    /// [`ShardMsg::Close`] carries.
+    routed: Vec<u64>,
     /// Updates drained from the mailbox so far. Compared against
     /// [`MasterMsg::Finalize`]'s `expected_contributors` to defer a
     /// finalize that overtook in-flight updates.
@@ -828,6 +862,7 @@ impl MasterAggregatorActor {
             secagg_seed,
             staged,
             shards: Vec::new(),
+            routed: Vec::new(),
             forwarded: 0,
             defer_budget: 100_000,
         }
@@ -844,6 +879,7 @@ impl Actor for MasterAggregatorActor {
                 AggregatorActor::new(shard, shard_seed(self.secagg_seed, i)),
             );
             self.shards.push(child);
+            self.routed.push(0);
         }
     }
 
@@ -876,7 +912,9 @@ impl Actor for MasterAggregatorActor {
                 if let Some(shard) = self.shards.get(idx) {
                     // A dead shard loses this contribution; the round
                     // continues on the survivors.
-                    let _ = shard.send(ShardMsg::Accept(report));
+                    if shard.send(ShardMsg::Accept(report)).is_ok() {
+                        self.routed[idx] += 1;
+                    }
                 }
                 Flow::Continue
             }
@@ -888,12 +926,14 @@ impl Actor for MasterAggregatorActor {
                 ..
             } => {
                 let mut pending = Vec::new();
-                for shard in std::mem::take(&mut self.shards) {
+                let routed = std::mem::take(&mut self.routed);
+                for (shard, routed) in std::mem::take(&mut self.shards).into_iter().zip(routed) {
                     let (tx, rx) = unbounded();
                     // A send error means the shard is already dead: its
                     // contributions are lost, the merge proceeds without it.
                     if shard
                         .send(ShardMsg::Close {
+                            routed,
                             advertise_dropouts: advertise_dropouts.clone(),
                             share_dropouts: share_dropouts.clone(),
                             reply: tx,
@@ -1695,6 +1735,52 @@ mod tests {
             merged,
             drive_plain_round_in_order(&ActorSystem::new(), 9).unwrap()
         );
+    }
+
+    /// Holds the shard's first delivery until the test has enqueued both
+    /// reports and the `Close`, then sends that report behind the
+    /// `Close`, as schedule exploration may while the Master still holds
+    /// the shard's reference.
+    struct ReorderFirstDelivery(std::sync::Barrier);
+
+    impl FaultInjector for ReorderFirstDelivery {
+        fn on_deliver(&self, actor: &str, seq: u64) -> FaultAction {
+            if actor == "shard" && seq == 1 {
+                self.0.wait();
+                return FaultAction::Reorder;
+            }
+            FaultAction::Deliver
+        }
+    }
+
+    /// Regression: a shard used to close on `Close` with a report its
+    /// Master had routed to it still behind the `Close` in its mailbox,
+    /// and that report vanished from the sum.
+    #[test]
+    fn shard_close_waits_for_every_routed_report() {
+        let system = ActorSystem::new();
+        let gate = std::sync::Arc::new(ReorderFirstDelivery(std::sync::Barrier::new(2)));
+        system.install_fault_injector(gate.clone());
+        let shard = AggregatorShard::new(8, CodecSpec::Identity, None);
+        let shard = system.spawn("shard", AggregatorActor::new(shard, 1));
+        for frame in (0..2u64).map(plain_frame) {
+            let route = ReportRoute::of(&fl_wire::ReportRef::parse(&frame).unwrap());
+            shard.send(ShardMsg::Accept(ForwardedReport { route, frame })).unwrap();
+        }
+        let (reply, closed) = unbounded();
+        shard
+            .send(ShardMsg::Close {
+                routed: 2,
+                advertise_dropouts: Vec::new(),
+                share_dropouts: Vec::new(),
+                reply,
+            })
+            .unwrap();
+        gate.0.wait();
+        let sum = closed.recv().unwrap().unwrap();
+        drop(shard);
+        system.join();
+        assert_eq!(sum.contributors(), 2);
     }
 
     /// Drives a SecAgg round (8 devices over 2 shards, k = 2) through
