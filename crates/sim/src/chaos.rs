@@ -8,10 +8,9 @@
 //! virtual clock, and [`ScenarioConfig::with_plan`] hands it to the one
 //! scenario engine, [`crate::scenario`], as the `faults` of a
 //! [`ScenarioConfig::chaos`] run: one population on the engine's shipped
-//! round path, its
-//! Coordinator over a `FaultyCheckpointStore` and its lease in a
-//! `LockingService`. The engine injects every fault into every population
-//! and its audit checks the paper's recovery guarantees:
+//! round path, its Coordinator over a `FaultyCheckpointStore` and its
+//! lease in a `LockingService`. The engine injects every fault into every
+//! population and its audit checks the paper's recovery guarantees:
 //!
 //! * an Aggregator loss costs only that shard's devices — the round still
 //!   completes when enough others report (Sec. 4.2);
@@ -211,9 +210,10 @@ pub fn default_secagg_seeds() -> Vec<u64> {
 
 impl ScenarioConfig {
     /// The chaos topology, with no faults scripted yet (see
-    /// [`ScenarioConfig::with_plan`]): 24 dedicated devices behind two Selectors, checking
-    /// in every 2 s, and one population training in rounds of 6 selected
-    /// devices for a goal of 4, over a four-minute horizon. With
+    /// [`ScenarioConfig::with_plan`]): 24 dedicated devices behind two
+    /// Selectors, checking in every 2 s, and one population training in
+    /// rounds of 6 selected devices for a goal of 4, over a four-minute
+    /// horizon. With
     /// `secagg_k` every round runs Secure Aggregation at that group
     /// threshold (Sec. 6): devices report fixed-point field vectors,
     /// drop-outs are tagged with the protocol stage they hit, and a shard

@@ -33,7 +33,7 @@ use fl_core::RetryPolicy;
 use fl_server::shedding::AdmissionConfig;
 
 impl ScenarioConfig {
-    /// A calibrated default for the given scenario and seed: 8 000
+    /// A calibrated default for the given load shape and seed: 8 000
     /// baseline devices (large enough that a 40-window horizon never
     /// drains the pool), 60 s pace windows, and a disturbance at
     /// window 10.

@@ -32,7 +32,10 @@ run_step "build" cargo build --release
 # topology, plain and SecAgg; per seed the run must commit exactly once,
 # keep write_count == 1 + committed, incorporate one contribution per
 # accepted key, and render byte-identically across replays); the fault
-# and overload sweeps (`chaos_sweep`, `overload_sweep`); the live tree
+# and overload sweeps (`chaos_sweep`, `overload_sweep`: seeded
+# `scenario::run`s of the chaos and overload configs, each ending in the
+# engine's one audit); the pinned render digests of every seeded harness
+# (`render_digests`); the live tree
 # (`live_topology`); multi-tenancy (`multi_tenant`: several populations
 # share one fleet and one Selector layer, live and simulated under a
 # seeded flash crowd, and cross-population fairness, the per-device
