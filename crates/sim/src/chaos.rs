@@ -273,6 +273,14 @@ impl ScenarioConfig {
             ..self
         }
     }
+
+    /// The chaos config under the plan [`FaultPlan::generate`] draws from
+    /// `seed` over its horizon: the seeded run every chaos sweep replays.
+    pub fn chaos_seed(secagg_k: Option<usize>, seed: u64) -> Self {
+        let config = ScenarioConfig::chaos(secagg_k);
+        let plan = FaultPlan::generate(seed, config.horizon_ms);
+        config.with_plan(&plan)
+    }
 }
 
 #[cfg(test)]
@@ -375,8 +383,7 @@ mod tests {
 
     #[test]
     fn schedule_permutations_stay_clean_and_replay_byte_identically() {
-        let base = ScenarioConfig::chaos(None);
-        let config = base.clone().with_plan(&FaultPlan::generate(11, base.horizon_ms));
+        let config = ScenarioConfig::chaos_seed(None, 11);
         for schedule in [1u64, 5, 9] {
             let a = scenario::run_with_schedule(&config, schedule);
             let b = scenario::run_with_schedule(&config, schedule);

@@ -11,7 +11,8 @@
 //! * [`network`] — per-device latency/bandwidth/failure models,
 //! * [`des`] — the virtual-clock event queue,
 //! * [`chaos`] — the engine's fault axis: seeded, replayable fault plans
-//!   (`ScenarioConfig::with_plan`) for a one-population [`scenario`] run,
+//!   (`ScenarioConfig::with_plan`, `chaos_seed`) for a one-population
+//!   [`scenario`] run,
 //!   whose audit holds the Sec. 4.2/4.4 recovery guarantees,
 //! * [`netchaos`] — network chaos at the wire boundary: seeded
 //!   `FaultyTransport` scripts mangle device report frames in flight

@@ -7,15 +7,10 @@ use federated::sim::chaos::{default_secagg_seeds, default_seeds, Fault, FaultPla
 use federated::sim::scenario::{self, ScenarioConfig, ScenarioOutcome};
 use proptest::prelude::*;
 
-/// `plan` on the chaos config, plain or under SecAgg at `secagg_k`.
+/// A hand-built `plan` on the chaos config, plain or under SecAgg at
+/// `secagg_k`.
 fn run_plan(plan: &FaultPlan, secagg_k: Option<usize>) -> ScenarioOutcome {
     scenario::run(&ScenarioConfig::chaos(secagg_k).with_plan(plan))
-}
-
-/// The plan generated from `seed` on the chaos config.
-fn run_seed(seed: u64, secagg_k: Option<usize>) -> ScenarioOutcome {
-    let horizon_ms = ScenarioConfig::chaos(secagg_k).horizon_ms;
-    run_plan(&FaultPlan::generate(seed, horizon_ms), secagg_k)
 }
 
 /// The fixed-seed sweep `scripts/check.sh` runs as a release gate: every
@@ -24,7 +19,7 @@ fn run_seed(seed: u64, secagg_k: Option<usize>) -> ScenarioOutcome {
 fn fixed_seed_sweep_is_clean() {
     let mut injected = 0;
     for seed in default_seeds() {
-        let outcome = run_seed(seed, None);
+        let outcome = scenario::run(&ScenarioConfig::chaos_seed(None, seed));
         assert!(
             outcome.is_clean(),
             "seed {seed} violated recovery guarantees:\n{}",
@@ -50,7 +45,7 @@ fn fixed_seed_sweep_is_clean() {
 #[test]
 fn secagg_fixed_seed_sweep_is_clean() {
     for seed in default_secagg_seeds() {
-        let outcome = run_seed(seed, Some(2));
+        let outcome = scenario::run(&ScenarioConfig::chaos_seed(Some(2), seed));
         assert!(
             outcome.is_clean(),
             "secagg seed {seed} violated recovery guarantees:\n{}",
@@ -234,7 +229,7 @@ proptest! {
     /// round outcomes.
     #[test]
     fn random_fault_schedules_never_hang_or_double_commit(seed in 0u64..10_000) {
-        let outcome = run_seed(seed, None);
+        let outcome = scenario::run(&ScenarioConfig::chaos_seed(None, seed));
         prop_assert!(
             outcome.is_clean(),
             "seed {} violated guarantees:\n{}",

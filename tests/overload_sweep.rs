@@ -75,45 +75,63 @@ fn fixed_seed_flash_and_ramp_sweeps_are_clean() {
 
 /// A cross-product no named config expresses: a thundering herd aimed at
 /// one of three populations that split a dedicated fleet (strides 1/2/4:
-/// half, a quarter, a quarter), each at the calibrated reconnect period.
-/// The engine's audit is asserted and nothing calibrated beyond it. A
-/// quarter of the idle tenant wakes: the shed rate settles in 3 windows,
-/// where a whole-tenant herd here sheds for 10-14 (the audit's budget is
-/// 5; ROADMAP item 5).
+/// half, a quarter, a quarter). Only what the engine guarantees for every
+/// configuration is asserted — no calibrated fairness thresholds — in two
+/// configs: the whole herd tenant waking at a 10-window device period, and
+/// a quarter of it waking at the calibrated period.
 #[test]
 fn herd_in_one_of_three_populations_holds_the_engine_invariants() {
     let base = ScenarioConfig::thundering_herd(29);
-    let population = |name, goal_count, membership_stride, shape| PopulationLoad {
-        name,
-        round: RoundConfig { goal_count, ..base.populations[0].round },
-        membership_stride,
-        shape,
-        ..base.populations[0].clone()
+    let config = |fraction, period_ms| {
+        let population = |name, goal_count, membership_stride, shape| PopulationLoad {
+            name,
+            period_ms,
+            round: RoundConfig { goal_count, ..base.populations[0].round },
+            membership_stride,
+            shape,
+            ..base.populations[0].clone()
+        };
+        let herd = LoadShape::ThunderingHerd { at_ms: 600_000, fraction };
+        ScenarioConfig {
+            selectors: 2,
+            populations: vec![
+                population("cross/steady", 100, 1, LoadShape::Steady),
+                population("cross/herd", 50, 2, herd),
+                population("cross/aux", 25, 4, LoadShape::Steady),
+            ],
+            ..base.clone()
+        }
     };
-    let herd = LoadShape::ThunderingHerd { at_ms: 600_000, fraction: 0.25 };
-    let config = ScenarioConfig {
-        selectors: 2,
-        populations: vec![
-            population("cross/steady", 100, 1, LoadShape::Steady),
-            population("cross/herd", 50, 2, herd),
-            population("cross/aux", 25, 4, LoadShape::Steady),
-        ],
-        ..base.clone()
-    };
-    let outcome = scenario::run(&config);
-    assert_eq!(outcome.render(), scenario::run(&config).render());
-    assert!(outcome.is_clean(), "{}", outcome.render());
+    for (config, whole_tenant) in [
+        (config(1.0, 10 * base.window_ms), true),
+        (config(0.25, base.populations[0].period_ms), false),
+    ] {
+        let outcome = scenario::run(&config);
+        assert_eq!(format!("{outcome:?}"), format!("{:?}", scenario::run(&config)));
+        if whole_tenant {
+            // The whole-tenant herd breaks only the shed-rate convergence
+            // budget: pace steering does not settle a herd in one of
+            // several tenants sharing the Selectors (ROADMAP item 5).
+            assert!(
+                matches!(&outcome.violations[..], [v] if v.starts_with("shed rate ")),
+                "{}",
+                outcome.render()
+            );
+        } else {
+            assert!(outcome.is_clean(), "{}", outcome.render());
+        }
 
-    let accepted: u64 = outcome.populations.iter().map(|p| p.accepted).sum();
-    let offered: u64 = outcome.populations.iter().map(|p| p.offered).sum();
-    assert_eq!(accepted, outcome.accepted_total);
-    assert_eq!(offered - accepted, outcome.rejected_total);
-    assert!(outcome.max_queue_depth <= config.admission.max_inflight);
-    for p in &outcome.populations {
-        assert_eq!(p.rounds_started, p.rounds_terminal, "{p:?}");
-        assert!(p.offered > 0, "{p:?}");
+        let accepted: u64 = outcome.populations.iter().map(|p| p.accepted).sum();
+        let offered: u64 = outcome.populations.iter().map(|p| p.offered).sum();
+        assert_eq!(accepted, outcome.accepted_total);
+        assert_eq!(offered - accepted, outcome.rejected_total);
+        assert!(outcome.max_queue_depth <= config.admission.max_inflight);
+        for p in &outcome.populations {
+            assert_eq!(p.rounds_started, p.rounds_terminal, "{p:?}");
+            assert!(p.offered > 0, "{p:?}");
+        }
+        // The herd really fired: its population was shed.
+        let herd = outcome.population("cross/herd").unwrap();
+        assert!(herd.shed > 0, "{}", outcome.render());
     }
-    // The herd really fired: its population was shed.
-    let herd = outcome.population("cross/herd").unwrap();
-    assert!(herd.shed > 0, "{}", outcome.render());
 }

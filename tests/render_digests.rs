@@ -17,7 +17,7 @@ use federated::sim::fleet::{self, FleetConfig};
 use federated::sim::scenario::{self, ScenarioConfig};
 use federated::sim::{
     chaos, explore_live_round, explore_secagg_live_round, multi, overload, run_wire_chaos,
-    run_wire_chaos_secagg, FaultPlan,
+    run_wire_chaos_secagg,
 };
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -46,8 +46,12 @@ fn render_fixture() -> String {
          #   cargo test --test render_digests -- --ignored regenerate\n",
     );
     let engine_configs: [(&str, fn(u64) -> ScenarioConfig, Vec<u64>); 8] = [
-        ("chaos/plain", |seed| chaos_config(None, seed), chaos::default_seeds()),
-        ("chaos/secagg", |seed| chaos_config(Some(2), seed), chaos::default_secagg_seeds()),
+        ("chaos/plain", |seed| ScenarioConfig::chaos_seed(None, seed), chaos::default_seeds()),
+        (
+            "chaos/secagg",
+            |seed| ScenarioConfig::chaos_seed(Some(2), seed),
+            chaos::default_secagg_seeds(),
+        ),
         ("overload/thundering_herd", ScenarioConfig::thundering_herd, overload::default_seeds()),
         ("overload/flash_crowd", ScenarioConfig::flash_crowd, overload::default_seeds()),
         (
@@ -98,20 +102,14 @@ fn render_fixture() -> String {
         out.push_str(&line(
             &format!("explore/chaos plan={plan}"),
             schedule,
-            &scenario::run_with_schedule(&chaos_config(None, plan), schedule).render(),
+            &scenario::run_with_schedule(&ScenarioConfig::chaos_seed(None, plan), schedule)
+                .render(),
         ));
     }
     for seed in [5, 17, 42] {
         out.push_str(&line("fleet/day", seed, &fleet_render(seed)));
     }
     out
-}
-
-/// The chaos config under the fault plan generated from `seed`.
-fn chaos_config(secagg_k: Option<usize>, seed: u64) -> ScenarioConfig {
-    let config = ScenarioConfig::chaos(secagg_k);
-    let plan = FaultPlan::generate(seed, config.horizon_ms);
-    config.with_plan(&plan)
 }
 
 /// Two days of a 5 000-device fleet on the benchmark's `fleet_des` round

@@ -14,18 +14,8 @@ use fl_actors::{
     audit_exactly_once, Actor, ActorSystem, Context, FaultAction, Flow, ScriptedFaults,
 };
 use fl_sim::scenario::{self, ScenarioConfig};
-use fl_sim::{
-    explore_live_round, explore_secagg_live_round, run_wire_chaos_with_schedule, FaultPlan,
-};
+use fl_sim::{explore_live_round, explore_secagg_live_round, run_wire_chaos_with_schedule};
 use std::sync::Arc;
-
-/// The chaos config, plain or under SecAgg at `secagg_k`, under the plan
-/// generated from `plan_seed`.
-fn chaos_plan(secagg_k: Option<usize>, plan_seed: u64) -> ScenarioConfig {
-    let config = ScenarioConfig::chaos(secagg_k);
-    let plan = FaultPlan::generate(plan_seed, config.horizon_ms);
-    config.with_plan(&plan)
-}
 
 /// How many seeded schedules each scenario is explored under.
 const K: u64 = 64;
@@ -110,7 +100,7 @@ fn wire_chaos_invariants_hold_across_delivery_schedules() {
 /// the masked rounds' recovery guarantees are timing-invariant too.
 #[test]
 fn secagg_chaos_recovery_holds_across_timing_schedules() {
-    let config = chaos_plan(Some(2), 11);
+    let config = ScenarioConfig::chaos_seed(Some(2), 11);
     for schedule in 0..16 {
         let outcome = scenario::run_with_schedule(&config, schedule);
         assert!(
@@ -125,7 +115,7 @@ fn secagg_chaos_recovery_holds_across_timing_schedules() {
 
 #[test]
 fn chaos_recovery_holds_across_k_timing_schedules() {
-    let config = chaos_plan(None, 11);
+    let config = ScenarioConfig::chaos_seed(None, 11);
     for schedule in 0..K {
         let outcome = scenario::run_with_schedule(&config, schedule);
         assert!(
@@ -141,7 +131,7 @@ fn chaos_recovery_holds_across_k_timing_schedules() {
 #[test]
 fn chaos_schedule_reports_replay_byte_identically() {
     for (plan_seed, schedule) in [(11u64, 3u64), (23, 17), (47, 40)] {
-        let config = chaos_plan(None, plan_seed);
+        let config = ScenarioConfig::chaos_seed(None, plan_seed);
         assert_eq!(
             scenario::run_with_schedule(&config, schedule).render(),
             scenario::run_with_schedule(&config, schedule).render(),
