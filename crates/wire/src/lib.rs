@@ -31,8 +31,9 @@
 //! 8+n     8     checksum of header + body, u64 little-endian
 //! ```
 //!
-//! The trailer is the four-lane, word-at-a-time digest defined at
-//! [`checksum`]; a frame is written header → body → trailer into one
+//! The trailer is the word-at-a-time digest defined at [`checksum`]:
+//! four lanes for a frame under 4 KiB, 64 vectorizable lanes from 4 KiB
+//! up; a frame is written header → body → trailer into one
 //! buffer, and every decoder verifies the trailer before it trusts a
 //! body byte.
 //!
@@ -63,9 +64,9 @@ mod transport;
 
 pub use fault::{FaultScript, FaultStats, FaultyTransport, FrameFault};
 pub use frame::{
-    checksum, decode, decode_prefix, encode, encode_into, encode_plan_and_checkpoint_into,
-    encoded_len, peek_tag, WireError, HEADER_LEN, MAGIC, MAX_BODY_LEN, PROTOCOL_VERSION,
-    TRAILER_LEN,
+    checksum, checksum_portable, decode, decode_prefix, encode, encode_into,
+    encode_plan_and_checkpoint_into, encoded_len, peek_tag, WireError, HEADER_LEN, MAGIC,
+    MAX_BODY_LEN, PROTOCOL_VERSION, TRAILER_LEN,
 };
 pub use message::{tag, ReportPayload, ReportRef, WireMessage};
 pub use transport::{recycle, ChannelTransport, TcpTransport, Transport, WireSink, WireStats};

@@ -418,27 +418,35 @@ fn rejects_version_skew() {
 }
 
 #[test]
-fn rejects_v3_frames_with_typed_skew() {
-    // A frame recorded before the v4 digest change — a bodyless v3
-    // frame, sound under its FNV-1a trailer — must be refused
-    // with the typed skew error naming both versions: the version byte
-    // is judged before the trailer, so an old peer reads as skewed, not
-    // as corrupted, and is never misparsed.
-    assert_eq!(PROTOCOL_VERSION, 4, "this regression pins the v3→v4 bump");
-    let v3_frame = [
-        b'F', b'W', 3, 10, 0, 0, 0, 0, 0x03, 0xe7, 0xdc, 0xeb, 0x29, 0x7c, 0x2c, 0xa8,
-    ];
+fn rejects_v4_frames_with_typed_skew() {
+    // A frame recorded before the v5 digest change — the v4 golden
+    // `CheckinRequest`, sound under its trailer — must be refused with
+    // the typed skew error naming both versions: the version byte is
+    // judged before the trailer, so an old peer reads as skewed, not as
+    // corrupted, and is never misparsed.
+    assert_eq!(PROTOCOL_VERSION, 5, "this regression pins the v4→v5 bump");
+    let hex = "465704011b000000efcdab89674523011100676f6c64656e2f706f70756c6174696f6e451fa53b93127604";
+    let v4_frame: Vec<u8> = (0..hex.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+        .collect();
+    // Sound at v4, whose digest a frame this short still takes.
+    let content_end = v4_frame.len() - TRAILER_LEN;
     assert_eq!(
-        decode(&v3_frame),
-        Err(WireError::VersionSkew { ours: 4, theirs: 3 })
+        checksum(&v4_frame[..content_end]).to_le_bytes(),
+        v4_frame[content_end..]
     );
     assert_eq!(
-        ReportRef::parse(&v3_frame),
-        Err(WireError::VersionSkew { ours: 4, theirs: 3 })
+        decode(&v4_frame),
+        Err(WireError::VersionSkew { ours: 5, theirs: 4 })
     );
     assert_eq!(
-        peek_tag(&v3_frame),
-        Err(WireError::VersionSkew { ours: 4, theirs: 3 })
+        ReportRef::parse(&v4_frame),
+        Err(WireError::VersionSkew { ours: 5, theirs: 4 })
+    );
+    assert_eq!(
+        peek_tag(&v4_frame),
+        Err(WireError::VersionSkew { ours: 5, theirs: 4 })
     );
 }
 
@@ -493,20 +501,30 @@ fn report_view_refuses_other_messages() {
 
 /// The digest is frozen alongside the golden fixture: these vectors pin
 /// the algorithm itself (seeds, primes, lane order, fold, tail) at every
-/// block/tail boundary. They were cross-checked against an independent
-/// implementation written from the definition in `frame.rs`.
+/// block/tail boundary. The six under 64 bytes are protocol v4's narrow
+/// digest, unchanged since v4; they were cross-checked against an
+/// independent implementation written from the definition in
+/// `frame.rs`. The wide ones straddle the 4 096-byte threshold, a
+/// 512-byte block and its byte tail, and end at 1 MiB; `frame.rs`'s unit
+/// tests hold every build of the wide digest to a per-word reference.
 #[test]
 fn digest_vectors_are_pinned() {
-    let bytes: Vec<u8> = (0..64u8)
-        .map(|i| i.wrapping_mul(37).wrapping_add(11))
+    let bytes: Vec<u8> = (0..1usize << 20)
+        .map(|i| (i as u8).wrapping_mul(37).wrapping_add(11))
         .collect();
-    let pinned: [(usize, u64); 6] = [
+    let pinned: [(usize, u64); 12] = [
         (0, 0x4dbc_3146_d850_2748),
         (1, 0x8a23_58c1_fc88_57a2),
         (31, 0x84bf_f465_839b_e9f2),
         (32, 0xf524_723f_5690_1831),
         (33, 0x1fca_1b6d_70e1_958b),
         (64, 0x7cf7_f9da_a6b4_9502),
+        (4095, 0x841c_38bd_aedd_3656),
+        (4096, 0x4eb0_f8da_f357_1dd7),
+        (4097, 0x5704_f1c3_3dd6_1970),
+        (4608, 0xcd39_86bd_12f6_aa25),
+        (4609, 0xf880_d2bf_ec38_1717),
+        (1 << 20, 0x882d_c8d8_8bb4_e71e),
     ];
     for (len, digest) in pinned {
         assert_eq!(
@@ -538,15 +556,17 @@ fn assert_flips_refused(frame: &[u8], positions: impl Iterator<Item = usize>) {
 /// Any single-byte difference is detected with certainty. Digest level:
 /// every position x mask over arbitrary content of every length 0..=104,
 /// which is every alignment of a byte to a lane, the serial tail words
-/// and the byte tail. Frame level: every position (header, body and
+/// and the byte tail of the narrow digest, and of lengths 4 095 to 4 097
+/// and 4 608 to 4 609: each side of the wide digest's threshold, whole
+/// blocks, and a short block's words and byte tail. Frame level: every position (header, body and
 /// trailer alike) of a valid frame of every content length a message
 /// can have up to 104 (19 is the smallest), of a 4 KB frame, and,
 /// sampled (all of it is three terabytes of digest work), of a 1 MB
 /// frame.
 #[test]
 fn every_single_byte_flip_is_refused() {
-    let content: Vec<u8> = (0..104u32).map(|i| (i * 131 + 7) as u8).collect();
-    for len in 0..=content.len() {
+    let content: Vec<u8> = (0..4609u32).map(|i| (i * 131 + 7) as u8).collect();
+    for len in (0..=104).chain([4095, 4096, 4097, 4608, 4609]) {
         let sound = checksum(&content[..len]);
         let mut mangled = content[..len].to_vec();
         for position in 0..len {
