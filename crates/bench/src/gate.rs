@@ -43,6 +43,35 @@ pub fn wire(cases: &[WireCase]) -> Result<(), String> {
     Ok(())
 }
 
+/// `bench_wire`'s digest row, as far as its gate reads it: the frame
+/// digest on a 1 MiB buffer, dispatched and as its portable build.
+pub struct DigestRow {
+    /// The CPU has AVX2, so the dispatch picks a vector build.
+    pub avx2: bool,
+    /// `fl_wire::checksum` throughput.
+    pub dispatched_gb_per_s: f64,
+    /// `fl_wire::checksum_portable` throughput.
+    pub portable_gb_per_s: f64,
+}
+
+/// The dispatched 1 MiB digest's required advantage over the portable
+/// build on a CPU with AVX2. The AVX2 build reads ~2.5x and the AVX-512
+/// one 4-5x; a lost `#[target_feature]` reads ~1x.
+pub const DIGEST_MIN_SPEEDUP: f64 = 1.5;
+
+/// `bench_wire`'s digest verdict: where the CPU has AVX2, the dispatched
+/// digest runs at least [`DIGEST_MIN_SPEEDUP`] times the portable build.
+pub fn digest(row: &DigestRow) -> Result<(), String> {
+    if row.avx2 && row.dispatched_gb_per_s < DIGEST_MIN_SPEEDUP * row.portable_gb_per_s {
+        return Err(format!(
+            "the dispatched 1 MiB digest ran at {:.1} GB/s against the portable build's {:.1}, \
+             under the {DIGEST_MIN_SPEEDUP}x an AVX2 CPU must reach",
+            row.dispatched_gb_per_s, row.portable_gb_per_s
+        ));
+    }
+    Ok(())
+}
+
 /// One `bench_selector` case: the accept path at one population count
 /// and one drain cadence.
 pub struct SelectorCase {
@@ -196,6 +225,8 @@ mod tests {
         let current = doc.split("\"before\"").next().expect("a first piece");
         let cases: Vec<WireCase> = rows(current)
             .iter()
+            // The digest row is gated on its own.
+            .filter(|row| row.contains_key("params"))
             .map(|row| WireCase {
                 params: row["params"] as usize,
                 frame_bytes: row["frame_bytes"] as usize,
@@ -208,6 +239,19 @@ mod tests {
             .collect();
         assert_eq!(cases.len(), 3);
         cases
+    }
+
+    fn committed_digest() -> DigestRow {
+        let doc = include_str!("../../../BENCH_wire.json");
+        let row = rows(doc)
+            .into_iter()
+            .find(|row| row.contains_key("dispatched_gb_per_s_1mib"))
+            .expect("a digest row");
+        DigestRow {
+            avx2: doc.contains("\"avx2\": true"),
+            dispatched_gb_per_s: row["dispatched_gb_per_s_1mib"],
+            portable_gb_per_s: row["portable_gb_per_s_1mib"],
+        }
     }
 
     fn committed_selector() -> Vec<SelectorCase> {
@@ -255,7 +299,9 @@ mod tests {
         let row = include_str!("../../../BENCH_e2e.json")
             .lines()
             .rfind(|line| {
-                line.contains(&format!("\"workload\": \"{workload}\", \"metric\": \"rounds_per_s\""))
+                line.contains(&format!(
+                    "\"workload\": \"{workload}\", \"metric\": \"rounds_per_s\""
+                ))
             })
             .expect("every entry has the row");
         rows(row)[0]["change_median"]
@@ -300,6 +346,7 @@ mod tests {
     #[test]
     fn committed_rows_pass_every_gate() {
         assert_eq!(wire(&committed_wire()), Ok(()));
+        assert_eq!(digest(&committed_digest()), Ok(()));
         assert_eq!(selector(&committed_selector()), Ok(()));
         assert_eq!(secagg(&committed_secagg()), Ok(()));
     }
@@ -322,6 +369,28 @@ mod tests {
             let why = wire(&cases).expect_err("700 MB/s is under the floor");
             assert!(why.contains("1000000 params moved at 700.0 MB/s"), "{why}");
         }
+    }
+
+    #[test]
+    fn a_lost_target_feature_fails_the_digest_gate() {
+        let committed = committed_digest();
+        assert!(committed.avx2, "the snapshot was taken on a CPU with AVX2");
+        // A dispatch that lost its `#[target_feature]` runs the portable
+        // loop's speed, give or take.
+        let lost = DigestRow {
+            dispatched_gb_per_s: 1.1 * committed.portable_gb_per_s,
+            ..committed
+        };
+        let why = digest(&lost).expect_err("1.1x is under the required advantage");
+        assert!(why.contains("1.5x an AVX2 CPU must reach"), "{why}");
+        // Without AVX2 the dispatch has no vector build to pick.
+        assert_eq!(
+            digest(&DigestRow {
+                avx2: false,
+                ..lost
+            }),
+            Ok(())
+        );
     }
 
     #[test]
