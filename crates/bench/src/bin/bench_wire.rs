@@ -103,32 +103,37 @@ fn bench_faulty_overhead(params: usize, iters: u32) -> (f64, f64) {
     (plain_ns, bench_send(&faulty))
 }
 
-/// Buffer sizes of the digest row and how many digests one timed pass
-/// takes at each: 64 B and 1 KiB in the narrow regime, 33 KB and 1 MiB
-/// in the wide one.
-const DIGEST_SIZES: [(usize, u32); 4] = [
-    (64, 100_000),
-    (1024, 20_000),
-    (33_000, 2_000),
-    (1 << 20, 100),
+/// The digest row's buffer sizes, how many digests one timed pass takes
+/// at each, and the reading's name: ns at 64 B and 1 KiB (the narrow
+/// regime), GB/s at 33 KB and 1 MiB (the wide one).
+const DIGEST_SIZES: [(usize, u32, &str); 4] = [
+    (64, 100_000, "ns_64b"),
+    (1024, 20_000, "ns_1kib"),
+    (33_000, 2_000, "gb_per_s_33kb"),
+    (1 << 20, 100, "gb_per_s_1mib"),
 ];
 
-/// Best-of-seven ns per digest at each of [`DIGEST_SIZES`], for the
+/// Best of seven at each of [`DIGEST_SIZES`], in its unit, for the
 /// dispatched digest and the portable build (in that order), the two
 /// taking turns so a slow spell of the host reaches both.
-fn digest_ns() -> [[f64; 4]; 2] {
+fn digest_row() -> [[f64; 4]; 2] {
     let bytes: Vec<u8> = (0..1usize << 20).map(|i| (i % 251) as u8).collect();
     let builds: [fn(&[u8]) -> u64; 2] = [fl_wire::checksum, fl_wire::checksum_portable];
     let mut best = [[f64::INFINITY; 4]; 2];
     for _ in 0..7 {
         for (build, best) in builds.iter().zip(&mut best) {
-            for (&(len, reps), best) in DIGEST_SIZES.iter().zip(best) {
+            for (&(len, reps, _), best) in DIGEST_SIZES.iter().zip(best) {
                 let start = Instant::now();
                 for _ in 0..reps {
                     black_box(build(black_box(&bytes[..len])));
                 }
                 *best = best.min(start.elapsed().as_secs_f64() * 1e9 / f64::from(reps));
             }
+        }
+    }
+    for row in &mut best {
+        for (&(len, _, _), ns) in DIGEST_SIZES.iter().zip(row).skip(2) {
+            *ns = len as f64 / *ns;
         }
     }
     best
@@ -158,8 +163,7 @@ fn main() -> Result<(), String> {
         faulty_ns - plain_ns
     );
 
-    let [dispatched, portable] = digest_ns();
-    let gb_per_s = |ns: f64, len: usize| len as f64 / ns;
+    let [dispatched, portable] = digest_row();
     #[cfg(target_arch = "x86_64")]
     let (avx2, avx512) = (
         std::arch::is_x86_feature_detected!("avx2"),
@@ -168,25 +172,28 @@ fn main() -> Result<(), String> {
     );
     #[cfg(not(target_arch = "x86_64"))]
     let (avx2, avx512) = (false, false);
-    let digest_row = |ns: &[f64; 4]| {
-        format!(
-            "{:.1} ns at 64 B, {:.1} ns at 1 KiB, {:.1} GB/s at 33 KB, {:.1} GB/s at 1 MiB",
-            ns[0],
-            ns[1],
-            gb_per_s(ns[2], DIGEST_SIZES[2].0),
-            gb_per_s(ns[3], DIGEST_SIZES[3].0)
-        )
-    };
-    eprintln!(
-        "digest (avx2 {avx2}, avx512 {avx512}): dispatched {}",
-        digest_row(&dispatched)
-    );
-    eprintln!("digest: portable {}", digest_row(&portable));
+    let builds = [("dispatched", dispatched), ("portable", portable)];
+    for (build, r) in builds {
+        eprintln!(
+            "digest {build} (avx2 {avx2}, avx512 {avx512}): {:.1} ns at 64 B, {:.1} ns at 1 KiB, \
+             {:.1} GB/s at 33 KB, {:.1} GB/s at 1 MiB",
+            r[0], r[1], r[2], r[3]
+        );
+    }
     let digest = DigestRow {
         avx2,
-        dispatched_gb_per_s: gb_per_s(dispatched[3], DIGEST_SIZES[3].0),
-        portable_gb_per_s: gb_per_s(portable[3], DIGEST_SIZES[3].0),
+        dispatched_gb_per_s: dispatched[3],
+        portable_gb_per_s: portable[3],
     };
+    let digest_fields: Vec<String> = builds
+        .iter()
+        .flat_map(|(build, r)| {
+            DIGEST_SIZES
+                .iter()
+                .zip(r)
+                .map(move |((_, _, name), x)| format!("\"{build}_{name}\": {x:.2}"))
+        })
+        .collect();
 
     let rows: Vec<String> = cases
         .iter()
@@ -210,22 +217,12 @@ fn main() -> Result<(), String> {
          \"message\": \"UpdateReport\",\n  \"cases\": [\n{}\n  ],\n  \
          \"faulty_transport_overhead\": {{\"params\": {params}, \"iters\": {iters}, \
          \"plain_ns_per_send\": {plain_ns:.0}, \"faulty_ns_per_send\": {faulty_ns:.0}, \
-         \"overhead_ns_per_send\": {:.0}}},\n  \"digest\":\n    {{\"avx2\": {avx2}, \"avx512\": {avx512}, \
-         \"dispatched_ns_64b\": {:.1}, \"portable_ns_64b\": {:.1}, \
-         \"dispatched_ns_1kib\": {:.1}, \"portable_ns_1kib\": {:.1}, \
-         \"dispatched_gb_per_s_33kb\": {:.2}, \"portable_gb_per_s_33kb\": {:.2}, \
-         \"dispatched_gb_per_s_1mib\": {:.2}, \"portable_gb_per_s_1mib\": {:.2}}}\n}}",
+         \"overhead_ns_per_send\": {:.0}}},\n  \"digest\":\n    {{\"avx2\": {avx2}, \
+         \"avx512\": {avx512}, {}}}\n}}",
         wire::PROTOCOL_VERSION,
         rows.join(",\n"),
         faulty_ns - plain_ns,
-        dispatched[0],
-        portable[0],
-        dispatched[1],
-        portable[1],
-        gb_per_s(dispatched[2], DIGEST_SIZES[2].0),
-        gb_per_s(portable[2], DIGEST_SIZES[2].0),
-        digest.dispatched_gb_per_s,
-        digest.portable_gb_per_s,
+        digest_fields.join(", "),
     );
 
     gate::wire(&cases)?;

@@ -302,7 +302,7 @@ impl AggregatorShard {
     /// is the unmasked *sum*, but the privacy property is simulated, not
     /// held: `stage_field` keeps every device's unmasked field vector until
     /// this call, which runs all n clients and the server in-process.
-    /// ROADMAP item 2 (devices mask, the shard is the server half only) is
+    /// ROADMAP item 3 (devices mask, the shard is the server half only) is
     /// the change that makes "the server never touches an individual
     /// update" true.
     ///
