@@ -425,7 +425,8 @@ fn rejects_v4_frames_with_typed_skew() {
     // judged before the trailer, so an old peer reads as skewed, not as
     // corrupted, and is never misparsed.
     assert_eq!(PROTOCOL_VERSION, 5, "this regression pins the v4→v5 bump");
-    let hex = "465704011b000000efcdab89674523011100676f6c64656e2f706f70756c6174696f6e451fa53b93127604";
+    let hex =
+        "465704011b000000efcdab89674523011100676f6c64656e2f706f70756c6174696f6e451fa53b93127604";
     let v4_frame: Vec<u8> = (0..hex.len())
         .step_by(2)
         .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
@@ -504,15 +505,17 @@ fn report_view_refuses_other_messages() {
 /// block/tail boundary. The six under 64 bytes are protocol v4's narrow
 /// digest, unchanged since v4; they were cross-checked against an
 /// independent implementation written from the definition in
-/// `frame.rs`. The wide ones straddle the 4 096-byte threshold, a
-/// 512-byte block and its byte tail, and end at 1 MiB; `frame.rs`'s unit
-/// tests hold every build of the wide digest to a per-word reference.
+/// `frame.rs`. The wide ones straddle the 4 096-byte threshold and a
+/// 512-byte block with its byte tail, end a short last block of 12 words
+/// in a 7-byte tail (4 199), and reach 1 MiB; all were cross-checked the
+/// same way, and `frame.rs`'s unit tests hold every build of the wide
+/// digest to a per-word reference.
 #[test]
 fn digest_vectors_are_pinned() {
     let bytes: Vec<u8> = (0..1usize << 20)
         .map(|i| (i as u8).wrapping_mul(37).wrapping_add(11))
         .collect();
-    let pinned: [(usize, u64); 12] = [
+    let pinned: [(usize, u64); 13] = [
         (0, 0x4dbc_3146_d850_2748),
         (1, 0x8a23_58c1_fc88_57a2),
         (31, 0x84bf_f465_839b_e9f2),
@@ -522,6 +525,7 @@ fn digest_vectors_are_pinned() {
         (4095, 0x841c_38bd_aedd_3656),
         (4096, 0x4eb0_f8da_f357_1dd7),
         (4097, 0x5704_f1c3_3dd6_1970),
+        (4199, 0xa27c_e4e9_70d2_cf0c),
         (4608, 0xcd39_86bd_12f6_aa25),
         (4609, 0xf880_d2bf_ec38_1717),
         (1 << 20, 0x882d_c8d8_8bb4_e71e),
