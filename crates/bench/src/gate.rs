@@ -295,9 +295,7 @@ mod tests {
         let row = include_str!("../../../BENCH_e2e.json")
             .lines()
             .rfind(|line| {
-                line.contains(&format!(
-                    "\"workload\": \"{workload}\", \"metric\": \"rounds_per_s\""
-                ))
+                line.contains(&format!("\"workload\": \"{workload}\", \"metric\": \"rounds_per_s\""))
             })
             .expect("every entry has the row");
         rows(row)[0]["change_median"]
@@ -380,13 +378,7 @@ mod tests {
         let why = digest(&lost).expect_err("1.1x is under the required advantage");
         assert!(why.contains("1.5x an AVX2 CPU must reach"), "{why}");
         // Without AVX2 the dispatch has no vector build to pick.
-        assert_eq!(
-            digest(&DigestRow {
-                avx2: false,
-                ..lost
-            }),
-            Ok(())
-        );
+        assert_eq!(digest(&DigestRow { avx2: false, ..lost }), Ok(()));
     }
 
     #[test]
