@@ -17,6 +17,11 @@
 //! 1 MiB (the wide regime), for the dispatched `fl_wire::checksum` and its
 //! portable build.
 //!
+//! The `configuration_fanout` row sends one `round_secagg`-sized
+//! Configuration (a 4 112-param model) through `WireSink::send_frame` to
+//! 64 in-memory devices and decodes it on each: ns per device, the best
+//! of seven passes. It carries no gate.
+//!
 //! The run exits non-zero when the 1M-parameter frame encodes or decodes
 //! below [`gate::WIRE_FLOOR_MB_PER_S`], which a digest that walks the
 //! frame a byte at a time cannot reach, or when a CPU with AVX2 runs the
@@ -24,11 +29,14 @@
 //! portable build (a lost `#[target_feature]`).
 
 use fl_bench::gate::{self, DigestRow, WireCase as Case};
+use fl_core::checkpoint::FlCheckpoint;
+use fl_core::plan::{CodecSpec, FlPlan, ModelSpec};
 use fl_core::{DeviceId, PopulationName, RoundId};
 use fl_server::wire::{self, WireMessage};
 use fl_wire::{ChannelTransport, FaultScript, FaultyTransport, Transport};
 use std::hint::black_box;
-use std::time::Instant;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// An `UpdateReport` carrying an f32 update of `params` parameters: 4
 /// bytes each, patterned so decode copies real data.
@@ -103,6 +111,64 @@ fn bench_faulty_overhead(params: usize, iters: u32) -> (f64, f64) {
     (plain_ns, bench_send(&faulty))
 }
 
+/// Devices the `configuration_fanout` row sends one Configuration to.
+const FANOUT_DEVICES: usize = 64;
+
+/// One round's Configuration download as `round_secagg` frames it (a
+/// 256 x 16 Logistic model, 4 112 params), sent through a sink of each
+/// of [`FANOUT_DEVICES`] channel links and decoded on every device end,
+/// `rounds` times a pass. Returns the frame's size and the best pass's
+/// ns per device.
+fn configuration_fanout(rounds: u32) -> (usize, f64) {
+    let model = ModelSpec::Logistic {
+        dim: 256,
+        classes: 16,
+        seed: 0,
+    };
+    let frame = Arc::new(
+        wire::encode(&WireMessage::PlanAndCheckpoint {
+            plan: Box::new(FlPlan::standard_training(
+                model,
+                1,
+                16,
+                0.1,
+                CodecSpec::Identity,
+            )),
+            checkpoint: Box::new(FlCheckpoint::new(
+                "train",
+                RoundId(3),
+                vec![0.25; model.num_params()],
+            )),
+            population: PopulationName::new("bench/p0"),
+        })
+        .expect("the Configuration encodes"),
+    );
+    let links: Vec<_> = (0..FANOUT_DEVICES)
+        .map(|_| {
+            let (device, server) = ChannelTransport::pair();
+            (device, server.sink())
+        })
+        .collect();
+    let mut best = f64::INFINITY;
+    for _ in 0..7 {
+        let start = Instant::now();
+        for _ in 0..rounds {
+            for (_, sink) in &links {
+                sink.send_frame(&frame).expect("the device end is open");
+            }
+            for (device, _) in &links {
+                let decoded = device
+                    .recv_timeout(Duration::ZERO)
+                    .expect("the frame is queued");
+                black_box(decoded);
+            }
+        }
+        let per_device = (rounds as usize * FANOUT_DEVICES) as f64;
+        best = best.min(start.elapsed().as_nanos() as f64 / per_device);
+    }
+    (frame.len(), best)
+}
+
 /// The digest row's buffer sizes, how many digests one timed pass takes
 /// at each, and the reading's name: ns at 64 B and 1 KiB (the narrow
 /// regime), GB/s at 33 KB and 1 MiB (the wide one).
@@ -163,6 +229,12 @@ fn main() -> Result<(), String> {
         faulty_ns - plain_ns
     );
 
+    let (config_bytes, fanout_ns) = configuration_fanout(50);
+    eprintln!(
+        "Configuration fan-out ({config_bytes} B frame, {FANOUT_DEVICES} channel devices): \
+         {fanout_ns:.0} ns per device"
+    );
+
     let [dispatched, portable] = digest_row();
     #[cfg(target_arch = "x86_64")]
     let (avx2, avx512) = (
@@ -217,7 +289,8 @@ fn main() -> Result<(), String> {
          \"message\": \"UpdateReport\",\n  \"cases\": [\n{}\n  ],\n  \
          \"faulty_transport_overhead\": {{\"params\": {params}, \"iters\": {iters}, \
          \"plain_ns_per_send\": {plain_ns:.0}, \"faulty_ns_per_send\": {faulty_ns:.0}, \
-         \"overhead_ns_per_send\": {:.0}}},\n  \"digest\":\n    {{\"avx2\": {avx2}, \
+         \"overhead_ns_per_send\": {:.0}}},\n  \"configuration_fanout\": {{\"devices\": \
+         {FANOUT_DEVICES}, \"frame_bytes\": {config_bytes}, \"ns_per_device\": {fanout_ns:.0}}},\n  \"digest\":\n    {{\"avx2\": {avx2}, \
          \"avx512\": {avx512}, {}}}\n}}",
         wire::PROTOCOL_VERSION,
         rows.join(",\n"),
