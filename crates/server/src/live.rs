@@ -20,11 +20,14 @@
 //!
 //! Bytes are moved, not re-made. A round's Configuration frame is
 //! encoded once, from the round's own plan and checkpoint (borrowed, not
-//! cloned into a message), and sent to every participant, the
-//! connections taking turns so that devices multiplexed on one
-//! connection do not all wait behind another's downloads
-//! (`CoordinatorActor::send_configuration`); a report frame
-//! is handed to the round's one report path
+//! cloned into a message), into a buffer the Coordinator keeps behind an
+//! `Arc`, and sent to every participant, the connections taking turns so
+//! that devices multiplexed on one connection do not all wait behind
+//! another's downloads (`CoordinatorActor::send_configuration`). An
+//! in-memory link queues a reference to that one buffer, not a copy, and
+//! a TCP link writes its bytes; at round end the Coordinator takes the
+//! buffer back for the next round's Configuration unless a device has yet
+//! to read it. A report frame is handed to the round's one report path
 //! ([`crate::coordinator::ActiveRound::on_report`]), which opens it where
 //! it lies ([`fl_wire::ReportRef`]: envelope and digest verified, payload
 //! borrowed) for admission, the at-most-once ledger and the accounting,
@@ -34,10 +37,11 @@
 //! it and the shard folds it without opening it again. The frame's last
 //! owner gives its buffer back to the wire ([`fl_wire::recycle`]): the
 //! shard once it has folded or staged the payload, the Coordinator for a
-//! report it does not forward. So the next megabyte upload is read into
-//! a buffer already allocated and faulted in, over its last frame's bytes
-//! rather than zeroes, and the shard adds an Identity update into its sum
-//! from those bytes without a decoded copy. Those report frames are
+//! report it does not forward. So the next upload of 16 KiB or more is
+//! read off a socket, or encoded by an in-memory device, into a buffer
+//! already allocated and faulted in, over its last frame's bytes rather
+//! than zeroes, and the shard adds an Identity update into its sum from
+//! those bytes without a decoded copy. Those report frames are
 //! the only frames behind the front door: the Coordinator, the Master
 //! and its shards are one process, and the round's close is one typed
 //! [`MasterMsg::Finalize`] answered by one value. A future multi-process
@@ -151,10 +155,12 @@ pub struct CoordinatorActor<S: CheckpointStore + Send + 'static = InMemoryCheckp
     device_replies: std::collections::HashMap<DeviceId, WireSink>,
     /// The current round's Configuration frame — plan, checkpoint and
     /// population are the same for every participant, so it is encoded
-    /// once (on first use) and those bytes are sent to each of them.
-    /// Empty until then and again once the round completes; the buffer
-    /// is kept across rounds.
-    configuration: Vec<u8>,
+    /// once (on first use) and those bytes are sent to each of them: an
+    /// in-memory link queues a reference to this one buffer. Empty until
+    /// then and again once the round completes. The buffer is kept across
+    /// rounds when no device still holds it at round end, and a fresh one
+    /// is started when one does.
+    configuration: Arc<Vec<u8>>,
     epoch: Instant,
     lease: Lease,
     locks: LockingService<String>,
@@ -258,7 +264,7 @@ impl<S: CheckpointStore + Send + 'static> CoordinatorActor<S> {
             master: None,
             telemetry: None,
             device_replies: std::collections::HashMap::new(),
-            configuration: Vec::new(),
+            configuration: Arc::default(),
             // fl-lint: allow(wall-clock): the live topology stamps protocol
             // events with real elapsed time; the deterministic state
             // machines only ever see the derived `now_ms` offsets.
@@ -345,8 +351,9 @@ impl<S: CheckpointStore + Send + 'static> CoordinatorActor<S> {
     /// Sends the round's Configuration download — the framed
     /// [`WireMessage::PlanAndCheckpoint`] — to `only` that participant
     /// (a re-send) or to all of them, if the round is in Reporting. The
-    /// frame is encoded on first use in a round and the same bytes go to
-    /// every participant and every re-send.
+    /// frame is encoded on first use in a round, into the buffer the
+    /// Coordinator keeps, and the same bytes go to every participant and
+    /// every re-send.
     ///
     /// The writes take turns across connections ([`WireSink::link`]):
     /// every connection is sent the download of its k-th participant, in
@@ -366,12 +373,14 @@ impl<S: CheckpointStore + Send + 'static> CoordinatorActor<S> {
         }
         // The only encode failure is an over-long population name; nobody
         // is then sent anything, as when each send failed.
+        // The buffer is empty only between rounds, when no link holds it
+        // (see `TryCompleteRound`), so this writes it in place.
         if self.configuration.is_empty()
             && fl_wire::encode_plan_and_checkpoint_into(
                 &round.plan,
                 &round.checkpoint,
                 self.coordinator.population(),
-                &mut self.configuration,
+                Arc::make_mut(&mut self.configuration),
             )
             .is_err()
         {
@@ -506,9 +515,13 @@ impl<S: CheckpointStore + Send + 'static> Actor for CoordinatorActor<S> {
                     // retry from a completed round names no active round
                     // and is refused. So do its reply routes (every entry
                     // was inserted by a check-in this round selected) and
-                    // its Configuration frame.
+                    // its Configuration frame, whose buffer is taken back
+                    // unless a device has yet to read it.
                     self.device_replies.clear();
-                    self.configuration.clear();
+                    match Arc::get_mut(&mut self.configuration) {
+                        Some(frame) => frame.clear(),
+                        None => self.configuration = Arc::default(),
+                    }
                     round.record_participation_metrics();
                     let aggregate = match self.master.take() {
                         Some(master) if round.commits_training() => {

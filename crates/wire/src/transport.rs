@@ -15,48 +15,71 @@
 //! cloneable, send-only handle that can ride inside an actor mailbox
 //! message and outlive the request that carried it.
 //!
-//! **Spare frame buffers.** A TCP receive reads a frame of 128 KiB or
-//! more into a spare buffer from one small process-wide pool, and whoever
+//! **Spare frame buffers.** A frame of 16 KiB or more is written or read
+//! into a spare buffer from one small process-wide pool, and whoever
 //! holds the frame last hands the buffer back with [`recycle`]: the shard
-//! that folded a report, the Coordinator for a report it refused. Before
-//! the pool, `round_plain_tcp` was fault-bound rather than byte-bound: a
-//! gateway zero-filled a fresh 1 MB buffer for every report, a shard
-//! thread freed it, glibc gave the pages back, and the next round faulted
-//! them in again — ~4 000 minor faults a round, more sys time than user
-//! time. A pooled buffer saves the allocation and the page faults: a 10 s
-//! run took ~32 k faults instead of ~252 k, and `rounds_per_s` read 1.26x
+//! that folded a report, the Coordinator for a report it refused. A TCP
+//! receive reads such a frame into a spare; a channel send
+//! ([`Transport::send`], [`Transport::send_frame_bytes`],
+//! [`WireSink::send`]) encodes or copies it into one. Before the pool,
+//! `round_plain_tcp` was fault-bound rather than byte-bound: a gateway
+//! zero-filled a fresh 1 MB buffer for every report, a shard thread freed
+//! it, glibc gave the pages back, and the next round faulted them in
+//! again — ~4 000 minor faults a round, more sys time than user time. A
+//! pooled buffer saves the allocation and the page faults: a 10 s run
+//! took ~32 k faults instead of ~252 k, and `rounds_per_s` read 1.26x
 //! (`BENCH_e2e.json` entry 25). It saves the zero-fill too (user time
 //! 1.03 -> 0.97 s a run, 8 of 10 pairs; entry 30). A spare keeps its
-//! length and the bytes of the frame it last carried; a receive copies the
-//! header over their start, reads the body over the rest, and zero-extends
-//! only a spare shorter than the frame. No stale byte can leave, and no
-//! `unsafe` is needed: a frame is handed out only once every byte of it
-//! has come off the socket (a read that times out mid-frame keeps its
-//! place, and the next one resumes it), and
+//! length and the bytes of the frame it last carried. A receive copies
+//! the header over their start, reads the body over the rest, and
+//! zero-extends only a spare shorter than the frame; a send clears the
+//! spare and writes the whole frame. No stale byte can leave, and no
+//! `unsafe` is needed: a receive hands a frame out only once every byte
+//! of it has come off the socket (a read that times out mid-frame keeps
+//! its place, and the next one resumes it), and
 //! [`TcpTransport::recv_frame_timeout`] truncates the buffer to the
-//! frame's length. Channel links allocate per frame as before: no
-//! workload moves a frame that large over one, so a pool there would be
-//! unmeasured.
+//! frame's length.
+//!
+//! **One shared frame.** The one frame a sender sends to many links, a
+//! round's Configuration, is not pooled and not copied on a channel link:
+//! [`WireSink::send_frame`] takes it behind an `Arc`, and the link queues
+//! a reference to it. No link writes to it and it never enters the pool
+//! (a raw receive, [`ChannelTransport::recv_frame_timeout`], hands out a
+//! copy); once every link has let go, the sender may write it again. A
+//! TCP link writes its bytes.
 //!
 //! The bounds are constants, chosen by measurement, with no knob:
-//! * The floor, 128 KiB, is glibc's default mmap threshold; below it the
-//!   allocator's own caches already serve the size. A 16 KiB floor also
-//!   pools `round_secagg`'s 33 KB reports: eight alternating pairs read
-//!   +15 % `rounds_per_s` there, but `peak_rss_mb` 12.3 -> 14.4 MB (+17 %,
-//!   one run 15.1) against that metric's 20 % bound, and the issue's
-//!   prototype read 12.27 -> 15.27 (+24.5 %): no margin, so not taken.
+//! * The floor, 16 KiB, pools `round_secagg`'s 33 KB reports; every
+//!   `checkin_storm` frame is under 1 KB and never takes the pool's lock.
+//!   At 128 KiB (glibc's default mmap threshold) every 33 KB frame was a
+//!   fresh allocation freed on another thread, 128 a round (a
+//!   Configuration copy and a report per device): a 10 s `round_secagg`
+//!   run took ~250 000 minor faults, ~500 a round. With the 16 KiB floor
+//!   and the shared Configuration it takes ~5 000-11 000, and process CPU
+//!   fell from ~5.5 to ~4.5 s a run (entry 36). The floor alone did not
+//!   hold peak RSS. Lowered while channel links still allocated per
+//!   frame, it filled the pool with report buffers that no in-memory send
+//!   drew again: 13.1-14.5 MB against 11.0-12.8 at 128 KiB. Lowered with
+//!   channel sends drawing spares but the
+//!   Configuration still copied per device, it read 13.7-14.0 MB: the
+//!   Coordinator queues all 64 copies at once, 2.1 MB of frames live
+//!   together, which devices drop rather than hand back. One shared
+//!   Configuration removes those 2.1 MB, and peak RSS read 11.1-11.9 MB
+//!   on the same seeds.
 //! * At most 32 spares and at most one [`MAX_BODY_LEN`] of them in all, so
 //!   a peer's 64 MiB length claim cannot pin more than that. Six
 //!   alternating 10 s runs of `round_plain_tcp` per cap did not resolve
 //!   16, 32 or 64 apart on `rounds_per_s` (medians 41.6, 39.6, 40.3, the
 //!   parent 33.8), but 16 read 61.1 MB peak RSS against 57.9 at 32 and
 //!   58.4 at 64: it drops buffers a round still needs.
-//! * Any spare at least the frame's size serves it. Drawing only one of
-//!   the exact size read the same (41.0 rounds/s, 57.9 MB), as it must
-//!   where every pooled frame is one report size.
+//! * A draw takes the smallest spare that fits, so a 33 KB frame does not
+//!   take a megabyte buffer a TCP receive will want next. Where every
+//!   pooled frame is one report size this reads the same as drawing any
+//!   fit (41.0 rounds/s, 57.9 MB on `round_plain_tcp`).
 
 use crate::frame::{
-    decode, encode, encode_into, parse_header, WireError, HEADER_LEN, MAX_BODY_LEN, TRAILER_LEN,
+    decode, encode_into, encoded_len, parse_header, WireError, HEADER_LEN, MAX_BODY_LEN,
+    TRAILER_LEN,
 };
 use crate::message::WireMessage;
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender, TryRecvError};
@@ -74,14 +97,15 @@ const TCP_READ_SITE: Site = Site::new("wire/transport.tcp_read", 70);
 /// Lock site for the write half of a TCP link (leaf; DESIGN.md §7.1).
 const TCP_WRITE_SITE: Site = Site::new("wire/transport.tcp_write", 72);
 /// Lock site of the spare frame buffers (leaf; DESIGN.md §7.1). Above
-/// both TCP halves: a receive draws a spare under its read half's lock.
+/// both TCP halves and the fault script: a receive draws a spare under
+/// its read half's lock, and a faulty transport's channel send under its
+/// script's.
 const SPARES_SITE: Site = Site::new("wire/transport.spares", 74);
 
 // --- spare frame buffers ---------------------------------------------------
 
-/// The smallest frame put in a spare: glibc's default mmap threshold.
-/// Below it the allocator's own caches serve the size.
-const SPARE_FLOOR: usize = 128 * 1024;
+/// The smallest frame put in a spare (see the module doc for why 16 KiB).
+const SPARE_FLOOR: usize = 16 * 1024;
 /// At most this many spares are kept...
 const SPARE_COUNT: usize = 32;
 /// ...holding at most this many bytes between them, so a peer's 64 MiB
@@ -98,13 +122,20 @@ struct Spares {
 static SPARES: LazyLock<fl_race::Mutex<Spares>> =
     LazyLock::new(|| fl_race::Mutex::new(SPARES_SITE, Spares::default()));
 
-/// A buffer with room for a `len`-byte frame: the latest kept spare that
-/// fits when `len` is at or above [`SPARE_FLOOR`], still holding the bytes
-/// of the frame it last carried, else a fresh empty allocation.
+/// A buffer with room for a `len`-byte frame: the smallest kept spare
+/// that fits when `len` is at or above [`SPARE_FLOOR`], still holding the
+/// bytes of the frame it last carried, else a fresh empty allocation.
 fn spare(len: usize) -> Vec<u8> {
     if len >= SPARE_FLOOR {
         let mut spares = SPARES.lock();
-        if let Some(i) = spares.bufs.iter().rposition(|buf| buf.capacity() >= len) {
+        let fits = spares
+            .bufs
+            .iter()
+            .enumerate()
+            .filter(|(_, buf)| buf.capacity() >= len)
+            .min_by_key(|(_, buf)| buf.capacity())
+            .map(|(i, _)| i);
+        if let Some(i) = fits {
             let buf = spares.bufs.swap_remove(i);
             spares.bytes -= buf.capacity();
             return buf;
@@ -113,12 +144,27 @@ fn spare(len: usize) -> Vec<u8> {
     Vec::with_capacity(len)
 }
 
+/// `msg` encoded into a [`spare`].
+fn encode_spare(msg: &WireMessage) -> Result<Vec<u8>, WireError> {
+    let mut buf = spare(encoded_len(msg));
+    encode_into(msg, &mut buf)?;
+    Ok(buf)
+}
+
+/// `frame` copied into a [`spare`].
+fn copy_spare(frame: &[u8]) -> Vec<u8> {
+    let mut buf = spare(frame.len());
+    buf.clear();
+    buf.extend_from_slice(frame);
+    buf
+}
+
 /// Hands a frame's buffer back for the next large frame a TCP receive
-/// reads, so a megabyte frame costs no allocation, page fault or
-/// zero-fill once the first few have been made. The buffer keeps its
-/// length and its bytes: the receive overwrites them from the socket, and
-/// hands a frame out only once all of it has been read (see the module
-/// doc). The frame's last owner calls this when it is done with the
+/// reads or a channel send writes, so such a frame costs no allocation,
+/// page fault or zero-fill once the first few have been made. The buffer
+/// keeps its length and its bytes: a receive overwrites them from the
+/// socket, and hands a frame out only once all of it has been read (see
+/// the module doc); a send clears the buffer and writes the frame. The frame's last owner calls this when it is done with the
 /// bytes; a buffer below [`SPARE_FLOOR`] or one the count or byte bound
 /// has no room for is dropped instead.
 pub fn recycle(frame: Vec<u8>) {
@@ -249,11 +295,38 @@ pub trait Transport: fmt::Debug + Send {
 
 // --- in-memory -----------------------------------------------------------
 
-/// In-memory transport endpoint: frames as `Vec<u8>` over unbounded
-/// channels. [`ChannelTransport::pair`] builds a connected duplex link.
+/// One frame queued on a channel link: a buffer of its own, or the one
+/// buffer of a frame sent to many links ([`WireSink::send_frame`]).
+#[derive(Debug)]
+enum Queued {
+    Owned(Vec<u8>),
+    Shared(Arc<Vec<u8>>),
+}
+
+impl Queued {
+    fn bytes(&self) -> &[u8] {
+        match self {
+            Queued::Owned(frame) => frame,
+            Queued::Shared(frame) => frame,
+        }
+    }
+
+    /// The frame in a buffer the caller owns. A shared frame is copied:
+    /// its buffer stays the sender's, read-only, and never reaches the
+    /// pool.
+    fn into_owned(self) -> Vec<u8> {
+        match self {
+            Queued::Owned(frame) => frame,
+            Queued::Shared(frame) => frame.to_vec(),
+        }
+    }
+}
+
+/// In-memory transport endpoint: frames over unbounded channels.
+/// [`ChannelTransport::pair`] builds a connected duplex link.
 pub struct ChannelTransport {
-    tx: Sender<Vec<u8>>,
-    rx: Receiver<Vec<u8>>,
+    tx: Sender<Queued>,
+    rx: Receiver<Queued>,
     counters: Arc<WireCounters>,
 }
 
@@ -288,20 +361,14 @@ impl ChannelTransport {
 
     /// Receives one raw frame without decoding the body — the gateway
     /// primitive: relay the bytes into an actor mailbox and let the
-    /// owning actor decode. Counts the frame as received here.
+    /// owning actor decode. Counts the frame as received here. A frame
+    /// sent with [`WireSink::send_frame`] arrives as a copy.
     ///
     /// # Errors
     ///
     /// [`WireError::Timeout`] / [`WireError::Closed`].
     pub fn recv_frame_timeout(&self, timeout: Duration) -> Result<Vec<u8>, WireError> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(frame) => {
-                self.counters.note_received(frame.len());
-                Ok(frame)
-            }
-            Err(RecvTimeoutError::Timeout) => Err(WireError::Timeout),
-            Err(RecvTimeoutError::Disconnected) => Err(WireError::Closed),
-        }
+        self.recv_queued(timeout).map(Queued::into_owned)
     }
 
     /// Non-blocking [`ChannelTransport::recv_frame_timeout`].
@@ -310,24 +377,44 @@ impl ChannelTransport {
     ///
     /// [`WireError::Closed`] if the peer is gone.
     pub fn try_recv_frame(&self) -> Result<Option<Vec<u8>>, WireError> {
+        Ok(self.try_recv_queued()?.map(Queued::into_owned))
+    }
+
+    fn recv_queued(&self, timeout: Duration) -> Result<Queued, WireError> {
+        match self.rx.recv_timeout(timeout) {
+            Ok(frame) => {
+                self.counters.note_received(frame.bytes().len());
+                Ok(frame)
+            }
+            Err(RecvTimeoutError::Timeout) => Err(WireError::Timeout),
+            Err(RecvTimeoutError::Disconnected) => Err(WireError::Closed),
+        }
+    }
+
+    fn try_recv_queued(&self) -> Result<Option<Queued>, WireError> {
         match self.rx.try_recv() {
             Ok(frame) => {
-                self.counters.note_received(frame.len());
+                self.counters.note_received(frame.bytes().len());
                 Ok(Some(frame))
             }
             Err(TryRecvError::Empty) => Ok(None),
             Err(TryRecvError::Disconnected) => Err(WireError::Closed),
         }
     }
+
+    /// Decodes a received frame, counting one the codec rejects.
+    fn decode_queued(&self, frame: &Queued) -> Result<WireMessage, WireError> {
+        decode(frame.bytes()).inspect_err(|_| self.counters.note_corrupt())
+    }
 }
 
-/// Queues one owned frame on a channel link and counts it.
+/// Queues one frame on a channel link and counts it.
 fn channel_send(
-    tx: &Sender<Vec<u8>>,
+    tx: &Sender<Queued>,
     counters: &WireCounters,
-    frame: Vec<u8>,
+    frame: Queued,
 ) -> Result<usize, WireError> {
-    let n = frame.len();
+    let n = frame.bytes().len();
     tx.send(frame).map_err(|_| WireError::Closed)?;
     counters.note_sent(n);
     Ok(n)
@@ -335,29 +422,21 @@ fn channel_send(
 
 impl Transport for ChannelTransport {
     fn send(&self, msg: &WireMessage) -> Result<usize, WireError> {
-        channel_send(&self.tx, &self.counters, encode(msg)?)
+        channel_send(&self.tx, &self.counters, Queued::Owned(encode_spare(msg)?))
     }
 
     fn send_frame_bytes(&self, frame: &[u8]) -> Result<usize, WireError> {
-        channel_send(&self.tx, &self.counters, frame.to_vec())
+        channel_send(&self.tx, &self.counters, Queued::Owned(copy_spare(frame)))
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Result<WireMessage, WireError> {
-        let frame = self.recv_frame_timeout(timeout)?;
-        decode(&frame).inspect_err(|_| self.counters.note_corrupt())
+        self.decode_queued(&self.recv_queued(timeout)?)
     }
 
     fn try_recv(&self) -> Result<Option<WireMessage>, WireError> {
-        match self.try_recv_frame()? {
-            Some(frame) => match decode(&frame) {
-                Ok(msg) => Ok(Some(msg)),
-                Err(e) => {
-                    self.counters.note_corrupt();
-                    Err(e)
-                }
-            },
-            None => Ok(None),
-        }
+        self.try_recv_queued()?
+            .map(|frame| self.decode_queued(&frame))
+            .transpose()
     }
 
     fn sink(&self) -> WireSink {
@@ -632,7 +711,7 @@ enum SinkInner {
     /// Discards everything (placeholder for tests and lost peers).
     Null,
     Channel {
-        tx: Sender<Vec<u8>>,
+        tx: Sender<Queued>,
         counters: Arc<WireCounters>,
     },
     Tcp {
@@ -684,7 +763,9 @@ impl WireSink {
     pub fn send(&self, msg: &WireMessage) -> Result<usize, WireError> {
         match &self.inner {
             SinkInner::Null => Ok(0),
-            SinkInner::Channel { tx, counters } => channel_send(tx, counters, encode(msg)?),
+            SinkInner::Channel { tx, counters } => {
+                channel_send(tx, counters, Queued::Owned(encode_spare(msg)?))
+            }
             SinkInner::Tcp { write, counters } => write.lock().send(msg, counters),
         }
     }
@@ -692,15 +773,20 @@ impl WireSink {
     /// Transmits one already-encoded frame verbatim; returns its size.
     /// This is how one frame reaches many peers for the cost of one
     /// encode: the Coordinator builds a round's Configuration once and
-    /// every participant is sent those bytes.
+    /// every participant is sent those bytes. A channel link queues a
+    /// reference to the frame, not a copy, and the frame is never written
+    /// to while a link holds it (it is behind an `Arc`); a TCP link
+    /// writes the bytes.
     ///
     /// # Errors
     ///
     /// As [`WireSink::send`].
-    pub fn send_frame(&self, frame: &[u8]) -> Result<usize, WireError> {
+    pub fn send_frame(&self, frame: &Arc<Vec<u8>>) -> Result<usize, WireError> {
         match &self.inner {
             SinkInner::Null => Ok(0),
-            SinkInner::Channel { tx, counters } => channel_send(tx, counters, frame.to_vec()),
+            SinkInner::Channel { tx, counters } => {
+                channel_send(tx, counters, Queued::Shared(Arc::clone(frame)))
+            }
             SinkInner::Tcp { write, counters } => {
                 write_frame(&write.lock().stream, frame, counters)
             }
@@ -711,6 +797,7 @@ impl WireSink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::encode;
     use fl_core::{DeviceId, PopulationName, RoundId};
     use std::net::TcpListener;
 
@@ -855,5 +942,128 @@ mod tests {
         let frame = large_frame();
         let cuts = [HEADER_LEN + 1_000, frame.len() / 2];
         reads_back_through_a_stale_spare(vec![0xAA; 2 * frame.len()], &frame, &cuts);
+    }
+
+    #[test]
+    fn a_draw_takes_the_smallest_spare_that_fits() {
+        let _turn = POOL_TESTS.lock();
+        drain();
+        // The larger spare is the later one, which a draw of the latest
+        // fit would take.
+        recycle(Vec::with_capacity(33_000));
+        recycle(Vec::with_capacity(1 << 20));
+        assert_eq!(spare(33_000).capacity(), 33_000);
+        assert_eq!(pool(), (1, 1 << 20));
+        drain();
+    }
+
+    /// The report `large_frame` encodes, as a message to send.
+    fn large_report() -> WireMessage {
+        decode(&large_frame()).unwrap()
+    }
+
+    #[test]
+    fn every_channel_send_writes_into_a_recycled_buffer() {
+        let _turn = POOL_TESTS.lock();
+        let msg = large_report();
+        let frame = large_frame();
+        let (device, server) = ChannelTransport::pair();
+        let sink = server.sink();
+        let sends: [&dyn Fn() -> Result<usize, WireError>; 3] = [
+            &|| device.send(&msg),
+            &|| device.send_frame_bytes(&frame),
+            &|| sink.send(&msg),
+        ];
+        for (i, send) in sends.iter().enumerate() {
+            drain();
+            // Stale bytes past the frame's length, too.
+            let stale = vec![0xAA; 2 * frame.len()];
+            let at = stale.as_ptr();
+            recycle(stale);
+            assert_eq!(send().unwrap(), frame.len());
+            let got = if i < 2 {
+                server.recv_frame_timeout(Duration::ZERO).unwrap()
+            } else {
+                device.recv_frame_timeout(Duration::ZERO).unwrap()
+            };
+            assert_eq!(got.as_ptr(), at, "send {i} wrote into the recycled buffer");
+            assert!(
+                got == frame,
+                "send {i} leaked a stale byte of the recycled buffer"
+            );
+            assert_eq!(pool(), (0, 0));
+        }
+    }
+
+    #[test]
+    fn a_shared_frame_never_enters_the_pool_and_is_never_written_to() {
+        let _turn = POOL_TESTS.lock();
+        drain();
+        let bytes = large_frame();
+        let mut shared = Arc::new(bytes.clone());
+        let at = shared.as_ptr();
+        let (device, server) = ChannelTransport::pair();
+        server.sink().send_frame(&shared).unwrap();
+        server.sink().send_frame(&shared).unwrap();
+        assert_eq!(
+            Arc::strong_count(&shared),
+            3,
+            "the links hold the frame, not a copy"
+        );
+        // A receiver that takes the frame's bytes gets a copy of its own,
+        // and that copy is what its last owner recycles.
+        let copy = device.recv_frame_timeout(Duration::ZERO).unwrap();
+        assert_ne!(copy.as_ptr(), at);
+        assert!(copy == bytes);
+        recycle(copy);
+        assert_eq!(device.recv_timeout(Duration::ZERO).unwrap(), large_report());
+        // Sends draw the pool dry and write each spare they draw.
+        for _ in 0..3 {
+            device.send(&large_report()).unwrap();
+            recycle(server.recv_frame_timeout(Duration::ZERO).unwrap());
+        }
+        assert!(SPARES.lock().bufs.iter().all(|buf| buf.as_ptr() != at));
+        assert!(*shared == bytes, "a byte of the shared frame changed");
+        // Every link has let go, so the sender may write it again.
+        assert!(Arc::get_mut(&mut shared).is_some());
+        drain();
+    }
+
+    #[test]
+    fn one_shared_configuration_reaches_64_channel_devices() {
+        let model = fl_core::plan::ModelSpec::Logistic {
+            dim: 256,
+            classes: 16,
+            seed: 0,
+        };
+        let msg = WireMessage::PlanAndCheckpoint {
+            plan: Box::new(fl_core::plan::FlPlan::standard_training(
+                model,
+                1,
+                16,
+                0.1,
+                fl_core::plan::CodecSpec::Identity,
+            )),
+            checkpoint: Box::new(fl_core::FlCheckpoint::new(
+                "train",
+                RoundId(4),
+                vec![0.5; model.num_params()],
+            )),
+            population: PopulationName::new("spares/config"),
+        };
+        let frame = Arc::new(encode(&msg).unwrap());
+        assert!(frame.len() > 32 * 1024, "{} bytes", frame.len());
+        let links: Vec<_> = (0..64).map(|_| ChannelTransport::pair()).collect();
+        for (_, server) in &links {
+            assert_eq!(server.sink().send_frame(&frame).unwrap(), frame.len());
+        }
+        let mut sent = WireStats::default();
+        for (device, server) in &links {
+            assert_eq!(device.recv_timeout(Duration::ZERO).unwrap(), msg);
+            sent = sent + server.stats();
+        }
+        assert_eq!(sent.frames_sent, 64);
+        assert_eq!(sent.bytes_sent, 64 * frame.len() as u64);
+        assert_eq!(Arc::strong_count(&frame), 1);
     }
 }

@@ -355,7 +355,7 @@ fn sink_send_frame_puts_the_given_bytes_on_either_link() {
     let frame = encode(&msg).unwrap();
 
     let (device, server) = ChannelTransport::pair();
-    assert_eq!(server.sink().send_frame(&frame).unwrap(), frame.len());
+    assert_eq!(server.sink().send_frame(&frame.clone().into()).unwrap(), frame.len());
     assert_eq!(device.recv_frame_timeout(WAIT).unwrap(), frame);
     assert_eq!(server.stats().bytes_sent, frame.len() as u64);
 
@@ -365,13 +365,13 @@ fn sink_send_frame_puts_the_given_bytes_on_either_link() {
     let (stream, _) = listener.accept().unwrap();
     let server = TcpTransport::new(stream).unwrap();
     let sink = server.sink();
-    sink.send_frame(&frame).unwrap();
+    sink.send_frame(&frame.clone().into()).unwrap();
     sink.send(&msg).unwrap();
     assert_eq!(client.recv_frame_timeout(WAIT).unwrap(), frame);
     assert_eq!(client.recv_timeout(WAIT).unwrap(), msg);
     assert_eq!(server.stats().frames_sent, 2);
     assert_eq!(server.stats().bytes_sent, 2 * frame.len() as u64);
-    assert_eq!(fl_wire::WireSink::null().send_frame(&frame).unwrap(), 0);
+    assert_eq!(fl_wire::WireSink::null().send_frame(&frame.clone().into()).unwrap(), 0);
 }
 
 #[test]

@@ -41,8 +41,10 @@ const LARGE: usize = 16 * 1024;
 /// runs read 133.6-133.8.
 const ALL_PER_SESSION: f64 = 150.0;
 /// Allocations of [`LARGE`] or more per device session: the ceiling.
-/// Fifteen runs read 6.22 each.
-const LARGE_PER_SESSION: f64 = 6.5;
+/// Fifteen runs read 4.25-4.72. It was 6.5 over fifteen runs of 6.22
+/// each while an in-memory link copied the Configuration per device and
+/// a channel send allocated every report frame afresh.
+const LARGE_PER_SESSION: f64 = 5.0;
 
 /// [`System`], counting every allocation and the large ones apart.
 struct Counting;
