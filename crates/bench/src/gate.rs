@@ -165,10 +165,10 @@ pub fn secagg(cases: &[SecAggCase]) -> Result<(), String> {
 /// cost a run up to 40 %, so these catch a twofold slowdown, not a drift;
 /// a gain or a loss of less is read from alternating pairs.
 pub const E2E_FLOORS: [(&str, f64); 4] = [
-    ("round_plain_tcp", 18.0),
-    ("checkin_storm", 599.0),
-    ("round_secagg", 76.0),
-    ("fleet_des", 230.0),
+    ("round_plain_tcp", 20.0),
+    ("checkin_storm", 626.0),
+    ("round_secagg", 99.0),
+    ("fleet_des", 210.0),
 ];
 
 /// The `e2e-floor` verdict on the JSON line that ends one run of

@@ -371,10 +371,10 @@ impl<S: CheckpointStore + Send + 'static> CoordinatorActor<S> {
         if round.state.phase() != crate::round::Phase::Reporting {
             return;
         }
-        // The only encode failure is an over-long population name; nobody
-        // is then sent anything, as when each send failed.
-        // The buffer is empty only between rounds, when no link holds it
-        // (see `TryCompleteRound`), so this writes it in place.
+        // The buffer is empty only until the round's first send, and no
+        // link holds it then (see `TryCompleteRound`), so this encodes in
+        // place. The only encode failure is an over-long population name;
+        // nobody is then sent anything, as when each send failed.
         if self.configuration.is_empty()
             && fl_wire::encode_plan_and_checkpoint_into(
                 &round.plan,

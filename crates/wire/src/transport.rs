@@ -54,9 +54,10 @@
 //!   At 128 KiB (glibc's default mmap threshold) every 33 KB frame was a
 //!   fresh allocation freed on another thread, 128 a round (a
 //!   Configuration copy and a report per device): a 10 s `round_secagg`
-//!   run took ~250 000 minor faults, ~500 a round. With the 16 KiB floor
-//!   and the shared Configuration it takes ~5 000-11 000, and process CPU
-//!   fell from ~5.5 to ~4.5 s a run (entry 36). The floor alone did not
+//!   run took 218 000-294 000 minor faults, ~500 a round. With the 16 KiB
+//!   floor and the shared Configuration it takes 4 200-9 900, process CPU
+//!   fell from 5.5 to 4.4 s a run, and `rounds_per_s` read +32 % (medians
+//!   of ten pairs, entry 36). The floor alone did not
 //!   hold peak RSS. Lowered while channel links still allocated per
 //!   frame, it filled the pool with report buffers that no in-memory send
 //!   drew again: 13.1-14.5 MB against 11.0-12.8 at 128 KiB. Lowered with

@@ -44,9 +44,12 @@ run_step "build" cargo build --release
 # workspace's observed lock-acquisition graph stays acyclic and
 # rank-clean); schedule exploration (`schedule_explore`: K=64 seeded
 # delivery/timing permutations of the live round and a chaos plan,
-# invariants checked per seed); and SecAgg through the live tree
+# invariants checked per seed); SecAgg through the live tree
 # (`secagg_live`: scripted advertise/share dropouts commit the exact
-# unmasked sum, or abort a stranded shard cleanly).
+# unmasked sum, or abort a stranded shard cleanly); and the allocation
+# budget (`alloc_budget`: a counting global allocator holds one
+# `round_secagg`-shaped round over in-memory links under a ceiling of
+# allocations per device session, of every size and of 16 KiB or more).
 run_step "test" cargo test -q
 run_step "fl-lint" cargo run -q -p fl-lint
 # The `test` step is the root package only. The channel every mailbox,
