@@ -24,12 +24,21 @@
 //! dispatched `keys::apply_masks`, its portable instantiation, and the
 //! per-stream loop it replaced (one pass and one `rng::seeded` generator
 //! per stream). It carries no floor.
+//!
+//! The `instance` row is one `round_secagg` shard's close: a SecAgg
+//! instance of 16 devices over 4 113 coordinates, threshold 11, one
+//! device gone after sharing keys. It prints the best time, the
+//! exponentiations the instance ran (`field::exponentiations`) and the
+//! mask kernel's share of the time: the instance's 270 streams of 4 113
+//! draws at the kernel row's dispatched cost, over the instance time.
+//! It carries no floor either.
 
 use fl_bench::gate::{self, SecAggCase as Case};
 use fl_core::plan::CodecSpec;
 use fl_core::DeviceId;
 use fl_secagg::field::{self, PRIME};
 use fl_secagg::keys::{self, MaskStream};
+use fl_secagg::protocol::{run_instance, SecAggConfig};
 use fl_server::aggregator::{AggregationPlan, MasterAggregator};
 use rand::RngExt;
 use std::hint::black_box;
@@ -139,6 +148,42 @@ fn kernel_ns_per_draw() -> [f64; 3] {
     best
 }
 
+/// The instance row's shape: devices, threshold and share-stage drop-outs
+/// of one `round_secagg` shard, over [`KERNEL_DIM`] coordinates.
+const INSTANCE_DEVICES: usize = 16;
+const INSTANCE_THRESHOLD: usize = 11;
+const INSTANCE_DROPOUTS: usize = 1;
+
+/// Mask streams of one instance: `c` committed devices each apply
+/// `m + 1` (a self mask and `m − 1` pairwise), and the server removes `c`
+/// self masks and `c` residuals per drop-out (DESIGN.md Sec. 9).
+const fn instance_streams() -> usize {
+    let (m, s) = (INSTANCE_DEVICES, INSTANCE_DROPOUTS);
+    let c = m - s;
+    c * (m + 1 + s)
+}
+
+/// Best-of-`runs` milliseconds of one shard-shape instance, and the
+/// exponentiations one instance runs.
+fn time_instance(runs: u32) -> (f64, u64) {
+    let config = SecAggConfig::new(INSTANCE_THRESHOLD, KERNEL_DIM);
+    let inputs: Vec<Vec<u64>> = (0..INSTANCE_DEVICES as u64)
+        .map(|i| (0..KERNEL_DIM as u64).map(|d| i * 1000 + d).collect())
+        .collect();
+    let dropped: Vec<u32> = (0..INSTANCE_DROPOUTS as u32).collect();
+    let mut best = f64::INFINITY;
+    let mut exponentiations = 0;
+    for seed in 0..u64::from(runs) {
+        let before = field::exponentiations();
+        let start = Instant::now();
+        let sum = run_instance(config, &inputs, &[], &dropped, seed).expect("the instance commits");
+        best = best.min(start.elapsed().as_secs_f64() * 1e3);
+        exponentiations = field::exponentiations() - before;
+        black_box(sum);
+    }
+    (best, exponentiations)
+}
+
 fn main() -> Result<(), String> {
     let cases: Vec<Case> = [16usize, 32, 64]
         .iter()
@@ -171,6 +216,17 @@ fn main() -> Result<(), String> {
          (avx512f {avx512f}), portable {portable:.2}, per-stream loop {per_stream:.2}"
     );
 
+    let _ = time_instance(20);
+    let (instance_ms, pow) = time_instance(300);
+    let streams = instance_streams();
+    let kernel_share = (streams * KERNEL_DIM) as f64 * dispatched / (instance_ms * 1e6);
+    eprintln!(
+        "instance, {INSTANCE_DEVICES} devices x {KERNEL_DIM}, t {INSTANCE_THRESHOLD}, \
+         {INSTANCE_DROPOUTS} share drop-out: {instance_ms:.3} ms, {pow} exponentiations, \
+         {streams} streams, mask kernel {:.0} % of it",
+        kernel_share * 1e2
+    );
+
     let rows: Vec<String> = cases
         .iter()
         .map(|c| {
@@ -189,7 +245,10 @@ fn main() -> Result<(), String> {
          \"group_size\": {GROUP},\n  \"secagg_k\": {K},\n  \"cases\": [\n{}\n  ],\n  \
          \"kernel\":\n    {{\"streams\": {KERNEL_STREAMS}, \"dim\": {KERNEL_DIM}, \"avx512f\": {avx512f}, \
          \"dispatched_ns_per_draw\": {dispatched:.3}, \"portable_ns_per_draw\": {portable:.3}, \
-         \"per_stream_loop_ns_per_draw\": {per_stream:.3}}}\n}}",
+         \"per_stream_loop_ns_per_draw\": {per_stream:.3}}},\n  \"instance\":\n    \
+         {{\"devices\": {INSTANCE_DEVICES}, \"dim\": {KERNEL_DIM}, \"threshold\": {INSTANCE_THRESHOLD}, \
+         \"share_dropouts\": {INSTANCE_DROPOUTS}, \"best_ms\": {instance_ms:.3}, \"pow\": {pow}, \
+         \"streams\": {streams}, \"kernel_share\": {kernel_share:.2}}}\n}}",
         rows.join(",\n")
     );
 

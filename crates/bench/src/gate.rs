@@ -158,18 +158,24 @@ pub fn secagg(cases: &[SecAggCase]) -> Result<(), String> {
     Ok(())
 }
 
-/// `rounds_per_s` floor per `benchmark/` workload: half the workload's
-/// change median in the last `BENCH_e2e.json` entry that measured it,
-/// rounded to a whole round/s (a unit test holds the two equal, so an
-/// entry that moves a median resets its floor). The host's slow spells
-/// cost a run up to 40 %, so these catch a twofold slowdown, not a drift;
-/// a gain or a loss of less is read from alternating pairs.
+/// `rounds_per_s` floor per `benchmark/` workload: half the highest
+/// change median among the last [`E2E_FLOOR_ENTRIES`] `BENCH_e2e.json`
+/// entries that measured it, rounded to a whole round/s (a unit test
+/// holds the two equal, so an entry that raises a median raises its
+/// floor). The highest, not the latest: an entry measured in one of the
+/// host's slow spells would otherwise lower every floor with no change
+/// to the code. Those spells cost a run up to 40 %, so these catch a
+/// twofold slowdown, not a drift; a gain or a loss of less is read from
+/// alternating pairs.
 pub const E2E_FLOORS: [(&str, f64); 4] = [
     ("round_plain_tcp", 20.0),
     ("checkin_storm", 626.0),
     ("round_secagg", 99.0),
     ("fleet_des", 210.0),
 ];
+
+/// Ledger entries an [`E2E_FLOORS`] value looks back over.
+pub const E2E_FLOOR_ENTRIES: usize = 3;
 
 /// The `e2e-floor` verdict on the JSON line that ends one run of
 /// `benchmark/run.sh --workload W`: its output oracle held, no operation
@@ -268,8 +274,8 @@ mod tests {
     fn committed_secagg() -> Vec<SecAggCase> {
         let cases: Vec<SecAggCase> = rows(include_str!("../../../BENCH_secagg.json"))
             .iter()
-            // The kernel row carries no floor.
-            .filter(|row| row.contains_key("devices"))
+            // The kernel and instance rows carry no floor.
+            .filter(|row| row.contains_key("single_group_ms"))
             .map(|row| SecAggCase {
                 devices: row["devices"] as usize,
                 single_group_ms: row["single_group_ms"],
@@ -289,26 +295,41 @@ mod tests {
         )
     }
 
-    /// The change median of `rounds_per_s` on `workload` in the last entry
-    /// of the committed ledger that measured it.
-    fn committed_e2e_median(workload: &str) -> f64 {
-        let row = include_str!("../../../BENCH_e2e.json")
+    /// The change medians of `rounds_per_s` on `workload` in the committed
+    /// ledger, one per entry that measured it, latest last.
+    fn committed_e2e_medians(workload: &str) -> Vec<f64> {
+        let needle = format!("\"workload\": \"{workload}\", \"metric\": \"rounds_per_s\"");
+        include_str!("../../../BENCH_e2e.json")
             .lines()
-            .rfind(|line| {
-                line.contains(&format!("\"workload\": \"{workload}\", \"metric\": \"rounds_per_s\""))
-            })
-            .expect("every entry has the row");
-        rows(row)[0]["change_median"]
+            .filter(|line| line.contains(&needle))
+            // A `claimed` line names the pair too, but holds no row.
+            .flat_map(rows)
+            .map(|row| row["change_median"])
+            .collect()
+    }
+
+    fn committed_e2e_median(workload: &str) -> f64 {
+        *committed_e2e_medians(workload)
+            .last()
+            .expect("every entry has the row")
     }
 
     #[test]
-    fn every_floor_is_half_the_latest_ledger_median() {
+    fn every_floor_is_half_the_highest_of_the_last_three_ledger_medians() {
         for (workload, floor) in E2E_FLOORS {
-            let half = committed_e2e_median(workload) / 2.0;
+            let medians = committed_e2e_medians(workload);
+            let recent = &medians[medians.len().saturating_sub(E2E_FLOOR_ENTRIES)..];
+            assert_eq!(
+                recent.len(),
+                E2E_FLOOR_ENTRIES,
+                "{workload}: too few entries"
+            );
+            let half = recent.iter().copied().fold(f64::NEG_INFINITY, f64::max) / 2.0;
             assert_eq!(
                 floor,
                 half.round(),
-                "{workload}: set the floor to half the latest median, {half:.1} rounds/s"
+                "{workload}: set the floor to half the highest of the last \
+                 {E2E_FLOOR_ENTRIES} medians, {half:.1} rounds/s"
             );
         }
     }
@@ -327,8 +348,8 @@ mod tests {
             let median = committed_e2e_median(workload);
             assert!(e2e(workload, &e2e_result(false, 0, median)).is_err());
             assert!(e2e(workload, &e2e_result(true, 3, median)).is_err());
-            // The floors are half the medians they were set from, so half
-            // speed reads just under them.
+            // The floors are half a recent median, so just under one reads
+            // as the twofold slowdown it is.
             let why = e2e(workload, &e2e_result(true, 0, 0.98 * floor)).expect_err("under");
             assert!(why.contains("rounds/s floor"), "{why}");
             let no_rate = e2e_result(true, 0, median).replace("rounds_per_s", "rounds");

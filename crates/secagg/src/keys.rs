@@ -82,6 +82,19 @@ impl KeyPair {
     pub fn agree(&self, peer_public: u64) -> u64 {
         field::pow(peer_public, self.secret)
     }
+
+    /// Replaces every peer public key in `keys` with the secret agreed
+    /// with that peer: the values of one [`KeyPair::agree`] per key, at
+    /// the cost of [`field::pow_batch`], whose chains run eight keys at
+    /// once.
+    pub fn agree_all(&self, keys: &mut [u64]) {
+        let mut publics = [0u64; 8];
+        for keys in keys.chunks_mut(publics.len()) {
+            let publics = &mut publics[..keys.len()];
+            publics.copy_from_slice(keys);
+            field::pow_batch(publics, self.secret, keys);
+        }
+    }
 }
 
 /// One term of a mask: `PRG(seed)`, added to the vector it masks or
@@ -271,7 +284,10 @@ fn draw(r: u64) -> u64 {
 }
 
 /// Any word mod p: `2^61 ≡ 1`, so `s ≡ (s & p) + (s >> 61)`, which is at
-/// most `p + 7`, and one conditional subtract lands it below `p`.
+/// most `p + 7`, and one conditional subtract lands it below `p`. This is
+/// [`field::reduce`] with a compare for its last step: with the
+/// branch-free one, the loop over a block's coordinates vectorises with a
+/// gather per lane, which reads slower than one horizontal sum at a time.
 #[inline(always)]
 fn fold(s: u64) -> u64 {
     let t = (s & field::PRIME) + (s >> 61);
@@ -291,19 +307,21 @@ fn reduce_lanes<const L: usize>(sum: &[u64; L]) -> u64 {
     fold(sum.iter().map(|&s| fold(s)).sum())
 }
 
-/// Expands a seed into a keystream of bytes (the share "encryption").
+/// Expands a seed into a keystream of bytes (the share "encryption"):
+/// byte `i` is the `i`-th `random::<u8>()` of `rng::seeded(seed)`.
 pub fn keystream(seed: u64, len: usize) -> Vec<u8> {
-    let mut r = rng::seeded(seed);
-    (0..len).map(|_| r.random::<u8>()).collect()
+    let mut stream = vec![0; len];
+    apply_keystream(seed, &mut stream);
+    stream
 }
 
-/// XORs `data` with the keystream derived from `seed` (symmetric: applying
-/// twice restores the plaintext).
-pub fn xor_cipher(seed: u64, data: &[u8]) -> Vec<u8> {
-    data.iter()
-        .zip(keystream(seed, data.len()))
-        .map(|(&d, k)| d ^ k)
-        .collect()
+/// XORs `data` in place with the keystream derived from `seed`
+/// (symmetric: applying it twice restores the plaintext).
+pub fn apply_keystream(seed: u64, data: &mut [u8]) {
+    let mut r = rng::seeded(seed);
+    for byte in data {
+        *byte ^= r.random::<u8>();
+    }
 }
 
 #[cfg(test)]
@@ -337,6 +355,22 @@ mod tests {
         assert_eq!(rebuilt.public, a.public);
         let b = KeyPair::generate(&mut rng);
         assert_eq!(rebuilt.agree(b.public), a.agree(b.public));
+    }
+
+    #[test]
+    fn batched_agreement_matches_one_agreement_per_key() {
+        let mut rng = seeded(4);
+        let own = KeyPair::generate(&mut rng);
+        // Past one chunk of eight and into a short last one.
+        for n in [0usize, 1, 7, 8, 9, 17] {
+            let publics: Vec<u64> = (0..n).map(|_| KeyPair::generate(&mut rng).public).collect();
+            let mut agreed = publics.clone();
+            let before = field::exponentiations();
+            own.agree_all(&mut agreed);
+            assert_eq!(field::exponentiations() - before, n as u64);
+            let one_by_one: Vec<u64> = publics.iter().map(|&p| own.agree(p)).collect();
+            assert_eq!(agreed, one_by_one, "{n} keys");
+        }
     }
 
     /// The specification `apply_masks` streams: `PRG(seed)` as a vector.
@@ -465,17 +499,26 @@ mod tests {
     }
 
     #[test]
-    fn xor_cipher_round_trips() {
-        let plaintext = b"share payload \x00\xff\x01";
-        let ct = xor_cipher(77, plaintext);
-        assert_ne!(&ct, plaintext);
-        assert_eq!(xor_cipher(77, &ct), plaintext);
+    fn keystream_round_trips() {
+        let plaintext = *b"share payload \x00\xff\x01";
+        let mut text = plaintext;
+        apply_keystream(77, &mut text);
+        assert_ne!(text, plaintext);
+        let stream = keystream(77, plaintext.len());
+        assert!(text
+            .iter()
+            .zip(plaintext)
+            .zip(stream)
+            .all(|((c, p), k)| *c == p ^ k));
+        apply_keystream(77, &mut text);
+        assert_eq!(text, plaintext);
     }
 
     #[test]
-    fn xor_cipher_with_wrong_key_garbles() {
-        let plaintext = b"hello";
-        let ct = xor_cipher(77, plaintext);
-        assert_ne!(xor_cipher(78, &ct), plaintext);
+    fn keystream_with_wrong_key_garbles() {
+        let mut text = *b"hello";
+        apply_keystream(77, &mut text);
+        apply_keystream(78, &mut text);
+        assert_ne!(&text, b"hello");
     }
 }

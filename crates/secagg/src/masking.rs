@@ -57,24 +57,30 @@ pub fn remove_self_mask(aggregate: &mut [u64], self_seed: u64) {
 /// Every committed device `u` applied `±PRG(s_{u,v})` for a dropped `v`;
 /// the residual left in the sum is `Σ_u sign(u, v) · PRG(s_{u,v})`, which
 /// the server regenerates from `v`'s key pair and the public keys in
-/// `committed` (`(id, s-public-key)` of each committed device).
+/// `committed` (`(id, s-public-key)` of each committed device), one
+/// batched [`KeyPair::agree_all`] per dropped device.
 pub fn unmask(
     aggregate: &mut [u64],
     self_seeds: &[u64],
     dropped: &[(u32, KeyPair)],
     committed: &[(u32, u64)],
 ) {
-    let mut streams: Vec<MaskStream> = self_seeds.iter().map(|&b| MaskStream::sub(b)).collect();
+    let mut streams = Vec::with_capacity(self_seeds.len() + dropped.len() * committed.len());
+    streams.extend(self_seeds.iter().map(|&b| MaskStream::sub(b)));
+    let mut seeds = Vec::with_capacity(committed.len());
     for (v, pair) in dropped {
-        for &(u, u_public) in committed.iter().filter(|(u, _)| u != v) {
-            let seed = pair.agree(u_public);
-            // Device u applied +mask if u < v, −mask if u > v.
-            streams.push(if u < *v {
+        let peers = || committed.iter().filter(|(u, _)| u != v);
+        seeds.clear();
+        seeds.extend(peers().map(|&(_, u_public)| u_public));
+        pair.agree_all(&mut seeds);
+        // Device u applied +mask if u < v, −mask if u > v.
+        streams.extend(peers().zip(&seeds).map(|(&(u, _), &seed)| {
+            if u < *v {
                 MaskStream::sub(seed)
             } else {
                 MaskStream::add(seed)
-            });
-        }
+            }
+        }));
     }
     keys::apply_masks(aggregate, &streams);
 }

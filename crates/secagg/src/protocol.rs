@@ -32,10 +32,11 @@ use crate::error::SecAggError;
 use crate::field;
 use crate::keys::{self, KeyPair};
 use crate::masking;
-use crate::shamir::{self, Share};
+use crate::shamir::{Interpolator, Polynomial, Share};
 use fl_ml::rng;
 use rand::RngExt;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::borrow::Cow;
+use std::collections::{BTreeMap, HashMap};
 
 /// Static parameters of one Secure Aggregation instance (one Aggregator
 /// group of at least `k` devices, Sec. 6).
@@ -73,13 +74,23 @@ pub struct KeyAdvertisement {
     pub s_public: u64,
 }
 
+/// One recipient's pair of shares of the sender's secrets, encrypted:
+/// the key share's and the self-mask share's field values as eight
+/// little-endian bytes each, XORed with the keystream of the seed the
+/// two agreed ([`keys::apply_keystream`]).
+pub type ShareCiphertext = [u8; 16];
+
+/// Round-1 output of the server: each recipient's incoming
+/// `(sender, ciphertext)` pairs, by recipient.
+pub type RoutedShares = HashMap<u32, Vec<(u32, ShareCiphertext)>>;
+
 /// Round-1 message: encrypted Shamir shares, one ciphertext per recipient.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EncryptedShares {
     /// Sender id.
     pub from: u32,
     /// `(recipient, ciphertext)` pairs.
-    pub payloads: Vec<(u32, Vec<u8>)>,
+    pub payloads: Vec<(u32, ShareCiphertext)>,
 }
 
 /// Round-2 message: the masked input vector.
@@ -114,6 +125,17 @@ pub struct RevealedShares {
 
 fn evaluation_point(id: u32) -> u64 {
     u64::from(id) + 1
+}
+
+/// Inserts `id` into the sorted `set`; `false` if it was already there.
+fn insert_sorted(set: &mut Vec<u32>, id: u32) -> bool {
+    match set.binary_search(&id) {
+        Ok(_) => false,
+        Err(at) => {
+            set.insert(at, id);
+            true
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -166,29 +188,38 @@ pub struct Advertised {
 pub struct Shared {
     s_pair: KeyPair,
     self_seed: u64,
-    /// This client's own (key share, self-mask share), by its id.
-    held_shares: BTreeMap<u32, (Share, Share)>,
-    /// Every other member of U₁, by id.
-    peers: BTreeMap<u32, Peer>,
+    /// Every member of U₁, this client included, in id order.
+    members: Vec<Member>,
 }
 
-/// What a client keeps of one peer's advertisement after round 1.
+/// What a client keeps of one member of U₁ after round 1.
 #[derive(Debug)]
-struct Peer {
-    /// The share-encryption seed agreed with the peer: it encrypted the
-    /// shares sent to the peer and opens the ones the peer sent back.
+struct Member {
+    id: u32,
+    /// The share-encryption seed agreed with the member: it encrypted the
+    /// shares sent to the member and opens the ones the member sent back
+    /// (0 for the client itself, which encrypts nothing to itself).
     cipher_seed: u64,
-    /// The peer's public key for pairwise mask agreement.
+    /// The member's public key for pairwise mask agreement.
     s_public: u64,
+    /// The (key share, self-mask share) of the member's secrets this
+    /// client holds: its own from round 1, a peer's once round 2 opens
+    /// them. The members holding some are the client's view of U₂.
+    held: Option<(Share, Share)>,
 }
 
 /// Client stage after round 2: [`SecAggClient::unmask`] is next, and
 /// last.
 #[derive(Debug)]
 pub struct Committed {
-    /// Shares this client holds for the members of its view of U₂,
-    /// itself included: owner → (key share, self-mask share).
-    held_shares: BTreeMap<u32, (Share, Share)>,
+    /// U₁ as round 2 left it: the shares held are what can be revealed.
+    members: Vec<Member>,
+}
+
+/// The shares `members` (in id order) hold of `owner`'s secrets.
+fn held_of(members: &[Member], owner: u32) -> Option<(Share, Share)> {
+    let i = members.binary_search_by_key(&owner, |m| m.id).ok()?;
+    members[i].held
 }
 
 impl<S> SecAggClient<S> {
@@ -244,13 +275,29 @@ impl SecAggClient<Advertised> {
         self,
         advertisements: &[KeyAdvertisement],
     ) -> Result<(SecAggClient<Shared>, EncryptedShares), SecAggError> {
-        if advertisements.len() < self.config.threshold {
+        // U₁ in id order, one advertisement per id: a repeated id keeps
+        // its last advertisement, as a map keyed by id would.
+        let u1: Cow<[KeyAdvertisement]> = if advertisements.is_sorted_by(|a, b| a.id < b.id) {
+            Cow::Borrowed(advertisements)
+        } else {
+            let mut u1 = advertisements.to_vec();
+            u1.sort_by_key(|a| a.id);
+            u1.dedup_by(|later, earlier| {
+                let repeated = later.id == earlier.id;
+                if repeated {
+                    *earlier = *later;
+                }
+                repeated
+            });
+            Cow::Owned(u1)
+        };
+        if u1.len() < self.config.threshold {
             return Err(SecAggError::BelowThreshold {
-                alive: advertisements.len(),
+                alive: u1.len(),
                 threshold: self.config.threshold,
             });
         }
-        if !advertisements.iter().any(|a| a.id == self.id) {
+        if !u1.iter().any(|a| a.id == self.id) {
             return Err(SecAggError::UnknownParticipant(self.id));
         }
         let Advertised {
@@ -259,41 +306,40 @@ impl SecAggClient<Advertised> {
             self_seed,
             share_rng_seed,
         } = self.stage;
-        let u1: BTreeMap<u32, KeyAdvertisement> =
-            advertisements.iter().map(|a| (a.id, *a)).collect();
 
-        let points: Vec<u64> = u1.keys().map(|&id| evaluation_point(id)).collect();
+        let threshold = self.config.threshold;
         let mut share_rng = rng::seeded_stream(share_rng_seed, 1);
-        let key_shares = shamir::share_at(
-            s_pair.secret(),
-            &points,
-            self.config.threshold,
-            &mut share_rng,
-        );
-        let seed_shares =
-            shamir::share_at(self_seed, &points, self.config.threshold, &mut share_rng);
+        let key_polynomial = Polynomial::random(s_pair.secret(), threshold, &mut share_rng);
+        let seed_polynomial = Polynomial::random(self_seed, threshold, &mut share_rng);
+        let mut cipher_seeds = Vec::with_capacity(u1.len());
+        cipher_seeds.extend(u1.iter().filter(|a| a.id != self.id).map(|a| a.c_public));
+        c_pair.agree_all(&mut cipher_seeds);
+        let mut cipher_seeds = cipher_seeds.into_iter();
 
-        let mut held_shares = BTreeMap::new();
-        let mut peers = BTreeMap::new();
-        let mut payloads = Vec::with_capacity(u1.len());
-        for ((peer, key_share), seed_share) in u1.values().zip(&key_shares).zip(&seed_shares) {
+        let mut members = Vec::with_capacity(u1.len());
+        let mut payloads = Vec::with_capacity(u1.len() - 1);
+        for peer in u1.iter() {
+            let x = evaluation_point(peer.id);
+            let shares = (key_polynomial.share(x), seed_polynomial.share(x));
+            let mut member = Member {
+                id: peer.id,
+                cipher_seed: 0,
+                s_public: peer.s_public,
+                held: None,
+            };
             if peer.id == self.id {
                 // Keep own shares locally.
-                held_shares.insert(self.id, (*key_share, *seed_share));
-                continue;
+                member.held = Some(shares);
+            } else if let Some(cipher_seed) = cipher_seeds.next() {
+                // One seed was agreed per peer, in this order.
+                member.cipher_seed = cipher_seed;
+                let (key_share, seed_share) = shares;
+                let mut ciphertext =
+                    (u128::from(key_share.y) | u128::from(seed_share.y) << 64).to_le_bytes();
+                keys::apply_keystream(member.cipher_seed, &mut ciphertext);
+                payloads.push((peer.id, ciphertext));
             }
-            let mut plaintext = Vec::with_capacity(16);
-            plaintext.extend_from_slice(&key_share.y.to_le_bytes());
-            plaintext.extend_from_slice(&seed_share.y.to_le_bytes());
-            let cipher_seed = c_pair.agree(peer.c_public);
-            payloads.push((peer.id, keys::xor_cipher(cipher_seed, &plaintext)));
-            peers.insert(
-                peer.id,
-                Peer {
-                    cipher_seed,
-                    s_public: peer.s_public,
-                },
-            );
+            members.push(member);
         }
         let client = SecAggClient {
             id: self.id,
@@ -301,8 +347,7 @@ impl SecAggClient<Advertised> {
             stage: Shared {
                 s_pair,
                 self_seed,
-                held_shares,
-                peers,
+                members,
             },
         };
         Ok((
@@ -326,34 +371,34 @@ impl SecAggClient<Shared> {
     /// # Errors
     ///
     /// [`SecAggError::UnknownParticipant`] for senders not in U₁,
-    /// [`SecAggError::BadShare`] for undecodable payloads,
+    /// [`SecAggError::BadShare`] for a share that opens to a value outside
+    /// the field,
     /// [`SecAggError::DimensionMismatch`], or
     /// [`SecAggError::BelowThreshold`] if U₂ is too small.
     pub fn commit(
         self,
-        incoming: &[(u32, Vec<u8>)],
+        incoming: &[(u32, ShareCiphertext)],
         input: &[u64],
     ) -> Result<(SecAggClient<Committed>, MaskedInput), SecAggError> {
         let Shared {
             s_pair,
             self_seed,
-            mut held_shares,
-            peers,
+            mut members,
         } = self.stage;
         let x = evaluation_point(self.id);
         for (from, ciphertext) in incoming {
-            let peer = peers
-                .get(from)
-                .ok_or(SecAggError::UnknownParticipant(*from))?;
-            let plaintext = keys::xor_cipher(peer.cipher_seed, ciphertext);
-            let ([key_bytes, seed_bytes], []) = plaintext.as_chunks::<8>() else {
-                return Err(SecAggError::BadShare);
+            let member = match members.binary_search_by_key(from, |m| m.id) {
+                Ok(i) if *from != self.id => &mut members[i],
+                _ => return Err(SecAggError::UnknownParticipant(*from)),
             };
-            let [key_y, seed_y] = [key_bytes, seed_bytes].map(|b| u64::from_le_bytes(*b));
+            let mut plaintext = *ciphertext;
+            keys::apply_keystream(member.cipher_seed, &mut plaintext);
+            let words = u128::from_le_bytes(plaintext);
+            let [key_y, seed_y] = [words as u64, (words >> 64) as u64];
             if key_y >= field::PRIME || seed_y >= field::PRIME {
                 return Err(SecAggError::BadShare);
             }
-            held_shares.insert(*from, (Share { x, y: key_y }, Share { x, y: seed_y }));
+            member.held = Some((Share { x, y: key_y }, Share { x, y: seed_y }));
         }
         if input.len() != self.config.dim {
             return Err(SecAggError::DimensionMismatch {
@@ -361,23 +406,29 @@ impl SecAggClient<Shared> {
                 actual: input.len(),
             });
         }
-        if held_shares.len() < self.config.threshold {
+        let held = members.iter().filter(|m| m.held.is_some()).count();
+        if held < self.config.threshold {
             return Err(SecAggError::BelowThreshold {
-                alive: held_shares.len(),
+                alive: held,
                 threshold: self.config.threshold,
             });
         }
-        let pairwise: Vec<(u32, u64)> = peers
-            .iter()
-            .filter(|(v, _)| held_shares.contains_key(v))
-            .map(|(&v, peer)| (v, s_pair.agree(peer.s_public)))
-            .collect();
+        let peers = || {
+            members
+                .iter()
+                .filter(|m| m.id != self.id && m.held.is_some())
+        };
+        let mut seeds = Vec::with_capacity(held);
+        seeds.extend(peers().map(|m| m.s_public));
+        s_pair.agree_all(&mut seeds);
+        let mut pairwise = Vec::with_capacity(seeds.len());
+        pairwise.extend(peers().map(|m| m.id).zip(seeds));
         let mut vector: Vec<u64> = input.iter().map(|&v| field::reduce(v)).collect();
         masking::mask_input(&mut vector, self.id, self_seed, &pairwise);
         let client = SecAggClient {
             id: self.id,
             config: self.config,
-            stage: Committed { held_shares },
+            stage: Committed { members },
         };
         Ok((
             client,
@@ -406,13 +457,15 @@ impl SecAggClient<Committed> {
         {
             return Err(SecAggError::ConflictingReveal(id));
         }
-        let held = &self.stage.held_shares;
-        let reveal = |owners: &[u32], pick: fn(&(Share, Share)) -> Share| {
-            owners
-                .iter()
-                .filter_map(|owner| held.get(owner).map(|shares| (*owner, pick(shares))))
-                .collect()
-        };
+        let members = &self.stage.members;
+        let reveal =
+            |owners: &[u32], pick: fn(&(Share, Share)) -> Share| {
+                let mut revealed = Vec::with_capacity(owners.len());
+                revealed.extend(owners.iter().filter_map(|&owner| {
+                    held_of(members, owner).map(|shares| (owner, pick(&shares)))
+                }));
+                revealed
+            };
         Ok(RevealedShares {
             from: self.id,
             self_mask_shares: reveal(&request.committed, |(_, seed_share)| *seed_share),
@@ -457,20 +510,21 @@ pub struct SecAggServer<S> {
 pub struct Advertising;
 
 /// Server stage of round 1: collecting and routing encrypted shares.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Sharing {
     /// recipient → incoming (sender, ciphertext).
-    routed: HashMap<u32, Vec<(u32, Vec<u8>)>>,
-    /// U₂: devices that delivered shares.
-    shared: BTreeSet<u32>,
+    routed: RoutedShares,
+    /// U₂: devices that delivered shares, in id order.
+    shared: Vec<u32>,
 }
 
 /// Server stage of round 2: accumulating masked inputs.
 #[derive(Debug)]
 pub struct Masking {
-    shared: BTreeSet<u32>,
-    /// U₃: devices that committed, and the running masked sum.
-    committed: BTreeSet<u32>,
+    shared: Vec<u32>,
+    /// U₃: devices that committed, in id order, and the running masked
+    /// sum.
+    committed: Vec<u32>,
     masked_sum: Vec<u64>,
 }
 
@@ -478,13 +532,12 @@ pub struct Masking {
 /// [`SecAggServer::finalize`].
 #[derive(Debug)]
 pub struct Unmasking {
-    shared: BTreeSet<u32>,
-    committed: BTreeSet<u32>,
+    /// The request's two lists: U₃, and U₂ ∖ U₃.
+    committed: Vec<u32>,
+    dropped: Vec<u32>,
     masked_sum: Vec<u64>,
-    /// Collected reveal shares: owner → shares.
-    seed_reveals: BTreeMap<u32, Vec<Share>>,
-    key_reveals: BTreeMap<u32, Vec<Share>>,
-    revealers: BTreeSet<u32>,
+    /// The reveals collected, in arrival order.
+    reveals: Vec<RevealedShares>,
 }
 
 impl SecAggServer<Advertising> {
@@ -524,10 +577,14 @@ impl SecAggServer<Advertising> {
             });
         }
         let broadcast = self.advertisements.values().copied().collect();
+        let n = self.advertisements.len();
         let server = SecAggServer {
             config: self.config,
             advertisements: self.advertisements,
-            stage: Sharing::default(),
+            stage: Sharing {
+                routed: HashMap::with_capacity(n),
+                shared: Vec::with_capacity(n),
+            },
         };
         Ok((server, broadcast))
     }
@@ -544,9 +601,10 @@ impl SecAggServer<Sharing> {
         if !self.advertisements.contains_key(&shares.from) {
             return Err(SecAggError::UnknownParticipant(shares.from));
         }
-        if !self.stage.shared.insert(shares.from) {
+        if !insert_sorted(&mut self.stage.shared, shares.from) {
             return Err(SecAggError::DuplicateMessage(shares.from));
         }
+        let senders = self.advertisements.len();
         for (recipient, ciphertext) in shares.payloads {
             if !self.advertisements.contains_key(&recipient) {
                 return Err(SecAggError::UnknownParticipant(recipient));
@@ -554,7 +612,7 @@ impl SecAggServer<Sharing> {
             self.stage
                 .routed
                 .entry(recipient)
-                .or_default()
+                .or_insert_with(|| Vec::with_capacity(senders))
                 .push((shares.from, ciphertext));
         }
         Ok(())
@@ -566,9 +624,7 @@ impl SecAggServer<Sharing> {
     /// # Errors
     ///
     /// [`SecAggError::BelowThreshold`] if U₂ is smaller than the threshold.
-    pub fn finish_sharing(
-        self,
-    ) -> Result<(SecAggServer<Masking>, HashMap<u32, Vec<(u32, Vec<u8>)>>), SecAggError> {
+    pub fn finish_sharing(self) -> Result<(SecAggServer<Masking>, RoutedShares), SecAggError> {
         let SecAggServer {
             config,
             advertisements,
@@ -582,13 +638,14 @@ impl SecAggServer<Sharing> {
         }
         // Only route shares *to* U₂ members; every routed share is *from*
         // one, since `collect_shares` admits a sender before routing.
-        routed.retain(|recipient, _| shared.contains(recipient));
+        routed.retain(|recipient, _| shared.binary_search(recipient).is_ok());
+        let committed = Vec::with_capacity(shared.len());
         let server = SecAggServer {
             config,
             advertisements,
             stage: Masking {
                 shared,
-                committed: BTreeSet::new(),
+                committed,
                 masked_sum: vec![0; config.dim],
             },
         };
@@ -608,7 +665,7 @@ impl SecAggServer<Masking> {
     /// [`SecAggError::DimensionMismatch`].
     pub fn collect_masked(&mut self, input: MaskedInput) -> Result<(), SecAggError> {
         let stage = &mut self.stage;
-        if !stage.shared.contains(&input.id) {
+        if stage.shared.binary_search(&input.id).is_err() {
             return Err(SecAggError::UnknownParticipant(input.id));
         }
         if input.vector.len() != self.config.dim {
@@ -617,7 +674,7 @@ impl SecAggServer<Masking> {
                 actual: input.vector.len(),
             });
         }
-        if !stage.committed.insert(input.id) {
+        if !insert_sorted(&mut stage.committed, input.id) {
             return Err(SecAggError::DuplicateMessage(input.id));
         }
         field::add_assign_vec(&mut stage.masked_sum, &input.vector);
@@ -648,20 +705,23 @@ impl SecAggServer<Masking> {
                 threshold: config.threshold,
             });
         }
+        let dropped: Vec<u32> = shared
+            .into_iter()
+            .filter(|u| committed.binary_search(u).is_err())
+            .collect();
         let request = UnmaskingRequest {
-            committed: committed.iter().copied().collect(),
-            dropped_after_sharing: shared.difference(&committed).copied().collect(),
+            committed: committed.clone(),
+            dropped_after_sharing: dropped.clone(),
         };
+        let reveals = Vec::with_capacity(committed.len());
         let server = SecAggServer {
             config,
             advertisements,
             stage: Unmasking {
-                shared,
                 committed,
+                dropped,
                 masked_sum,
-                seed_reveals: BTreeMap::new(),
-                key_reveals: BTreeMap::new(),
-                revealers: BTreeSet::new(),
+                reveals,
             },
         };
         Ok((server, request))
@@ -677,18 +737,13 @@ impl SecAggServer<Unmasking> {
     /// [`SecAggError::UnknownParticipant`].
     pub fn collect_reveals(&mut self, reveals: RevealedShares) -> Result<(), SecAggError> {
         let stage = &mut self.stage;
-        if !stage.committed.contains(&reveals.from) {
+        if stage.committed.binary_search(&reveals.from).is_err() {
             return Err(SecAggError::UnknownParticipant(reveals.from));
         }
-        if !stage.revealers.insert(reveals.from) {
+        if stage.reveals.iter().any(|r| r.from == reveals.from) {
             return Err(SecAggError::DuplicateMessage(reveals.from));
         }
-        for (owner, share) in reveals.self_mask_shares {
-            stage.seed_reveals.entry(owner).or_default().push(share);
-        }
-        for (owner, share) in reveals.key_shares {
-            stage.key_reveals.entry(owner).or_default().push(share);
-        }
+        stage.reveals.push(reveals);
         Ok(())
     }
 
@@ -712,47 +767,58 @@ impl SecAggServer<Unmasking> {
             advertisements,
             stage:
                 Unmasking {
-                    shared,
                     committed,
+                    dropped,
                     mut masked_sum,
-                    seed_reveals,
-                    key_reveals,
-                    revealers,
+                    reveals,
                 },
         } = self;
-        if revealers.len() < config.threshold {
+        if reveals.len() < config.threshold {
             return Err(SecAggError::BelowThreshold {
-                alive: revealers.len(),
+                alive: reveals.len(),
                 threshold: config.threshold,
             });
         }
-        let reconstruct = |reveals: &BTreeMap<u32, Vec<Share>>, owner: u32| {
-            reveals
-                .get(&owner)
-                .and_then(|shares| shamir::reconstruct(shares, config.threshold).ok())
-                .ok_or(SecAggError::ReconstructionFailed(owner))
+        // An owner's shares in arrival order. Every survivor that reveals
+        // all it holds gives every owner the same points, so the
+        // interpolator's weights are computed once for the whole close.
+        let mut interpolator = Interpolator::default();
+        let mut shares = Vec::with_capacity(reveals.len());
+        let mut reconstruct = |owner: u32, revealed: fn(&RevealedShares) -> &[(u32, Share)]| {
+            shares.clear();
+            for r in &reveals {
+                shares.extend(
+                    revealed(r)
+                        .iter()
+                        .filter(|(o, _)| *o == owner)
+                        .map(|&(_, share)| share),
+                );
+            }
+            interpolator
+                .reconstruct(&shares, config.threshold)
+                .map_err(|_| SecAggError::ReconstructionFailed(owner))
         };
         // Every secret is reconstructed and checked before the first mask
         // stream runs, so a failure costs no stream.
         let seeds = committed
             .iter()
-            .map(|&u| reconstruct(&seed_reveals, u))
+            .map(|&u| reconstruct(u, |r| &r.self_mask_shares))
             .collect::<Result<Vec<u64>, _>>()?;
-        let mut dropped = Vec::new();
-        for &v in shared.difference(&committed) {
-            let pair = KeyPair::from_secret(reconstruct(&key_reveals, v)?);
+        let mut dropped_pairs = Vec::with_capacity(dropped.len());
+        for &v in &dropped {
+            let pair = KeyPair::from_secret(reconstruct(v, |r| &r.key_shares)?);
             // Integrity check: the reconstructed key must match what the
             // device advertised.
             if pair.public != advertisements[&v].s_public {
                 return Err(SecAggError::ReconstructionFailed(v));
             }
-            dropped.push((v, pair));
+            dropped_pairs.push((v, pair));
         }
         let committed_pubs: Vec<(u32, u64)> = committed
             .iter()
             .map(|&u| (u, advertisements[&u].s_public))
             .collect();
-        masking::unmask(&mut masked_sum, &seeds, &dropped, &committed_pubs);
+        masking::unmask(&mut masked_sum, &seeds, &dropped_pairs, &committed_pubs);
         Ok(masked_sum)
     }
 }
@@ -976,6 +1042,46 @@ mod tests {
             Err(SecAggError::DuplicateMessage(0))
         ));
         server.collect_advertisement(c1.advertisement()).unwrap();
+    }
+
+    /// DESIGN.md Sec. 9's count at the `round_secagg` shard shape: with
+    /// `n` 16, `t` 11 and `s` share-stage drop-outs, `2n + m(n-1) + c(m-1)
+    /// + 1 + s + sc` exponentiations, one inversion for the single reveal
+    /// set. Each Lagrange basis inverted on its own would add `(c+s)t - 1`.
+    #[test]
+    fn a_shard_shape_instance_runs_the_counted_exponentiations() {
+        let config = SecAggConfig::new(11, 3);
+        let xs = inputs(16, 3);
+        for (share_drops, expected) in [(&[][..], 513), (&[5][..], 514)] {
+            let before = field::exponentiations();
+            let sum = run_instance(config, &xs, &[], share_drops, 5).unwrap();
+            assert_eq!(field::exponentiations() - before, expected);
+            assert_eq!(sum, plain_sum(&xs, |i| !share_drops.contains(&i)));
+        }
+    }
+
+    /// Survivors that reveal only part of what they hold give owners
+    /// different point sets: the close refits its weights per set and
+    /// still recovers every secret.
+    #[test]
+    fn partial_reveals_with_differing_point_sets_finalize_exactly() {
+        let config = SecAggConfig::new(3, 4);
+        let xs = inputs(6, 4);
+        let (mut server, request, clients) = commit_all(config, &xs, 9);
+        for (i, c) in clients.into_iter().enumerate() {
+            let mut reveals = c.unmask(&request).unwrap();
+            // Revealer i withholds its share of owner i: owners 0 to 3
+            // each see their own first three points, 4 and 5 see 3's.
+            reveals
+                .self_mask_shares
+                .retain(|&(owner, _)| owner as usize != i);
+            server.collect_reveals(reveals).unwrap();
+        }
+        let before = field::exponentiations();
+        let sum = server.finalize().unwrap();
+        // One inversion per change of reveal set.
+        assert_eq!(field::exponentiations() - before, 4);
+        assert_eq!(sum, plain_sum(&xs, |_| true));
     }
 
     #[test]

@@ -26,23 +26,8 @@ pub struct Share {
 pub fn share<R: rand::Rng>(secret: u64, n: usize, t: usize, rng: &mut R) -> Vec<Share> {
     assert!(t >= 1 && t <= n, "threshold must satisfy 1 <= t <= n");
     assert!((n as u64) < field::PRIME, "too many shares for the field");
-    let secret = field::reduce(secret);
-    // coefficients[0] = secret; the rest uniform random.
-    let mut coefficients = Vec::with_capacity(t);
-    coefficients.push(secret);
-    for _ in 1..t {
-        coefficients.push(rng.random_range(0..field::PRIME));
-    }
-    (1..=n as u64)
-        .map(|x| {
-            // Horner evaluation.
-            let mut y = 0u64;
-            for &c in coefficients.iter().rev() {
-                y = field::add(field::mul(y, x), c);
-            }
-            Share { x, y }
-        })
-        .collect()
+    let polynomial = Polynomial::random(secret, t, rng);
+    (1..=n as u64).map(|x| polynomial.share(x)).collect()
 }
 
 /// Splits `secret` into shares evaluated at the given non-zero points with
@@ -61,22 +46,36 @@ pub fn share_at<R: rand::Rng>(secret: u64, points: &[u64], t: usize, rng: &mut R
         assert!(x != 0 && x < field::PRIME, "points must be non-zero field elements");
         assert!(!points[..i].contains(&x), "points must be distinct");
     }
-    let secret = field::reduce(secret);
-    let mut coefficients = Vec::with_capacity(t);
-    coefficients.push(secret);
-    for _ in 1..t {
-        coefficients.push(rng.random_range(0..field::PRIME));
+    let polynomial = Polynomial::random(secret, t, rng);
+    points.iter().map(|&x| polynomial.share(x)).collect()
+}
+
+/// A sharing polynomial of degree `t − 1`: the secret as its constant
+/// term and `t − 1` uniform coefficients, drawn from the RNG in order.
+pub(crate) struct Polynomial {
+    coefficients: Vec<u64>,
+}
+
+impl Polynomial {
+    /// Draws the polynomial for `secret` at threshold `t` (at least 1).
+    pub(crate) fn random<R: rand::Rng>(secret: u64, t: usize, rng: &mut R) -> Self {
+        let mut coefficients = Vec::with_capacity(t);
+        coefficients.push(field::reduce(secret));
+        for _ in 1..t {
+            coefficients.push(rng.random_range(0..field::PRIME));
+        }
+        Polynomial { coefficients }
     }
-    points
-        .iter()
-        .map(|&x| {
-            let mut y = 0u64;
-            for &c in coefficients.iter().rev() {
-                y = field::add(field::mul(y, x), c);
-            }
-            Share { x, y }
-        })
-        .collect()
+
+    /// The share at the non-zero field point `x` (Horner evaluation).
+    pub(crate) fn share(&self, x: u64) -> Share {
+        let y = self
+            .coefficients
+            .iter()
+            .rev()
+            .fold(0, |y, &c| field::add(field::mul(y, x), c));
+        Share { x, y }
+    }
 }
 
 /// Reconstructs the secret from at least `t` distinct shares via Lagrange
@@ -85,39 +84,75 @@ pub fn share_at<R: rand::Rng>(secret: u64, points: &[u64], t: usize, rng: &mut R
 /// # Errors
 ///
 /// Returns [`SecAggError::ReconstructionFailed`] if fewer than `t` shares
-/// are provided or share points repeat.
+/// are provided, or a point among the first `t` is zero, outside the field
+/// or repeated.
 pub fn reconstruct(shares: &[Share], t: usize) -> Result<u64, SecAggError> {
-    if shares.len() < t {
-        return Err(SecAggError::ReconstructionFailed(0));
-    }
-    let pts = &shares[..t];
-    // Distinct x check.
-    for (i, a) in pts.iter().enumerate() {
-        if a.x == 0 {
+    Interpolator::default().reconstruct(shares, t)
+}
+
+/// Reconstructs secrets by Lagrange interpolation at `x = 0`, keeping
+/// the weights of the last point set it saw.
+///
+/// A secret is `Σ y_i · w_i` over the first `t` shares, with weights
+/// `w_i = Π_{j≠i} x_j / (x_j − x_i)` that depend on the points alone. In a
+/// Finalization every owner's shares usually come from the same
+/// revealers at the same points, so the weights are computed once, with
+/// one inversion for all `t` denominators ([`field::inv_all`]), and
+/// reused until a reconstruction brings other points (or the same points
+/// in another order).
+#[derive(Debug, Default)]
+pub struct Interpolator {
+    /// The points `weights` belong to, in order; empty until a
+    /// reconstruction has passed the point checks.
+    points: Vec<u64>,
+    weights: Vec<u64>,
+}
+
+impl Interpolator {
+    /// [`reconstruct`] with the weights kept from the last call when its
+    /// first `t` points are the same.
+    ///
+    /// # Errors
+    ///
+    /// As [`reconstruct`]: [`SecAggError::ReconstructionFailed`] for fewer
+    /// than `t` shares, or a point among the first `t` that is zero,
+    /// outside the field or repeated.
+    pub fn reconstruct(&mut self, shares: &[Share], t: usize) -> Result<u64, SecAggError> {
+        let Some(shares) = shares.get(..t) else {
             return Err(SecAggError::ReconstructionFailed(0));
+        };
+        if !self.points.iter().copied().eq(shares.iter().map(|s| s.x)) {
+            self.fit(shares)?;
         }
-        for b in &pts[..i] {
-            if a.x == b.x {
+        Ok(shares
+            .iter()
+            .zip(&self.weights)
+            .fold(0, |secret, (s, &w)| field::add(secret, field::mul(s.y, w))))
+    }
+
+    /// Checks the points of `shares` and computes their weights.
+    fn fit(&mut self, shares: &[Share]) -> Result<(), SecAggError> {
+        self.points.clear();
+        self.weights.clear();
+        for (i, a) in shares.iter().enumerate() {
+            if a.x == 0 || a.x >= field::PRIME || shares[..i].iter().any(|b| b.x == a.x) {
                 return Err(SecAggError::ReconstructionFailed(0));
             }
         }
-    }
-    let mut secret = 0u64;
-    for (i, si) in pts.iter().enumerate() {
-        // Lagrange basis at 0: Π_{j≠i} x_j / (x_j − x_i).
-        let mut num = 1u64;
-        let mut den = 1u64;
-        for (j, sj) in pts.iter().enumerate() {
-            if i == j {
-                continue;
-            }
-            num = field::mul(num, sj.x);
-            den = field::mul(den, field::sub(sj.x, si.x));
+        // Denominators first, inverted together, then the numerators.
+        let others = |i: usize| shares.iter().enumerate().filter(move |&(j, _)| j != i);
+        self.weights.extend((0..shares.len()).map(|i| {
+            others(i).fold(1, |den, (_, sj)| {
+                field::mul(den, field::sub(sj.x, shares[i].x))
+            })
+        }));
+        field::inv_all(&mut self.weights);
+        for (i, w) in self.weights.iter_mut().enumerate() {
+            *w = others(i).fold(*w, |w, (_, sj)| field::mul(w, sj.x));
         }
-        let basis = field::mul(num, field::inv(den));
-        secret = field::add(secret, field::mul(si.y, basis));
+        self.points.extend(shares.iter().map(|s| s.x));
+        Ok(())
     }
-    Ok(secret)
 }
 
 #[cfg(test)]
@@ -192,6 +227,70 @@ mod tests {
             assert_eq!(s.y, 99);
         }
         assert_eq!(reconstruct(&shares[..1], 1).unwrap(), 99);
+    }
+
+    #[test]
+    fn points_outside_the_field_or_at_zero_fail() {
+        let mut rng = seeded(8);
+        let mut shares = share(42, 3, 2, &mut rng);
+        shares[1].x = field::PRIME + 2;
+        assert!(reconstruct(&shares[..2], 2).is_err());
+        shares[1].x = 0;
+        assert!(reconstruct(&shares[..2], 2).is_err());
+    }
+
+    /// Owners whose shares come from different revealers, as in a
+    /// Finalization where some survivors reveal only part of what they
+    /// hold: one interpolator over all of them agrees with a fresh
+    /// reconstruction per owner, and refits exactly when the first `t`
+    /// points change (one inversion each time).
+    #[test]
+    fn cached_weights_agree_with_per_owner_reconstruction_when_points_differ() {
+        let (n, t) = (9, 4);
+        let mut rng = seeded(9);
+        let secrets: Vec<u64> = (0..7).map(|i| field::PRIME - 1 - i * 12_345).collect();
+        let sharings: Vec<Vec<Share>> = secrets.iter().map(|&s| share(s, n, t, &mut rng)).collect();
+        // Which of the n shares each owner's reconstruction sees, in order.
+        let reveals: [&[usize]; 7] = [
+            &[0, 1, 2, 3, 4],
+            &[0, 1, 2, 3, 8], // same first t points: no refit
+            &[5, 6, 7, 8],    // another set
+            &[0, 1, 2, 3],    // back to the first
+            &[3, 2, 1, 0],    // the same points in another order
+            &[0, 1, 2, 4, 3], // one point of the first t differs
+            &[0, 1, 2, 4],    // the previous set again
+        ];
+        let mut interpolator = Interpolator::default();
+        let before = field::exponentiations();
+        for ((owner, sharing), picks) in secrets.iter().zip(&sharings).zip(reveals) {
+            let shares: Vec<Share> = picks.iter().map(|&i| sharing[i]).collect();
+            let cached = interpolator.reconstruct(&shares, t).unwrap();
+            assert_eq!(cached, reconstruct(&shares, t).unwrap());
+            assert_eq!(cached, *owner);
+        }
+        // Seven owners, five distinct consecutive point sets. The fresh
+        // reconstructions above ran one inversion each.
+        assert_eq!(field::exponentiations() - before, 5 + 7);
+    }
+
+    #[test]
+    fn cached_weights_keep_every_check() {
+        let mut rng = seeded(10);
+        let shares = share(77, 5, 3, &mut rng);
+        let mut interpolator = Interpolator::default();
+        assert_eq!(interpolator.reconstruct(&shares, 3).unwrap(), 77);
+        // Too few, a repeated point and a zero point, each after a fit.
+        assert!(interpolator.reconstruct(&shares[..2], 3).is_err());
+        assert!(interpolator
+            .reconstruct(&[shares[0], shares[1], shares[0]], 3)
+            .is_err());
+        let zero = Share { x: 0, ..shares[2] };
+        assert!(interpolator
+            .reconstruct(&[shares[0], shares[1], zero], 3)
+            .is_err());
+        // A failed fit leaves nothing stale behind.
+        assert_eq!(interpolator.reconstruct(&shares[2..], 3).unwrap(), 77);
+        assert_eq!(interpolator.reconstruct(&shares, 3).unwrap(), 77);
     }
 
     proptest! {

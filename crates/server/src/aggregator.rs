@@ -214,7 +214,7 @@ impl AggregatorShard {
                     .encoder
                     .encode(&self.scratch)
                     .map_err(|e| CoreError::MalformedCheckpoint(e.to_string()))?;
-                v.push(weight % fl_secagg::field::PRIME);
+                v.push(fl_secagg::field::reduce(weight));
                 staged.insert(device, v);
                 Ok(())
             }
@@ -286,8 +286,8 @@ impl AggregatorShard {
             });
         }
         let mut v: Vec<u64> = Vec::with_capacity(self.dim + 1);
-        v.extend(field.map(|x| x % fl_secagg::field::PRIME));
-        v.push(weight % fl_secagg::field::PRIME);
+        v.extend(field.map(fl_secagg::field::reduce));
+        v.push(fl_secagg::field::reduce(weight));
         staged.insert(device, v);
         Ok(())
     }
@@ -305,6 +305,15 @@ impl AggregatorShard {
     /// ROADMAP item 3 (devices mask, the shard is the server half only) is
     /// the change that makes "the server never touches an individual
     /// update" true.
+    ///
+    /// At the `round_secagg` shard shape (16 devices, 4 113 coordinates,
+    /// threshold 11, one share-stage drop-out) one close is ~0.9 ms on the
+    /// reference box, about three quarters of it the instance's 270 mask
+    /// streams: 240 of them are the clients' own, which item 3 moves onto
+    /// the devices. Its 514 exponentiations (key pairs, batched
+    /// agreements, one Lagrange inversion) are ~0.1 ms, and the rest is
+    /// copies, field passes and share handling (`bench_secagg`'s
+    /// `instance` row).
     ///
     /// # Errors
     ///
