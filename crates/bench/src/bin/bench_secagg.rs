@@ -111,8 +111,8 @@ fn per_stream_loop(acc: &mut [u64], streams: &[(u64, bool)]) {
     }
 }
 
-/// Best-of-seven ns per draw of each kernel at the kernel shape, the
-/// kernels taking turns so a slow spell of the host reaches all of them.
+/// Ns per draw of each kernel at the kernel shape, one timing each in
+/// turn (`main` takes the best of seven turns).
 fn kernel_ns_per_draw() -> [f64; 3] {
     let plan: Vec<(u64, bool)> = (0..KERNEL_STREAMS).map(|s| (s, s % 2 == 1)).collect();
     let streams: Vec<MaskStream> = plan
@@ -134,18 +134,15 @@ fn kernel_ns_per_draw() -> [f64; 3] {
     const REPS: u32 = 100;
     let draws = f64::from(REPS) * (KERNEL_STREAMS as usize * KERNEL_DIM) as f64;
     let mut acc = vec![0u64; KERNEL_DIM];
-    let mut best = [f64::INFINITY; 3];
-    for _ in 0..7 {
-        for (kernel, best) in kernels.iter().zip(&mut best) {
-            let start = Instant::now();
-            for _ in 0..REPS {
-                kernel(black_box(&mut acc));
-            }
-            *best = best.min(start.elapsed().as_secs_f64() * 1e9 / draws);
+    let ns = kernels.map(|kernel| {
+        let start = Instant::now();
+        for _ in 0..REPS {
+            kernel(black_box(&mut acc));
         }
-    }
+        start.elapsed().as_secs_f64() * 1e9 / draws
+    });
     black_box(&acc);
-    best
+    ns
 }
 
 /// The instance row's shape: devices, threshold and share-stage drop-outs
@@ -206,7 +203,20 @@ fn main() -> Result<(), String> {
         })
         .collect();
 
-    let [dispatched, portable, per_stream] = kernel_ns_per_draw();
+    // The kernels and the instance take turns, so a slow spell of the
+    // host reaches all of them and the kernel's share compares like with
+    // like.
+    let _ = time_instance(20);
+    let (mut kernel, mut instance_ms, mut pow) = ([f64::INFINITY; 3], f64::INFINITY, 0);
+    for _ in 0..7 {
+        for (best, ns) in kernel.iter_mut().zip(kernel_ns_per_draw()) {
+            *best = best.min(ns);
+        }
+        let (ms, exponentiations) = time_instance(40);
+        instance_ms = instance_ms.min(ms);
+        pow = exponentiations;
+    }
+    let [dispatched, portable, per_stream] = kernel;
     #[cfg(target_arch = "x86_64")]
     let avx512f = std::arch::is_x86_feature_detected!("avx512f");
     #[cfg(not(target_arch = "x86_64"))]
@@ -216,8 +226,6 @@ fn main() -> Result<(), String> {
          (avx512f {avx512f}), portable {portable:.2}, per-stream loop {per_stream:.2}"
     );
 
-    let _ = time_instance(20);
-    let (instance_ms, pow) = time_instance(300);
     let streams = instance_streams();
     let kernel_share = (streams * KERNEL_DIM) as f64 * dispatched / (instance_ms * 1e6);
     eprintln!(

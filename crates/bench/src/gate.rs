@@ -170,8 +170,8 @@ pub fn secagg(cases: &[SecAggCase]) -> Result<(), String> {
 pub const E2E_FLOORS: [(&str, f64); 4] = [
     ("round_plain_tcp", 20.0),
     ("checkin_storm", 626.0),
-    ("round_secagg", 99.0),
-    ("fleet_des", 210.0),
+    ("round_secagg", 134.0),
+    ("fleet_des", 275.0),
 ];
 
 /// Ledger entries an [`E2E_FLOORS`] value looks back over.

@@ -90,24 +90,19 @@ pub fn pow(base: u64, exp: u64) -> u64 {
 /// flight hide one multiply's latency.
 const CHAINS: usize = 8;
 
-/// `out[i] = bases[i]^exp` for every `i`, the same values as one [`pow`]
-/// per base, with [`CHAINS`] chains of one exponent stepped together.
-/// The chains share every squaring-or-multiply decision, so they run in
-/// lockstep with no dependency between them.
-///
-/// # Panics
-///
-/// Panics if the two slices differ in length.
-pub fn pow_batch(bases: &[u64], exp: u64, out: &mut [u64]) {
-    assert_eq!(bases.len(), out.len(), "one output per base");
+/// Raises every element of `bases` to `exp` in place: the values of one
+/// [`pow`] per base, with [`CHAINS`] chains of one exponent stepped
+/// together. The chains share every squaring-or-multiply decision, so
+/// they run in lockstep with no dependency between them.
+pub fn pow_batch(bases: &mut [u64], exp: u64) {
     count_exponentiations(bases.len());
-    for (bases, out) in bases.chunks(CHAINS).zip(out.chunks_mut(CHAINS)) {
+    for bases in bases.chunks_mut(CHAINS) {
         // A chain without a base raises 0 and is dropped.
         let mut chain = [0u64; CHAINS];
-        for (c, &b) in chain.iter_mut().zip(bases) {
+        for (c, &b) in chain.iter_mut().zip(bases.iter()) {
             *c = reduce(b);
         }
-        out.copy_from_slice(&pow_chains(chain, exp)[..out.len()]);
+        bases.copy_from_slice(&pow_chains(chain, exp)[..bases.len()]);
     }
 }
 
@@ -334,9 +329,9 @@ mod tests {
         for n in [0usize, 1, 7, 8, 9, 17] {
             let bases: Vec<u64> = (0..n as u64).map(|i| i * 0x9E37_79B9 + PRIME - 4).collect();
             let exp = 0x1234_5678_9ABC_DEF1 % PRIME;
-            let mut out = vec![0; n];
+            let mut out = bases.clone();
             let before = exponentiations();
-            pow_batch(&bases, exp, &mut out);
+            pow_batch(&mut out, exp);
             assert_eq!(exponentiations() - before, n as u64);
             let one_by_one: Vec<u64> = bases.iter().map(|&b| pow(b, exp)).collect();
             assert_eq!(out, one_by_one, "{n} bases");

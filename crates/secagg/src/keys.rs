@@ -88,12 +88,7 @@ impl KeyPair {
     /// the cost of [`field::pow_batch`], whose chains run eight keys at
     /// once.
     pub fn agree_all(&self, keys: &mut [u64]) {
-        let mut publics = [0u64; 8];
-        for keys in keys.chunks_mut(publics.len()) {
-            let publics = &mut publics[..keys.len()];
-            publics.copy_from_slice(keys);
-            field::pow_batch(publics, self.secret, keys);
-        }
+        field::pow_batch(keys, self.secret);
     }
 }
 
@@ -285,9 +280,9 @@ fn draw(r: u64) -> u64 {
 
 /// Any word mod p: `2^61 ≡ 1`, so `s ≡ (s & p) + (s >> 61)`, which is at
 /// most `p + 7`, and one conditional subtract lands it below `p`. This is
-/// [`field::reduce`] with a compare for its last step: with the
-/// branch-free one, the loop over a block's coordinates vectorises with a
-/// gather per lane, which reads slower than one horizontal sum at a time.
+/// [`field::reduce`] with a compare for its last step: in the eight-lane
+/// build the compare becomes an unsigned minimum, two instructions where
+/// the branch-free step takes four, and the kernel reads faster for it.
 #[inline(always)]
 fn fold(s: u64) -> u64 {
     let t = (s & field::PRIME) + (s >> 61);

@@ -30,26 +30,6 @@ pub fn share<R: rand::Rng>(secret: u64, n: usize, t: usize, rng: &mut R) -> Vec<
     (1..=n as u64).map(|x| polynomial.share(x)).collect()
 }
 
-/// Splits `secret` into shares evaluated at the given non-zero points with
-/// reconstruction threshold `t`.
-///
-/// The protocol uses `x = participant_id + 1` so any `t` surviving
-/// participants can reconstruct, regardless of which ones survive.
-///
-/// # Panics
-///
-/// Panics unless `1 <= t <= points.len()`, points are non-zero, distinct,
-/// and within the field.
-pub fn share_at<R: rand::Rng>(secret: u64, points: &[u64], t: usize, rng: &mut R) -> Vec<Share> {
-    assert!(t >= 1 && t <= points.len(), "threshold must satisfy 1 <= t <= n");
-    for (i, &x) in points.iter().enumerate() {
-        assert!(x != 0 && x < field::PRIME, "points must be non-zero field elements");
-        assert!(!points[..i].contains(&x), "points must be distinct");
-    }
-    let polynomial = Polynomial::random(secret, t, rng);
-    points.iter().map(|&x| polynomial.share(x)).collect()
-}
-
 /// A sharing polynomial of degree `t − 1`: the secret as its constant
 /// term and `t − 1` uniform coefficients, drawn from the RNG in order.
 pub(crate) struct Polynomial {
