@@ -168,10 +168,10 @@ pub fn secagg(cases: &[SecAggCase]) -> Result<(), String> {
 /// twofold slowdown, not a drift; a gain or a loss of less is read from
 /// alternating pairs.
 pub const E2E_FLOORS: [(&str, f64); 4] = [
-    ("round_plain_tcp", 20.0),
-    ("checkin_storm", 626.0),
-    ("round_secagg", 134.0),
-    ("fleet_des", 275.0),
+    ("round_plain_tcp", 22.0),
+    ("checkin_storm", 664.0),
+    ("round_secagg", 125.0),
+    ("fleet_des", 230.0),
 ];
 
 /// Ledger entries an [`E2E_FLOORS`] value looks back over.
