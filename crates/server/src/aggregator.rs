@@ -307,8 +307,8 @@ impl AggregatorShard {
     /// update" true.
     ///
     /// At the `round_secagg` shard shape (16 devices, 4 113 coordinates,
-    /// threshold 11, one share-stage drop-out) one close is ~0.9 ms on the
-    /// reference box, about three quarters of it the instance's 270 mask
+    /// threshold 11, one share-stage drop-out) one close is ~0.9 ms on a
+    /// 2-core AVX-512 x86-64 box, about three quarters of it its 270 mask
     /// streams: 240 of them are the clients' own, which item 3 moves onto
     /// the devices. Its 514 exponentiations (key pairs, batched
     /// agreements, one Lagrange inversion) are ~0.1 ms, and the rest is
