@@ -426,29 +426,41 @@ mod model_tests {
     /// 65 536 ms, the span of times a queue may hold apart from later ones.
     const SPAN: u64 = 1 << 16;
 
+    /// 2^26 ms (~18.6 h), 1 024 spans: a block of spans a queue may file
+    /// apart from later blocks.
+    const BLOCK: u64 = 1 << 26;
+
     /// A time within 2 ms of one of the first six multiples of [`SPAN`]
     /// (thirty values in all, so ties are the rule).
     fn edge(i: u64) -> u64 {
         (i / 5 * SPAN + i % 5).saturating_sub(2)
     }
 
-    /// Times straddle multiples of [`SPAN`]: behind the clock (clamped),
-    /// tied, just before and just after an edge the clock is about to
-    /// cross or has just crossed, relative delays that land on either side
-    /// of the next edge, horizons that fall between the clock and the next
-    /// pending event, and two times so far out that nothing may be sized by
-    /// the distance to them.
+    /// A time within 2 ms of one of the first six multiples of [`BLOCK`].
+    fn block_edge(i: u64) -> u64 {
+        (i / 5 * BLOCK + i % 5).saturating_sub(2)
+    }
+
+    /// Times straddle multiples of [`SPAN`] and of [`BLOCK`]: behind the
+    /// clock (clamped), tied, just before and just after an edge the clock
+    /// is about to cross or has just crossed, relative delays that land on
+    /// either side of the next edge, horizons that fall between the clock
+    /// and the next pending event, and two times so far out that nothing
+    /// may be sized by the distance to them.
     fn edge_op() -> impl Strategy<Value = Op> {
         prop_oneof![
             (0u64..30).prop_map(|i| Op::At(edge(i))),
             (0u64..30).prop_map(|i| Op::At(edge(i))),
+            (0u64..30).prop_map(|i| Op::At(block_edge(i))),
             (0u64..3).prop_map(Op::In),
             (0u64..5).prop_map(|d| Op::In(SPAN - 2 + d)),
+            (0u64..5).prop_map(|d| Op::In(BLOCK - 2 + d)),
             prop_oneof![Just(1u64 << 40), Just(1u64 << 62)].prop_map(Op::At),
             Just(Op::Next),
             Just(Op::Next),
             (0u64..30).prop_map(|i| Op::NextBefore(edge(i))),
             (0u64..30).prop_map(|i| Op::NextBefore(edge(i))),
+            (0u64..30).prop_map(|i| Op::NextBefore(block_edge(i))),
         ]
     }
 
@@ -516,6 +528,35 @@ mod model_tests {
             Op::NextBefore(1 << 61),
         ]);
         check(ops);
+    }
+
+    /// Events scheduled into the span being drained tie with the ones that
+    /// were pending when the clock reached it, and must pop after them.
+    #[test]
+    fn a_push_into_the_span_being_drained_pops_after_its_ties() {
+        check([
+            Op::At(SPAN + 5),
+            Op::At(SPAN + 7),
+            Op::At(SPAN + 5),
+            Op::At(SPAN + 7),
+            Op::At(2 * SPAN),
+            // Pops the first SPAN + 5; the clock is in the second span.
+            Op::Next,
+            // Tied with a pending event of the span, with the clock
+            // (clamped and relative), and with the next time due.
+            Op::At(SPAN + 5),
+            Op::At(3),
+            Op::In(0),
+            Op::At(SPAN + 7),
+            Op::In(2),
+            Op::At(SPAN + 6),
+            Op::Next,
+            Op::Next,
+            // Pushes behind the clock after part of the span has gone.
+            Op::At(SPAN + 6),
+            Op::In(1),
+            Op::At(SPAN + 7),
+        ]);
     }
 
     /// Deep enough (nine levels) that sifts cross many levels both ways:
