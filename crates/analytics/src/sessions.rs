@@ -26,13 +26,18 @@ impl SessionShapeTable {
 
     /// Records one completed session.
     pub fn record(&mut self, log: &SessionLog) {
-        *self.counts.entry(log.shape()).or_insert(0) += 1;
-        self.total += 1;
+        self.record_shape(&log.shape());
     }
 
-    /// Records a shape string directly (for pre-aggregated feeds).
-    pub fn record_shape(&mut self, shape: impl Into<String>) {
-        *self.counts.entry(shape.into()).or_insert(0) += 1;
+    /// Records a shape string directly (for pre-aggregated feeds); a shape
+    /// already in the table is counted without allocating.
+    pub fn record_shape(&mut self, shape: &str) {
+        match self.counts.get_mut(shape) {
+            Some(count) => *count += 1,
+            None => {
+                self.counts.insert(shape.to_owned(), 1);
+            }
+        }
         self.total += 1;
     }
 

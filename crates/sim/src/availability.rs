@@ -200,8 +200,12 @@ impl DiurnalAvailability {
         self.next_window(device, t_ms).map(|w| w.start_ms.max(t_ms))
     }
 
-    /// Fraction of a fleet of `n` devices eligible at `t_ms` (exact count).
+    /// Fraction of a fleet of `n` devices eligible at `t_ms` (exact count;
+    /// 0 for an empty fleet).
     pub fn eligible_fraction(&self, n: u64, t_ms: u64) -> f64 {
+        if n == 0 {
+            return 0.0;
+        }
         let count = (0..n).filter(|&d| self.is_eligible(d, t_ms)).count();
         count as f64 / n as f64
     }
@@ -224,6 +228,12 @@ mod tests {
         // The paper reports a ~4× swing for a US-centric population.
         let swing = night / day.max(1e-9);
         assert!((2.5..12.0).contains(&swing), "swing {swing}");
+    }
+
+    #[test]
+    fn an_empty_fleet_has_no_eligible_fraction() {
+        let model = DiurnalAvailability::us_centric(7);
+        assert_eq!(model.eligible_fraction(0, DAY_MS + 3 * HOUR_MS), 0.0);
     }
 
     #[test]

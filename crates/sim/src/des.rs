@@ -1,15 +1,29 @@
 //! The discrete-event engine: a virtual clock plus an ordered event queue.
 //!
-//! Pending events wait in two tiers. The *near* tier is a small heap of
-//! the events due in the bucket of virtual time now being drained
-//! (`at_ms >> BUCKET_MS_LOG2`, or earlier); the *far* tier keeps every later
-//! event unsorted, in the order it was scheduled, in spans of time that
-//! double in width with their distance from that bucket (a radix heap's
-//! layout), and splits a span only when the clock reaches it. A million
-//! pending events therefore cost a heap a few thousand deep, not a million.
+//! An event's *bucket* is `at_ms >> BUCKET_MS_LOG2`, 65.536 s of virtual
+//! time. Pending events wait in three tiers by how far their bucket is
+//! from the one being drained, the *near* bucket:
+//!
+//! * the near tier holds the near bucket's events (and, clamped to the
+//!   clock, earlier ones): those pending when the clock reached the bucket
+//!   as one run, sorted once when the bucket is promoted, and those
+//!   scheduled into it since in a small heap;
+//! * the *slots* hold each later bucket of the aligned block of 2^10
+//!   buckets (~18.6 h) that contains the near one, one unsorted list per
+//!   bucket in scheduling order, so an event due within the block is filed
+//!   once and sorted once;
+//! * the *levels* hold every later event in spans of time that double in
+//!   width with their distance from that block (a radix heap's layout) and
+//!   split a span only when the clock reaches it.
+//!
+//! A pop takes the run's next event, or the root of a heap that holds only
+//! the late arrivals of one bucket; a push is a shift, an XOR and an append.
+//! Neither depends on how many events are pending. An event is sorted
+//! once, and filed once unless it is due beyond the near block, when it
+//! moves down a level per split it is part of until it reaches a slot.
 
-/// A near-tier event. Ties break by insertion order, making runs fully
-/// deterministic.
+/// An event scheduled into the near bucket after it was promoted. Ties
+/// break by insertion order, making runs fully deterministic.
 struct Scheduled<E> {
     at_ms: u64,
     seq: u64,
@@ -32,35 +46,63 @@ impl<E> Scheduled<E> {
 const ARITY: usize = 4;
 
 /// An event's bucket is `at_ms >> BUCKET_MS_LOG2` (65.536 s of virtual
-/// time): one bucket of a million-device day is a few thousand events, a
-/// heap that stays in cache (14 to 18 measured alike).
+/// time): one bucket of a million-device day is a few thousand events.
 const BUCKET_MS_LOG2: u32 = 16;
 
-/// Far-tier levels: one for each bit in which a bucket can differ from the
-/// near one.
-const LEVELS: usize = (u64::BITS - BUCKET_MS_LOG2) as usize;
+/// A block is `2^SLOT_LOG2` buckets, each with its own slot.
+const SLOT_LOG2: u32 = 10;
 
-/// Far-tier entries per chunk: 2 KB of 32-byte entries. A level wastes half
+/// Slots: one for each bucket of the near bucket's block.
+const SLOTS: usize = 1 << SLOT_LOG2;
+
+/// Levels: one for each bit above the block's in which a bucket can differ
+/// from the near one.
+const LEVELS: usize = (u64::BITS - BUCKET_MS_LOG2 - SLOT_LOG2) as usize;
+
+/// Bits of a run key below an event's time within its bucket: the event's
+/// index in the run.
+const INDEX_BITS: u32 = u64::BITS - BUCKET_MS_LOG2;
+
+/// Runs at least this long are sorted by counting, shorter ones by
+/// comparison (the two cost alike at a few hundred keys).
+const RADIX_MIN: usize = 256;
+
+/// Far-tier entries per chunk: 2 KB of 32-byte entries. A list wastes half
 /// a chunk on average, where one growing `Vec` wastes a third of its length.
 const CHUNK: usize = 64;
 
+/// A list of `(at_ms, event)` in scheduling order, in chunks of up to
+/// [`CHUNK`]; no entry has a `seq`, its place is one.
+type Chunks<E> = Vec<Vec<(u64, E)>>;
+
 /// A deterministic event queue with a virtual clock.
 pub struct EventQueue<E> {
-    /// Near tier: every pending event whose bucket is at most
-    /// `near_bucket`, as an implicit `ARITY`-ary min-heap on
-    /// [`Scheduled::key`] (the children of node `i` are
-    /// `ARITY * i + 1 ..= ARITY * i + ARITY`).
+    /// Near tier, first part: the near bucket's events that were pending
+    /// when it was promoted, in scheduling order, each taken when it pops.
+    run: Vec<Option<E>>,
+    /// The run's pop order: for each event, its time within the bucket
+    /// above its index in `run`, sorted; `order[next..]` are still pending.
+    order: Vec<u64>,
+    next: usize,
+    /// Scratch space for sorting `order`.
+    spare: Vec<u64>,
+    /// Near tier, second part: every event scheduled at or before the near
+    /// bucket since it was promoted, as an implicit `ARITY`-ary min-heap
+    /// on [`Scheduled::key`] (the children of node `i` are
+    /// `ARITY * i + 1 ..= ARITY * i + ARITY`). Each was scheduled after
+    /// every event of the run.
     heap: Vec<Scheduled<E>>,
     /// The bucket being drained; the clock's own bucket is never later.
     near_bucket: u64,
-    /// Far tier: a later bucket's events wait at the level numbered by the
-    /// highest bit in which the bucket differs from `near_bucket`, so level
-    /// `l` spans `2^l` buckets and no event of a lower level is due after
-    /// one of a higher. A level holds `(at_ms, event)` in scheduling order,
-    /// in chunks of up to `CHUNK`; no entry has a `seq`, its place is one.
-    far: [Vec<Vec<(u64, E)>>; LEVELS],
+    /// Far tier: a later bucket's events wait in the list [`Self::home`]
+    /// names, the first [`SLOTS`] slots and then [`LEVELS`] levels. A
+    /// bucket of the near one's block has its own slot; any other waits at
+    /// the level numbered by the highest bit in which it differs from
+    /// `near_bucket`, so level `l` spans `2^(l + SLOT_LOG2)` buckets and no
+    /// event of a slot or a lower level is due after one of a higher.
+    far: Box<[Chunks<E>]>,
     far_len: usize,
-    /// Emptied chunks, their capacity kept for the next level that grows.
+    /// Emptied chunks, their capacity kept for the next list that grows.
     pool: Vec<Vec<(u64, E)>>,
     now_ms: u64,
     seq: u64,
@@ -77,9 +119,15 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue at time 0.
     pub fn new() -> Self {
         EventQueue {
+            run: Vec::new(),
+            order: Vec::new(),
+            next: 0,
+            spare: Vec::new(),
             heap: Vec::new(),
             near_bucket: 0,
-            far: [const { Vec::new() }; LEVELS],
+            far: std::iter::repeat_with(Vec::new)
+                .take(SLOTS + LEVELS)
+                .collect(),
             far_len: 0,
             pool: Vec::new(),
             now_ms: 0,
@@ -118,30 +166,43 @@ impl<E> EventQueue<E> {
 
     /// Pops the next event only if it is due at or before `horizon_ms`.
     pub fn next_before(&mut self, horizon_ms: u64) -> Option<(u64, E)> {
-        if self.heap.is_empty() {
+        if self.next == self.order.len() && self.heap.is_empty() {
             self.promote(horizon_ms);
         }
-        if self.heap.first()?.at_ms > horizon_ms {
+        let run_next = self.order.get(self.next).map(|&key| {
+            let at_ms = self.near_bucket << BUCKET_MS_LOG2 | key >> INDEX_BITS;
+            (at_ms, (key & ((1 << INDEX_BITS) - 1)) as usize)
+        });
+        // A heap event was scheduled after every event of the run, so the
+        // run wins a tie.
+        let from_heap = match (run_next, self.heap.first()) {
+            (Some((run_ms, _)), Some(s)) => s.at_ms < run_ms,
+            (None, heap) => heap.is_some(),
+            (Some(_), None) => false,
+        };
+        let at_ms = if from_heap {
+            self.heap[0].at_ms
+        } else {
+            run_next?.0
+        };
+        if at_ms > horizon_ms {
             return None;
         }
-        // The last element takes the root's place and sinks.
-        let s = self.heap.swap_remove(0);
-        let mut i = 0;
-        while let Some(child) = self.min_child(i) {
-            if self.heap[i].key() <= self.heap[child].key() {
-                break;
+        let event = match run_next {
+            Some((_, index)) if !from_heap => {
+                self.next += 1;
+                self.run[index].take().expect("a run event pops once")
             }
-            self.heap.swap(i, child);
-            i = child;
-        }
-        self.now_ms = s.at_ms;
+            _ => self.pop_heap(),
+        };
+        self.now_ms = at_ms;
         self.processed += 1;
-        Some((s.at_ms, s.event))
+        Some((at_ms, event))
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len() + self.far_len
+        self.order.len() - self.next + self.heap.len() + self.far_len
     }
 
     /// Whether the queue is empty.
@@ -162,10 +223,22 @@ impl<E> EventQueue<E> {
         self.sift_up(self.heap.len() - 1);
     }
 
-    /// Appends an event of a later bucket to its level of the far tier.
+    /// The far list that holds a bucket later than the near one: its slot
+    /// if the two share a block, else the level of the highest bit in which
+    /// they differ.
+    fn home(&self, bucket: u64) -> usize {
+        let apart = bucket ^ self.near_bucket;
+        if apart < SLOTS as u64 {
+            (bucket % SLOTS as u64) as usize
+        } else {
+            SLOTS + (apart.ilog2() - SLOT_LOG2) as usize
+        }
+    }
+
+    /// Appends an event of a later bucket to its far list.
     fn push_far(&mut self, at_ms: u64, event: E) {
-        let level = ((at_ms >> BUCKET_MS_LOG2) ^ self.near_bucket).ilog2() as usize;
-        let chunks = &mut self.far[level];
+        let home = self.home(at_ms >> BUCKET_MS_LOG2);
+        let chunks = &mut self.far[home];
         if chunks.last().is_none_or(|chunk| chunk.len() == CHUNK) {
             let spare = self.pool.pop();
             chunks.push(spare.unwrap_or_else(|| Vec::with_capacity(CHUNK)));
@@ -176,36 +249,107 @@ impl<E> EventQueue<E> {
         chunk.push((at_ms, event));
     }
 
-    /// With the heap empty, makes the bucket of the earliest far event the
-    /// near one, unless that event is due after `horizon_ms`. The event is
-    /// in the lowest level in use; the level's entries move, in the order
-    /// they were scheduled, into the heap (that bucket's, under fresh
-    /// `seq`s) or down to the lower levels (all empty) where the new near
-    /// bucket puts them, and higher levels differ from the old and the new
-    /// near bucket in the same bit. So a bucket's events stay together and
-    /// in order, later arrivals queue behind them, and ties pop as if the
-    /// bucket had been in the heap all along.
+    /// With the near tier empty, makes the bucket of the earliest far event
+    /// the near one and sorts its events into the run, unless that event is
+    /// due after `horizon_ms` (then nothing changes). The first far list in
+    /// use after the near bucket's slot holds it. A slot is one bucket, in
+    /// scheduling order. A level's entries move, in the order they were
+    /// scheduled, into the run (the new near bucket's) or into the slots
+    /// and lower levels (all empty) where the new near bucket puts them;
+    /// higher levels differ from the old and the new near bucket in the
+    /// same bit. So a bucket's events stay together and in order, later
+    /// arrivals queue behind them, and a stable sort of the run orders ties
+    /// as scheduled.
     fn promote(&mut self, horizon_ms: u64) {
-        let Some(level) = self.far.iter().position(|chunks| !chunks.is_empty()) else {
+        let near_slot = (self.near_bucket % SLOTS as u64) as usize;
+        let Some(home) = (near_slot + 1..self.far.len()).find(|&i| !self.far[i].is_empty()) else {
             return;
         };
-        let times = self.far[level].iter().flatten().map(|(at_ms, _)| *at_ms);
-        let earliest_ms = times.min().expect("a level keeps no empty chunk");
-        if earliest_ms > horizon_ms {
+        let bucket = if home < SLOTS {
+            self.near_bucket - near_slot as u64 + home as u64
+        } else {
+            earliest_ms(&self.far[home]) >> BUCKET_MS_LOG2
+        };
+        // Only a horizon inside the bucket asks for its earliest event.
+        let last_ms = bucket << BUCKET_MS_LOG2 | ((1 << BUCKET_MS_LOG2) - 1);
+        if last_ms > horizon_ms && earliest_ms(&self.far[home]) > horizon_ms {
             return;
         }
-        self.near_bucket = earliest_ms >> BUCKET_MS_LOG2;
-        for mut chunk in std::mem::take(&mut self.far[level]) {
+        self.near_bucket = bucket;
+        self.clear_run();
+        for mut chunk in std::mem::take(&mut self.far[home]) {
             for (at_ms, event) in chunk.drain(..) {
-                if at_ms >> BUCKET_MS_LOG2 == self.near_bucket {
-                    self.push_near(at_ms, event);
-                    self.far_len -= 1;
+                if at_ms >> BUCKET_MS_LOG2 == bucket {
+                    self.push_run(at_ms, event);
                 } else {
                     self.push_far(at_ms, event);
                 }
             }
             self.pool.push(chunk);
         }
+        self.far_len -= self.run.len();
+        self.sort_order();
+    }
+
+    /// Empties the run (every event of it has popped) and its order.
+    fn clear_run(&mut self) {
+        self.run.clear();
+        self.order.clear();
+        self.next = 0;
+    }
+
+    /// Adds an event of the bucket being promoted to the run, and its key
+    /// to the order.
+    fn push_run(&mut self, at_ms: u64, event: E) {
+        let within_ms = at_ms & ((1 << BUCKET_MS_LOG2) - 1);
+        self.order
+            .push(within_ms << INDEX_BITS | self.run.len() as u64);
+        self.run.push(Some(event));
+    }
+
+    /// Sorts the run's keys: by time, and ties by index, which is
+    /// scheduling order. Keys are unique, so an unstable sort does it; a
+    /// long run takes a stable counting sort on each byte of the time
+    /// instead (its keys are in index order already), several times
+    /// cheaper at a few thousand keys.
+    fn sort_order(&mut self) {
+        if self.order.len() < RADIX_MIN {
+            self.order.sort_unstable();
+            return;
+        }
+        for shift in [INDEX_BITS, INDEX_BITS + 8] {
+            let digit = |key: u64| (key >> shift) as usize & 0xFF;
+            let mut starts = [0; 256];
+            for &key in &self.order {
+                starts[digit(key)] += 1;
+            }
+            let mut sum = 0;
+            for start in &mut starts {
+                (sum, *start) = (sum + *start, sum);
+            }
+            self.spare.clear();
+            self.spare.resize(self.order.len(), 0);
+            for &key in &self.order {
+                let start = &mut starts[digit(key)];
+                self.spare[*start] = key;
+                *start += 1;
+            }
+            std::mem::swap(&mut self.order, &mut self.spare);
+        }
+    }
+
+    /// Removes the heap's root: the last element takes its place and sinks.
+    fn pop_heap(&mut self) -> E {
+        let s = self.heap.swap_remove(0);
+        let mut i = 0;
+        while let Some(child) = self.min_child(i) {
+            if self.heap[i].key() <= self.heap[child].key() {
+                break;
+            }
+            self.heap.swap(i, child);
+            i = child;
+        }
+        s.event
     }
 
     /// Index of the smallest child of node `i`, if it has any.
@@ -227,6 +371,12 @@ impl<E> EventQueue<E> {
             i = parent;
         }
     }
+}
+
+/// The earliest due time in a far list that is not empty.
+fn earliest_ms<E>(chunks: &Chunks<E>) -> u64 {
+    let times = chunks.iter().flatten().map(|&(at_ms, _)| at_ms);
+    times.min().expect("a far list keeps no empty chunk")
 }
 
 #[cfg(test)]
@@ -295,11 +445,13 @@ mod tests {
         assert_eq!(q.next(), Some((u64::MAX, "never")));
     }
 
-    /// ~1 000 events pending while a million pass through ~8 000 buckets:
-    /// the chunks a split level held are the ones the next levels fill. A
-    /// level hands its chunks back one at a time while it is split, so one
-    /// chunk for each lower level it fills (sixteen buckets span at most
-    /// five levels) is extra for that long.
+    /// ~1 000 events pending while a million pass through ~8 000 buckets
+    /// and seven block edges: the chunks a promoted slot or a split level
+    /// held are the ones the next slots fill. A level is split only when
+    /// the clock leaves a block, whose slots have by then handed back every
+    /// chunk they held, so the slots the split fills (up to sixteen buckets
+    /// ahead) draw on those and the chunks ever allocated stay within a few
+    /// of the peak in use.
     #[test]
     fn emptied_chunks_are_reused_not_regrown() {
         let mut q: EventQueue<u32> = EventQueue::new();
@@ -318,9 +470,17 @@ mod tests {
             peak_in_use = peak_in_use.max(in_use);
             assert!(q.pool.len() + in_use <= peak_in_use + 5, "event {i}");
             let far: usize = q.far.iter().flatten().map(Vec::len).sum();
-            assert_eq!(q.len(), q.heap.len() + far, "event {i}");
+            assert_eq!(
+                q.len(),
+                q.order.len() - q.next + q.heap.len() + far,
+                "event {i}"
+            );
         }
-        assert!(q.now_ms() >> BUCKET_MS_LOG2 > 5_000, "{}", q.now_ms());
+        assert!(
+            q.now_ms() >> (BUCKET_MS_LOG2 + SLOT_LOG2) >= 7,
+            "{}",
+            q.now_ms()
+        );
         assert!(peak_in_use < 40, "{peak_in_use} chunks for ~1 000 events");
         popped += std::iter::from_fn(|| q.next()).count() as u64;
         assert_eq!((popped, q.processed(), q.len()), (1_000_000, 1_000_000, 0));

@@ -15,11 +15,10 @@ use crate::network::NetworkModel;
 use crate::{DAY_MS, HOUR_MS};
 use fl_analytics::sessions::SessionShapeTable;
 use fl_analytics::timeseries::TimeSeries;
-use fl_core::events::DeviceEvent;
 use fl_core::plan::{CodecSpec, ModelSpec};
 use fl_core::round::{RoundConfig, RoundOutcome};
 use fl_core::traffic::{TrafficCounter, TrafficKind};
-use fl_core::{DeviceId, FlCheckpoint, FlPlan, RoundId, SessionLog};
+use fl_core::{DeviceId, FlCheckpoint, FlPlan, RoundId};
 use fl_ml::rng;
 use fl_server::pace::PaceSteering;
 use fl_server::round::{CheckinResponse, Phase, ReportResponse, RoundEvent, RoundState};
@@ -243,13 +242,8 @@ enum Event {
     /// the eligibility window the wake-up was scheduled into: an event that
     /// fires before it need not ask again. 0 when the server chose the time.
     Checkin { device: u64, until_ms: u64 },
-    /// A selected device finishes training + upload. `slot` is its index
-    /// in the round's `checkin_times` (a `u32`, so the event stays 24 bytes).
-    Report {
-        device: u64,
-        round_seq: u64,
-        slot: u32,
-    },
+    /// A selected device finishes training + upload.
+    Report { device: u64, round_seq: u64 },
     /// A selected device drops out (eligibility change or failure).
     Dropout {
         device: u64,
@@ -268,15 +262,28 @@ enum DropReason {
     TransientFailure,
 }
 
+/// Table 1's session shapes, one literal per way a participation ends: the
+/// shape [`fl_core::SessionLog::shape`] renders for the device events it
+/// stands for (`shape_literals_are_the_session_logs_shapes`).
+const UPLOADED: &str = "-v[]+^";
+const REJECTED: &str = "-v[]+#";
+const INTERRUPTED: &str = "-v[!";
+const FAILED: &str = "-v[*";
+
 struct ActiveRound {
     seq: u64,
     state: RoundState,
-    /// Check-in times of participants (for session logs).
-    checkin_times: Vec<(DeviceId, u64)>,
+    /// Participants, in check-in order.
+    participants: Vec<DeviceId>,
 }
 
 /// Runs the fleet simulation.
 pub fn run(config: &FleetConfig) -> FleetReport {
+    run_counting_events(config).0
+}
+
+/// Runs the fleet simulation, and counts the events it processed.
+pub fn run_counting_events(config: &FleetConfig) -> (FleetReport, u64) {
     let availability = DiurnalAvailability::us_centric(config.seed);
     let network = NetworkModel::new(config.seed ^ 0xBEEF, config.failure_probability);
     let pace = PaceSteering::new(
@@ -321,7 +328,7 @@ pub fn run(config: &FleetConfig) -> FleetReport {
     let mut active = ActiveRound {
         seq: 0,
         state: RoundState::begin(RoundId(1), config.round, 0),
-        checkin_times: Vec::new(),
+        participants: Vec::new(),
     };
     queue.schedule_at(config.round.selection_timeout_ms, Event::RoundTick { round_seq: 0 });
 
@@ -372,7 +379,7 @@ pub fn run(config: &FleetConfig) -> FleetReport {
                 match response {
                     CheckinResponse::Selected => {
                         report.checkins.0 += 1;
-                        active.checkin_times.push((DeviceId(device), now));
+                        active.participants.push(DeviceId(device));
                         in_flight += 1;
                     }
                     // Idempotent duplicate: the device already holds a
@@ -393,11 +400,11 @@ pub fn run(config: &FleetConfig) -> FleetReport {
                     }
                 }
             }
-            Event::Report { device, round_seq: seq, slot } => {
+            Event::Report { device, round_seq: seq } => {
                 if seq != active.seq {
                     // Round long gone; treat as a late upload against the
                     // already-closed round: rejected, Table 1 `#`.
-                    report.sessions.record_shape("-v[]+#");
+                    report.sessions.record_shape(REJECTED);
                     report.traffic.record(TrafficKind::Update, config.update_bytes);
                     in_flight = in_flight.saturating_sub(1);
                     schedule_next_checkin(
@@ -414,19 +421,10 @@ pub fn run(config: &FleetConfig) -> FleetReport {
                 report.traffic.record(TrafficKind::Update, config.update_bytes);
                 report.traffic.record(TrafficKind::Metrics, 64);
                 in_flight = in_flight.saturating_sub(1);
-                let shape_tail = match response {
-                    ReportResponse::Accepted => DeviceEvent::UploadCompleted,
-                    _ => DeviceEvent::UploadRejected,
-                };
-                let mut log = SessionLog::new();
-                let (_, checkin_t) = active.checkin_times[slot as usize];
-                log.record(checkin_t, DeviceEvent::CheckIn);
-                log.record(checkin_t, DeviceEvent::PlanDownloaded);
-                log.record(checkin_t, DeviceEvent::TrainingStarted);
-                log.record(now, DeviceEvent::TrainingCompleted);
-                log.record(now, DeviceEvent::UploadStarted);
-                log.record(now, shape_tail);
-                report.sessions.record(&log);
+                report.sessions.record_shape(match response {
+                    ReportResponse::Accepted => UPLOADED,
+                    _ => REJECTED,
+                });
                 schedule_next_checkin(
                     &mut queue,
                     &availability,
@@ -443,8 +441,8 @@ pub fn run(config: &FleetConfig) -> FleetReport {
                 report.dropout_events.increment(now);
                 in_flight = in_flight.saturating_sub(1);
                 report.sessions.record_shape(match reason {
-                    DropReason::EligibilityChange => "-v[!",
-                    DropReason::TransientFailure => "-v[*",
+                    DropReason::EligibilityChange => INTERRUPTED,
+                    DropReason::TransientFailure => FAILED,
                 });
                 schedule_next_checkin(
                     &mut queue,
@@ -483,7 +481,7 @@ pub fn run(config: &FleetConfig) -> FleetReport {
                         .record(at_ms, participants as f64);
                     // Configuration: every participant downloads plan +
                     // checkpoint, then trains; schedule each one's fate.
-                    for (slot, &(d, _)) in active.checkin_times.iter().enumerate() {
+                    for &d in &active.participants {
                         report.traffic.record(TrafficKind::Plan, config.plan_bytes);
                         report
                             .traffic
@@ -524,7 +522,6 @@ pub fn run(config: &FleetConfig) -> FleetReport {
                                     Event::Report {
                                         device: d.0,
                                         round_seq: active.seq,
-                                        slot: slot as u32,
                                     },
                                 );
                             }
@@ -540,7 +537,7 @@ pub fn run(config: &FleetConfig) -> FleetReport {
                             );
                         }
                     }
-                    debug_assert_eq!(participants, active.checkin_times.len());
+                    debug_assert_eq!(participants, active.participants.len());
                     // First reporting tick.
                     queue.schedule_in(10_000, Event::RoundTick { round_seq: active.seq });
                 }
@@ -574,7 +571,7 @@ pub fn run(config: &FleetConfig) -> FleetReport {
                     active = ActiveRound {
                         seq: round_seq,
                         state: RoundState::begin(round_id, config.round, at_ms),
-                        checkin_times: Vec::new(),
+                        participants: Vec::new(),
                     };
                     queue.schedule_at(
                         at_ms + config.round.selection_timeout_ms,
@@ -585,7 +582,7 @@ pub fn run(config: &FleetConfig) -> FleetReport {
         }
     }
 
-    report
+    (report, queue.processed())
 }
 
 fn schedule_next_checkin(
@@ -727,9 +724,29 @@ mod tests {
     }
 
     #[test]
-    fn report_slot_does_not_grow_the_event() {
+    fn an_event_is_24_bytes() {
         // In the queue's heap an event is 24 + 16 bytes.
         assert_eq!(std::mem::size_of::<Event>(), 24);
+    }
+
+    #[test]
+    fn shape_literals_are_the_session_logs_shapes() {
+        use fl_core::{DeviceEvent::*, SessionLog};
+        let trained = [CheckIn, PlanDownloaded, TrainingStarted, TrainingCompleted, UploadStarted];
+        let started = [CheckIn, PlanDownloaded, TrainingStarted];
+        for (literal, events, end) in [
+            (UPLOADED, &trained[..], UploadCompleted),
+            (REJECTED, &trained[..], UploadRejected),
+            (INTERRUPTED, &started[..], Interrupted),
+            (FAILED, &started[..], Error),
+        ] {
+            let mut log = SessionLog::new();
+            for (t, &event) in events.iter().chain([&end]).enumerate() {
+                log.record(t as u64, event);
+            }
+            assert!(log.is_finished());
+            assert_eq!(literal, log.shape());
+        }
     }
 
     #[test]
