@@ -158,6 +158,44 @@ pub fn secagg(cases: &[SecAggCase]) -> Result<(), String> {
     Ok(())
 }
 
+/// One `bench_des` case: an event popped and one pushed, at one depth.
+pub struct DesCase {
+    /// Events pending throughout.
+    pub pending: usize,
+    /// Median time per pop plus push over the timed turns.
+    pub ns_per_event: f64,
+}
+
+/// Queue depths `bench_des` times: ten thousand and a million pending.
+pub const DES_PENDING: [usize; 2] = [10_000, 1_000_000];
+
+/// Ceiling on ns per event at a million pending over ten thousand. Sorted
+/// runs and indexed slots read 0.9-1.4x; a heap of each bucket's few
+/// thousand events over levels that file an event four or five times read
+/// 1.6-2.6x.
+pub const DES_MAX_SLOPE: f64 = 1.5;
+
+/// `bench_des`'s verdict: an event at a million pending costs at most
+/// [`DES_MAX_SLOPE`] times one at ten thousand.
+pub fn des(cases: &[DesCase]) -> Result<(), String> {
+    let [few, many] = DES_PENDING.map(|pending| {
+        cases
+            .iter()
+            .find(|c| c.pending == pending)
+            .ok_or(format!("no case at {pending} pending"))
+    });
+    let (few, many) = (few?, many?);
+    let slope = many.ns_per_event / few.ns_per_event;
+    if slope > DES_MAX_SLOPE {
+        return Err(format!(
+            "{:.1} ns per event at {} pending is {slope:.2}x the {:.1} ns at {}, over the \
+             {DES_MAX_SLOPE}x ceiling",
+            many.ns_per_event, many.pending, few.ns_per_event, few.pending
+        ));
+    }
+    Ok(())
+}
+
 /// `rounds_per_s` floor per `benchmark/` workload: half the highest
 /// change median among the last [`E2E_FLOOR_ENTRIES`] `BENCH_e2e.json`
 /// entries that measured it, rounded to a whole round/s (a unit test
@@ -286,6 +324,20 @@ mod tests {
         cases
     }
 
+    fn committed_des() -> Vec<DesCase> {
+        let cases: Vec<DesCase> = rows(include_str!("../../../BENCH_des.json"))
+            .iter()
+            // The day row carries no floor.
+            .filter(|row| row.contains_key("pending"))
+            .map(|row| DesCase {
+                pending: row["pending"] as usize,
+                ns_per_event: row["ns_per_event"],
+            })
+            .collect();
+        assert_eq!(cases.len(), 2);
+        cases
+    }
+
     /// The line a `benchmark/` run ends with, as far as `e2e` reads it.
     fn e2e_result(correct: bool, failed: u32, rounds_per_s: f64) -> String {
         format!(
@@ -364,12 +416,25 @@ mod tests {
         assert_eq!(digest(&committed_digest()), Ok(()));
         assert_eq!(selector(&committed_selector()), Ok(()));
         assert_eq!(secagg(&committed_secagg()), Ok(()));
+        assert_eq!(des(&committed_des()), Ok(()));
     }
 
     #[test]
     fn a_run_that_measured_nothing_fails() {
         assert!(wire(&[]).is_err());
         assert!(secagg(&[]).is_err());
+        assert!(des(&[]).is_err());
+        assert!(des(&committed_des()[..1]).is_err());
+    }
+
+    #[test]
+    fn a_cost_that_grows_with_the_queue_fails_the_des_gate() {
+        // What one heap per bucket over radix levels read at its worst: an
+        // event at a million pending 2.5x one at ten thousand.
+        let mut cases = committed_des();
+        cases[1].ns_per_event = 2.5 * cases[0].ns_per_event;
+        let why = des(&cases).expect_err("2.5x is over the ceiling");
+        assert!(why.contains("1000000 pending is 2.50x"), "{why}");
     }
 
     #[test]

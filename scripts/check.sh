@@ -59,8 +59,9 @@ run_step "actors-runtime" cargo test -q -p crossbeam
 # Every workspace crate's own tests, which the root `test` step does not
 # run: the runtime (bounded threads under 10 000 ephemeral spawns, worker
 # reuse after a panic, the respawn loop), the simulator engine (the event
-# queue against its BTreeMap model, availability queries against the
-# full scan, the fleet loop), the wire codec and its golden frame
+# queue's runs, slots and levels against its BTreeMap model, across bucket
+# and block edges, and its chunk reuse; availability queries against the
+# full scan; the fleet loop and its session-shape literals), the wire codec and its golden frame
 # fixture, the field, Shamir, masking and protocol tests with the golden
 # mask pins and the out-of-order `compile_fail` doctests, the fixed-point
 # codec, the server's state machines, and the bench gates' floors.
@@ -68,7 +69,7 @@ run_step "crates" cargo test -q --workspace --exclude federated
 # The bench step fails if the 1M-parameter frame moves under 1 500 MB/s
 # either way (a byte-serial digest cannot reach it), or if a CPU with
 # AVX2 runs the dispatched 1 MiB frame digest under 1.5x its portable
-# build (a lost `#[target_feature]`). The three bench
+# build (a lost `#[target_feature]`). The four bench
 # steps print their JSON here and write no file; a committed
 # BENCH_*.json is refreshed by redirecting a bin's stdout onto it.
 run_step "wire-bench" cargo run --release -q -p fl-bench --bin bench_wire
@@ -76,6 +77,11 @@ run_step "wire-bench" cargo run --release -q -p fl-bench --bin bench_wire
 # sixteen-fold larger held set costs over 4x one against the small set
 # (a scan of the held set per check-in read 9-13x).
 run_step "selector-bench" cargo run --release -q -p fl-bench --bin bench_selector
+# The bench step fails if an event of the simulator's queue (a pop and a
+# push) costs over 1.5x as much at 1 000 000 pending as at 10 000: a
+# queue whose work per event grows with what is pending read 1.6-2.6x.
+# Its `day` row (a million-device day's best ms and events) has no floor.
+run_step "des-bench" cargo run --release -q -p fl-bench --bin bench_des
 # The `test` step only compiles the examples. This one drives the stepwise
 # client and server types round by round, with a drop-out at each stage,
 # and ends asserting the unmasked sum.
