@@ -175,25 +175,21 @@ impl<E> EventQueue<E> {
         });
         // A heap event was scheduled after every event of the run, so the
         // run wins a tie.
-        let from_heap = match (run_next, self.heap.first()) {
-            (Some((run_ms, _)), Some(s)) => s.at_ms < run_ms,
-            (None, heap) => heap.is_some(),
-            (Some(_), None) => false,
-        };
-        let at_ms = if from_heap {
-            self.heap[0].at_ms
-        } else {
-            run_next?.0
+        let from_run =
+            run_next.filter(|&(run_ms, _)| self.heap.first().is_none_or(|s| run_ms <= s.at_ms));
+        let at_ms = match from_run {
+            Some((at_ms, _)) => at_ms,
+            None => self.heap.first()?.at_ms,
         };
         if at_ms > horizon_ms {
             return None;
         }
-        let event = match run_next {
-            Some((_, index)) if !from_heap => {
+        let event = match from_run {
+            Some((_, index)) => {
                 self.next += 1;
                 self.run[index].take().expect("a run event pops once")
             }
-            _ => self.pop_heap(),
+            None => self.pop_heap(),
         };
         self.now_ms = at_ms;
         self.processed += 1;
@@ -258,8 +254,7 @@ impl<E> EventQueue<E> {
     /// and lower levels (all empty) where the new near bucket puts them;
     /// higher levels differ from the old and the new near bucket in the
     /// same bit. So a bucket's events stay together and in order, later
-    /// arrivals queue behind them, and a stable sort of the run orders ties
-    /// as scheduled.
+    /// arrivals queue behind them, and run indices follow scheduling order.
     fn promote(&mut self, horizon_ms: u64) {
         let near_slot = (self.near_bucket % SLOTS as u64) as usize;
         let Some(home) = (near_slot + 1..self.far.len()).find(|&i| !self.far[i].is_empty()) else {
@@ -276,7 +271,10 @@ impl<E> EventQueue<E> {
             return;
         }
         self.near_bucket = bucket;
-        self.clear_run();
+        // Every event of the old run has popped.
+        self.run.clear();
+        self.order.clear();
+        self.next = 0;
         for mut chunk in std::mem::take(&mut self.far[home]) {
             for (at_ms, event) in chunk.drain(..) {
                 if at_ms >> BUCKET_MS_LOG2 == bucket {
@@ -289,13 +287,6 @@ impl<E> EventQueue<E> {
         }
         self.far_len -= self.run.len();
         self.sort_order();
-    }
-
-    /// Empties the run (every event of it has popped) and its order.
-    fn clear_run(&mut self) {
-        self.run.clear();
-        self.order.clear();
-        self.next = 0;
     }
 
     /// Adds an event of the bucket being promoted to the run, and its key
