@@ -34,4 +34,6 @@ pub use actor::{Actor, ActorRef, Context, Flow};
 pub use explore::{audit_exactly_once, ScheduleExplorer};
 pub use registry::{Lease, LockingService};
 pub use supervision::{watch_and_respawn, RespawnReport};
-pub use system::{ActorSystem, DeathReason, FaultAction, FaultInjector, Obituary, ScriptedFaults};
+pub use system::{
+    ActorSystem, DeathReason, FaultAction, FaultInjector, Obituary, ScriptedFaults, OBITUARY_RING,
+};

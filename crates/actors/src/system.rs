@@ -14,6 +14,7 @@
 use crate::actor::{Actor, ActorRef, Context, Flow};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use fl_race::{Condvar, Mutex, Site};
+use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -26,6 +27,15 @@ const OBITUARY_LOG: Site = Site::new("actors/system.obituary_log", 10);
 const SUBSCRIBERS: Site = Site::new("actors/system.subscribers", 12);
 const WORKERS: Site = Site::new("actors/system.workers", 20);
 const INJECTOR: Site = Site::new("actors/system.injector", 22);
+
+/// Obituaries a system keeps for late subscribers; an older one is
+/// dropped as a new one is published. A live subscriber is handed each
+/// obituary as it is published, so the ring serves only a `deaths()`
+/// called after the deaths it asks about: post-mortem inspection after
+/// `join()`, which reads back a few dozen. A round leaves three (a
+/// Master Aggregator and its shards), so 1 024 is some 340 rounds of
+/// history at a constant size, not every round a week-long run spawns.
+pub const OBITUARY_RING: usize = 1024;
 
 /// How an actor's life ended.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -147,10 +157,10 @@ struct Shared {
     workers: Mutex<Workers>,
     /// Signalled when the last busy worker goes idle; `join` waits here.
     quiescent: Condvar,
-    /// Every obituary ever published, in publication order. Late
-    /// subscribers receive a replay, so post-mortem inspection
-    /// (`deaths()` after `join()`) still works.
-    obituary_log: Mutex<Vec<Obituary>>,
+    /// The last [`OBITUARY_RING`] obituaries published, in publication
+    /// order. Late subscribers receive a replay, so post-mortem
+    /// inspection (`deaths()` after `join()`) still works.
+    obituary_log: Mutex<VecDeque<Obituary>>,
     /// Live subscriber channels. Each subscriber owns a private channel,
     /// so concurrent consumers (e.g. two `watch_and_respawn` watchers)
     /// can never steal each other's notices.
@@ -170,7 +180,10 @@ impl Shared {
         // sees the obituary exactly once — in the replay or live,
         // never both, never neither.
         let mut log = self.obituary_log.lock();
-        log.push(obit.clone());
+        if log.len() == OBITUARY_RING {
+            log.pop_front();
+        }
+        log.push_back(obit.clone());
         // fl-lint: allow(lock-order): nesting is intentional and machine-
         // checked — fl-race enforces rank 10 -> 12 at runtime, and the
         // lock-audit gate asserts the graph stays acyclic.
@@ -326,7 +339,7 @@ impl ActorSystem {
             shared: Arc::new(Shared {
                 workers: Mutex::new(WORKERS, Workers::new()),
                 quiescent: Condvar::new(),
-                obituary_log: Mutex::new(OBITUARY_LOG, Vec::new()),
+                obituary_log: Mutex::new(OBITUARY_LOG, VecDeque::new()),
                 subscribers: Mutex::new(SUBSCRIBERS, Vec::new()),
                 injector_installed: AtomicBool::new(false),
                 injector: Mutex::new(INJECTOR, None),
@@ -385,9 +398,10 @@ impl ActorSystem {
 
     /// Subscribes to obituaries: every actor that stops (normally or by
     /// panic) publishes a notice. Each call returns a **private** channel
-    /// that first replays all past obituaries, then receives future ones —
-    /// concurrent subscribers (e.g. two `watch_and_respawn` watchers) each
-    /// see the full stream and can never steal notices from one another.
+    /// that first replays the last [`OBITUARY_RING`] obituaries, then
+    /// receives future ones — concurrent subscribers (e.g. two
+    /// `watch_and_respawn` watchers) each see every notice published
+    /// while they exist and can never steal notices from one another.
     pub fn deaths(&self) -> Receiver<Obituary> {
         let (tx, rx) = unbounded();
         // Lock order: obituary_log (rank 10), then subscribers (rank
@@ -577,6 +591,27 @@ mod tests {
         // A late subscriber gets the replay.
         let late = system.deaths();
         assert_eq!(late.try_iter().count(), 2);
+    }
+
+    #[test]
+    fn a_late_subscriber_replays_only_the_newest_ring_full() {
+        let system = ActorSystem::new();
+        let early = system.deaths();
+        let deaths = OBITUARY_RING + 3;
+        let name = |i: usize| format!("actor-{i}");
+        for i in 0..deaths {
+            let r = system.spawn(name(i), Adder { total: Arc::new(AtomicU64::new(0)) });
+            r.send(0).unwrap();
+            // One death at a time, so publication order is spawn order;
+            // the subscriber from before the first death sees every one.
+            let obit = early.recv_timeout(std::time::Duration::from_secs(10)).unwrap();
+            assert_eq!(obit.name, name(i));
+        }
+        system.join();
+        assert!(early.try_recv().is_err(), "an obituary was delivered twice");
+        let late: Vec<String> = system.deaths().try_iter().map(|o| o.name).collect();
+        let newest: Vec<String> = (deaths - OBITUARY_RING..deaths).map(name).collect();
+        assert_eq!(late, newest);
     }
 
     #[test]

@@ -40,6 +40,13 @@ use std::collections::HashMap;
 /// the bound is for what a peer may claim.
 pub const MAX_REPORT_ATTEMPTS: u32 = 16;
 
+/// Committed rounds whose materialized metrics a Coordinator keeps; an
+/// older round's summaries are dropped as a new one commits. Callers
+/// read back only the newest rounds (a test at most the last of nine),
+/// so 64 leaves room to spare while a server that runs for a week holds
+/// a constant 64 rounds' sketches instead of every round's.
+pub const METRIC_ROUNDS: usize = 64;
+
 /// Coordinator configuration.
 #[derive(Debug, Clone)]
 pub struct CoordinatorConfig {
@@ -81,7 +88,8 @@ pub struct Coordinator<S: CheckpointStore> {
     /// Committed-round ids per task.
     round_ids: HashMap<String, RoundId>,
     traffic: TrafficCounter,
-    /// Materialized metrics per task per round (Sec. 7.4).
+    /// Materialized metrics per task per round (Sec. 7.4) of the last
+    /// [`METRIC_ROUNDS`] committed rounds, oldest first.
     metrics: Vec<(String, RoundId, Vec<MetricSummary>)>,
     /// Cumulative SecAgg shards that aborted below threshold at finalize.
     secagg_shard_aborts: u64,
@@ -201,7 +209,8 @@ impl<S: CheckpointStore> Coordinator<S> {
         &self.store
     }
 
-    /// Materialized metrics: `(task, round, summaries)` tuples.
+    /// Materialized metrics: `(task, round, summaries)` tuples of the
+    /// last [`METRIC_ROUNDS`] committed rounds, newest last.
     pub fn materialized_metrics(&self) -> &[(String, RoundId, Vec<MetricSummary>)] {
         &self.metrics
     }
@@ -315,6 +324,9 @@ impl<S: CheckpointStore> Coordinator<S> {
                     merged.params,
                 ))?;
                 self.round_ids.insert(round.task.name.clone(), new_round);
+            }
+            if self.metrics.len() == METRIC_ROUNDS {
+                self.metrics.remove(0);
             }
             self.metrics.push((
                 round.task.name.clone(),
@@ -776,6 +788,15 @@ mod tests {
         assert_eq!(*round, RoundId(1));
         assert_eq!(summaries[0].name, "loss");
         assert_eq!(summaries[0].moments.count(), 3);
+
+        // Past the bound the oldest rounds go: after N + 3 commits the
+        // newest N remain, oldest first.
+        for _ in 1..METRIC_ROUNDS + 3 {
+            run_one_round(&mut c).unwrap();
+        }
+        let rounds: Vec<RoundId> = c.materialized_metrics().iter().map(|m| m.1).collect();
+        let newest: Vec<RoundId> = (4..=METRIC_ROUNDS as u64 + 3).map(RoundId).collect();
+        assert_eq!(rounds, newest);
     }
 
     /// Regression: a report with a NaN loss (what `FlRuntime` reports when

@@ -233,7 +233,8 @@ fn explore_round(
     }
 
     // Obituaries exactly once, in every independent subscriber view
-    // (each `deaths()` receiver replays the full log).
+    // (each `deaths()` receiver replays the obituary ring, which holds
+    // every one of this run's).
     let views: Vec<Vec<_>> = (0..2)
         .map(|_| live.system.deaths().try_iter().collect())
         .collect();
