@@ -49,7 +49,11 @@ run_step "build" cargo build --release
 # unmasked sum, or abort a stranded shard cleanly); and the allocation
 # budget (`alloc_budget`: a counting global allocator holds one
 # `round_secagg`-shaped round over in-memory links under a ceiling of
-# allocations per device session, of every size and of 16 KiB or more).
+# allocations per device session, of every size and of 16 KiB or more);
+# and the memory held per round (`round_memory`: once warm-up has filled
+# the Coordinator's metric ring and the actor system's obituary ring, a
+# `checkin_storm`-shaped tree's live heap must stay flat over 1 000 more
+# rounds, and one round's allocations per check-in stay under a ceiling).
 run_step "test" cargo test -q
 run_step "fl-lint" cargo run -q -p fl-lint
 # The `test` step is the root package only. The channel every mailbox,
