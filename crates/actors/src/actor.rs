@@ -29,6 +29,19 @@ pub trait Actor: Send + 'static {
     /// Called once before the first message.
     fn on_start(&mut self, _ctx: &mut Context<Self::Msg>) {}
 
+    /// When the actor next wants [`Actor::on_deadline`] called if no
+    /// message comes first; asked again before every wait. `None` (the
+    /// default) waits for messages only.
+    fn deadline(&self) -> Option<std::time::Instant> {
+        None
+    }
+
+    /// Called once the [`Actor::deadline`] has passed with the mailbox
+    /// empty. It is not a delivery: the fault injector does not see it.
+    fn on_deadline(&mut self, _ctx: &mut Context<Self::Msg>) -> Flow {
+        Flow::Continue
+    }
+
     /// Called when the actor stops normally (not on panic).
     fn on_stop(&mut self) {}
 }

@@ -63,20 +63,17 @@ where
     let deaths_rx = system.deaths();
     // fl-lint: allow(wall-clock): the live watcher bounds real elapsed
     // time; the sim exercises recovery via its virtual clock instead.
-    let started = std::time::Instant::now();
+    let until = std::time::Instant::now().checked_add(deadline);
     let mut report = RespawnReport {
         deaths: Vec::new(),
         respawns: 0,
     };
     loop {
-        let remaining = deadline.saturating_sub(started.elapsed());
-        if remaining.is_zero() {
-            return report;
-        }
-        let obit = match deaths_rx.recv_timeout(remaining) {
-            Ok(o) => o,
-            Err(_) => return report,
+        let next = match until {
+            Some(until) => deaths_rx.recv_deadline(until).ok(),
+            None => deaths_rx.recv().ok(),
         };
+        let Some(obit) = next else { return report };
         if obit.name != actor_name {
             continue;
         }

@@ -12,7 +12,7 @@
 //! and so does dropping the last handle on the system.
 
 use crate::actor::{Actor, ActorRef, Context, Flow};
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use fl_race::{Condvar, Mutex, Site};
 use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
@@ -260,7 +260,9 @@ fn work(mut job: Job, parking: &Receiver<Job>) {
 }
 
 /// One actor's life on the calling thread, from `on_start` to the end
-/// of its mailbox; a panic anywhere in it is the returned reason.
+/// of its mailbox; a panic anywhere in it is the returned reason. The
+/// wait for each message ends at the actor's [`Actor::deadline`], if it
+/// has one, and a wait that ends there runs [`Actor::on_deadline`].
 fn run<A: Actor>(
     actor: &mut A,
     ctx: &mut Context<A::Msg>,
@@ -270,7 +272,19 @@ fn run<A: Actor>(
     let mut seq: u64 = 0;
     let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
         actor.on_start(ctx);
-        while let Ok(msg) = rx.recv() {
+        loop {
+            let received = match actor.deadline() {
+                None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
+                Some(deadline) => rx.recv_deadline(deadline),
+            };
+            let msg = match received {
+                Ok(msg) => msg,
+                Err(RecvTimeoutError::Timeout) => match actor.on_deadline(ctx) {
+                    Flow::Continue => continue,
+                    Flow::Stop => break,
+                },
+                Err(RecvTimeoutError::Disconnected) => break,
+            };
             seq += 1;
             let action = shared
                 .injector()
@@ -873,6 +887,127 @@ mod tests {
         drop(r);
         system.join();
         assert_eq!(order.lock().clone(), vec![7, 9, 10]);
+    }
+
+    /// What an [`Alarm`] saw, in order.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Seen {
+        Msg(u64),
+        Deadline,
+        Stopped,
+    }
+
+    /// Holds in `on_start` until its gate opens, so a test can queue
+    /// messages first; then reports every message, its one deadline
+    /// (after which it has none) and its stop.
+    struct Alarm {
+        at: Option<std::time::Instant>,
+        then: Flow,
+        gate: Receiver<()>,
+        seen: Sender<Seen>,
+    }
+    impl Actor for Alarm {
+        type Msg = u64;
+        fn on_start(&mut self, _ctx: &mut Context<u64>) {
+            let _ = self.gate.recv_timeout(std::time::Duration::from_secs(10));
+        }
+        fn handle(&mut self, msg: u64, _ctx: &mut Context<u64>) -> Flow {
+            let _ = self.seen.send(Seen::Msg(msg));
+            Flow::Continue
+        }
+        fn deadline(&self) -> Option<std::time::Instant> {
+            self.at
+        }
+        fn on_deadline(&mut self, _ctx: &mut Context<u64>) -> Flow {
+            self.at = None;
+            let _ = self.seen.send(Seen::Deadline);
+            self.then
+        }
+        fn on_stop(&mut self) {
+            let _ = self.seen.send(Seen::Stopped);
+        }
+    }
+
+    /// Spawns an [`Alarm`] named `name` due `after` from now that does
+    /// `then` at its deadline; returns its ref, gate and reports.
+    fn alarm(
+        system: &ActorSystem,
+        name: &str,
+        after: std::time::Duration,
+        then: Flow,
+    ) -> (ActorRef<u64>, Sender<()>, Receiver<Seen>) {
+        let (gate_tx, gate) = unbounded();
+        let (seen, seen_rx) = unbounded();
+        let at = Some(std::time::Instant::now() + after);
+        let r = system.spawn(name, Alarm { at, then, gate, seen });
+        (r, gate_tx, seen_rx)
+    }
+
+    fn next(seen: &Receiver<Seen>) -> Seen {
+        seen.recv_timeout(std::time::Duration::from_secs(10)).unwrap()
+    }
+
+    #[test]
+    fn on_deadline_fires_once_past_the_deadline() {
+        let system = ActorSystem::new();
+        let after = std::time::Duration::from_millis(20);
+        let started = std::time::Instant::now();
+        let (r, gate, seen) = alarm(&system, "alarm", after, Flow::Continue);
+        gate.send(()).unwrap();
+        assert_eq!(next(&seen), Seen::Deadline);
+        assert!(started.elapsed() >= after, "fired early");
+        r.send(7).unwrap();
+        assert_eq!(next(&seen), Seen::Msg(7));
+        drop(r);
+        system.join();
+        assert_eq!(seen.try_iter().collect::<Vec<_>>(), vec![Seen::Stopped]);
+    }
+
+    #[test]
+    fn a_message_that_arrives_first_is_handled_first() {
+        let system = ActorSystem::new();
+        // Due at once, but two messages are queued before the first wait.
+        let (r, gate, seen) = alarm(&system, "alarm", std::time::Duration::ZERO, Flow::Continue);
+        r.send(1).unwrap();
+        r.send(2).unwrap();
+        gate.send(()).unwrap();
+        let order: Vec<Seen> = (0..3).map(|_| next(&seen)).collect();
+        assert_eq!(order, vec![Seen::Msg(1), Seen::Msg(2), Seen::Deadline]);
+        drop(r);
+        system.join();
+        assert_eq!(seen.try_iter().collect::<Vec<_>>(), vec![Seen::Stopped]);
+    }
+
+    #[test]
+    fn stop_from_on_deadline_runs_on_stop() {
+        let system = ActorSystem::new();
+        let (r, gate, seen) = alarm(&system, "alarm", std::time::Duration::ZERO, Flow::Stop);
+        gate.send(()).unwrap();
+        // The reference is still held: the deadline alone stopped it.
+        system.join();
+        assert_eq!(seen.try_iter().collect::<Vec<_>>(), vec![Seen::Deadline, Seen::Stopped]);
+        assert_eq!(system.deaths().try_recv().unwrap().reason, DeathReason::Normal);
+        drop(r);
+    }
+
+    #[test]
+    fn a_deadline_is_not_a_delivery_to_the_fault_injector() {
+        let system = ActorSystem::new();
+        system.install_fault_injector(Arc::new(
+            ScriptedFaults::new().with("alarm", 2, FaultAction::Crash),
+        ));
+        let (r, gate, seen) = alarm(&system, "alarm", std::time::Duration::ZERO, Flow::Continue);
+        gate.send(()).unwrap();
+        assert_eq!(next(&seen), Seen::Deadline);
+        r.send(1).unwrap();
+        r.send(2).unwrap();
+        r.send(3).unwrap();
+        drop(r);
+        system.join();
+        // Message 1 was delivered; message 2, not 1, crashed the actor.
+        assert_eq!(seen.try_iter().collect::<Vec<_>>(), vec![Seen::Msg(1)]);
+        let obit = system.deaths().try_recv().unwrap();
+        assert!(matches!(obit.reason, DeathReason::Panicked(_)));
     }
 
     #[test]

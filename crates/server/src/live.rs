@@ -118,14 +118,13 @@ pub enum CoordMsg {
         /// How far through the SecAgg protocol it got.
         stage: crate::aggregator::DropStage,
     },
-    /// Periodic clock tick.
-    Tick,
     /// Census update: how many devices the population is believed to
     /// have. Sizes the pace-steering horizon for `NotSelecting` rejects.
     SetPopulationEstimate(u64),
-    /// Finish the current round if it is done; reply with the outcome.
+    /// Close the current round once it has finished (at once if it has)
+    /// and reply with its outcome.
     TryCompleteRound {
-        /// Outcome reply channel (None = round still running).
+        /// Outcome reply channel (None = the round's commit failed).
         reply: Sender<Option<RoundOutcome>>,
     },
     /// Stop the actor.
@@ -161,6 +160,8 @@ pub struct CoordinatorActor<S: CheckpointStore + Send + 'static = InMemoryCheckp
     /// rounds when no device still holds it at round end, and a fresh one
     /// is started when one does.
     configuration: Arc<Vec<u8>>,
+    /// `TryCompleteRound` replies waiting for the current round to finish.
+    waiting: Vec<Sender<Option<RoundOutcome>>>,
     epoch: Instant,
     lease: Lease,
     locks: LockingService<String>,
@@ -265,6 +266,7 @@ impl<S: CheckpointStore + Send + 'static> CoordinatorActor<S> {
             telemetry: None,
             device_replies: std::collections::HashMap::new(),
             configuration: Arc::default(),
+            waiting: Vec::new(),
             // fl-lint: allow(wall-clock): the live topology stamps protocol
             // events with real elapsed time; the deterministic state
             // machines only ever see the derived `now_ms` offsets.
@@ -348,6 +350,57 @@ impl<S: CheckpointStore + Send + 'static> CoordinatorActor<S> {
             .map_err(CoreError::MalformedCheckpoint)
     }
 
+    /// Closes the current round for the `TryCompleteRound` requests
+    /// waiting on it, once it has finished: merges and commits it and
+    /// answers each request with the outcome.
+    fn answer_waiting(&mut self) {
+        if self.waiting.is_empty() {
+            return;
+        }
+        let Some(mut round) = self.active.take_if(|r| r.state.outcome().is_some()) else {
+            return;
+        };
+        // The round's report ledger dies with it; a straggler retry from a
+        // completed round names no active round and is refused. So do its
+        // reply routes (every entry was inserted by a check-in this round
+        // selected) and its Configuration frame, whose buffer is taken
+        // back unless a device has yet to read it.
+        self.device_replies.clear();
+        match Arc::get_mut(&mut self.configuration) {
+            Some(frame) => frame.clear(),
+            None => self.configuration = Arc::default(),
+        }
+        round.record_participation_metrics();
+        let aggregate = match self.master.take() {
+            Some(master) if round.commits_training() => {
+                Some(Self::finalize_master(&master, &mut round))
+            }
+            // Nothing to merge: the subtree tears itself down with the
+            // abandoned round.
+            Some(master) => {
+                let _ = master.send(MasterMsg::Abort);
+                None
+            }
+            None => None,
+        };
+        // Per-shard SecAgg aborts are telemetry, not round failures: the
+        // commit proceeds from the surviving shards and the aborts are
+        // counted.
+        if let (Some(Ok(merged)), Some(telemetry)) = (&aggregate, &self.telemetry) {
+            if merged.shard_aborts > 0 {
+                let now = self.now_ms();
+                let mut metrics = telemetry.lock();
+                for _ in 0..merged.shard_aborts {
+                    metrics.record_secagg_abort(now);
+                }
+            }
+        }
+        let outcome = self.coordinator.complete_round(round, aggregate).ok();
+        for reply in self.waiting.drain(..) {
+            let _ = reply.send(outcome);
+        }
+    }
+
     /// Sends the round's Configuration download — the framed
     /// [`WireMessage::PlanAndCheckpoint`] — to `only` that participant
     /// (a re-send) or to all of them, if the round is in Reporting. The
@@ -372,7 +425,7 @@ impl<S: CheckpointStore + Send + 'static> CoordinatorActor<S> {
             return;
         }
         // The buffer is empty only until the round's first send, and no
-        // link holds it then (see `TryCompleteRound`), so this encodes in
+        // link holds it then (see `answer_waiting`), so this encodes in
         // place. The only encode failure is an over-long population name;
         // nobody is then sent anything, as when each send failed.
         if self.configuration.is_empty()
@@ -449,7 +502,6 @@ impl<S: CheckpointStore + Send + 'static> Actor for CoordinatorActor<S> {
                         }
                     }
                 }
-                Flow::Continue
             }
             CoordMsg::Report { frame, conn } => {
                 // The round decides (`ActiveRound::on_report`); this
@@ -477,92 +529,49 @@ impl<S: CheckpointStore + Send + 'static> Actor for CoordinatorActor<S> {
                     _ => fl_wire::recycle(frame),
                 }
                 let _ = conn.send(&ack);
-                Flow::Continue
             }
             CoordMsg::DeviceDropped { device, stage } => {
                 let now = self.now_ms();
                 if let Some(round) = &mut self.active {
                     round.on_dropout_staged(device, now, stage);
                 }
-                Flow::Continue
             }
-            CoordMsg::SetPopulationEstimate(estimate) => {
-                self.population_estimate = estimate;
-                Flow::Continue
-            }
-            CoordMsg::Tick => {
-                let now = self.now_ms();
-                let newly_configured = if let Some(round) = &mut self.active {
-                    let before = round.state.phase();
-                    round.on_tick(now);
-                    before == crate::round::Phase::Selection
-                        && round.state.phase() == crate::round::Phase::Reporting
-                } else {
-                    false
-                };
-                if newly_configured {
-                    self.send_configuration(None);
-                }
-                Flow::Continue
-            }
-            CoordMsg::TryCompleteRound { reply } => {
-                let finished = self
-                    .active
-                    .as_ref()
-                    .is_some_and(|r| r.state.outcome().is_some());
-                if let Some(mut round) = if finished { self.active.take() } else { None } {
-                    // The round's report ledger dies with it; a straggler
-                    // retry from a completed round names no active round
-                    // and is refused. So do its reply routes (every entry
-                    // was inserted by a check-in this round selected) and
-                    // its Configuration frame, whose buffer is taken back
-                    // unless a device has yet to read it.
-                    self.device_replies.clear();
-                    match Arc::get_mut(&mut self.configuration) {
-                        Some(frame) => frame.clear(),
-                        None => self.configuration = Arc::default(),
-                    }
-                    round.record_participation_metrics();
-                    let aggregate = match self.master.take() {
-                        Some(master) if round.commits_training() => {
-                            Some(Self::finalize_master(&master, &mut round))
-                        }
-                        // Nothing to merge: the subtree tears itself down
-                        // with the abandoned round.
-                        Some(master) => {
-                            let _ = master.send(MasterMsg::Abort);
-                            None
-                        }
-                        None => None,
-                    };
-                    // Per-shard SecAgg aborts are telemetry, not round
-                    // failures: the commit proceeds from the surviving
-                    // shards and the aborts are counted.
-                    if let (Some(Ok(merged)), Some(telemetry)) = (&aggregate, &self.telemetry) {
-                        if merged.shard_aborts > 0 {
-                            let now = self.now_ms();
-                            let mut metrics = telemetry.lock();
-                            for _ in 0..merged.shard_aborts {
-                                metrics.record_secagg_abort(now);
-                            }
-                        }
-                    }
-                    let outcome = self.coordinator.complete_round(round, aggregate).ok();
-                    let _ = reply.send(outcome);
-                } else {
-                    let _ = reply.send(None);
-                }
-                Flow::Continue
-            }
+            CoordMsg::SetPopulationEstimate(estimate) => self.population_estimate = estimate,
+            CoordMsg::TryCompleteRound { reply } => self.waiting.push(reply),
             CoordMsg::Shutdown => {
                 // Dropping the handle reaps the subtree anyway; an explicit
                 // Abort just makes the teardown prompt.
                 if let Some(master) = self.master.take() {
                     let _ = master.send(MasterMsg::Abort);
                 }
-                Flow::Stop
+                return Flow::Stop;
             }
         }
+        self.answer_waiting();
+        Flow::Continue
+    }
+
+    /// The round's next timeout, on this actor's clock.
+    fn deadline(&self) -> Option<Instant> {
+        let due = self.active.as_ref()?.state.next_deadline()?;
+        self.epoch.checked_add(Duration::from_millis(due))
+    }
+
+    /// The timeout is due: a selection window that ends with enough
+    /// devices configures them, and any other ends the round.
+    fn on_deadline(&mut self, _ctx: &mut Context<CoordMsg>) -> Flow {
+        let now = self.now_ms();
+        if let Some(round) = &mut self.active {
+            let before = round.state.phase();
+            round.on_tick(now);
+            if before == crate::round::Phase::Selection
+                && round.state.phase() == crate::round::Phase::Reporting
+            {
+                self.send_configuration(None);
+            }
+        }
+        self.answer_waiting();
+        Flow::Continue
     }
 
     fn on_stop(&mut self) {
@@ -949,12 +958,18 @@ impl<T: Transport> DeviceConn<T> {
 mod tests {
     use super::*;
     use crate::pace::PaceSteering;
-    use crate::topology::{complete_round, spawn_multi_topology, SelectorSpec, TopologyBlueprint};
-    use fl_actors::{ActorSystem, DeathReason};
+    use crate::topology::{
+        complete_round, spawn_multi_topology, CompletionError, SelectorSpec, TopologyBlueprint,
+    };
+    use fl_actors::{ActorSystem, DeathReason, FaultAction, ScriptedFaults};
     use fl_core::plan::{CodecSpec, ModelSpec};
     use fl_core::population::{FlTask, TaskSelectionStrategy};
     use fl_core::round::RoundConfig;
     use std::time::Duration;
+
+    /// Bound on every wait for a round's outcome: a round that cannot
+    /// finish fails its test instead of hanging it.
+    const WAIT: Duration = Duration::from_secs(10);
 
     fn spec() -> ModelSpec {
         ModelSpec::Logistic {
@@ -1042,7 +1057,7 @@ mod tests {
             .count();
         assert_eq!(accepted, 4);
 
-        let outcome = complete_round(&coord_ref, 50).unwrap();
+        let outcome = complete_round(&coord_ref, WAIT).unwrap();
         assert!(outcome.is_committed());
 
         for s in &selector_refs {
@@ -1187,7 +1202,7 @@ mod tests {
         }
         assert_eq!(acks, vec![(true, round, 1), (true, round, 1)]);
 
-        let outcome = complete_round(&coord_ref, 50).unwrap();
+        let outcome = complete_round(&coord_ref, WAIT).unwrap();
         match outcome {
             RoundOutcome::Committed { incorporated, .. } => assert_eq!(incorporated, 1),
             other => panic!("expected a committed round, got {other:?}"),
@@ -1319,7 +1334,7 @@ mod tests {
         for client in &clients {
             assert_eq!(client.try_recv().unwrap(), None, "route dropped mid-round");
         }
-        let outcome = complete_round(&committed, 50).unwrap();
+        let outcome = complete_round(&committed, WAIT).unwrap();
         assert!(outcome.is_committed());
         for client in &clients {
             assert_eq!(client.recv_timeout(wait).unwrap_err(), WireError::Closed);
@@ -1337,13 +1352,96 @@ mod tests {
         let abandoned = spawn_coordinator(&system, "pop-routes-abandoned", short);
         let lonely = forward(&abandoned, 0);
         assert_eq!(lonely.try_recv().unwrap(), None);
-        let outcome = complete_round(&abandoned, 50).unwrap();
+        let outcome = complete_round(&abandoned, WAIT).unwrap();
         assert!(!outcome.is_committed());
         assert_eq!(lonely.recv_timeout(wait).unwrap_err(), WireError::Closed);
 
         for coordinator in [committed, abandoned] {
             coordinator.send(CoordMsg::Shutdown).unwrap();
         }
+        system.join();
+    }
+
+    /// The Coordinator keeps its own clock. Two check-ins of the three
+    /// the selection wants, and then no message at all: the selection
+    /// window ends on the Coordinator's deadline, which configures both.
+    #[test]
+    fn selection_timeout_fires_without_a_poller() {
+        let system = ActorSystem::new();
+        let round = RoundConfig {
+            overselection: 1.5,
+            selection_timeout_ms: 40,
+            ..quick_round(2)
+        };
+        let coordinator = spawn_coordinator(&system, "pop-self-timed", round);
+        let clients = [forward(&coordinator, 0), forward(&coordinator, 1)];
+        for client in &clients {
+            assert_eq!(configuration(client).round, RoundId(0));
+        }
+        coordinator.send(CoordMsg::Shutdown).unwrap();
+        system.join();
+    }
+
+    /// A reporting window that ends with nobody asking closes the round:
+    /// the late report is refused, and the completion request that comes
+    /// afterwards is answered from the round already closed.
+    #[test]
+    fn reporting_window_closes_without_a_poller() {
+        let system = ActorSystem::new();
+        let round = RoundConfig {
+            min_goal_fraction: 0.5,
+            report_window_ms: 40,
+            device_cap_ms: 40,
+            ..quick_round(2)
+        };
+        let coordinator = spawn_coordinator(&system, "pop-window", round);
+        let clients = [forward(&coordinator, 0), forward(&coordinator, 1)];
+        for client in &clients {
+            assert_eq!(configuration(client).round, RoundId(0));
+        }
+        assert!(report(&coordinator, report_frame(0, RoundId(0), "pop-window")));
+        std::thread::sleep(Duration::from_millis(400));
+        assert!(
+            !report(&coordinator, report_frame(1, RoundId(0), "pop-window")),
+            "a report after the window was accepted"
+        );
+        match complete_round(&coordinator, WAIT).unwrap() {
+            RoundOutcome::Committed { incorporated, .. } => assert_eq!(incorporated, 1),
+            other => panic!("expected a committed round, got {other:?}"),
+        }
+        coordinator.send(CoordMsg::Shutdown).unwrap();
+        system.join();
+    }
+
+    /// A Master Aggregator that dies with reports and its `Finalize`
+    /// queued behind the message that killed it fails the commit instead
+    /// of wedging the Coordinator, and the next round trains from the
+    /// checkpoint still committed (Sec. 4.2).
+    #[test]
+    fn a_dead_master_fails_its_commit_and_the_next_round_restarts() {
+        let system = ActorSystem::new();
+        system.install_fault_injector(Arc::new(ScriptedFaults::new().with(
+            "coordinator-pop-lost-master/master-r1",
+            1,
+            FaultAction::Crash,
+        )));
+        let coordinator = spawn_coordinator(&system, "pop-lost-master", quick_round(2));
+        let clients = [forward(&coordinator, 0), forward(&coordinator, 1)];
+        for client in &clients {
+            assert_eq!(configuration(client).round, RoundId(0));
+        }
+        for device in 0..2 {
+            assert!(report(&coordinator, report_frame(device, RoundId(0), "pop-lost-master")));
+        }
+        assert_eq!(
+            complete_round(&coordinator, WAIT),
+            Err(CompletionError::CommitFailed)
+        );
+        let next = [forward(&coordinator, 0), forward(&coordinator, 1)];
+        for client in &next {
+            assert_eq!(configuration(client).round, RoundId(0));
+        }
+        coordinator.send(CoordMsg::Shutdown).unwrap();
         system.join();
     }
 
@@ -1361,7 +1459,7 @@ mod tests {
         let first = configuration(&forward(&coordinator, 0));
         let stale = keyed_report_frame(0, first.round, 1, 0.25, "pop-stale");
         assert!(report(&coordinator, stale.clone()));
-        assert!(complete_round(&coordinator, 50).unwrap().is_committed());
+        assert!(complete_round(&coordinator, WAIT).unwrap().is_committed());
 
         let second = configuration(&forward(&coordinator, 0));
         assert_eq!(second.round, first.round.next());
@@ -1371,7 +1469,7 @@ mod tests {
         );
         let real = keyed_report_frame(0, second.round, 1, 0.5, "pop-stale");
         assert!(report(&coordinator, real));
-        assert!(complete_round(&coordinator, 50).unwrap().is_committed());
+        assert!(complete_round(&coordinator, WAIT).unwrap().is_committed());
 
         // Each round's one update over its weight of 4, exactly:
         // 0 + 0.0625 (round 1) + 0.125 (round 2).
@@ -1406,7 +1504,7 @@ mod tests {
         for device in 0..3 {
             assert!(report(&coordinator, report_frame(device, key, "pop-early")));
         }
-        match complete_round(&coordinator, 50).unwrap() {
+        match complete_round(&coordinator, WAIT).unwrap() {
             RoundOutcome::Committed { incorporated, .. } => assert_eq!(incorporated, 3),
             other => panic!("expected a committed round, got {other:?}"),
         }

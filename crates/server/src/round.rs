@@ -9,9 +9,10 @@
 //! ends the round).
 //!
 //! The machine is purely deterministic and explicitly clocked: every
-//! mutation takes `now_ms`. `fl-sim` drives it with virtual time; the live
-//! actor server stamps each message with elapsed wall time and is ticked
-//! by whoever polls the round to completion.
+//! mutation takes `now_ms`, and [`RoundState::next_deadline`] says when
+//! the next timeout is due. `fl-sim` drives it with virtual time; the
+//! live actor server stamps each message with elapsed wall time and ticks
+//! the round itself when that deadline passes with no message.
 
 use fl_core::round::{RoundConfig, RoundOutcome};
 use fl_core::{DeviceId, RoundId};
@@ -205,35 +206,42 @@ impl RoundState {
         }
     }
 
-    /// Clock tick: applies selection/reporting timeouts.
-    pub fn on_tick(&mut self, now_ms: u64) {
+    /// The first `now_ms` at which [`RoundState::on_tick`] moves the
+    /// round on: the end of the selection window during Selection, of the
+    /// reporting window during Reporting; `None` once terminal.
+    pub fn next_deadline(&self) -> Option<u64> {
         match self.phase {
-            Phase::Selection => {
-                if now_ms >= self.started_at_ms + self.config.selection_timeout_ms {
-                    if self.checked_in.len() >= self.config.min_to_start() {
-                        self.configure(now_ms);
-                    } else {
-                        self.finish(
-                            now_ms,
-                            RoundOutcome::AbandonedInSelection {
-                                checked_in: self.checked_in.len(),
-                                required: self.config.min_to_start(),
-                            },
-                        );
-                    }
-                }
-            }
-            Phase::Reporting => {
-                // Reporting is only entered from Configuration, which
-                // stamps `configured_at_ms`; if the stamp is somehow
-                // missing, fall back to the round start so the window
-                // still closes instead of panicking or hanging forever.
-                let configured = self.configured_at_ms.unwrap_or(self.started_at_ms);
-                if now_ms >= configured + self.config.report_window_ms {
-                    self.close_reporting(now_ms);
-                }
-            }
-            Phase::Committed | Phase::Abandoned => {}
+            Phase::Selection => Some(self.started_at_ms + self.config.selection_timeout_ms),
+            // Reporting is only entered from Configuration, which stamps
+            // `configured_at_ms`; if the stamp is somehow missing, fall
+            // back to the round start so the window still closes instead
+            // of panicking or hanging forever.
+            Phase::Reporting => Some(
+                self.configured_at_ms.unwrap_or(self.started_at_ms)
+                    + self.config.report_window_ms,
+            ),
+            Phase::Committed | Phase::Abandoned => None,
+        }
+    }
+
+    /// Clock tick: applies the selection/reporting timeout once
+    /// [`RoundState::next_deadline`] is due.
+    pub fn on_tick(&mut self, now_ms: u64) {
+        if self.next_deadline().is_none_or(|due| now_ms < due) {
+            return;
+        }
+        if self.phase == Phase::Reporting {
+            self.close_reporting(now_ms);
+        } else if self.checked_in.len() >= self.config.min_to_start() {
+            self.configure(now_ms);
+        } else {
+            self.finish(
+                now_ms,
+                RoundOutcome::AbandonedInSelection {
+                    checked_in: self.checked_in.len(),
+                    required: self.config.min_to_start(),
+                },
+            );
         }
     }
 
@@ -440,6 +448,17 @@ mod tests {
         }
     }
 
+    /// Ticks `r` just before and at its `next_deadline`, which must be
+    /// exactly the first `now_ms` that moves it on.
+    fn tick_at_deadline(r: &mut RoundState, due: u64) {
+        assert_eq!(r.next_deadline(), Some(due));
+        let phase = r.phase();
+        r.on_tick(due - 1);
+        assert_eq!(r.phase(), phase, "moved before its deadline");
+        r.on_tick(due);
+        assert_ne!(r.phase(), phase, "did not move at its deadline");
+    }
+
     #[test]
     fn reaching_target_configures_immediately() {
         let mut r = RoundState::begin(RoundId(1), config(10), 0);
@@ -458,17 +477,20 @@ mod tests {
         let mut r = RoundState::begin(RoundId(1), config(10), 0);
         fill_selection(&mut r, 9, 100); // ≥ 8 (min fraction 0.8)
         assert_eq!(r.phase(), Phase::Selection);
-        r.on_tick(10_000);
+        tick_at_deadline(&mut r, 10_000);
         assert_eq!(r.phase(), Phase::Reporting);
         assert_eq!(r.participants().len(), 9);
+        // The reporting window runs from the configuration.
+        assert_eq!(r.next_deadline(), Some(10_000 + 30_000));
     }
 
     #[test]
     fn selection_timeout_without_enough_abandons() {
         let mut r = RoundState::begin(RoundId(1), config(10), 0);
         fill_selection(&mut r, 3, 100);
-        r.on_tick(10_000);
+        tick_at_deadline(&mut r, 10_000);
         assert_eq!(r.phase(), Phase::Abandoned);
+        assert_eq!(r.next_deadline(), None);
         assert_eq!(
             r.outcome(),
             Some(RoundOutcome::AbandonedInSelection {
@@ -491,6 +513,7 @@ mod tests {
         assert_eq!(r.phase(), Phase::Reporting);
         assert_eq!(r.on_report(devices[3], 6_000), ReportResponse::Accepted);
         assert_eq!(r.phase(), Phase::Committed);
+        assert_eq!(r.next_deadline(), None);
         assert_eq!(
             r.outcome(),
             Some(RoundOutcome::Committed {
@@ -512,7 +535,8 @@ mod tests {
             // exactly min_to_start
             r.on_report(*d, 5_000);
         }
-        r.on_tick(100 + 30_000);
+        tick_at_deadline(&mut r, 100 + 30_000);
+        assert_eq!(r.next_deadline(), None);
         assert!(matches!(
             r.outcome(),
             Some(RoundOutcome::Committed {

@@ -20,7 +20,7 @@ use crate::pace::PaceSteering;
 use crate::selector::Selector;
 use crate::shedding::{AdmissionConfig, GlobalAdmissionBudget, GlobalAdmissionConfig};
 use crate::storage::CheckpointStore;
-use crossbeam::channel::unbounded;
+use crossbeam::channel::{unbounded, RecvTimeoutError};
 use fl_actors::{ActorRef, ActorSystem};
 use fl_analytics::overload::{OverloadMetrics, OverloadMonitorConfig};
 use fl_core::plan::FlPlan;
@@ -232,54 +232,41 @@ impl MultiTopology {
     }
 }
 
-/// Why [`complete_round`] gave up on a round.
+/// Why [`complete_round`] returned no outcome.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CompletionError {
     /// The Coordinator's mailbox is closed: the actor died mid-round.
     CoordinatorGone,
-    /// The Coordinator took the probe but never answered it.
-    ReplyHung,
-    /// The round was still running after this many polls.
-    StillRunning(u32),
+    /// The round finished but its commit failed (its Master Aggregator
+    /// died, or storage refused the checkpoint); nothing was committed.
+    CommitFailed,
+    /// The round had not finished when the wait ran out.
+    TimedOut,
 }
 
-/// Pause between two completion polls.
-const POLL_PERIOD: Duration = Duration::from_millis(20);
-/// Bound on the wait for one probe's reply inside [`complete_round`].
-const POLL_WAIT: Duration = Duration::from_secs(10);
-
-/// Drives `coordinator`'s current round to its outcome: asks it to
-/// complete the round, and while the round is still running sends a
-/// `Tick` (so phase timeouts fire) and waits one [`POLL_PERIOD`] before
-/// asking again. The wait is a `recv_timeout` on a channel nothing sends
-/// on, so it blocks only the calling thread and starts none. At most
-/// `max_polls` probes, so a round that can never finish is an error
-/// after about `max_polls × 20 ms`, not a hang.
+/// Waits up to `wait` for `coordinator`'s current round to finish and
+/// returns its outcome: one `TryCompleteRound`, which the Coordinator
+/// answers when it closes the round (on the goal count or its own phase
+/// timeout), and one `recv_timeout` on the calling thread.
 ///
 /// # Errors
 ///
-/// [`CompletionError`] when the Coordinator is gone, stops answering, or
-/// is still mid-round after `max_polls` probes.
+/// [`CompletionError`] when the Coordinator is gone, the commit failed,
+/// or the round is still running after `wait`.
 pub fn complete_round(
     coordinator: &ActorRef<CoordMsg>,
-    max_polls: u32,
+    wait: Duration,
 ) -> Result<RoundOutcome, CompletionError> {
-    let (_never_sent, idle) = unbounded::<()>();
-    for poll in 0..max_polls {
-        if poll > 0 {
-            let _ = idle.recv_timeout(POLL_PERIOD);
-        }
-        let (tx, rx) = unbounded();
-        coordinator
-            .send(CoordMsg::TryCompleteRound { reply: tx })
-            .map_err(|_| CompletionError::CoordinatorGone)?;
-        let probe = rx.recv_timeout(POLL_WAIT);
-        if let Some(outcome) = probe.map_err(|_| CompletionError::ReplyHung)? {
-            return Ok(outcome);
-        }
-        let _ = coordinator.send(CoordMsg::Tick);
+    let (reply, outcome) = unbounded();
+    coordinator
+        .send(CoordMsg::TryCompleteRound { reply })
+        .map_err(|_| CompletionError::CoordinatorGone)?;
+    match outcome.recv_timeout(wait) {
+        Ok(Some(outcome)) => Ok(outcome),
+        Ok(None) => Err(CompletionError::CommitFailed),
+        Err(RecvTimeoutError::Timeout) => Err(CompletionError::TimedOut),
+        Err(RecvTimeoutError::Disconnected) => Err(CompletionError::CoordinatorGone),
     }
-    Err(CompletionError::StillRunning(max_polls))
 }
 
 /// Spawns the live tree (Sec. 2.1/4.2: "Each population of devices

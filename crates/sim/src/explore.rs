@@ -57,8 +57,6 @@ const EXPECTED_OBITUARIES: &[&str] = &[
     "coordinator-explore/pop/master-r1",
     "coordinator-explore/pop/master-r1/agg-0",
 ];
-/// Bound on completion polls (~20 ms apart): the never-hang deadline.
-const MAX_POLLS: u32 = 500;
 /// Bound on a device's wait for its ack. Nothing is scripted to get
 /// lost here, so running it out (and re-sending) is a violation.
 const WAIT: Duration = Duration::from_secs(10);
@@ -208,12 +206,12 @@ fn explore_round(
         });
     }
 
-    live.complete(MAX_POLLS, &mut report.violations);
+    live.complete(&mut report.violations);
     let audit = live.shutdown(&mut report.violations);
     report.committed = audit.committed;
     report.write_count = audit.write_count;
     // All four devices average to 15/64 exactly. Under SecAgg device 3's
-    // dropout notice and the completion poll share the Coordinator's
+    // dropout notice and the completion request share the Coordinator's
     // permuted mailbox, so the close either sees the dropout (devices
     // 0..3 average to 7/48, within fixed-point quantization) or
     // overtakes it (all four reports). No other cohort is accepted.

@@ -25,7 +25,7 @@
 //!   obituary-exactly-once invariants across K legal interleavings
 //!   (`netchaos` and `explore` share one private live-round scaffold:
 //!   the tree, the device (an `fl_device::session` driven over its
-//!   connection), the bounded completion poll, shutdown, and the
+//!   connection), the bounded wait for the outcome, shutdown, and the
 //!   storage / lease audit; a wire
 //!   fault script and a delivery schedule are two seeds of one run, and
 //!   each harness keeps its own audit and report),

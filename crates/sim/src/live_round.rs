@@ -9,10 +9,10 @@
 //! the only way a harness can audit `write_count` after the Coordinator
 //! is gone), the tree itself (under a seeded mailbox delivery schedule
 //! when asked), the device (one `fl_device::session` driven over its
-//! connection), the bounded completion poll, shutdown, and the storage /
-//! lease audit. Each harness keeps what is its own: the transport it puts
-//! under its devices (a fault script or none), what it audits, and its
-//! report.
+//! connection), the bounded wait for the round's outcome, shutdown, and
+//! the storage / lease audit. Each harness keeps what is its own: the
+//! transport it puts under its devices (a fault script or none), what it
+//! audits, and its report.
 
 use fl_actors::{ActorRef, ActorSystem, LockingService, ScheduleExplorer};
 use fl_core::plan::{CodecSpec, FlPlan, ModelSpec};
@@ -58,6 +58,10 @@ pub(crate) fn run_device<T: Transport>(
         },
     )
 }
+
+/// How long [`LiveRound::complete`] waits for the round's outcome: the
+/// never-hang deadline.
+const COMPLETION_WAIT: Duration = Duration::from_secs(20);
 
 /// A spawned single-population tree with one round to run.
 pub(crate) struct LiveRound {
@@ -144,15 +148,10 @@ impl LiveRound {
         }
     }
 
-    /// Polls the round to its outcome, ticking it between polls; the
-    /// bounded poll count is the never-hang deadline. Anything but a
-    /// committed round is a violation.
-    pub(crate) fn complete(
-        &self,
-        max_polls: u32,
-        violations: &mut Vec<String>,
-    ) -> Option<RoundOutcome> {
-        match topology::complete_round(&self.coordinator, max_polls) {
+    /// Waits up to [`COMPLETION_WAIT`] for the round's outcome. Anything
+    /// but a committed round is a violation.
+    pub(crate) fn complete(&self, violations: &mut Vec<String>) -> Option<RoundOutcome> {
+        match topology::complete_round(&self.coordinator, COMPLETION_WAIT) {
             Ok(outcome) => {
                 if !outcome.is_committed() {
                     violations.push(format!("round finished uncommitted: {outcome:?}"));
@@ -162,14 +161,14 @@ impl LiveRound {
             Err(CompletionError::CoordinatorGone) => {
                 violations.push("coordinator died before completing".into());
             }
-            Err(CompletionError::ReplyHung) => {
-                violations.push("TryCompleteRound reply hung".into());
+            Err(CompletionError::CommitFailed) => {
+                violations.push("round finished but its commit failed".into());
             }
             // A hang that an earlier violation already explains is not
             // reported twice.
-            Err(CompletionError::StillRunning(polls)) => {
+            Err(CompletionError::TimedOut) => {
                 if violations.is_empty() {
-                    violations.push(format!("round hung past {polls} completion polls"));
+                    violations.push(format!("round still running after {COMPLETION_WAIT:?}"));
                 }
             }
         }

@@ -62,8 +62,6 @@ const FAULT_PER_MILLE: u64 = 100;
 /// this wait only has to dominate the former by a wide margin for the
 /// resend count to be schedule-invariant.
 const ACK_WAIT: Duration = Duration::from_millis(1_200);
-/// Bound on completion polls (~20 ms apart): the never-hang deadline.
-const MAX_POLLS: u32 = 1_000;
 
 /// Fault fates must be a pure function of `(seed, device, slot)`,
 /// identical across platforms and replays: two rounds of the house
@@ -285,7 +283,7 @@ pub fn run_wire_chaos_with_schedule(seed: u64, schedule: u64, secagg: bool) -> W
     }
 
     if let Some(RoundOutcome::Committed { incorporated, .. }) =
-        live.complete(MAX_POLLS, &mut report.violations)
+        live.complete(&mut report.violations)
     {
         report.incorporated = incorporated as u64;
     }

@@ -100,10 +100,11 @@ run_step "live-server-example" cargo run --release -q --example live_server
 # mask draw) and `instance` row (one `round_secagg` shard's SecAgg close:
 # best ms, exponentiations, the mask kernel's share) carry no floor.
 run_step "secagg-bench" cargo run --release -q -p fl-bench --bin bench_secagg
-# End-to-end floor (ROADMAP 8(b)): one 2 s run of each `benchmark/`
+# End-to-end floor (ROADMAP aim 1): one 2 s run of each `benchmark/`
 # workload must end `correct: true`, `failed` 0 and at `rounds_per_s` over
-# the floor `fl_bench::gate::e2e` holds for it (half the last committed
-# median: it catches a broken output oracle and a 2x slowdown, not a 10 %
+# its floor in `fl_bench::gate::E2E_FLOORS`, which `fl_bench::gate::e2e`
+# applies (half the highest median among the last three `BENCH_e2e.json`
+# entries: it catches a broken output oracle and a 2x slowdown, not a 10 %
 # drift). `benchmark/target` and `benchmark/out` are ignored paths.
 e2e_floor() {
   local workload status=0

@@ -157,7 +157,7 @@ fn run_round(
             })
             .expect("coordinator alive");
     }
-    let outcome = complete_round(coordinator, 500).expect("the round finishes");
+    let outcome = complete_round(coordinator, wait).expect("the round finishes");
     assert!(outcome.is_committed(), "every group is above k");
 }
 

@@ -189,10 +189,10 @@ fn coordinator_death_triggers_exactly_one_respawn() {
     // The winner actually spawns the replacement (it must not re-acquire).
     locks.evict("coordinator/pop-respawn");
     let replacement = system.spawn("coordinator-2", make_actor(locks.clone()));
-    // It answers (no finished round yet), proving it is live.
+    // It takes the request (no round has finished), proving it is live.
     assert_eq!(
-        complete_round(&replacement, 1),
-        Err(CompletionError::StillRunning(1))
+        complete_round(&replacement, Duration::from_millis(50)),
+        Err(CompletionError::TimedOut)
     );
 
     replacement.send(CoordMsg::Shutdown).unwrap();
@@ -298,8 +298,8 @@ fn injected_coordinator_crash_respawns_once_with_surviving_model() {
             .collect();
 
         // Message 1 survives; message 2 trips the injected crash.
-        coord.send(CoordMsg::Tick).unwrap();
-        coord.send(CoordMsg::Tick).unwrap();
+        coord.send(CoordMsg::SetPopulationEstimate(100)).unwrap();
+        coord.send(CoordMsg::SetPopulationEstimate(100)).unwrap();
 
         // Exactly one watcher wins and hands us the replacement. The
         // scripted fault is keyed by actor *name*, so lift it now —
@@ -307,8 +307,8 @@ fn injected_coordinator_crash_respawns_once_with_surviving_model() {
         let replacement = found_rx.recv_timeout(Duration::from_secs(5)).unwrap();
         system.clear_fault_injector();
         assert_eq!(
-            complete_round(&replacement, 1),
-            Err(CompletionError::StillRunning(1))
+            complete_round(&replacement, Duration::from_millis(50)),
+            Err(CompletionError::TimedOut)
         );
         // Clean shutdown of the replacement unblocks every watcher.
         replacement.send(CoordMsg::Shutdown).unwrap();

@@ -22,9 +22,9 @@ use federated::server::{AdmissionConfig, CoordinatorConfig, GlobalAdmissionConfi
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Completion-poll bound (20 ms apart): a round that cannot finish fails
-/// its test after 10 s instead of hanging the run.
-const MAX_POLLS: u32 = 500;
+/// Bound on the wait for a round's outcome: a round that cannot finish
+/// fails its test after 10 s instead of hanging the run.
+const WAIT: Duration = Duration::from_secs(10);
 
 fn spec() -> ModelSpec {
     ModelSpec::Logistic {
@@ -116,7 +116,7 @@ fn round_commits_across_three_selectors() {
         .count();
     assert_eq!(accepted, 6, "all six devices contribute through their selectors");
 
-    let outcome = complete_round(&coord_ref, MAX_POLLS).unwrap();
+    let outcome = complete_round(&coord_ref, WAIT).unwrap();
     assert!(outcome.is_committed());
 
     // Idempotent teardown: a second shutdown of the whole tree — and one
@@ -270,7 +270,7 @@ fn global_budget_caps_admits_across_selectors() {
     assert_eq!(shed, 5, "3 local sheds + 2 global sheds");
     assert_eq!(budget.admitted_total(), 4);
     assert_eq!(budget.shed_total(), 2);
-    let outcome = complete_round(&coord_ref, MAX_POLLS).unwrap();
+    let outcome = complete_round(&coord_ref, WAIT).unwrap();
     assert!(outcome.is_committed());
 
     for s in &selector_refs {
@@ -329,7 +329,7 @@ fn aggregator_shard_crash_still_commits_the_round() {
         assert!(end.is_ok(), "{end:?}");
     }
 
-    let outcome = complete_round(&coord_ref, MAX_POLLS).unwrap();
+    let outcome = complete_round(&coord_ref, WAIT).unwrap();
     assert!(
         outcome.is_committed(),
         "the round must commit on the surviving shard"
@@ -358,7 +358,7 @@ fn aggregator_shard_crash_still_commits_the_round() {
 
 /// Regression: every live test used to hand-roll an unbounded
 /// `TryCompleteRound` / `Tick` / sleep loop, so a round that could never
-/// finish hung the run instead of failing it. The shared poll is
+/// finish hung the run instead of failing it. The shared wait is
 /// bounded, and tells a round that is still running from a Coordinator
 /// that is gone.
 #[test]
@@ -384,15 +384,16 @@ fn a_round_that_cannot_finish_fails_the_poll_instead_of_hanging() {
     let topology = spawn_multi_topology(&system, vec![(coordinator, 2)], &blueprint);
     let coord_ref = topology.coordinators[&PopulationName::new("no-devices")].clone();
 
-    // Nobody ever checks in, so no number of polls completes the round.
+    // Nobody ever checks in, so no wait sees the round finish.
+    let short = Duration::from_millis(60);
     assert_eq!(
-        complete_round(&coord_ref, 3),
-        Err(CompletionError::StillRunning(3))
+        complete_round(&coord_ref, short),
+        Err(CompletionError::TimedOut)
     );
     topology.shutdown();
     system.join();
     assert_eq!(
-        complete_round(&coord_ref, 3),
+        complete_round(&coord_ref, short),
         Err(CompletionError::CoordinatorGone)
     );
 }

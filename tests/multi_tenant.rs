@@ -69,7 +69,7 @@ fn round_with_goal(goal: usize) -> RoundConfig {
 }
 
 fn drive_to_commit(coord: &ActorRef<CoordMsg>) -> bool {
-    complete_round(coord, 500).unwrap().is_committed()
+    complete_round(coord, Duration::from_secs(10)).unwrap().is_committed()
 }
 
 /// Three populations, three Coordinators, one shared two-Selector layer:
@@ -362,7 +362,11 @@ fn rewire_retargets_only_the_respawned_population() {
 
         // Its first message trips the injected crash; the watcher
         // respawns it and the Selector layer is re-briefed, by name.
-        multi.coordinator(&doomed).unwrap().send(CoordMsg::Tick).unwrap();
+        multi
+            .coordinator(&doomed)
+            .unwrap()
+            .send(CoordMsg::SetPopulationEstimate(100))
+            .unwrap();
         let replacement = found_rx.recv_timeout(Duration::from_secs(5)).unwrap();
         system.clear_fault_injector();
         for selector in &multi.selectors {

@@ -163,7 +163,7 @@ impl Tree {
                 WireMessage::ReportAck { accepted: true, .. }
             ));
         }
-        let outcome = complete_round(&self.coordinator, 500).expect("the round finishes");
+        let outcome = complete_round(&self.coordinator, wait).expect("the round finishes");
         assert!(outcome.is_committed(), "the round reached its goal");
     }
 }

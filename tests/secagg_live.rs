@@ -125,7 +125,7 @@ fn run_secagg_round(population: &str, dropouts: &[(u64, DropStage)]) -> (Vec<f32
             .expect("coordinator alive");
     }
 
-    let outcome = complete_round(&coord_ref, 500).expect("the round finishes");
+    let outcome = complete_round(&coord_ref, Duration::from_secs(10)).expect("the round finishes");
     assert!(
         outcome.is_committed(),
         "the round commits from the surviving groups"
