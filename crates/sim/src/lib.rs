@@ -14,21 +14,15 @@
 //!   (`ScenarioConfig::with_plan`, `chaos_seed`) for a one-population
 //!   [`scenario`] run,
 //!   whose audit holds the Sec. 4.2/4.4 recovery guarantees,
-//! * [`netchaos`] — network chaos at the wire boundary: seeded
-//!   `FaultyTransport` scripts mangle device report frames in flight
-//!   through the live sharded topology, auditing the at-most-once
-//!   report accounting and the device's same-key resends,
-//! * [`explore`] — seeded schedule exploration of the live actor tree
-//!   under permuted mailbox delivery (via the `fl-actors`
-//!   `ScheduleExplorer`; a chaos plan under permuted device timing is
-//!   [`scenario::run_with_schedule`]), auditing the never-hang / exactly-one-commit / storage-write /
-//!   obituary-exactly-once invariants across K legal interleavings
-//!   (`netchaos` and `explore` share one private live-round scaffold:
-//!   the tree, the device (an `fl_device::session` driven over its
-//!   connection), the bounded wait for the outcome, shutdown, and the
-//!   storage / lease audit; a wire
-//!   fault script and a delivery schedule are two seeds of one run, and
-//!   each harness keeps its own audit and report),
+//! * [`live`] — the one live harness: one round on the real threaded
+//!   tree, perturbed by two seeds of one run, a wire seed (seeded
+//!   `FaultyTransport` scripts mangle device report frames in flight) and
+//!   a schedule seed (the `fl-actors` `ScheduleExplorer` permutes mailbox
+//!   delivery; a chaos plan under permuted device timing is
+//!   [`scenario::run_with_schedule`]), plain or SecAgg, ending in one
+//!   audit: exactly one commit and one write per commit, at-most-once
+//!   report accounting, the exact average of six distinct updates, a
+//!   clean wire's one send per device, obituaries exactly once,
 //! * [`scenario`] — the one DES engine besides [`fleet`]'s loop: a seeded
 //!   virtual-clock driver over the real Selector / Coordinator / Master /
 //!   wire stack with one Coordinator per population on the shipped round
@@ -64,15 +58,12 @@ pub mod availability;
 pub mod chaos;
 /// The virtual-clock event queue.
 pub mod des;
-/// Seeded delivery-schedule exploration of the live actor tree.
-pub mod explore;
 /// Fleet dynamics over simulated days (Figs. 5–9, Table 1).
 pub mod fleet;
+/// One live round under seeded wire faults and delivery schedules.
+pub mod live;
 /// Multi-population fairness configs for [`scenario`].
 pub mod multi;
-/// Seeded wire faults through the live sharded topology.
-pub mod netchaos;
-mod live_round;
 /// Per-device latency / bandwidth / failure models.
 pub mod network;
 /// Single-population overload configs for [`scenario`].
@@ -84,11 +75,7 @@ pub mod training;
 
 pub use availability::DiurnalAvailability;
 pub use chaos::{Fault, FaultPlan};
-pub use explore::{explore_live_round, explore_secagg_live_round, ExploreReport};
 pub use fleet::{FleetConfig, FleetReport};
-pub use netchaos::{
-    run_wire_chaos, run_wire_chaos_secagg, run_wire_chaos_with_schedule, WireChaosReport,
-};
 pub use training::{TrainingRunConfig, TrainingRunReport};
 
 /// The `violations=` footer every seeded report's `render` ends with.

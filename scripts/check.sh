@@ -27,11 +27,16 @@ run_step() {
 
 run_step "build" cargo build --release
 # The root package: every `tests/*.rs` binary, and so every integration
-# gate, runs here once. Among them: network chaos (`wire_chaos`: seeded
-# faulty-transport scripts mangle report frames through the live sharded
-# topology, plain and SecAgg; per seed the run must commit exactly once,
-# keep write_count == 1 + committed, incorporate one contribution per
-# accepted key, and render byte-identically across replays); the fault
+# gate, runs here once. Among them: the one live harness,
+# `fl_sim::live::run(wire_seed, schedule_seed, secagg)`, over its two
+# seeds (`wire_chaos`: 32 seeded faulty-transport scripts mangle report
+# frames through the live tree, plain and SecAgg; `schedule_explore`:
+# K=64 seeded mailbox-delivery permutations of a clean-wire round, plain
+# and SecAgg, and a wire x schedule grid); every run ends in its one
+# audit (exactly one commit, write_count == 1 + committed, one
+# incorporated contribution per accepted key, the exact average of six
+# distinct updates, one send per device on a clean wire, every obituary
+# exactly once) and renders byte-identically across replays; the fault
 # and overload sweeps (`chaos_sweep`, `overload_sweep`: seeded
 # `scenario::run`s of the chaos and overload configs, each ending in the
 # engine's one audit); the pinned render digests of every seeded harness
@@ -42,9 +47,9 @@ run_step "build" cargo build --release
 # single-session arbitration and per-population accounting conservation
 # must all hold); the lock-graph deadlock gate (`lock_audit`: the
 # workspace's observed lock-acquisition graph stays acyclic and
-# rank-clean); schedule exploration (`schedule_explore`: K=64 seeded
-# delivery/timing permutations of the live round and a chaos plan,
-# invariants checked per seed); SecAgg through the live tree
+# rank-clean); schedule exploration of the engine (`schedule_explore`
+# also runs K=64 timing permutations of a chaos plan, each ending in the
+# engine's audit); SecAgg through the live tree
 # (`secagg_live`: scripted advertise/share dropouts commit the exact
 # unmasked sum, or abort a stranded shard cleanly); and the allocation
 # budget (`alloc_budget`: a counting global allocator holds one

@@ -23,7 +23,7 @@ fn workspace_lock_graph_is_acyclic() {
     // store, locking-service registry, global admission budget, and
     // overload telemetry all take their locks here.
     for seed in [0u64, 42] {
-        let report = fl_sim::explore_live_round(seed);
+        let report = fl_sim::live::run(None, seed, false);
         assert!(
             report.is_clean(),
             "seed {seed} violations: {:?}",

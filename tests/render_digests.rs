@@ -15,10 +15,7 @@
 use federated::core::round::RoundConfig;
 use federated::sim::fleet::{self, FleetConfig};
 use federated::sim::scenario::{self, ScenarioConfig};
-use federated::sim::{
-    chaos, explore_live_round, explore_secagg_live_round, multi, overload, run_wire_chaos,
-    run_wire_chaos_secagg,
-};
+use federated::sim::{chaos, live, multi, overload};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
@@ -68,35 +65,22 @@ fn render_fixture() -> String {
             out.push_str(&line(name, seed, &scenario::run(&make(seed)).render()));
         }
     }
-    // The 32 fault scripts `tests/wire_chaos.rs` sweeps.
-    for seed in 0..20 {
-        out.push_str(&line(
-            "wire_chaos/plain",
-            seed,
-            &run_wire_chaos(seed).render(),
-        ));
-    }
-    for seed in 100..112 {
-        out.push_str(&line(
-            "wire_chaos/secagg",
-            seed,
-            &run_wire_chaos_secagg(seed).render(),
-        ));
-    }
-    // A sample of the 64-schedule sweeps in `tests/schedule_explore.rs`.
-    for seed in [0, 7, 31, 63] {
-        out.push_str(&line(
-            "explore/live_round",
-            seed,
-            &explore_live_round(seed).render(),
-        ));
-    }
-    for seed in [0, 31] {
-        out.push_str(&line(
-            "explore/secagg_live_round",
-            seed,
-            &explore_secagg_live_round(seed).render(),
-        ));
+    // The live harness: the 32 fault scripts `tests/wire_chaos.rs` sweeps,
+    // then a sample of the 64-schedule sweeps in `tests/schedule_explore.rs`.
+    for (name, seeds, wire, secagg) in [
+        ("live/wire", (0..20).collect(), true, false),
+        ("live/wire_secagg", (100..112).collect(), true, true),
+        ("live/schedule", vec![0, 7, 31, 63], false, false),
+        ("live/schedule_secagg", vec![0, 31], false, true),
+    ] {
+        for seed in seeds {
+            let report = if wire {
+                live::run(Some(seed), 0, secagg)
+            } else {
+                live::run(None, seed, secagg)
+            };
+            out.push_str(&line(name, seed, &report.render()));
+        }
     }
     for (plan, schedule) in [(11, 3), (23, 17), (47, 40)] {
         out.push_str(&line(

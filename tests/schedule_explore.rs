@@ -1,9 +1,12 @@
-//! Tier-1 schedule-exploration gate: the standing invariants (never
-//! hang, exactly one commit, `write_count == 1 + committed`, obituaries
-//! exactly once) must hold across K = 64 seeded delivery schedules of
-//! the live round and 64 timing schedules of a chaos fault plan — and
-//! every report must replay byte-identically per seed, so a failing
-//! seed is a self-contained repro.
+//! Tier-1 schedule-exploration gate: the live harness's one audit (never
+//! hang, exactly one commit, `write_count == 1 + committed`, the exact
+//! average of six distinct updates, one send per device on a clean wire,
+//! obituaries exactly once) must hold across K = 64 seeded delivery
+//! schedules of the live round (`live::run(None, seed, secagg)`), its
+//! invariants under wire faults and schedules together, and 64 timing
+//! schedules of a chaos fault plan — and every report must replay
+//! byte-identically per seed, so a failing seed is a self-contained
+//! repro.
 //!
 //! Also re-finds the obituary-stealing bug the supervision layer fixed:
 //! two supervisors sharing one `deaths()` receiver steal notices from
@@ -13,8 +16,8 @@
 use fl_actors::{
     audit_exactly_once, Actor, ActorSystem, Context, FaultAction, Flow, ScriptedFaults,
 };
+use fl_sim::live;
 use fl_sim::scenario::{self, ScenarioConfig};
-use fl_sim::{explore_live_round, explore_secagg_live_round, run_wire_chaos_with_schedule};
 use std::sync::Arc;
 
 /// How many seeded schedules each scenario is explored under.
@@ -23,7 +26,7 @@ const K: u64 = 64;
 #[test]
 fn live_round_invariants_hold_across_k_schedules() {
     for seed in 0..K {
-        let report = explore_live_round(seed);
+        let report = live::run(None, seed, false);
         assert!(
             report.is_clean(),
             "schedule seed {seed} violations: {:?}",
@@ -38,8 +41,8 @@ fn live_round_invariants_hold_across_k_schedules() {
 fn live_round_reports_replay_byte_identically() {
     for seed in [0u64, 7, 31, 63] {
         assert_eq!(
-            explore_live_round(seed).render(),
-            explore_live_round(seed).render(),
+            live::run(None, seed, false).render(),
+            live::run(None, seed, false).render(),
             "schedule seed {seed} replay diverged"
         );
     }
@@ -52,7 +55,7 @@ fn live_round_reports_replay_byte_identically() {
 #[test]
 fn secagg_live_round_invariants_hold_across_k_schedules() {
     for seed in 0..K {
-        let report = explore_secagg_live_round(seed);
+        let report = live::run(None, seed, true);
         assert!(
             report.is_clean(),
             "secagg schedule seed {seed} violations: {:?}",
@@ -67,8 +70,8 @@ fn secagg_live_round_invariants_hold_across_k_schedules() {
 fn secagg_live_round_reports_replay_byte_identically() {
     for seed in [0u64, 31] {
         assert_eq!(
-            explore_secagg_live_round(seed).render(),
-            explore_secagg_live_round(seed).render(),
+            live::run(None, seed, true).render(),
+            live::run(None, seed, true).render(),
             "secagg schedule seed {seed} replay diverged"
         );
     }
@@ -84,13 +87,8 @@ fn wire_chaos_invariants_hold_across_delivery_schedules() {
     for secagg in [false, true] {
         for wire_seed in 1..=3 {
             for schedule in 1..=3 {
-                let report = run_wire_chaos_with_schedule(wire_seed, schedule, secagg);
-                assert!(
-                    report.is_clean(),
-                    "{} wire seed {wire_seed} schedule seed {schedule} violations: {:?}",
-                    report.scenario,
-                    report.violations
-                );
+                let report = live::run(Some(wire_seed), schedule, secagg);
+                assert!(report.is_clean(), "{}", report.render());
             }
         }
     }

@@ -1,25 +1,18 @@
-//! Network-chaos sweep at the wire boundary (Sec. 2.2, 4.2): seeded
-//! `FaultyTransport` scripts drop, duplicate, reorder, byte-flip, and
-//! truncate device report frames in flight through the live sharded
-//! topology — plain rounds and SecAgg rounds — while each device drives
-//! its `fl_device::session`, re-sending the same `(round, attempt)` key
-//! after each silent ack loss.
+//! Network-chaos sweep at the wire boundary (Sec. 2.2, 4.2): the wire
+//! seed of the one live harness, `live::run(Some(seed), 0, secagg)`.
+//! Seeded `FaultyTransport` scripts drop, duplicate, reorder, byte-flip,
+//! and truncate device report frames in flight through the live tree —
+//! plain rounds and SecAgg rounds — while each device drives its
+//! `fl_device::session`, re-sending the same `(round, attempt)` key after
+//! each silent ack loss.
 //!
-//! Per seed, the run must hold:
-//!
-//! * no panic, no hang — every wait is deadline-bounded and every
-//!   mangled frame dies as a typed error or a silent drop;
-//! * `write_count == 1 + committed` — retries and duplicates never
-//!   reach persistent storage;
-//! * `incorporated == unique accepted contributions` — the at-most-once
-//!   ledger admits each `(device, round, attempt)` key exactly once,
-//!   however many times the wire replayed it;
-//! * byte-identical [`WireChaosReport::render`] across two replays of
-//!   the same seed — a failing seed is a self-contained repro.
-//!
-//! [`WireChaosReport::render`]: federated::sim::WireChaosReport::render
+//! Per seed, the run must pass the harness's one audit (no hang, exactly
+//! one commit, `write_count == 1 + committed`, `incorporated ==
+//! unique_accepted`, the exact average of six distinct updates,
+//! obituaries exactly once) and render byte-identically across two
+//! replays — a failing seed is a self-contained repro.
 
-use federated::sim::{run_wire_chaos, run_wire_chaos_secagg, WireChaosReport};
+use federated::sim::live::{self, LiveReport};
 
 /// Seeds swept by the plain-round scenario.
 const PLAIN_SEEDS: std::ops::Range<u64> = 0..20;
@@ -27,31 +20,25 @@ const PLAIN_SEEDS: std::ops::Range<u64> = 0..20;
 /// the two tests between them cover 32 distinct fault scripts).
 const SECAGG_SEEDS: std::ops::Range<u64> = 100..112;
 
-fn audit(report: &WireChaosReport, rerun: &WireChaosReport) {
-    assert!(
-        report.is_clean(),
-        "seed {} ({}): violations {:?}\n{}",
-        report.seed,
-        report.scenario,
-        report.violations,
-        report.render()
-    );
+fn audit(report: &LiveReport, rerun: &LiveReport) {
+    let seed = report.wire_seed;
+    assert!(report.is_clean(), "{}", report.render());
     assert_eq!(
         report.write_count,
         1 + report.committed,
-        "seed {}: retried/duplicated reports leaked into storage",
-        report.seed
+        "seed {seed:?}: retried/duplicated reports leaked into storage"
     );
     assert_eq!(
-        report.incorporated, report.unique_accepted,
-        "seed {}: committed sum incorporated {} contributions but devices hold {} accepted keys",
-        report.seed, report.incorporated, report.unique_accepted
+        report.incorporated,
+        report.unique_accepted(),
+        "seed {seed:?}: committed sum incorporated {} contributions but devices hold {} accepted keys",
+        report.incorporated,
+        report.unique_accepted()
     );
     assert_eq!(
         report.render(),
         rerun.render(),
-        "seed {}: same fault script, different outcome — the run is not deterministic",
-        report.seed
+        "seed {seed:?}: same fault script, different outcome — the run is not deterministic"
     );
 }
 
@@ -59,8 +46,8 @@ fn audit(report: &WireChaosReport, rerun: &WireChaosReport) {
 fn plain_rounds_survive_mangled_report_frames() {
     let mut faulted_seeds = 0;
     for seed in PLAIN_SEEDS {
-        let report = run_wire_chaos(seed);
-        let rerun = run_wire_chaos(seed);
+        let report = live::run(Some(seed), 0, false);
+        let rerun = live::run(Some(seed), 0, false);
         audit(&report, &rerun);
         let f = &report.faults;
         if f.dropped + f.duplicated + f.delayed + f.corrupted + f.truncated > 0 {
@@ -77,8 +64,8 @@ fn plain_rounds_survive_mangled_report_frames() {
 fn secagg_rounds_survive_mangled_report_frames() {
     let mut faulted_seeds = 0;
     for seed in SECAGG_SEEDS {
-        let report = run_wire_chaos_secagg(seed);
-        let rerun = run_wire_chaos_secagg(seed);
+        let report = live::run(Some(seed), 0, true);
+        let rerun = live::run(Some(seed), 0, true);
         audit(&report, &rerun);
         let f = &report.faults;
         if f.dropped + f.duplicated + f.delayed + f.corrupted + f.truncated > 0 {
