@@ -1,6 +1,7 @@
 //! The [`Actor`] trait, typed [`ActorRef`] handles, and the per-actor
 //! [`Context`].
 
+use crate::system::{wake, Task};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::fmt;
 use std::sync::{Arc, Weak};
@@ -16,9 +17,10 @@ pub enum Flow {
 
 /// An actor: sequential handler of a typed message stream.
 ///
-/// Actors are driven by the [`crate::system::ActorSystem`]: each has a
-/// thread to itself while it lives, pulling messages from its mailbox
-/// strictly in order.
+/// Actors are driven by the [`crate::system::ActorSystem`]'s workers: an
+/// actor is on at most one worker at a time, which hands it its mailbox's
+/// messages strictly in order. A worker is shared, so no hook may block
+/// waiting on another actor; an answer comes back as a message.
 pub trait Actor: Send + 'static {
     /// The message type this actor consumes.
     type Msg: Send + 'static;
@@ -46,9 +48,48 @@ pub trait Actor: Send + 'static {
     fn on_stop(&mut self) {}
 }
 
+/// An actor's mailbox: its channel's sending half and, for a spawned
+/// actor, what puts the actor on the run queue. Shared by every
+/// [`ActorRef`] to the actor; the actor's own [`Context`] holds it weakly.
+pub(crate) struct Mailbox<M> {
+    /// `None` only while the mailbox is being dropped.
+    tx: Option<Sender<M>>,
+    task: Option<Arc<dyn Task>>,
+}
+
+impl<M> Mailbox<M> {
+    pub(crate) fn new(tx: Sender<M>, task: Option<Arc<dyn Task>>) -> Self {
+        Mailbox { tx: Some(tx), task }
+    }
+
+    /// Queues the actor unless it is queued or running already.
+    pub(crate) fn wake(&self) {
+        if let Some(task) = &self.task {
+            wake(task);
+        }
+    }
+
+    /// Queues `msg` and wakes the actor; hands `msg` back if it is dead.
+    pub(crate) fn send(&self, msg: M) -> Result<(), M> {
+        let Some(tx) = &self.tx else { return Err(msg) };
+        tx.send(msg).map_err(|e| e.0)?;
+        self.wake();
+        Ok(())
+    }
+}
+
+impl<M> Drop for Mailbox<M> {
+    /// The last reference is gone: close the channel, then wake the
+    /// actor to drain what is left and stop.
+    fn drop(&mut self) {
+        drop(self.tx.take());
+        self.wake();
+    }
+}
+
 /// A cheap, cloneable handle for sending messages to an actor.
 pub struct ActorRef<M> {
-    pub(crate) sender: Arc<Sender<M>>,
+    pub(crate) sender: Arc<Mailbox<M>>,
     /// Shared, so cloning a reference allocates nothing.
     pub(crate) name: Arc<str>,
 }
@@ -106,11 +147,51 @@ impl<M: Send + 'static> ActorRef<M> {
         let (tx, rx) = unbounded();
         (
             ActorRef {
-                sender: Arc::new(tx),
+                sender: Arc::new(Mailbox::new(tx, None)),
                 name: Arc::from(name.into()),
             },
             rx,
         )
+    }
+}
+
+/// An answer one actor owes another, sent exactly once: by
+/// [`Reply::send`], or, when the value is dropped unsent (its holder
+/// died, or the message carrying it was dropped with a mailbox), as the
+/// failure it was made with. So a request answered by a message never
+/// leaves its asker waiting, and no handler has to block for an answer.
+pub struct Reply<M: Send + 'static> {
+    to: ActorRef<M>,
+    failure: Option<M>,
+}
+
+impl<M: Send + 'static> Reply<M> {
+    /// A reply to `to` that sends `failure` unless answered.
+    pub fn new(to: ActorRef<M>, failure: M) -> Self {
+        Reply {
+            to,
+            failure: Some(failure),
+        }
+    }
+
+    /// Sends `answer` in place of the failure.
+    pub fn send(mut self, answer: M) {
+        self.failure = None;
+        let _ = self.to.send(answer);
+    }
+}
+
+impl<M: Send + 'static> Drop for Reply<M> {
+    fn drop(&mut self) {
+        if let Some(failure) = self.failure.take() {
+            let _ = self.to.send(failure);
+        }
+    }
+}
+
+impl<M: Send + 'static> fmt::Debug for Reply<M> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "Reply({})", self.to.name)
     }
 }
 
@@ -120,7 +201,7 @@ impl<M: Send + 'static> ActorRef<M> {
 /// an idle actor whose external references have all been dropped shuts
 /// down instead of keeping itself alive.
 pub struct Context<M> {
-    pub(crate) self_sender: Weak<Sender<M>>,
+    pub(crate) self_sender: Weak<Mailbox<M>>,
     pub(crate) name: Arc<str>,
     pub(crate) system: crate::system::ActorSystem,
 }
@@ -146,8 +227,8 @@ impl<M: Send + 'static> Context<M> {
     /// Spawns a child actor named `"{parent}/{name}"`, making the
     /// supervision tree legible in obituaries: a Master Aggregator named
     /// `coordinator/master-r3` spawns shards `coordinator/master-r3/agg-0`
-    /// and so on. The child gets a thread of its own like any other actor;
-    /// "child" is purely a naming/lifecycle convention — when the parent
+    /// and so on. The child is scheduled like any other actor; "child" is
+    /// purely a naming/lifecycle convention — when the parent
     /// drops the returned reference (including by dying), the child's
     /// mailbox closes and it drains to a normal stop.
     pub fn spawn_child<A: Actor>(&self, name: impl AsRef<str>, actor: A) -> ActorRef<A::Msg> {
@@ -178,6 +259,14 @@ mod tests {
         let err = r.send(1).unwrap_err();
         assert_eq!(err.target, "gone");
         assert!(err.to_string().contains("gone"));
+    }
+
+    #[test]
+    fn a_reply_sends_its_answer_or_else_its_failure_once() {
+        let (asker, answers) = ActorRef::<&str>::detached("asker");
+        Reply::new(asker.clone(), "failed").send("answered");
+        drop(Reply::new(asker, "failed"));
+        assert_eq!(answers.try_iter().collect::<Vec<_>>(), vec!["answered", "failed"]);
     }
 
     #[test]

@@ -9,10 +9,12 @@
 //! This crate provides the substrate the FL server's live mode runs on:
 //!
 //! * [`actor::Actor`] + [`actor::ActorRef`] — typed actors with sequential
-//!   mailbox processing (a thread to itself while it lives, crossbeam
-//!   channels);
-//! * [`system::ActorSystem`] — spawning onto parked worker threads,
-//!   clean shutdown, and death notifications;
+//!   mailbox processing (crossbeam channels), and [`actor::Reply`], the
+//!   answer a request is owed exactly once, even by an actor that dies;
+//! * [`system::ActorSystem`] — actors scheduled on W worker threads
+//!   (W = the machine's available parallelism) from one run queue, with
+//!   one timer set for their deadlines, clean shutdown, and death
+//!   notifications;
 //! * [`supervision::watch_and_respawn`] — the lease-fenced loop that
 //!   respawns a crashed Coordinator exactly once ("in all failure cases
 //!   the system will continue to make progress", Sec. 4.4);
@@ -30,7 +32,7 @@ pub mod registry;
 pub mod supervision;
 pub mod system;
 
-pub use actor::{Actor, ActorRef, Context, Flow};
+pub use actor::{Actor, ActorRef, Context, Flow, Reply};
 pub use explore::{audit_exactly_once, ScheduleExplorer};
 pub use registry::{Lease, LockingService};
 pub use supervision::{watch_and_respawn, RespawnReport};

@@ -1,32 +1,50 @@
-//! The [`ActorSystem`]: spawning, death notification, shutdown, and
-//! deterministic fault injection.
+//! The [`ActorSystem`]: spawning, scheduling, death notification,
+//! shutdown, and deterministic fault injection.
 //!
-//! An actor is ephemeral; the thread it runs on is borrowed. `spawn`
-//! hands the actor's whole life (start, mailbox loop, stop, obituary) to
-//! a parked worker thread when one is idle and starts a worker only when
-//! none is, and a worker parks again once its actor's obituary is out.
-//! Threads held are therefore bounded by the most actors ever alive at
-//! once, not by how many were ever spawned (Sec. 4.2: a Master
-//! Aggregator and its shards exist per round, so that bound is what a
-//! long-lived deployment needs). [`ActorSystem::join`] retires them,
-//! and so does dropping the last handle on the system.
+//! Actors run on W worker threads, W being
+//! `std::thread::available_parallelism()`, fed by one run queue (the
+//! workspace's channel). An actor owns no thread: it is a mailbox, a
+//! "scheduled" flag and its state. A send, or the drop of its last
+//! reference, that finds the actor idle sets the flag and queues the
+//! actor. A worker takes it and gives it a turn: `on_start` the first
+//! time, then up to `BATCH` (64) messages, and [`Actor::on_deadline`] when
+//! the mailbox is empty and the deadline has passed. An actor with more
+//! waiting goes to the back of the queue; one without clears its flag.
+//! So an actor is on one worker at a time and handles its stream strictly
+//! in order (Sec. 4.1), and a handler must not block waiting for another
+//! actor: an answer comes back as a message ([`crate::Reply`]).
+//!
+//! Every actor's [`Actor::deadline`] is an entry in one ordered timer set.
+//! A worker with nothing to run waits on the queue until the earliest
+//! one, and a busy worker looks at the set's head between turns. So a
+//! system holds W workers however many actors are alive or were ever
+//! spawned (Sec. 4.2: a Master Aggregator and its shards exist per round),
+//! and `spawn` starts no thread. The workers last as long as the system:
+//! dropping its last handle retires them.
 
-use crate::actor::{Actor, ActorRef, Context, Flow};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crate::actor::{Actor, ActorRef, Context, Flow, Mailbox};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use fl_race::{Condvar, Mutex, Site};
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 // Lock sites, in rank order (see the table in DESIGN.md §7). The only
 // nesting in this module is obituary_log -> subscribers, so those two
 // ranks are adjacent; the rest are leaves.
+const ACTOR: Site = Site::new("actors/system.actor", 5);
 const OBITUARY_LOG: Site = Site::new("actors/system.obituary_log", 10);
 const SUBSCRIBERS: Site = Site::new("actors/system.subscribers", 12);
 const WORKERS: Site = Site::new("actors/system.workers", 20);
+const TIMERS: Site = Site::new("actors/system.timers", 21);
 const INJECTOR: Site = Site::new("actors/system.injector", 22);
+
+/// Messages an actor handles in one turn before it goes to the back of
+/// the run queue, so one busy mailbox cannot hold a worker.
+const BATCH: usize = 64;
 
 /// Obituaries a system keeps for late subscribers; an older one is
 /// dropped as a new one is published. A live subscriber is handed each
@@ -124,39 +142,238 @@ impl FaultInjector for ScriptedFaults {
     }
 }
 
-/// One actor's whole life, boxed so any worker can run it.
-type Job = Box<dyn FnOnce() + Send>;
-
-/// The worker threads of one system. A worker is either running a job
-/// or idle, so the system is quiescent exactly when `idle ==
-/// handles.len()`.
-struct Workers {
-    /// Hands a job to one idle worker; every worker holds a clone of
-    /// `parking`. Dropping `jobs` is what retires them.
-    jobs: Sender<Job>,
-    parking: Receiver<Job>,
-    /// Workers parked on `parking` (or publishing their last actor's
-    /// obituary on the way there) that no job has been sent for.
-    idle: usize,
-    handles: Vec<JoinHandle<()>>,
+/// What the run queue carries.
+pub(crate) enum Job {
+    /// An actor to give a turn.
+    Run(Arc<dyn Task>),
+    /// The timer set's head moved earlier: a waiting worker re-reads it.
+    Timers,
+    /// The system's last handle is gone: the worker exits.
+    Retire,
 }
 
-impl Workers {
-    fn new() -> Self {
-        let (jobs, parking) = unbounded();
-        Workers {
-            jobs,
-            parking,
-            idle: 0,
-            handles: Vec::new(),
-        }
+/// An actor as the run queue sees it.
+pub(crate) trait Task: Send + Sync {
+    /// Set while the actor is queued or on a worker.
+    fn scheduled(&self) -> &AtomicBool;
+    /// The run queue the actor goes on.
+    fn queue(&self) -> &Sender<Job>;
+    /// Gives the actor one turn on the calling worker; `true` when it
+    /// has more waiting and must go back on the queue.
+    fn turn(&self, me: &Arc<dyn Task>, shared: &Shared) -> bool;
+}
+
+/// Queues `task` unless it is queued or running already.
+pub(crate) fn wake(task: &Arc<dyn Task>) {
+    if !task.scheduled().swap(true, Ordering::SeqCst) {
+        // Fails only once the workers are gone, with the actor dead.
+        let _ = task.queue().send(Job::Run(Arc::clone(task)));
     }
 }
 
-struct Shared {
+/// The wall clock the timer set runs on.
+fn now() -> Instant {
+    // fl-lint: allow(wall-clock): live actors' deadlines are wall-clock
+    // instants; the deterministic state machines see only offsets.
+    Instant::now()
+}
+
+/// An actor's entry in the timer set: its deadline, and the address of
+/// its cell, which tells two equal deadlines apart.
+type TimerKey = (Instant, usize);
+
+type Timers = BTreeMap<TimerKey, Weak<dyn Task>>;
+
+/// One spawned actor: its flag, and its state between turns.
+struct Cell<A: Actor> {
+    scheduled: AtomicBool,
+    queue: Sender<Job>,
+    /// A worker takes the state out for a turn and puts it back, so this
+    /// lock is never held across a hook. `None` while on a worker and
+    /// once dead.
+    live: Mutex<Option<Live<A>>>,
+}
+
+struct Live<A: Actor> {
+    actor: A,
+    ctx: Context<A::Msg>,
+    rx: Receiver<A::Msg>,
+    /// Messages pulled from the mailbox so far: the fault injector's `seq`.
+    seq: u64,
+    started: bool,
+    timer: Option<TimerKey>,
+}
+
+/// How a turn ended.
+enum Turn {
+    /// [`BATCH`] messages handled; more may be waiting.
+    Busy,
+    /// The mailbox is empty; wake at the deadline, if any.
+    Idle(Option<Instant>),
+    /// `on_stop` has run.
+    Stopped,
+}
+
+impl<A: Actor> Live<A> {
+    /// Whether a turn would find something: a message, or a mailbox no
+    /// reference is left to.
+    fn ready(&self) -> bool {
+        !self.rx.is_empty() || self.ctx.self_sender.strong_count() == 0
+    }
+
+    fn run(&mut self, shared: &Shared) -> Turn {
+        if !self.started {
+            self.started = true;
+            self.actor.on_start(&mut self.ctx);
+        }
+        for _ in 0..BATCH {
+            // Read before the receive: with no reference left, nothing
+            // more can arrive, so an empty mailbox is a drained one.
+            let closed = self.ctx.self_sender.strong_count() == 0;
+            let msg = match self.rx.try_recv() {
+                Ok(msg) => msg,
+                Err(TryRecvError::Empty) if !closed => match self.actor.deadline() {
+                    Some(at) if at <= now() => match self.actor.on_deadline(&mut self.ctx) {
+                        Flow::Continue => continue,
+                        Flow::Stop => return self.stop(),
+                    },
+                    due => return Turn::Idle(due),
+                },
+                Err(_) => return self.stop(),
+            };
+            self.seq += 1;
+            let action = shared
+                .injector()
+                .map(|i| i.on_deliver(&self.ctx.name, self.seq))
+                .unwrap_or(FaultAction::Deliver);
+            match action {
+                FaultAction::Deliver => {}
+                FaultAction::Drop => continue,
+                FaultAction::Delay => {
+                    // Push the message to the back of the mailbox; if no
+                    // external sender is left the message is dropped
+                    // (the actor is draining toward shutdown anyway).
+                    if let Some(tx) = self.ctx.self_sender.upgrade() {
+                        let _ = tx.send(msg);
+                    }
+                    continue;
+                }
+                FaultAction::Reorder => match self.ctx.self_sender.upgrade() {
+                    // Re-enqueue behind the pending messages; the send
+                    // cannot fail while this actor holds the receiver.
+                    Some(tx) => {
+                        let _ = tx.send(msg);
+                        continue;
+                    }
+                    // Draining mailbox: there is nothing left to reorder
+                    // against, and reordering must never lose a message
+                    // — deliver in place.
+                    None => {}
+                },
+                FaultAction::Crash => {
+                    // fl-lint: allow(panic): chaos injection must
+                    // exercise the real panic-recovery path the
+                    // respawn watchers are built to absorb.
+                    panic!("chaos: injected crash");
+                }
+            }
+            if self.actor.handle(msg, &mut self.ctx) == Flow::Stop {
+                return self.stop();
+            }
+        }
+        Turn::Busy
+    }
+
+    fn stop(&mut self) -> Turn {
+        self.actor.on_stop();
+        Turn::Stopped
+    }
+}
+
+impl<A: Actor> Cell<A> {
+    fn take(&self) -> Option<Live<A>> {
+        self.live.lock().take()
+    }
+
+    fn put(&self, live: Live<A>) {
+        *self.live.lock() = Some(live);
+    }
+
+    /// Puts the state back after a turn that emptied the mailbox and
+    /// clears the flag; `true` when the actor must go back on the queue
+    /// at once. A send, the drop of the last reference or a timer that
+    /// still found the flag set queued nothing, so the mailbox and the
+    /// clock are read again after the flag is clear: a sender and this
+    /// look both pass through the mailbox channel's lock, so one of the
+    /// two sees the other, and a timer that fired has left `due` behind
+    /// the clock.
+    fn idle(&self, live: Live<A>, due: Option<Instant>) -> bool {
+        let mut slot = self.live.lock();
+        let live = slot.insert(live);
+        self.scheduled.store(false, Ordering::SeqCst);
+        let ready = live.ready() || due.is_some_and(|at| at <= now());
+        ready && !self.scheduled.swap(true, Ordering::SeqCst)
+    }
+}
+
+impl<A: Actor> Task for Cell<A> {
+    fn scheduled(&self) -> &AtomicBool {
+        &self.scheduled
+    }
+
+    fn queue(&self) -> &Sender<Job> {
+        &self.queue
+    }
+
+    fn turn(&self, me: &Arc<dyn Task>, shared: &Shared) -> bool {
+        let Some(mut live) = self.take() else {
+            return false;
+        };
+        // Lock-audit reports name the actor, not the worker.
+        fl_race::set_thread_label(Some(live.ctx.name.clone()));
+        let turn = std::panic::catch_unwind(AssertUnwindSafe(|| live.run(shared)));
+        fl_race::set_thread_label(None);
+        let reason = match turn {
+            Ok(Turn::Busy) => {
+                self.put(live);
+                return true;
+            }
+            Ok(Turn::Idle(due)) => {
+                shared.arm(me, &mut live.timer, due);
+                return self.idle(live, due);
+            }
+            Ok(Turn::Stopped) => DeathReason::Normal,
+            Err(payload) => DeathReason::Panicked(panic_message(&*payload)),
+        };
+        // Dead: the flag stays set, so nothing queues the actor again.
+        shared.arm(me, &mut live.timer, None);
+        let name = live.ctx.name.to_string();
+        // The state goes before the obituary, so what the mailbox still
+        // held (a reply owed to someone) is answered first. A `Drop`
+        // that panics must not take the worker with it.
+        let _ = std::panic::catch_unwind(AssertUnwindSafe(move || drop(live)));
+        shared.publish(Obituary { name, reason });
+        shared.died();
+        false
+    }
+}
+
+/// The worker threads and the count of live actors `join` waits on.
+struct Workers {
+    alive: usize,
+    threads: Vec<JoinHandle<()>>,
+}
+
+pub(crate) struct Shared {
+    queue: Sender<Job>,
     workers: Mutex<Workers>,
-    /// Signalled when the last busy worker goes idle; `join` waits here.
+    /// Signalled when the last live actor dies; `join` waits here.
     quiescent: Condvar,
+    timers: Mutex<Timers>,
+    /// The timer set's head, in nanoseconds after `epoch`, `u64::MAX`
+    /// when empty: what a worker reads between turns without the lock.
+    head: AtomicU64,
+    epoch: Instant,
     /// The last [`OBITUARY_RING`] obituaries published, in publication
     /// order. Late subscribers receive a replay, so post-mortem
     /// inspection (`deaths()` after `join()`) still works.
@@ -191,6 +408,15 @@ impl Shared {
         subs.retain(|tx| tx.send(obit.clone()).is_ok());
     }
 
+    /// Counts an actor dead once its obituary is out.
+    fn died(&self) {
+        let mut workers = self.workers.lock();
+        workers.alive -= 1;
+        if workers.alive == 0 {
+            self.quiescent.notify_all();
+        }
+    }
+
     /// The installed fault injector, if any. The flag publishes nothing
     /// by itself (the slot is read under its lock); its `Acquire` pairs
     /// with the `Release` in `set_injector` so that an actor already
@@ -209,127 +435,102 @@ impl Shared {
         self.injector_installed.store(installed, Ordering::Release);
     }
 
-    /// Counts the calling worker idle. Its job calls this once its actor
-    /// is dead but before the obituary goes out, so whoever answers an
-    /// obituary by spawning (a respawn watcher, the next round) finds this
-    /// worker rather than starting another; a job sent in the meantime
-    /// waits in the channel for the few steps the worker has left.
-    fn worker_idle(&self) {
-        let mut workers = self.workers.lock();
-        workers.idle += 1;
-        if workers.idle == workers.handles.len() {
-            self.quiescent.notify_all();
+    /// The timer set's head, if any.
+    fn head(&self) -> Option<Instant> {
+        match self.head.load(Ordering::Acquire) {
+            u64::MAX => None,
+            nanos => Some(self.epoch + Duration::from_nanos(nanos)),
         }
     }
 
-    /// Runs `job` on an idle worker, or on a new one if none is idle.
-    fn run_on_worker(&self, job: Job) {
-        let mut workers = self.workers.lock();
-        if workers.idle > 0 {
-            workers.idle -= 1;
-            // Cannot fail: `workers.parking` keeps the channel open.
-            let _ = workers.jobs.send(job);
+    /// Stores the set's head; tells a waiting worker when it moved earlier.
+    fn set_head(&self, timers: &Timers) {
+        let nanos = timers.first_key_value().map_or(u64::MAX, |((at, _), _)| {
+            u64::try_from(at.saturating_duration_since(self.epoch).as_nanos()).unwrap_or(u64::MAX - 1)
+        });
+        if nanos < self.head.swap(nanos, Ordering::AcqRel) {
+            let _ = self.queue.send(Job::Timers);
+        }
+    }
+
+    /// Moves an actor's timer-set entry `slot` to `due`.
+    fn arm(&self, me: &Arc<dyn Task>, slot: &mut Option<TimerKey>, due: Option<Instant>) {
+        if slot.map(|(at, _)| at) == due {
             return;
         }
-        let parking = workers.parking.clone();
-        let handle = std::thread::Builder::new()
-            .name(format!("actor-worker-{}", workers.handles.len()))
-            .spawn(move || work(job, &parking))
-            // fl-lint: allow(unwrap): spawn failure here means the OS refused a
-            // thread; the actor system cannot degrade further, so abort loudly.
-            .expect("failed to spawn actor thread");
-        workers.handles.push(handle);
+        let mut timers = self.timers.lock();
+        if let Some(key) = slot.take() {
+            timers.remove(&key);
+        }
+        if let Some(at) = due {
+            let key = (at, Arc::as_ptr(me).cast::<()>() as usize);
+            timers.insert(key, Arc::downgrade(me));
+            *slot = Some(key);
+        }
+        self.set_head(&timers);
     }
-}
 
-/// A worker thread: runs `job`, parks for the next one, until the system
-/// retires it (or is dropped) by closing the job channel. It holds no
-/// handle on the system, so parked workers never keep one alive.
-fn work(mut job: Job, parking: &Receiver<Job>) {
-    loop {
-        // The job catches its actor's panics and counts the worker idle
-        // itself; this catches what is left (an actor whose `Drop`
-        // panics) so the thread lives to take the job it is idle for.
-        let _ = std::panic::catch_unwind(AssertUnwindSafe(job));
-        fl_race::set_thread_label(None);
-        job = match parking.recv() {
-            Ok(job) => job,
-            Err(_) => return,
-        };
-    }
-}
-
-/// One actor's life on the calling thread, from `on_start` to the end
-/// of its mailbox; a panic anywhere in it is the returned reason. The
-/// wait for each message ends at the actor's [`Actor::deadline`], if it
-/// has one, and a wait that ends there runs [`Actor::on_deadline`].
-fn run<A: Actor>(
-    actor: &mut A,
-    ctx: &mut Context<A::Msg>,
-    rx: &Receiver<A::Msg>,
-    shared: &Shared,
-) -> DeathReason {
-    let mut seq: u64 = 0;
-    let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        actor.on_start(ctx);
+    /// Wakes every actor whose deadline has passed, one at a time so
+    /// that no task is dropped under the lock.
+    fn fire(&self) {
         loop {
-            let received = match actor.deadline() {
-                None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
-                Some(deadline) => rx.recv_deadline(deadline),
+            let task = {
+                let mut timers = self.timers.lock();
+                let due = timers.first_entry().filter(|e| e.key().0 <= now());
+                let task = due.map(|e| e.remove());
+                self.set_head(&timers);
+                task
             };
-            let msg = match received {
-                Ok(msg) => msg,
-                Err(RecvTimeoutError::Timeout) => match actor.on_deadline(ctx) {
-                    Flow::Continue => continue,
-                    Flow::Stop => break,
-                },
-                Err(RecvTimeoutError::Disconnected) => break,
-            };
-            seq += 1;
-            let action = shared
-                .injector()
-                .map(|i| i.on_deliver(&ctx.name, seq))
-                .unwrap_or(FaultAction::Deliver);
-            match action {
-                FaultAction::Deliver => {}
-                FaultAction::Drop => continue,
-                FaultAction::Delay => {
-                    // Push the message to the back of the mailbox; if no
-                    // external sender is left the message is dropped
-                    // (the actor is draining toward shutdown anyway).
-                    if let Some(tx) = ctx.self_sender.upgrade() {
-                        let _ = tx.send(msg);
+            match task {
+                Some(task) => {
+                    if let Some(task) = task.upgrade() {
+                        wake(&task);
                     }
-                    continue;
                 }
-                FaultAction::Reorder => match ctx.self_sender.upgrade() {
-                    // Re-enqueue behind the pending messages; the send
-                    // cannot fail while this thread holds the receiver.
-                    Some(tx) => {
-                        let _ = tx.send(msg);
-                        continue;
-                    }
-                    // Draining mailbox: there is nothing left to reorder
-                    // against, and reordering must never lose a message
-                    // — deliver in place.
-                    None => {}
-                },
-                FaultAction::Crash => {
-                    // fl-lint: allow(panic): chaos injection must
-                    // exercise the real panic-recovery path the
-                    // respawn watchers are built to absorb.
-                    panic!("chaos: injected crash");
-                }
-            }
-            if actor.handle(msg, ctx) == Flow::Stop {
-                break;
+                None => return,
             }
         }
-        actor.on_stop();
-    }));
-    match result {
-        Ok(()) => DeathReason::Normal,
-        Err(payload) => DeathReason::Panicked(panic_message(&*payload)),
+    }
+}
+
+/// A worker: runs the turns the queue hands it and wakes actors whose
+/// deadlines have passed, until the system retires it.
+fn work(shared: &Shared, jobs: &Receiver<Job>) {
+    loop {
+        let head = shared.head();
+        if head.is_some_and(|at| at <= now()) {
+            shared.fire();
+            continue;
+        }
+        let job = match head {
+            Some(at) => jobs.recv_deadline(at),
+            None => jobs.recv().map_err(|_| RecvTimeoutError::Disconnected),
+        };
+        match job {
+            Ok(Job::Run(task)) => {
+                if task.turn(&task, shared) {
+                    let _ = shared.queue.send(Job::Run(task));
+                }
+            }
+            Ok(Job::Timers) | Err(RecvTimeoutError::Timeout) => {}
+            Ok(Job::Retire) | Err(RecvTimeoutError::Disconnected) => return,
+        }
+    }
+}
+
+/// What every clone of an [`ActorSystem`] shares; its drop retires the
+/// workers. Live actors hold one through their [`Context`], so it drops
+/// only once every actor is dead and every outside handle gone.
+struct Handle {
+    shared: Arc<Shared>,
+}
+
+impl Drop for Handle {
+    fn drop(&mut self) {
+        let threads = std::mem::take(&mut self.shared.workers.lock().threads);
+        for _ in &threads {
+            let _ = self.shared.queue.send(Job::Retire);
+        }
     }
 }
 
@@ -337,7 +538,7 @@ fn run<A: Actor>(
 /// same system.
 #[derive(Clone)]
 pub struct ActorSystem {
-    shared: Arc<Shared>,
+    handle: Arc<Handle>,
 }
 
 impl Default for ActorSystem {
@@ -347,35 +548,58 @@ impl Default for ActorSystem {
 }
 
 impl ActorSystem {
-    /// Creates an empty system.
+    /// Creates an empty system and starts its W workers.
     pub fn new() -> Self {
+        let (queue, jobs) = unbounded();
+        let shared = Arc::new(Shared {
+            queue,
+            workers: Mutex::new(WORKERS, Workers { alive: 0, threads: Vec::new() }),
+            quiescent: Condvar::new(),
+            timers: Mutex::new(TIMERS, BTreeMap::new()),
+            head: AtomicU64::new(u64::MAX),
+            epoch: now(),
+            obituary_log: Mutex::new(OBITUARY_LOG, VecDeque::new()),
+            subscribers: Mutex::new(SUBSCRIBERS, Vec::new()),
+            injector_installed: AtomicBool::new(false),
+            injector: Mutex::new(INJECTOR, None),
+        });
+        let w = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        let threads = (0..w)
+            .map(|i| {
+                let (shared, jobs) = (Arc::clone(&shared), jobs.clone());
+                std::thread::Builder::new()
+                    .name(format!("actor-worker-{i}"))
+                    .spawn(move || work(&shared, &jobs))
+                    // fl-lint: allow(unwrap): spawn failure here means the OS refused a
+                    // thread; the actor system cannot run at all, so abort loudly.
+                    .expect("failed to spawn actor worker")
+            })
+            .collect();
+        shared.workers.lock().threads = threads;
         ActorSystem {
-            shared: Arc::new(Shared {
-                workers: Mutex::new(WORKERS, Workers::new()),
-                quiescent: Condvar::new(),
-                obituary_log: Mutex::new(OBITUARY_LOG, VecDeque::new()),
-                subscribers: Mutex::new(SUBSCRIBERS, Vec::new()),
-                injector_installed: AtomicBool::new(false),
-                injector: Mutex::new(INJECTOR, None),
-            }),
+            handle: Arc::new(Handle { shared }),
         }
+    }
+
+    fn shared(&self) -> &Shared {
+        &self.handle.shared
     }
 
     /// Installs a fault injector consulted before every message delivery
     /// on every actor in this system (including actors spawned earlier).
     /// Passing a new injector replaces the previous one.
     pub fn install_fault_injector(&self, injector: Arc<dyn FaultInjector>) {
-        self.shared.set_injector(Some(injector));
+        self.shared().set_injector(Some(injector));
     }
 
     /// Removes the installed fault injector, restoring normal delivery.
     pub fn clear_fault_injector(&self) {
-        self.shared.set_injector(None);
+        self.shared().set_injector(None);
     }
 
-    /// Spawns an actor and returns its reference. The actor has a thread
-    /// to itself for as long as it lives: a parked worker's if one is
-    /// idle, a new one otherwise.
+    /// Spawns an actor and returns its reference. No thread starts: the
+    /// actor is queued for its `on_start` and runs on the system's
+    /// workers from then on.
     ///
     /// The actor processes its mailbox strictly sequentially. Panics in
     /// handlers are caught and published as [`Obituary`] notices rather
@@ -384,30 +608,31 @@ impl ActorSystem {
     pub fn spawn<A: Actor>(&self, name: impl Into<String>, actor: A) -> ActorRef<A::Msg> {
         let name: Arc<str> = Arc::from(name.into());
         let (tx, rx) = unbounded::<A::Msg>();
-        let sender = Arc::new(tx);
-        let actor_ref = ActorRef {
-            sender: sender.clone(),
-            name: name.clone(),
-        };
-        let mut ctx = Context {
-            self_sender: Arc::downgrade(&sender),
-            name: name.clone(),
-            system: self.clone(),
-        };
-        drop(sender);
-        let shared = Arc::clone(&self.shared);
-        self.shared.run_on_worker(Box::new(move || {
-            let mut actor = actor;
-            // Lock-audit reports name the actor, not the borrowed thread.
-            fl_race::set_thread_label(Some(name.clone()));
-            let reason = run(&mut actor, &mut ctx, &rx, &shared);
-            shared.worker_idle();
-            shared.publish(Obituary {
-                name: name.to_string(),
-                reason,
+        let queue = self.shared().queue.clone();
+        let sender = Arc::new_cyclic(|me: &Weak<Mailbox<A::Msg>>| {
+            let live = Live {
+                actor,
+                ctx: Context {
+                    self_sender: me.clone(),
+                    name: name.clone(),
+                    system: self.clone(),
+                },
+                rx,
+                seq: 0,
+                started: false,
+                timer: None,
+            };
+            let cell: Arc<dyn Task> = Arc::new(Cell {
+                scheduled: AtomicBool::new(false),
+                queue,
+                live: Mutex::new(ACTOR, Some(live)),
             });
-        }));
-        actor_ref
+            Mailbox::new(tx, Some(cell))
+        });
+        self.shared().workers.lock().alive += 1;
+        // Queued once for `on_start`, message or not.
+        sender.wake();
+        ActorRef { sender, name }
     }
 
     /// Subscribes to obituaries: every actor that stops (normally or by
@@ -422,40 +647,32 @@ impl ActorSystem {
         // 12) — same as `publish`. Registration happens while the log
         // lock is held, so a death racing with subscription is either
         // replayed or delivered live, never lost and never duplicated.
-        let log = self.shared.obituary_log.lock();
+        let log = self.shared().obituary_log.lock();
         for obit in log.iter() {
             let _ = tx.send(obit.clone());
         }
         // fl-lint: allow(lock-order): nesting is intentional and machine-
         // checked — fl-race enforces rank 10 -> 12 at runtime, and the
         // lock-audit gate asserts the graph stays acyclic.
-        self.shared.subscribers.lock().push(tx);
+        self.shared().subscribers.lock().push(tx);
         drop(log);
         rx
     }
 
-    /// Waits until no actor is alive (every obituary is published), then
-    /// retires the worker threads; the system can spawn again afterwards.
+    /// Waits until no actor is alive: every actor spawned has stopped and
+    /// its obituary is published. The system can spawn again afterwards.
     /// Call after dropping/stopping the actors' references.
     pub fn join(&self) {
-        let retired = {
-            let mut workers = self.shared.workers.lock();
-            while workers.idle < workers.handles.len() {
-                self.shared.quiescent.wait(&mut workers);
-            }
-            std::mem::replace(&mut *workers, Workers::new())
-        };
-        drop(retired.jobs);
-        for handle in retired.handles {
-            let _ = handle.join();
+        let mut workers = self.shared().workers.lock();
+        while workers.alive > 0 {
+            self.shared().quiescent.wait(&mut workers);
         }
     }
 
-    /// Worker threads this system holds right now, running an actor or
-    /// parked: at most the peak number of actors alive at once since the
-    /// last [`ActorSystem::join`].
+    /// Worker threads this system holds: W, whatever the number of
+    /// actors alive, from `new` until its last handle is dropped.
     pub fn worker_threads(&self) -> usize {
-        self.shared.workers.lock().handles.len()
+        self.shared().workers.lock().threads.len()
     }
 }
 
@@ -757,6 +974,11 @@ mod tests {
         assert_eq!(order.lock().clone(), vec![8, 7]);
     }
 
+    /// The worker count every system holds.
+    fn w() -> usize {
+        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+    }
+
     #[test]
     fn ten_thousand_ephemeral_actors_borrow_a_bounded_number_of_threads() {
         const SPAWNS: usize = 10_000;
@@ -765,22 +987,20 @@ mod tests {
         let deaths = system.deaths();
         let total = Arc::new(AtomicU64::new(0));
         let mut died = Vec::with_capacity(SPAWNS);
-        let mut threads_held = 0;
+        let mut threads_held = Vec::new();
         for i in 0..SPAWNS {
-            // Bound the actors alive by waiting for an obituary; its
-            // worker is counted idle before publishing it, so the bound
-            // on actors is the bound on threads.
+            // Bound the actors alive by waiting for an obituary.
             if i - died.len() == ALIVE {
                 died.push(deaths.recv_timeout(std::time::Duration::from_secs(30)).unwrap());
             }
             let r = system.spawn(format!("ephemeral-{i}"), Adder { total: total.clone() });
             r.send(1).unwrap();
             r.send(0).unwrap();
-            threads_held = threads_held.max(system.worker_threads());
+            threads_held.push(system.worker_threads());
         }
         system.join();
         died.extend(deaths.try_iter());
-        assert!(threads_held <= ALIVE, "{threads_held} worker threads held");
+        assert!(threads_held.iter().all(|&n| n == w()), "held other than {} workers", w());
         assert_eq!(total.load(Ordering::SeqCst), SPAWNS as u64);
         assert!(died.iter().all(|o| o.reason == DeathReason::Normal));
         let mut names: Vec<String> = died.into_iter().map(|o| o.name).collect();
@@ -791,13 +1011,18 @@ mod tests {
     }
 
     /// Reports the thread it runs on and how many fl-race locks that
-    /// thread holds, then does what its one message says.
+    /// thread holds once every probe of its barrier has started, then
+    /// does what its one message says.
     struct Probe {
+        barrier: Option<Arc<std::sync::Barrier>>,
         report: Sender<(std::thread::ThreadId, usize)>,
     }
     impl Actor for Probe {
         type Msg = bool;
         fn on_start(&mut self, _ctx: &mut Context<bool>) {
+            if let Some(barrier) = &self.barrier {
+                barrier.wait();
+            }
             let _ = self
                 .report
                 .send((std::thread::current().id(), fl_race::held_locks()));
@@ -817,20 +1042,38 @@ mod tests {
         let system = ActorSystem::new();
         let deaths = system.deaths();
         let (report, reports) = unbounded();
-        let bomb = system.spawn("bomb", Probe { report: report.clone() });
+        let bomb = system.spawn("bomb", Probe { barrier: None, report: report.clone() });
         bomb.send(true).unwrap();
         let death = deaths.recv_timeout(std::time::Duration::from_secs(30)).unwrap();
         assert_eq!(death.name, "bomb");
         assert_eq!(death.reason, DeathReason::Panicked("boom while holding 1".into()));
-        let next = system.spawn("next", Probe { report });
-        next.send(false).unwrap();
-        system.join();
         let (bomb_thread, _) = reports.recv().unwrap();
-        let (next_thread, next_held) = reports.recv().unwrap();
-        assert_eq!(next_thread, bomb_thread, "the parked worker was not reused");
-        assert_eq!(next_held, 0, "the panicked actor's lock leaked to the next one");
+        // W probes that wait for each other in `on_start` hold all W
+        // workers at once, so one of them runs where the bomb went off.
+        let barrier = Arc::new(std::sync::Barrier::new(w()));
+        let probes: Vec<_> = (0..w())
+            .map(|i| {
+                let barrier = Some(barrier.clone());
+                system.spawn(format!("next-{i}"), Probe { barrier, report: report.clone() })
+            })
+            .collect();
+        for probe in &probes {
+            probe.send(false).unwrap();
+        }
+        drop(probes);
+        system.join();
+        let seen: Vec<_> = reports.try_iter().collect();
+        let mut threads: Vec<_> = seen.iter().map(|(thread, _)| *thread).collect();
+        threads.sort_unstable_by_key(|t| format!("{t:?}"));
+        threads.dedup();
+        assert_eq!(threads.len(), w(), "the probes did not cover every worker");
+        assert!(threads.contains(&bomb_thread));
+        assert!(
+            seen.iter().all(|&(_, held)| held == 0),
+            "the panicked actor's lock leaked to the next one: {seen:?}"
+        );
         let last = deaths.try_iter().last().unwrap();
-        assert_eq!((last.name.as_str(), last.reason), ("next", DeathReason::Normal));
+        assert_eq!(last.reason, DeathReason::Normal);
     }
 
     #[test]
@@ -840,7 +1083,7 @@ mod tests {
         let refs: Vec<_> = (0..8)
             .map(|i| system.spawn(format!("first-{i}"), Adder { total: total.clone() }))
             .collect();
-        assert_eq!(system.worker_threads(), 8);
+        assert_eq!(system.worker_threads(), w());
         for r in &refs {
             r.send(1).unwrap();
         }
@@ -848,7 +1091,8 @@ mod tests {
         system.join();
         // No waiting: everything `join` waited for is already in the log.
         assert_eq!(system.deaths().try_iter().count(), 8);
-        assert_eq!(system.worker_threads(), 0);
+        // The workers outlive `join`; the system's last handle retires them.
+        assert_eq!(system.worker_threads(), w());
 
         let r = system.spawn("second", Adder { total: total.clone() });
         r.send(1).unwrap();

@@ -38,8 +38,8 @@
 //! ([`AggregatorShard::accept_forwarded`]) and the closed-shards →
 //! [`MergeOutcome`] routine.
 
-use crossbeam::channel::{unbounded, Sender};
-use fl_actors::{Actor, ActorRef, Context as ActorContext, Flow};
+use crate::live::CoordMsg;
+use fl_actors::{Actor, ActorRef, Context as ActorContext, Flow, Reply};
 use fl_core::aggregation::FedAvgAccumulator;
 use fl_core::plan::CodecSpec;
 use fl_core::privacy::DpConfig;
@@ -684,11 +684,15 @@ pub enum ShardMsg {
     /// One device's report for this shard, plain or SecAgg.
     Accept(ForwardedReport),
     /// Close the shard: run SecAgg (when enabled) minus the staged
-    /// dropouts and reply with the intermediate accumulator — or the
-    /// typed [`ShardError`] if the group fell below threshold. The actor
-    /// stops after replying — shards are ephemeral, they die with the
-    /// round.
+    /// dropouts and answer with [`MasterMsg::Closed`], carrying the
+    /// intermediate accumulator — or the typed [`ShardError`] if the
+    /// group fell below threshold. The actor stops after answering —
+    /// shards are ephemeral, they die with the round. A shard that dies
+    /// first, or refuses the `Close` dead, still answers once: `reply`'s
+    /// drop sends a `Closed` with no result.
     Close {
+        /// This shard's index in its Master, echoed in the answer.
+        shard: usize,
         /// How many [`ShardMsg::Accept`]s the Master sent this shard. All
         /// are in the mailbox before the `Close`, but delivery may put one
         /// behind it, so the shard holds the `Close` until it has handled
@@ -698,8 +702,8 @@ pub enum ShardMsg {
         advertise_dropouts: Vec<DeviceId>,
         /// Devices that vanished after sharing keys.
         share_dropouts: Vec<DeviceId>,
-        /// Where to deliver the intermediate accumulator.
-        reply: Sender<Result<FedAvgAccumulator, ShardError>>,
+        /// The Master's mailbox, for the [`MasterMsg::Closed`] answer.
+        reply: Reply<MasterMsg>,
     },
 }
 
@@ -728,11 +732,12 @@ impl AggregatorActor {
         }
     }
 
-    /// Closes the shard and replies to the held `Close`, if there is one.
+    /// Closes the shard and answers the held `Close`, if there is one.
     fn finish_close(&mut self) {
         if let (
-            Some(shard),
+            Some(sum),
             Some(ShardMsg::Close {
+                shard,
                 advertise_dropouts,
                 share_dropouts,
                 reply,
@@ -740,8 +745,11 @@ impl AggregatorActor {
             }),
         ) = (self.shard.take(), self.close.take())
         {
-            let result = shard.close(&advertise_dropouts, &share_dropouts, self.secagg_seed);
-            let _ = reply.send(result);
+            let result = sum.close(&advertise_dropouts, &share_dropouts, self.secagg_seed);
+            reply.send(MasterMsg::Closed {
+                shard,
+                result: Some(result),
+            });
         }
     }
 }
@@ -799,11 +807,15 @@ pub enum MasterMsg {
     Update(ForwardedReport),
     /// Close the round, plain and SecAgg alike (a plain round is the
     /// case with nothing to unmask): once `expected_contributors`
-    /// updates have been routed, close every shard, merge the survivors'
-    /// intermediate sums over `current_params`, and reply with the one
-    /// result — its [`MergeOutcome::shard_aborts`] counts the SecAgg
-    /// shards whose group fell below threshold. The actor (and its shard
-    /// children) stop afterwards.
+    /// updates have been routed, send every shard its
+    /// [`ShardMsg::Close`]; once every shard has answered, merge the
+    /// survivors' intermediate sums over `current_params`, in shard
+    /// order, and answer with one [`CoordMsg::Merged`] — its
+    /// [`MergeOutcome::shard_aborts`] counts the SecAgg shards whose
+    /// group fell below threshold. The actor (and its shard children)
+    /// stop afterwards. The Master needs a live reference to itself for
+    /// its shards' answers, so the Coordinator keeps its reference until
+    /// `Merged` arrives.
     Finalize {
         /// The committed global parameters the merge starts from.
         current_params: Vec<f32>,
@@ -819,8 +831,18 @@ pub enum MasterMsg {
         advertise_dropouts: Vec<DeviceId>,
         /// Devices lost after sharing keys (masks reconstructed).
         share_dropouts: Vec<DeviceId>,
-        /// Where to deliver the result.
-        reply: Sender<Result<MergeOutcome, String>>,
+        /// The Coordinator's mailbox, for the [`CoordMsg::Merged`] answer;
+        /// a Master that dies first answers with the failure.
+        reply: Reply<CoordMsg>,
+    },
+    /// Shard `shard`'s answer to its [`ShardMsg::Close`]: its sum or
+    /// typed failure, or `None` when the shard died without answering
+    /// (its devices are lost, not the round).
+    Closed {
+        /// The shard's index.
+        shard: usize,
+        /// What the shard's close returned, if it ran.
+        result: Option<Result<FedAvgAccumulator, ShardError>>,
     },
     /// The round ended without a commit (abandoned, evaluation-only):
     /// stop, dropping the shard children so they drain and die.
@@ -859,6 +881,19 @@ pub struct MasterAggregatorActor {
     /// only delay the round, never hang it: once spent, the finalize
     /// proceeds with whatever is staged — the pre-barrier semantics.
     defer_budget: u32,
+    /// The finalize waiting for its shards' answers.
+    closing: Option<Closing>,
+}
+
+/// A [`MasterMsg::Finalize`] between its `Close`s and its merge.
+#[derive(Debug)]
+struct Closing {
+    current_params: Vec<f32>,
+    reply: Reply<CoordMsg>,
+    /// Each shard's answer, by index, as it arrives.
+    closed: Vec<Option<Result<FedAvgAccumulator, ShardError>>>,
+    /// Shards yet to answer.
+    pending: usize,
 }
 
 impl MasterAggregatorActor {
@@ -874,7 +909,21 @@ impl MasterAggregatorActor {
             routed: Vec::new(),
             forwarded: 0,
             defer_budget: 100_000,
+            closing: None,
         }
+    }
+
+    /// Once every shard has answered the finalize, merges the survivors
+    /// in shard order, answers the Coordinator and stops.
+    fn merge_when_closed(&mut self) -> Flow {
+        let Some(closing) = self.closing.take_if(|c| c.pending == 0) else {
+            return Flow::Continue;
+        };
+        let survivors = closing.closed.into_iter().flatten();
+        let merged = merge_closed(self.plan, self.secagg_seed, survivors, &closing.current_params)
+            .map_err(|e| CoreError::MalformedCheckpoint(e.to_string()));
+        closing.reply.send(CoordMsg::Merged(merged));
+        Flow::Stop
     }
 }
 
@@ -934,31 +983,40 @@ impl Actor for MasterAggregatorActor {
                 reply,
                 ..
             } => {
-                let mut pending = Vec::new();
+                // With no reference left to this Master no shard could
+                // answer; dropping `reply` fails the commit.
+                let Some(me) = ctx.self_ref() else {
+                    return Flow::Stop;
+                };
+                let shards = std::mem::take(&mut self.shards);
                 let routed = std::mem::take(&mut self.routed);
-                for (shard, routed) in std::mem::take(&mut self.shards).into_iter().zip(routed) {
-                    let (tx, rx) = unbounded();
-                    // A send error means the shard is already dead: its
-                    // contributions are lost, the merge proceeds without it.
-                    if shard
-                        .send(ShardMsg::Close {
-                            routed,
-                            advertise_dropouts: advertise_dropouts.clone(),
-                            share_dropouts: share_dropouts.clone(),
-                            reply: tx,
-                        })
-                        .is_ok()
-                    {
-                        pending.push(rx);
+                self.closing = Some(Closing {
+                    current_params,
+                    reply,
+                    closed: shards.iter().map(|_| None).collect(),
+                    pending: shards.len(),
+                });
+                for (shard, (actor, routed)) in shards.into_iter().zip(routed).enumerate() {
+                    // A shard that is already dead refuses the `Close`,
+                    // and the dropped reply answers for it at once.
+                    let _ = actor.send(ShardMsg::Close {
+                        shard,
+                        routed,
+                        advertise_dropouts: advertise_dropouts.clone(),
+                        share_dropouts: share_dropouts.clone(),
+                        reply: Reply::new(me.clone(), MasterMsg::Closed { shard, result: None }),
+                    });
+                }
+                self.merge_when_closed()
+            }
+            MasterMsg::Closed { shard, result } => {
+                if let Some(closing) = &mut self.closing {
+                    if let Some(slot) = closing.closed.get_mut(shard) {
+                        *slot = result;
+                        closing.pending -= 1;
                     }
                 }
-                // If a shard dies before (or while) handling Close, its
-                // reply sender is dropped and `recv` errors — the crashed
-                // shard's sum is lost, not the round.
-                let closed = pending.into_iter().filter_map(|rx| rx.recv().ok());
-                let merged = merge_closed(self.plan, self.secagg_seed, closed, &current_params);
-                let _ = reply.send(merged.map_err(|e| e.to_string()));
-                Flow::Stop
+                self.merge_when_closed()
             }
             MasterMsg::Abort => Flow::Stop,
         }
@@ -1551,6 +1609,22 @@ mod tests {
 
     use fl_actors::{ActorSystem, DeathReason, FaultAction, FaultInjector, ScriptedFaults};
 
+    /// A `Finalize` reply to a stand-in Coordinator, and that
+    /// Coordinator's mailbox.
+    fn merged_reply() -> (Reply<CoordMsg>, crossbeam::channel::Receiver<CoordMsg>) {
+        let (coordinator, mailbox) = ActorRef::detached("coordinator");
+        let dead = CoreError::InvariantViolated("master aggregator died mid-round".into());
+        (Reply::new(coordinator, CoordMsg::Merged(Err(dead))), mailbox)
+    }
+
+    /// The one answer a stand-in Coordinator got.
+    fn merged(mailbox: &crossbeam::channel::Receiver<CoordMsg>) -> Result<MergeOutcome, String> {
+        match mailbox.recv_timeout(std::time::Duration::from_secs(30)) {
+            Ok(CoordMsg::Merged(merged)) => merged.map_err(|e| e.to_string()),
+            other => panic!("expected a merge, got {other:?}"),
+        }
+    }
+
     fn plain_master() -> MasterAggregator {
         MasterAggregator::new(AggregationPlan::plain(8, 3), CodecSpec::Identity, 10, 1)
     }
@@ -1575,20 +1649,20 @@ mod tests {
     }
 
     /// Drives one round through the actor tree (master + shard children
-    /// over real threads): `frames` are forwarded as `Update`s with the
-    /// `Finalize` sent ahead of `frames[finalize_at..]`, `enqueued` runs
-    /// once the whole round is in the master's mailbox, and the typed
-    /// reply is returned.
+    /// on the system's workers): `frames` are forwarded as `Update`s with
+    /// the `Finalize` sent ahead of `frames[finalize_at..]`, `enqueued`
+    /// runs once the whole round is in the master's mailbox, and the
+    /// merge the Master answers with is returned.
     fn drive_master_actor(
         system: &ActorSystem,
         master: MasterAggregator,
         frames: Vec<Vec<u8>>,
         finalize_at: usize,
-        finalize: impl FnOnce(Sender<Result<MergeOutcome, String>>) -> MasterMsg,
+        finalize: impl FnOnce(Reply<CoordMsg>) -> MasterMsg,
         enqueued: impl FnOnce(),
     ) -> Result<MergeOutcome, String> {
         let actor = system.spawn("master", MasterAggregatorActor::new(master));
-        let (reply, merged) = unbounded();
+        let (reply, mailbox) = merged_reply();
         let mut round: Vec<MasterMsg> = frames
             .into_iter()
             .map(|frame| {
@@ -1603,7 +1677,9 @@ mod tests {
             actor.send(msg).unwrap();
         }
         enqueued();
-        let result = merged.recv().unwrap();
+        let result = merged(&mailbox);
+        // Held until the answer, as the Coordinator holds its reference.
+        drop(actor);
         system.join();
         result
     }
@@ -1671,29 +1747,32 @@ mod tests {
     }
 
     /// Sec. 4.2: an Aggregator crash loses its devices' contributions but
-    /// the Master still merges the surviving shards and the round commits.
+    /// the Master still merges the surviving shards and the round commits,
+    /// whether the shard dies on its first report or on its `Close` (its
+    /// dropped reply answers for it).
     #[test]
     fn shard_crash_loses_its_devices_but_finalize_succeeds() {
-        let system = ActorSystem::new();
-        // Crash shard 1 on its first message: devices routed to it are
-        // lost, the other shards survive.
-        system.install_fault_injector(std::sync::Arc::new(ScriptedFaults::new().with(
-            "master/agg-1",
-            1,
-            FaultAction::Crash,
-        )));
-        let merged = drive_plain_round_in_order(&system, 10).unwrap();
-        // 10 devices round-robin over 4 shards: shard 1 owned devices
-        // 1, 5, 9 — the survivors carry the other 7.
-        assert_eq!(merged.contributors, 7);
-        assert!(merged.params.iter().all(|p| p.is_finite()));
-        let panicked: Vec<_> = system
-            .deaths()
-            .try_iter()
-            .filter(|o| matches!(o.reason, DeathReason::Panicked(_)))
-            .map(|o| o.name)
-            .collect();
-        assert_eq!(panicked, vec!["master/agg-1".to_string()]);
+        // 10 devices round-robin over 4 shards: shard 1 owns devices 1, 5
+        // and 9 (three accepts, then its Close), and the survivors carry
+        // the other 7.
+        for nth in [1, 4] {
+            let system = ActorSystem::new();
+            system.install_fault_injector(std::sync::Arc::new(ScriptedFaults::new().with(
+                "master/agg-1",
+                nth,
+                FaultAction::Crash,
+            )));
+            let merged = drive_plain_round_in_order(&system, 10).unwrap();
+            assert_eq!(merged.contributors, 7, "crash on delivery {nth}");
+            assert!(merged.params.iter().all(|p| p.is_finite()));
+            let panicked: Vec<_> = system
+                .deaths()
+                .try_iter()
+                .filter(|o| matches!(o.reason, DeathReason::Panicked(_)))
+                .map(|o| o.name)
+                .collect();
+            assert_eq!(panicked, vec!["master/agg-1".to_string()]);
+        }
     }
 
     /// Holds the master's first delivery until the test has enqueued the
@@ -1776,19 +1855,23 @@ mod tests {
             let route = ReportRoute::of(&fl_wire::ReportRef::parse(&frame).unwrap());
             shard.send(ShardMsg::Accept(ForwardedReport { route, frame })).unwrap();
         }
-        let (reply, closed) = unbounded();
+        let (master, closed) = ActorRef::detached("master");
         shard
             .send(ShardMsg::Close {
+                shard: 0,
                 routed: 2,
                 advertise_dropouts: Vec::new(),
                 share_dropouts: Vec::new(),
-                reply,
+                reply: Reply::new(master, MasterMsg::Closed { shard: 0, result: None }),
             })
             .unwrap();
         gate.0.wait();
-        let sum = closed.recv().unwrap().unwrap();
+        let answer = closed.recv_timeout(std::time::Duration::from_secs(30)).unwrap();
         drop(shard);
         system.join();
+        let MasterMsg::Closed { shard: 0, result: Some(Ok(sum)) } = answer else {
+            panic!("expected shard 0's sum, got {answer:?}");
+        };
         assert_eq!(sum.contributors(), 2);
     }
 

@@ -44,9 +44,10 @@
 //! those bytes without a decoded copy. Those report frames are
 //! the only frames behind the front door: the Coordinator, the Master
 //! and its shards are one process, and the round's close is one typed
-//! [`MasterMsg::Finalize`] answered by one value. A future multi-process
-//! split would frame that hop together with the transport that carries
-//! it.
+//! [`MasterMsg::Finalize`] answered by one [`CoordMsg::Merged`] message
+//! (each shard answers the Master's `Close` the same way), so no handler
+//! blocks on another actor. A future multi-process split would frame
+//! that hop together with the transport that carries it.
 //!
 //! This module is deliberately thin: all protocol decisions live in the
 //! deterministic state machines — the report ledger in the round, the
@@ -60,14 +61,14 @@ use crate::coordinator::{
 use crate::round::CheckinResponse;
 use crate::selector::{CheckinDecision, Selector};
 use crate::storage::{CheckpointStore, InMemoryCheckpointStore};
-use fl_actors::{Actor, ActorRef, Context, Flow, Lease, LockingService};
+use fl_actors::{Actor, ActorRef, Context, Flow, Lease, LockingService, Reply};
 use fl_analytics::overload::OverloadMetrics;
 use fl_core::plan::FlPlan;
 use fl_core::population::TaskGroup;
 use fl_core::{CoreError, DeviceId, PopulationName, RoundId, RoundOutcome};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use fl_wire::{ChannelTransport, Transport, WireError, WireMessage, WireSink, WireStats};
-use crossbeam::channel::{unbounded, Sender};
+use crossbeam::channel::Sender;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -127,6 +128,11 @@ pub enum CoordMsg {
         /// Outcome reply channel (None = the round's commit failed).
         reply: Sender<Option<RoundOutcome>>,
     },
+    /// The round's Master Aggregator answers its [`MasterMsg::Finalize`]:
+    /// the merged aggregate, or why there is none. Until it arrives the
+    /// Coordinator holds every other message, in arrival order, and
+    /// replays them after the commit.
+    Merged(Result<MergeOutcome, CoreError>),
     /// Stop the actor.
     Shutdown,
 }
@@ -162,6 +168,11 @@ pub struct CoordinatorActor<S: CheckpointStore + Send + 'static = InMemoryCheckp
     configuration: Arc<Vec<u8>>,
     /// `TryCompleteRound` replies waiting for the current round to finish.
     waiting: Vec<Sender<Option<RoundOutcome>>>,
+    /// The finished round whose merge is out; `master` stays set until
+    /// its [`CoordMsg::Merged`] arrives.
+    merging: Option<ActiveRound>,
+    /// Messages that arrived while `merging`, in arrival order.
+    held: VecDeque<CoordMsg>,
     epoch: Instant,
     lease: Lease,
     locks: LockingService<String>,
@@ -267,6 +278,8 @@ impl<S: CheckpointStore + Send + 'static> CoordinatorActor<S> {
             device_replies: std::collections::HashMap::new(),
             configuration: Arc::default(),
             waiting: Vec::new(),
+            merging: None,
+            held: VecDeque::new(),
             // fl-lint: allow(wall-clock): the live topology stamps protocol
             // events with real elapsed time; the deterministic state
             // machines only ever see the derived `now_ms` offsets.
@@ -319,42 +332,14 @@ impl<S: CheckpointStore + Send + 'static> CoordinatorActor<S> {
         }
     }
 
-    /// Closes the round's Master Aggregator subtree and collects its
-    /// merged aggregate: one typed [`MasterMsg::Finalize`], one reply.
-    /// The parameters the merge starts from are moved out of the finished
-    /// round, which only reads `checkpoint.round` afterwards. A master
-    /// that died mid-round (its mailbox or reply channel is gone)
-    /// surfaces as an error: the round is lost, nothing reaches storage,
-    /// and the next round restarts from the committed checkpoint —
-    /// Sec. 4.2's Master Aggregator loss semantics.
-    fn finalize_master(
-        master: &ActorRef<MasterMsg>,
-        round: &mut ActiveRound,
-    ) -> Result<MergeOutcome, CoreError> {
-        let dead =
-            || CoreError::InvariantViolated("master aggregator died mid-round".into());
-        let (reply, merged) = unbounded();
-        master
-            .send(MasterMsg::Finalize {
-                current_params: round.checkpoint.take_params(),
-                // One report frame was forwarded per accepted report.
-                expected_contributors: round.state.counters().0 as u64,
-                advertise_dropouts: round.advertise_dropouts().to_vec(),
-                share_dropouts: round.share_dropouts().to_vec(),
-                reply,
-            })
-            .map_err(|_| dead())?;
-        merged
-            .recv()
-            .map_err(|_| dead())?
-            .map_err(CoreError::MalformedCheckpoint)
-    }
-
     /// Closes the current round for the `TryCompleteRound` requests
-    /// waiting on it, once it has finished: merges and commits it and
-    /// answers each request with the outcome.
-    fn answer_waiting(&mut self) {
-        if self.waiting.is_empty() {
+    /// waiting on it, once it has finished. A training round's Master
+    /// Aggregator is sent one typed [`MasterMsg::Finalize`], with the
+    /// parameters the merge starts from moved out of the round (which
+    /// only reads `checkpoint.round` afterwards); the commit waits for
+    /// its [`CoordMsg::Merged`]. Any other round commits at once.
+    fn answer_waiting(&mut self, ctx: &Context<CoordMsg>) {
+        if self.waiting.is_empty() || self.merging.is_some() {
             return;
         }
         let Some(mut round) = self.active.take_if(|r| r.state.outcome().is_some()) else {
@@ -371,9 +356,29 @@ impl<S: CheckpointStore + Send + 'static> CoordinatorActor<S> {
             None => self.configuration = Arc::default(),
         }
         round.record_participation_metrics();
+        let dead = || CoreError::InvariantViolated("master aggregator died mid-round".into());
         let aggregate = match self.master.take() {
             Some(master) if round.commits_training() => {
-                Some(Self::finalize_master(&master, &mut round))
+                // A Coordinator no reference is left to cannot be
+                // answered: its round is lost like a dead Master's.
+                let Some(me) = ctx.self_ref() else {
+                    return self.commit(round, Some(Err(dead())));
+                };
+                // A dead Master refuses the `Finalize`, or drops it with
+                // its mailbox; either way the reply answers `Merged(Err)`.
+                let _ = master.send(MasterMsg::Finalize {
+                    current_params: round.checkpoint.take_params(),
+                    // One report frame was forwarded per accepted report.
+                    expected_contributors: round.state.counters().0 as u64,
+                    advertise_dropouts: round.advertise_dropouts().to_vec(),
+                    share_dropouts: round.share_dropouts().to_vec(),
+                    reply: Reply::new(me, CoordMsg::Merged(Err(dead()))),
+                });
+                // Kept until `Merged`: dropped now, it would close the
+                // Master's mailbox under its shards' answers.
+                self.master = Some(master);
+                self.merging = Some(round);
+                return;
             }
             // Nothing to merge: the subtree tears itself down with the
             // abandoned round.
@@ -383,6 +388,18 @@ impl<S: CheckpointStore + Send + 'static> CoordinatorActor<S> {
             }
             None => None,
         };
+        self.commit(round, aggregate);
+    }
+
+    /// Commits a closed round (a master that died mid-round surfaces as
+    /// an error: the round is lost, nothing reaches storage, and the next
+    /// round restarts from the committed checkpoint — Sec. 4.2's Master
+    /// Aggregator loss semantics) and answers every waiting request.
+    fn commit(
+        &mut self,
+        round: ActiveRound,
+        aggregate: Option<Result<MergeOutcome, CoreError>>,
+    ) {
         // Per-shard SecAgg aborts are telemetry, not round failures: the
         // commit proceeds from the surviving shards and the aborts are
         // counted.
@@ -456,12 +473,9 @@ impl<S: CheckpointStore + Send + 'static> CoordinatorActor<S> {
             let _ = conn.send_frame(&self.configuration);
         }
     }
-}
 
-impl<S: CheckpointStore + Send + 'static> Actor for CoordinatorActor<S> {
-    type Msg = CoordMsg;
-
-    fn handle(&mut self, msg: CoordMsg, ctx: &mut Context<CoordMsg>) -> Flow {
+    /// One message, with no merge out.
+    fn dispatch(&mut self, msg: CoordMsg, ctx: &Context<CoordMsg>) -> Flow {
         match msg {
             CoordMsg::DeviceForwarded { device, conn } => {
                 self.ensure_round(ctx);
@@ -538,6 +552,8 @@ impl<S: CheckpointStore + Send + 'static> Actor for CoordinatorActor<S> {
             }
             CoordMsg::SetPopulationEstimate(estimate) => self.population_estimate = estimate,
             CoordMsg::TryCompleteRound { reply } => self.waiting.push(reply),
+            // No merge is out: nothing asked for this one.
+            CoordMsg::Merged(_) => {}
             CoordMsg::Shutdown => {
                 // Dropping the handle reaps the subtree anyway; an explicit
                 // Abort just makes the teardown prompt.
@@ -547,7 +563,40 @@ impl<S: CheckpointStore + Send + 'static> Actor for CoordinatorActor<S> {
                 return Flow::Stop;
             }
         }
-        self.answer_waiting();
+        self.answer_waiting(ctx);
+        Flow::Continue
+    }
+}
+
+impl<S: CheckpointStore + Send + 'static> Actor for CoordinatorActor<S> {
+    type Msg = CoordMsg;
+
+    fn handle(&mut self, msg: CoordMsg, ctx: &mut Context<CoordMsg>) -> Flow {
+        if self.merging.is_none() {
+            return self.dispatch(msg, ctx);
+        }
+        // A merge is out. Everything else waits, in arrival order, until
+        // its commit, as it waited in the mailbox while the close blocked.
+        // Pipelining the next round's Selection (ROADMAP 11(a)) would let
+        // check-ins through instead.
+        match msg {
+            CoordMsg::Merged(merged) => {
+                if let Some(round) = self.merging.take() {
+                    self.master = None;
+                    self.commit(round, Some(merged));
+                }
+            }
+            other => {
+                self.held.push_back(other);
+                return Flow::Continue;
+            }
+        }
+        while self.merging.is_none() {
+            let Some(msg) = self.held.pop_front() else { break };
+            if self.dispatch(msg, ctx) == Flow::Stop {
+                return Flow::Stop;
+            }
+        }
         Flow::Continue
     }
 
@@ -559,7 +608,7 @@ impl<S: CheckpointStore + Send + 'static> Actor for CoordinatorActor<S> {
 
     /// The timeout is due: a selection window that ends with enough
     /// devices configures them, and any other ends the round.
-    fn on_deadline(&mut self, _ctx: &mut Context<CoordMsg>) -> Flow {
+    fn on_deadline(&mut self, ctx: &mut Context<CoordMsg>) -> Flow {
         let now = self.now_ms();
         if let Some(round) = &mut self.active {
             let before = round.state.phase();
@@ -570,7 +619,7 @@ impl<S: CheckpointStore + Send + 'static> Actor for CoordinatorActor<S> {
                 self.send_configuration(None);
             }
         }
-        self.answer_waiting();
+        self.answer_waiting(ctx);
         Flow::Continue
     }
 
@@ -1234,16 +1283,25 @@ mod tests {
         round: RoundConfig,
         model: ModelSpec,
     ) -> ActorRef<CoordMsg> {
-        let task = FlTask::training("t", population).with_round(round);
+        let config = CoordinatorConfig::new(population, 7);
+        system.spawn(format!("coordinator-{population}"), coordinator_of(config, round, model))
+    }
+
+    /// A Coordinator under `config` training a model of `model`'s size.
+    fn coordinator_of(
+        config: CoordinatorConfig,
+        round: RoundConfig,
+        model: ModelSpec,
+    ) -> CoordinatorActor {
+        let task = FlTask::training("t", config.population.clone()).with_round(round);
         let plan = FlPlan::standard_training(model, 1, 8, 0.1, CodecSpec::Identity);
-        let coordinator = CoordinatorActor::new(
-            CoordinatorConfig::new(population, 7),
+        CoordinatorActor::new(
+            config,
             TaskGroup::new(vec![task], TaskSelectionStrategy::Single),
             vec![plan],
             vec![0.0; model.num_params()],
             LockingService::new(),
-        );
-        system.spawn(format!("coordinator-{population}"), coordinator)
+        )
     }
 
     /// Forwards `device` over a fresh connection whose only surviving
@@ -1689,5 +1747,134 @@ mod tests {
         let _first = make();
         let second = std::panic::catch_unwind(std::panic::AssertUnwindSafe(make));
         assert!(second.is_err(), "duplicate coordinator must be refused");
+    }
+
+    /// The workers every system holds.
+    fn workers() -> usize {
+        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+    }
+
+    /// A `checkin_storm`-shaped tree (four populations behind two
+    /// Selectors) holds the system's W workers mid-round, with more
+    /// actors alive than that, and each population commits.
+    #[test]
+    fn a_four_population_tree_runs_on_w_workers() {
+        let system = ActorSystem::new();
+        let populations = ["storm-a", "storm-b", "storm-c", "storm-d"];
+        let coordinators = populations
+            .iter()
+            .map(|p| (coordinator_of(CoordinatorConfig::new(*p, 7), quick_round(2), spec()), 10))
+            .collect();
+        let spec_ = SelectorSpec::new(PaceSteering::new(1_000, 10), 100, 1, 10);
+        let blueprint = TopologyBlueprint::new(vec![spec_.clone(), spec_]);
+        let topology = spawn_multi_topology(&system, coordinators, &blueprint);
+        let refs: Vec<_> =
+            populations.iter().map(|p| topology.coordinators[&PopulationName::new(*p)].clone()).collect();
+        // Mid-round: every population's Master and shard are alive too.
+        let clients: Vec<_> =
+            refs.iter().flat_map(|c| [forward(c, 0), forward(c, 1)]).collect();
+        for client in &clients {
+            assert_eq!(configuration(client).round, RoundId(0));
+        }
+        assert_eq!(system.worker_threads(), workers());
+        for (coordinator, population) in refs.iter().zip(populations) {
+            for device in 0..2 {
+                assert!(report(coordinator, report_frame(device, RoundId(0), population)));
+            }
+            assert!(complete_round(coordinator, WAIT).unwrap().is_committed());
+        }
+        assert_eq!(system.worker_threads(), workers());
+        for s in &topology.selectors {
+            s.send(SelectorMsg::Shutdown).unwrap();
+        }
+        for c in &refs {
+            c.send(CoordMsg::Shutdown).unwrap();
+        }
+        system.join();
+    }
+
+    /// A Master with four shards per worker finalizes and its round
+    /// commits: a Master or shard that blocked its worker waiting for an
+    /// answer would hold every worker and deadlock the round.
+    #[test]
+    fn a_master_with_four_shards_per_worker_commits() {
+        let system = ActorSystem::new();
+        let devices = 4 * workers();
+        let mut config = CoordinatorConfig::new("pop-wide", 7);
+        config.max_per_shard = 1;
+        let coordinator =
+            system.spawn("coordinator-pop-wide", coordinator_of(config, quick_round(devices), spec()));
+        let clients: Vec<_> = (0..devices as u64).map(|d| forward(&coordinator, d)).collect();
+        for (device, client) in (0..).zip(&clients) {
+            let key = configuration(client).round;
+            assert!(report(&coordinator, report_frame(device, key, "pop-wide")));
+        }
+        match complete_round(&coordinator, WAIT).unwrap() {
+            RoundOutcome::Committed { incorporated, .. } => assert_eq!(incorporated, devices),
+            other => panic!("expected a committed round, got {other:?}"),
+        }
+        coordinator.send(CoordMsg::Shutdown).unwrap();
+        system.join();
+        let shards = system
+            .deaths()
+            .try_iter()
+            .filter(|o| o.name.starts_with("coordinator-pop-wide/master-r1/agg-"))
+            .count();
+        assert_eq!(shards, devices);
+    }
+
+    /// Holds the first round's Master at its second delivery (its
+    /// `Finalize`, behind the round's one update) until the gate opens.
+    struct HoldFinalize {
+        reached: Sender<()>,
+        gate: crossbeam::channel::Receiver<()>,
+    }
+
+    impl fl_actors::FaultInjector for HoldFinalize {
+        fn on_deliver(&self, actor: &str, seq: u64) -> FaultAction {
+            if actor.ends_with("/master-r1") && seq == 2 {
+                let _ = self.reached.send(());
+                let _ = self.gate.recv_timeout(WAIT);
+            }
+            FaultAction::Deliver
+        }
+    }
+
+    /// Check-ins and a completion request that arrive while the round's
+    /// merge is out are handled after its commit, in arrival order: the
+    /// first check-in opens round 2 on the committed checkpoint and is
+    /// selected, the second finds that round full, and the request waits
+    /// for round 2.
+    #[test]
+    fn messages_that_arrive_mid_merge_are_replayed_after_the_commit() {
+        let system = ActorSystem::new();
+        let (reached, merging) = crossbeam::channel::unbounded();
+        let (open, gate) = crossbeam::channel::unbounded();
+        system.install_fault_injector(Arc::new(HoldFinalize { reached, gate }));
+        let coordinator = spawn_coordinator(&system, "pop-held", quick_round(1));
+        let first = forward(&coordinator, 0);
+        let key = configuration(&first).round;
+        assert!(report(&coordinator, report_frame(0, key, "pop-held")));
+        let (reply, committed) = crossbeam::channel::unbounded();
+        coordinator.send(CoordMsg::TryCompleteRound { reply }).unwrap();
+        merging.recv_timeout(WAIT).unwrap();
+        let (selected, turned_away) = (forward(&coordinator, 1), forward(&coordinator, 2));
+        let (reply, next) = crossbeam::channel::unbounded();
+        coordinator.send(CoordMsg::TryCompleteRound { reply }).unwrap();
+        open.send(()).unwrap();
+
+        assert!(committed.recv_timeout(WAIT).unwrap().unwrap().is_committed());
+        let checkpoint = configuration(&selected);
+        assert_eq!(checkpoint.round, key.next());
+        assert_eq!(checkpoint.params(), vec![0.0625f32; spec().num_params()]);
+        assert!(matches!(
+            turned_away.recv_timeout(WAIT).unwrap(),
+            WireMessage::ComeBackLater { .. }
+        ));
+        assert!(next.try_recv().is_err(), "the second request was answered by round 1");
+        assert!(report(&coordinator, report_frame(1, checkpoint.round, "pop-held")));
+        assert!(next.recv_timeout(WAIT).unwrap().unwrap().is_committed());
+        coordinator.send(CoordMsg::Shutdown).unwrap();
+        system.join();
     }
 }

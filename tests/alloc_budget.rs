@@ -38,15 +38,21 @@ use std::time::Duration;
 const LARGE: usize = 16 * 1024;
 
 /// Allocations per device session, every size: the ceiling. Fifteen
-/// runs read 39.19-39.89. It was 150 over fifteen runs of 131.6-133.8
-/// while a shard's SecAgg close made 1 705 allocations (a keystream and
-/// an output `Vec` per share encrypted or opened, a heap ciphertext per
-/// share, and maps that grew entry by entry); it makes 227.
-const ALL_PER_SESSION: f64 = 45.0;
+/// runs read 39.02-39.28 on an idle two-core box and 39.11-39.69 over
+/// 22 runs beside a busy `e2e`. It was 45 while every round's close made
+/// a reply channel per shard and one for the Master and spawned each
+/// actor as a boxed thread job (fifteen runs of 39.19-39.89), and 150
+/// over fifteen runs of 131.6-133.8 while a shard's SecAgg close made
+/// 1 705 allocations (a keystream and an output `Vec` per share
+/// encrypted or opened, a heap ciphertext per share, and maps that grew
+/// entry by entry); it makes 227.
+const ALL_PER_SESSION: f64 = 40.5;
 /// Allocations of [`LARGE`] or more per device session: the ceiling.
-/// Fifteen runs read 4.25-4.72. It was 6.5 over fifteen runs of 6.22
-/// each while an in-memory link copied the Configuration per device and
-/// a channel send allocated every report frame afresh.
+/// Fifteen runs read 4.22-4.39 on an idle box, and 4.22-4.72 beside a
+/// busy `e2e` (the reports then miss the spare pool as often as they
+/// did with a thread per actor), so it stays. It was 6.5 over fifteen
+/// runs of 6.22 each while an in-memory link copied the Configuration
+/// per device and a channel send allocated every report frame afresh.
 const LARGE_PER_SESSION: f64 = 5.0;
 
 /// [`System`], counting every allocation and the large ones apart.

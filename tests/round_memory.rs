@@ -47,9 +47,11 @@ use std::time::Duration;
 /// round.
 const GROWTH_PER_ROUND: f64 = 64.0;
 /// Allocations per check-in over one round, every size: the ceiling.
-/// Fifteen runs read 13.88-13.89. A change that saves allocations lowers
-/// it, so it only ever moves down.
-const ALLOCS_PER_CHECKIN: f64 = 14.5;
+/// Fifteen runs read 13.86-13.88, and eight beside a busy `e2e` 13.87
+/// (14.5 while the round's close made a reply channel per shard and one
+/// for the Master, and each spawn boxed a thread job: 13.88-13.89). A
+/// change that saves allocations lowers it, so it only ever moves down.
+const ALLOCS_PER_CHECKIN: f64 = 14.0;
 
 /// [`System`], counting allocations and the bytes live.
 struct Counting;
