@@ -196,6 +196,42 @@ pub fn des(cases: &[DesCase]) -> Result<(), String> {
     Ok(())
 }
 
+/// `bench_des`'s `day` row: one million-device day of `fl_sim::fleet`
+/// (`fleet_des`'s fleet, seed 5).
+pub struct DesDay {
+    /// Events the day popped.
+    pub events: u64,
+    /// The most events pending at once.
+    pub peak_pending: usize,
+}
+
+/// Events the day pops. The simulation is deterministic, so any other
+/// count is a changed simulation, not noise.
+pub const DES_DAY_EVENTS: u64 = 1_393_370;
+
+/// Ceiling on the day's pending events: the bootstrap's wake-ups that fall
+/// inside the day. A queue that also stored every wake-up due after the
+/// day's end peaked at 1 000 010 (seed 7).
+pub const DES_DAY_PEAK_PENDING: usize = 874_609;
+
+/// `bench_des`'s day verdict: the day popped exactly [`DES_DAY_EVENTS`]
+/// and never held more than [`DES_DAY_PEAK_PENDING`] pending.
+pub fn des_day(day: &DesDay) -> Result<(), String> {
+    if day.events != DES_DAY_EVENTS {
+        return Err(format!(
+            "the day popped {} events, not the {DES_DAY_EVENTS} pinned",
+            day.events
+        ));
+    }
+    if day.peak_pending > DES_DAY_PEAK_PENDING {
+        return Err(format!(
+            "the day held {} events pending, over the {DES_DAY_PEAK_PENDING} ceiling",
+            day.peak_pending
+        ));
+    }
+    Ok(())
+}
+
 /// `rounds_per_s` floor per `benchmark/` workload: half the highest
 /// change median among the last [`E2E_FLOOR_ENTRIES`] `BENCH_e2e.json`
 /// entries that measured it, rounded to a whole round/s (a unit test
@@ -338,6 +374,17 @@ mod tests {
         cases
     }
 
+    fn committed_des_day() -> DesDay {
+        let row = rows(include_str!("../../../BENCH_des.json"))
+            .into_iter()
+            .find(|row| row.contains_key("events"))
+            .expect("a day row");
+        DesDay {
+            events: row["events"] as u64,
+            peak_pending: row["peak_pending"] as usize,
+        }
+    }
+
     /// The line a `benchmark/` run ends with, as far as `e2e` reads it.
     fn e2e_result(correct: bool, failed: u32, rounds_per_s: f64) -> String {
         format!(
@@ -417,6 +464,7 @@ mod tests {
         assert_eq!(selector(&committed_selector()), Ok(()));
         assert_eq!(secagg(&committed_secagg()), Ok(()));
         assert_eq!(des(&committed_des()), Ok(()));
+        assert_eq!(des_day(&committed_des_day()), Ok(()));
     }
 
     #[test]
@@ -435,6 +483,23 @@ mod tests {
         cases[1].ns_per_event = 2.5 * cases[0].ns_per_event;
         let why = des(&cases).expect_err("2.5x is over the ceiling");
         assert!(why.contains("1000000 pending is 2.50x"), "{why}");
+    }
+
+    #[test]
+    fn another_event_count_or_a_higher_peak_fails_the_des_day_gate() {
+        let committed = committed_des_day();
+        for events in [DES_DAY_EVENTS - 1, DES_DAY_EVENTS + 1] {
+            let why = des_day(&DesDay { events, ..committed }).expect_err("not the pinned count");
+            assert!(why.contains(&format!("popped {events} events")), "{why}");
+        }
+        // What the queue held when it also stored the wake-ups due after
+        // the day's end.
+        let why = des_day(&DesDay {
+            peak_pending: 1_000_010,
+            ..committed
+        })
+        .expect_err("over the ceiling");
+        assert!(why.contains("held 1000010 events pending"), "{why}");
     }
 
     #[test]

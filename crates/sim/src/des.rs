@@ -21,6 +21,11 @@
 //! Neither depends on how many events are pending. An event is sorted
 //! once, and filed once unless it is due beyond the near block, when it
 //! moves down a level per split it is part of until it reaches a slot.
+//!
+//! A queue built with [`EventQueue::until`] knows the run's end: an event
+//! due after it is never stored, since no pop could return it. A fleet
+//! that schedules each device's next wake-up whether or not the day has
+//! room for it then holds only the wake-ups that fire.
 
 /// An event scheduled into the near bucket after it was promoted. Ties
 /// break by insertion order, making runs fully deterministic.
@@ -40,8 +45,8 @@ impl<E> Scheduled<E> {
     }
 }
 
-/// Children per heap node: a node's four 40-byte children span three
-/// adjacent cache lines (8 and 16 measured slower: they add more compares
+/// Children per heap node: a node's four children (32 bytes each for a
+/// fleet event) span two or three adjacent cache lines (8 and 16 measured slower: they add more compares
 /// per level than they save levels).
 const ARITY: usize = 4;
 
@@ -75,7 +80,10 @@ const CHUNK: usize = 64;
 /// [`CHUNK`]; no entry has a `seq`, its place is one.
 type Chunks<E> = Vec<Vec<(u64, E)>>;
 
-/// A deterministic event queue with a virtual clock.
+/// A deterministic event queue with a virtual clock. [`EventQueue::new`]
+/// keeps every event; [`EventQueue::until`] keeps only those due at or
+/// before its end, which is inclusive, as [`EventQueue::next_before`]'s
+/// horizon is.
 pub struct EventQueue<E> {
     /// Near tier, first part: the near bucket's events that were pending
     /// when it was promoted, in scheduling order, each taken when it pops.
@@ -104,6 +112,10 @@ pub struct EventQueue<E> {
     far_len: usize,
     /// Emptied chunks, their capacity kept for the next list that grows.
     pool: Vec<Vec<(u64, E)>>,
+    /// The last due time a stored event may have.
+    end_ms: u64,
+    /// The most events ever pending at once.
+    peak_len: usize,
     now_ms: u64,
     seq: u64,
     processed: u64,
@@ -116,8 +128,14 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// Creates an empty queue at time 0.
+    /// Creates an empty queue at time 0 that keeps every event.
     pub fn new() -> Self {
+        EventQueue::until(u64::MAX)
+    }
+
+    /// Creates an empty queue at time 0 that drops every event due after
+    /// `end_ms`: one that can pop nothing later than `end_ms`.
+    pub fn until(end_ms: u64) -> Self {
         EventQueue {
             run: Vec::new(),
             order: Vec::new(),
@@ -130,6 +148,8 @@ impl<E> EventQueue<E> {
                 .collect(),
             far_len: 0,
             pool: Vec::new(),
+            end_ms,
+            peak_len: 0,
             now_ms: 0,
             seq: 0,
             processed: 0,
@@ -142,15 +162,20 @@ impl<E> EventQueue<E> {
     }
 
     /// Schedules an event at an absolute virtual time. Events scheduled in
-    /// the past fire "now" (time never goes backwards).
+    /// the past fire "now" (time never goes backwards); one due after the
+    /// queue's end is dropped.
     pub fn schedule_at(&mut self, at_ms: u64, event: E) {
         let at_ms = at_ms.max(self.now_ms);
+        if at_ms > self.end_ms {
+            return;
+        }
         if at_ms >> BUCKET_MS_LOG2 <= self.near_bucket {
             self.push_near(at_ms, event);
         } else {
             self.push_far(at_ms, event);
             self.far_len += 1;
         }
+        self.peak_len = self.peak_len.max(self.len());
     }
 
     /// Schedules an event after a delay; a delay that overflows the clock
@@ -199,6 +224,11 @@ impl<E> EventQueue<E> {
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.order.len() - self.next + self.heap.len() + self.far_len
+    }
+
+    /// The most events that were ever pending at once.
+    pub fn peak_len(&self) -> usize {
+        self.peak_len
     }
 
     /// Whether the queue is empty.
@@ -494,19 +524,34 @@ mod model_tests {
         NextBefore(u64),
     }
 
-    #[derive(Default)]
     struct Model {
         pending: BTreeMap<(u64, u64), usize>,
+        end_ms: u64,
+        peak_len: usize,
         now_ms: u64,
         seq: u64,
         processed: u64,
     }
 
     impl Model {
+        fn until(end_ms: u64) -> Model {
+            Model {
+                pending: BTreeMap::new(),
+                end_ms,
+                peak_len: 0,
+                now_ms: 0,
+                seq: 0,
+                processed: 0,
+            }
+        }
+
         fn schedule_at(&mut self, at_ms: u64, event: usize) {
             self.seq += 1;
-            self.pending
-                .insert((at_ms.max(self.now_ms), self.seq), event);
+            let at_ms = at_ms.max(self.now_ms);
+            if at_ms <= self.end_ms {
+                self.pending.insert((at_ms, self.seq), event);
+                self.peak_len = self.peak_len.max(self.pending.len());
+            }
         }
 
         fn next_before(&mut self, horizon_ms: u64) -> Option<(u64, usize)> {
@@ -521,11 +566,18 @@ mod model_tests {
         }
     }
 
-    /// Applies `ops` to both, comparing every pop and every observable
-    /// after each step, then drains both.
+    /// Applies `ops` to a queue that keeps every event and its model,
+    /// comparing every pop and every observable after each step, then
+    /// drains both.
     fn check(ops: impl IntoIterator<Item = Op>) {
-        let mut queue: EventQueue<usize> = EventQueue::new();
-        let mut model = Model::default();
+        check_until(u64::MAX, ops);
+    }
+
+    /// [`check`] for a queue and a model that drop what is due after
+    /// `end_ms`.
+    fn check_until(end_ms: u64, ops: impl IntoIterator<Item = Op>) {
+        let mut queue: EventQueue<usize> = EventQueue::until(end_ms);
+        let mut model = Model::until(end_ms);
         let mut step = |i: usize, op: Op| {
             match op {
                 Op::At(at_ms) => {
@@ -534,7 +586,7 @@ mod model_tests {
                 }
                 Op::In(delay_ms) => {
                     queue.schedule_in(delay_ms, i);
-                    model.schedule_at(model.now_ms + delay_ms, i);
+                    model.schedule_at(model.now_ms.saturating_add(delay_ms), i);
                 }
                 Op::Next => assert_eq!(queue.next(), model.next_before(u64::MAX), "op {i}"),
                 Op::NextBefore(horizon_ms) => assert_eq!(
@@ -547,6 +599,7 @@ mod model_tests {
             assert_eq!(queue.len(), model.pending.len(), "op {i}");
             assert_eq!(queue.is_empty(), model.pending.is_empty(), "op {i}");
             assert_eq!(queue.processed(), model.processed, "op {i}");
+            assert_eq!(queue.peak_len(), model.peak_len, "op {i}");
             queue.len()
         };
         let (mut steps, mut pending) = (0, 0);
@@ -621,16 +674,39 @@ mod model_tests {
         #[test]
         fn random_interleavings_match_the_model(
             ops in proptest::collection::vec(any_op(), 0..400),
+            end_ms in 0u64..400,
         ) {
-            check(ops);
+            check(ops.clone());
+            check_until(end_ms, ops);
         }
 
         #[test]
         fn interleavings_across_span_edges_match_the_model(
             ops in proptest::collection::vec(edge_op(), 0..400),
+            end in 0u64..30,
         ) {
-            check(ops);
+            check(ops.clone());
+            check_until(edge(end), ops.clone());
+            check_until(block_edge(end), ops);
         }
+    }
+
+    /// The end is inclusive: an event due at it fires, one due a
+    /// millisecond later is never stored, and one scheduled behind the
+    /// clock is clamped to it and fires.
+    #[test]
+    fn a_queue_keeps_what_is_due_by_its_end_and_drops_the_rest() {
+        let mut q = EventQueue::until(SPAN);
+        q.schedule_at(SPAN, "at the end");
+        q.schedule_at(SPAN + 1, "after the end");
+        q.schedule_in(SPAN + 1, "after the end, relative");
+        assert_eq!((q.len(), q.peak_len()), (1, 1));
+        assert_eq!(q.next(), Some((SPAN, "at the end")));
+        q.schedule_at(3, "behind the clock");
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.next(), Some((SPAN, "behind the clock")));
+        assert_eq!((q.next(), q.processed(), q.len()), (None, 2, 0));
+        check_until(SPAN, [Op::At(SPAN + 1), Op::At(SPAN), Op::Next, Op::At(0), Op::In(1)]);
     }
 
     /// The edge cases by name, in an order a random run would rarely find.

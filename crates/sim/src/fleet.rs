@@ -241,17 +241,17 @@ enum Event {
     /// A device wakes up and attempts a check-in. `until_ms` is the end of
     /// the eligibility window the wake-up was scheduled into: an event that
     /// fires before it need not ask again. 0 when the server chose the time.
-    Checkin { device: u64, until_ms: u64 },
+    Checkin { device: u32, until_ms: u64 },
     /// A selected device finishes training + upload.
-    Report { device: u64, round_seq: u64 },
+    Report { device: u32, round_seq: u32 },
     /// A selected device drops out (eligibility change or failure).
     Dropout {
-        device: u64,
-        round_seq: u64,
+        device: u32,
+        round_seq: u32,
         reason: DropReason,
     },
     /// Round phase timeout check.
-    RoundTick { round_seq: u64 },
+    RoundTick { round_seq: u32 },
     /// Periodic gauge sampling.
     Sample,
 }
@@ -271,19 +271,36 @@ const INTERRUPTED: &str = "-v[!";
 const FAILED: &str = "-v[*";
 
 struct ActiveRound {
-    seq: u64,
+    seq: u32,
     state: RoundState,
     /// Participants, in check-in order.
     participants: Vec<DeviceId>,
 }
 
+/// The most devices a fleet may have: an event names a device in 32 bits.
+const MAX_DEVICES: u64 = 1 << 32;
+
 /// Runs the fleet simulation.
+///
+/// # Panics
+///
+/// Panics when the fleet has more than 2^32 devices.
 pub fn run(config: &FleetConfig) -> FleetReport {
     run_counting_events(config).0
 }
 
-/// Runs the fleet simulation, and counts the events it processed.
-pub fn run_counting_events(config: &FleetConfig) -> (FleetReport, u64) {
+/// Runs the fleet simulation, and counts the events it processed and the
+/// most that were ever pending at once.
+///
+/// # Panics
+///
+/// Panics when the fleet has more than 2^32 devices.
+pub fn run_counting_events(config: &FleetConfig) -> (FleetReport, u64, usize) {
+    assert!(
+        config.devices <= MAX_DEVICES,
+        "a fleet has at most 2^32 devices, not {}",
+        config.devices
+    );
     let availability = DiurnalAvailability::us_centric(config.seed);
     let network = NetworkModel::new(config.seed ^ 0xBEEF, config.failure_probability);
     let pace = PaceSteering::new(
@@ -291,8 +308,8 @@ pub fn run_counting_events(config: &FleetConfig) -> (FleetReport, u64) {
         config.round.selection_target() as u64,
     );
     let mut rng = rng::seeded(config.seed ^ 0xF1EE7);
-    let mut queue: EventQueue<Event> = EventQueue::new();
     let horizon = config.days * DAY_MS;
+    let mut queue: EventQueue<Event> = EventQueue::until(horizon);
 
     let bucket = 30 * 60_000; // 30-minute buckets for the time series
     let mut report = FleetReport {
@@ -314,17 +331,18 @@ pub fn run_counting_events(config: &FleetConfig) -> (FleetReport, u64) {
     // Bootstrap: every device schedules its first wake-up up to four
     // check-in periods after its first eligibility window opens (which can
     // be after a short window has closed again).
-    for device in 0..config.devices {
-        if let Some(w) = availability.next_window(device, 0) {
+    for id in 0..config.devices {
+        if let Some(w) = availability.next_window(id, 0) {
             let jitter = rng.random_range(0..config.checkin_period_ms * 4);
             let until_ms = w.end_ms;
+            let device = u32::try_from(id).expect("the fleet's size was checked");
             queue.schedule_at(w.start_ms + jitter, Event::Checkin { device, until_ms });
         }
     }
     queue.schedule_at(0, Event::Sample);
 
     // The first round opens immediately.
-    let mut round_seq: u64 = 0;
+    let mut round_seq: u32 = 0;
     let mut active = ActiveRound {
         seq: 0,
         state: RoundState::begin(RoundId(1), config.round, 0),
@@ -355,11 +373,12 @@ pub fn run_counting_events(config: &FleetConfig) -> (FleetReport, u64) {
                 queue.schedule_in(10 * 60_000, Event::Sample);
             }
             Event::Checkin { device, until_ms } => {
+                let id = u64::from(device);
                 if now < until_ms {
                     // Scheduled at or after the window's start: still inside.
-                    debug_assert_eq!(availability.next_eligible_at(device, now), Some(now));
+                    debug_assert_eq!(availability.next_eligible_at(id, now), Some(now));
                 } else {
-                    let wake = availability.next_window(device, now);
+                    let wake = availability.next_window(id, now);
                     if !wake.is_some_and(|w| w.contains(now)) {
                         // Missed its window; wake at the next one (a window
                         // starting at `now` would contain it, so `wake`
@@ -375,11 +394,11 @@ pub fn run_counting_events(config: &FleetConfig) -> (FleetReport, u64) {
                         continue;
                     }
                 }
-                let response = active.state.on_checkin(DeviceId(device), now);
+                let response = active.state.on_checkin(DeviceId(id), now);
                 match response {
                     CheckinResponse::Selected => {
                         report.checkins.0 += 1;
-                        active.participants.push(DeviceId(device));
+                        active.participants.push(DeviceId(id));
                         in_flight += 1;
                     }
                     // Idempotent duplicate: the device already holds a
@@ -417,7 +436,7 @@ pub fn run_counting_events(config: &FleetConfig) -> (FleetReport, u64) {
                     );
                     continue;
                 }
-                let response = active.state.on_report(DeviceId(device), now);
+                let response = active.state.on_report(DeviceId(u64::from(device)), now);
                 report.traffic.record(TrafficKind::Update, config.update_bytes);
                 report.traffic.record(TrafficKind::Metrics, 64);
                 in_flight = in_flight.saturating_sub(1);
@@ -436,7 +455,7 @@ pub fn run_counting_events(config: &FleetConfig) -> (FleetReport, u64) {
             }
             Event::Dropout { device, round_seq: seq, reason } => {
                 if seq == active.seq {
-                    active.state.on_dropout(DeviceId(device), now);
+                    active.state.on_dropout(DeviceId(u64::from(device)), now);
                 }
                 report.dropout_events.increment(now);
                 in_flight = in_flight.saturating_sub(1);
@@ -482,6 +501,7 @@ pub fn run_counting_events(config: &FleetConfig) -> (FleetReport, u64) {
                     // Configuration: every participant downloads plan +
                     // checkpoint, then trains; schedule each one's fate.
                     for &d in &active.participants {
+                        let device = u32::try_from(d.0).expect("a participant came from an event");
                         report.traffic.record(TrafficKind::Plan, config.plan_bytes);
                         report
                             .traffic
@@ -493,13 +513,13 @@ pub fn run_counting_events(config: &FleetConfig) -> (FleetReport, u64) {
                             config.update_bytes,
                         );
                         let done_at = at_ms + latency;
-                        if network.attempt_fails(d.0, active.seq) {
+                        if network.attempt_fails(d.0, u64::from(active.seq)) {
                             // Transient failure partway through.
                             let frac = 0.2 + 0.6 * rng.random::<f64>();
                             queue.schedule_at(
                                 at_ms + (latency as f64 * frac) as u64,
                                 Event::Dropout {
-                                    device: d.0,
+                                    device,
                                     round_seq: active.seq,
                                     reason: DropReason::TransientFailure,
                                 },
@@ -511,7 +531,7 @@ pub fn run_counting_events(config: &FleetConfig) -> (FleetReport, u64) {
                                 queue.schedule_at(
                                     w.end_ms,
                                     Event::Dropout {
-                                        device: d.0,
+                                        device,
                                         round_seq: active.seq,
                                         reason: DropReason::EligibilityChange,
                                     },
@@ -520,7 +540,7 @@ pub fn run_counting_events(config: &FleetConfig) -> (FleetReport, u64) {
                                 queue.schedule_at(
                                     done_at,
                                     Event::Report {
-                                        device: d.0,
+                                        device,
                                         round_seq: active.seq,
                                     },
                                 );
@@ -530,7 +550,7 @@ pub fn run_counting_events(config: &FleetConfig) -> (FleetReport, u64) {
                             queue.schedule_at(
                                 at_ms + 1,
                                 Event::Dropout {
-                                    device: d.0,
+                                    device,
                                     round_seq: active.seq,
                                     reason: DropReason::EligibilityChange,
                                 },
@@ -556,7 +576,7 @@ pub fn run_counting_events(config: &FleetConfig) -> (FleetReport, u64) {
                         report.completions.increment(at_ms);
                     }
                     report.rounds.push(RoundStats {
-                        seq: active.seq,
+                        seq: u64::from(active.seq),
                         finished_at_ms: at_ms,
                         outcome,
                         run_time_ms: active.state.run_time_ms().unwrap_or(0),
@@ -566,8 +586,8 @@ pub fn run_counting_events(config: &FleetConfig) -> (FleetReport, u64) {
                     in_flight = 0;
                     // Open the next round immediately (selection is
                     // continuous — Sec. 4.3 pipelining).
-                    round_seq += 1;
-                    let round_id = RoundId(round_seq + 1);
+                    round_seq = round_seq.checked_add(1).expect("a run has under 2^32 rounds");
+                    let round_id = RoundId(u64::from(round_seq) + 1);
                     active = ActiveRound {
                         seq: round_seq,
                         state: RoundState::begin(round_id, config.round, at_ms),
@@ -582,20 +602,20 @@ pub fn run_counting_events(config: &FleetConfig) -> (FleetReport, u64) {
         }
     }
 
-    (report, queue.processed())
+    (report, queue.processed(), queue.peak_len())
 }
 
 fn schedule_next_checkin(
     queue: &mut EventQueue<Event>,
     availability: &DiurnalAvailability,
-    device: u64,
+    device: u32,
     now: u64,
     period_ms: u64,
     rng: &mut rand::rngs::StdRng,
 ) {
     let jitter = rng.random_range(0..period_ms.max(1));
     let target = now + period_ms + jitter;
-    if let Some(w) = availability.next_window(device, target) {
+    if let Some(w) = availability.next_window(u64::from(device), target) {
         let at_ms = if w.contains(target) { target } else { w.start_ms + jitter };
         let until_ms = w.end_ms;
         queue.schedule_at(at_ms, Event::Checkin { device, until_ms });
@@ -724,9 +744,19 @@ mod tests {
     }
 
     #[test]
-    fn an_event_is_24_bytes() {
-        // In the queue's heap an event is 24 + 16 bytes.
-        assert_eq!(std::mem::size_of::<Event>(), 24);
+    fn an_event_is_16_bytes() {
+        // In the queue's heap an event is 16 + 16 bytes.
+        assert_eq!(std::mem::size_of::<Event>(), 16);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 2^32 devices, not 4294967297")]
+    fn a_fleet_of_more_than_2_pow_32_devices_is_refused() {
+        // Refused before its availability model or its queue is built.
+        run(&FleetConfig {
+            devices: MAX_DEVICES + 1,
+            ..small_config()
+        });
     }
 
     #[test]
@@ -751,8 +781,8 @@ mod tests {
 
     #[test]
     fn a_far_entry_is_a_time_and_the_event() {
-        // A million pending events are 32 MB: the far tier keeps no `seq`.
-        assert_eq!(std::mem::size_of::<(u64, Event)>(), 32);
+        // A million pending events are 24 MB: the far tier keeps no `seq`.
+        assert_eq!(std::mem::size_of::<(u64, Event)>(), 24);
     }
 
     #[test]

@@ -944,7 +944,7 @@ impl<'a> Engine<'a> {
             leases: Vec::new(),
             rounds: (0..npop).map(|_| None).collect(),
             rng: rng::seeded(config.seed ^ rng_salt ^ schedule_salt),
-            queue: EventQueue::new(),
+            queue: EventQueue::until(config.horizon_ms),
             metrics: OverloadMetrics::new(
                 OverloadMonitorConfig {
                     bucket_ms: config.window_ms,

@@ -89,7 +89,10 @@ run_step "selector-bench" cargo run --release -q -p fl-bench --bin bench_selecto
 # The bench step fails if an event of the simulator's queue (a pop and a
 # push) costs over 1.5x as much at 1 000 000 pending as at 10 000: a
 # queue whose work per event grows with what is pending read 1.6-2.6x.
-# Its `day` row (a million-device day's best ms and events) has no floor.
+# Its `day` row (a million-device day: best ms, events, peak pending) fails
+# the step when the day pops other than the events pinned in
+# `fl_bench::gate::DES_DAY_EVENTS` (a changed simulation), or holds more
+# pending than `DES_DAY_PEAK_PENDING` (events the day cannot fire stored).
 run_step "des-bench" cargo run --release -q -p fl-bench --bin bench_des
 # The `test` step only compiles the examples. This one drives the stepwise
 # client and server types round by round, with a drop-out at each stage,
