@@ -350,7 +350,9 @@ pub fn run_counting_events(config: &FleetConfig) -> (FleetReport, u64, usize) {
     };
     queue.schedule_at(config.round.selection_timeout_ms, Event::RoundTick { round_seq: 0 });
 
-    // In-flight device count (the "participating" gauge).
+    // In-flight device count (the "participating" gauge): a device counts
+    // from its selection until its Report, its Dropout or its round's
+    // abandonment in Selection, whichever is its one way out.
     let mut in_flight: u64 = 0;
     // Subsample for the eligibility gauge (full fleet would be O(n) per
     // sample; 1k devices give ±3% accuracy).
@@ -425,7 +427,7 @@ pub fn run_counting_events(config: &FleetConfig) -> (FleetReport, u64, usize) {
                     // already-closed round: rejected, Table 1 `#`.
                     report.sessions.record_shape(REJECTED);
                     report.traffic.record(TrafficKind::Update, config.update_bytes);
-                    in_flight = in_flight.saturating_sub(1);
+                    in_flight -= 1;
                     schedule_next_checkin(
                         &mut queue,
                         &availability,
@@ -439,7 +441,7 @@ pub fn run_counting_events(config: &FleetConfig) -> (FleetReport, u64, usize) {
                 let response = active.state.on_report(DeviceId(u64::from(device)), now);
                 report.traffic.record(TrafficKind::Update, config.update_bytes);
                 report.traffic.record(TrafficKind::Metrics, 64);
-                in_flight = in_flight.saturating_sub(1);
+                in_flight -= 1;
                 report.sessions.record_shape(match response {
                     ReportResponse::Accepted => UPLOADED,
                     _ => REJECTED,
@@ -458,7 +460,7 @@ pub fn run_counting_events(config: &FleetConfig) -> (FleetReport, u64, usize) {
                     active.state.on_dropout(DeviceId(u64::from(device)), now);
                 }
                 report.dropout_events.increment(now);
-                in_flight = in_flight.saturating_sub(1);
+                in_flight -= 1;
                 report.sessions.record_shape(match reason {
                     DropReason::EligibilityChange => INTERRUPTED,
                     DropReason::TransientFailure => FAILED,
@@ -582,8 +584,22 @@ pub fn run_counting_events(config: &FleetConfig) -> (FleetReport, u64, usize) {
                         run_time_ms: active.state.run_time_ms().unwrap_or(0),
                         hour_of_day: (at_ms / HOUR_MS) % 24,
                     });
-                    // Devices still in flight will find the round gone.
-                    in_flight = 0;
+                    // A round abandoned in Selection configured nobody: its
+                    // devices hold no event, so each is sent to wake again.
+                    // Those of any other round hold a Report or a Dropout.
+                    if let RoundOutcome::AbandonedInSelection { .. } = outcome {
+                        for &d in &active.participants {
+                            in_flight -= 1;
+                            schedule_next_checkin(
+                                &mut queue,
+                                &availability,
+                                u32::try_from(d.0).expect("a participant came from an event"),
+                                at_ms,
+                                config.checkin_period_ms,
+                                &mut rng,
+                            );
+                        }
+                    }
                     // Open the next round immediately (selection is
                     // continuous — Sec. 4.3 pipelining).
                     round_seq = round_seq.checked_add(1).expect("a run has under 2^32 rounds");
@@ -720,6 +736,20 @@ mod tests {
             assert!(t <= cap);
         }
         assert!(!report.participation_completed_ms.is_empty());
+    }
+
+    #[test]
+    fn devices_of_a_round_abandoned_in_selection_check_in_again() {
+        // The default fleet's goal is out of reach in a night's first
+        // minutes: its first rounds are abandoned with devices checked in.
+        // Those devices must come back, or none is left to commit a round
+        // with and none is ever turned away.
+        let report = run(&FleetConfig {
+            days: 1,
+            ..FleetConfig::default()
+        });
+        assert!(report.committed_rounds() >= 1, "no round committed");
+        assert!(report.checkins.1 > 0, "no check-in turned away");
     }
 
     #[test]
