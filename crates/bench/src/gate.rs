@@ -211,7 +211,7 @@ pub const DES_DAY_EVENTS: u64 = 1_393_370;
 
 /// Ceiling on the day's pending events: the bootstrap's wake-ups that fall
 /// inside the day. A queue that also stored every wake-up due after the
-/// day's end peaked at 1 000 010 (seed 7).
+/// day's end peaked at 1 000 010.
 pub const DES_DAY_PEAK_PENDING: usize = 874_609;
 
 /// `bench_des`'s day verdict: the day popped exactly [`DES_DAY_EVENTS`]
@@ -242,10 +242,10 @@ pub fn des_day(day: &DesDay) -> Result<(), String> {
 /// twofold slowdown, not a drift; a gain or a loss of less is read from
 /// alternating pairs.
 pub const E2E_FLOORS: [(&str, f64); 4] = [
-    ("round_plain_tcp", 25.0),
-    ("checkin_storm", 712.0),
-    ("round_secagg", 129.0),
-    ("fleet_des", 368.0),
+    ("round_plain_tcp", 23.0),
+    ("checkin_storm", 791.0),
+    ("round_secagg", 140.0),
+    ("fleet_des", 338.0),
 ];
 
 /// Ledger entries an [`E2E_FLOORS`] value looks back over.
@@ -489,7 +489,11 @@ mod tests {
     fn another_event_count_or_a_higher_peak_fails_the_des_day_gate() {
         let committed = committed_des_day();
         for events in [DES_DAY_EVENTS - 1, DES_DAY_EVENTS + 1] {
-            let why = des_day(&DesDay { events, ..committed }).expect_err("not the pinned count");
+            let day = DesDay {
+                events,
+                ..committed
+            };
+            let why = des_day(&day).expect_err("not the pinned count");
             assert!(why.contains(&format!("popped {events} events")), "{why}");
         }
         // What the queue held when it also stored the wake-ups due after

@@ -46,8 +46,8 @@ impl<E> Scheduled<E> {
 }
 
 /// Children per heap node: a node's four children (32 bytes each for a
-/// fleet event) span two or three adjacent cache lines (8 and 16 measured slower: they add more compares
-/// per level than they save levels).
+/// fleet event) span two or three adjacent cache lines (8 and 16 measured
+/// slower: they add more compares per level than they save levels).
 const ARITY: usize = 4;
 
 /// An event's bucket is `at_ms >> BUCKET_MS_LOG2` (65.536 s of virtual
@@ -109,12 +109,12 @@ pub struct EventQueue<E> {
     /// `near_bucket`, so level `l` spans `2^(l + SLOT_LOG2)` buckets and no
     /// event of a slot or a lower level is due after one of a higher.
     far: Box<[Chunks<E>]>,
-    far_len: usize,
     /// Emptied chunks, their capacity kept for the next list that grows.
     pool: Vec<Vec<(u64, E)>>,
     /// The last due time a stored event may have.
     end_ms: u64,
-    /// The most events ever pending at once.
+    /// Events pending, and the most ever pending at once.
+    len: usize,
     peak_len: usize,
     now_ms: u64,
     seq: u64,
@@ -146,9 +146,9 @@ impl<E> EventQueue<E> {
             far: std::iter::repeat_with(Vec::new)
                 .take(SLOTS + LEVELS)
                 .collect(),
-            far_len: 0,
             pool: Vec::new(),
             end_ms,
+            len: 0,
             peak_len: 0,
             now_ms: 0,
             seq: 0,
@@ -173,9 +173,11 @@ impl<E> EventQueue<E> {
             self.push_near(at_ms, event);
         } else {
             self.push_far(at_ms, event);
-            self.far_len += 1;
         }
-        self.peak_len = self.peak_len.max(self.len());
+        self.len += 1;
+        if self.len > self.peak_len {
+            self.peak_len = self.len;
+        }
     }
 
     /// Schedules an event after a delay; a delay that overflows the clock
@@ -217,13 +219,14 @@ impl<E> EventQueue<E> {
             None => self.pop_heap(),
         };
         self.now_ms = at_ms;
+        self.len -= 1;
         self.processed += 1;
         Some((at_ms, event))
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.order.len() - self.next + self.heap.len() + self.far_len
+        self.len
     }
 
     /// The most events that were ever pending at once.
@@ -315,7 +318,6 @@ impl<E> EventQueue<E> {
             }
             self.pool.push(chunk);
         }
-        self.far_len -= self.run.len();
         self.sort_order();
     }
 
@@ -586,7 +588,7 @@ mod model_tests {
                 }
                 Op::In(delay_ms) => {
                     queue.schedule_in(delay_ms, i);
-                    model.schedule_at(model.now_ms.saturating_add(delay_ms), i);
+                    model.schedule_at(model.now_ms + delay_ms, i);
                 }
                 Op::Next => assert_eq!(queue.next(), model.next_before(u64::MAX), "op {i}"),
                 Op::NextBefore(horizon_ms) => assert_eq!(
@@ -706,7 +708,14 @@ mod model_tests {
         assert_eq!(q.len(), 1);
         assert_eq!(q.next(), Some((SPAN, "behind the clock")));
         assert_eq!((q.next(), q.processed(), q.len()), (None, 2, 0));
-        check_until(SPAN, [Op::At(SPAN + 1), Op::At(SPAN), Op::Next, Op::At(0), Op::In(1)]);
+        let ops = [
+            Op::At(SPAN + 1),
+            Op::At(SPAN),
+            Op::Next,
+            Op::At(0),
+            Op::In(1),
+        ];
+        check_until(SPAN, ops);
     }
 
     /// The edge cases by name, in an order a random run would rarely find.

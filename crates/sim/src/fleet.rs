@@ -274,7 +274,7 @@ struct ActiveRound {
     seq: u32,
     state: RoundState,
     /// Participants, in check-in order.
-    participants: Vec<DeviceId>,
+    participants: Vec<u32>,
 }
 
 /// The most devices a fleet may have: an event names a device in 32 bits.
@@ -400,7 +400,7 @@ pub fn run_counting_events(config: &FleetConfig) -> (FleetReport, u64, usize) {
                 match response {
                     CheckinResponse::Selected => {
                         report.checkins.0 += 1;
-                        active.participants.push(DeviceId(id));
+                        active.participants.push(device);
                         in_flight += 1;
                     }
                     // Idempotent duplicate: the device already holds a
@@ -502,20 +502,20 @@ pub fn run_counting_events(config: &FleetConfig) -> (FleetReport, u64, usize) {
                         .record(at_ms, participants as f64);
                     // Configuration: every participant downloads plan +
                     // checkpoint, then trains; schedule each one's fate.
-                    for &d in &active.participants {
-                        let device = u32::try_from(d.0).expect("a participant came from an event");
+                    for &device in &active.participants {
+                        let id = u64::from(device);
                         report.traffic.record(TrafficKind::Plan, config.plan_bytes);
                         report
                             .traffic
                             .record(TrafficKind::Checkpoint, config.checkpoint_bytes);
                         let latency = network.round_latency_ms(
-                            d.0,
+                            id,
                             download_bytes,
                             config.work_units,
                             config.update_bytes,
                         );
                         let done_at = at_ms + latency;
-                        if network.attempt_fails(d.0, u64::from(active.seq)) {
+                        if network.attempt_fails(id, u64::from(active.seq)) {
                             // Transient failure partway through.
                             let frac = 0.2 + 0.6 * rng.random::<f64>();
                             queue.schedule_at(
@@ -526,7 +526,7 @@ pub fn run_counting_events(config: &FleetConfig) -> (FleetReport, u64, usize) {
                                     reason: DropReason::TransientFailure,
                                 },
                             );
-                        } else if let Some(w) = availability.current_window(d.0, at_ms) {
+                        } else if let Some(w) = availability.current_window(id, at_ms) {
                             if w.end_ms < done_at {
                                 // Eligibility ends mid-training: the
                                 // daytime drop-out mechanism.
@@ -588,12 +588,12 @@ pub fn run_counting_events(config: &FleetConfig) -> (FleetReport, u64, usize) {
                     // devices hold no event, so each is sent to wake again.
                     // Those of any other round hold a Report or a Dropout.
                     if let RoundOutcome::AbandonedInSelection { .. } = outcome {
-                        for &d in &active.participants {
+                        for &device in &active.participants {
                             in_flight -= 1;
                             schedule_next_checkin(
                                 &mut queue,
                                 &availability,
-                                u32::try_from(d.0).expect("a participant came from an event"),
+                                device,
                                 at_ms,
                                 config.checkin_period_ms,
                                 &mut rng,
@@ -602,7 +602,9 @@ pub fn run_counting_events(config: &FleetConfig) -> (FleetReport, u64, usize) {
                     }
                     // Open the next round immediately (selection is
                     // continuous — Sec. 4.3 pipelining).
-                    round_seq = round_seq.checked_add(1).expect("a run has under 2^32 rounds");
+                    round_seq = round_seq
+                        .checked_add(1)
+                        .expect("a run has under 2^32 rounds");
                     let round_id = RoundId(u64::from(round_seq) + 1);
                     active = ActiveRound {
                         seq: round_seq,
