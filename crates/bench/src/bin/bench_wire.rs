@@ -18,22 +18,29 @@
 //! portable build.
 //!
 //! The `configuration_fanout` row sends one `round_secagg`-sized
-//! Configuration (a 4 112-param model) through `WireSink::send_frame` to
-//! 64 in-memory devices and decodes it on each: ns per device, the best
-//! of seven passes. It carries no gate.
+//! Configuration (a 4 112-param model) through
+//! `WireSink::send_configuration` to 64 in-memory devices and decodes it
+//! on each: ns per device, the best of seven passes. It carries no gate.
+//!
+//! The `configuration_tcp` row sends ten Configurations of one
+//! `round_plain_tcp`-sized plan (262 208 params) down one loopback
+//! connection and decodes each: the bytes of the first (full) and of a
+//! warm one (exact), and ns per device, the best of seven passes.
 //!
 //! The run exits non-zero when the 1M-parameter frame encodes or decodes
 //! below [`gate::WIRE_FLOOR_MB_PER_S`], which a digest that walks the
 //! frame a byte at a time cannot reach, or when a CPU with AVX2 runs the
 //! dispatched 1 MiB digest under [`gate::DIGEST_MIN_SPEEDUP`] times the
-//! portable build (a lost `#[target_feature]`).
+//! portable build (a lost `#[target_feature]`), or when a warm
+//! Configuration on a TCP connection carries more than its checkpoint,
+//! population and [`gate::CONFIGURATION_ENVELOPE`] (the plan sent again).
 
-use fl_bench::gate::{self, DigestRow, WireCase as Case};
+use fl_bench::gate::{self, ConfigurationTcp, DigestRow, WireCase as Case};
 use fl_core::checkpoint::FlCheckpoint;
 use fl_core::plan::{CodecSpec, FlPlan, ModelSpec};
 use fl_core::{DeviceId, PopulationName, RoundId};
 use fl_server::wire::{self, WireMessage};
-use fl_wire::{ChannelTransport, FaultScript, FaultyTransport, Transport};
+use fl_wire::{ChannelTransport, FaultScript, FaultyTransport, TcpTransport, Transport};
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -154,7 +161,9 @@ fn configuration_fanout(rounds: u32) -> (usize, f64) {
         let start = Instant::now();
         for _ in 0..rounds {
             for (_, sink) in &links {
-                sink.send_frame(&frame).expect("the device end is open");
+                let full = || Ok(Arc::clone(&frame));
+                let slim = || Ok(Arc::default());
+                sink.send_configuration(0, slim, full).expect("the device end is open");
             }
             for (device, _) in &links {
                 let decoded = device
@@ -167,6 +176,76 @@ fn configuration_fanout(rounds: u32) -> (usize, f64) {
         best = best.min(start.elapsed().as_nanos() as f64 / per_device);
     }
     (frame.len(), best)
+}
+
+/// Configurations the `configuration_tcp` row sends down one connection.
+const TCP_CONFIGURATIONS: u64 = 10;
+
+/// [`TCP_CONFIGURATIONS`] Configurations of one `round_plain_tcp`-shaped
+/// plan (a 4 096 x 64 Logistic model, 262 208 params; its graph payload
+/// is as large as the model), each with its round's checkpoint, sent
+/// through a sink of one loopback connection and decoded at the other
+/// end, in seven passes of a fresh connection each. Returns the row: the
+/// bytes of the first Configuration and of the last (the same in every
+/// pass), and the best pass's ns per Configuration.
+fn configuration_tcp() -> ConfigurationTcp {
+    let model = ModelSpec::Logistic {
+        dim: 4096,
+        classes: 64,
+        seed: 0,
+    };
+    let plan = FlPlan::standard_training(model, 1, 16, 0.1, CodecSpec::Identity);
+    let population = PopulationName::new("bench/p0");
+    let digest = wire::plan_digest(&plan);
+    let checkpoints: Vec<FlCheckpoint> = (0..TCP_CONFIGURATIONS)
+        .map(|round| FlCheckpoint::new("train", RoundId(round), vec![0.25; model.num_params()]))
+        .collect();
+    let mut sent = Vec::new();
+    let mut best = f64::INFINITY;
+    for _ in 0..7 {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind a loopback port");
+        let stream = std::net::TcpStream::connect(listener.local_addr().expect("address"))
+            .expect("connect");
+        let device = TcpTransport::new(stream).expect("wrap the stream");
+        let server = TcpTransport::new(listener.accept().expect("accept").0).expect("wrap");
+        let start = Instant::now();
+        sent = std::thread::scope(|scope| {
+            let reader = scope.spawn(|| {
+                for _ in &checkpoints {
+                    black_box(device.recv_timeout(Duration::from_secs(30)).expect("a Configuration"));
+                }
+            });
+            let sink = server.sink();
+            let (mut slim, mut full) = (Arc::<Vec<u8>>::default(), Arc::<Vec<u8>>::default());
+            let sent: Vec<usize> = checkpoints
+                .iter()
+                .map(|checkpoint| {
+                    let slim = || {
+                        let buf = Arc::make_mut(&mut slim);
+                        wire::encode_plan_digest_and_checkpoint_into(digest, checkpoint, &population, buf)?;
+                        Ok(Arc::clone(&slim))
+                    };
+                    let full = || {
+                        let buf = Arc::make_mut(&mut full);
+                        wire::encode_plan_and_checkpoint_into(&plan, checkpoint, &population, buf)?;
+                        Ok(Arc::clone(&full))
+                    };
+                    sink.send_configuration(digest, slim, full).expect("the device end is open")
+                })
+                .collect();
+            reader.join().expect("the reader");
+            sent
+        });
+        best = best.min(start.elapsed().as_nanos() as f64 / TCP_CONFIGURATIONS as f64);
+    }
+    ConfigurationTcp {
+        model_params: model.num_params(),
+        full_bytes: sent[0],
+        warm_bytes: sent[sent.len() - 1],
+        checkpoint_bytes: checkpoints[0].encoded_size(),
+        population_bytes: population.as_str().len(),
+        ns_per_device: best,
+    }
 }
 
 /// The digest row's buffer sizes, how many digests one timed pass takes
@@ -235,6 +314,13 @@ fn main() -> Result<(), String> {
          {fanout_ns:.0} ns per device"
     );
 
+    let tcp = configuration_tcp();
+    eprintln!(
+        "Configuration over TCP ({} params, {TCP_CONFIGURATIONS} down one connection): first \
+         {} B, warm {} B, {:.0} ns per device",
+        tcp.model_params, tcp.full_bytes, tcp.warm_bytes, tcp.ns_per_device
+    );
+
     let [dispatched, portable] = digest_row();
     #[cfg(target_arch = "x86_64")]
     let (avx2, avx512) = (
@@ -290,14 +376,24 @@ fn main() -> Result<(), String> {
          \"faulty_transport_overhead\": {{\"params\": {params}, \"iters\": {iters}, \
          \"plain_ns_per_send\": {plain_ns:.0}, \"faulty_ns_per_send\": {faulty_ns:.0}, \
          \"overhead_ns_per_send\": {:.0}}},\n  \"configuration_fanout\": {{\"devices\": \
-         {FANOUT_DEVICES}, \"frame_bytes\": {config_bytes}, \"ns_per_device\": {fanout_ns:.0}}},\n  \"digest\":\n    {{\"avx2\": {avx2}, \
+         {FANOUT_DEVICES}, \"frame_bytes\": {config_bytes}, \"ns_per_device\": {fanout_ns:.0}}},\n  \
+         \"configuration_tcp\":\n    {{\"model_params\": {}, \"configurations\": {TCP_CONFIGURATIONS}, \
+         \"full_bytes\": {}, \"warm_bytes\": {}, \"checkpoint_bytes\": {}, \"population_bytes\": {}, \
+         \"ns_per_device\": {:.0}}},\n  \"digest\":\n    {{\"avx2\": {avx2}, \
          \"avx512\": {avx512}, {}}}\n}}",
         wire::PROTOCOL_VERSION,
         rows.join(",\n"),
         faulty_ns - plain_ns,
+        tcp.model_params,
+        tcp.full_bytes,
+        tcp.warm_bytes,
+        tcp.checkpoint_bytes,
+        tcp.population_bytes,
+        tcp.ns_per_device,
         digest_fields.join(", "),
     );
 
     gate::wire(&cases)?;
-    gate::digest(&digest)
+    gate::digest(&digest)?;
+    gate::configuration_tcp(&tcp)
 }

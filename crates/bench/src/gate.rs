@@ -72,6 +72,43 @@ pub fn digest(row: &DigestRow) -> Result<(), String> {
     Ok(())
 }
 
+/// `bench_wire`'s `configuration_tcp` row: ten Configurations of one
+/// `round_plain_tcp`-sized plan down one loopback connection.
+pub struct ConfigurationTcp {
+    /// Parameters of the model (and of the plan's graph payload).
+    pub model_params: usize,
+    /// Bytes of the first Configuration, which carries the plan.
+    pub full_bytes: usize,
+    /// Bytes of the last one, sent to a connection that holds the plan.
+    pub warm_bytes: usize,
+    /// The encoded checkpoint's size.
+    pub checkpoint_bytes: usize,
+    /// The population name's length.
+    pub population_bytes: usize,
+    /// Best pass's time per Configuration, send and decode.
+    pub ns_per_device: f64,
+}
+
+/// What a warm Configuration carries besides its checkpoint and
+/// population name: header (8), plan digest (8), the checkpoint's length
+/// (4), the name's length (2) and trailer (8).
+pub const CONFIGURATION_ENVELOPE: usize = 30;
+
+/// `bench_wire`'s `configuration_tcp` verdict: a warm Configuration is no
+/// more than its checkpoint, population and [`CONFIGURATION_ENVELOPE`], so
+/// the connection did not carry the plan again.
+pub fn configuration_tcp(row: &ConfigurationTcp) -> Result<(), String> {
+    let most = row.checkpoint_bytes + row.population_bytes + CONFIGURATION_ENVELOPE;
+    if row.warm_bytes > most {
+        return Err(format!(
+            "a warm Configuration of {} params took {} B, over the {most} B of its checkpoint, \
+             population and envelope: the connection carried the plan again",
+            row.model_params, row.warm_bytes
+        ));
+    }
+    Ok(())
+}
+
 /// One `bench_selector` case: the accept path at one population count
 /// and one drain cadence.
 pub struct SelectorCase {
@@ -330,6 +367,21 @@ mod tests {
         }
     }
 
+    fn committed_configuration_tcp() -> ConfigurationTcp {
+        let row = rows(include_str!("../../../BENCH_wire.json"))
+            .into_iter()
+            .find(|row| row.contains_key("warm_bytes"))
+            .expect("a configuration_tcp row");
+        ConfigurationTcp {
+            model_params: row["model_params"] as usize,
+            full_bytes: row["full_bytes"] as usize,
+            warm_bytes: row["warm_bytes"] as usize,
+            checkpoint_bytes: row["checkpoint_bytes"] as usize,
+            population_bytes: row["population_bytes"] as usize,
+            ns_per_device: row["ns_per_device"],
+        }
+    }
+
     fn committed_selector() -> Vec<SelectorCase> {
         let cases: Vec<SelectorCase> = rows(include_str!("../../../BENCH_selector.json"))
             .iter()
@@ -461,6 +513,7 @@ mod tests {
     fn committed_rows_pass_every_gate() {
         assert_eq!(wire(&committed_wire()), Ok(()));
         assert_eq!(digest(&committed_digest()), Ok(()));
+        assert_eq!(configuration_tcp(&committed_configuration_tcp()), Ok(()));
         assert_eq!(selector(&committed_selector()), Ok(()));
         assert_eq!(secagg(&committed_secagg()), Ok(()));
         assert_eq!(des(&committed_des()), Ok(()));
@@ -534,6 +587,29 @@ mod tests {
         assert!(why.contains("1.5x an AVX2 CPU must reach"), "{why}");
         // Without AVX2 the dispatch has no vector build to pick.
         assert_eq!(digest(&DigestRow { avx2: false, ..lost }), Ok(()));
+    }
+
+    #[test]
+    fn a_warm_configuration_that_carries_the_plan_fails_the_wire_gate() {
+        let committed = committed_configuration_tcp();
+        // The warm frame is exactly checkpoint, population and envelope.
+        assert_eq!(
+            committed.warm_bytes,
+            committed.checkpoint_bytes + committed.population_bytes + CONFIGURATION_ENVELOPE
+        );
+        // What the connection sent before it kept a plan: every
+        // Configuration whole.
+        let resent = ConfigurationTcp {
+            warm_bytes: committed.full_bytes,
+            ..committed
+        };
+        let why = configuration_tcp(&resent).expect_err("the plan was sent again");
+        assert!(why.contains("262208 params") && why.contains("carried the plan"), "{why}");
+        let one_more = ConfigurationTcp {
+            warm_bytes: committed.warm_bytes + 1,
+            ..committed_configuration_tcp()
+        };
+        assert!(configuration_tcp(&one_more).is_err());
     }
 
     #[test]

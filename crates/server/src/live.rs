@@ -137,6 +137,37 @@ pub enum CoordMsg {
     Shutdown,
 }
 
+/// A round's Configuration as the Coordinator keeps it: plan, checkpoint
+/// and population are the same for every participant, so each frame is
+/// encoded once a round, on first use by a link that is sent it, and
+/// those bytes go to every such link. Empty until then and again once the
+/// round completes.
+#[derive(Debug, Default)]
+struct Configuration {
+    /// The slim frame, the plan named by its digest: what a TCP
+    /// connection that carried the plan before is sent.
+    slim: Arc<Vec<u8>>,
+    /// The full [`WireMessage::PlanAndCheckpoint`] frame, which an
+    /// in-memory link queues a reference to.
+    full: Arc<Vec<u8>>,
+}
+
+impl Configuration {
+    /// Empties both frames at round end. A buffer the round used is kept
+    /// for the next round, unless a device still holds it, and one it did
+    /// not use is let go: a warm TCP connection is sent only slim frames,
+    /// so the full one (plan and checkpoint, 2.1 MB on `round_plain_tcp`)
+    /// is not held for nothing.
+    fn clear(&mut self) {
+        for frame in [&mut self.slim, &mut self.full] {
+            match Arc::get_mut(frame) {
+                Some(bytes) if !bytes.is_empty() => bytes.clear(),
+                _ => *frame = Arc::default(),
+            }
+        }
+    }
+}
+
 /// The Coordinator as an actor: wraps the deterministic state machine,
 /// stamping messages with elapsed wall time. Generic over the checkpoint
 /// store so a respawned incarnation can reattach to the storage layer
@@ -158,14 +189,12 @@ pub struct CoordinatorActor<S: CheckpointStore + Send + 'static = InMemoryCheckp
     /// for its Configuration. Cleared at round completion: a held sink
     /// pins the device's channel.
     device_replies: std::collections::HashMap<DeviceId, WireSink>,
-    /// The current round's Configuration frame — plan, checkpoint and
-    /// population are the same for every participant, so it is encoded
-    /// once (on first use) and those bytes are sent to each of them: an
-    /// in-memory link queues a reference to this one buffer. Empty until
-    /// then and again once the round completes. The buffer is kept across
-    /// rounds when no device still holds it at round end, and a fresh one
-    /// is started when one does.
-    configuration: Arc<Vec<u8>>,
+    /// The current round's Configuration frames (see
+    /// [`Configuration`]).
+    configuration: Configuration,
+    /// The [`fl_wire::plan_digest`] of every plan this Coordinator has
+    /// sent, so each is computed once per plan, not once per round.
+    plan_digests: Vec<(FlPlan, u64)>,
     /// `TryCompleteRound` replies waiting for the current round to finish.
     waiting: Vec<Sender<Option<RoundOutcome>>>,
     /// The finished round whose merge is out; `master` stays set until
@@ -276,7 +305,8 @@ impl<S: CheckpointStore + Send + 'static> CoordinatorActor<S> {
             master: None,
             telemetry: None,
             device_replies: std::collections::HashMap::new(),
-            configuration: Arc::default(),
+            configuration: Configuration::default(),
+            plan_digests: Vec::new(),
             waiting: Vec::new(),
             merging: None,
             held: VecDeque::new(),
@@ -351,10 +381,7 @@ impl<S: CheckpointStore + Send + 'static> CoordinatorActor<S> {
         // selected) and its Configuration frame, whose buffer is taken
         // back unless a device has yet to read it.
         self.device_replies.clear();
-        match Arc::get_mut(&mut self.configuration) {
-            Some(frame) => frame.clear(),
-            None => self.configuration = Arc::default(),
-        }
+        self.configuration.clear();
         round.record_participation_metrics();
         let dead = || CoreError::InvariantViolated("master aggregator died mid-round".into());
         let aggregate = match self.master.take() {
@@ -420,10 +447,14 @@ impl<S: CheckpointStore + Send + 'static> CoordinatorActor<S> {
 
     /// Sends the round's Configuration download — the framed
     /// [`WireMessage::PlanAndCheckpoint`] — to `only` that participant
-    /// (a re-send) or to all of them, if the round is in Reporting. The
-    /// frame is encoded on first use in a round, into the buffer the
-    /// Coordinator keeps, and the same bytes go to every participant and
-    /// every re-send.
+    /// (a re-send) or to all of them, if the round is in Reporting. There
+    /// are two frames, the full one and the slim one (protocol v6: the plan
+    /// named by its digest, which is computed once per plan), and
+    /// [`WireSink::send_configuration`] picks the one a link is sent: the
+    /// slim one to a TCP connection that carried the plan before, the full
+    /// one to any other. Each is encoded in a round on its first use, into
+    /// a buffer the Coordinator keeps, and the same bytes go to every link
+    /// that is sent it and to every re-send.
     ///
     /// The writes take turns across connections ([`WireSink::link`]):
     /// every connection is sent the download of its k-th participant, in
@@ -435,27 +466,15 @@ impl<S: CheckpointStore + Send + 'static> CoordinatorActor<S> {
     /// downloads before their first, and then their round waited for them.
     /// With one connection per participant the order is device-id order.
     /// The writes stay on this thread: a writer thread per connection read
-    /// +6 % `rounds_per_s` for +23 % peak RSS (ROADMAP item 4).
+    /// +6 % `rounds_per_s` on `round_plain_tcp` for +23 % peak RSS (52 to
+    /// 64 MB), and was not kept.
     fn send_configuration(&mut self, only: Option<DeviceId>) {
         let Some(round) = &self.active else { return };
         if round.state.phase() != crate::round::Phase::Reporting {
             return;
         }
-        // The buffer is empty only until the round's first send, and no
-        // link holds it then (see `answer_waiting`), so this encodes in
-        // place. The only encode failure is an over-long population name;
-        // nobody is then sent anything, as when each send failed.
-        if self.configuration.is_empty()
-            && fl_wire::encode_plan_and_checkpoint_into(
-                &round.plan,
-                &round.checkpoint,
-                self.coordinator.population(),
-                Arc::make_mut(&mut self.configuration),
-            )
-            .is_err()
-        {
-            return;
-        }
+        let population = self.coordinator.population();
+        let config = &mut self.configuration;
         let mut turns: HashMap<usize, usize> = HashMap::new();
         let mut sends: Vec<(usize, &WireSink)> = only
             .map_or_else(|| round.state.participants(), |device| vec![device])
@@ -469,8 +488,42 @@ impl<S: CheckpointStore + Send + 'static> CoordinatorActor<S> {
             .collect();
         // A stable sort: within a turn, device-id order.
         sends.sort_by_key(|&(turn, _)| turn);
+        let digest = match self.plan_digests.iter().find(|(plan, _)| *plan == round.plan) {
+            Some(&(_, digest)) => digest,
+            None => {
+                let digest = fl_wire::plan_digest(&round.plan);
+                self.plan_digests.push((round.plan.clone(), digest));
+                digest
+            }
+        };
+        // A frame is empty only until its first use in the round, and no
+        // link holds it then (see `Configuration::clear`), so each encodes
+        // in place. The only encode failure is an over-long population
+        // name; no link is then sent anything.
         for (_, conn) in sends {
-            let _ = conn.send_frame(&self.configuration);
+            let slim = || {
+                if config.slim.is_empty() {
+                    fl_wire::encode_plan_digest_and_checkpoint_into(
+                        digest,
+                        &round.checkpoint,
+                        population,
+                        Arc::make_mut(&mut config.slim),
+                    )?;
+                }
+                Ok(Arc::clone(&config.slim))
+            };
+            let full = || {
+                if config.full.is_empty() {
+                    fl_wire::encode_plan_and_checkpoint_into(
+                        &round.plan,
+                        &round.checkpoint,
+                        population,
+                        Arc::make_mut(&mut config.full),
+                    )?;
+                }
+                Ok(Arc::clone(&config.full))
+            };
+            let _ = conn.send_configuration(digest, slim, full);
         }
     }
 
@@ -1599,23 +1652,11 @@ mod tests {
         system.join();
     }
 
-    /// Forwards each `(device, link)` of `forwarded`, in that order, over
-    /// loopback TCP links to a Coordinator whose round configures exactly
-    /// those devices, then reads one whole Configuration frame off a link
-    /// at a time, in `reads` order. A frame (~6 MB) is more than a fresh
-    /// link buffers, and several are more than any link buffers, so the
-    /// Coordinator's write to a link blocks until that link is read: a
-    /// read of a link it is not writing to times out, and the reads
-    /// complete only in an order that follows its writes.
-    fn configuration_reads_complete_in(forwarded: &[(u64, usize)], reads: &[usize]) {
-        let model = ModelSpec::Logistic {
-            dim: 375_000,
-            classes: 2,
-            seed: 0,
-        };
-        let links = reads.iter().max().map_or(0, |last| last + 1);
+    /// `links` loopback TCP connections: the device end and the gateway end
+    /// of each.
+    fn tcp_links(links: usize) -> (Vec<fl_wire::TcpTransport>, Vec<fl_wire::TcpTransport>) {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let (clients, gateways): (Vec<_>, Vec<_>) = (0..links)
+        (0..links)
             .map(|_| {
                 let client = std::net::TcpStream::connect(listener.local_addr().unwrap()).unwrap();
                 let gateway = listener.accept().unwrap().0;
@@ -1624,7 +1665,28 @@ mod tests {
                     fl_wire::TcpTransport::new(gateway).unwrap(),
                 )
             })
-            .unzip();
+            .unzip()
+    }
+
+    /// Forwards each `(device, link)` of `forwarded`, in that order, over
+    /// loopback TCP links to a Coordinator whose round configures exactly
+    /// those devices, then reads one whole Configuration frame off a link
+    /// at a time, in `reads` order. A link's first frame carries the plan
+    /// (~12 MB) and its later ones name it by digest (~6 MB, the
+    /// checkpoint): even a slim frame is more than a fresh link buffers,
+    /// and several are more than any link buffers, so the Coordinator's
+    /// write to a link blocks until that link is read: a read of a link it
+    /// is not writing to times out, and the reads complete only in an
+    /// order that follows its writes. Every frame decodes, on its link, to
+    /// the one Configuration.
+    fn configuration_reads_complete_in(forwarded: &[(u64, usize)], reads: &[usize]) {
+        let model = ModelSpec::Logistic {
+            dim: 750_000,
+            classes: 2,
+            seed: 0,
+        };
+        let links = reads.iter().max().map_or(0, |last| last + 1);
+        let (clients, gateways) = tcp_links(links);
         let system = ActorSystem::new();
         let coordinator =
             spawn_coordinator_of(&system, "pop-links", quick_round(forwarded.len()), model);
@@ -1636,13 +1698,23 @@ mod tests {
                 })
                 .unwrap();
         }
-        let mut first: Option<Vec<u8>> = None;
+        let mut slots = vec![fl_wire::PlanSlot::default(); links];
+        let (mut message, mut slim) = (None, None);
         for (i, &link) in reads.iter().enumerate() {
             let frame = clients[link]
                 .recv_frame_timeout(Duration::from_secs(10))
                 .unwrap_or_else(|e| panic!("read {i} (link {link}): {e}"));
             assert!(frame.len() > 6_000_000);
-            assert!(first.get_or_insert_with(|| frame.clone()) == &frame);
+            let carries_plan = slots[link].digest().is_none();
+            let decoded = slots[link].decode(&frame).unwrap();
+            assert!(*message.get_or_insert_with(|| decoded.clone()) == decoded);
+            if carries_plan {
+                assert_eq!(fl_wire::peek_tag(&frame), Ok(fl_wire::tag::PLAN_AND_CHECKPOINT));
+                assert!(frame.len() > 12_000_000);
+            } else {
+                assert_eq!(fl_wire::peek_tag(&frame), Ok(fl_wire::tag::PLAN_DIGEST_AND_CHECKPOINT));
+                assert!(*slim.get_or_insert_with(|| frame.clone()) == frame);
+            }
         }
         coordinator.send(CoordMsg::Shutdown).unwrap();
         system.join();
@@ -1666,6 +1738,38 @@ mod tests {
             .collect();
         let reads: Vec<usize> = (0..16).map(|k| k % 2).collect();
         configuration_reads_complete_in(&forwarded, &reads);
+    }
+
+    /// A participant that checks in again on a connection that has its
+    /// plan is sent the slim Configuration, and it decodes on that
+    /// connection to the Configuration it was sent first.
+    #[test]
+    fn a_re_send_on_a_warm_link_names_the_plan_by_digest() {
+        let (clients, gateways) = tcp_links(1);
+        let system = ActorSystem::new();
+        let coordinator = spawn_coordinator(&system, "pop-warm", quick_round(1));
+        let mut frames = Vec::new();
+        for _ in 0..2 {
+            coordinator
+                .send(CoordMsg::DeviceForwarded {
+                    device: DeviceId(0),
+                    conn: gateways[0].sink(),
+                })
+                .unwrap();
+            frames.push(clients[0].recv_frame_timeout(Duration::from_secs(5)).unwrap());
+        }
+        let tags: Vec<_> = frames.iter().map(|frame| fl_wire::peek_tag(frame)).collect();
+        assert_eq!(
+            tags,
+            [Ok(fl_wire::tag::PLAN_AND_CHECKPOINT), Ok(fl_wire::tag::PLAN_DIGEST_AND_CHECKPOINT)]
+        );
+        assert!(frames[1].len() < frames[0].len());
+        let mut slot = fl_wire::PlanSlot::default();
+        let first = slot.decode(&frames[0]).unwrap();
+        assert_eq!(slot.decode(&frames[1]).unwrap(), first);
+        assert_eq!(first, fl_wire::decode(&frames[0]).unwrap());
+        coordinator.send(CoordMsg::Shutdown).unwrap();
+        system.join();
     }
 
     #[test]

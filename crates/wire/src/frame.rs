@@ -6,7 +6,9 @@
 //! rejection here is a typed [`WireError`], and the header layout is
 //! frozen by the golden-bytes fixture.
 
-use crate::message::{tag, write_plan_and_checkpoint, WireMessage};
+use crate::message::{
+    tag, write_plan_and_checkpoint, write_plan_digest_and_checkpoint, WireMessage,
+};
 use fl_core::{FlCheckpoint, FlPlan, PopulationName};
 use std::fmt;
 
@@ -376,6 +378,24 @@ pub fn encode_plan_and_checkpoint_into(
     })
 }
 
+/// [`encode_plan_and_checkpoint_into`] for the slim Configuration of
+/// protocol v6 ([`tag::PLAN_DIGEST_AND_CHECKPOINT`]): the plan is named
+/// by its [`crate::plan_digest`] instead of written out.
+///
+/// # Errors
+///
+/// As [`encode_into`].
+pub fn encode_plan_digest_and_checkpoint_into(
+    digest: u64,
+    checkpoint: &FlCheckpoint,
+    population: &PopulationName,
+    out: &mut Vec<u8>,
+) -> Result<usize, WireError> {
+    frame_into(tag::PLAN_DIGEST_AND_CHECKPOINT, out, |out| {
+        write_plan_digest_and_checkpoint(out, digest, checkpoint, population)
+    })
+}
+
 /// Writes one frame of `tag` into `out`: header, the body `write_body`
 /// appends, trailer.
 fn frame_into(
@@ -599,6 +619,11 @@ impl<'a> Reader<'a> {
             what: "element count overflow",
         })?)?;
         Ok(b.as_chunks::<8>().0)
+    }
+
+    /// Bytes read so far.
+    pub(crate) fn consumed(&self) -> usize {
+        self.at
     }
 
     /// Whole body consumed? Leftovers mean a layout mismatch.

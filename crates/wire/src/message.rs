@@ -15,7 +15,7 @@
 //!   the frame nests it as a length-prefixed blob rather than inventing
 //!   a second layout for the same data.
 
-use crate::frame::{put, Reader, WireError};
+use crate::frame::{checksum, put, Reader, WireError};
 use fl_core::plan::{CodecSpec, DevicePlan, ModelSpec, PlanOp, ServerPlan};
 use fl_core::{DeviceId, FlCheckpoint, FlPlan, PopulationName, RoundId};
 
@@ -45,6 +45,11 @@ pub mod tag {
     // new.
     /// [`crate::WireMessage::SecAggReport`]
     pub const SECAGG_REPORT: u8 = 11;
+    /// A [`crate::WireMessage::PlanAndCheckpoint`] whose plan is named by
+    /// its [`crate::plan_digest`] instead of sent (protocol v6): tag 4's
+    /// body with the plan replaced by the 8-byte digest. It decodes only
+    /// on a connection that carried that plan ([`crate::PlanSlot`]).
+    pub const PLAN_DIGEST_AND_CHECKPOINT: u8 = 14;
 }
 
 /// One protocol message of the device ↔ server exchange (paper Sec. 2.3
@@ -291,16 +296,9 @@ impl WireMessage {
             },
             tag::PLAN_AND_CHECKPOINT => {
                 let plan = decode_plan(&mut r)?;
-                let checkpoint =
-                    FlCheckpoint::from_bytes(r.bytes()?).map_err(|_| WireError::Malformed {
-                        what: "embedded checkpoint rejected by its codec",
-                    })?;
-                WireMessage::PlanAndCheckpoint {
-                    plan: Box::new(plan),
-                    checkpoint: Box::new(checkpoint),
-                    population: read_population(&mut r)?.into(),
-                }
+                read_configuration(plan, &mut r)?
             }
+            tag::PLAN_DIGEST_AND_CHECKPOINT => return Err(NO_PLAN_FOR_DIGEST),
             tag::UPDATE_REPORT | tag::SECAGG_REPORT => {
                 ReportRef::read(tag_byte, &mut r)?.to_message()
             }
@@ -327,9 +325,112 @@ pub(crate) fn write_plan_and_checkpoint(
     population: &PopulationName,
 ) -> Result<(), WireError> {
     encode_plan(out, plan);
+    write_checkpoint_and_population(out, checkpoint, population)
+}
+
+/// Writes a [`tag::PLAN_DIGEST_AND_CHECKPOINT`] body: tag 4's body with
+/// the plan's bytes replaced by their digest.
+pub(crate) fn write_plan_digest_and_checkpoint(
+    out: &mut Vec<u8>,
+    digest: u64,
+    checkpoint: &FlCheckpoint,
+    population: &PopulationName,
+) -> Result<(), WireError> {
+    out.extend_from_slice(&digest.to_le_bytes());
+    write_checkpoint_and_population(out, checkpoint, population)
+}
+
+/// The part of a Configuration body after its plan (or plan digest).
+fn write_checkpoint_and_population(
+    out: &mut Vec<u8>,
+    checkpoint: &FlCheckpoint,
+    population: &PopulationName,
+) -> Result<(), WireError> {
     out.extend_from_slice(&(checkpoint.encoded_size() as u32).to_le_bytes());
     checkpoint.write_to(out);
     put::string(out, population.as_str())
+}
+
+/// Reads the part of a Configuration body after its plan (or plan
+/// digest) into the message it completes.
+fn read_configuration(plan: FlPlan, r: &mut Reader<'_>) -> Result<WireMessage, WireError> {
+    let checkpoint = FlCheckpoint::from_bytes(r.bytes()?).map_err(|_| WireError::Malformed {
+        what: "embedded checkpoint rejected by its codec",
+    })?;
+    Ok(WireMessage::PlanAndCheckpoint {
+        plan: Box::new(plan),
+        checkpoint: Box::new(checkpoint),
+        population: read_population(r)?.into(),
+    })
+}
+
+/// A slim Configuration whose digest names no plan the reader holds.
+const NO_PLAN_FOR_DIGEST: WireError = WireError::Malformed {
+    what: "plan digest names no plan this connection carried",
+};
+
+/// The digest a slim Configuration names its plan by: [`checksum`] over
+/// the plan's encoded bytes, exactly as they sit at the start of a
+/// [`WireMessage::PlanAndCheckpoint`] body (graph payload included). A
+/// sender computes it once per plan.
+pub fn plan_digest(plan: &FlPlan) -> u64 {
+    let mut bytes = Vec::with_capacity(plan_encoded_len(plan));
+    encode_plan(&mut bytes, plan);
+    checksum(&bytes)
+}
+
+/// The last plan a connection carried, kept by its receiving end
+/// (protocol v6). A full Configuration (tag 4) that decodes fills the
+/// slot with its plan and the plan's [`plan_digest`]; a slim one (tag
+/// [`tag::PLAN_DIGEST_AND_CHECKPOINT`]) decodes against the slot into the
+/// same [`WireMessage::PlanAndCheckpoint`], and is refused as
+/// [`WireError::Malformed`] when the slot is empty or holds another
+/// digest. [`crate::TcpTransport`] keeps one in its read half; the
+/// plan's graph payload is only a length, so the slot is small.
+#[derive(Debug, Clone, Default)]
+pub struct PlanSlot {
+    held: Option<(u64, FlPlan)>,
+}
+
+impl PlanSlot {
+    /// Decodes exactly one frame as [`crate::decode`] does, but for the
+    /// two Configuration tags, which go through the slot.
+    ///
+    /// # Errors
+    ///
+    /// Every error [`crate::decode`] gives, and [`WireError::Malformed`]
+    /// for a slim Configuration this slot holds no plan for.
+    pub fn decode(&mut self, frame: &[u8]) -> Result<WireMessage, WireError> {
+        let (tag_byte, body) = crate::frame::open_exact(frame)?;
+        let mut r = Reader::new(body);
+        // The plan, and the digest of a plan the slot is to hold.
+        let (plan, carried) = match tag_byte {
+            tag::PLAN_AND_CHECKPOINT => {
+                let plan = decode_plan(&mut r)?;
+                (plan, Some(checksum(&body[..r.consumed()])))
+            }
+            tag::PLAN_DIGEST_AND_CHECKPOINT => {
+                let digest = r.u64()?;
+                match &self.held {
+                    Some((held, plan)) if *held == digest => (plan.clone(), None),
+                    _ => return Err(NO_PLAN_FOR_DIGEST),
+                }
+            }
+            _ => return WireMessage::decode_body(tag_byte, body),
+        };
+        let held = carried.map(|digest| (digest, plan.clone()));
+        let msg = read_configuration(plan, &mut r)?;
+        r.finish()?;
+        if held.is_some() {
+            self.held = held;
+        }
+        Ok(msg)
+    }
+
+    /// The digest of the plan held, if any.
+    pub fn digest(&self) -> Option<u64> {
+        self.held.as_ref().map(|(digest, _)| *digest)
+    }
 }
 
 /// Bytes of a report body ahead of its payload: device, round, attempt,

@@ -1,13 +1,17 @@
 //! Transport behavior: the channel pair, the TCP link, sinks, and the
 //! byte counters FIG9's measured bandwidth rests on.
 
-use fl_core::{DeviceId, PopulationName, RoundId};
+use fl_core::plan::{CodecSpec, FlPlan, ModelSpec};
+use fl_core::{DeviceId, FlCheckpoint, PopulationName, RoundId};
 use fl_wire::{
-    encode, encoded_len, ChannelTransport, FaultScript, FaultyTransport, FrameFault,
-    TcpTransport, Transport, WireError, WireMessage,
+    decode, encode, encode_plan_and_checkpoint_into, encode_plan_digest_and_checkpoint_into,
+    encoded_len, plan_digest, ChannelTransport, FaultScript, FaultyTransport, FrameFault,
+    TcpTransport, Transport, WireError, WireMessage, WireSink,
 };
+use std::cell::Cell;
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
+use std::sync::Arc;
 use std::time::Duration;
 
 const WAIT: Duration = Duration::from_secs(5);
@@ -344,34 +348,147 @@ fn tcp_garbage_header_after_a_large_frame_is_typed() {
     assert_eq!(client.stats().frames_corrupt, 1);
 }
 
-#[test]
-fn sink_send_frame_puts_the_given_bytes_on_either_link() {
-    // One encode, many peers: `send_frame` must deliver exactly the
-    // bytes `send` would have, and count them the same.
-    let msg = WireMessage::ComeBackLater {
-        retry_at_ms: 9,
-        population: pop(),
+/// One round's Configuration of a plan (a graph payload of `graph`
+/// bytes) and a checkpoint of round `round`, as a sender holds it: the
+/// plan's digest, the slim frame, the full frame, and the message.
+struct Round {
+    digest: u64,
+    slim: Arc<Vec<u8>>,
+    full: Arc<Vec<u8>>,
+    message: WireMessage,
+}
+
+fn configuration(graph: usize, round: u64) -> Round {
+    let model = ModelSpec::Logistic {
+        dim: 64,
+        classes: 4,
+        seed: 3,
     };
-    let frame = encode(&msg).unwrap();
+    let mut plan = FlPlan::standard_training(model, 1, 8, 0.1, CodecSpec::Identity);
+    plan.device.graph_payload_bytes = graph;
+    let checkpoint = FlCheckpoint::new("t", RoundId(round), vec![round as f32; model.num_params()]);
+    let digest = plan_digest(&plan);
+    let mut slim = Vec::new();
+    encode_plan_digest_and_checkpoint_into(digest, &checkpoint, &pop(), &mut slim).unwrap();
+    let mut full = Vec::new();
+    encode_plan_and_checkpoint_into(&plan, &checkpoint, &pop(), &mut full).unwrap();
+    Round {
+        digest,
+        slim: Arc::new(slim),
+        full: Arc::new(full),
+        message: WireMessage::PlanAndCheckpoint {
+            plan: Box::new(plan),
+            checkpoint: Box::new(checkpoint),
+            population: pop(),
+        },
+    }
+}
 
-    let (device, server) = ChannelTransport::pair();
-    assert_eq!(server.sink().send_frame(&frame.clone().into()).unwrap(), frame.len());
-    assert_eq!(device.recv_frame_timeout(WAIT).unwrap(), frame);
-    assert_eq!(server.stats().bytes_sent, frame.len() as u64);
+/// Sends `round` through `sink`; returns the bytes sent and whether the
+/// sink asked for the full frame. A sink asks for exactly one frame, the
+/// one it sends.
+fn send(sink: &WireSink, round: &Round) -> (usize, bool) {
+    let (slim_asked, full_asked) = (Cell::new(false), Cell::new(false));
+    let slim = || {
+        slim_asked.set(true);
+        Ok(Arc::clone(&round.slim))
+    };
+    let full = || {
+        full_asked.set(true);
+        Ok(Arc::clone(&round.full))
+    };
+    let sent = sink.send_configuration(round.digest, slim, full).unwrap();
+    if sent > 0 {
+        assert_ne!(slim_asked.get(), full_asked.get());
+    }
+    (sent, full_asked.get())
+}
 
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let client = TcpTransport::new(TcpStream::connect(addr).unwrap()).unwrap();
-    let (stream, _) = listener.accept().unwrap();
-    let server = TcpTransport::new(stream).unwrap();
+#[test]
+fn a_tcp_link_sends_a_plan_once_then_names_it_by_digest() {
+    let (client, server) = tcp_pair();
     let sink = server.sink();
-    sink.send_frame(&frame.clone().into()).unwrap();
-    sink.send(&msg).unwrap();
-    assert_eq!(client.recv_frame_timeout(WAIT).unwrap(), frame);
-    assert_eq!(client.recv_timeout(WAIT).unwrap(), msg);
-    assert_eq!(server.stats().frames_sent, 2);
-    assert_eq!(server.stats().bytes_sent, 2 * frame.len() as u64);
-    assert_eq!(fl_wire::WireSink::null().send_frame(&frame.clone().into()).unwrap(), 0);
+    let (a1, a2, a3) = (configuration(50_000, 1), configuration(50_000, 2), configuration(50_000, 3));
+    let (b4, b5) = (configuration(60_000, 4), configuration(60_000, 5));
+    assert_ne!(a1.digest, b4.digest);
+    assert!(a1.slim.len() < a1.full.len() - 50_000);
+    // A fresh connection is sent the plan; the next Configuration of the
+    // same plan names it, and decodes as the full frame does per device.
+    let mut expect = Vec::new();
+    for (round, whole) in [(&a1, true), (&a2, false), (&a3, false)] {
+        let len = if whole { round.full.len() } else { round.slim.len() };
+        assert_eq!(send(&sink, round), (len, whole), "round {}", expect.len() + 1);
+        expect.push(len);
+        let got = client.recv_timeout(WAIT).unwrap();
+        assert!(got == round.message && got == decode(&round.full).unwrap());
+    }
+    // A changed plan goes whole again, and so does each switch between two
+    // plans; a repeat after a switch is slim.
+    for (round, whole) in [(&b4, true), (&b5, false), (&a1, true), (&b4, true), (&b4, false)] {
+        let len = if whole { round.full.len() } else { round.slim.len() };
+        assert_eq!(send(&sink, round), (len, whole));
+        expect.push(len);
+        assert!(client.recv_timeout(WAIT).unwrap() == round.message);
+    }
+    // The counters hold exactly the bytes written.
+    let bytes: u64 = expect.iter().map(|&len| len as u64).sum();
+    assert_eq!(server.stats().frames_sent, expect.len() as u64);
+    assert_eq!(server.stats().bytes_sent, bytes);
+    assert_eq!(client.stats().bytes_received, bytes);
+    assert_eq!(client.stats().frames_corrupt, 0);
+}
+
+#[test]
+fn a_full_configuration_sent_another_way_makes_the_link_send_the_plan_again() {
+    let (client, server) = tcp_pair();
+    let sink = server.sink();
+    let (a1, b2, a3) = (configuration(5_000, 1), configuration(6_000, 2), configuration(5_000, 3));
+    assert_eq!(send(&sink, &a1), (a1.full.len(), true));
+    // The peer now holds plan B, which the link did not record.
+    sink.send(&b2.message).unwrap();
+    assert_eq!(send(&sink, &a3), (a3.full.len(), true));
+    server.send_frame_bytes(&b2.full).unwrap();
+    assert_eq!(send(&sink, &b2), (b2.full.len(), true));
+    for round in [&a1, &b2, &a3, &b2, &b2] {
+        assert!(client.recv_timeout(WAIT).unwrap() == round.message);
+    }
+    assert_eq!(client.stats().frames_corrupt, 0);
+}
+
+#[test]
+fn a_slim_configuration_without_its_plan_is_a_typed_error() {
+    let (client, mut raw) = tcp_raw_pair();
+    let (a1, b2, b3) = (configuration(5_000, 1), configuration(6_000, 2), configuration(6_000, 3));
+    let refused = Err(WireError::Malformed {
+        what: "plan digest names no plan this connection carried",
+    });
+    // Outside a connection, and on a connection that holds no plan.
+    assert_eq!(decode(&a1.slim), refused);
+    raw.write_all(&a1.slim).unwrap();
+    assert_eq!(client.recv_timeout(WAIT), refused);
+    // On a connection that holds another plan.
+    raw.write_all(&b2.full).unwrap();
+    raw.write_all(&a1.slim).unwrap();
+    raw.write_all(&b3.slim).unwrap();
+    assert!(client.recv_timeout(WAIT).unwrap() == b2.message);
+    assert_eq!(client.recv_timeout(WAIT), refused);
+    assert!(client.recv_timeout(WAIT).unwrap() == b3.message);
+    assert_eq!(client.stats().frames_corrupt, 2);
+    assert_eq!(client.stats().frames_received, 4);
+}
+
+#[test]
+fn a_channel_link_is_always_queued_the_full_frame() {
+    let (device, server) = ChannelTransport::pair();
+    let sink = server.sink();
+    let (a1, a2) = (configuration(5_000, 1), configuration(5_000, 2));
+    for round in [&a1, &a1, &a2] {
+        assert_eq!(send(&sink, round), (round.full.len(), true));
+        assert_eq!(device.recv_frame_timeout(WAIT).unwrap(), *round.full);
+    }
+    let bytes = 2 * a1.full.len() + a2.full.len();
+    assert_eq!(server.stats().bytes_sent, bytes as u64);
+    assert_eq!(send(&WireSink::null(), &a1), (0, false), "a null sink asks for no frame");
 }
 
 #[test]

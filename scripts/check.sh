@@ -76,9 +76,12 @@ run_step "actors-runtime" cargo test -q -p crossbeam
 # codec, the server's state machines, and the bench gates' floors.
 run_step "crates" cargo test -q --workspace --exclude federated
 # The bench step fails if the 1M-parameter frame moves under 1 500 MB/s
-# either way (a byte-serial digest cannot reach it), or if a CPU with
-# AVX2 runs the dispatched 1 MiB frame digest under 1.5x its portable
-# build (a lost `#[target_feature]`). The four bench
+# either way (a byte-serial digest cannot reach it), if a CPU with AVX2
+# runs the dispatched 1 MiB frame digest under 1.5x its portable build (a
+# lost `#[target_feature]`), or if its `configuration_tcp` row's warm
+# Configuration (the tenth of one 262 208-param plan down one loopback
+# connection) is more than its checkpoint, population and a 30-byte
+# envelope: a connection that sent the plan again. The four bench
 # steps print their JSON here and write no file; a committed
 # BENCH_*.json is refreshed by redirecting a bin's stdout onto it.
 run_step "wire-bench" cargo run --release -q -p fl-bench --bin bench_wire
