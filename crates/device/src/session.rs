@@ -593,13 +593,13 @@ mod tests {
     /// Identity-coded one at dimension 10, and a `SecAggReport` at
     /// dimension 4.
     const PINNED: [&str; 3] = [
-        "465705053d00000007000000000000000300000000000000010000000400000000000000cdcccccccc\
-         ccec3f000000000000e03f0400000000000000070070696e2f706f70ed855de379c90661",
-        "465705056500000007000000000000000300000000000000020000000400000000000000cdcccccccc\
+        "465706053d00000007000000000000000300000000000000010000000400000000000000cdcccccccc\
+         ccec3f000000000000e03f0400000000000000070070696e2f706f702afc92a303d3e03a",
+        "465706056500000007000000000000000300000000000000020000000400000000000000cdcccccccc\
          ccec3f000000000000e03f2c0000000a000000000000bf0000c0be000080be000000be000000000000\
-         003e0000803e0000c03e0000003f0000203f070070696e2f706f70b1cc71a1e9584063",
-        "4657050b59000000090000000000000005000000000000000100000001000000000000009a99999999\
+         003e0000803e0000c03e0000003f0000203f070070696e2f706f7040e053b4edf39f86",
+        "4657060b59000000090000000000000005000000000000000100000001000000000000009a99999999\
          99d93fcdccccccccccec3f040000000000fe00000000000080fe00000000000000ff00000000000080\
-         ff0000000000070070696e2f706f70672da76c0857b4de",
+         ff0000000000070070696e2f706f709c4fd958a6f32506",
     ];
 }

@@ -47,7 +47,15 @@ use std::fmt;
 /// instead of four latency-bound chains; shorter frames keep the v4
 /// digest bit for bit. The trailer keeps its position and width, so no
 /// byte is added.
-pub const PROTOCOL_VERSION: u8 = 5;
+///
+/// v6: a TCP connection carries a plan once. A new message, tag 14
+/// ([`tag::PLAN_DIGEST_AND_CHECKPOINT`]), is tag 4's body with the plan
+/// replaced by its 8-byte [`crate::plan_digest`]; it decodes only on the
+/// connection whose last full Configuration carried that plan
+/// ([`crate::PlanSlot`]), into the same
+/// [`WireMessage::PlanAndCheckpoint`]. Tag 4's body and every other
+/// layout are unchanged, so a per-device link's frames keep their size.
+pub const PROTOCOL_VERSION: u8 = 6;
 
 /// Two-byte frame magic ("FW" — framed wire).
 pub const MAGIC: [u8; 2] = *b"FW";

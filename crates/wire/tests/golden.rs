@@ -1,6 +1,8 @@
 //! Golden-bytes fixture: the exact frame bytes of one canonical message
 //! per tag, pinned in `golden_frames.txt` (tags 7 to 10, 12 and 13 are
-//! retired and stay reserved, so they have no line).
+//! retired and stay reserved, so they have no line). The last line is the
+//! slim Configuration (tag 14) of the canonical `PlanAndCheckpoint`: its
+//! plan named by digest.
 //!
 //! If this test fails you changed the wire layout. Changing an
 //! *existing* frame's bytes is only legal together with a
@@ -17,7 +19,10 @@
 
 use fl_core::plan::{CodecSpec, FlPlan, ModelSpec};
 use fl_core::{DeviceId, FlCheckpoint, PopulationName, RoundId};
-use fl_wire::{decode, encode, encode_plan_and_checkpoint_into, WireMessage};
+use fl_wire::{
+    decode, encode, encode_plan_and_checkpoint_into, encode_plan_digest_and_checkpoint_into,
+    plan_digest, PlanSlot, WireError, WireMessage,
+};
 use std::path::PathBuf;
 
 /// One canonical message per tag, with every field pinned.
@@ -83,6 +88,34 @@ fn canonical_messages() -> Vec<WireMessage> {
     ]
 }
 
+/// Every golden frame, in tag order: one per canonical message, then the
+/// slim Configuration of the canonical `PlanAndCheckpoint`.
+fn canonical_frames() -> Vec<Vec<u8>> {
+    let messages = canonical_messages();
+    let mut frames: Vec<Vec<u8>> = messages
+        .iter()
+        .map(|msg| encode(msg).expect("canonical frame encodes"))
+        .collect();
+    frames.push(slim_of(&messages[3]));
+    frames
+}
+
+/// The tag-14 frame of a `PlanAndCheckpoint`.
+fn slim_of(msg: &WireMessage) -> Vec<u8> {
+    let WireMessage::PlanAndCheckpoint {
+        plan,
+        checkpoint,
+        population,
+    } = msg
+    else {
+        panic!("not a Configuration: {msg:?}");
+    };
+    let mut slim = Vec::new();
+    encode_plan_digest_and_checkpoint_into(plan_digest(plan), checkpoint, population, &mut slim)
+        .expect("canonical frame encodes");
+    slim
+}
+
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
@@ -100,8 +133,8 @@ fn render_fixture() -> String {
          # append. Regenerate deliberately:\n\
          #   cargo test -p fl-wire --test golden -- --ignored regenerate\n",
     );
-    for msg in canonical_messages() {
-        out.push_str(&hex(&encode(&msg).expect("canonical frame encodes")));
+    for frame in canonical_frames() {
+        out.push_str(&hex(&frame));
         out.push('\n');
     }
     out
@@ -122,17 +155,29 @@ fn frames_match_golden_fixture() {
 #[test]
 fn golden_frames_still_decode() {
     // The fixture itself must stay decodable: this is the cross-version
-    // compatibility check for recorded traffic.
+    // compatibility check for recorded traffic. Read in order on one
+    // connection, the slim Configuration decodes against the plan the
+    // full one brought, to the same message; on its own it decodes to
+    // nothing.
     let fixture = std::fs::read_to_string(fixture_path())
         .expect("golden_frames.txt missing — run the ignored `regenerate` test");
-    let msgs = canonical_messages();
+    let mut msgs = canonical_messages();
+    msgs.push(msgs[3].clone());
+    let mut connection = PlanSlot::default();
     let mut decoded = Vec::new();
     for line in fixture.lines().filter(|l| !l.starts_with('#')) {
         let bytes: Vec<u8> = (0..line.len())
             .step_by(2)
             .map(|i| u8::from_str_radix(&line[i..i + 2], 16).expect("fixture is hex"))
             .collect();
-        decoded.push(decode(&bytes).expect("golden frame no longer decodes"));
+        let alone = decode(&bytes);
+        let on_connection = connection.decode(&bytes).expect("golden frame no longer decodes");
+        if bytes[3] == fl_wire::tag::PLAN_DIGEST_AND_CHECKPOINT {
+            assert!(matches!(alone, Err(WireError::Malformed { .. })), "{alone:?}");
+        } else {
+            assert_eq!(alone.as_ref(), Ok(&on_connection));
+        }
+        decoded.push(on_connection);
     }
     assert_eq!(decoded, msgs);
 }
@@ -142,7 +187,8 @@ fn configuration_from_borrowed_parts_is_the_same_frame() {
     // The Coordinator encodes its Configuration from the round's own plan
     // and checkpoint; the bytes must be the message's, golden line
     // included, into a kept buffer holding an older frame, and an
-    // over-long population must fail both encoders alike.
+    // over-long population must fail both encoders alike, and the slim
+    // one's too.
     let long = PopulationName::new("p".repeat(usize::from(u16::MAX) + 1));
     for msg in canonical_messages() {
         let WireMessage::PlanAndCheckpoint {
@@ -170,6 +216,13 @@ fn configuration_from_borrowed_parts_is_the_same_frame() {
         };
         assert!(refused.is_err() && kept.is_empty());
         assert_eq!(refused.map(|_| ()), encode(&message).map(|_| ()));
+        let WireMessage::PlanAndCheckpoint { plan, checkpoint, .. } = &message else {
+            unreachable!("built above");
+        };
+        kept = vec![0xAA; 64];
+        let digest = plan_digest(plan);
+        let slim = encode_plan_digest_and_checkpoint_into(digest, checkpoint, &long, &mut kept);
+        assert!(slim.is_err() && kept.is_empty());
     }
 }
 

@@ -9,8 +9,8 @@
 use fl_core::plan::{CodecSpec, FlPlan, ModelSpec, PlanOp};
 use fl_core::{DeviceId, FlCheckpoint, PopulationName, RoundId};
 use fl_wire::{
-    checksum, decode, decode_prefix, encode, encode_into, encoded_len, peek_tag, ReportPayload,
-    ReportRef, WireError, WireMessage, HEADER_LEN, PROTOCOL_VERSION, TRAILER_LEN,
+    checksum, decode, decode_prefix, encode, encode_into, encoded_len, peek_tag, tag, PlanSlot,
+    ReportPayload, ReportRef, WireError, WireMessage, HEADER_LEN, PROTOCOL_VERSION, TRAILER_LEN,
 };
 use proptest::prelude::*;
 
@@ -342,25 +342,58 @@ proptest! {
     /// `WireError`, never decoded (the integrity trailer catches every
     /// single-byte flip with certainty) and never a panic. A truncated
     /// frame likewise is always a typed error, never a misparse that
-    /// panics downstream.
+    /// panics downstream. That holds on a connection too, whose slot holds
+    /// the golden plan (so the slim Configuration, tag 14, would decode).
     #[test]
     fn mangled_golden_frames_are_always_refused(
         flip_pos in any::<u64>(),
         xor in 1u8..=255,
         cut_sel in any::<u64>(),
     ) {
-        for frame in golden_frames() {
+        let frames = golden_frames();
+        let mut connection = PlanSlot::default();
+        prop_assert!(connection.decode(&frames[3]).is_ok());
+        for frame in &frames {
             // One byte flipped anywhere in the frame.
             let mut flipped = frame.clone();
             let pos = (flip_pos % flipped.len() as u64) as usize;
             flipped[pos] ^= xor;
             prop_assert!(decode(&flipped).is_err(), "flip at {pos} decoded");
             prop_assert!(decode_prefix(&flipped).is_err());
+            prop_assert!(connection.clone().decode(&flipped).is_err());
             let _ = peek_tag(&flipped); // header-only: may still peek Ok
 
             // Any strict prefix: must be an error (typed), never Ok.
             let cut = (cut_sel % frame.len() as u64) as usize;
             prop_assert!(decode(&frame[..cut]).is_err());
+            prop_assert!(connection.clone().decode(&frame[..cut]).is_err());
+        }
+        prop_assert!(connection.decode(&frames[7]).is_ok(), "the slim golden frame decodes");
+    }
+
+    /// A slim Configuration whose body is mangled and resealed (so the
+    /// trailer vouches for it, as a buggy or hostile peer's would) decodes
+    /// on a connection holding the golden plan to a typed error or a
+    /// value, never a panic; only a frame that still names that plan's
+    /// digest can decode.
+    #[test]
+    fn a_mangled_slim_configuration_is_a_typed_error_or_a_value(
+        pos_sel in any::<u64>(),
+        xor in 1u8..=255,
+    ) {
+        let frames = golden_frames();
+        let (full, slim) = (&frames[3], &frames[7]);
+        prop_assert_eq!(slim[3], tag::PLAN_DIGEST_AND_CHECKPOINT);
+        let mut connection = PlanSlot::default();
+        prop_assert!(connection.decode(full).is_ok());
+        let mut mangled = slim.clone();
+        let pos = HEADER_LEN + (pos_sel % (slim.len() - HEADER_LEN - TRAILER_LEN) as u64) as usize;
+        mangled[pos] ^= xor;
+        reseal(&mut mangled);
+        let names_the_plan = mangled[HEADER_LEN..HEADER_LEN + 8] == slim[HEADER_LEN..HEADER_LEN + 8];
+        match connection.decode(&mangled) {
+            Ok(msg) => prop_assert!(names_the_plan && msg.tag() == tag::PLAN_AND_CHECKPOINT),
+            Err(e) => prop_assert!(names_the_plan || matches!(e, WireError::Malformed { .. })),
         }
     }
 
@@ -418,36 +451,36 @@ fn rejects_version_skew() {
 }
 
 #[test]
-fn rejects_v4_frames_with_typed_skew() {
-    // A frame recorded before the v5 digest change — the v4 golden
+fn rejects_v5_frames_with_typed_skew() {
+    // A frame recorded before the v6 plan digest — the v5 golden
     // `CheckinRequest`, sound under its trailer — must be refused with
     // the typed skew error naming both versions: the version byte is
     // judged before the trailer, so an old peer reads as skewed, not as
     // corrupted, and is never misparsed.
-    assert_eq!(PROTOCOL_VERSION, 5, "this regression pins the v4→v5 bump");
+    assert_eq!(PROTOCOL_VERSION, 6, "this regression pins the v5→v6 bump");
     let hex =
-        "465704011b000000efcdab89674523011100676f6c64656e2f706f70756c6174696f6e451fa53b93127604";
-    let v4_frame: Vec<u8> = (0..hex.len())
+        "465705011b000000efcdab89674523011100676f6c64656e2f706f70756c6174696f6e59f60eaa9810f499";
+    let v5_frame: Vec<u8> = (0..hex.len())
         .step_by(2)
         .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
         .collect();
-    // Sound at v4, whose digest a frame this short still takes.
-    let content_end = v4_frame.len() - TRAILER_LEN;
+    // Sound at v5, whose digest is v6's.
+    let content_end = v5_frame.len() - TRAILER_LEN;
     assert_eq!(
-        checksum(&v4_frame[..content_end]).to_le_bytes(),
-        v4_frame[content_end..]
+        checksum(&v5_frame[..content_end]).to_le_bytes(),
+        v5_frame[content_end..]
     );
     assert_eq!(
-        decode(&v4_frame),
-        Err(WireError::VersionSkew { ours: 5, theirs: 4 })
+        decode(&v5_frame),
+        Err(WireError::VersionSkew { ours: 6, theirs: 5 })
     );
     assert_eq!(
-        ReportRef::parse(&v4_frame),
-        Err(WireError::VersionSkew { ours: 5, theirs: 4 })
+        ReportRef::parse(&v5_frame),
+        Err(WireError::VersionSkew { ours: 6, theirs: 5 })
     );
     assert_eq!(
-        peek_tag(&v4_frame),
-        Err(WireError::VersionSkew { ours: 5, theirs: 4 })
+        peek_tag(&v5_frame),
+        Err(WireError::VersionSkew { ours: 6, theirs: 5 })
     );
 }
 
