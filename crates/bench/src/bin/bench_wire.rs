@@ -163,7 +163,8 @@ fn configuration_fanout(rounds: u32) -> (usize, f64) {
             for (_, sink) in &links {
                 let full = || Ok(Arc::clone(&frame));
                 let slim = || Ok(Arc::default());
-                sink.send_configuration(0, slim, full).expect("the device end is open");
+                sink.send_configuration(0, slim, full)
+                    .expect("the device end is open");
             }
             for (device, _) in &links {
                 let decoded = device
@@ -204,15 +205,19 @@ fn configuration_tcp() -> ConfigurationTcp {
     let mut best = f64::INFINITY;
     for _ in 0..7 {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind a loopback port");
-        let stream = std::net::TcpStream::connect(listener.local_addr().expect("address"))
-            .expect("connect");
+        let stream =
+            std::net::TcpStream::connect(listener.local_addr().expect("address")).expect("connect");
         let device = TcpTransport::new(stream).expect("wrap the stream");
         let server = TcpTransport::new(listener.accept().expect("accept").0).expect("wrap");
         let start = Instant::now();
         sent = std::thread::scope(|scope| {
             let reader = scope.spawn(|| {
                 for _ in &checkpoints {
-                    black_box(device.recv_timeout(Duration::from_secs(30)).expect("a Configuration"));
+                    black_box(
+                        device
+                            .recv_timeout(Duration::from_secs(30))
+                            .expect("a Configuration"),
+                    );
                 }
             });
             let sink = server.sink();
@@ -222,7 +227,12 @@ fn configuration_tcp() -> ConfigurationTcp {
                 .map(|checkpoint| {
                     let slim = || {
                         let buf = Arc::make_mut(&mut slim);
-                        wire::encode_plan_digest_and_checkpoint_into(digest, checkpoint, &population, buf)?;
+                        wire::encode_plan_digest_and_checkpoint_into(
+                            digest,
+                            checkpoint,
+                            &population,
+                            buf,
+                        )?;
                         Ok(Arc::clone(&slim))
                     };
                     let full = || {
@@ -230,7 +240,8 @@ fn configuration_tcp() -> ConfigurationTcp {
                         wire::encode_plan_and_checkpoint_into(&plan, checkpoint, &population, buf)?;
                         Ok(Arc::clone(&full))
                     };
-                    sink.send_configuration(digest, slim, full).expect("the device end is open")
+                    sink.send_configuration(digest, slim, full)
+                        .expect("the device end is open")
                 })
                 .collect();
             reader.join().expect("the reader");

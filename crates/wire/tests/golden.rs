@@ -171,9 +171,14 @@ fn golden_frames_still_decode() {
             .map(|i| u8::from_str_radix(&line[i..i + 2], 16).expect("fixture is hex"))
             .collect();
         let alone = decode(&bytes);
-        let on_connection = connection.decode(&bytes).expect("golden frame no longer decodes");
+        let on_connection = connection
+            .decode(&bytes)
+            .expect("golden frame no longer decodes");
         if bytes[3] == fl_wire::tag::PLAN_DIGEST_AND_CHECKPOINT {
-            assert!(matches!(alone, Err(WireError::Malformed { .. })), "{alone:?}");
+            assert!(
+                matches!(alone, Err(WireError::Malformed { .. })),
+                "{alone:?}"
+            );
         } else {
             assert_eq!(alone.as_ref(), Ok(&on_connection));
         }
@@ -216,7 +221,10 @@ fn configuration_from_borrowed_parts_is_the_same_frame() {
         };
         assert!(refused.is_err() && kept.is_empty());
         assert_eq!(refused.map(|_| ()), encode(&message).map(|_| ()));
-        let WireMessage::PlanAndCheckpoint { plan, checkpoint, .. } = &message else {
+        let WireMessage::PlanAndCheckpoint {
+            plan, checkpoint, ..
+        } = &message
+        else {
             unreachable!("built above");
         };
         kept = vec![0xAA; 64];

@@ -390,7 +390,8 @@ proptest! {
         let pos = HEADER_LEN + (pos_sel % (slim.len() - HEADER_LEN - TRAILER_LEN) as u64) as usize;
         mangled[pos] ^= xor;
         reseal(&mut mangled);
-        let names_the_plan = mangled[HEADER_LEN..HEADER_LEN + 8] == slim[HEADER_LEN..HEADER_LEN + 8];
+        let digest = HEADER_LEN..HEADER_LEN + 8;
+        let names_the_plan = mangled[digest.clone()] == slim[digest];
         match connection.decode(&mangled) {
             Ok(msg) => prop_assert!(names_the_plan && msg.tag() == tag::PLAN_AND_CHECKPOINT),
             Err(e) => prop_assert!(names_the_plan || matches!(e, WireError::Malformed { .. })),

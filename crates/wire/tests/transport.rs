@@ -408,8 +408,8 @@ fn send(sink: &WireSink, round: &Round) -> (usize, bool) {
 fn a_tcp_link_sends_a_plan_once_then_names_it_by_digest() {
     let (client, server) = tcp_pair();
     let sink = server.sink();
-    let (a1, a2, a3) = (configuration(50_000, 1), configuration(50_000, 2), configuration(50_000, 3));
-    let (b4, b5) = (configuration(60_000, 4), configuration(60_000, 5));
+    let [a1, a2, a3] = [1, 2, 3].map(|round| configuration(50_000, round));
+    let [b4, b5] = [4, 5].map(|round| configuration(60_000, round));
     assert_ne!(a1.digest, b4.digest);
     assert!(a1.slim.len() < a1.full.len() - 50_000);
     // A fresh connection is sent the plan; the next Configuration of the
