@@ -24,10 +24,14 @@
 //! `Arc`, and sent to every participant, the connections taking turns so
 //! that devices multiplexed on one connection do not all wait behind
 //! another's downloads (`CoordinatorActor::send_configuration`). An
-//! in-memory link queues a reference to that one buffer, not a copy, and
-//! a TCP link writes its bytes; at round end the Coordinator takes the
-//! buffer back for the next round's Configuration unless a device has yet
-//! to read it. A report frame is handed to the round's one report path
+//! in-memory link queues a reference to that one buffer, not a copy. A
+//! TCP link writes bytes, so it is sent the plan once: a connection that
+//! carried the round's plan before is sent the slim frame, the checkpoint
+//! with the plan named by its digest (protocol v6, encoded once a round
+//! too), and its device end decodes that against the plan it kept. At
+//! round end the Coordinator takes a frame's buffer back for the next
+//! round unless a device has yet to read it, or the round did not use it.
+//! A report frame is handed to the round's one report path
 //! ([`crate::coordinator::ActiveRound::on_report`]), which opens it where
 //! it lies ([`fl_wire::ReportRef`]: envelope and digest verified, payload
 //! borrowed) for admission, the at-most-once ledger and the accounting,
@@ -67,7 +71,10 @@ use fl_core::plan::FlPlan;
 use fl_core::population::TaskGroup;
 use fl_core::{CoreError, DeviceId, PopulationName, RoundId, RoundOutcome};
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use fl_wire::{ChannelTransport, Transport, WireError, WireMessage, WireSink, WireStats};
+use fl_wire::{
+    encode_plan_and_checkpoint_into, encode_plan_digest_and_checkpoint_into, ChannelTransport,
+    Transport, WireError, WireMessage, WireSink, WireStats,
+};
 use crossbeam::channel::Sender;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -166,6 +173,17 @@ impl Configuration {
             }
         }
     }
+}
+
+/// `frame`, written by `encode` first if it is empty.
+fn encoded(
+    frame: &mut Arc<Vec<u8>>,
+    encode: impl FnOnce(&mut Vec<u8>) -> Result<usize, WireError>,
+) -> Result<Arc<Vec<u8>>, WireError> {
+    if frame.is_empty() {
+        encode(Arc::make_mut(frame))?;
+    }
+    Ok(Arc::clone(frame))
 }
 
 /// The Coordinator as an actor: wraps the deterministic state machine,
@@ -500,28 +518,17 @@ impl<S: CheckpointStore + Send + 'static> CoordinatorActor<S> {
         // link holds it then (see `Configuration::clear`), so each encodes
         // in place. The only encode failure is an over-long population
         // name; no link is then sent anything.
+        let checkpoint = &round.checkpoint;
         for (_, conn) in sends {
             let slim = || {
-                if config.slim.is_empty() {
-                    fl_wire::encode_plan_digest_and_checkpoint_into(
-                        digest,
-                        &round.checkpoint,
-                        population,
-                        Arc::make_mut(&mut config.slim),
-                    )?;
-                }
-                Ok(Arc::clone(&config.slim))
+                encoded(&mut config.slim, |out| {
+                    encode_plan_digest_and_checkpoint_into(digest, checkpoint, population, out)
+                })
             };
             let full = || {
-                if config.full.is_empty() {
-                    fl_wire::encode_plan_and_checkpoint_into(
-                        &round.plan,
-                        &round.checkpoint,
-                        population,
-                        Arc::make_mut(&mut config.full),
-                    )?;
-                }
-                Ok(Arc::clone(&config.full))
+                encoded(&mut config.full, |out| {
+                    encode_plan_and_checkpoint_into(&round.plan, checkpoint, population, out)
+                })
             };
             let _ = conn.send_configuration(digest, slim, full);
         }
@@ -1699,13 +1706,14 @@ mod tests {
                 .unwrap();
         }
         let mut slots = vec![fl_wire::PlanSlot::default(); links];
+        let mut warm = vec![false; links];
         let (mut message, mut slim) = (None, None);
         for (i, &link) in reads.iter().enumerate() {
             let frame = clients[link]
                 .recv_frame_timeout(Duration::from_secs(10))
                 .unwrap_or_else(|e| panic!("read {i} (link {link}): {e}"));
             assert!(frame.len() > 6_000_000);
-            let carries_plan = slots[link].digest().is_none();
+            let carries_plan = !std::mem::replace(&mut warm[link], true);
             let decoded = slots[link].decode(&frame).unwrap();
             assert!(*message.get_or_insert_with(|| decoded.clone()) == decoded);
             if carries_plan {

@@ -7,7 +7,7 @@
 //! frozen by the golden-bytes fixture.
 
 use crate::message::{
-    tag, write_plan_and_checkpoint, write_plan_digest_and_checkpoint, WireMessage,
+    tag, write_checkpoint_and_population, write_plan_and_checkpoint, WireMessage,
 };
 use fl_core::{FlCheckpoint, FlPlan, PopulationName};
 use std::fmt;
@@ -400,7 +400,8 @@ pub fn encode_plan_digest_and_checkpoint_into(
     out: &mut Vec<u8>,
 ) -> Result<usize, WireError> {
     frame_into(tag::PLAN_DIGEST_AND_CHECKPOINT, out, |out| {
-        write_plan_digest_and_checkpoint(out, digest, checkpoint, population)
+        out.extend_from_slice(&digest.to_le_bytes());
+        write_checkpoint_and_population(out, checkpoint, population)
     })
 }
 
@@ -627,11 +628,6 @@ impl<'a> Reader<'a> {
             what: "element count overflow",
         })?)?;
         Ok(b.as_chunks::<8>().0)
-    }
-
-    /// Bytes read so far.
-    pub(crate) fn consumed(&self) -> usize {
-        self.at
     }
 
     /// Whole body consumed? Leftovers mean a layout mismatch.

@@ -328,20 +328,8 @@ pub(crate) fn write_plan_and_checkpoint(
     write_checkpoint_and_population(out, checkpoint, population)
 }
 
-/// Writes a [`tag::PLAN_DIGEST_AND_CHECKPOINT`] body: tag 4's body with
-/// the plan's bytes replaced by their digest.
-pub(crate) fn write_plan_digest_and_checkpoint(
-    out: &mut Vec<u8>,
-    digest: u64,
-    checkpoint: &FlCheckpoint,
-    population: &PopulationName,
-) -> Result<(), WireError> {
-    out.extend_from_slice(&digest.to_le_bytes());
-    write_checkpoint_and_population(out, checkpoint, population)
-}
-
 /// The part of a Configuration body after its plan (or plan digest).
-fn write_checkpoint_and_population(
+pub(crate) fn write_checkpoint_and_population(
     out: &mut Vec<u8>,
     checkpoint: &FlCheckpoint,
     population: &PopulationName,
@@ -402,34 +390,22 @@ impl PlanSlot {
     /// for a slim Configuration this slot holds no plan for.
     pub fn decode(&mut self, frame: &[u8]) -> Result<WireMessage, WireError> {
         let (tag_byte, body) = crate::frame::open_exact(frame)?;
-        let mut r = Reader::new(body);
-        // The plan, and the digest of a plan the slot is to hold.
-        let (plan, carried) = match tag_byte {
-            tag::PLAN_AND_CHECKPOINT => {
-                let plan = decode_plan(&mut r)?;
-                (plan, Some(checksum(&body[..r.consumed()])))
+        if tag_byte != tag::PLAN_DIGEST_AND_CHECKPOINT {
+            let msg = WireMessage::decode_body(tag_byte, body)?;
+            if let WireMessage::PlanAndCheckpoint { plan, .. } = &msg {
+                let digest = checksum(&body[..plan_encoded_len(plan)]);
+                self.held = Some((digest, FlPlan::clone(plan)));
             }
-            tag::PLAN_DIGEST_AND_CHECKPOINT => {
-                let digest = r.u64()?;
-                match &self.held {
-                    Some((held, plan)) if *held == digest => (plan.clone(), None),
-                    _ => return Err(NO_PLAN_FOR_DIGEST),
-                }
-            }
-            _ => return WireMessage::decode_body(tag_byte, body),
-        };
-        let held = carried.map(|digest| (digest, plan.clone()));
-        let msg = read_configuration(plan, &mut r)?;
-        r.finish()?;
-        if held.is_some() {
-            self.held = held;
+            return Ok(msg);
         }
+        let mut r = Reader::new(body);
+        let digest = r.u64()?;
+        let Some((_, plan)) = self.held.as_ref().filter(|(held, _)| *held == digest) else {
+            return Err(NO_PLAN_FOR_DIGEST);
+        };
+        let msg = read_configuration(plan.clone(), &mut r)?;
+        r.finish()?;
         Ok(msg)
-    }
-
-    /// The digest of the plan held, if any.
-    pub fn digest(&self) -> Option<u64> {
-        self.held.as_ref().map(|(digest, _)| *digest)
     }
 }
 

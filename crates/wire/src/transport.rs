@@ -64,7 +64,8 @@
 //! queues a reference, so a plan costs it nothing, and its links are the
 //! per-device ones whose bytes FIG9 counts. On `round_plain_tcp` (two
 //! connections of ten devices) this halves the bytes sent down a round,
-//! 41 956 180 to 20 978 660 (twenty 1 048 894-byte Configurations).
+//! 41 956 180 to 20 978 660 (twenty 1 048 894-byte Configurations and
+//! their acks).
 //!
 //! The bounds are constants, chosen by measurement, with no knob:
 //! * The floor, 16 KiB, pools `round_secagg`'s 33 KB reports; every
