@@ -169,7 +169,8 @@ impl Configuration {
         for frame in [&mut self.slim, &mut self.full] {
             match Arc::get_mut(frame) {
                 Some(bytes) if !bytes.is_empty() => bytes.clear(),
-                _ => *frame = Arc::default(),
+                Some(unused) => *unused = Vec::new(),
+                None => *frame = Arc::default(),
             }
         }
     }
