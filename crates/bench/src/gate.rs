@@ -279,10 +279,10 @@ pub fn des_day(day: &DesDay) -> Result<(), String> {
 /// twofold slowdown, not a drift; a gain or a loss of less is read from
 /// alternating pairs.
 pub const E2E_FLOORS: [(&str, f64); 4] = [
-    ("round_plain_tcp", 23.0),
+    ("round_plain_tcp", 29.0),
     ("checkin_storm", 791.0),
     ("round_secagg", 140.0),
-    ("fleet_des", 338.0),
+    ("fleet_des", 359.0),
 ];
 
 /// Ledger entries an [`E2E_FLOORS`] value looks back over.

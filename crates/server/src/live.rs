@@ -397,8 +397,7 @@ impl<S: CheckpointStore + Send + 'static> CoordinatorActor<S> {
         // The round's report ledger dies with it; a straggler retry from a
         // completed round names no active round and is refused. So do its
         // reply routes (every entry was inserted by a check-in this round
-        // selected) and its Configuration frame, whose buffer is taken
-        // back unless a device has yet to read it.
+        // selected) and its Configuration frames (`Configuration::clear`).
         self.device_replies.clear();
         self.configuration.clear();
         round.record_participation_metrics();
