@@ -266,7 +266,10 @@ mod tests {
         let (asker, answers) = ActorRef::<&str>::detached("asker");
         Reply::new(asker.clone(), "failed").send("answered");
         drop(Reply::new(asker, "failed"));
-        assert_eq!(answers.try_iter().collect::<Vec<_>>(), vec!["answered", "failed"]);
+        assert_eq!(
+            answers.try_iter().collect::<Vec<_>>(),
+            vec!["answered", "failed"]
+        );
     }
 
     #[test]

@@ -117,7 +117,10 @@ mod tests {
         let a = ScheduleExplorer::new(42);
         let b = ScheduleExplorer::new(42);
         for seq in 1..500 {
-            assert_eq!(a.on_deliver("coordinator", seq), b.on_deliver("coordinator", seq));
+            assert_eq!(
+                a.on_deliver("coordinator", seq),
+                b.on_deliver("coordinator", seq)
+            );
         }
         assert_eq!(a.reorders_applied(), b.reorders_applied());
         assert!(a.reorders_applied() > 0, "rate 250/1000 over 499 draws");
@@ -127,7 +130,8 @@ mod tests {
     fn different_seeds_give_different_schedules() {
         let a = ScheduleExplorer::new(1);
         let b = ScheduleExplorer::new(2);
-        let differs = (1..200).any(|seq| a.on_deliver("selector-0", seq) != b.on_deliver("selector-0", seq));
+        let differs =
+            (1..200).any(|seq| a.on_deliver("selector-0", seq) != b.on_deliver("selector-0", seq));
         assert!(differs);
     }
 
@@ -152,8 +156,7 @@ mod tests {
         let robbed = vec![obit("right")];
         let doubled = vec![obit("left"), obit("left"), obit("right")];
         assert!(audit_exactly_once(&[good.clone()], &["left", "right"]).is_empty());
-        let violations =
-            audit_exactly_once(&[good, robbed, doubled], &["left", "right"]);
+        let violations = audit_exactly_once(&[good, robbed, doubled], &["left", "right"]);
         assert_eq!(violations.len(), 2, "{violations:?}");
         assert!(violations[0].contains("subscriber 1"));
         assert!(violations[0].contains("0 times"));

@@ -75,7 +75,6 @@ impl<T> LockingService<T> {
 }
 
 impl<T: Clone> LockingService<T> {
-
     /// Attempts to acquire `name`, storing `payload` as the owner's
     /// address. Returns the lease on success, or `None` if already owned —
     /// this is what makes concurrent respawns resolve to exactly one

@@ -446,7 +446,8 @@ impl Shared {
     /// Stores the set's head; tells a waiting worker when it moved earlier.
     fn set_head(&self, timers: &Timers) {
         let nanos = timers.first_key_value().map_or(u64::MAX, |((at, _), _)| {
-            u64::try_from(at.saturating_duration_since(self.epoch).as_nanos()).unwrap_or(u64::MAX - 1)
+            u64::try_from(at.saturating_duration_since(self.epoch).as_nanos())
+                .unwrap_or(u64::MAX - 1)
         });
         if nanos < self.head.swap(nanos, Ordering::AcqRel) {
             let _ = self.queue.send(Job::Timers);
@@ -553,7 +554,13 @@ impl ActorSystem {
         let (queue, jobs) = unbounded();
         let shared = Arc::new(Shared {
             queue,
-            workers: Mutex::new(WORKERS, Workers { alive: 0, threads: Vec::new() }),
+            workers: Mutex::new(
+                WORKERS,
+                Workers {
+                    alive: 0,
+                    threads: Vec::new(),
+                },
+            ),
             quiescent: Condvar::new(),
             timers: Mutex::new(TIMERS, BTreeMap::new()),
             head: AtomicU64::new(u64::MAX),
@@ -714,7 +721,12 @@ mod tests {
     fn actor_processes_messages_sequentially() {
         let system = ActorSystem::new();
         let total = Arc::new(AtomicU64::new(0));
-        let r = system.spawn("adder", Adder { total: total.clone() });
+        let r = system.spawn(
+            "adder",
+            Adder {
+                total: total.clone(),
+            },
+        );
         for i in 1..=100 {
             r.send(i).unwrap();
         }
@@ -727,7 +739,12 @@ mod tests {
     fn mailbox_close_stops_actor() {
         let system = ActorSystem::new();
         let total = Arc::new(AtomicU64::new(0));
-        let r = system.spawn("adder", Adder { total: total.clone() });
+        let r = system.spawn(
+            "adder",
+            Adder {
+                total: total.clone(),
+            },
+        );
         r.send(7).unwrap();
         drop(r);
         system.join();
@@ -831,11 +848,18 @@ mod tests {
         let deaths = OBITUARY_RING + 3;
         let name = |i: usize| format!("actor-{i}");
         for i in 0..deaths {
-            let r = system.spawn(name(i), Adder { total: Arc::new(AtomicU64::new(0)) });
+            let r = system.spawn(
+                name(i),
+                Adder {
+                    total: Arc::new(AtomicU64::new(0)),
+                },
+            );
             r.send(0).unwrap();
             // One death at a time, so publication order is spawn order;
             // the subscriber from before the first death sees every one.
-            let obit = early.recv_timeout(std::time::Duration::from_secs(10)).unwrap();
+            let obit = early
+                .recv_timeout(std::time::Duration::from_secs(10))
+                .unwrap();
             assert_eq!(obit.name, name(i));
         }
         system.join();
@@ -848,11 +872,18 @@ mod tests {
     #[test]
     fn injected_crash_on_nth_message_is_deterministic() {
         let system = ActorSystem::new();
-        system.install_fault_injector(Arc::new(
-            ScriptedFaults::new().with("victim", 3, FaultAction::Crash),
-        ));
+        system.install_fault_injector(Arc::new(ScriptedFaults::new().with(
+            "victim",
+            3,
+            FaultAction::Crash,
+        )));
         let total = Arc::new(AtomicU64::new(0));
-        let r = system.spawn("victim", Adder { total: total.clone() });
+        let r = system.spawn(
+            "victim",
+            Adder {
+                total: total.clone(),
+            },
+        );
         for i in 1..=5 {
             r.send(i).unwrap();
         }
@@ -868,11 +899,18 @@ mod tests {
     #[test]
     fn injected_drop_loses_exactly_that_message() {
         let system = ActorSystem::new();
-        system.install_fault_injector(Arc::new(
-            ScriptedFaults::new().with("lossy", 2, FaultAction::Drop),
-        ));
+        system.install_fault_injector(Arc::new(ScriptedFaults::new().with(
+            "lossy",
+            2,
+            FaultAction::Drop,
+        )));
         let total = Arc::new(AtomicU64::new(0));
-        let r = system.spawn("lossy", Adder { total: total.clone() });
+        let r = system.spawn(
+            "lossy",
+            Adder {
+                total: total.clone(),
+            },
+        );
         for i in [10u64, 100, 1] {
             r.send(i).unwrap();
         }
@@ -886,11 +924,18 @@ mod tests {
     fn injected_delay_requeues_message() {
         let system = ActorSystem::new();
         // Delay the 1st message: it is re-enqueued behind the others.
-        system.install_fault_injector(Arc::new(
-            ScriptedFaults::new().with("slow", 1, FaultAction::Delay),
-        ));
+        system.install_fault_injector(Arc::new(ScriptedFaults::new().with(
+            "slow",
+            1,
+            FaultAction::Delay,
+        )));
         let order: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(SCAFFOLD, Vec::new()));
-        let r = system.spawn("slow", Recorder { order: order.clone() });
+        let r = system.spawn(
+            "slow",
+            Recorder {
+                order: order.clone(),
+            },
+        );
         r.send(7).unwrap();
         r.send(8).unwrap();
         r.send(0).unwrap();
@@ -925,9 +970,7 @@ mod tests {
     impl Actor for GatedRecorder {
         type Msg = u64;
         fn on_start(&mut self, _ctx: &mut Context<u64>) {
-            let _ = self
-                .gate
-                .recv_timeout(std::time::Duration::from_secs(10));
+            let _ = self.gate.recv_timeout(std::time::Duration::from_secs(10));
         }
         fn handle(&mut self, msg: u64, _ctx: &mut Context<u64>) -> Flow {
             if msg == 0 {
@@ -944,9 +987,11 @@ mod tests {
         let system = ActorSystem::new();
         // Reorder the 1st message: it is re-enqueued behind the others
         // but — unlike Delay — still delivered.
-        system.install_fault_injector(Arc::new(
-            ScriptedFaults::new().with("shuffled", 1, FaultAction::Reorder),
-        ));
+        system.install_fault_injector(Arc::new(ScriptedFaults::new().with(
+            "shuffled",
+            1,
+            FaultAction::Reorder,
+        )));
         let order: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(SCAFFOLD, Vec::new()));
         let (gate_tx, gate_rx) = unbounded();
         let (ack_tx, ack_rx) = unbounded();
@@ -991,16 +1036,29 @@ mod tests {
         for i in 0..SPAWNS {
             // Bound the actors alive by waiting for an obituary.
             if i - died.len() == ALIVE {
-                died.push(deaths.recv_timeout(std::time::Duration::from_secs(30)).unwrap());
+                died.push(
+                    deaths
+                        .recv_timeout(std::time::Duration::from_secs(30))
+                        .unwrap(),
+                );
             }
-            let r = system.spawn(format!("ephemeral-{i}"), Adder { total: total.clone() });
+            let r = system.spawn(
+                format!("ephemeral-{i}"),
+                Adder {
+                    total: total.clone(),
+                },
+            );
             r.send(1).unwrap();
             r.send(0).unwrap();
             threads_held.push(system.worker_threads());
         }
         system.join();
         died.extend(deaths.try_iter());
-        assert!(threads_held.iter().all(|&n| n == w()), "held other than {} workers", w());
+        assert!(
+            threads_held.iter().all(|&n| n == w()),
+            "held other than {} workers",
+            w()
+        );
         assert_eq!(total.load(Ordering::SeqCst), SPAWNS as u64);
         assert!(died.iter().all(|o| o.reason == DeathReason::Normal));
         let mut names: Vec<String> = died.into_iter().map(|o| o.name).collect();
@@ -1042,11 +1100,22 @@ mod tests {
         let system = ActorSystem::new();
         let deaths = system.deaths();
         let (report, reports) = unbounded();
-        let bomb = system.spawn("bomb", Probe { barrier: None, report: report.clone() });
+        let bomb = system.spawn(
+            "bomb",
+            Probe {
+                barrier: None,
+                report: report.clone(),
+            },
+        );
         bomb.send(true).unwrap();
-        let death = deaths.recv_timeout(std::time::Duration::from_secs(30)).unwrap();
+        let death = deaths
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .unwrap();
         assert_eq!(death.name, "bomb");
-        assert_eq!(death.reason, DeathReason::Panicked("boom while holding 1".into()));
+        assert_eq!(
+            death.reason,
+            DeathReason::Panicked("boom while holding 1".into())
+        );
         let (bomb_thread, _) = reports.recv().unwrap();
         // W probes that wait for each other in `on_start` hold all W
         // workers at once, so one of them runs where the bomb went off.
@@ -1054,7 +1123,13 @@ mod tests {
         let probes: Vec<_> = (0..w())
             .map(|i| {
                 let barrier = Some(barrier.clone());
-                system.spawn(format!("next-{i}"), Probe { barrier, report: report.clone() })
+                system.spawn(
+                    format!("next-{i}"),
+                    Probe {
+                        barrier,
+                        report: report.clone(),
+                    },
+                )
             })
             .collect();
         for probe in &probes {
@@ -1081,7 +1156,14 @@ mod tests {
         let system = ActorSystem::new();
         let total = Arc::new(AtomicU64::new(0));
         let refs: Vec<_> = (0..8)
-            .map(|i| system.spawn(format!("first-{i}"), Adder { total: total.clone() }))
+            .map(|i| {
+                system.spawn(
+                    format!("first-{i}"),
+                    Adder {
+                        total: total.clone(),
+                    },
+                )
+            })
             .collect();
         assert_eq!(system.worker_threads(), w());
         for r in &refs {
@@ -1094,7 +1176,12 @@ mod tests {
         // The workers outlive `join`; the system's last handle retires them.
         assert_eq!(system.worker_threads(), w());
 
-        let r = system.spawn("second", Adder { total: total.clone() });
+        let r = system.spawn(
+            "second",
+            Adder {
+                total: total.clone(),
+            },
+        );
         r.send(1).unwrap();
         drop(r);
         system.join();
@@ -1119,13 +1206,21 @@ mod tests {
         gate_tx.send(()).unwrap();
         // The first delivery happens with nothing installed.
         r.send(7).unwrap();
-        assert_eq!(ack_rx.recv_timeout(std::time::Duration::from_secs(30)), Ok(7));
-        system.install_fault_injector(Arc::new(
-            ScriptedFaults::new().with("late", 2, FaultAction::Drop),
-        ));
+        assert_eq!(
+            ack_rx.recv_timeout(std::time::Duration::from_secs(30)),
+            Ok(7)
+        );
+        system.install_fault_injector(Arc::new(ScriptedFaults::new().with(
+            "late",
+            2,
+            FaultAction::Drop,
+        )));
         r.send(8).unwrap();
         r.send(9).unwrap();
-        assert_eq!(ack_rx.recv_timeout(std::time::Duration::from_secs(30)), Ok(9));
+        assert_eq!(
+            ack_rx.recv_timeout(std::time::Duration::from_secs(30)),
+            Ok(9)
+        );
         system.clear_fault_injector();
         r.send(10).unwrap();
         drop(r);
@@ -1183,12 +1278,21 @@ mod tests {
         let (gate_tx, gate) = unbounded();
         let (seen, seen_rx) = unbounded();
         let at = Some(std::time::Instant::now() + after);
-        let r = system.spawn(name, Alarm { at, then, gate, seen });
+        let r = system.spawn(
+            name,
+            Alarm {
+                at,
+                then,
+                gate,
+                seen,
+            },
+        );
         (r, gate_tx, seen_rx)
     }
 
     fn next(seen: &Receiver<Seen>) -> Seen {
-        seen.recv_timeout(std::time::Duration::from_secs(10)).unwrap()
+        seen.recv_timeout(std::time::Duration::from_secs(10))
+            .unwrap()
     }
 
     #[test]
@@ -1229,17 +1333,25 @@ mod tests {
         gate.send(()).unwrap();
         // The reference is still held: the deadline alone stopped it.
         system.join();
-        assert_eq!(seen.try_iter().collect::<Vec<_>>(), vec![Seen::Deadline, Seen::Stopped]);
-        assert_eq!(system.deaths().try_recv().unwrap().reason, DeathReason::Normal);
+        assert_eq!(
+            seen.try_iter().collect::<Vec<_>>(),
+            vec![Seen::Deadline, Seen::Stopped]
+        );
+        assert_eq!(
+            system.deaths().try_recv().unwrap().reason,
+            DeathReason::Normal
+        );
         drop(r);
     }
 
     #[test]
     fn a_deadline_is_not_a_delivery_to_the_fault_injector() {
         let system = ActorSystem::new();
-        system.install_fault_injector(Arc::new(
-            ScriptedFaults::new().with("alarm", 2, FaultAction::Crash),
-        ));
+        system.install_fault_injector(Arc::new(ScriptedFaults::new().with(
+            "alarm",
+            2,
+            FaultAction::Crash,
+        )));
         let (r, gate, seen) = alarm(&system, "alarm", std::time::Duration::ZERO, Flow::Continue);
         gate.send(()).unwrap();
         assert_eq!(next(&seen), Seen::Deadline);
@@ -1257,9 +1369,11 @@ mod tests {
     #[test]
     fn reorder_on_draining_mailbox_delivers_in_place() {
         let system = ActorSystem::new();
-        system.install_fault_injector(Arc::new(
-            ScriptedFaults::new().with("draining", 1, FaultAction::Reorder),
-        ));
+        system.install_fault_injector(Arc::new(ScriptedFaults::new().with(
+            "draining",
+            1,
+            FaultAction::Reorder,
+        )));
         let order: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(SCAFFOLD, Vec::new()));
         let (gate_tx, gate_rx) = unbounded();
         let (ack_tx, _ack_rx) = unbounded();

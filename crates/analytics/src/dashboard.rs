@@ -102,10 +102,7 @@ mod tests {
         let chart = bar_chart("t", &[1.0, 2.0, 4.0], None, 8);
         let lines: Vec<&str> = chart.lines().collect();
         assert_eq!(lines[0], "t");
-        let bars: Vec<usize> = lines[1..]
-            .iter()
-            .map(|l| l.matches('█').count())
-            .collect();
+        let bars: Vec<usize> = lines[1..].iter().map(|l| l.matches('█').count()).collect();
         assert_eq!(bars, vec![2, 4, 8]);
     }
 

@@ -59,7 +59,9 @@ impl FaultLog {
 
     /// Entries of a given kind prefix (e.g. `inject.` or `recover.`).
     pub fn with_prefix<'a>(&'a self, prefix: &'a str) -> impl Iterator<Item = &'a FaultLogEntry> {
-        self.entries.iter().filter(move |e| e.kind.starts_with(prefix))
+        self.entries
+            .iter()
+            .filter(move |e| e.kind.starts_with(prefix))
     }
 
     /// Canonical text rendering: one `t=<ms> <kind> <detail>` line per

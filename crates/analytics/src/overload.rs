@@ -134,8 +134,7 @@ impl OverloadMetrics {
             } else {
                 self.open_sheds as f64 / offered as f64
             };
-            let close_at =
-                self.origin_ms + (self.open_bucket as u64 + 1) * self.config.bucket_ms;
+            let close_at = self.origin_ms + (self.open_bucket as u64 + 1) * self.config.bucket_ms;
             if let Some(alert) = self.monitor.observe(close_at, fraction) {
                 self.alerts.push(alert);
             }
@@ -546,7 +545,10 @@ mod tests {
         let panel = m.render_population_panel();
         let quiet_at = panel.find("panel/quiet").expect("quiet block rendered");
         let storm_at = panel.find("panel/storm").expect("storm block rendered");
-        assert!(quiet_at < storm_at, "blocks must follow name order:\n{panel}");
+        assert!(
+            quiet_at < storm_at,
+            "blocks must follow name order:\n{panel}"
+        );
         // Totals line up with the recorded events.
         for (label, total) in [("accepts", 4.0), ("sheds", 10.0), ("retries", 1.0)] {
             let expect = format!("{label:>7} {total:>10.0} |");

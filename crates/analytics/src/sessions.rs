@@ -81,7 +81,11 @@ impl SessionShapeTable {
 impl fmt::Display for SessionShapeTable {
     /// Renders in the format of Table 1.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "{:<14} {:>12} {:>8}", "Session Shape", "Count", "Percent")?;
+        writeln!(
+            f,
+            "{:<14} {:>12} {:>8}",
+            "Session Shape", "Count", "Percent"
+        )?;
         for (shape, count, pct) in self.rows() {
             writeln!(f, "{shape:<14} {count:>12} {pct:>7.0}%")?;
         }

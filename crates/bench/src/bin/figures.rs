@@ -11,8 +11,7 @@
 //! it in `--release` for paper-scale parameters.
 
 use fl_bench::{
-    fleet_experiments as fleet, learning_experiments as learn,
-    protocol_experiments as proto, Scale,
+    fleet_experiments as fleet, learning_experiments as learn, protocol_experiments as proto, Scale,
 };
 
 fn main() {

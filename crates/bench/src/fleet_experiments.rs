@@ -80,7 +80,12 @@ pub fn fig5(report: &FleetReport) -> String {
 /// with the completion-rate series underneath.
 pub fn fig6(report: &FleetReport) -> String {
     let mut out = String::new();
-    writeln!(out, "=== Figure 6: Connected Devices Over {} Days ===", report.config.days).unwrap();
+    writeln!(
+        out,
+        "=== Figure 6: Connected Devices Over {} Days ===",
+        report.config.days
+    )
+    .unwrap();
     out.push_str(&dashboard::dual_series(
         "device states (30-min buckets)",
         "participating",
@@ -108,9 +113,23 @@ pub fn fig6(report: &FleetReport) -> String {
 /// day-vs-night drop-out correlation.
 pub fn fig7(report: &FleetReport) -> String {
     let mut out = String::new();
-    writeln!(out, "=== Figure 7: Device Participation Outcomes per Round ===").unwrap();
-    writeln!(out, "{:>6} {:>6} {:>10} {:>10} {:>9}", "round", "hour", "completed", "aborted", "dropped").unwrap();
-    for r in report.rounds.iter().filter(|r| r.outcome.is_committed()).take(30) {
+    writeln!(
+        out,
+        "=== Figure 7: Device Participation Outcomes per Round ==="
+    )
+    .unwrap();
+    writeln!(
+        out,
+        "{:>6} {:>6} {:>10} {:>10} {:>9}",
+        "round", "hour", "completed", "aborted", "dropped"
+    )
+    .unwrap();
+    for r in report
+        .rounds
+        .iter()
+        .filter(|r| r.outcome.is_committed())
+        .take(30)
+    {
         if let RoundOutcome::Committed {
             incorporated,
             aborted,
@@ -129,7 +148,12 @@ pub fn fig7(report: &FleetReport) -> String {
     let (day_drop, night_drop) = report.dropout_by_daypart();
     let (day_rate, night_rate) = report.dropout_rate_by_daypart();
     writeln!(out, "… ({committed} committed rounds total)").unwrap();
-    writeln!(out, "\noverall drop-out rate: {:.1}% (paper: 6-10%)", report.dropout_rate() * 100.0).unwrap();
+    writeln!(
+        out,
+        "\noverall drop-out rate: {:.1}% (paper: 6-10%)",
+        report.dropout_rate() * 100.0
+    )
+    .unwrap();
     writeln!(
         out,
         "server-visible drop-outs per committed round — day: {day_drop:.2}, night: {night_drop:.2}"
@@ -154,7 +178,11 @@ pub fn fig7(report: &FleetReport) -> String {
 /// Fig. 8: round run time vs device participation time distributions.
 pub fn fig8(report: &FleetReport) -> String {
     let mut out = String::new();
-    writeln!(out, "=== Figure 8: Round Execution and Device Participation Time ===").unwrap();
+    writeln!(
+        out,
+        "=== Figure 8: Round Execution and Device Participation Time ==="
+    )
+    .unwrap();
     let to_minutes = |v: &[u64]| -> Vec<f64> { v.iter().map(|&t| t as f64 / 60_000.0).collect() };
     out.push_str(&dashboard::histogram(
         "round run time (minutes)",
@@ -205,12 +233,41 @@ pub fn fig9(report: &FleetReport) -> String {
     let t = &report.traffic;
     let gb = |b: u64| b as f64 / 1e9;
     writeln!(out, "{:<28} {:>10}", "flow", "GB").unwrap();
-    writeln!(out, "{:<28} {:>10.2}", "download: plans", gb(t.plan_bytes())).unwrap();
-    writeln!(out, "{:<28} {:>10.2}", "download: checkpoints", gb(t.checkpoint_bytes())).unwrap();
-    writeln!(out, "{:<28} {:>10.2}", "upload: updates", gb(t.update_bytes())).unwrap();
-    writeln!(out, "{:<28} {:>10.2}", "total download", gb(t.download_bytes())).unwrap();
+    writeln!(
+        out,
+        "{:<28} {:>10.2}",
+        "download: plans",
+        gb(t.plan_bytes())
+    )
+    .unwrap();
+    writeln!(
+        out,
+        "{:<28} {:>10.2}",
+        "download: checkpoints",
+        gb(t.checkpoint_bytes())
+    )
+    .unwrap();
+    writeln!(
+        out,
+        "{:<28} {:>10.2}",
+        "upload: updates",
+        gb(t.update_bytes())
+    )
+    .unwrap();
+    writeln!(
+        out,
+        "{:<28} {:>10.2}",
+        "total download",
+        gb(t.download_bytes())
+    )
+    .unwrap();
     writeln!(out, "{:<28} {:>10.2}", "total upload", gb(t.upload_bytes())).unwrap();
-    writeln!(out, "\ndownload/upload ratio: {:.1}x (paper: download dominates)", t.asymmetry()).unwrap();
+    writeln!(
+        out,
+        "\ndownload/upload ratio: {:.1}x (paper: download dominates)",
+        t.asymmetry()
+    )
+    .unwrap();
     writeln!(
         out,
         "cause: each device downloads plan (≈ model size) + checkpoint, uploads a compressed update"
@@ -229,7 +286,11 @@ pub fn fig9(report: &FleetReport) -> String {
 /// Table 1: session-shape distribution.
 pub fn table1(report: &FleetReport) -> String {
     let mut out = String::new();
-    writeln!(out, "=== Table 1: Distribution of On-Device Training Sessions ===").unwrap();
+    writeln!(
+        out,
+        "=== Table 1: Distribution of On-Device Training Sessions ==="
+    )
+    .unwrap();
     out.push_str(&report.sessions.to_string());
     writeln!(
         out,

@@ -306,7 +306,9 @@ pub fn e2e(workload: &str, result: &str) -> Result<(), String> {
         .and_then(|(_, rest)| rest.split([',', '}']).next()?.parse().ok())
         .ok_or(format!("no rounds_per_s in: {result}"))?;
     if rate < *floor {
-        return Err(format!("{rate:.1} rounds/s is under the {floor} rounds/s floor"));
+        return Err(format!(
+            "{rate:.1} rounds/s is under the {floor} rounds/s floor"
+        ));
     }
     Ok(())
 }
@@ -586,7 +588,13 @@ mod tests {
         let why = digest(&lost).expect_err("1.1x is under the required advantage");
         assert!(why.contains("1.5x an AVX2 CPU must reach"), "{why}");
         // Without AVX2 the dispatch has no vector build to pick.
-        assert_eq!(digest(&DigestRow { avx2: false, ..lost }), Ok(()));
+        assert_eq!(
+            digest(&DigestRow {
+                avx2: false,
+                ..lost
+            }),
+            Ok(())
+        );
     }
 
     #[test]
@@ -604,7 +612,10 @@ mod tests {
             ..committed
         };
         let why = configuration_tcp(&resent).expect_err("the plan was sent again");
-        assert!(why.contains("262208 params") && why.contains("carried the plan"), "{why}");
+        assert!(
+            why.contains("262208 params") && why.contains("carried the plan"),
+            "{why}"
+        );
         let one_more = ConfigurationTcp {
             warm_bytes: committed.warm_bytes + 1,
             ..committed_configuration_tcp()

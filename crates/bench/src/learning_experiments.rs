@@ -3,8 +3,8 @@
 
 use crate::Scale;
 use fl_core::plan::{CodecSpec, ModelSpec};
-use fl_data::synth::text::{self, TextConfig};
 use fl_data::synth::classification::{self, ClassificationConfig};
+use fl_data::synth::text::{self, TextConfig};
 use fl_ml::metrics::topk_recall;
 use fl_ml::models::ngram::NgramLm;
 use fl_sim::training::{run_centralized, run_federated, TrainingRunConfig};
@@ -66,7 +66,9 @@ pub fn next_word_prediction(scale: Scale) -> NwpResult {
     ngram
         .observe_all(data.centralized().iter())
         .expect("corpus is valid");
-    let ngram_recall = ngram.top1_recall(&data.test_set).expect("non-empty test set");
+    let ngram_recall = ngram
+        .top1_recall(&data.test_set)
+        .expect("non-empty test set");
 
     // FL-trained CBOW model.
     let model = ModelSpec::EmbeddingLm {
@@ -120,12 +122,40 @@ pub fn next_word_prediction(scale: Scale) -> NwpResult {
 /// Formats the NWP experiment results.
 pub fn nwp_report(result: &NwpResult) -> String {
     let mut out = String::new();
-    writeln!(out, "=== Section 8: Next-Word Prediction (Gboard-style) ===").unwrap();
+    writeln!(
+        out,
+        "=== Section 8: Next-Word Prediction (Gboard-style) ==="
+    )
+    .unwrap();
     writeln!(out, "{:<34} {:>8}", "model", "top-1 recall").unwrap();
-    writeln!(out, "{:<34} {:>11.1}%", "n-gram baseline (central)", result.ngram_recall * 100.0).unwrap();
-    writeln!(out, "{:<34} {:>11.1}%", "CBOW trained with FedAvg (FL)", result.fl_recall * 100.0).unwrap();
-    writeln!(out, "{:<34} {:>11.1}%", "CBOW trained centrally", result.central_recall * 100.0).unwrap();
-    writeln!(out, "{:<34} {:>11.1}%", "FL model, top-3 recall", result.fl_top3_recall * 100.0).unwrap();
+    writeln!(
+        out,
+        "{:<34} {:>11.1}%",
+        "n-gram baseline (central)",
+        result.ngram_recall * 100.0
+    )
+    .unwrap();
+    writeln!(
+        out,
+        "{:<34} {:>11.1}%",
+        "CBOW trained with FedAvg (FL)",
+        result.fl_recall * 100.0
+    )
+    .unwrap();
+    writeln!(
+        out,
+        "{:<34} {:>11.1}%",
+        "CBOW trained centrally",
+        result.central_recall * 100.0
+    )
+    .unwrap();
+    writeln!(
+        out,
+        "{:<34} {:>11.1}%",
+        "FL model, top-3 recall",
+        result.fl_top3_recall * 100.0
+    )
+    .unwrap();
     writeln!(out, "\nconvergence trajectory (round, recall):").unwrap();
     for (round, recall) in &result.trajectory {
         writeln!(out, "  round {round:>4}: {:.1}%", recall * 100.0).unwrap();
@@ -176,8 +206,7 @@ pub fn kclients_sweep(scale: Scale) -> Vec<KClientsPoint> {
                 seed: 31,
                 ..Default::default()
             };
-            let report =
-                run_federated(&config, &data.users, &data.test_set).expect("run succeeds");
+            let report = run_federated(&config, &data.users, &data.test_set).expect("run succeeds");
             KClientsPoint {
                 clients: k,
                 accuracy: report.final_accuracy(),

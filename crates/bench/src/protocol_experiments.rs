@@ -15,7 +15,11 @@ use std::time::Instant;
 /// and a failure, annotated with the persistence points.
 pub fn fig1_round_trace() -> String {
     let mut out = String::new();
-    writeln!(out, "=== Figure 1: Federated Learning Protocol (round trace) ===").unwrap();
+    writeln!(
+        out,
+        "=== Figure 1: Federated Learning Protocol (round trace) ==="
+    )
+    .unwrap();
     let config = RoundConfig {
         goal_count: 4,
         overselection: 1.5,
@@ -24,9 +28,19 @@ pub fn fig1_round_trace() -> String {
         report_window_ms: 120_000,
         device_cap_ms: 100_000,
     };
-    writeln!(out, "[t=     0ms] server reads model checkpoint from persistent storage (1)").unwrap();
+    writeln!(
+        out,
+        "[t=     0ms] server reads model checkpoint from persistent storage (1)"
+    )
+    .unwrap();
     let mut round = RoundState::begin(RoundId(1), config, 0);
-    writeln!(out, "[t=     0ms] selection opens: goal={} target={}", config.goal_count, config.selection_target()).unwrap();
+    writeln!(
+        out,
+        "[t=     0ms] selection opens: goal={} target={}",
+        config.goal_count,
+        config.selection_target()
+    )
+    .unwrap();
     for i in 0..6u64 {
         let t = 1_000 + i * 500;
         round.on_checkin(DeviceId(i), t);
@@ -34,21 +48,41 @@ pub fn fig1_round_trace() -> String {
     }
     // One more arrives after the target is met: rejected.
     let late = round.on_checkin(DeviceId(99), 5_000);
-    writeln!(out, "[t=  5000ms] device-99 checks in -> {late:?} (\"come back later!\")").unwrap();
+    writeln!(
+        out,
+        "[t=  5000ms] device-99 checks in -> {late:?} (\"come back later!\")"
+    )
+    .unwrap();
     for e in round.drain_events() {
-        if let RoundEvent::Configured { at_ms, participants } = e {
-            writeln!(out, "[t={at_ms:>6}ms] configuration: model and plan sent to {participants} devices (3)").unwrap();
+        if let RoundEvent::Configured {
+            at_ms,
+            participants,
+        } = e
+        {
+            writeln!(
+                out,
+                "[t={at_ms:>6}ms] configuration: model and plan sent to {participants} devices (3)"
+            )
+            .unwrap();
         }
     }
     // Devices train; one fails, one straggles.
     round.on_dropout(DeviceId(5), 20_000);
-    writeln!(out, "[t= 20000ms] device-5 fails (device or network failure)").unwrap();
+    writeln!(
+        out,
+        "[t= 20000ms] device-5 fails (device or network failure)"
+    )
+    .unwrap();
     for (i, t) in [(0u64, 30_000u64), (1, 35_000), (2, 40_000), (3, 45_000)] {
         let resp = round.on_report(DeviceId(i), t);
         writeln!(out, "[t={t:>6}ms] device-{i} reports update -> {resp:?}; server aggregates as they arrive (4,5)").unwrap();
     }
     let straggler = round.on_report(DeviceId(4), 50_000);
-    writeln!(out, "[t= 50000ms] device-4 reports late -> {straggler:?} (straggler ignored)").unwrap();
+    writeln!(
+        out,
+        "[t= 50000ms] device-4 reports late -> {straggler:?} (straggler ignored)"
+    )
+    .unwrap();
     for e in round.drain_events() {
         if let RoundEvent::Finished { at_ms, outcome } = e {
             writeln!(out, "[t={at_ms:>6}ms] round finished: {outcome:?}").unwrap();
@@ -98,8 +132,17 @@ pub fn secagg_cost_sweep(scale: Scale) -> Vec<SecAggCostPoint> {
 /// sharding rationale.
 pub fn secagg_report(points: &[SecAggCostPoint]) -> String {
     let mut out = String::new();
-    writeln!(out, "=== Section 6: Secure Aggregation Cost vs Group Size ===").unwrap();
-    writeln!(out, "{:>10} {:>12} {:>18}", "devices", "time (ms)", "ms per device").unwrap();
+    writeln!(
+        out,
+        "=== Section 6: Secure Aggregation Cost vs Group Size ==="
+    )
+    .unwrap();
+    writeln!(
+        out,
+        "{:>10} {:>12} {:>18}",
+        "devices", "time (ms)", "ms per device"
+    )
+    .unwrap();
     for p in points {
         writeln!(
             out,
@@ -199,12 +242,7 @@ pub fn pace_report() -> String {
 /// selection window; afterwards selection for round *i+1* hides entirely
 /// under round *i*'s reporting (when `selection_ms ≤ reporting_ms`; any
 /// excess spills over).
-fn estimate_wallclock(
-    rounds: u64,
-    selection_ms: u64,
-    reporting_ms: u64,
-    pipelined: bool,
-) -> u64 {
+fn estimate_wallclock(rounds: u64, selection_ms: u64, reporting_ms: u64, pipelined: bool) -> u64 {
     if rounds == 0 {
         return 0;
     }
@@ -220,8 +258,17 @@ fn estimate_wallclock(
 /// Demonstrates the Sec. 4.3 pipelining latency model.
 pub fn pipelining_report() -> String {
     let mut out = String::new();
-    writeln!(out, "=== Section 4.3: Pipelining Selection with Reporting ===").unwrap();
-    writeln!(out, "{:>8} {:>16} {:>16} {:>8}", "rounds", "sequential (h)", "pipelined (h)", "saving").unwrap();
+    writeln!(
+        out,
+        "=== Section 4.3: Pipelining Selection with Reporting ==="
+    )
+    .unwrap();
+    writeln!(
+        out,
+        "{:>8} {:>16} {:>16} {:>8}",
+        "rounds", "sequential (h)", "pipelined (h)", "saving"
+    )
+    .unwrap();
     for rounds in [10u64, 100, 1000] {
         let seq = estimate_wallclock(rounds, 60_000, 150_000, false);
         let pip = estimate_wallclock(rounds, 60_000, 150_000, true);

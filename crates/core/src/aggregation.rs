@@ -268,9 +268,7 @@ mod tests {
         streaming.accumulate(update(vec![1.0, 2.0], 1)).unwrap();
         streaming.accumulate(update(vec![3.0, 4.0], 2)).unwrap();
         let mut presummed = FedAvgAccumulator::new(2);
-        presummed
-            .accumulate_presummed(&[4.0, 6.0], 3, 2)
-            .unwrap();
+        presummed.accumulate_presummed(&[4.0, 6.0], 3, 2).unwrap();
         assert_eq!(streaming, presummed);
     }
 

@@ -51,7 +51,10 @@ impl fmt::Display for CoreError {
         match self {
             CoreError::MalformedCheckpoint(why) => write!(f, "malformed checkpoint: {why}"),
             CoreError::DimensionMismatch { expected, actual } => {
-                write!(f, "update dimension mismatch: expected {expected}, got {actual}")
+                write!(
+                    f,
+                    "update dimension mismatch: expected {expected}, got {actual}"
+                )
             }
             CoreError::ZeroWeightUpdate => write!(f, "update has zero weight"),
             CoreError::InsufficientParticipants { reported, required } => write!(

@@ -98,9 +98,7 @@ impl SessionLog {
 
     /// Whether the session has reached a terminal event.
     pub fn is_finished(&self) -> bool {
-        self.events
-            .last()
-            .is_some_and(|(_, e)| e.is_terminal())
+        self.events.last().is_some_and(|(_, e)| e.is_terminal())
     }
 
     /// The session-shape string, e.g. `-v[]+^` (Table 1).

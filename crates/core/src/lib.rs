@@ -63,16 +63,7 @@ pub use round::{RoundConfig, RoundOutcome};
 /// *Attestation*): the id is an ephemeral handle for a connection, not a
 /// user identity.
 #[derive(
-    Debug,
-    Clone,
-    Copy,
-    PartialEq,
-    Eq,
-    PartialOrd,
-    Ord,
-    Hash,
-    serde::Serialize,
-    serde::Deserialize,
+    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
 )]
 pub struct DeviceId(pub u64);
 

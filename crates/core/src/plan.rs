@@ -219,9 +219,7 @@ impl PlanOp {
                 ];
                 Some(lowered)
             }
-            PlanOp::ComputeMetrics => {
-                Some(vec![PlanOp::ComputeLoss, PlanOp::ComputeAccuracy])
-            }
+            PlanOp::ComputeMetrics => Some(vec![PlanOp::ComputeLoss, PlanOp::ComputeAccuracy]),
             _ => None,
         }
     }
@@ -444,7 +442,10 @@ mod tests {
         assert_eq!(epochs, 3);
         assert!(lowered.ops.contains(&PlanOp::ComputeLoss));
         assert!(lowered.ops.contains(&PlanOp::ComputeAccuracy));
-        assert!(!lowered.ops.iter().any(|op| matches!(op, PlanOp::Train { .. })));
+        assert!(!lowered
+            .ops
+            .iter()
+            .any(|op| matches!(op, PlanOp::Train { .. })));
     }
 
     #[test]
@@ -452,13 +453,19 @@ mod tests {
         let plan = FlPlan::standard_training(spec(), 2, 8, 0.1, CodecSpec::Identity);
         let lowered = plan.device.lower_to_version(2).unwrap();
         assert!(lowered.ops.contains(&PlanOp::ComputeMetrics));
-        assert!(!lowered.ops.iter().any(|op| matches!(op, PlanOp::Train { .. })));
+        assert!(!lowered
+            .ops
+            .iter()
+            .any(|op| matches!(op, PlanOp::Train { .. })));
     }
 
     #[test]
     fn lowering_to_current_version_is_identity() {
         let plan = FlPlan::standard_training(spec(), 2, 8, 0.1, CodecSpec::Identity);
-        let lowered = plan.device.lower_to_version(CURRENT_RUNTIME_VERSION).unwrap();
+        let lowered = plan
+            .device
+            .lower_to_version(CURRENT_RUNTIME_VERSION)
+            .unwrap();
         assert_eq!(lowered, plan.device);
     }
 

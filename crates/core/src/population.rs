@@ -184,11 +184,17 @@ impl TaskGroup {
     /// range, or if `AlternateTrainEval` is used without exactly one
     /// training and one evaluation task.
     pub fn new(tasks: Vec<FlTask>, strategy: TaskSelectionStrategy) -> Self {
-        assert!(!tasks.is_empty(), "task group must contain at least one task");
+        assert!(
+            !tasks.is_empty(),
+            "task group must contain at least one task"
+        );
         match &strategy {
             TaskSelectionStrategy::Single => {}
             TaskSelectionStrategy::AlternateTrainEval { .. } => {
-                let train = tasks.iter().filter(|t| t.kind == TaskKind::Training).count();
+                let train = tasks
+                    .iter()
+                    .filter(|t| t.kind == TaskKind::Training)
+                    .count();
                 let eval = tasks
                     .iter()
                     .filter(|t| t.kind == TaskKind::Evaluation)
@@ -293,11 +299,10 @@ mod tests {
     #[test]
     fn ab_comparison_rotates_arms() {
         let g = TaskGroup::new(
-            vec![
-                FlTask::training("a", "pop"),
-                FlTask::training("b", "pop"),
-            ],
-            TaskSelectionStrategy::AbComparison { arms: vec![0, 1, 1] },
+            vec![FlTask::training("a", "pop"), FlTask::training("b", "pop")],
+            TaskSelectionStrategy::AbComparison {
+                arms: vec![0, 1, 1],
+            },
         );
         assert_eq!(g.select(0).name, "a");
         assert_eq!(g.select(1).name, "b");

@@ -36,7 +36,10 @@ impl DpConfig {
     /// Panics if `clip_norm <= 0` or `noise_multiplier < 0`.
     pub fn new(clip_norm: f32, noise_multiplier: f64, noise_seed: u64) -> Self {
         assert!(clip_norm > 0.0, "clip norm must be positive");
-        assert!(noise_multiplier >= 0.0, "noise multiplier must be non-negative");
+        assert!(
+            noise_multiplier >= 0.0,
+            "noise multiplier must be non-negative"
+        );
         DpConfig {
             clip_norm,
             noise_multiplier,

@@ -124,19 +124,49 @@ mod tests {
         assert_eq!(p.nominal_delay_ms(4), 8_000);
         assert_eq!(p.nominal_delay_ms(5), 10_000); // capped
         assert_eq!(p.nominal_delay_ms(60), 10_000); // no overflow
-        // Attempt 0 behaves like attempt 1.
+                                                    // Attempt 0 behaves like attempt 1.
         assert_eq!(p.nominal_delay_ms(0), 1_000);
     }
 
     #[test]
     fn validation_rejects_bad_fields() {
         let ok = RetryPolicy::default();
-        assert!(RetryPolicy { base_delay_ms: 0, ..ok }.validate().is_err());
-        assert!(RetryPolicy { multiplier: 0.5, ..ok }.validate().is_err());
-        assert!(RetryPolicy { max_delay_ms: 1, ..ok }.validate().is_err());
-        assert!(RetryPolicy { jitter_frac: 1.5, ..ok }.validate().is_err());
-        assert!(RetryPolicy { budget_per_window: 0, ..ok }.validate().is_err());
-        assert!(RetryPolicy { budget_window_ms: 0, ..ok }.validate().is_err());
+        assert!(RetryPolicy {
+            base_delay_ms: 0,
+            ..ok
+        }
+        .validate()
+        .is_err());
+        assert!(RetryPolicy {
+            multiplier: 0.5,
+            ..ok
+        }
+        .validate()
+        .is_err());
+        assert!(RetryPolicy {
+            max_delay_ms: 1,
+            ..ok
+        }
+        .validate()
+        .is_err());
+        assert!(RetryPolicy {
+            jitter_frac: 1.5,
+            ..ok
+        }
+        .validate()
+        .is_err());
+        assert!(RetryPolicy {
+            budget_per_window: 0,
+            ..ok
+        }
+        .validate()
+        .is_err());
+        assert!(RetryPolicy {
+            budget_window_ms: 0,
+            ..ok
+        }
+        .validate()
+        .is_err());
     }
 
     #[test]

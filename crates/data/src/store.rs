@@ -98,8 +98,8 @@ pub struct StoreConfig {
 impl Default for StoreConfig {
     fn default() -> Self {
         StoreConfig {
-            max_bytes: 4 << 20,                       // 4 MiB
-            expiration_ms: 30 * 24 * 3600 * 1000,     // 30 days
+            max_bytes: 4 << 20,                   // 4 MiB
+            expiration_ms: 30 * 24 * 3600 * 1000, // 30 days
         }
     }
 }

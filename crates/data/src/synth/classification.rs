@@ -111,10 +111,9 @@ pub fn generate(config: &ClassificationConfig) -> FederatedClassification {
         let mut rng = rng::seeded_stream(config.seed, u as u64 + 1);
         let dominant = u % config.classes;
         // Heterogeneous dataset sizes: 50%–150% of the mean.
-        let count = ((config.examples_per_user as f64)
-            * (0.5 + rng.random::<f64>()))
-        .round()
-        .max(1.0) as usize;
+        let count = ((config.examples_per_user as f64) * (0.5 + rng.random::<f64>()))
+            .round()
+            .max(1.0) as usize;
         let mut data = Vec::with_capacity(count);
         for _ in 0..count {
             let class = if rng.random::<f64>() < config.label_skew {

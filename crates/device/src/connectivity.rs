@@ -301,7 +301,10 @@ mod tests {
             let mut m = ConnectivityManager::new(policy());
             let mut rng = seeded(42);
             (0..6)
-                .map(|i| m.on_rejected(i * 500, Some(i * 700), &mut rng).effective_at_ms())
+                .map(|i| {
+                    m.on_rejected(i * 500, Some(i * 700), &mut rng)
+                        .effective_at_ms()
+                })
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(), run());
@@ -354,9 +357,7 @@ mod tests {
         assert!(d.effective_at_ms() >= 300_000);
         assert_eq!(m.consecutive_failures(), 2);
         // An ack is not a rejection and leaves the state untouched.
-        assert!(m
-            .on_wire_reply(2_000, &ack(true), &mut rng)
-            .is_none());
+        assert!(m.on_wire_reply(2_000, &ack(true), &mut rng).is_none());
         assert_eq!(m.consecutive_failures(), 2);
     }
 

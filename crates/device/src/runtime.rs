@@ -142,12 +142,8 @@ impl FlRuntime {
                     }
                     let mut opt = Sgd::new(*learning_rate);
                     for _ in 0..(*epochs).max(1) {
-                        work_units += Self::one_epoch(
-                            model.as_mut(),
-                            &examples,
-                            *batch_size,
-                            &mut opt,
-                        )?;
+                        work_units +=
+                            Self::one_epoch(model.as_mut(), &examples, *batch_size, &mut opt)?;
                     }
                 }
                 PlanOp::TrainEpoch {
@@ -410,7 +406,9 @@ mod tests {
             .execute(&plan.device, &checkpoint(), &empty, None)
             .unwrap();
         match outcome {
-            ExecutionOutcome::Completed { weight, work_units, .. } => {
+            ExecutionOutcome::Completed {
+                weight, work_units, ..
+            } => {
                 assert_eq!(weight, 0);
                 assert_eq!(work_units, 0);
             }

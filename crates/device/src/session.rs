@@ -364,7 +364,13 @@ mod tests {
             seed: 0,
         };
         WireMessage::PlanAndCheckpoint {
-            plan: Box::new(FlPlan::standard_training(spec, 1, 8, 0.1, CodecSpec::Identity)),
+            plan: Box::new(FlPlan::standard_training(
+                spec,
+                1,
+                8,
+                0.1,
+                CodecSpec::Identity,
+            )),
             checkpoint: Box::new(FlCheckpoint::new("t", RoundId(round), vec![0.0; params])),
             population: "pop".into(),
         }
@@ -575,9 +581,27 @@ mod tests {
         let update: Vec<f32> = (0..10).map(|i| i as f32 * 0.125 - 0.5).collect();
         let frames = [
             // `scenario`'s plain report: no update at all.
-            report_frame(DeviceId(7), &pop, (RoundId(3), 1), Identity(&[]), (4, 0.9, 0.5)),
-            report_frame(DeviceId(7), &pop, (RoundId(3), 2), Identity(&update), (4, 0.9, 0.5)),
-            report_frame(DeviceId(9), &pop, (RoundId(5), 1), Field(&update[..4]), (1, 0.4, 0.9)),
+            report_frame(
+                DeviceId(7),
+                &pop,
+                (RoundId(3), 1),
+                Identity(&[]),
+                (4, 0.9, 0.5),
+            ),
+            report_frame(
+                DeviceId(7),
+                &pop,
+                (RoundId(3), 2),
+                Identity(&update),
+                (4, 0.9, 0.5),
+            ),
+            report_frame(
+                DeviceId(9),
+                &pop,
+                (RoundId(5), 1),
+                Field(&update[..4]),
+                (1, 0.4, 0.9),
+            ),
         ];
         let frames: Vec<String> = frames.iter().map(|f| hex(f.as_ref().unwrap())).collect();
         assert_eq!(frames, PINNED);

@@ -59,10 +59,12 @@ impl DeviceTenancy {
     /// [`RetryPolicy::validate`] (both via the underlying constructors).
     pub fn register(&mut self, population: PopulationName, period_ms: u64, policy: RetryPolicy) {
         self.queue.register(population.clone());
-        self.lanes.entry(population).or_insert_with(|| PopulationLane {
-            scheduler: JobScheduler::new(period_ms),
-            connectivity: ConnectivityManager::new(policy),
-        });
+        self.lanes
+            .entry(population)
+            .or_insert_with(|| PopulationLane {
+                scheduler: JobScheduler::new(period_ms),
+                connectivity: ConnectivityManager::new(policy),
+            });
     }
 
     /// Tries to start a training session at `now_ms`. At most one session
@@ -113,7 +115,10 @@ impl DeviceTenancy {
         // Every other due population lost the single session slot: defer
         // it through its own retry discipline.
         for loser in due.iter().filter(|p| **p != winner) {
-            let lane = self.lanes.get_mut(loser).expect("due population has a lane");
+            let lane = self
+                .lanes
+                .get_mut(loser)
+                .expect("due population has a lane");
             let decision = lane.connectivity.on_rejected(now_ms, None, rng);
             decision.apply_to(&mut lane.scheduler);
             self.arbitration_losses += 1;
@@ -232,9 +237,15 @@ mod tests {
         let mut t = DeviceTenancy::new();
         let mut rng = seeded(12);
         t.register(pop("a"), 1_000, policy());
-        assert_eq!(t.start_session(0, DeviceConditions::in_use(), &mut rng), None);
+        assert_eq!(
+            t.start_session(0, DeviceConditions::in_use(), &mut rng),
+            None
+        );
         // The slot was not consumed and no budget was charged.
-        assert_eq!(t.lane(&pop("a")).unwrap().connectivity.attempts_in_window(), 0);
+        assert_eq!(
+            t.lane(&pop("a")).unwrap().connectivity.attempts_in_window(),
+            0
+        );
         assert_eq!(
             t.start_session(1, DeviceConditions::eligible(), &mut rng),
             Some(pop("a"))
@@ -290,7 +301,9 @@ mod tests {
         assert_eq!(t.lane(&pop("a")).unwrap().connectivity.retries_total(), 1);
         assert_eq!(t.lane(&pop("b")).unwrap().connectivity.retries_total(), 0);
         // Unknown population: no lane, no decision.
-        assert!(t.on_server_reply(&pop("ghost"), 0, &reply, &mut rng).is_none());
+        assert!(t
+            .on_server_reply(&pop("ghost"), 0, &reply, &mut rng)
+            .is_none());
     }
 
     #[test]

@@ -312,9 +312,7 @@ impl FileContext {
         let comment_lines: std::collections::HashSet<u32> = self
             .tokens
             .iter()
-            .filter(|t| {
-                matches!(t.kind, TokenKind::LineComment | TokenKind::BlockComment)
-            })
+            .filter(|t| matches!(t.kind, TokenKind::LineComment | TokenKind::BlockComment))
             .map(|t| t.line)
             .collect();
         let mut allows: HashMap<u32, Vec<String>> = HashMap::new();
@@ -340,10 +338,7 @@ impl FileContext {
             }
             allows.entry(t.line).or_default().extend(rules.clone());
             // Standalone comment: also cover the next line.
-            let line_start = self.src[..t.start]
-                .rfind('\n')
-                .map(|p| p + 1)
-                .unwrap_or(0);
+            let line_start = self.src[..t.start].rfind('\n').map(|p| p + 1).unwrap_or(0);
             let standalone = self.src[line_start..t.start]
                 .chars()
                 .all(char::is_whitespace);

@@ -434,7 +434,8 @@ let d = '\'';
 
     #[test]
     fn doc_vs_plain_comment_classification() {
-        let toks = kinds("/// doc\n//! inner doc\n// plain\n//// not doc\n/** blockdoc */\n/* plain */");
+        let toks =
+            kinds("/// doc\n//! inner doc\n// plain\n//// not doc\n/** blockdoc */\n/* plain */");
         let got: Vec<TokenKind> = toks.iter().map(|(k, _)| *k).collect();
         assert_eq!(
             got,

@@ -38,7 +38,11 @@ fn matching_counts_are_silent() {
         "crates/x/src/a.rs",
         &format!("{}fn f() {{}}\n{}", escape(), escape()),
     );
-    write(&root, "scripts/wall_clock_allowlist.txt", "2 crates/x/src/a.rs\n");
+    write(
+        &root,
+        "scripts/wall_clock_allowlist.txt",
+        "2 crates/x/src/a.rs\n",
+    );
     let findings = audit_wall_clock_allowlist(&root);
     assert!(findings.is_empty(), "{findings:?}");
 }
@@ -59,7 +63,11 @@ fn unaccounted_escape_is_drift() {
 fn stale_entry_is_drift() {
     let root = scratch("stale");
     write(&root, "crates/x/src/a.rs", "fn f() {}\n");
-    write(&root, "scripts/wall_clock_allowlist.txt", "1 crates/x/src/a.rs\n");
+    write(
+        &root,
+        "scripts/wall_clock_allowlist.txt",
+        "1 crates/x/src/a.rs\n",
+    );
     let findings = audit_wall_clock_allowlist(&root);
     assert_eq!(findings.len(), 1, "{findings:?}");
     assert!(findings[0].message.contains("stale"), "{findings:?}");
@@ -69,7 +77,11 @@ fn stale_entry_is_drift() {
 fn count_mismatch_is_drift() {
     let root = scratch("mismatch");
     write(&root, "crates/x/src/a.rs", &escape().repeat(3));
-    write(&root, "scripts/wall_clock_allowlist.txt", "1 crates/x/src/a.rs\n");
+    write(
+        &root,
+        "scripts/wall_clock_allowlist.txt",
+        "1 crates/x/src/a.rs\n",
+    );
     let findings = audit_wall_clock_allowlist(&root);
     assert_eq!(findings.len(), 1, "{findings:?}");
     assert!(
@@ -96,7 +108,11 @@ fn fixture_trees_are_counted() {
 #[test]
 fn malformed_lines_are_reported() {
     let root = scratch("malformed");
-    write(&root, "scripts/wall_clock_allowlist.txt", "not-a-count path.rs\n");
+    write(
+        &root,
+        "scripts/wall_clock_allowlist.txt",
+        "not-a-count path.rs\n",
+    );
     let findings = audit_wall_clock_allowlist(&root);
     assert_eq!(findings.len(), 1, "{findings:?}");
     assert!(findings[0].message.contains("malformed"), "{findings:?}");

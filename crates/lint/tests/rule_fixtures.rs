@@ -87,8 +87,7 @@ const CASES: &[(&str, &str, &str, &str, &str)] = &[
 ];
 
 fn fired(rel: &str, src: &str) -> Vec<&'static str> {
-    let mut rules: Vec<&'static str> =
-        lint_source(rel, src).into_iter().map(|f| f.rule).collect();
+    let mut rules: Vec<&'static str> = lint_source(rel, src).into_iter().map(|f| f.rule).collect();
     rules.dedup();
     rules
 }

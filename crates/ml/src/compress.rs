@@ -35,7 +35,10 @@ impl fmt::Display for CodecError {
             CodecError::Truncated => write!(f, "compressed stream is truncated"),
             CodecError::BadHeader => write!(f, "compressed stream has a malformed header"),
             CodecError::LengthMismatch { expected, actual } => {
-                write!(f, "decoded length mismatch: expected {expected}, got {actual}")
+                write!(
+                    f,
+                    "decoded length mismatch: expected {expected}, got {actual}"
+                )
             }
         }
     }
@@ -133,7 +136,10 @@ impl IdentityCodec {
     fn values(bytes: &[u8], len: usize) -> Result<&[[u8; 4]], CodecError> {
         let n = get_u32(bytes, 0)? as usize;
         if n != len {
-            return Err(CodecError::LengthMismatch { expected: len, actual: n });
+            return Err(CodecError::LengthMismatch {
+                expected: len,
+                actual: n,
+            });
         }
         bytes[4..]
             .as_chunks::<4>()
@@ -233,7 +239,10 @@ impl UpdateCodec for QuantizeCodec {
         let n = get_u32(bytes, 0)? as usize;
         let block = get_u32(bytes, 4)? as usize;
         if n != len {
-            return Err(CodecError::LengthMismatch { expected: len, actual: n });
+            return Err(CodecError::LengthMismatch {
+                expected: len,
+                actual: n,
+            });
         }
         if block == 0 {
             return Err(CodecError::BadHeader);
@@ -284,7 +293,10 @@ impl SubsampleCodec {
             keep_fraction > 0.0 && keep_fraction <= 1.0,
             "keep fraction must be in (0, 1]"
         );
-        SubsampleCodec { keep_fraction, seed }
+        SubsampleCodec {
+            keep_fraction,
+            seed,
+        }
     }
 
     fn mask(&self, len: usize) -> Vec<bool> {
@@ -316,7 +328,10 @@ impl UpdateCodec for SubsampleCodec {
     fn decode_into(&self, bytes: &[u8], len: usize, out: &mut Vec<f32>) -> Result<(), CodecError> {
         let n = get_u32(bytes, 0)? as usize;
         if n != len {
-            return Err(CodecError::LengthMismatch { expected: len, actual: n });
+            return Err(CodecError::LengthMismatch {
+                expected: len,
+                actual: n,
+            });
         }
         let seed_bytes = bytes.get(4..12).ok_or(CodecError::Truncated)?;
         let seed = u64::from_le_bytes(seed_bytes.try_into().unwrap());
@@ -379,7 +394,10 @@ impl UpdateCodec for PipelineCodec {
     fn decode_into(&self, bytes: &[u8], len: usize, out: &mut Vec<f32>) -> Result<(), CodecError> {
         let n = get_u32(bytes, 0)? as usize;
         if n != len {
-            return Err(CodecError::LengthMismatch { expected: len, actual: n });
+            return Err(CodecError::LengthMismatch {
+                expected: len,
+                actual: n,
+            });
         }
         let seed_bytes = bytes.get(4..12).ok_or(CodecError::Truncated)?;
         let seed = u64::from_le_bytes(seed_bytes.try_into().unwrap());
@@ -475,7 +493,11 @@ mod tests {
         let u = sample_update(10_000);
         let report = measure(&QuantizeCodec::default(), &u).unwrap();
         assert!(report.ratio() > 3.5, "ratio {}", report.ratio());
-        assert!(report.relative_error < 0.01, "err {}", report.relative_error);
+        assert!(
+            report.relative_error < 0.01,
+            "err {}",
+            report.relative_error
+        );
     }
 
     #[test]

@@ -29,7 +29,10 @@ impl fmt::Display for FixedPointError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             FixedPointError::WouldOverflow { required } => {
-                write!(f, "encoding would overflow the field (requires {required} elements)")
+                write!(
+                    f,
+                    "encoding would overflow the field (requires {required} elements)"
+                )
             }
             FixedPointError::NonFinite => write!(f, "input contains a non-finite value"),
         }
@@ -58,12 +61,18 @@ impl FixedPointEncoder {
     ///
     /// Returns [`FixedPointError::WouldOverflow`] if
     /// `max_summands · 2·clip·2^resolution_bits ≥ p`.
-    pub fn new(clip: f64, resolution_bits: u32, max_summands: u64) -> Result<Self, FixedPointError> {
+    pub fn new(
+        clip: f64,
+        resolution_bits: u32,
+        max_summands: u64,
+    ) -> Result<Self, FixedPointError> {
         assert!(clip > 0.0, "clip must be positive");
         assert!(max_summands > 0, "max_summands must be positive");
         let per_value_f = 2.0 * clip * f64::from(2u32).powi(resolution_bits as i32);
         if !per_value_f.is_finite() || per_value_f >= u64::MAX as f64 {
-            return Err(FixedPointError::WouldOverflow { required: u128::MAX });
+            return Err(FixedPointError::WouldOverflow {
+                required: u128::MAX,
+            });
         }
         let required = per_value_f.ceil() as u128 * u128::from(max_summands);
         if required >= u128::from(FIELD_PRIME) {

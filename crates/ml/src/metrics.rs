@@ -277,7 +277,9 @@ pub fn top1_accuracy<M: Model + ?Sized>(model: &M, examples: &[Example]) -> Resu
             Label::Class(c) => pred == c,
             Label::Token(t) => pred as u32 == t,
             Label::Real(_) => {
-                return Err(MlError::WrongExampleKind { expected: "classification or next-token" })
+                return Err(MlError::WrongExampleKind {
+                    expected: "classification or next-token",
+                })
             }
         };
         if hit {
@@ -293,7 +295,11 @@ pub fn top1_accuracy<M: Model + ?Sized>(model: &M, examples: &[Example]) -> Resu
 /// # Errors
 ///
 /// Same conditions as [`top1_accuracy`]; also errors if `k == 0`.
-pub fn topk_recall<M: Model + ?Sized>(model: &M, examples: &[Example], k: usize) -> Result<f64, MlError> {
+pub fn topk_recall<M: Model + ?Sized>(
+    model: &M,
+    examples: &[Example],
+    k: usize,
+) -> Result<f64, MlError> {
     if examples.is_empty() || k == 0 {
         return Err(MlError::EmptyBatch);
     }
@@ -304,7 +310,9 @@ pub fn topk_recall<M: Model + ?Sized>(model: &M, examples: &[Example], k: usize)
             Label::Class(c) => c,
             Label::Token(t) => t as usize,
             Label::Real(_) => {
-                return Err(MlError::WrongExampleKind { expected: "classification or next-token" })
+                return Err(MlError::WrongExampleKind {
+                    expected: "classification or next-token",
+                })
             }
         };
         let mut idx: Vec<usize> = (0..scores.len()).collect();

@@ -46,17 +46,26 @@ impl fmt::Display for MlError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             MlError::WrongExampleKind { expected } => {
-                write!(f, "example kind mismatch: model expects {expected} examples")
+                write!(
+                    f,
+                    "example kind mismatch: model expects {expected} examples"
+                )
             }
             MlError::DimensionMismatch { expected, actual } => {
-                write!(f, "feature dimension mismatch: expected {expected}, got {actual}")
+                write!(
+                    f,
+                    "feature dimension mismatch: expected {expected}, got {actual}"
+                )
             }
             MlError::TokenOutOfRange { vocab, token } => {
                 write!(f, "token {token} out of range for vocabulary of {vocab}")
             }
             MlError::EmptyBatch => write!(f, "batch contains no examples"),
             MlError::ParamLengthMismatch { expected, actual } => {
-                write!(f, "parameter length mismatch: expected {expected}, got {actual}")
+                write!(
+                    f,
+                    "parameter length mismatch: expected {expected}, got {actual}"
+                )
             }
         }
     }
@@ -250,7 +259,10 @@ mod tests {
             Example::classification(vec![1.0], 3).label(),
             Label::Class(3)
         );
-        assert_eq!(Example::regression(vec![1.0], 2.5).label(), Label::Real(2.5));
+        assert_eq!(
+            Example::regression(vec![1.0], 2.5).label(),
+            Label::Real(2.5)
+        );
         assert_eq!(Example::next_token(vec![1, 2], 9).label(), Label::Token(9));
     }
 
@@ -268,7 +280,10 @@ mod tests {
             actual: 2,
         };
         assert!(e.to_string().contains("expected 4"));
-        let e = MlError::TokenOutOfRange { vocab: 10, token: 12 };
+        let e = MlError::TokenOutOfRange {
+            vocab: 10,
+            token: 12,
+        };
         assert!(e.to_string().contains("12"));
     }
 }

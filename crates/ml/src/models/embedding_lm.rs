@@ -69,7 +69,10 @@ impl EmbeddingLm {
         match ex {
             Example::NextToken { context, next } => {
                 if context.is_empty() {
-                    return Err(MlError::DimensionMismatch { expected: 1, actual: 0 });
+                    return Err(MlError::DimensionMismatch {
+                        expected: 1,
+                        actual: 0,
+                    });
                 }
                 for &t in context.iter().chain(std::iter::once(next)) {
                     if t as usize >= self.vocab {
@@ -81,7 +84,9 @@ impl EmbeddingLm {
                 }
                 Ok((context, *next))
             }
-            _ => Err(MlError::WrongExampleKind { expected: "next-token" }),
+            _ => Err(MlError::WrongExampleKind {
+                expected: "next-token",
+            }),
         }
     }
 
@@ -100,7 +105,13 @@ impl EmbeddingLm {
     /// Probabilities over the next token given the hidden state.
     fn probs(&self, h: &[f32]) -> Vec<f32> {
         let mut logits = vec![0.0f32; self.vocab];
-        linalg::matvec(&self.params[self.u_range()], h, self.vocab, self.dim, &mut logits);
+        linalg::matvec(
+            &self.params[self.u_range()],
+            h,
+            self.vocab,
+            self.dim,
+            &mut logits,
+        );
         linalg::axpy(&mut logits, &self.params[self.b_range()], 1.0);
         linalg::softmax_in_place(&mut logits);
         logits
@@ -210,9 +221,7 @@ mod tests {
     fn rejects_out_of_vocab_tokens() {
         let m = EmbeddingLm::new(4, 2, 0);
         assert!(m.predict(&Example::next_token(vec![1, 9], 0)).is_err());
-        assert!(m
-            .loss_and_grad(&[Example::next_token(vec![1], 9)])
-            .is_err());
+        assert!(m.loss_and_grad(&[Example::next_token(vec![1], 9)]).is_err());
     }
 
     #[test]

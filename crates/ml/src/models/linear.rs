@@ -78,7 +78,11 @@ impl Model for LinearRegression {
         for ex in batch {
             let (x, y) = match ex {
                 Example::Regression { features, target } => (features, *target),
-                _ => return Err(MlError::WrongExampleKind { expected: "regression" }),
+                _ => {
+                    return Err(MlError::WrongExampleKind {
+                        expected: "regression",
+                    })
+                }
             };
             let pred = self.forward(x)?;
             let err = pred - y;
@@ -94,7 +98,11 @@ impl Model for LinearRegression {
     fn predict(&self, example: &Example) -> Result<Vec<f32>, MlError> {
         let x = match example {
             Example::Regression { features, .. } => features,
-            _ => return Err(MlError::WrongExampleKind { expected: "regression" }),
+            _ => {
+                return Err(MlError::WrongExampleKind {
+                    expected: "regression",
+                })
+            }
         };
         Ok(vec![self.forward(x)?])
     }

@@ -28,7 +28,11 @@ impl LogisticRegression {
         for w in params[..classes * dim].iter_mut() {
             *w = crate::rng::normal_with_std(&mut rng, 0.01) as f32;
         }
-        LogisticRegression { dim, classes, params }
+        LogisticRegression {
+            dim,
+            classes,
+            params,
+        }
     }
 
     /// Input feature dimension.
@@ -58,15 +62,26 @@ impl LogisticRegression {
                 }
                 Ok((features, *label))
             }
-            _ => Err(MlError::WrongExampleKind { expected: "classification" }),
+            _ => Err(MlError::WrongExampleKind {
+                expected: "classification",
+            }),
         }
     }
 
     /// Computes class probabilities for a feature vector.
     fn probs(&self, x: &[f32]) -> Vec<f32> {
         let mut logits = vec![0.0f32; self.classes];
-        linalg::matvec(&self.params[..self.classes * self.dim], x, self.classes, self.dim, &mut logits);
-        for (l, b) in logits.iter_mut().zip(&self.params[self.classes * self.dim..]) {
+        linalg::matvec(
+            &self.params[..self.classes * self.dim],
+            x,
+            self.classes,
+            self.dim,
+            &mut logits,
+        );
+        for (l, b) in logits
+            .iter_mut()
+            .zip(&self.params[self.classes * self.dim..])
+        {
             *l += b;
         }
         linalg::softmax_in_place(&mut logits);
@@ -182,7 +197,9 @@ mod tests {
     #[test]
     fn rejects_regression_examples() {
         let m = LogisticRegression::new(2, 2, 1);
-        assert!(m.predict(&Example::regression(vec![0.0, 0.0], 1.0)).is_err());
+        assert!(m
+            .predict(&Example::regression(vec![0.0, 0.0], 1.0))
+            .is_err());
     }
 
     #[test]

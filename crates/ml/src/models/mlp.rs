@@ -42,7 +42,12 @@ impl Mlp {
         for v in w2 {
             *v = crate::rng::normal_with_std(&mut rng, w2_std) as f32;
         }
-        Mlp { dim, hidden, classes, params }
+        Mlp {
+            dim,
+            hidden,
+            classes,
+            params,
+        }
     }
 
     /// Input dimension.
@@ -86,11 +91,23 @@ impl Mlp {
             });
         }
         let mut h = vec![0.0f32; self.hidden];
-        linalg::matvec(&self.params[self.w1_range()], x, self.hidden, self.dim, &mut h);
+        linalg::matvec(
+            &self.params[self.w1_range()],
+            x,
+            self.hidden,
+            self.dim,
+            &mut h,
+        );
         linalg::axpy(&mut h, &self.params[self.b1_range()], 1.0);
         let mask = linalg::relu_in_place(&mut h);
         let mut logits = vec![0.0f32; self.classes];
-        linalg::matvec(&self.params[self.w2_range()], &h, self.classes, self.hidden, &mut logits);
+        linalg::matvec(
+            &self.params[self.w2_range()],
+            &h,
+            self.classes,
+            self.hidden,
+            &mut logits,
+        );
         linalg::axpy(&mut logits, &self.params[self.b2_range()], 1.0);
         linalg::softmax_in_place(&mut logits);
         Ok((h, mask, logits))
@@ -107,7 +124,9 @@ impl Mlp {
                 }
                 Ok((features, *label))
             }
-            _ => Err(MlError::WrongExampleKind { expected: "classification" }),
+            _ => Err(MlError::WrongExampleKind {
+                expected: "classification",
+            }),
         }
     }
 }
@@ -131,7 +150,12 @@ impl Model for Mlp {
         }
         let mut grad = vec![0.0f32; self.num_params()];
         let mut loss = 0.0f64;
-        let (w1r, b1r, w2r, b2r) = (self.w1_range(), self.b1_range(), self.w2_range(), self.b2_range());
+        let (w1r, b1r, w2r, b2r) = (
+            self.w1_range(),
+            self.b1_range(),
+            self.w2_range(),
+            self.b2_range(),
+        );
         for ex in batch {
             let (x, label) = self.check(ex)?;
             let (h, mask, mut p) = self.forward(x)?;
@@ -143,7 +167,13 @@ impl Model for Mlp {
             linalg::axpy(&mut grad[b2r.clone()], &p, 1.0);
             // Backprop into hidden: dh = W2ᵀ p, gated by relu mask.
             let mut dh = vec![0.0f32; self.hidden];
-            linalg::matvec_transposed(&self.params[w2r.clone()], &p, self.classes, self.hidden, &mut dh);
+            linalg::matvec_transposed(
+                &self.params[w2r.clone()],
+                &p,
+                self.classes,
+                self.hidden,
+                &mut dh,
+            );
             for (d, &active) in dh.iter_mut().zip(&mask) {
                 if !active {
                     *d = 0.0;
@@ -220,7 +250,9 @@ mod tests {
     fn rejects_bad_inputs() {
         let m = Mlp::new(2, 4, 2, 0);
         assert!(m.predict(&Example::classification(vec![1.0], 0)).is_err());
-        assert!(m.predict(&Example::regression(vec![1.0, 2.0], 0.0)).is_err());
+        assert!(m
+            .predict(&Example::regression(vec![1.0, 2.0], 0.0))
+            .is_err());
         assert!(m
             .loss_and_grad(&[Example::classification(vec![1.0, 2.0], 9)])
             .is_err());

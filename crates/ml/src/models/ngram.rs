@@ -67,7 +67,11 @@ impl NgramLm {
     pub fn observe(&mut self, example: &Example) -> Result<(), MlError> {
         let (ctx, next) = match example {
             Example::NextToken { context, next } => (context.as_slice(), *next),
-            _ => return Err(MlError::WrongExampleKind { expected: "next-token" }),
+            _ => {
+                return Err(MlError::WrongExampleKind {
+                    expected: "next-token",
+                })
+            }
         };
         for &t in ctx.iter().chain(std::iter::once(&next)) {
             if t as usize >= self.vocab {
@@ -188,7 +192,11 @@ impl NgramLm {
         for ex in examples {
             let (ctx, next) = match ex {
                 Example::NextToken { context, next } => (context.as_slice(), *next),
-                _ => return Err(MlError::WrongExampleKind { expected: "next-token" }),
+                _ => {
+                    return Err(MlError::WrongExampleKind {
+                        expected: "next-token",
+                    })
+                }
             };
             if self.predict_top1(ctx) == next {
                 hits += 1;

@@ -243,7 +243,10 @@ mod tests {
 
     #[test]
     fn step_schedule_halves_at_boundaries() {
-        let opt = Sgd::new(1.0).with_schedule(LrSchedule::Step { factor: 0.5, every: 10 });
+        let opt = Sgd::new(1.0).with_schedule(LrSchedule::Step {
+            factor: 0.5,
+            every: 10,
+        });
         assert!((opt.lr_at(9) - 1.0).abs() < 1e-6);
         assert!((opt.lr_at(10) - 0.5).abs() < 1e-6);
         assert!((opt.lr_at(25) - 0.25).abs() < 1e-6);

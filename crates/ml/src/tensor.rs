@@ -146,7 +146,12 @@ impl Tensor {
 
 impl fmt::Display for Tensor {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Tensor(shape={:?}, |x|={:.4})", self.shape, self.l2_norm())
+        write!(
+            f,
+            "Tensor(shape={:?}, |x|={:.4})",
+            self.shape,
+            self.l2_norm()
+        )
     }
 }
 

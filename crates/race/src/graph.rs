@@ -152,7 +152,10 @@ impl LockGraph {
     /// Whether the edge `from -> to` (acquired `to` while holding
     /// `from`) has been observed.
     pub fn has_edge(&self, from: &str, to: &str) -> bool {
-        self.state().edges.keys().any(|&(f, t)| f == from && t == to)
+        self.state()
+            .edges
+            .keys()
+            .any(|&(f, t)| f == from && t == to)
     }
 
     /// All rank violations observed so far, sorted by (held, acquired).

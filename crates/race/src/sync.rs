@@ -277,7 +277,9 @@ impl<T: ?Sized> RwLock<T> {
 
 impl<T: ?Sized + std::fmt::Debug> std::fmt::Debug for RwLock<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RwLock").field("site", &self.site.name).finish()
+        f.debug_struct("RwLock")
+            .field("site", &self.site.name)
+            .finish()
     }
 }
 
@@ -350,7 +352,10 @@ impl Condvar {
     pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
         if let Some(inner) = guard.inner.take() {
             unregister(guard.token);
-            let inner = self.inner.wait(inner).unwrap_or_else(PoisonError::into_inner);
+            let inner = self
+                .inner
+                .wait(inner)
+                .unwrap_or_else(PoisonError::into_inner);
             guard.token = register(&guard.lock.graph, guard.lock.site);
             guard.inner = Some(inner);
         }
@@ -452,8 +457,14 @@ mod tests {
         assert_eq!(cycles[0].edges.len(), 2);
         let report = graph.render();
         assert!(report.contains("cycle [potential deadlock]"), "{report}");
-        assert!(report.contains("order fixture/a then fixture/b"), "{report}");
-        assert!(report.contains("order fixture/b then fixture/a"), "{report}");
+        assert!(
+            report.contains("order fixture/a then fixture/b"),
+            "{report}"
+        );
+        assert!(
+            report.contains("order fixture/b then fixture/a"),
+            "{report}"
+        );
     }
 
     #[test]

@@ -37,12 +37,18 @@ impl fmt::Display for SecAggError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SecAggError::BelowThreshold { alive, threshold } => {
-                write!(f, "participants below threshold: {alive} alive, {threshold} required")
+                write!(
+                    f,
+                    "participants below threshold: {alive} alive, {threshold} required"
+                )
             }
             SecAggError::UnknownParticipant(id) => write!(f, "unknown participant {id}"),
             SecAggError::BadShare => write!(f, "share payload failed to decrypt or parse"),
             SecAggError::DimensionMismatch { expected, actual } => {
-                write!(f, "input dimension mismatch: expected {expected}, got {actual}")
+                write!(
+                    f,
+                    "input dimension mismatch: expected {expected}, got {actual}"
+                )
             }
             SecAggError::ConflictingReveal(id) => write!(
                 f,
@@ -66,9 +72,12 @@ mod tests {
 
     #[test]
     fn displays_are_informative() {
-        assert!(SecAggError::BelowThreshold { alive: 2, threshold: 3 }
-            .to_string()
-            .contains("2 alive"));
+        assert!(SecAggError::BelowThreshold {
+            alive: 2,
+            threshold: 3
+        }
+        .to_string()
+        .contains("2 alive"));
         assert!(SecAggError::ConflictingReveal(7).to_string().contains('7'));
     }
 }

@@ -375,9 +375,7 @@ impl AggregatorShard {
                     })?;
                 let committed = alive;
                 let weight_sum = sum[self.dim];
-                let delta_sum = self
-                    .encoder
-                    .decode_sum(&sum[..self.dim], committed as u64);
+                let delta_sum = self.encoder.decode_sum(&sum[..self.dim], committed as u64);
                 let mut acc = FedAvgAccumulator::new(self.dim);
                 acc.accumulate_presummed(&delta_sum, weight_sum, committed)
                     .map_err(ShardError::Core)?;
@@ -920,8 +918,13 @@ impl MasterAggregatorActor {
             return Flow::Continue;
         };
         let survivors = closing.closed.into_iter().flatten();
-        let merged = merge_closed(self.plan, self.secagg_seed, survivors, &closing.current_params)
-            .map_err(|e| CoreError::MalformedCheckpoint(e.to_string()));
+        let merged = merge_closed(
+            self.plan,
+            self.secagg_seed,
+            survivors,
+            &closing.current_params,
+        )
+        .map_err(|e| CoreError::MalformedCheckpoint(e.to_string()));
         closing.reply.send(CoordMsg::Merged(merged));
         Flow::Stop
     }
@@ -1004,7 +1007,13 @@ impl Actor for MasterAggregatorActor {
                         routed,
                         advertise_dropouts: advertise_dropouts.clone(),
                         share_dropouts: share_dropouts.clone(),
-                        reply: Reply::new(me.clone(), MasterMsg::Closed { shard, result: None }),
+                        reply: Reply::new(
+                            me.clone(),
+                            MasterMsg::Closed {
+                                shard,
+                                result: None,
+                            },
+                        ),
                     });
                 }
                 self.merge_when_closed()
@@ -1056,8 +1065,7 @@ mod tests {
     fn plain_master_matches_direct_fedavg() {
         let dim = 8;
         let codec = CodecSpec::Identity;
-        let mut master =
-            MasterAggregator::new(AggregationPlan::plain(dim, 3), codec, 10, 1);
+        let mut master = MasterAggregator::new(AggregationPlan::plain(dim, 3), codec, 10, 1);
         assert!(master.shard_count() > 1);
         let mut reference = FedAvgAccumulator::new(dim);
         for i in 0..10u64 {
@@ -1087,10 +1095,11 @@ mod tests {
     fn quantized_codec_round_trips_through_master() {
         let dim = 64;
         let codec = CodecSpec::Quantize { block: 32 };
-        let mut master =
-            MasterAggregator::new(AggregationPlan::plain(dim, 100), codec, 5, 2);
+        let mut master = MasterAggregator::new(AggregationPlan::plain(dim, 100), codec, 5, 2);
         for i in 0..5u64 {
-            let update: Vec<f32> = (0..dim).map(|d| ((d + i as usize) as f32).sin() * 0.1).collect();
+            let update: Vec<f32> = (0..dim)
+                .map(|d| ((d + i as usize) as f32).sin() * 0.1)
+                .collect();
             master
                 .accept(DeviceId(i), &encode(&update, codec), 10)
                 .unwrap();
@@ -1322,12 +1331,8 @@ mod tests {
 
     #[test]
     fn accept_field_rejects_plain_shards_and_bad_dims() {
-        let mut plain = MasterAggregator::new(
-            AggregationPlan::plain(4, 10),
-            CodecSpec::Identity,
-            2,
-            1,
-        );
+        let mut plain =
+            MasterAggregator::new(AggregationPlan::plain(4, 10), CodecSpec::Identity, 2, 1);
         assert!(plain.accept_field(DeviceId(0), &[1, 2, 3, 4], 1).is_err());
         let mut secure = MasterAggregator::new(
             AggregationPlan::with_secagg(4, 10, 2),
@@ -1344,8 +1349,7 @@ mod tests {
         use fl_core::privacy::DpConfig;
         let dim = 4;
         let codec = CodecSpec::Identity;
-        let plan =
-            AggregationPlan::plain(dim, 100).with_dp(DpConfig::new(1.0, 0.0, 9));
+        let plan = AggregationPlan::plain(dim, 100).with_dp(DpConfig::new(1.0, 0.0, 9));
         let mut master = MasterAggregator::new(plan, codec, 2, 1);
         // One enormous update and one tiny one, equal weights.
         master
@@ -1395,23 +1399,15 @@ mod tests {
 
     #[test]
     fn malformed_update_bytes_are_rejected() {
-        let mut master = MasterAggregator::new(
-            AggregationPlan::plain(4, 10),
-            CodecSpec::Identity,
-            2,
-            1,
-        );
+        let mut master =
+            MasterAggregator::new(AggregationPlan::plain(4, 10), CodecSpec::Identity, 2, 1);
         assert!(master.accept(DeviceId(0), &[1, 2, 3], 1).is_err());
     }
 
     #[test]
     fn empty_master_finalize_errors() {
-        let master = MasterAggregator::new(
-            AggregationPlan::plain(4, 10),
-            CodecSpec::Identity,
-            2,
-            1,
-        );
+        let master =
+            MasterAggregator::new(AggregationPlan::plain(4, 10), CodecSpec::Identity, 2, 1);
         assert!(matches!(
             master.finalize(&[0.0; 4], &[], &[]),
             Err(ShardError::Core(CoreError::ZeroWeightUpdate))
@@ -1614,7 +1610,10 @@ mod tests {
     fn merged_reply() -> (Reply<CoordMsg>, crossbeam::channel::Receiver<CoordMsg>) {
         let (coordinator, mailbox) = ActorRef::detached("coordinator");
         let dead = CoreError::InvariantViolated("master aggregator died mid-round".into());
-        (Reply::new(coordinator, CoordMsg::Merged(Err(dead))), mailbox)
+        (
+            Reply::new(coordinator, CoordMsg::Merged(Err(dead))),
+            mailbox,
+        )
     }
 
     /// The one answer a stand-in Coordinator got.
@@ -1853,7 +1852,9 @@ mod tests {
         let shard = system.spawn("shard", AggregatorActor::new(shard, 1));
         for frame in (0..2u64).map(plain_frame) {
             let route = ReportRoute::of(&fl_wire::ReportRef::parse(&frame).unwrap());
-            shard.send(ShardMsg::Accept(ForwardedReport { route, frame })).unwrap();
+            shard
+                .send(ShardMsg::Accept(ForwardedReport { route, frame }))
+                .unwrap();
         }
         let (master, closed) = ActorRef::detached("master");
         shard
@@ -1862,14 +1863,26 @@ mod tests {
                 routed: 2,
                 advertise_dropouts: Vec::new(),
                 share_dropouts: Vec::new(),
-                reply: Reply::new(master, MasterMsg::Closed { shard: 0, result: None }),
+                reply: Reply::new(
+                    master,
+                    MasterMsg::Closed {
+                        shard: 0,
+                        result: None,
+                    },
+                ),
             })
             .unwrap();
         gate.0.wait();
-        let answer = closed.recv_timeout(std::time::Duration::from_secs(30)).unwrap();
+        let answer = closed
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .unwrap();
         drop(shard);
         system.join();
-        let MasterMsg::Closed { shard: 0, result: Some(Ok(sum)) } = answer else {
+        let MasterMsg::Closed {
+            shard: 0,
+            result: Some(Ok(sum)),
+        } = answer
+        else {
             panic!("expected shard 0's sum, got {answer:?}");
         };
         assert_eq!(sum.contributors(), 2);

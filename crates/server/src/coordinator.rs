@@ -833,9 +833,13 @@ mod tests {
                 device,
                 round: round.checkpoint.round,
                 attempt: 1,
-                update_bytes: CodecSpec::Identity
-                    .build()
-                    .encode(&vec![0.5; round.plan.server.expected_dim]),
+                update_bytes: CodecSpec::Identity.build().encode(&vec![
+                    0.5;
+                    round
+                        .plan
+                        .server
+                        .expected_dim
+                ]),
                 weight: 10,
                 loss,
                 accuracy,

@@ -76,7 +76,7 @@ pub use shedding::{
     AdmissionConfig, AdmissionController, AdmissionDecision, GlobalAdmissionBudget,
     GlobalAdmissionConfig, PaceController, PaceControllerConfig, ShedReason,
 };
-pub use topology::{DeploymentSpec, SelectorSpec, TopologyBlueprint};
 pub use storage::{
     CheckpointStore, FaultyCheckpointStore, InMemoryCheckpointStore, SharedCheckpointStore,
 };
+pub use topology::{DeploymentSpec, SelectorSpec, TopologyBlueprint};

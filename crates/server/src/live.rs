@@ -65,17 +65,17 @@ use crate::coordinator::{
 use crate::round::CheckinResponse;
 use crate::selector::{CheckinDecision, Selector};
 use crate::storage::{CheckpointStore, InMemoryCheckpointStore};
+use crossbeam::channel::Sender;
 use fl_actors::{Actor, ActorRef, Context, Flow, Lease, LockingService, Reply};
 use fl_analytics::overload::OverloadMetrics;
 use fl_core::plan::FlPlan;
 use fl_core::population::TaskGroup;
 use fl_core::{CoreError, DeviceId, PopulationName, RoundId, RoundOutcome};
-use std::collections::{BTreeMap, HashMap, VecDeque};
 use fl_wire::{
     encode_plan_and_checkpoint_into, encode_plan_digest_and_checkpoint_into, ChannelTransport,
     Transport, WireError, WireMessage, WireSink, WireStats,
 };
-use crossbeam::channel::Sender;
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -440,11 +440,7 @@ impl<S: CheckpointStore + Send + 'static> CoordinatorActor<S> {
     /// an error: the round is lost, nothing reaches storage, and the next
     /// round restarts from the committed checkpoint — Sec. 4.2's Master
     /// Aggregator loss semantics) and answers every waiting request.
-    fn commit(
-        &mut self,
-        round: ActiveRound,
-        aggregate: Option<Result<MergeOutcome, CoreError>>,
-    ) {
+    fn commit(&mut self, round: ActiveRound, aggregate: Option<Result<MergeOutcome, CoreError>>) {
         // Per-shard SecAgg aborts are telemetry, not round failures: the
         // commit proceeds from the surviving shards and the aborts are
         // counted.
@@ -506,7 +502,11 @@ impl<S: CheckpointStore + Send + 'static> CoordinatorActor<S> {
             .collect();
         // A stable sort: within a turn, device-id order.
         sends.sort_by_key(|&(turn, _)| turn);
-        let digest = match self.plan_digests.iter().find(|(plan, _)| *plan == round.plan) {
+        let digest = match self
+            .plan_digests
+            .iter()
+            .find(|(plan, _)| *plan == round.plan)
+        {
             Some(&(_, digest)) => digest,
             None => {
                 let digest = fl_wire::plan_digest(&round.plan);
@@ -541,8 +541,7 @@ impl<S: CheckpointStore + Send + 'static> CoordinatorActor<S> {
                 self.ensure_round(ctx);
                 let now = self.now_ms();
                 if let Some(round) = &mut self.active {
-                    let was_selecting =
-                        round.state.phase() == crate::round::Phase::Selection;
+                    let was_selecting = round.state.phase() == crate::round::Phase::Selection;
                     match round.on_checkin(device, now) {
                         CheckinResponse::Selected => {
                             self.device_replies.insert(device, conn);
@@ -652,7 +651,9 @@ impl<S: CheckpointStore + Send + 'static> Actor for CoordinatorActor<S> {
             }
         }
         while self.merging.is_none() {
-            let Some(msg) = self.held.pop_front() else { break };
+            let Some(msg) = self.held.pop_front() else {
+                break;
+            };
             if self.dispatch(msg, ctx) == Flow::Stop {
                 return Flow::Stop;
             }
@@ -788,7 +789,8 @@ impl SelectorActor {
         coordinator: ActorRef<CoordMsg>,
         quota: usize,
     ) -> Self {
-        self.selector.set_population_quota(population.clone(), quota);
+        self.selector
+            .set_population_quota(population.clone(), quota);
         self.routes.insert(population, coordinator);
         self
     }
@@ -871,7 +873,8 @@ impl Actor for SelectorActor {
                 quota,
                 population_estimate,
             } => {
-                self.selector.set_population_quota(population.clone(), quota);
+                self.selector
+                    .set_population_quota(population.clone(), quota);
                 self.routes.insert(population, coordinator);
                 self.selector.set_population_estimate(population_estimate);
                 Flow::Continue
@@ -1113,8 +1116,12 @@ mod tests {
             vec![0.0; spec().num_params()],
             locks.clone(),
         );
-        let blueprint =
-            TopologyBlueprint::new(vec![SelectorSpec::new(PaceSteering::new(1_000, 10), 100, 1, 10)]);
+        let blueprint = TopologyBlueprint::new(vec![SelectorSpec::new(
+            PaceSteering::new(1_000, 10),
+            100,
+            1,
+            10,
+        )]);
         let topology = spawn_multi_topology(&system, vec![(coordinator, 10)], &blueprint);
         let coord_ref = topology.coordinators[&PopulationName::new("pop")].clone();
         let selector_refs = topology.selectors;
@@ -1132,7 +1139,9 @@ mod tests {
                     // Wait to be configured.
                     loop {
                         match conn.recv(Duration::from_secs(5)).unwrap() {
-                            WireMessage::PlanAndCheckpoint { plan, checkpoint, .. } => {
+                            WireMessage::PlanAndCheckpoint {
+                                plan, checkpoint, ..
+                            } => {
                                 let dim = plan.server.expected_dim;
                                 assert_eq!(checkpoint.len(), dim);
                                 let round = checkpoint.round;
@@ -1181,7 +1190,10 @@ mod tests {
         // subtree spawned under the coordinator, and the whole subtree
         // died normally with the round.
         let obits: Vec<_> = system.deaths().try_iter().collect();
-        for name in ["coordinator-pop/master-r1", "coordinator-pop/master-r1/agg-0"] {
+        for name in [
+            "coordinator-pop/master-r1",
+            "coordinator-pop/master-r1/agg-0",
+        ] {
             let obit = obits
                 .iter()
                 .find(|o| o.name == name)
@@ -1210,14 +1222,23 @@ mod tests {
             vec![0.0; spec().num_params()],
             locks.clone(),
         );
-        let blueprint =
-            TopologyBlueprint::new(vec![SelectorSpec::new(PaceSteering::new(1_000, 10), 100, 1, 10)]);
+        let blueprint = TopologyBlueprint::new(vec![SelectorSpec::new(
+            PaceSteering::new(1_000, 10),
+            100,
+            1,
+            10,
+        )]);
         let topology = spawn_multi_topology(&system, vec![(coordinator, 10)], &blueprint);
         let coord_ref = topology.coordinators[&PopulationName::new("pop3")].clone();
         let selector_refs = topology.selectors;
 
         // First device fills the goal; the round enters Reporting.
-        let first = DeviceConn::connect(DeviceId(0), "pop3", selector_refs[0].clone(), coord_ref.clone());
+        let first = DeviceConn::connect(
+            DeviceId(0),
+            "pop3",
+            selector_refs[0].clone(),
+            coord_ref.clone(),
+        );
         first.check_in().unwrap();
         assert!(matches!(
             first.recv(Duration::from_secs(5)).unwrap(),
@@ -1225,7 +1246,12 @@ mod tests {
         ));
 
         // Second device finds the round NotSelecting.
-        let second = DeviceConn::connect(DeviceId(1), "pop3", selector_refs[0].clone(), coord_ref.clone());
+        let second = DeviceConn::connect(
+            DeviceId(1),
+            "pop3",
+            selector_refs[0].clone(),
+            coord_ref.clone(),
+        );
         second.check_in().unwrap();
         match second.recv(Duration::from_secs(5)).unwrap() {
             WireMessage::ComeBackLater { retry_at_ms, .. } => {
@@ -1283,8 +1309,9 @@ mod tests {
         );
         conn.check_in().unwrap();
         let (round, dim) = loop {
-            if let WireMessage::PlanAndCheckpoint { plan, checkpoint, .. } =
-                conn.recv(Duration::from_secs(5)).unwrap()
+            if let WireMessage::PlanAndCheckpoint {
+                plan, checkpoint, ..
+            } = conn.recv(Duration::from_secs(5)).unwrap()
             {
                 break (checkpoint.round, plan.server.expected_dim);
             }
@@ -1344,7 +1371,10 @@ mod tests {
         model: ModelSpec,
     ) -> ActorRef<CoordMsg> {
         let config = CoordinatorConfig::new(population, 7);
-        system.spawn(format!("coordinator-{population}"), coordinator_of(config, round, model))
+        system.spawn(
+            format!("coordinator-{population}"),
+            coordinator_of(config, round, model),
+        )
     }
 
     /// A Coordinator under `config` training a model of `model`'s size.
@@ -1517,7 +1547,10 @@ mod tests {
         for client in &clients {
             assert_eq!(configuration(client).round, RoundId(0));
         }
-        assert!(report(&coordinator, report_frame(0, RoundId(0), "pop-window")));
+        assert!(report(
+            &coordinator,
+            report_frame(0, RoundId(0), "pop-window")
+        ));
         std::thread::sleep(Duration::from_millis(400));
         assert!(
             !report(&coordinator, report_frame(1, RoundId(0), "pop-window")),
@@ -1549,7 +1582,10 @@ mod tests {
             assert_eq!(configuration(client).round, RoundId(0));
         }
         for device in 0..2 {
-            assert!(report(&coordinator, report_frame(device, RoundId(0), "pop-lost-master")));
+            assert!(report(
+                &coordinator,
+                report_frame(device, RoundId(0), "pop-lost-master")
+            ));
         }
         assert_eq!(
             complete_round(&coordinator, WAIT),
@@ -1717,10 +1753,16 @@ mod tests {
             let decoded = slots[link].decode(&frame).unwrap();
             assert!(*message.get_or_insert_with(|| decoded.clone()) == decoded);
             if carries_plan {
-                assert_eq!(fl_wire::peek_tag(&frame), Ok(fl_wire::tag::PLAN_AND_CHECKPOINT));
+                assert_eq!(
+                    fl_wire::peek_tag(&frame),
+                    Ok(fl_wire::tag::PLAN_AND_CHECKPOINT)
+                );
                 assert!(frame.len() > 12_000_000);
             } else {
-                assert_eq!(fl_wire::peek_tag(&frame), Ok(fl_wire::tag::PLAN_DIGEST_AND_CHECKPOINT));
+                assert_eq!(
+                    fl_wire::peek_tag(&frame),
+                    Ok(fl_wire::tag::PLAN_DIGEST_AND_CHECKPOINT)
+                );
                 assert!(*slim.get_or_insert_with(|| frame.clone()) == frame);
             }
         }
@@ -1764,12 +1806,22 @@ mod tests {
                     conn: gateways[0].sink(),
                 })
                 .unwrap();
-            frames.push(clients[0].recv_frame_timeout(Duration::from_secs(5)).unwrap());
+            frames.push(
+                clients[0]
+                    .recv_frame_timeout(Duration::from_secs(5))
+                    .unwrap(),
+            );
         }
-        let tags: Vec<_> = frames.iter().map(|frame| fl_wire::peek_tag(frame)).collect();
+        let tags: Vec<_> = frames
+            .iter()
+            .map(|frame| fl_wire::peek_tag(frame))
+            .collect();
         assert_eq!(
             tags,
-            [Ok(fl_wire::tag::PLAN_AND_CHECKPOINT), Ok(fl_wire::tag::PLAN_DIGEST_AND_CHECKPOINT)]
+            [
+                Ok(fl_wire::tag::PLAN_AND_CHECKPOINT),
+                Ok(fl_wire::tag::PLAN_DIGEST_AND_CHECKPOINT)
+            ]
         );
         assert!(frames[1].len() < frames[0].len());
         let mut slot = fl_wire::PlanSlot::default();
@@ -1794,8 +1846,12 @@ mod tests {
             vec![0.0; spec().num_params()],
             locks.clone(),
         );
-        let blueprint =
-            TopologyBlueprint::new(vec![SelectorSpec::new(PaceSteering::new(1_000, 10), 100, 1, 10)]);
+        let blueprint = TopologyBlueprint::new(vec![SelectorSpec::new(
+            PaceSteering::new(1_000, 10),
+            100,
+            1,
+            10,
+        )]);
         let topology = spawn_multi_topology(&system, vec![(coordinator, 10)], &blueprint);
         let coord_ref = topology.coordinators[&PopulationName::new("pop4")].clone();
         let selector_refs = topology.selectors;
@@ -1828,7 +1884,12 @@ mod tests {
             WireError::Timeout
         );
         // ...and the selector still serves a well-formed check-in.
-        let conn = DeviceConn::connect(DeviceId(5), "pop4", selector_refs[0].clone(), coord_ref.clone());
+        let conn = DeviceConn::connect(
+            DeviceId(5),
+            "pop4",
+            selector_refs[0].clone(),
+            coord_ref.clone(),
+        );
         conn.check_in().unwrap();
         assert!(matches!(
             conn.recv(Duration::from_secs(5)).unwrap(),
@@ -1875,23 +1936,35 @@ mod tests {
         let populations = ["storm-a", "storm-b", "storm-c", "storm-d"];
         let coordinators = populations
             .iter()
-            .map(|p| (coordinator_of(CoordinatorConfig::new(*p, 7), quick_round(2), spec()), 10))
+            .map(|p| {
+                (
+                    coordinator_of(CoordinatorConfig::new(*p, 7), quick_round(2), spec()),
+                    10,
+                )
+            })
             .collect();
         let spec_ = SelectorSpec::new(PaceSteering::new(1_000, 10), 100, 1, 10);
         let blueprint = TopologyBlueprint::new(vec![spec_.clone(), spec_]);
         let topology = spawn_multi_topology(&system, coordinators, &blueprint);
-        let refs: Vec<_> =
-            populations.iter().map(|p| topology.coordinators[&PopulationName::new(*p)].clone()).collect();
+        let refs: Vec<_> = populations
+            .iter()
+            .map(|p| topology.coordinators[&PopulationName::new(*p)].clone())
+            .collect();
         // Mid-round: every population's Master and shard are alive too.
-        let clients: Vec<_> =
-            refs.iter().flat_map(|c| [forward(c, 0), forward(c, 1)]).collect();
+        let clients: Vec<_> = refs
+            .iter()
+            .flat_map(|c| [forward(c, 0), forward(c, 1)])
+            .collect();
         for client in &clients {
             assert_eq!(configuration(client).round, RoundId(0));
         }
         assert_eq!(system.worker_threads(), workers());
         for (coordinator, population) in refs.iter().zip(populations) {
             for device in 0..2 {
-                assert!(report(coordinator, report_frame(device, RoundId(0), population)));
+                assert!(report(
+                    coordinator,
+                    report_frame(device, RoundId(0), population)
+                ));
             }
             assert!(complete_round(coordinator, WAIT).unwrap().is_committed());
         }
@@ -1914,9 +1987,13 @@ mod tests {
         let devices = 4 * workers();
         let mut config = CoordinatorConfig::new("pop-wide", 7);
         config.max_per_shard = 1;
-        let coordinator =
-            system.spawn("coordinator-pop-wide", coordinator_of(config, quick_round(devices), spec()));
-        let clients: Vec<_> = (0..devices as u64).map(|d| forward(&coordinator, d)).collect();
+        let coordinator = system.spawn(
+            "coordinator-pop-wide",
+            coordinator_of(config, quick_round(devices), spec()),
+        );
+        let clients: Vec<_> = (0..devices as u64)
+            .map(|d| forward(&coordinator, d))
+            .collect();
         for (device, client) in (0..).zip(&clients) {
             let key = configuration(client).round;
             assert!(report(&coordinator, report_frame(device, key, "pop-wide")));
@@ -1968,14 +2045,22 @@ mod tests {
         let key = configuration(&first).round;
         assert!(report(&coordinator, report_frame(0, key, "pop-held")));
         let (reply, committed) = crossbeam::channel::unbounded();
-        coordinator.send(CoordMsg::TryCompleteRound { reply }).unwrap();
+        coordinator
+            .send(CoordMsg::TryCompleteRound { reply })
+            .unwrap();
         merging.recv_timeout(WAIT).unwrap();
         let (selected, turned_away) = (forward(&coordinator, 1), forward(&coordinator, 2));
         let (reply, next) = crossbeam::channel::unbounded();
-        coordinator.send(CoordMsg::TryCompleteRound { reply }).unwrap();
+        coordinator
+            .send(CoordMsg::TryCompleteRound { reply })
+            .unwrap();
         open.send(()).unwrap();
 
-        assert!(committed.recv_timeout(WAIT).unwrap().unwrap().is_committed());
+        assert!(committed
+            .recv_timeout(WAIT)
+            .unwrap()
+            .unwrap()
+            .is_committed());
         let checkpoint = configuration(&selected);
         assert_eq!(checkpoint.round, key.next());
         assert_eq!(checkpoint.params(), vec![0.0625f32; spec().num_params()]);
@@ -1983,8 +2068,14 @@ mod tests {
             turned_away.recv_timeout(WAIT).unwrap(),
             WireMessage::ComeBackLater { .. }
         ));
-        assert!(next.try_recv().is_err(), "the second request was answered by round 1");
-        assert!(report(&coordinator, report_frame(1, checkpoint.round, "pop-held")));
+        assert!(
+            next.try_recv().is_err(),
+            "the second request was answered by round 1"
+        );
+        assert!(report(
+            &coordinator,
+            report_frame(1, checkpoint.round, "pop-held")
+        ));
         assert!(next.recv_timeout(WAIT).unwrap().unwrap().is_committed());
         coordinator.send(CoordMsg::Shutdown).unwrap();
         system.join();

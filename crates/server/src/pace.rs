@@ -22,7 +22,6 @@
 //! Diurnal awareness (the paper's third property) scales the window by the
 //! expected active-device factor so peak hours are not over-solicited.
 
-
 /// Population-size regime boundary: below this, concentrate; above, spread.
 pub const SMALL_POPULATION: u64 = 1_000;
 
@@ -77,8 +76,7 @@ impl PaceSteering {
             // rejected devices come back together. Jitter within a small
             // fraction of the period avoids exact synchronization spikes
             // at the transport level while keeping arrivals contemporaneous.
-            let next_tick =
-                (now_ms / self.rendezvous_period_ms + 1) * self.rendezvous_period_ms;
+            let next_tick = (now_ms / self.rendezvous_period_ms + 1) * self.rendezvous_period_ms;
             let jitter = rng.random_range(0..self.rendezvous_period_ms / 20 + 1);
             next_tick + jitter
         } else {

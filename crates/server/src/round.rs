@@ -217,8 +217,7 @@ impl RoundState {
             // back to the round start so the window still closes instead
             // of panicking or hanging forever.
             Phase::Reporting => Some(
-                self.configured_at_ms.unwrap_or(self.started_at_ms)
-                    + self.config.report_window_ms,
+                self.configured_at_ms.unwrap_or(self.started_at_ms) + self.config.report_window_ms,
             ),
             Phase::Committed | Phase::Abandoned => None,
         }
@@ -337,8 +336,7 @@ impl RoundState {
             .collect();
         for d in outstanding {
             if let Some(ParticipantState::Configured { at_ms }) = self.participants.get(&d) {
-                let participation =
-                    now_ms.saturating_sub(*at_ms).min(self.config.device_cap_ms);
+                let participation = now_ms.saturating_sub(*at_ms).min(self.config.device_cap_ms);
                 self.participants.insert(
                     d,
                     ParticipantState::Aborted {
@@ -420,7 +418,12 @@ impl RoundState {
 
     /// Counters: (reported, aborted, dropped, rejected-late).
     pub fn counters(&self) -> (usize, usize, usize, usize) {
-        (self.reported, self.aborted, self.dropped, self.rejected_late)
+        (
+            self.reported,
+            self.aborted,
+            self.dropped,
+            self.rejected_late,
+        )
     }
 }
 
@@ -468,7 +471,10 @@ mod tests {
         let events = r.drain_events();
         assert!(matches!(
             events[0],
-            RoundEvent::Configured { participants: 13, .. }
+            RoundEvent::Configured {
+                participants: 13,
+                ..
+            }
         ));
     }
 
@@ -643,9 +649,15 @@ mod tests {
         );
         // After it reports, its slot is spent.
         assert_eq!(r.on_report(devices[0], 5_000), ReportResponse::Accepted);
-        assert_eq!(r.on_checkin(devices[0], 6_000), CheckinResponse::NotSelecting);
+        assert_eq!(
+            r.on_checkin(devices[0], 6_000),
+            CheckinResponse::NotSelecting
+        );
         // A stranger is still turned away.
-        assert_eq!(r.on_checkin(DeviceId(999), 200), CheckinResponse::NotSelecting);
+        assert_eq!(
+            r.on_checkin(DeviceId(999), 200),
+            CheckinResponse::NotSelecting
+        );
     }
 
     #[test]

@@ -20,8 +20,8 @@
 
 use crate::pace::PaceSteering;
 use crate::shedding::{
-    AdmissionConfig, AdmissionController, AdmissionDecision, GlobalAdmissionBudget,
-    PaceController, PaceControllerConfig, ShedReason,
+    AdmissionConfig, AdmissionController, AdmissionDecision, GlobalAdmissionBudget, PaceController,
+    PaceControllerConfig, ShedReason,
 };
 use fl_core::{DeviceId, PopulationName};
 use fl_ml::rng;
@@ -457,7 +457,10 @@ mod tests {
     #[test]
     fn duplicate_checkin_is_rejected() {
         let mut s = selector(5);
-        assert_eq!(s.on_checkin_for(&pop(), DeviceId(1), 0, 1.0), CheckinDecision::Accept);
+        assert_eq!(
+            s.on_checkin_for(&pop(), DeviceId(1), 0, 1.0),
+            CheckinDecision::Accept
+        );
         assert!(matches!(
             s.on_checkin_for(&pop(), DeviceId(1), 0, 1.0),
             CheckinDecision::Reject { .. }
@@ -468,9 +471,15 @@ mod tests {
     #[test]
     fn disconnect_frees_capacity() {
         let mut s = selector(1);
-        assert_eq!(s.on_checkin_for(&pop(), DeviceId(1), 0, 1.0), CheckinDecision::Accept);
+        assert_eq!(
+            s.on_checkin_for(&pop(), DeviceId(1), 0, 1.0),
+            CheckinDecision::Accept
+        );
         s.on_disconnect(DeviceId(1));
-        assert_eq!(s.on_checkin_for(&pop(), DeviceId(2), 0, 1.0), CheckinDecision::Accept);
+        assert_eq!(
+            s.on_checkin_for(&pop(), DeviceId(2), 0, 1.0),
+            CheckinDecision::Accept
+        );
     }
 
     #[test]
@@ -531,10 +540,12 @@ mod tests {
     fn stale_devices_are_evicted_before_quota_checks() {
         // Regression: a device that connected long ago and silently
         // vanished must not pin a quota slot forever.
-        let mut s = Selector::new(PaceSteering::new(60_000, 100), 500, 7)
-            .with_staleness(120_000);
+        let mut s = Selector::new(PaceSteering::new(60_000, 100), 500, 7).with_staleness(120_000);
         s.set_population_quota(pop(), 1);
-        assert_eq!(s.on_checkin_for(&pop(), DeviceId(1), 0, 1.0), CheckinDecision::Accept);
+        assert_eq!(
+            s.on_checkin_for(&pop(), DeviceId(1), 0, 1.0),
+            CheckinDecision::Accept
+        );
         // Before the TTL expires the ghost still holds the slot.
         assert!(matches!(
             s.on_checkin_for(&pop(), DeviceId(2), 100_000, 1.0),
@@ -551,10 +562,12 @@ mod tests {
 
     #[test]
     fn duplicate_checkin_refreshes_staleness() {
-        let mut s = Selector::new(PaceSteering::new(60_000, 100), 500, 7)
-            .with_staleness(100_000);
+        let mut s = Selector::new(PaceSteering::new(60_000, 100), 500, 7).with_staleness(100_000);
         s.set_population_quota(pop(), 1);
-        assert_eq!(s.on_checkin_for(&pop(), DeviceId(1), 0, 1.0), CheckinDecision::Accept);
+        assert_eq!(
+            s.on_checkin_for(&pop(), DeviceId(1), 0, 1.0),
+            CheckinDecision::Accept
+        );
         // The device re-checks in at 90 s (still rejected as a duplicate,
         // but its liveness clock resets)...
         assert!(matches!(
@@ -571,8 +584,7 @@ mod tests {
 
     #[test]
     fn forward_at_skips_stale_devices() {
-        let mut s = Selector::new(PaceSteering::new(60_000, 100), 500, 9)
-            .with_staleness(60_000);
+        let mut s = Selector::new(PaceSteering::new(60_000, 100), 500, 9).with_staleness(60_000);
         s.set_population_quota(pop(), 4);
         s.on_checkin_for(&pop(), DeviceId(1), 0, 1.0);
         s.on_checkin_for(&pop(), DeviceId(2), 0, 1.0);
@@ -588,12 +600,13 @@ mod tests {
     #[test]
     fn admission_sheds_a_burst_deterministically() {
         let make = || {
-            let mut s = Selector::new(PaceSteering::new(60_000, 100), 500, 3)
-                .with_admission(AdmissionConfig {
+            let mut s = Selector::new(PaceSteering::new(60_000, 100), 500, 3).with_admission(
+                AdmissionConfig {
                     accepts_per_sec: 10.0,
                     burst: 5,
                     max_inflight: 50,
-                });
+                },
+            );
             s.set_population_quota(pop(), 1_000);
             s
         };
@@ -624,8 +637,8 @@ mod tests {
 
     #[test]
     fn queue_bound_holds_even_with_tokens() {
-        let mut s = Selector::new(PaceSteering::new(60_000, 100), 500, 3)
-            .with_admission(AdmissionConfig {
+        let mut s =
+            Selector::new(PaceSteering::new(60_000, 100), 500, 3).with_admission(AdmissionConfig {
                 accepts_per_sec: 1_000.0,
                 burst: 1_000,
                 max_inflight: 4,
@@ -699,8 +712,8 @@ mod tests {
     fn shed_retry_suggestions_stretch_under_load() {
         // Closed loop end to end: sustained overload inflates the
         // population estimate, so later rejects are pushed further out.
-        let mut s = Selector::new(PaceSteering::new(1_000, 10), 100, 5)
-            .with_admission(AdmissionConfig {
+        let mut s =
+            Selector::new(PaceSteering::new(1_000, 10), 100, 5).with_admission(AdmissionConfig {
                 accepts_per_sec: 5.0,
                 burst: 5,
                 max_inflight: 10,
@@ -777,7 +790,10 @@ mod tests {
         }
         let forwarded = s.forward_devices_for(&pop_a, 10, 0);
         assert_eq!(forwarded.len(), 4);
-        assert!(forwarded.iter().all(|d| d.0 < 100), "leaked tenant B device");
+        assert!(
+            forwarded.iter().all(|d| d.0 < 100),
+            "leaked tenant B device"
+        );
         // B's held set is untouched and forwards independently.
         assert_eq!(s.connected_count_for(&pop_a), 0);
         assert_eq!(s.connected_count_for(&pop_b), 4);
@@ -867,8 +883,7 @@ mod tests {
     fn held_counts_follow_every_way_a_device_leaves() {
         let pop_a = PopulationName::new("tenant/a");
         let pop_b = PopulationName::new("tenant/b");
-        let mut s = Selector::new(PaceSteering::new(60_000, 100), 500, 9)
-            .with_staleness(60_000);
+        let mut s = Selector::new(PaceSteering::new(60_000, 100), 500, 9).with_staleness(60_000);
         s.set_population_quota(pop_a.clone(), 8);
         s.set_population_quota(pop_b.clone(), 8);
         for i in 0..4 {

@@ -287,14 +287,17 @@ impl GlobalAdmissionBudget {
             config.validate()
         );
         GlobalAdmissionBudget {
-            inner: Arc::new(fl_race::Mutex::new(GLOBAL_BUDGET, GlobalBudgetState {
-                config,
-                window_start_ms: 0,
-                admitted_in_window: 0,
-                admitted_total: 0,
-                shed_total: 0,
-                populations: Vec::new(),
-            })),
+            inner: Arc::new(fl_race::Mutex::new(
+                GLOBAL_BUDGET,
+                GlobalBudgetState {
+                    config,
+                    window_start_ms: 0,
+                    admitted_in_window: 0,
+                    admitted_total: 0,
+                    shed_total: 0,
+                    populations: Vec::new(),
+                },
+            )),
         }
     }
 
@@ -520,12 +523,13 @@ impl PaceController {
             let arrivals = self.window_arrivals as f64;
             self.arrival_sketch.push(arrivals);
             self.windows_observed += 1;
-            let periods_per_return =
-                (self.estimate / self.pace.target_checkins as f64).max(1.0);
+            let periods_per_return = (self.estimate / self.pace.target_checkins as f64).max(1.0);
             let implied = (arrivals * periods_per_return)
                 .min(self.estimate * self.config.max_growth_per_window);
-            self.estimate = (self.estimate + self.config.gain * (implied - self.estimate))
-                .clamp(self.config.min_population as f64, self.config.max_population as f64);
+            self.estimate = (self.estimate + self.config.gain * (implied - self.estimate)).clamp(
+                self.config.min_population as f64,
+                self.config.max_population as f64,
+            );
             self.window_start_ms += self.config.window_ms;
             self.window_arrivals = 0;
         }
@@ -868,8 +872,8 @@ mod tests {
         let only = PopulationName::new("pop/only");
         budget.register_population(&only);
         budget.register_population(&only); // idempotent
-        // With no one else contending, fairness never binds: the fair
-        // share is the window.
+                                           // With no one else contending, fairness never binds: the fair
+                                           // share is the window.
         let admitted: u64 = (0..6)
             .map(|i| u64::from(budget.try_admit_for(i, &only)))
             .sum();

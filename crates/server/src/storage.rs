@@ -209,8 +209,12 @@ mod tests {
     #[test]
     fn latest_returns_most_recent() {
         let mut store = InMemoryCheckpointStore::new();
-        store.commit(FlCheckpoint::new("t", RoundId(1), vec![1.0])).unwrap();
-        store.commit(FlCheckpoint::new("t", RoundId(2), vec![2.0])).unwrap();
+        store
+            .commit(FlCheckpoint::new("t", RoundId(1), vec![1.0]))
+            .unwrap();
+        store
+            .commit(FlCheckpoint::new("t", RoundId(2), vec![2.0]))
+            .unwrap();
         assert_eq!(store.latest("t").unwrap().round, RoundId(2));
         assert_eq!(store.rounds_committed("t"), 2);
     }
@@ -248,8 +252,12 @@ mod tests {
     #[test]
     fn tasks_are_isolated() {
         let mut store = InMemoryCheckpointStore::new();
-        store.commit(FlCheckpoint::new("a", RoundId(1), vec![1.0])).unwrap();
-        store.commit(FlCheckpoint::new("b", RoundId(9), vec![2.0])).unwrap();
+        store
+            .commit(FlCheckpoint::new("a", RoundId(1), vec![1.0]))
+            .unwrap();
+        store
+            .commit(FlCheckpoint::new("b", RoundId(9), vec![2.0]))
+            .unwrap();
         assert_eq!(store.latest("a").unwrap().round, RoundId(1));
         assert_eq!(store.latest("b").unwrap().round, RoundId(9));
     }

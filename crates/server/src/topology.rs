@@ -15,7 +15,7 @@
 //! harness exists in all of them.
 
 use crate::coordinator::{Coordinator, CoordinatorConfig};
-use crate::live::{CoordinatorActor, CoordMsg, SelectorActor, SelectorMsg, SharedOverloadMetrics};
+use crate::live::{CoordMsg, CoordinatorActor, SelectorActor, SelectorMsg, SharedOverloadMetrics};
 use crate::pace::PaceSteering;
 use crate::selector::Selector;
 use crate::shedding::{AdmissionConfig, GlobalAdmissionBudget, GlobalAdmissionConfig};
@@ -375,7 +375,10 @@ mod tests {
         assert_eq!(budget.registered_populations(), vec![population.clone()]);
         assert_eq!(budget.admitted_total(), 5);
         assert_eq!(budget.shed_total(), 4);
-        let accepted: u64 = selectors.iter().map(|s| s.counters_for(&population).0).sum();
+        let accepted: u64 = selectors
+            .iter()
+            .map(|s| s.counters_for(&population).0)
+            .sum();
         assert_eq!(accepted, 5);
     }
 
@@ -396,16 +399,19 @@ mod tests {
                 vec![FlTask::training("t", "pop-spec")],
                 TaskSelectionStrategy::Single,
             ),
-            plans: vec![FlPlan::standard_training(spec, 1, 8, 0.1, CodecSpec::Identity)],
+            plans: vec![FlPlan::standard_training(
+                spec,
+                1,
+                8,
+                0.1,
+                CodecSpec::Identity,
+            )],
             initial_params: vec![0.0; spec.num_params()],
         };
         let mut a = deployment.new_coordinator(InMemoryCheckpointStore::new());
         let mut b = deployment.new_coordinator(InMemoryCheckpointStore::new());
         deployment.deploy_on(&mut a).unwrap();
         deployment.deploy_on(&mut b).unwrap();
-        assert_eq!(
-            a.global_params("t").unwrap(),
-            b.global_params("t").unwrap()
-        );
+        assert_eq!(a.global_params("t").unwrap(), b.global_params("t").unwrap());
     }
 }

@@ -111,7 +111,7 @@ impl Default for FleetConfig {
             plan_bytes,
             checkpoint_bytes,
             update_bytes,
-            work_units: 60_000,          // ≈2 min median compute ("each round takes about 2–3 minutes")
+            work_units: 60_000, // ≈2 min median compute ("each round takes about 2–3 minutes")
             checkin_period_ms: 60_000,
             failure_probability: 0.03,
             seed: 42,
@@ -223,7 +223,11 @@ impl FleetReport {
         let mut night = (0.0f64, 0.0f64);
         for i in 0..drops.len().max(starts.len()) {
             let hour = (i % buckets_per_day) * 24 / buckets_per_day;
-            let slot = if (9..21).contains(&hour) { &mut day } else { &mut night };
+            let slot = if (9..21).contains(&hour) {
+                &mut day
+            } else {
+                &mut night
+            };
             slot.0 += drops.get(i).copied().unwrap_or(0.0);
             slot.1 += starts.get(i).copied().unwrap_or(0.0);
         }
@@ -232,7 +236,10 @@ impl FleetReport {
 
     /// Committed rounds count.
     pub fn committed_rounds(&self) -> usize {
-        self.rounds.iter().filter(|r| r.outcome.is_committed()).count()
+        self.rounds
+            .iter()
+            .filter(|r| r.outcome.is_committed())
+            .count()
     }
 }
 
@@ -348,7 +355,10 @@ pub fn run_counting_events(config: &FleetConfig) -> (FleetReport, u64, usize) {
         state: RoundState::begin(RoundId(1), config.round, 0),
         participants: Vec::new(),
     };
-    queue.schedule_at(config.round.selection_timeout_ms, Event::RoundTick { round_seq: 0 });
+    queue.schedule_at(
+        config.round.selection_timeout_ms,
+        Event::RoundTick { round_seq: 0 },
+    );
 
     // In-flight device count (the "participating" gauge): a device counts
     // from its selection until its Report, its Dropout or its round's
@@ -365,8 +375,7 @@ pub fn run_counting_events(config: &FleetConfig) -> (FleetReport, u64, usize) {
     while let Some((now, event)) = queue.next_before(horizon) {
         match event {
             Event::Sample => {
-                let eligible_frac =
-                    availability.eligible_fraction(gauge_sample, now);
+                let eligible_frac = availability.eligible_fraction(gauge_sample, now);
                 let eligible_total = eligible_frac * config.devices as f64;
                 report.participating.record(now, in_flight as f64);
                 report
@@ -409,24 +418,24 @@ pub fn run_counting_events(config: &FleetConfig) -> (FleetReport, u64, usize) {
                     CheckinResponse::NotSelecting => {
                         report.checkins.1 += 1;
                         // Pace steering: come back later.
-                        let retry = pace.suggest_reconnect(
-                            now,
-                            config.devices,
-                            1.0,
-                            &mut rng,
-                        );
+                        let retry = pace.suggest_reconnect(now, config.devices, 1.0, &mut rng);
                         // The server chose the time; no window vouches for it.
                         let until_ms = 0;
                         queue.schedule_at(retry, Event::Checkin { device, until_ms });
                     }
                 }
             }
-            Event::Report { device, round_seq: seq } => {
+            Event::Report {
+                device,
+                round_seq: seq,
+            } => {
                 if seq != active.seq {
                     // Round long gone; treat as a late upload against the
                     // already-closed round: rejected, Table 1 `#`.
                     report.sessions.record_shape(REJECTED);
-                    report.traffic.record(TrafficKind::Update, config.update_bytes);
+                    report
+                        .traffic
+                        .record(TrafficKind::Update, config.update_bytes);
                     in_flight -= 1;
                     schedule_next_checkin(
                         &mut queue,
@@ -439,7 +448,9 @@ pub fn run_counting_events(config: &FleetConfig) -> (FleetReport, u64, usize) {
                     continue;
                 }
                 let response = active.state.on_report(DeviceId(u64::from(device)), now);
-                report.traffic.record(TrafficKind::Update, config.update_bytes);
+                report
+                    .traffic
+                    .record(TrafficKind::Update, config.update_bytes);
                 report.traffic.record(TrafficKind::Metrics, 64);
                 in_flight -= 1;
                 report.sessions.record_shape(match response {
@@ -455,7 +466,11 @@ pub fn run_counting_events(config: &FleetConfig) -> (FleetReport, u64, usize) {
                     &mut rng,
                 );
             }
-            Event::Dropout { device, round_seq: seq, reason } => {
+            Event::Dropout {
+                device,
+                round_seq: seq,
+                reason,
+            } => {
                 if seq == active.seq {
                     active.state.on_dropout(DeviceId(u64::from(device)), now);
                 }
@@ -496,7 +511,10 @@ pub fn run_counting_events(config: &FleetConfig) -> (FleetReport, u64, usize) {
         // Process round transitions after every event.
         for round_event in active.state.drain_events() {
             match round_event {
-                RoundEvent::Configured { at_ms, participants } => {
+                RoundEvent::Configured {
+                    at_ms,
+                    participants,
+                } => {
                     report
                         .participating_starts
                         .record(at_ms, participants as f64);
@@ -561,7 +579,12 @@ pub fn run_counting_events(config: &FleetConfig) -> (FleetReport, u64, usize) {
                     }
                     debug_assert_eq!(participants, active.participants.len());
                     // First reporting tick.
-                    queue.schedule_in(10_000, Event::RoundTick { round_seq: active.seq });
+                    queue.schedule_in(
+                        10_000,
+                        Event::RoundTick {
+                            round_seq: active.seq,
+                        },
+                    );
                 }
                 RoundEvent::Finished { at_ms, outcome } => {
                     if let Some(run) = active.state.run_time_ms() {
@@ -634,7 +657,11 @@ fn schedule_next_checkin(
     let jitter = rng.random_range(0..period_ms.max(1));
     let target = now + period_ms + jitter;
     if let Some(w) = availability.next_window(u64::from(device), target) {
-        let at_ms = if w.contains(target) { target } else { w.start_ms + jitter };
+        let at_ms = if w.contains(target) {
+            target
+        } else {
+            w.start_ms + jitter
+        };
         let until_ms = w.end_ms;
         queue.schedule_at(at_ms, Event::Checkin { device, until_ms });
     }
@@ -761,13 +788,19 @@ mod tests {
         // The checkpoint download carries every f32 parameter plus its
         // own versioned header; the plan is about model-sized (the graph
         // payload is physically in the frame).
-        assert!(checkpoint >= model_bytes, "checkpoint {checkpoint} < {model_bytes}");
+        assert!(
+            checkpoint >= model_bytes,
+            "checkpoint {checkpoint} < {model_bytes}"
+        );
         let ratio = plan as f64 / model_bytes as f64;
         assert!((0.8..1.5).contains(&ratio), "plan/model ratio {ratio}");
         // The int8-quantized upload really compresses (~4× vs f32) but
         // still carries at least a byte per parameter.
         assert!(update < model_bytes / 2, "update {update} did not compress");
-        assert!(update > FIG9_MODEL.num_params() / 2, "update {update} implausibly small");
+        assert!(
+            update > FIG9_MODEL.num_params() / 2,
+            "update {update} implausibly small"
+        );
         // Measured, deterministic: the same workload frames identically.
         assert_eq!(
             (plan, checkpoint, update),
@@ -794,7 +827,13 @@ mod tests {
     #[test]
     fn shape_literals_are_the_session_logs_shapes() {
         use fl_core::{DeviceEvent::*, SessionLog};
-        let trained = [CheckIn, PlanDownloaded, TrainingStarted, TrainingCompleted, UploadStarted];
+        let trained = [
+            CheckIn,
+            PlanDownloaded,
+            TrainingStarted,
+            TrainingCompleted,
+            UploadStarted,
+        ];
         let started = [CheckIn, PlanDownloaded, TrainingStarted];
         for (literal, events, end) in [
             (UPLOADED, &trained[..], UploadCompleted),

@@ -213,8 +213,7 @@ mod tests {
     #[test]
     fn steady_commits_match_the_no_storm_baseline() {
         let stormy = scenario::run(&ScenarioConfig::flash_vs_steady(41));
-        let calm =
-            scenario::run(&ScenarioConfig::flash_vs_steady(41).without_flash());
+        let calm = scenario::run(&ScenarioConfig::flash_vs_steady(41).without_flash());
         assert!(stormy.is_clean(), "{}", stormy.render());
         assert!(calm.is_clean(), "{}", calm.render());
         let with_storm = stormy.population("multi/steady").unwrap().committed;

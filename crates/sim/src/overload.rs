@@ -168,7 +168,11 @@ mod tests {
         let outcome = clean_run(&config);
         let pop = &outcome.populations[0];
         assert!(outcome.max_queue_depth <= config.admission.max_inflight);
-        assert!(pop.shed > 0, "a herd must actually shed:\n{}", outcome.render());
+        assert!(
+            pop.shed > 0,
+            "a herd must actually shed:\n{}",
+            outcome.render()
+        );
         assert!(pop.committed >= 3, "{}", outcome.render());
         // Every check-in/report crossed the wire framed, and every
         // shed/configuration/ack came back framed.
@@ -279,6 +283,11 @@ mod tests {
         );
         assert!(pop.shed > pop.budget_sheds, "{}", outcome.render());
         assert!(pop.committed >= 1, "{}", outcome.render());
-        assert_eq!(pop.rounds_started, pop.rounds_terminal, "{}", outcome.render());
+        assert_eq!(
+            pop.rounds_started,
+            pop.rounds_terminal,
+            "{}",
+            outcome.render()
+        );
     }
 }

@@ -161,7 +161,10 @@ impl LoadShape {
 
     fn activity(&self, now_ms: u64) -> f64 {
         match *self {
-            LoadShape::DiurnalRamp { period_ms, amplitude } => {
+            LoadShape::DiurnalRamp {
+                period_ms,
+                amplitude,
+            } => {
                 let phase = now_ms as f64 / period_ms as f64 * std::f64::consts::TAU;
                 1.0 + amplitude * phase.sin()
             }
@@ -445,10 +448,22 @@ fn audit(outcome: &ScenarioOutcome, config: &ScenarioConfig) -> Vec<String> {
             ));
         }
         for (count, what) in [
-            (o.contested_respawns, "respawn races without exactly one winner"),
-            (o.clobbered_models, "respawns that changed the committed model"),
-            (o.misnumbered_commits, "commits not one write advancing the checkpoint id by 1"),
-            (o.leaked_writes, "paths that must persist nothing but moved the store"),
+            (
+                o.contested_respawns,
+                "respawn races without exactly one winner",
+            ),
+            (
+                o.clobbered_models,
+                "respawns that changed the committed model",
+            ),
+            (
+                o.misnumbered_commits,
+                "commits not one write advancing the checkpoint id by 1",
+            ),
+            (
+                o.leaked_writes,
+                "paths that must persist nothing but moved the store",
+            ),
         ] {
             if count != 0 {
                 violations.push(format!("population {}: {what}: {count}", o.name));
@@ -479,7 +494,11 @@ fn audit(outcome: &ScenarioOutcome, config: &ScenarioConfig) -> Vec<String> {
         }
     }
     let accepted: u64 = outcome.populations.iter().map(|o| o.accepted).sum();
-    let rejected: u64 = outcome.populations.iter().map(|o| o.offered - o.accepted).sum();
+    let rejected: u64 = outcome
+        .populations
+        .iter()
+        .map(|o| o.offered - o.accepted)
+        .sum();
     if accepted != outcome.accepted_total {
         violations.push(format!(
             "per-population accepts {accepted} != aggregate {}",
@@ -499,7 +518,10 @@ fn audit(outcome: &ScenarioOutcome, config: &ScenarioConfig) -> Vec<String> {
         ));
     }
     let disturbed = config.populations.iter().any(|p| {
-        matches!(p.shape, LoadShape::ThunderingHerd { .. } | LoadShape::FlashCrowd { .. })
+        matches!(
+            p.shape,
+            LoadShape::ThunderingHerd { .. } | LoadShape::FlashCrowd { .. }
+        )
     });
     if disturbed {
         match outcome.convergence_windows {
@@ -603,7 +625,11 @@ enum Event {
     Forward,
     /// A selected device finishes training and uploads for `pop`, under
     /// the checkpoint round its Configuration carried.
-    Report { device: u64, pop: usize, key: RoundId },
+    Report {
+        device: u64,
+        pop: usize,
+        key: RoundId,
+    },
     /// Timeout check of `pop`'s round `seq`.
     RoundTick { pop: usize, seq: u64 },
     /// Per-window staleness eviction + queue-depth / estimate sampling.
@@ -626,7 +652,10 @@ enum DevPhase {
 enum Behaviour {
     /// `pop` is the population the device serves; `None` is a dark
     /// device that never checks in.
-    Dedicated { mgr: ConnectivityManager, pop: Option<usize> },
+    Dedicated {
+        mgr: ConnectivityManager,
+        pop: Option<usize>,
+    },
     Tenant(DeviceTenancy),
 }
 
@@ -913,7 +942,13 @@ impl<'a> Engine<'a> {
                         ..CoordinatorConfig::new(spec.name, config.seed)
                     },
                     group: TaskGroup::new(vec![task], TaskSelectionStrategy::Single),
-                    plans: vec![FlPlan::standard_training(MODEL, 1, 8, 0.1, CodecSpec::Identity)],
+                    plans: vec![FlPlan::standard_training(
+                        MODEL,
+                        1,
+                        8,
+                        0.1,
+                        CodecSpec::Identity,
+                    )],
                     initial_params: vec![0.0; dim],
                 }
             })
@@ -974,7 +1009,9 @@ impl<'a> Engine<'a> {
         engine.selectors = (0..n as usize).map(|i| engine.fresh_selector(i)).collect();
         for p in 0..npop {
             engine.deploy(p, 0);
-            let lease = engine.locks.acquire(engine.lease_name(p), "coordinator".to_string());
+            let lease = engine
+                .locks
+                .acquire(engine.lease_name(p), "coordinator".to_string());
             engine.leases.push(lease);
         }
         // Faults go first, so each fires before anything else due at its
@@ -1008,7 +1045,9 @@ impl<'a> Engine<'a> {
         for (p, spec) in config.populations.iter().enumerate() {
             match spec.shape {
                 LoadShape::ThunderingHerd { at_ms, fraction } => {
-                    engine.queue.schedule_at(at_ms, Event::Herd { pop: p, fraction });
+                    engine
+                        .queue
+                        .schedule_at(at_ms, Event::Herd { pop: p, fraction });
                 }
                 LoadShape::FlashCrowd { at_ms, newcomers } => {
                     for _ in 0..newcomers {
@@ -1021,8 +1060,12 @@ impl<'a> Engine<'a> {
                 LoadShape::Steady | LoadShape::DiurnalRamp { .. } => {}
             }
         }
-        engine.queue.schedule_at(config.window_ms, Event::WindowSample);
-        engine.queue.schedule_at(config.forward_period_ms, Event::Forward);
+        engine
+            .queue
+            .schedule_at(config.window_ms, Event::WindowSample);
+        engine
+            .queue
+            .schedule_at(config.forward_period_ms, Event::Forward);
         for p in 0..npop {
             engine.begin_round(p, 0);
         }
@@ -1080,7 +1123,10 @@ impl<'a> Engine<'a> {
     fn stored(&self, p: usize) -> (u64, Option<u64>) {
         let store = self.coordinators[p].store();
         let latest = store.latest(self.config.populations[p].name).ok();
-        (store.write_count(), latest.map(|checkpoint| checkpoint.round.0))
+        (
+            store.write_count(),
+            latest.map(|checkpoint| checkpoint.round.0),
+        )
     }
 
     /// Counts a leaked write when population `p`'s store no longer reads
@@ -1123,7 +1169,13 @@ impl<'a> Engine<'a> {
     fn schedule_wake(&mut self, device: u64, at: u64) {
         let dev = &mut self.devices[device as usize];
         dev.gen += 1;
-        self.queue.schedule_at(at, Event::Wake { device, gen: dev.gen });
+        self.queue.schedule_at(
+            at,
+            Event::Wake {
+                device,
+                gen: dev.gen,
+            },
+        );
     }
 
     /// Routes a framed rejection through the device's retry discipline
@@ -1257,13 +1309,17 @@ impl<'a> Engine<'a> {
             // whole and nothing reaches storage.
             Err(CoreError::MalformedCheckpoint(why)) if why.contains("below threshold") => {
                 ledger.secagg_round_aborts += 1;
-                self.log.record(at_ms, "secagg.round-abort", format!("{name} {why}"));
+                self.log
+                    .record(at_ms, "secagg.round-abort", format!("{name} {why}"));
             }
             // The previous checkpoint stays authoritative.
             Err(CoreError::StorageFailure(why)) => {
                 ledger.lost_to_storage += 1;
-                self.log
-                    .record(at_ms, "inject.storage-write-failure", format!("{name} {why}"));
+                self.log.record(
+                    at_ms,
+                    "inject.storage-write-failure",
+                    format!("{name} {why}"),
+                );
                 self.log.record(at_ms, "recover.round-lost", name);
             }
             Err(e) => self
@@ -1282,7 +1338,8 @@ impl<'a> Engine<'a> {
                 if let Some(r) = self.rounds[pop].as_mut().filter(|r| r.seq == seq) {
                     r.open = true;
                     let timeout = config.populations[pop].round.selection_timeout_ms;
-                    self.queue.schedule_in(timeout, Event::RoundTick { pop, seq });
+                    self.queue
+                        .schedule_in(timeout, Event::RoundTick { pop, seq });
                     let what = format!("{} r={}", self.names[pop], r.round.state.round.0);
                     self.log.record(now, "round.begin", what);
                 }
@@ -1388,7 +1445,8 @@ impl<'a> Engine<'a> {
                     }
                 }
                 if now + config.forward_period_ms <= config.horizon_ms {
-                    self.queue.schedule_in(config.forward_period_ms, Event::Forward);
+                    self.queue
+                        .schedule_in(config.forward_period_ms, Event::Forward);
                 }
             }
             Event::Report { device, pop, key } => {
@@ -1420,7 +1478,9 @@ impl<'a> Engine<'a> {
                 // The server side hands the frame it received, unopened,
                 // to the round's one report path; an accepted report is
                 // folded by the round's Master.
-                let Some(frame) = self.wire.wire_uplink_frame(now, &report, &mut self.violations)
+                let Some(frame) = self
+                    .wire
+                    .wire_uplink_frame(now, &report, &mut self.violations)
                 else {
                     return;
                 };
@@ -1429,8 +1489,10 @@ impl<'a> Engine<'a> {
                         let (ack, verdict) = r.round.on_report(now, &frame);
                         if let ReportVerdict::Forward(route) = verdict {
                             r.forwarded += 1;
-                            if let Some(Err(e)) =
-                                r.master.as_mut().map(|m| m.accept_forwarded(&route, &frame))
+                            if let Some(Err(e)) = r
+                                .master
+                                .as_mut()
+                                .map(|m| m.accept_forwarded(&route, &frame))
                             {
                                 self.violations
                                     .push(format!("t={now}: report aggregation failed: {e}"));
@@ -1480,10 +1542,12 @@ impl<'a> Engine<'a> {
                     s.evict_stale(now);
                     self.max_queue_depth = self.max_queue_depth.max(s.connected_count());
                 }
-                self.population_estimate_peak =
-                    self.population_estimate_peak.max(self.population_estimate());
+                self.population_estimate_peak = self
+                    .population_estimate_peak
+                    .max(self.population_estimate());
                 if now + config.window_ms <= config.horizon_ms {
-                    self.queue.schedule_in(config.window_ms, Event::WindowSample);
+                    self.queue
+                        .schedule_in(config.window_ms, Event::WindowSample);
                 }
             }
             Event::Herd { pop, fraction } => {
@@ -1503,7 +1567,11 @@ impl<'a> Engine<'a> {
     /// Injects one fault into every population; a Selector crash hits
     /// the Selector layer they share.
     fn inject(&mut self, now: u64, fault: &Fault) {
-        self.log.record(now, format!("inject.{}", fault.kind()), format!("{fault:?}"));
+        self.log.record(
+            now,
+            format!("inject.{}", fault.kind()),
+            format!("{fault:?}"),
+        );
         match *fault {
             Fault::SelectorCrash { selector, .. } => self.crash_selector(now, selector),
             Fault::LeaseLoss { .. } => {
@@ -1604,7 +1672,13 @@ impl<'a> Engine<'a> {
             let Some(r) = self.rounds[p].as_mut() else {
                 continue;
             };
-            for d in r.round.state.participants().into_iter().filter(|d| d.0 % n == s) {
+            for d in r
+                .round
+                .state
+                .participants()
+                .into_iter()
+                .filter(|d| d.0 % n == s)
+            {
                 // A dead Selector takes its devices out before they share
                 // anything: cheap advertise-stage exclusion under SecAgg.
                 let stage = if secagg {
@@ -1628,7 +1702,9 @@ impl<'a> Engine<'a> {
     fn crash_coordinator(&mut self, now: u64, p: usize) {
         self.close_round(p, now);
         let before = self.stored(p);
-        let model = self.coordinators[p].global_params(self.config.populations[p].name).ok();
+        let model = self.coordinators[p]
+            .global_params(self.config.populations[p].name)
+            .ok();
         let orphan =
             self.deployments[p].new_coordinator(Store::new(InMemoryCheckpointStore::new(), []));
         let store = std::mem::replace(&mut self.coordinators[p], orphan).into_store();
@@ -1640,7 +1716,9 @@ impl<'a> Engine<'a> {
         let stale = self.leases[p].take().map(|l| l.epoch);
         let winners: Vec<Lease> = (0..RESPAWN_RACERS)
             .filter_map(|_| match stale {
-                Some(epoch) => self.locks.replace_stale(&name, epoch, "coordinator".to_string()),
+                Some(epoch) => self
+                    .locks
+                    .replace_stale(&name, epoch, "coordinator".to_string()),
                 None => self.locks.acquire(&name, "coordinator".to_string()),
             })
             .collect();
@@ -1652,7 +1730,9 @@ impl<'a> Engine<'a> {
         self.coordinators[p] = self.deployments[p].new_coordinator(store);
         self.deploy(p, now);
         self.check_untouched(p, before);
-        let resumed = self.coordinators[p].global_params(self.config.populations[p].name).ok();
+        let resumed = self.coordinators[p]
+            .global_params(self.config.populations[p].name)
+            .ok();
         self.ledgers[p].clobbered_models += u64::from(resumed != model);
         self.log
             .record(now, "recover.respawn", format!("{name} epoch={epoch:?}"));
@@ -1669,9 +1749,9 @@ impl<'a> Engine<'a> {
                 self.leases[p] = Some(lease);
                 self.ledgers[p].lease_reacquisitions += 1;
             }
-            None => self
-                .violations
-                .push(format!("t={now}: {name}: lease unrecoverable (foreign owner)")),
+            None => self.violations.push(format!(
+                "t={now}: {name}: lease unrecoverable (foreign owner)"
+            )),
         }
     }
 
@@ -1697,8 +1777,14 @@ impl<'a> Engine<'a> {
                     for device in std::mem::take(&mut r.pending) {
                         let cap = round.device_cap_ms;
                         let latency = cap / 6 + self.rng.random_range(0..cap / 2);
-                        self.queue
-                            .schedule_at(now + latency, Event::Report { device, pop: p, key });
+                        self.queue.schedule_at(
+                            now + latency,
+                            Event::Report {
+                                device,
+                                pop: p,
+                                key,
+                            },
+                        );
                     }
                     self.queue.schedule_in(
                         round.report_window_ms.min(10_000),
@@ -1722,10 +1808,8 @@ impl<'a> Engine<'a> {
                 let Some(r) = self.rounds[p].as_mut() else {
                     break;
                 };
-                drain_t += round.selection_timeout_ms
-                    + round.report_window_ms
-                    + round.device_cap_ms
-                    + 1;
+                drain_t +=
+                    round.selection_timeout_ms + round.report_window_ms + round.device_cap_ms + 1;
                 r.round.on_tick(drain_t);
                 if r.round.state.phase().is_terminal() {
                     self.finish_round(p, drain_t);
@@ -1765,7 +1849,12 @@ impl<'a> Engine<'a> {
         let evicted = selectors.iter().map(|s| s.evicted_total()).sum();
 
         let population_estimate_final = self.population_estimate();
-        let latest_onset_ms = self.config.populations.iter().map(|p| p.shape.onset_ms()).max();
+        let latest_onset_ms = self
+            .config
+            .populations
+            .iter()
+            .map(|p| p.shape.onset_ms())
+            .max();
         let onset_window = (latest_onset_ms.unwrap_or(0) / self.config.window_ms) as usize;
         let mut outcome = ScenarioOutcome {
             populations: self.ledgers,
@@ -1855,7 +1944,10 @@ mod tests {
         });
         assert_eq!(
             found,
-            [format!("per-population accepts {} != aggregate {total}", total - 1)]
+            [format!(
+                "per-population accepts {} != aggregate {total}",
+                total - 1
+            )]
         );
     }
 
@@ -1947,7 +2039,8 @@ mod tests {
             };
             o.metrics = OverloadMetrics::new(monitor, 0);
             for name in ["multi/steady", "multi/flash"] {
-                o.metrics.record_accept_for(&PopulationName::new(name), 11 * config.window_ms);
+                o.metrics
+                    .record_accept_for(&PopulationName::new(name), 11 * config.window_ms);
             }
         });
         assert_eq!(
@@ -1984,6 +2077,10 @@ mod tests {
         h.drain_after_horizon();
         let outcome = h.finish();
         assert!(outcome.is_clean(), "{}", outcome.render());
-        assert!(outcome.populations[0].committed >= 1, "{}", outcome.render());
+        assert!(
+            outcome.populations[0].committed >= 1,
+            "{}",
+            outcome.render()
+        );
     }
 }

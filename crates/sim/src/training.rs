@@ -208,12 +208,8 @@ pub fn run_federated(
                 round.on_dropout(d, now_ms);
                 continue;
             }
-            let outcome = runtime.execute(
-                &round.plan.device,
-                &round.checkpoint,
-                &stores[user],
-                None,
-            )?;
+            let outcome =
+                runtime.execute(&round.plan.device, &round.checkpoint, &stores[user], None)?;
             match outcome {
                 ExecutionOutcome::Completed {
                     update_bytes,

@@ -7,8 +7,8 @@
 //! learning rate."
 
 use fl_core::plan::{CodecSpec, FlPlan, ModelSpec};
-use fl_core::privacy::DpConfig;
 use fl_core::population::{FlTask, PopulationName, TaskGroup, TaskSelectionStrategy};
+use fl_core::privacy::DpConfig;
 use fl_core::round::RoundConfig;
 
 /// Builder for an FL training task and its generated plan.
@@ -94,8 +94,8 @@ impl TaskBuilder {
     /// by the model engineer" — Sec. 7.2). The library splits the device
     /// part from the server part automatically.
     pub fn build(&self) -> (FlTask, FlPlan) {
-        let mut task = FlTask::training(self.name.clone(), self.population.clone())
-            .with_round(self.round);
+        let mut task =
+            FlTask::training(self.name.clone(), self.population.clone()).with_round(self.round);
         if let Some(k) = self.secagg_k {
             task = task.with_secagg(k);
         }

@@ -177,8 +177,7 @@ impl ReleaseGate {
                             }
                         }
                         Ok(ExecutionOutcome::Interrupted { .. }) => {
-                            failures
-                                .push(format!("version {version}: execution interrupted"));
+                            failures.push(format!("version {version}: execution interrupted"));
                         }
                         Err(e) => {
                             failures.push(format!("version {version}: execution failed: {e}"));

@@ -86,8 +86,7 @@ mod tests {
             eval_every: 0,
             ..Default::default()
         };
-        let report =
-            simulate_on_proxy(&config, &data.proxy_corpus, 20, &data.test_set).unwrap();
+        let report = simulate_on_proxy(&config, &data.proxy_corpus, 20, &data.test_set).unwrap();
         assert_eq!(report.committed_rounds, 3);
         assert!(!report.final_params.is_empty());
     }

@@ -154,7 +154,11 @@ impl fmt::Display for WireError {
                 write!(f, "truncated frame: needed {needed} bytes, have {have}")
             }
             WireError::BadMagic { found } => {
-                write!(f, "bad magic {:02x}{:02x} (want {:02x}{:02x})", found[0], found[1], MAGIC[0], MAGIC[1])
+                write!(
+                    f,
+                    "bad magic {:02x}{:02x} (want {:02x}{:02x})",
+                    found[0], found[1], MAGIC[0], MAGIC[1]
+                )
             }
             WireError::VersionSkew { ours, theirs } => {
                 write!(f, "protocol version skew: ours {ours}, frame says {theirs}")
@@ -168,7 +172,10 @@ impl fmt::Display for WireError {
             }
             WireError::Malformed { what } => write!(f, "malformed body: {what}"),
             WireError::ChecksumMismatch { expected, found } => {
-                write!(f, "checksum mismatch: computed {expected:016x}, frame says {found:016x}")
+                write!(
+                    f,
+                    "checksum mismatch: computed {expected:016x}, frame says {found:016x}"
+                )
             }
             WireError::StringTooLong { len, max } => {
                 write!(f, "string of {len} bytes exceeds wire limit of {max}")

@@ -65,8 +65,8 @@ mod transport;
 pub use fault::{FaultScript, FaultStats, FaultyTransport, FrameFault};
 pub use frame::{
     checksum, checksum_portable, decode, decode_prefix, encode, encode_into,
-    encode_plan_and_checkpoint_into, encode_plan_digest_and_checkpoint_into, encoded_len,
-    peek_tag, WireError, HEADER_LEN, MAGIC, MAX_BODY_LEN, PROTOCOL_VERSION, TRAILER_LEN,
+    encode_plan_and_checkpoint_into, encode_plan_digest_and_checkpoint_into, encoded_len, peek_tag,
+    WireError, HEADER_LEN, MAGIC, MAX_BODY_LEN, PROTOCOL_VERSION, TRAILER_LEN,
 };
 pub use message::{plan_digest, tag, PlanSlot, ReportPayload, ReportRef, WireMessage};
 pub use transport::{recycle, ChannelTransport, TcpTransport, Transport, WireSink, WireStats};

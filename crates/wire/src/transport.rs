@@ -217,7 +217,8 @@ impl WireCounters {
 
     fn note_received(&self, bytes: usize) {
         self.frames_received.fetch_add(1, Ordering::Relaxed);
-        self.bytes_received.fetch_add(bytes as u64, Ordering::Relaxed);
+        self.bytes_received
+            .fetch_add(bytes as u64, Ordering::Relaxed);
     }
 
     fn note_corrupt(&self) {
@@ -1071,7 +1072,10 @@ mod tests {
         let (device, server) = ChannelTransport::pair();
         for _ in 0..2 {
             let full = || Ok(Arc::clone(&shared));
-            server.sink().send_configuration(0, || Ok(Arc::default()), full).unwrap();
+            server
+                .sink()
+                .send_configuration(0, || Ok(Arc::default()), full)
+                .unwrap();
         }
         assert_eq!(
             Arc::strong_count(&shared),
@@ -1124,7 +1128,9 @@ mod tests {
         let links: Vec<_> = (0..64).map(|_| ChannelTransport::pair()).collect();
         for (_, server) in &links {
             let full = || Ok(Arc::clone(&frame));
-            let sent = server.sink().send_configuration(0, || Ok(Arc::default()), full);
+            let sent = server
+                .sink()
+                .send_configuration(0, || Ok(Arc::default()), full);
             assert_eq!(sent.unwrap(), frame.len());
         }
         let mut sent = WireStats::default();

@@ -75,7 +75,10 @@ fn build_message(
                 1 => CodecSpec::Quantize {
                     block: (a % 64) as usize + 1,
                 },
-                2 => CodecSpec::Subsample { keep: frac, seed: b },
+                2 => CodecSpec::Subsample {
+                    keep: frac,
+                    seed: b,
+                },
                 _ => CodecSpec::Pipeline {
                     keep: frac,
                     seed: b,

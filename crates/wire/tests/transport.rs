@@ -182,9 +182,7 @@ fn tcp_split_write_resumes_mid_frame() {
     // Timeout lands mid-frame; the half-read bytes must not be thrown
     // away or misparsed as a fresh header on the next call.
     assert_eq!(
-        client
-            .recv_timeout(Duration::from_millis(50))
-            .unwrap_err(),
+        client.recv_timeout(Duration::from_millis(50)).unwrap_err(),
         WireError::Timeout
     );
 
@@ -246,7 +244,10 @@ fn tcp_pair() -> (TcpTransport, TcpTransport) {
 fn tcp_raw_pair() -> (TcpTransport, TcpStream) {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-    (TcpTransport::new(stream).unwrap(), listener.accept().unwrap().0)
+    (
+        TcpTransport::new(stream).unwrap(),
+        listener.accept().unwrap().0,
+    )
 }
 
 /// An upload whose frame is `len` payload bytes of `fill` plus framing.
@@ -284,10 +285,16 @@ fn tcp_large_frames_of_mixed_sizes_arrive_byte_identical() {
     for msg in &messages {
         let frame = server.recv_frame_timeout(WAIT).unwrap();
         assert_eq!(frame.len(), encoded_len(msg));
-        assert!(frame == encode(msg).unwrap(), "frame differs from what was sent");
+        assert!(
+            frame == encode(msg).unwrap(),
+            "frame differs from what was sent"
+        );
     }
     for msg in &messages {
-        assert!(server.recv_timeout(WAIT).unwrap() == *msg, "message differs");
+        assert!(
+            server.recv_timeout(WAIT).unwrap() == *msg,
+            "message differs"
+        );
     }
     let client = sender.join().unwrap();
     assert_eq!(server.stats().frames_received, 6);
@@ -305,7 +312,10 @@ fn tcp_large_frame_in_three_pieces_resumes_across_timeouts() {
     let (go, wait) = crossbeam::channel::unbounded::<()>();
     let writer = std::thread::spawn(move || {
         let mid = frame.len() / 2;
-        for (i, piece) in [&frame[..8], &frame[8..mid], &frame[mid..]].into_iter().enumerate() {
+        for (i, piece) in [&frame[..8], &frame[8..mid], &frame[mid..]]
+            .into_iter()
+            .enumerate()
+        {
             if i > 0 {
                 wait.recv().unwrap();
             }
@@ -321,7 +331,10 @@ fn tcp_large_frame_in_three_pieces_resumes_across_timeouts() {
         );
         go.send(()).unwrap();
     }
-    assert!(client.recv_timeout(WAIT).unwrap() == msg, "resumed frame differs");
+    assert!(
+        client.recv_timeout(WAIT).unwrap() == msg,
+        "resumed frame differs"
+    );
     let _raw = writer.join().unwrap();
     assert_eq!(client.stats().frames_received, 1);
     assert_eq!(client.stats().frames_corrupt, 0);
@@ -416,16 +429,35 @@ fn a_tcp_link_sends_a_plan_once_then_names_it_by_digest() {
     // same plan names it, and decodes as the full frame does per device.
     let mut expect = Vec::new();
     for (round, whole) in [(&a1, true), (&a2, false), (&a3, false)] {
-        let len = if whole { round.full.len() } else { round.slim.len() };
-        assert_eq!(send(&sink, round), (len, whole), "round {}", expect.len() + 1);
+        let len = if whole {
+            round.full.len()
+        } else {
+            round.slim.len()
+        };
+        assert_eq!(
+            send(&sink, round),
+            (len, whole),
+            "round {}",
+            expect.len() + 1
+        );
         expect.push(len);
         let got = client.recv_timeout(WAIT).unwrap();
         assert!(got == round.message && got == decode(&round.full).unwrap());
     }
     // A changed plan goes whole again, and so does each switch between two
     // plans; a repeat after a switch is slim.
-    for (round, whole) in [(&b4, true), (&b5, false), (&a1, true), (&b4, true), (&b4, false)] {
-        let len = if whole { round.full.len() } else { round.slim.len() };
+    for (round, whole) in [
+        (&b4, true),
+        (&b5, false),
+        (&a1, true),
+        (&b4, true),
+        (&b4, false),
+    ] {
+        let len = if whole {
+            round.full.len()
+        } else {
+            round.slim.len()
+        };
         assert_eq!(send(&sink, round), (len, whole));
         expect.push(len);
         assert!(client.recv_timeout(WAIT).unwrap() == round.message);
@@ -442,7 +474,11 @@ fn a_tcp_link_sends_a_plan_once_then_names_it_by_digest() {
 fn a_full_configuration_sent_another_way_makes_the_link_send_the_plan_again() {
     let (client, server) = tcp_pair();
     let sink = server.sink();
-    let (a1, b2, a3) = (configuration(5_000, 1), configuration(6_000, 2), configuration(5_000, 3));
+    let (a1, b2, a3) = (
+        configuration(5_000, 1),
+        configuration(6_000, 2),
+        configuration(5_000, 3),
+    );
     assert_eq!(send(&sink, &a1), (a1.full.len(), true));
     // The peer now holds plan B, which the link did not record.
     sink.send(&b2.message).unwrap();
@@ -458,7 +494,11 @@ fn a_full_configuration_sent_another_way_makes_the_link_send_the_plan_again() {
 #[test]
 fn a_slim_configuration_without_its_plan_is_a_typed_error() {
     let (client, mut raw) = tcp_raw_pair();
-    let (a1, b2, b3) = (configuration(5_000, 1), configuration(6_000, 2), configuration(6_000, 3));
+    let (a1, b2, b3) = (
+        configuration(5_000, 1),
+        configuration(6_000, 2),
+        configuration(6_000, 3),
+    );
     let refused = Err(WireError::Malformed {
         what: "plan digest names no plan this connection carried",
     });
@@ -488,7 +528,11 @@ fn a_channel_link_is_always_queued_the_full_frame() {
     }
     let bytes = 2 * a1.full.len() + a2.full.len();
     assert_eq!(server.stats().bytes_sent, bytes as u64);
-    assert_eq!(send(&WireSink::null(), &a1), (0, false), "a null sink asks for no frame");
+    assert_eq!(
+        send(&WireSink::null(), &a1),
+        (0, false),
+        "a null sink asks for no frame"
+    );
 }
 
 #[test]
@@ -553,7 +597,11 @@ fn faulty_transport_drop_dup_delay_disconnect_semantics() {
     assert_eq!(server.recv_timeout(WAIT).unwrap(), m(2));
     assert_eq!(server.recv_timeout(WAIT).unwrap(), m(2));
     assert_eq!(server.recv_timeout(WAIT).unwrap(), m(4));
-    assert_eq!(server.recv_timeout(WAIT).unwrap(), m(3), "reordered past m(4)");
+    assert_eq!(
+        server.recv_timeout(WAIT).unwrap(),
+        m(3),
+        "reordered past m(4)"
+    );
     assert!(server.try_recv().unwrap().is_none());
 
     let stats = faulty.fault_stats();
@@ -571,7 +619,11 @@ fn faulty_transport_corruption_is_typed_and_counted_at_the_peer() {
         device,
         FaultScript::scripted(
             77,
-            vec![FrameFault::Corrupt, FrameFault::Truncate, FrameFault::Deliver],
+            vec![
+                FrameFault::Corrupt,
+                FrameFault::Truncate,
+                FrameFault::Deliver,
+            ],
         ),
     );
     for _ in 0..3 {

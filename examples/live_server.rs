@@ -57,7 +57,9 @@ fn serve(
                 return;
             }
             let Ok(stream) = stream else { continue };
-            let Ok(transport) = TcpTransport::new(stream) else { continue };
+            let Ok(transport) = TcpTransport::new(stream) else {
+                continue;
+            };
             let selector = selector.clone();
             let coordinator = coordinator.clone();
             // Per-connection supervision: short idle read timeouts so the
@@ -121,8 +123,8 @@ fn device_thread(
     std::thread::spawn(move || {
         let store = InMemoryStore::with_examples(StoreConfig::default(), data, 0);
         let runtime = FlRuntime::new(3);
-        let conn = TcpTransport::new(TcpStream::connect(addr).expect("connect"))
-            .expect("transport");
+        let conn =
+            TcpTransport::new(TcpStream::connect(addr).expect("connect")).expect("transport");
         for _ in 0..MAX_CHECKINS {
             let end = DeviceSession::new(DeviceId(id), "live-pop").exchange(
                 |frame| conn.send(frame),
@@ -192,8 +194,12 @@ fn main() {
         vec![0.0; model.num_params()],
         locks.clone(),
     );
-    let blueprint =
-        TopologyBlueprint::new(vec![SelectorSpec::new(PaceSteering::new(1_000, 10), 16, 3, 16)]);
+    let blueprint = TopologyBlueprint::new(vec![SelectorSpec::new(
+        PaceSteering::new(1_000, 10),
+        16,
+        3,
+        16,
+    )]);
     let topology = spawn_multi_topology(&system, vec![(coordinator, 16)], &blueprint);
     let selectors = topology.selectors.clone();
     let coord_ref = topology.coordinators[&PopulationName::new("live-pop")].clone();

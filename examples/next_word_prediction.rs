@@ -38,7 +38,10 @@ fn main() {
     let mut ngram = NgramLm::with_default_lambdas(text_config.vocab);
     ngram.observe_all(data.centralized().iter()).unwrap();
     let ngram_recall = ngram.top1_recall(&data.test_set).unwrap();
-    println!("n-gram baseline top-1 recall:      {:>5.1}%", ngram_recall * 100.0);
+    println!(
+        "n-gram baseline top-1 recall:      {:>5.1}%",
+        ngram_recall * 100.0
+    );
 
     // The federated model: a CBOW next-word predictor.
     let model = ModelSpec::EmbeddingLm {
@@ -69,14 +72,24 @@ fn main() {
     let fl = run_federated(&config, &data.users, &data.test_set).unwrap();
     println!("\nfederated convergence:");
     for p in &fl.history {
-        println!("  round {:>3}: top-1 recall {:>5.1}%", p.round, p.accuracy * 100.0);
+        println!(
+            "  round {:>3}: top-1 recall {:>5.1}%",
+            p.round,
+            p.accuracy * 100.0
+        );
     }
-    println!("FL model top-1 recall:             {:>5.1}%", fl.final_accuracy() * 100.0);
+    println!(
+        "FL model top-1 recall:             {:>5.1}%",
+        fl.final_accuracy() * 100.0
+    );
 
     // Baseline 2: the same model trained centrally on pooled data.
-    let central = run_centralized(model, &data.centralized(), &data.test_set, 10, 16, 0.8, 3)
-        .unwrap();
-    println!("centrally trained top-1 recall:    {:>5.1}%", central * 100.0);
+    let central =
+        run_centralized(model, &data.centralized(), &data.test_set, 10, 16, 0.8, 3).unwrap();
+    println!(
+        "centrally trained top-1 recall:    {:>5.1}%",
+        central * 100.0
+    );
 
     println!(
         "\npaper shape check: FL ({:.1}%) > n-gram ({:.1}%), FL ≈ central ({:.1}%)",

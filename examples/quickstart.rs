@@ -107,5 +107,8 @@ fn main() {
         report.download_bytes as f64 / 1e6,
         report.upload_bytes as f64 / 1e6
     );
-    println!("final test accuracy: {:.1}%", report.final_accuracy() * 100.0);
+    println!(
+        "final test accuracy: {:.1}%",
+        report.final_accuracy() * 100.0
+    );
 }

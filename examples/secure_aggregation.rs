@@ -21,7 +21,10 @@ fn main() {
     let n: u32 = 8;
     let dim = 6;
     let config = SecAggConfig::new(5, dim); // threshold 5 of 8
-    println!("Secure Aggregation: {n} devices, threshold {}, dim {dim}\n", 5);
+    println!(
+        "Secure Aggregation: {n} devices, threshold {}, dim {dim}\n",
+        5
+    );
 
     let clients: Vec<_> = (0..n).map(|id| SecAggClient::new(id, config, 42)).collect();
     let mut server = SecAggServer::new(config);
@@ -77,7 +80,10 @@ fn main() {
         })
         .collect();
     println!("round 3: unmasked sum = {sum:?}");
-    assert_eq!(sum, expected, "sum must equal the committed devices' plaintext sum");
+    assert_eq!(
+        sum, expected,
+        "sum must equal the committed devices' plaintext sum"
+    );
     println!("verified: server learned exactly the sum, with two drop-outs survived\n");
 
     // Hierarchy: 12 devices, SecAgg groups of at least 4 (Sec. 6's

@@ -101,7 +101,10 @@ fn aggregator_loss_costs_only_its_shard() {
     });
     let pop = &outcome.populations[0];
     assert!(pop.committed >= 1, "{}", outcome.render());
-    assert_eq!(outcome.log.with_prefix("inject.aggregator-crash").count(), 1);
+    assert_eq!(
+        outcome.log.with_prefix("inject.aggregator-crash").count(),
+        1
+    );
     assert_eq!(pop.write_count, 1 + pop.committed);
 }
 
@@ -113,7 +116,11 @@ fn selector_loss_reroutes_devices() {
         at_ms: 12_000,
         selector: 0,
     });
-    assert!(outcome.populations[0].committed >= 1, "{}", outcome.render());
+    assert!(
+        outcome.populations[0].committed >= 1,
+        "{}",
+        outcome.render()
+    );
     assert_eq!(outcome.log.with_prefix("inject.selector-crash").count(), 1);
 }
 

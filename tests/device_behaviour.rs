@@ -15,12 +15,7 @@ const FLEET_ROOT: u64 = 0x0123_4567_89AB_CDEF;
 
 fn classification_examples(n: usize) -> Vec<Example> {
     (0..n)
-        .map(|i| {
-            Example::classification(
-                vec![if i % 2 == 0 { 1.0 } else { -1.0 }, 0.5],
-                i % 2,
-            )
-        })
+        .map(|i| Example::classification(vec![if i % 2 == 0 { 1.0 } else { -1.0 }, 0.5], i % 2))
         .collect()
 }
 
@@ -45,16 +40,10 @@ fn multitenant_device_trains_two_populations_sequentially() {
         federated::core::RoundId(0),
         vec![0.0; spec.num_params()],
     );
-    let store_a = InMemoryStore::with_examples(
-        StoreConfig::default(),
-        classification_examples(20),
-        0,
-    );
-    let store_b = InMemoryStore::with_examples(
-        StoreConfig::default(),
-        classification_examples(30),
-        0,
-    );
+    let store_a =
+        InMemoryStore::with_examples(StoreConfig::default(), classification_examples(20), 0);
+    let store_b =
+        InMemoryStore::with_examples(StoreConfig::default(), classification_examples(30), 0);
 
     let mut trained = Vec::new();
     let mut now = 0u64;

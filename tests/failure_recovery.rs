@@ -3,6 +3,7 @@
 //! current round or restarting from the results of the previously
 //! committed round."
 
+use crossbeam::channel::unbounded;
 use federated::actors::{
     watch_and_respawn, ActorSystem, FaultAction, LockingService, ScriptedFaults,
 };
@@ -15,15 +16,12 @@ use federated::server::coordinator::{ActiveRound, Coordinator, CoordinatorConfig
 use federated::server::live::{
     coordinator_lease_name, CoordMsg, CoordinatorActor, DeviceConn, SelectorMsg,
 };
-use federated::server::wire::WireMessage;
 use federated::server::pace::PaceSteering;
-use federated::server::storage::{
-    CheckpointStore, InMemoryCheckpointStore, SharedCheckpointStore,
-};
+use federated::server::storage::{CheckpointStore, InMemoryCheckpointStore, SharedCheckpointStore};
 use federated::server::topology::{
     complete_round, spawn_multi_topology, CompletionError, SelectorSpec, TopologyBlueprint,
 };
-use crossbeam::channel::unbounded;
+use federated::server::wire::WireMessage;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -89,7 +87,8 @@ fn deployed(population: &str) -> Coordinator<InMemoryCheckpointStore> {
         TaskGroup::new(vec![task], TaskSelectionStrategy::Single),
         vec![plan],
         vec![0.0; spec().num_params()],
-    ).unwrap();
+    )
+    .unwrap();
     c
 }
 
@@ -177,7 +176,11 @@ fn coordinator_death_triggers_exactly_one_respawn() {
         (0..8)
             .map(|_| {
                 let locks = locks.clone();
-                scope.spawn(move || locks.acquire("coordinator/pop-respawn", "new".into()).is_some())
+                scope.spawn(move || {
+                    locks
+                        .acquire("coordinator/pop-respawn", "new".into())
+                        .is_some()
+                })
             })
             .collect::<Vec<_>>()
             .into_iter()
@@ -218,7 +221,9 @@ fn injected_coordinator_crash_respawns_once_with_surviving_model() {
     // round into it directly so there is a committed model to lose.
     let store = SharedCheckpointStore::new(InMemoryCheckpointStore::new());
     let mut seedc = Coordinator::new(CoordinatorConfig::new(population, 1), store.clone());
-    seedc.deploy(group(), vec![plan.clone()], init.clone()).unwrap();
+    seedc
+        .deploy(group(), vec![plan.clone()], init.clone())
+        .unwrap();
     let (mut r1, mut m1) = seedc.begin_round(0).unwrap();
     for i in 0..3u64 {
         r1.on_checkin(DeviceId(i), 10);
@@ -233,9 +238,11 @@ fn injected_coordinator_crash_respawns_once_with_surviving_model() {
 
     // The live coordinator: scripted to crash on its 2nd message.
     let system = ActorSystem::new();
-    system.install_fault_injector(Arc::new(
-        ScriptedFaults::new().with("coordinator", 2, FaultAction::Crash),
-    ));
+    system.install_fault_injector(Arc::new(ScriptedFaults::new().with(
+        "coordinator",
+        2,
+        FaultAction::Crash,
+    )));
     let locks: LockingService<String> = LockingService::new();
     let lease = locks
         .acquire(lease_name.clone(), lease_name.clone())
@@ -322,10 +329,7 @@ fn injected_coordinator_crash_respawns_once_with_surviving_model() {
     );
     // Every watcher saw the same crash obituary for the doomed actor.
     for report in &reports {
-        assert!(report
-            .deaths
-            .iter()
-            .all(|obit| obit.name == "coordinator"));
+        assert!(report.deaths.iter().all(|obit| obit.name == "coordinator"));
     }
     // The respawned incarnation resumed — not re-initialized — the
     // model: no extra checkpoint write, trained parameters intact.

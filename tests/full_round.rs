@@ -90,11 +90,13 @@ fn manual_round_with_selector_devices_and_analytics() {
         CoordinatorConfig::new("it-pop", 5),
         InMemoryCheckpointStore::new(),
     );
-    coordinator.deploy(
-        TaskGroup::new(vec![task], TaskSelectionStrategy::Single),
-        vec![plan],
-        spec().instantiate().params().to_vec(),
-    ).unwrap();
+    coordinator
+        .deploy(
+            TaskGroup::new(vec![task], TaskSelectionStrategy::Single),
+            vec![plan],
+            spec().instantiate().params().to_vec(),
+        )
+        .unwrap();
     let writes_before = coordinator.store().write_count();
 
     // Selector layer: 30 devices check in, quota 13 (1.3 × 10).
@@ -194,10 +196,7 @@ fn manual_round_with_selector_devices_and_analytics() {
     // The global model moved.
     let params = coordinator.global_params("it/train").unwrap();
     let init = spec().instantiate().params().to_vec();
-    let moved = params
-        .iter()
-        .zip(&init)
-        .any(|(a, b)| (a - b).abs() > 1e-6);
+    let moved = params.iter().zip(&init).any(|(a, b)| (a - b).abs() > 1e-6);
     assert!(moved, "global model must change after a committed round");
 
     // Session analytics: successful sessions dominate; Table 1 shapes
@@ -242,11 +241,13 @@ fn secagg_round_matches_plain_round() {
             CoordinatorConfig::new("sa-pop", 5),
             InMemoryCheckpointStore::new(),
         );
-        coordinator.deploy(
-            TaskGroup::new(vec![task], TaskSelectionStrategy::Single),
-            vec![plan],
-            spec().instantiate().params().to_vec(),
-        ).unwrap();
+        coordinator
+            .deploy(
+                TaskGroup::new(vec![task], TaskSelectionStrategy::Single),
+                vec![plan],
+                spec().instantiate().params().to_vec(),
+            )
+            .unwrap();
         let (mut round, mut master) = coordinator.begin_round(0).unwrap();
         for i in 0..11u64 {
             round.on_checkin(DeviceId(i), 10);

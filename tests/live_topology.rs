@@ -13,11 +13,11 @@ use federated::core::round::RoundConfig;
 use federated::core::{DeviceId, PopulationName};
 use federated::device::session::{Accepted, DeviceSession, End, Payload};
 use federated::server::live::{CoordMsg, CoordinatorActor, DeviceConn, SelectorMsg};
-use federated::server::wire::WireMessage;
 use federated::server::pace::PaceSteering;
 use federated::server::topology::{
     complete_round, spawn_multi_topology, CompletionError, SelectorSpec, TopologyBlueprint,
 };
+use federated::server::wire::WireMessage;
 use federated::server::{AdmissionConfig, CoordinatorConfig, GlobalAdmissionConfig};
 use std::sync::Arc;
 use std::time::Duration;
@@ -114,7 +114,10 @@ fn round_commits_across_three_selectors() {
         .map(|h| h.join().unwrap())
         .filter(|&ok| ok)
         .count();
-    assert_eq!(accepted, 6, "all six devices contribute through their selectors");
+    assert_eq!(
+        accepted, 6,
+        "all six devices contribute through their selectors"
+    );
 
     let outcome = complete_round(&coord_ref, WAIT).unwrap();
     assert!(outcome.is_committed());
@@ -233,8 +236,7 @@ fn global_budget_caps_admits_across_selectors() {
     let blueprint = TopologyBlueprint::new(
         (0..3)
             .map(|i| {
-                SelectorSpec::new(PaceSteering::new(1_000, 4), 100, i, 10)
-                    .with_admission(admission)
+                SelectorSpec::new(PaceSteering::new(1_000, 4), 100, i, 10).with_admission(admission)
             })
             .collect(),
     )
@@ -266,7 +268,10 @@ fn global_budget_caps_admits_across_selectors() {
         .iter()
         .filter(|end| matches!(end, Err(End::Shed { .. })))
         .count();
-    assert_eq!(configured, 4, "the global budget admits exactly 4: {ends:?}");
+    assert_eq!(
+        configured, 4,
+        "the global budget admits exactly 4: {ends:?}"
+    );
     assert_eq!(shed, 5, "3 local sheds + 2 global sheds");
     assert_eq!(budget.admitted_total(), 4);
     assert_eq!(budget.shed_total(), 2);
@@ -352,8 +357,14 @@ fn aggregator_shard_crash_still_commits_the_round() {
         reason_of("coordinator-shard-crash/master-r1/agg-1"),
         DeathReason::Panicked(_)
     ));
-    assert_eq!(reason_of("coordinator-shard-crash/master-r1/agg-0"), DeathReason::Normal);
-    assert_eq!(reason_of("coordinator-shard-crash/master-r1"), DeathReason::Normal);
+    assert_eq!(
+        reason_of("coordinator-shard-crash/master-r1/agg-0"),
+        DeathReason::Normal
+    );
+    assert_eq!(
+        reason_of("coordinator-shard-crash/master-r1"),
+        DeathReason::Normal
+    );
 }
 
 /// Regression: every live test used to hand-roll an unbounded
@@ -379,8 +390,12 @@ fn a_round_that_cannot_finish_fails_the_poll_instead_of_hanging() {
         CoordinatorConfig::new("no-devices", 3),
         locks,
     );
-    let blueprint =
-        TopologyBlueprint::new(vec![SelectorSpec::new(PaceSteering::new(1_000, 2), 100, 0, 2)]);
+    let blueprint = TopologyBlueprint::new(vec![SelectorSpec::new(
+        PaceSteering::new(1_000, 2),
+        100,
+        0,
+        2,
+    )]);
     let topology = spawn_multi_topology(&system, vec![(coordinator, 2)], &blueprint);
     let coord_ref = topology.coordinators[&PopulationName::new("no-devices")].clone();
 

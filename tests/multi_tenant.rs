@@ -21,8 +21,8 @@ use federated::device::session::{Accepted, DeviceSession, End, Payload};
 use federated::server::live::{
     coordinator_lease_name, CoordMsg, CoordinatorActor, DeviceConn, SelectorMsg,
 };
-use federated::server::storage::InMemoryCheckpointStore;
 use federated::server::pace::PaceSteering;
+use federated::server::storage::InMemoryCheckpointStore;
 use federated::server::topology::{
     complete_round, spawn_multi_topology, SelectorSpec, TopologyBlueprint,
 };
@@ -69,7 +69,9 @@ fn round_with_goal(goal: usize) -> RoundConfig {
 }
 
 fn drive_to_commit(coord: &ActorRef<CoordMsg>) -> bool {
-    complete_round(coord, Duration::from_secs(10)).unwrap().is_committed()
+    complete_round(coord, Duration::from_secs(10))
+        .unwrap()
+        .is_committed()
 }
 
 /// Three populations, three Coordinators, one shared two-Selector layer:
@@ -107,9 +109,7 @@ fn three_populations_commit_concurrently_through_one_selector_layer() {
     let handles: Vec<_> = populations
         .iter()
         .enumerate()
-        .flat_map(|(p, population)| {
-            (0..4u64).map(move |i| (p, *population, p as u64 * 100 + i))
-        })
+        .flat_map(|(p, population)| (0..4u64).map(move |i| (p, *population, p as u64 * 100 + i)))
         .map(|(p, population, id)| {
             let sel = multi.selectors[(id % 2) as usize].clone();
             let coord = multi
@@ -126,10 +126,16 @@ fn three_populations_commit_concurrently_through_one_selector_layer() {
             accepted_per_pop[p] += 1;
         }
     }
-    assert_eq!(accepted_per_pop, [4, 4, 4], "every tenant's devices contribute");
+    assert_eq!(
+        accepted_per_pop,
+        [4, 4, 4],
+        "every tenant's devices contribute"
+    );
 
     for population in &populations {
-        let coord = multi.coordinator(&PopulationName::new(*population)).unwrap();
+        let coord = multi
+            .coordinator(&PopulationName::new(*population))
+            .unwrap();
         assert!(
             drive_to_commit(coord),
             "population {population} failed to commit its round"
@@ -176,8 +182,14 @@ fn fair_share_budget_shields_the_quiet_population_live() {
     let system = ActorSystem::new();
     let locks: LockingService<String> = LockingService::new();
     let coordinators = vec![
-        (coordinator_for("fair/quiet", round_with_goal(3), locks.clone()), 16),
-        (coordinator_for("fair/storm", round_with_goal(3), locks.clone()), 16),
+        (
+            coordinator_for("fair/quiet", round_with_goal(3), locks.clone()),
+            16,
+        ),
+        (
+            coordinator_for("fair/storm", round_with_goal(3), locks.clone()),
+            16,
+        ),
     ];
     // Budget of 6 per window over 2 tenants: fair share 3 each. The
     // storm's 10 devices cannot take the quiet tenant's 3 reserved
@@ -214,7 +226,12 @@ fn fair_share_budget_shields_the_quiet_population_live() {
 
     // Every quiet device is configured (none shed) and carries the
     // round to a commit.
-    commit_one_round("fair/quiet", 0..3, &multi.selectors, multi.coordinator(&quiet).unwrap());
+    commit_one_round(
+        "fair/quiet",
+        0..3,
+        &multi.selectors,
+        multi.coordinator(&quiet).unwrap(),
+    );
 
     // The storm's overflow was shed by the budget, charged to the
     // storm's own ledger — never the quiet tenant's.
@@ -346,7 +363,13 @@ fn rewire_retargets_only_the_respawned_population() {
                     CoordinatorActor::with_store(
                         CoordinatorConfig::new("rewire/b", 7),
                         TaskGroup::new(vec![task], TaskSelectionStrategy::Single),
-                        vec![FlPlan::standard_training(spec(), 1, 8, 0.1, CodecSpec::Identity)],
+                        vec![FlPlan::standard_training(
+                            spec(),
+                            1,
+                            8,
+                            0.1,
+                            CodecSpec::Identity,
+                        )],
                         vec![0.0; spec().num_params()],
                         locks.clone(),
                         lease,
@@ -408,7 +431,10 @@ fn rewire_retargets_only_the_respawned_population() {
 fn unregistered_population_is_told_to_come_back_later() {
     let system = ActorSystem::new();
     let locks: LockingService<String> = LockingService::new();
-    let coordinators = vec![(coordinator_for("known/pop", round_with_goal(1), locks.clone()), 8)];
+    let coordinators = vec![(
+        coordinator_for("known/pop", round_with_goal(1), locks.clone()),
+        8,
+    )];
     let blueprint = TopologyBlueprint::new(vec![SelectorSpec::new(
         PaceSteering::new(1_000, 6),
         100,

@@ -37,7 +37,8 @@ fn fixed_seed_herd_sweep_is_clean() {
             outcome.render()
         );
         assert_eq!(
-            pop.rounds_started, pop.rounds_terminal,
+            pop.rounds_started,
+            pop.rounds_terminal,
             "seed {seed} left a round non-terminal:\n{}",
             outcome.render()
         );
@@ -86,12 +87,18 @@ fn herd_in_one_of_three_populations_holds_the_engine_invariants() {
         let population = |name, goal_count, membership_stride, shape| PopulationLoad {
             name,
             period_ms,
-            round: RoundConfig { goal_count, ..base.populations[0].round },
+            round: RoundConfig {
+                goal_count,
+                ..base.populations[0].round
+            },
             membership_stride,
             shape,
             ..base.populations[0].clone()
         };
-        let herd = LoadShape::ThunderingHerd { at_ms: 600_000, fraction };
+        let herd = LoadShape::ThunderingHerd {
+            at_ms: 600_000,
+            fraction,
+        };
         ScenarioConfig {
             selectors: 2,
             populations: vec![
@@ -107,7 +114,10 @@ fn herd_in_one_of_three_populations_holds_the_engine_invariants() {
         (config(0.25, base.populations[0].period_ms), false),
     ] {
         let outcome = scenario::run(&config);
-        assert_eq!(format!("{outcome:?}"), format!("{:?}", scenario::run(&config)));
+        assert_eq!(
+            format!("{outcome:?}"),
+            format!("{:?}", scenario::run(&config))
+        );
         if whole_tenant {
             // The whole-tenant herd breaks only the shed-rate convergence
             // budget: pace steering does not settle a herd in one of

@@ -43,22 +43,46 @@ fn render_fixture() -> String {
          #   cargo test --test render_digests -- --ignored regenerate\n",
     );
     let engine_configs: [(&str, fn(u64) -> ScenarioConfig, Vec<u64>); 8] = [
-        ("chaos/plain", |seed| ScenarioConfig::chaos_seed(None, seed), chaos::default_seeds()),
+        (
+            "chaos/plain",
+            |seed| ScenarioConfig::chaos_seed(None, seed),
+            chaos::default_seeds(),
+        ),
         (
             "chaos/secagg",
             |seed| ScenarioConfig::chaos_seed(Some(2), seed),
             chaos::default_secagg_seeds(),
         ),
-        ("overload/thundering_herd", ScenarioConfig::thundering_herd, overload::default_seeds()),
-        ("overload/flash_crowd", ScenarioConfig::flash_crowd, overload::default_seeds()),
+        (
+            "overload/thundering_herd",
+            ScenarioConfig::thundering_herd,
+            overload::default_seeds(),
+        ),
+        (
+            "overload/flash_crowd",
+            ScenarioConfig::flash_crowd,
+            overload::default_seeds(),
+        ),
         (
             "overload/secagg_flash_crowd",
             ScenarioConfig::secagg_flash_crowd,
             overload::default_seeds(),
         ),
-        ("overload/diurnal_ramp", ScenarioConfig::diurnal_ramp, overload::default_seeds()),
-        ("multi/flash_vs_steady", ScenarioConfig::flash_vs_steady, multi::default_seeds()),
-        ("multi/single", ScenarioConfig::single, multi::default_seeds()),
+        (
+            "overload/diurnal_ramp",
+            ScenarioConfig::diurnal_ramp,
+            overload::default_seeds(),
+        ),
+        (
+            "multi/flash_vs_steady",
+            ScenarioConfig::flash_vs_steady,
+            multi::default_seeds(),
+        ),
+        (
+            "multi/single",
+            ScenarioConfig::single,
+            multi::default_seeds(),
+        ),
     ];
     for (name, make, seeds) in engine_configs {
         for seed in seeds {

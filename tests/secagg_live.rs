@@ -91,7 +91,10 @@ fn run_secagg_round(population: &str, dropouts: &[(u64, DropStage)]) -> (Vec<f32
         .collect();
     let encoder = FixedPointEncoder::default_for_updates();
     for conn in &conns {
-        match conn.recv(Duration::from_secs(10)).expect("configuration arrives") {
+        match conn
+            .recv(Duration::from_secs(10))
+            .expect("configuration arrives")
+        {
             WireMessage::PlanAndCheckpoint {
                 plan, checkpoint, ..
             } => {
@@ -155,8 +158,12 @@ fn run_secagg_round(population: &str, dropouts: &[(u64, DropStage)]) -> (Vec<f32
     };
 
     let aborts: f64 = telemetry.lock().secagg_aborts().sums().iter().sum();
-    selector_refs[0].send(SelectorMsg::Shutdown).expect("selector alive");
-    coord_ref.send(CoordMsg::Shutdown).expect("coordinator alive");
+    selector_refs[0]
+        .send(SelectorMsg::Shutdown)
+        .expect("selector alive");
+    coord_ref
+        .send(CoordMsg::Shutdown)
+        .expect("coordinator alive");
     system.join();
     (params, aborts)
 }

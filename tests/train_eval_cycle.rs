@@ -3,9 +3,9 @@
 //! single model", driven end-to-end through the Coordinator with real
 //! device-runtime execution for both task kinds.
 
+use federated::core::plan::ModelSpec;
 use federated::core::population::TaskKind;
 use federated::core::round::RoundConfig;
-use federated::core::plan::ModelSpec;
 use federated::core::{DeviceId, RoundId};
 use federated::data::store::{InMemoryStore, StoreConfig};
 use federated::data::synth::classification::{generate, ClassificationConfig};
@@ -53,7 +53,9 @@ fn train_eval_alternation_trains_then_measures() {
         CoordinatorConfig::new("cycle-pop", 11),
         InMemoryCheckpointStore::new(),
     );
-    coordinator.deploy(group, plans, spec.instantiate().params().to_vec()).unwrap();
+    coordinator
+        .deploy(group, plans, spec.instantiate().params().to_vec())
+        .unwrap();
 
     let runtime = FlRuntime::new(3);
     let mut eval_accuracies: Vec<f64> = Vec::new();
@@ -65,7 +67,10 @@ fn train_eval_alternation_trains_then_measures() {
         assert_eq!(master.is_some(), round.task.kind == TaskKind::Training);
         let target = round.task.round.selection_target();
         for i in 0..target {
-            round.on_checkin(DeviceId((cycle as usize * target + i) as u64 % 20), cycle * 1_000_000 + 10);
+            round.on_checkin(
+                DeviceId((cycle as usize * target + i) as u64 % 20),
+                cycle * 1_000_000 + 10,
+            );
         }
         let mut now = cycle * 1_000_000 + 100;
         for d in round.state.participants() {
