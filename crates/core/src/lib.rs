@@ -24,7 +24,8 @@
 //! * [`retry`] — the device-side reconnect discipline (jittered backoff,
 //!   per-task retry budgets) that makes pace steering (Sec. 2.3)
 //!   cooperative rather than advisory;
-//! * [`traffic`] — download/upload byte accounting (Fig. 9);
+//! * [`traffic`] — the byte tallies the fleet simulator models Fig. 9
+//!   with (live links count what they send in `fl_wire::WireStats`);
 //! * [`error`] — the shared error type.
 
 #![deny(missing_debug_implementations)]
@@ -48,7 +49,7 @@ pub mod privacy;
 pub mod retry;
 /// Round configuration (goals, timeouts, over-selection) and outcomes.
 pub mod round;
-/// Download/upload byte accounting by direction and category (Fig. 9).
+/// Modelled download/upload byte tallies by category (Fig. 9).
 pub mod traffic;
 
 pub use checkpoint::FlCheckpoint;

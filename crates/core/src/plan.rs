@@ -302,12 +302,6 @@ impl DevicePlan {
             graph_payload_bytes: self.graph_payload_bytes,
         })
     }
-
-    /// Approximate wire size of the plan: graph payload + a small fixed
-    /// cost per op.
-    pub fn encoded_size(&self) -> usize {
-        self.graph_payload_bytes + self.ops.len() * 16 + 64
-    }
 }
 
 /// The server portion of an FL plan: the aggregation logic.
@@ -492,7 +486,7 @@ mod tests {
             CodecSpec::Identity,
         );
         let model_bytes = plan.server.expected_dim * 4;
-        let plan_bytes = plan.device.encoded_size();
+        let plan_bytes = plan.device.graph_payload_bytes;
         let ratio = plan_bytes as f64 / model_bytes as f64;
         assert!((0.8..1.2).contains(&ratio), "ratio {ratio}");
     }

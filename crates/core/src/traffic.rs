@@ -6,14 +6,12 @@
 //! comparable with the global model) whereas it uploads only updates to the
 //! global model; the model updates are inherently more compressible."
 //!
-//! [`TrafficCounter`] tallies bytes by direction and category so the FIG9
-//! harness reports real encoded sizes.
-
-use serde::{Deserialize, Serialize};
-use std::fmt;
+//! [`TrafficCounter`] tallies bytes by category for the fleet simulator
+//! (`fl_sim::fleet`), which models FIG9 without links; live links count
+//! what they send in `fl_wire::WireStats`.
 
 /// What a transfer carried.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TrafficKind {
     /// FL plan sent to a device (download).
     Plan,
@@ -23,40 +21,15 @@ pub enum TrafficKind {
     Update,
     /// Device metrics reported alongside updates (upload).
     Metrics,
-    /// Protocol control messages (either direction).
-    Control,
 }
 
-/// Direction relative to the server.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum Direction {
-    /// Server → device.
-    Download,
-    /// Device → server.
-    Upload,
-}
-
-impl TrafficKind {
-    /// The direction this kind of payload travels (control is counted by
-    /// the caller's explicit direction).
-    pub fn natural_direction(&self) -> Direction {
-        match self {
-            TrafficKind::Plan | TrafficKind::Checkpoint => Direction::Download,
-            TrafficKind::Update | TrafficKind::Metrics => Direction::Upload,
-            TrafficKind::Control => Direction::Download,
-        }
-    }
-}
-
-/// Byte tallies per direction and kind.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+/// Byte tallies per kind.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TrafficCounter {
     plan_bytes: u64,
     checkpoint_bytes: u64,
     update_bytes: u64,
     metrics_bytes: u64,
-    control_download_bytes: u64,
-    control_upload_bytes: u64,
 }
 
 impl TrafficCounter {
@@ -65,8 +38,7 @@ impl TrafficCounter {
         TrafficCounter::default()
     }
 
-    /// Records a transfer of `bytes` of the given kind in its natural
-    /// direction.
+    /// Records a transfer of `bytes` of the given kind.
     pub fn record(&mut self, kind: TrafficKind, bytes: usize) {
         let bytes = bytes as u64;
         match kind {
@@ -74,26 +46,17 @@ impl TrafficCounter {
             TrafficKind::Checkpoint => self.checkpoint_bytes += bytes,
             TrafficKind::Update => self.update_bytes += bytes,
             TrafficKind::Metrics => self.metrics_bytes += bytes,
-            TrafficKind::Control => self.control_download_bytes += bytes,
-        }
-    }
-
-    /// Records a control message with an explicit direction.
-    pub fn record_control(&mut self, direction: Direction, bytes: usize) {
-        match direction {
-            Direction::Download => self.control_download_bytes += bytes as u64,
-            Direction::Upload => self.control_upload_bytes += bytes as u64,
         }
     }
 
     /// Total bytes sent server → devices.
     pub fn download_bytes(&self) -> u64 {
-        self.plan_bytes + self.checkpoint_bytes + self.control_download_bytes
+        self.plan_bytes + self.checkpoint_bytes
     }
 
     /// Total bytes sent devices → server.
     pub fn upload_bytes(&self) -> u64 {
-        self.update_bytes + self.metrics_bytes + self.control_upload_bytes
+        self.update_bytes + self.metrics_bytes
     }
 
     /// Download ÷ upload ratio (∞ ⇒ `f64::INFINITY`, 0/0 ⇒ 0).
@@ -125,32 +88,6 @@ impl TrafficCounter {
     pub fn update_bytes(&self) -> u64 {
         self.update_bytes
     }
-
-    /// Merges another counter in.
-    pub fn merge(&mut self, other: &TrafficCounter) {
-        self.plan_bytes += other.plan_bytes;
-        self.checkpoint_bytes += other.checkpoint_bytes;
-        self.update_bytes += other.update_bytes;
-        self.metrics_bytes += other.metrics_bytes;
-        self.control_download_bytes += other.control_download_bytes;
-        self.control_upload_bytes += other.control_upload_bytes;
-    }
-}
-
-impl fmt::Display for TrafficCounter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "down {} B (plan {}, ckpt {}), up {} B (update {}, metrics {}), ratio {:.2}",
-            self.download_bytes(),
-            self.plan_bytes,
-            self.checkpoint_bytes,
-            self.upload_bytes(),
-            self.update_bytes,
-            self.metrics_bytes,
-            self.asymmetry()
-        )
-    }
 }
 
 #[cfg(test)]
@@ -158,15 +95,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn records_by_kind_and_direction() {
+    fn records_by_kind() {
         let mut t = TrafficCounter::new();
         t.record(TrafficKind::Plan, 1000);
         t.record(TrafficKind::Checkpoint, 1000);
         t.record(TrafficKind::Update, 400);
         t.record(TrafficKind::Metrics, 100);
-        t.record_control(Direction::Upload, 50);
         assert_eq!(t.download_bytes(), 2000);
-        assert_eq!(t.upload_bytes(), 550);
+        assert_eq!(t.upload_bytes(), 500);
     }
 
     #[test]
@@ -187,24 +123,5 @@ mod tests {
         let mut t = TrafficCounter::new();
         t.record(TrafficKind::Plan, 1);
         assert!(t.asymmetry().is_infinite());
-    }
-
-    #[test]
-    fn merge_adds_all_fields() {
-        let mut a = TrafficCounter::new();
-        a.record(TrafficKind::Plan, 10);
-        let mut b = TrafficCounter::new();
-        b.record(TrafficKind::Update, 5);
-        b.record_control(Direction::Download, 2);
-        a.merge(&b);
-        assert_eq!(a.download_bytes(), 12);
-        assert_eq!(a.upload_bytes(), 5);
-    }
-
-    #[test]
-    fn display_is_informative() {
-        let mut t = TrafficCounter::new();
-        t.record(TrafficKind::Plan, 10);
-        assert!(format!("{t}").contains("down 10 B"));
     }
 }

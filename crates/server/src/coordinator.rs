@@ -8,15 +8,15 @@
 //! of each FL task."
 //!
 //! [`Coordinator`] owns a population's deployed tasks, advances one round
-//! at a time ([`ActiveRound`]), commits fully-aggregated checkpoints to
-//! storage, and accounts traffic. It is deterministic and explicitly
-//! clocked; `fl-sim` and the live actors both drive it.
+//! at a time ([`ActiveRound`]) and commits fully-aggregated checkpoints
+//! to storage. It is deterministic and explicitly clocked; `fl-sim` and
+//! the live actors both drive it.
 //!
 //! The round runs, the Master Aggregator folds. [`Coordinator::begin_round`]
 //! hands a training round's [`MasterAggregator`] back beside the round;
 //! every report frame enters through [`ActiveRound::on_report`], which
-//! admits it (population, key, at-most-once ledger) and accounts for it,
-//! and an accepted one is routed to that Master — the live tree's
+//! admits it (population, key, at-most-once ledger), and an accepted
+//! one is routed to that Master — the live tree's
 //! `MasterAggregatorActor`, or the struct itself in-process.
 //! [`Coordinator::complete_round`] takes the Master's merge.
 
@@ -25,7 +25,6 @@ use crate::round::{CheckinResponse, ReportResponse, RoundState};
 use crate::storage::CheckpointStore;
 use fl_core::plan::FlPlan;
 use fl_core::population::{TaskGroup, TaskKind};
-use fl_core::traffic::{TrafficCounter, TrafficKind};
 use fl_core::{CoreError, DeviceId, FlCheckpoint, FlTask, PopulationName, RoundId};
 use fl_ml::metrics::MetricSummary;
 use fl_ml::rng;
@@ -87,7 +86,6 @@ pub struct Coordinator<S: CheckpointStore> {
     round_counter: u64,
     /// Committed-round ids per task.
     round_ids: HashMap<String, RoundId>,
-    traffic: TrafficCounter,
     /// Materialized metrics per task per round (Sec. 7.4) of the last
     /// [`METRIC_ROUNDS`] committed rounds, oldest first.
     metrics: Vec<(String, RoundId, Vec<MetricSummary>)>,
@@ -116,7 +114,6 @@ impl<S: CheckpointStore> Coordinator<S> {
             store,
             round_counter: 0,
             round_ids: HashMap::new(),
-            traffic: TrafficCounter::new(),
             metrics: Vec::new(),
             secagg_shard_aborts: 0,
         }
@@ -190,11 +187,6 @@ impl<S: CheckpointStore> Coordinator<S> {
     /// The population this coordinator owns.
     pub fn population(&self) -> &PopulationName {
         &self.config.population
-    }
-
-    /// Read access to traffic accounting.
-    pub fn traffic(&self) -> &TrafficCounter {
-        &self.traffic
     }
 
     /// SecAgg shards that aborted below threshold across every completed
@@ -279,7 +271,6 @@ impl<S: CheckpointStore> Coordinator<S> {
             loss_summary: MetricSummary::new("loss"),
             accuracy_summary: MetricSummary::new("accuracy"),
             train_time_summary: MetricSummary::new("participation_ms"),
-            traffic_delta: TrafficCounter::new(),
         };
         Ok((round, master))
     }
@@ -309,8 +300,6 @@ impl<S: CheckpointStore> Coordinator<S> {
             .state
             .outcome()
             .ok_or_else(|| CoreError::UnknownTask("round not finished".into()))?;
-        // The bandwidth was spent whether or not the commit below lands.
-        self.traffic.merge(&round.traffic_delta);
         if outcome.is_committed() {
             if round.task.kind == TaskKind::Training {
                 let merged = aggregate.ok_or_else(|| {
@@ -409,7 +398,7 @@ fn refusal(
 }
 
 /// One in-flight round: the state machine, the at-most-once report
-/// ledger, and traffic/metrics accounting for its devices. Its updates
+/// ledger, and the metrics of its devices' reports. Its updates
 /// are folded by the Master Aggregator [`Coordinator::begin_round`]
 /// handed back beside it.
 #[derive(Debug)]
@@ -443,23 +432,12 @@ pub struct ActiveRound {
     loss_summary: MetricSummary,
     accuracy_summary: MetricSummary,
     train_time_summary: MetricSummary,
-    /// Traffic accumulated during the round, merged into the coordinator
-    /// at completion.
-    traffic_delta: TrafficCounter,
 }
 
 impl ActiveRound {
-    /// A device checks in; on selection, the plan and checkpoint downloads
-    /// are accounted.
+    /// A device checks in.
     pub fn on_checkin(&mut self, device: DeviceId, now_ms: u64) -> CheckinResponse {
-        let response = self.state.on_checkin(device, now_ms);
-        if response == CheckinResponse::Selected {
-            self.traffic_delta
-                .record(TrafficKind::Plan, self.plan.device.encoded_size());
-            self.traffic_delta
-                .record(TrafficKind::Checkpoint, self.checkpoint.encoded_size());
-        }
-        response
+        self.state.on_checkin(device, now_ms)
     }
 
     /// Clock tick (timeouts).
@@ -474,8 +452,7 @@ impl ActiveRound {
     /// round, a configured participant, an attempt within
     /// [`MAX_REPORT_ATTEMPTS`]); replays the pinned verdict of a key
     /// already evaluated; otherwise has the state machine judge the
-    /// report (participant, lateness, goal count), accounts its upload,
-    /// and pins the verdict. Returns the [`WireMessage::ReportAck`] to
+    /// report (participant, lateness, goal count) and pins the verdict. Returns the [`WireMessage::ReportAck`] to
     /// send, and for an accepted report the route on which the caller
     /// forwards `frame` to the round's Master Aggregator.
     pub fn on_report(&mut self, now_ms: u64, frame: &[u8]) -> (WireMessage, ReportVerdict) {
@@ -488,13 +465,6 @@ impl ActiveRound {
             Some(&prior) => (prior, ReportVerdict::Replayed),
             None => {
                 let response = self.state.on_report(report.device, now_ms);
-                // Upload bandwidth is spent whether or not the server keeps it.
-                let payload_bytes = report.payload.len_bytes();
-                if payload_bytes > 0 {
-                    self.traffic_delta
-                        .record(TrafficKind::Update, payload_bytes);
-                }
-                self.traffic_delta.record(TrafficKind::Metrics, 32);
                 let accepted = response == ReportResponse::Accepted;
                 self.verdicts.insert(key, accepted);
                 if accepted {
@@ -620,11 +590,6 @@ impl ActiveRound {
         for t in times {
             self.train_time_summary.push(t as f64);
         }
-    }
-
-    /// The traffic recorded so far in this round.
-    pub fn traffic(&self) -> &TrafficCounter {
-        &self.traffic_delta
     }
 }
 
@@ -767,14 +732,21 @@ mod tests {
     }
 
     #[test]
-    fn traffic_shows_download_dominance() {
+    fn configuration_frames_outweigh_report_frames() {
         let mut c = deployed_coordinator();
-        run_one_round(&mut c).unwrap();
-        let t = c.traffic();
-        assert!(t.download_bytes() > 0 && t.upload_bytes() > 0);
-        // Plan ≈ model and both downloaded per device; uploads are one
-        // update per reporting device.
-        assert!(t.asymmetry() > 1.0, "asymmetry {}", t.asymmetry());
+        let (mut round, _) = c.begin_round(0).unwrap();
+        configure(&mut round);
+        let configuration = fl_wire::encode(&WireMessage::PlanAndCheckpoint {
+            plan: Box::new(round.plan.clone()),
+            checkpoint: Box::new(round.checkpoint.clone()),
+            population: "test/pop".into(),
+        })
+        .unwrap();
+        // Plan ≈ model and both go down to every configured device;
+        // one update frame comes up per reporting device.
+        let down = configuration.len() * round.state.participants().len();
+        let up = frame(&round, DeviceId(0), 1, 0.5).len() * round.task.round.goal_count;
+        assert!(down > up, "down {down} B, up {up} B");
     }
 
     #[test]
@@ -999,7 +971,7 @@ mod tests {
     }
 
     /// A retried upload under the same key gets the original ack replayed
-    /// and is neither forwarded nor accounted a second time.
+    /// and is neither forwarded nor counted a second time.
     #[test]
     fn retried_key_is_replayed_not_reaccounted() {
         let mut c = deployed_coordinator();
@@ -1008,12 +980,10 @@ mod tests {
         let frame = frame(&round, DeviceId(0), 1, 0.5);
         let (first, verdict) = round.on_report(5_000, &frame);
         assert!(matches!(verdict, ReportVerdict::Forward(_)));
-        let upload = round.traffic().upload_bytes();
         assert_eq!(
             round.on_report(5_001, &frame),
             (first, ReportVerdict::Replayed)
         );
-        assert_eq!(round.traffic().upload_bytes(), upload);
         assert_eq!(round.state.counters().0, 1);
     }
 
@@ -1097,6 +1067,7 @@ mod tests {
         let dim = round.plan.server.expected_dim;
         let encoder = fl_ml::fixedpoint::FixedPointEncoder::default_for_updates();
         let field = encoder.encode(&vec![0.5f32; dim]).unwrap();
+        let mut upload = 0;
         for device in round.state.participants().into_iter().take(3) {
             let frame = fl_wire::encode(&WireMessage::SecAggReport {
                 device,
@@ -1109,6 +1080,7 @@ mod tests {
                 population: "test/pop".into(),
             })
             .unwrap();
+            upload += frame.len();
             let (ack, verdict) = report(&mut round, &mut master, &frame);
             assert!(accepted(&ack));
             assert!(matches!(
@@ -1118,10 +1090,11 @@ mod tests {
         }
         round.on_tick(40_000);
         round.record_participation_metrics();
-        let upload = round.traffic().upload_bytes();
+        let clear_upload = 3 * frame(&round, DeviceId(0), 1, 0.5).len();
         assert!(
-            upload >= 3 * dim as u64 * 8,
-            "secagg upload premium missing: {upload} bytes for {dim} params"
+            upload >= 3 * dim * 8 && upload > clear_upload,
+            "secagg upload premium missing: {upload} bytes for {dim} params, \
+             {clear_upload} in the clear"
         );
         let aggregate = round.merge(master);
         let outcome = c.complete_round(round, aggregate).unwrap();

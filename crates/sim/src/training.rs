@@ -22,6 +22,7 @@ use fl_ml::rng;
 use fl_ml::Example;
 use fl_server::coordinator::{Coordinator, CoordinatorConfig, ReportVerdict};
 use fl_server::storage::InMemoryCheckpointStore;
+use fl_server::wire::WireMessage;
 use rand::RngExt;
 
 /// Configuration of a federated training run.
@@ -101,9 +102,10 @@ pub struct TrainingRunReport {
     pub committed_rounds: u64,
     /// Abandoned rounds.
     pub abandoned_rounds: u64,
-    /// Total server download/upload bytes.
+    /// Bytes the server sent: one encoded Configuration frame per
+    /// configured device.
     pub download_bytes: u64,
-    /// Total upload bytes.
+    /// Bytes the server received: every encoded report frame.
     pub upload_bytes: u64,
 }
 
@@ -199,8 +201,16 @@ pub fn run_federated(
         for &u in &selected {
             round.on_checkin(DeviceId(u as u64), now_ms);
         }
-        // All participants execute the plan; drop-outs vanish.
+        // All participants download the round's Configuration, execute
+        // the plan; drop-outs vanish.
         let participants = round.state.participants();
+        let configuration = fl_server::wire::encode(&WireMessage::PlanAndCheckpoint {
+            plan: Box::new(round.plan.clone()),
+            checkpoint: Box::new(round.checkpoint.clone()),
+            population: coordinator.population().clone(),
+        })
+        .map_err(|e| CoreError::InvariantViolated(e.to_string()))?;
+        report.download_bytes += (configuration.len() * participants.len()) as u64;
         now_ms += 1_000;
         for d in participants {
             let user = d.0 as usize;
@@ -232,6 +242,7 @@ pub fn run_federated(
                         .map_err(|e| CoreError::InvariantViolated(e.to_string()))?;
                     let frame = fl_server::wire::encode(&frame)
                         .map_err(|e| CoreError::InvariantViolated(e.to_string()))?;
+                    report.upload_bytes += frame.len() as u64;
                     let (_, verdict) = round.on_report(now_ms, &frame);
                     if let (ReportVerdict::Forward(route), Some(master)) = (verdict, &mut master) {
                         master.accept_forwarded(&route, &frame)?;
@@ -279,8 +290,6 @@ pub fn run_federated(
     }
 
     report.final_params = coordinator.global_params("sim-train")?;
-    report.download_bytes = coordinator.traffic().download_bytes();
-    report.upload_bytes = coordinator.traffic().upload_bytes();
     Ok(report)
 }
 
@@ -411,6 +420,36 @@ mod tests {
         assert_eq!(plain.committed_rounds, secure.committed_rounds);
         let diff = (plain.final_accuracy() - secure.final_accuracy()).abs();
         assert!(diff < 0.05, "accuracy diverged by {diff}");
+    }
+
+    /// Upload is what the devices' report frames hold: with no
+    /// drop-outs every configured device sends one Identity-coded frame a
+    /// round, all of one length.
+    #[test]
+    fn upload_bytes_are_the_encoded_report_frames() {
+        let data = dataset();
+        let config = TrainingRunConfig {
+            rounds: 3,
+            dropout_probability: 0.0,
+            ..Default::default()
+        };
+        let report = run_federated(&config, &data.users, &data.test_set).unwrap();
+        let update = vec![0.0; config.model.num_params()];
+        let key = (fl_core::RoundId(0), 1);
+        let message = report_frame(
+            DeviceId(0),
+            &"sim/pop".into(),
+            key,
+            Payload::Identity(&update),
+            (1, 0.0, 0.0),
+        )
+        .unwrap();
+        let frame = fl_server::wire::encode(&message).unwrap();
+        let configured = (config.clients_per_round as f64 * config.overselection).ceil() as u64;
+        assert_eq!(
+            report.upload_bytes,
+            config.rounds * configured * frame.len() as u64
+        );
     }
 
     #[test]

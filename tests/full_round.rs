@@ -40,7 +40,7 @@ fn round_config(goal: usize) -> RoundConfig {
 /// `device` reports `update_bytes` to `round` as the `UpdateReport` frame
 /// a real device sends, under the key its Configuration carried; the
 /// round's Master folds an accepted report. Returns whether it was
-/// accepted.
+/// accepted, and the frame's length.
 fn report(
     round: &mut ActiveRound,
     master: &mut Option<MasterAggregator>,
@@ -49,7 +49,7 @@ fn report(
     update_bytes: Vec<u8>,
     (weight, loss, accuracy): (u64, f64, f64),
     population: &str,
-) -> bool {
+) -> (bool, usize) {
     let frame = wire::encode(&WireMessage::UpdateReport {
         device,
         round: round.checkpoint.round,
@@ -65,7 +65,8 @@ fn report(
     if let (ReportVerdict::Forward(route), Some(master)) = (verdict, master.as_mut()) {
         master.accept_forwarded(&route, &frame).unwrap();
     }
-    matches!(ack, WireMessage::ReportAck { accepted: true, .. })
+    let accepted = matches!(ack, WireMessage::ReportAck { accepted: true, .. });
+    (accepted, frame.len())
 }
 
 /// Drives one full round "by hand", as the simulator does internally, but
@@ -125,6 +126,15 @@ fn manual_round_with_selector_devices_and_analytics() {
         round.on_checkin(*d, 1_500);
     }
     assert_eq!(round.state.participants().len(), 13);
+    // Each configured device downloads the round's Configuration frame.
+    let configuration = wire::encode(&WireMessage::PlanAndCheckpoint {
+        plan: Box::new(round.plan.clone()),
+        checkpoint: Box::new(round.checkpoint.clone()),
+        population: population.clone(),
+    })
+    .unwrap();
+    let download = 13 * configuration.len();
+    let mut upload = 0;
 
     // Devices execute the plan; one is interrupted, one drops out.
     let runtime = FlRuntime::new(3);
@@ -166,7 +176,10 @@ fn manual_round_with_selector_devices_and_analytics() {
                 log.record(now, DeviceEvent::UploadStarted);
                 let metrics = (weight, loss, accuracy);
                 let bytes = update_bytes.unwrap();
-                if report(&mut round, &mut master, *d, now, bytes, metrics, "it-pop") {
+                let (accepted, sent) =
+                    report(&mut round, &mut master, *d, now, bytes, metrics, "it-pop");
+                upload += sent;
+                if accepted {
                     log.record(now, DeviceEvent::UploadCompleted);
                 } else {
                     log.record(now, DeviceEvent::UploadRejected);
@@ -205,9 +218,10 @@ fn manual_round_with_selector_devices_and_analytics() {
     assert_eq!(sessions.count("-v[!"), 1); // the interrupted device
     assert_eq!(sessions.count("-v[*"), 1); // the failed device
 
-    // Traffic accounting: download dominates (plan ≈ model + checkpoint
-    // down; compressed updates up).
-    assert!(coordinator.traffic().asymmetry() > 2.0);
+    // Server traffic, in frame bytes: download dominates (plan ≈ model
+    // + checkpoint down; compressed updates up).
+    let asymmetry = download as f64 / upload as f64;
+    assert!(asymmetry > 2.0, "asymmetry {asymmetry}");
 
     // Metrics materialized for the committed round.
     let metrics = coordinator.materialized_metrics();
