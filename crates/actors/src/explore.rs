@@ -33,7 +33,6 @@ const BUDGET: u64 = 10_000;
 pub struct ScheduleExplorer {
     seed: u64,
     budget: AtomicU64,
-    applied: AtomicU64,
 }
 
 impl ScheduleExplorer {
@@ -43,13 +42,7 @@ impl ScheduleExplorer {
         ScheduleExplorer {
             seed,
             budget: AtomicU64::new(BUDGET),
-            applied: AtomicU64::new(0),
         }
-    }
-
-    /// Number of reorders applied so far.
-    pub fn reorders_applied(&self) -> u64 {
-        self.applied.load(Ordering::Relaxed)
     }
 }
 
@@ -80,7 +73,6 @@ impl FaultInjector for ScheduleExplorer {
                 .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |b| b.checked_sub(1))
                 .is_ok()
         {
-            self.applied.fetch_add(1, Ordering::Relaxed);
             return FaultAction::Reorder;
         }
         FaultAction::Deliver
@@ -116,14 +108,13 @@ mod tests {
     fn decisions_are_deterministic_per_seed() {
         let a = ScheduleExplorer::new(42);
         let b = ScheduleExplorer::new(42);
+        let mut reorders = 0;
         for seq in 1..500 {
-            assert_eq!(
-                a.on_deliver("coordinator", seq),
-                b.on_deliver("coordinator", seq)
-            );
+            let action = a.on_deliver("coordinator", seq);
+            assert_eq!(action, b.on_deliver("coordinator", seq));
+            reorders += usize::from(action == FaultAction::Reorder);
         }
-        assert_eq!(a.reorders_applied(), b.reorders_applied());
-        assert!(a.reorders_applied() > 0, "rate 250/1000 over 499 draws");
+        assert!(reorders > 0, "rate 250/1000 over 499 draws");
     }
 
     #[test]
@@ -142,7 +133,6 @@ mod tests {
             .filter(|&seq| x.on_deliver("a", seq) == FaultAction::Reorder)
             .count();
         assert_eq!(reorders as u64, BUDGET);
-        assert_eq!(x.reorders_applied(), BUDGET);
         assert_eq!(x.on_deliver("a", 8 * BUDGET + 1), FaultAction::Deliver);
     }
 

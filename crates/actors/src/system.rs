@@ -600,6 +600,7 @@ impl ActorSystem {
     }
 
     /// Removes the installed fault injector, restoring normal delivery.
+    // fl-lint: allow(test-only-pub): ends the fault drills of tests/failure_recovery.rs, tests/multi_tenant.rs
     pub fn clear_fault_injector(&self) {
         self.shared().set_injector(None);
     }
@@ -678,6 +679,7 @@ impl ActorSystem {
 
     /// Worker threads this system holds: W, whatever the number of
     /// actors alive, from `new` until its last handle is dropped.
+    // fl-lint: allow(test-only-pub): the W-worker checks of fl-actors' and fl-server's tests
     pub fn worker_threads(&self) -> usize {
         self.shared().workers.lock().threads.len()
     }

@@ -58,6 +58,7 @@ impl FaultLog {
     }
 
     /// Entries of a given kind prefix (e.g. `inject.` or `recover.`).
+    // fl-lint: allow(test-only-pub): tests/chaos_sweep.rs counts injected faults with it
     pub fn with_prefix<'a>(&'a self, prefix: &'a str) -> impl Iterator<Item = &'a FaultLogEntry> {
         self.entries
             .iter()

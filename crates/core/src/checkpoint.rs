@@ -65,6 +65,7 @@ impl FlCheckpoint {
     }
 
     /// Encodes to the compact binary wire format.
+    // fl-lint: allow(test-only-pub): tests/properties.rs round-trips checkpoints through it
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.encoded_size());
         self.write_to(&mut out);

@@ -105,21 +105,6 @@ impl SessionLog {
     pub fn shape(&self) -> String {
         self.events.iter().map(|(_, e)| e.glyph()).collect()
     }
-
-    /// Time between the first and last event, if at least two events exist.
-    pub fn duration_ms(&self) -> Option<u64> {
-        match (self.events.first(), self.events.last()) {
-            (Some((start, _)), Some((end, _))) if self.events.len() >= 2 => Some(end - start),
-            _ => None,
-        }
-    }
-
-    /// Whether this session contributed an accepted update.
-    pub fn completed_successfully(&self) -> bool {
-        self.events
-            .last()
-            .is_some_and(|(_, e)| *e == DeviceEvent::UploadCompleted)
-    }
 }
 
 impl fmt::Display for SessionLog {
@@ -151,7 +136,6 @@ mod tests {
             DeviceEvent::UploadCompleted,
         ]);
         assert_eq!(log.shape(), "-v[]+^");
-        assert!(log.completed_successfully());
         assert!(log.is_finished());
     }
 
@@ -166,7 +150,6 @@ mod tests {
             DeviceEvent::UploadRejected,
         ]);
         assert_eq!(log.shape(), "-v[]+#");
-        assert!(!log.completed_successfully());
     }
 
     #[test]
@@ -207,16 +190,5 @@ mod tests {
         let mut log = log_of(&[DeviceEvent::CheckIn, DeviceEvent::Error]);
         log.record(999, DeviceEvent::UploadCompleted);
         assert_eq!(log.shape(), "-*");
-    }
-
-    #[test]
-    fn duration_spans_first_to_last() {
-        let log = log_of(&[
-            DeviceEvent::CheckIn,
-            DeviceEvent::PlanDownloaded,
-            DeviceEvent::Interrupted,
-        ]);
-        assert_eq!(log.duration_ms(), Some(200));
-        assert_eq!(SessionLog::new().duration_ms(), None);
     }
 }

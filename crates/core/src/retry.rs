@@ -93,12 +93,6 @@ impl RetryPolicy {
             (scaled as u64).max(1)
         }
     }
-
-    /// Worst-case sustained reconnect attempts per millisecond one device
-    /// can direct at the server under this policy (capacity planning).
-    pub fn max_attempt_rate_per_ms(&self) -> f64 {
-        self.budget_per_window as f64 / self.budget_window_ms as f64
-    }
 }
 
 #[cfg(test)]
@@ -167,15 +161,5 @@ mod tests {
         }
         .validate()
         .is_err());
-    }
-
-    #[test]
-    fn attempt_rate_bounds_capacity() {
-        let p = RetryPolicy {
-            budget_per_window: 6,
-            budget_window_ms: 60_000,
-            ..RetryPolicy::default()
-        };
-        assert!((p.max_attempt_rate_per_ms() - 0.0001).abs() < 1e-12);
     }
 }

@@ -10,6 +10,8 @@
 //! (`fl_sim::fleet`), which models FIG9 without links; live links count
 //! what they send in `fl_wire::WireStats`.
 
+use std::fmt;
+
 /// What a transfer carried.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TrafficKind {
@@ -24,7 +26,7 @@ pub enum TrafficKind {
 }
 
 /// Byte tallies per kind.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Clone, Default, PartialEq, Eq)]
 pub struct TrafficCounter {
     plan_bytes: u64,
     checkpoint_bytes: u64,
@@ -87,6 +89,21 @@ impl TrafficCounter {
     /// Update bytes uploaded.
     pub fn update_bytes(&self) -> u64 {
         self.update_bytes
+    }
+}
+
+/// Prints the two control-message tallies the counter once kept as 0:
+/// the fleet reports' `Debug` is pinned by `tests/render_digests.txt`.
+impl fmt::Debug for TrafficCounter {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("TrafficCounter")
+            .field("plan_bytes", &self.plan_bytes)
+            .field("checkpoint_bytes", &self.checkpoint_bytes)
+            .field("update_bytes", &self.update_bytes)
+            .field("metrics_bytes", &self.metrics_bytes)
+            .field("control_download_bytes", &0u64)
+            .field("control_upload_bytes", &0u64)
+            .finish()
     }
 }
 

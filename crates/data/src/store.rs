@@ -56,12 +56,6 @@ impl ExampleQuery {
             ..ExampleQuery::default()
         }
     }
-
-    /// Limits the number of returned examples.
-    pub fn with_limit(mut self, limit: usize) -> Self {
-        self.limit = Some(limit);
-        self
-    }
 }
 
 /// The example-store API provided to applications (Sec. 3, Fig. 2).
@@ -135,6 +129,7 @@ impl InMemoryStore {
     }
 
     /// Current approximate footprint in bytes.
+    // fl-lint: allow(test-only-pub): tests/device_behaviour.rs checks the footprint bound with it
     pub fn footprint_bytes(&self) -> usize {
         self.bytes
     }
@@ -284,7 +279,14 @@ mod tests {
         for i in 0..10 {
             s.append(ex(1), i);
         }
-        assert_eq!(s.query(&ExampleQuery::training().with_limit(3)).len(), 3);
+        assert_eq!(
+            s.query(&ExampleQuery {
+                limit: Some(3),
+                ..ExampleQuery::training()
+            })
+            .len(),
+            3
+        );
     }
 
     #[test]

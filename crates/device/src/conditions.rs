@@ -66,6 +66,7 @@ impl DeviceCapabilities {
     pub const MIN_MEMORY_MB: u32 = 2048;
 
     /// Whether the FL device code is deployed to this device at all.
+    // fl-lint: allow(test-only-pub): paper Sec. 3 deployment bar; tests/device_behaviour.rs
     pub fn meets_deployment_bar(&self) -> bool {
         self.memory_mb >= Self::MIN_MEMORY_MB
     }

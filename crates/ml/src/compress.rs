@@ -422,56 +422,56 @@ impl UpdateCodec for PipelineCodec {
     }
 }
 
-/// Compression report for an update vector under a codec.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CompressionReport {
-    /// Codec name.
-    pub codec: &'static str,
-    /// Uncompressed size in bytes (4 per coordinate).
-    pub raw_bytes: usize,
-    /// Encoded size in bytes.
-    pub encoded_bytes: usize,
-    /// Relative L2 reconstruction error.
-    pub relative_error: f64,
-}
-
-impl CompressionReport {
-    /// `raw / encoded` compression ratio.
-    pub fn ratio(&self) -> f64 {
-        self.raw_bytes as f64 / self.encoded_bytes.max(1) as f64
-    }
-}
-
-/// Encodes, decodes, and measures a codec on an update vector.
-///
-/// # Errors
-///
-/// Propagates decode errors (which indicate a codec bug).
-pub fn measure<C: UpdateCodec>(codec: &C, update: &[f32]) -> Result<CompressionReport, CodecError> {
-    let encoded = codec.encode(update);
-    let decoded = codec.decode(&encoded, update.len())?;
-    let err: f64 = update
-        .iter()
-        .zip(&decoded)
-        .map(|(a, b)| f64::from(a - b) * f64::from(a - b))
-        .sum::<f64>()
-        .sqrt();
-    let norm: f64 = update
-        .iter()
-        .map(|a| f64::from(*a) * f64::from(*a))
-        .sum::<f64>()
-        .sqrt();
-    Ok(CompressionReport {
-        codec: codec.name(),
-        raw_bytes: update.len() * 4,
-        encoded_bytes: encoded.len(),
-        relative_error: if norm == 0.0 { 0.0 } else { err / norm },
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Compression report for an update vector under a codec.
+    #[derive(Debug, Clone, PartialEq)]
+    struct CompressionReport {
+        /// Codec name.
+        codec: &'static str,
+        /// Uncompressed size in bytes (4 per coordinate).
+        raw_bytes: usize,
+        /// Encoded size in bytes.
+        encoded_bytes: usize,
+        /// Relative L2 reconstruction error.
+        relative_error: f64,
+    }
+
+    impl CompressionReport {
+        /// `raw / encoded` compression ratio.
+        fn ratio(&self) -> f64 {
+            self.raw_bytes as f64 / self.encoded_bytes.max(1) as f64
+        }
+    }
+
+    /// Encodes, decodes, and measures a codec on an update vector.
+    ///
+    /// # Errors
+    ///
+    /// Propagates decode errors (which indicate a codec bug).
+    fn measure<C: UpdateCodec>(codec: &C, update: &[f32]) -> Result<CompressionReport, CodecError> {
+        let encoded = codec.encode(update);
+        let decoded = codec.decode(&encoded, update.len())?;
+        let err: f64 = update
+            .iter()
+            .zip(&decoded)
+            .map(|(a, b)| f64::from(a - b) * f64::from(a - b))
+            .sum::<f64>()
+            .sqrt();
+        let norm: f64 = update
+            .iter()
+            .map(|a| f64::from(*a) * f64::from(*a))
+            .sum::<f64>()
+            .sqrt();
+        Ok(CompressionReport {
+            codec: codec.name(),
+            raw_bytes: update.len() * 4,
+            encoded_bytes: encoded.len(),
+            relative_error: if norm == 0.0 { 0.0 } else { err / norm },
+        })
+    }
 
     fn sample_update(n: usize) -> Vec<f32> {
         let mut rng = crate::rng::seeded(21);

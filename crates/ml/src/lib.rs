@@ -6,12 +6,11 @@
 //! deterministic, dependency-light ML library providing exactly what the
 //! federated protocol needs —
 //!
-//! * [`tensor::Tensor`] — dense row-major tensors,
 //! * [`model::Model`] — a trait for models with hand-derived gradients
 //!   ([`models::linear`], [`models::logistic`], [`models::mlp`],
 //!   [`models::embedding_lm`]) plus a classical [`models::ngram`] baseline,
-//! * [`optim`] — SGD with learning-rate schedules and the FedAvg
-//!   client-update step (Appendix B of the paper),
+//! * [`optim`] — SGD and the FedAvg client's weighted update (Appendix B
+//!   of the paper),
 //! * [`metrics`] — streaming moments and approximate order statistics
 //!   (Sec. 7.4 "approximate order statistics and moments like mean"),
 //! * [`compress`] — model-update compression codecs (Sec. 11 "Bandwidth"),
@@ -50,7 +49,5 @@ pub mod model;
 pub mod models;
 pub mod optim;
 pub mod rng;
-pub mod tensor;
 
 pub use model::{Example, Label, MlError, Model};
-pub use tensor::Tensor;

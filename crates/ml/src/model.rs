@@ -111,6 +111,7 @@ impl Example {
     }
 
     /// Convenience constructor for a regression example.
+    // fl-lint: allow(test-only-pub): builds the regression examples of fl-ml's model tests
     pub fn regression(features: Vec<f32>, target: f32) -> Self {
         Example::Regression { features, target }
     }
@@ -222,6 +223,7 @@ pub trait Model {
 /// # Errors
 ///
 /// Propagates any error from the model's loss computation.
+// fl-lint: allow(test-only-pub): the gradient reference every model's tests check against
 pub fn finite_difference_check<M: Model, R: rand::Rng>(
     model: &mut M,
     batch: &[Example],

@@ -1,6 +1,5 @@
-//! Optimizers and the FedAvg client update (Appendix B of the paper).
-
-use crate::model::{Example, MlError, Model};
+//! The optimizer the device runtime trains with, and the weighted
+//! update a FedAvg client returns (Appendix B of the paper).
 
 /// A first-order optimizer updating a flat parameter vector in place.
 pub trait Optimizer {
@@ -10,133 +9,30 @@ pub trait Optimizer {
     ///
     /// Implementations panic if `params.len() != grad.len()`.
     fn step(&mut self, params: &mut [f32], grad: &[f32]);
-
-    /// The learning rate the *next* call to [`Optimizer::step`] will use.
-    fn current_learning_rate(&self) -> f32;
 }
 
-/// Learning-rate schedule.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum LrSchedule {
-    /// Constant learning rate.
-    Constant,
-    /// `lr / (1 + decay · t)` where `t` counts steps.
-    InverseTime {
-        /// Decay coefficient per step.
-        decay: f32,
-    },
-    /// Multiply by `factor` every `every` steps.
-    Step {
-        /// Multiplicative factor applied at each boundary.
-        factor: f32,
-        /// Number of steps between boundaries.
-        every: u64,
-    },
-}
-
-/// Plain stochastic gradient descent with optional momentum and schedule.
+/// Plain stochastic gradient descent at a constant learning rate.
 #[derive(Debug, Clone)]
 pub struct Sgd {
-    base_lr: f32,
-    momentum: f32,
-    schedule: LrSchedule,
-    steps: u64,
-    velocity: Vec<f32>,
+    lr: f32,
 }
 
 impl Sgd {
-    /// Creates SGD with a constant learning rate and no momentum.
+    /// Creates SGD with a constant learning rate.
     ///
     /// # Panics
     ///
     /// Panics if `lr <= 0`.
     pub fn new(lr: f32) -> Self {
         assert!(lr > 0.0, "learning rate must be positive");
-        Sgd {
-            base_lr: lr,
-            momentum: 0.0,
-            schedule: LrSchedule::Constant,
-            steps: 0,
-            velocity: Vec::new(),
-        }
-    }
-
-    /// Adds classical momentum (`v ← μv + g; w ← w − ηv`).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 ≤ momentum < 1`.
-    pub fn with_momentum(mut self, momentum: f32) -> Self {
-        assert!((0.0..1.0).contains(&momentum), "momentum must be in [0, 1)");
-        self.momentum = momentum;
-        self
-    }
-
-    /// Sets the learning-rate schedule.
-    pub fn with_schedule(mut self, schedule: LrSchedule) -> Self {
-        self.schedule = schedule;
-        self
-    }
-
-    /// Number of steps applied so far.
-    pub fn steps(&self) -> u64 {
-        self.steps
-    }
-
-    fn lr_at(&self, step: u64) -> f32 {
-        match self.schedule {
-            LrSchedule::Constant => self.base_lr,
-            LrSchedule::InverseTime { decay } => self.base_lr / (1.0 + decay * step as f32),
-            LrSchedule::Step { factor, every } => {
-                let k = if every == 0 { 0 } else { step / every };
-                self.base_lr * factor.powi(k as i32)
-            }
-        }
+        Sgd { lr }
     }
 }
 
 impl Optimizer for Sgd {
     fn step(&mut self, params: &mut [f32], grad: &[f32]) {
         assert_eq!(params.len(), grad.len(), "param/grad length mismatch");
-        let lr = self.lr_at(self.steps);
-        if self.momentum > 0.0 {
-            if self.velocity.len() != params.len() {
-                self.velocity = vec![0.0; params.len()];
-            }
-            for ((v, g), p) in self.velocity.iter_mut().zip(grad).zip(params.iter_mut()) {
-                *v = self.momentum * *v + g;
-                *p -= lr * *v;
-            }
-        } else {
-            crate::linalg::axpy(params, grad, -lr);
-        }
-        self.steps += 1;
-    }
-
-    fn current_learning_rate(&self) -> f32 {
-        self.lr_at(self.steps)
-    }
-}
-
-/// Hyperparameters for one on-device FedAvg client update
-/// (`ClientUpdate` in Appendix B).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ClientUpdateConfig {
-    /// Local learning rate η.
-    pub learning_rate: f32,
-    /// Minibatch size B.
-    pub batch_size: usize,
-    /// Number of local epochs E.
-    pub epochs: usize,
-}
-
-impl Default for ClientUpdateConfig {
-    fn default() -> Self {
-        ClientUpdateConfig {
-            learning_rate: 0.1,
-            batch_size: 16,
-            epochs: 1,
-        }
+        crate::linalg::axpy(params, grad, -self.lr);
     }
 }
 
@@ -152,59 +48,9 @@ pub struct WeightedUpdate {
     pub weight: u64,
 }
 
-impl WeightedUpdate {
-    /// The unweighted average direction `Δ / n`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weight == 0`.
-    pub fn unweighted(&self) -> Vec<f32> {
-        assert!(self.weight > 0, "cannot unweight a zero-weight update");
-        let inv = 1.0 / self.weight as f32;
-        self.delta.iter().map(|d| d * inv).collect()
-    }
-}
-
-/// Runs `ClientUpdate(w)` from Appendix B: local minibatch SGD for the
-/// configured epochs, returning the weighted delta and weight.
-///
-/// The model is left holding the *locally updated* parameters; callers that
-/// need the original weights should restore them from the checkpoint.
-///
-/// # Errors
-///
-/// Returns [`MlError::EmptyBatch`] if `data` is empty, or any model error.
-pub fn client_update<M: Model>(
-    model: &mut M,
-    data: &[Example],
-    config: &ClientUpdateConfig,
-) -> Result<WeightedUpdate, MlError> {
-    if data.is_empty() {
-        return Err(MlError::EmptyBatch);
-    }
-    let w_init: Vec<f32> = model.params().to_vec();
-    let batch = config.batch_size.max(1);
-    let mut opt = Sgd::new(config.learning_rate);
-    for _ in 0..config.epochs.max(1) {
-        for chunk in data.chunks(batch) {
-            let (_, grad) = model.loss_and_grad(chunk)?;
-            opt.step(model.params_mut(), &grad);
-        }
-    }
-    let n = data.len() as u64;
-    let delta = model
-        .params()
-        .iter()
-        .zip(&w_init)
-        .map(|(w, w0)| n as f32 * (w - w0))
-        .collect();
-    Ok(WeightedUpdate { delta, weight: n })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::models::logistic::LogisticRegression;
 
     #[test]
     fn sgd_descends_a_quadratic() {
@@ -216,82 +62,6 @@ mod tests {
             opt.step(&mut w, &g);
         }
         assert!(w[0].abs() < 0.01);
-        assert_eq!(opt.steps(), 100);
-    }
-
-    #[test]
-    fn momentum_accelerates_on_smooth_quadratic() {
-        let run = |momentum: f32| {
-            let mut w = vec![10.0f32];
-            let mut opt = Sgd::new(0.01).with_momentum(momentum);
-            for _ in 0..200 {
-                let g = vec![w[0]];
-                opt.step(&mut w, &g);
-            }
-            w[0].abs()
-        };
-        assert!(run(0.9) < run(0.0));
-    }
-
-    #[test]
-    fn inverse_time_schedule_decays() {
-        let opt = Sgd::new(1.0).with_schedule(LrSchedule::InverseTime { decay: 1.0 });
-        assert!((opt.lr_at(0) - 1.0).abs() < 1e-6);
-        assert!((opt.lr_at(1) - 0.5).abs() < 1e-6);
-        assert!((opt.lr_at(9) - 0.1).abs() < 1e-6);
-    }
-
-    #[test]
-    fn step_schedule_halves_at_boundaries() {
-        let opt = Sgd::new(1.0).with_schedule(LrSchedule::Step {
-            factor: 0.5,
-            every: 10,
-        });
-        assert!((opt.lr_at(9) - 1.0).abs() < 1e-6);
-        assert!((opt.lr_at(10) - 0.5).abs() < 1e-6);
-        assert!((opt.lr_at(25) - 0.25).abs() < 1e-6);
-    }
-
-    #[test]
-    fn client_update_returns_weighted_delta() {
-        let mut m = LogisticRegression::new(2, 2, 0);
-        let w0: Vec<f32> = m.params().to_vec();
-        let data = vec![
-            Example::classification(vec![1.0, 0.0], 0),
-            Example::classification(vec![0.0, 1.0], 1),
-            Example::classification(vec![1.0, 0.2], 0),
-        ];
-        let cfg = ClientUpdateConfig {
-            learning_rate: 0.1,
-            batch_size: 2,
-            epochs: 2,
-        };
-        let update = client_update(&mut m, &data, &cfg).unwrap();
-        assert_eq!(update.weight, 3);
-        // delta = n (w - w0): verify against the model's final params.
-        for ((d, w), w0v) in update.delta.iter().zip(m.params()).zip(&w0) {
-            assert!((d - 3.0 * (w - w0v)).abs() < 1e-5);
-        }
-        // Training must actually move the parameters.
-        assert!(update.delta.iter().any(|d| d.abs() > 1e-6));
-    }
-
-    #[test]
-    fn client_update_rejects_empty_data() {
-        let mut m = LogisticRegression::new(2, 2, 0);
-        assert!(matches!(
-            client_update(&mut m, &[], &ClientUpdateConfig::default()),
-            Err(MlError::EmptyBatch)
-        ));
-    }
-
-    #[test]
-    fn unweighted_divides_by_weight() {
-        let u = WeightedUpdate {
-            delta: vec![2.0, 4.0],
-            weight: 2,
-        };
-        assert_eq!(u.unweighted(), vec![1.0, 2.0]);
     }
 
     #[test]

@@ -48,25 +48,6 @@ pub fn normal_with_std<R: rand::Rng>(rng: &mut R, std_dev: f64) -> f64 {
     normal(rng) * std_dev
 }
 
-/// Samples an index from an (unnormalized) weight slice.
-///
-/// # Panics
-///
-/// Panics if `weights` is empty or sums to a non-positive value.
-pub fn weighted_index<R: rand::Rng>(rng: &mut R, weights: &[f64]) -> usize {
-    assert!(!weights.is_empty(), "weights must be non-empty");
-    let total: f64 = weights.iter().sum();
-    assert!(total > 0.0, "weights must sum to a positive value");
-    let mut target = rng.random::<f64>() * total;
-    for (i, w) in weights.iter().enumerate() {
-        target -= w;
-        if target <= 0.0 {
-            return i;
-        }
-    }
-    weights.len() - 1
-}
-
 /// Draws `k` distinct indices uniformly from `0..n` via reservoir sampling.
 ///
 /// Reservoir sampling is also what the paper's Selector uses for device
@@ -119,19 +100,6 @@ mod tests {
         let var = samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
         assert!(mean.abs() < 0.05, "mean {mean}");
         assert!((var - 1.0).abs() < 0.05, "var {var}");
-    }
-
-    #[test]
-    fn weighted_index_respects_weights() {
-        let mut rng = seeded(3);
-        let weights = [1.0, 0.0, 3.0];
-        let mut counts = [0usize; 3];
-        for _ in 0..10_000 {
-            counts[weighted_index(&mut rng, &weights)] += 1;
-        }
-        assert_eq!(counts[1], 0);
-        let ratio = counts[2] as f64 / counts[0] as f64;
-        assert!((ratio - 3.0).abs() < 0.5, "ratio {ratio}");
     }
 
     #[test]

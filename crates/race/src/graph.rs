@@ -140,17 +140,20 @@ impl LockGraph {
     }
 
     /// Number of distinct sites observed.
+    // fl-lint: allow(test-only-pub): queried by the lock-graph gate tests/lock_audit.rs
     pub fn site_count(&self) -> usize {
         self.state().sites.len()
     }
 
     /// Number of distinct observed acquisition-order edges.
+    // fl-lint: allow(test-only-pub): fl-race's lock-wrapper tests (sync.rs) read the graph through it
     pub fn edge_count(&self) -> usize {
         self.state().edges.len()
     }
 
     /// Whether the edge `from -> to` (acquired `to` while holding
     /// `from`) has been observed.
+    // fl-lint: allow(test-only-pub): queried by the lock-graph gate tests/lock_audit.rs
     pub fn has_edge(&self, from: &str, to: &str) -> bool {
         self.state()
             .edges
@@ -159,6 +162,7 @@ impl LockGraph {
     }
 
     /// All rank violations observed so far, sorted by (held, acquired).
+    // fl-lint: allow(test-only-pub): queried by the lock-graph gate tests/lock_audit.rs
     pub fn rank_violations(&self) -> Vec<RankViolation> {
         self.state().violations.values().cloned().collect()
     }
@@ -239,6 +243,7 @@ impl LockGraph {
     }
 
     /// Whether the observed acquisition-order graph is cycle-free.
+    // fl-lint: allow(test-only-pub): queried by the lock-graph gate tests/lock_audit.rs
     pub fn is_acyclic(&self) -> bool {
         self.cycles().is_empty()
     }

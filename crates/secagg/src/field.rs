@@ -47,6 +47,7 @@ pub fn sub(a: u64, b: u64) -> u64 {
 
 /// Field negation.
 #[inline]
+// fl-lint: allow(test-only-pub): a field law of tests/properties.rs and the golden mask pins
 pub fn neg(a: u64) -> u64 {
     debug_assert!(a < PRIME);
     fold(PRIME - a) // `p` when `a` is 0, which folds to 0
@@ -179,6 +180,7 @@ pub fn add_assign_vec(a: &mut [u64], b: &[u64]) {
 /// # Panics
 ///
 /// Panics if lengths differ.
+// fl-lint: allow(test-only-pub): the reference keys::apply_masks is checked against
 pub fn sub_assign_vec(a: &mut [u64], b: &[u64]) {
     assert_eq!(a.len(), b.len(), "vector length mismatch");
     for (x, &y) in a.iter_mut().zip(b) {

@@ -79,6 +79,7 @@ impl KeyPair {
     }
 
     /// Computes the shared secret with a peer's public key.
+    // fl-lint: allow(test-only-pub): the one-pair reference agree_all is checked against
     pub fn agree(&self, peer_public: u64) -> u64 {
         field::pow(peer_public, self.secret)
     }
@@ -304,6 +305,7 @@ fn reduce_lanes<const L: usize>(sum: &[u64; L]) -> u64 {
 
 /// Expands a seed into a keystream of bytes (the share "encryption"):
 /// byte `i` is the `i`-th `random::<u8>()` of `rng::seeded(seed)`.
+// fl-lint: allow(test-only-pub): tests/alloc_budget.rs and the golden mask pins
 pub fn keystream(seed: u64, len: usize) -> Vec<u8> {
     let mut stream = vec![0; len];
     apply_keystream(seed, &mut stream);

@@ -45,6 +45,7 @@ pub fn mask_input(input: &mut [u64], own_id: u32, self_seed: u64, pairwise: &[(u
 }
 
 /// Removes a reconstructed self mask `b_u` from an aggregate.
+// fl-lint: allow(test-only-pub): protocol surface pinned by tests/golden_masks.rs
 pub fn remove_self_mask(aggregate: &mut [u64], self_seed: u64) {
     unmask(aggregate, &[self_seed], &[], &[]);
 }

@@ -203,6 +203,7 @@ impl<S: CheckpointStore> Coordinator<S> {
 
     /// Materialized metrics: `(task, round, summaries)` tuples of the
     /// last [`METRIC_ROUNDS`] committed rounds, newest last.
+    // fl-lint: allow(test-only-pub): tests/full_round.rs, tests/train_eval_cycle.rs read Sec. 7.4 metrics with it
     pub fn materialized_metrics(&self) -> &[(String, RoundId, Vec<MetricSummary>)] {
         &self.metrics
     }

@@ -94,16 +94,6 @@ impl PaceSteering {
             now_ms + 1 + rng.random_range(0..horizon.max(1))
         }
     }
-
-    /// Expected number of check-ins per period for a given population under
-    /// this policy (used by tests and capacity planning).
-    pub fn expected_checkins_per_period(&self, population_estimate: u64) -> f64 {
-        if population_estimate <= SMALL_POPULATION {
-            population_estimate as f64
-        } else {
-            self.target_checkins as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -200,13 +190,6 @@ mod tests {
                 assert!(s > now, "pop {pop} now {now} suggested {s}");
             }
         }
-    }
-
-    #[test]
-    fn expected_rate_regimes() {
-        let pace = PaceSteering::new(60_000, 300);
-        assert_eq!(pace.expected_checkins_per_period(500), 500.0);
-        assert_eq!(pace.expected_checkins_per_period(1_000_000), 300.0);
     }
 
     #[test]

@@ -216,11 +216,6 @@ impl Selector {
         &self.pace
     }
 
-    /// The admission controller, if admission control is enabled.
-    pub fn admission_controller(&self) -> Option<&AdmissionController> {
-        self.admission.as_ref()
-    }
-
     /// Drops held connections not seen since `now_ms − stale_after_ms`.
     /// Returns how many were evicted. No-op when eviction is disabled.
     pub fn evict_stale(&mut self, now_ms: u64) -> usize {
@@ -339,11 +334,6 @@ impl Selector {
         self.connected.len()
     }
 
-    /// Number of held devices that checked in under `population`.
-    pub fn connected_count_for(&self, population: &PopulationName) -> usize {
-        self.row(population).map_or(0, |row| row.held)
-    }
-
     /// Accepted/rejected counters of `population` (for analytics).
     /// Rejections include shed check-ins.
     pub fn counters_for(&self, population: &PopulationName) -> (u64, u64) {
@@ -429,6 +419,11 @@ mod tests {
     /// The one population of the single-tenant cases.
     fn pop() -> PopulationName {
         PopulationName::new("pop")
+    }
+
+    /// Number of held devices that checked in under `population`.
+    fn held_for(s: &Selector, population: &PopulationName) -> usize {
+        s.row(population).map_or(0, |row| row.held)
     }
 
     fn selector(quota: usize) -> Selector {
@@ -655,11 +650,8 @@ mod tests {
                 ..
             }
         ));
-        let (_, queue_sheds) = s
-            .admission_controller()
-            .expect("admission enabled")
-            .shed_totals();
-        assert_eq!(queue_sheds, 47);
+        // Tokens never run out, so every shed is a full queue's.
+        assert_eq!(s.shed_total_for(&pop()), 47);
     }
 
     #[test]
@@ -771,8 +763,8 @@ mod tests {
             CheckinDecision::Reject { .. }
         ));
         assert_eq!(s.connected_count(), 3);
-        assert_eq!(s.connected_count_for(&pop_a), 2);
-        assert_eq!(s.connected_count_for(&pop_b), 1);
+        assert_eq!(held_for(&s, &pop_a), 2);
+        assert_eq!(held_for(&s, &pop_b), 1);
         assert_eq!(s.counters_for(&pop_a), (2, 1));
         assert_eq!(s.counters_for(&pop_b), (1, 1));
     }
@@ -795,8 +787,8 @@ mod tests {
             "leaked tenant B device"
         );
         // B's held set is untouched and forwards independently.
-        assert_eq!(s.connected_count_for(&pop_a), 0);
-        assert_eq!(s.connected_count_for(&pop_b), 4);
+        assert_eq!(held_for(&s, &pop_a), 0);
+        assert_eq!(held_for(&s, &pop_b), 4);
         let forwarded_b = s.forward_devices_for(&pop_b, 2, 0);
         assert_eq!(forwarded_b.len(), 2);
         assert!(forwarded_b.iter().all(|d| d.0 >= 100));
@@ -891,13 +883,13 @@ mod tests {
             s.on_checkin_for(&pop_b, DeviceId(100 + i), 50_000, 1.0);
         }
         s.on_disconnect(DeviceId(0));
-        assert_eq!(s.connected_count_for(&pop_a), 3);
+        assert_eq!(held_for(&s, &pop_a), 3);
         // A's remaining three went stale at t=60s; B's are still fresh.
         assert_eq!(s.evict_stale(70_000), 3);
-        assert_eq!(s.connected_count_for(&pop_a), 0);
-        assert_eq!(s.connected_count_for(&pop_b), 4);
+        assert_eq!(held_for(&s, &pop_a), 0);
+        assert_eq!(held_for(&s, &pop_b), 4);
         assert_eq!(s.forward_devices_for(&pop_b, 3, 70_000).len(), 3);
-        assert_eq!(s.connected_count_for(&pop_b), 1);
+        assert_eq!(held_for(&s, &pop_b), 1);
         assert_eq!(s.connected_count(), 1);
         // The freed slots are really free.
         s.set_population_quota(pop_a.clone(), 1);

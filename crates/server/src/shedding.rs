@@ -19,7 +19,7 @@
 //!   brings the arrival rate back to the target — the SRE-style back
 //!   pressure the paper's production deployment relies on.
 
-use crate::pace::{PaceSteering, SMALL_POPULATION};
+use crate::pace::PaceSteering;
 use fl_core::PopulationName;
 use fl_ml::metrics::MetricSummary;
 use std::sync::Arc;
@@ -100,9 +100,6 @@ pub struct AdmissionController {
     config: AdmissionConfig,
     tokens: f64,
     last_refill_ms: u64,
-    admitted_total: u64,
-    shed_rate_total: u64,
-    shed_queue_total: u64,
 }
 
 impl AdmissionController {
@@ -123,15 +120,7 @@ impl AdmissionController {
             config,
             tokens: config.burst as f64,
             last_refill_ms: 0,
-            admitted_total: 0,
-            shed_rate_total: 0,
-            shed_queue_total: 0,
         }
-    }
-
-    /// The configuration this controller enforces.
-    pub fn config(&self) -> &AdmissionConfig {
-        &self.config
     }
 
     fn refill(&mut self, now_ms: u64) {
@@ -150,31 +139,13 @@ impl AdmissionController {
     pub fn offer(&mut self, now_ms: u64, inflight: usize) -> AdmissionDecision {
         self.refill(now_ms);
         if inflight >= self.config.max_inflight {
-            self.shed_queue_total += 1;
             return AdmissionDecision::Shed(ShedReason::QueueFull);
         }
         if self.tokens < 1.0 {
-            self.shed_rate_total += 1;
             return AdmissionDecision::Shed(ShedReason::RateExceeded);
         }
         self.tokens -= 1.0;
-        self.admitted_total += 1;
         AdmissionDecision::Admit
-    }
-
-    /// Tokens currently available (diagnostics).
-    pub fn tokens(&self) -> f64 {
-        self.tokens
-    }
-
-    /// Total check-ins admitted.
-    pub fn admitted_total(&self) -> u64 {
-        self.admitted_total
-    }
-
-    /// Total check-ins shed, by reason `(rate_exceeded, queue_full)`.
-    pub fn shed_totals(&self) -> (u64, u64) {
-        (self.shed_rate_total, self.shed_queue_total)
     }
 }
 
@@ -390,6 +361,7 @@ impl GlobalAdmissionBudget {
     }
 
     /// The populations contending on this budget, in registration order.
+    // fl-lint: allow(test-only-pub): tests/multi_tenant.rs checks fair-share registration with it
     pub fn registered_populations(&self) -> Vec<PopulationName> {
         let s = self.inner.lock();
         s.populations.iter().map(|row| row.name.clone()).collect()
@@ -573,12 +545,6 @@ impl PaceController {
         self.windows_observed
     }
 
-    /// Whether the estimate currently sits in the spread (large
-    /// population) regime rather than the rendezvous (small) regime.
-    pub fn in_spread_regime(&self) -> bool {
-        self.population_estimate() > SMALL_POPULATION
-    }
-
     /// The per-window arrival-count sketch (moments + P² quantiles).
     pub fn arrival_sketch(&self) -> &MetricSummary {
         &self.arrival_sketch
@@ -610,8 +576,6 @@ mod tests {
             a.offer(100, 0),
             AdmissionDecision::Shed(ShedReason::RateExceeded)
         );
-        assert_eq!(a.admitted_total(), 6);
-        assert_eq!(a.shed_totals(), (2, 0));
     }
 
     #[test]
@@ -626,7 +590,6 @@ mod tests {
             AdmissionDecision::Shed(ShedReason::QueueFull)
         );
         assert_eq!(a.offer(0, 2), AdmissionDecision::Admit);
-        assert_eq!(a.shed_totals(), (0, 1));
     }
 
     #[test]
@@ -734,7 +697,7 @@ mod tests {
             c.on_arrival(i * 3);
         }
         c.on_arrival(60_000); // close the window
-        assert!(c.in_spread_regime());
+        assert!(c.population_estimate() > crate::pace::SMALL_POPULATION);
         let horizon_end = {
             let mut max_t = 0;
             for _ in 0..2_000 {

@@ -39,13 +39,11 @@ pub trait CheckpointStore {
     fn write_count(&self) -> u64;
 }
 
-/// In-memory store keeping the latest checkpoint per task plus history
-/// length, standing in for the production system's distributed storage.
+/// In-memory store keeping the latest checkpoint per task, standing in for the production system's distributed storage.
 #[derive(Debug, Default)]
 pub struct InMemoryCheckpointStore {
     latest: HashMap<String, FlCheckpoint>,
     writes: u64,
-    history_len: HashMap<String, u64>,
 }
 
 impl InMemoryCheckpointStore {
@@ -53,20 +51,11 @@ impl InMemoryCheckpointStore {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Number of committed rounds for a task.
-    pub fn rounds_committed(&self, task_name: &str) -> u64 {
-        self.history_len.get(task_name).copied().unwrap_or(0)
-    }
 }
 
 impl CheckpointStore for InMemoryCheckpointStore {
     fn commit(&mut self, checkpoint: FlCheckpoint) -> Result<(), CoreError> {
         self.writes += 1;
-        *self
-            .history_len
-            .entry(checkpoint.task_name.clone())
-            .or_insert(0) += 1;
         self.latest.insert(checkpoint.task_name.clone(), checkpoint);
         Ok(())
     }
@@ -109,9 +98,7 @@ impl<S: CheckpointStore> SharedCheckpointStore<S> {
         }
     }
 
-    /// Runs `f` with read access to the underlying store (for audits the
-    /// [`CheckpointStore`] trait does not expose, e.g.
-    /// [`InMemoryCheckpointStore::rounds_committed`]).
+    /// Runs `f` with read access to the underlying store.
     pub fn with<R>(&self, f: impl FnOnce(&S) -> R) -> R {
         f(&self.inner.lock())
     }
@@ -203,7 +190,6 @@ mod tests {
         store.commit(ck.clone()).unwrap();
         assert_eq!(store.latest("t").unwrap(), ck);
         assert_eq!(store.write_count(), 1);
-        assert_eq!(store.rounds_committed("t"), 1);
     }
 
     #[test]
@@ -216,7 +202,7 @@ mod tests {
             .commit(FlCheckpoint::new("t", RoundId(2), vec![2.0]))
             .unwrap();
         assert_eq!(store.latest("t").unwrap().round, RoundId(2));
-        assert_eq!(store.rounds_committed("t"), 2);
+        assert_eq!(store.write_count(), 2);
     }
 
     #[test]
@@ -246,7 +232,7 @@ mod tests {
             .commit(FlCheckpoint::new("t", RoundId(2), vec![2.0]))
             .unwrap();
         assert_eq!(store.attempts(), 3);
-        assert_eq!(store.into_inner().rounds_committed("t"), 2);
+        assert_eq!(store.into_inner().write_count(), 2);
     }
 
     #[test]

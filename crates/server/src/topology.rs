@@ -40,9 +40,8 @@ pub struct SelectorSpec {
     pub population_estimate: u64,
     /// Seed for the selector's reservoir-sampling RNG.
     pub seed: u64,
-    /// Held-connection quota each population starts with when
-    /// [`TopologyBlueprint::build_selectors`] registers it (the
-    /// Coordinator may adjust it later).
+    /// Held-connection quota each population starts with on a Selector
+    /// built from this spec (the Coordinator may adjust it later).
     pub quota: usize,
     /// Local admission control; `None` accepts everything under quota.
     pub admission: Option<AdmissionConfig>,
@@ -168,27 +167,6 @@ impl TopologyBlueprint {
     /// Builds the shared budget, if one is configured.
     pub fn build_global_budget(&self) -> Option<GlobalAdmissionBudget> {
         self.global_admission.map(GlobalAdmissionBudget::new)
-    }
-
-    /// Builds the Selector layer, every Selector wired to `budget` when
-    /// present and serving each of `populations` at its spec's quota.
-    /// Virtual-clock harnesses drive these directly; the live topology
-    /// wraps them in [`SelectorActor`]s via [`spawn_multi_topology`].
-    pub fn build_selectors(
-        &self,
-        budget: Option<&GlobalAdmissionBudget>,
-        populations: &[PopulationName],
-    ) -> Vec<Selector> {
-        self.selectors
-            .iter()
-            .map(|spec| {
-                let mut selector = spec.build(budget);
-                for population in populations {
-                    selector.set_population_quota(population.clone(), spec.quota);
-                }
-                selector
-            })
-            .collect()
     }
 }
 
@@ -362,8 +340,15 @@ mod tests {
         });
         let budget = blueprint.build_global_budget();
         let population = PopulationName::new("pop-blueprint");
-        let mut selectors =
-            blueprint.build_selectors(budget.as_ref(), std::slice::from_ref(&population));
+        let mut selectors: Vec<Selector> = blueprint
+            .selectors
+            .iter()
+            .map(|spec| {
+                let mut selector = spec.build(budget.as_ref());
+                selector.set_population_quota(population.clone(), spec.quota);
+                selector
+            })
+            .collect();
         assert_eq!(selectors.len(), 3);
         // 9 would-be accepts across three selectors, one shared window of 5.
         for (i, s) in selectors.iter_mut().enumerate() {

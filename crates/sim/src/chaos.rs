@@ -198,12 +198,14 @@ pub fn storage_failures(faults: &[Fault]) -> Vec<u64> {
 
 /// The fixed seed set swept by `scripts/check.sh` and the tier-1 chaos
 /// tests.
+// fl-lint: allow(test-only-pub): the seeded sweeps of tests/*.rs run these seeds
 pub fn default_seeds() -> Vec<u64> {
     vec![11, 23, 47, 61, 83, 97, 131, 151]
 }
 
 /// The fixed seed set for SecAgg chaos sweeps (`scripts/check.sh`
 /// `secagg-live` step and the tier-1 chaos tests).
+// fl-lint: allow(test-only-pub): the seeded sweeps of tests/*.rs run these seeds
 pub fn default_secagg_seeds() -> Vec<u64> {
     vec![13, 29, 53, 71]
 }
@@ -276,6 +278,7 @@ impl ScenarioConfig {
 
     /// The chaos config under the plan [`FaultPlan::generate`] draws from
     /// `seed` over its horizon: the seeded run every chaos sweep replays.
+    // fl-lint: allow(test-only-pub): the chaos sweeps of tests/*.rs build their runs with it
     pub fn chaos_seed(secagg_k: Option<usize>, seed: u64) -> Self {
         let config = ScenarioConfig::chaos(secagg_k);
         let plan = FaultPlan::generate(seed, config.horizon_ms);

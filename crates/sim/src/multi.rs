@@ -130,17 +130,9 @@ impl ScenarioConfig {
         }
     }
 
-    /// The same tenants with every disturbance removed — the fairness
-    /// baseline a stormy run is compared against.
-    pub fn without_flash(mut self) -> Self {
-        for spec in &mut self.populations {
-            spec.shape = LoadShape::Steady;
-        }
-        self
-    }
-
     /// A single steady population — the n=1 degenerate case whose
     /// per-population series must equal the aggregate exactly.
+    // fl-lint: allow(test-only-pub): a multi preset tests/render_digests.rs pins
     pub fn single(seed: u64) -> Self {
         let mut config = ScenarioConfig::flash_vs_steady(seed);
         config.populations.truncate(1);
@@ -150,6 +142,7 @@ impl ScenarioConfig {
 
 /// The fixed seed set swept by `scripts/check.sh` and the tier-1
 /// multi-tenant tests.
+// fl-lint: allow(test-only-pub): the seeded sweeps of tests/*.rs run these seeds
 pub fn default_seeds() -> Vec<u64> {
     vec![7, 19, 41]
 }
@@ -164,6 +157,15 @@ pub fn run_multi_tenant(config: &MultiTenantConfig) -> ScenarioOutcome {
 mod tests {
     use super::*;
     use crate::chaos::Fault;
+
+    /// The same tenants with every disturbance removed — the fairness
+    /// baseline a stormy run is compared against.
+    fn without_flash(mut config: ScenarioConfig) -> ScenarioConfig {
+        for spec in &mut config.populations {
+            spec.shape = LoadShape::Steady;
+        }
+        config
+    }
 
     #[test]
     fn flash_crowd_in_one_population_does_not_starve_the_others() {
@@ -213,7 +215,7 @@ mod tests {
     #[test]
     fn steady_commits_match_the_no_storm_baseline() {
         let stormy = scenario::run(&ScenarioConfig::flash_vs_steady(41));
-        let calm = scenario::run(&ScenarioConfig::flash_vs_steady(41).without_flash());
+        let calm = scenario::run(&without_flash(ScenarioConfig::flash_vs_steady(41)));
         assert!(stormy.is_clean(), "{}", stormy.render());
         assert!(calm.is_clean(), "{}", calm.render());
         let with_storm = stormy.population("multi/steady").unwrap().committed;

@@ -91,6 +91,7 @@ impl ScenarioConfig {
     /// The thundering-herd acceptance scenario: the whole idle fleet —
     /// more than 10× a window's normal arrivals — reconnects at once at
     /// window 10.
+    // fl-lint: allow(test-only-pub): an overload preset tests/render_digests.rs pins
     pub fn thundering_herd(seed: u64) -> Self {
         ScenarioConfig::for_scenario(
             LoadShape::ThunderingHerd {
@@ -118,6 +119,7 @@ impl ScenarioConfig {
     /// group threshold `k = 18`. Storm-degraded cohorts (rounds that
     /// commit at the minimum goal fraction) spread too thin across the
     /// Aggregator groups and must abort per shard, never mis-sum.
+    // fl-lint: allow(test-only-pub): an overload preset tests/render_digests.rs pins
     pub fn secagg_flash_crowd(seed: u64) -> Self {
         let mut config = ScenarioConfig::flash_crowd(seed);
         config.populations[0].secagg_k = Some(18);
@@ -125,6 +127,7 @@ impl ScenarioConfig {
     }
 
     /// The diurnal-ramp scenario: a full swing over a 20-window period.
+    // fl-lint: allow(test-only-pub): an overload preset tests/render_digests.rs pins
     pub fn diurnal_ramp(seed: u64) -> Self {
         ScenarioConfig::for_scenario(
             LoadShape::DiurnalRamp {
@@ -138,6 +141,7 @@ impl ScenarioConfig {
 
 /// The fixed seed set swept by `scripts/check.sh` and the tier-1 overload
 /// tests.
+// fl-lint: allow(test-only-pub): the seeded sweeps of tests/*.rs run these seeds
 pub fn default_seeds() -> Vec<u64> {
     vec![3, 17, 29, 53]
 }

@@ -333,6 +333,7 @@ pub struct ScenarioOutcome {
 
 impl ScenarioOutcome {
     /// Whether the engine and its audit found nothing wrong.
+    // fl-lint: allow(test-only-pub): every seeded sweep of tests/*.rs ends on this audit
     pub fn is_clean(&self) -> bool {
         self.violations.is_empty()
     }

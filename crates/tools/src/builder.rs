@@ -118,6 +118,7 @@ impl TaskBuilder {
     /// # Panics
     ///
     /// Panics if `rates` is empty.
+    // fl-lint: allow(test-only-pub): paper Sec. 7 model-engineer tools (DESIGN.md Sec. 3, fl-tools)
     pub fn learning_rate_grid(&self, rates: &[f32]) -> (TaskGroup, Vec<FlPlan>) {
         assert!(!rates.is_empty(), "grid needs at least one learning rate");
         let mut tasks = Vec::with_capacity(rates.len());
@@ -142,6 +143,7 @@ impl TaskBuilder {
 
     /// Builds the paired evaluation task for this training task, with the
     /// alternating train/eval strategy (Sec. 7.1).
+    // fl-lint: allow(test-only-pub): paper Sec. 7 model-engineer tools (DESIGN.md Sec. 3, fl-tools)
     pub fn with_evaluation(&self, train_rounds: u64) -> (TaskGroup, Vec<FlPlan>) {
         let (train_task, train_plan) = self.build();
         let eval_task = FlTask::evaluation(format!("{}/eval", self.name), self.population.clone())

@@ -40,6 +40,7 @@ impl TestPredicate {
     }
 
     /// Requires the simulated accuracy to be at least a bound.
+    // fl-lint: allow(test-only-pub): paper Sec. 7 model-engineer tools (DESIGN.md Sec. 3, fl-tools)
     pub fn accuracy_at_least(bound: f64) -> Self {
         TestPredicate {
             name: format!("accuracy >= {bound}"),

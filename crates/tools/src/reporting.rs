@@ -73,6 +73,7 @@ pub fn trajectory(
 }
 
 /// Renders rows as CSV (header + records) for external analysis.
+// fl-lint: allow(test-only-pub): paper Sec. 7 model-engineer tools (DESIGN.md Sec. 3, fl-tools)
 pub fn to_csv(rows: &[MetricRow]) -> String {
     let mut out = String::from("task,round,metric,count,mean,p50,p90\n");
     for r in rows {

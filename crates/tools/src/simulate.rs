@@ -21,6 +21,7 @@ use fl_sim::training::{run_federated, TrainingRunConfig, TrainingRunReport};
 /// # Errors
 ///
 /// Propagates protocol and model errors from the simulated run.
+// fl-lint: allow(test-only-pub): paper Sec. 7 model-engineer tools (DESIGN.md Sec. 3, fl-tools)
 pub fn simulate_on_proxy(
     config: &TrainingRunConfig,
     proxy_corpus: &[Example],
