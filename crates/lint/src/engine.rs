@@ -423,7 +423,7 @@ pub fn lint_source(rel: &str, src: &str) -> Vec<Finding> {
     annotated.sort_unstable();
     let mut reported: Vec<(u32, &str)> = Vec::new();
     for (line, rule) in annotated {
-        if crate::rules::rule_by_id(rule).is_none() {
+        if crate::rules::rule_by_id(rule).is_none() && rule != TEST_ONLY_PUB {
             // A standalone annotation registers on its own line and on
             // the line it covers; report the typo once.
             if reported
@@ -521,13 +521,7 @@ pub fn audit_wall_clock_allowlist(root: &Path) -> Vec<Finding> {
     files.sort();
     let mut actual: std::collections::BTreeMap<String, u64> = Default::default();
     for path in files {
-        let rel = path
-            .strip_prefix(root)
-            .unwrap_or(&path)
-            .components()
-            .map(|c| c.as_os_str().to_string_lossy())
-            .collect::<Vec<_>>()
-            .join("/");
+        let rel = relative(root, &path);
         match std::fs::read_to_string(&path) {
             Ok(src) => {
                 let n = src.lines().filter(|l| l.contains(&needle)).count() as u64;
@@ -616,6 +610,125 @@ pub fn audit_wall_clock_allowlist(root: &Path) -> Vec<Finding> {
     findings
 }
 
+/// Rule id of the [`audit_test_only_pub`] audit.
+pub const TEST_ONLY_PUB: &str = "test-only-pub";
+
+/// Whether `rel` is a tree the `test-only-pub` audit reads: a crate's
+/// `src/`, the root package's `src/`, `examples/`, or `benchmark/src`.
+fn in_caller_tree(rel: &str) -> bool {
+    is_crate_src(rel)
+        || rel.starts_with("src/")
+        || rel.starts_with("examples/")
+        || rel.starts_with("benchmark/src/")
+}
+
+/// Whether `rel` lies under some `crates/<name>/src/`.
+fn is_crate_src(rel: &str) -> bool {
+    let mut parts = rel.split('/');
+    parts.next() == Some("crates") && parts.nth(1) == Some("src")
+}
+
+/// The `test-only-pub` audit over `(rel, src)` pairs: a `pub fn`
+/// outside test code in `crates/*/src` whose name no non-test code of
+/// any of the files names (its own definition aside) is a finding,
+/// unless `// fl-lint: allow(test-only-pub): why` covers its line.
+/// Callers are matched by name, so any function sharing the name counts
+/// as one.
+pub fn test_only_pub(files: &[(String, String)]) -> Vec<Finding> {
+    let mut used: HashSet<String> = HashSet::new();
+    let mut defined: Vec<(&str, u32, String, bool)> = Vec::new();
+    for (rel, src) in files.iter().filter(|(rel, _)| in_caller_tree(rel)) {
+        let ctx = FileContext::new(src);
+        let sig = ctx.sig();
+        let mut names: HashSet<usize> = HashSet::new();
+        for (k, &i) in sig.iter().enumerate() {
+            if !ctx.is_ident(i, "pub") || ctx.is_test_line(ctx.line_of(i)) {
+                continue;
+            }
+            // `pub fn`, `pub const fn`, `pub unsafe fn`: the name follows `fn`.
+            let qualifiers = sig[k + 1..]
+                .iter()
+                .take_while(|&&j| {
+                    ["const", "unsafe", "async"]
+                        .iter()
+                        .any(|q| ctx.is_ident(j, q))
+                })
+                .count();
+            let f = k + 1 + qualifiers;
+            if !sig.get(f).is_some_and(|&j| ctx.is_ident(j, "fn")) {
+                continue;
+            }
+            let Some(&name) = sig.get(f + 1) else {
+                continue;
+            };
+            names.insert(name);
+            if is_crate_src(rel) {
+                let line = ctx.line_of(i);
+                let allowed = ctx.is_allowed(TEST_ONLY_PUB, line);
+                defined.push((rel, line, ctx.text(name).to_string(), allowed));
+            }
+        }
+        for &i in sig {
+            if ctx.tok(i).kind == TokenKind::Ident
+                && !names.contains(&i)
+                && !ctx.is_test_line(ctx.line_of(i))
+            {
+                used.insert(ctx.text(i).to_string());
+            }
+        }
+    }
+    defined
+        .into_iter()
+        .filter(|(_, _, name, allowed)| !allowed && !used.contains(name))
+        .map(|(rel, line, name, _)| Finding {
+            file: rel.to_string(),
+            line,
+            rule: TEST_ONLY_PUB,
+            message: format!("`pub fn {name}` has no caller outside tests"),
+            hint: "delete it with the tests of it alone, or say why it stays in a \
+                   `fl-lint: allow(test-only-pub)` comment",
+        })
+        .collect()
+}
+
+/// Audit `test-only-pub` over the workspace rooted at `root`: reads
+/// `crates/*/src`, `src/`, `examples/` and `benchmark/src` and applies
+/// [`test_only_pub`].
+pub fn audit_test_only_pub(root: &Path) -> Vec<Finding> {
+    let mut paths = Vec::new();
+    for top in ["crates", "src", "examples", "benchmark/src"] {
+        collect_rs(&root.join(top), &mut paths);
+    }
+    paths.sort();
+    let mut files = Vec::new();
+    let mut findings = Vec::new();
+    for path in paths {
+        let rel = relative(root, &path);
+        match std::fs::read_to_string(&path) {
+            Ok(src) => files.push((rel, src)),
+            Err(err) => findings.push(Finding {
+                file: rel,
+                line: 0,
+                rule: TEST_ONLY_PUB,
+                message: format!("could not read file for the test-only-pub audit: {err}"),
+                hint: "the audit must see every caller",
+            }),
+        }
+    }
+    findings.extend(test_only_pub(&files));
+    findings
+}
+
+/// `path` relative to `root`, `/`-separated.
+fn relative(root: &Path, path: &Path) -> String {
+    path.strip_prefix(root)
+        .unwrap_or(path)
+        .components()
+        .map(|c| c.as_os_str().to_string_lossy())
+        .collect::<Vec<_>>()
+        .join("/")
+}
+
 /// Lints the whole workspace rooted at `root`. Returns findings plus
 /// the number of files scanned; I/O errors on individual files surface
 /// as findings rather than aborting the gate.
@@ -624,13 +737,7 @@ pub fn lint_workspace(root: &Path) -> (Vec<Finding>, usize) {
     let scanned = files.len();
     let mut findings = Vec::new();
     for path in files {
-        let rel = path
-            .strip_prefix(root)
-            .unwrap_or(&path)
-            .components()
-            .map(|c| c.as_os_str().to_string_lossy())
-            .collect::<Vec<_>>()
-            .join("/");
+        let rel = relative(root, &path);
         match std::fs::read_to_string(&path) {
             Ok(src) => findings.extend(lint_source(&rel, &src)),
             Err(err) => findings.push(Finding {
@@ -643,6 +750,7 @@ pub fn lint_workspace(root: &Path) -> (Vec<Finding>, usize) {
         }
     }
     findings.extend(audit_wall_clock_allowlist(root));
+    findings.extend(audit_test_only_pub(root));
     findings.sort_by(|a, b| {
         a.file
             .cmp(&b.file)

@@ -13,8 +13,8 @@
 //! - [`rules`]: the rule set — each rule is a pure token-stream
 //!   checker plus path scoping and a fix hint.
 //! - [`engine`]: file walking, `#[cfg(test)]` span detection, the
-//!   `// fl-lint: allow(<rule>): why` escape hatch, and finding
-//!   assembly.
+//!   `// fl-lint: allow(<rule>): why` escape hatch, finding assembly,
+//!   and the two workspace audits (`allowlist-drift`, `test-only-pub`).
 //!
 //! Run it as `cargo run -p fl-lint` (non-zero exit on violations) or
 //! via the integration test that makes it part of tier-1 `cargo test`.

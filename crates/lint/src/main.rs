@@ -21,6 +21,10 @@ fn main() -> ExitCode {
                 for rule in fl_lint::rules::RULES {
                     println!("{:<16} {}", rule.id, rule.hint);
                 }
+                println!(
+                    "{:<16} a pub fn in crates/*/src that only tests call",
+                    fl_lint::engine::TEST_ONLY_PUB
+                );
                 return ExitCode::SUCCESS;
             }
             "--help" | "-h" => {

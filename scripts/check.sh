@@ -5,7 +5,9 @@
 #
 # The old shell grep/diff wall-clock allowlist audit now lives inside
 # fl-lint itself (rule `allowlist-drift`), so the `fl-lint` step covers
-# it; scripts/wall_clock_allowlist.txt remains the data file.
+# it; scripts/wall_clock_allowlist.txt remains the data file. The same
+# step runs the `test-only-pub` audit (a `pub fn` in crates/*/src that
+# only tests call).
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
@@ -26,6 +28,9 @@ run_step() {
 }
 
 run_step "build" cargo build --release
+# The workspace is rustfmt-clean (`vendor/` included, as `--all` reaches
+# the path dependencies); `benchmark/` is its own package and not read.
+run_step "fmt" cargo fmt --all --check
 # The root package: every `tests/*.rs` binary, and so every integration
 # gate, runs here once. Among them: the one live harness,
 # `fl_sim::live::run(wire_seed, schedule_seed, secagg)`, over its two
