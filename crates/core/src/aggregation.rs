@@ -38,11 +38,6 @@ impl FedAvgAccumulator {
         }
     }
 
-    /// Update dimension.
-    pub fn dim(&self) -> usize {
-        self.sum_delta.len()
-    }
-
     /// Number of updates folded in so far.
     pub fn contributors(&self) -> usize {
         self.contributors

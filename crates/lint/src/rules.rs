@@ -75,7 +75,7 @@ pub const RULES: &[Rule] = &[
         // wrappers are what everyone else must build on.
         exclude: &["crates/race/"],
         applies_to_tests: true,
-        hint: "use fl_race::{Mutex, RwLock, Condvar}: site-tagged wrappers feed the lock-graph deadlock gate",
+        hint: "use fl_race::{Mutex, Condvar}: site-tagged wrappers feed the lock-graph deadlock gate",
         check: check_std_sync_lock,
     },
     Rule {

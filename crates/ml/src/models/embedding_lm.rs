@@ -43,16 +43,6 @@ impl EmbeddingLm {
         EmbeddingLm { vocab, dim, params }
     }
 
-    /// Vocabulary size.
-    pub fn vocab(&self) -> usize {
-        self.vocab
-    }
-
-    /// Embedding dimension.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
     fn e_range(&self) -> std::ops::Range<usize> {
         0..self.vocab * self.dim
     }

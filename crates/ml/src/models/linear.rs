@@ -40,11 +40,6 @@ impl LinearRegression {
         }
     }
 
-    /// Input feature dimension.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
     fn forward(&self, x: &[f32]) -> Result<f32, MlError> {
         if x.len() != self.dim {
             return Err(MlError::DimensionMismatch {

@@ -35,16 +35,6 @@ impl LogisticRegression {
         }
     }
 
-    /// Input feature dimension.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Number of classes.
-    pub fn classes(&self) -> usize {
-        self.classes
-    }
-
     fn check_features<'a>(&self, ex: &'a Example) -> Result<(&'a [f32], usize), MlError> {
         match ex {
             Example::Classification { features, label } => {

@@ -50,21 +50,6 @@ impl Mlp {
         }
     }
 
-    /// Input dimension.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Hidden width.
-    pub fn hidden(&self) -> usize {
-        self.hidden
-    }
-
-    /// Number of classes.
-    pub fn classes(&self) -> usize {
-        self.classes
-    }
-
     // Offsets into the flat parameter vector.
     fn w1_range(&self) -> std::ops::Range<usize> {
         0..self.hidden * self.dim

@@ -52,11 +52,6 @@ impl NgramLm {
         NgramLm::new(vocab, [0.6, 0.3, 0.1])
     }
 
-    /// Vocabulary size.
-    pub fn vocab(&self) -> usize {
-        self.vocab
-    }
-
     /// Counts one `(context, next)` observation. Contexts shorter than two
     /// tokens update only the lower-order tables.
     ///

@@ -6,7 +6,7 @@
 //! telemetry) must never nest in inconsistent orders. This crate makes
 //! that property *observable* instead of asserted-by-comment:
 //!
-//! - [`Mutex`], [`RwLock`] and [`Condvar`] are drop-in wrappers over
+//! - [`Mutex`] and [`Condvar`] are drop-in wrappers over
 //!   `std::sync` that tag every lock with a static [`Site`] (name +
 //!   rank), maintain a thread-local stack of held locks, and feed every
 //!   nested acquisition into a [`LockGraph`].
@@ -33,10 +33,7 @@ mod graph;
 mod sync;
 
 pub use graph::{Cycle, EdgeReport, LockGraph, RankViolation};
-pub use sync::{
-    held_locks, set_thread_label, Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard,
-    RwLockWriteGuard,
-};
+pub use sync::{held_locks, set_thread_label, Condvar, Mutex, MutexGuard};
 
 /// A static lock site: the identity of one lock *in the source*, shared
 /// by every runtime instance constructed from it.

@@ -1,4 +1,4 @@
-//! Drop-in `Mutex`/`RwLock`/`Condvar` wrappers that report every nested
+//! Drop-in `Mutex`/`Condvar` wrappers that report every nested
 //! acquisition to a [`LockGraph`].
 //!
 //! Each wrapper owns a [`Site`] and a graph handle. A thread-local
@@ -13,7 +13,6 @@ use crate::Site;
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeSet;
 use std::sync::{Arc, PoisonError};
-use std::time::Duration;
 
 struct HeldEntry {
     site: Site,
@@ -118,13 +117,6 @@ impl<T> Mutex<T> {
             inner: std::sync::Mutex::new(value),
         }
     }
-
-    /// Consumes the mutex, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.inner
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
 }
 
 impl<T: ?Sized> Mutex<T> {
@@ -137,32 +129,6 @@ impl<T: ?Sized> Mutex<T> {
             inner: Some(inner),
             token,
         }
-    }
-
-    /// Attempts the lock without blocking; records the acquisition only
-    /// on success (a failed `try_lock` cannot deadlock).
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        let inner = match self.inner.try_lock() {
-            Ok(g) => g,
-            Err(std::sync::TryLockError::Poisoned(p)) => p.into_inner(),
-            Err(std::sync::TryLockError::WouldBlock) => return None,
-        };
-        let token = register(&self.graph, self.site);
-        Some(MutexGuard {
-            lock: self,
-            inner: Some(inner),
-            token,
-        })
-    }
-
-    /// Mutable access without locking (requires exclusive ownership).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// The site this lock was declared with.
-    pub fn site(&self) -> Site {
-        self.site
     }
 }
 
@@ -217,116 +183,6 @@ impl<T: ?Sized> Drop for MutexGuard<'_, T> {
     }
 }
 
-/// An instrumented reader-writer lock over `std::sync::RwLock`. Read
-/// and write acquisitions are recorded identically (the graph audits
-/// ordering, not sharing).
-pub struct RwLock<T: ?Sized> {
-    site: Site,
-    graph: LockGraph,
-    inner: std::sync::RwLock<T>,
-}
-
-impl<T> RwLock<T> {
-    /// Creates a rwlock reporting to the global graph.
-    pub fn new(site: Site, value: T) -> Self {
-        RwLock::new_in(site, LockGraph::global(), value)
-    }
-
-    /// Creates a rwlock reporting to a specific graph.
-    pub fn new_in(site: Site, graph: &LockGraph, value: T) -> Self {
-        RwLock {
-            site,
-            graph: graph.clone(),
-            inner: std::sync::RwLock::new(value),
-        }
-    }
-
-    /// Consumes the lock, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.inner
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    /// Acquires a shared read guard, recording the acquisition.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        let token = register(&self.graph, self.site);
-        let inner = self.inner.read().unwrap_or_else(PoisonError::into_inner);
-        RwLockReadGuard { inner, token }
-    }
-
-    /// Acquires the exclusive write guard, recording the acquisition.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        let token = register(&self.graph, self.site);
-        let inner = self.inner.write().unwrap_or_else(PoisonError::into_inner);
-        RwLockWriteGuard { inner, token }
-    }
-
-    /// Mutable access without locking (requires exclusive ownership).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// The site this lock was declared with.
-    pub fn site(&self) -> Site {
-        self.site
-    }
-}
-
-impl<T: ?Sized + std::fmt::Debug> std::fmt::Debug for RwLock<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RwLock")
-            .field("site", &self.site.name)
-            .finish()
-    }
-}
-
-/// Shared read guard for [`RwLock`].
-pub struct RwLockReadGuard<'a, T: ?Sized> {
-    inner: std::sync::RwLockReadGuard<'a, T>,
-    token: u64,
-}
-
-impl<T: ?Sized> std::ops::Deref for RwLockReadGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-impl<T: ?Sized> Drop for RwLockReadGuard<'_, T> {
-    fn drop(&mut self) {
-        unregister(self.token);
-    }
-}
-
-/// Exclusive write guard for [`RwLock`].
-pub struct RwLockWriteGuard<'a, T: ?Sized> {
-    inner: std::sync::RwLockWriteGuard<'a, T>,
-    token: u64,
-}
-
-impl<T: ?Sized> std::ops::Deref for RwLockWriteGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-impl<T: ?Sized> std::ops::DerefMut for RwLockWriteGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.inner
-    }
-}
-
-impl<T: ?Sized> Drop for RwLockWriteGuard<'_, T> {
-    fn drop(&mut self) {
-        unregister(self.token);
-    }
-}
-
 /// A condition variable paired with [`Mutex`]. While a thread waits,
 /// the mutex's entry is popped from its held stack (the lock really is
 /// released); re-acquisition on wakeup is recorded like any other.
@@ -361,29 +217,6 @@ impl Condvar {
         }
     }
 
-    /// Like [`Condvar::wait`] with a timeout; returns `true` if the
-    /// wait timed out.
-    pub fn wait_timeout<T>(&self, guard: &mut MutexGuard<'_, T>, dur: Duration) -> bool {
-        match guard.inner.take() {
-            Some(inner) => {
-                unregister(guard.token);
-                let (inner, result) = self
-                    .inner
-                    .wait_timeout(inner, dur)
-                    .unwrap_or_else(PoisonError::into_inner);
-                guard.token = register(&guard.lock.graph, guard.lock.site);
-                guard.inner = Some(inner);
-                result.timed_out()
-            }
-            None => false,
-        }
-    }
-
-    /// Wakes one waiter.
-    pub fn notify_one(&self) {
-        self.inner.notify_one();
-    }
-
     /// Wakes all waiters.
     pub fn notify_all(&self) {
         self.inner.notify_all();
@@ -400,7 +233,6 @@ impl std::fmt::Debug for Condvar {
 mod tests {
     use super::*;
     use crate::LockGraph;
-    use std::time::Duration;
 
     const A: Site = Site::new("fixture/a", 10);
     const B: Site = Site::new("fixture/b", 20);
@@ -527,24 +359,6 @@ mod tests {
     }
 
     #[test]
-    fn rwlock_read_and_write_record_acquisitions() {
-        let graph = LockGraph::new();
-        let a = Mutex::new_in(A, &graph, ());
-        let r = RwLock::new_in(B, &graph, 5u64);
-        {
-            let _ga = a.lock();
-            let seen = *r.read();
-            assert_eq!(seen, 5);
-        }
-        {
-            let _ga = a.lock();
-            *r.write() += 1;
-        }
-        assert!(graph.has_edge("fixture/a", "fixture/b"));
-        assert_eq!(*r.read(), 6);
-    }
-
-    #[test]
     fn poisoned_lock_recovers() {
         let graph = LockGraph::new();
         let a = Arc::new(Mutex::new_in(A, &graph, 41u64));
@@ -566,16 +380,13 @@ mod tests {
         let worker = std::thread::spawn(move || {
             let (lock, cvar) = &*pair2;
             *lock.lock() = true;
-            cvar.notify_one();
+            cvar.notify_all();
         });
         let (lock, cvar) = &*pair;
         let mut ready = lock.lock();
-        let mut rounds = 0u32;
-        while !*ready && rounds < 500 {
-            cvar.wait_timeout(&mut ready, Duration::from_millis(20));
-            rounds += 1;
+        while !*ready {
+            cvar.wait(&mut ready);
         }
-        assert!(*ready);
         drop(ready);
         worker.join().ok();
         // The wait popped the held entry: a lock taken by the notifier
@@ -614,14 +425,5 @@ mod tests {
             report.contains("edge fixture/b -> fixture/a ranks=20->10 first-thread=pool-worker"),
             "{report}"
         );
-    }
-
-    #[test]
-    fn try_lock_contention_returns_none() {
-        let a = Arc::new(Mutex::new_in(A, &LockGraph::new(), ()));
-        let g = a.lock();
-        assert!(a.try_lock().is_none());
-        drop(g);
-        assert!(a.try_lock().is_some());
     }
 }

@@ -341,11 +341,6 @@ impl<S: CheckpointStore + Send + 'static> CoordinatorActor<S> {
         }
     }
 
-    /// The fenced lease this incarnation holds.
-    pub fn lease(&self) -> &Lease {
-        &self.lease
-    }
-
     /// The population this coordinator owns (Sec. 4.2: one Coordinator
     /// per population). Every device-facing reply it frames carries this
     /// name, and reports claiming any other population are refused.

@@ -21,7 +21,6 @@
 
 use crate::pace::PaceSteering;
 use fl_core::PopulationName;
-use fl_ml::metrics::MetricSummary;
 use std::sync::Arc;
 
 /// Why a check-in was shed rather than considered for admission.
@@ -451,9 +450,6 @@ pub struct PaceController {
     estimate: f64,
     window_start_ms: u64,
     window_arrivals: u64,
-    windows_observed: u64,
-    /// Per-window arrival counts (moments + P² p50/p90), for analytics.
-    arrival_sketch: MetricSummary,
 }
 
 impl PaceController {
@@ -477,8 +473,6 @@ impl PaceController {
             estimate,
             window_start_ms: 0,
             window_arrivals: 0,
-            windows_observed: 0,
-            arrival_sketch: MetricSummary::new("checkin_arrivals_per_window"),
         }
     }
 
@@ -489,12 +483,10 @@ impl PaceController {
 
     /// Advances the window clock to `now_ms`, folding every completed
     /// window (including empty ones — silence is evidence of a shrinking
-    /// population) into the sketch and the estimate.
+    /// population) into the estimate.
     fn roll_to(&mut self, now_ms: u64) {
         while now_ms >= self.window_start_ms + self.config.window_ms {
             let arrivals = self.window_arrivals as f64;
-            self.arrival_sketch.push(arrivals);
-            self.windows_observed += 1;
             let periods_per_return = (self.estimate / self.pace.target_checkins as f64).max(1.0);
             let implied = (arrivals * periods_per_return)
                 .min(self.estimate * self.config.max_growth_per_window);
@@ -538,16 +530,6 @@ impl PaceController {
     pub fn set_population_estimate(&mut self, estimate: u64) {
         self.estimate = (estimate.max(self.config.min_population) as f64)
             .min(self.config.max_population as f64);
-    }
-
-    /// Completed observation windows so far.
-    pub fn windows_observed(&self) -> u64 {
-        self.windows_observed
-    }
-
-    /// The per-window arrival-count sketch (moments + P² quantiles).
-    pub fn arrival_sketch(&self) -> &MetricSummary {
-        &self.arrival_sketch
     }
 }
 
@@ -682,7 +664,6 @@ mod tests {
             "estimate {} did not decay over silent windows",
             c.population_estimate()
         );
-        assert!(c.windows_observed() >= 40);
     }
 
     #[test]
@@ -711,16 +692,6 @@ mod tests {
             horizon_end > 60_000 * 10,
             "horizon end {horizon_end} too close — no back pressure"
         );
-    }
-
-    #[test]
-    fn sketch_records_every_window() {
-        let mut c = controller(100);
-        for w in 0..7u64 {
-            c.on_arrival(w * 60_000);
-        }
-        assert_eq!(c.arrival_sketch().moments.count(), 6);
-        assert_eq!(c.windows_observed(), 6);
     }
 
     /// Regression (ROADMAP estimate overshoot): one unpaced hot window

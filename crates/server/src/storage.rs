@@ -140,21 +140,6 @@ impl<S: CheckpointStore> FaultyCheckpointStore<S> {
             fail_on: fail_on.into_iter().collect(),
         }
     }
-
-    /// Total commit attempts observed so far (successes + failures).
-    pub fn attempts(&self) -> u64 {
-        self.attempts
-    }
-
-    /// Read access to the wrapped store.
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
-
-    /// Unwraps back into the inner store.
-    pub fn into_inner(self) -> S {
-        self.inner
-    }
 }
 
 impl<S: CheckpointStore> CheckpointStore for FaultyCheckpointStore<S> {
@@ -231,8 +216,7 @@ mod tests {
         store
             .commit(FlCheckpoint::new("t", RoundId(2), vec![2.0]))
             .unwrap();
-        assert_eq!(store.attempts(), 3);
-        assert_eq!(store.into_inner().write_count(), 2);
+        assert_eq!(store.write_count(), 2);
     }
 
     #[test]

@@ -220,16 +220,6 @@ impl<T> FaultyTransport<T> {
     pub fn fault_stats(&self) -> FaultStats {
         self.state.lock().stats
     }
-
-    /// The wrapped transport (receive-side primitives live there).
-    pub fn inner(&self) -> &T {
-        &self.inner
-    }
-
-    /// Unwraps, discarding the script state.
-    pub fn into_inner(self) -> T {
-        self.inner
-    }
 }
 
 impl<T: Transport> FaultyTransport<T> {
