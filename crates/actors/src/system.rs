@@ -600,7 +600,7 @@ impl ActorSystem {
     }
 
     /// Removes the installed fault injector, restoring normal delivery.
-    // fl-lint: allow(test-only-pub): ends the fault drills of tests/failure_recovery.rs, tests/multi_tenant.rs
+    // fl-lint: allow(test-only-pub): ends the drills of tests/failure_recovery.rs, multi_tenant.rs
     pub fn clear_fault_injector(&self) {
         self.shared().set_injector(None);
     }

@@ -44,7 +44,7 @@ impl FedAvgAccumulator {
     }
 
     /// Total weight `n̄ₜ` so far.
-    // fl-lint: allow(test-only-pub): the reference tests/properties.rs checks sharded FedAvg against
+    // fl-lint: allow(test-only-pub): reference for sharded FedAvg in tests/properties.rs
     pub fn total_weight(&self) -> u64 {
         self.sum_weight
     }
@@ -199,7 +199,7 @@ impl FedAvgAccumulator {
     /// # Errors
     ///
     /// Returns [`CoreError::ZeroWeightUpdate`] if nothing was accumulated.
-    // fl-lint: allow(test-only-pub): the reference tests/properties.rs checks sharded FedAvg against
+    // fl-lint: allow(test-only-pub): reference for sharded FedAvg in tests/properties.rs
     pub fn average_delta(&self) -> Result<Vec<f32>, CoreError> {
         if self.sum_weight == 0 {
             return Err(CoreError::ZeroWeightUpdate);

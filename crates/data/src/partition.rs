@@ -96,7 +96,7 @@ pub fn partition(
 /// # Panics
 ///
 /// Panics on non-classification examples.
-// fl-lint: allow(test-only-pub): the non-IID measure fl-data tests check partitions and synth data against
+// fl-lint: allow(test-only-pub): the non-IID measure of fl-data's partition and synth tests
 pub fn label_divergence(parts: &[Vec<Example>]) -> f64 {
     let mut classes = 0usize;
     for p in parts {

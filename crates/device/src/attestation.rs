@@ -40,7 +40,7 @@ pub struct AttestationToken {
 }
 
 /// Device side: produce a token for the server's nonce.
-// fl-lint: allow(test-only-pub): paper Sec. 3 attestation (DESIGN.md Sec. 2); tests/device_behaviour.rs
+// fl-lint: allow(test-only-pub): paper Sec. 3 attestation; tests/device_behaviour.rs
 pub fn attest(factory_key: u64, hardware_id: u64, nonce: u64) -> AttestationToken {
     AttestationToken {
         blinded_id: hardware_id ^ keyed_hash(nonce, nonce),
@@ -51,7 +51,7 @@ pub fn attest(factory_key: u64, hardware_id: u64, nonce: u64) -> AttestationToke
 /// Server side: verify a token against the fleet root. The server
 /// recovers the (blinded) hardware id, derives what the factory key should
 /// be, and checks the MAC.
-// fl-lint: allow(test-only-pub): paper Sec. 3 attestation (DESIGN.md Sec. 2); tests/device_behaviour.rs
+// fl-lint: allow(test-only-pub): paper Sec. 3 attestation; tests/device_behaviour.rs
 pub fn verify(fleet_root: u64, token: &AttestationToken, nonce: u64) -> bool {
     let hardware_id = token.blinded_id ^ keyed_hash(nonce, nonce);
     let expected_key = factory_key(fleet_root, hardware_id);

@@ -124,7 +124,7 @@ impl FixedPointEncoder {
     /// # Errors
     ///
     /// Returns [`FixedPointError::NonFinite`] for NaN/infinite input.
-    // fl-lint: allow(test-only-pub): the per-value reference tests/properties.rs checks the codec against
+    // fl-lint: allow(test-only-pub): per-value reference for the codec in tests/properties.rs
     pub fn encode_value(&self, x: f32) -> Result<u64, FixedPointError> {
         self.encode_on_grid(x, self.scale(), self.offset() as i64)
     }
@@ -165,7 +165,7 @@ impl FixedPointEncoder {
     /// # Panics
     ///
     /// Panics if `summands` exceeds [`FixedPointEncoder::max_summands`].
-    // fl-lint: allow(test-only-pub): the per-value reference tests/properties.rs checks the codec against
+    // fl-lint: allow(test-only-pub): per-value reference for the codec in tests/properties.rs
     pub fn decode_sum_value(&self, v: u64, summands: u64) -> f32 {
         Self::decode_on_grid(v, self.scale(), self.sum_offset(summands))
     }

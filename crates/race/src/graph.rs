@@ -146,7 +146,7 @@ impl LockGraph {
     }
 
     /// Number of distinct observed acquisition-order edges.
-    // fl-lint: allow(test-only-pub): fl-race's lock-wrapper tests (sync.rs) read the graph through it
+    // fl-lint: allow(test-only-pub): read by fl-race's lock-wrapper tests (sync.rs)
     pub fn edge_count(&self) -> usize {
         self.state().edges.len()
     }

@@ -203,7 +203,7 @@ impl<S: CheckpointStore> Coordinator<S> {
 
     /// Materialized metrics: `(task, round, summaries)` tuples of the
     /// last [`METRIC_ROUNDS`] committed rounds, newest last.
-    // fl-lint: allow(test-only-pub): tests/full_round.rs, tests/train_eval_cycle.rs read Sec. 7.4 metrics with it
+    // fl-lint: allow(test-only-pub): Sec. 7.4 metrics for tests/full_round.rs, train_eval_cycle.rs
     pub fn materialized_metrics(&self) -> &[(String, RoundId, Vec<MetricSummary>)] {
         &self.metrics
     }
@@ -453,9 +453,10 @@ impl ActiveRound {
     /// round, a configured participant, an attempt within
     /// [`MAX_REPORT_ATTEMPTS`]); replays the pinned verdict of a key
     /// already evaluated; otherwise has the state machine judge the
-    /// report (participant, lateness, goal count) and pins the verdict. Returns the [`WireMessage::ReportAck`] to
-    /// send, and for an accepted report the route on which the caller
-    /// forwards `frame` to the round's Master Aggregator.
+    /// report (participant, lateness, goal count) and pins the verdict.
+    /// Returns the [`WireMessage::ReportAck`] to send, and for an
+    /// accepted report the route on which the caller forwards `frame` to
+    /// the round's Master Aggregator.
     pub fn on_report(&mut self, now_ms: u64, frame: &[u8]) -> (WireMessage, ReportVerdict) {
         let report = match ReportRef::parse(frame) {
             Ok(report) if self.admits(&report) => report,

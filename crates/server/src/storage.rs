@@ -39,7 +39,8 @@ pub trait CheckpointStore {
     fn write_count(&self) -> u64;
 }
 
-/// In-memory store keeping the latest checkpoint per task, standing in for the production system's distributed storage.
+/// In-memory store keeping the latest checkpoint per task, standing in
+/// for the production system's distributed storage.
 #[derive(Debug, Default)]
 pub struct InMemoryCheckpointStore {
     latest: HashMap<String, FlCheckpoint>,

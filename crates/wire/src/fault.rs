@@ -230,7 +230,7 @@ impl<T: Transport> FaultyTransport<T> {
     /// # Errors
     ///
     /// As [`Transport::send`].
-    // fl-lint: allow(test-only-pub): tests/transport.rs flushes a held frame with it to trace a whole script
+    // fl-lint: allow(test-only-pub): tests/transport.rs flushes a held frame with it
     pub fn flush_delayed(&self) -> Result<(), WireError> {
         let mut st = self.state.lock();
         if st.disconnected {
