@@ -636,7 +636,7 @@ fn is_crate_src(rel: &str) -> bool {
 /// as one.
 pub fn test_only_pub(files: &[(String, String)]) -> Vec<Finding> {
     let mut used: HashSet<String> = HashSet::new();
-    let mut defined: Vec<(&str, u32, String, bool)> = Vec::new();
+    let mut defined: Vec<(&str, u32, String)> = Vec::new();
     for (rel, src) in files.iter().filter(|(rel, _)| in_caller_tree(rel)) {
         let ctx = FileContext::new(src);
         let sig = ctx.sig();
@@ -645,7 +645,8 @@ pub fn test_only_pub(files: &[(String, String)]) -> Vec<Finding> {
             if !ctx.is_ident(i, "pub") || ctx.is_test_line(ctx.line_of(i)) {
                 continue;
             }
-            // `pub fn`, `pub const fn`, `pub unsafe fn`: the name follows `fn`.
+            // `pub fn`, `pub const fn`, `pub unsafe fn`, `pub async fn`:
+            // the name follows `fn`.
             let qualifiers = sig[k + 1..]
                 .iter()
                 .take_while(|&&j| {
@@ -662,10 +663,9 @@ pub fn test_only_pub(files: &[(String, String)]) -> Vec<Finding> {
                 continue;
             };
             names.insert(name);
-            if is_crate_src(rel) {
-                let line = ctx.line_of(i);
-                let allowed = ctx.is_allowed(TEST_ONLY_PUB, line);
-                defined.push((rel, line, ctx.text(name).to_string(), allowed));
+            let line = ctx.line_of(i);
+            if is_crate_src(rel) && !ctx.is_allowed(TEST_ONLY_PUB, line) {
+                defined.push((rel, line, ctx.text(name).to_string()));
             }
         }
         for &i in sig {
@@ -679,8 +679,8 @@ pub fn test_only_pub(files: &[(String, String)]) -> Vec<Finding> {
     }
     defined
         .into_iter()
-        .filter(|(_, _, name, allowed)| !allowed && !used.contains(name))
-        .map(|(rel, line, name, _)| Finding {
+        .filter(|(_, _, name)| !used.contains(name))
+        .map(|(rel, line, name)| Finding {
             file: rel.to_string(),
             line,
             rule: TEST_ONLY_PUB,
