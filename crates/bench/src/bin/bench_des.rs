@@ -17,15 +17,18 @@
 //! them, and the run exits non-zero when the large shape's median costs
 //! over [`gate::DES_MAX_SLOPE`] times the small one's. The `day` row is the
 //! `fleet_des` workload's fleet (1 000 000 devices, seed 5): the best of
-//! three runs, the events one pops and the most it held pending; the run
-//! also exits non-zero when the events are not [`gate::DES_DAY_EVENTS`] or
-//! the peak is over [`gate::DES_DAY_PEAK_PENDING`]. Run it on an otherwise
-//! idle machine.
+//! three runs, the events one pops, the most it held pending and the
+//! standard normals it evaluated (`fl_ml::rng::normals`, this thread's
+//! count); the run also exits non-zero when the events are not
+//! [`gate::DES_DAY_EVENTS`], the peak is over
+//! [`gate::DES_DAY_PEAK_PENDING`] or the normals are over
+//! [`gate::DES_DAY_NORMALS`]. Run it on an otherwise idle machine.
 
 use fl_bench::fleet_experiments::fleet_config;
 use fl_bench::gate::{self, DesCase as Case, DesDay, DES_PENDING};
 use fl_bench::Scale;
 use fl_core::round::RoundConfig;
+use fl_ml::rng;
 use fl_sim::des::EventQueue;
 use fl_sim::fleet::{self, FleetConfig};
 use std::hint::black_box;
@@ -124,15 +127,18 @@ fn main() -> Result<(), String> {
         ..quick
     };
     let (mut best_ms, mut events, mut peak_pending, mut rounds) = (f64::INFINITY, 0, 0, 0);
+    let mut normals = 0;
     for _ in 0..3 {
+        let normals_before = rng::normals();
         let started = Instant::now();
         let (report, popped, peak) = fleet::run_counting_events(black_box(&config));
         best_ms = best_ms.min(started.elapsed().as_secs_f64() * 1e3);
+        normals = rng::normals() - normals_before;
         (events, peak_pending, rounds) = (popped, peak, report.rounds.len());
     }
     eprintln!(
         "a 1 000 000-device day: {best_ms:.1} ms (best of 3), {events} events, \
-         {peak_pending} pending at most, {rounds} rounds"
+         {peak_pending} pending at most, {rounds} rounds, {normals} normals"
     );
 
     let rows: Vec<String> = cases
@@ -147,7 +153,7 @@ fn main() -> Result<(), String> {
         .collect();
     println!(
         "{{\n  \"bench\": \"des_queue\",\n  \"spread_ms\": {SPREAD_MS},\n  \"cases\": [\n{}\n  ],\n  \
-         \"day\":\n    {{\"devices\": {}, \"seed\": {}, \"best_ms\": {best_ms:.1}, \"events\": {events}, \"peak_pending\": {peak_pending}, \"rounds\": {rounds}}}\n}}",
+         \"day\":\n    {{\"devices\": {}, \"seed\": {}, \"best_ms\": {best_ms:.1}, \"events\": {events}, \"peak_pending\": {peak_pending}, \"rounds\": {rounds}, \"normals\": {normals}}}\n}}",
         rows.join(",\n"),
         config.devices,
         config.seed,
@@ -157,5 +163,6 @@ fn main() -> Result<(), String> {
     gate::des_day(&DesDay {
         events,
         peak_pending,
+        normals,
     })
 }

@@ -240,6 +240,8 @@ pub struct DesDay {
     pub events: u64,
     /// The most events pending at once.
     pub peak_pending: usize,
+    /// Standard normals the day evaluated (`fl_ml::rng::normals`).
+    pub normals: u64,
 }
 
 /// Events the day pops. The simulation is deterministic, so any other
@@ -251,8 +253,15 @@ pub const DES_DAY_EVENTS: u64 = 1_393_370;
 /// day's end peaked at 1 000 010.
 pub const DES_DAY_PEAK_PENDING: usize = 874_609;
 
-/// `bench_des`'s day verdict: the day popped exactly [`DES_DAY_EVENTS`]
-/// and never held more than [`DES_DAY_PEAK_PENDING`] pending.
+/// Ceiling on the normals the day evaluates, nearly all of them the
+/// availability model's. The parent of the lazy device-day draws, which
+/// evaluated every normal of each device-day it looked up, read
+/// 4 396 636.
+pub const DES_DAY_NORMALS: u64 = 2_890_967;
+
+/// `bench_des`'s day verdict: the day popped exactly [`DES_DAY_EVENTS`],
+/// never held more than [`DES_DAY_PEAK_PENDING`] pending and evaluated at
+/// most [`DES_DAY_NORMALS`] normals.
 pub fn des_day(day: &DesDay) -> Result<(), String> {
     if day.events != DES_DAY_EVENTS {
         return Err(format!(
@@ -264,6 +273,12 @@ pub fn des_day(day: &DesDay) -> Result<(), String> {
         return Err(format!(
             "the day held {} events pending, over the {DES_DAY_PEAK_PENDING} ceiling",
             day.peak_pending
+        ));
+    }
+    if day.normals > DES_DAY_NORMALS {
+        return Err(format!(
+            "the day evaluated {} normals, over the {DES_DAY_NORMALS} ceiling",
+            day.normals
         ));
     }
     Ok(())
@@ -436,6 +451,7 @@ mod tests {
         DesDay {
             events: row["events"] as u64,
             peak_pending: row["peak_pending"] as usize,
+            normals: row["normals"] as u64,
         }
     }
 
@@ -559,6 +575,27 @@ mod tests {
         })
         .expect_err("over the ceiling");
         assert!(why.contains("held 1000010 events pending"), "{why}");
+    }
+
+    #[test]
+    fn more_normals_than_the_committed_count_fail_the_des_day_gate() {
+        let committed = committed_des_day();
+        let why = des_day(&DesDay {
+            normals: DES_DAY_NORMALS + 1,
+            ..committed
+        })
+        .expect_err("over the ceiling");
+        assert!(
+            why.contains(&format!("evaluated {} normals", DES_DAY_NORMALS + 1)),
+            "{why}"
+        );
+        // What the day evaluated when every lookup turned all of its
+        // device-day's pairs into normals.
+        assert!(des_day(&DesDay {
+            normals: 4_396_636,
+            ..committed
+        })
+        .is_err());
     }
 
     #[test]

@@ -7,6 +7,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::cell::Cell;
 
 /// Creates a [`StdRng`] from a `u64` seed.
 ///
@@ -32,15 +33,50 @@ pub fn seeded_stream(seed: u64, stream: u64) -> StdRng {
     seeded(derive_seed(seed, stream))
 }
 
+thread_local! {
+    static NORMALS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Standard normals this thread has evaluated: one per
+/// [`NormalDraw::value`], so one per [`normal`] too. A caller that draws
+/// its uniforms ahead and turns only some pairs into normals reads its
+/// saving off the difference across a run.
+pub fn normals() -> u64 {
+    NORMALS.with(Cell::get)
+}
+
+/// The two uniforms behind one standard normal, drawn but not yet
+/// transformed. Drawing is cheap; [`Self::value`] (a logarithm, a square
+/// root and a cosine) is not, so a model whose queries need only some of
+/// its normals draws every pair in order and evaluates the few it reads.
+#[derive(Debug, Clone, Copy)]
+pub struct NormalDraw {
+    u1: f64,
+    u2: f64,
+}
+
+impl NormalDraw {
+    /// Draws the pair [`normal`] would draw next from `rng`.
+    pub fn draw<R: rand::Rng>(rng: &mut R) -> NormalDraw {
+        // u1 in (0, 1] keeps ln finite.
+        let u1 = 1.0 - rng.random::<f64>();
+        let u2 = rng.random::<f64>();
+        NormalDraw { u1, u2 }
+    }
+
+    /// The standard normal of the pair, by the Box–Muller transform.
+    pub fn value(self) -> f64 {
+        NORMALS.with(|c| c.set(c.get() + 1));
+        (-2.0 * self.u1.ln()).sqrt() * (std::f64::consts::TAU * self.u2).cos()
+    }
+}
+
 /// Samples a standard normal value using the Box–Muller transform.
 ///
 /// `rand` no longer ships distributions in its core crate; this avoids an
 /// extra dependency for the handful of call sites that need Gaussians.
 pub fn normal<R: rand::Rng>(rng: &mut R) -> f64 {
-    // Draw u1 in (0, 1] to keep ln finite.
-    let u1: f64 = 1.0 - rng.random::<f64>();
-    let u2: f64 = rng.random::<f64>();
-    (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
+    NormalDraw::draw(rng).value()
 }
 
 /// Samples from a zero-mean normal with the given standard deviation.
@@ -100,6 +136,20 @@ mod tests {
         let var = samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
         assert!(mean.abs() < 0.05, "mean {mean}");
         assert!((var - 1.0).abs() < 0.05, "var {var}");
+    }
+
+    #[test]
+    fn a_drawn_pair_is_the_normal_of_the_same_draws_and_is_counted_once() {
+        let (mut a, mut b) = (seeded(5), seeded(5));
+        let before = normals();
+        for _ in 0..100 {
+            let draw = NormalDraw::draw(&mut b);
+            assert_eq!(normal(&mut a).to_bits(), draw.value().to_bits());
+        }
+        assert_eq!(normals() - before, 200);
+        // Drawing alone evaluates nothing.
+        let _ = NormalDraw::draw(&mut b);
+        assert_eq!(normals() - before, 200);
     }
 
     #[test]

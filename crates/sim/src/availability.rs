@@ -13,9 +13,32 @@
 //! mid-round drops out with an eligibility change, which is exactly the
 //! paper's daytime-drop-out mechanism ("higher probability of the device
 //! eligibility criteria changes due interaction with a device", Fig. 7).
+//!
+//! A device-day's stream yields, in order: the night start's pair of
+//! uniforms, the night length's pair, the bout coin and, with a bout, its
+//! start uniform and its length's pair (the timezone offset comes from a
+//! stream per device). Drawing a uniform costs a few integer steps; turning
+//! a pair into a normal (Box–Muller: a logarithm, a square root and a
+//! cosine) costs most of a query. So a query draws every uniform of the
+//! device-days it visits, in that order, and evaluates a normal only when
+//! it compares a value that depends on it:
+//!
+//! - the night start, when `t` is at or past the night floor, or when no
+//!   bout that starts at or after `t` starts before the floor;
+//! - a window's end (the night length, the bout length) only once `t` is
+//!   at or past its start, or when the window is the answer.
+//!
+//! The floor is safe because a night start is clamped to 15–30 h into its
+//! day and 15 h is a whole number of milliseconds: no night contains a
+//! time before its day's floor, and a bout that starts before the floor
+//! starts before the night, so it wins `next_window` without the night
+//! start being known. Nothing assumes yesterday's bout ends before
+//! midnight (a wide spread starts one up to 31 h into its day). Every
+//! answer is the one the eager evaluation of every normal gives, which the
+//! tests check against a copy of it.
 
 use crate::{DAY_MS, HOUR_MS};
-use fl_ml::rng;
+use fl_ml::rng::{self, NormalDraw};
 use rand::RngExt;
 
 /// One eligibility window in absolute simulation time.
@@ -101,50 +124,49 @@ impl DiurnalAvailability {
         DiurnalAvailability::new(DiurnalConfig::default(), seed)
     }
 
-    /// The eligibility windows of `device` on `day` (0-based).
+    /// The eligibility windows of `device` on `day` (0-based): the
+    /// overnight window, then the daytime bout if the device has one that
+    /// day.
     ///
     /// A night window starting late (e.g. 23:00 for 9 h) spills into the
     /// next day; callers interested in time `t` should check day
     /// `t/DAY` and day `t/DAY − 1`.
     pub fn windows(&self, device: u64, day: u64) -> Vec<Window> {
-        self.day_windows(device, day).collect()
+        let mut draws = self.device_day(device, day, self.timezone_offset_h(device));
+        let bout = draws.bout.map(|bout| draws.bout_window(bout));
+        std::iter::once(draws.night()).chain(bout).collect()
     }
 
-    /// [`Self::windows`] without the allocation: the overnight window, then
-    /// the daytime bout if the device has one that day.
-    fn day_windows(&self, device: u64, day: u64) -> impl Iterator<Item = Window> {
+    /// The device's fixed timezone offset in hours (not per day), from a
+    /// stream of its own.
+    fn timezone_offset_h(&self, device: u64) -> f64 {
+        let mut tz_rng = rng::seeded(rng::derive_seed(self.seed ^ 0x72, device));
+        (tz_rng.random::<f64>() - 0.5) * self.config.timezone_spread_hours
+    }
+
+    /// The draws of `device` on `day`, none of their normals evaluated.
+    fn device_day(&self, device: u64, day: u64, tz_offset_h: f64) -> DeviceDay<'_> {
         let mut r = rng::seeded(rng::derive_seed(
             self.seed,
             device.wrapping_mul(100_003).wrapping_add(day),
         ));
-        // Fixed per-device timezone offset (not per-day).
-        let mut tz_rng = rng::seeded(rng::derive_seed(self.seed ^ 0x72, device));
-        let tz_offset_h = (tz_rng.random::<f64>() - 0.5) * self.config.timezone_spread_hours;
-        // Overnight window.
-        let start_h = (self.config.night_start_hour
-            + tz_offset_h
-            + rng::normal_with_std(&mut r, self.config.night_start_std))
-        .clamp(15.0, 30.0);
-        let dur_h = (self.config.night_duration_hours
-            + rng::normal_with_std(&mut r, self.config.night_duration_std))
-        .clamp(2.0, 14.0);
-        let start = day * DAY_MS + (start_h * HOUR_MS as f64) as u64;
-        let night = Window {
-            start_ms: start,
-            end_ms: start + (dur_h * HOUR_MS as f64) as u64,
-        };
+        let night_start = NormalDraw::draw(&mut r);
+        let night_length = NormalDraw::draw(&mut r);
+        let day_ms = day * DAY_MS;
         // Optional daytime bout (e.g. desk charging around midday).
         let bout = (r.random::<f64>() < self.config.daytime_bout_probability).then(|| {
-            let bout_start_h = 9.0 + tz_offset_h.max(-2.0) + r.random::<f64>() * 9.0; // ~09:00–18:00 local
-            let bout_dur_h = (self.config.daytime_bout_hours + rng::normal_with_std(&mut r, 0.5))
-                .clamp(0.2, 3.0);
-            let bstart = day * DAY_MS + (bout_start_h * HOUR_MS as f64) as u64;
-            Window {
-                start_ms: bstart,
-                end_ms: bstart + (bout_dur_h * HOUR_MS as f64) as u64,
-            }
+            let start_h = 9.0 + tz_offset_h.max(-2.0) + r.random::<f64>() * 9.0; // ~09:00–18:00 local
+            (day_ms + hours_ms(start_h), NormalDraw::draw(&mut r))
         });
-        std::iter::once(night).chain(bout)
+        DeviceDay {
+            config: &self.config,
+            day_ms,
+            tz_offset_h,
+            night_start,
+            night_length,
+            night_start_ms: None,
+            bout,
+        }
     }
 
     /// Whether `device` is eligible at absolute time `t_ms`.
@@ -156,10 +178,10 @@ impl DiurnalAvailability {
     /// eligibility-change drop-out time of a selected device).
     pub fn current_window(&self, device: u64, t_ms: u64) -> Option<Window> {
         let day = t_ms / DAY_MS;
+        let tz_offset_h = self.timezone_offset_h(device);
         // Yesterday's night window may have spilled past midnight.
-        let days = day.checked_sub(1).into_iter().chain([day]);
-        days.flat_map(|d| self.day_windows(device, d))
-            .find(|w| w.contains(t_ms))
+        let mut days = day.checked_sub(1).into_iter().chain([day]);
+        days.find_map(|d| self.device_day(device, d, tz_offset_h).containing(t_ms))
     }
 
     /// The window that contains `t_ms` if the device is eligible then,
@@ -168,29 +190,19 @@ impl DiurnalAvailability {
     /// (see [`Self::new`] for why no later day can have an earlier one).
     pub fn next_window(&self, device: u64, t_ms: u64) -> Option<Window> {
         let day = t_ms / DAY_MS;
+        let tz_offset_h = self.timezone_offset_h(device);
         if let Some(yesterday) = day.checked_sub(1) {
             let spilled = self
-                .day_windows(device, yesterday)
-                .find(|w| w.contains(t_ms));
+                .device_day(device, yesterday, tz_offset_h)
+                .containing(t_ms);
             if spilled.is_some() {
                 return spilled;
             }
         }
-        for d in day..=day + 2 {
-            let mut next: Option<Window> = None;
-            for w in self.day_windows(device, d) {
-                if w.contains(t_ms) {
-                    return Some(w);
-                }
-                if w.start_ms >= t_ms && next.is_none_or(|n| w.start_ms < n.start_ms) {
-                    next = Some(w);
-                }
-            }
-            if next.is_some() {
-                return next;
-            }
-        }
-        None
+        (day..=day + 2).find_map(|d| {
+            self.device_day(device, d, tz_offset_h)
+                .containing_or_next(t_ms)
+        })
     }
 
     /// The next time ≥ `t_ms` at which the device becomes eligible:
@@ -208,6 +220,109 @@ impl DiurnalAvailability {
         }
         let count = (0..n).filter(|&d| self.is_eligible(d, t_ms)).count();
         count as f64 / n as f64
+    }
+}
+
+/// How far into its day the earliest night window starts: a night start
+/// is clamped to 15–30 h.
+const NIGHT_FLOOR_MS: u64 = 15 * HOUR_MS;
+
+/// `hours` as whole milliseconds, truncated.
+fn hours_ms(hours: f64) -> u64 {
+    (hours * HOUR_MS as f64) as u64
+}
+
+/// One device-day's draws, taken from its stream in the model's order:
+/// the night start's pair, the night length's pair, the bout coin, then,
+/// with a bout, its start uniform and its length's pair. The uniforms are
+/// all drawn up front; a pair becomes a normal only when a query compares
+/// a value that depends on it, and the night start, which one query may
+/// compare twice, at most once.
+struct DeviceDay<'a> {
+    config: &'a DiurnalConfig,
+    /// The day's first millisecond.
+    day_ms: u64,
+    tz_offset_h: f64,
+    night_start: NormalDraw,
+    night_length: NormalDraw,
+    /// The night start, once evaluated.
+    night_start_ms: Option<u64>,
+    /// The bout's start (a uniform, no normal) and its length's pair.
+    bout: Option<(u64, NormalDraw)>,
+}
+
+impl DeviceDay<'_> {
+    /// The overnight start (one normal, the first time).
+    fn night_start_ms(&mut self) -> u64 {
+        if let Some(start_ms) = self.night_start_ms {
+            return start_ms;
+        }
+        let c = self.config;
+        let start_h =
+            (c.night_start_hour + self.tz_offset_h + self.night_start.value() * c.night_start_std)
+                .clamp(15.0, 30.0);
+        let start_ms = self.day_ms + hours_ms(start_h);
+        self.night_start_ms = Some(start_ms);
+        start_ms
+    }
+
+    /// The overnight window (its length's normal).
+    fn night(&mut self) -> Window {
+        let start_ms = self.night_start_ms();
+        let c = self.config;
+        let length_h = (c.night_duration_hours + self.night_length.value() * c.night_duration_std)
+            .clamp(2.0, 14.0);
+        Window {
+            start_ms,
+            end_ms: start_ms + hours_ms(length_h),
+        }
+    }
+
+    /// The daytime bout that starts at `start_ms` (its length's normal).
+    fn bout_window(&self, (start_ms, length): (u64, NormalDraw)) -> Window {
+        let length_h = (self.config.daytime_bout_hours + length.value() * 0.5).clamp(0.2, 3.0);
+        Window {
+            start_ms,
+            end_ms: start_ms + hours_ms(length_h),
+        }
+    }
+
+    /// The day's first window, night before bout, that contains `t_ms`.
+    /// Before the night floor the night cannot, and a window's end is only
+    /// evaluated once `t_ms` is at or past its start.
+    fn containing(&mut self, t_ms: u64) -> Option<Window> {
+        if t_ms >= self.day_ms + NIGHT_FLOOR_MS && t_ms >= self.night_start_ms() {
+            let night = self.night();
+            if night.contains(t_ms) {
+                return Some(night);
+            }
+        }
+        let (start_ms, length) = self.bout?;
+        (t_ms >= start_ms)
+            .then(|| self.bout_window((start_ms, length)))
+            .filter(|bout| bout.contains(t_ms))
+    }
+
+    /// [`Self::containing`], or else the window with the earliest start at
+    /// or after `t_ms`, the night on a tie. A bout that starts before the
+    /// night floor starts before the night, so it wins without the night
+    /// start.
+    fn containing_or_next(&mut self, t_ms: u64) -> Option<Window> {
+        if let Some(window) = self.containing(t_ms) {
+            return Some(window);
+        }
+        let bout = self.bout.filter(|&(start_ms, _)| start_ms >= t_ms);
+        if let Some(bout) = bout.filter(|&(start_ms, _)| start_ms < self.day_ms + NIGHT_FLOOR_MS) {
+            return Some(self.bout_window(bout));
+        }
+        let night_start_ms = self.night_start_ms();
+        match bout {
+            Some(bout) if night_start_ms < t_ms || bout.0 < night_start_ms => {
+                Some(self.bout_window(bout))
+            }
+            _ if night_start_ms >= t_ms => Some(self.night()),
+            _ => None,
+        }
     }
 }
 
@@ -296,35 +411,97 @@ mod tests {
         );
     }
 
-    /// The query as it was before the early exit: every day's windows
-    /// evaluated through the public `windows`, yesterday and today for
-    /// containment, then all of today and the next two days for a start.
-    fn reference_next_eligible_at(
-        model: &DiurnalAvailability,
-        device: u64,
-        t_ms: u64,
-    ) -> Option<u64> {
-        if reference_current_window(model, device, t_ms).is_some() {
-            return Some(t_ms);
+    /// A device-day's windows as the model evaluated them before its
+    /// queries went lazy: every normal of the day, in draw order. The
+    /// oracle the queries are checked against.
+    fn reference_windows(model: &DiurnalAvailability, device: u64, day: u64) -> Vec<Window> {
+        let config = &model.config;
+        let mut r = rng::seeded(rng::derive_seed(
+            model.seed,
+            device.wrapping_mul(100_003).wrapping_add(day),
+        ));
+        let mut tz_rng = rng::seeded(rng::derive_seed(model.seed ^ 0x72, device));
+        let tz_offset_h = (tz_rng.random::<f64>() - 0.5) * config.timezone_spread_hours;
+        let start_h = (config.night_start_hour
+            + tz_offset_h
+            + rng::normal_with_std(&mut r, config.night_start_std))
+        .clamp(15.0, 30.0);
+        let dur_h = (config.night_duration_hours
+            + rng::normal_with_std(&mut r, config.night_duration_std))
+        .clamp(2.0, 14.0);
+        let start = day * DAY_MS + (start_h * HOUR_MS as f64) as u64;
+        let mut windows = vec![Window {
+            start_ms: start,
+            end_ms: start + (dur_h * HOUR_MS as f64) as u64,
+        }];
+        if r.random::<f64>() < config.daytime_bout_probability {
+            let bout_start_h = 9.0 + tz_offset_h.max(-2.0) + r.random::<f64>() * 9.0;
+            let bout_dur_h =
+                (config.daytime_bout_hours + rng::normal_with_std(&mut r, 0.5)).clamp(0.2, 3.0);
+            let bstart = day * DAY_MS + (bout_start_h * HOUR_MS as f64) as u64;
+            windows.push(Window {
+                start_ms: bstart,
+                end_ms: bstart + (bout_dur_h * HOUR_MS as f64) as u64,
+            });
         }
-        let day = t_ms / DAY_MS;
-        (day..=day + 2)
-            .flat_map(|d| model.windows(device, d))
-            .map(|w| w.start_ms)
-            .filter(|&start| start >= t_ms)
-            .min()
+        windows
     }
 
+    /// The first of yesterday's and today's windows, in order, that
+    /// contains `t_ms`.
     fn reference_current_window(
         model: &DiurnalAvailability,
         device: u64,
         t_ms: u64,
     ) -> Option<Window> {
         let day = t_ms / DAY_MS;
-        [day.saturating_sub(1), day]
-            .into_iter()
-            .flat_map(|d| model.windows(device, d))
+        let days = day.checked_sub(1).into_iter().chain([day]);
+        days.flat_map(|d| reference_windows(model, device, d))
             .find(|w| w.contains(t_ms))
+    }
+
+    /// The current window, else the earliest start at or after `t_ms`
+    /// among every window of today and the next two days (the first
+    /// listed on a tie), with no early exit.
+    fn reference_next_window(
+        model: &DiurnalAvailability,
+        device: u64,
+        t_ms: u64,
+    ) -> Option<Window> {
+        let day = t_ms / DAY_MS;
+        reference_current_window(model, device, t_ms).or_else(|| {
+            (day..=day + 2)
+                .flat_map(|d| reference_windows(model, device, d))
+                .filter(|w| w.start_ms >= t_ms)
+                .reduce(|first, w| {
+                    if w.start_ms < first.start_ms {
+                        w
+                    } else {
+                        first
+                    }
+                })
+        })
+    }
+
+    /// Every query of `model` about `device` at `t_ms` against the oracle.
+    fn assert_queries_match_the_reference(model: &DiurnalAvailability, device: u64, t_ms: u64) {
+        let current = reference_current_window(model, device, t_ms);
+        let next = reference_next_window(model, device, t_ms);
+        let at = format!("device {device} at {t_ms}");
+        assert_eq!(model.current_window(device, t_ms), current, "{at}");
+        assert_eq!(model.is_eligible(device, t_ms), current.is_some(), "{at}");
+        assert_eq!(model.next_window(device, t_ms), next, "{at}");
+        assert_eq!(
+            model.next_eligible_at(device, t_ms),
+            next.map(|w| w.start_ms.max(t_ms)),
+            "{at}"
+        );
+        let day = t_ms / DAY_MS;
+        assert_eq!(
+            model.windows(device, day),
+            reference_windows(model, device, day),
+            "{at}"
+        );
     }
 
     #[test]
@@ -340,30 +517,8 @@ mod tests {
                 // Every 37 minutes over three days: t = 0, both sides of
                 // each midnight, and times after a day's last start.
                 for t_ms in (0..3 * DAY_MS).step_by(37 * 60_000) {
-                    let next = model.next_eligible_at(device, t_ms);
-                    assert_eq!(
-                        next,
-                        reference_next_eligible_at(&model, device, t_ms),
-                        "device {device} at {t_ms}"
-                    );
-                    assert_eq!(
-                        model.current_window(device, t_ms),
-                        reference_current_window(&model, device, t_ms),
-                        "device {device} at {t_ms}"
-                    );
-                    assert_eq!(next == Some(t_ms), model.is_eligible(device, t_ms));
-                    // The window behind the answer: around `t_ms` exactly
-                    // when eligible, else the one that starts at `next`.
-                    let window = model.next_window(device, t_ms);
-                    assert_eq!(
-                        window.is_some_and(|w| w.contains(t_ms)),
-                        reference_current_window(&model, device, t_ms).is_some(),
-                        "device {device} at {t_ms}"
-                    );
-                    if next != Some(t_ms) {
-                        assert_eq!(window.map(|w| w.start_ms), next);
-                    }
-                    if next == Some(t_ms) {
+                    assert_queries_match_the_reference(&model, device, t_ms);
+                    if model.is_eligible(device, t_ms) {
                         eligible += 1;
                     } else {
                         waiting += 1;
@@ -374,6 +529,33 @@ mod tests {
                 eligible > 10_000 && waiting > 10_000,
                 "{eligible} / {waiting}"
             );
+        }
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4_096))]
+
+        /// Any seed, device and spread `new` accepts, at any time of three
+        /// days, with a third of the times within 2 ms of a midnight.
+        #[test]
+        fn lazy_queries_match_the_eager_reference(
+            seed in any::<u64>(),
+            device in any::<u64>(),
+            spread_h in 0.0f64..=26.0,
+            day in 0u64..3,
+            offset_ms in prop_oneof![0..DAY_MS, 0u64..2, DAY_MS - 2..DAY_MS],
+        ) {
+            let config = DiurnalConfig {
+                timezone_spread_hours: spread_h,
+                ..DiurnalConfig::default()
+            };
+            let model = DiurnalAvailability::new(config, seed);
+            assert_queries_match_the_reference(&model, device, day * DAY_MS + offset_ms);
+        }
         }
     }
 
