@@ -246,8 +246,9 @@ impl FleetReport {
 #[derive(Debug, Clone, Copy)]
 enum Event {
     /// A device wakes up and attempts a check-in. `until_ms` is the end of
-    /// the eligibility window the wake-up was scheduled into: an event that
-    /// fires before it need not ask again. 0 when the server chose the time.
+    /// the eligibility window the wake-up was scheduled into, or, for a
+    /// pace-steering retry, of the one the device was turned away in: an
+    /// event that fires before it need not ask again.
     Checkin { device: u32, until_ms: u64 },
     /// A selected device finishes training + upload.
     Report { device: u32, round_seq: u32 },
@@ -385,26 +386,30 @@ pub fn run_counting_events(config: &FleetConfig) -> (FleetReport, u64, usize) {
             }
             Event::Checkin { device, until_ms } => {
                 let id = u64::from(device);
-                if now < until_ms {
+                // The end of the window the device is in now.
+                let until_ms = if now < until_ms {
                     // Scheduled at or after the window's start: still inside.
                     debug_assert_eq!(availability.next_eligible_at(id, now), Some(now));
+                    until_ms
                 } else {
-                    let wake = availability.next_window(id, now);
-                    if !wake.is_some_and(|w| w.contains(now)) {
-                        // Missed its window; wake at the next one (a window
-                        // starting at `now` would contain it, so `wake`
-                        // starts after `now`).
-                        if let Some(w) = wake {
-                            let jitter = rng.random_range(0..config.checkin_period_ms);
-                            let until_ms = w.end_ms;
-                            queue.schedule_at(
-                                w.start_ms + jitter,
-                                Event::Checkin { device, until_ms },
-                            );
+                    match availability.next_window(id, now) {
+                        Some(w) if w.contains(now) => w.end_ms,
+                        wake => {
+                            // Missed its window; wake at the next one (a
+                            // window starting at `now` would contain it, so
+                            // `wake` starts after `now`).
+                            if let Some(w) = wake {
+                                let jitter = rng.random_range(0..config.checkin_period_ms);
+                                let until_ms = w.end_ms;
+                                queue.schedule_at(
+                                    w.start_ms + jitter,
+                                    Event::Checkin { device, until_ms },
+                                );
+                            }
+                            continue;
                         }
-                        continue;
                     }
-                }
+                };
                 let response = active.state.on_checkin(DeviceId(id), now);
                 match response {
                     CheckinResponse::Selected => {
@@ -417,10 +422,10 @@ pub fn run_counting_events(config: &FleetConfig) -> (FleetReport, u64, usize) {
                     CheckinResponse::AlreadySelected => {}
                     CheckinResponse::NotSelecting => {
                         report.checkins.1 += 1;
-                        // Pace steering: come back later.
+                        // Pace steering: come back later. A retry that
+                        // fires before the window it was turned away in
+                        // ends is still inside it and need not ask again.
                         let retry = pace.suggest_reconnect(now, config.devices, 1.0, &mut rng);
-                        // The server chose the time; no window vouches for it.
-                        let until_ms = 0;
                         queue.schedule_at(retry, Event::Checkin { device, until_ms });
                     }
                 }
