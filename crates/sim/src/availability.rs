@@ -211,15 +211,52 @@ impl DiurnalAvailability {
     pub fn next_eligible_at(&self, device: u64, t_ms: u64) -> Option<u64> {
         self.next_window(device, t_ms).map(|w| w.start_ms.max(t_ms))
     }
+}
 
-    /// Fraction of a fleet of `n` devices eligible at `t_ms` (exact count;
-    /// 0 for an empty fleet).
-    pub fn eligible_fraction(&self, n: u64, t_ms: u64) -> f64 {
-        if n == 0 {
+/// The fraction of devices `0..n` eligible at a time, for a gauge sampled
+/// many times a day: each device's windows of yesterday and today are
+/// evaluated once, when the sampled day changes, not at every sample.
+#[derive(Debug)]
+pub struct EligibleGauge<'a> {
+    model: &'a DiurnalAvailability,
+    /// The day the windows are of.
+    day: Option<u64>,
+    /// Per device, its windows of `day − 1` and `day`.
+    windows: Vec<Vec<Window>>,
+}
+
+impl<'a> EligibleGauge<'a> {
+    /// A gauge over devices `0..n` of `model`.
+    pub fn new(model: &'a DiurnalAvailability, n: u64) -> Self {
+        EligibleGauge {
+            model,
+            day: None,
+            windows: vec![Vec::new(); usize::try_from(n).expect("a gauge fits in memory")],
+        }
+    }
+
+    /// The fraction of the devices eligible at `t_ms` (exact count; 0 for
+    /// no devices): those with a window of yesterday or today around it.
+    pub fn fraction(&mut self, t_ms: u64) -> f64 {
+        if self.windows.is_empty() {
             return 0.0;
         }
-        let count = (0..n).filter(|&d| self.is_eligible(d, t_ms)).count();
-        count as f64 / n as f64
+        let day = t_ms / DAY_MS;
+        if self.day != Some(day) {
+            for (device, windows) in (0..).zip(&mut self.windows) {
+                windows.clear();
+                for d in day.checked_sub(1).into_iter().chain([day]) {
+                    windows.extend(self.model.windows(device, d));
+                }
+            }
+            self.day = Some(day);
+        }
+        let count = self
+            .windows
+            .iter()
+            .filter(|windows| windows.iter().any(|w| w.contains(t_ms)))
+            .count();
+        count as f64 / self.windows.len() as f64
     }
 }
 
@@ -335,9 +372,10 @@ mod tests {
         let model = DiurnalAvailability::us_centric(7);
         let n = 2_000;
         // 03:00 on day 1 (inside most overnight windows started day 0).
-        let night = model.eligible_fraction(n, DAY_MS + 3 * HOUR_MS);
+        let mut gauge = EligibleGauge::new(&model, n);
+        let night = gauge.fraction(DAY_MS + 3 * HOUR_MS);
         // 15:00 on day 1 (only daytime bouts).
-        let day = model.eligible_fraction(n, DAY_MS + 15 * HOUR_MS);
+        let day = gauge.fraction(DAY_MS + 15 * HOUR_MS);
         assert!(night > 0.45, "night fraction {night}");
         assert!(day < 0.25, "day fraction {day}");
         // The paper reports a ~4× swing for a US-centric population.
@@ -348,7 +386,20 @@ mod tests {
     #[test]
     fn an_empty_fleet_has_no_eligible_fraction() {
         let model = DiurnalAvailability::us_centric(7);
-        assert_eq!(model.eligible_fraction(0, DAY_MS + 3 * HOUR_MS), 0.0);
+        let mut gauge = EligibleGauge::new(&model, 0);
+        assert_eq!(gauge.fraction(DAY_MS + 3 * HOUR_MS), 0.0);
+    }
+
+    #[test]
+    fn the_gauge_counts_the_devices_a_query_finds_eligible() {
+        let model = DiurnalAvailability::us_centric(3);
+        let n = 300;
+        let mut gauge = EligibleGauge::new(&model, n);
+        // Every 10 minutes over three days, across both midnights.
+        for t_ms in (0..3 * DAY_MS).step_by(10 * 60_000) {
+            let count = (0..n).filter(|&d| model.is_eligible(d, t_ms)).count();
+            assert_eq!(gauge.fraction(t_ms), count as f64 / n as f64, "at {t_ms}");
+        }
     }
 
     #[test]

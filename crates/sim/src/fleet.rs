@@ -9,7 +9,7 @@
 //! dynamics* (selection, over-selection, straggler discard, drop-outs,
 //! pace steering back-pressure) are all real code paths.
 
-use crate::availability::DiurnalAvailability;
+use crate::availability::{DiurnalAvailability, EligibleGauge};
 use crate::des::EventQueue;
 use crate::network::NetworkModel;
 use crate::{DAY_MS, HOUR_MS};
@@ -367,7 +367,7 @@ pub fn run_counting_events(config: &FleetConfig) -> (FleetReport, u64, usize) {
     let mut in_flight: u64 = 0;
     // Subsample for the eligibility gauge (full fleet would be O(n) per
     // sample; 1k devices give ±3% accuracy).
-    let gauge_sample: u64 = config.devices.min(1_000);
+    let mut gauge = EligibleGauge::new(&availability, config.devices.min(1_000));
 
     let download_bytes = config.plan_bytes + config.checkpoint_bytes;
 
@@ -376,7 +376,7 @@ pub fn run_counting_events(config: &FleetConfig) -> (FleetReport, u64, usize) {
     while let Some((now, event)) = queue.next_before(horizon) {
         match event {
             Event::Sample => {
-                let eligible_frac = availability.eligible_fraction(gauge_sample, now);
+                let eligible_frac = gauge.fraction(now);
                 let eligible_total = eligible_frac * config.devices as f64;
                 report.participating.record(now, in_flight as f64);
                 report
