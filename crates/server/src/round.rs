@@ -16,7 +16,7 @@
 
 use fl_core::round::{RoundConfig, RoundOutcome};
 use fl_core::{DeviceId, RoundId};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// Current phase of the round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,8 +105,13 @@ pub struct RoundState {
     started_at_ms: u64,
     configured_at_ms: Option<u64>,
     finished_at_ms: Option<u64>,
+    /// Devices checked in during Selection; configuration moves them to
+    /// `participants`.
     checked_in: BTreeSet<DeviceId>,
-    participants: BTreeMap<DeviceId, ParticipantState>,
+    /// The configured devices, sorted by id, and their states. The set is
+    /// fixed at configuration and later calls only change states, so a
+    /// lookup is a binary search.
+    participants: Vec<(DeviceId, ParticipantState)>,
     reported: usize,
     aborted: usize,
     dropped: usize,
@@ -137,7 +142,7 @@ impl RoundState {
             configured_at_ms: None,
             finished_at_ms: None,
             checked_in: BTreeSet::new(),
-            participants: BTreeMap::new(),
+            participants: Vec::new(),
             reported: 0,
             aborted: 0,
             dropped: 0,
@@ -158,13 +163,24 @@ impl RoundState {
 
     /// Devices configured into the round (empty during Selection).
     pub fn participants(&self) -> Vec<DeviceId> {
-        self.participants.keys().copied().collect()
+        self.participants.iter().map(|&(d, _)| d).collect()
     }
 
     /// Whether `device` was configured into the round (never during
     /// Selection).
     pub fn is_participant(&self, device: DeviceId) -> bool {
-        self.participants.contains_key(&device)
+        self.participants
+            .binary_search_by_key(&device, |&(d, _)| d)
+            .is_ok()
+    }
+
+    /// `device`'s state, if it was configured into the round.
+    fn state_of(&mut self, device: DeviceId) -> Option<&mut ParticipantState> {
+        let i = self
+            .participants
+            .binary_search_by_key(&device, |&(d, _)| d)
+            .ok()?;
+        Some(&mut self.participants[i].1)
     }
 
     /// Events emitted so far (drained by the caller).
@@ -194,7 +210,7 @@ impl RoundState {
                 // (the caller re-sends the configuration); one in a
                 // terminal per-device state gets nothing new.
                 if matches!(
-                    self.participants.get(&device),
+                    self.state_of(device),
                     Some(ParticipantState::Configured { .. })
                 ) {
                     CheckinResponse::AlreadySelected
@@ -246,80 +262,62 @@ impl RoundState {
 
     /// A participant reports its update at `now_ms`.
     pub fn on_report(&mut self, device: DeviceId, now_ms: u64) -> ReportResponse {
-        if self.phase != Phase::Reporting {
-            // After the window closed (or before configuration) reports are
-            // late/ignored.
-            return match self.participants.get(&device) {
-                Some(ParticipantState::Configured { at_ms }) => {
-                    let participation = now_ms.saturating_sub(*at_ms);
-                    self.participants.insert(
-                        device,
-                        ParticipantState::RejectedLate {
-                            participation_ms: participation,
-                        },
-                    );
-                    self.rejected_late += 1;
-                    ReportResponse::RejectedLate
-                }
-                // A device the server already aborted/dropped may still
-                // attempt its upload; the server rejects it (Table 1 `#`).
-                Some(_) => ReportResponse::RejectedLate,
-                None => ReportResponse::NotParticipant,
+        let reporting = self.phase == Phase::Reporting;
+        let goal_reached = self.reported >= self.config.goal_count;
+        let Some(state) = self.state_of(device) else {
+            return ReportResponse::NotParticipant;
+        };
+        let ParticipantState::Configured { at_ms } = *state else {
+            // Already terminal. After the window closed, a device the
+            // server aborted or dropped may still attempt its upload; the
+            // server rejects it (Table 1 `#`).
+            return if reporting {
+                ReportResponse::NotParticipant
+            } else {
+                ReportResponse::RejectedLate
             };
-        }
-        match self.participants.get(&device) {
-            Some(ParticipantState::Configured { at_ms }) => {
-                let participation = now_ms.saturating_sub(*at_ms);
-                if self.reported < self.config.goal_count {
-                    self.participants.insert(
-                        device,
-                        ParticipantState::Reported {
-                            participation_ms: participation,
-                        },
-                    );
-                    self.reported += 1;
-                    if self.reported >= self.config.goal_count {
-                        self.close_reporting(now_ms);
-                    }
-                    ReportResponse::Accepted
-                } else {
-                    self.participants.insert(
-                        device,
-                        ParticipantState::Aborted {
-                            participation_ms: participation,
-                        },
-                    );
-                    self.aborted += 1;
-                    ReportResponse::Aborted
-                }
+        };
+        let participation_ms = now_ms.saturating_sub(at_ms);
+        if !reporting {
+            // After the window closed (or before configuration) reports
+            // are late.
+            *state = ParticipantState::RejectedLate { participation_ms };
+            self.rejected_late += 1;
+            ReportResponse::RejectedLate
+        } else if !goal_reached {
+            *state = ParticipantState::Reported { participation_ms };
+            self.reported += 1;
+            if self.reported >= self.config.goal_count {
+                self.close_reporting(now_ms);
             }
-            Some(_) => ReportResponse::NotParticipant, // already terminal
-            None => ReportResponse::NotParticipant,
+            ReportResponse::Accepted
+        } else {
+            *state = ParticipantState::Aborted { participation_ms };
+            self.aborted += 1;
+            ReportResponse::Aborted
         }
     }
 
     /// A participant dropped out (error, network failure, eligibility
     /// change) at `now_ms`.
     pub fn on_dropout(&mut self, device: DeviceId, now_ms: u64) {
-        if let Some(ParticipantState::Configured { at_ms }) = self.participants.get(&device) {
-            let participation = now_ms.saturating_sub(*at_ms);
-            self.participants.insert(
-                device,
-                ParticipantState::DroppedOut {
-                    participation_ms: participation,
-                },
-            );
-            self.dropped += 1;
+        if let Some(state) = self.state_of(device) {
+            if let ParticipantState::Configured { at_ms } = *state {
+                let participation_ms = now_ms.saturating_sub(at_ms);
+                *state = ParticipantState::DroppedOut { participation_ms };
+                self.dropped += 1;
+            }
         }
     }
 
     fn configure(&mut self, now_ms: u64) {
         self.phase = Phase::Reporting;
         self.configured_at_ms = Some(now_ms);
-        for d in &self.checked_in {
-            self.participants
-                .insert(*d, ParticipantState::Configured { at_ms: now_ms });
-        }
+        // A set iterates in id order, so the table comes out sorted.
+        self.participants = std::mem::take(&mut self.checked_in)
+            .into_iter()
+            .map(|d| (d, ParticipantState::Configured { at_ms: now_ms }))
+            .collect();
         self.events.push(RoundEvent::Configured {
             at_ms: now_ms,
             participants: self.participants.len(),
@@ -329,20 +327,10 @@ impl RoundState {
     fn close_reporting(&mut self, now_ms: u64) {
         // Outstanding devices are aborted by the server (participation time
         // capped, Fig. 8).
-        let outstanding: Vec<DeviceId> = self
-            .participants
-            .iter()
-            .filter_map(|(d, s)| matches!(s, ParticipantState::Configured { .. }).then_some(*d))
-            .collect();
-        for d in outstanding {
-            if let Some(ParticipantState::Configured { at_ms }) = self.participants.get(&d) {
-                let participation = now_ms.saturating_sub(*at_ms).min(self.config.device_cap_ms);
-                self.participants.insert(
-                    d,
-                    ParticipantState::Aborted {
-                        participation_ms: participation,
-                    },
-                );
+        for (_, state) in &mut self.participants {
+            if let ParticipantState::Configured { at_ms } = *state {
+                let participation_ms = now_ms.saturating_sub(at_ms).min(self.config.device_cap_ms);
+                *state = ParticipantState::Aborted { participation_ms };
                 self.aborted += 1;
             }
         }
@@ -398,18 +386,18 @@ impl RoundState {
     pub fn participation_times(&self) -> Vec<(DeviceId, &'static str, u64)> {
         self.participants
             .iter()
-            .filter_map(|(d, s)| match s {
+            .filter_map(|&(d, s)| match s {
                 ParticipantState::Reported { participation_ms } => {
-                    Some((*d, "completed", *participation_ms))
+                    Some((d, "completed", participation_ms))
                 }
                 ParticipantState::Aborted { participation_ms } => {
-                    Some((*d, "aborted", *participation_ms))
+                    Some((d, "aborted", participation_ms))
                 }
                 ParticipantState::DroppedOut { participation_ms } => {
-                    Some((*d, "dropped", *participation_ms))
+                    Some((d, "dropped", participation_ms))
                 }
                 ParticipantState::RejectedLate { participation_ms } => {
-                    Some((*d, "rejected", *participation_ms))
+                    Some((d, "rejected", participation_ms))
                 }
                 ParticipantState::Configured { .. } => None,
             })
@@ -691,6 +679,189 @@ mod tests {
             ]
         }
 
+        /// The round as it kept its participants before the sorted table:
+        /// a `BTreeMap` from device to state, every transition as it was.
+        /// The oracle the table is checked against.
+        struct BTreeRound {
+            config: RoundConfig,
+            phase: Phase,
+            started_at_ms: u64,
+            configured_at_ms: Option<u64>,
+            checked_in: BTreeSet<DeviceId>,
+            participants: std::collections::BTreeMap<DeviceId, ParticipantState>,
+            counters: (usize, usize, usize, usize),
+            outcome: Option<RoundOutcome>,
+        }
+
+        impl BTreeRound {
+            fn begin(config: RoundConfig) -> Self {
+                BTreeRound {
+                    config,
+                    phase: Phase::Selection,
+                    started_at_ms: 0,
+                    configured_at_ms: None,
+                    checked_in: BTreeSet::new(),
+                    participants: Default::default(),
+                    counters: (0, 0, 0, 0),
+                    outcome: None,
+                }
+            }
+
+            fn on_checkin(&mut self, device: DeviceId, now_ms: u64) -> CheckinResponse {
+                match self.phase {
+                    Phase::Selection => {
+                        if !self.checked_in.insert(device) {
+                            return CheckinResponse::AlreadySelected;
+                        }
+                        if self.checked_in.len() >= self.config.selection_target() {
+                            self.configure(now_ms);
+                        }
+                        CheckinResponse::Selected
+                    }
+                    Phase::Reporting => match self.participants.get(&device) {
+                        Some(ParticipantState::Configured { .. }) => {
+                            CheckinResponse::AlreadySelected
+                        }
+                        _ => CheckinResponse::NotSelecting,
+                    },
+                    Phase::Committed | Phase::Abandoned => CheckinResponse::NotSelecting,
+                }
+            }
+
+            fn on_tick(&mut self, now_ms: u64) {
+                let due = match self.phase {
+                    Phase::Selection => self.started_at_ms + self.config.selection_timeout_ms,
+                    Phase::Reporting => {
+                        self.configured_at_ms.unwrap_or(0) + self.config.report_window_ms
+                    }
+                    Phase::Committed | Phase::Abandoned => return,
+                };
+                if now_ms < due {
+                    return;
+                }
+                if self.phase == Phase::Reporting {
+                    self.close_reporting(now_ms);
+                } else if self.checked_in.len() >= self.config.min_to_start() {
+                    self.configure(now_ms);
+                } else {
+                    self.phase = Phase::Abandoned;
+                    self.outcome = Some(RoundOutcome::AbandonedInSelection {
+                        checked_in: self.checked_in.len(),
+                        required: self.config.min_to_start(),
+                    });
+                }
+            }
+
+            fn on_report(&mut self, device: DeviceId, now_ms: u64) -> ReportResponse {
+                let state = self.participants.get(&device).copied();
+                if self.phase != Phase::Reporting {
+                    return match state {
+                        Some(ParticipantState::Configured { at_ms }) => {
+                            let participation_ms = now_ms.saturating_sub(at_ms);
+                            self.participants.insert(
+                                device,
+                                ParticipantState::RejectedLate { participation_ms },
+                            );
+                            self.counters.3 += 1;
+                            ReportResponse::RejectedLate
+                        }
+                        Some(_) => ReportResponse::RejectedLate,
+                        None => ReportResponse::NotParticipant,
+                    };
+                }
+                let Some(ParticipantState::Configured { at_ms }) = state else {
+                    return ReportResponse::NotParticipant;
+                };
+                let participation_ms = now_ms.saturating_sub(at_ms);
+                if self.counters.0 < self.config.goal_count {
+                    self.participants
+                        .insert(device, ParticipantState::Reported { participation_ms });
+                    self.counters.0 += 1;
+                    if self.counters.0 >= self.config.goal_count {
+                        self.close_reporting(now_ms);
+                    }
+                    ReportResponse::Accepted
+                } else {
+                    self.participants
+                        .insert(device, ParticipantState::Aborted { participation_ms });
+                    self.counters.1 += 1;
+                    ReportResponse::Aborted
+                }
+            }
+
+            fn on_dropout(&mut self, device: DeviceId, now_ms: u64) {
+                if let Some(ParticipantState::Configured { at_ms }) = self.participants.get(&device)
+                {
+                    let participation_ms = now_ms.saturating_sub(*at_ms);
+                    self.participants
+                        .insert(device, ParticipantState::DroppedOut { participation_ms });
+                    self.counters.2 += 1;
+                }
+            }
+
+            fn configure(&mut self, now_ms: u64) {
+                self.phase = Phase::Reporting;
+                self.configured_at_ms = Some(now_ms);
+                for &d in &self.checked_in {
+                    self.participants
+                        .insert(d, ParticipantState::Configured { at_ms: now_ms });
+                }
+            }
+
+            fn close_reporting(&mut self, now_ms: u64) {
+                for state in self.participants.values_mut() {
+                    if let ParticipantState::Configured { at_ms } = *state {
+                        let participation_ms =
+                            now_ms.saturating_sub(at_ms).min(self.config.device_cap_ms);
+                        *state = ParticipantState::Aborted { participation_ms };
+                        self.counters.1 += 1;
+                    }
+                }
+                let (reported, aborted, dropped_out, _) = self.counters;
+                let outcome = if reported >= self.config.goal_count
+                    || reported >= self.config.min_to_start()
+                {
+                    RoundOutcome::Committed {
+                        incorporated: reported,
+                        aborted,
+                        dropped_out,
+                    }
+                } else {
+                    RoundOutcome::AbandonedInReporting {
+                        reported,
+                        required: self.config.min_to_start(),
+                    }
+                };
+                self.phase = if outcome.is_committed() {
+                    Phase::Committed
+                } else {
+                    Phase::Abandoned
+                };
+                self.outcome = Some(outcome);
+            }
+
+            fn participation_times(&self) -> Vec<(DeviceId, &'static str, u64)> {
+                self.participants
+                    .iter()
+                    .filter_map(|(&d, s)| match *s {
+                        ParticipantState::Reported { participation_ms } => {
+                            Some((d, "completed", participation_ms))
+                        }
+                        ParticipantState::Aborted { participation_ms } => {
+                            Some((d, "aborted", participation_ms))
+                        }
+                        ParticipantState::DroppedOut { participation_ms } => {
+                            Some((d, "dropped", participation_ms))
+                        }
+                        ParticipantState::RejectedLate { participation_ms } => {
+                            Some((d, "rejected", participation_ms))
+                        }
+                        ParticipantState::Configured { .. } => None,
+                    })
+                    .collect()
+            }
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -737,6 +908,49 @@ mod tests {
                     prop_assert!(incorporated + aborted + dropped_out <= participants);
                     prop_assert!(incorporated >= r.config().min_to_start()
                         || incorporated >= r.config().goal_count);
+                }
+            }
+
+            /// The sorted table answers every call as the `BTreeMap` one
+            /// did, and ends with the same participation times, under any
+            /// sequence.
+            #[test]
+            fn the_sorted_table_answers_as_the_btree_map_did(
+                ops in proptest::collection::vec(op_strategy(), 1..160),
+                goal in 1usize..12,
+            ) {
+                let mut r = RoundState::begin(RoundId(1), config(goal), 0);
+                let mut model = BTreeRound::begin(config(goal));
+                let mut now = 0u64;
+                for op in ops {
+                    match op {
+                        Op::Checkin(d) => {
+                            let d = DeviceId(u64::from(d));
+                            prop_assert_eq!(r.on_checkin(d, now), model.on_checkin(d, now));
+                        }
+                        Op::Report(d) => {
+                            let d = DeviceId(u64::from(d));
+                            prop_assert_eq!(r.on_report(d, now), model.on_report(d, now));
+                        }
+                        Op::Dropout(d) => {
+                            let d = DeviceId(u64::from(d));
+                            r.on_dropout(d, now);
+                            model.on_dropout(d, now);
+                        }
+                        Op::Tick(dt) => {
+                            now += u64::from(dt);
+                            r.on_tick(now);
+                            model.on_tick(now);
+                        }
+                    }
+                    prop_assert_eq!(r.phase(), model.phase);
+                    prop_assert_eq!(r.counters(), model.counters);
+                    prop_assert_eq!(r.outcome(), model.outcome);
+                    prop_assert_eq!(
+                        r.participants(),
+                        model.participants.keys().copied().collect::<Vec<_>>()
+                    );
+                    prop_assert_eq!(r.participation_times(), model.participation_times());
                 }
             }
 
