@@ -131,14 +131,18 @@ e2e_floor() {
   return "${status}"
 }
 run_step "e2e-floor" e2e_floor
-# `figures_output.txt` says what `figures` prints: the three reports that
-# are pure functions of the code (the Fig. 1 round trace, the pace-steering
-# regimes, the Sec. 4.3 pipelining model; milliseconds to run) are diffed
-# against their blocks of the committed file. The other blocks need the
-# ~5 min paper-scale run and are refreshed by redirect (EXPERIMENTS.md).
+# `figures_output.txt` says what `figures` prints: the reports that are
+# pure functions of the code and run in well under a second (the Fig. 1
+# round trace, the fleet's Figs. 5-9 and Table 1 from one seeded 20 000-
+# device, three-day `fl_sim::fleet::run`, the pace-steering regimes, the
+# Sec. 4.3 pipelining model) are diffed against their blocks of the
+# committed file, in the file's order. The other blocks need the ~5 min
+# paper-scale run and are refreshed by redirect (EXPERIMENTS.md).
 figures_static() {
-  diff <(cargo run --release -q -p fl-bench --bin figures -- fig1 pace pipeline) \
-    <(awk '/^=== / { keep = /^=== (Figure 1|Section 2\.3|Section 4\.3):/ } keep' figures_output.txt)
+  diff <(cargo run --release -q -p fl-bench --bin figures -- \
+    fig1 fig5 fig6 fig7 fig8 fig9 table1 pace pipeline) \
+    <(awk '/^=== / { keep = /^=== (Figure (1|5|6|7|8|9)|Table 1|Section 2\.3|Section 4\.3):/ } keep' \
+      figures_output.txt)
 }
 run_step "figures-static" figures_static
 # Size ledger (ROADMAP aim 2): non-test, non-comment Rust lines per
