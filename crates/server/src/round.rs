@@ -279,8 +279,7 @@ impl RoundState {
         };
         let participation_ms = now_ms.saturating_sub(at_ms);
         if !reporting {
-            // After the window closed (or before configuration) reports
-            // are late.
+            // After the window closed, reports are late.
             *state = ParticipantState::RejectedLate { participation_ms };
             self.rejected_late += 1;
             ReportResponse::RejectedLate
