@@ -136,11 +136,6 @@ impl<M: Send + 'static> ActorRef<M> {
         })
     }
 
-    /// The actor's name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Creates a detached reference/mailbox pair without a running actor —
     /// useful in tests and for adapting external event sources.
     pub fn detached(name: impl Into<String>) -> (ActorRef<M>, Receiver<M>) {
@@ -218,12 +213,6 @@ impl<M: Send + 'static> Context<M> {
         })
     }
 
-    /// The actor system, for spawning further actors ("in response to a
-    /// message, an actor can […] create more actors dynamically").
-    pub fn system(&self) -> &crate::system::ActorSystem {
-        &self.system
-    }
-
     /// Spawns a child actor named `"{parent}/{name}"`, making the
     /// supervision tree legible in obituaries: a Master Aggregator named
     /// `coordinator/master-r3` spawns shards `coordinator/master-r3/agg-0`
@@ -276,7 +265,7 @@ mod tests {
     fn refs_are_cloneable_and_debuggable() {
         let (r, _rx) = ActorRef::<()>::detached("a");
         let r2 = r.clone();
-        assert_eq!(r2.name(), "a");
+        assert_eq!(&*r2.name, "a");
         assert!(format!("{r2:?}").contains('a'));
     }
 }

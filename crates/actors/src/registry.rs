@@ -111,26 +111,10 @@ impl<T: Clone> LockingService<T> {
         self.inner.lock().entries.remove(name).is_some()
     }
 
-    /// Fenced eviction: removes `name` only if it is still held at
-    /// `epoch`. This is the form failure detectors must use — a detector
-    /// that watched incarnation `epoch` die cannot accidentally evict a
-    /// successor that has since re-acquired the name at a higher epoch.
-    /// Returns `true` if the stale entry was removed.
-    pub fn evict_stale(&self, name: &str, epoch: u64) -> bool {
-        let mut inner = self.inner.lock();
-        match inner.entries.get(name) {
-            Some(entry) if entry.epoch == epoch => {
-                inner.entries.remove(name);
-                true
-            }
-            _ => false,
-        }
-    }
-
     /// Fenced takeover: atomically replaces the owner of `name` with the
     /// caller, but only if the name is *still held at `epoch`* — the
     /// incarnation the caller observed die. This closes the TOCTOU window
-    /// in the `evict_stale` + `acquire` pair: between those two calls the
+    /// in a fenced evict followed by `acquire`: between those two calls the
     /// name can be freed for an unrelated reason (e.g. a successor
     /// spawned by a faster watcher shutting down cleanly and releasing
     /// its lease), and a laggard watcher still processing the original
@@ -209,21 +193,6 @@ mod tests {
     }
 
     #[test]
-    fn fenced_eviction_spares_the_successor() {
-        let svc = LockingService::new();
-        let old = svc.acquire("pop/a", 1).unwrap();
-        // The fenced eviction for the dead incarnation works once…
-        assert!(svc.evict_stale("pop/a", old.epoch));
-        assert!(!svc.evict_stale("pop/a", old.epoch));
-        // …and a second detector still holding the dead epoch cannot
-        // evict the respawned successor.
-        let new = svc.acquire("pop/a", 2).unwrap();
-        assert!(!svc.evict_stale("pop/a", old.epoch));
-        assert_eq!(svc.lookup("pop/a"), Some(2));
-        assert!(svc.release(&new));
-    }
-
-    #[test]
     fn fenced_takeover_succeeds_only_the_observed_incarnation() {
         let svc = LockingService::new();
         let dead = svc.acquire("pop/a", "gen-1").unwrap();
@@ -234,7 +203,7 @@ mod tests {
         assert!(svc.replace_stale("pop/a", dead.epoch, "gen-2b").is_none());
         assert_eq!(svc.lookup("pop/a"), Some("gen-2"));
 
-        // Regression for the evict_stale+acquire TOCTOU: once the
+        // Regression for the evict-then-acquire TOCTOU: once the
         // successor releases cleanly, a laggard watcher that saw only
         // gen-1's death must NOT be able to take the freed name — a bare
         // `acquire` here would have respawned a second coordinator.

@@ -120,6 +120,7 @@ pub struct ScriptedFaults {
 
 impl ScriptedFaults {
     /// Creates an empty script (everything delivers).
+    // fl-lint: allow(test-only-pub): the scripted crashes of fl-actors' and fl-server's live tests
     pub fn new() -> Self {
         ScriptedFaults::default()
     }
@@ -127,6 +128,7 @@ impl ScriptedFaults {
     /// Adds one scripted action: the `nth` (1-based) message delivered to
     /// `actor` gets `action`.
     #[must_use]
+    // fl-lint: allow(test-only-pub): the scripted crashes of fl-actors' and fl-server's live tests
     pub fn with(mut self, actor: impl Into<String>, nth: u64, action: FaultAction) -> Self {
         self.script.insert((actor.into(), nth), action);
         self
@@ -780,7 +782,7 @@ mod tests {
         type Msg = Arc<AtomicU64>;
         fn handle(&mut self, total: Arc<AtomicU64>, ctx: &mut Context<Self::Msg>) -> Flow {
             // Dynamically create a child actor (Sec. 4.1).
-            let child = ctx.system().spawn("child", Adder { total });
+            let child = ctx.spawn_child("child", Adder { total });
             child.send(42).unwrap();
             child.send(0).unwrap();
             Flow::Stop

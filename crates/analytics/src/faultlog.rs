@@ -42,21 +42,6 @@ impl FaultLog {
         });
     }
 
-    /// All entries in append order.
-    pub fn entries(&self) -> &[FaultLogEntry] {
-        &self.entries
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the log is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Entries of a given kind prefix (e.g. `inject.` or `recover.`).
     // fl-lint: allow(test-only-pub): tests/chaos_sweep.rs counts injected faults with it
     pub fn with_prefix<'a>(&'a self, prefix: &'a str) -> impl Iterator<Item = &'a FaultLogEntry> {
@@ -85,8 +70,8 @@ mod tests {
         let mut log = FaultLog::new();
         log.record(10, "inject.master-crash", "round 3 failed");
         log.record(12, "recover.respawn", "winner epoch=2");
-        assert_eq!(log.len(), 2);
-        assert!(!log.is_empty());
+        assert_eq!(log.entries.len(), 2);
+        assert!(!log.entries.is_empty());
         assert_eq!(
             log.render(),
             "t=10 inject.master-crash round 3 failed\nt=12 recover.respawn winner epoch=2\n"

@@ -271,27 +271,8 @@ impl OverloadMetrics {
         &self.alerts
     }
 
-    /// The accepted-check-ins series.
-    pub fn accepts(&self) -> &TimeSeries {
-        &self.accepts
-    }
-
-    /// The shed-check-ins series.
-    pub fn sheds(&self) -> &TimeSeries {
-        &self.sheds
-    }
-
-    /// The device-retries series.
-    pub fn retries(&self) -> &TimeSeries {
-        &self.retries
-    }
-
-    /// The stale-connection evictions series.
-    pub fn evictions(&self) -> &TimeSeries {
-        &self.evictions
-    }
-
     /// The SecAgg below-threshold shard-abort series.
+    // fl-lint: allow(test-only-pub): tests/secagg_live.rs reads the Aggregator's aborts from it
     pub fn secagg_aborts(&self) -> &TimeSeries {
         &self.secagg_aborts
     }
@@ -317,12 +298,6 @@ impl OverloadMetrics {
         self.position_of(population)
             .ok()
             .map(|at| &self.by_population[at].1)
-    }
-
-    /// Every population with recorded per-population telemetry, in name
-    /// order (deterministic for rendering).
-    pub fn populations(&self) -> Vec<&PopulationName> {
-        self.by_population.iter().map(|(name, _)| name).collect()
     }
 
     /// Renders the per-population series as an ASCII dashboard panel
@@ -456,9 +431,9 @@ mod tests {
         m.record_shed_for(&pop(), 10);
         m.record_retry_for(&pop(), 20);
         m.record_retry_for(&pop(), 1_500);
-        assert_eq!(m.accepts().sums(), vec![1.0]);
-        assert_eq!(m.sheds().sums(), vec![1.0]);
-        assert_eq!(m.retries().sums(), vec![1.0, 1.0]);
+        assert_eq!(m.accepts.sums(), vec![1.0]);
+        assert_eq!(m.sheds.sums(), vec![1.0]);
+        assert_eq!(m.retries.sums(), vec![1.0, 1.0]);
     }
 
     #[test]
@@ -501,9 +476,9 @@ mod tests {
         m.record_retry_for(&b, 40);
         m.finalize(1_000);
         // Aggregates include every per-population event.
-        assert_eq!(m.accepts().sums(), vec![3.0]);
-        assert_eq!(m.sheds().sums(), vec![1.0]);
-        assert_eq!(m.retries().sums(), vec![1.0]);
+        assert_eq!(m.accepts.sums(), vec![3.0]);
+        assert_eq!(m.sheds.sums(), vec![1.0]);
+        assert_eq!(m.retries.sums(), vec![1.0]);
         // The split is by claimed population.
         let sa = m.population_series(&a).unwrap();
         assert_eq!(sa.accepts.sums(), vec![2.0]);
@@ -512,7 +487,8 @@ mod tests {
         assert_eq!(sb.accepts.sums(), vec![1.0]);
         assert_eq!(sb.sheds.sums(), vec![1.0]);
         assert_eq!(sb.retries.sums(), vec![1.0]);
-        assert_eq!(m.populations(), vec![&a, &b]);
+        let names: Vec<_> = m.by_population.iter().map(|(name, _)| name).collect();
+        assert_eq!(names, vec![&a, &b]);
         // The shed fraction is still computed over the whole fleet.
         assert_eq!(m.shed_fractions(), &[0.25]);
     }
@@ -524,7 +500,7 @@ mod tests {
         m.record_evict(10);
         m.record_evict(20);
         m.finalize(1_000);
-        assert_eq!(m.evictions().sums(), vec![2.0]);
+        assert_eq!(m.evictions.sums(), vec![2.0]);
         // The only closed bucket saw one accept and no sheds.
         assert_eq!(m.shed_fractions(), &[0.0]);
     }

@@ -7,7 +7,6 @@
 //! [`SessionShapeTable`] counts session-shape strings across the fleet and
 //! renders the distribution table of Table 1.
 
-use fl_core::SessionLog;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -24,11 +23,6 @@ impl SessionShapeTable {
         SessionShapeTable::default()
     }
 
-    /// Records one completed session.
-    pub fn record(&mut self, log: &SessionLog) {
-        self.record_shape(&log.shape());
-    }
-
     /// Records a shape string directly (for pre-aggregated feeds); a shape
     /// already in the table is counted without allocating.
     pub fn record_shape(&mut self, shape: &str) {
@@ -39,25 +33,6 @@ impl SessionShapeTable {
             }
         }
         self.total += 1;
-    }
-
-    /// Total sessions recorded.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Count for one shape.
-    pub fn count(&self, shape: &str) -> u64 {
-        self.counts.get(shape).copied().unwrap_or(0)
-    }
-
-    /// Fraction of sessions with the given shape.
-    pub fn fraction(&self, shape: &str) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.count(shape) as f64 / self.total as f64
-        }
     }
 
     /// Rows sorted by descending count: `(shape, count, percent)`.
@@ -98,12 +73,18 @@ mod tests {
     use super::*;
     use fl_core::events::DeviceEvent;
 
-    fn session(events: &[DeviceEvent]) -> SessionLog {
-        let mut log = SessionLog::new();
-        for (i, &e) in events.iter().enumerate() {
-            log.record(i as u64, e);
+    fn session(events: &[DeviceEvent]) -> String {
+        events.iter().map(DeviceEvent::glyph).collect()
+    }
+
+    impl SessionShapeTable {
+        fn count(&self, shape: &str) -> u64 {
+            self.counts.get(shape).copied().unwrap_or(0)
         }
-        log
+
+        fn fraction(&self, shape: &str) -> f64 {
+            self.count(shape) as f64 / self.total as f64
+        }
     }
 
     #[test]
@@ -124,10 +105,10 @@ mod tests {
             DeviceEvent::Interrupted,
         ]);
         for _ in 0..3 {
-            table.record(&ok);
+            table.record_shape(&ok);
         }
-        table.record(&interrupted);
-        assert_eq!(table.total(), 4);
+        table.record_shape(&interrupted);
+        assert_eq!(table.total, 4);
         assert_eq!(table.count("-v[]+^"), 3);
         assert!((table.fraction("-v[]+^") - 0.75).abs() < 1e-12);
         assert!((table.fraction("-v[!") - 0.25).abs() < 1e-12);

@@ -67,16 +67,6 @@ impl TimeSeries {
             .collect()
     }
 
-    /// Number of buckets spanned so far.
-    pub fn len(&self) -> usize {
-        self.buckets.len()
-    }
-
-    /// Whether no observations were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.buckets.is_empty()
-    }
-
     /// Bucket width in milliseconds.
     pub fn bucket_ms(&self) -> u64 {
         self.bucket_ms
@@ -107,7 +97,7 @@ mod tests {
         ts.increment(900);
         ts.increment(1_100);
         assert_eq!(ts.sums(), vec![2.0, 1.0]);
-        assert_eq!(ts.len(), 2);
+        assert_eq!(ts.buckets.len(), 2);
     }
 
     #[test]

@@ -48,11 +48,6 @@ impl FlCheckpoint {
         self.params.len()
     }
 
-    /// Whether the checkpoint holds no parameters.
-    pub fn is_empty(&self) -> bool {
-        self.params.is_empty()
-    }
-
     /// Consumes the checkpoint, returning the parameters.
     pub fn into_params(self) -> Vec<f32> {
         self.params
@@ -159,7 +154,6 @@ mod tests {
     fn empty_params_round_trip() {
         let ck = FlCheckpoint::new("t", RoundId(0), vec![]);
         let back = FlCheckpoint::from_bytes(&ck.to_bytes()).unwrap();
-        assert!(back.is_empty());
         assert_eq!(back.len(), 0);
     }
 

@@ -54,7 +54,7 @@ pub mod traffic;
 
 pub use checkpoint::FlCheckpoint;
 pub use error::CoreError;
-pub use events::{DeviceEvent, SessionLog};
+pub use events::DeviceEvent;
 pub use plan::FlPlan;
 pub use population::{FlTask, PopulationName, TaskKind};
 pub use retry::RetryPolicy;

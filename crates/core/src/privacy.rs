@@ -29,24 +29,6 @@ pub struct DpConfig {
 }
 
 impl DpConfig {
-    /// Creates a config.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `clip_norm <= 0` or `noise_multiplier < 0`.
-    pub fn new(clip_norm: f32, noise_multiplier: f64, noise_seed: u64) -> Self {
-        assert!(clip_norm > 0.0, "clip norm must be positive");
-        assert!(
-            noise_multiplier >= 0.0,
-            "noise multiplier must be non-negative"
-        );
-        DpConfig {
-            clip_norm,
-            noise_multiplier,
-            noise_seed,
-        }
-    }
-
     /// The noise standard deviation applied to the aggregate sum.
     pub fn sigma(&self) -> f64 {
         self.noise_multiplier * f64::from(self.clip_norm)
@@ -91,15 +73,21 @@ mod tests {
 
     #[test]
     fn sigma_scales_with_both_parameters() {
-        let dp = DpConfig::new(2.0, 1.5, 0);
+        let dp = DpConfig {
+            clip_norm: 2.0,
+            noise_multiplier: 1.5,
+            noise_seed: 0,
+        };
         assert!((dp.sigma() - 3.0).abs() < 1e-12);
-        assert_eq!(DpConfig::new(2.0, 0.0, 0).sigma(), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "clip norm must be positive")]
-    fn rejects_bad_clip() {
-        let _ = DpConfig::new(0.0, 1.0, 0);
+        assert_eq!(
+            DpConfig {
+                clip_norm: 2.0,
+                noise_multiplier: 0.0,
+                noise_seed: 0
+            }
+            .sigma(),
+            0.0
+        );
     }
 
     #[test]

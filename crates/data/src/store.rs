@@ -134,11 +134,6 @@ impl InMemoryStore {
         self.bytes
     }
 
-    /// The store's configuration.
-    pub fn config(&self) -> &StoreConfig {
-        &self.config
-    }
-
     fn held_out_split(&self, fraction: f64) -> usize {
         let held = (self.entries.len() as f64 * fraction).round() as usize;
         self.entries.len().saturating_sub(held)

@@ -65,11 +65,6 @@ impl FederatedClassification {
     pub fn total_examples(&self) -> usize {
         self.users.iter().map(Vec::len).sum()
     }
-
-    /// All training examples flattened (for centralized baselines).
-    pub fn centralized(&self) -> Vec<Example> {
-        self.users.iter().flatten().cloned().collect()
-    }
 }
 
 /// Generates a federated classification dataset.
@@ -201,7 +196,7 @@ mod tests {
             noise: 0.5,
             ..Default::default()
         });
-        let train = data.centralized();
+        let train = data.users.concat();
         let mut model = LogisticRegression::new(16, 4, 0);
         let mut opt = Sgd::new(0.3);
         for _ in 0..60 {

@@ -167,16 +167,6 @@ impl ConnectivityManager {
         self.consecutive_failures = 0;
     }
 
-    /// Consecutive failures since the last success.
-    pub fn consecutive_failures(&self) -> u32 {
-        self.consecutive_failures
-    }
-
-    /// Attempts charged against the current budget window.
-    pub fn attempts_in_window(&self) -> u32 {
-        self.attempts_in_window
-    }
-
     /// Total rejected/failed attempts observed over the manager's life.
     pub fn retries_total(&self) -> u64 {
         self.retries_total
@@ -186,11 +176,6 @@ impl ConnectivityManager {
     pub fn budget_exhaustions_total(&self) -> u64 {
         self.budget_exhaustions_total
     }
-
-    /// The policy in force.
-    pub fn policy(&self) -> &RetryPolicy {
-        &self.policy
-    }
 }
 
 #[cfg(test)]
@@ -198,6 +183,18 @@ mod tests {
     use super::*;
     use crate::conditions::DeviceConditions;
     use fl_ml::rng::seeded;
+
+    impl ConnectivityManager {
+        /// Consecutive failures since the last success.
+        pub(crate) fn consecutive_failures(&self) -> u32 {
+            self.consecutive_failures
+        }
+
+        /// Attempts charged against the current budget window.
+        pub(crate) fn attempts_in_window(&self) -> u32 {
+            self.attempts_in_window
+        }
+    }
 
     fn policy() -> RetryPolicy {
         RetryPolicy {

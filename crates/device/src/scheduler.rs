@@ -72,11 +72,6 @@ pub struct TrainingQueue {
 }
 
 impl TrainingQueue {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        TrainingQueue::default()
-    }
-
     /// Registers a population (an app configuring the FL runtime).
     /// Duplicate registrations are ignored.
     pub fn register(&mut self, population: PopulationName) {
@@ -186,7 +181,7 @@ mod tests {
 
     #[test]
     fn queue_runs_one_session_at_a_time() {
-        let mut q = TrainingQueue::new();
+        let mut q = TrainingQueue::default();
         q.register(PopulationName::new("a"));
         q.register(PopulationName::new("b"));
         let first = q.start_next().unwrap();
@@ -199,7 +194,7 @@ mod tests {
 
     #[test]
     fn finished_sessions_requeue_round_robin() {
-        let mut q = TrainingQueue::new();
+        let mut q = TrainingQueue::default();
         q.register(PopulationName::new("a"));
         q.register(PopulationName::new("b"));
         let mut order = Vec::new();
@@ -213,7 +208,7 @@ mod tests {
 
     #[test]
     fn duplicate_registration_ignored() {
-        let mut q = TrainingQueue::new();
+        let mut q = TrainingQueue::default();
         q.register(PopulationName::new("a"));
         q.register(PopulationName::new("a"));
         assert_eq!(q.waiting(), 1);

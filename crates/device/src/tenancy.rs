@@ -158,11 +158,6 @@ impl DeviceTenancy {
         }
     }
 
-    /// The population whose training session is currently running.
-    pub fn active(&self) -> Option<&PopulationName> {
-        self.queue.active()
-    }
-
     /// Read access to one population's lane.
     pub fn lane(&self, population: &PopulationName) -> Option<&PopulationLane> {
         self.lanes.get(population)
@@ -212,7 +207,7 @@ mod tests {
         // deferred through its own backoff with its budget charged.
         let winner = t.start_session(0, DeviceConditions::eligible(), &mut rng);
         assert_eq!(winner, Some(pop("a")));
-        assert_eq!(t.active(), Some(&pop("a")));
+        assert_eq!(t.queue.active(), Some(&pop("a")));
         let b_lane = t.lane(&pop("b")).unwrap();
         assert!(b_lane.scheduler.next_due_ms() > 0, "loser deferred");
         assert_eq!(b_lane.connectivity.attempts_in_window(), 1, "loser charged");
@@ -227,7 +222,7 @@ mod tests {
 
         // Session ends; "b" runs at its deferred time.
         t.finish_session();
-        assert_eq!(t.active(), None);
+        assert_eq!(t.queue.active(), None);
         let winner = t.start_session(b_due + 1, DeviceConditions::eligible(), &mut rng);
         assert_eq!(winner, Some(pop("b")));
     }

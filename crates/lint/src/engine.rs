@@ -459,41 +459,28 @@ pub fn workspace_files(root: &Path) -> Vec<PathBuf> {
 }
 
 fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return;
-    };
-    for entry in entries.flatten() {
-        let path = entry.path();
-        let name = entry.file_name();
-        let name = name.to_string_lossy();
-        if path.is_dir() {
-            if matches!(name.as_ref(), "target" | "vendor" | ".git" | "fixtures") {
-                continue;
-            }
-            collect_rs(&path, out);
-        } else if name.ends_with(".rs") {
-            out.push(path);
-        }
-    }
+    walk(
+        dir,
+        &["target", "vendor", "fixtures"],
+        |name| name.ends_with(".rs"),
+        out,
+    );
 }
 
-/// Like [`collect_rs`] but *keeping* fixture trees: the wall-clock
-/// allowlist audit counts escapes everywhere under `crates/`, fixtures
-/// included, because the shell audit it replaced did.
-fn collect_rs_with_fixtures(dir: &Path, out: &mut Vec<PathBuf>) {
+/// Appends to `out` the path of every file under `dir` whose name `keep`
+/// accepts, outside hidden directories and those named in `skip`.
+pub(crate) fn walk(dir: &Path, skip: &[&str], keep: fn(&str) -> bool, out: &mut Vec<PathBuf>) {
     let Ok(entries) = std::fs::read_dir(dir) else {
         return;
     };
     for entry in entries.flatten() {
         let path = entry.path();
-        let name = entry.file_name();
-        let name = name.to_string_lossy();
+        let name = entry.file_name().to_string_lossy().into_owned();
         if path.is_dir() {
-            if matches!(name.as_ref(), "target" | "vendor" | ".git") {
-                continue;
+            if !name.starts_with('.') && !skip.contains(&name.as_str()) {
+                walk(&path, skip, keep, out);
             }
-            collect_rs_with_fixtures(&path, out);
-        } else if name.ends_with(".rs") {
+        } else if keep(&name) {
             out.push(path);
         }
     }
@@ -516,8 +503,14 @@ pub fn audit_wall_clock_allowlist(root: &Path) -> Vec<Finding> {
     let needle: String = ["fl-lint: allow", "(wall-clock)"].concat();
     let mut findings = Vec::new();
 
+    // Fixture trees count too: the shell audit this replaced read them.
     let mut files = Vec::new();
-    collect_rs_with_fixtures(&root.join("crates"), &mut files);
+    walk(
+        &root.join("crates"),
+        &["target", "vendor"],
+        |name| name.ends_with(".rs"),
+        &mut files,
+    );
     files.sort();
     let mut actual: std::collections::BTreeMap<String, u64> = Default::default();
     for path in files {
@@ -610,117 +603,12 @@ pub fn audit_wall_clock_allowlist(root: &Path) -> Vec<Finding> {
     findings
 }
 
-/// Rule id of the [`audit_test_only_pub`] audit.
+/// Rule id of the compiler-run audit [`crate::dead_pub`], whose allow
+/// comments the per-file pass must accept.
 pub const TEST_ONLY_PUB: &str = "test-only-pub";
 
-/// Whether `rel` is a tree the `test-only-pub` audit reads: a crate's
-/// `src/`, the root package's `src/`, `examples/`, or `benchmark/src`.
-fn in_caller_tree(rel: &str) -> bool {
-    is_crate_src(rel)
-        || rel.starts_with("src/")
-        || rel.starts_with("examples/")
-        || rel.starts_with("benchmark/src/")
-}
-
-/// Whether `rel` lies under some `crates/<name>/src/`.
-fn is_crate_src(rel: &str) -> bool {
-    let mut parts = rel.split('/');
-    parts.next() == Some("crates") && parts.nth(1) == Some("src")
-}
-
-/// The `test-only-pub` audit over `(rel, src)` pairs: a `pub fn`
-/// outside test code in `crates/*/src` whose name no non-test code of
-/// any of the files names (its own definition aside) is a finding,
-/// unless `// fl-lint: allow(test-only-pub): why` covers its line.
-/// Callers are matched by name, so any function sharing the name counts
-/// as one.
-pub fn test_only_pub(files: &[(String, String)]) -> Vec<Finding> {
-    let mut used: HashSet<String> = HashSet::new();
-    let mut defined: Vec<(&str, u32, String)> = Vec::new();
-    for (rel, src) in files.iter().filter(|(rel, _)| in_caller_tree(rel)) {
-        let ctx = FileContext::new(src);
-        let sig = ctx.sig();
-        let mut names: HashSet<usize> = HashSet::new();
-        for (k, &i) in sig.iter().enumerate() {
-            if !ctx.is_ident(i, "pub") || ctx.is_test_line(ctx.line_of(i)) {
-                continue;
-            }
-            // `pub fn`, `pub const fn`, `pub unsafe fn`, `pub async fn`:
-            // the name follows `fn`.
-            let qualifiers = sig[k + 1..]
-                .iter()
-                .take_while(|&&j| {
-                    ["const", "unsafe", "async"]
-                        .iter()
-                        .any(|q| ctx.is_ident(j, q))
-                })
-                .count();
-            let f = k + 1 + qualifiers;
-            if !sig.get(f).is_some_and(|&j| ctx.is_ident(j, "fn")) {
-                continue;
-            }
-            let Some(&name) = sig.get(f + 1) else {
-                continue;
-            };
-            names.insert(name);
-            let line = ctx.line_of(i);
-            if is_crate_src(rel) && !ctx.is_allowed(TEST_ONLY_PUB, line) {
-                defined.push((rel, line, ctx.text(name).to_string()));
-            }
-        }
-        for &i in sig {
-            if ctx.tok(i).kind == TokenKind::Ident
-                && !names.contains(&i)
-                && !ctx.is_test_line(ctx.line_of(i))
-            {
-                used.insert(ctx.text(i).to_string());
-            }
-        }
-    }
-    defined
-        .into_iter()
-        .filter(|(_, _, name)| !used.contains(name))
-        .map(|(rel, line, name)| Finding {
-            file: rel.to_string(),
-            line,
-            rule: TEST_ONLY_PUB,
-            message: format!("`pub fn {name}` has no caller outside tests"),
-            hint: "delete it with the tests of it alone, or say why it stays in a \
-                   `fl-lint: allow(test-only-pub)` comment",
-        })
-        .collect()
-}
-
-/// Audit `test-only-pub` over the workspace rooted at `root`: reads
-/// `crates/*/src`, `src/`, `examples/` and `benchmark/src` and applies
-/// [`test_only_pub`].
-pub fn audit_test_only_pub(root: &Path) -> Vec<Finding> {
-    let mut paths = Vec::new();
-    for top in ["crates", "src", "examples", "benchmark/src"] {
-        collect_rs(&root.join(top), &mut paths);
-    }
-    paths.sort();
-    let mut files = Vec::new();
-    let mut findings = Vec::new();
-    for path in paths {
-        let rel = relative(root, &path);
-        match std::fs::read_to_string(&path) {
-            Ok(src) => files.push((rel, src)),
-            Err(err) => findings.push(Finding {
-                file: rel,
-                line: 0,
-                rule: TEST_ONLY_PUB,
-                message: format!("could not read file for the test-only-pub audit: {err}"),
-                hint: "the audit must see every caller",
-            }),
-        }
-    }
-    findings.extend(test_only_pub(&files));
-    findings
-}
-
 /// `path` relative to `root`, `/`-separated.
-fn relative(root: &Path, path: &Path) -> String {
+pub(crate) fn relative(root: &Path, path: &Path) -> String {
     path.strip_prefix(root)
         .unwrap_or(path)
         .components()
@@ -750,7 +638,6 @@ pub fn lint_workspace(root: &Path) -> (Vec<Finding>, usize) {
         }
     }
     findings.extend(audit_wall_clock_allowlist(root));
-    findings.extend(audit_test_only_pub(root));
     findings.sort_by(|a, b| {
         a.file
             .cmp(&b.file)

@@ -14,12 +14,18 @@
 //!   checker plus path scoping and a fix hint.
 //! - [`engine`]: file walking, `#[cfg(test)]` span detection, the
 //!   `// fl-lint: allow(<rule>): why` escape hatch, finding assembly,
-//!   and the two workspace audits (`allowlist-drift`, `test-only-pub`).
+//!   and the `allowlist-drift` workspace audit.
+//! - [`dead_pub`]: the `test-only-pub` audit, which asks the compiler
+//!   which `pub fn`s of `crates/*/src` only tests reach: it demotes them
+//!   to `pub(crate)` in a mirror of the workspace under `target/` and
+//!   reads `cargo check`'s privacy errors and dead-code warnings.
 //!
 //! Run it as `cargo run -p fl-lint` (non-zero exit on violations) or
-//! via the integration test that makes it part of tier-1 `cargo test`.
-//! `scripts/check.sh` chains build, tests, and this gate.
+//! via the integration test that makes it part of tier-1 `cargo test`;
+//! `cargo run -p fl-lint -- --dead-pub` runs the compiler audit, which
+//! only `scripts/check.sh` runs, after this gate.
 
+pub mod dead_pub;
 pub mod engine;
 pub mod rules;
 pub mod tokens;

@@ -306,7 +306,11 @@ fn scan_plain_string(chars: &[(usize, char)], open: usize) -> (usize, u32) {
     let mut j = open + 1;
     while j < n {
         match chars[j].1 {
-            '\\' => j += 2,
+            '\\' => {
+                // A `\` line continuation escapes a newline too.
+                newlines += u32::from(chars.get(j + 1).is_some_and(|c| c.1 == '\n'));
+                j += 2;
+            }
             '\n' => {
                 newlines += 1;
                 j += 1;
@@ -430,6 +434,13 @@ let d = '\'';
             .find(|t| t.text(src) == "b")
             .expect("token b present");
         assert_eq!(b_tok.line, 4);
+        // A `\` line continuation still ends its line.
+        let src = "let a = \"one \\\n two\";\nlet b = 2;";
+        let b_tok = tokenize(src)
+            .into_iter()
+            .find(|t| t.text(src) == "b")
+            .unwrap();
+        assert_eq!(b_tok.line, 3);
     }
 
     #[test]

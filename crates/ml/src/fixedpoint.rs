@@ -103,11 +103,6 @@ impl FixedPointEncoder {
         (self.clip * self.scale()).ceil() as u64
     }
 
-    /// Maximum summands this encoder supports.
-    pub fn max_summands(&self) -> u64 {
-        self.max_summands
-    }
-
     /// Encodes one value on a grid of `scale` steps per unit shifted by
     /// `offset` (this encoder's [`Self::scale`] and [`Self::offset`], which
     /// a vector's worth of values computes once).
@@ -243,10 +238,10 @@ mod tests {
     #[test]
     fn default_encoder_fits_field() {
         let enc = FixedPointEncoder::default_for_updates();
-        assert!(enc.max_summands() >= 1 << 16);
+        assert!(enc.max_summands >= 1 << 16);
         // Encoded max value times max summands stays under the prime.
         let max_encoded = enc.encode_value(8.0).unwrap();
-        assert!(u128::from(max_encoded) * u128::from(enc.max_summands()) < u128::from(FIELD_PRIME));
+        assert!(u128::from(max_encoded) * u128::from(enc.max_summands) < u128::from(FIELD_PRIME));
     }
 
     #[test]

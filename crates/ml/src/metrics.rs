@@ -11,14 +11,11 @@ use crate::linalg::argmax;
 use crate::model::{Example, Label, MlError, Model};
 use serde::{Deserialize, Serialize};
 
-/// Single-pass mean/variance/min/max accumulator (Welford).
+/// Single-pass count and mean accumulator.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct StreamingMoments {
     count: u64,
     mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
 }
 
 impl StreamingMoments {
@@ -27,76 +24,29 @@ impl StreamingMoments {
         StreamingMoments {
             count: 0,
             mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
         }
     }
 
     /// Folds one observation in.
     pub fn push(&mut self, x: f64) {
         self.count += 1;
-        let d = x - self.mean;
-        self.mean += d / self.count as f64;
-        self.m2 += d * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
+        self.mean += (x - self.mean) / self.count as f64;
     }
 
     /// Number of observations.
+    // fl-lint: allow(test-only-pub): fl-server's metric tests count the reports a round folded (Sec. 7.4)
     pub fn count(&self) -> u64 {
         self.count
     }
 
     /// Mean of observations (0 when empty).
+    // fl-lint: allow(test-only-pub): tests/train_eval_cycle.rs reads the eval rounds' accuracy (Sec. 7.4)
     pub fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
             self.mean
         }
-    }
-
-    /// Population variance (0 for fewer than 2 observations).
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Minimum (None when empty).
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Maximum (None when empty).
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
-    }
-
-    /// Merges another accumulator into this one (parallel Welford).
-    pub fn merge(&mut self, other: &StreamingMoments) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let total = self.count + other.count;
-        let d = other.mean - self.mean;
-        self.mean += d * other.count as f64 / total as f64;
-        self.m2 += other.m2 + d * d * (self.count as f64 * other.count as f64) / total as f64;
-        self.count = total;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 }
 
@@ -206,12 +156,8 @@ impl P2Quantile {
         self.q[i] + s * (self.q[j] - self.q[i]) / (self.n[j] - self.n[i])
     }
 
-    /// Number of observations so far.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
     /// Current quantile estimate (exact while fewer than five observations).
+    // fl-lint: allow(test-only-pub): Sec. 7.4's approximate order statistics, read by fl-server's tests
     pub fn estimate(&self) -> Option<f64> {
         if self.count == 0 {
             return None;
@@ -336,30 +282,6 @@ mod tests {
         }
         assert_eq!(m.count(), 4);
         assert!((m.mean() - 2.5).abs() < 1e-12);
-        assert!((m.variance() - 1.25).abs() < 1e-12);
-        assert_eq!(m.min(), Some(1.0));
-        assert_eq!(m.max(), Some(4.0));
-    }
-
-    #[test]
-    fn moments_merge_equals_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut all = StreamingMoments::new();
-        for &x in &xs {
-            all.push(x);
-        }
-        let mut a = StreamingMoments::new();
-        let mut b = StreamingMoments::new();
-        for &x in &xs[..37] {
-            a.push(x);
-        }
-        for &x in &xs[37..] {
-            b.push(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), all.count());
-        assert!((a.mean() - all.mean()).abs() < 1e-9);
-        assert!((a.variance() - all.variance()).abs() < 1e-9);
     }
 
     #[test]
@@ -407,7 +329,7 @@ mod tests {
         for x in [0.3, 0.2, 0.1] {
             q.push(x);
         }
-        assert_eq!(q.count(), 6);
+        assert_eq!(q.count, 6);
     }
 
     #[test]

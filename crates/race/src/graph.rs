@@ -251,6 +251,7 @@ impl LockGraph {
     /// Renders the graph as a deterministic report: byte-identical for
     /// identical observation histories (all state is kept in sorted
     /// maps), in the spirit of the simulator's `ScenarioOutcome::render`.
+    // fl-lint: allow(test-only-pub): tests/lock_audit.rs prints the graph when the gate fails
     pub fn render(&self) -> String {
         let (sites, edges, violations) = {
             let st = self.state();

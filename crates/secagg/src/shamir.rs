@@ -23,6 +23,7 @@ pub struct Share {
 /// # Panics
 ///
 /// Panics unless `1 <= t <= n` and `n` fits the field.
+// fl-lint: allow(test-only-pub): the one-shot reference shamir's tests hold Polynomial::share to
 pub fn share<R: rand::Rng>(secret: u64, n: usize, t: usize, rng: &mut R) -> Vec<Share> {
     assert!(t >= 1 && t <= n, "threshold must satisfy 1 <= t <= n");
     assert!((n as u64) < field::PRIME, "too many shares for the field");
@@ -66,6 +67,7 @@ impl Polynomial {
 /// Returns [`SecAggError::ReconstructionFailed`] if fewer than `t` shares
 /// are provided, or a point among the first `t` is zero, outside the field
 /// or repeated.
+// fl-lint: allow(test-only-pub): the one-shot reference shamir's tests hold Interpolator to
 pub fn reconstruct(shares: &[Share], t: usize) -> Result<u64, SecAggError> {
     Interpolator::default().reconstruct(shares, t)
 }

@@ -1349,7 +1349,11 @@ mod tests {
         use fl_core::privacy::DpConfig;
         let dim = 4;
         let codec = CodecSpec::Identity;
-        let plan = AggregationPlan::plain(dim, 100).with_dp(DpConfig::new(1.0, 0.0, 9));
+        let plan = AggregationPlan::plain(dim, 100).with_dp(DpConfig {
+            clip_norm: 1.0,
+            noise_multiplier: 0.0,
+            noise_seed: 9,
+        });
         let mut master = MasterAggregator::new(plan, codec, 2, 1);
         // One enormous update and one tiny one, equal weights.
         master
@@ -1386,12 +1390,28 @@ mod tests {
         };
         let plain = run(None);
         // Huge clip + zero noise: identical to plain aggregation.
-        let dp_zero = run(Some(DpConfig::new(1e6, 0.0, 7)));
+        let dp_zero = run(Some(DpConfig {
+            clip_norm: 1e6,
+            noise_multiplier: 0.0,
+            noise_seed: 7,
+        }));
         assert_eq!(plain, dp_zero);
         // Non-zero noise perturbs, deterministically per seed.
-        let noisy_a = run(Some(DpConfig::new(1e6, 0.5, 7)));
-        let noisy_b = run(Some(DpConfig::new(1e6, 0.5, 7)));
-        let noisy_c = run(Some(DpConfig::new(1e6, 0.5, 8)));
+        let noisy_a = run(Some(DpConfig {
+            clip_norm: 1e6,
+            noise_multiplier: 0.5,
+            noise_seed: 7,
+        }));
+        let noisy_b = run(Some(DpConfig {
+            clip_norm: 1e6,
+            noise_multiplier: 0.5,
+            noise_seed: 7,
+        }));
+        let noisy_c = run(Some(DpConfig {
+            clip_norm: 1e6,
+            noise_multiplier: 0.5,
+            noise_seed: 8,
+        }));
         assert_eq!(noisy_a, noisy_b);
         assert_ne!(noisy_a, noisy_c);
         assert_ne!(noisy_a, plain);

@@ -189,13 +189,6 @@ impl<S: CheckpointStore> Coordinator<S> {
         &self.config.population
     }
 
-    /// SecAgg shards that aborted below threshold across every completed
-    /// round so far. Aborted shards cost their group's contributions;
-    /// the round still commits from the surviving shards.
-    pub fn secagg_shard_aborts(&self) -> u64 {
-        self.secagg_shard_aborts
-    }
-
     /// Read access to the checkpoint store.
     pub fn store(&self) -> &S {
         &self.store
@@ -829,11 +822,11 @@ mod tests {
         let (loss, accuracy) = (&summaries[0], &summaries[1]);
         for summary in [loss, accuracy] {
             assert_eq!(summary.moments.count(), 4, "{}", summary.name);
-            assert_eq!(summary.p50.count(), 4, "{}", summary.name);
-            assert_eq!(summary.p90.count(), 4, "{}", summary.name);
+            assert!(summary.p50.estimate().is_some(), "{}", summary.name);
+            assert!(summary.p90.estimate().is_some(), "{}", summary.name);
         }
         assert!((loss.moments.mean() - 0.35).abs() < 1e-12);
-        assert_eq!(accuracy.moments.max(), Some(0.9));
+        assert!((accuracy.moments.mean() - 0.8).abs() < 1e-12);
     }
 
     /// Evaluation rounds run in turn and have no Master Aggregator.

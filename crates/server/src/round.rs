@@ -156,11 +156,6 @@ impl RoundState {
         self.phase
     }
 
-    /// The round configuration.
-    pub fn config(&self) -> &RoundConfig {
-        &self.config
-    }
-
     /// Devices configured into the round (empty during Selection).
     pub fn participants(&self) -> Vec<DeviceId> {
         self.participants.iter().map(|&(d, _)| d).collect()
@@ -905,8 +900,8 @@ mod tests {
                 if let Some(RoundOutcome::Committed { incorporated, aborted, dropped_out }) = r.outcome() {
                     let participants = r.participants().len();
                     prop_assert!(incorporated + aborted + dropped_out <= participants);
-                    prop_assert!(incorporated >= r.config().min_to_start()
-                        || incorporated >= r.config().goal_count);
+                    prop_assert!(incorporated >= r.config.min_to_start()
+                        || incorporated >= r.config.goal_count);
                 }
             }
 
@@ -972,7 +967,7 @@ mod tests {
                 if r.outcome().is_some() {
                     for (_, state, t) in r.participation_times() {
                         if state == "aborted" {
-                            prop_assert!(t <= r.config().device_cap_ms);
+                            prop_assert!(t <= r.config.device_cap_ms);
                         }
                     }
                 }

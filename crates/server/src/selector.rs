@@ -107,10 +107,7 @@ pub struct Selector {
     /// Selectors; consulted only for check-ins that would otherwise be
     /// accepted, so local rejections never burn global slots.
     global: Option<GlobalAdmissionBudget>,
-    shed_global_total: u64,
     evicted_total: u64,
-    /// Check-ins naming a population nobody registered here.
-    unknown_population_total: u64,
     rng: StdRng,
 }
 
@@ -128,9 +125,7 @@ impl Selector {
             pace: PaceController::new(pace, population_estimate, controller_config),
             admission: None,
             global: None,
-            shed_global_total: 0,
             evicted_total: 0,
-            unknown_population_total: 0,
             rng: rng::seeded(seed),
         }
     }
@@ -255,7 +250,6 @@ impl Selector {
     ) -> CheckinDecision {
         self.pace.on_arrival(now_ms);
         let Some(row) = self.row_of(population) else {
-            self.unknown_population_total += 1;
             return CheckinDecision::Reject {
                 retry_at_ms: self.suggest_reconnect(now_ms, activity_factor),
             };
@@ -273,7 +267,6 @@ impl Selector {
         if held < quota && !self.connected.contains_key(&device) {
             if let Some(budget) = &self.global {
                 if !budget.try_admit_for(now_ms, population) {
-                    self.shed_global_total += 1;
                     return self.shed(row, ShedReason::GlobalBudget, now_ms, activity_factor);
                 }
             }
@@ -347,31 +340,9 @@ impl Selector {
         self.row(population).map_or(0, |row| row.shed)
     }
 
-    /// Total check-ins shed by the admission controller or the global
-    /// budget, across every population.
-    pub fn shed_total(&self) -> u64 {
-        self.populations.iter().map(|row| row.shed).sum()
-    }
-
-    /// Total check-ins shed by the shared global budget specifically.
-    pub fn shed_global_total(&self) -> u64 {
-        self.shed_global_total
-    }
-
-    /// The shared global admission budget, if attached.
-    pub fn global_budget(&self) -> Option<&GlobalAdmissionBudget> {
-        self.global.as_ref()
-    }
-
     /// Total stale connections evicted.
     pub fn evicted_total(&self) -> u64 {
         self.evicted_total
-    }
-
-    /// Check-ins refused because they named a population nobody
-    /// registered on this Selector.
-    pub fn unknown_population_total(&self) -> u64 {
-        self.unknown_population_total
     }
 
     /// Coordinator instruction: forward up to `k` devices held for
@@ -415,6 +386,14 @@ impl Selector {
 mod tests {
     use super::*;
     use std::collections::BTreeSet;
+
+    impl Selector {
+        /// Check-ins shed by the admission controller or the global
+        /// budget, across every population.
+        fn shed_total(&self) -> u64 {
+            self.populations.iter().map(|row| row.shed).sum()
+        }
+    }
 
     /// The one population of the single-tenant cases.
     fn pop() -> PopulationName {
@@ -687,8 +666,6 @@ mod tests {
         assert_eq!((accepted, budget_sheds), (4, 5));
         assert_eq!(budget.admitted_total(), 4);
         assert_eq!(budget.shed_total(), 5);
-        let global_sheds: u64 = selectors.iter().map(Selector::shed_global_total).sum();
-        assert_eq!(global_sheds, 5);
         // A locally-rejected duplicate must not burn a global slot: next
         // window, re-offering an already-connected device is a plain
         // rejection with the budget untouched.
@@ -837,7 +814,7 @@ mod tests {
     /// (`fair = max / registered`). The name comes off the wire, so its
     /// cardinality is the peer's choice.
     #[test]
-    fn unknown_populations_cost_one_counter_and_nothing_else() {
+    fn unknown_populations_leave_no_trace() {
         use crate::shedding::{GlobalAdmissionBudget, GlobalAdmissionConfig};
         let budget = GlobalAdmissionBudget::new(GlobalAdmissionConfig {
             window_ms: 60_000,
@@ -855,7 +832,6 @@ mod tests {
             }
             assert_eq!(s.counters_for(&made_up), (0, 0));
         }
-        assert_eq!(s.unknown_population_total(), 1_000);
         assert_eq!(s.populations().collect::<Vec<_>>(), vec![&steady]);
         assert_eq!(s.connected_count(), 0);
         assert_eq!(budget.registered_populations(), vec![steady.clone()]);

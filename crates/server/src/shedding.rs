@@ -191,8 +191,6 @@ struct GlobalBudgetState {
     config: GlobalAdmissionConfig,
     window_start_ms: u64,
     admitted_in_window: u64,
-    admitted_total: u64,
-    shed_total: u64,
     /// Populations contending on this budget, in registration order.
     populations: Vec<BudgetRow>,
 }
@@ -263,17 +261,10 @@ impl GlobalAdmissionBudget {
                     config,
                     window_start_ms: 0,
                     admitted_in_window: 0,
-                    admitted_total: 0,
-                    shed_total: 0,
                     populations: Vec::new(),
                 },
             )),
         }
-    }
-
-    /// The configuration this budget enforces.
-    pub fn config(&self) -> GlobalAdmissionConfig {
-        self.inner.lock().config
     }
 
     /// Declares a population contending on this budget, so its
@@ -327,24 +318,12 @@ impl GlobalAdmissionBudget {
             && (mine < fair || s.admitted_in_window + others_reserved < max);
         if admit {
             s.admitted_in_window += 1;
-            s.admitted_total += 1;
             s.populations[me].admitted_in_window += 1;
             s.populations[me].admitted_total += 1;
         } else {
-            s.shed_total += 1;
             s.populations[me].shed_total += 1;
         }
         admit
-    }
-
-    /// Total admissions granted over the budget's lifetime.
-    pub fn admitted_total(&self) -> u64 {
-        self.inner.lock().admitted_total
-    }
-
-    /// Total admissions refused over the budget's lifetime.
-    pub fn shed_total(&self) -> u64 {
-        self.inner.lock().shed_total
     }
 
     /// Lifetime admissions attributed to `population`.
@@ -476,11 +455,6 @@ impl PaceController {
         }
     }
 
-    /// The underlying open-loop policy.
-    pub fn pace(&self) -> &PaceSteering {
-        &self.pace
-    }
-
     /// Advances the window clock to `now_ms`, folding every completed
     /// window (including empty ones — silence is evidence of a shrinking
     /// population) into the estimate.
@@ -537,6 +511,20 @@ impl PaceController {
 mod tests {
     use super::*;
     use fl_ml::rng::seeded;
+
+    impl GlobalAdmissionBudget {
+        /// Lifetime admissions over every population.
+        pub(crate) fn admitted_total(&self) -> u64 {
+            let s = self.inner.lock();
+            s.populations.iter().map(|row| row.admitted_total).sum()
+        }
+
+        /// Lifetime global-budget sheds over every population.
+        pub(crate) fn shed_total(&self) -> u64 {
+            let s = self.inner.lock();
+            s.populations.iter().map(|row| row.shed_total).sum()
+        }
+    }
 
     #[test]
     fn bucket_admits_burst_then_sheds_on_rate() {

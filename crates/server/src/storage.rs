@@ -98,11 +98,6 @@ impl<S: CheckpointStore> SharedCheckpointStore<S> {
             inner: Arc::new(Mutex::new(CHECKPOINT_STORE, inner)),
         }
     }
-
-    /// Runs `f` with read access to the underlying store.
-    pub fn with<R>(&self, f: impl FnOnce(&S) -> R) -> R {
-        f(&self.inner.lock())
-    }
 }
 
 impl<S: CheckpointStore> CheckpointStore for SharedCheckpointStore<S> {

@@ -189,11 +189,6 @@ pub struct MultiTopology {
 }
 
 impl MultiTopology {
-    /// The Coordinator actor owning `population`, if it was spawned.
-    pub fn coordinator(&self, population: &PopulationName) -> Option<&ActorRef<CoordMsg>> {
-        self.coordinators.get(population)
-    }
-
     /// Asks every actor in the tree to stop. Idempotent send-or-ignore:
     /// an actor that already stopped (or crashed) has a dead mailbox, and
     /// a second `shutdown()` — or one racing an actor's own exit — must

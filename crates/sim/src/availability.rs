@@ -169,11 +169,6 @@ impl DiurnalAvailability {
         }
     }
 
-    /// Whether `device` is eligible at absolute time `t_ms`.
-    pub fn is_eligible(&self, device: u64, t_ms: u64) -> bool {
-        self.current_window(device, t_ms).is_some()
-    }
-
     /// The window containing `t_ms`, if any (used to predict the
     /// eligibility-change drop-out time of a selected device).
     pub fn current_window(&self, device: u64, t_ms: u64) -> Option<Window> {
@@ -366,6 +361,13 @@ impl DeviceDay<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl DiurnalAvailability {
+        /// Whether `device` is eligible at absolute time `t_ms`.
+        fn is_eligible(&self, device: u64, t_ms: u64) -> bool {
+            self.current_window(device, t_ms).is_some()
+        }
+    }
 
     #[test]
     fn night_availability_dominates_day() {

@@ -156,11 +156,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// The current virtual time.
-    pub fn now_ms(&self) -> u64 {
-        self.now_ms
-    }
-
     /// Schedules an event at an absolute virtual time. Events scheduled in
     /// the past fire "now" (time never goes backwards); one due after the
     /// queue's end is dropped.
@@ -224,19 +219,9 @@ impl<E> EventQueue<E> {
         Some((at_ms, event))
     }
 
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
     /// The most events that were ever pending at once.
     pub fn peak_len(&self) -> usize {
         self.peak_len
-    }
-
-    /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Total events processed so far.
@@ -405,6 +390,23 @@ fn earliest_ms<E>(chunks: &Chunks<E>) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl<E> EventQueue<E> {
+        /// The current virtual time.
+        pub(crate) fn now_ms(&self) -> u64 {
+            self.now_ms
+        }
+
+        /// Number of pending events.
+        pub(crate) fn len(&self) -> usize {
+            self.len
+        }
+
+        /// Whether the queue is empty.
+        pub(crate) fn is_empty(&self) -> bool {
+            self.len == 0
+        }
+    }
 
     #[test]
     fn events_fire_in_time_order() {

@@ -271,8 +271,8 @@ enum DropReason {
 }
 
 /// Table 1's session shapes, one literal per way a participation ends: the
-/// shape [`fl_core::SessionLog::shape`] renders for the device events it
-/// stands for (`shape_literals_are_the_session_logs_shapes`).
+/// [`fl_core::DeviceEvent::glyph`]s of the device events it stands for
+/// (`shape_literals_are_the_device_events_glyphs`).
 const UPLOADED: &str = "-v[]+^";
 const REJECTED: &str = "-v[]+#";
 const INTERRUPTED: &str = "-v[!";
@@ -724,8 +724,13 @@ mod tests {
     #[test]
     fn sessions_are_dominated_by_success() {
         let report = run(&small_config());
-        assert!(report.sessions.total() > 100);
-        let ok = report.sessions.fraction("-v[]+^");
+        let rows = report.sessions.rows();
+        assert!(rows.iter().map(|(_, count, _)| count).sum::<u64>() > 100);
+        let ok = rows
+            .iter()
+            .find(|(shape, _, _)| shape == "-v[]+^")
+            .unwrap()
+            .2;
         assert!(ok > 0.5, "success fraction {ok}");
     }
 
@@ -830,8 +835,8 @@ mod tests {
     }
 
     #[test]
-    fn shape_literals_are_the_session_logs_shapes() {
-        use fl_core::{DeviceEvent::*, SessionLog};
+    fn shape_literals_are_the_device_events_glyphs() {
+        use fl_core::DeviceEvent::*;
         let trained = [
             CheckIn,
             PlanDownloaded,
@@ -846,12 +851,8 @@ mod tests {
             (INTERRUPTED, &started[..], Interrupted),
             (FAILED, &started[..], Error),
         ] {
-            let mut log = SessionLog::new();
-            for (t, &event) in events.iter().chain([&end]).enumerate() {
-                log.record(t as u64, event);
-            }
-            assert!(log.is_finished());
-            assert_eq!(literal, log.shape());
+            let shape: String = events.iter().chain([&end]).map(|e| e.glyph()).collect();
+            assert_eq!(literal, shape);
         }
     }
 
@@ -867,6 +868,6 @@ mod tests {
         let b = run(&small_config());
         assert_eq!(a.committed_rounds(), b.committed_rounds());
         assert_eq!(a.checkins, b.checkins);
-        assert_eq!(a.sessions.total(), b.sessions.total());
+        assert_eq!(a.sessions, b.sessions);
     }
 }

@@ -235,11 +235,13 @@ impl LiveReport {
 
     /// Distinct `(device, round, attempt)` keys acked *accepted* — one
     /// per device when the at-most-once ledger holds.
+    // fl-lint: allow(test-only-pub): tests/wire_chaos.rs checks the at-most-once ledger with it
     pub fn unique_accepted(&self) -> u64 {
         self.devices.iter().flatten().count() as u64
     }
 
     /// Canonical text form — byte-identical across replays.
+    // fl-lint: allow(test-only-pub): the live/* lines of tests/render_digests.rs and the replay checks
     pub fn render(&self) -> String {
         let wire = self
             .wire_seed
@@ -285,6 +287,7 @@ impl LiveReport {
 /// clean) and the delivery schedule `schedule_seed` (0: none), over
 /// plain update frames or, with `secagg`, masked field vectors, and
 /// audits it. See the module docs for the invariants.
+// fl-lint: allow(test-only-pub): the live harness of tests/wire_chaos.rs, schedule_explore.rs, lock_audit.rs
 pub fn run(wire_seed: Option<u64>, schedule_seed: u64, secagg: bool) -> LiveReport {
     let mut report = LiveReport {
         wire_seed,

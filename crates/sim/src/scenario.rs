@@ -339,6 +339,7 @@ impl ScenarioOutcome {
     }
 
     /// The ledger of the named population, if it ran.
+    // fl-lint: allow(test-only-pub): tests/multi_tenant.rs and overload_sweep.rs read one tenant's ledger
     pub fn population(&self, name: &str) -> Option<&PopulationOutcome> {
         self.populations.iter().find(|p| p.name == name)
     }
@@ -347,6 +348,7 @@ impl ScenarioOutcome {
     /// one line per population with every counter keyed by its field
     /// name, the aggregate ledger, the wire, the shed series, the
     /// telemetry panel, the violations and the fault log.
+    // fl-lint: allow(test-only-pub): every seeded family's line of tests/render_digests.rs
     pub fn render(&self) -> String {
         // Keys are the field names, so a counter cannot be misnamed.
         macro_rules! counters {

@@ -381,7 +381,7 @@ mod tests {
             .final_accuracy();
         let central = run_centralized(
             config.model,
-            &data.centralized(),
+            &data.users.concat(),
             &data.test_set,
             3,
             16,
@@ -517,7 +517,11 @@ mod tests {
             clients_per_round: 10,
             learning_rate: 0.2,
             local_epochs: 2,
-            dp: Some(fl_core::privacy::DpConfig::new(50.0, 0.002, 13)),
+            dp: Some(fl_core::privacy::DpConfig {
+                clip_norm: 50.0,
+                noise_multiplier: 0.002,
+                noise_seed: 13,
+            }),
             ..Default::default()
         };
         let report = run_federated(&config, &data.users, &data.test_set).unwrap();
@@ -543,7 +547,11 @@ mod tests {
             .final_accuracy();
         let noisy = run_federated(
             &TrainingRunConfig {
-                dp: Some(fl_core::privacy::DpConfig::new(1.0, 5.0, 13)),
+                dp: Some(fl_core::privacy::DpConfig {
+                    clip_norm: 1.0,
+                    noise_multiplier: 5.0,
+                    noise_seed: 13,
+                }),
                 ..base
             },
             &data.users,

@@ -8,7 +8,6 @@
 
 use fl_core::plan::{CodecSpec, FlPlan, ModelSpec};
 use fl_core::population::{FlTask, PopulationName, TaskGroup, TaskSelectionStrategy};
-use fl_core::privacy::DpConfig;
 use fl_core::round::RoundConfig;
 
 /// Builder for an FL training task and its generated plan.
@@ -21,9 +20,6 @@ pub struct TaskBuilder {
     local_epochs: usize,
     batch_size: usize,
     round: RoundConfig,
-    codec: CodecSpec,
-    secagg_k: Option<usize>,
-    dp: Option<DpConfig>,
 }
 
 impl TaskBuilder {
@@ -41,9 +37,6 @@ impl TaskBuilder {
             local_epochs: 1,
             batch_size: 16,
             round: RoundConfig::default(),
-            codec: CodecSpec::Identity,
-            secagg_k: None,
-            dp: None,
         }
     }
 
@@ -66,26 +59,9 @@ impl TaskBuilder {
     }
 
     /// Sets the round configuration (goal count, timeouts, …).
+    // fl-lint: allow(test-only-pub): tests/train_eval_cycle.rs sets its rounds' goal with it (Sec. 7.1)
     pub fn round(mut self, round: RoundConfig) -> Self {
         self.round = round;
-        self
-    }
-
-    /// Sets the update-compression codec.
-    pub fn codec(mut self, codec: CodecSpec) -> Self {
-        self.codec = codec;
-        self
-    }
-
-    /// Enables Secure Aggregation with group size `k`.
-    pub fn secagg(mut self, k: usize) -> Self {
-        self.secagg_k = Some(k);
-        self
-    }
-
-    /// Enables the server-side DP-FedAvg mechanism (Sec. 6, footnote 2).
-    pub fn dp(mut self, dp: DpConfig) -> Self {
-        self.dp = Some(dp);
         self
     }
 
@@ -94,20 +70,14 @@ impl TaskBuilder {
     /// by the model engineer" — Sec. 7.2). The library splits the device
     /// part from the server part automatically.
     pub fn build(&self) -> (FlTask, FlPlan) {
-        let mut task =
+        let task =
             FlTask::training(self.name.clone(), self.population.clone()).with_round(self.round);
-        if let Some(k) = self.secagg_k {
-            task = task.with_secagg(k);
-        }
-        if let Some(dp) = self.dp {
-            task = task.with_dp(dp);
-        }
         let plan = FlPlan::standard_training(
             self.model,
             self.local_epochs,
             self.batch_size,
             self.learning_rate,
-            self.codec,
+            CodecSpec::Identity,
         );
         (task, plan)
     }
@@ -179,10 +149,8 @@ mod tests {
             .learning_rate(0.5)
             .local_epochs(3)
             .batch_size(8)
-            .secagg(100)
             .build();
         assert_eq!(task.kind, TaskKind::Training);
-        assert_eq!(task.secagg_group_size, Some(100));
         assert_eq!(plan.server.expected_dim, spec().num_params());
         // The generated device plan encodes the hyperparameters.
         let has_train = plan.device.ops.iter().any(|op| {
@@ -196,14 +164,6 @@ mod tests {
             )
         });
         assert!(has_train);
-    }
-
-    #[test]
-    fn dp_knob_reaches_the_task() {
-        let (task, _) = TaskBuilder::training("t", "pop", spec())
-            .dp(DpConfig::new(1.0, 0.01, 3))
-            .build();
-        assert_eq!(task.dp, Some(DpConfig::new(1.0, 0.01, 3)));
     }
 
     #[test]

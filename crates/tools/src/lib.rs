@@ -15,13 +15,13 @@
 //! * [`release`] — the versioning/testing/deployment gates of Sec. 7.3:
 //!   reviewed-code provenance, bundled test predicates that must pass in
 //!   simulation, resource budgets, and version-matrix execution of the
-//!   generated versioned plans;
-//! * [`reporting`] — analysis helpers over materialized round metrics
-//!   (Sec. 7.4).
+//!   generated versioned plans.
+//!
+//! Sec. 7.4's analysis tools read the Coordinator's materialized metrics
+//! (`Coordinator::materialized_metrics`) directly; no wrapper is kept.
 
 pub mod builder;
 pub mod release;
-pub mod reporting;
 pub mod simulate;
 
 pub use builder::TaskBuilder;

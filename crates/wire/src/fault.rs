@@ -59,16 +59,14 @@ pub enum FrameFault {
     Disconnect,
 }
 
-/// A deterministic per-frame fault plan: an explicit scripted prefix
-/// (frame `i` gets `scripted[i]`), then a seeded random mix at
-/// `random_per_mille`/1000 for the rest of the stream. Corruption and
+/// A deterministic per-frame fault plan: frame `i` gets `scripted[i]`,
+/// and frames past the script's end are delivered clean. Corruption and
 /// truncation positions are derived from `(seed, frame index)`, so a
-/// purely scripted plan still needs a seed only if it mangles bytes.
+/// plan needs a seed only if it mangles bytes.
 #[derive(Debug, Clone)]
 pub struct FaultScript {
     seed: u64,
     scripted: Vec<FrameFault>,
-    random_per_mille: u16,
 }
 
 impl FaultScript {
@@ -78,7 +76,6 @@ impl FaultScript {
         FaultScript {
             seed: 0,
             scripted: Vec::new(),
-            random_per_mille: 0,
         }
     }
 
@@ -88,42 +85,15 @@ impl FaultScript {
         FaultScript {
             seed,
             scripted: faults,
-            random_per_mille: 0,
-        }
-    }
-
-    /// A seeded random mix: each frame is independently mangled with
-    /// probability `per_mille`/1000, the fault kind drawn uniformly
-    /// from {drop, duplicate, delay, corrupt, truncate} ([`FrameFault::
-    /// Disconnect`] is terminal, so it is only ever scripted).
-    pub fn seeded(seed: u64, per_mille: u16) -> FaultScript {
-        FaultScript {
-            seed,
-            scripted: Vec::new(),
-            random_per_mille: per_mille.min(1000),
         }
     }
 
     /// The fault assigned to frame `index` (0-based send order).
     pub fn fault_for(&self, index: u64) -> FrameFault {
-        if let Some(f) = self.scripted.get(index as usize) {
-            return *f;
-        }
-        if self.random_per_mille == 0 {
-            return FrameFault::Deliver;
-        }
-        let roll = splitmix64(self.seed ^ index.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-        if roll % 1000 < u64::from(self.random_per_mille) {
-            match (roll >> 10) % 5 {
-                0 => FrameFault::Drop,
-                1 => FrameFault::Duplicate,
-                2 => FrameFault::Delay,
-                3 => FrameFault::Corrupt,
-                _ => FrameFault::Truncate,
-            }
-        } else {
-            FrameFault::Deliver
-        }
+        self.scripted
+            .get(index as usize)
+            .copied()
+            .unwrap_or(FrameFault::Deliver)
     }
 
     /// Flips one byte of `frame` at a `(seed, index)`-derived position

@@ -655,7 +655,16 @@ fn faulty_transport_corruption_is_typed_and_counted_at_the_peer() {
 fn fault_scripts_replay_identically_per_seed() {
     let run = |seed: u64| {
         let (device, server) = ChannelTransport::pair();
-        let faulty = FaultyTransport::new(device, FaultScript::seeded(seed, 400));
+        let script = [
+            FrameFault::Corrupt,
+            FrameFault::Drop,
+            FrameFault::Truncate,
+            FrameFault::Duplicate,
+            FrameFault::Delay,
+            FrameFault::Deliver,
+        ]
+        .repeat(10);
+        let faulty = FaultyTransport::new(device, FaultScript::scripted(seed, script));
         for i in 0..64u64 {
             let _ = faulty.send(&WireMessage::CheckinRequest {
                 device: DeviceId(i),
@@ -673,7 +682,11 @@ fn fault_scripts_replay_identically_per_seed() {
         (faulty.fault_stats(), trace)
     };
     assert_eq!(run(1234), run(1234), "same seed, same mangling");
-    assert_ne!(run(1234).0, run(5678).0, "different seeds diverge");
+    assert_ne!(
+        run(1234).1,
+        run(5678).1,
+        "different seeds mangle differently"
+    );
 }
 
 #[test]

@@ -23,7 +23,7 @@ fn classification_examples(n: usize) -> Vec<Example> {
 /// each against its own example store, with jobs gated on eligibility.
 #[test]
 fn multitenant_device_trains_two_populations_sequentially() {
-    let mut queue = TrainingQueue::new();
+    let mut queue = TrainingQueue::default();
     queue.register(PopulationName::new("keyboard/nwp"));
     queue.register(PopulationName::new("settings/ranking"));
 

@@ -233,7 +233,7 @@ fn injected_coordinator_crash_respawns_once_with_surviving_model() {
     seedc.complete_round(r1, aggregate).unwrap();
     let trained = seedc.global_params("t").unwrap();
     drop(seedc); // the incarnation dies; the shared store survives
-    let writes_before = store.with(|s| s.write_count());
+    let writes_before = store.write_count();
     assert_eq!(writes_before, 2); // deploy + one committed round
 
     // The live coordinator: scripted to crash on its 2nd message.
@@ -261,7 +261,7 @@ fn injected_coordinator_crash_respawns_once_with_surviving_model() {
         ),
     );
     // Resume-aware deployment must not have clobbered the trained model.
-    assert_eq!(store.with(|s| s.write_count()), writes_before);
+    assert_eq!(store.write_count(), writes_before);
 
     // Three watchers race to respawn whatever dies under this name.
     let (found_tx, found_rx) = unbounded();
@@ -333,11 +333,8 @@ fn injected_coordinator_crash_respawns_once_with_surviving_model() {
     }
     // The respawned incarnation resumed — not re-initialized — the
     // model: no extra checkpoint write, trained parameters intact.
-    assert_eq!(store.with(|s| s.write_count()), writes_before);
-    assert_eq!(
-        store.with(|s| s.latest("t").unwrap().into_params()),
-        trained
-    );
+    assert_eq!(store.write_count(), writes_before);
+    assert_eq!(store.latest("t").unwrap().into_params(), trained);
     // The clean shutdown released the successor's lease.
     assert!(locks.lookup(&lease_name).is_none());
     system.join();

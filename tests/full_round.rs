@@ -7,7 +7,7 @@ use federated::core::events::DeviceEvent;
 use federated::core::plan::{CodecSpec, FlPlan, ModelSpec};
 use federated::core::population::{FlTask, TaskGroup, TaskSelectionStrategy};
 use federated::core::round::RoundConfig;
-use federated::core::{DeviceId, PopulationName, SessionLog};
+use federated::core::{DeviceId, PopulationName};
 use federated::data::store::{InMemoryStore, StoreConfig};
 use federated::data::synth::classification::{generate, ClassificationConfig};
 use federated::device::runtime::{ExecutionOutcome, FlRuntime, Interruption};
@@ -141,16 +141,16 @@ fn manual_round_with_selector_devices_and_analytics() {
     let mut sessions = SessionShapeTable::new();
     let mut now = 2_000u64;
     for (idx, d) in forwarded.iter().enumerate() {
-        let mut log = SessionLog::new();
-        log.record(1_000, DeviceEvent::CheckIn);
-        log.record(1_500, DeviceEvent::PlanDownloaded);
+        let mut log = String::new();
+        log.push(DeviceEvent::CheckIn.glyph());
+        log.push(DeviceEvent::PlanDownloaded.glyph());
         let interruption = (idx == 0).then_some(Interruption::BeforeOp(3));
         if idx == 1 {
             // Network drop-out before reporting.
             round.on_dropout(*d, now);
-            log.record(now, DeviceEvent::TrainingStarted);
-            log.record(now, DeviceEvent::Error);
-            sessions.record(&log);
+            log.push(DeviceEvent::TrainingStarted.glyph());
+            log.push(DeviceEvent::Error.glyph());
+            sessions.record_shape(&log);
             continue;
         }
         let outcome = runtime
@@ -170,29 +170,25 @@ fn manual_round_with_selector_devices_and_analytics() {
                 events,
                 ..
             } => {
-                for e in events {
-                    log.record(now, e);
-                }
-                log.record(now, DeviceEvent::UploadStarted);
+                log.extend(events.iter().map(DeviceEvent::glyph));
+                log.push(DeviceEvent::UploadStarted.glyph());
                 let metrics = (weight, loss, accuracy);
                 let bytes = update_bytes.unwrap();
                 let (accepted, sent) =
                     report(&mut round, &mut master, *d, now, bytes, metrics, "it-pop");
                 upload += sent;
                 if accepted {
-                    log.record(now, DeviceEvent::UploadCompleted);
+                    log.push(DeviceEvent::UploadCompleted.glyph());
                 } else {
-                    log.record(now, DeviceEvent::UploadRejected);
+                    log.push(DeviceEvent::UploadRejected.glyph());
                 }
             }
             ExecutionOutcome::Interrupted { events, .. } => {
-                for e in events {
-                    log.record(now, e);
-                }
+                log.extend(events.iter().map(DeviceEvent::glyph));
                 round.on_dropout(*d, now);
             }
         }
-        sessions.record(&log);
+        sessions.record_shape(&log);
         now += 1_000;
     }
 
@@ -214,9 +210,11 @@ fn manual_round_with_selector_devices_and_analytics() {
 
     // Session analytics: successful sessions dominate; Table 1 shapes
     // appear.
-    assert!(sessions.fraction("-v[]+^") > 0.5);
-    assert_eq!(sessions.count("-v[!"), 1); // the interrupted device
-    assert_eq!(sessions.count("-v[*"), 1); // the failed device
+    let rows = sessions.rows();
+    let row = |shape: &str| rows.iter().find(|(s, _, _)| s == shape).unwrap();
+    assert!(row("-v[]+^").2 > 50.0);
+    assert_eq!(row("-v[!").1, 1); // the interrupted device
+    assert_eq!(row("-v[*").1, 1); // the failed device
 
     // Server traffic, in frame bytes: download dominates (plan ≈ model
     // + checkpoint down; compressed updates up).

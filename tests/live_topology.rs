@@ -273,8 +273,9 @@ fn global_budget_caps_admits_across_selectors() {
         "the global budget admits exactly 4: {ends:?}"
     );
     assert_eq!(shed, 5, "3 local sheds + 2 global sheds");
-    assert_eq!(budget.admitted_total(), 4);
-    assert_eq!(budget.shed_total(), 2);
+    let population = PopulationName::new("global-budget");
+    assert_eq!(budget.admitted_total_for(&population), 4);
+    assert_eq!(budget.shed_total_for(&population), 2);
     let outcome = complete_round(&coord_ref, WAIT).unwrap();
     assert!(outcome.is_committed());
 

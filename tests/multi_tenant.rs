@@ -113,7 +113,8 @@ fn three_populations_commit_concurrently_through_one_selector_layer() {
         .map(|(p, population, id)| {
             let sel = multi.selectors[(id % 2) as usize].clone();
             let coord = multi
-                .coordinator(&PopulationName::new(population))
+                .coordinators
+                .get(&PopulationName::new(population))
                 .unwrap()
                 .clone();
             std::thread::spawn(move || (p, run_session(id, population, sel, coord).is_ok()))
@@ -134,7 +135,8 @@ fn three_populations_commit_concurrently_through_one_selector_layer() {
 
     for population in &populations {
         let coord = multi
-            .coordinator(&PopulationName::new(*population))
+            .coordinators
+            .get(&PopulationName::new(*population))
             .unwrap();
         assert!(
             drive_to_commit(coord),
@@ -217,7 +219,7 @@ fn fair_share_budget_shields_the_quiet_population_live() {
                 DeviceId(100 + i),
                 "fair/storm",
                 multi.selectors[0].clone(),
-                multi.coordinator(&storm).unwrap().clone(),
+                multi.coordinators.get(&storm).unwrap().clone(),
             );
             conn.check_in().unwrap();
             conn
@@ -230,7 +232,7 @@ fn fair_share_budget_shields_the_quiet_population_live() {
         "fair/quiet",
         0..3,
         &multi.selectors,
-        multi.coordinator(&quiet).unwrap(),
+        multi.coordinators.get(&quiet).unwrap(),
     );
 
     // The storm's overflow was shed by the budget, charged to the
@@ -386,7 +388,8 @@ fn rewire_retargets_only_the_respawned_population() {
         // Its first message trips the injected crash; the watcher
         // respawns it and the Selector layer is re-briefed, by name.
         multi
-            .coordinator(&doomed)
+            .coordinators
+            .get(&doomed)
             .unwrap()
             .send(CoordMsg::SetPopulationEstimate(100))
             .unwrap();
@@ -408,7 +411,10 @@ fn rewire_retargets_only_the_respawned_population() {
         commit_one_round("rewire/b", 100..102, &multi.selectors, &replacement);
         // ...and the other two still reach their original Coordinators.
         for (first, population) in [(0u64, "rewire/a"), (20, "rewire/c")] {
-            let coord = multi.coordinator(&PopulationName::new(population)).unwrap();
+            let coord = multi
+                .coordinators
+                .get(&PopulationName::new(population))
+                .unwrap();
             commit_one_round(population, first..first + 2, &multi.selectors, coord);
         }
 
@@ -448,7 +454,7 @@ fn unregistered_population_is_told_to_come_back_later() {
     .with_telemetry(OverloadMonitorConfig::default());
     let multi = spawn_multi_topology(&system, coordinators, &blueprint);
     let known = PopulationName::new("known/pop");
-    let coord = multi.coordinator(&known).unwrap();
+    let coord = multi.coordinators.get(&known).unwrap();
 
     for i in 0..50u64 {
         let made_up = format!("made-up/{i}");
@@ -468,11 +474,16 @@ fn unregistered_population_is_told_to_come_back_later() {
     }
     let budget = multi.global_budget.clone().expect("budget configured");
     assert_eq!(budget.registered_populations(), vec![known.clone()]);
-    assert_eq!(budget.admitted_total() + budget.shed_total(), 0);
+    assert_eq!(
+        budget.admitted_total_for(&known) + budget.shed_total_for(&known),
+        0
+    );
     {
         let telemetry = multi.telemetry.clone().expect("telemetry configured");
         let metrics = telemetry.lock();
-        assert!(metrics.populations().is_empty());
+        assert!(metrics
+            .render_population_panel()
+            .contains("(no per-population records)"));
     }
     // The real tenant is untouched: its device is configured at once.
     commit_one_round("known/pop", 1_000..1_001, &multi.selectors, coord);
