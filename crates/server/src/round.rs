@@ -16,7 +16,6 @@
 
 use fl_core::round::{RoundConfig, RoundOutcome};
 use fl_core::{DeviceId, RoundId};
-use std::collections::BTreeSet;
 
 /// Current phase of the round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,9 +104,9 @@ pub struct RoundState {
     started_at_ms: u64,
     configured_at_ms: Option<u64>,
     finished_at_ms: Option<u64>,
-    /// Devices checked in during Selection; configuration moves them to
-    /// `participants`.
-    checked_in: BTreeSet<DeviceId>,
+    /// Devices checked in during Selection, sorted by id; configuration
+    /// moves them to `participants`.
+    checked_in: Vec<DeviceId>,
     /// The configured devices, sorted by id, and their states. The set is
     /// fixed at configuration and later calls only change states, so a
     /// lookup is a binary search.
@@ -141,7 +140,7 @@ impl RoundState {
             started_at_ms: now_ms,
             configured_at_ms: None,
             finished_at_ms: None,
-            checked_in: BTreeSet::new(),
+            checked_in: Vec::new(),
             participants: Vec::new(),
             reported: 0,
             aborted: 0,
@@ -190,11 +189,11 @@ impl RoundState {
     pub fn on_checkin(&mut self, device: DeviceId, now_ms: u64) -> CheckinResponse {
         match self.phase {
             Phase::Selection => {
-                // BTreeSet: O(log n) membership instead of the former O(n)
-                // `Vec::contains` scan on every check-in.
-                if !self.checked_in.insert(device) {
+                // Sorted on insert: membership is a binary search.
+                let Err(at) = self.checked_in.binary_search(&device) else {
                     return CheckinResponse::AlreadySelected;
-                }
+                };
+                self.checked_in.insert(at, device);
                 if self.checked_in.len() >= self.config.selection_target() {
                     self.configure(now_ms);
                 }
@@ -307,7 +306,7 @@ impl RoundState {
     fn configure(&mut self, now_ms: u64) {
         self.phase = Phase::Reporting;
         self.configured_at_ms = Some(now_ms);
-        // A set iterates in id order, so the table comes out sorted.
+        // The check-ins are sorted, so the table comes out sorted.
         self.participants = std::mem::take(&mut self.checked_in)
             .into_iter()
             .map(|d| (d, ParticipantState::Configured { at_ms: now_ms }))
@@ -412,6 +411,7 @@ impl RoundState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     fn config(goal: usize) -> RoundConfig {
         RoundConfig {
