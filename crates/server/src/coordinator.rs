@@ -826,7 +826,7 @@ mod tests {
             assert!(summary.p90.estimate().is_some(), "{}", summary.name);
         }
         assert!((loss.moments.mean() - 0.35).abs() < 1e-12);
-        assert!((accuracy.moments.mean() - 0.8).abs() < 1e-12);
+        assert!((accuracy.moments.mean() - 0.75).abs() < 1e-12);
     }
 
     /// Evaluation rounds run in turn and have no Master Aggregator.
