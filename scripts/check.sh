@@ -5,9 +5,9 @@
 #
 # The old shell grep/diff wall-clock allowlist audit now lives inside
 # fl-lint itself (rule `allowlist-drift`), so the `fl-lint` step covers
-# it; scripts/wall_clock_allowlist.txt remains the data file. The same
-# step runs the `test-only-pub` audit (a `pub fn` in crates/*/src that
-# only tests call).
+# it; scripts/wall_clock_allowlist.txt remains the data file. The
+# `test-only-pub` audit (a `pub fn` in crates/*/src that only tests
+# reach) asks the compiler, so it is its own step, `dead-pub`, after it.
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
@@ -66,6 +66,19 @@ run_step "fmt" cargo fmt --all --check
 # rounds, and one round's allocations per check-in stay under a ceiling).
 run_step "test" cargo test -q
 run_step "fl-lint" cargo run -q -p fl-lint
+# The compiler's `test-only-pub` audit (DESIGN.md Sec. 7): in a mirror
+# under target/dead_pub, every `pub fn` of crates/*/src no allow covers
+# becomes `pub(crate)`; `cargo check --offline` of the workspace's lib,
+# bins and examples and of `benchmark/` (target dirs under
+# target/dead_pub, so reruns stay warm) gives `pub` back to whatever an
+# E0603, E0624 or E0364 names, until none is left; a `dead_code` warning
+# left is a finding. Its fixture test (a two-crate workspace whose one
+# test-only function must be the one finding) runs first. Warm on 2
+# vCPUs: 25-30 `cargo check` passes in 28-31 s (about 45 s cold).
+dead_pub() {
+  cargo test -q -p fl-lint --test dead_pub && cargo run -q -p fl-lint -- --dead-pub
+}
+run_step "dead-pub" dead_pub
 # The `test` step is the root package only. The channel every mailbox,
 # transport half and reply rides on is vendored, not a workspace member;
 # its own unit tests (wake-ups, MPMC delivery) run here.
