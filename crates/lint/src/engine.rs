@@ -452,19 +452,16 @@ pub fn lint_source(rel: &str, src: &str) -> Vec<Finding> {
 pub fn workspace_files(root: &Path) -> Vec<PathBuf> {
     let mut files = Vec::new();
     for top in ["crates", "src", "tests", "examples"] {
-        collect_rs(&root.join(top), &mut files);
+        let skip = ["target", "vendor", "fixtures"];
+        walk(
+            &root.join(top),
+            &skip,
+            |name| name.ends_with(".rs"),
+            &mut files,
+        );
     }
     files.sort();
     files
-}
-
-fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
-    walk(
-        dir,
-        &["target", "vendor", "fixtures"],
-        |name| name.ends_with(".rs"),
-        out,
-    );
 }
 
 /// Appends to `out` the path of every file under `dir` whose name `keep`
