@@ -26,6 +26,18 @@
 //!   seeds, checks scenario invariants under K distinct legal delivery
 //!   orders.
 
+// Release-gate lints of this crate (DESIGN.md Sec. 7).
+#![deny(
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::unwrap_used,
+    clippy::expect_used
+)]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
+
 pub mod actor;
 pub mod explore;
 pub mod registry;

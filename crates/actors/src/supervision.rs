@@ -61,8 +61,11 @@ where
     W: FnMut(ActorRef<A::Msg>),
 {
     let deaths_rx = system.deaths();
-    // fl-lint: allow(wall-clock): the live watcher bounds real elapsed
-    // time; the sim exercises recovery via its virtual clock instead.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the live watcher bounds real elapsed time; the sim exercises recovery via its \
+                  virtual clock instead"
+    )]
     let until = std::time::Instant::now().checked_add(deadline);
     let mut report = RespawnReport {
         deaths: Vec::new(),

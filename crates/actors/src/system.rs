@@ -174,9 +174,12 @@ pub(crate) fn wake(task: &Arc<dyn Task>) {
 }
 
 /// The wall clock the timer set runs on.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "live actors' deadlines are wall-clock instants; the deterministic state \
+              machines see only offsets"
+)]
 fn now() -> Instant {
-    // fl-lint: allow(wall-clock): live actors' deadlines are wall-clock
-    // instants; the deterministic state machines see only offsets.
     Instant::now()
 }
 
@@ -272,12 +275,12 @@ impl<A: Actor> Live<A> {
                     // — deliver in place.
                     None => {}
                 },
-                FaultAction::Crash => {
-                    // fl-lint: allow(panic): chaos injection must
-                    // exercise the real panic-recovery path the
-                    // respawn watchers are built to absorb.
-                    panic!("chaos: injected crash");
-                }
+                #[expect(
+                    clippy::panic,
+                    reason = "chaos injection must exercise the real panic-recovery path the \
+                              respawn watchers are built to absorb"
+                )]
+                FaultAction::Crash => panic!("chaos: injected crash"),
             }
             if self.actor.handle(msg, &mut self.ctx) == Flow::Stop {
                 return self.stop();
@@ -573,14 +576,17 @@ impl ActorSystem {
             injector: Mutex::new(INJECTOR, None),
         });
         let w = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        #[expect(
+            clippy::expect_used,
+            reason = "spawn failure here means the OS refused a thread; the actor system cannot \
+                      run at all, so abort loudly"
+        )]
         let threads = (0..w)
             .map(|i| {
                 let (shared, jobs) = (Arc::clone(&shared), jobs.clone());
                 std::thread::Builder::new()
                     .name(format!("actor-worker-{i}"))
                     .spawn(move || work(&shared, &jobs))
-                    // fl-lint: allow(unwrap): spawn failure here means the OS refused a
-                    // thread; the actor system cannot run at all, so abort loudly.
                     .expect("failed to spawn actor worker")
             })
             .collect();

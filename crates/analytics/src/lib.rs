@@ -24,6 +24,15 @@
 //! counts its own frames and bytes in an [`fl_wire::WireStats`], and a
 //! caller sums endpoints with its `Add`.
 
+// Release-gate lints of this crate (DESIGN.md Sec. 7).
+#![deny(
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr
+)]
+
 pub mod dashboard;
 pub mod faultlog;
 pub mod monitor;

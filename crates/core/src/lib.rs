@@ -28,8 +28,16 @@
 //!   with (live links count what they send in `fl_wire::WireStats`);
 //! * [`error`] — the shared error type.
 
+// Release-gate lints of this crate (DESIGN.md Sec. 7).
+#![deny(
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr
+)]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 #![deny(missing_debug_implementations)]
-#![warn(missing_docs)]
 
 /// Streaming, in-memory Federated Averaging accumulation (Sec. 4.2).
 pub mod aggregation;

@@ -18,6 +18,15 @@
 //!
 //! All generators are seeded and deterministic.
 
+// Release-gate lints of this crate (DESIGN.md Sec. 7).
+#![deny(
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr
+)]
+
 pub mod partition;
 pub mod store;
 pub mod synth;

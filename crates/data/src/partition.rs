@@ -59,8 +59,11 @@ pub fn partition(
                 .iter()
                 .map(|ex| match ex.label() {
                     Label::Class(c) => c + 1,
-                    // fl-lint: allow(panic): documented precondition of sim-side
-                    // dataset prep; never reachable from the control plane.
+                    #[expect(
+                        clippy::panic,
+                        reason = "documented precondition of sim-side dataset prep; never \
+                                  reachable from the control plane"
+                    )]
                     _ => panic!("label-skew partitioning requires classification examples"),
                 })
                 .max()
@@ -103,8 +106,11 @@ pub fn label_divergence(parts: &[Vec<Example>]) -> f64 {
         for ex in p {
             match ex.label() {
                 Label::Class(c) => classes = classes.max(c + 1),
-                // fl-lint: allow(panic): documented in the `# Panics` section;
-                // analysis helper for sim datasets, not control-plane code.
+                #[expect(
+                    clippy::panic,
+                    reason = "documented in the `# Panics` section; analysis helper for sim \
+                              datasets, not control-plane code"
+                )]
                 _ => panic!("label divergence requires classification examples"),
             }
         }

@@ -25,6 +25,16 @@
 //!   arbitration, so several FL populations share one device without
 //!   parallel training or cross-population interference.
 
+// Release-gate lints of this crate (DESIGN.md Sec. 7).
+#![deny(
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr
+)]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
+
 pub mod attestation;
 pub mod conditions;
 pub mod connectivity;

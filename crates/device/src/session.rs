@@ -128,7 +128,12 @@ pub enum End {
     },
     /// A Configuration whose checkpoint length is not the plan's
     /// `expected_dim`.
-    DimensionMismatch { checkpoint: usize, plan: usize },
+    DimensionMismatch {
+        /// Parameters the Configuration's checkpoint holds.
+        checkpoint: usize,
+        /// The plan's `expected_dim`.
+        plan: usize,
+    },
     /// Any other reply to the check-in.
     Unexpected(WireMessage),
     /// The update does not fit the fixed-point range.

@@ -1,7 +1,8 @@
 //! File walking, per-file lexical context (test-block detection,
-//! `fl-lint: allow` parsing), rule scoping, and finding assembly.
+//! `fl-lint: allow` parsing), finding assembly, and the `allowlist-drift`
+//! audit.
 
-use crate::rules::{Rule, RULES};
+use crate::rules::RULES;
 use crate::tokens::{self, Token, TokenKind};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -112,11 +113,6 @@ impl FileContext {
         &self.sig
     }
 
-    /// Sliding windows of `n` significant-token indices.
-    pub fn sig_windows(&self, n: usize) -> impl Iterator<Item = &[usize]> {
-        self.sig.windows(n)
-    }
-
     /// The raw token at index `i` (clamped to the last token).
     pub fn tok(&self, i: usize) -> &Token {
         let last = self.tokens.len().saturating_sub(1);
@@ -147,77 +143,6 @@ impl FileContext {
     /// `#[test]` function body.
     pub fn is_test_line(&self, line: u32) -> bool {
         self.test_lines.contains(&line)
-    }
-
-    /// Whether a doc comment (or `#[doc = …]` attribute) immediately
-    /// precedes raw token `idx`, looking through attributes and plain
-    /// comments.
-    pub fn has_doc_before(&self, idx: usize) -> bool {
-        self.doc_before(idx).is_some()
-    }
-
-    /// The item documentation immediately preceding raw token `idx`,
-    /// looking through attributes and plain comments: the outer doc
-    /// comments and `#[doc = …]` attributes' source, nearest first, or
-    /// `None` when there is none.
-    pub fn doc_before(&self, idx: usize) -> Option<String> {
-        let mut docs: Vec<&str> = Vec::new();
-        let mut j = idx;
-        while j > 0 {
-            j -= 1;
-            let t = &self.tokens[j];
-            match t.kind {
-                TokenKind::DocComment => {
-                    // Inner docs (`//!`, `/*!`) document the enclosing
-                    // module, not the following item.
-                    let text = t.text(&self.src);
-                    if text.starts_with("//!") || text.starts_with("/*!") {
-                        break;
-                    }
-                    docs.push(text);
-                }
-                TokenKind::LineComment | TokenKind::BlockComment => continue,
-                TokenKind::Punct if t.text(&self.src) == "]" => {
-                    // Skip the attribute `#[ … ]`; `#[doc = …]` counts
-                    // as documentation.
-                    let end = t.end;
-                    let mut depth = 1i32;
-                    let mut saw_doc = false;
-                    while j > 0 && depth > 0 {
-                        j -= 1;
-                        let u = &self.tokens[j];
-                        match u.text(&self.src) {
-                            "]" if u.kind == TokenKind::Punct => depth += 1,
-                            "[" if u.kind == TokenKind::Punct => depth -= 1,
-                            "doc" if u.kind == TokenKind::Ident => saw_doc = true,
-                            _ => {}
-                        }
-                    }
-                    if saw_doc {
-                        docs.push(&self.src[self.tokens[j].start..end]);
-                    }
-                    // Step over the leading `#`.
-                    if j > 0 && self.tokens[j - 1].text(&self.src) == "#" {
-                        j -= 1;
-                    }
-                }
-                _ => break,
-            }
-        }
-        (!docs.is_empty()).then(|| docs.join("\n"))
-    }
-
-    /// The comment lines directly above the line of raw token `idx`, up
-    /// to the first line that is not a `//` comment, nearest first.
-    pub fn comment_lines_above(&self, idx: usize) -> Vec<&str> {
-        let lines: Vec<&str> = self.src.lines().collect();
-        let above = (self.line_of(idx) as usize).saturating_sub(1);
-        lines[..above.min(lines.len())]
-            .iter()
-            .rev()
-            .map(|line| line.trim_start())
-            .take_while(|line| line.starts_with("//"))
-            .collect()
     }
 
     /// Marks every line inside `#[cfg(test)] mod … { … }` blocks and
@@ -381,30 +306,17 @@ fn in_test_tree(rel: &str) -> bool {
         || rel.contains("/examples/")
 }
 
-fn rule_applies_to_path(rule: &Rule, rel: &str) -> bool {
-    if rule.exclude.iter().any(|p| rel.starts_with(p)) {
-        return false;
-    }
-    if !rule.applies_to_tests && in_test_tree(rel) {
-        return false;
-    }
-    rule.include.is_empty() || rule.include.iter().any(|p| rel.starts_with(p))
-}
-
 /// Lints one file's source as if it lived at `rel` (workspace-relative
-/// path, `/`-separated). This is the unit the fixture tests drive.
+/// path, `/`-separated). This is the unit the fixture tests drive. The
+/// rules skip test code: test and example trees, `#[cfg(test)]` modules
+/// and `#[test]` functions.
 pub fn lint_source(rel: &str, src: &str) -> Vec<Finding> {
     let ctx = FileContext::new(src);
     let mut findings = Vec::new();
-    for rule in RULES {
-        if !rule_applies_to_path(rule, rel) {
-            continue;
-        }
+    let rules = if in_test_tree(rel) { &[][..] } else { RULES };
+    for rule in rules {
         for v in (rule.check)(&ctx) {
-            if !rule.applies_to_tests && ctx.is_test_line(v.line) {
-                continue;
-            }
-            if ctx.is_allowed(rule.id, v.line) {
+            if ctx.is_test_line(v.line) || ctx.is_allowed(rule.id, v.line) {
                 continue;
             }
             findings.push(Finding {
@@ -423,7 +335,7 @@ pub fn lint_source(rel: &str, src: &str) -> Vec<Finding> {
     annotated.sort_unstable();
     let mut reported: Vec<(u32, &str)> = Vec::new();
     for (line, rule) in annotated {
-        if crate::rules::rule_by_id(rule).is_none() && rule != TEST_ONLY_PUB {
+        if !RULES.iter().any(|r| r.id == rule) && rule != TEST_ONLY_PUB {
             // A standalone annotation registers on its own line and on
             // the line it covers; report the typo once.
             if reported
@@ -486,18 +398,19 @@ pub(crate) fn walk(dir: &Path, skip: &[&str], keep: fn(&str) -> bool, out: &mut 
 /// The allowlist data file, workspace-relative.
 pub const WALL_CLOCK_ALLOWLIST: &str = "scripts/wall_clock_allowlist.txt";
 
-/// Audit `allowlist-drift`: every wall-clock lint escape under
-/// `crates/` must be accounted for, count-per-file, in
-/// `scripts/wall_clock_allowlist.txt`. A new live-clock site needs
-/// review — the allowlist must be updated in the same change. This
-/// replaces the grep/diff block `scripts/check.sh` used to carry;
-/// comparison is content-wise (per-file counts), not positional, so
+/// Audit `allowlist-drift`: every lint escape for the wall clock and
+/// sleep under `crates/` (an `expect` or `allow` of clippy's
+/// `disallowed_methods`, in any layout) must be accounted for,
+/// count-per-file, in `scripts/wall_clock_allowlist.txt`. A new live-clock
+/// site needs review — the allowlist must be updated in the same change.
+/// Comparison is content-wise (per-file counts), not positional, so
 /// reordering the allowlist is not drift.
 pub fn audit_wall_clock_allowlist(root: &Path) -> Vec<Finding> {
     const HINT: &str =
         "review the new live-clock site and update scripts/wall_clock_allowlist.txt in the same change";
-    // Built from parts so this file's own source never matches it.
-    let needle: String = ["fl-lint: allow", "(wall-clock)"].concat();
+    // Built from parts so this file's own source never matches them.
+    let lint = ["(clippy::", "disallowed_methods"].concat();
+    let needles = [format!("expect{lint}"), format!("allow{lint}")];
     let mut findings = Vec::new();
 
     // Fixture trees count too: the shell audit this replaced read them.
@@ -514,7 +427,11 @@ pub fn audit_wall_clock_allowlist(root: &Path) -> Vec<Finding> {
         let rel = relative(root, &path);
         match std::fs::read_to_string(&path) {
             Ok(src) => {
-                let n = src.lines().filter(|l| l.contains(&needle)).count() as u64;
+                let flat: String = src.split_whitespace().collect();
+                let n = needles
+                    .iter()
+                    .map(|n| flat.matches(n.as_str()).count())
+                    .sum::<usize>() as u64;
                 if n > 0 {
                     actual.insert(rel, n);
                 }
@@ -572,7 +489,7 @@ pub fn audit_wall_clock_allowlist(root: &Path) -> Vec<Finding> {
                 line: 0,
                 rule: "allowlist-drift",
                 message: format!(
-                    "{count} unaccounted wall-clock allow escape(s); the allowlist has no entry"
+                    "{count} unaccounted wall-clock escape(s); the allowlist has no entry"
                 ),
                 hint: HINT,
             }),
@@ -580,7 +497,7 @@ pub fn audit_wall_clock_allowlist(root: &Path) -> Vec<Finding> {
                 file: file.clone(),
                 line: 0,
                 rule: "allowlist-drift",
-                message: format!("allowlist says {want} wall-clock allow escape(s), found {count}"),
+                message: format!("allowlist says {want} wall-clock escape(s), found {count}"),
                 hint: HINT,
             }),
             Some(_) => {}
@@ -592,7 +509,7 @@ pub fn audit_wall_clock_allowlist(root: &Path) -> Vec<Finding> {
                 file: WALL_CLOCK_ALLOWLIST.to_string(),
                 line: 0,
                 rule: "allowlist-drift",
-                message: format!("stale allowlist entry: `{file}` has no wall-clock allow escapes"),
+                message: format!("stale allowlist entry: `{file}` has no wall-clock escapes"),
                 hint: HINT,
             });
         }

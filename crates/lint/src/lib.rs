@@ -1,30 +1,38 @@
-//! `fl-lint`: the workspace's static-analysis release gate.
+//! `fl-lint`: the half of the workspace's static-analysis release gate
+//! that the compiler cannot check.
 //!
 //! The paper (Sec. 7) gates every plan release behind automated test
 //! predicates before it may touch real devices; `crates/tools`'s
-//! release pipeline models the runtime half of that gate. This crate
-//! is the code half: a dependency-free lexical analyzer that walks the
-//! workspace and enforces the determinism, panic-safety, and
-//! concurrency invariants the rest of the system is built on.
+//! release pipeline models the runtime half of that gate. The code half
+//! is rustc and clippy first: the root `Cargo.toml`'s `[workspace.lints]`,
+//! the crate roots' `deny` attributes and `clippy.toml` hold the wall
+//! clock, sleep, raw lock, unwrap, panic, print, doc and `unsafe` rules
+//! by resolved path, and `cargo clippy --workspace --all-targets` is the
+//! gate. This dependency-free crate keeps what no lint checks:
 //!
-//! Architecture:
+//! - [`rules`]: `lock-order`, a second `.lock()` while a guard is live.
+//! - [`engine`]: file walking, `#[cfg(test)]` span detection, the
+//!   `// fl-lint: allow(<rule>): why` escape hatch, finding assembly, and
+//!   the `allowlist-drift` audit, which holds each wall-clock escape of
+//!   the clippy pass to `scripts/wall_clock_allowlist.txt`.
 //! - [`tokens`]: a comment/string-aware Rust tokenizer, so rule
 //!   patterns never fire inside doc comments or string literals.
-//! - [`rules`]: the rule set — each rule is a pure token-stream
-//!   checker plus path scoping and a fix hint.
-//! - [`engine`]: file walking, `#[cfg(test)]` span detection, the
-//!   `// fl-lint: allow(<rule>): why` escape hatch, finding assembly,
-//!   and the `allowlist-drift` workspace audit.
 //! - [`dead_pub`]: the `test-only-pub` audit, which asks the compiler
 //!   which `pub fn`s of `crates/*/src` only tests reach: it demotes them
 //!   to `pub(crate)` in a mirror of the workspace under `target/` and
 //!   reads `cargo check`'s privacy errors and dead-code warnings.
+//! - [`cargo`]: that mirror, one cargo command on it, and its JSON
+//!   messages parsed; the clippy gate's tests use it too.
 //!
 //! Run it as `cargo run -p fl-lint` (non-zero exit on violations) or
-//! via the integration test that makes it part of tier-1 `cargo test`;
-//! `cargo run -p fl-lint -- --dead-pub` runs the compiler audit, which
-//! only `scripts/check.sh` runs, after this gate.
+//! via the integration test that makes it and the clippy pass part of
+//! tier-1 `cargo test`; `cargo run -p fl-lint -- --dead-pub` runs the
+//! compiler audit, which only `scripts/check.sh` runs, after this gate.
 
+// Release-gate lints of this crate (DESIGN.md Sec. 7).
+#![deny(clippy::panic, clippy::todo, clippy::unimplemented)]
+
+pub mod cargo;
 pub mod dead_pub;
 pub mod engine;
 pub mod rules;

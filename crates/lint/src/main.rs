@@ -9,6 +9,9 @@
 //! rules, in `<root>/target/dead_pub`; it exits 2 when cargo fails for
 //! another reason than the audit's demotions.
 
+// Release-gate lints of this crate (DESIGN.md Sec. 7).
+#![deny(clippy::panic, clippy::todo, clippy::unimplemented)]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 

@@ -19,11 +19,14 @@ fn scratch(name: &str) -> PathBuf {
     root
 }
 
-/// One wall-clock escape line. Assembled from parts so *this* test
-/// file never matches the audit's needle when the real workspace is
-/// scanned.
+/// One wall-clock escape. Assembled from parts so *this* test file never
+/// matches the audit's needle when the real workspace is scanned.
 fn escape() -> String {
-    ["// fl-lint: allow", "(wall-clock): fixture\n"].concat()
+    [
+        "#[expect(clippy::",
+        "disallowed_methods, reason = \"fixture\")]\n",
+    ]
+    .concat()
 }
 
 fn write(root: &PathBuf, rel: &str, content: &str) {
@@ -88,6 +91,30 @@ fn count_mismatch_is_drift() {
         findings[0].message.contains("says 1") && findings[0].message.contains("found 3"),
         "{findings:?}"
     );
+}
+
+#[test]
+fn wrapped_and_allow_escapes_are_counted() {
+    // rustfmt puts a long `reason` on lines of its own; an `allow` escapes
+    // the lint just as an `expect` does.
+    let root = scratch("layouts");
+    let wrapped = [
+        "#[expect(\n    clippy::",
+        "disallowed_methods,\n    reason = \"x\"\n)]\n",
+    ];
+    let allowed = ["#![allow(clippy::", "disallowed_methods)]\n"];
+    write(
+        &root,
+        "crates/x/src/a.rs",
+        &[wrapped.concat(), allowed.concat()].concat(),
+    );
+    write(
+        &root,
+        "scripts/wall_clock_allowlist.txt",
+        "2 crates/x/src/a.rs\n",
+    );
+    let findings = audit_wall_clock_allowlist(&root);
+    assert!(findings.is_empty(), "{findings:?}");
 }
 
 #[test]

@@ -4,7 +4,8 @@
 //! the third, which is the one finding. And how the audit maps captured
 //! compiler messages back to the definitions they name.
 
-use fl_lint::dead_pub::{audit_dead_pub, named_definitions, parse_diagnostics, pub_fns};
+use fl_lint::cargo::parse_diagnostics;
+use fl_lint::dead_pub::{audit_dead_pub, named_definitions, pub_fns};
 use std::path::Path;
 
 #[test]

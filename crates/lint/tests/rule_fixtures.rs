@@ -1,151 +1,48 @@
-//! Per-rule fixture tests: every rule must fire on its positive
-//! fixture, stay silent on its negative one (which also exercises the
-//! `fl-lint: allow` escape hatch and test-code exemption), and stay
-//! silent when the positive source sits outside the rule's path scope.
+//! fl-lint's one per-file rule, `lock-order`, against its fixtures (the
+//! `fl-lint: allow` escape and the test-code exemption included), and the
+//! compiler lints that took over the lexical rules against violations
+//! planted in a mirror of the workspace.
 
-use fl_lint::lint_source;
+use fl_lint::{cargo, lint_source};
+use std::path::Path;
 
-/// (rule id, in-scope path, positive fixture, negative fixture,
-/// out-of-scope path for the positive source).
-const CASES: &[(&str, &str, &str, &str, &str)] = &[
-    (
-        "wall-clock",
-        "crates/server/src/fixture.rs",
-        include_str!("fixtures/wall_clock_pos.rs"),
-        include_str!("fixtures/wall_clock_neg.rs"),
-        "crates/data/src/fixture.rs",
-    ),
-    (
-        "unwrap",
-        // An unwrap-included crate that missing-doc does NOT cover
-        // (fl-secagg is now doc-linted in full, so its virtual path
-        // would flag the fixture's undocumented pub fns).
-        "crates/actors/src/fixture.rs",
-        include_str!("fixtures/unwrap_pos.rs"),
-        include_str!("fixtures/unwrap_neg.rs"),
-        "crates/ml/src/fixture.rs",
-    ),
-    (
-        "panic",
-        "crates/core/src/fixture.rs",
-        include_str!("fixtures/panic_pos.rs"),
-        include_str!("fixtures/panic_neg.rs"),
-        "crates/bench/src/fixture.rs",
-    ),
-    (
-        "std-sync-lock",
-        "crates/ml/src/fixture.rs",
-        include_str!("fixtures/std_sync_lock_pos.rs"),
-        include_str!("fixtures/std_sync_lock_neg.rs"),
-        // Workspace-wide, except the crate that owns the wrappers.
-        "crates/race/src/fixture.rs",
-    ),
-    (
-        // Same rule, second face: raw parking_lot primitives bypass
-        // the fl-race lock graph just as std::sync ones do.
-        "std-sync-lock",
-        "crates/server/src/fixture.rs",
-        include_str!("fixtures/parking_lot_pos.rs"),
-        include_str!("fixtures/parking_lot_neg.rs"),
-        "crates/race/src/fixture.rs",
-    ),
-    (
-        "sleep",
-        "crates/actors/src/fixture.rs",
-        include_str!("fixtures/sleep_pos.rs"),
-        include_str!("fixtures/sleep_neg.rs"),
-        "crates/sim/src/fixture.rs",
-    ),
-    (
-        "print",
-        "crates/data/src/fixture.rs",
-        include_str!("fixtures/print_pos.rs"),
-        include_str!("fixtures/print_neg.rs"),
-        "crates/tools/src/fixture.rs",
-    ),
-    (
-        "lock-order",
-        "crates/server/src/fixture.rs",
-        include_str!("fixtures/lock_order_pos.rs"),
-        include_str!("fixtures/lock_order_neg.rs"),
-        "src-other/fixture.rs",
-    ),
-    (
-        "missing-doc",
-        "crates/core/src/lib.rs",
-        include_str!("fixtures/missing_doc_pos.rs"),
-        include_str!("fixtures/missing_doc_neg.rs"),
-        "crates/core/src/plan.rs",
-    ),
-    (
-        "unsafe-safety",
-        "crates/secagg/tests/fixture.rs",
-        include_str!("fixtures/unsafe_safety_pos.rs"),
-        include_str!("fixtures/unsafe_safety_neg.rs"),
-        "examples/fixture.rs",
-    ),
-];
+const LOCK_ORDER_POS: &str = include_str!("fixtures/lock_order_pos.rs");
+const LOCK_ORDER_NEG: &str = include_str!("fixtures/lock_order_neg.rs");
 
 fn fired(rel: &str, src: &str) -> Vec<&'static str> {
-    let mut rules: Vec<&'static str> = lint_source(rel, src).into_iter().map(|f| f.rule).collect();
-    rules.dedup();
-    rules
+    lint_source(rel, src).into_iter().map(|f| f.rule).collect()
 }
 
 #[test]
-fn every_rule_fires_on_its_positive_fixture() {
-    for (rule, path, pos, _, _) in CASES {
-        let rules = fired(path, pos);
-        assert!(
-            rules.contains(rule),
-            "rule `{rule}` did not fire on its positive fixture at {path}; fired: {rules:?}"
-        );
-    }
+fn lock_order_fires_on_its_positive_fixture() {
+    let rules = fired("crates/server/src/fixture.rs", LOCK_ORDER_POS);
+    assert_eq!(rules, ["lock-order"]);
+    assert_eq!(fired("src/fixture.rs", LOCK_ORDER_POS), ["lock-order"]);
 }
 
 #[test]
-fn negative_fixtures_are_clean() {
-    for (rule, path, _, neg, _) in CASES {
-        let findings = lint_source(path, neg);
-        assert!(
-            findings.is_empty(),
-            "rule `{rule}`'s negative fixture at {path} produced: {findings:?}"
-        );
-    }
+fn lock_order_negative_fixture_is_clean() {
+    let findings = lint_source("crates/server/src/fixture.rs", LOCK_ORDER_NEG);
+    assert!(findings.is_empty(), "{findings:?}");
 }
 
 #[test]
-fn positive_fixtures_respect_path_scope() {
-    for (rule, _, pos, _, out_of_scope) in CASES {
-        if out_of_scope.is_empty() {
-            continue;
-        }
-        let rules = fired(out_of_scope, pos);
-        assert!(
-            !rules.contains(rule),
-            "rule `{rule}` fired outside its scope at {out_of_scope}"
-        );
+fn lock_order_skips_test_code() {
+    for path in ["tests/fixture.rs", "crates/server/tests/fixture.rs"] {
+        assert!(fired(path, LOCK_ORDER_POS).is_empty(), "{path}");
     }
+    let in_test = format!("#[cfg(test)]\nmod tests {{\n{LOCK_ORDER_POS}}}\n");
+    assert!(fired("crates/server/src/fixture.rs", &in_test).is_empty());
 }
 
 #[test]
-fn allow_suppresses_each_rule() {
-    // Annotating every line of the positive fixture with the rule's
-    // allow must silence it completely.
-    for (rule, path, pos, _, _) in CASES {
-        let annotated: String = pos
-            .lines()
-            .map(|l| format!("{l} // fl-lint: allow({rule})\n"))
-            .collect();
-        let leftover: Vec<_> = lint_source(path, &annotated)
-            .into_iter()
-            .filter(|f| f.rule == *rule)
-            .collect();
-        assert!(
-            leftover.is_empty(),
-            "allow({rule}) did not suppress: {leftover:?}"
-        );
-    }
+fn allow_suppresses_lock_order() {
+    let annotated: String = LOCK_ORDER_POS
+        .lines()
+        .map(|l| format!("{l} // fl-lint: allow(lock-order)\n"))
+        .collect();
+    let findings = lint_source("crates/server/src/fixture.rs", &annotated);
+    assert!(findings.is_empty(), "{findings:?}");
 }
 
 #[test]
@@ -156,4 +53,118 @@ fn unknown_allow_is_itself_a_finding() {
         findings.iter().any(|f| f.rule == "unknown-allow"),
         "typo'd allow id should be reported; got {findings:?}"
     );
+}
+
+/// One line appended to a workspace file, and the lint that must report
+/// it, or `None` where no lint may. Each of the lexical rules the compiler
+/// took over has one plant in a file of the rule's old scope.
+const PLANTS: &[(&str, &str, Option<&str>)] = &[
+    (
+        "crates/server/src/pace.rs",
+        "fn planted() -> std::time::Instant { std::time::Instant::now() }",
+        Some("clippy::disallowed_methods"),
+    ),
+    // The aliased read the lexical rule did not see.
+    (
+        "crates/sim/src/des.rs",
+        "fn planted() -> std::time::Instant { use std::time::Instant as Clock; Clock::now() }",
+        Some("clippy::disallowed_methods"),
+    ),
+    (
+        "crates/device/src/conditions.rs",
+        "fn planted() { std::thread::sleep(std::time::Duration::ZERO) }",
+        Some("clippy::disallowed_methods"),
+    ),
+    (
+        "crates/ml/src/model.rs",
+        "fn planted() -> std::sync::Mutex<u8> { std::sync::Mutex::new(0) }",
+        Some("clippy::disallowed_types"),
+    ),
+    (
+        "crates/secagg/src/shamir.rs",
+        "fn planted(x: Option<u8>) -> u8 { x.unwrap() }",
+        Some("clippy::unwrap_used"),
+    ),
+    (
+        "crates/wire/src/message.rs",
+        "fn planted() { panic!(\"planted\") }",
+        Some("clippy::panic"),
+    ),
+    (
+        "crates/analytics/src/overload.rs",
+        "fn planted() { println!(\"planted\") }",
+        Some("clippy::print_stdout"),
+    ),
+    (
+        "crates/core/src/lib.rs",
+        "pub fn planted() {}",
+        Some("missing_docs"),
+    ),
+    (
+        "crates/data/src/store.rs",
+        "fn planted(p: *const u8) -> u8 { unsafe { *p } }",
+        Some("clippy::undocumented_unsafe_blocks"),
+    ),
+    // Test code may panic; fl-bench may print.
+    (
+        "crates/core/src/plan.rs",
+        "#[cfg(test)] mod planted { fn planted() { panic!(\"planted\") } }",
+        None,
+    ),
+    (
+        "crates/bench/src/lib.rs",
+        "fn planted() { println!(\"planted\") }",
+        None,
+    ),
+];
+
+/// Plants [`PLANTS`] in a mirror of the workspace under `target/`, runs
+/// the clippy pass there with every lint capped at a warning (a crate that
+/// fails stops its dependents from being linted), and reads back what was
+/// reported at each planted line.
+#[test]
+fn clippy_reports_each_planted_violation_at_its_line() {
+    let root = fl_lint::workspace_root();
+    let work = Path::new(env!("CARGO_TARGET_TMPDIR")).join("clippy_plants");
+    std::fs::create_dir_all(&work).unwrap();
+    let tree = work.canonicalize().unwrap().join("tree");
+    let mut files = cargo::sources(&root).unwrap();
+    let mut lines = Vec::new();
+    for &(file, code, _) in PLANTS {
+        let (_, src) = files.iter_mut().find(|(rel, _)| rel == file).unwrap();
+        if !src.ends_with('\n') {
+            src.push('\n');
+        }
+        src.push_str(code);
+        src.push('\n');
+        lines.push(src.lines().count() as u32);
+    }
+    cargo::mirror(&tree, &files).unwrap();
+    let args = ["--workspace", "--all-targets", "--", "--cap-lints", "warn"];
+    let (stdout, _) = cargo::run("clippy", &tree, &work.join("target"), &args)
+        .unwrap_or_else(|err| panic!("cargo clippy could not run: {err}"));
+    let diags = cargo::parse_diagnostics(&stdout, &tree, &tree);
+    for (&(file, code, lint), line) in PLANTS.iter().zip(lines) {
+        let mut reported: Vec<&str> = diags
+            .iter()
+            .filter(|d| {
+                d.spans
+                    .iter()
+                    .any(|s| s.primary && s.file == file && s.lines.0 == line)
+            })
+            .map(|d| d.code.as_str())
+            .filter(|code| *code != "dead_code")
+            .collect();
+        reported.dedup();
+        match lint {
+            Some(lint) => assert!(
+                reported.contains(&lint),
+                "`{code}` at {file}:{line}: want {lint}, reported {reported:?}"
+            ),
+            None => assert!(
+                reported.is_empty(),
+                "`{code}` at {file}:{line}: reported {reported:?}"
+            ),
+        }
+    }
 }

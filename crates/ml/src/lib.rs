@@ -41,6 +41,15 @@
 //! assert!(loss < 0.1);
 //! ```
 
+// Release-gate lints of this crate (DESIGN.md Sec. 7).
+#![deny(
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr
+)]
+
 pub mod compress;
 pub mod fixedpoint;
 pub mod linalg;

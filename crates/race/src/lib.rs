@@ -29,6 +29,19 @@
 //! Tests that *construct* deliberate inversions bind their locks to a
 //! private graph via [`Mutex::new_in`] so the global gate stays clean.
 
+// Release-gate lints of this crate (DESIGN.md Sec. 7).
+#![expect(
+    clippy::disallowed_types,
+    reason = "fl-race's wrappers are built on the raw std::sync primitives they instrument"
+)]
+#![deny(
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr
+)]
+
 mod graph;
 mod sync;
 

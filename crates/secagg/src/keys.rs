@@ -153,6 +153,11 @@ pub fn apply_masks_portable(acc: &mut [u64], streams: &[MaskStream]) {
 /// are slower.
 const PORTABLE_LANES: usize = 2;
 
+/// [`apply_masks`] on eight lanes, built for AVX-512F.
+///
+/// # Safety
+///
+/// The CPU must have AVX-512F.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 fn apply_masks_avx512f(acc: &mut [u64], streams: &[MaskStream]) {

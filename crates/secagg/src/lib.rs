@@ -34,6 +34,17 @@
 //! limits) is real while keys stay word-sized. Do **not** use this crate
 //! for actual cryptographic protection; see DESIGN.md.
 
+// Release-gate lints of this crate (DESIGN.md Sec. 7).
+#![deny(
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::unwrap_used,
+    clippy::expect_used
+)]
+
 /// Typed SecAgg failures (`SecAggError`).
 pub mod error;
 /// Arithmetic in the 61-bit prime field masks and shares live in.

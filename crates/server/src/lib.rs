@@ -38,8 +38,18 @@
 //! running the selection process continuously" — a [`selector::Selector`]
 //! keeps accepting and holding devices whatever phase the round is in.
 
+// Release-gate lints of this crate (DESIGN.md Sec. 7).
+#![deny(
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::unwrap_used,
+    clippy::expect_used
+)]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 #![deny(missing_debug_implementations)]
-#![warn(missing_docs)]
 
 /// Aggregators and the Master Aggregator: streaming FedAvg shards,
 /// optional per-shard Secure Aggregation, hierarchical merge.
@@ -74,7 +84,7 @@ pub use round::{RoundEvent, RoundState};
 pub use selector::{CheckinDecision, Selector};
 pub use shedding::{
     AdmissionConfig, AdmissionController, AdmissionDecision, GlobalAdmissionBudget,
-    GlobalAdmissionConfig, PaceController, PaceControllerConfig, ShedReason,
+    GlobalAdmissionConfig, PaceController, ShedReason,
 };
 pub use storage::{
     CheckpointStore, FaultyCheckpointStore, InMemoryCheckpointStore, SharedCheckpointStore,

@@ -264,12 +264,14 @@ impl CoordinatorActor<InMemoryCheckpointStore> {
         locks: LockingService<String>,
     ) -> Self {
         let lease_name = coordinator_lease_name(&config.population);
+        #[expect(
+            clippy::expect_used,
+            reason = "documented `# Panics` contract: double ownership of a population breaks the \
+                      exactly-once guarantee (Sec. 4.2) and must fail loudly at wiring time, \
+                      before any device traffic exists"
+        )]
         let lease = locks
             .acquire(lease_name.clone(), lease_name)
-            // fl-lint: allow(unwrap): documented `# Panics` contract —
-            // double ownership of a population breaks the exactly-once
-            // guarantee (Sec. 4.2) and must fail loudly at wiring time,
-            // before any device traffic exists.
             .expect("population already owned by another coordinator");
         Self::with_store(
             config,
@@ -312,11 +314,13 @@ impl<S: CheckpointStore + Send + 'static> CoordinatorActor<S> {
         );
         let pace_rng = fl_ml::rng::seeded(config.seed ^ 0x9ACE);
         let mut coordinator = Coordinator::new(config, store);
+        #[expect(
+            clippy::expect_used,
+            reason = "documented `# Panics` contract: a storage failure during wiring (before any \
+                      device traffic) leaves nothing to recover; fail loudly"
+        )]
         coordinator
             .deploy(group, plans, initial_params)
-            // fl-lint: allow(unwrap): documented `# Panics` contract — a
-            // storage failure during wiring (before any device traffic)
-            // leaves nothing to recover; fail loudly.
             .expect("initial deployment failed");
         CoordinatorActor {
             coordinator,
@@ -329,9 +333,11 @@ impl<S: CheckpointStore + Send + 'static> CoordinatorActor<S> {
             waiting: Vec::new(),
             merging: None,
             held: VecDeque::new(),
-            // fl-lint: allow(wall-clock): the live topology stamps protocol
-            // events with real elapsed time; the deterministic state
-            // machines only ever see the derived `now_ms` offsets.
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the live topology stamps protocol events with real elapsed time; the \
+                          deterministic state machines only ever see the derived `now_ms` offsets"
+            )]
             epoch: Instant::now(),
             lease,
             locks,
@@ -763,7 +769,7 @@ impl SelectorActor {
             selector,
             routes,
             telemetry: None,
-            // fl-lint: allow(wall-clock): live-mode event timestamps only.
+            #[expect(clippy::disallowed_methods, reason = "live-mode event timestamps only")]
             epoch: Instant::now(),
         }
     }

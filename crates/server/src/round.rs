@@ -126,12 +126,14 @@ impl RoundState {
     /// Panics if the configuration is invalid (see
     /// [`RoundConfig::validate`]).
     pub fn begin(round: RoundId, config: RoundConfig, now_ms: u64) -> Self {
+        #[expect(
+            clippy::panic,
+            reason = "documented `# Panics` precondition: configs are validated when authored \
+                      (RoundConfig::validate); an invalid one reaching `begin` is a programming \
+                      error, not a runtime condition a round could recover from"
+        )]
         config
             .validate()
-            // fl-lint: allow(panic): documented `# Panics` precondition —
-            // configs are validated when authored (RoundConfig::validate);
-            // an invalid one reaching `begin` is a programming error, not
-            // a runtime condition a round could recover from.
             .unwrap_or_else(|why| panic!("invalid round config: {why}"));
         RoundState {
             round,

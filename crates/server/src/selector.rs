@@ -21,7 +21,7 @@
 use crate::pace::PaceSteering;
 use crate::shedding::{
     AdmissionConfig, AdmissionController, AdmissionDecision, GlobalAdmissionBudget, PaceController,
-    PaceControllerConfig, ShedReason,
+    ShedReason,
 };
 use fl_core::{DeviceId, PopulationName};
 use fl_ml::rng;
@@ -117,12 +117,11 @@ impl Selector {
     /// pace controller starts from `population_estimate` and adjusts from
     /// observed arrivals.
     pub fn new(pace: PaceSteering, population_estimate: u64, seed: u64) -> Self {
-        let controller_config = PaceControllerConfig::for_pace(&pace);
         Selector {
             populations: Vec::new(),
             connected: BTreeMap::new(),
             stale_after_ms: None,
-            pace: PaceController::new(pace, population_estimate, controller_config),
+            pace: PaceController::new(pace, population_estimate),
             admission: None,
             global: None,
             evicted_total: 0,

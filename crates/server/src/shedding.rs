@@ -346,86 +346,45 @@ impl GlobalAdmissionBudget {
     }
 }
 
-/// Closed-loop pace-steering knobs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PaceControllerConfig {
-    /// Observation window width (ms). Defaults to the pace policy's
-    /// rendezvous period so "arrivals per window" and "check-ins per
-    /// period" are the same unit.
-    pub window_ms: u64,
-    /// Smoothing gain in `(0, 1]` applied when folding the implied
-    /// population into the running estimate (1.0 = trust each window
-    /// fully; lower = smoother, slower).
-    pub gain: f64,
-    /// Floor for the population estimate.
-    pub min_population: u64,
-    /// Ceiling for the population estimate.
-    pub max_population: u64,
-    /// Cap on how far a single window may pull the estimate upward: the
-    /// implied population is clipped to `estimate × max_growth_per_window`
-    /// before smoothing. The `implied = arrivals × periods_per_return`
-    /// law assumes arrivals are *paced* by the current policy; during a
-    /// flash crowd the newcomers are unpaced, so one hot window would
-    /// otherwise ramp the estimate far above the true population
-    /// (ROADMAP: estimate overshoot). Growth-capping bounds the transient
-    /// while leaving convergence (and decay, which is uncapped) intact.
-    pub max_growth_per_window: f64,
-}
+/// Smoothing gain in `(0, 1]` with which [`PaceController`] folds the
+/// implied population into its running estimate (1.0 = trust each window
+/// fully; lower = smoother, slower).
+const PACE_GAIN: f64 = 0.5;
 
-impl PaceControllerConfig {
-    /// A configuration windowed on the given pace policy's rendezvous
-    /// period, with defaults suitable for flash-crowd response within a
-    /// handful of windows.
-    pub fn for_pace(pace: &PaceSteering) -> Self {
-        PaceControllerConfig {
-            window_ms: pace.rendezvous_period_ms,
-            gain: 0.5,
-            min_population: 1,
-            max_population: 1 << 40,
-            max_growth_per_window: 4.0,
-        }
-    }
+/// Floor of [`PaceController`]'s population estimate.
+const PACE_MIN_POPULATION: u64 = 1;
 
-    /// Validates internal consistency.
-    ///
-    /// # Errors
-    ///
-    /// Returns a human-readable description of the first problem found.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.window_ms == 0 {
-            return Err("window_ms must be positive".into());
-        }
-        if !(self.gain > 0.0 && self.gain <= 1.0) {
-            return Err("gain must be in (0, 1]".into());
-        }
-        if self.min_population == 0 || self.min_population > self.max_population {
-            return Err("population bounds must satisfy 0 < min <= max".into());
-        }
-        if !(self.max_growth_per_window > 1.0 && self.max_growth_per_window.is_finite()) {
-            return Err("max_growth_per_window must be finite and > 1".into());
-        }
-        Ok(())
-    }
-}
+/// Ceiling of [`PaceController`]'s population estimate.
+const PACE_MAX_POPULATION: u64 = 1 << 40;
+
+/// Cap on how far a single window may pull [`PaceController`]'s estimate
+/// upward: the implied population is clipped to `estimate ×
+/// PACE_MAX_GROWTH_PER_WINDOW` before smoothing. The `implied = arrivals ×
+/// periods_per_return` law assumes arrivals are *paced* by the current
+/// policy; during a flash crowd the newcomers are unpaced, so one hot
+/// window would otherwise ramp the estimate far above the true population
+/// (ROADMAP: estimate overshoot). Growth-capping bounds the transient
+/// while leaving convergence (and decay, which is uncapped) intact.
+const PACE_MAX_GROWTH_PER_WINDOW: f64 = 4.0;
 
 /// Closed-loop pace steering: folds observed check-in arrival rates back
 /// into [`PaceSteering`]'s window sizing.
 ///
 /// Every check-in (accepted, rejected, or shed) is an arrival
-/// observation. At each window boundary the window's arrival count `A`
-/// is folded into P² sketches and converted into the population it
-/// *implies* under the current policy: devices spread over a horizon of
-/// `max(estimate / target, 1)` periods arrive at
+/// observation. Its windows are the pace policy's rendezvous periods, so
+/// "arrivals per window" and "check-ins per period" are the same unit. At
+/// each window boundary the window's arrival count `A` is converted into
+/// the population it *implies* under the current policy: devices spread
+/// over a horizon of `max(estimate / target, 1)` periods arrive at
 /// `target × population / estimate` per period, so
 /// `implied = A × max(estimate / target, 1)`. The estimate then moves
-/// toward the implied value by the configured gain — a fixed-point
+/// toward the implied value by `PACE_GAIN` — a fixed-point
 /// iteration that converges to the true arrival-generating population
 /// and therefore sizes reconnect horizons from what the fleet actually
 /// does, not from a static guess.
 #[derive(Debug, Clone)]
 pub struct PaceController {
     pace: PaceSteering,
-    config: PaceControllerConfig,
     estimate: f64,
     window_start_ms: u64,
     window_arrivals: u64,
@@ -433,23 +392,10 @@ pub struct PaceController {
 
 impl PaceController {
     /// Creates a controller seeded with an initial population estimate.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is invalid — controllers are wired at
-    /// topology-construction time.
-    pub fn new(pace: PaceSteering, initial_population: u64, config: PaceControllerConfig) -> Self {
-        assert!(
-            config.validate().is_ok(),
-            "invalid pace-controller config: {:?}",
-            config.validate()
-        );
-        let estimate = (initial_population.max(config.min_population) as f64)
-            .min(config.max_population as f64);
+    pub fn new(pace: PaceSteering, initial_population: u64) -> Self {
         PaceController {
             pace,
-            config,
-            estimate,
+            estimate: clamp_population(initial_population),
             window_start_ms: 0,
             window_arrivals: 0,
         }
@@ -459,16 +405,15 @@ impl PaceController {
     /// window (including empty ones — silence is evidence of a shrinking
     /// population) into the estimate.
     fn roll_to(&mut self, now_ms: u64) {
-        while now_ms >= self.window_start_ms + self.config.window_ms {
+        let window_ms = self.pace.rendezvous_period_ms;
+        while now_ms >= self.window_start_ms + window_ms {
             let arrivals = self.window_arrivals as f64;
             let periods_per_return = (self.estimate / self.pace.target_checkins as f64).max(1.0);
-            let implied = (arrivals * periods_per_return)
-                .min(self.estimate * self.config.max_growth_per_window);
-            self.estimate = (self.estimate + self.config.gain * (implied - self.estimate)).clamp(
-                self.config.min_population as f64,
-                self.config.max_population as f64,
-            );
-            self.window_start_ms += self.config.window_ms;
+            let implied =
+                (arrivals * periods_per_return).min(self.estimate * PACE_MAX_GROWTH_PER_WINDOW);
+            self.estimate = (self.estimate + PACE_GAIN * (implied - self.estimate))
+                .clamp(PACE_MIN_POPULATION as f64, PACE_MAX_POPULATION as f64);
+            self.window_start_ms += window_ms;
             self.window_arrivals = 0;
         }
     }
@@ -502,9 +447,13 @@ impl PaceController {
     /// Overrides the estimate (a Coordinator pushing census data). The
     /// closed loop keeps adjusting from the new value.
     pub fn set_population_estimate(&mut self, estimate: u64) {
-        self.estimate = (estimate.max(self.config.min_population) as f64)
-            .min(self.config.max_population as f64);
+        self.estimate = clamp_population(estimate);
     }
+}
+
+/// `population` within the estimate's floor and ceiling.
+fn clamp_population(population: u64) -> f64 {
+    population.clamp(PACE_MIN_POPULATION, PACE_MAX_POPULATION) as f64
 }
 
 #[cfg(test)]
@@ -595,9 +544,7 @@ mod tests {
     }
 
     fn controller(initial: u64) -> PaceController {
-        let pace = PaceSteering::new(60_000, 100);
-        let config = PaceControllerConfig::for_pace(&pace);
-        PaceController::new(pace, initial, config)
+        PaceController::new(PaceSteering::new(60_000, 100), initial)
     }
 
     #[test]

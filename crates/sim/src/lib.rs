@@ -52,6 +52,16 @@
 //!   `fl-server` Coordinator (regenerates the Sec. 8 next-word-prediction
 //!   experiment and clients-per-round sweeps).
 
+// Release-gate lints of this crate (DESIGN.md Sec. 7).
+#![deny(
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr
+)]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
+
 /// Diurnal device-eligibility model (Fig. 5).
 pub mod availability;
 /// Seeded fault plans: the fault axis of [`scenario`].

@@ -246,7 +246,7 @@ mod tests {
     /// periods) used to spike the estimate past two million devices —
     /// 25×+ the true stepped population — before the EWMA decayed. With
     /// per-window growth capped
-    /// (`PaceControllerConfig::max_growth_per_window`), the peak must
+    /// (`shedding::PACE_MAX_GROWTH_PER_WINDOW` in fl-server), the peak must
     /// stay within a small factor of the true population (observed ≈
     /// 3.3×; the bound leaves slack without re-admitting the spike).
     #[test]

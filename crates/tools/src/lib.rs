@@ -20,6 +20,9 @@
 //! Sec. 7.4's analysis tools read the Coordinator's materialized metrics
 //! (`Coordinator::materialized_metrics`) directly; no wrapper is kept.
 
+// Release-gate lints of this crate (DESIGN.md Sec. 7).
+#![deny(clippy::panic, clippy::todo, clippy::unimplemented)]
+
 pub mod builder;
 pub mod release;
 pub mod simulate;

@@ -311,12 +311,22 @@ fn narrow(bytes: &[u8]) -> u64 {
     h
 }
 
+/// [`wide`] built for AVX-512F and AVX-512DQ.
+///
+/// # Safety
+///
+/// The CPU must have AVX-512F and AVX-512DQ.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512dq")]
 fn wide_avx512(bytes: &[u8]) -> u64 {
     wide(bytes)
 }
 
+/// [`wide`] built for AVX2.
+///
+/// # Safety
+///
+/// The CPU must have AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn wide_avx2(bytes: &[u8]) -> u64 {

@@ -54,8 +54,15 @@
 //! key so the server can keep upload handling at-most-once under
 //! retries; see `WireMessage::UpdateReport`.
 
+// Release-gate lints of this crate (DESIGN.md Sec. 7).
+#![deny(
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr
+)]
 #![deny(missing_debug_implementations)]
-#![warn(missing_docs)]
 
 mod fault;
 mod frame;

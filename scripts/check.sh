@@ -3,11 +3,13 @@
 # Every step runs even after a failure, so one run reports the full
 # damage; the summary table at the bottom is the verdict.
 #
-# The old shell grep/diff wall-clock allowlist audit now lives inside
-# fl-lint itself (rule `allowlist-drift`), so the `fl-lint` step covers
-# it; scripts/wall_clock_allowlist.txt remains the data file. The
-# `test-only-pub` audit (a `pub fn` in crates/*/src that only tests
-# reach) asks the compiler, so it is its own step, `dead-pub`, after it.
+# The static-analysis pass is mostly the compiler's: the `fl-lint` step
+# runs fl-lint (its `lock-order` rule and the `allowlist-drift` audit of
+# scripts/wall_clock_allowlist.txt), then clippy on every workspace
+# target with the root Cargo.toml's `[workspace.lints]`, the crate roots'
+# `deny` attributes and clippy.toml. The `test-only-pub` audit (a `pub fn`
+# in crates/*/src that only tests reach) asks the compiler too, and is
+# its own step, `dead-pub`, after it.
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
@@ -65,7 +67,18 @@ run_step "fmt" cargo fmt --all --check
 # `checkin_storm`-shaped tree's live heap must stay flat over 1 000 more
 # rounds, and one round's allocations per check-in stay under a ceiling).
 run_step "test" cargo test -q
-run_step "fl-lint" cargo run -q -p fl-lint
+# fl-lint, then the clippy pass, in target/clippy (tier-1's
+# `tests/lint_gate.rs` runs the same pass there, so it is warm). Clippy
+# fails on a denied lint (wall clock and sleep, raw locks, unwrap, panic,
+# print, missing docs, undocumented `unsafe`) and on an `#[expect]` that
+# no longer fires. Both run even when the first fails.
+fl_lint() {
+  local status=0
+  cargo run -q -p fl-lint || status=1
+  cargo clippy --offline --workspace --all-targets --target-dir target/clippy || status=1
+  return "${status}"
+}
+run_step "fl-lint" fl_lint
 # The compiler's `test-only-pub` audit (DESIGN.md Sec. 7): in a mirror
 # under target/dead_pub, every `pub fn` of crates/*/src no allow covers
 # becomes `pub(crate)`; `cargo check --offline` of the workspace's lib,

@@ -18,6 +18,15 @@
 //! See `README.md` for a tour and `EXPERIMENTS.md` for the reproduced
 //! figures and tables.
 
+// Release-gate lints of this crate (DESIGN.md Sec. 7).
+#![deny(
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr
+)]
+
 pub use fl_actors as actors;
 pub use fl_analytics as analytics;
 pub use fl_core as core;
