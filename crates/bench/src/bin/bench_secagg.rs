@@ -36,11 +36,11 @@
 use fl_bench::gate::{self, SecAggCase as Case};
 use fl_core::plan::CodecSpec;
 use fl_core::DeviceId;
-use fl_secagg::field::{self, PRIME};
+use fl_secagg::field;
 use fl_secagg::keys::{self, MaskStream};
 use fl_secagg::protocol::{run_instance, SecAggConfig};
 use fl_server::aggregator::{AggregationPlan, MasterAggregator};
-use rand::RngExt;
+use rand::Rng;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -93,20 +93,24 @@ fn best_ms(devices: usize, max_per_shard: usize, iters: u32) -> f64 {
 const KERNEL_STREAMS: u64 = 16;
 const KERNEL_DIM: usize = 4113;
 
-/// The per-stream loop `keys::apply_masks` replaced: one pass over `acc`
-/// per `(seed, subtract)` stream, `op` inlined into each.
-fn per_stream_loop(acc: &mut [u64], streams: &[(u64, bool)]) {
-    fn apply_mask(acc: &mut [u64], seed: u64, op: impl Fn(u64, u64) -> u64) {
+/// The per-stream loop `keys::apply_masks` replaced, in the ring: one
+/// pass over `acc` per `(seed, subtract)` stream, two coordinates per
+/// `rng::seeded` step, `op` inlined into each.
+fn per_stream_loop(acc: &mut [u32], streams: &[(u64, bool)]) {
+    fn apply_mask(acc: &mut [u32], seed: u64, op: impl Fn(u32, u32) -> u32) {
         let mut r = fl_ml::rng::seeded(seed);
-        for x in acc {
-            *x = op(*x, r.random_range(0..PRIME));
+        for pair in acc.chunks_mut(2) {
+            let word = r.next_u64();
+            for (x, m) in pair.iter_mut().zip([word as u32, (word >> 32) as u32]) {
+                *x = op(*x, m);
+            }
         }
     }
     for &(seed, subtract) in streams {
         if subtract {
-            apply_mask(acc, seed, field::sub);
+            apply_mask(acc, seed, u32::wrapping_sub);
         } else {
-            apply_mask(acc, seed, field::add);
+            apply_mask(acc, seed, u32::wrapping_add);
         }
     }
 }
@@ -125,7 +129,7 @@ fn kernel_ns_per_draw() -> [f64; 3] {
             }
         })
         .collect();
-    type Kernel<'a> = &'a dyn Fn(&mut [u64]);
+    type Kernel<'a> = &'a dyn Fn(&mut [u32]);
     let kernels: [Kernel; 3] = [
         &|acc| keys::apply_masks(acc, &streams),
         &|acc| keys::apply_masks_portable(acc, &streams),
@@ -133,7 +137,7 @@ fn kernel_ns_per_draw() -> [f64; 3] {
     ];
     const REPS: u32 = 100;
     let draws = f64::from(REPS) * (KERNEL_STREAMS as usize * KERNEL_DIM) as f64;
-    let mut acc = vec![0u64; KERNEL_DIM];
+    let mut acc = vec![0u32; KERNEL_DIM];
     let ns = kernels.map(|kernel| {
         let start = Instant::now();
         for _ in 0..REPS {

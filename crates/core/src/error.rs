@@ -42,6 +42,17 @@ pub enum CoreError {
     /// round is abandoned and its resources reclaimed, Sec. 2.2) rather
     /// than a panic, so a bad round cannot take down the control plane.
     InvariantViolated(String),
+    /// A SecAgg contribution carries a value its group's sum in
+    /// `Z_{2^32}` cannot hold: a coordinate above the fixed-point grid,
+    /// or a weight too large to sum over a group.
+    OutOfRange {
+        /// What the value is (`"coordinate"` or `"weight"`).
+        what: &'static str,
+        /// The value received.
+        value: u64,
+        /// The largest value accepted.
+        max: u64,
+    },
     /// Underlying ML error.
     Ml(fl_ml::MlError),
 }
@@ -71,6 +82,9 @@ impl fmt::Display for CoreError {
             CoreError::UnknownTask(name) => write!(f, "unknown task or population: {name}"),
             CoreError::StorageFailure(why) => write!(f, "checkpoint storage failure: {why}"),
             CoreError::InvariantViolated(what) => write!(f, "invariant violated: {what}"),
+            CoreError::OutOfRange { what, value, max } => {
+                write!(f, "{what} {value} out of range (at most {max})")
+            }
             CoreError::Ml(e) => write!(f, "ml error: {e}"),
         }
     }

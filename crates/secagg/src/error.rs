@@ -31,6 +31,9 @@ pub enum SecAggError {
     ReconstructionFailed(u32),
     /// Duplicate message from the same participant in one round.
     DuplicateMessage(u32),
+    /// The input coordinate at this index is not an element of the ring
+    /// `Z_{2^32}` the vectors are masked and summed in.
+    OutOfRing(usize),
 }
 
 impl fmt::Display for SecAggError {
@@ -60,6 +63,7 @@ impl fmt::Display for SecAggError {
             SecAggError::DuplicateMessage(id) => {
                 write!(f, "duplicate message from participant {id}")
             }
+            SecAggError::OutOfRing(i) => write!(f, "input coordinate {i} is not below 2^32"),
         }
     }
 }

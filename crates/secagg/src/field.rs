@@ -1,14 +1,12 @@
 //! Arithmetic in the prime field `Z_p`, `p = 2⁶¹ − 1` (a Mersenne prime).
 //!
-//! All Secure Aggregation values — masked inputs, Shamir shares, PRG mask
-//! elements — live in this field. The prime is shared with
-//! `fl_ml::fixedpoint` so fixed-point-encoded updates sum correctly under
-//! masking.
+//! The Shamir shares, the Diffie–Hellman keys and the seeds they carry
+//! live in this field. The masked vectors do not: they are masked and
+//! summed in the ring `Z_{2^32}` ([`crate::masking`]), which is all the
+//! sum needs.
 //!
-//! `reduce`, `add`, `sub` and `neg` are branch-free: `2⁶¹ ≡ 1 (mod p)`,
-//! so every reduction is adds, shifts and masks, the 64-bit lane
-//! operations a baseline x86-64 (SSE2) build has, and a loop of them over
-//! a vector vectorises without AVX-512's unsigned compare.
+//! `reduce`, `add` and `sub` are branch-free: `2⁶¹ ≡ 1 (mod p)`,
+//! so every reduction is adds, shifts and masks.
 
 use std::cell::Cell;
 
@@ -43,14 +41,6 @@ pub fn add(a: u64, b: u64) -> u64 {
 pub fn sub(a: u64, b: u64) -> u64 {
     debug_assert!(a < PRIME && b < PRIME);
     fold(a + PRIME - b) // in [1, 2p − 1]
-}
-
-/// Field negation.
-#[inline]
-// fl-lint: allow(test-only-pub): a field law of tests/properties.rs and the golden mask pins
-pub fn neg(a: u64) -> u64 {
-    debug_assert!(a < PRIME);
-    fold(PRIME - a) // `p` when `a` is 0, which folds to 0
 }
 
 /// Field multiplication. `2⁶¹ ≡ 1 (mod p)`, so the 122-bit product
@@ -163,31 +153,6 @@ pub fn inv_all(values: &mut [u64]) {
     values[0] = inverse;
 }
 
-/// Adds vector `b` into `a` element-wise in the field.
-///
-/// # Panics
-///
-/// Panics if lengths differ.
-pub fn add_assign_vec(a: &mut [u64], b: &[u64]) {
-    assert_eq!(a.len(), b.len(), "vector length mismatch");
-    for (x, &y) in a.iter_mut().zip(b) {
-        *x = add(*x, y);
-    }
-}
-
-/// Subtracts vector `b` from `a` element-wise in the field.
-///
-/// # Panics
-///
-/// Panics if lengths differ.
-// fl-lint: allow(test-only-pub): the reference keys::apply_masks is checked against
-pub fn sub_assign_vec(a: &mut [u64], b: &[u64]) {
-    assert_eq!(a.len(), b.len(), "vector length mismatch");
-    for (x, &y) in a.iter_mut().zip(b) {
-        *x = sub(*x, y);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,7 +188,7 @@ mod tests {
     #[test]
     fn neg_is_additive_inverse() {
         for a in [0u64, 1, 12345, PRIME - 1] {
-            assert_eq!(add(a, neg(a)), 0);
+            assert_eq!(add(a, sub(0, a)), 0);
         }
     }
 
@@ -299,7 +264,6 @@ mod tests {
             .chain([1, PRIME - 2])
             .collect();
         for &a in &elements {
-            assert_eq!(neg(a), sub_reference(0, a), "neg({a})");
             for &b in &elements {
                 assert_eq!(add(a, b), add_reference(a, b), "{a} + {b}");
                 assert_eq!(sub(a, b), sub_reference(a, b), "{a} - {b}");
@@ -322,7 +286,7 @@ mod tests {
         fn add_sub_neg_match_the_reference(a in 0..PRIME, b in 0..PRIME) {
             prop_assert_eq!(add(a, b), add_reference(a, b));
             prop_assert_eq!(sub(a, b), sub_reference(a, b));
-            prop_assert_eq!(neg(a), sub_reference(0, a));
+            prop_assert_eq!(sub(0, a), sub_reference(0, a));
         }
     }
 
@@ -371,16 +335,6 @@ mod tests {
     #[should_panic(expected = "no multiplicative inverse")]
     fn inv_of_zero_panics() {
         let _ = inv(0);
-    }
-
-    #[test]
-    fn vector_ops_cancel() {
-        let a0 = vec![1u64, PRIME - 1, 12345];
-        let b = vec![99u64, 100, PRIME - 1];
-        let mut a = a0.clone();
-        add_assign_vec(&mut a, &b);
-        sub_assign_vec(&mut a, &b);
-        assert_eq!(a, a0);
     }
 
     #[test]

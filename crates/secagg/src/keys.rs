@@ -8,33 +8,37 @@
 //!
 //! # The mask PRG
 //!
-//! `PRG(seed)[i]` is the `i`-th `random_range(0..PRIME)` draw of
-//! xoshiro256++ seeded through SplitMix64, which is what
-//! `fl_ml::rng::seeded(seed)` draws. [`apply_masks`] writes that generator
-//! out itself rather than stepping `rng::seeded`: it steps many streams in
-//! lockstep, and the vendored `StdRng` keeps its state private (and is a
-//! stand-in that may change; the tests pin the two equal).
+//! Masks live in the ring `Z_{2^32}`, not in the field: the vectors only
+//! need a modulus that holds their sum (Bonawitz et al. 2017 mask in any
+//! `Z_R`), and the field is kept for the Shamir shares and the keys.
+//! `PRG(seed)` is the little-endian `u32` halves of successive
+//! xoshiro256++ outputs, seeded through SplitMix64 as
+//! `fl_ml::rng::seeded(seed)` is, low half first: element `2i` is the low
+//! half of the `i`-th `next_u64`, element `2i + 1` its high half, and an
+//! odd-length mask ends on a low half. [`apply_masks`] writes that
+//! generator out itself rather than stepping `rng::seeded`: it steps many
+//! streams in lockstep, and the vendored `StdRng` keeps its state private
+//! (and is a stand-in that may change; the tests pin the two equal).
 //!
 //! *Lane layout.* The streams of one call run in groups of `L`, one
 //! stream per lane, each generator's four state words stored as four
 //! `[u64; L]` arrays, so one step is a few lane-wise adds, shifts,
-//! rotates and XORs. The vector is walked once, in blocks of 64
-//! coordinates; every group runs over the block and adds its signed draws
-//! into one lazy sum per (coordinate, lane), which is reduced mod p once
-//! per block.
-//!
-//! *Overflow bound.* A signed draw is at most `p` (a subtracted stream
-//! adds `p − m`), so a lane sums at most eight groups (`8p < 2^64`) before
-//! it is folded. Each lane is folded below `p` before the lanes are
-//! added: `8(p − 1) < 2^64`, where eight lanes folded only to `p + 7`
-//! could pass `2^64`.
+//! rotates and XORs, and yields two draws a lane. The vector is walked
+//! once, in blocks of 64 coordinates; every group runs over the block and
+//! adds its draws into one wrapping `u32` sum per (coordinate, lane), and
+//! the lanes are added once per block, `L` coordinates at a time
+//! ([`row_sums`]). Nothing is reduced: every sum wraps mod `2^32`, which
+//! is the ring's own addition. A subtracted draw `m` is added as its
+//! complement `!m`, since `−m = !m + 1`; the `+1` of every subtracted
+//! stream is added once per coordinate, as one count.
 //!
 //! *Dispatch.* Where `is_x86_feature_detected!("avx512f")` holds, the
-//! kernel runs with `L = 8`, compiled for AVX-512F: one register per state
-//! word, with the unsigned compare and the 64-bit rotate the draw needs.
-//! Everywhere else it runs the portable instantiation
-//! ([`apply_masks_portable`]). The draw is bit-identical either way; only
-//! its cost differs (`bench_secagg`'s kernel row).
+//! kernel runs with `L = 8`, compiled for AVX-512F: one register per
+//! state word, with the 64-bit rotate the step needs. Everywhere else it
+//! runs the portable instantiation ([`apply_masks_portable`]). The draw
+//! is bit-identical either way; only its cost differs (`bench_secagg`'s
+//! kernel row, which read sixteen lanes, two registers a word, slower
+//! than eight).
 
 use crate::field;
 use fl_ml::rng;
@@ -55,11 +59,7 @@ impl KeyPair {
     /// Generates a key pair from the given RNG.
     pub fn generate<R: rand::Rng>(rng: &mut R) -> Self {
         // Secret in [1, p-1).
-        let secret = 1 + rng.random_range(0..field::PRIME - 2);
-        KeyPair {
-            secret,
-            public: field::pow(GENERATOR, secret),
-        }
+        KeyPair::from_secret(1 + rng.random_range(0..field::PRIME - 2))
     }
 
     /// Reconstructs a key pair from a known secret (used by the server when
@@ -98,37 +98,32 @@ impl KeyPair {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MaskStream {
     seed: u64,
-    /// `PRIME` to subtract the stream, `0` to add it: a draw `m < p` is
-    /// subtracted by adding `p − m`, which is `p ^ m` since `p` is all
-    /// ones below bit 61.
-    flip: u64,
+    /// `u32::MAX` to subtract the stream, `0` to add it: a subtracted
+    /// draw `m` is added as `m ^ neg = !m`, and `!m + 1 = −m` in the ring
+    /// (the kernel adds the ones as a count).
+    neg: u32,
 }
 
 impl MaskStream {
     /// `+PRG(seed)`.
     pub fn add(seed: u64) -> Self {
-        MaskStream { seed, flip: 0 }
+        MaskStream { seed, neg: 0 }
     }
 
     /// `−PRG(seed)`.
     pub fn sub(seed: u64) -> Self {
-        MaskStream {
-            seed,
-            flip: field::PRIME,
-        }
+        MaskStream { neg: !0, seed }
     }
 }
 
 /// Applies every stream to `acc` in one pass: coordinate `i` gains
-/// `Σ ±PRG(seed)[i]` over `streams` (mod p). No mask is materialised, and
-/// the result is the same as applying the streams one at a time in any
-/// order.
+/// `Σ ±PRG(seed)[i]` over `streams` (mod 2^32). No mask is materialised,
+/// and the result is the same as applying the streams one at a time in
+/// any order.
 ///
 /// Runs eight streams to an AVX-512 register where the CPU has AVX-512F,
 /// and the portable instantiation everywhere else (module docs).
-///
-/// `acc` must hold field elements (`< PRIME`).
-pub fn apply_masks(acc: &mut [u64], streams: &[MaskStream]) {
+pub fn apply_masks(acc: &mut [u32], streams: &[MaskStream]) {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx512f") {
         // SAFETY: the only requirement of a `#[target_feature]` function
@@ -143,14 +138,13 @@ pub fn apply_masks(acc: &mut [u64], streams: &[MaskStream]) {
 /// [`apply_masks`] without the AVX-512 dispatch: the path every CPU can
 /// take. Public so tests and `bench_secagg` can price the dispatched
 /// path against it.
-pub fn apply_masks_portable(acc: &mut [u64], streams: &[MaskStream]) {
+pub fn apply_masks_portable(acc: &mut [u32], streams: &[MaskStream]) {
     apply_lanes::<PORTABLE_LANES>(acc, streams);
 }
 
 /// Lanes of the portable instantiation. Without AVX-512 there is no
-/// unsigned 64-bit compare or rotate to vectorise the draw with, and
-/// `bench_secagg`'s kernel row reads two lanes no slower than one; four
-/// are slower.
+/// 64-bit rotate to vectorise the generator with, and `bench_secagg`'s
+/// kernel row reads four or eight lanes no faster than two.
 const PORTABLE_LANES: usize = 2;
 
 /// [`apply_masks`] on eight lanes, built for AVX-512F.
@@ -160,52 +154,88 @@ const PORTABLE_LANES: usize = 2;
 /// The CPU must have AVX-512F.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-fn apply_masks_avx512f(acc: &mut [u64], streams: &[MaskStream]) {
+fn apply_masks_avx512f(acc: &mut [u32], streams: &[MaskStream]) {
     apply_lanes::<8>(acc, streams);
 }
 
-/// Coordinates per block: one block's lazy sums, `BLOCK · L` words, stay
-/// in L1 while every group of streams runs over it.
+/// Coordinates per block: one block's lane sums, `BLOCK · L` words, stay
+/// in L1 while every group of streams runs over it. Even, so every block
+/// but the last starts on a generator step.
 const BLOCK: usize = 64;
-
-/// Groups of streams a lane sums before it is folded. A lane value is at
-/// most `p` (a subtracted zero draw), and `8p = 2^64 − 8` fits a word.
-const GROUPS_PER_FOLD: usize = 8;
 
 /// The kernel: streams in groups of `L`, one per lane, over the vector in
 /// blocks of [`BLOCK`] coordinates. Each group's generators step once per
-/// coordinate of the block, writing that coordinate's `L` lane values to
-/// their own array before adding them to the block's lazy sums: written
-/// straight into the sums, the loop vectorised poorly.
+/// two coordinates of the block, writing that pair's `2L` lane values
+/// (the low halves, then the high halves) to their own array before
+/// adding them to the block's lane sums: written straight into the sums,
+/// the loop vectorised poorly. The sums wrap, so nothing is folded or
+/// reduced.
 ///
 /// A short last group runs with dead lanes rather than on a narrower
-/// path: at the `finalize` shape (30 streams) that read 0.5 ns a draw,
-/// against 0.9 ns for 24 streams on eight lanes and 6 on the portable
 /// path. Always inlined, so the eight-lane instantiation is compiled for
 /// its AVX-512F caller.
 #[inline(always)]
-fn apply_lanes<const L: usize>(acc: &mut [u64], streams: &[MaskStream]) {
+fn apply_lanes<const L: usize>(acc: &mut [u32], streams: &[MaskStream]) {
     let mut groups: Vec<Lanes<L>> = streams.chunks(L).map(Lanes::seed).collect();
-    let mut sums = [[0u64; L]; BLOCK];
+    let subtracted = streams.iter().filter(|s| s.neg != 0).count() as u32;
+    // Per step: the lanes' sums for its even coordinate, then its odd one.
+    let mut sums = [[[0u32; L]; 2]; BLOCK / 2];
     for block in acc.chunks_mut(BLOCK) {
-        for batch in groups.chunks_mut(GROUPS_PER_FOLD) {
-            let sums = &mut sums[..block.len()];
-            sums.fill([0; L]);
-            for group in batch {
-                let mut lanes = *group;
-                for sum in sums.iter_mut() {
-                    let values = lanes.next_values();
-                    for (s, v) in sum.iter_mut().zip(values) {
-                        *s += v;
-                    }
+        let sums = &mut sums[..block.len().div_ceil(2)];
+        sums.fill([[0; L]; 2]);
+        for group in &mut groups {
+            let mut lanes = *group;
+            for sum in sums.iter_mut() {
+                let values = lanes.next_values();
+                for (s, v) in sum.as_flattened_mut().iter_mut().zip(values.as_flattened()) {
+                    *s = s.wrapping_add(*v);
                 }
-                *group = lanes;
             }
-            for (x, sum) in block.iter_mut().zip(sums.iter()) {
-                *x = field::add(*x, reduce_lanes(sum));
+            *group = lanes;
+        }
+        // One row of lane sums a coordinate, in coordinate order.
+        let (rows, full) = (sums.as_flattened(), block.len() / L * L);
+        let mut coordinates = block.chunks_exact_mut(L);
+        for (chunk, rows) in (&mut coordinates).zip(rows.chunks_exact(L)) {
+            let mut square = [[0u32; L]; L];
+            square.copy_from_slice(rows);
+            for (x, total) in chunk.iter_mut().zip(row_sums(square)) {
+                *x = x.wrapping_add(total).wrapping_add(subtracted);
+            }
+        }
+        let rest = coordinates.into_remainder();
+        for (x, lanes) in rest.iter_mut().zip(&rows[full..]) {
+            *x = lanes
+                .iter()
+                .fold(x.wrapping_add(subtracted), |x, &v| x.wrapping_add(v));
+        }
+    }
+}
+
+/// The sum of each row of `rows` (`L` coordinates, `L` lane values
+/// each), in row order. Each level adds the halves of two rows into one
+/// row, so `L` rows of `L` lanes take `log2 L` levels of whole-row adds
+/// and shuffles rather than one horizontal add per coordinate; with
+/// eight lanes, the kernel read 10-15 % faster for it.
+#[inline(always)]
+fn row_sums<const L: usize>(mut rows: [[u32; L]; L]) -> [u32; L] {
+    for level in 0..L.trailing_zeros() {
+        // Each row holds `L / width` coordinates of `width` lanes.
+        let width = L >> level;
+        let half = width / 2;
+        for j in 0..(L >> level) / 2 {
+            let (a, b) = (rows[2 * j], rows[2 * j + 1]);
+            let row = &mut rows[j];
+            for s in 0..L / width {
+                for i in 0..half {
+                    row[s * half + i] = a[s * width + i].wrapping_add(a[s * width + half + i]);
+                    row[L / 2 + s * half + i] =
+                        b[s * width + i].wrapping_add(b[s * width + half + i]);
+                }
             }
         }
     }
+    rows[0]
 }
 
 /// `L` xoshiro256++ generators, one per lane, stored by state word so a
@@ -213,20 +243,20 @@ fn apply_lanes<const L: usize>(acc: &mut [u64], streams: &[MaskStream]) {
 #[derive(Clone, Copy)]
 struct Lanes<const L: usize> {
     s: [[u64; L]; 4],
-    /// Per lane: [`MaskStream::flip`].
-    flip: [u64; L],
+    /// Per lane: [`MaskStream::neg`].
+    neg: [u32; L],
 }
 
 impl<const L: usize> Lanes<L> {
     /// Seeds one lane per stream (at most `L` of them), through
     /// SplitMix64 as `rng::seeded` does. A lane left without a stream is
     /// dead: its all-zero state is a fixed point of xoshiro256++ that
-    /// outputs 0, so with `flip` 0 it adds 0. No stream's state is all
+    /// outputs 0, so with `neg` 0 it adds 0. No stream's state is all
     /// zero, since SplitMix64 maps its four distinct inputs bijectively.
     fn seed(streams: &[MaskStream]) -> Self {
         let mut lanes = Lanes {
             s: [[0; L]; 4],
-            flip: [0; L],
+            neg: [0; L],
         };
         for (l, stream) in streams.iter().enumerate() {
             let mut x = stream.seed;
@@ -237,7 +267,7 @@ impl<const L: usize> Lanes<L> {
                 z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
                 word[l] = z ^ (z >> 31);
             }
-            lanes.flip[l] = stream.flip;
+            lanes.neg[l] = stream.neg;
         }
         lanes
     }
@@ -263,49 +293,19 @@ impl<const L: usize> Lanes<L> {
         out
     }
 
-    /// Steps every lane once and returns its signed draw as a value in
-    /// `[0, p]`.
+    /// Steps every lane once and returns its two draws, the low halves
+    /// of the lanes' outputs and then their high halves, each
+    /// complemented for a subtracted stream.
     #[inline(always)]
-    fn next_values(&mut self) -> [u64; L] {
-        let mut values = self.next_raw();
-        for (v, flip) in values.iter_mut().zip(self.flip) {
-            *v = draw(*v) ^ flip;
+    fn next_values(&mut self) -> [[u32; L]; 2] {
+        let raw = self.next_raw();
+        let mut values = [[0u32; L]; 2];
+        for l in 0..L {
+            values[0][l] = raw[l] as u32 ^ self.neg[l];
+            values[1][l] = (raw[l] >> 32) as u32 ^ self.neg[l];
         }
         values
     }
-}
-
-/// `random_range(0..PRIME)` of a raw output `r`: `(r · p) >> 64`. With
-/// `p = 2^61 − 1`, `r · p = (r >> 3) · 2^64 + (r << 61) − r`, so the high
-/// word is `r >> 3`, less one when the low word borrows. No 128-bit
-/// multiply; `r >> 3` is zero only for `r < 8`, which never borrows.
-#[inline(always)]
-fn draw(r: u64) -> u64 {
-    (r >> 3) - u64::from((r << 61) < r)
-}
-
-/// Any word mod p: `2^61 ≡ 1`, so `s ≡ (s & p) + (s >> 61)`, which is at
-/// most `p + 7`, and one conditional subtract lands it below `p`. This is
-/// [`field::reduce`] with a compare for its last step: in the eight-lane
-/// build the compare becomes an unsigned minimum, two instructions where
-/// the branch-free step takes four, and the kernel reads faster for it.
-#[inline(always)]
-fn fold(s: u64) -> u64 {
-    let t = (s & field::PRIME) + (s >> 61);
-    if t >= field::PRIME {
-        t - field::PRIME
-    } else {
-        t
-    }
-}
-
-/// The field element of one coordinate's lazy lane sums. Each lane is
-/// folded below `p` before the lanes are added: unfolded, eight lanes can
-/// sum past `2^64`; folded, they sum to at most `8(p − 1) < 2^64`.
-#[inline(always)]
-fn reduce_lanes<const L: usize>(sum: &[u64; L]) -> u64 {
-    const { assert!(L <= 8, "L lanes below p must sum below 2^64") };
-    fold(sum.iter().map(|&s| fold(s)).sum())
 }
 
 /// Expands a seed into a keystream of bytes (the share "encryption"):
@@ -375,20 +375,29 @@ mod tests {
         }
     }
 
-    /// The specification `apply_masks` streams: `PRG(seed)` as a vector.
-    fn expand_mask(seed: u64, dim: usize) -> Vec<u64> {
+    /// The specification `apply_masks` streams: `PRG(seed)` as a vector,
+    /// the halves of each `next_u64`, low first.
+    fn expand_mask(seed: u64, dim: usize) -> Vec<u32> {
         let mut r = seeded(seed);
-        (0..dim).map(|_| r.random_range(0..field::PRIME)).collect()
+        let mut mask = Vec::with_capacity(dim + 1);
+        while mask.len() < dim {
+            let word = r.next_u64();
+            mask.extend([word as u32, (word >> 32) as u32]);
+        }
+        mask.truncate(dim);
+        mask
     }
 
     /// `acc` with every stream applied one at a time from its expansion.
-    fn apply_one_by_one(mut acc: Vec<u64>, streams: &[MaskStream]) -> Vec<u64> {
+    fn apply_one_by_one(mut acc: Vec<u32>, streams: &[MaskStream]) -> Vec<u32> {
         for stream in streams {
             let mask = expand_mask(stream.seed, acc.len());
-            if stream.flip == 0 {
-                field::add_assign_vec(&mut acc, &mask);
-            } else {
-                field::sub_assign_vec(&mut acc, &mask);
+            for (x, m) in acc.iter_mut().zip(mask) {
+                *x = if stream.neg == 0 {
+                    x.wrapping_add(m)
+                } else {
+                    x.wrapping_sub(m)
+                };
             }
         }
         acc
@@ -409,46 +418,37 @@ mod tests {
     }
 
     #[test]
-    fn draw_is_the_widening_multiply() {
-        for r in [0, 1, 7, 8, (1 << 61) - 1, 1 << 61, u64::MAX] {
-            let reference = ((u128::from(r) * u128::from(field::PRIME)) >> 64) as u64;
-            assert_eq!(draw(r), reference, "r = {r}");
+    fn a_subtracted_draw_plus_one_is_its_ring_negation() {
+        for seed in [0, 42] {
+            let mut lanes = Lanes::<2>::seed(&[MaskStream::add(seed), MaskStream::sub(seed)]);
+            for _ in 0..100 {
+                let [[lo, neg_lo], [hi, neg_hi]] = lanes.next_values();
+                let negated = [neg_lo.wrapping_add(1), neg_hi.wrapping_add(1)];
+                assert_eq!(negated, [lo.wrapping_neg(), hi.wrapping_neg()]);
+            }
         }
     }
 
     #[test]
-    fn lanes_at_their_lazy_maximum_reduce_exactly() {
-        // Eight lanes at `8p` (eight subtracted zero draws), and at the
-        // largest word any lane could hold.
-        for lane in [GROUPS_PER_FOLD as u64 * field::PRIME, u64::MAX] {
-            let sum = [lane; 8];
-            let reference = (u128::from(lane) * 8 % u128::from(field::PRIME)) as u64;
-            assert_eq!(reduce_lanes(&sum), reference);
-        }
-        assert_eq!(reduce_lanes(&[field::PRIME; 8]), 0);
-    }
-
-    #[test]
-    fn mask_stream_is_deterministic_and_in_field() {
+    fn mask_stream_is_deterministic_and_the_spec_stream() {
         let stream = |seed| {
-            let mut acc = vec![0u64; 100];
+            let mut acc = vec![0u32; 101];
             apply_masks(&mut acc, &[MaskStream::add(seed)]);
             acc
         };
         let m1 = stream(42);
         assert_eq!(m1, stream(42));
-        assert_eq!(m1, expand_mask(42, 100));
-        assert!(m1.iter().all(|&v| v < field::PRIME));
+        assert_eq!(m1, expand_mask(42, 101));
         assert_ne!(m1, stream(43));
     }
 
     #[test]
-    fn many_batches_of_full_and_short_groups_match_one_by_one() {
-        // Past several folds of eight-lane groups, with a short last group.
-        let streams: Vec<MaskStream> = (0..8 * GROUPS_PER_FOLD as u64 * 2 + 5)
+    fn many_full_and_short_groups_match_one_by_one() {
+        // Several eight-lane groups and a short last one.
+        let streams: Vec<MaskStream> = (0..8 * 4 + 5)
             .map(|s| [MaskStream::add(s), MaskStream::sub(s + 1000)][s as usize % 2])
             .collect();
-        let acc = vec![field::PRIME - 1; 65];
+        let acc = vec![u32::MAX; 65];
         let reference = apply_one_by_one(acc.clone(), &streams);
         for kernel in [apply_masks, apply_masks_portable] {
             let mut applied = acc.clone();
@@ -462,10 +462,11 @@ mod tests {
 
         /// Applying the streams together equals applying each one's
         /// expansion in turn, whatever the accumulator holds, on the
-        /// dispatched and on the portable path.
+        /// dispatched and on the portable path. Odd dimensions end on the
+        /// low half of a generator step.
         #[test]
         fn apply_masks_equals_one_stream_at_a_time(
-            seeds in proptest::collection::vec(any::<u64>(), 0..=25),
+            seeds in proptest::collection::vec(any::<u64>(), 0..=40),
             signs in 0usize..3,
             sign_seed in any::<u64>(),
             dim in (0usize..6).prop_map(|i| [0, 1, 63, 64, 65, 4113][i]),
@@ -484,11 +485,11 @@ mod tests {
                     if subtract { MaskStream::sub(seed) } else { MaskStream::add(seed) }
                 })
                 .collect();
-            // One value everywhere (all `P-1` wraps every add, all `0`
-            // borrows on every subtract) or a random field vector.
-            let acc: Vec<u64> = match fill {
+            // One value everywhere (all `u32::MAX` wraps every add, all
+            // `0` borrows on every subtract) or a random ring vector.
+            let acc: Vec<u32> = match fill {
                 0 => vec![0; dim],
-                1 => vec![field::PRIME - 1; dim],
+                1 => vec![u32::MAX; dim],
                 _ => expand_mask(acc_seed, dim),
             };
             let reference = apply_one_by_one(acc.clone(), &streams);

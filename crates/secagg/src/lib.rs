@@ -14,7 +14,7 @@
 //!    recipient. Devices that drop out here are simply excluded.
 //! 3. **Commit / MaskedInputCollection** — each surviving device uploads
 //!    its input vector blinded by pairwise masks (which cancel in the sum)
-//!    and a self mask (which does not). All devices completing this round
+//!    and a self mask (which does not), all in the ring `Z_{2^32}`. All devices completing this round
 //!    are included in the final aggregate "or else the entire aggregation
 //!    will fail".
 //! 4. **Finalization / Unmasking** — survivors reveal *self-mask* shares
@@ -27,8 +27,10 @@
 //! The *protocol structure* is faithful: share thresholds, drop-out
 //! handling, the commit/finalize split, and the invariant that the server
 //! never learns both a device's self-mask seed and its mask secret key.
-//! The *primitives* are simulation-grade — 61-bit Diffie–Hellman and a
-//! xoshiro256++ PRG for the masks and the share keystream ([`keys`]) —
+//! The *primitives* are simulation-grade — 61-bit Diffie–Hellman, Shamir
+//! shares in the 61-bit prime field ([`field`]), and a xoshiro256++ PRG
+//! for the masks (in `Z_{2^32}`, [`masking`]) and the share keystream
+//! ([`keys`]) —
 //! chosen so the systems behaviour
 //! (message counts, quadratic server reconstruction cost, group-size
 //! limits) is real while keys stay word-sized. Do **not** use this crate
@@ -47,11 +49,12 @@
 
 /// Typed SecAgg failures (`SecAggError`).
 pub mod error;
-/// Arithmetic in the 61-bit prime field masks and shares live in.
+/// Arithmetic in the 61-bit prime field the shares and keys live in.
 pub mod field;
 /// Simulation-grade Diffie–Hellman key agreement and the mask PRG.
 pub mod keys;
-/// Pairwise and self masks applied to and removed from field vectors.
+/// Pairwise and self masks applied to and removed from vectors in
+/// `Z_{2^32}`.
 pub mod masking;
 /// The four-round protocol's client and server type-states and the
 /// `run_instance` driver.

@@ -98,8 +98,8 @@ pub struct EncryptedShares {
 pub struct MaskedInput {
     /// Sender id.
     pub id: u32,
-    /// Masked vector in the field.
-    pub vector: Vec<u64>,
+    /// Masked vector in the ring `Z_{2^32}`.
+    pub vector: Vec<u32>,
 }
 
 /// Server → clients at the start of Finalization: which devices committed
@@ -373,7 +373,9 @@ impl SecAggClient<Shared> {
     /// [`SecAggError::UnknownParticipant`] for senders not in U₁,
     /// [`SecAggError::BadShare`] for a share that opens to a value outside
     /// the field,
-    /// [`SecAggError::DimensionMismatch`], or
+    /// [`SecAggError::DimensionMismatch`],
+    /// [`SecAggError::OutOfRing`] for an input coordinate of `2^32` or more,
+    /// or
     /// [`SecAggError::BelowThreshold`] if U₂ is too small.
     pub fn commit(
         self,
@@ -406,6 +408,10 @@ impl SecAggClient<Shared> {
                 actual: input.len(),
             });
         }
+        if let Some(i) = input.iter().position(|&v| v > u64::from(u32::MAX)) {
+            return Err(SecAggError::OutOfRing(i));
+        }
+        let mut vector: Vec<u32> = input.iter().map(|&v| v as u32).collect();
         let held = members.iter().filter(|m| m.held.is_some()).count();
         if held < self.config.threshold {
             return Err(SecAggError::BelowThreshold {
@@ -423,7 +429,6 @@ impl SecAggClient<Shared> {
         s_pair.agree_all(&mut seeds);
         let mut pairwise = Vec::with_capacity(seeds.len());
         pairwise.extend(peers().map(|m| m.id).zip(seeds));
-        let mut vector: Vec<u64> = input.iter().map(|&v| field::reduce(v)).collect();
         masking::mask_input(&mut vector, self.id, self_seed, &pairwise);
         let client = SecAggClient {
             id: self.id,
@@ -525,7 +530,7 @@ pub struct Masking {
     /// U₃: devices that committed, in id order, and the running masked
     /// sum.
     committed: Vec<u32>,
-    masked_sum: Vec<u64>,
+    masked_sum: Vec<u32>,
 }
 
 /// Server stage of round 3: collecting revealed shares, then
@@ -535,7 +540,7 @@ pub struct Unmasking {
     /// The request's two lists: U₃, and U₂ ∖ U₃.
     committed: Vec<u32>,
     dropped: Vec<u32>,
-    masked_sum: Vec<u64>,
+    masked_sum: Vec<u32>,
     /// The reveals collected, in arrival order.
     reveals: Vec<RevealedShares>,
 }
@@ -677,7 +682,9 @@ impl SecAggServer<Masking> {
         if !insert_sorted(&mut stage.committed, input.id) {
             return Err(SecAggError::DuplicateMessage(input.id));
         }
-        field::add_assign_vec(&mut stage.masked_sum, &input.vector);
+        for (sum, &v) in stage.masked_sum.iter_mut().zip(&input.vector) {
+            *sum = sum.wrapping_add(v);
+        }
         Ok(())
     }
 
@@ -749,8 +756,8 @@ impl SecAggServer<Unmasking> {
 
     /// Finalizes the protocol: reconstructs self-mask seeds for committed
     /// devices and mask keys for dropped devices, removes all masks, and
-    /// returns the field sum of the committed devices' inputs. The server
-    /// is consumed either way.
+    /// returns the ring sum (mod `2^32`) of the committed devices'
+    /// inputs. The server is consumed either way.
     ///
     /// "So long as a sufficient number of the devices who started the
     /// protocol survive through the Finalization phase, the entire protocol
@@ -761,7 +768,7 @@ impl SecAggServer<Unmasking> {
     /// [`SecAggError::BelowThreshold`] if too few devices revealed, or
     /// [`SecAggError::ReconstructionFailed`] if shares are insufficient or
     /// inconsistent with the advertised public keys.
-    pub fn finalize(self) -> Result<Vec<u64>, SecAggError> {
+    pub fn finalize(self) -> Result<Vec<u32>, SecAggError> {
         let SecAggServer {
             config,
             advertisements,
@@ -824,8 +831,9 @@ impl SecAggServer<Unmasking> {
 }
 
 /// Runs a full Secure Aggregation instance in-process over the given
-/// inputs, with the listed drop-out stages. Returns the unmasked field sum
-/// of the inputs of devices that committed.
+/// inputs, with the listed drop-out stages. Returns the unmasked ring sum
+/// (mod `2^32`) of the inputs of devices that committed; each input
+/// coordinate must be below `2^32`.
 ///
 /// `drop_after_advertise` devices vanish after round 0;
 /// `drop_after_share` devices vanish after delivering shares (their
@@ -843,7 +851,7 @@ pub fn run_instance(
     drop_after_advertise: &[u32],
     drop_after_share: &[u32],
     seed: u64,
-) -> Result<Vec<u64>, SecAggError> {
+) -> Result<Vec<u32>, SecAggError> {
     let clients: Vec<SecAggClient<Advertised>> = (0..inputs.len() as u32)
         .map(|id| SecAggClient::new(id, config, seed))
         .collect();
@@ -893,13 +901,13 @@ pub fn run_instance(
 mod tests {
     use super::*;
 
-    fn plain_sum(inputs: &[Vec<u64>], include: impl Fn(u32) -> bool) -> Vec<u64> {
+    fn plain_sum(inputs: &[Vec<u64>], include: impl Fn(u32) -> bool) -> Vec<u32> {
         let dim = inputs[0].len();
-        let mut sum = vec![0u64; dim];
+        let mut sum = vec![0u32; dim];
         for (i, x) in inputs.iter().enumerate() {
             if include(i as u32) {
                 for (s, &v) in sum.iter_mut().zip(x) {
-                    *s = field::add(*s, field::reduce(v));
+                    *s = s.wrapping_add(u32::try_from(v).unwrap());
                 }
             }
         }
@@ -1084,15 +1092,22 @@ mod tests {
         assert_eq!(sum, plain_sum(&xs, |_| true));
     }
 
+    /// Inputs at the top of the ring sum with wrap-around; one at `2^32`
+    /// or above is refused before any mask runs.
     #[test]
     fn works_with_values_near_field_size() {
         let config = SecAggConfig::new(2, 2);
-        let xs = vec![
-            vec![field::PRIME - 1, field::PRIME - 2],
-            vec![5, 7],
-            vec![field::PRIME - 3, 11],
-        ];
+        let top = u64::from(u32::MAX);
+        let xs = vec![vec![top, top - 1], vec![5, 7], vec![top - 2, 11]];
         let sum = run_instance(config, &xs, &[], &[], 23).unwrap();
         assert_eq!(sum, plain_sum(&xs, |_| true));
+        assert_eq!(sum, [1, 16]);
+        for value in [top + 1, u64::MAX] {
+            let xs = vec![vec![1, 2], vec![3, value], vec![5, 6]];
+            assert_eq!(
+                run_instance(config, &xs, &[], &[], 23),
+                Err(SecAggError::OutOfRing(1))
+            );
+        }
     }
 }

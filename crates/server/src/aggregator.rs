@@ -172,12 +172,13 @@ impl AggregatorShard {
     /// bytes lie unless the codec must decode first
     /// ([`FedAvgAccumulator::accumulate_encoded`]); with DP clipping, the
     /// decoded and clipped update.
-    /// SecAgg mode: fixed-point-encode `update ‖ weight` into the field
-    /// and stage it for the protocol run.
+    /// SecAgg mode: fixed-point-encode the update and stage it with its
+    /// weight for the protocol run, as [`AggregatorShard::accept_field`].
     ///
     /// # Errors
     ///
-    /// Decode failures or dimension mismatches.
+    /// Decode failures, dimension mismatches, or (SecAgg mode) a weight
+    /// [`AggregatorShard::accept_field`] refuses.
     pub fn accept(
         &mut self,
         device: DeviceId,
@@ -202,32 +203,35 @@ impl AggregatorShard {
             // path, where the device would clip before masking.
             fl_core::privacy::clip_l2(&mut self.scratch, clip);
         }
-        match &mut self.secagg_inputs {
+        if self.secagg_inputs.is_none() {
             // One device's update is a sum of one.
-            None => self
+            return self
                 .accumulator
-                .accumulate_presummed(&self.scratch, weight, 1),
-            Some(staged) => {
-                // Field vector: encoded delta coordinates plus the weight
-                // appended as one extra (integral) coordinate.
-                let mut v = self
-                    .encoder
-                    .encode(&self.scratch)
-                    .map_err(|e| CoreError::MalformedCheckpoint(e.to_string()))?;
-                v.push(fl_secagg::field::reduce(weight));
-                staged.insert(device, v);
-                Ok(())
-            }
+                .accumulate_presummed(&self.scratch, weight, 1);
         }
+        let encoded = self
+            .encoder
+            .encode(&self.scratch)
+            .map_err(|e| CoreError::MalformedCheckpoint(e.to_string()))?;
+        self.stage_field(device, encoded.into_iter(), weight)
     }
 
-    /// Accepts one device's *already fixed-point-encoded* field vector —
-    /// the masked-contribution payload a [`fl_wire::WireMessage::SecAggReport`]
-    /// carries — plus its weight. SecAgg mode only.
+    /// Accepts one device's *already fixed-point-encoded* vector — the
+    /// unmasked payload a [`fl_wire::WireMessage::SecAggReport`] carries
+    /// (the shard runs both halves of the protocol, see
+    /// [`AggregatorShard::close`]) — plus its weight. SecAgg mode only.
+    ///
+    /// Every value is checked before it is staged, so a group's sum in
+    /// `Z_{2^32}` cannot wrap: a coordinate must be on the encoder's grid
+    /// (at most [`FixedPointEncoder::max_encoded`]), and a weight at most
+    /// `(2^32 − 1) / max_summands`, so a group of up to
+    /// [`FixedPointEncoder::max_summands`] devices sums its weights
+    /// exactly. A larger group aborts at [`AggregatorShard::close`].
     ///
     /// # Errors
     ///
-    /// Dimension mismatches, or a field vector offered to a plain shard.
+    /// [`CoreError::OutOfRange`] for a coordinate or weight past those
+    /// bounds, dimension mismatches, or a vector offered to a plain shard.
     pub fn accept_field(
         &mut self,
         device: DeviceId,
@@ -267,7 +271,7 @@ impl AggregatorShard {
 
     /// [`AggregatorShard::accept_field`] over any source of coordinates,
     /// so a report frame's little-endian field bytes are staged straight
-    /// from the frame.
+    /// from the frame, and [`AggregatorShard::accept`]'s encoded update.
     fn stage_field(
         &mut self,
         device: DeviceId,
@@ -285,9 +289,25 @@ impl AggregatorShard {
                 actual: field.len(),
             });
         }
+        let max_weight = u64::from(u32::MAX) / self.encoder.max_summands();
+        if weight > max_weight {
+            return Err(CoreError::OutOfRange {
+                what: "weight",
+                value: weight,
+                max: max_weight,
+            });
+        }
+        let max = self.encoder.max_encoded();
         let mut v: Vec<u64> = Vec::with_capacity(self.dim + 1);
-        v.extend(field.map(fl_secagg::field::reduce));
-        v.push(fl_secagg::field::reduce(weight));
+        v.extend(field);
+        if let Some(&value) = v.iter().find(|&&value| value > max) {
+            return Err(CoreError::OutOfRange {
+                what: "coordinate",
+                value,
+                max,
+            });
+        }
+        v.push(weight);
         staged.insert(device, v);
         Ok(())
     }
@@ -300,27 +320,29 @@ impl AggregatorShard {
     /// `share_dropouts` vanish after sharing (their pairwise masks are
     /// reconstructed from the survivors' shares). What the shard decodes
     /// is the unmasked *sum*, but the privacy property is simulated, not
-    /// held: `stage_field` keeps every device's unmasked field vector until
+    /// held: `stage_field` keeps every device's unmasked vector until
     /// this call, which runs all n clients and the server in-process.
     /// ROADMAP item 3 (devices mask, the shard is the server half only) is
     /// the change that makes "the server never touches an individual
     /// update" true.
     ///
     /// At the `round_secagg` shard shape (16 devices, 4 113 coordinates,
-    /// threshold 11, one share-stage drop-out) one close is ~0.9 ms on a
-    /// 2-core AVX-512 x86-64 box, about three quarters of it its 270 mask
-    /// streams: 240 of them are the clients' own, which item 3 moves onto
-    /// the devices. Its 514 exponentiations (key pairs, batched
-    /// agreements, one Lagrange inversion) are ~0.1 ms, and the rest is
-    /// copies, field passes and share handling (`bench_secagg`'s
+    /// threshold 11, one share-stage drop-out) one close is ~0.55 ms on a
+    /// 2-core AVX-512 x86-64 box, about two thirds of it its 270 mask
+    /// streams in `Z_{2^32}`: 240 of them are the clients' own, which
+    /// item 3 moves onto the devices. Its 514 exponentiations (key pairs,
+    /// batched agreements, one Lagrange inversion) are ~0.1 ms, and the
+    /// rest is copies, ring passes and share handling (`bench_secagg`'s
     /// `instance` row).
     ///
     /// # Errors
     ///
     /// [`ShardError::BelowThreshold`] when dropouts strand the group
     /// below the task minimum `k` or below the protocol's reconstruction
-    /// threshold — a clean per-shard abort, never a silent mis-sum.
-    /// Other SecAgg protocol failures surface as [`ShardError::SecAgg`].
+    /// threshold, and [`ShardError::GroupTooLarge`] when more devices
+    /// would commit than the encoder's sum holds — clean per-shard
+    /// aborts, never a silent mis-sum. Other SecAgg protocol failures
+    /// surface as [`ShardError::SecAgg`].
     pub fn close(
         self,
         advertise_dropouts: &[DeviceId],
@@ -356,6 +378,15 @@ impl AggregatorShard {
                         return Err(ShardError::BelowThreshold { alive, required });
                     }
                 }
+                // `shard_count` keeps every group at k or more, so a group
+                // can outgrow the summands its sum in `Z_{2^32}` holds.
+                let max = self.encoder.max_summands() as usize;
+                if alive > max {
+                    return Err(ShardError::GroupTooLarge {
+                        committed: alive,
+                        max,
+                    });
+                }
                 // Threshold: 2/3 of the group, at least 2 (the paper's
                 // protocol is robust to a significant fraction dropping).
                 let threshold = ((2 * n).div_ceil(3)).max(2).min(n);
@@ -374,7 +405,7 @@ impl AggregatorShard {
                         other => ShardError::SecAgg(other),
                     })?;
                 let committed = alive;
-                let weight_sum = sum[self.dim];
+                let weight_sum = u64::from(sum[self.dim]);
                 let delta_sum = self.encoder.decode_sum(&sum[..self.dim], committed as u64);
                 let mut acc = FedAvgAccumulator::new(self.dim);
                 acc.accumulate_presummed(&delta_sum, weight_sum, committed)
@@ -410,6 +441,15 @@ pub enum ShardError {
         /// The minimum the group needed.
         required: usize,
     },
+    /// More devices would commit to the shard's SecAgg group than the
+    /// fixed-point encoder's sum in `Z_{2^32}` holds. The shard aborts
+    /// cleanly, as for [`ShardError::BelowThreshold`].
+    GroupTooLarge {
+        /// Devices that would commit.
+        committed: usize,
+        /// The encoder's most summands.
+        max: usize,
+    },
     /// The Secure Aggregation protocol failed for a non-threshold reason.
     SecAgg(SecAggError),
     /// Aggregation error.
@@ -422,6 +462,10 @@ impl std::fmt::Display for ShardError {
             ShardError::BelowThreshold { alive, required } => write!(
                 f,
                 "secagg group below threshold: {alive} alive, {required} required; shard aborted"
+            ),
+            ShardError::GroupTooLarge { committed, max } => write!(
+                f,
+                "secagg group too large: {committed} would commit, {max} fit; shard aborted"
             ),
             ShardError::SecAgg(e) => write!(f, "secure aggregation failed: {e}"),
             ShardError::Core(e) => write!(f, "aggregation failed: {e}"),
@@ -439,9 +483,9 @@ pub struct MergeOutcome {
     pub params: Vec<f32>,
     /// Devices whose contributions made the commit.
     pub contributors: usize,
-    /// SecAgg shards whose group fell below threshold and were excluded
-    /// from the merge (Sec. 6: the round commits from the surviving
-    /// ≥ k groups only).
+    /// SecAgg shards whose group fell below threshold (or grew past the
+    /// encoder's summands) and were excluded from the merge (Sec. 6: the
+    /// round commits from the surviving ≥ k groups only).
     pub shard_aborts: usize,
 }
 
@@ -529,13 +573,15 @@ impl MasterAggregator {
     /// the intermediate accumulators "without Secure Aggregation", and
     /// returns the new global parameters plus the per-shard abort count.
     ///
-    /// A shard whose SecAgg group fell below threshold aborts cleanly
-    /// and is excluded — the round still commits from the surviving
-    /// shards. Only non-threshold protocol failures fail the round.
+    /// A shard whose SecAgg group fell below threshold, or grew past the
+    /// encoder's summands, aborts cleanly and is excluded — the round
+    /// still commits from the surviving shards. Only other protocol
+    /// failures fail the round.
     ///
     /// # Errors
     ///
-    /// [`ShardError::BelowThreshold`] when *every* shard aborted,
+    /// [`ShardError::BelowThreshold`] or [`ShardError::GroupTooLarge`]
+    /// when *every* shard aborted,
     /// non-threshold shard failures, or
     /// [`CoreError::ZeroWeightUpdate`] if nothing was aggregated.
     pub fn finalize(
@@ -580,8 +626,9 @@ fn shard_of(device: DeviceId, shard_count: usize) -> usize {
 /// result — shared by the struct ([`MasterAggregator::finalize`]) and
 /// actor ([`MasterAggregatorActor`]) drivers so both commit identical
 /// bytes. `closed` yields each surviving shard's close result in shard
-/// order (a crashed shard yields nothing). A below-threshold group is a
-/// counted abort and the merge proceeds without it; any other shard
+/// order (a crashed shard yields nothing). A below-threshold or
+/// too-large group is a counted abort and the merge proceeds without it;
+/// any other shard
 /// failure fails the round. The surviving sums are merged "without
 /// Secure Aggregation", optionally perturbed (DP), and applied to
 /// `current_params`.
@@ -606,7 +653,7 @@ fn merge_closed(
                 None => merged = Some(sum),
             },
             Ok(_) => {}
-            Err(e @ ShardError::BelowThreshold { .. }) => {
+            Err(e @ (ShardError::BelowThreshold { .. } | ShardError::GroupTooLarge { .. })) => {
                 shard_aborts += 1;
                 last_abort = Some(e);
             }
@@ -809,8 +856,8 @@ pub enum MasterMsg {
     /// [`ShardMsg::Close`]; once every shard has answered, merge the
     /// survivors' intermediate sums over `current_params`, in shard
     /// order, and answer with one [`CoordMsg::Merged`] — its
-    /// [`MergeOutcome::shard_aborts`] counts the SecAgg shards whose
-    /// group fell below threshold. The actor (and its shard children)
+    /// [`MergeOutcome::shard_aborts`] counts the SecAgg shards that
+    /// aborted. The actor (and its shard children)
     /// stop afterwards. The Master needs a live reference to itself for
     /// its shards' answers, so the Coordinator keeps its reference until
     /// `Merged` arrives.
@@ -856,7 +903,8 @@ pub enum MasterMsg {
 /// Failure semantics (Sec. 4.2): a shard child that crashes mid-round
 /// loses its devices' contributions, but [`MasterMsg::Finalize`] still
 /// merges the surviving shards and the round commits. A surviving SecAgg
-/// shard whose group fell below threshold is a counted abort; only every
+/// shard whose group fell below threshold or grew past the encoder's
+/// summands is a counted abort; only every
 /// group aborting, or another protocol failure inside a surviving shard,
 /// fails the round.
 #[derive(Debug)]
@@ -1270,6 +1318,119 @@ mod tests {
                 alive: 1,
                 required: 2
             })
+        ));
+    }
+
+    /// A `SecAggReport` frame for `device`, routed as the Coordinator
+    /// routes an accepted one.
+    fn secagg_frame(device: u64, field_vector: Vec<u64>, weight: u64) -> (ReportRoute, Vec<u8>) {
+        let frame = fl_wire::encode(&fl_wire::WireMessage::SecAggReport {
+            device: DeviceId(device),
+            round: fl_core::RoundId(1),
+            attempt: 1,
+            field_vector,
+            weight,
+            loss: 0.5,
+            accuracy: 0.5,
+            population: "pop".into(),
+        })
+        .unwrap();
+        let route = ReportRoute::of(&fl_wire::ReportRef::parse(&frame).unwrap());
+        (route, frame)
+    }
+
+    /// The shard sums `SecAggReport`s in `Z_{2^32}`, so it checks each
+    /// one first: a coordinate past the fixed-point grid (`p − 1`, which
+    /// the prime field the vectors were once summed in read as −1, or
+    /// one grid step too many) and a weight that cannot be summed over a
+    /// group are refused with a typed error, and the round commits the
+    /// exact average of the other reports.
+    #[test]
+    fn hostile_secagg_reports_are_refused_and_the_rest_commit_exactly() {
+        let dim = 4;
+        let encoder = FixedPointEncoder::default_for_updates();
+        let mut master = MasterAggregator::new(
+            AggregationPlan::with_secagg(dim, 100, 4),
+            CodecSpec::Identity,
+            8,
+            7,
+        );
+        // Six honest devices, on the grid, so the average is exact.
+        let update = |i: u64| [0.25 * i as f32, -0.5, 64.0, -64.0];
+        for i in 0..6u64 {
+            let (route, frame) = secagg_frame(i, encoder.encode(&update(i)).unwrap(), 4);
+            master.accept_forwarded(&route, &frame).unwrap();
+        }
+        let max = encoder.max_encoded();
+        let max_weight = u64::from(u32::MAX) / encoder.max_summands();
+        let honest = encoder.encode(&update(1)).unwrap();
+        for value in [(1 << 61) - 2, max + 1, u64::MAX] {
+            let mut hostile = honest.clone();
+            hostile[1] = value;
+            let (route, frame) = secagg_frame(6, hostile, 4);
+            assert!(matches!(
+                master.accept_forwarded(&route, &frame),
+                Err(CoreError::OutOfRange { what: "coordinate", value: v, max: m })
+                    if v == value && m == max
+            ));
+        }
+        let (route, frame) = secagg_frame(7, honest.clone(), max_weight + 1);
+        assert!(matches!(
+            master.accept_forwarded(&route, &frame),
+            Err(CoreError::OutOfRange { what: "weight", max: m, .. }) if m == max_weight
+        ));
+        // The largest weight a group can sum is accepted, on both paths.
+        let mut shard = AggregatorShard::new(dim, CodecSpec::Identity, Some(2));
+        shard
+            .accept_field(DeviceId(0), &honest, max_weight)
+            .unwrap();
+        let bytes = encode(&update(1), CodecSpec::Identity);
+        shard.accept(DeviceId(1), &bytes, max_weight).unwrap();
+        assert!(matches!(
+            shard.accept(DeviceId(2), &bytes, max_weight + 1),
+            Err(CoreError::OutOfRange { what: "weight", .. })
+        ));
+
+        let out = master.finalize(&[0.0; 4], &[], &[]).unwrap();
+        assert_eq!(out.contributors, 6);
+        assert_eq!(out.shard_aborts, 0);
+        // Σ_i update(i) / Σ weights = [0.25·15, −3, 384, −384] / 24.
+        assert_eq!(out.params, [0.15625, -0.125, 16.0, -16.0]);
+    }
+
+    /// A group with more devices than the encoder's sum in `Z_{2^32}`
+    /// holds aborts its shard with a typed error instead of wrapping, and
+    /// the round commits from the other shards.
+    #[test]
+    fn a_group_past_the_encoders_summands_aborts_its_shard() {
+        let dim = 2;
+        let max = FixedPointEncoder::default_for_updates().max_summands() as usize;
+        let field = FixedPointEncoder::default_for_updates()
+            .encode(&[0.5, -0.5])
+            .unwrap();
+        // Two shards, device % 2: shard 0 gets one device past the
+        // summands, shard 1 gets eight.
+        let plan = AggregationPlan::with_secagg(dim, 2 * max, 4);
+        let mut master = MasterAggregator::new(plan, CodecSpec::Identity, 4 * max, 7);
+        assert_eq!(master.shard_count(), 2);
+        for i in 0..=max as u64 {
+            master.accept_field(DeviceId(2 * i), &field, 1).unwrap();
+        }
+        for i in 0..8u64 {
+            master.accept_field(DeviceId(2 * i + 1), &field, 1).unwrap();
+        }
+        let out = master.finalize(&[0.0; 2], &[], &[]).unwrap();
+        assert_eq!(out.shard_aborts, 1);
+        assert_eq!(out.contributors, 8);
+        assert_eq!(out.params, [0.5, -0.5]);
+
+        let mut shard = AggregatorShard::new(dim, CodecSpec::Identity, Some(4));
+        for d in 0..=max as u64 {
+            shard.accept_field(DeviceId(d), &field, 1).unwrap();
+        }
+        assert!(matches!(
+            shard.close(&[], &[], 7),
+            Err(ShardError::GroupTooLarge { committed, max: m }) if committed == max + 1 && m == max
         ));
     }
 

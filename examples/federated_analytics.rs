@@ -18,7 +18,6 @@
 //! paper contains no explicit mentioning of any ML logic").
 
 use federated::ml::rng;
-use federated::secagg::field;
 use federated::secagg::protocol::{run_instance, SecAggConfig};
 use rand::RngExt;
 
@@ -60,13 +59,13 @@ fn main() {
 
     // Verify against the plaintext sum of committed devices (the server
     // cannot do this — only the simulation harness can).
-    let mut expected = vec![0u64; BUCKETS];
+    let mut expected = vec![0u32; BUCKETS];
     for (i, h) in inputs.iter().enumerate() {
         if dropped.contains(&(i as u32)) {
             continue;
         }
         for (e, &v) in expected.iter_mut().zip(h) {
-            *e = field::add(*e, v);
+            *e += v as u32;
         }
     }
     assert_eq!(sum, expected);

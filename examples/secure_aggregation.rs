@@ -71,11 +71,11 @@ fn main() {
         server.collect_reveals(c.unmask(&request).unwrap()).unwrap();
     }
     let sum = server.finalize().unwrap();
-    let expected: Vec<u64> = (0..dim)
+    let expected: Vec<u32> = (0..dim)
         .map(|d| {
             (0..n)
                 .filter(|&i| i != 6 && i != 3)
-                .map(|i| u64::from(i) * 100 + d as u64)
+                .map(|i| i * 100 + d as u32)
                 .sum()
         })
         .collect();

@@ -139,8 +139,10 @@ run_step "secagg-example" cargo run --release -q --example secure_aggregation
 run_step "live-server-example" cargo run --release -q --example live_server
 # The bench step fails unless 64 devices in groups of 16 finalize at
 # least 1.5x faster than as one quadratic group. Its `kernel` row (ns per
-# mask draw) and `instance` row (one `round_secagg` shard's SecAgg close:
-# best ms, exponentiations, the mask kernel's share) carry no floor.
+# mask draw in Z_2^32, two draws a generator step: the dispatched and
+# portable kernels, and the per-stream loop restated in the ring) and
+# `instance` row (one `round_secagg` shard's SecAgg close: best ms,
+# exponentiations, the mask kernel's share) carry no floor.
 run_step "secagg-bench" cargo run --release -q -p fl-bench --bin bench_secagg
 # End-to-end floor (ROADMAP aim 1): one 2 s run of each `benchmark/`
 # workload must end `correct: true`, `failed` 0 and at `rounds_per_s` over
