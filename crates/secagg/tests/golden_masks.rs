@@ -13,21 +13,21 @@
 //! agreements that moves one ciphertext byte fails here.
 
 use fl_secagg::protocol::{MaskedInput, SecAggClient, SecAggConfig, SecAggServer};
-use fl_secagg::{field, keys, masking};
+use fl_secagg::{keys, masking};
 
-/// FNV-1a over the little-endian words of `v`.
-fn fold(v: &[u64]) -> u64 {
+/// FNV-1a over the words of `v`, each widened to 64 bits.
+fn fold<T: Copy + Into<u64>>(v: &[T]) -> u64 {
     v.iter().fold(0xcbf2_9ce4_8422_2325, |h, &x| {
-        (h ^ x).wrapping_mul(0x0000_0100_0000_01b3)
+        (h ^ x.into()).wrapping_mul(0x0000_0100_0000_01b3)
     })
 }
 
-/// `PRG(seed)`, read back as the negation of what removing it as a self
-/// mask leaves in an all-zero aggregate.
-fn prg(seed: u64, dim: usize) -> Vec<u64> {
-    let mut v = vec![0u64; dim];
+/// `PRG(seed)`, read back as the negation (in `Z_{2^32}`) of what
+/// removing it as a self mask leaves in an all-zero aggregate.
+fn prg(seed: u64, dim: usize) -> Vec<u32> {
+    let mut v = vec![0u32; dim];
     masking::remove_self_mask(&mut v, seed);
-    v.into_iter().map(field::neg).collect()
+    v.into_iter().map(u32::wrapping_neg).collect()
 }
 
 #[test]
@@ -37,17 +37,17 @@ fn prg_42_elements_are_pinned() {
     assert_eq!(mask[4112], PRG_42_LAST);
 }
 
-const PRG_42_HEAD: [u64; 8] = [
-    1_877_659_826_248_404_243,
-    735_151_266_416_420_593,
-    2_268_705_489_498_185_136,
-    1_616_708_617_469_888_182,
-    1_829_696_780_335_353_165,
-    1_356_062_737_633_516_495,
-    289_043_052_218_238_634,
-    1_395_317_367_954_413_928,
+const PRG_42_HEAD: [u32; 8] = [
+    1_148_610_719,
+    3_497_413_967,
+    1_466_906_513,
+    1_369_325_940,
+    203_746_700,
+    4_225_793_275,
+    215_496_120,
+    3_011_354_464,
 ];
-const PRG_42_LAST: u64 = 1_737_208_138_362_965_423;
+const PRG_42_LAST: u32 = 676_321_594;
 
 /// The `round_secagg` shard shape: 16 devices, 4 112 coordinates plus the
 /// weight, one device gone after sharing keys.
@@ -75,7 +75,7 @@ fn masked_vectors_of_a_seeded_instance_are_pinned() {
     let (mut server, routed) = server.finish_sharing().unwrap();
 
     // What the server accumulates in round 2, summed here as it does.
-    let mut masked_sum = vec![0u64; DIM];
+    let mut masked_sum = vec![0u32; DIM];
     let mut folds = Vec::new();
     let mut committed = Vec::new();
     for (i, c) in sharing.into_iter().enumerate() {
@@ -84,8 +84,9 @@ fn masked_vectors_of_a_seeded_instance_are_pinned() {
         }
         let incoming = &routed[&c.id()];
         let (c, MaskedInput { id, vector }) = c.commit(incoming, &inputs[i]).unwrap();
-        assert!(vector.iter().all(|&v| v < field::PRIME));
-        field::add_assign_vec(&mut masked_sum, &vector);
+        for (s, &v) in masked_sum.iter_mut().zip(&vector) {
+            *s = s.wrapping_add(v);
+        }
         folds.push((id, fold(&vector)));
         server.collect_masked(MaskedInput { id, vector }).unwrap();
         committed.push(c);
@@ -101,20 +102,20 @@ fn masked_vectors_of_a_seeded_instance_are_pinned() {
         server.collect_reveals(c.unmask(&request).unwrap()).unwrap();
     }
     let sum = server.finalize().unwrap();
-    let expected: Vec<u64> = (0..DIM)
+    let expected: Vec<u32> = (0..DIM)
         .map(|d| {
             (0..N as usize)
                 .filter(|&i| i != DROPPED as usize)
-                .map(|i| (i * 1000 + d) as u64)
+                .map(|i| (i * 1000 + d) as u32)
                 .sum()
         })
         .collect();
     assert_eq!(sum, expected);
 }
 
-const CLIENT_0_FOLD: u64 = 105_000_474_661_113_768;
-const CLIENT_15_FOLD: u64 = 2_400_310_862_895_390_765;
-const MASKED_SUM_FOLD: u64 = 801_723_796_374_008_249;
+const CLIENT_0_FOLD: u64 = 1_170_766_236_613_529_089;
+const CLIENT_15_FOLD: u64 = 6_604_225_390_145_348_636;
+const MASKED_SUM_FOLD: u64 = 9_187_450_023_793_532_152;
 
 /// Every round-1 ciphertext of the same instance, folded as
 /// `(sender << 32 | recipient, key-share word, seed-share word)` per
