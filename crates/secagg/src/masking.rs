@@ -14,12 +14,12 @@
 //! `Z_R` that holds the sum; the prime field is needed only for the
 //! Shamir shares and the keys), so every operation here is a wrapping
 //! `u32` add. `PRG` is defined in [`keys`] (xoshiro256++ through
-//! SplitMix64, two ring elements a step). The formula is the specification, not the
-//! memory layout: no `PRG(·)` term is materialised as a vector. Each
-//! function here collects the terms it needs as [`MaskStream`]s and makes
-//! one [`keys::apply_masks`] call, which runs them together, one stream per
-//! SIMD lane, in one pass over the vector (the `keys` module docs give the
-//! lane layout and the dispatch). At the
+//! SplitMix64, two ring elements a step). The formula is the
+//! specification, not the memory layout: no `PRG(·)` term is materialised
+//! as a vector. Each function here collects the terms it needs as
+//! [`MaskStream`]s and makes one [`keys::apply_masks`] call, which runs
+//! them together, one stream per SIMD lane, in one pass over the vector
+//! (the `keys` module docs give the lane layout and the dispatch). At the
 //! `round_secagg` shard shape that is one call of 16 streams per device
 //! and one of 15 self masks and 15 residuals on the server.
 

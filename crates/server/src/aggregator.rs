@@ -327,9 +327,9 @@ impl AggregatorShard {
     /// update" true.
     ///
     /// At the `round_secagg` shard shape (16 devices, 4 113 coordinates,
-    /// threshold 11, one share-stage drop-out) one close is ~0.55 ms on a
-    /// 2-core AVX-512 x86-64 box, about two thirds of it its 270 mask
-    /// streams in `Z_{2^32}`: 240 of them are the clients' own, which
+    /// threshold 11, one share-stage drop-out) one close is ~0.5 ms on a
+    /// 2-core AVX-512 x86-64 box, about 0.6 of it its 270 mask streams in
+    /// `Z_{2^32}`: 240 of them are the clients' own, which
     /// item 3 moves onto the devices. Its 514 exponentiations (key pairs,
     /// batched agreements, one Lagrange inversion) are ~0.1 ms, and the
     /// rest is copies, ring passes and share handling (`bench_secagg`'s

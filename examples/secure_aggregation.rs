@@ -97,7 +97,7 @@ fn main() {
     );
     let encoder = FixedPointEncoder::default_for_updates();
     println!(
-        "fixed-point grid: ±8.0 range, {:.1e} resolution",
+        "fixed-point grid: ±64.0 range, {:.1e} resolution",
         encoder.per_summand_error()
     );
     let update = vec![0.5f32; dim];
