@@ -17,11 +17,13 @@
 //! them, and the run exits non-zero when the large shape's median costs
 //! over [`gate::DES_MAX_SLOPE`] times the small one's. The `day` row is the
 //! `fleet_des` workload's fleet (1 000 000 devices, seed 5): the best of
-//! three runs, the events one pops, the most it held pending and the
+//! three runs, the events one pops, the most it held pending, their bytes
+//! where they wait (the peak times [`fleet::PENDING_EVENT_BYTES`]) and the
 //! standard normals it evaluated (`fl_ml::rng::normals`, this thread's
 //! count); the run also exits non-zero when the events are not
 //! [`gate::DES_DAY_EVENTS`], the peak is over
-//! [`gate::DES_DAY_PEAK_PENDING`] or the normals are over
+//! [`gate::DES_DAY_PEAK_PENDING`], its bytes are over
+//! [`gate::DES_DAY_PEAK_PENDING_BYTES`] or the normals are over
 //! [`gate::DES_DAY_NORMALS`]. Run it on an otherwise idle machine.
 
 use fl_bench::fleet_experiments::fleet_config;
@@ -136,9 +138,11 @@ fn main() -> Result<(), String> {
         normals = rng::normals() - normals_before;
         (events, peak_pending, rounds) = (popped, peak, report.rounds.len());
     }
+    let peak_pending_bytes = peak_pending * fleet::PENDING_EVENT_BYTES;
     eprintln!(
         "a 1 000 000-device day: {best_ms:.1} ms (best of 3), {events} events, \
-         {peak_pending} pending at most, {rounds} rounds, {normals} normals"
+         {peak_pending} pending at most ({peak_pending_bytes} B), {rounds} rounds, \
+         {normals} normals"
     );
 
     let rows: Vec<String> = cases
@@ -153,7 +157,7 @@ fn main() -> Result<(), String> {
         .collect();
     println!(
         "{{\n  \"bench\": \"des_queue\",\n  \"spread_ms\": {SPREAD_MS},\n  \"cases\": [\n{}\n  ],\n  \
-         \"day\":\n    {{\"devices\": {}, \"seed\": {}, \"best_ms\": {best_ms:.1}, \"events\": {events}, \"peak_pending\": {peak_pending}, \"rounds\": {rounds}, \"normals\": {normals}}}\n}}",
+         \"day\":\n    {{\"devices\": {}, \"seed\": {}, \"best_ms\": {best_ms:.1}, \"events\": {events}, \"peak_pending\": {peak_pending}, \"peak_pending_bytes\": {peak_pending_bytes}, \"rounds\": {rounds}, \"normals\": {normals}}}\n}}",
         rows.join(",\n"),
         config.devices,
         config.seed,
@@ -163,6 +167,7 @@ fn main() -> Result<(), String> {
     gate::des_day(&DesDay {
         events,
         peak_pending,
+        peak_pending_bytes,
         normals,
     })
 }

@@ -240,6 +240,9 @@ pub struct DesDay {
     pub events: u64,
     /// The most events pending at once.
     pub peak_pending: usize,
+    /// Those events' bytes where they wait: `peak_pending` times
+    /// `fl_sim::fleet::PENDING_EVENT_BYTES`.
+    pub peak_pending_bytes: usize,
     /// Standard normals the day evaluated (`fl_ml::rng::normals`).
     pub normals: u64,
 }
@@ -253,15 +256,25 @@ pub const DES_DAY_EVENTS: u64 = 1_393_370;
 /// day's end peaked at 1 000 010.
 pub const DES_DAY_PEAK_PENDING: usize = 874_609;
 
+/// Ceiling on the bytes of the day's peak of pending events:
+/// [`DES_DAY_PEAK_PENDING`] entries of 16 bytes, each a due time in 32 bits
+/// and a 12-byte event. At 24 bytes, a due time in 64 bits and an event of
+/// 16 (a 64-bit window end), the peak took 20 990 616.
+pub const DES_DAY_PEAK_PENDING_BYTES: usize = 13_993_744;
+
 /// Ceiling on the standard normals the day evaluates, all of them the
 /// availability model's: what it evaluates since a device-day's normals
-/// are evaluated only when a query compares them. When every lookup
-/// evaluated all of its device-day's normals, the day read 4 396 636.
-pub const DES_DAY_NORMALS: u64 = 2_728_670;
+/// are evaluated only when a query compares them, and the bootstrap asks
+/// for a first window's end only when the device's wake-up falls inside
+/// the day. When every lookup evaluated all of its device-day's normals,
+/// the day read 4 396 636; when the bootstrap evaluated every first
+/// window's end, 2 728 670.
+pub const DES_DAY_NORMALS: u64 = 2_603_276;
 
 /// `bench_des`'s day verdict: the day popped exactly [`DES_DAY_EVENTS`],
-/// never held more than [`DES_DAY_PEAK_PENDING`] pending and evaluated at
-/// most [`DES_DAY_NORMALS`] normals.
+/// never held more than [`DES_DAY_PEAK_PENDING`] pending nor more than
+/// [`DES_DAY_PEAK_PENDING_BYTES`] of them, and evaluated at most
+/// [`DES_DAY_NORMALS`] normals.
 pub fn des_day(day: &DesDay) -> Result<(), String> {
     if day.events != DES_DAY_EVENTS {
         return Err(format!(
@@ -273,6 +286,13 @@ pub fn des_day(day: &DesDay) -> Result<(), String> {
         return Err(format!(
             "the day held {} events pending, over the {DES_DAY_PEAK_PENDING} ceiling",
             day.peak_pending
+        ));
+    }
+    if day.peak_pending_bytes > DES_DAY_PEAK_PENDING_BYTES {
+        return Err(format!(
+            "the day's pending events took {} B at the peak, over the \
+             {DES_DAY_PEAK_PENDING_BYTES} B ceiling",
+            day.peak_pending_bytes
         ));
     }
     if day.normals > DES_DAY_NORMALS {
@@ -296,8 +316,8 @@ pub fn des_day(day: &DesDay) -> Result<(), String> {
 pub const E2E_FLOORS: [(&str, f64); 4] = [
     ("round_plain_tcp", 33.0),
     ("checkin_storm", 948.0),
-    ("round_secagg", 198.0),
-    ("fleet_des", 598.0),
+    ("round_secagg", 235.0),
+    ("fleet_des", 637.0),
 ];
 
 /// Ledger entries an [`E2E_FLOORS`] value looks back over.
@@ -451,6 +471,7 @@ mod tests {
         DesDay {
             events: row["events"] as u64,
             peak_pending: row["peak_pending"] as usize,
+            peak_pending_bytes: row["peak_pending_bytes"] as usize,
             normals: row["normals"] as u64,
         }
     }
@@ -575,6 +596,29 @@ mod tests {
         })
         .expect_err("over the ceiling");
         assert!(why.contains("held 1000010 events pending"), "{why}");
+    }
+
+    #[test]
+    fn a_byte_over_the_committed_pending_bytes_fails_the_des_day_gate() {
+        let committed = committed_des_day();
+        assert_eq!(
+            committed.peak_pending_bytes,
+            16 * committed.peak_pending,
+            "a pending fleet event is 16 bytes"
+        );
+        let over = committed.peak_pending_bytes + 1;
+        let why = des_day(&DesDay {
+            peak_pending_bytes: over,
+            ..committed
+        })
+        .expect_err("over the ceiling");
+        assert!(why.contains(&format!("took {over} B")), "{why}");
+        // What the peak took at 24 bytes an entry.
+        assert!(des_day(&DesDay {
+            peak_pending_bytes: 20_990_616,
+            ..committed_des_day()
+        })
+        .is_err());
     }
 
     #[test]

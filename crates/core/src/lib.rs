@@ -39,25 +39,15 @@
 #![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 #![deny(missing_debug_implementations)]
 
-/// Streaming, in-memory Federated Averaging accumulation (Sec. 4.2).
 pub mod aggregation;
-/// FL checkpoints: serialized global model state (Sec. 7.2).
 pub mod checkpoint;
-/// The shared error type for protocol-vocabulary operations.
 pub mod error;
-/// Device phase events and analytics session shapes (Table 1).
 pub mod events;
-/// FL plans: device and server halves, with versioning (Sec. 7.2–7.3).
 pub mod plan;
-/// FL populations, tasks, and task-selection strategies (Sec. 7.1).
 pub mod population;
-/// DP-FedAvg clipping and noise configuration (Sec. 6).
 pub mod privacy;
-/// Device-side retry discipline: backoff and retry budgets (Sec. 2.3).
 pub mod retry;
-/// Round configuration (goals, timeouts, over-selection) and outcomes.
 pub mod round;
-/// Modelled download/upload byte tallies by category (Fig. 9).
 pub mod traffic;
 
 pub use checkpoint::FlCheckpoint;

@@ -13,7 +13,7 @@
 //!
 //! Arbitration losers are not dropped — the population that was due but
 //! lost the session slot is deferred through its own retry discipline
-//! ([`JobScheduler::defer_until`] via [`RetryDecision::apply_to`]),
+//! ([`JobScheduler::defer_until`] via [`RetryDecision::apply_to`](crate::connectivity::RetryDecision::apply_to)),
 //! charging its own budget, so it decorrelates and comes back instead of
 //! spinning against the active session.
 

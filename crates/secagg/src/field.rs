@@ -15,7 +15,7 @@ pub const PRIME: u64 = (1u64 << 61) - 1;
 
 /// Reduces an arbitrary `u64` into the field: `x % PRIME`, without a
 /// division or a branch. `x ≡ (x & p) + (x >> 61)`, which is at most
-/// `p + 7`, and [`fold`] lands it.
+/// `p + 7`, and `fold` lands it.
 #[inline]
 pub fn reduce(x: u64) -> u64 {
     fold((x & PRIME) + (x >> 61))
@@ -82,7 +82,7 @@ pub fn pow(base: u64, exp: u64) -> u64 {
 const CHAINS: usize = 8;
 
 /// Raises every element of `bases` to `exp` in place: the values of one
-/// [`pow`] per base, with [`CHAINS`] chains of one exponent stepped
+/// [`pow`] per base, with `CHAINS` chains of one exponent stepped
 /// together. The chains share every squaring-or-multiply decision, so
 /// they run in lockstep with no dependency between them.
 pub fn pow_batch(bases: &mut [u64], exp: u64) {

@@ -27,7 +27,7 @@
 //! once, in blocks of 64 coordinates; every group runs over the block and
 //! adds its draws into one wrapping `u32` sum per (coordinate, lane), and
 //! the lanes are added once per block, `L` coordinates at a time
-//! ([`row_sums`]). Nothing is reduced: every sum wraps mod `2^32`, which
+//! (`row_sums`). Nothing is reduced: every sum wraps mod `2^32`, which
 //! is the ring's own addition. A subtracted draw `m` is added as its
 //! complement `!m`, since `−m = !m + 1`; the `+1` of every subtracted
 //! stream is added once per coordinate, as one count.

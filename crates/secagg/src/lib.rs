@@ -47,19 +47,11 @@
     clippy::expect_used
 )]
 
-/// Typed SecAgg failures (`SecAggError`).
 pub mod error;
-/// Arithmetic in the 61-bit prime field the shares and keys live in.
 pub mod field;
-/// Simulation-grade Diffie–Hellman key agreement and the mask PRG.
 pub mod keys;
-/// Pairwise and self masks applied to and removed from vectors in
-/// `Z_{2^32}`.
 pub mod masking;
-/// The four-round protocol's client and server type-states and the
-/// `run_instance` driver.
 pub mod protocol;
-/// Shamir secret sharing for threshold mask recovery.
 pub mod shamir;
 
 pub use error::SecAggError;

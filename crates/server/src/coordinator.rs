@@ -20,12 +20,15 @@
 //! `MasterAggregatorActor`, or the struct itself in-process.
 //! [`Coordinator::complete_round`] takes the Master's merge.
 
-use crate::aggregator::{AggregationPlan, DropStage, MasterAggregator, MergeOutcome, ReportRoute};
+use crate::aggregator::{
+    check_secagg_input, AggregationPlan, DropStage, MasterAggregator, MergeOutcome, ReportRoute,
+};
 use crate::round::{CheckinResponse, ReportResponse, RoundState};
 use crate::storage::CheckpointStore;
 use fl_core::plan::FlPlan;
 use fl_core::population::{TaskGroup, TaskKind};
 use fl_core::{CoreError, DeviceId, FlCheckpoint, FlTask, PopulationName, RoundId};
+use fl_ml::fixedpoint::FixedPointEncoder;
 use fl_ml::metrics::MetricSummary;
 use fl_ml::rng;
 use fl_wire::{ReportPayload, ReportRef, WireError, WireMessage};
@@ -500,24 +503,34 @@ impl ActiveRound {
             && report.round == self.checkpoint.round
             && report.attempt <= MAX_REPORT_ATTEMPTS
             && self.state.is_participant(report.device)
-            && self.foldable(&report.payload)
+            && self.foldable(report)
     }
 
-    /// Whether `payload` passes a training round's shard shape checks
-    /// against the plan's dimension: a field vector only where the task
-    /// runs SecAgg, with one coordinate per parameter; an update whose
-    /// codec-declared length is the dimension. An evaluation round folds
-    /// nothing and takes any payload.
-    fn foldable(&self, payload: &ReportPayload<'_>) -> bool {
+    /// Whether `report` passes a training round's shard checks: a field
+    /// vector only where the task runs SecAgg, with one coordinate per
+    /// parameter of the plan's dimension; an update whose codec-declared
+    /// length is the dimension; and, where the task runs SecAgg, a weight
+    /// and coordinates a group can sum in `Z_{2^32}`
+    /// ([`check_secagg_input`]). An evaluation round folds nothing and
+    /// takes any payload.
+    fn foldable(&self, report: &ReportRef<'_>) -> bool {
         if self.task.kind != TaskKind::Training {
             return true;
         }
         let dim = self.plan.server.expected_dim;
-        match payload {
+        let secagg = self.task.secagg_group_size.is_some();
+        let in_range = |coordinates: &[[u8; 8]]| {
+            let values = coordinates.iter().map(|c| u64::from_le_bytes(*c));
+            let encoder = FixedPointEncoder::default_for_updates();
+            check_secagg_input(&encoder, report.weight, values).is_ok()
+        };
+        match report.payload {
             ReportPayload::Field(coordinates) => {
-                self.task.secagg_group_size.is_some() && coordinates.len() == dim
+                secagg && coordinates.len() == dim && in_range(coordinates)
             }
-            ReportPayload::Update(bytes) => fl_ml::compress::encoded_len(bytes) == Some(dim),
+            ReportPayload::Update(bytes) => {
+                fl_ml::compress::encoded_len(bytes) == Some(dim) && (!secagg || in_range(&[]))
+            }
         }
     }
 
@@ -1026,6 +1039,69 @@ mod tests {
         assert_eq!(round.state.counters(), (0, 0, 0, 0));
         let genuine = frame(&round, DeviceId(0), 1, 0.5);
         let (ack, verdict) = report(&mut round, &mut master, &genuine);
+        assert!(accepted(&ack));
+        assert!(matches!(verdict, ReportVerdict::Forward(_)));
+        assert_eq!(round.state.counters(), (1, 0, 0, 0));
+    }
+
+    /// In a SecAgg round a report whose coordinate is off the fixed-point
+    /// grid, or whose weight a group cannot sum in `Z_{2^32}`, is refused
+    /// before its ack, unpinned and uncounted, as its shard would refuse
+    /// it after the ack; the largest weight and coordinate are accepted
+    /// and fold.
+    #[test]
+    fn an_out_of_range_secagg_report_is_refused_before_its_ack() {
+        let mut c = deployed_secagg_coordinator();
+        let (mut round, mut master) = c.begin_round(0).unwrap();
+        configure(&mut round);
+        let key = round.checkpoint.round;
+        let dim = round.plan.server.expected_dim;
+        let encoder = FixedPointEncoder::default_for_updates();
+        let max = encoder.max_encoded();
+        let max_weight = u64::from(u32::MAX) / encoder.max_summands();
+        let secagg = |field_vector: Vec<u64>, weight| {
+            fl_wire::encode(&WireMessage::SecAggReport {
+                device: DeviceId(0),
+                round: key,
+                attempt: 1,
+                field_vector,
+                weight,
+                loss: 0.7,
+                accuracy: 0.6,
+                population: "test/pop".into(),
+            })
+            .unwrap()
+        };
+        let mut off_grid = vec![max; dim];
+        off_grid[dim - 1] = max + 1;
+        let heavy_update = fl_wire::encode(&WireMessage::UpdateReport {
+            device: DeviceId(0),
+            round: key,
+            attempt: 1,
+            update_bytes: CodecSpec::Identity.build().encode(&vec![0.5; dim]),
+            weight: max_weight + 1,
+            loss: 0.7,
+            accuracy: 0.6,
+            population: "test/pop".into(),
+        })
+        .unwrap();
+        for hostile in [
+            secagg(off_grid, 1),
+            secagg(vec![u64::MAX; dim], 1),
+            secagg(vec![0; dim], max_weight + 1),
+            heavy_update,
+        ] {
+            let (ack, verdict) = report(&mut round, &mut master, &hostile);
+            assert_eq!(verdict, ReportVerdict::Rejected);
+            assert!(!accepted(&ack));
+        }
+        assert!(round.verdicts.is_empty(), "a hostile report was pinned");
+        assert_eq!(round.state.counters(), (0, 0, 0, 0));
+        // On the grid, the top of it included, though the coordinates'
+        // OR is past it.
+        let mut on_grid = vec![max; dim];
+        on_grid[1] = 1;
+        let (ack, verdict) = report(&mut round, &mut master, &secagg(on_grid, max_weight));
         assert!(accepted(&ack));
         assert!(matches!(verdict, ReportVerdict::Forward(_)));
         assert_eq!(round.state.counters(), (1, 0, 0, 0));

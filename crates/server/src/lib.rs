@@ -51,25 +51,14 @@
 #![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 #![deny(missing_debug_implementations)]
 
-/// Aggregators and the Master Aggregator: streaming FedAvg shards,
-/// optional per-shard Secure Aggregation, hierarchical merge.
 pub mod aggregator;
-/// Coordinators: round advancement, task selection, model custody.
 pub mod coordinator;
-/// Threaded actor wiring for the live (wall-clock) server topology.
 pub mod live;
-/// Pace steering: reconnect windows, rendezvous, herd avoidance.
 pub mod pace;
-/// The Selection → Configuration → Reporting round state machine.
 pub mod round;
-/// Selectors: check-in admission against coordinator quotas.
 pub mod selector;
-/// Overload protection: admission control and closed-loop pace steering.
 pub mod shedding;
-/// Persistent checkpoint storage with aggregate-before-write semantics.
 pub mod storage;
-/// Shared blueprint types for building the Selector → Coordinator →
-/// Master Aggregator tree across the live and simulated harnesses.
 pub mod topology;
 
 /// The versioned framed wire protocol spoken at the device↔Selector and

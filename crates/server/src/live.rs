@@ -6,7 +6,7 @@
 //! accepted devices are forwarded to the [`CoordinatorActor`], which owns
 //! the [`crate::coordinator::Coordinator`] state machine and drives
 //! rounds. Each training round's Master Aggregator runs as an ephemeral
-//! [`MasterAggregatorActor`] child ("scale[s] with rounds", Sec. 4.1),
+//! [`MasterAggregatorActor`] child ("scale\[s\] with rounds", Sec. 4.1),
 //! which shards reporting devices across `AggregatorActor` children of
 //! its own and dies with the round. The Coordinator registers itself in
 //! the shared [`fl_actors::LockingService`]; if it dies, the Selector

@@ -1,7 +1,7 @@
 //! Overload protection for the Selector layer (Sec. 2.3, Sec. 4.2).
 //!
 //! The paper's Selectors "make local decisions about whether or not to
-//! accept each device" and pace steering "regulat[es] the pattern of
+//! accept each device" and pace steering "regulat\[es\] the pattern of
 //! device connections" — but both are open loops if the server never
 //! looks at what actually arrives. This module closes the loops:
 //!

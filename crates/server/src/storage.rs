@@ -23,8 +23,8 @@ pub trait CheckpointStore {
     ///
     /// Returns [`CoreError::StorageFailure`] if the write did not take
     /// effect. A failed commit must leave the previously committed
-    /// checkpoint intact and must not increment [`write_count`]
-    /// (`CheckpointStore::write_count`): the caller treats the round as
+    /// checkpoint intact and must not increment
+    /// [`write_count`](CheckpointStore::write_count): the caller treats the round as
     /// lost and the last successful checkpoint stays authoritative.
     fn commit(&mut self, checkpoint: FlCheckpoint) -> Result<(), CoreError>;
 

@@ -57,6 +57,56 @@ impl Window {
     }
 }
 
+/// A window [`DiurnalAvailability::next_window_lazily`] found: its start,
+/// and its end once [`Self::end_ms`] asks for it.
+#[derive(Debug, Clone, Copy)]
+pub struct LazyWindow<'a> {
+    /// Window start (ms).
+    pub start_ms: u64,
+    end: LazyEnd<'a>,
+}
+
+/// A [`LazyWindow`]'s end: evaluated by the query, or the length's pair
+/// still to be turned into a normal.
+#[derive(Debug, Clone, Copy)]
+enum LazyEnd<'a> {
+    Known(u64),
+    Night(&'a DiurnalConfig, NormalDraw),
+    Bout(&'a DiurnalConfig, NormalDraw),
+}
+
+impl LazyWindow<'_> {
+    /// The window's end: one normal, unless the query compared it.
+    pub fn end_ms(self) -> u64 {
+        let length_h = match self.end {
+            LazyEnd::Known(end_ms) => return end_ms,
+            LazyEnd::Night(c, length) => {
+                (c.night_duration_hours + length.value() * c.night_duration_std).clamp(2.0, 14.0)
+            }
+            LazyEnd::Bout(c, length) => {
+                (c.daytime_bout_hours + length.value() * 0.5).clamp(0.2, 3.0)
+            }
+        };
+        self.start_ms + hours_ms(length_h)
+    }
+
+    /// A window whose end the query evaluated.
+    fn known(window: Window) -> Self {
+        LazyWindow {
+            start_ms: window.start_ms,
+            end: LazyEnd::Known(window.end_ms),
+        }
+    }
+
+    /// The window, its end evaluated.
+    fn window(self) -> Window {
+        Window {
+            start_ms: self.start_ms,
+            end_ms: self.end_ms(),
+        }
+    }
+}
+
 /// Parameters of the diurnal model.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DiurnalConfig {
@@ -184,14 +234,21 @@ impl DiurnalAvailability {
     /// up to two days ahead, and stops at the first day with such a start
     /// (see [`Self::new`] for why no later day can have an earlier one).
     pub fn next_window(&self, device: u64, t_ms: u64) -> Option<Window> {
+        self.next_window_lazily(device, t_ms)
+            .map(LazyWindow::window)
+    }
+
+    /// [`Self::next_window`], the end of a window that starts after `t_ms`
+    /// not yet evaluated: a caller that may not need it saves its normal.
+    pub fn next_window_lazily(&self, device: u64, t_ms: u64) -> Option<LazyWindow<'_>> {
         let day = t_ms / DAY_MS;
         let tz_offset_h = self.timezone_offset_h(device);
         if let Some(yesterday) = day.checked_sub(1) {
             let spilled = self
                 .device_day(device, yesterday, tz_offset_h)
                 .containing(t_ms);
-            if spilled.is_some() {
-                return spilled;
+            if let Some(w) = spilled {
+                return Some(LazyWindow::known(w));
             }
         }
         (day..=day + 2).find_map(|d| {
@@ -283,7 +340,7 @@ struct DeviceDay<'a> {
     bout: Option<(u64, NormalDraw)>,
 }
 
-impl DeviceDay<'_> {
+impl<'a> DeviceDay<'a> {
     /// The overnight start (one normal, the first time).
     fn night_start_ms(&mut self) -> u64 {
         if let Some(start_ms) = self.night_start_ms {
@@ -298,25 +355,31 @@ impl DeviceDay<'_> {
         start_ms
     }
 
+    /// The overnight window, its length's normal not yet evaluated.
+    fn night_lazily(&mut self) -> LazyWindow<'a> {
+        LazyWindow {
+            start_ms: self.night_start_ms(),
+            end: LazyEnd::Night(self.config, self.night_length),
+        }
+    }
+
     /// The overnight window (its length's normal).
     fn night(&mut self) -> Window {
-        let start_ms = self.night_start_ms();
-        let c = self.config;
-        let length_h = (c.night_duration_hours + self.night_length.value() * c.night_duration_std)
-            .clamp(2.0, 14.0);
-        Window {
+        self.night_lazily().window()
+    }
+
+    /// The daytime bout that starts at `start_ms`, its length's normal not
+    /// yet evaluated.
+    fn bout_lazily(&self, (start_ms, length): (u64, NormalDraw)) -> LazyWindow<'a> {
+        LazyWindow {
             start_ms,
-            end_ms: start_ms + hours_ms(length_h),
+            end: LazyEnd::Bout(self.config, length),
         }
     }
 
     /// The daytime bout that starts at `start_ms` (its length's normal).
-    fn bout_window(&self, (start_ms, length): (u64, NormalDraw)) -> Window {
-        let length_h = (self.config.daytime_bout_hours + length.value() * 0.5).clamp(0.2, 3.0);
-        Window {
-            start_ms,
-            end_ms: start_ms + hours_ms(length_h),
-        }
+    fn bout_window(&self, bout: (u64, NormalDraw)) -> Window {
+        self.bout_lazily(bout).window()
     }
 
     /// The day's first window, night before bout, that contains `t_ms`.
@@ -336,23 +399,23 @@ impl DeviceDay<'_> {
     }
 
     /// [`Self::containing`], or else the window with the earliest start at
-    /// or after `t_ms`, the night on a tie. A bout that starts before the
-    /// night floor starts before the night, so it wins without the night
-    /// start.
-    fn containing_or_next(&mut self, t_ms: u64) -> Option<Window> {
+    /// or after `t_ms`, the night on a tie, its end not yet evaluated. A
+    /// bout that starts before the night floor starts before the night, so
+    /// it wins without the night start.
+    fn containing_or_next(&mut self, t_ms: u64) -> Option<LazyWindow<'a>> {
         if let Some(window) = self.containing(t_ms) {
-            return Some(window);
+            return Some(LazyWindow::known(window));
         }
         let bout = self.bout.filter(|&(start_ms, _)| start_ms >= t_ms);
         if let Some(bout) = bout.filter(|&(start_ms, _)| start_ms < self.day_ms + NIGHT_FLOOR_MS) {
-            return Some(self.bout_window(bout));
+            return Some(self.bout_lazily(bout));
         }
         let night_start_ms = self.night_start_ms();
         match bout {
             Some(bout) if night_start_ms < t_ms || bout.0 < night_start_ms => {
-                Some(self.bout_window(bout))
+                Some(self.bout_lazily(bout))
             }
-            _ if night_start_ms >= t_ms => Some(self.night()),
+            _ if night_start_ms >= t_ms => Some(self.night_lazily()),
             _ => None,
         }
     }
@@ -544,6 +607,19 @@ mod tests {
         assert_eq!(model.current_window(device, t_ms), current, "{at}");
         assert_eq!(model.is_eligible(device, t_ms), current.is_some(), "{at}");
         assert_eq!(model.next_window(device, t_ms), next, "{at}");
+        // A lazy window's start costs what the eager query's does, and its
+        // end one normal more, unless the query compared it (a window that
+        // contains `t_ms`).
+        let before = fl_ml::rng::normals();
+        let lazy = model.next_window_lazily(device, t_ms);
+        let start_normals = fl_ml::rng::normals() - before;
+        assert_eq!(lazy.map(|w| w.start_ms), next.map(|w| w.start_ms), "{at}");
+        let end_ms = lazy.map(LazyWindow::end_ms);
+        let end_normals = fl_ml::rng::normals() - before - start_normals;
+        assert_eq!(end_ms, next.map(|w| w.end_ms), "{at}");
+        let contains = next.is_some_and(|w| w.contains(t_ms));
+        let expected = u64::from(next.is_some() && !contains);
+        assert_eq!(end_normals, expected, "{at}");
         assert_eq!(
             model.next_eligible_at(device, t_ms),
             next.map(|w| w.start_ms.max(t_ms)),

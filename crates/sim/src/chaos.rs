@@ -1,7 +1,7 @@
 //! Deterministic fault injection across the server stack (Sec. 4.2, 4.4).
 //!
 //! "The FL server must be able to recover from these failures … in all
-//! [failure] cases the system will continue to make progress" (Sec. 4.4).
+//! \[failure\] cases the system will continue to make progress" (Sec. 4.4).
 //! This module turns that claim into an executable, *replayable* check: a
 //! [`FaultPlan`] derived from a single seed schedules actor crashes,
 //! storage write failures, lease losses, and device drop-out bursts on the

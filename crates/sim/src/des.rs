@@ -26,6 +26,11 @@
 //! due after it is never stored, since no pop could return it. A fleet
 //! that schedules each device's next wake-up whether or not the day has
 //! room for it then holds only the wake-ups that fire.
+//!
+//! The far tier, where most pending events of a long run wait, stores each
+//! due time in the queue's [`StoredMs`] width: `u64` by default, or `u32`
+//! for a queue whose end is at most `u32::MAX` ms (~49.7 days). An event of
+//! 12 bytes and 4-byte alignment then waits in 16 bytes, not 24.
 
 /// An event scheduled into the near bucket after it was promoted. Ties
 /// break by insertion order, making runs fully deterministic.
@@ -46,8 +51,9 @@ impl<E> Scheduled<E> {
 }
 
 /// Children per heap node: a node's four children (32 bytes each for a
-/// fleet event) span two or three adjacent cache lines (8 and 16 measured
-/// slower: they add more compares per level than they save levels).
+/// fleet event: its due time, its `seq` and the event) span two or three
+/// adjacent cache lines (8 and 16 measured slower: they add more compares
+/// per level than they save levels).
 const ARITY: usize = 4;
 
 /// An event's bucket is `at_ms >> BUCKET_MS_LOG2` (65.536 s of virtual
@@ -72,19 +78,64 @@ const INDEX_BITS: u32 = u64::BITS - BUCKET_MS_LOG2;
 /// comparison (the two cost alike at a few hundred keys).
 const RADIX_MIN: usize = 256;
 
-/// Far-tier entries per chunk: 2 KB of 32-byte entries. A list wastes half
-/// a chunk on average, where one growing `Vec` wastes a third of its length.
+/// Far-tier entries per chunk: 1 KB of a fleet's 16-byte entries. A list
+/// wastes half a chunk on average, where one growing `Vec` wastes a third
+/// of its length.
 const CHUNK: usize = 64;
+
+/// The width in which a queue's far tier stores due times: `u64`, which
+/// holds any time, or `u32`, which holds those up to `u32::MAX` ms. A
+/// queue's end must fit its width ([`EventQueue::until`]), so every event
+/// it stores does.
+pub trait StoredMs: Copy {
+    /// The latest due time the width holds.
+    const MAX: u64;
+
+    /// `at_ms`, which is at most [`Self::MAX`], in this width.
+    fn store(at_ms: u64) -> Self;
+
+    /// The due time stored, in ms.
+    fn ms(self) -> u64;
+}
+
+impl StoredMs for u64 {
+    const MAX: u64 = u64::MAX;
+
+    fn store(at_ms: u64) -> Self {
+        at_ms
+    }
+
+    fn ms(self) -> u64 {
+        self
+    }
+}
+
+impl StoredMs for u32 {
+    const MAX: u64 = u32::MAX as u64;
+
+    fn store(at_ms: u64) -> Self {
+        debug_assert!(
+            at_ms <= <Self as StoredMs>::MAX,
+            "{at_ms} ms is past the queue's end"
+        );
+        at_ms as u32
+    }
+
+    fn ms(self) -> u64 {
+        u64::from(self)
+    }
+}
 
 /// A list of `(at_ms, event)` in scheduling order, in chunks of up to
 /// [`CHUNK`]; no entry has a `seq`, its place is one.
-type Chunks<E> = Vec<Vec<(u64, E)>>;
+type Chunks<E, T> = Vec<Vec<(T, E)>>;
 
 /// A deterministic event queue with a virtual clock. [`EventQueue::new`]
 /// keeps every event; [`EventQueue::until`] keeps only those due at or
 /// before its end, which is inclusive, as [`EventQueue::next_before`]'s
-/// horizon is.
-pub struct EventQueue<E> {
+/// horizon is. `T` is the width its far tier stores due times in
+/// ([`StoredMs`]); times in and out are `u64` ms either way.
+pub struct EventQueue<E, T = u64> {
     /// Near tier, first part: the near bucket's events that were pending
     /// when it was promoted, in scheduling order, each taken when it pops.
     run: Vec<Option<E>>,
@@ -108,9 +159,9 @@ pub struct EventQueue<E> {
     /// the level numbered by the highest bit in which it differs from
     /// `near_bucket`, so level `l` spans `2^(l + SLOT_LOG2)` buckets and no
     /// event of a slot or a lower level is due after one of a higher.
-    far: Box<[Chunks<E>]>,
+    far: Box<[Chunks<E, T>]>,
     /// Emptied chunks, their capacity kept for the next list that grows.
-    pool: Vec<Vec<(u64, E)>>,
+    pool: Vec<Vec<(T, E)>>,
     /// The last due time a stored event may have.
     end_ms: u64,
     /// Events pending, and the most ever pending at once.
@@ -132,10 +183,25 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue::until(u64::MAX)
     }
+}
+
+impl<E, T: StoredMs> EventQueue<E, T> {
+    /// Bytes a far-tier entry takes: its stored due time and the event.
+    pub const FAR_ENTRY_BYTES: usize = std::mem::size_of::<(T, E)>();
 
     /// Creates an empty queue at time 0 that drops every event due after
     /// `end_ms`: one that can pop nothing later than `end_ms`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `end_ms` is past what the width `T` holds
+    /// ([`StoredMs::MAX`]).
     pub fn until(end_ms: u64) -> Self {
+        assert!(
+            end_ms <= T::MAX,
+            "a queue that stores due times up to {} ms cannot end at {end_ms} ms",
+            T::MAX
+        );
         EventQueue {
             run: Vec::new(),
             order: Vec::new(),
@@ -260,7 +326,7 @@ impl<E> EventQueue<E> {
         let chunk = chunks
             .last_mut()
             .expect("a chunk with room was just ensured");
-        chunk.push((at_ms, event));
+        chunk.push((T::store(at_ms), event));
     }
 
     /// With the near tier empty, makes the bucket of the earliest far event
@@ -294,7 +360,8 @@ impl<E> EventQueue<E> {
         self.order.clear();
         self.next = 0;
         for mut chunk in std::mem::take(&mut self.far[home]) {
-            for (at_ms, event) in chunk.drain(..) {
+            for (at, event) in chunk.drain(..) {
+                let at_ms = at.ms();
                 if at_ms >> BUCKET_MS_LOG2 == bucket {
                     self.push_run(at_ms, event);
                 } else {
@@ -382,8 +449,8 @@ impl<E> EventQueue<E> {
 }
 
 /// The earliest due time in a far list that is not empty.
-fn earliest_ms<E>(chunks: &Chunks<E>) -> u64 {
-    let times = chunks.iter().flatten().map(|&(at_ms, _)| at_ms);
+fn earliest_ms<E, T: StoredMs>(chunks: &Chunks<E, T>) -> u64 {
+    let times = chunks.iter().flatten().map(|&(at, _)| at.ms());
     times.min().expect("a far list keeps no empty chunk")
 }
 
@@ -391,7 +458,7 @@ fn earliest_ms<E>(chunks: &Chunks<E>) -> u64 {
 mod tests {
     use super::*;
 
-    impl<E> EventQueue<E> {
+    impl<E, T: StoredMs> EventQueue<E, T> {
         /// The current virtual time.
         pub(crate) fn now_ms(&self) -> u64 {
             self.now_ms
@@ -570,17 +637,31 @@ mod model_tests {
         }
     }
 
-    /// Applies `ops` to a queue that keeps every event and its model,
-    /// comparing every pop and every observable after each step, then
-    /// drains both.
-    fn check(ops: impl IntoIterator<Item = Op>) {
-        check_until(u64::MAX, ops);
+    /// The latest time a queue that stores due times in 32 bits may end at.
+    const U32_END: u64 = u32::MAX as u64;
+
+    /// Applies `ops` to a queue that keeps every event and its model, and
+    /// to a queue that stores due times in 32 bits and ends as late as it
+    /// can and its model, comparing every pop and every observable after
+    /// each step, then draining both.
+    fn check(ops: &[Op]) {
+        check_width::<u64>(u64::MAX, ops);
+        check_width::<u32>(U32_END, ops);
     }
 
-    /// [`check`] for a queue and a model that drop what is due after
+    /// [`check`] for queues and models that drop what is due after
+    /// `end_ms`: of both widths, or of 64 bits for an end past 32.
+    fn check_until(end_ms: u64, ops: &[Op]) {
+        check_width::<u64>(end_ms, ops);
+        if end_ms <= U32_END {
+            check_width::<u32>(end_ms, ops);
+        }
+    }
+
+    /// [`check`] for a queue that stores due times as `T` and ends at
     /// `end_ms`.
-    fn check_until(end_ms: u64, ops: impl IntoIterator<Item = Op>) {
-        let mut queue: EventQueue<usize> = EventQueue::until(end_ms);
+    fn check_width<T: StoredMs>(end_ms: u64, ops: &[Op]) {
+        let mut queue: EventQueue<usize, T> = EventQueue::until(end_ms);
         let mut model = Model::until(end_ms);
         let mut step = |i: usize, op: Op| {
             match op {
@@ -607,7 +688,7 @@ mod model_tests {
             queue.len()
         };
         let (mut steps, mut pending) = (0, 0);
-        for op in ops {
+        for &op in ops {
             pending = step(steps, op);
             steps += 1;
         }
@@ -649,17 +730,25 @@ mod model_tests {
         (i / 5 * BLOCK + i % 5).saturating_sub(2)
     }
 
+    /// A time within 2 ms of `u32::MAX`: the last a 32-bit queue stores,
+    /// two before it and two past it.
+    fn u32_edge(i: u64) -> u64 {
+        U32_END - 2 + i % 5
+    }
+
     /// Times straddle multiples of [`SPAN`] and of [`BLOCK`]: behind the
     /// clock (clamped), tied, just before and just after an edge the clock
     /// is about to cross or has just crossed, relative delays that land on
     /// either side of the next edge, horizons that fall between the clock
-    /// and the next pending event, and two times so far out that nothing
-    /// may be sized by the distance to them.
+    /// and the next pending event, times at and around the last a 32-bit
+    /// queue stores, and two times so far out that nothing may be sized by
+    /// the distance to them.
     fn edge_op() -> impl Strategy<Value = Op> {
         prop_oneof![
             (0u64..30).prop_map(|i| Op::At(edge(i))),
             (0u64..30).prop_map(|i| Op::At(edge(i))),
             (0u64..30).prop_map(|i| Op::At(block_edge(i))),
+            (0u64..5).prop_map(|i| Op::At(u32_edge(i))),
             (0u64..3).prop_map(Op::In),
             (0u64..5).prop_map(|d| Op::In(SPAN - 2 + d)),
             (0u64..5).prop_map(|d| Op::In(BLOCK - 2 + d)),
@@ -669,6 +758,7 @@ mod model_tests {
             (0u64..30).prop_map(|i| Op::NextBefore(edge(i))),
             (0u64..30).prop_map(|i| Op::NextBefore(edge(i))),
             (0u64..30).prop_map(|i| Op::NextBefore(block_edge(i))),
+            (0u64..5).prop_map(|i| Op::NextBefore(u32_edge(i))),
         ]
     }
 
@@ -680,8 +770,8 @@ mod model_tests {
             ops in proptest::collection::vec(any_op(), 0..400),
             end_ms in 0u64..400,
         ) {
-            check(ops.clone());
-            check_until(end_ms, ops);
+            check(&ops);
+            check_until(end_ms, &ops);
         }
 
         #[test]
@@ -689,9 +779,10 @@ mod model_tests {
             ops in proptest::collection::vec(edge_op(), 0..400),
             end in 0u64..30,
         ) {
-            check(ops.clone());
-            check_until(edge(end), ops.clone());
-            check_until(block_edge(end), ops);
+            check(&ops);
+            check_until(edge(end), &ops);
+            check_until(block_edge(end), &ops);
+            check_until(u32_edge(end), &ops);
         }
     }
 
@@ -700,7 +791,7 @@ mod model_tests {
     /// clock is clamped to it and fires.
     #[test]
     fn a_queue_keeps_what_is_due_by_its_end_and_drops_the_rest() {
-        let mut q = EventQueue::until(SPAN);
+        let mut q = EventQueue::<_>::until(SPAN);
         q.schedule_at(SPAN, "at the end");
         q.schedule_at(SPAN + 1, "after the end");
         q.schedule_in(SPAN + 1, "after the end, relative");
@@ -717,7 +808,33 @@ mod model_tests {
             Op::At(0),
             Op::In(1),
         ];
-        check_until(SPAN, ops);
+        check_until(SPAN, &ops);
+    }
+
+    /// A 32-bit queue stores `u32::MAX` and pops it as the `u64` it was
+    /// given, drops what is due after it, and cannot be built to end later.
+    #[test]
+    fn a_32_bit_queue_ends_at_u32_max_at_the_latest() {
+        let mut q: EventQueue<&str, u32> = EventQueue::until(U32_END);
+        q.schedule_at(U32_END + 1, "after the end");
+        q.schedule_in(u64::MAX, "never");
+        q.schedule_at(U32_END, "at the end");
+        q.schedule_at(U32_END - 1, "just before");
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.next_before(U32_END - 2), None);
+        assert_eq!(q.next(), Some((U32_END - 1, "just before")));
+        assert_eq!(q.next(), Some((U32_END, "at the end")));
+        assert_eq!(q.next(), None);
+        let refused = std::panic::catch_unwind(|| EventQueue::<(), u32>::until(U32_END + 1));
+        assert!(refused.is_err(), "a 32-bit queue past u32::MAX ms");
+    }
+
+    /// A far entry is its stored time and the event: 8 bytes fewer for an
+    /// event of 4-byte alignment in 32 bits.
+    #[test]
+    fn a_far_entry_is_the_stored_time_and_the_event() {
+        assert_eq!(EventQueue::<[u32; 3], u64>::FAR_ENTRY_BYTES, 24);
+        assert_eq!(EventQueue::<[u32; 3], u32>::FAR_ENTRY_BYTES, 16);
     }
 
     /// The edge cases by name, in an order a random run would rarely find.
@@ -765,14 +882,14 @@ mod model_tests {
             Op::NextBefore(1 << 61),
             Op::NextBefore(1 << 61),
         ]);
-        check(ops);
+        check(&ops);
     }
 
     /// Events scheduled into the span being drained tie with the ones that
     /// were pending when the clock reached it, and must pop after them.
     #[test]
     fn a_push_into_the_span_being_drained_pops_after_its_ties() {
-        check([
+        check(&[
             Op::At(SPAN + 5),
             Op::At(SPAN + 7),
             Op::At(SPAN + 5),
@@ -818,6 +935,6 @@ mod model_tests {
                 ops.push(Op::Next);
             }
         }
-        check(ops);
+        check(&ops);
     }
 }

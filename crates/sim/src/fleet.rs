@@ -36,27 +36,31 @@ pub const FIG9_MODEL: ModelSpec = ModelSpec::EmbeddingLm {
 /// The FIG9 upload codec.
 pub const FIG9_CODEC: CodecSpec = CodecSpec::Quantize { block: 256 };
 
-/// Measures FIG9's per-participant payload sizes from real encoded
-/// `fl-wire` frames rather than analytic estimates: returns
+/// Measures FIG9's per-participant payload sizes from real `fl-wire`
+/// frames rather than analytic estimates: returns
 /// `(plan_bytes, checkpoint_bytes, update_bytes)` where the download is
-/// the actual [`WireMessage::PlanAndCheckpoint`] frame for `model` (the
-/// plan's share is the frame minus the nested checkpoint blob, so frame
+/// the [`WireMessage::PlanAndCheckpoint`] frame for `model` (the plan's
+/// share is the frame minus the nested checkpoint blob, so frame
 /// framing/header overhead is charged to the plan) and the upload is the
-/// actual [`WireMessage::UpdateReport`] frame carrying the
-/// codec-compressed update.
+/// [`WireMessage::UpdateReport`] frame carrying the codec-compressed
+/// update. Each is the length `fl_wire::encode` gives the message
+/// (`fl_wire::encoded_len`), read without building the frame, which for
+/// the download is ~11 MB beside the model.
 pub fn measured_payload_sizes(model: ModelSpec, codec: CodecSpec) -> (usize, usize, usize) {
+    let (download, checkpoint_bytes, upload) = fig9_frames(model, codec);
+    let plan_bytes = fl_server::wire::encoded_len(&download).saturating_sub(checkpoint_bytes);
+    (
+        plan_bytes,
+        checkpoint_bytes,
+        fl_server::wire::encoded_len(&upload),
+    )
+}
+
+/// The download [`measured_payload_sizes`] measures for `model` and
+/// `codec`, its checkpoint's encoded size, and the upload.
+fn fig9_frames(model: ModelSpec, codec: CodecSpec) -> (WireMessage, usize, WireMessage) {
     let params = vec![0.0f32; model.num_params()];
-    let plan = FlPlan::standard_training(model, 1, 16, 0.1, codec);
-    let checkpoint = FlCheckpoint::new("fleet/train", RoundId(1), params.clone());
-    let checkpoint_bytes = checkpoint.encoded_size();
-    let download_frame = fl_server::wire::encode(&WireMessage::PlanAndCheckpoint {
-        plan: Box::new(plan),
-        checkpoint: Box::new(checkpoint),
-        population: fl_core::PopulationName::new("fleet/train"),
-    })
-    .expect("plan frame encodes");
-    let plan_bytes = download_frame.len().saturating_sub(checkpoint_bytes);
-    let update_frame = fl_server::wire::encode(&WireMessage::UpdateReport {
+    let upload = WireMessage::UpdateReport {
         device: DeviceId(0),
         round: RoundId(1),
         attempt: 1,
@@ -65,9 +69,15 @@ pub fn measured_payload_sizes(model: ModelSpec, codec: CodecSpec) -> (usize, usi
         loss: 0.0,
         accuracy: 0.0,
         population: fl_core::PopulationName::new("fleet/train"),
-    })
-    .expect("update frame encodes");
-    (plan_bytes, checkpoint_bytes, update_frame.len())
+    };
+    let checkpoint = FlCheckpoint::new("fleet/train", RoundId(1), params);
+    let checkpoint_bytes = checkpoint.encoded_size();
+    let download = WireMessage::PlanAndCheckpoint {
+        plan: Box::new(FlPlan::standard_training(model, 1, 16, 0.1, codec)),
+        checkpoint: Box::new(checkpoint),
+        population: fl_core::PopulationName::new("fleet/train"),
+    };
+    (download, checkpoint_bytes, upload)
 }
 
 /// Fleet simulation parameters.
@@ -249,7 +259,7 @@ enum Event {
     /// the eligibility window the wake-up was scheduled into, or, for a
     /// pace-steering retry, of the one the device was turned away in: an
     /// event that fires before it need not ask again.
-    Checkin { device: u32, until_ms: u64 },
+    Checkin { device: u32, until_ms: u32 },
     /// A selected device finishes training + upload.
     Report { device: u32, round_seq: u32 },
     /// A selected device drops out (eligibility change or failure).
@@ -288,11 +298,23 @@ struct ActiveRound {
 /// The most devices a fleet may have: an event names a device in 32 bits.
 const MAX_DEVICES: u64 = 1 << 32;
 
+/// The most days a run may last: its end, `days * DAY_MS`, is a time of
+/// 32 bits, as is every time an event carries.
+const MAX_DAYS: u64 = u32::MAX as u64 / DAY_MS;
+
+/// The fleet's event queue: every time of a run fits 32 bits of ms, so
+/// its far tier stores them in 32.
+type Queue = EventQueue<Event, u32>;
+
+/// Bytes a pending event takes where a run's peak of them waits, the
+/// queue's far tier: its due time in 32 bits and the event.
+pub const PENDING_EVENT_BYTES: usize = Queue::FAR_ENTRY_BYTES;
+
 /// Runs the fleet simulation.
 ///
 /// # Panics
 ///
-/// Panics when the fleet has more than 2^32 devices.
+/// As [`run_counting_events`].
 pub fn run(config: &FleetConfig) -> FleetReport {
     run_counting_events(config).0
 }
@@ -302,13 +324,21 @@ pub fn run(config: &FleetConfig) -> FleetReport {
 ///
 /// # Panics
 ///
-/// Panics when the fleet has more than 2^32 devices.
+/// Panics when the fleet has more than 2^32 devices, or when the run is
+/// longer than 49 days, past `u32::MAX` ms: an event names a device, and
+/// carries a time, in 32 bits.
 pub fn run_counting_events(config: &FleetConfig) -> (FleetReport, u64, usize) {
     assert!(
         config.devices <= MAX_DEVICES,
         "a fleet has at most 2^32 devices, not {}",
         config.devices
     );
+    assert!(
+        config.days <= MAX_DAYS,
+        "a fleet runs at most {MAX_DAYS} days, not {}",
+        config.days
+    );
+    let horizon = config.days * DAY_MS;
     let availability = DiurnalAvailability::us_centric(config.seed);
     let network = NetworkModel::new(config.seed ^ 0xBEEF, config.failure_probability);
     let pace = PaceSteering::new(
@@ -316,8 +346,7 @@ pub fn run_counting_events(config: &FleetConfig) -> (FleetReport, u64, usize) {
         config.round.selection_target() as u64,
     );
     let mut rng = rng::seeded(config.seed ^ 0xF1EE7);
-    let horizon = config.days * DAY_MS;
-    let mut queue: EventQueue<Event> = EventQueue::until(horizon);
+    let mut queue = Queue::until(horizon);
 
     let bucket = 30 * 60_000; // 30-minute buckets for the time series
     let mut report = FleetReport {
@@ -338,13 +367,17 @@ pub fn run_counting_events(config: &FleetConfig) -> (FleetReport, u64, usize) {
 
     // Bootstrap: every device schedules its first wake-up up to four
     // check-in periods after its first eligibility window opens (which can
-    // be after a short window has closed again).
+    // be after a short window has closed again). Every device draws its
+    // jitter; only a wake-up inside the run asks for its window's end.
     for id in 0..config.devices {
-        if let Some(w) = availability.next_window(id, 0) {
+        if let Some(w) = availability.next_window_lazily(id, 0) {
             let jitter = rng.random_range(0..config.checkin_period_ms * 4);
-            let until_ms = w.end_ms;
-            let device = u32::try_from(id).expect("the fleet's size was checked");
-            queue.schedule_at(w.start_ms + jitter, Event::Checkin { device, until_ms });
+            let at_ms = w.start_ms + jitter;
+            if at_ms <= horizon {
+                let until_ms = checkin_until(w.end_ms());
+                let device = u32::try_from(id).expect("the fleet's size was checked");
+                queue.schedule_at(at_ms, Event::Checkin { device, until_ms });
+            }
         }
     }
     queue.schedule_at(0, Event::Sample);
@@ -387,20 +420,20 @@ pub fn run_counting_events(config: &FleetConfig) -> (FleetReport, u64, usize) {
             Event::Checkin { device, until_ms } => {
                 let id = u64::from(device);
                 // The end of the window the device is in now.
-                let until_ms = if now < until_ms {
+                let until_ms = if now < u64::from(until_ms) {
                     // Scheduled at or after the window's start: still inside.
                     debug_assert_eq!(availability.next_eligible_at(id, now), Some(now));
                     until_ms
                 } else {
                     match availability.next_window(id, now) {
-                        Some(w) if w.contains(now) => w.end_ms,
+                        Some(w) if w.contains(now) => checkin_until(w.end_ms),
                         wake => {
                             // Missed its window; wake at the next one (a
                             // window starting at `now` would contain it, so
                             // `wake` starts after `now`).
                             if let Some(w) = wake {
                                 let jitter = rng.random_range(0..config.checkin_period_ms);
-                                let until_ms = w.end_ms;
+                                let until_ms = checkin_until(w.end_ms);
                                 queue.schedule_at(
                                     w.start_ms + jitter,
                                     Event::Checkin { device, until_ms },
@@ -652,7 +685,7 @@ pub fn run_counting_events(config: &FleetConfig) -> (FleetReport, u64, usize) {
 }
 
 fn schedule_next_checkin(
-    queue: &mut EventQueue<Event>,
+    queue: &mut Queue,
     availability: &DiurnalAvailability,
     device: u32,
     now: u64,
@@ -667,9 +700,16 @@ fn schedule_next_checkin(
         } else {
             w.start_ms + jitter
         };
-        let until_ms = w.end_ms;
+        let until_ms = checkin_until(w.end_ms);
         queue.schedule_at(at_ms, Event::Checkin { device, until_ms });
     }
+}
+
+/// A check-in's `until_ms` for a window that ends at `end_ms`, in 32 bits:
+/// one that ends later ends at `u32::MAX` ms, which no event of a run, all
+/// of them due before it, can tell apart.
+fn checkin_until(end_ms: u64) -> u32 {
+    u32::try_from(end_ms).unwrap_or(u32::MAX)
 }
 
 #[cfg(test)]
@@ -811,17 +851,28 @@ mod tests {
             update > FIG9_MODEL.num_params() / 2,
             "update {update} implausibly small"
         );
-        // Measured, deterministic: the same workload frames identically.
+        // Measured, deterministic: the same workload frames identically,
+        // and the frames the encoder builds have the lengths read.
         assert_eq!(
             (plan, checkpoint, update),
             measured_payload_sizes(FIG9_MODEL, FIG9_CODEC)
         );
+        let (download, _, upload) = fig9_frames(FIG9_MODEL, FIG9_CODEC);
+        let encoded = |msg| {
+            fl_server::wire::encode(msg)
+                .expect("the frame encodes")
+                .len()
+        };
+        assert_eq!(
+            (encoded(&download), encoded(&upload)),
+            (plan + checkpoint, update)
+        );
     }
 
     #[test]
-    fn an_event_is_16_bytes() {
-        // In the queue's heap an event is 16 + 16 bytes.
-        assert_eq!(std::mem::size_of::<Event>(), 16);
+    fn an_event_is_12_bytes() {
+        // In the queue's heap an event is 16 + 12 bytes, 32 with padding.
+        assert_eq!(std::mem::size_of::<Event>(), 12);
     }
 
     #[test]
@@ -857,9 +908,30 @@ mod tests {
     }
 
     #[test]
-    fn a_far_entry_is_a_time_and_the_event() {
-        // A million pending events are 24 MB: the far tier keeps no `seq`.
-        assert_eq!(std::mem::size_of::<(u64, Event)>(), 24);
+    fn a_far_entry_is_a_32_bit_time_and_the_event() {
+        // A million pending events are 16 MB: the far tier keeps no `seq`,
+        // and a due time in 32 bits.
+        assert_eq!(PENDING_EVENT_BYTES, 16);
+        assert_eq!(std::mem::size_of::<(u32, Event)>(), 16);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 49 days, not 50")]
+    fn a_run_of_50_days_is_refused() {
+        // 50 days is 4 320 000 000 ms, past u32::MAX: refused before its
+        // availability model or its queue is built.
+        run(&FleetConfig {
+            days: 50,
+            ..small_config()
+        });
+    }
+
+    #[test]
+    fn a_window_that_ends_past_u32_max_ends_at_it() {
+        // The longest run ends at 4 233 600 000 ms, before u32::MAX.
+        assert_eq!(checkin_until(MAX_DAYS * DAY_MS), 4_233_600_000);
+        assert_eq!(checkin_until(u64::from(u32::MAX) + 1), u32::MAX);
+        assert_eq!(checkin_until(u64::MAX), u32::MAX);
     }
 
     #[test]

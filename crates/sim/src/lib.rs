@@ -62,25 +62,15 @@
 )]
 #![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 
-/// Diurnal device-eligibility model (Fig. 5).
 pub mod availability;
-/// Seeded fault plans: the fault axis of [`scenario`].
 pub mod chaos;
-/// The virtual-clock event queue.
 pub mod des;
-/// Fleet dynamics over simulated days (Figs. 5–9, Table 1).
 pub mod fleet;
-/// One live round under seeded wire faults and delivery schedules.
 pub mod live;
-/// Multi-population fairness configs for [`scenario`].
 pub mod multi;
-/// Per-device latency / bandwidth / failure models.
 pub mod network;
-/// Single-population overload configs for [`scenario`].
 pub mod overload;
-/// The scenario engine behind [`chaos`], [`overload`] and [`multi`].
 pub mod scenario;
-/// Real on-device training through the real Coordinator (Sec. 8).
 pub mod training;
 
 pub use availability::DiurnalAvailability;

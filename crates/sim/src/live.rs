@@ -20,7 +20,7 @@
 //! store with a manually acquired lease (so `write_count` can be audited
 //! after it is gone), and under SecAgg two Aggregator shards of three at
 //! k 2 with the last device dropped after its shares are staged. The one
-//! [`audit`] then requires:
+//! `audit` then requires:
 //!
 //! * **exactly one commit** with `write_count == 1 + committed`: retries
 //!   and duplicates never reach storage (Sec. 4.2);

@@ -237,13 +237,13 @@ const fn mix(state: u64, word: u64) -> u64 {
 ///
 /// *Narrow* (under 4 096 bytes; protocol v4's digest): whole 32-byte
 /// blocks feed four independent lanes, one little-endian `u64` each per
-/// block, through [`mix`]; the length and then the four lanes are folded
+/// block, through `mix`; the length and then the four lanes are folded
 /// serially into one state through the same step; the at most 31
-/// remaining bytes follow, whole words through [`mix`] and the last few
+/// remaining bytes follow, whole words through `mix` and the last few
 /// bytes FNV-1a style.
 ///
 /// *Wide* (4 096 bytes and up; protocol v5): word `j` of `bytes`
-/// (little-endian) goes through [`mix`] into lane `j mod 64`, the lanes
+/// (little-endian) goes through `mix` into lane `j mod 64`, the lanes
 /// starting from 64 seeds derived from the narrow digest's four; after
 /// the last whole word the 64 lanes fold serially, in lane order, into a
 /// state that starts at the length, and the last 0-7 bytes follow FNV-1a

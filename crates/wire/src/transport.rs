@@ -185,7 +185,7 @@ fn copy_spare(frame: &[u8]) -> Vec<u8> {
 /// keeps its length and its bytes: a receive overwrites them from the
 /// socket, and hands a frame out only once all of it has been read (see
 /// the module doc); a send clears the buffer and writes the frame. The frame's last owner calls this when it is done with the
-/// bytes; a buffer below [`SPARE_FLOOR`] or one the count or byte bound
+/// bytes; a buffer below `SPARE_FLOOR` (16 KiB) or one the count or byte bound
 /// has no room for is dropped instead.
 pub fn recycle(frame: Vec<u8>) {
     let size = frame.capacity();
@@ -484,7 +484,7 @@ impl Transport for ChannelTransport {
 /// out of the read half's, so a connection allocates per message only
 /// what the message itself owns. Partial-frame reads are *resumable*: a
 /// receive timeout that fires mid-frame leaves the bytes read so far in
-/// [`ReadHalf::buf`] and the next call picks up exactly where the stream
+/// the read half's buffer and the next call picks up exactly where the stream
 /// left off, so short timeouts are safe as polling intervals. A frame
 /// whose header fails validation poisons the stream position and is
 /// surfaced as the typed envelope error after dropping the buffered
@@ -598,7 +598,7 @@ impl TcpTransport {
     /// Receives one raw validated frame (header checked, body opaque) —
     /// the gateway primitive for routing by [`crate::peek_tag`]. The
     /// frame leaves with its buffer, so the gateway can move it into a
-    /// mailbox without a copy. A frame of [`SPARE_FLOOR`] bytes or more
+    /// mailbox without a copy. A frame of `SPARE_FLOOR` (16 KiB) or more
     /// was read into a spare buffer; whoever holds it last (the shard
     /// that folded it, or the Coordinator that refused it) gives it back
     /// with [`recycle`], and the next large frame is read into it.

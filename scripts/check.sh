@@ -92,6 +92,12 @@ dead_pub() {
   cargo test -q -p fl-lint --test dead_pub && cargo run -q -p fl-lint -- --dead-pub
 }
 run_step "dead-pub" dead_pub
+# Rustdoc, warnings denied: every intra-doc link of the workspace's crates
+# (the vendored ones included) resolves, and no public item's docs link a
+# private one. A module's docs are its file's `//!`: a `///` on its
+# `pub mod` line as well would have rustdoc resolve the file's links
+# from the parent module.
+run_step "doc" env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 # The `test` step is the root package only. The channel every mailbox,
 # transport half and reply rides on is vendored, not a workspace member;
 # its own unit tests (wake-ups, MPMC delivery) run here.
@@ -123,10 +129,12 @@ run_step "selector-bench" cargo run --release -q -p fl-bench --bin bench_selecto
 # The bench step fails if an event of the simulator's queue (a pop and a
 # push) costs over 1.5x as much at 1 000 000 pending as at 10 000: a
 # queue whose work per event grows with what is pending read 1.6-2.6x.
-# Its `day` row (a million-device day: best ms, events, peak pending) fails
-# the step when the day pops other than the events pinned in
-# `fl_bench::gate::DES_DAY_EVENTS` (a changed simulation), or holds more
-# pending than `DES_DAY_PEAK_PENDING` (events the day cannot fire stored).
+# Its `day` row (a million-device day: best ms, events, peak pending, their
+# bytes, normals) fails the step when the day pops other than the events
+# pinned in `fl_bench::gate::DES_DAY_EVENTS` (a changed simulation), holds
+# more pending than `DES_DAY_PEAK_PENDING` (events the day cannot fire
+# stored), more bytes of them than `DES_DAY_PEAK_PENDING_BYTES` (a wider
+# queue entry), or evaluates more normals than `DES_DAY_NORMALS`.
 run_step "des-bench" cargo run --release -q -p fl-bench --bin bench_des
 # The `test` step only compiles the examples. This one drives the stepwise
 # client and server types round by round, with a drop-out at each stage,
