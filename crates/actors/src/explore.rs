@@ -145,7 +145,7 @@ mod tests {
         let good = vec![obit("left"), obit("right")];
         let robbed = vec![obit("right")];
         let doubled = vec![obit("left"), obit("left"), obit("right")];
-        assert!(audit_exactly_once(&[good.clone()], &["left", "right"]).is_empty());
+        assert!(audit_exactly_once(std::slice::from_ref(&good), &["left", "right"]).is_empty());
         let violations = audit_exactly_once(&[good, robbed, doubled], &["left", "right"]);
         assert_eq!(violations.len(), 2, "{violations:?}");
         assert!(violations[0].contains("subscriber 1"));

@@ -57,7 +57,7 @@ const K: usize = 8;
 fn finalize_ms(devices: usize, max_per_shard: usize, seed: u64) -> f64 {
     let encoder = fl_ml::fixedpoint::FixedPointEncoder::default_for_updates();
     let field = encoder
-        .encode(&vec![0.01f32; DIM])
+        .encode(&[0.01f32; DIM])
         .expect("bench delta fits the fixed-point range");
     let mut master = MasterAggregator::new(
         AggregationPlan::with_secagg(DIM, max_per_shard, K),
@@ -72,7 +72,7 @@ fn finalize_ms(devices: usize, max_per_shard: usize, seed: u64) -> f64 {
     }
     let start = Instant::now();
     let out = master
-        .finalize(&vec![0.0f32; DIM], &[], &[])
+        .finalize(&[0.0f32; DIM], &[], &[])
         .expect("bench round commits");
     let elapsed = start.elapsed().as_secs_f64() * 1e3;
     assert_eq!(out.contributors, devices, "keep the work observable");

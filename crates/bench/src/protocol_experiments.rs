@@ -197,7 +197,7 @@ pub fn pace_report() -> String {
     let population = 1_000_000u64;
     let n = 20_000;
     let horizon = 60_000 * (population / 130);
-    let mut buckets = vec![0u32; 24];
+    let mut buckets = [0u32; 24];
     for _ in 0..n {
         let s = pace.suggest_reconnect(0, population, 1.0, &mut rng);
         let b = ((s as f64 / horizon as f64) * 24.0).min(23.0) as usize;

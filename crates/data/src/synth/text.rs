@@ -290,7 +290,7 @@ mod tests {
         let data = generate(&TextConfig::default());
         // Compare cluster histograms of proxy vs test set.
         let hist = |exs: &[Example]| {
-            let mut h = vec![0.0f64; 10];
+            let mut h = [0.0f64; 10];
             for ex in exs {
                 if let Example::NextToken { next, .. } = ex {
                     h[*next as usize % 10] += 1.0;

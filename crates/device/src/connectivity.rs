@@ -204,7 +204,6 @@ mod tests {
             jitter_frac: 0.25,
             budget_per_window: 4,
             budget_window_ms: 100_000,
-            ..RetryPolicy::default()
         }
     }
 

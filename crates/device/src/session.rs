@@ -442,7 +442,7 @@ mod tests {
             };
             assert_eq!(carried, reply);
             // The caller's own discipline decides when to come back.
-            let decision = ConnectivityManager::new(policy.clone())
+            let decision = ConnectivityManager::new(policy)
                 .on_wire_reply(0, &carried, &mut rng)
                 .expect("a turn-away is a rejection");
             assert!(decision.effective_at_ms() >= at);

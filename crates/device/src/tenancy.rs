@@ -188,7 +188,6 @@ mod tests {
             jitter_frac: 0.25,
             budget_per_window: 3,
             budget_window_ms: 100_000,
-            ..RetryPolicy::default()
         }
     }
 

@@ -3,6 +3,9 @@
 use crate::linalg;
 use crate::model::{Example, MlError, Model};
 
+/// One forward pass: hidden activations, ReLU mask, class probabilities.
+type Activations = (Vec<f32>, Vec<bool>, Vec<f32>);
+
 /// A one-hidden-layer MLP: `p = softmax(W₂ relu(W₁x + b₁) + b₂)`.
 ///
 /// Parameter layout (flat): `W₁ (hidden × dim)`, `b₁ (hidden)`,
@@ -68,7 +71,7 @@ impl Mlp {
     }
 
     /// Forward pass; returns (hidden activations, relu mask, probabilities).
-    fn forward(&self, x: &[f32]) -> Result<(Vec<f32>, Vec<bool>, Vec<f32>), MlError> {
+    fn forward(&self, x: &[f32]) -> Result<Activations, MlError> {
         if x.len() != self.dim {
             return Err(MlError::DimensionMismatch {
                 expected: self.dim,

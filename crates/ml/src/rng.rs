@@ -167,7 +167,7 @@ mod tests {
     #[test]
     fn reservoir_sample_is_roughly_uniform() {
         let mut rng = seeded(13);
-        let mut hits = vec![0usize; 20];
+        let mut hits = [0usize; 20];
         for _ in 0..20_000 {
             for i in reservoir_sample(&mut rng, 20, 5) {
                 hits[i] += 1;

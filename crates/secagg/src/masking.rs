@@ -102,12 +102,15 @@ mod tests {
         }
     }
 
+    /// Each client's `(peer, agreed seed)` pairs.
+    type Pairwise = Vec<Vec<(u32, u64)>>;
+
     /// Builds a toy cohort with DH-agreed pairwise seeds.
-    fn cohort(n: usize, seed: u64) -> (Vec<KeyPair>, Vec<Vec<(u32, u64)>>, Vec<u64>) {
+    fn cohort(n: usize, seed: u64) -> (Vec<KeyPair>, Pairwise, Vec<u64>) {
         let mut rng = seeded(seed);
         let keys: Vec<KeyPair> = (0..n).map(|_| KeyPair::generate(&mut rng)).collect();
         let self_seeds: Vec<u64> = (0..n).map(|_| rng.random::<u64>()).collect();
-        let pairwise: Vec<Vec<(u32, u64)>> = (0..n)
+        let pairwise: Pairwise = (0..n)
             .map(|u| {
                 (0..n)
                     .filter(|&v| v != u)

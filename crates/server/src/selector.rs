@@ -482,7 +482,7 @@ mod tests {
     #[test]
     fn forwarding_is_roughly_uniform() {
         // Forward 1 of 10 many times; each device should win ~10%.
-        let mut wins = vec![0u32; 10];
+        let mut wins = [0u32; 10];
         for trial in 0..4000 {
             let mut s = Selector::new(PaceSteering::new(60_000, 100), 500, trial);
             s.set_population_quota(pop(), 10);

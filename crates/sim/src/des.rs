@@ -247,11 +247,6 @@ impl<E, T: StoredMs> EventQueue<E, T> {
         self.schedule_at(self.now_ms.saturating_add(delay_ms), event);
     }
 
-    /// Pops the next event, advancing the clock to its timestamp.
-    pub fn next(&mut self) -> Option<(u64, E)> {
-        self.next_before(u64::MAX)
-    }
-
     /// Pops the next event only if it is due at or before `horizon_ms`.
     pub fn next_before(&mut self, horizon_ms: u64) -> Option<(u64, E)> {
         if self.next == self.order.len() && self.heap.is_empty() {
@@ -445,6 +440,15 @@ impl<E, T: StoredMs> EventQueue<E, T> {
             self.heap.swap(parent, i);
             i = parent;
         }
+    }
+}
+
+impl<E, T: StoredMs> Iterator for EventQueue<E, T> {
+    type Item = (u64, E);
+
+    /// Pops the next event, advancing the clock to its timestamp.
+    fn next(&mut self) -> Option<(u64, E)> {
+        self.next_before(u64::MAX)
     }
 }
 

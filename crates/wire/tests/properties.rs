@@ -17,7 +17,7 @@ use proptest::prelude::*;
 /// Recomputes the integrity trailer after a test hand-mangles header or
 /// body bytes, so the mangled content (not the stale checksum) is what
 /// the decoder judges.
-fn reseal(frame: &mut Vec<u8>) {
+fn reseal(frame: &mut [u8]) {
     let content_end = frame.len() - TRAILER_LEN;
     let digest = checksum(&frame[..content_end]);
     frame[content_end..].copy_from_slice(&digest.to_le_bytes());
@@ -87,10 +87,10 @@ fn build_message(
             };
             let mut plan = FlPlan::standard_training(model, 2, 8, 0.05, codec);
             plan.device.graph_payload_bytes = (a % 500) as usize;
-            if a % 3 == 0 {
+            if a.is_multiple_of(3) {
                 plan.device.ops.push(PlanOp::QueryExamples {
-                    limit: (b % 2 == 0).then_some((b % 1000) as usize),
-                    held_out: a % 2 == 0,
+                    limit: b.is_multiple_of(2).then_some((b % 1000) as usize),
+                    held_out: a.is_multiple_of(2),
                 });
             }
             let checkpoint = FlCheckpoint::new("prop-task", RoundId(b), params);
@@ -111,7 +111,7 @@ fn build_message(
             population,
         },
         5 => WireMessage::ReportAck {
-            accepted: a % 2 == 0,
+            accepted: a.is_multiple_of(2),
             round: RoundId(b),
             attempt: (a % 5) as u32,
             population,

@@ -35,6 +35,9 @@ fn line(harness: &str, seed: u64, render: &str) -> String {
     )
 }
 
+/// A family of engine runs: its name, its config per seed, its seeds.
+type EngineFamily = (&'static str, fn(u64) -> ScenarioConfig, Vec<u64>);
+
 fn render_fixture() -> String {
     let mut out = String::from(
         "# FNV-1a 64 digest and length of each seeded report render.\n\
@@ -42,7 +45,7 @@ fn render_fixture() -> String {
          # Regenerate deliberately:\n\
          #   cargo test --test render_digests -- --ignored regenerate\n",
     );
-    let engine_configs: [(&str, fn(u64) -> ScenarioConfig, Vec<u64>); 8] = [
+    let engine_configs: [EngineFamily; 8] = [
         (
             "chaos/plain",
             |seed| ScenarioConfig::chaos_seed(None, seed),
