@@ -1,8 +1,6 @@
 //! File walking, per-file lexical context (test-block detection,
-//! `fl-lint: allow` parsing), finding assembly, and the `allowlist-drift`
-//! audit.
+//! `fl-lint: allow` parsing) and findings.
 
-use crate::rules::RULES;
 use crate::tokens::{self, Token, TokenKind};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -33,37 +31,7 @@ impl fmt::Display for Finding {
     }
 }
 
-impl Finding {
-    /// Serializes the finding as a single JSON object (hand-rolled;
-    /// fl-lint is dependency-free by design).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"file\":\"{}\",\"line\":{},\"rule\":\"{}\",\"message\":\"{}\",\"hint\":\"{}\"}}",
-            json_escape(&self.file),
-            self.line,
-            self.rule,
-            json_escape(&self.message),
-            json_escape(self.hint)
-        )
-    }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Lexed file plus the derived facts rules need: significant-token
+/// Lexed file plus the derived facts the audit needs: significant-token
 /// index, test-code line spans, and allow annotations.
 pub struct FileContext {
     src: String,
@@ -131,7 +99,7 @@ impl FileContext {
 
     /// Whether token `i` is the punctuation char `c`.
     pub fn is_punct(&self, i: usize, c: char) -> bool {
-        self.tok(i).kind == TokenKind::Punct && self.text(i).chars().next() == Some(c)
+        self.tok(i).kind == TokenKind::Punct && self.text(i).starts_with(c)
     }
 
     /// 1-based line of token `i`.
@@ -287,93 +255,14 @@ impl FileContext {
             .is_some_and(|rules| rules.iter().any(|r| r == rule))
     }
 
-    /// Allow annotations that matched no finding would be dead — list
-    /// every (line, rule) annotation so the engine can cross-check
-    /// rule ids are real.
+    /// Every (line, rule) annotation, so a gate can check that each
+    /// names a real rule: a typo'd id silently suppresses nothing.
+    // fl-lint: allow(test-only-pub): tests/lint_gate.rs checks every allow's rule id with it
     pub fn annotated_rules(&self) -> impl Iterator<Item = (u32, &str)> {
         self.allows
             .iter()
             .flat_map(|(line, rules)| rules.iter().map(move |r| (*line, r.as_str())))
     }
-}
-
-/// Whether `rel` (workspace-relative, `/`-separated) lies in a test or
-/// example tree — code that never runs against real devices.
-fn in_test_tree(rel: &str) -> bool {
-    rel.starts_with("tests/")
-        || rel.starts_with("examples/")
-        || rel.contains("/tests/")
-        || rel.contains("/examples/")
-}
-
-/// Lints one file's source as if it lived at `rel` (workspace-relative
-/// path, `/`-separated). This is the unit the fixture tests drive. The
-/// rules skip test code: test and example trees, `#[cfg(test)]` modules
-/// and `#[test]` functions.
-pub fn lint_source(rel: &str, src: &str) -> Vec<Finding> {
-    let ctx = FileContext::new(src);
-    let mut findings = Vec::new();
-    let rules = if in_test_tree(rel) { &[][..] } else { RULES };
-    for rule in rules {
-        for v in (rule.check)(&ctx) {
-            if ctx.is_test_line(v.line) || ctx.is_allowed(rule.id, v.line) {
-                continue;
-            }
-            findings.push(Finding {
-                file: rel.to_string(),
-                line: v.line,
-                rule: rule.id,
-                message: v.message,
-                hint: rule.hint,
-            });
-        }
-    }
-    // Annotations naming unknown rules are themselves findings: a
-    // typo'd allow() silently disables nothing and should not pass
-    // review.
-    let mut annotated: Vec<(u32, &str)> = ctx.annotated_rules().collect();
-    annotated.sort_unstable();
-    let mut reported: Vec<(u32, &str)> = Vec::new();
-    for (line, rule) in annotated {
-        if !RULES.iter().any(|r| r.id == rule) && rule != TEST_ONLY_PUB {
-            // A standalone annotation registers on its own line and on
-            // the line it covers; report the typo once.
-            if reported
-                .iter()
-                .any(|&(l, r)| r == rule && line.abs_diff(l) <= 1)
-            {
-                continue;
-            }
-            reported.push((line, rule));
-            findings.push(Finding {
-                file: rel.to_string(),
-                line,
-                rule: "unknown-allow",
-                message: format!("`fl-lint: allow({rule})` names no known rule"),
-                hint: "rule ids: see `fl-lint --rules` or DESIGN.md \"Invariants & release gates\"",
-            });
-        }
-    }
-    findings
-}
-
-/// Collects the workspace `.rs` files the gate lints: `crates/*/src`,
-/// `crates/*/tests`, `src/`, `tests/`, `examples/`. Skips `target/`,
-/// `vendor/` (stand-in crates are not workspace code), and lint
-/// fixtures (deliberate violations).
-pub fn workspace_files(root: &Path) -> Vec<PathBuf> {
-    let mut files = Vec::new();
-    for top in ["crates", "src", "tests", "examples"] {
-        let skip = ["target", "vendor", "fixtures"];
-        walk(
-            &root.join(top),
-            &skip,
-            |name| name.ends_with(".rs"),
-            &mut files,
-        );
-    }
-    files.sort();
-    files
 }
 
 /// Appends to `out` the path of every file under `dir` whose name `keep`
@@ -395,130 +284,8 @@ pub(crate) fn walk(dir: &Path, skip: &[&str], keep: fn(&str) -> bool, out: &mut 
     }
 }
 
-/// The allowlist data file, workspace-relative.
-pub const WALL_CLOCK_ALLOWLIST: &str = "scripts/wall_clock_allowlist.txt";
-
-/// Audit `allowlist-drift`: every lint escape for the wall clock and
-/// sleep under `crates/` (an `expect` or `allow` of clippy's
-/// `disallowed_methods`, in any layout) must be accounted for,
-/// count-per-file, in `scripts/wall_clock_allowlist.txt`. A new live-clock
-/// site needs review — the allowlist must be updated in the same change.
-/// Comparison is content-wise (per-file counts), not positional, so
-/// reordering the allowlist is not drift.
-pub fn audit_wall_clock_allowlist(root: &Path) -> Vec<Finding> {
-    const HINT: &str =
-        "review the new live-clock site and update scripts/wall_clock_allowlist.txt in the same change";
-    // Built from parts so this file's own source never matches them.
-    let lint = ["(clippy::", "disallowed_methods"].concat();
-    let needles = [format!("expect{lint}"), format!("allow{lint}")];
-    let mut findings = Vec::new();
-
-    // Fixture trees count too: the shell audit this replaced read them.
-    let mut files = Vec::new();
-    walk(
-        &root.join("crates"),
-        &["target", "vendor"],
-        |name| name.ends_with(".rs"),
-        &mut files,
-    );
-    files.sort();
-    let mut actual: std::collections::BTreeMap<String, u64> = Default::default();
-    for path in files {
-        let rel = relative(root, &path);
-        match std::fs::read_to_string(&path) {
-            Ok(src) => {
-                let flat: String = src.split_whitespace().collect();
-                let n = needles
-                    .iter()
-                    .map(|n| flat.matches(n.as_str()).count())
-                    .sum::<usize>() as u64;
-                if n > 0 {
-                    actual.insert(rel, n);
-                }
-            }
-            Err(err) => findings.push(Finding {
-                file: rel,
-                line: 0,
-                rule: "allowlist-drift",
-                message: format!("could not read file for the wall-clock audit: {err}"),
-                hint: HINT,
-            }),
-        }
-    }
-
-    let listed_src = match std::fs::read_to_string(root.join(WALL_CLOCK_ALLOWLIST)) {
-        Ok(s) => s,
-        Err(err) => {
-            findings.push(Finding {
-                file: WALL_CLOCK_ALLOWLIST.to_string(),
-                line: 0,
-                rule: "allowlist-drift",
-                message: format!("could not read the allowlist: {err}"),
-                hint: HINT,
-            });
-            return findings;
-        }
-    };
-    let mut listed: std::collections::BTreeMap<String, u64> = Default::default();
-    for (idx, line) in listed_src.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        match line
-            .split_once(' ')
-            .and_then(|(n, p)| n.parse::<u64>().ok().map(|n| (n, p.trim().to_string())))
-        {
-            Some((count, path)) if count > 0 => {
-                listed.insert(path, count);
-            }
-            _ => findings.push(Finding {
-                file: WALL_CLOCK_ALLOWLIST.to_string(),
-                line: idx as u32 + 1,
-                rule: "allowlist-drift",
-                message: format!("malformed allowlist line `{line}` (want `<count> <path>`)"),
-                hint: HINT,
-            }),
-        }
-    }
-
-    for (file, &count) in &actual {
-        match listed.get(file) {
-            None => findings.push(Finding {
-                file: file.clone(),
-                line: 0,
-                rule: "allowlist-drift",
-                message: format!(
-                    "{count} unaccounted wall-clock escape(s); the allowlist has no entry"
-                ),
-                hint: HINT,
-            }),
-            Some(&want) if want != count => findings.push(Finding {
-                file: file.clone(),
-                line: 0,
-                rule: "allowlist-drift",
-                message: format!("allowlist says {want} wall-clock escape(s), found {count}"),
-                hint: HINT,
-            }),
-            Some(_) => {}
-        }
-    }
-    for file in listed.keys() {
-        if !actual.contains_key(file) {
-            findings.push(Finding {
-                file: WALL_CLOCK_ALLOWLIST.to_string(),
-                line: 0,
-                rule: "allowlist-drift",
-                message: format!("stale allowlist entry: `{file}` has no wall-clock escapes"),
-                hint: HINT,
-            });
-        }
-    }
-    findings
-}
-
-/// Rule id of the compiler-run audit [`crate::dead_pub`], whose allow
-/// comments the per-file pass must accept.
+/// Rule id of the compiler-run audit [`crate::dead_pub`], the one rule
+/// an `fl-lint: allow(<rule>)` comment may name.
 pub const TEST_ONLY_PUB: &str = "test-only-pub";
 
 /// `path` relative to `root`, `/`-separated.
@@ -529,34 +296,4 @@ pub(crate) fn relative(root: &Path, path: &Path) -> String {
         .map(|c| c.as_os_str().to_string_lossy())
         .collect::<Vec<_>>()
         .join("/")
-}
-
-/// Lints the whole workspace rooted at `root`. Returns findings plus
-/// the number of files scanned; I/O errors on individual files surface
-/// as findings rather than aborting the gate.
-pub fn lint_workspace(root: &Path) -> (Vec<Finding>, usize) {
-    let files = workspace_files(root);
-    let scanned = files.len();
-    let mut findings = Vec::new();
-    for path in files {
-        let rel = relative(root, &path);
-        match std::fs::read_to_string(&path) {
-            Ok(src) => findings.extend(lint_source(&rel, &src)),
-            Err(err) => findings.push(Finding {
-                file: rel,
-                line: 0,
-                rule: "io-error",
-                message: format!("could not read file: {err}"),
-                hint: "the release gate must see every source file",
-            }),
-        }
-    }
-    findings.extend(audit_wall_clock_allowlist(root));
-    findings.sort_by(|a, b| {
-        a.file
-            .cmp(&b.file)
-            .then(a.line.cmp(&b.line))
-            .then(a.rule.cmp(b.rule))
-    });
-    (findings, scanned)
 }

@@ -1,5 +1,5 @@
-//! `fl-lint`: the half of the workspace's static-analysis release gate
-//! that the compiler cannot check.
+//! `fl-lint`: the one release-gate check that no lint makes, the
+//! `test-only-pub` audit.
 //!
 //! The paper (Sec. 7) gates every plan release behind automated test
 //! predicates before it may touch real devices; `crates/tools`'s
@@ -7,27 +7,25 @@
 //! is rustc and clippy first: the root `Cargo.toml`'s `[workspace.lints]`,
 //! the crate roots' `deny` attributes and `clippy.toml` hold the wall
 //! clock, sleep, raw lock, unwrap, panic, print, doc and `unsafe` rules
-//! by resolved path, and `cargo clippy --workspace --all-targets` is the
-//! gate. This dependency-free crate keeps what no lint checks:
+//! by resolved path, and `cargo clippy --workspace --all-targets` with
+//! warnings denied is the gate. Lock order is `tests/lock_audit.rs`'s,
+//! over the lock graph fl-race observes. This dependency-free crate keeps
+//! the one check left:
 //!
-//! - [`rules`]: `lock-order`, a second `.lock()` while a guard is live.
-//! - [`engine`]: file walking, `#[cfg(test)]` span detection, the
-//!   `// fl-lint: allow(<rule>): why` escape hatch, finding assembly, and
-//!   the `allowlist-drift` audit, which holds each wall-clock escape of
-//!   the clippy pass to `scripts/wall_clock_allowlist.txt`.
-//! - [`tokens`]: a comment/string-aware Rust tokenizer, so rule
-//!   patterns never fire inside doc comments or string literals.
 //! - [`dead_pub`]: the `test-only-pub` audit, which asks the compiler
 //!   which `pub fn`s of `crates/*/src` only tests reach: it demotes them
 //!   to `pub(crate)` in a mirror of the workspace under `target/` and
 //!   reads `cargo check`'s privacy errors and dead-code warnings.
 //! - [`cargo`]: that mirror, one cargo command on it, and its JSON
 //!   messages parsed; the clippy gate's tests use it too.
+//! - [`engine`]: file walking, `#[cfg(test)]` span detection, the
+//!   `// fl-lint: allow(test-only-pub): why` escape hatch, and findings.
+//! - [`tokens`]: a comment/string-aware Rust tokenizer, so the audit
+//!   never reads a `pub fn` inside a doc comment or a string literal.
 //!
-//! Run it as `cargo run -p fl-lint` (non-zero exit on violations) or
-//! via the integration test that makes it and the clippy pass part of
-//! tier-1 `cargo test`; `cargo run -p fl-lint -- --dead-pub` runs the
-//! compiler audit, which only `scripts/check.sh` runs, after this gate.
+//! Run it as `cargo run -p fl-lint` (exit 1 on findings), the `dead-pub`
+//! step of `scripts/check.sh`. Tier-1's `tests/lint_gate.rs` runs the
+//! clippy pass and checks that every allow comment names this rule.
 
 // Release-gate lints of this crate (DESIGN.md Sec. 7).
 #![deny(clippy::panic, clippy::todo, clippy::unimplemented)]
@@ -35,10 +33,7 @@
 pub mod cargo;
 pub mod dead_pub;
 pub mod engine;
-pub mod rules;
 pub mod tokens;
-
-pub use engine::{audit_wall_clock_allowlist, lint_source, lint_workspace, Finding};
 
 use std::path::PathBuf;
 

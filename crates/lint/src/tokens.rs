@@ -1,5 +1,5 @@
-//! A lightweight Rust tokenizer: just enough lexical structure to lint
-//! against, with exact comment/string awareness so rule patterns never
+//! A lightweight Rust tokenizer: just enough lexical structure to audit,
+//! with exact comment/string awareness so the audit's patterns never
 //! match inside doc comments, string literals, or char literals.
 //!
 //! Handles: line/block comments (nested, doc vs plain), string

@@ -1,59 +1,8 @@
-//! fl-lint's one per-file rule, `lock-order`, against its fixtures (the
-//! `fl-lint: allow` escape and the test-code exemption included), and the
-//! compiler lints that took over the lexical rules against violations
-//! planted in a mirror of the workspace.
+//! The compiler lints that took over fl-lint's lexical rules, against
+//! violations planted in a mirror of the workspace.
 
-use fl_lint::{cargo, lint_source};
+use fl_lint::cargo;
 use std::path::Path;
-
-const LOCK_ORDER_POS: &str = include_str!("fixtures/lock_order_pos.rs");
-const LOCK_ORDER_NEG: &str = include_str!("fixtures/lock_order_neg.rs");
-
-fn fired(rel: &str, src: &str) -> Vec<&'static str> {
-    lint_source(rel, src).into_iter().map(|f| f.rule).collect()
-}
-
-#[test]
-fn lock_order_fires_on_its_positive_fixture() {
-    let rules = fired("crates/server/src/fixture.rs", LOCK_ORDER_POS);
-    assert_eq!(rules, ["lock-order"]);
-    assert_eq!(fired("src/fixture.rs", LOCK_ORDER_POS), ["lock-order"]);
-}
-
-#[test]
-fn lock_order_negative_fixture_is_clean() {
-    let findings = lint_source("crates/server/src/fixture.rs", LOCK_ORDER_NEG);
-    assert!(findings.is_empty(), "{findings:?}");
-}
-
-#[test]
-fn lock_order_skips_test_code() {
-    for path in ["tests/fixture.rs", "crates/server/tests/fixture.rs"] {
-        assert!(fired(path, LOCK_ORDER_POS).is_empty(), "{path}");
-    }
-    let in_test = format!("#[cfg(test)]\nmod tests {{\n{LOCK_ORDER_POS}}}\n");
-    assert!(fired("crates/server/src/fixture.rs", &in_test).is_empty());
-}
-
-#[test]
-fn allow_suppresses_lock_order() {
-    let annotated: String = LOCK_ORDER_POS
-        .lines()
-        .map(|l| format!("{l} // fl-lint: allow(lock-order)\n"))
-        .collect();
-    let findings = lint_source("crates/server/src/fixture.rs", &annotated);
-    assert!(findings.is_empty(), "{findings:?}");
-}
-
-#[test]
-fn unknown_allow_is_itself_a_finding() {
-    let src = "// fl-lint: allow(not-a-rule): oops\npub fn f() {}\n";
-    let findings = lint_source("crates/core/src/fixture.rs", src);
-    assert!(
-        findings.iter().any(|f| f.rule == "unknown-allow"),
-        "typo'd allow id should be reported; got {findings:?}"
-    );
-}
 
 /// One line appended to a workspace file, and the lint that must report
 /// it, or `None` where no lint may. Each of the lexical rules the compiler

@@ -3,13 +3,13 @@
 # Every step runs even after a failure, so one run reports the full
 # damage; the summary table at the bottom is the verdict.
 #
-# The static-analysis pass is mostly the compiler's: the `fl-lint` step
-# runs fl-lint (its `lock-order` rule and the `allowlist-drift` audit of
-# scripts/wall_clock_allowlist.txt), then clippy on every workspace
-# target with the root Cargo.toml's `[workspace.lints]`, the crate roots'
-# `deny` attributes and clippy.toml. The `test-only-pub` audit (a `pub fn`
-# in crates/*/src that only tests reach) asks the compiler too, and is
-# its own step, `dead-pub`, after it.
+# The static-analysis pass is the compiler's: the `test` step's
+# tests/lint_gate.rs runs clippy on every workspace target, warnings
+# denied, with the root Cargo.toml's `[workspace.lints]`, the crate roots'
+# `deny` attributes and clippy.toml, and tests/lock_audit.rs holds the
+# observed lock graph to its expected sites and nestings. The
+# `test-only-pub` audit (a `pub fn` in crates/*/src that only tests
+# reach) asks the compiler too, and is its own step, `dead-pub`.
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
@@ -47,16 +47,17 @@ run_step "fmt" cargo fmt --all --check
 # and overload sweeps (`chaos_sweep`, `overload_sweep`: seeded
 # `scenario::run`s of the chaos and overload configs, each ending in the
 # engine's one audit); the pinned render digests of every seeded harness
-# (`render_digests`); the live tree
-# (`live_topology`); multi-tenancy (`multi_tenant`: several populations
-# share one fleet and one Selector layer, live and simulated under a
-# seeded flash crowd, and cross-population fairness, the per-device
-# single-session arbitration and per-population accounting conservation
-# must all hold); the lock-graph deadlock gate (`lock_audit`: the
-# workspace's observed lock-acquisition graph stays acyclic and
-# rank-clean); schedule exploration of the engine (`schedule_explore`
-# also runs K=64 timing permutations of a chaos plan, each ending in the
-# engine's audit); SecAgg through the live tree
+# (`render_digests`); the live tree (`live_topology`); multi-tenancy
+# (`multi_tenant`: several populations share one fleet and one Selector
+# layer, live and simulated under a seeded flash crowd, and
+# cross-population fairness, the per-device single-session arbitration
+# and per-population accounting conservation must all hold); the
+# lock-graph deadlock gate (`lock_audit`: the workspace's observed
+# lock-acquisition graph stays acyclic and rank-clean, and is exactly
+# its 14 sites and two nestings); the clippy pass, warnings denied, in
+# target/clippy (`lint_gate`); schedule exploration of the engine
+# (`schedule_explore` also runs K=64 timing permutations of a chaos
+# plan, each ending in the engine's audit); SecAgg through the live tree
 # (`secagg_live`: scripted advertise/share dropouts commit the exact
 # unmasked sum, or abort a stranded shard cleanly); and the allocation
 # budget (`alloc_budget`: a counting global allocator holds one
@@ -65,20 +66,9 @@ run_step "fmt" cargo fmt --all --check
 # and the memory held per round (`round_memory`: once warm-up has filled
 # the Coordinator's metric ring and the actor system's obituary ring, a
 # `checkin_storm`-shaped tree's live heap must stay flat over 1 000 more
-# rounds, and one round's allocations per check-in stay under a ceiling).
+# rounds, and one round's allocations per check-in stay under a
+# ceiling).
 run_step "test" cargo test -q
-# fl-lint, then the clippy pass, in target/clippy (tier-1's
-# `tests/lint_gate.rs` runs the same pass there, so it is warm). Clippy
-# fails on a denied lint (wall clock and sleep, raw locks, unwrap, panic,
-# print, missing docs, undocumented `unsafe`) and on an `#[expect]` that
-# no longer fires. Both run even when the first fails.
-fl_lint() {
-  local status=0
-  cargo run -q -p fl-lint || status=1
-  cargo clippy --offline --workspace --all-targets --target-dir target/clippy || status=1
-  return "${status}"
-}
-run_step "fl-lint" fl_lint
 # The compiler's `test-only-pub` audit (DESIGN.md Sec. 7): in a mirror
 # under target/dead_pub, every `pub fn` of crates/*/src no allow covers
 # becomes `pub(crate)`; `cargo check --offline` of the workspace's lib,
@@ -89,7 +79,7 @@ run_step "fl-lint" fl_lint
 # test-only function must be the one finding) runs first. Warm on 2
 # vCPUs: 25-30 `cargo check` passes in 28-31 s (about 45 s cold).
 dead_pub() {
-  cargo test -q -p fl-lint --test dead_pub && cargo run -q -p fl-lint -- --dead-pub
+  cargo test -q -p fl-lint --test dead_pub && cargo run -q -p fl-lint
 }
 run_step "dead-pub" dead_pub
 # Rustdoc, warnings denied: every intra-doc link of the workspace's crates

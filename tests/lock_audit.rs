@@ -1,21 +1,76 @@
 //! Tier-1 lock audit: run representative workloads from every crate
 //! that holds locks — the live actor tree, the registry,
 //! schedule-explored rounds, a framed TCP upload — inside one process,
-//! then assert the global fl-race [`LockGraph`] stayed acyclic and
-//! rank-clean.
-//! Unlike a deadlocking run, a *potential* deadlock (both orders of a
-//! lock pair, each observed on some thread, even if never
-//! concurrently) is visible here as a graph cycle.
+//! then assert the global fl-race [`LockGraph`] is exactly the expected
+//! one: every product lock [`Site`] reached, and no nesting but the two
+//! the workspace means. Any new nesting fails here, rank-correct or not
+//! and through any call chain; so would an inverted pair, as a graph
+//! cycle (both orders of a lock pair, each observed on some thread, even
+//! if never concurrently) and a rank violation.
 //!
-//! The inverted-order fixture builds the bug the gate exists to catch
-//! on a *private* graph (`Mutex::new_in`), so the deliberate cycle
-//! never pollutes the global gate the first tests assert over.
+//! The fixtures build what the gate exists to catch on *private* graphs
+//! (`Mutex::new_in`), so their deliberate nestings never pollute the
+//! global graph the first test asserts over.
 
 use fl_race::{LockGraph, Mutex, Site};
 
+/// Every product lock site with its rank (DESIGN.md Sec. 7's table).
+const SITES: [(&str, u16); 14] = [
+    ("actors/system.actor", 5),
+    ("actors/system.obituary_log", 10),
+    ("actors/system.subscribers", 12),
+    ("actors/system.workers", 20),
+    ("actors/system.timers", 21),
+    ("actors/system.injector", 22),
+    ("actors/registry.locking_service", 30),
+    ("server/storage.checkpoint_store", 50),
+    ("server/live.overload_metrics", 60),
+    ("server/shedding.global_budget", 62),
+    ("wire/fault.script", 68),
+    ("wire/transport.tcp_read", 70),
+    ("wire/transport.tcp_write", 72),
+    ("wire/transport.spares", 74),
+];
+
+/// Every nesting in the workspace, `(held, acquired)`: the obituary
+/// publish / replay (`actors/src/system.rs`), and a TCP read into a spare
+/// frame buffer.
+const EDGES: [(&str, &str); 2] = [
+    ("actors/system.obituary_log", "actors/system.subscribers"),
+    ("wire/transport.tcp_read", "wire/transport.spares"),
+];
+
+/// How `graph` differs from [`SITES`] and [`EDGES`], one line each;
+/// empty when it is exactly them.
+fn differences(graph: &LockGraph) -> Vec<String> {
+    let rendered = graph.render();
+    let mut out = Vec::new();
+    for (name, rank) in SITES {
+        let line = format!("site {name} rank={rank}");
+        if !rendered.lines().any(|l| l == line) {
+            out.push(format!("{name} (rank {rank}) not observed"));
+        }
+    }
+    let sites = graph.site_count();
+    if sites != SITES.len() {
+        out.push(format!("{sites} sites, want {}", SITES.len()));
+    }
+    for (from, to) in EDGES {
+        if !graph.has_edge(from, to) {
+            out.push(format!("edge {from} -> {to} not observed"));
+        }
+    }
+    let edges = graph.edge_count();
+    if edges != EDGES.len() {
+        out.push(format!("{edges} edges, want {}", EDGES.len()));
+    }
+    out
+}
+
 /// Exercise the real stack: two explored live rounds (different
 /// delivery schedules) plus a framed TCP upload, all feeding the
-/// global lock graph, which must stay acyclic with zero rank violations.
+/// global lock graph, which must be exactly [`SITES`] and [`EDGES`],
+/// acyclic, with zero rank violations.
 #[test]
 fn workspace_lock_graph_is_acyclic() {
     // Live topology under two delivery schedules: Selector actor,
@@ -55,24 +110,6 @@ fn workspace_lock_graph_is_acyclic() {
         .expect("the upload is sent");
 
     let graph = LockGraph::global();
-    assert!(
-        graph.site_count() >= 6,
-        "expected the workloads to register most rank-table sites, saw {}:\n{}",
-        graph.site_count(),
-        graph.render()
-    );
-    // The one intentional nesting in the workspace (obituary publish /
-    // replay) must be present — proof the audit watched real traffic.
-    assert!(
-        graph.has_edge("actors/system.obituary_log", "actors/system.subscribers"),
-        "expected the obituary-log -> subscribers edge:\n{}",
-        graph.render()
-    );
-    assert!(
-        graph.has_edge("wire/transport.tcp_read", "wire/transport.spares"),
-        "expected the TCP read -> spare buffers edge:\n{}",
-        graph.render()
-    );
     let violations = graph.rank_violations();
     assert!(
         violations.is_empty(),
@@ -82,6 +119,12 @@ fn workspace_lock_graph_is_acyclic() {
     assert!(
         graph.is_acyclic(),
         "potential deadlock cycles:\n{}",
+        graph.render()
+    );
+    let differences = differences(graph);
+    assert!(
+        differences.is_empty(),
+        "the lock graph is not the expected one: {differences:#?}\n{}",
         graph.render()
     );
 }
@@ -149,4 +192,40 @@ fn identical_histories_render_byte_identically() {
         graph.render()
     };
     assert_eq!(build(), build());
+}
+
+/// A nesting that breaks no rank and closes no cycle still fails the
+/// gate when it is not one of [`EDGES`]: here the checkpoint store (50)
+/// held while the overload metrics (60) are taken.
+#[test]
+fn unlisted_rank_correct_nesting_is_flagged() {
+    let graph = LockGraph::new();
+    let locks: Vec<Mutex<()>> = SITES
+        .iter()
+        .map(|&(name, rank)| Mutex::new_in(Site::new(name, rank), &graph, ()))
+        .collect();
+    let lock = |name: &str| {
+        let at = SITES.iter().position(|&(site, _)| site == name);
+        &locks[at.expect("a listed site")]
+    };
+    for l in &locks {
+        drop(l.lock());
+    }
+    for (from, to) in EDGES {
+        let held = lock(from).lock();
+        drop(lock(to).lock());
+        drop(held);
+    }
+    assert_eq!(differences(&graph), Vec::<String>::new());
+
+    let held = lock("server/storage.checkpoint_store").lock();
+    drop(lock("server/live.overload_metrics").lock());
+    drop(held);
+    assert!(graph.is_acyclic(), "{}", graph.render());
+    assert!(graph.rank_violations().is_empty(), "{}", graph.render());
+    assert_eq!(differences(&graph), ["3 edges, want 2"]);
+    assert!(graph.has_edge(
+        "server/storage.checkpoint_store",
+        "server/live.overload_metrics"
+    ));
 }
