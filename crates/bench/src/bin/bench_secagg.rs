@@ -31,7 +31,14 @@
 //! exponentiations the instance ran (`field::exponentiations`) and the
 //! mask kernel's share of the time: the instance's 270 streams of 4 113
 //! draws at the kernel row's dispatched cost, over the instance time.
-//! It carries no floor either.
+//! Its exponentiations must be exactly [`gate::SECAGG_INSTANCE_POW`].
+//!
+//! The `staged` row is the bytes one `round_secagg` shard group stages:
+//! 16 devices' 4 112-coordinate field vectors accepted by one SecAgg
+//! `AggregatorShard`, counted by this binary's global allocator over
+//! every allocation of [`LARGE`] bytes or more the staging makes. It must
+//! be exactly [`gate::SECAGG_STAGED_BYTES`], a ring element of 4 B per
+//! coordinate and weight, so staging at a wider width fails the gate.
 
 use fl_bench::gate::{self, SecAggCase as Case};
 use fl_core::plan::CodecSpec;
@@ -39,10 +46,59 @@ use fl_core::DeviceId;
 use fl_secagg::field;
 use fl_secagg::keys::{self, MaskStream};
 use fl_secagg::protocol::{run_instance, SecAggConfig};
-use fl_server::aggregator::{AggregationPlan, MasterAggregator};
+use fl_server::aggregator::{AggregationPlan, AggregatorShard, MasterAggregator};
 use rand::Rng;
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
+
+/// Allocations of this size or more are the `staged` row's: a model's
+/// worth, not a map node.
+const LARGE: usize = 4096;
+
+/// Bytes of every allocation of [`LARGE`] or more so far.
+static LARGE_BYTES: AtomicUsize = AtomicUsize::new(0);
+
+/// [`System`], adding up the bytes of the large allocations.
+struct Counting;
+
+fn count(size: usize) {
+    if size >= LARGE {
+        LARGE_BYTES.fetch_add(size, Ordering::Relaxed);
+    }
+}
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the counter is an atomic and allocates
+// nothing.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        // SAFETY: the caller's contract for `alloc`, passed on.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        // SAFETY: the caller's contract for `alloc_zeroed`, passed on.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(new_size);
+        // SAFETY: the caller's contract for `realloc`, passed on.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller's contract for `dealloc`, passed on.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static COUNTING: Counting = Counting;
 
 /// Model dimension for every case — small enough that the pairwise mask
 /// machinery, not the vector arithmetic, dominates.
@@ -185,6 +241,26 @@ fn time_instance(runs: u32) -> (f64, u64) {
     (best, exponentiations)
 }
 
+/// Bytes of [`LARGE`] allocations one `round_secagg` shard group's
+/// staging makes: [`INSTANCE_DEVICES`] field vectors of
+/// [`KERNEL_DIM`]` − 1` coordinates into one SecAgg shard.
+fn staged_bytes() -> usize {
+    let dim = KERNEL_DIM - 1;
+    let field = fl_ml::fixedpoint::FixedPointEncoder::default_for_updates()
+        .encode(&vec![0.01f32; dim])
+        .expect("bench delta fits the fixed-point range");
+    let mut shard = AggregatorShard::new(dim, CodecSpec::Identity, Some(K));
+    let before = LARGE_BYTES.load(Ordering::Relaxed);
+    for d in 0..INSTANCE_DEVICES as u64 {
+        shard
+            .accept_field(DeviceId(d), &field, 1)
+            .expect("bench contribution is staged");
+    }
+    let bytes = LARGE_BYTES.load(Ordering::Relaxed) - before;
+    black_box(shard);
+    bytes
+}
+
 fn main() -> Result<(), String> {
     let cases: Vec<Case> = [16usize, 32, 64]
         .iter()
@@ -230,6 +306,12 @@ fn main() -> Result<(), String> {
          (avx512f {avx512f}), portable {portable:.2}, per-stream loop {per_stream:.2}"
     );
 
+    let staged = staged_bytes();
+    eprintln!(
+        "staged, {INSTANCE_DEVICES} devices x {KERNEL_DIM}: {staged} B in allocations of \
+         {LARGE} B or more"
+    );
+
     let streams = instance_streams();
     let kernel_share = (streams * KERNEL_DIM) as f64 * dispatched / (instance_ms * 1e6);
     eprintln!(
@@ -260,9 +342,16 @@ fn main() -> Result<(), String> {
          \"per_stream_loop_ns_per_draw\": {per_stream:.3}}},\n  \"instance\":\n    \
          {{\"devices\": {INSTANCE_DEVICES}, \"dim\": {KERNEL_DIM}, \"threshold\": {INSTANCE_THRESHOLD}, \
          \"share_dropouts\": {INSTANCE_DROPOUTS}, \"best_ms\": {instance_ms:.3}, \"pow\": {pow}, \
-         \"streams\": {streams}, \"kernel_share\": {kernel_share:.2}}}\n}}",
+         \"streams\": {streams}, \"kernel_share\": {kernel_share:.2}}},\n  \"staged\":\n    \
+         {{\"devices\": {INSTANCE_DEVICES}, \"dim\": {KERNEL_DIM}, \"bytes\": {staged}}}\n}}",
         rows.join(",\n")
     );
 
-    gate::secagg(&cases)
+    gate::secagg(
+        &cases,
+        &gate::SecAggShard {
+            pow,
+            staged_bytes: staged,
+        },
+    )
 }

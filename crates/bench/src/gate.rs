@@ -181,15 +181,49 @@ pub struct SecAggCase {
 /// is broken, not on a noisy run.
 pub const SECAGG_MIN_SPEEDUP: f64 = 1.5;
 
+/// `bench_secagg`'s counts of one `round_secagg` shard group (16
+/// devices, 4 112 coordinates plus the weight): its `instance` and
+/// `staged` rows.
+pub struct SecAggShard {
+    /// Exponentiations one SecAgg instance ran, one device gone after
+    /// sharing keys.
+    pub pow: u64,
+    /// Bytes the group's staging allocated in blocks of 4 KiB or more.
+    pub staged_bytes: usize,
+}
+
+/// Exponentiations of the `instance` row: key pairs, batched agreements
+/// and one Lagrange inversion. The instance is deterministic, so another
+/// count is a changed protocol, not noise.
+pub const SECAGG_INSTANCE_POW: u64 = 514;
+
+/// Bytes of the `staged` row: 16 vectors of 4 113 ring elements of 4 B.
+/// Staged at a `SecAggReport` coordinate's 8 B, the group took 526 464.
+pub const SECAGG_STAGED_BYTES: usize = 263_232;
+
 /// `bench_secagg`'s verdict: at the largest cohort one quadratic group
-/// costs at least [`SECAGG_MIN_SPEEDUP`] times the fixed groups.
-pub fn secagg(cases: &[SecAggCase]) -> Result<(), String> {
+/// costs at least [`SECAGG_MIN_SPEEDUP`] times the fixed groups, and the
+/// shard group runs exactly [`SECAGG_INSTANCE_POW`] exponentiations and
+/// stages exactly [`SECAGG_STAGED_BYTES`].
+pub fn secagg(cases: &[SecAggCase], shard: &SecAggShard) -> Result<(), String> {
     let largest = cases.last().ok_or("no case was measured")?;
     if largest.single_group_ms < SECAGG_MIN_SPEEDUP * largest.sharded_ms {
         return Err(format!(
             "quadratic-cost mitigation regressed: one group of {} took {:.2} ms vs {:.2} ms \
              sharded, expected at least a {SECAGG_MIN_SPEEDUP}x advantage",
             largest.devices, largest.single_group_ms, largest.sharded_ms
+        ));
+    }
+    if shard.pow != SECAGG_INSTANCE_POW {
+        return Err(format!(
+            "the shard's instance ran {} exponentiations, not the {SECAGG_INSTANCE_POW} pinned",
+            shard.pow
+        ));
+    }
+    if shard.staged_bytes != SECAGG_STAGED_BYTES {
+        return Err(format!(
+            "the shard group staged {} B, not the {SECAGG_STAGED_BYTES} B of 4-byte ring elements",
+            shard.staged_bytes
         ));
     }
     Ok(())
@@ -314,10 +348,10 @@ pub fn des_day(day: &DesDay) -> Result<(), String> {
 /// twofold slowdown, not a drift; a gain or a loss of less is read from
 /// alternating pairs.
 pub const E2E_FLOORS: [(&str, f64); 4] = [
-    ("round_plain_tcp", 33.0),
-    ("checkin_storm", 948.0),
-    ("round_secagg", 235.0),
-    ("fleet_des", 637.0),
+    ("round_plain_tcp", 53.0),
+    ("checkin_storm", 1202.0),
+    ("round_secagg", 349.0),
+    ("fleet_des", 751.0),
 ];
 
 /// Ledger entries an [`E2E_FLOORS`] value looks back over.
@@ -437,7 +471,7 @@ mod tests {
     fn committed_secagg() -> Vec<SecAggCase> {
         let cases: Vec<SecAggCase> = rows(include_str!("../../../BENCH_secagg.json"))
             .iter()
-            // The kernel and instance rows carry no floor.
+            // The kernel, instance and staged rows are not cases.
             .filter(|row| row.contains_key("single_group_ms"))
             .map(|row| SecAggCase {
                 devices: row["devices"] as usize,
@@ -447,6 +481,20 @@ mod tests {
             .collect();
         assert_eq!(cases.len(), 3);
         cases
+    }
+
+    fn committed_secagg_shard() -> SecAggShard {
+        let rows = rows(include_str!("../../../BENCH_secagg.json"));
+        let row = |key: &str| {
+            rows.iter()
+                .find(|row| row.contains_key(key))
+                .map(|row| row[key])
+                .expect("an instance row and a staged row")
+        };
+        SecAggShard {
+            pow: row("pow") as u64,
+            staged_bytes: row("bytes") as usize,
+        }
     }
 
     fn committed_des() -> Vec<DesCase> {
@@ -554,7 +602,10 @@ mod tests {
         assert_eq!(digest(&committed_digest()), Ok(()));
         assert_eq!(configuration_tcp(&committed_configuration_tcp()), Ok(()));
         assert_eq!(selector(&committed_selector()), Ok(()));
-        assert_eq!(secagg(&committed_secagg()), Ok(()));
+        assert_eq!(
+            secagg(&committed_secagg(), &committed_secagg_shard()),
+            Ok(())
+        );
         assert_eq!(des(&committed_des()), Ok(()));
         assert_eq!(des_day(&committed_des_day()), Ok(()));
     }
@@ -562,7 +613,7 @@ mod tests {
     #[test]
     fn a_run_that_measured_nothing_fails() {
         assert!(wire(&[]).is_err());
-        assert!(secagg(&[]).is_err());
+        assert!(secagg(&[], &committed_secagg_shard()).is_err());
         assert!(des(&[]).is_err());
         assert!(des(&committed_des()[..1]).is_err());
     }
@@ -729,7 +780,28 @@ mod tests {
         let mut cases = committed_secagg();
         let largest = cases.last_mut().expect("three rows");
         largest.sharded_ms = largest.single_group_ms / 1.2;
-        let why = secagg(&cases).expect_err("1.2x is under the required advantage");
+        let why = secagg(&cases, &committed_secagg_shard())
+            .expect_err("1.2x is under the required advantage");
         assert!(why.contains("one group of 64"), "{why}");
+    }
+
+    #[test]
+    fn another_exponentiation_count_or_wider_staging_fails_the_secagg_gate() {
+        let cases = committed_secagg();
+        for pow in [SECAGG_INSTANCE_POW - 1, SECAGG_INSTANCE_POW + 1] {
+            let shard = SecAggShard {
+                pow,
+                ..committed_secagg_shard()
+            };
+            let why = secagg(&cases, &shard).expect_err("not the pinned count");
+            assert!(why.contains(&format!("ran {pow} exponentiations")), "{why}");
+        }
+        // What the group staged at 8 B a coordinate.
+        let wide = SecAggShard {
+            staged_bytes: 526_464,
+            ..committed_secagg_shard()
+        };
+        let why = secagg(&cases, &wide).expect_err("8-byte staging");
+        assert!(why.contains("staged 526464 B"), "{why}");
     }
 }

@@ -138,6 +138,35 @@ fn insert_sorted(set: &mut Vec<u32>, id: u32) -> bool {
     }
 }
 
+/// A device's input to [`SecAggClient::commit`]: a vector in the ring
+/// `Z_{2^32}`, which the client masks in place, or a borrowed vector of
+/// `u64` coordinates (a `SecAggReport`'s width), which is narrowed into a
+/// ring vector first.
+pub trait RingInput {
+    /// The input as ring elements.
+    ///
+    /// # Errors
+    ///
+    /// [`SecAggError::OutOfRing`] for a coordinate of `2^32` or more.
+    fn into_ring(self) -> Result<Vec<u32>, SecAggError>;
+}
+
+impl RingInput for Vec<u32> {
+    fn into_ring(self) -> Result<Vec<u32>, SecAggError> {
+        Ok(self)
+    }
+}
+
+impl<T: AsRef<[u64]> + ?Sized> RingInput for &T {
+    fn into_ring(self) -> Result<Vec<u32>, SecAggError> {
+        let input = self.as_ref();
+        match input.iter().position(|&v| v > u64::from(u32::MAX)) {
+            Some(i) => Err(SecAggError::OutOfRing(i)),
+            None => Ok(input.iter().map(|&v| v as u32).collect()),
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Client
 // ---------------------------------------------------------------------------
@@ -364,7 +393,8 @@ impl SecAggClient<Shared> {
     /// Round 2: open the shares other participants encrypted for this
     /// client (`incoming`, routed by the server after round 1) with the
     /// seeds kept from round 1, then mask the input and produce the commit
-    /// message. The senders and this client are its view of U₂; the mask
+    /// message. A ring vector is masked in place and sent as it is; a
+    /// `u64` one is narrowed into a new vector first ([`RingInput`]). The senders and this client are its view of U₂; the mask
     /// covers every member of it, so later drop-outs leave removable
     /// residuals.
     ///
@@ -373,14 +403,14 @@ impl SecAggClient<Shared> {
     /// [`SecAggError::UnknownParticipant`] for senders not in U₁,
     /// [`SecAggError::BadShare`] for a share that opens to a value outside
     /// the field,
-    /// [`SecAggError::DimensionMismatch`],
-    /// [`SecAggError::OutOfRing`] for an input coordinate of `2^32` or more,
-    /// or
+    /// [`SecAggError::OutOfRing`] for a `u64` input coordinate of `2^32`
+    /// or more,
+    /// [`SecAggError::DimensionMismatch`], or
     /// [`SecAggError::BelowThreshold`] if U₂ is too small.
     pub fn commit(
         self,
         incoming: &[(u32, ShareCiphertext)],
-        input: &[u64],
+        input: impl RingInput,
     ) -> Result<(SecAggClient<Committed>, MaskedInput), SecAggError> {
         let Shared {
             s_pair,
@@ -402,16 +432,13 @@ impl SecAggClient<Shared> {
             }
             member.held = Some((Share { x, y: key_y }, Share { x, y: seed_y }));
         }
-        if input.len() != self.config.dim {
+        let mut vector = input.into_ring()?;
+        if vector.len() != self.config.dim {
             return Err(SecAggError::DimensionMismatch {
                 expected: self.config.dim,
-                actual: input.len(),
+                actual: vector.len(),
             });
         }
-        if let Some(i) = input.iter().position(|&v| v > u64::from(u32::MAX)) {
-            return Err(SecAggError::OutOfRing(i));
-        }
-        let mut vector: Vec<u32> = input.iter().map(|&v| v as u32).collect();
         let held = members.iter().filter(|m| m.held.is_some()).count();
         if held < self.config.threshold {
             return Err(SecAggError::BelowThreshold {
@@ -831,9 +858,11 @@ impl SecAggServer<Unmasking> {
 }
 
 /// Runs a full Secure Aggregation instance in-process over the given
-/// inputs, with the listed drop-out stages. Returns the unmasked ring sum
-/// (mod `2^32`) of the inputs of devices that committed; each input
-/// coordinate must be below `2^32`.
+/// inputs, device `i` committing the `i`-th, with the listed drop-out
+/// stages. Returns the unmasked ring sum (mod `2^32`) of the inputs of
+/// devices that committed. Owned ring vectors are masked where they lie;
+/// borrowed `u64` ones are narrowed first, and each coordinate of one
+/// that commits must be below `2^32` ([`RingInput`]).
 ///
 /// `drop_after_advertise` devices vanish after round 0;
 /// `drop_after_share` devices vanish after delivering shares (their
@@ -845,44 +874,44 @@ impl SecAggServer<Unmasking> {
 /// # Errors
 ///
 /// Any protocol error (e.g. dropping below the threshold).
-pub fn run_instance(
+pub fn run_instance<I: RingInput>(
     config: SecAggConfig,
-    inputs: &[Vec<u64>],
+    inputs: impl IntoIterator<Item = I>,
     drop_after_advertise: &[u32],
     drop_after_share: &[u32],
     seed: u64,
 ) -> Result<Vec<u32>, SecAggError> {
-    let clients: Vec<SecAggClient<Advertised>> = (0..inputs.len() as u32)
-        .map(|id| SecAggClient::new(id, config, seed))
+    let clients: Vec<(SecAggClient<Advertised>, I)> = (0..)
+        .zip(inputs)
+        .map(|(id, input)| (SecAggClient::new(id, config, seed), input))
         .collect();
     let mut server = SecAggServer::new(config);
 
     // Round 0: every device advertises, the ones that drop later too.
-    for c in &clients {
+    for (c, _) in &clients {
         server.collect_advertisement(c.advertisement())?;
     }
     let (mut server, broadcast) = server.finish_advertising()?;
 
     // Round 1: advertise-stage drop-outs never send shares.
     let mut sharing = Vec::with_capacity(clients.len());
-    for c in clients
+    for (c, input) in clients
         .into_iter()
-        .filter(|c| !drop_after_advertise.contains(&c.id()))
+        .filter(|(c, _)| !drop_after_advertise.contains(&c.id()))
     {
         let (c, shares) = c.share_keys(&broadcast)?;
         server.collect_shares(shares)?;
-        sharing.push(c);
+        sharing.push((c, input));
     }
     let (mut server, mut routed) = server.finish_sharing()?;
 
     // Round 2: share-stage drop-outs never commit.
     let mut committed = Vec::with_capacity(sharing.len());
-    for c in sharing
+    for (c, input) in sharing
         .into_iter()
-        .filter(|c| !drop_after_share.contains(&c.id()))
+        .filter(|(c, _)| !drop_after_share.contains(&c.id()))
     {
         let incoming = routed.remove(&c.id()).unwrap_or_default();
-        let input = &inputs[c.id() as usize];
         let (c, masked) = c.commit(&incoming, input)?;
         server.collect_masked(masked)?;
         committed.push(c);

@@ -116,10 +116,12 @@ pub struct AggregatorShard {
     codec: CodecSpec,
     /// L2 clip applied to each decoded update (DP-FedAvg).
     clip_norm: Option<f32>,
-    /// SecAgg staging: device → (clear update kept only on the device side
-    /// of the simulation; the shard records the *encoded field vector* it
-    /// would receive masked). `None` in plain mode.
-    secagg_inputs: Option<BTreeMap<DeviceId, Vec<u64>>>,
+    /// SecAgg staging: device → its *encoded field vector* in the ring
+    /// `Z_{2^32}` (the vector a device would send masked), 4 B a
+    /// coordinate: `dim + 1` entries, the weight last. [`Self::close`]
+    /// hands these vectors to the protocol, whose clients mask them in
+    /// place. `None` in plain mode.
+    secagg_inputs: Option<BTreeMap<DeviceId, Vec<u32>>>,
     /// The task's minimum SecAgg group size `k`; the shard aborts its
     /// round if dropouts leave its group smaller. `None` in plain mode.
     secagg_k: Option<usize>,
@@ -221,12 +223,14 @@ impl AggregatorShard {
     /// (the shard runs both halves of the protocol, see
     /// [`AggregatorShard::close`]) — plus its weight. SecAgg mode only.
     ///
-    /// Every value is checked before it is staged, so a group's sum in
+    /// Every value is checked as it is staged, so a group's sum in
     /// `Z_{2^32}` cannot wrap: a coordinate must be on the encoder's grid
     /// (at most [`FixedPointEncoder::max_encoded`]), and a weight at most
     /// `(2^32 − 1) / max_summands`, so a group of up to
     /// [`FixedPointEncoder::max_summands`] devices sums its weights
-    /// exactly. A larger group aborts at [`AggregatorShard::close`].
+    /// exactly. A larger group aborts at [`AggregatorShard::close`]. The
+    /// `u64` coordinates (a `SecAggReport`'s width) are staged narrowed to
+    /// the ring, 4 B each, in the pass that checks them.
     ///
     /// # Errors
     ///
@@ -275,7 +279,7 @@ impl AggregatorShard {
     fn stage_field(
         &mut self,
         device: DeviceId,
-        field: impl ExactSizeIterator<Item = u64>,
+        field: impl ExactSizeIterator<Item = u64> + Clone,
         weight: u64,
     ) -> Result<(), CoreError> {
         let Some(staged) = &mut self.secagg_inputs else {
@@ -289,10 +293,13 @@ impl AggregatorShard {
                 actual: field.len(),
             });
         }
-        let mut v: Vec<u64> = Vec::with_capacity(self.dim + 1);
-        v.extend(field);
-        check_secagg_input(&self.encoder, weight, v.iter().copied())?;
-        v.push(weight);
+        // Narrowed into a sized slice, which the pass vectorises; an
+        // `extend` whose closure also folds the check did not (10.8 against
+        // 3.8 µs a 4 112-coordinate report).
+        let mut v = vec![0; self.dim + 1];
+        check_secagg_input(&self.encoder, weight, field, Some(&mut v[..self.dim]))?;
+        // The weight is at most `(2^32 − 1) / max_summands`.
+        v[self.dim] = weight as u32;
         staged.insert(device, v);
         Ok(())
     }
@@ -306,7 +313,9 @@ impl AggregatorShard {
     /// reconstructed from the survivors' shares). What the shard decodes
     /// is the unmasked *sum*, but the privacy property is simulated, not
     /// held: `stage_field` keeps every device's unmasked vector until
-    /// this call, which runs all n clients and the server in-process.
+    /// this call, which runs all n clients and the server in-process and
+    /// hands each client its staged vector by value, to be masked where
+    /// it lies: a close copies no input.
     /// ROADMAP item 3 (devices mask, the shard is the server half only) is
     /// the change that makes "the server never touches an individual
     /// update" true.
@@ -317,7 +326,7 @@ impl AggregatorShard {
     /// `Z_{2^32}`: 240 of them are the clients' own, which
     /// item 3 moves onto the devices. Its 514 exponentiations (key pairs,
     /// batched agreements, one Lagrange inversion) are ~0.1 ms, and the
-    /// rest is copies, ring passes and share handling (`bench_secagg`'s
+    /// rest is ring passes and share handling (`bench_secagg`'s
     /// `instance` row).
     ///
     /// # Errors
@@ -376,10 +385,10 @@ impl AggregatorShard {
                 // protocol is robust to a significant fraction dropping).
                 let threshold = ((2 * n).div_ceil(3)).max(2).min(n);
                 let config = SecAggConfig::new(threshold, self.dim + 1);
-                let inputs: Vec<Vec<u64>> = staged.into_values().collect();
                 let adv_idx: Vec<u32> = adv_set.into_iter().collect();
                 let share_idx: Vec<u32> = share_set.into_iter().collect();
-                let sum = run_instance(config, &inputs, &adv_idx, &share_idx, secagg_seed)
+                let ring_inputs = staged.into_values();
+                let sum = run_instance(config, ring_inputs, &adv_idx, &share_idx, secagg_seed)
                     .map_err(|e| match e {
                         SecAggError::BelowThreshold { alive, threshold } => {
                             ShardError::BelowThreshold {
@@ -712,8 +721,10 @@ pub struct ForwardedReport {
 /// so a group's sum in `Z_{2^32}` cannot wrap: a weight of at most
 /// `(2^32 − 1) / max_summands` and every coordinate on `encoder`'s grid.
 /// The round's parse applies them before its ack
-/// ([`crate::coordinator::ActiveRound::on_report`]), a shard again before
-/// it stages.
+/// ([`crate::coordinator::ActiveRound::on_report`]), a shard again as it
+/// stages: once the weight has passed, `narrowed` (one element per
+/// coordinate) gets every coordinate as a ring element in the same pass
+/// that checks them, also when the check then fails.
 ///
 /// # Errors
 ///
@@ -723,6 +734,7 @@ pub(crate) fn check_secagg_input<I>(
     encoder: &FixedPointEncoder,
     weight: u64,
     coordinates: I,
+    narrowed: Option<&mut [u32]>,
 ) -> Result<(), CoreError>
 where
     I: IntoIterator<Item = u64>,
@@ -742,7 +754,17 @@ where
     // takes: it clears a vector with no coordinate at the top of the grid
     // in a quarter of the time a compare per coordinate does. Only a vector
     // it cannot clear is searched.
-    if coordinates.clone().fold(0, |all, value| all | value) <= max {
+    let all = match narrowed {
+        Some(ring) => ring
+            .iter_mut()
+            .zip(coordinates.clone())
+            .fold(0, |all, (element, value)| {
+                *element = value as u32;
+                all | value
+            }),
+        None => coordinates.clone().fold(0, |all, value| all | value),
+    };
+    if all <= max {
         return Ok(());
     }
     match coordinates.find(|&value| value > max) {

@@ -522,7 +522,7 @@ impl ActiveRound {
         let in_range = |coordinates: &[[u8; 8]]| {
             let values = coordinates.iter().map(|c| u64::from_le_bytes(*c));
             let encoder = FixedPointEncoder::default_for_updates();
-            check_secagg_input(&encoder, report.weight, values).is_ok()
+            check_secagg_input(&encoder, report.weight, values, None).is_ok()
         };
         match report.payload {
             ReportPayload::Field(coordinates) => {

@@ -38,25 +38,32 @@ use std::time::Duration;
 const LARGE: usize = 16 * 1024;
 
 /// Allocations per device session, every size: the ceiling. Since a
-/// round's participant table is one sorted `Vec`, not a `BTreeMap` of
-/// 64 entries, runs read 0.14-0.31 under the parent's beside them
-/// (38.86 against 39.17, 39.53 against 39.67), so it came down from 40.5.
-/// Before, fifteen runs read 39.02-39.28 on an idle two-core box and
-/// 39.11-39.69 over 22 runs beside a busy `e2e`. It was 45 while every round's close made
-/// a reply channel per shard and one for the Master and spawned each
-/// actor as a boxed thread job (fifteen runs of 39.19-39.89), and 150
-/// over fifteen runs of 131.6-133.8 while a shard's SecAgg close made
-/// 1 705 allocations (a keystream and an output `Vec` per share
-/// encrypted or opened, a heap ciphertext per share, and maps that grew
-/// entry by entry); it makes 227.
-const ALL_PER_SESSION: f64 = 40.3;
+/// shard stages each device's vector in `Z_{2^32}` and its SecAgg client
+/// masks that vector in place, a close makes no per-client copy: fifteen
+/// runs alternated with the parent's read 37.77-38.45 against its
+/// 38.80-39.45 (nine of each at the top value, one report in 64 more
+/// missing the spare pool), so it came down from 40.3. It came down from 40.5 when a round's participant table became
+/// one sorted `Vec`, not a `BTreeMap` of 64 entries (runs read 0.14-0.31
+/// under the parent's beside them); fifteen runs had read 39.02-39.28 on
+/// an idle two-core box and 39.11-39.69 over 22 runs beside a busy
+/// `e2e`. It was 45 while every round's close made a reply channel per
+/// shard and one for the Master and spawned each actor as a boxed thread
+/// job (fifteen runs of 39.19-39.89), and 150 over fifteen runs of
+/// 131.6-133.8 while a shard's SecAgg close made 1 705 allocations (a
+/// keystream and an output `Vec` per share encrypted or opened, a heap
+/// ciphertext per share, and maps that grew entry by entry); it makes
+/// 227.
+const ALL_PER_SESSION: f64 = 39.3;
 /// Allocations of [`LARGE`] or more per device session: the ceiling.
-/// Fifteen runs read 4.22-4.39 on an idle box, and 4.22-4.72 beside a
-/// busy `e2e` (the reports then miss the spare pool as often as they
-/// did with a thread per actor), so it stays. It was 6.5 over fifteen
-/// runs of 6.22 each while an in-memory link copied the Configuration
-/// per device and a channel send allocated every report frame afresh.
-const LARGE_PER_SESSION: f64 = 5.0;
+/// The per-client copy a close no longer makes was one of 16 452 B:
+/// fifteen runs alternated with the parent's read 3.28-3.78 against its
+/// 4.22-4.72, so it came down from 5.0. At 5.0, fifteen runs had read
+/// 4.22-4.39 on an idle box and 4.22-4.72 beside a busy `e2e` (the
+/// reports then miss the spare pool as often as they did with a thread
+/// per actor). It was 6.5 over fifteen runs of 6.22 each while an
+/// in-memory link copied the Configuration per device and a channel send
+/// allocated every report frame afresh.
+const LARGE_PER_SESSION: f64 = 4.0;
 
 /// [`System`], counting every allocation and the large ones apart.
 struct Counting;

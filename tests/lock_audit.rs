@@ -1,9 +1,10 @@
 //! Tier-1 lock audit: run representative workloads from every crate
 //! that holds locks — the live actor tree, the registry,
-//! schedule-explored rounds, a framed TCP upload — inside one process,
-//! then assert the global fl-race [`LockGraph`] is exactly the expected
-//! one: every product lock [`Site`] reached, and no nesting but the two
-//! the workspace means. Any new nesting fails here, rank-correct or not
+//! schedule-explored rounds, a SecAgg round, a round over a wire-fault
+//! script, a framed TCP upload, a large frame through a faulty in-memory
+//! link — inside one process, then assert the global fl-race
+//! [`LockGraph`] is exactly the expected one: every product lock [`Site`]
+//! reached, and no nesting but the three the workspace means. Any new nesting fails here, rank-correct or not
 //! and through any call chain; so would an inverted pair, as a graph
 //! cycle (both orders of a lock pair, each observed on some thread, even
 //! if never concurrently) and a rank violation.
@@ -33,11 +34,15 @@ const SITES: [(&str, u16); 14] = [
 ];
 
 /// Every nesting in the workspace, `(held, acquired)`: the obituary
-/// publish / replay (`actors/src/system.rs`), and a TCP read into a spare
-/// frame buffer.
-const EDGES: [(&str, &str); 2] = [
+/// publish / replay (`actors/src/system.rs`), a TCP read into a spare
+/// frame buffer, and a faulty transport's in-memory send of a frame of
+/// 16 KiB or more, copied into a spare under the fault script's lock
+/// (`wire/src/fault.rs`; the audit's large frame through a faulty channel
+/// link takes it).
+const EDGES: [(&str, &str); 3] = [
     ("actors/system.obituary_log", "actors/system.subscribers"),
     ("wire/transport.tcp_read", "wire/transport.spares"),
+    ("wire/fault.script", "wire/transport.spares"),
 ];
 
 /// How `graph` differs from [`SITES`] and [`EDGES`], one line each;
@@ -68,20 +73,29 @@ fn differences(graph: &LockGraph) -> Vec<String> {
 }
 
 /// Exercise the real stack: two explored live rounds (different
-/// delivery schedules) plus a framed TCP upload, all feeding the
-/// global lock graph, which must be exactly [`SITES`] and [`EDGES`],
-/// acyclic, with zero rank violations.
+/// delivery schedules), a SecAgg round, a round over a wire-fault
+/// script, a framed TCP upload and a large frame through a faulty
+/// in-memory link, all feeding the global lock graph, which must be
+/// exactly [`SITES`] and [`EDGES`], acyclic, with zero rank violations.
 #[test]
 fn workspace_lock_graph_is_acyclic() {
     // Live topology under two delivery schedules: Selector actor,
     // Coordinator actor, Master Aggregator subtree, shared checkpoint
     // store, locking-service registry, global admission budget, and
-    // overload telemetry all take their locks here.
-    for seed in [0u64, 42] {
-        let report = fl_sim::live::run(None, seed, false);
+    // overload telemetry all take their locks here. Then the same tree
+    // closing SecAgg groups, and one whose device links run a seeded
+    // fault script (each device's `FaultyTransport` takes its script's
+    // lock per send).
+    for (wire_seed, schedule_seed, secagg) in [
+        (None, 0u64, false),
+        (None, 42, false),
+        (None, 0, true),
+        (Some(3), 0, false),
+    ] {
+        let report = fl_sim::live::run(wire_seed, schedule_seed, secagg);
         assert!(
             report.is_clean(),
-            "seed {seed} violations: {:?}",
+            "wire {wire_seed:?}, schedule {schedule_seed}, secagg {secagg} violations: {:?}",
             report.violations
         );
     }
@@ -108,6 +122,14 @@ fn workspace_lock_graph_is_acyclic() {
         .join()
         .expect("sender thread")
         .expect("the upload is sent");
+    // A faulty in-memory link: a delivered frame of 16 KiB or more is
+    // copied into a spare frame buffer under the fault script's lock.
+    let (device, server) = fl_wire::ChannelTransport::pair();
+    let faulty = fl_wire::FaultyTransport::new(device, fl_wire::FaultScript::clean());
+    let frame = vec![7; 1 << 14];
+    fl_wire::Transport::send_frame_bytes(&faulty, &frame).expect("the frame is sent");
+    let frame = server.recv_frame_timeout(std::time::Duration::from_secs(5));
+    fl_wire::recycle(frame.expect("the frame arrives"));
 
     let graph = LockGraph::global();
     let violations = graph.rank_violations();
@@ -223,7 +245,7 @@ fn unlisted_rank_correct_nesting_is_flagged() {
     drop(held);
     assert!(graph.is_acyclic(), "{}", graph.render());
     assert!(graph.rank_violations().is_empty(), "{}", graph.render());
-    assert_eq!(differences(&graph), ["3 edges, want 2"]);
+    assert_eq!(differences(&graph), ["4 edges, want 3"]);
     assert!(graph.has_edge(
         "server/storage.checkpoint_store",
         "server/live.overload_metrics"
