@@ -32,9 +32,10 @@ pub trait Actor: Send + 'static {
     fn on_start(&mut self, _ctx: &mut Context<Self::Msg>) {}
 
     /// When the actor next wants [`Actor::on_deadline`] called if no
-    /// message comes first; asked again before every wait. `None` (the
+    /// message comes first, in milliseconds on the system's clock
+    /// ([`Context::now_ms`]); asked again before every wait. `None` (the
     /// default) waits for messages only.
-    fn deadline(&self) -> Option<std::time::Instant> {
+    fn deadline(&self) -> Option<u64> {
         None
     }
 
@@ -223,6 +224,13 @@ impl<M: Send + 'static> Context<M> {
     pub fn spawn_child<A: Actor>(&self, name: impl AsRef<str>, actor: A) -> ActorRef<A::Msg> {
         let child_name = format!("{}/{}", self.name, name.as_ref());
         self.system.spawn(child_name, actor)
+    }
+
+    /// The time now, in milliseconds since the actor system started:
+    /// the one clock every actor of the system stamps with, and the one
+    /// [`Actor::deadline`] is on.
+    pub fn now_ms(&self) -> u64 {
+        self.system.now_ms()
     }
 }
 

@@ -13,8 +13,8 @@
 //!   answer a request is owed exactly once, even by an actor that dies;
 //! * [`system::ActorSystem`] — actors scheduled on W worker threads
 //!   (W = the machine's available parallelism) from one run queue, with
-//!   one timer set for their deadlines, clean shutdown, and death
-//!   notifications;
+//!   one clock (`now_ms`) and one timer set on it for their deadlines,
+//!   clean shutdown, and death notifications;
 //! * [`supervision::watch_and_respawn`] — the lease-fenced loop that
 //!   respawns a crashed Coordinator exactly once ("in all failure cases
 //!   the system will continue to make progress", Sec. 4.4);

@@ -43,7 +43,8 @@ pub struct RespawnReport {
 /// watchers of different names never steal each other's notices.
 ///
 /// Returns when the actor dies without panicking (clean shutdown), the
-/// deadline passes, or a respawn budget of `max_respawns` is spent.
+/// `deadline` (measured on the system's clock) passes, or a respawn
+/// budget of `max_respawns` is spent.
 pub fn watch_and_respawn<A, F, W>(
     system: &ActorSystem,
     locks: &LockingService<String>,
@@ -61,12 +62,7 @@ where
     W: FnMut(ActorRef<A::Msg>),
 {
     let deaths_rx = system.deaths();
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "the live watcher bounds real elapsed time; the sim exercises recovery via its \
-                  virtual clock instead"
-    )]
-    let until = std::time::Instant::now().checked_add(deadline);
+    let until = system.after(deadline);
     let mut report = RespawnReport {
         deaths: Vec::new(),
         respawns: 0,

@@ -14,9 +14,13 @@
 //! in order (Sec. 4.1), and a handler must not block waiting for another
 //! actor: an answer comes back as a message ([`crate::Reply`]).
 //!
-//! Every actor's [`Actor::deadline`] is an entry in one ordered timer set.
-//! A worker with nothing to run waits on the queue until the earliest
-//! one, and a busy worker looks at the set's head between turns. So a
+//! The system has one clock, the milliseconds since it was made
+//! ([`ActorSystem::now_ms`], which actors read as
+//! [`crate::Context::now_ms`]): every actor stamps with it, and every
+//! actor's [`Actor::deadline`] is a millisecond on it and an entry in
+//! one ordered timer set. A worker with nothing to run waits on the queue
+//! until the earliest one, and a busy worker looks at the set's head
+//! between turns. So a
 //! system holds W workers however many actors are alive or were ever
 //! spawned (Sec. 4.2: a Master Aggregator and its shards exist per round),
 //! and `spawn` starts no thread. The workers last as long as the system:
@@ -79,18 +83,12 @@ pub struct Obituary {
 pub enum FaultAction {
     /// Deliver the message normally (the default).
     Deliver,
-    /// Silently drop the message (models a lost network packet).
-    Drop,
-    /// Re-enqueue the message at the back of the mailbox (models a
-    /// delayed/reordered packet). If the mailbox has no live external
-    /// sender, the message is dropped instead.
-    Delay,
     /// Losslessly re-enqueue the message at the back of the mailbox,
     /// permuting delivery order without changing the delivered set. If
     /// no live external sender remains (the mailbox is draining), the
-    /// message is delivered in place instead of being dropped — unlike
-    /// [`FaultAction::Delay`], reordering never loses a message. This
-    /// is the primitive schedule exploration is built on.
+    /// message is delivered in place: reordering never loses a message.
+    /// This is the primitive schedule exploration is built on. (A lost
+    /// or delayed packet is the wire's fault, `fl_wire::FaultyTransport`.)
     Reorder,
     /// Crash the actor via the real panic-recovery path, producing an
     /// [`Obituary`] with [`DeathReason::Panicked`].
@@ -101,7 +99,7 @@ pub enum FaultAction {
 /// before every message delivery.
 ///
 /// `seq` is the 1-based count of messages pulled from the actor's mailbox
-/// so far (including dropped/delayed/crashing ones), so a scripted plan
+/// so far (including reordered and crashing ones), so a scripted plan
 /// like "crash `coordinator` on its 3rd message" replays identically on
 /// every run. Implementations must be deterministic: no wall-clock, no
 /// unseeded randomness.
@@ -173,19 +171,21 @@ pub(crate) fn wake(task: &Arc<dyn Task>) {
     }
 }
 
-/// The wall clock the timer set runs on.
+/// The wall clock: the live tree's one read of it, behind
+/// [`ActorSystem::now_ms`] and the timer set.
 #[expect(
     clippy::disallowed_methods,
-    reason = "live actors' deadlines are wall-clock instants; the deterministic state \
-              machines see only offsets"
+    reason = "the live actor system's one clock; actors and the deterministic state machines \
+              see only its millisecond offsets"
 )]
 fn now() -> Instant {
     Instant::now()
 }
 
-/// An actor's entry in the timer set: its deadline, and the address of
-/// its cell, which tells two equal deadlines apart.
-type TimerKey = (Instant, usize);
+/// An actor's entry in the timer set: its deadline in system
+/// milliseconds, and the address of its cell, which tells two equal
+/// deadlines apart.
+type TimerKey = (u64, usize);
 
 type Timers = BTreeMap<TimerKey, Weak<dyn Task>>;
 
@@ -214,7 +214,7 @@ enum Turn {
     /// [`BATCH`] messages handled; more may be waiting.
     Busy,
     /// The mailbox is empty; wake at the deadline, if any.
-    Idle(Option<Instant>),
+    Idle(Option<u64>),
     /// `on_stop` has run.
     Stopped,
 }
@@ -238,10 +238,12 @@ impl<A: Actor> Live<A> {
             let msg = match self.rx.try_recv() {
                 Ok(msg) => msg,
                 Err(TryRecvError::Empty) if !closed => match self.actor.deadline() {
-                    Some(at) if at <= now() => match self.actor.on_deadline(&mut self.ctx) {
-                        Flow::Continue => continue,
-                        Flow::Stop => return self.stop(),
-                    },
+                    Some(at) if at <= shared.now_ms() => {
+                        match self.actor.on_deadline(&mut self.ctx) {
+                            Flow::Continue => continue,
+                            Flow::Stop => return self.stop(),
+                        }
+                    }
                     due => return Turn::Idle(due),
                 },
                 Err(_) => return self.stop(),
@@ -253,16 +255,6 @@ impl<A: Actor> Live<A> {
                 .unwrap_or(FaultAction::Deliver);
             match action {
                 FaultAction::Deliver => {}
-                FaultAction::Drop => continue,
-                FaultAction::Delay => {
-                    // Push the message to the back of the mailbox; if no
-                    // external sender is left the message is dropped
-                    // (the actor is draining toward shutdown anyway).
-                    if let Some(tx) = self.ctx.self_sender.upgrade() {
-                        let _ = tx.send(msg);
-                    }
-                    continue;
-                }
                 FaultAction::Reorder => {
                     // Re-enqueue behind the pending messages; the send
                     // cannot fail while this actor holds the receiver.
@@ -311,11 +303,11 @@ impl<A: Actor> Cell<A> {
     /// look both pass through the mailbox channel's lock, so one of the
     /// two sees the other, and a timer that fired has left `due` behind
     /// the clock.
-    fn idle(&self, live: Live<A>, due: Option<Instant>) -> bool {
+    fn idle(&self, live: Live<A>, due: Option<u64>, shared: &Shared) -> bool {
         let mut slot = self.live.lock();
         let live = slot.insert(live);
         self.scheduled.store(false, Ordering::SeqCst);
-        let ready = live.ready() || due.is_some_and(|at| at <= now());
+        let ready = live.ready() || due.is_some_and(|at| at <= shared.now_ms());
         ready && !self.scheduled.swap(true, Ordering::SeqCst)
     }
 }
@@ -344,7 +336,7 @@ impl<A: Actor> Task for Cell<A> {
             }
             Ok(Turn::Idle(due)) => {
                 shared.arm(me, &mut live.timer, due);
-                return self.idle(live, due);
+                return self.idle(live, due, shared);
             }
             Ok(Turn::Stopped) => DeathReason::Normal,
             Err(payload) => DeathReason::Panicked(panic_message(&*payload)),
@@ -374,9 +366,10 @@ pub(crate) struct Shared {
     /// Signalled when the last live actor dies; `join` waits here.
     quiescent: Condvar,
     timers: Mutex<Timers>,
-    /// The timer set's head, in nanoseconds after `epoch`, `u64::MAX`
-    /// when empty: what a worker reads between turns without the lock.
+    /// The timer set's head, `u64::MAX` when empty: what a worker reads
+    /// between turns without the lock.
     head: AtomicU64,
+    /// Where the system's clock reads 0.
     epoch: Instant,
     /// The last [`OBITUARY_RING`] obituaries published, in publication
     /// order. Late subscribers receive a replay, so post-mortem
@@ -438,27 +431,33 @@ impl Shared {
         self.injector_installed.store(installed, Ordering::Release);
     }
 
+    /// Milliseconds since the system was made: its clock.
+    fn now_ms(&self) -> u64 {
+        now().saturating_duration_since(self.epoch).as_millis() as u64
+    }
+
+    /// The instant the system's clock reads `at_ms`, if it has one.
+    fn instant(&self, at_ms: u64) -> Option<Instant> {
+        self.epoch.checked_add(Duration::from_millis(at_ms))
+    }
+
     /// The timer set's head, if any.
-    fn head(&self) -> Option<Instant> {
-        match self.head.load(Ordering::Acquire) {
-            u64::MAX => None,
-            nanos => Some(self.epoch + Duration::from_nanos(nanos)),
-        }
+    fn head(&self) -> Option<u64> {
+        Some(self.head.load(Ordering::Acquire)).filter(|&at| at != u64::MAX)
     }
 
     /// Stores the set's head; tells a waiting worker when it moved earlier.
     fn set_head(&self, timers: &Timers) {
-        let nanos = timers.first_key_value().map_or(u64::MAX, |((at, _), _)| {
-            u64::try_from(at.saturating_duration_since(self.epoch).as_nanos())
-                .unwrap_or(u64::MAX - 1)
-        });
-        if nanos < self.head.swap(nanos, Ordering::AcqRel) {
+        let at = timers
+            .first_key_value()
+            .map_or(u64::MAX, |(&(at, _), _)| at);
+        if at < self.head.swap(at, Ordering::AcqRel) {
             let _ = self.queue.send(Job::Timers);
         }
     }
 
     /// Moves an actor's timer-set entry `slot` to `due`.
-    fn arm(&self, me: &Arc<dyn Task>, slot: &mut Option<TimerKey>, due: Option<Instant>) {
+    fn arm(&self, me: &Arc<dyn Task>, slot: &mut Option<TimerKey>, due: Option<u64>) {
         if slot.map(|(at, _)| at) == due {
             return;
         }
@@ -480,7 +479,8 @@ impl Shared {
         loop {
             let task = {
                 let mut timers = self.timers.lock();
-                let due = timers.first_entry().filter(|e| e.key().0 <= now());
+                let now = self.now_ms();
+                let due = timers.first_entry().filter(|e| e.key().0 <= now);
                 let task = due.map(|e| e.remove());
                 self.set_head(&timers);
                 task
@@ -502,11 +502,11 @@ impl Shared {
 fn work(shared: &Shared, jobs: &Receiver<Job>) {
     loop {
         let head = shared.head();
-        if head.is_some_and(|at| at <= now()) {
+        if head.is_some_and(|at| at <= shared.now_ms()) {
             shared.fire();
             continue;
         }
-        let job = match head {
+        let job = match head.and_then(|at| shared.instant(at)) {
             Some(at) => jobs.recv_deadline(at),
             None => jobs.recv().map_err(|_| RecvTimeoutError::Disconnected),
         };
@@ -680,6 +680,19 @@ impl ActorSystem {
         while workers.alive > 0 {
             self.shared().quiescent.wait(&mut workers);
         }
+    }
+
+    /// The time now, in milliseconds since the system was made: the clock
+    /// its actors stamp with ([`crate::Context::now_ms`]) and their
+    /// deadlines are on.
+    pub fn now_ms(&self) -> u64 {
+        self.shared().now_ms()
+    }
+
+    /// The instant `wait` from now, on the system's clock; `None` past
+    /// the end of time.
+    pub(crate) fn after(&self, wait: Duration) -> Option<Instant> {
+        now().checked_add(wait)
     }
 
     /// Worker threads this system holds: W, whatever the number of
@@ -903,69 +916,6 @@ mod tests {
         assert!(matches!(obit.reason, DeathReason::Panicked(_)));
     }
 
-    #[test]
-    fn injected_drop_loses_exactly_that_message() {
-        let system = ActorSystem::new();
-        system.install_fault_injector(Arc::new(ScriptedFaults::new().with(
-            "lossy",
-            2,
-            FaultAction::Drop,
-        )));
-        let total = Arc::new(AtomicU64::new(0));
-        let r = system.spawn(
-            "lossy",
-            Adder {
-                total: total.clone(),
-            },
-        );
-        for i in [10u64, 100, 1] {
-            r.send(i).unwrap();
-        }
-        r.send(0).unwrap();
-        system.join();
-        // The 2nd message (100) was dropped.
-        assert_eq!(total.load(Ordering::SeqCst), 11);
-    }
-
-    #[test]
-    fn injected_delay_requeues_message() {
-        let system = ActorSystem::new();
-        // Delay the 1st message: it is re-enqueued behind the others.
-        system.install_fault_injector(Arc::new(ScriptedFaults::new().with(
-            "slow",
-            1,
-            FaultAction::Delay,
-        )));
-        let order: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(SCAFFOLD, Vec::new()));
-        let r = system.spawn(
-            "slow",
-            Recorder {
-                order: order.clone(),
-            },
-        );
-        r.send(7).unwrap();
-        r.send(8).unwrap();
-        r.send(0).unwrap();
-        system.join();
-        // Message 7 was delayed behind 8 and 0; the stop fires before the
-        // requeued 7 is handled, so only 8 is recorded.
-        assert_eq!(order.lock().clone(), vec![8]);
-    }
-
-    struct Recorder {
-        order: Arc<Mutex<Vec<u64>>>,
-    }
-    impl Actor for Recorder {
-        type Msg = u64;
-        fn handle(&mut self, msg: u64, _ctx: &mut Context<u64>) -> Flow {
-            if msg == 0 {
-                return Flow::Stop;
-            }
-            self.order.lock().push(msg);
-            Flow::Continue
-        }
-    }
-
     /// A recorder that blocks in `on_start` until released, so a test
     /// can fill the mailbox before the first message is pulled, and
     /// acknowledges every handled message.
@@ -993,7 +943,7 @@ mod tests {
     fn injected_reorder_permutes_without_losing() {
         let system = ActorSystem::new();
         // Reorder the 1st message: it is re-enqueued behind the others
-        // but — unlike Delay — still delivered.
+        // and still delivered.
         system.install_fault_injector(Arc::new(ScriptedFaults::new().with(
             "shuffled",
             1,
@@ -1220,19 +1170,14 @@ mod tests {
         system.install_fault_injector(Arc::new(ScriptedFaults::new().with(
             "late",
             2,
-            FaultAction::Drop,
+            FaultAction::Crash,
         )));
         r.send(8).unwrap();
-        r.send(9).unwrap();
-        assert_eq!(
-            ack_rx.recv_timeout(std::time::Duration::from_secs(30)),
-            Ok(9)
-        );
-        system.clear_fault_injector();
-        r.send(10).unwrap();
-        drop(r);
         system.join();
-        assert_eq!(order.lock().clone(), vec![7, 9, 10]);
+        assert_eq!(order.lock().clone(), vec![7]);
+        let obit = system.deaths().try_recv().unwrap();
+        assert!(matches!(obit.reason, DeathReason::Panicked(_)));
+        drop(r);
     }
 
     /// What an [`Alarm`] saw, in order.
@@ -1247,7 +1192,7 @@ mod tests {
     /// messages first; then reports every message, its one deadline
     /// (after which it has none) and its stop.
     struct Alarm {
-        at: Option<std::time::Instant>,
+        at: Option<u64>,
         then: Flow,
         gate: Receiver<()>,
         seen: Sender<Seen>,
@@ -1261,7 +1206,7 @@ mod tests {
             let _ = self.seen.send(Seen::Msg(msg));
             Flow::Continue
         }
-        fn deadline(&self) -> Option<std::time::Instant> {
+        fn deadline(&self) -> Option<u64> {
             self.at
         }
         fn on_deadline(&mut self, _ctx: &mut Context<u64>) -> Flow {
@@ -1274,21 +1219,21 @@ mod tests {
         }
     }
 
-    /// Spawns an [`Alarm`] named `name` due `after` from now that does
-    /// `then` at its deadline; returns its ref, gate and reports.
+    /// Spawns an [`Alarm`] named `name` due at `at` on the system's
+    /// clock that does `then` at its deadline; returns its ref, gate and
+    /// reports.
     fn alarm(
         system: &ActorSystem,
         name: &str,
-        after: std::time::Duration,
+        at: u64,
         then: Flow,
     ) -> (ActorRef<u64>, Sender<()>, Receiver<Seen>) {
         let (gate_tx, gate) = unbounded();
         let (seen, seen_rx) = unbounded();
-        let at = Some(std::time::Instant::now() + after);
         let r = system.spawn(
             name,
             Alarm {
-                at,
+                at: Some(at),
                 then,
                 gate,
                 seen,
@@ -1305,12 +1250,11 @@ mod tests {
     #[test]
     fn on_deadline_fires_once_past_the_deadline() {
         let system = ActorSystem::new();
-        let after = std::time::Duration::from_millis(20);
-        let started = std::time::Instant::now();
-        let (r, gate, seen) = alarm(&system, "alarm", after, Flow::Continue);
+        let at = system.now_ms() + 20;
+        let (r, gate, seen) = alarm(&system, "alarm", at, Flow::Continue);
         gate.send(()).unwrap();
         assert_eq!(next(&seen), Seen::Deadline);
-        assert!(started.elapsed() >= after, "fired early");
+        assert!(system.now_ms() >= at, "fired early");
         r.send(7).unwrap();
         assert_eq!(next(&seen), Seen::Msg(7));
         drop(r);
@@ -1322,7 +1266,7 @@ mod tests {
     fn a_message_that_arrives_first_is_handled_first() {
         let system = ActorSystem::new();
         // Due at once, but two messages are queued before the first wait.
-        let (r, gate, seen) = alarm(&system, "alarm", std::time::Duration::ZERO, Flow::Continue);
+        let (r, gate, seen) = alarm(&system, "alarm", 0, Flow::Continue);
         r.send(1).unwrap();
         r.send(2).unwrap();
         gate.send(()).unwrap();
@@ -1336,7 +1280,7 @@ mod tests {
     #[test]
     fn stop_from_on_deadline_runs_on_stop() {
         let system = ActorSystem::new();
-        let (r, gate, seen) = alarm(&system, "alarm", std::time::Duration::ZERO, Flow::Stop);
+        let (r, gate, seen) = alarm(&system, "alarm", 0, Flow::Stop);
         gate.send(()).unwrap();
         // The reference is still held: the deadline alone stopped it.
         system.join();
@@ -1359,7 +1303,7 @@ mod tests {
             2,
             FaultAction::Crash,
         )));
-        let (r, gate, seen) = alarm(&system, "alarm", std::time::Duration::ZERO, Flow::Continue);
+        let (r, gate, seen) = alarm(&system, "alarm", 0, Flow::Continue);
         gate.send(()).unwrap();
         assert_eq!(next(&seen), Seen::Deadline);
         r.send(1).unwrap();
@@ -1396,7 +1340,7 @@ mod tests {
         drop(r); // no external sender left when the actor starts pulling
         gate_tx.send(()).unwrap();
         system.join();
-        // Delay would have dropped 7 here; Reorder delivers it in place.
+        // Nothing is left to reorder against: 7 is delivered in place.
         assert_eq!(order.lock().clone(), vec![7]);
     }
 }

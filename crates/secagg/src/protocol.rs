@@ -555,7 +555,7 @@ pub struct Sharing {
 pub struct Masking {
     shared: Vec<u32>,
     /// U₃: devices that committed, in id order, and the running masked
-    /// sum.
+    /// sum: the first committed vector itself, empty until then.
     committed: Vec<u32>,
     masked_sum: Vec<u32>,
 }
@@ -678,7 +678,7 @@ impl SecAggServer<Sharing> {
             stage: Masking {
                 shared,
                 committed,
-                masked_sum: vec![0; config.dim],
+                masked_sum: Vec::new(),
             },
         };
         Ok((server, routed))
@@ -687,8 +687,8 @@ impl SecAggServer<Sharing> {
 
 impl SecAggServer<Masking> {
     /// Round 2: accumulate one masked input into the running sum. The
-    /// per-device vector is folded in and dropped (in-memory streaming, as
-    /// in plain aggregation).
+    /// first committed vector becomes the sum; each later one is folded in
+    /// and dropped (in-memory streaming, as in plain aggregation).
     ///
     /// # Errors
     ///
@@ -708,6 +708,10 @@ impl SecAggServer<Masking> {
         }
         if !insert_sorted(&mut stage.committed, input.id) {
             return Err(SecAggError::DuplicateMessage(input.id));
+        }
+        if stage.masked_sum.is_empty() {
+            stage.masked_sum = input.vector;
+            return Ok(());
         }
         for (sum, &v) in stage.masked_sum.iter_mut().zip(&input.vector) {
             *sum = sum.wrapping_add(v);
@@ -852,6 +856,9 @@ impl SecAggServer<Unmasking> {
             .iter()
             .map(|&u| (u, advertisements[&u].s_public))
             .collect();
+        // Empty only if nobody committed, which a config built with a
+        // threshold below 2 lets through: the sum of no inputs is zeros.
+        masked_sum.resize(config.dim, 0);
         masking::unmask(&mut masked_sum, &seeds, &dropped_pairs, &committed_pubs);
         Ok(masked_sum)
     }
@@ -1064,6 +1071,23 @@ mod tests {
             server.finish_advertising(),
             Err(SecAggError::BelowThreshold { .. })
         ));
+    }
+
+    /// The sum is `dim` long however many committed (the other tests
+    /// move the first vector in as the sum): zeros when a config built
+    /// through its public fields (threshold 0) lets an instance close
+    /// with nobody.
+    #[test]
+    fn the_sum_has_dim_elements_for_every_config() {
+        let config = SecAggConfig {
+            threshold: 0,
+            dim: 3,
+        };
+        let (server, _) = SecAggServer::new(config).finish_advertising().unwrap();
+        let (server, _) = server.finish_sharing().unwrap();
+        let (server, request) = server.finish_commit().unwrap();
+        assert!(request.committed.is_empty());
+        assert_eq!(server.finalize().unwrap(), vec![0; 3]);
     }
 
     #[test]

@@ -77,7 +77,7 @@ use fl_wire::{
 };
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Overload telemetry shared between the live Selector actors and
 /// whatever reads it (dashboards, tests): accepts, sheds, evictions, and
@@ -188,7 +188,8 @@ fn encoded(
 }
 
 /// The Coordinator as an actor: wraps the deterministic state machine,
-/// stamping messages with elapsed wall time. Generic over the checkpoint
+/// stamping messages with the actor system's clock
+/// ([`Context::now_ms`]). Generic over the checkpoint
 /// store so a respawned incarnation can reattach to the storage layer
 /// that survived its predecessor (see
 /// [`crate::storage::SharedCheckpointStore`]).
@@ -221,7 +222,6 @@ pub struct CoordinatorActor<S: CheckpointStore + Send + 'static = InMemoryCheckp
     merging: Option<ActiveRound>,
     /// Messages that arrived while `merging`, in arrival order.
     held: VecDeque<CoordMsg>,
-    epoch: Instant,
     lease: Lease,
     locks: LockingService<String>,
     /// Pace steering for devices that arrive while no round is selecting:
@@ -333,12 +333,6 @@ impl<S: CheckpointStore + Send + 'static> CoordinatorActor<S> {
             waiting: Vec::new(),
             merging: None,
             held: VecDeque::new(),
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "the live topology stamps protocol events with real elapsed time; the \
-                          deterministic state machines only ever see the derived `now_ms` offsets"
-            )]
-            epoch: Instant::now(),
             lease,
             locks,
             pace,
@@ -362,14 +356,9 @@ impl<S: CheckpointStore + Send + 'static> CoordinatorActor<S> {
         self
     }
 
-    fn now_ms(&self) -> u64 {
-        self.epoch.elapsed().as_millis() as u64
-    }
-
     fn ensure_round(&mut self, ctx: &Context<CoordMsg>) {
         if self.active.is_none() {
-            let now = self.now_ms();
-            if let Ok((round, master)) = self.coordinator.begin_round(now) {
+            if let Ok((round, master)) = self.coordinator.begin_round(ctx.now_ms()) {
                 // A training round's Master Aggregator runs as the
                 // per-round subtree (Sec. 4.1: aggregation actors "scale
                 // with rounds" and die with them).
@@ -408,7 +397,7 @@ impl<S: CheckpointStore + Send + 'static> CoordinatorActor<S> {
                 // A Coordinator no reference is left to cannot be
                 // answered: its round is lost like a dead Master's.
                 let Some(me) = ctx.self_ref() else {
-                    return self.commit(round, Some(Err(dead())));
+                    return self.commit(round, Some(Err(dead())), ctx);
                 };
                 // A dead Master refuses the `Finalize`, or drops it with
                 // its mailbox; either way the reply answers `Merged(Err)`.
@@ -434,20 +423,25 @@ impl<S: CheckpointStore + Send + 'static> CoordinatorActor<S> {
             }
             None => None,
         };
-        self.commit(round, aggregate);
+        self.commit(round, aggregate, ctx);
     }
 
     /// Commits a closed round (a master that died mid-round surfaces as
     /// an error: the round is lost, nothing reaches storage, and the next
     /// round restarts from the committed checkpoint — Sec. 4.2's Master
     /// Aggregator loss semantics) and answers every waiting request.
-    fn commit(&mut self, round: ActiveRound, aggregate: Option<Result<MergeOutcome, CoreError>>) {
+    fn commit(
+        &mut self,
+        round: ActiveRound,
+        aggregate: Option<Result<MergeOutcome, CoreError>>,
+        ctx: &Context<CoordMsg>,
+    ) {
         // Per-shard SecAgg aborts are telemetry, not round failures: the
         // commit proceeds from the surviving shards and the aborts are
         // counted.
         if let (Some(Ok(merged)), Some(telemetry)) = (&aggregate, &self.telemetry) {
             if merged.shard_aborts > 0 {
-                let now = self.now_ms();
+                let now = ctx.now_ms();
                 let mut metrics = telemetry.lock();
                 for _ in 0..merged.shard_aborts {
                     metrics.record_secagg_abort(now);
@@ -540,7 +534,7 @@ impl<S: CheckpointStore + Send + 'static> CoordinatorActor<S> {
         match msg {
             CoordMsg::DeviceForwarded { device, conn } => {
                 self.ensure_round(ctx);
-                let now = self.now_ms();
+                let now = ctx.now_ms();
                 if let Some(round) = &mut self.active {
                     let was_selecting = round.state.phase() == crate::round::Phase::Selection;
                     match round.on_checkin(device, now) {
@@ -582,7 +576,7 @@ impl<S: CheckpointStore + Send + 'static> CoordinatorActor<S> {
                 // records the verdict and moves an accepted frame on to
                 // the Master Aggregator subtree. Any other frame goes back
                 // to the wire's spare buffers.
-                let now = self.now_ms();
+                let now = ctx.now_ms();
                 let (ack, verdict) = match &mut self.active {
                     Some(round) => round.on_report(now, &frame),
                     None => report_between_rounds(&frame, self.coordinator.population()),
@@ -605,7 +599,7 @@ impl<S: CheckpointStore + Send + 'static> CoordinatorActor<S> {
                 let _ = conn.send(&ack);
             }
             CoordMsg::DeviceDropped { device, stage } => {
-                let now = self.now_ms();
+                let now = ctx.now_ms();
                 if let Some(round) = &mut self.active {
                     round.on_dropout_staged(device, now, stage);
                 }
@@ -643,7 +637,7 @@ impl<S: CheckpointStore + Send + 'static> Actor for CoordinatorActor<S> {
             CoordMsg::Merged(merged) => {
                 if let Some(round) = self.merging.take() {
                     self.master = None;
-                    self.commit(round, Some(merged));
+                    self.commit(round, Some(merged), ctx);
                 }
             }
             other => {
@@ -662,16 +656,16 @@ impl<S: CheckpointStore + Send + 'static> Actor for CoordinatorActor<S> {
         Flow::Continue
     }
 
-    /// The round's next timeout, on this actor's clock.
-    fn deadline(&self) -> Option<Instant> {
-        let due = self.active.as_ref()?.state.next_deadline()?;
-        self.epoch.checked_add(Duration::from_millis(due))
+    /// The round's next timeout, on the system's clock its times are
+    /// stamped with.
+    fn deadline(&self) -> Option<u64> {
+        self.active.as_ref()?.state.next_deadline()
     }
 
     /// The timeout is due: a selection window that ends with enough
     /// devices configures them, and any other ends the round.
     fn on_deadline(&mut self, ctx: &mut Context<CoordMsg>) -> Flow {
-        let now = self.now_ms();
+        let now = ctx.now_ms();
         if let Some(round) = &mut self.active {
             let before = round.state.phase();
             round.on_tick(now);
@@ -746,7 +740,6 @@ pub struct SelectorActor {
     /// The owning Coordinator of every population `selector` serves.
     routes: BTreeMap<PopulationName, ActorRef<CoordMsg>>,
     telemetry: Option<SharedOverloadMetrics>,
-    epoch: Instant,
 }
 
 impl std::fmt::Debug for SelectorActor {
@@ -769,8 +762,6 @@ impl SelectorActor {
             selector,
             routes,
             telemetry: None,
-            #[expect(clippy::disallowed_methods, reason = "live-mode event timestamps only")]
-            epoch: Instant::now(),
         }
     }
 
@@ -800,7 +791,7 @@ impl SelectorActor {
 impl Actor for SelectorActor {
     type Msg = SelectorMsg;
 
-    fn handle(&mut self, msg: SelectorMsg, _ctx: &mut Context<SelectorMsg>) -> Flow {
+    fn handle(&mut self, msg: SelectorMsg, ctx: &mut Context<SelectorMsg>) -> Flow {
         match msg {
             SelectorMsg::Checkin { frame, conn } => {
                 // A frame that is not a well-formed `CheckinRequest`
@@ -812,7 +803,7 @@ impl Actor for SelectorActor {
                 else {
                     return Flow::Continue;
                 };
-                let now = self.epoch.elapsed().as_millis() as u64;
+                let now = ctx.now_ms();
                 // `None`: nobody registered this name. The Selector
                 // refuses it below; it has no series to charge either,
                 // so a peer cannot mint telemetry rows by inventing names.
@@ -1511,9 +1502,10 @@ mod tests {
         system.join();
     }
 
-    /// The Coordinator keeps its own clock. Two check-ins of the three
-    /// the selection wants, and then no message at all: the selection
-    /// window ends on the Coordinator's deadline, which configures both.
+    /// The Coordinator times its round on the system's clock. Two
+    /// check-ins of the three the selection wants, and then no message at
+    /// all: the selection window ends on the Coordinator's deadline, which
+    /// configures both.
     #[test]
     fn selection_timeout_fires_without_a_poller() {
         let system = ActorSystem::new();

@@ -11,8 +11,9 @@
 //! The machine is purely deterministic and explicitly clocked: every
 //! mutation takes `now_ms`, and [`RoundState::next_deadline`] says when
 //! the next timeout is due. `fl-sim` drives it with virtual time; the
-//! live actor server stamps each message with elapsed wall time and ticks
-//! the round itself when that deadline passes with no message.
+//! live actor server stamps each message with the actor system's clock
+//! (milliseconds since the system started) and ticks the round itself
+//! when that deadline passes with no message.
 
 use fl_core::round::{RoundConfig, RoundOutcome};
 use fl_core::{DeviceId, RoundId};
@@ -115,6 +116,9 @@ pub struct RoundState {
     aborted: usize,
     dropped: usize,
     rejected_late: usize,
+    /// Set once, by `finish`: what [`RoundState::outcome`] reads, so a
+    /// drain of `events` does not lose it.
+    outcome: Option<RoundOutcome>,
     events: Vec<RoundEvent>,
 }
 
@@ -148,6 +152,7 @@ impl RoundState {
             aborted: 0,
             dropped: 0,
             rejected_late: 0,
+            outcome: None,
             events: Vec::new(),
         }
     }
@@ -353,18 +358,16 @@ impl RoundState {
             Phase::Abandoned
         };
         self.finished_at_ms = Some(now_ms);
+        self.outcome = Some(outcome);
         self.events.push(RoundEvent::Finished {
             at_ms: now_ms,
             outcome,
         });
     }
 
-    /// The outcome, if the round is finished.
+    /// The outcome, if the round is finished (drained or not).
     pub fn outcome(&self) -> Option<RoundOutcome> {
-        self.events.iter().rev().find_map(|e| match e {
-            RoundEvent::Finished { outcome, .. } => Some(*outcome),
-            _ => None,
-        })
+        self.outcome
     }
 
     /// Wall-clock duration of the round so far / total (Fig. 8's "round
@@ -514,6 +517,26 @@ mod tests {
         );
         // A straggler reporting after commit is rejected late.
         assert_eq!(r.on_report(devices[4], 7_000), ReportResponse::RejectedLate);
+    }
+
+    /// The outcome outlives the event log: a finished round whose events
+    /// were drained still reads its outcome.
+    #[test]
+    fn outcome_survives_a_drain_of_the_events() {
+        let mut r = RoundState::begin(RoundId(1), config(1), 0);
+        fill_selection(&mut r, 2, 100); // target ⌈1.3⌉ = 2
+        let device = r.participants()[0];
+        assert_eq!(r.on_report(device, 200), ReportResponse::Accepted);
+        let committed = Some(RoundOutcome::Committed {
+            incorporated: 1,
+            aborted: 1,
+            dropped_out: 0,
+        });
+        assert!(r.drain_events().iter().any(
+            |e| matches!(e, RoundEvent::Finished { outcome, .. } if Some(*outcome) == committed)
+        ));
+        assert!(r.phase().is_terminal());
+        assert_eq!(r.outcome(), committed);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 
 use crossbeam::channel::unbounded;
 use federated::actors::{
-    watch_and_respawn, ActorSystem, FaultAction, LockingService, ScriptedFaults,
+    watch_and_respawn, ActorRef, ActorSystem, FaultAction, LockingService, ScriptedFaults,
 };
 use federated::core::plan::{CodecSpec, FlPlan, ModelSpec};
 use federated::core::population::{FlTask, TaskGroup, TaskSelectionStrategy};
@@ -465,5 +465,138 @@ fn rewire_redelivers_quota_and_population_estimate() {
 
     selector.send(SelectorMsg::Shutdown).unwrap();
     coord_ref.send(CoordMsg::Shutdown).unwrap();
+    system.join();
+}
+
+/// One timeline (Sec. 2.3): every `retry_at_ms` a device is sent, by a
+/// Selector or by a Coordinator, lies at or after the system's clock read
+/// just before the device checked in. The tree is built after the system
+/// has run a while, and its Coordinator is then crashed and respawned
+/// through `with_store`: each is on the system's clock from the start,
+/// not on one of its own that starts at its construction.
+#[test]
+fn every_retry_at_lies_on_the_systems_timeline() {
+    let population = "pop-one-clock";
+    let actor_name = format!("coordinator-{population}");
+    let lease_name = coordinator_lease_name(&population.into());
+    // Pace ticks 20 ms apart: a clock that started late answers with a
+    // retry far behind the system's.
+    let round = RoundConfig {
+        selection_timeout_ms: 20,
+        ..quick_round(1)
+    };
+    let task = FlTask::training("t", population).with_round(round);
+    let plan = FlPlan::standard_training(spec(), 1, 8, 0.1, CodecSpec::Identity);
+    let store = SharedCheckpointStore::new(InMemoryCheckpointStore::new());
+    let locks: LockingService<String> = LockingService::new();
+    let make = |lease| {
+        CoordinatorActor::with_store(
+            CoordinatorConfig::new(population, 5),
+            TaskGroup::new(vec![task.clone()], TaskSelectionStrategy::Single),
+            vec![plan.clone()],
+            vec![0.0; spec().num_params()],
+            locks.clone(),
+            lease,
+            store.clone(),
+        )
+    };
+
+    let system = ActorSystem::new();
+    std::thread::sleep(Duration::from_millis(300));
+    let lease = locks
+        .acquire(lease_name.clone(), lease_name.clone())
+        .unwrap();
+    let doomed_epoch = lease.epoch;
+    let blueprint = TopologyBlueprint::new(vec![SelectorSpec::new(
+        PaceSteering::new(20, 10),
+        100,
+        3,
+        10,
+    )]);
+    let topology = spawn_multi_topology(&system, vec![(make(lease), 10)], &blueprint);
+    let selector = topology.selectors[0].clone();
+    let rewire = |coordinator, quota| {
+        selector
+            .send(SelectorMsg::Rewire {
+                population: population.into(),
+                coordinator,
+                quota,
+                population_estimate: 100,
+            })
+            .unwrap();
+    };
+    // Checks `device` in through the Selector, routing its reports to
+    // `coordinator`, and returns the reply; a retry must not lie behind
+    // the clock read first.
+    let check_in = |device: u64, coordinator: &ActorRef<CoordMsg>| {
+        let before = system.now_ms();
+        let conn = DeviceConn::connect(
+            DeviceId(device),
+            population,
+            selector.clone(),
+            coordinator.clone(),
+        );
+        conn.check_in().unwrap();
+        let reply = conn.recv(Duration::from_secs(5)).unwrap();
+        if let WireMessage::ComeBackLater { retry_at_ms, .. }
+        | WireMessage::Shed { retry_at_ms, .. } = &reply
+        {
+            assert!(
+                *retry_at_ms >= before,
+                "device {device} told to come back at {retry_at_ms} ms, before the system's \
+                 {before} ms"
+            );
+        }
+        reply
+    };
+    let configured = |reply: &WireMessage| matches!(reply, WireMessage::PlanAndCheckpoint { .. });
+    let come_back = |reply: &WireMessage| matches!(reply, WireMessage::ComeBackLater { .. });
+
+    // Device 0 fills the goal-1 round; the Coordinator turns device 1
+    // away; at quota 0 the Selector turns device 2 away.
+    let first = topology.coordinators[&PopulationName::new(population)].clone();
+    assert!(configured(&check_in(0, &first)));
+    assert!(come_back(&check_in(1, &first)));
+    rewire(first.clone(), 0);
+    assert!(come_back(&check_in(2, &first)));
+
+    // The Coordinator crashes on its next message and one watcher
+    // respawns it over the surviving store.
+    let delivered = 2; // devices 0 and 1
+    system.install_fault_injector(Arc::new(ScriptedFaults::new().with(
+        actor_name.clone(),
+        delivered + 1,
+        FaultAction::Crash,
+    )));
+    let (found_tx, found_rx) = unbounded();
+    let report = std::thread::scope(|scope| {
+        let watcher = scope.spawn(|| {
+            watch_and_respawn(
+                &system,
+                &locks,
+                &actor_name,
+                &lease_name,
+                doomed_epoch,
+                1,
+                make,
+                |replacement| {
+                    let _ = found_tx.send(replacement);
+                },
+                Duration::from_secs(10),
+            )
+        });
+        first.send(CoordMsg::SetPopulationEstimate(100)).unwrap();
+        let replacement = found_rx.recv_timeout(Duration::from_secs(5)).unwrap();
+        system.clear_fault_injector();
+        rewire(replacement.clone(), 10);
+        // The respawned Coordinator configures device 3 and turns device
+        // 4 away on the system's clock, not on one restarted at 0.
+        assert!(configured(&check_in(3, &replacement)));
+        assert!(come_back(&check_in(4, &replacement)));
+        replacement.send(CoordMsg::Shutdown).unwrap();
+        watcher.join().unwrap()
+    });
+    assert_eq!(report.respawns, 1);
+    selector.send(SelectorMsg::Shutdown).unwrap();
     system.join();
 }
